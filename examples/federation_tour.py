@@ -108,6 +108,7 @@ def main() -> None:
         f"\n  federation status: {status['shards_ok']}/{status['shards_total']} ok, "
         f"{status['reports_total']} reports ({status['partial_reports']} partial)"
     )
+    coordinator.close()  # drops the pooled shard connections
     for shard in shards:
         shard.close()
     print("done: partial failure is a degraded report, not a failed one")

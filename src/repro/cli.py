@@ -399,21 +399,21 @@ def _build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 
-import contextlib
+def _run_until_stopped(announce, tick=None, interval=None, duration=None) -> bool:
+    """Announce readiness, then run until SIGTERM, ctrl-C, ``duration`` wall
+    seconds, or ``tick()`` returning ``False``; true when SIGTERM ended it.
 
-
-@contextlib.contextmanager
-def _graceful_sigterm():
-    """Install a SIGTERM handler that sets (and yields) a stop event.
-
-    The long-running commands (simulate, serve, shard-serve) poll the event
-    and fall through their normal teardown — drain in-flight work, flush the
-    WAL, final checkpoint — instead of dying mid-write. Outside the main
-    thread (in-process tests) signals cannot be hooked; the event is then
-    simply never set.
+    The one loop behind simulate, serve and shard-serve. The SIGTERM handler
+    goes in *before* ``announce`` is printed, so a supervisor that signals
+    the moment it reads the readiness line still gets the caller's normal
+    teardown — drain in-flight work, flush the WAL, final checkpoint — never
+    a hard kill. ``tick`` runs every ``interval`` seconds (0: back to back;
+    ``None``: just wait). Outside the main thread (in-process tests) signals
+    cannot be hooked; the run then ends by ``tick`` or ``duration`` only.
     """
     import signal
     import threading
+    import time
 
     stop = threading.Event()
     previous = None
@@ -422,12 +422,25 @@ def _graceful_sigterm():
     except ValueError:
         pass  # not the main thread
     try:
-        yield stop
+        print(announce, flush=True)
+        deadline = None if duration is None else time.monotonic() + duration
+        while not stop.is_set():
+            wait = interval
+            if deadline is not None:
+                wait = deadline - time.monotonic()
+                if wait <= 0:
+                    break
+                wait = wait if interval is None else min(interval, wait)
+            if wait != 0 and stop.wait(wait):
+                break
+            if tick is not None and tick() is False:
+                break
+    except KeyboardInterrupt:
+        pass
     finally:
         if previous is not None:
-            import signal as _signal
-
-            _signal.signal(_signal.SIGTERM, previous)
+            signal.signal(signal.SIGTERM, previous)
+    return stop.is_set()
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -541,33 +554,30 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 },
                 status_provider=lambda: status_from_simulator(sim, slo),
             ).start()
-            print(f"observatory serving on {server.url}")
 
-    print(
+    announce = (
         f"simulating {config.num_machines} machines for {remaining:.0f}s "
         f"(seed {config.seed})..."
     )
-    with _graceful_sigterm() as stop:
-        target = sim.now + remaining
-        if args.top and observing:
+    if server is not None:
+        announce = f"observatory serving on {server.url}\n{announce}"
+    target = sim.now + remaining
+    next_frame = 0.0
+
+    def step() -> bool:
+        nonlocal next_frame
+        if sim.now >= target:
+            return False
+        sim.step()
+        if args.top and observing and sim.now >= next_frame:
             from repro.obs.dashboard import render_top
 
-            frame_every = max(args.top_interval, config.tick)
-            next_frame = 0.0
-            while sim.now < target and not stop.is_set():
-                sim.step()
-                if sim.now >= next_frame:
-                    sys.stdout.write(render_top(status_from_simulator(sim, slo)))
-                    sys.stdout.write("\n")
-                    next_frame = sim.now + frame_every
-        else:
-            while sim.now < target and not stop.is_set():
-                sim.step()
-        if stop.is_set():
-            print(
-                f"SIGTERM: stopping early at t={sim.now:.0f}s "
-                "(flushing WAL, final checkpoint)"
-            )
+            sys.stdout.write(render_top(status_from_simulator(sim, slo)) + "\n")
+            next_frame = sim.now + max(args.top_interval, config.tick)
+        return True
+
+    if _run_until_stopped(announce, step, interval=0):
+        print(f"SIGTERM: stopping early at t={sim.now:.0f}s (flushing WAL, final checkpoint)")
 
     backend = sim.backend
     print(f"done at t={sim.now:.0f}s:")
@@ -698,28 +708,15 @@ def _cmd_shard_serve(args: argparse.Namespace) -> int:
         step_interval=args.step_interval,
     )
     shard.start()
-    # The announce line the launcher/chaos harness parses; flushed so a
-    # pipe-buffered parent sees it immediately.
-    print(
-        format_ready_line(shard.shard_id, shard.host, shard.port, shard.sim.machine_ids)
-    )
-    sys.stdout.flush()
     try:
-        with _graceful_sigterm() as stop:
-            deadline = None
-            if args.duration is not None:
-                import time as _time
-
-                deadline = _time.monotonic() + args.duration
-            while not stop.is_set() and not shard.stopping:
-                if deadline is not None:
-                    import time as _time
-
-                    if _time.monotonic() >= deadline:
-                        break
-                stop.wait(0.1)
-    except KeyboardInterrupt:
-        pass
+        # The announce line the launcher/chaos harness parses (flushed so a
+        # pipe-buffered parent sees it immediately).
+        _run_until_stopped(
+            format_ready_line(shard.shard_id, shard.host, shard.port, shard.sim.machine_ids),
+            lambda: not shard.stopping,
+            interval=0.1,
+            duration=args.duration,
+        )
     finally:
         # Graceful shutdown on every exit path: drain the in-flight
         # fragment, flush the WAL, write the final checkpoint.
@@ -730,7 +727,6 @@ def _cmd_shard_serve(args: argparse.Namespace) -> int:
 
 def _cmd_simulate_sharded(args: argparse.Namespace) -> int:
     import os
-    import time as _time
 
     from repro import obs
     from repro.federation import FederationCoordinator, ShardRegistry
@@ -753,7 +749,7 @@ def _cmd_simulate_sharded(args: argparse.Namespace) -> int:
     telemetry = obs.enable() if args.serve is not None else None
     processes = []
     registry = ShardRegistry(telemetry=telemetry)
-    server = None
+    server = coordinator = None
     try:
         start_id = 1
         for k, count in enumerate(counts):
@@ -773,7 +769,7 @@ def _cmd_simulate_sharded(args: argparse.Namespace) -> int:
             processes.append(proc)
             registry.register(proc.host, proc.port)
             start_id += count
-        print(
+        announce = (
             f"federation: {shards_n} shard(s), {args.machines} machines "
             f"({', '.join(f'{p.shard_id}:{len(p.machines)}' for p in processes)})"
         )
@@ -815,18 +811,17 @@ def _cmd_simulate_sharded(args: argparse.Namespace) -> int:
                 port=args.serve,
                 status_provider=status,
             ).start()
-            print(f"observatory serving on {server.url}")
+            announce += f"\nobservatory serving on {server.url}"
 
-        sql = "SELECT * FROM activity"
         report = None
-        with _graceful_sigterm() as stop:
-            deadline = _time.monotonic() + args.duration
-            while not stop.is_set() and _time.monotonic() < deadline:
-                stop.wait(min(args.report_interval, max(0.0, deadline - _time.monotonic())))
-                registry.refresh()
-                report = coordinator.report(sql, method="naive")
-            if stop.is_set():
-                print("SIGTERM: stopping the federation")
+
+        def tick() -> None:
+            nonlocal report
+            registry.refresh()
+            report = coordinator.report("SELECT * FROM activity", method="naive")
+
+        if _run_until_stopped(announce, tick, args.report_interval, args.duration):
+            print("SIGTERM: stopping the federation")
         if report is not None:
             print(
                 f"federated report: {report.shards_ok}/{report.shards_total} "
@@ -844,6 +839,8 @@ def _cmd_simulate_sharded(args: argparse.Namespace) -> int:
     finally:
         if server is not None:
             server.stop()
+        if coordinator is not None:
+            coordinator.close()
         for proc in processes:
             proc.terminate()
         if telemetry is not None:
@@ -1205,16 +1202,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             status_provider=status,
             query_service=service,
         ).start()
-        print(
+        announce = (
             f"observatory serving {args.db} on {server.url} "
             f"(POST /v1/query, {args.workers} workers; ctrl-C to stop)"
         )
-        try:
-            with _graceful_sigterm() as stop:
-                if stop.wait(args.duration):  # None waits forever
-                    print("SIGTERM: draining in-flight queries and stopping")
-        except KeyboardInterrupt:
-            pass
+        if _run_until_stopped(announce, duration=args.duration):  # None waits forever
+            print("SIGTERM: draining in-flight queries and stopping")
         return 0
     finally:
         if server is not None:

@@ -12,6 +12,8 @@ testable and free of hidden ``time.time()`` calls.
 
 from __future__ import annotations
 
+import random
+
 
 class CircuitBreaker:
     """The classic three-state breaker, driven by an external clock."""
@@ -50,3 +52,24 @@ class CircuitBreaker:
 
     def __repr__(self) -> str:
         return f"CircuitBreaker({self.state}, failures={self.consecutive_failures})"
+
+
+def backoff_delay(
+    base: float,
+    multiplier: float,
+    attempt: int,
+    jitter: float,
+    rng: random.Random,
+    cap: float = float("inf"),
+) -> float:
+    """Seconds to wait before retry ``attempt`` (1-based).
+
+    ``base * multiplier^(attempt-1)``, capped, then spread by ``±jitter``
+    drawn from the caller's seeded ``rng`` so a fleet of retriers
+    decorrelates reproducibly. The retry ladder the sniffer supervisors and
+    the federation coordinator both climb beside their breaker.
+    """
+    delay = min(cap, base * multiplier ** (attempt - 1))
+    if jitter:
+        delay *= 1.0 + jitter * (2.0 * rng.random() - 1.0)
+    return delay

@@ -15,6 +15,7 @@ from repro.federation.rpc import (
     MAX_FRAME_BYTES,
     RPCError,
     RPCServer,
+    RPCTimeout,
     call,
     recv_frame,
     send_frame,
@@ -32,6 +33,7 @@ __all__ = [
     "MAX_FRAME_BYTES",
     "RPCError",
     "RPCServer",
+    "RPCTimeout",
     "call",
     "recv_frame",
     "send_frame",

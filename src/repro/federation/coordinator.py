@@ -9,15 +9,16 @@ exactly which shards it heard from (``shards_ok``), which it did not
 (``stale_shards``), in the same honest-disclosure spirit as the paper's
 NOTICE lines.
 
-Fan-out discipline, per shard and per report:
+Fan-out discipline, per shard and per report (one selector loop over pooled,
+persistent connections drives all of it — no thread or connect per request):
 
 * a **per-shard circuit breaker** (:class:`repro.core.breaker.CircuitBreaker`,
   the same class the sniffer supervisors use) skips shards that have been
   failing, with a half-open probe after ``breaker_reset`` wall seconds;
 * **bounded retries** with exponential backoff and seeded jitter
   (decorrelated per shard, like the supervisor fleet's);
-* a **hedged request** fired at stragglers after ``hedge_delay`` seconds —
-  first reply wins, the loser's socket just times out;
+* a **hedged request** fired at stragglers after ``hedge_delay`` seconds on
+  a second socket — first reply wins, the loser's socket is closed;
 * a hard **deadline**: whatever has not arrived when it expires is merged
   as missing (or stale-cached), never waited for.
 
@@ -34,12 +35,14 @@ Guard filtering or outlier-splitting per shard would both be unsound.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import random
+import selectors
 import threading
 import time
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Set, Tuple
 
-from repro.core.breaker import CircuitBreaker
+from repro.core.breaker import CircuitBreaker, backoff_delay
 from repro.core.relevance import RelevancePlan, build_naive_plan, build_relevance_plan
 from repro.core.statistics import (
     DEFAULT_Z_THRESHOLD,
@@ -54,7 +57,7 @@ from repro.core.statistics import (
 from repro.engine.cache import resolve_cached
 from repro.errors import TracError
 from repro.federation import rpc
-from repro.federation.rpc import RPCError
+from repro.federation.rpc import RPCError, RPCTimeout
 from repro.grid.simulator import monitoring_catalog
 from repro.obs import instrument as obs
 from repro.obs.events import (
@@ -64,8 +67,12 @@ from repro.obs.events import (
     EVT_SHARD_REJOINED,
     EVT_SHARD_RPC_RETRY,
 )
+from repro.obs.trace import inject_context
 
 _METHODS = ("focused", "naive")
+_NEVER = float("inf")
+#: Distinct SQL texts whose plans are kept per machine set.
+_PLAN_MEMO_SIZE = 256
 
 
 def _stable_seed(seed: int, shard_id: str) -> int:
@@ -98,16 +105,6 @@ class ShardInfo:
         #: Last heartbeat's per-machine reported recency map.
         self.recency: Dict[str, float] = {}
 
-    def to_dict(self) -> dict:
-        return {
-            "shard_id": self.shard_id,
-            "host": self.host,
-            "port": self.port,
-            "machines": list(self.machines),
-            "alive": self.alive,
-            "last_error": self.last_error,
-        }
-
     def __repr__(self) -> str:
         state = "alive" if self.alive else "dead"
         return f"ShardInfo({self.shard_id!r}, {self.host}:{self.port}, {state})"
@@ -127,10 +124,6 @@ class ShardRegistry:
         self.telemetry = telemetry
         self._lock = threading.Lock()
         self._shards: Dict[str, ShardInfo] = {}
-
-    def _tel(self):
-        tel = self.telemetry
-        return tel if tel is not None else obs.get_default()
 
     def register(self, host: str, port: int, timeout: float = 2.0) -> ShardInfo:
         """Hello a shard and add it to the membership."""
@@ -171,7 +164,7 @@ class ShardRegistry:
 
     def refresh(self, timeout: float = 0.5) -> Dict[str, bool]:
         """Heartbeat every shard; returns ``{shard_id: alive}``."""
-        tel = self._tel()
+        tel = obs.resolve(self.telemetry)
         verdicts: Dict[str, bool] = {}
         for info in self.shards():
             was_alive = info.alive
@@ -242,6 +235,8 @@ class FederatedRecencyReport:
         #: age (wall seconds) of the cached fragment.
         self.stale_shards = dict(stale_shards)
         self.elapsed = elapsed
+        #: The report's 32-hex trace id when it ran under telemetry.
+        self.trace_id: Optional[str] = None
 
     @property
     def complete(self) -> bool:
@@ -340,12 +335,165 @@ class FederatedRecencyReport:
         )
 
 
-class _CachedFragment:
-    __slots__ = ("reply", "wall")
+class _ShardCall:
+    """One shard's attempt state inside a :class:`_FanOut`."""
 
-    def __init__(self, reply: dict, wall: float) -> None:
-        self.reply = reply
-        self.wall = wall
+    def __init__(self, info: ShardInfo, breaker: CircuitBreaker) -> None:
+        self.info = info
+        self.breaker = breaker
+        self.failures = 0  # failed attempts so far in this report
+        self.conns: List[rpc.Connection] = []  # in flight: the request, maybe its hedge
+        self.started = self.expires = 0.0  # the attempt in flight
+        self.hedge_at = self.retry_at = _NEVER  # timers: hedge it / back-off is over
+
+    @property
+    def wake(self) -> float:
+        """When this call next needs the loop without any socket event."""
+        return min(self.expires, self.hedge_at) if self.conns else self.retry_at
+
+
+class _FanOut:
+    """One report's fan-out: a selector loop, on the calling thread, over
+    every shard's attempt state machine — per-attempt timeout, back-off as a
+    timer, one hedged duplicate on a second socket, the hard deadline. No
+    thread per request and, on a warm pool, no connect either."""
+
+    def __init__(self, coordinator: "FederationCoordinator", request: dict, deadline_at: float):
+        self.co = coordinator
+        self.tel = obs.resolve(coordinator.telemetry)
+        self.deadline_at = deadline_at
+        self.request_id = next(coordinator._request_ids)
+        self.frame = rpc.encode_frame(dict(request, id=self.request_id))
+        self.selector = selectors.DefaultSelector()
+        self.results: Dict[str, Optional[dict]] = {}
+
+    def run(self, shards: List[ShardInfo]) -> Dict[str, Optional[dict]]:
+        now = time.monotonic()
+        calls = [_ShardCall(info, self.co._breaker(info.shard_id)) for info in shards]
+        # An open breaker: don't even burn a connect on that shard.
+        pending = [call for call in calls if call.breaker.allow(now)]
+        try:
+            for call in pending:
+                self._begin(call, now)
+            while True:
+                now = time.monotonic()
+                for call in pending:
+                    if now >= call.wake and call.info.shard_id not in self.results:
+                        self._on_timer(call, now)
+                pending = [call for call in pending if call.info.shard_id not in self.results]
+                if not pending or now >= self.deadline_at:
+                    return self.results
+                wake = min(self.deadline_at, min(call.wake for call in pending))
+                for key, _mask in self.selector.select(max(0.0, wake - now)):
+                    self._on_ready(key)
+        finally:
+            for call in pending:  # past the deadline: never waited for
+                for conn in call.conns:
+                    conn.close()
+            self.selector.close()
+
+    def _begin(self, call: _ShardCall, now: float) -> None:
+        """Start one attempt, budgeted inside what is left of the deadline."""
+        timeout = min(self.co.attempt_timeout, self.deadline_at - now)
+        hedge = self.co.hedge_delay
+        call.started = now
+        call.expires = now + timeout
+        call.hedge_at = now + hedge if hedge is not None and hedge < timeout else _NEVER
+        self._launch(call, now)
+
+    def _launch(self, call: _ShardCall, now: float, fresh: bool = False) -> None:
+        address = (call.info.host, call.info.port)
+        conn = None if fresh else self.co._pool.take(address)
+        try:
+            if conn is None:
+                conn = rpc.Connection(address)
+            conn.send(self.frame)
+        except RPCError as exc:
+            if conn is not None:
+                conn.close()
+            self._lost(call, conn, exc, now)
+            return
+        call.conns.append(conn)
+        events = selectors.EVENT_READ | (selectors.EVENT_WRITE if conn.outbox else 0)
+        self.selector.register(conn.sock, events, (call, conn))
+
+    def _on_ready(self, key: selectors.SelectorKey) -> None:
+        call, conn = key.data
+        if conn not in call.conns:
+            return  # closed earlier in this batch of events
+        try:
+            messages = conn.pump()
+        except RPCError as exc:
+            self._release(call, conn).close()
+            self._lost(call, conn, exc, time.monotonic())
+            return
+        # A frame with another id is a duplicate or a late answer to an
+        # earlier request on this socket: discard it.
+        reply = next((m for m in messages if m.get("id") == self.request_id), None)
+        if reply is not None:
+            self._won(call, conn, reply)
+        elif key.events & selectors.EVENT_WRITE and not conn.outbox:
+            self.selector.modify(conn.sock, selectors.EVENT_READ, key.data)
+
+    def _on_timer(self, call: _ShardCall, now: float) -> None:
+        info = call.info
+        if not call.conns:
+            self._begin(call, now)  # back-off is over
+        elif now >= call.expires:
+            waited = f"{info.shard_id} at {info.host}:{info.port} for {now - call.started:.3g}s"
+            self._failed(call, RPCTimeout(f"no answer from shard {waited}"), now)
+        else:  # a straggler: race a duplicate on a second socket
+            call.hedge_at = _NEVER
+            self._launch(call, now)
+            if self.tel.enabled:
+                obs.record_shard_hedge(self.tel, info.shard_id)
+                self.tel.emit(EVT_SHARD_HEDGE, source=info.shard_id, severity="info")
+
+    def _release(self, call: _ShardCall, conn: rpc.Connection) -> rpc.Connection:
+        call.conns.remove(conn)
+        self.selector.unregister(conn.sock)
+        return conn
+
+    def _lost(self, call: _ShardCall, conn: Optional[rpc.Connection], exc: RPCError, now: float):
+        """One of the attempt's connections died (it is already closed)."""
+        if conn is not None and conn.reused and not conn.heard:
+            # A pooled socket the shard closed while it sat idle says nothing
+            # about the shard: once more on a fresh connection, uncharged.
+            self._launch(call, now, fresh=True)
+        elif not call.conns:  # else the hedge (or the original) may still answer
+            self._failed(call, exc, now)
+
+    def _failed(self, call: _ShardCall, exc: RPCError, now: float) -> None:
+        """The attempt failed: charge the breaker, then back off or give up."""
+        shard_id = call.info.shard_id
+        for conn in list(call.conns):
+            self._release(call, conn).close()
+        call.breaker.record_failure(now)
+        if self.tel.enabled:
+            outcome = "timeout" if isinstance(exc, RPCTimeout) else "error"
+            obs.record_shard_rpc(self.tel, shard_id, outcome, now - call.started)
+        call.failures += 1
+        if call.failures > self.co.retries:
+            self.results[shard_id] = None
+            return
+        if self.tel.enabled:
+            self.tel.emit(EVT_SHARD_RPC_RETRY, source=shard_id, severity="warning",
+                          attempt=call.failures, error=str(exc))
+        call.retry_at = now + self.co._backoff(shard_id, call.failures)
+
+    def _won(self, call: _ShardCall, conn: rpc.Connection, reply: dict) -> None:
+        self.co._pool.give(self._release(call, conn))
+        for loser in list(call.conns):  # its answer is still owed: close, don't pool
+            self._release(call, loser).close()
+        now = time.monotonic()
+        if reply.get("ok"):
+            call.breaker.record_success()
+            if self.tel.enabled:
+                obs.record_shard_rpc(self.tel, call.info.shard_id, "ok", now - call.started)
+        else:  # the shard answered but refused: don't retry
+            call.breaker.record_failure(now)
+            reply = None
+        self.results[call.info.shard_id] = reply
 
 
 class FederationCoordinator:
@@ -414,14 +562,15 @@ class FederationCoordinator:
         self.telemetry = telemetry
         self._breakers: Dict[str, CircuitBreaker] = {}
         self._rngs: Dict[str, random.Random] = {}
-        self._fragments: Dict[str, _CachedFragment] = {}
+        #: shard id -> (last good fragment, the monotonic second it arrived).
+        self._fragments: Dict[str, Tuple[dict, float]] = {}
         self._lock = threading.Lock()
+        self._pool = rpc.ConnectionPool()
+        self._request_ids = itertools.count(1)
+        # (machine set, its union catalog, {sql: plan}); see plan_for.
+        self._planned: tuple = ((), None, {})
         self.reports_total = 0
         self.partial_reports = 0
-
-    def _tel(self):
-        tel = self.telemetry
-        return tel if tel is not None else obs.get_default()
 
     def _breaker(self, shard_id: str) -> CircuitBreaker:
         with self._lock:
@@ -431,26 +580,32 @@ class FederationCoordinator:
                 self._breakers[shard_id] = breaker
             return breaker
 
-    def _rng(self, shard_id: str) -> random.Random:
+    def _backoff(self, shard_id: str, attempt: int) -> float:
         with self._lock:
             rng = self._rngs.get(shard_id)
             if rng is None:
-                rng = random.Random(_stable_seed(self.seed, shard_id))
-                self._rngs[shard_id] = rng
-            return rng
+                rng = self._rngs[shard_id] = random.Random(_stable_seed(self.seed, shard_id))
+        return backoff_delay(self.backoff_base, self.backoff_multiplier, attempt, self.jitter, rng)
 
     # -- planning -----------------------------------------------------------
 
     def plan_for(self, sql: str, method: str = "focused") -> RelevancePlan:
-        """Plan ``sql`` against the union catalog of every shard's machines."""
+        """Plan ``sql`` over the shards' union catalog; memoised until the machine set changes."""
         if method == "naive":
             return build_naive_plan()
-        machines = self.registry.machines()
+        machines = tuple(self.registry.machines())
         if not machines:
             raise TracError("no shards registered; cannot build the union catalog")
-        catalog = monitoring_catalog(machines)
-        resolved = resolve_cached(sql, catalog)
-        return build_relevance_plan(resolved)
+        with self._lock:
+            if machines != self._planned[0]:  # a shard (re)registered or rejoined
+                self._planned = (machines, monitoring_catalog(machines), {})
+            _, catalog, plans = self._planned
+        plan = plans.get(sql)
+        if plan is None:
+            if len(plans) >= _PLAN_MEMO_SIZE:
+                plans.clear()
+            plan = plans[sql] = build_relevance_plan(resolve_cached(sql, catalog))
+        return plan
 
     # -- reporting ----------------------------------------------------------
 
@@ -463,25 +618,29 @@ class FederationCoordinator:
         """Produce one federated recency report, inside the deadline."""
         if method not in _METHODS:
             raise TracError(f"unknown method {method!r}; expected one of {_METHODS}")
+        tel = obs.resolve(self.telemetry)
+        with obs.PhaseTimer(tel, "federation.report", method=method) as root:
+            report = self._report(sql, method, plan, tel, root.span.context)
+        if tel.enabled:
+            report.trace_id = root.span.trace_id_hex
+        return report
+
+    def _report(self, sql, method, plan, tel, context) -> FederatedRecencyReport:
         start = time.monotonic()
         deadline_at = start + self.deadline
-        tel = self._tel()
         if plan is None:
             plan = self.plan_for(sql, method=method)
         shards = self.registry.shards()
 
-        request = {
-            "op": "fragment",
-            "mode": plan.mode,
-            "subqueries": [
-                {"sql": sub.sql, "guards": list(sub.guards)}
-                for sub in plan.subqueries
-            ],
-        }
+        subqueries = [{"sql": sub.sql, "guards": list(sub.guards)} for sub in plan.subqueries]
+        request = {"op": "fragment", "mode": plan.mode, "subqueries": subqueries}
+        # The report's span context rides the envelope (no key when
+        # telemetry is off): shard-side spans join this report's trace.
+        inject_context(context, request)
 
         outcomes: Dict[str, Optional[dict]] = {}
         if plan.mode != "empty" and shards:
-            outcomes = self._fan_out(shards, request, deadline_at)
+            outcomes = _FanOut(self, request, deadline_at).run(shards)
 
         ok_shards: List[str] = []
         missing: List[str] = []
@@ -498,17 +657,16 @@ class FederationCoordinator:
                 ok_shards.append(info.shard_id)
                 replies.append(reply)
                 with self._lock:
-                    self._fragments[info.shard_id] = _CachedFragment(reply, now_wall)
+                    self._fragments[info.shard_id] = (reply, now_wall)
                 continue
-            cached = None
+            cached, cached_at = None, 0.0
             if self.stale_fallback:
                 with self._lock:
-                    cached = self._fragments.get(info.shard_id)
-                if cached is not None and now_wall - cached.wall > self.stale_max_age:
-                    cached = None
-            if cached is not None and cached.reply.get("mode") == plan.mode:
-                stale[info.shard_id] = now_wall - cached.wall
-                replies.append(cached.reply)
+                    cached, cached_at = self._fragments.get(info.shard_id, (None, 0.0))
+            age = now_wall - cached_at
+            if cached is not None and age <= self.stale_max_age and cached.get("mode") == plan.mode:
+                stale[info.shard_id] = age
+                replies.append(cached)
             else:
                 missing.append(info.shard_id)
 
@@ -530,9 +688,10 @@ class FederationCoordinator:
             stale_shards=stale,
             elapsed=elapsed,
         )
-        self.reports_total += 1
-        if not report.complete:
-            self.partial_reports += 1
+        with self._lock:
+            self.reports_total += 1
+            if not report.complete:
+                self.partial_reports += 1
         if tel.enabled:
             obs.record_federation_report(tel, partial=not report.complete)
             for info in shards:
@@ -552,151 +711,14 @@ class FederationCoordinator:
 
     # -- fan-out ------------------------------------------------------------
 
-    def _fan_out(
-        self, shards: List[ShardInfo], request: dict, deadline_at: float
-    ) -> Dict[str, Optional[dict]]:
-        results: Dict[str, Optional[dict]] = {}
-        results_lock = threading.Lock()
+    def _call_shard(self, info: ShardInfo, request: dict, deadline_at: float) -> Optional[dict]:
+        """A one-shard fan-out: the reply, or ``None`` when the shard is
+        unreachable within the deadline. Never raises."""
+        return _FanOut(self, request, deadline_at).run([info]).get(info.shard_id)
 
-        def worker(info: ShardInfo) -> None:
-            reply = self._call_shard(info, request, deadline_at)
-            with results_lock:
-                results[info.shard_id] = reply
-
-        threads = [
-            threading.Thread(
-                target=worker, args=(info,), name=f"fed-call:{info.shard_id}", daemon=True
-            )
-            for info in shards
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            remaining = deadline_at - time.monotonic()
-            thread.join(timeout=max(0.0, remaining) + 0.1)
-        return results
-
-    def _call_shard(
-        self, info: ShardInfo, request: dict, deadline_at: float
-    ) -> Optional[dict]:
-        """One shard's attempt loop: breaker, retries, backoff, hedging.
-
-        Returns the reply dict, or ``None`` when the shard is unreachable
-        within the deadline. Never raises.
-        """
-        tel = self._tel()
-        breaker = self._breaker(info.shard_id)
-        if not breaker.allow(time.monotonic()):
-            return None  # open breaker: don't even burn a connect on it
-        attempt = 0
-        while True:
-            remaining = deadline_at - time.monotonic()
-            if remaining <= 0:
-                return None
-            timeout = min(self.attempt_timeout, remaining)
-            started = time.monotonic()
-            try:
-                reply = self._attempt_with_hedge(info, request, timeout)
-            except RPCError as exc:
-                breaker.record_failure(time.monotonic())
-                if tel.enabled:
-                    outcome = "timeout" if "timed out" in str(exc) else "error"
-                    obs.record_shard_rpc(
-                        tel, info.shard_id, outcome, time.monotonic() - started
-                    )
-                attempt += 1
-                if attempt > self.retries:
-                    return None
-                if tel.enabled:
-                    tel.emit(
-                        EVT_SHARD_RPC_RETRY,
-                        source=info.shard_id,
-                        severity="warning",
-                        attempt=attempt,
-                        error=str(exc),
-                    )
-                delay = self._backoff(info.shard_id, attempt)
-                remaining = deadline_at - time.monotonic()
-                if remaining <= 0:
-                    return None
-                time.sleep(min(delay, remaining))
-                continue
-            if not reply.get("ok"):
-                breaker.record_failure(time.monotonic())
-                return None  # shard answered but refused; don't retry
-            breaker.record_success()
-            if tel.enabled:
-                obs.record_shard_rpc(
-                    tel, info.shard_id, "ok", time.monotonic() - started
-                )
-            return reply
-
-    def _attempt_with_hedge(
-        self, info: ShardInfo, request: dict, timeout: float
-    ) -> dict:
-        """One attempt, with an optional hedged duplicate for stragglers."""
-        hedge_delay = self.hedge_delay
-        if hedge_delay is None or hedge_delay >= timeout:
-            return rpc.call(info.host, info.port, request, timeout=timeout)
-
-        start = time.monotonic()
-        lock = threading.Lock()
-        state: Dict[str, object] = {"reply": None, "errors": 0, "launched": 1}
-        done = threading.Event()
-
-        def attempt(budget: float) -> None:
-            try:
-                reply = rpc.call(info.host, info.port, request, timeout=budget)
-            except RPCError as exc:
-                with lock:
-                    state["errors"] = int(state["errors"]) + 1
-                    state["last_error"] = exc
-                    if state["errors"] >= state["launched"]:
-                        done.set()
-                return
-            with lock:
-                if state["reply"] is None:
-                    state["reply"] = reply
-            done.set()
-
-        threading.Thread(
-            target=attempt, args=(timeout,), name=f"fed-rpc:{info.shard_id}", daemon=True
-        ).start()
-        if not done.wait(hedge_delay):
-            remaining = timeout - (time.monotonic() - start)
-            if remaining > 0:
-                with lock:
-                    state["launched"] = int(state["launched"]) + 1
-                threading.Thread(
-                    target=attempt,
-                    args=(remaining,),
-                    name=f"fed-hedge:{info.shard_id}",
-                    daemon=True,
-                ).start()
-                tel = self._tel()
-                if tel.enabled:
-                    obs.record_shard_hedge(tel, info.shard_id)
-                    tel.emit(
-                        EVT_SHARD_HEDGE, source=info.shard_id, severity="info"
-                    )
-        done.wait(max(0.0, timeout - (time.monotonic() - start)) + 0.05)
-        with lock:
-            reply = state["reply"]
-            if reply is not None:
-                return reply  # type: ignore[return-value]
-            error = state.get("last_error")
-        if isinstance(error, RPCError):
-            raise error
-        raise RPCError(
-            f"shard {info.shard_id} at {info.host}:{info.port} "
-            f"did not answer within {timeout:g}s"
-        )
-
-    def _backoff(self, shard_id: str, attempt: int) -> float:
-        delay = self.backoff_base * self.backoff_multiplier ** (attempt - 1)
-        if self.jitter:
-            delay *= 1.0 + self.jitter * (2.0 * self._rng(shard_id).random() - 1.0)
-        return delay
+    def close(self) -> None:
+        """Close the pooled shard connections (the coordinator stays usable)."""
+        self._pool.close()
 
     # -- merging ------------------------------------------------------------
 

@@ -80,8 +80,10 @@ class ShardProcess:
             self.process.wait(timeout=10.0)
 
     def freeze(self) -> None:
-        """SIGSTOP: the process is alive but will never answer."""
+        """SIGSTOP: the process is alive but will never answer. The signal is
+        asynchronous, so wait until every thread of the shard has stopped."""
         os.kill(self.process.pid, signal.SIGSTOP)
+        os.waitid(os.P_PID, self.process.pid, os.WSTOPPED | os.WNOWAIT)
 
     def thaw(self) -> None:
         os.kill(self.process.pid, signal.SIGCONT)

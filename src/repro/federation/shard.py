@@ -39,6 +39,7 @@ from repro.federation.rpc import RPCServer
 from repro.grid.simulator import GridSimulator, SimulationConfig
 from repro.grid.supervisor import SupervisorPolicy
 from repro.obs import instrument as obs
+from repro.obs.trace import extract_context
 
 
 class ShardServer:
@@ -207,8 +208,9 @@ class ShardServer:
         mode = request.get("mode", "focused")
         subqueries = request.get("subqueries", [])
         tel = self.telemetry if self.telemetry is not None else obs.get_default()
+        parent = extract_context(request) if tel.enabled else None  # the report's span
         with self._lock:
-            with obs.PhaseTimer(tel, "federation.fragment", shard=self.shard_id):
+            with obs.PhaseTimer(tel, "federation.fragment", parent=parent, shard=self.shard_id):
                 results: List[List[List[object]]] = []
                 guards: Dict[str, bool] = {}
                 with self.sim.backend.snapshot() as snap:

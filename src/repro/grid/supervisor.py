@@ -39,7 +39,7 @@ import hashlib
 import random
 from typing import Dict, Optional
 
-from repro.core.breaker import CircuitBreaker
+from repro.core.breaker import CircuitBreaker, backoff_delay
 from repro.core.health import BACKING_OFF, DEGRADED, HEALTHY, RESTARTING, SourceHealth
 from repro.errors import SimulationError
 from repro.faults.backend import FaultyBackend
@@ -355,13 +355,11 @@ class SnifferSupervisor:
             )
 
     def _backoff(self, attempt: int) -> float:
-        delay = min(
-            self.policy.max_backoff,
-            self.policy.base_backoff * self.policy.backoff_multiplier ** (attempt - 1),
+        policy = self.policy
+        return backoff_delay(
+            policy.base_backoff, policy.backoff_multiplier, attempt, policy.jitter,
+            self.rng, cap=policy.max_backoff,
         )
-        if self.policy.jitter:
-            delay *= 1.0 + self.policy.jitter * (2.0 * self.rng.random() - 1.0)
-        return delay
 
     def _record_breaker(self, state: str, now: Optional[float] = None) -> None:
         tel = self._tel()

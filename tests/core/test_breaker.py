@@ -127,3 +127,41 @@ class TestReexport:
         from repro.core import CircuitBreaker as FromCore
 
         assert FromCore is CircuitBreaker
+
+
+class TestBackoffDelay:
+    """The one retry ladder the supervisors and the coordinator share."""
+
+    def test_matches_the_formula_both_callers_used_to_carry(self):
+        import random
+
+        from repro.core.breaker import backoff_delay
+
+        for attempt in range(1, 7):
+            ours, theirs = random.Random(42), random.Random(42)
+            expected = min(60.0, 1.5 * 2.0 ** (attempt - 1))
+            expected *= 1.0 + 0.25 * (2.0 * theirs.random() - 1.0)
+            assert backoff_delay(1.5, 2.0, attempt, 0.25, ours, cap=60.0) == expected
+
+    def test_no_jitter_draws_nothing_from_the_rng(self):
+        import random
+
+        from repro.core.breaker import backoff_delay
+
+        rng = random.Random(7)
+        state = rng.getstate()
+        assert backoff_delay(0.05, 2.0, 3, 0.0, rng) == 0.2
+        assert rng.getstate() == state
+
+    def test_coordinator_delays_are_bit_identical_to_its_old_private_formula(self):
+        import random
+
+        from repro.federation import FederationCoordinator, ShardRegistry
+        from repro.federation.coordinator import _stable_seed
+
+        coordinator = FederationCoordinator(ShardRegistry(), seed=9)
+        rng = random.Random(_stable_seed(9, "s0"))
+        for attempt in (1, 2, 3):
+            delay = 0.05 * 2.0 ** (attempt - 1)
+            delay *= 1.0 + 0.5 * (2.0 * rng.random() - 1.0)
+            assert coordinator._backoff("s0", attempt) == delay

@@ -15,9 +15,10 @@ from under it. Three phases:
 2. **SIGSTOP** — k shards freeze: TCP connects still succeed but nothing
    answers, the nastier failure mode. Same within-deadline / exact-missing
    assertions, then SIGCONT and recovery to full completeness.
-3. **Hygiene** — coordinator worker/hedge threads must all retire after a
-   grace period (no hang, no leak), and SIGTERM teardown of every shard
-   must exit 0 (the graceful-shutdown path).
+3. **Hygiene** — the coordinator must leave no thread behind and, after
+   ``coordinator.close()``, no socket (its pooled shard connections are
+   the only ones it owns), and SIGTERM teardown of every shard must exit 0
+   (the graceful-shutdown path).
 
 In the style of the crash-matrix and serve-load guards: aligned table,
 exit 0/1, ``--json`` writes the full document for the ``federation-chaos``
@@ -28,6 +29,7 @@ Run: ``PYTHONPATH=src python tools/check_federation_degrades.py``
 
 import argparse
 import json
+import os
 import sys
 import tempfile
 import threading
@@ -40,6 +42,17 @@ from repro.federation import FederationCoordinator, ShardRegistry, rpc  # noqa: 
 from repro.federation.process import launch_shard  # noqa: E402
 
 SQL = "SELECT * FROM activity WHERE value = 'busy'"
+
+
+def open_sockets():
+    """How many of this process's file descriptors are sockets."""
+    count = 0
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            count += os.readlink(f"/proc/self/fd/{fd}").startswith("socket:")
+        except OSError:
+            pass  # the listing's own descriptor, already closed
+    return count
 
 
 def shard_status(proc, timeout=2.0):
@@ -110,6 +123,7 @@ def main() -> int:
     failures = []
     doc = {"shards": args.shards, "killed": args.kill, "phases": {}}
     baseline_threads = threading.active_count()
+    baseline_sockets = open_sockets()
 
     with tempfile.TemporaryDirectory(prefix="federation-chaos-") as tmp:
         procs = []
@@ -223,19 +237,23 @@ def main() -> int:
             doc["phases"]["thaw"] = {"complete": thawed is not None}
 
         finally:
+            coordinator.close()
             exit_codes = {p.shard_id: p.terminate() for p in procs}
         doc["shutdown_exit_codes"] = exit_codes
         for shard_id, code in exit_codes.items():
             if code != 0:
                 failures.append(f"shutdown: shard {shard_id} exited {code} on SIGTERM")
 
-    # -- hygiene: every coordinator/hedge thread must retire ----------------
-    time.sleep(2.0)  # grace: straggler RPC threads die by their own timeouts
+    # -- hygiene: no thread and, once closed, no socket left behind ---------
     leaked = threading.active_count() - baseline_threads
     doc["leaked_threads"] = leaked
     if leaked > 0:
         stragglers = [t.name for t in threading.enumerate() if t.name != "MainThread"]
         failures.append(f"hygiene: {leaked} leaked thread(s): {stragglers}")
+    leaked_sockets = open_sockets() - baseline_sockets
+    doc["leaked_sockets"] = leaked_sockets
+    if leaked_sockets > 0:
+        failures.append(f"hygiene: {leaked_sockets} socket(s) open after coordinator.close()")
 
     doc["failures"] = failures
     rows = [("phase", "reports", "partial", "max s")]

@@ -223,6 +223,7 @@ def run_federation_once(rng: random.Random, run_index: int) -> None:
     per_shard = rng.randint(2, 3)
     shards = []
     registry = ShardRegistry()
+    coordinator = None
     deadline = 2.0
     try:
         for k in range(num_shards):
@@ -285,6 +286,8 @@ def run_federation_once(rng: random.Random, run_index: int) -> None:
             f"partial={partial}/8 injected={injected}"
         )
     finally:
+        if coordinator is not None:
+            coordinator.close()
         for shard in shards:
             shard.close()
 
