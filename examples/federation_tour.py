@@ -46,7 +46,7 @@ def show(report) -> None:
         f"  shards: {report.shards_ok}/{report.shards_total} ok"
         f"  complete={report.complete}"
         f"  missing={report.missing_shards}"
-        f"  elapsed={report.elapsed:.2f}s"
+        f"  elapsed={report.timings.total:.2f}s"
     )
     print(f"  relevant sources: {sorted(report.relevant_source_ids)}")
     for line in report.notices():

@@ -19,7 +19,6 @@ from repro.catalog import (
     Catalog,
 )
 from repro.engine.evaluate import QueryResult
-from repro.obs import instrument as obs
 
 
 class Snapshot(abc.ABC):
@@ -66,10 +65,6 @@ class Backend(abc.ABC):
     def __init__(self, catalog: Catalog, telemetry: Optional[object] = None) -> None:
         self.catalog = catalog
         self.telemetry = telemetry
-
-    def _tel(self):
-        tel = self.telemetry
-        return tel if tel is not None else obs.get_default()
 
     # -- schema and data -----------------------------------------------------
 

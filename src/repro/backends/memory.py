@@ -230,7 +230,7 @@ class MemoryBackend(Backend):
         in_snapshot: bool = False,
         lineage: bool = False,
     ) -> QueryResult:
-        tel = self._tel()
+        tel = obs.resolve(self.telemetry)
         if self._references_temp_table(sql):
             # Temp tables carry no source column, so lineage over them
             # would be vacuous; the shadow-database path skips it.
@@ -299,7 +299,7 @@ class MemoryBackend(Backend):
 
     @contextlib.contextmanager
     def snapshot(self) -> Iterator[Snapshot]:
-        tel = self._tel()
+        tel = obs.resolve(self.telemetry)
         enabled = tel.enabled
         if enabled:
             obs.record_snapshot_open(tel, self.kind)

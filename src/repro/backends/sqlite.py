@@ -226,7 +226,7 @@ class SQLiteBackend(Backend):
                 raise BackendError(f"SQLite error for {sql!r}: {exc}") from exc
             columns = [d[0] for d in cursor.description] if cursor.description else []
             rows = [tuple(row) for row in cursor.fetchall()]
-        tel = self._tel()
+        tel = obs.resolve(self.telemetry)
         if tel.enabled:
             obs.record_backend_query(tel, self.kind, len(rows))
         return QueryResult(columns, rows)
@@ -240,7 +240,7 @@ class SQLiteBackend(Backend):
             # BEGIN starts a deferred transaction: the snapshot is pinned at
             # the first read and held until COMMIT.
             self._conn.execute("BEGIN")
-        tel = self._tel()
+        tel = obs.resolve(self.telemetry)
         if tel.enabled:
             obs.record_snapshot_open(tel, self.kind)
         opened = time.perf_counter()

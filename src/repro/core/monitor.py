@@ -139,10 +139,6 @@ class RecencyMonitor:
         self._rules: Dict[str, WatchRule] = {}
         self.history: List[Alert] = []
 
-    def _tel(self):
-        tel = self.telemetry
-        return tel if tel is not None else obs.get_default()
-
     def add_rule(self, rule: WatchRule) -> None:
         if rule.name in self._rules:
             raise TracError(f"duplicate rule name {rule.name!r}")
@@ -158,7 +154,7 @@ class RecencyMonitor:
     def check(self, now: Optional[float] = None) -> List[Alert]:
         """Evaluate every rule once; returns (and records) fresh alerts."""
         at = self.clock() if now is None else now
-        tel = self._tel()
+        tel = obs.resolve(self.telemetry)
         alerts: List[Alert] = []
         for rule in self._rules.values():
             with PhaseTimer(tel, "monitor.rule", rule=rule.name) as phase:

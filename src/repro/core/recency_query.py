@@ -29,6 +29,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.catalog import HEARTBEAT_RECENCY_COLUMN, HEARTBEAT_SOURCE_COLUMN, HEARTBEAT_TABLE
+from repro.core.statistics import SourceRecency
 from repro.errors import UnsupportedQueryError
 from repro.sqlparser import ast
 from repro.sqlparser.printer import to_sql
@@ -275,3 +276,83 @@ def build_all_sources_query() -> ast.Query:
 def subquery_sql(query: ast.Query) -> str:
     """Render a generated subquery to SQL text."""
     return to_sql(query)
+
+
+# -- the fetch stage: one fragment per holder of the data, one merge ---------
+
+
+def fragment_request(plan) -> dict:
+    """The fetch request for a :class:`~repro.core.relevance.RelevancePlan`:
+    ``{"mode", "subqueries": [{"sql", "guards"}]}``. Plain JSON-able dicts,
+    like the fragments that answer it, because both are also the
+    federation's wire format."""
+    return {
+        "mode": plan.mode,
+        "subqueries": [
+            {"sql": sub.sql, "guards": list(sub.guards)} for sub in plan.subqueries
+        ],
+    }
+
+
+def execute_fragment(snapshot, request: dict, short_circuit: bool = False) -> dict:
+    """Run ``request``'s guards and subqueries inside one snapshot; returns
+    ``{"mode", "results": [[[source, recency], ...] per subquery], "guards":
+    {sql: verdict}}`` (mode ``"all"`` answers with the one all-sources scan).
+
+    A guard asks "does this query return rows?" of the *union* of every
+    holder's data, so one holder of several must answer unconditionally;
+    ``short_circuit`` (skip a subquery once one of its guards failed here)
+    is sound only for the sole holder.
+    """
+    mode = request.get("mode", "focused")
+    results: List[List[List[object]]] = []
+    guards: Dict[str, bool] = {}
+    if mode == "all":
+        rows = snapshot.execute(subquery_sql(build_all_sources_query())).rows
+        results.append([[str(sid), float(rec)] for sid, rec in rows])
+    elif mode != "empty":
+        for sub in request.get("subqueries", ()):
+            held = True
+            for guard in sub.get("guards", ()):
+                if guard not in guards:
+                    guards[guard] = bool(snapshot.execute(guard).rows)
+                if short_circuit and not guards[guard]:
+                    held = False
+                    break
+            rows = snapshot.execute(sub["sql"]).rows if held else ()
+            results.append(
+                [[str(sid), float(rec)] for sid, rec in rows if sid is not None]
+            )
+    return {"mode": mode, "results": results, "guards": guards}
+
+
+def merge_fragments(request: dict, fragments: Sequence[dict]) -> List[SourceRecency]:
+    """Union fragments into the relevant-source set: OR each guard across
+    fragments (the union has rows iff some holder does), keep a subquery's
+    rows iff all its guards hold globally, sort by source id (mode ``"all"``
+    keeps the Heartbeat scan order, fragment by fragment). A fragment
+    shorter than the request — malformed, or cut by ``short_circuit`` —
+    contributes nothing for the subqueries it lacks."""
+    mode = request.get("mode", "focused")
+    found: Dict[str, float] = {}
+    if mode == "all":
+        for fragment in fragments:
+            for rows in fragment.get("results", ()):
+                for sid, rec in rows:
+                    found[str(sid)] = float(rec)
+        return [SourceRecency(sid, rec) for sid, rec in found.items()]
+    if mode == "empty":
+        return []
+    guard_or: Dict[str, bool] = {}
+    for fragment in fragments:
+        for guard, verdict in fragment.get("guards", {}).items():
+            guard_or[guard] = guard_or.get(guard, False) or bool(verdict)
+    for index, sub in enumerate(request.get("subqueries", ())):
+        if not all(guard_or.get(guard, False) for guard in sub.get("guards", ())):
+            continue
+        for fragment in fragments:
+            results = fragment.get("results", ())
+            if index < len(results):
+                for sid, rec in results[index]:
+                    found[str(sid)] = float(rec)
+    return [SourceRecency(sid, rec) for sid, rec in sorted(found.items())]

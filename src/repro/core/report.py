@@ -19,12 +19,12 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Sequence, Set
 
 from repro.backends.base import Backend, Snapshot
 from repro.core.health import SourceHealth
 from repro.core.quality import ProvenanceRecord, QualityModel, QualitySummary
-from repro.core.recency_query import build_all_sources_query, subquery_sql
+from repro.core.recency_query import execute_fragment, fragment_request, merge_fragments
 from repro.core.relevance import RelevancePlan, build_naive_plan, build_relevance_plan
 from repro.core.session import Session, TempTablePair
 from repro.core.statistics import (
@@ -104,6 +104,11 @@ class ReportTimings:
 class RecencyReport:
     """Everything the recency report returns for one user query.
 
+    Built from the relevant sources some *fetch* stage produced (snapshot
+    subqueries, the incremental maintainer, a shard fan-out — the report
+    cannot tell which); the z-score split and statistics happen here, and
+    the producing pipeline then fills the annotation attributes.
+
     ``telemetry`` is the report's root :class:`~repro.obs.trace.Span`
     (``trac.report``) when the producing reporter had telemetry enabled,
     else ``None``. Its children are the four phase spans; walk them via
@@ -124,49 +129,42 @@ class RecencyReport:
         self,
         sql: str,
         method: str,
-        result: QueryResult,
-        split: RecencySplit,
-        statistics: RecencyStatistics,
         plan: RelevancePlan,
-        temp_tables: Optional[TempTablePair],
-        timings: ReportTimings,
-        telemetry: Optional[object] = None,
-        degraded_sources: Optional[List[str]] = None,
-        slo_status: Optional[object] = None,
-        profile: Optional[object] = None,
-        incremental: Optional[str] = None,
-        row_provenance: Optional[List[List[str]]] = None,
-        quality_summary: Optional[QualitySummary] = None,
+        sources: Sequence[SourceRecency],
+        z_threshold: float = DEFAULT_Z_THRESHOLD,
+        result: Optional[QueryResult] = None,
     ) -> None:
         self.sql = sql
         self.method = method
-        self.result = result
-        self.split = split
-        self.statistics = statistics
         self.plan = plan
-        self.temp_tables = temp_tables
-        self.timings = timings
-        self.telemetry = telemetry
-        self.degraded_sources = list(degraded_sources or [])
-        self.slo_status = slo_status
+        #: The user query's rows; ``None`` when only the recency side ran
+        #: (a federated report never executes the user query).
+        self.result = result
+        self.split: RecencySplit = zscore_split(sources, z_threshold)
+        self.statistics: RecencyStatistics = describe(self.split.normal)
+        self.temp_tables: Optional[TempTablePair] = None
+        self.timings: Optional[ReportTimings] = None
+        self.telemetry: Optional[object] = None
+        self.degraded_sources: List[str] = []
+        self.slo_status: Optional[object] = None
         #: The user query's per-operator
         #: :class:`~repro.engine.profile.QueryProfile` when the producing
         #: reporter had telemetry enabled and the backend profiles queries
         #: (the memory backend does); ``None`` otherwise.
-        self.profile = profile
+        self.profile: Optional[object] = None
         #: Incremental-maintenance verdict: ``"hit"`` (relevant sources
         #: served from a materialized set), ``"miss"`` (computed from
         #: scratch, now registered) or ``"bypass"`` (plan ineligible);
         #: ``None`` when the reporter has no maintainer.
-        self.incremental = incremental
+        self.incremental: Optional[str] = None
         #: Per-row provenance: one sorted source-id list per result row
         #: when the producing reporter ran with ``lineage=True`` and the
         #: backend can attribute rows; ``None`` otherwise.
-        self.row_provenance = row_provenance
+        self.row_provenance: Optional[List[List[str]]] = None
         #: The :class:`~repro.core.quality.QualitySummary` rollup (worst
         #: row score, per-source contribution counts, rows touched by
         #: exceptional/degraded sources); ``None`` without lineage.
-        self.quality_summary = quality_summary
+        self.quality_summary: Optional[QualitySummary] = None
 
     @property
     def trace_id(self) -> Optional[str]:
@@ -262,9 +260,52 @@ class RecencyReport:
             )
         return lines
 
+    def to_dict(self) -> Dict[str, object]:
+        """The report as one JSON document — the only report → JSON mapping.
+
+        Every surface (``GET /query``, ``POST /v1/query``, a federated
+        report) serves exactly these keys plus its own envelope. ``normal``
+        and ``exceptional`` are the paper's two temp tables as data:
+        ``[source, recency]`` pairs. ``provenance`` appears only on reports
+        produced with lineage on.
+        """
+        result = self.result
+        doc: Dict[str, object] = {
+            "sql": self.sql,
+            "method": self.method,
+            "columns": list(result.columns) if result is not None else [],
+            "rows": [list(row) for row in result.rows] if result is not None else [],
+            "notices": self.notices(),
+            "relevant_sources": sorted(self.relevant_source_ids),
+            "exceptional_sources": sorted(s.source_id for s in self.split.exceptional),
+            "normal": [[s.source_id, s.recency] for s in self.split.normal],
+            "exceptional": [[s.source_id, s.recency] for s in self.split.exceptional],
+            "degraded": list(self.degraded_sources),
+            "bound_of_inconsistency": self.statistics.inconsistency_bound,
+            "minimal": self.minimal,
+            "incremental": self.incremental,
+            "trace_id": self.trace_id,
+            "timings": self.timings.to_dict(),
+            "profile": self.profile.to_dict() if self.profile is not None else None,
+        }
+        if self.row_provenance is not None:
+            # The trace_id above pivots to /trace/<id> and /provenance/<id>
+            # on the observatory; the inline block answers "why trust this
+            # row" without a second round trip.
+            doc["provenance"] = {
+                "row_sources": self.row_provenance,
+                "quality": (
+                    self.quality_summary.to_dict()
+                    if self.quality_summary is not None
+                    else None
+                ),
+            }
+        return doc
+
     def __repr__(self) -> str:
+        rows = len(self.result.rows) if self.result is not None else 0
         return (
-            f"RecencyReport(method={self.method!r}, rows={len(self.result.rows)}, "
+            f"RecencyReport(method={self.method!r}, rows={rows}, "
             f"relevant={len(self.relevant_source_ids)}, minimal={self.minimal})"
         )
 
@@ -383,10 +424,6 @@ class RecencyReporter:
         self.plan_cache_hits = 0
         self.session = Session(backend)
 
-    def _tel(self):
-        tel = self.telemetry
-        return tel if tel is not None else obs.get_default()
-
     # -- planning -----------------------------------------------------------
 
     def plan_for(self, sql: str) -> RelevancePlan:
@@ -398,11 +435,11 @@ class RecencyReporter:
                     self._plan_cache.move_to_end(sql)
                     self.plan_cache_hits += 1
             if cached is not None:
-                tel = self._tel()
+                tel = obs.resolve(self.telemetry)
                 if tel.enabled:
                     obs.record_plan_cache_hit(tel)
                 return cached
-        tel = self._tel()
+        tel = obs.resolve(self.telemetry)
         resolved = resolve_cached(
             sql, self.backend.catalog, tel if tel.enabled else None
         )
@@ -435,7 +472,7 @@ class RecencyReporter:
         if method not in _METHODS:
             raise TracError(f"unknown method {method!r}; expected one of {_METHODS}")
 
-        tel = self._tel()
+        tel = obs.resolve(self.telemetry)
         with PhaseTimer(tel, SPAN_REPORT, method=method, sql=sql) as root:
             parse_phase = PhaseTimer(tel, SPAN_PARSE)
             if method == "focused":
@@ -454,68 +491,65 @@ class RecencyReporter:
                     else:
                         result = snapshot.execute(sql)
                     user_phase.set_attribute("rows", len(result.rows))
-                # The engine records a QueryProfile into tel.profiles for
-                # every telemetry-enabled execution; grab the user query's
-                # before the recency subqueries push it down the ring.
-                user_profile = None
-                if tel.enabled:
-                    candidate = tel.profiles.last()
-                    if candidate is not None and candidate.sql == sql:
-                        user_profile = candidate
 
                 with PhaseTimer(tel, SPAN_RECENCY) as recency_phase:
-                    verdict: Optional[str] = None
-                    sources: Optional[List[SourceRecency]] = None
-                    if self.incremental is not None:
-                        verdict, sources = self.incremental.fetch(plan)
-                        if verdict == "hit" and self.incremental_verify:
-                            self._verify_incremental(snapshot, plan, sources)
-                        elif verdict == "miss":
-                            sources = self._relevant_sources(snapshot, plan)
-                            self.incremental.register(plan, sources)
-                    if sources is None:
-                        sources = self._relevant_sources(snapshot, plan)
+                    sources, verdict = self._fetch(snapshot, plan)
                     recency_phase.set_attribute("relevant", len(sources))
                     if verdict is not None:
                         recency_phase.set_attribute("incremental", verdict)
-                if user_profile is not None and verdict is not None:
-                    user_profile.incremental = verdict
 
                 with PhaseTimer(tel, SPAN_STATS) as stats_phase:
-                    split = zscore_split(sources, self.z_threshold)
-                    if tel.enabled and split.exceptional:
-                        for exc_source in split.exceptional:
-                            tel.emit(
-                                EVT_REPORT_EXCEPTIONAL,
-                                source=exc_source.source_id,
-                                severity="warning",
-                                recency=exc_source.recency,
-                                threshold=self.z_threshold,
-                            )
-                    stats = describe(split.normal)
-                    temp_tables: Optional[TempTablePair] = None
+                    report = RecencyReport(
+                        sql, method, plan, sources, self.z_threshold, result
+                    )
                     if self.create_temp_tables:
-                        temp_tables = self.session.next_table_names()
+                        report.temp_tables = self.session.next_table_names()
                         self.session.materialize(
-                            snapshot, temp_tables, split.normal, split.exceptional
+                            snapshot,
+                            report.temp_tables,
+                            report.split.normal,
+                            report.split.exceptional,
                         )
 
-        timings = ReportTimings(
+        report.incremental = verdict
+        report.timings = ReportTimings(
             parse_phase.duration,
             user_phase.duration,
             recency_phase.duration,
             stats_phase.duration,
             root.duration,
         )
-        root_span = root.span if tel.enabled else None
-        degraded: List[str] = []
-        if self.source_health is not None:
-            degraded = self.source_health.degraded_sources()
+        self._annotate(report, sources)
+        if tel.enabled:
+            report.telemetry = root.span
+            self._observe(tel, report, stats_phase.span)
+        return report
 
-        row_provenance: Optional[List[List[str]]] = None
-        quality_summary: Optional[QualitySummary] = None
-        if self.lineage and getattr(result, "lineage", None) is not None:
-            row_provenance = [sorted(lin) for lin in result.lineage]
+    def _fetch(self, snapshot: Snapshot, plan: RelevancePlan):
+        """The fetch stage: ``(relevant sources, incremental verdict)`` from
+        the maintainer's materialized set when it has one, else from the
+        snapshot (the verdict is ``None`` without a maintainer)."""
+        if self.incremental is None:
+            return self._relevant_sources(snapshot, plan), None
+        verdict, sources = self.incremental.fetch(plan)
+        if verdict == "hit":
+            if self.incremental_verify:
+                self._verify_incremental(snapshot, plan, sources)
+            return sources, verdict
+        sources = self._relevant_sources(snapshot, plan)
+        if verdict == "miss":
+            self.incremental.register(plan, sources)
+        return sources, verdict
+
+    def _annotate(self, report: RecencyReport, sources: List[SourceRecency]) -> None:
+        """The annotate stage: known outages, SLO standing, row quality."""
+        if self.source_health is not None:
+            report.degraded_sources = self.source_health.degraded_sources()
+        if self.slo is not None:
+            report.slo_status = self.slo.status()
+        lineage = getattr(report.result, "lineage", None)
+        if self.lineage and lineage is not None:
+            report.row_provenance = [sorted(lin) for lin in lineage]
             model = self.quality_model
             if model is None:
                 model = (
@@ -525,69 +559,74 @@ class RecencyReporter:
                 )
             scores = model.score_sources(
                 sources,
-                exceptional={s.source_id for s in split.exceptional},
-                degraded=set(degraded),
+                exceptional={s.source_id for s in report.split.exceptional},
+                degraded=set(report.degraded_sources),
             )
-            quality_summary = model.summarize(result.lineage, scores)
+            report.quality_summary = model.summarize(lineage, scores)
 
-        if tel.enabled:
-            trace_id = root_span.trace_id_hex if root_span is not None else None
-            obs.record_report(tel, method, root.duration, trace_id=trace_id)
-            if quality_summary is not None:
-                obs.record_row_quality(tel, method, quality_summary.row_quality)
-                obs.record_rows_from_exceptional(
-                    tel, method, quality_summary.rows_from_exceptional
-                )
-                tel.provenance.record(
-                    ProvenanceRecord(
-                        sql, trace_id, method, result.lineage, quality_summary
-                    )
-                )
-            threshold = (
-                self.slow_query_seconds
-                if self.slow_query_seconds is not None
-                else slow_query_threshold()
+    def _observe(self, tel, report: RecencyReport, stats_span) -> None:
+        """The observe stage: everything telemetry learns from one finished
+        report (only reached with telemetry enabled)."""
+        sql, method, root_span = report.sql, report.method, report.telemetry
+        trace_id = root_span.trace_id_hex
+        seconds = report.timings.total
+        # The engine recorded a QueryProfile for every execution of this
+        # report; the user query's is the newest one carrying its SQL.
+        for candidate in reversed(tel.profiles.snapshot()):
+            if candidate.sql == sql and candidate.trace_id == trace_id:
+                report.profile = candidate
+                if report.incremental is not None:
+                    candidate.incremental = report.incremental
+                break
+        for exc_source in report.split.exceptional:
+            tel.emit(
+                EVT_REPORT_EXCEPTIONAL,
+                source=exc_source.source_id,
+                severity="warning",
+                span=stats_span,
+                recency=exc_source.recency,
+                threshold=report.split.threshold,
             )
-            if threshold > 0 and root.duration >= threshold:
-                obs.record_slow_query(tel, method)
-                # A slow dump should answer "was the answer trustworthy?"
-                # without a second query, so attach the quality rollup.
-                slow_attrs: Dict[str, object] = {}
-                if quality_summary is not None:
-                    slow_attrs["worst_row_quality"] = quality_summary.worst_row_quality
-                    slow_attrs["top_sources"] = [
-                        [source_id, count]
-                        for source_id, count in quality_summary.top_sources(3)
-                    ]
-                # Correlate with the (already finished) root span so the
-                # flight recorder's dump carries the whole span tree.
-                tel.emit(
-                    EVT_QUERY_SLOW,
-                    severity="warning",
-                    span=root_span,
-                    sql=sql,
-                    method=method,
-                    seconds=root.duration,
-                    threshold=threshold,
-                    **slow_attrs,
+        obs.record_report(tel, method, seconds, trace_id=trace_id)
+        quality_summary = report.quality_summary
+        if quality_summary is not None:
+            obs.record_row_quality(tel, method, quality_summary.row_quality)
+            obs.record_rows_from_exceptional(
+                tel, method, quality_summary.rows_from_exceptional
+            )
+            tel.provenance.record(
+                ProvenanceRecord(
+                    sql, trace_id, method, report.result.lineage, quality_summary
                 )
-        return RecencyReport(
-            sql,
-            method,
-            result,
-            split,
-            stats,
-            plan,
-            temp_tables,
-            timings,
-            root_span,
-            degraded_sources=degraded,
-            slo_status=self.slo.status() if self.slo is not None else None,
-            profile=user_profile,
-            incremental=verdict,
-            row_provenance=row_provenance,
-            quality_summary=quality_summary,
+            )
+        threshold = (
+            self.slow_query_seconds
+            if self.slow_query_seconds is not None
+            else slow_query_threshold()
         )
+        if threshold > 0 and seconds >= threshold:
+            obs.record_slow_query(tel, method)
+            # A slow dump should answer "was the answer trustworthy?"
+            # without a second query, so attach the quality rollup.
+            slow_attrs: Dict[str, object] = {}
+            if quality_summary is not None:
+                slow_attrs["worst_row_quality"] = quality_summary.worst_row_quality
+                slow_attrs["top_sources"] = [
+                    [source_id, count]
+                    for source_id, count in quality_summary.top_sources(3)
+                ]
+            # Correlate with the (already finished) root span so the
+            # flight recorder's dump carries the whole span tree.
+            tel.emit(
+                EVT_QUERY_SLOW,
+                severity="warning",
+                span=root_span,
+                sql=sql,
+                method=method,
+                seconds=seconds,
+                threshold=threshold,
+                **slow_attrs,
+            )
 
     def run_plain(self, sql: str) -> QueryResult:
         """Run a user query with no recency reporting (the baseline
@@ -600,28 +639,12 @@ class RecencyReporter:
     def _relevant_sources(
         self, snapshot: Snapshot, plan: RelevancePlan
     ) -> List[SourceRecency]:
-        if plan.mode == "empty":
-            return []
-        if plan.mode == "all":
-            rows = snapshot.execute(subquery_sql(build_all_sources_query())).rows
-            return [SourceRecency(str(sid), float(rec)) for sid, rec in rows]
-
-        found: Dict[str, float] = {}
-        guard_cache: Dict[str, bool] = {}
-        for sub in plan.subqueries:
-            skip = False
-            for guard in sub.guards:
-                if guard not in guard_cache:
-                    guard_cache[guard] = bool(snapshot.execute(guard).rows)
-                if not guard_cache[guard]:
-                    skip = True
-                    break
-            if skip:
-                continue
-            for sid, recency in snapshot.execute(sub.sql).rows:
-                if sid is not None:
-                    found[str(sid)] = float(recency)
-        return [SourceRecency(sid, rec) for sid, rec in sorted(found.items())]
+        """From-scratch fetch: the merge of the one local fragment (the sole
+        holder of the data, so failed guards may short-circuit)."""
+        request = fragment_request(plan)
+        return merge_fragments(
+            request, [execute_fragment(snapshot, request, short_circuit=True)]
+        )
 
     def _verify_incremental(
         self,

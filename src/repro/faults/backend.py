@@ -30,11 +30,16 @@ class FaultyBackend(Backend):
     kind = "faulty"
 
     def __init__(self, inner: Backend, plan: FaultPlan) -> None:
-        super().__init__(inner.catalog, telemetry=None)
+        self.catalog = inner.catalog  # not Backend.__init__: telemetry is inner's
         self.inner = inner
         self.plan = plan
         self._source: Optional[str] = None
         self._now = 0.0
+
+    @property
+    def telemetry(self):
+        """The wrapped backend's telemetry, read live (it is settable later)."""
+        return self.inner.telemetry
 
     def set_context(self, source: str, now: float) -> None:
         """Bind fault decisions to the sniffer about to use this wrapper."""
@@ -44,9 +49,6 @@ class FaultyBackend(Backend):
     def _check(self, op: str) -> None:
         if self._source is not None:
             self.plan.check_backend(self._source, self._now, op)
-
-    def _tel(self):
-        return self.inner._tel()
 
     # -- write path (fault-injected) ----------------------------------------
 

@@ -22,13 +22,12 @@ persistent connections drives all of it — no thread or connect per request):
 * a hard **deadline**: whatever has not arrived when it expires is merged
   as missing (or stale-cached), never waited for.
 
-Correctness of the merge (the split-identity property the differential
-test enforces): shards return raw per-subquery ``(source, recency)`` rows
-plus per-guard verdicts, computed *unconditionally*. The coordinator ORs
-each guard across shards — a guard asks "does this query return rows?",
-and the union has rows iff some shard does — keeps a subquery's rows iff
-all its guards hold globally, unions the surviving rows (shard id spaces
-are disjoint by construction) and computes the one global z-score split.
+Correctness (the split-identity property the differential test enforces):
+the coordinator is the single-process report pipeline with a remote fetch
+stage. Shards answer the plan's fragment request unconditionally
+(:func:`~repro.core.recency_query.execute_fragment`), the replies are merged
+by the same :func:`~repro.core.recency_query.merge_fragments` the local
+reporter uses, and the one global z-score split is the report's own.
 Guard filtering or outlier-splitting per shard would both be unsound.
 """
 
@@ -40,20 +39,13 @@ import random
 import selectors
 import threading
 import time
+from collections import OrderedDict
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.breaker import CircuitBreaker, backoff_delay
+from repro.core.recency_query import fragment_request, merge_fragments
 from repro.core.relevance import RelevancePlan, build_naive_plan, build_relevance_plan
-from repro.core.statistics import (
-    DEFAULT_Z_THRESHOLD,
-    RecencySplit,
-    RecencyStatistics,
-    SourceRecency,
-    describe,
-    format_interval,
-    format_timestamp,
-    zscore_split,
-)
+from repro.core.report import DEFAULT_Z_THRESHOLD, RecencyReport, ReportTimings, format_interval
 from repro.engine.cache import resolve_cached
 from repro.errors import TracError
 from repro.federation import rpc
@@ -73,6 +65,8 @@ _METHODS = ("focused", "naive")
 _NEVER = float("inf")
 #: Distinct SQL texts whose plans are kept per machine set.
 _PLAN_MEMO_SIZE = 256
+#: Last-good fragments kept for the stale fallback, least recently stored out first.
+_FRAGMENT_CACHE_SIZE = 1024
 
 
 def _stable_seed(seed: int, shard_id: str) -> int:
@@ -199,72 +193,36 @@ class ShardRegistry:
             return len(self._shards)
 
 
-class FederatedRecencyReport:
-    """The union of per-shard fragments plus completeness metadata.
-
-    Mirrors the shape of :class:`~repro.core.report.RecencyReport` for the
-    recency/consistency side (split, statistics, suspect sources, NOTICE
-    lines) and adds the federation's honesty fields: ``shards_total`` /
-    ``shards_ok`` / ``missing_shards`` / ``stale_shards``.
+class FederatedRecencyReport(RecencyReport):
+    """A :class:`~repro.core.report.RecencyReport` whose fetch stage was a
+    shard fan-out, plus the federation's honesty fields: ``shards_total`` /
+    ``shards_ok`` / ``missing_shards`` / ``stale_shards``. It runs only the
+    recency side, so ``result`` is ``None``.
     """
 
     def __init__(
         self,
-        sql: str,
-        method: str,
-        split: RecencySplit,
-        statistics: RecencyStatistics,
-        plan: RelevancePlan,
-        degraded_sources: List[str],
+        *args,
         shards_total: int,
         shards_ok: int,
         missing_shards: List[str],
         stale_shards: Dict[str, float],
-        elapsed: float,
     ) -> None:
-        self.sql = sql
-        self.method = method
-        self.split = split
-        self.statistics = statistics
-        self.plan = plan
-        self.degraded_sources = list(degraded_sources)
+        super().__init__(*args)
         self.shards_total = shards_total
         self.shards_ok = shards_ok
         self.missing_shards = list(missing_shards)
         #: Shards answered from the last-good fragment cache, mapped to the
         #: age (wall seconds) of the cached fragment.
         self.stale_shards = dict(stale_shards)
-        self.elapsed = elapsed
-        #: The report's 32-hex trace id when it ran under telemetry.
-        self.trace_id: Optional[str] = None
 
     @property
     def complete(self) -> bool:
         """True when every shard contributed a fresh fragment."""
         return not self.missing_shards and not self.stale_shards
 
-    @property
-    def normal_sources(self) -> List[SourceRecency]:
-        return self.split.normal
-
-    @property
-    def exceptional_sources(self) -> List[SourceRecency]:
-        return self.split.exceptional
-
-    @property
-    def relevant_source_ids(self) -> Set[str]:
-        return {s.source_id for s in self.split.normal} | {
-            s.source_id for s in self.split.exceptional
-        }
-
-    @property
-    def suspect_sources(self) -> Set[str]:
-        return {s.source_id for s in self.split.exceptional} | set(
-            self.degraded_sources
-        )
-
     def notices(self) -> List[str]:
-        """NOTICE lines: the single-process report's plus completeness."""
+        """NOTICE lines: completeness first, then the single-process report's."""
         lines: List[str] = []
         if self.missing_shards or self.stale_shards:
             lines.append(
@@ -282,51 +240,18 @@ class FederatedRecencyReport:
                 for sid, age in sorted(self.stale_shards.items())
             )
             lines.append(f"NOTICE: Stale cached fragment(s) served for: {served}")
-        if self.degraded_sources:
-            lines.append(
-                "NOTICE: Degraded data sources (supervisor-quarantined, not "
-                f"merely stale): {', '.join(self.degraded_sources)}"
-            )
-        stats = self.statistics
-        if stats.least_recent is not None and stats.most_recent is not None:
-            lines.append(
-                "NOTICE: The least recent data source: "
-                f"{stats.least_recent.source_id}, "
-                f"{format_timestamp(stats.least_recent.recency)}"
-            )
-            lines.append(
-                "NOTICE: The most recent data source: "
-                f"{stats.most_recent.source_id}, "
-                f"{format_timestamp(stats.most_recent.recency)}"
-            )
-            lines.append(
-                "NOTICE: Bound of inconsistency: "
-                f"{format_interval(stats.inconsistency_bound or 0.0)}"
-            )
-        else:
-            lines.append("NOTICE: No relevant data sources have reported in")
-        return lines
+        return lines + super().notices()
 
     def to_dict(self) -> dict:
-        """JSON document (the chaos harness's assertion surface)."""
-        return {
-            "sql": self.sql,
-            "method": self.method,
-            "shards_total": self.shards_total,
-            "shards_ok": self.shards_ok,
-            "missing_shards": list(self.missing_shards),
-            "stale_shards": dict(self.stale_shards),
-            "complete": self.complete,
-            "elapsed": self.elapsed,
-            "relevant": sorted(self.relevant_source_ids),
-            "normal": [[s.source_id, s.recency] for s in self.split.normal],
-            "exceptional": [
-                [s.source_id, s.recency] for s in self.split.exceptional
-            ],
-            "degraded": list(self.degraded_sources),
-            "bound_of_inconsistency": self.statistics.inconsistency_bound,
-            "notices": self.notices(),
-        }
+        """The report document plus the completeness envelope."""
+        return dict(
+            super().to_dict(),
+            shards_total=self.shards_total,
+            shards_ok=self.shards_ok,
+            missing_shards=list(self.missing_shards),
+            stale_shards=dict(self.stale_shards),
+            complete=self.complete,
+        )
 
     def __repr__(self) -> str:
         return (
@@ -562,8 +487,9 @@ class FederationCoordinator:
         self.telemetry = telemetry
         self._breakers: Dict[str, CircuitBreaker] = {}
         self._rngs: Dict[str, random.Random] = {}
-        #: shard id -> (last good fragment, the monotonic second it arrived).
-        self._fragments: Dict[str, Tuple[dict, float]] = {}
+        #: (shard id, what was asked) -> (last good fragment, the monotonic
+        #: second it arrived); see _fetch.
+        self._fragments: "OrderedDict[tuple, Tuple[dict, float]]" = OrderedDict()
         self._lock = threading.Lock()
         self._pool = rpc.ConnectionPool()
         self._request_ids = itertools.count(1)
@@ -620,74 +546,33 @@ class FederationCoordinator:
             raise TracError(f"unknown method {method!r}; expected one of {_METHODS}")
         tel = obs.resolve(self.telemetry)
         with obs.PhaseTimer(tel, "federation.report", method=method) as root:
-            report = self._report(sql, method, plan, tel, root.span.context)
-        if tel.enabled:
-            report.trace_id = root.span.trace_id_hex
-        return report
-
-    def _report(self, sql, method, plan, tel, context) -> FederatedRecencyReport:
-        start = time.monotonic()
-        deadline_at = start + self.deadline
-        if plan is None:
-            plan = self.plan_for(sql, method=method)
-        shards = self.registry.shards()
-
-        subqueries = [{"sql": sub.sql, "guards": list(sub.guards)} for sub in plan.subqueries]
-        request = {"op": "fragment", "mode": plan.mode, "subqueries": subqueries}
-        # The report's span context rides the envelope (no key when
-        # telemetry is off): shard-side spans join this report's trace.
-        inject_context(context, request)
-
-        outcomes: Dict[str, Optional[dict]] = {}
-        if plan.mode != "empty" and shards:
-            outcomes = _FanOut(self, request, deadline_at).run(shards)
-
-        ok_shards: List[str] = []
-        missing: List[str] = []
-        stale: Dict[str, float] = {}
-        replies: List[dict] = []
-        now_wall = time.monotonic()
-        for info in shards:
-            reply = outcomes.get(info.shard_id)
-            if plan.mode == "empty":
-                # Nothing to fetch: every reachable shard trivially agrees.
-                ok_shards.append(info.shard_id)
-                continue
-            if reply is not None:
-                ok_shards.append(info.shard_id)
-                replies.append(reply)
-                with self._lock:
-                    self._fragments[info.shard_id] = (reply, now_wall)
-                continue
-            cached, cached_at = None, 0.0
-            if self.stale_fallback:
-                with self._lock:
-                    cached, cached_at = self._fragments.get(info.shard_id, (None, 0.0))
-            age = now_wall - cached_at
-            if cached is not None and age <= self.stale_max_age and cached.get("mode") == plan.mode:
-                stale[info.shard_id] = age
-                replies.append(cached)
-            else:
-                missing.append(info.shard_id)
-
-        sources, degraded = self._merge(plan, replies)
-        split = zscore_split(sources, self.z_threshold)
-        stats = describe(split.normal)
-        elapsed = time.monotonic() - start
-
-        report = FederatedRecencyReport(
-            sql,
-            method,
-            split,
-            stats,
-            plan,
-            degraded,
-            shards_total=len(shards),
-            shards_ok=len(ok_shards),
-            missing_shards=missing,
-            stale_shards=stale,
-            elapsed=elapsed,
-        )
+            start = time.monotonic()
+            if plan is None:
+                plan = self.plan_for(sql, method=method)
+            planned = time.monotonic()
+            shards = self.registry.shards()
+            sources, degraded, shards_ok, missing, stale = self._fetch(
+                plan, shards, start + self.deadline, root.span.context
+            )
+            fetched = time.monotonic()
+            report = FederatedRecencyReport(
+                sql,
+                method,
+                plan,
+                sources,
+                self.z_threshold,
+                shards_total=len(shards),
+                shards_ok=shards_ok,
+                missing_shards=missing,
+                stale_shards=stale,
+            )
+            report.degraded_sources = degraded
+            if tel.enabled:
+                report.telemetry = root.span
+            now = time.monotonic()
+            report.timings = ReportTimings(
+                planned - start, 0.0, fetched - planned, now - fetched, now - start
+            )
         with self._lock:
             self.reports_total += 1
             if not report.complete:
@@ -702,12 +587,60 @@ class FederationCoordinator:
                 tel.emit(
                     EVT_FEDERATION_PARTIAL,
                     severity="warning",
+                    span=root.span,
                     missing=list(missing),
                     stale=sorted(stale),
-                    shards_ok=len(ok_shards),
+                    shards_ok=shards_ok,
                     shards_total=len(shards),
                 )
         return report
+
+    def _fetch(self, plan: RelevancePlan, shards: List[ShardInfo], deadline_at: float, context):
+        """The fetch stage, remote: fan the plan's fragment request out, stand
+        a cached fragment in for a silent shard when allowed, merge. Returns
+        ``(sources, degraded sources, shards heard from, missing, {stale: age})``."""
+        request = fragment_request(plan)
+        # The stale cache is keyed by what was asked, not only of whom: a
+        # fragment's results are index-aligned to *its* request's subqueries.
+        asked = (
+            plan.mode,
+            tuple((sub.sql, tuple(sub.guards)) for sub in plan.subqueries),
+        )
+        shards_ok = len(shards)
+        missing: List[str] = []
+        stale: Dict[str, float] = {}
+        fragments: List[dict] = []
+        if plan.mode != "empty" and shards:
+            # The report's span context rides the envelope (no key when
+            # telemetry is off): shard-side spans join this report's trace.
+            envelope = dict(request, op="fragment")
+            inject_context(context, envelope)
+            outcomes = _FanOut(self, envelope, deadline_at).run(shards)
+            shards_ok = 0
+            now = time.monotonic()
+            for info in shards:
+                key = (info.shard_id, asked)
+                reply = outcomes.get(info.shard_id)
+                with self._lock:
+                    if reply is not None:
+                        self._fragments[key] = (reply, now)
+                        self._fragments.move_to_end(key)
+                        if len(self._fragments) > _FRAGMENT_CACHE_SIZE:
+                            self._fragments.popitem(last=False)
+                    fragment, arrived = self._fragments.get(key, (None, now))
+                age = now - arrived
+                if reply is not None:
+                    shards_ok += 1
+                elif fragment is not None and self.stale_fallback and age <= self.stale_max_age:
+                    stale[info.shard_id] = age
+                else:
+                    missing.append(info.shard_id)
+                    continue
+                fragments.append(fragment)
+        degraded: Set[str] = set()
+        for fragment in fragments:
+            degraded.update(str(s) for s in fragment.get("degraded", ()))
+        return merge_fragments(request, fragments), sorted(degraded), shards_ok, missing, stale
 
     # -- fan-out ------------------------------------------------------------
 
@@ -719,41 +652,6 @@ class FederationCoordinator:
     def close(self) -> None:
         """Close the pooled shard connections (the coordinator stays usable)."""
         self._pool.close()
-
-    # -- merging ------------------------------------------------------------
-
-    def _merge(self, plan: RelevancePlan, replies: List[dict]):
-        """Union fragments into the global source set (see module doc)."""
-        degraded: Set[str] = set()
-        found: Dict[str, float] = {}
-        if plan.mode == "empty" or not replies:
-            for reply in replies:
-                degraded.update(str(s) for s in reply.get("degraded", ()))
-            return [], sorted(degraded)
-
-        guard_or: Dict[str, bool] = {}
-        for reply in replies:
-            degraded.update(str(s) for s in reply.get("degraded", ()))
-            for guard, verdict in reply.get("guards", {}).items():
-                guard_or[guard] = guard_or.get(guard, False) or bool(verdict)
-
-        if plan.mode == "all":
-            for reply in replies:
-                for rows in reply.get("results", ()):
-                    for sid, rec in rows:
-                        found[str(sid)] = float(rec)
-        else:
-            for index, sub in enumerate(plan.subqueries):
-                if any(not guard_or.get(guard, False) for guard in sub.guards):
-                    continue
-                for reply in replies:
-                    results = reply.get("results", ())
-                    if index >= len(results):
-                        continue  # malformed/short fragment: skip, don't crash
-                    for sid, rec in results[index]:
-                        found[str(sid)] = float(rec)
-        sources = [SourceRecency(sid, rec) for sid, rec in sorted(found.items())]
-        return sources, sorted(degraded)
 
     # -- status -------------------------------------------------------------
 

@@ -30,9 +30,9 @@ back with every acked heartbeat intact.
 from __future__ import annotations
 
 import threading
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
-from repro.core.recency_query import build_all_sources_query, subquery_sql
+from repro.core.recency_query import execute_fragment
 from repro.errors import TracError
 from repro.faults.plan import FaultPlan
 from repro.federation.rpc import RPCServer
@@ -205,50 +205,21 @@ class ShardServer:
         return doc
 
     def _fragment(self, request: dict) -> dict:
-        mode = request.get("mode", "focused")
-        subqueries = request.get("subqueries", [])
-        tel = self.telemetry if self.telemetry is not None else obs.get_default()
+        tel = obs.resolve(self.telemetry)
         parent = extract_context(request) if tel.enabled else None  # the report's span
         with self._lock:
             with obs.PhaseTimer(tel, "federation.fragment", parent=parent, shard=self.shard_id):
-                results: List[List[List[object]]] = []
-                guards: Dict[str, bool] = {}
                 with self.sim.backend.snapshot() as snap:
-                    if mode == "all":
-                        rows = snap.execute(
-                            subquery_sql(build_all_sources_query())
-                        ).rows
-                        results.append(
-                            [[str(sid), float(rec)] for sid, rec in rows]
-                        )
-                    elif mode != "empty":
-                        for sub in subqueries:
-                            for guard in sub.get("guards", ()):
-                                if guard not in guards:
-                                    guards[guard] = bool(snap.execute(guard).rows)
-                            rows = snap.execute(sub["sql"]).rows
-                            results.append(
-                                [
-                                    [str(sid), float(rec)]
-                                    for sid, rec in rows
-                                    if sid is not None
-                                ]
-                            )
+                    # One of several holders: guards and subqueries both
+                    # run unconditionally (no short-circuit).
+                    fragment = execute_fragment(snap, request)
                 degraded = (
                     self.sim.health.degraded_sources()
                     if self.sim.health is not None
                     else []
                 )
                 now = self.sim.now
-        return {
-            "ok": True,
-            "shard_id": self.shard_id,
-            "now": now,
-            "mode": mode,
-            "results": results,
-            "guards": guards,
-            "degraded": degraded,
-        }
+        return dict(fragment, ok=True, shard_id=self.shard_id, now=now, degraded=degraded)
 
     def __repr__(self) -> str:
         return (

@@ -591,7 +591,7 @@ class GridSimulator:
         ``trac_poll_seconds`` histogram (trace-id exemplar attached) and
         a short per-source series consumed by the dashboard.
         """
-        tel = self.telemetry if self.telemetry is not None else obs.get_default()
+        tel = obs.resolve(self.telemetry)
         if not tel.enabled:
             if self.supervisors:
                 for supervisor in self.supervisors.values():
@@ -625,7 +625,7 @@ class GridSimulator:
 
     def _observe(self, now: float) -> None:
         """Sample per-source recency lag into the SLO tracker + histogram."""
-        tel = self.telemetry if self.telemetry is not None else obs.get_default()
+        tel = obs.resolve(self.telemetry)
         if self.slo is None and not tel.enabled:
             return
         for mid, sniffer in self.sniffers.items():

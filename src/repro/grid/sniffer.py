@@ -207,7 +207,7 @@ class Sniffer:
             self.last_loaded_timestamp = events[-1].timestamp
             self.records_loaded += len(events)
 
-        tel = self.backend._tel()
+        tel = obs.resolve(self.backend.telemetry)
         if tel.enabled:
             if events:
                 # End-to-end sniff->DB lag per event: simulated "now" minus

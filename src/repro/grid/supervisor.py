@@ -190,10 +190,6 @@ class SnifferSupervisor:
             sniffer.machine.log = self._faulty_log  # type: ignore[assignment]
         self.health.mark(self.machine_id, HEALTHY)
 
-    def _tel(self):
-        tel = self.telemetry
-        return tel if tel is not None else obs.get_default()
-
     @property
     def degraded(self) -> bool:
         return self.health.is_degraded(self.machine_id)
@@ -216,7 +212,7 @@ class SnifferSupervisor:
             policy.silence_timeout is not None
             and now - self._last_progress >= policy.silence_timeout
         ):
-            tel = self._tel()
+            tel = obs.resolve(self.telemetry)
             if tel.enabled:
                 tel.emit(
                     EVT_WATCHDOG_SILENCE,
@@ -253,7 +249,7 @@ class SnifferSupervisor:
         previous_recency = self.sniffer._reported_recency
         # The span covers the poll *and* its outcome handling, so retry /
         # restart / breaker events emitted there correlate to this span.
-        with obs.PhaseTimer(self._tel(), "sniffer.poll", machine=self.machine_id):
+        with obs.PhaseTimer(obs.resolve(self.telemetry), "sniffer.poll", machine=self.machine_id):
             try:
                 if self.plan is not None:
                     self.plan.check_poll(self.machine_id, now)
@@ -294,7 +290,7 @@ class SnifferSupervisor:
             return
 
         self.retries_total += 1
-        tel = self._tel()
+        tel = obs.resolve(self.telemetry)
         if tel.enabled:
             obs.record_sniffer_retry(tel, self.machine_id)
             tel.emit(
@@ -319,7 +315,7 @@ class SnifferSupervisor:
             )
             return
         self.restarts += 1
-        tel = self._tel()
+        tel = obs.resolve(self.telemetry)
         if tel.enabled:
             obs.record_sniffer_restart(tel, self.machine_id)
             tel.emit(
@@ -343,7 +339,7 @@ class SnifferSupervisor:
         self.degraded_reason = reason
         self.sniffer.fail()
         self.health.mark(self.machine_id, DEGRADED, reason=reason, at=now)
-        tel = self._tel()
+        tel = obs.resolve(self.telemetry)
         if tel.enabled:
             obs.record_sources_degraded(tel, len(self.health.degraded_sources()))
             tel.emit(
@@ -362,7 +358,7 @@ class SnifferSupervisor:
         )
 
     def _record_breaker(self, state: str, now: Optional[float] = None) -> None:
-        tel = self._tel()
+        tel = obs.resolve(self.telemetry)
         if tel.enabled:
             obs.record_breaker_transition(tel, self.machine_id, state)
             tel.emit(

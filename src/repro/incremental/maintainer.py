@@ -70,6 +70,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.catalog import HEARTBEAT_SOURCE_COLUMN, HEARTBEAT_TABLE
 from repro.core.statistics import SourceRecency
 from repro.errors import TracError
+from repro.obs import instrument as obs
+from repro.obs.events import EVT_INCREMENTAL_INVALIDATED
 from repro.predicates.evaluate import evaluate_predicate
 from repro.sqlparser import ast
 
@@ -430,37 +432,20 @@ class IncrementalMaintainer:
             for key, entry in self._entries.items()
         ]
 
-    def _tel(self) -> Optional[object]:
-        tel = self.telemetry
-        if tel is None:
-            from repro.obs import instrument as obs
-
-            tel = obs.get_default()
-        if getattr(tel, "enabled", False):
-            return tel
-        return None
-
     def _record_lookup(self, outcome: str) -> None:
-        tel = self._tel()
-        if tel is not None:
-            from repro.obs import instrument as obs
-
+        tel = obs.resolve(self.telemetry)
+        if tel.enabled:
             obs.record_incremental(tel, outcome)
 
     def _record_maintenance(self, started: float) -> None:
-        tel = self._tel()
-        if tel is not None:
-            from repro.obs import instrument as obs
-
+        tel = obs.resolve(self.telemetry)
+        if tel.enabled:
             obs.record_incremental_maintenance(tel, time.perf_counter() - started)
 
     def _invalidated(self, reason: str, **attrs: object) -> None:
         self.invalidations += 1
-        tel = self._tel()
-        if tel is not None:
-            from repro.obs import instrument as obs
-            from repro.obs.events import EVT_INCREMENTAL_INVALIDATED
-
+        tel = obs.resolve(self.telemetry)
+        if tel.enabled:
             obs.record_incremental_invalidation(tel, reason)
             tel.emit(
                 EVT_INCREMENTAL_INVALIDATED, severity="debug", reason=reason, **attrs

@@ -384,87 +384,19 @@ class _ObservatoryHandler(BaseHTTPRequestHandler):
             report = obs.reporter.report(sql, method=method)
         except TracError as exc:
             raise _BadRequest(str(exc)) from exc
-        body = {
-            "sql": sql,
-            "method": report.method,
-            "columns": report.result.columns,
-            "rows": [list(row) for row in report.result.rows],
-            "notices": report.notices(),
-            "trace_id": report.trace_id,
-            "timings": report.timings.to_dict(),
-            "profile": report.profile.to_dict() if report.profile is not None else None,
-        }
-        if report.row_provenance is not None:
-            body["provenance"] = {
-                "row_sources": report.row_provenance,
-                "quality": (
-                    report.quality_summary.to_dict()
-                    if report.quality_summary is not None
-                    else None
-                ),
-            }
-        return self._send(200, JSON_CONTENT_TYPE, json.dumps(body, default=str))
+        return self._send_json(200, report.to_dict())
 
     def _serve_query(self) -> int:
-        """``POST /v1/query`` — the serving front end.
-
-        Body: ``{"sql": ..., "tenant"?: ..., "method"?: ...,
-        "deadline_seconds"?: ...}``. Responses: 200 with rows + recency
-        report + trace id; 400 for malformed requests or bad SQL; 429
-        with ``Retry-After`` when quotas or the admission queue shed the
-        request; 504 when the deadline expires first; 503 when no query
-        service is wired.
-        """
-        obs = self.observatory
-        service = obs.query_service
+        """``POST /v1/query`` — mount point of the wired query service,
+        which owns the request validation and the status discipline; only
+        the transport checks (411/413, in :meth:`_read_body`) live here."""
+        service = self.observatory.query_service
         if service is None:
             return self._send_json(
                 503, {"error": "no query service wired to this observatory"}
             )
-        raw = self._read_body()
-        try:
-            doc = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise _BadRequest(f"request body is not valid JSON: {exc}") from None
-        if not isinstance(doc, dict):
-            raise _BadRequest("request body must be a JSON object")
-        sql = doc.get("sql")
-        if not isinstance(sql, str) or not sql.strip():
-            raise _BadRequest("field 'sql' must be a non-empty string")
-        tenant = doc.get("tenant", "default")
-        if not isinstance(tenant, str) or not tenant:
-            raise _BadRequest("field 'tenant' must be a non-empty string")
-        method = doc.get("method")
-        if method is not None and not isinstance(method, str):
-            raise _BadRequest("field 'method' must be a string")
-        deadline = doc.get("deadline_seconds")
-        if deadline is not None:
-            try:
-                deadline = float(deadline)
-            except (TypeError, ValueError):
-                raise _BadRequest("field 'deadline_seconds' must be a number") from None
-            if deadline <= 0:
-                raise _BadRequest("field 'deadline_seconds' must be positive")
-
-        from repro.errors import TracError
-        from repro.serve.pool import DeadlineExceeded, QueueFull
-        from repro.serve.quota import QuotaExceeded
-
-        try:
-            response = service.query(
-                sql, tenant=tenant, method=method, deadline_seconds=deadline
-            )
-        except (QuotaExceeded, QueueFull) as exc:
-            raise _HttpError(
-                429,
-                str(exc),
-                headers={"Retry-After": f"{max(exc.retry_after, 0.05):.3f}"},
-            ) from None
-        except DeadlineExceeded as exc:
-            raise _HttpError(504, str(exc)) from None
-        except TracError as exc:
-            raise _BadRequest(str(exc)) from None
-        return self._send_json(200, response)
+        status, doc, headers = service.handle_http(self._read_body())
+        return self._send_json(status, doc, headers)
 
 
 class ObservatoryServer:

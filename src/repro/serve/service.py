@@ -20,17 +20,19 @@ recency report from one snapshot-consistent read. Every request:
    exemplar, outcome counters, and queue/inflight gauges.
 
 The service is transport-agnostic — :meth:`query` blocks, :meth:`submit`
-returns a :class:`~concurrent.futures.Future` — and the observatory
-server mounts it at ``POST /v1/query``.
+returns a :class:`~concurrent.futures.Future`, :meth:`handle_http` is the
+whole tenant front end short of the socket — and the observatory server
+mounts it at ``POST /v1/query``.
 """
 
 from __future__ import annotations
 
+import json
 import threading
 import time
 from collections import deque
 from concurrent.futures import Future
-from typing import Any, Deque, Dict, Optional
+from typing import Any, Deque, Dict, Optional, Tuple
 
 from repro.core.report import RecencyReporter
 from repro.errors import TracError
@@ -158,10 +160,6 @@ class QueryService:
         self._completions: Deque[float] = deque()
         self._closed = False
 
-    def _tel(self):
-        tel = self.telemetry
-        return tel if tel is not None else obs.get_default()
-
     def _make_reporter(self) -> RecencyReporter:
         """One private reporter per worker thread (no cross-thread state).
 
@@ -223,7 +221,7 @@ class QueryService:
             self._record_rejection(tenant, exc.kind)
             raise
         future.add_done_callback(lambda f, t=tenant: self._on_done(t, f))
-        tel = self._tel()
+        tel = obs.resolve(self.telemetry)
         if tel.enabled:
             obs.record_serve_queue_depth(tel, self.pool.queued())
         return future
@@ -249,6 +247,49 @@ class QueryService:
             future.cancel()
             raise DeadlineExceeded("request timed out awaiting a worker") from None
 
+    def handle_http(self, raw: bytes) -> Tuple[int, Dict[str, Any], Dict[str, str]]:
+        """``POST /v1/query`` — the tenant front end, transport-free: from
+        the raw request body to ``(status, document, extra headers)``.
+
+        Body: ``{"sql": ..., "tenant"?: ..., "method"?: ...,
+        "deadline_seconds"?: ...}``. 200 with rows + recency report + trace
+        id; 400 for malformed requests or bad SQL; 429 with ``Retry-After``
+        when quotas or the admission queue shed the request; 504 when the
+        deadline expires first.
+        """
+        try:
+            try:
+                doc = json.loads(raw.decode("utf-8"))
+            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+                raise TracError(f"request body is not valid JSON: {exc}") from None
+            if not isinstance(doc, dict):
+                raise TracError("request body must be a JSON object")
+            sql = doc.get("sql")
+            if not isinstance(sql, str) or not sql.strip():
+                raise TracError("field 'sql' must be a non-empty string")
+            tenant = doc.get("tenant", DEFAULT_TENANT)
+            if not isinstance(tenant, str) or not tenant:
+                raise TracError("field 'tenant' must be a non-empty string")
+            method = doc.get("method")
+            if method is not None and not isinstance(method, str):
+                raise TracError("field 'method' must be a string")
+            deadline = doc.get("deadline_seconds")
+            if deadline is not None:
+                try:
+                    deadline = float(deadline)
+                except (TypeError, ValueError):
+                    raise TracError("field 'deadline_seconds' must be a number") from None
+                if deadline <= 0:
+                    raise TracError("field 'deadline_seconds' must be positive")
+            return 200, self.query(sql, tenant=tenant, method=method, deadline_seconds=deadline), {}
+        except (QuotaExceeded, QueueFull) as exc:
+            retry_after = f"{max(exc.retry_after, 0.05):.3f}"
+            return 429, {"error": str(exc)}, {"Retry-After": retry_after}
+        except DeadlineExceeded as exc:
+            return 504, {"error": str(exc)}, {}
+        except TracError as exc:
+            return 400, {"error": str(exc)}, {}
+
     # -- execution (worker thread) ------------------------------------------
 
     def _execute(
@@ -259,7 +300,7 @@ class QueryService:
         tenant: str,
         enqueued: float,
     ) -> Dict[str, Any]:
-        tel = self._tel()
+        tel = obs.resolve(self.telemetry)
         queue_wait = time.monotonic() - enqueued
         start = time.perf_counter()
         with obs.PhaseTimer(tel, SPAN_SERVE, tenant=tenant, method=method) as timer:
@@ -279,35 +320,7 @@ class QueryService:
         with self._lock:
             self._completions.append(now)
             self._prune_completions(now)
-        response: Dict[str, Any] = {
-            "tenant": tenant,
-            "method": report.method,
-            "columns": list(report.result.columns),
-            "rows": [list(row) for row in report.result.rows],
-            "notices": report.notices(),
-            "relevant_sources": sorted(report.relevant_source_ids),
-            "exceptional_sources": sorted(
-                s.source_id for s in report.exceptional_sources
-            ),
-            "minimal": report.minimal,
-            "incremental": report.incremental,
-            "trace_id": report.trace_id,
-            "timings": report.timings.to_dict(),
-            "queue_wait_seconds": queue_wait,
-        }
-        if report.row_provenance is not None:
-            # The trace_id above pivots to /trace/<id> and /provenance/<id>
-            # on the observatory; the inline block answers "why trust this
-            # row" without a second round trip.
-            response["provenance"] = {
-                "row_sources": report.row_provenance,
-                "quality": (
-                    report.quality_summary.to_dict()
-                    if report.quality_summary is not None
-                    else None
-                ),
-            }
-        return response
+        return dict(report.to_dict(), tenant=tenant, queue_wait_seconds=queue_wait)
 
     # -- accounting ----------------------------------------------------------
 
@@ -315,14 +328,14 @@ class QueryService:
         outcome = _REJECTION_OUTCOMES.get(kind, "rejected_queue")
         with self._lock:
             self._counts[outcome] += 1
-        tel = self._tel()
+        tel = obs.resolve(self.telemetry)
         if tel.enabled:
             obs.record_serve_rejection(tel, tenant, kind)
             tel.emit(EVT_SERVE_REJECTED, severity="warning", tenant=tenant, reason=kind)
 
     def _on_done(self, tenant: str, future: Future) -> None:
         self.quotas.release(tenant)
-        tel = self._tel()
+        tel = obs.resolve(self.telemetry)
         if tel.enabled:
             obs.record_serve_inflight(tel, self.quotas.total_inflight())
         if future.cancelled():
@@ -367,7 +380,7 @@ class QueryService:
         """Latency quantile in milliseconds from the
         ``trac_serve_request_seconds`` histogram, merged across tenants
         (``None`` when telemetry is disabled or nothing served yet)."""
-        tel = self._tel()
+        tel = obs.resolve(self.telemetry)
         if not tel.enabled:
             return None
         merged: Dict[float, int] = {}

@@ -5,7 +5,10 @@ from repro.core.recency_query import (
     HEARTBEAT_ALIAS,
     build_all_sources_query,
     build_subquery,
+    execute_fragment,
+    fragment_request,
     heartbeat_alias_for,
+    merge_fragments,
     rewrite_term,
     subquery_sql,
 )
@@ -179,3 +182,69 @@ class TestAllSourcesQuery:
         assert subquery_sql(build_all_sources_query()) == (
             "SELECT source_id, recency FROM heartbeat"
         )
+
+
+class TestSingleFragmentLaw:
+    """k = 1: the merge of one locally executed fragment is the relevant-
+    source set the reporter computed before fetch became fragment + merge.
+    ``reference`` below is that earlier loop, kept verbatim as the oracle."""
+
+    QUERIES = [
+        # One subquery per relation; via R carries a guard over A.
+        "SELECT A.mach_id FROM routing R, activity A WHERE R.mach_id = 'm1' "
+        "AND A.value = 'idle' AND R.neighbor = A.mach_id",
+        # The same shape with a guard no row satisfies.
+        "SELECT A.mach_id FROM routing R, activity A WHERE R.mach_id = 'm1' "
+        "AND A.event_time < 0 AND R.neighbor = A.mach_id",
+        # A disjunction: two conjuncts, guards true in one and false in the other.
+        "SELECT R.mach_id FROM routing R, activity A WHERE "
+        "(R.mach_id = 'm1' AND A.value = 'busy') OR (R.mach_id = 'm2' AND A.event_time < 0)",
+        "SELECT mach_id FROM activity WHERE mach_id IN ('m2', 'm3')",
+        "SELECT * FROM activity",
+    ]
+
+    @staticmethod
+    def reference(snapshot, plan):
+        from repro.core.statistics import SourceRecency
+
+        if plan.mode == "empty":
+            return []
+        if plan.mode == "all":
+            rows = snapshot.execute(subquery_sql(build_all_sources_query())).rows
+            return [SourceRecency(str(sid), float(rec)) for sid, rec in rows]
+        found, guard_cache = {}, {}
+        for sub in plan.subqueries:
+            skip = False
+            for guard in sub.guards:
+                if guard not in guard_cache:
+                    guard_cache[guard] = bool(snapshot.execute(guard).rows)
+                if not guard_cache[guard]:
+                    skip = True
+                    break
+            if skip:
+                continue
+            for sid, recency in snapshot.execute(sub.sql).rows:
+                if sid is not None:
+                    found[str(sid)] = float(recency)
+        return [SourceRecency(sid, rec) for sid, rec in sorted(found.items())]
+
+    def test_one_local_fragment_merges_to_the_reference(self, paper_backend):
+        from repro.core.relevance import build_naive_plan
+        from repro.core.report import RecencyReporter
+
+        reporter = RecencyReporter(paper_backend, create_temp_tables=False)
+        plans = [reporter.plan_for(sql) for sql in self.QUERIES] + [build_naive_plan()]
+        verdicts = set()
+        with paper_backend.snapshot() as snapshot:
+            for plan in plans:
+                request = fragment_request(plan)
+                fragment = execute_fragment(snapshot, request, short_circuit=True)
+                verdicts.update(fragment["guards"].values())
+                expected = self.reference(snapshot, plan)
+                assert merge_fragments(request, [fragment]) == expected
+                assert reporter._relevant_sources(snapshot, plan) == expected
+                # Short-circuiting only skips work whose result the merge drops.
+                full = execute_fragment(snapshot, request)
+                assert merge_fragments(request, [full]) == expected
+        assert verdicts == {True, False}, "the cases must exercise both guard outcomes"
+        assert {plan.mode for plan in plans} >= {"focused", "all"}

@@ -5,6 +5,7 @@ import time
 import pytest
 
 from repro.core.breaker import CircuitBreaker
+from repro.core.recency_query import merge_fragments
 from repro.errors import TracError
 from repro.federation import (
     FederationCoordinator,
@@ -79,7 +80,7 @@ class TestHealthy:
         doc = make_coordinator(registry).report(SQL).to_dict()
         for key in (
             "shards_total", "shards_ok", "missing_shards", "stale_shards",
-            "complete", "relevant", "normal", "exceptional", "notices",
+            "complete", "relevant_sources", "normal", "exceptional", "notices",
             "bound_of_inconsistency",
         ):
             assert key in doc
@@ -146,6 +147,33 @@ class TestDeadShard:
         assert report.relevant_source_ids == {"m1", "m2", "m3", "m4"}
         assert any("Stale cached fragment" in n for n in report.notices())
 
+    @pytest.mark.parametrize(
+        "warm_sql, then_sql, then_relevant",
+        [
+            # A wide cached fragment must not answer a narrower question
+            # (its results are index-aligned to the wide request) ...
+            ("SELECT * FROM activity", "SELECT * FROM activity WHERE mach_id = 'm1'", {"m1"}),
+            # ... nor a narrow one silently drop sources under a "stale" label.
+            ("SELECT * FROM activity WHERE mach_id = 'm1'", "SELECT * FROM activity", {"m1", "m2"}),
+        ],
+    )
+    def test_stale_fallback_never_serves_another_querys_fragment(
+        self, pair, warm_sql, then_sql, then_relevant
+    ):
+        shards, registry = pair
+        coordinator = make_coordinator(registry, stale_fallback=True, stale_max_age=60.0)
+        assert coordinator.report(warm_sql).complete
+        shards[1].close()
+        report = coordinator.report(then_sql)
+        # s1 never answered *this* request, so it is missing, not stale.
+        assert report.stale_shards == {}
+        assert report.missing_shards == ["s1"]
+        assert report.relevant_source_ids == then_relevant
+        # The same question again is what the cache may stand in for.
+        again = coordinator.report(warm_sql)
+        assert list(again.stale_shards) == ["s1"]
+        assert again.missing_shards == []
+
     def test_stale_fallback_respects_max_age(self, pair):
         shards, registry = pair
         coordinator = make_coordinator(
@@ -174,44 +202,62 @@ class TestEmptyAndEdge:
         with pytest.raises(TracError):
             FederationCoordinator(registry, retries=-1)
 
+    GUARD_OR_REQUEST = {
+        "mode": "focused",
+        "subqueries": [
+            {"sql": "q0", "guards": ["g0"]},
+            {"sql": "q1", "guards": ["g1"]},
+        ],
+    }
+    GUARD_OR_REPLIES = [
+        {"results": [[["m1", 10.0]], [["m1", 10.0]]], "guards": {"g0": False, "g1": True}, "degraded": []},
+        {"results": [[["m2", 20.0]], [["m2", 20.0]]], "guards": {"g0": False, "g1": False}, "degraded": ["m9"]},
+    ]
+
     def test_guard_or_across_shards(self):
         """A guard false on every answering shard kills its subquery; true on
         any one shard keeps it — the union semantics of 'rows exist'."""
-        from types import SimpleNamespace
-
-        registry = ShardRegistry()
-        coordinator = make_coordinator(registry)
-        # _merge only reads plan.mode / plan.subqueries / sub.guards, so
-        # lightweight stand-ins keep the test focused on the OR semantics.
-        plan = SimpleNamespace(
-            mode="focused",
-            subqueries=[
-                SimpleNamespace(guards=["g0"]),
-                SimpleNamespace(guards=["g1"]),
-            ],
-        )
-        replies = [
-            {"results": [[["m1", 10.0]], [["m1", 10.0]]], "guards": {"g0": False, "g1": True}, "degraded": []},
-            {"results": [[["m2", 20.0]], [["m2", 20.0]]], "guards": {"g0": False, "g1": False}, "degraded": ["m9"]},
-        ]
-        sources, degraded = coordinator._merge(plan, replies)
+        sources = merge_fragments(self.GUARD_OR_REQUEST, self.GUARD_OR_REPLIES)
         # g0 false everywhere -> q0 dropped; g1 true somewhere -> q1 kept.
         assert {s.source_id for s in sources} == {"m1", "m2"}
-        assert degraded == ["m9"]
 
-    def test_short_fragment_does_not_crash_the_merge(self):
+    def test_guard_or_and_degraded_union_through_the_coordinator(self):
+        """The same two fragments served by canned shards: the coordinator's
+        fetch stage is the shared merge plus the union of ``degraded``."""
         from types import SimpleNamespace
 
-        coordinator = make_coordinator(ShardRegistry())
+        servers = [
+            RPCServer(lambda request, k=k: dict(self.GUARD_OR_REPLIES[k], ok=True)).start()
+            for k in range(2)
+        ]
+        registry = ShardRegistry()
+        for k, server in enumerate(servers):
+            registry.add(ShardInfo(f"s{k}", server.host, server.port, [f"m{k + 1}"]))
         plan = SimpleNamespace(
             mode="focused",
+            minimal=False,
             subqueries=[
-                SimpleNamespace(guards=[]),
-                SimpleNamespace(guards=[]),
+                SimpleNamespace(**sub) for sub in self.GUARD_OR_REQUEST["subqueries"]
             ],
         )
+        coordinator = make_coordinator(registry)
+        try:
+            report = coordinator.report("q", plan=plan)
+        finally:
+            coordinator.close()
+            for server in servers:
+                server.stop()
+        assert report.complete
+        assert report.relevant_source_ids == {"m1", "m2"}
+        assert report.degraded_sources == ["m9"]
+
+    def test_short_fragment_does_not_crash_the_merge(self):
+        request = {
+            "mode": "focused",
+            "subqueries": [{"sql": "q0", "guards": []}, {"sql": "q1", "guards": []}],
+        }
         replies = [{"results": [[["m1", 1.0]]], "guards": {}, "degraded": []}]
-        sources, _ = coordinator._merge(plan, replies)
+        sources = merge_fragments(request, replies)
         assert {s.source_id for s in sources} == {"m1"}
 
 

@@ -1,0 +1,97 @@
+"""One report document: every surface serves ``RecencyReport.to_dict()``.
+
+The same report — one settled grid partition, one query — is produced
+in-process, over ``GET /query``, over ``POST /v1/query`` and by a
+``FederationCoordinator`` whose single shard holds every machine. Each
+surface's JSON must be the report document plus that surface's declared
+envelope keys and nothing else, and must agree with the in-process report
+on everything that is not a clock reading.
+"""
+
+import json
+import urllib.parse
+import urllib.request
+
+import pytest
+
+from repro.core.report import RecencyReporter
+from repro.federation import FederationCoordinator, ShardRegistry, ShardServer
+from repro.grid.simulator import SimulationConfig
+from repro.obs import Telemetry
+from repro.obs.server import ObservatoryServer
+from repro.serve import QueryService, ServeConfig
+
+SQL = "SELECT mach_id, value FROM activity WHERE value = 'busy'"
+
+#: What each surface may add to the report document.
+ENVELOPES = {
+    "reporter": set(),
+    "GET /query": set(),
+    "POST /v1/query": {"tenant", "queue_wait_seconds"},
+    "federation": {"shards_total", "shards_ok", "missing_shards", "stale_shards", "complete"},
+}
+
+#: Keys that read a clock or a per-request id, so differ between two runs.
+VOLATILE = {"timings", "trace_id", "profile"}
+#: A federated report runs only the recency side: no user-query rows.
+USER_QUERY = {"columns", "rows"}
+
+
+def fetch_json(url, body=None):
+    data = json.dumps(body).encode("utf-8") if body is not None else None
+    with urllib.request.urlopen(urllib.request.Request(url, data=data), timeout=10.0) as response:
+        return json.loads(response.read())
+
+
+@pytest.fixture(scope="module")
+def documents():
+    """The one report, as each surface's JSON document."""
+    shard = ShardServer("s0", SimulationConfig(num_machines=6, seed=3))
+    shard.server.start()  # RPC only: no stepping thread, the data stands still
+    with shard._lock:
+        for _ in range(120):
+            shard.sim.step()
+    backend = shard.sim.backend
+    registry = ShardRegistry()
+    registry.register(shard.host, shard.port)
+    coordinator = FederationCoordinator(registry, deadline=5.0, attempt_timeout=2.0)
+    tel = Telemetry()
+    reporter = RecencyReporter(backend, create_temp_tables=False, telemetry=tel)
+    try:
+        docs = {
+            # Through JSON and back, like the wire surfaces (tuples -> lists).
+            "reporter": json.loads(json.dumps(reporter.report(SQL).to_dict(), default=str)),
+            "federation": json.loads(json.dumps(coordinator.report(SQL).to_dict())),
+        }
+        with QueryService(backend, ServeConfig(workers=1), telemetry=tel) as service:
+            with ObservatoryServer(tel, reporter=reporter, query_service=service) as server:
+                docs["GET /query"] = fetch_json(
+                    server.url + "/query?" + urllib.parse.urlencode({"sql": SQL})
+                )
+                docs["POST /v1/query"] = fetch_json(
+                    server.url + "/v1/query", body={"sql": SQL, "tenant": "ops"}
+                )
+    finally:
+        reporter.close()
+        coordinator.close()
+        shard.close()
+    return docs
+
+
+@pytest.mark.parametrize("surface", list(ENVELOPES))
+def test_surface_serves_the_report_document_plus_its_envelope(documents, surface):
+    local, doc = documents["reporter"], documents[surface]
+    assert local["relevant_sources"], "the fixture query must have relevant sources"
+    assert set(doc) == set(local) | ENVELOPES[surface]
+    skip = VOLATILE | ENVELOPES[surface] | (USER_QUERY if surface == "federation" else set())
+    for key in set(local) - skip:
+        assert doc[key] == local[key], key
+
+
+def test_envelopes_carry_what_they_declare(documents):
+    served = documents["POST /v1/query"]
+    assert served["tenant"] == "ops" and served["queue_wait_seconds"] >= 0.0
+    fed = documents["federation"]
+    assert (fed["shards_total"], fed["shards_ok"], fed["complete"]) == (1, 1, True)
+    assert fed["missing_shards"] == [] and fed["stale_shards"] == {}
+    assert fed["columns"] == [] and fed["rows"] == []

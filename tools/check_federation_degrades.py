@@ -178,7 +178,7 @@ def main() -> int:
             doc["phases"]["sigkill"] = {
                 "reports": len(kill_reports),
                 "partial": sum(1 for r in kill_reports if not r.complete),
-                "max_elapsed": round(max(r.elapsed for r in kill_reports), 3),
+                "max_elapsed": round(max(r.timings.total for r in kill_reports), 3),
             }
 
             restarted = {}
@@ -227,7 +227,7 @@ def main() -> int:
             doc["phases"]["sigstop"] = {
                 "reports": len(stop_reports),
                 "partial": sum(1 for r in stop_reports if not r.complete),
-                "max_elapsed": round(max(r.elapsed for r in stop_reports), 3),
+                "max_elapsed": round(max(r.timings.total for r in stop_reports), 3),
             }
             for proc in frozen:
                 proc.thaw()
