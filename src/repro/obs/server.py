@@ -56,15 +56,26 @@ produced while serving the request — including a full recency report via
 the ``trac_http_request_seconds`` histogram with the trace id as an
 exemplar.
 
-The server runs on daemon threads (``ThreadingHTTPServer``) so it never
-blocks interpreter exit; ``port=0`` binds an ephemeral port, exposed via
+**Connections.** HTTP/1.1 with keep-alive: one handler thread serves a
+connection's requests one after another, and every response carries
+``Content-Length`` and leaves in a single write (``TCP_NODELAY`` set).
+The server owns a connection's lifetime: it closes on ``Connection:
+close`` or an HTTP/1.0 request, after a response sent before the request
+body was read (the unread bytes must never be parsed as the next
+request), after :attr:`ObservatoryServer.idle_timeout` idle seconds, and
+on :meth:`ObservatoryServer.stop`. ``docs/SERVING.md`` tables the rules.
+
+Handler threads are daemons, so the server never blocks interpreter exit;
+``port=0`` binds an ephemeral port, exposed via
 :attr:`ObservatoryServer.port`. Start one with ``obs.serve()``, ``trac
 serve``, or ``trac simulate --serve PORT``.
 """
 
 from __future__ import annotations
 
+import io
 import json
+import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -85,44 +96,33 @@ _DEFAULT_TAIL = 500
 #: Upper bound on ``?limit=`` values; anything larger is a client error.
 _MAX_LIMIT = 1_000_000
 
-_ENDPOINTS = [
-    "/metrics",
-    "/healthz",
-    "/spans",
-    "/events",
-    "/profile",
-    "/trace/<id>",
-    "/provenance/<trace_id>",
-    "/query",
-    "/status",
-    "/v1/query",
-]
-
-#: Allowed methods per fixed path (``/trace/<id>`` is handled by prefix).
-#: A known path hit with any other method gets 405 + ``Allow``, never a
-#: traceback; HEAD is honoured everywhere GET is (headers only).
-_METHODS = {
-    "/metrics": ("GET",),
-    "/healthz": ("GET",),
-    "/spans": ("GET",),
-    "/events": ("GET",),
-    "/profile": ("GET",),
-    "/query": ("GET",),
-    "/status": ("GET",),
-    "/v1/query": ("POST",),
+#: Endpoint -> its allowed method; a known endpoint hit with any other
+#: gets 405 + ``Allow``, never a traceback. HEAD is honoured everywhere
+#: GET is (headers only); the two ``<id>`` entries match by prefix.
+_ROUTES = {
+    "/metrics": "GET",
+    "/healthz": "GET",
+    "/spans": "GET",
+    "/events": "GET",
+    "/profile": "GET",
+    "/trace/<id>": "GET",
+    "/provenance/<trace_id>": "GET",
+    "/query": "GET",
+    "/status": "GET",
+    "/v1/query": "POST",
 }
 
 #: Hard cap on accepted request bodies; larger gets 413.
 MAX_BODY_BYTES = 1024 * 1024
 
-
-class _BadRequest(Exception):
-    """Client error surfaced as HTTP 400 (never a handler-thread crash)."""
+#: Seconds ``stop()`` waits for the accept loop, then for requests in flight.
+_STOP_GRACE = 5.0
 
 
 class _HttpError(Exception):
     """Client error with an explicit status (405, 411, 413, ...) and
-    optional extra response headers (e.g. ``Allow``, ``Retry-After``)."""
+    optional extra response headers (e.g. ``Allow``, ``Retry-After``);
+    surfaced as that response, never a handler-thread crash."""
 
     def __init__(
         self, status: int, message: str, headers: Optional[Dict[str, str]] = None
@@ -133,25 +133,50 @@ class _HttpError(Exception):
 
 
 class _ObservatoryHTTPServer(ThreadingHTTPServer):
-    """Threading HTTP server tuned for per-request connections.
+    """One daemon thread per *connection*, registered with the owning
+    :class:`ObservatoryServer` until it closes. (The stdlib mix-in forgets
+    its daemon threads: harmless while a connection is one request, but a
+    "stopped" server must not keep answering on established sockets.)
 
-    Serving traffic arrives as one HTTP/1.0 connection per request, so
-    connection-establishment bursts hit the listen backlog directly; the
-    socketserver default of 5 drops SYNs under a few hundred req/s and
-    clients see timeouts instead of 429s. 128 rides out the burst while
-    the accept loop catches up.
+    Keep-alive clients connect once; HTTP/1.0 and ``Connection: close``
+    clients (urllib, ``trac top``) still connect per request, and a burst
+    of those overflows the socketserver default backlog of 5 (dropped
+    SYNs: clients see timeouts, not 429s).
     """
 
     request_queue_size = 128
-    daemon_threads = True
+
+    def process_request(self, request, client_address) -> None:
+        # On the accept thread, before the handler runs: a stop() that has
+        # joined the accept loop knows every connection.
+        owner = self.RequestHandlerClass.observatory
+        thread = threading.Thread(
+            target=self.process_request_thread,
+            args=(request, client_address),
+            name=f"trac-observatory-{owner.port}-conn",
+            daemon=True,
+        )
+        with owner._lock:
+            owner.accepted += 1
+            owner._connections[request] = thread
+        thread.start()
+
+    def shutdown_request(self, request) -> None:
+        owner = self.RequestHandlerClass.observatory
+        with owner._lock:
+            owner._connections.pop(request, None)
+        super().shutdown_request(request)
 
 
 class _ObservatoryHandler(BaseHTTPRequestHandler):
     """Request handler bound to one :class:`ObservatoryServer` via a
-    per-instance subclass (the stdlib API offers no cleaner hook)."""
+    per-instance subclass (the stdlib API offers no cleaner hook). One
+    instance serves one connection: :meth:`_handle` runs once per request."""
 
     observatory: "ObservatoryServer"  # set on the generated subclass
     server_version = "TracObservatory/1.0"
+    protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         pass  # scrapers poll every few seconds; stderr must stay quiet
@@ -164,15 +189,22 @@ class _ObservatoryHandler(BaseHTTPRequestHandler):
         extra_headers: Optional[Dict[str, str]] = None,
     ) -> int:
         payload = body.encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(payload)))
-        if extra_headers:
-            for name, value in extra_headers.items():
-                self.send_header(name, value)
-        self.end_headers()
-        if self.command != "HEAD":
-            self.wfile.write(payload)
+        if self._body_unread or self.observatory.stopping:
+            self.close_connection = True
+        lines = [
+            f"{self.protocol_version} {status} {self.responses[status][0]}",
+            f"Server: {self.version_string()}",
+            f"Date: {self.date_time_string()}",
+            f"Content-Type: {content_type}",
+            f"Content-Length: {len(payload)}",
+        ]
+        lines.extend(f"{name}: {value}" for name, value in (extra_headers or {}).items())
+        if self.close_connection:
+            lines.append("Connection: close")
+        head = ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
+        # One write: a header segment followed by a body segment on a
+        # kept-alive socket is the Nagle / delayed-ACK stall.
+        self.wfile.write(head if self.command == "HEAD" else head + payload)
         return status
 
     def _send_json(
@@ -187,40 +219,52 @@ class _ObservatoryHandler(BaseHTTPRequestHandler):
 
     def _read_body(self) -> bytes:
         """Read and bound the request body: 411 without a Content-Length,
-        400 when it isn't a number, 413 when it exceeds the cap."""
+        400 when it isn't a number, 413 when it exceeds the cap. Any of
+        those leaves the body unread, so the response closes the
+        connection (a client mid-upload sees a reset, the HTTP norm)."""
         raw = self.headers.get("Content-Length")
+        self._body_unread = True
         if raw is None:
             raise _HttpError(411, "Content-Length header is required")
         try:
             length = int(raw)
         except (TypeError, ValueError):
-            raise _BadRequest(f"Content-Length must be an integer, got {raw!r}") from None
+            raise _HttpError(400, f"Content-Length must be an integer, got {raw!r}") from None
         if length < 0:
-            raise _BadRequest(f"Content-Length must be >= 0, got {length}")
+            raise _HttpError(400, f"Content-Length must be >= 0, got {length}")
         if length > MAX_BODY_BYTES:
-            # Refuse without reading: the connection closes after the 413
-            # (a client mid-upload sees a reset — the HTTP norm for this).
-            self.close_connection = True
             raise _HttpError(
                 413, f"request body of {length} bytes exceeds the {MAX_BODY_BYTES}-byte cap"
             )
-        return self.rfile.read(length)
+        body = self.rfile.read(length)
+        self._body_unread = False
+        return body
 
     def _limit(self, query: Dict[str, list]) -> int:
         raw = query.get("limit", [_DEFAULT_TAIL])[0]
         try:
             limit = int(raw)
         except (TypeError, ValueError):
-            raise _BadRequest(f"limit must be an integer, got {raw!r}") from None
+            raise _HttpError(400, f"limit must be an integer, got {raw!r}") from None
         if limit < 0:
-            raise _BadRequest(f"limit must be >= 0, got {limit}")
+            raise _HttpError(400, f"limit must be >= 0, got {limit}")
         if limit > _MAX_LIMIT:
-            raise _BadRequest(f"limit must be <= {_MAX_LIMIT}, got {limit}")
+            raise _HttpError(400, f"limit must be <= {_MAX_LIMIT}, got {limit}")
         return limit
 
-    def _handle(self, method: str) -> None:
-        obs = self.observatory
-        tel = obs.telemetry
+    def _handle(self) -> None:
+        """Serve one request of this connection."""
+        tel = self.observatory.telemetry
+        # HEAD routes as GET; _send withholds the body.
+        method = "GET" if self.command == "HEAD" else self.command
+        # Until _read_body consumes it, a declared body is still in the
+        # stream, and a response sent now must close the connection.
+        self._body_unread = (
+            self.headers.get("Content-Length", "0").strip() != "0"
+            or "Transfer-Encoding" in self.headers
+        )
+        if self.request_version != "HTTP/1.1":
+            self.close_connection = True  # HTTP/1.0: one request, as ever
         parsed = urlparse(self.path)
         query = parse_qs(parsed.query)
         path = parsed.path.rstrip("/") or "/"
@@ -242,140 +286,77 @@ class _ObservatoryHandler(BaseHTTPRequestHandler):
             tel, path, status, time.perf_counter() - start, trace_id=trace_id
         )
 
-    def do_GET(self) -> None:  # noqa: N802 (stdlib naming)
-        self._handle("GET")
-
-    def do_HEAD(self) -> None:  # noqa: N802
-        self._handle("GET")  # identical routing; _send withholds the body
-
-    def do_POST(self) -> None:  # noqa: N802
-        self._handle("POST")
-
-    def do_PUT(self) -> None:  # noqa: N802
-        self._handle("PUT")
-
-    def do_DELETE(self) -> None:  # noqa: N802
-        self._handle("DELETE")
-
-    def do_PATCH(self) -> None:  # noqa: N802
-        self._handle("PATCH")
-
-    def _check_method(self, method: str, path: str) -> None:
-        """405 (with ``Allow``) for a known path hit with the wrong verb."""
-        allowed = _METHODS.get(path)
-        if allowed is None and (
-            path.startswith("/trace/") or path.startswith("/provenance/")
-        ):
-            allowed = ("GET",)
-        if allowed is not None and method not in allowed:
-            raise _HttpError(
-                405,
-                f"method {method} is not allowed on {path}",
-                headers={"Allow": ", ".join(allowed)},
-            )
+    do_GET = do_HEAD = do_POST = do_PUT = do_DELETE = do_PATCH = _handle  # noqa: N815
 
     def _dispatch(self, method: str, path: str, parsed, query: Dict[str, list]) -> int:
         """Route one request; returns the HTTP status actually sent."""
         obs = self.observatory
         try:
-            self._check_method(method, path)
+            # A known endpoint hit with the wrong verb: 405 + ``Allow``.
+            prefixed = path.startswith(("/trace/", "/provenance/"))
+            allowed = "GET" if prefixed else _ROUTES.get(path)
+            if allowed is not None and method != allowed:
+                raise _HttpError(
+                    405, f"method {method} is not allowed on {path}", headers={"Allow": allowed}
+                )
             if path == "/v1/query":
                 return self._serve_query()
             if path == "/metrics":
                 return self._send(
                     200, PROMETHEUS_CONTENT_TYPE, prometheus_text(obs.telemetry.metrics)
                 )
-            if path == "/healthz":
-                return self._send(
-                    200, JSON_CONTENT_TYPE, json.dumps(obs.healthz(), sort_keys=True)
-                )
-            if path == "/spans":
-                import io
-
+            if path in ("/healthz", "/status"):
+                doc = obs.healthz() if path == "/healthz" else obs.status()
+                return self._send(200, JSON_CONTENT_TYPE, json.dumps(doc, sort_keys=True))
+            if path in ("/spans", "/events"):
                 buffer = io.StringIO()
-                spans = obs.telemetry.tracer.finished_spans()
                 limit = self._limit(query)
-                write_spans_jsonl(spans[-limit:] if limit else [], buffer)
-                return self._send(200, NDJSON_CONTENT_TYPE, buffer.getvalue())
-            if path == "/events":
-                import io
-
-                buffer = io.StringIO()
-                write_events_jsonl(
-                    obs.telemetry.events.tail(self._limit(query)), buffer
-                )
+                if path == "/spans":
+                    spans = obs.telemetry.tracer.finished_spans()
+                    write_spans_jsonl(spans[-limit:] if limit else [], buffer)
+                else:
+                    write_events_jsonl(obs.telemetry.events.tail(limit), buffer)
                 return self._send(200, NDJSON_CONTENT_TYPE, buffer.getvalue())
             if path == "/profile":
-                profiles = obs.profiles(self._limit(query))
-                return self._send(200, JSON_CONTENT_TYPE, json.dumps(profiles))
-            if path.startswith("/trace/"):
-                trace_id = path[len("/trace/") :].strip().lower()
-                doc = obs.trace(trace_id)
-                if doc is None:
-                    return self._send(
-                        404,
-                        JSON_CONTENT_TYPE,
-                        json.dumps({"error": f"no telemetry for trace {trace_id!r}"}),
-                    )
-                return self._send(200, JSON_CONTENT_TYPE, json.dumps(doc, default=str))
-            if path.startswith("/provenance/"):
-                trace_id = path[len("/provenance/") :].strip().lower()
-                doc = obs.provenance(trace_id)
-                if doc is None:
-                    return self._send(
-                        404,
-                        JSON_CONTENT_TYPE,
-                        json.dumps({"error": f"no provenance for trace {trace_id!r}"}),
-                    )
-                return self._send(200, JSON_CONTENT_TYPE, json.dumps(doc, default=str))
+                return self._send_json(200, obs.profiles(self._limit(query)))
+            for prefix, lookup, what in (
+                ("/trace/", obs.trace, "telemetry"),
+                ("/provenance/", obs.provenance, "provenance"),
+            ):
+                if path.startswith(prefix):
+                    trace_id = path[len(prefix) :].strip().lower()
+                    doc = lookup(trace_id)
+                    if doc is None:
+                        return self._send_json(
+                            404, {"error": f"no {what} for trace {trace_id!r}"}
+                        )
+                    return self._send_json(200, doc)
             if path == "/query":
                 return self._query(query)
-            if path == "/status":
-                return self._send(
-                    200, JSON_CONTENT_TYPE, json.dumps(obs.status(), sort_keys=True)
-                )
-            body = json.dumps(
-                {"error": f"unknown path {parsed.path!r}", "endpoints": _ENDPOINTS}
+            return self._send_json(
+                404, {"error": f"unknown path {parsed.path!r}", "endpoints": list(_ROUTES)}
             )
-            return self._send(404, JSON_CONTENT_TYPE, body)
-        except _BadRequest as exc:
-            try:
-                return self._send(
-                    400, JSON_CONTENT_TYPE, json.dumps({"error": str(exc)})
-                )
-            except Exception:
-                return 400
         except _HttpError as exc:
-            try:
-                return self._send_json(
-                    exc.status, {"error": str(exc)}, extra_headers=exc.headers
-                )
-            except Exception:
-                return exc.status
-        except BrokenPipeError:
-            return 499  # scraper hung up mid-response
+            status, doc, headers = exc.status, {"error": str(exc)}, exc.headers
+        except (BrokenPipeError, socket.timeout):  # TimeoutError itself from 3.10 on
+            self.close_connection = True
+            return 499  # scraper hung up mid-response, or stalled mid-request
         except Exception as exc:  # observability must not crash the host
-            try:
-                return self._send(
-                    500,
-                    JSON_CONTENT_TYPE,
-                    json.dumps({"error": f"{type(exc).__name__}: {exc}"}),
-                )
-            except Exception:
-                return 500
+            status, doc, headers = 500, {"error": f"{type(exc).__name__}: {exc}"}, None
+        try:
+            return self._send_json(status, doc, headers)
+        except Exception:
+            self.close_connection = True  # the socket is no use for a next request
+            return status
 
     def _query(self, query: Dict[str, list]) -> int:
         """``/query?sql=...&method=...`` — serve one recency report."""
         obs = self.observatory
         if obs.reporter is None:
-            return self._send(
-                503,
-                JSON_CONTENT_TYPE,
-                json.dumps({"error": "no reporter wired to this observatory"}),
-            )
+            return self._send_json(503, {"error": "no reporter wired to this observatory"})
         sql_values = query.get("sql")
         if not sql_values or not sql_values[0].strip():
-            raise _BadRequest("missing required query parameter 'sql'")
+            raise _HttpError(400, "missing required query parameter 'sql'")
         sql = sql_values[0]
         method = query.get("method", ["focused"])[0]
         from repro.errors import TracError
@@ -383,7 +364,7 @@ class _ObservatoryHandler(BaseHTTPRequestHandler):
         try:
             report = obs.reporter.report(sql, method=method)
         except TracError as exc:
-            raise _BadRequest(str(exc)) from exc
+            raise _HttpError(400, str(exc)) from exc
         return self._send_json(200, report.to_dict())
 
     def _serve_query(self) -> int:
@@ -392,9 +373,7 @@ class _ObservatoryHandler(BaseHTTPRequestHandler):
         the transport checks (411/413, in :meth:`_read_body`) live here."""
         service = self.observatory.query_service
         if service is None:
-            return self._send_json(
-                503, {"error": "no query service wired to this observatory"}
-            )
+            return self._send_json(503, {"error": "no query service wired to this observatory"})
         status, doc, headers = service.handle_http(self._read_body())
         return self._send_json(status, doc, headers)
 
@@ -427,6 +406,10 @@ class ObservatoryServer:
         ``serving`` block.
     """
 
+    #: Seconds a connection may wait for its next complete request before
+    #: the server closes it (read when the server is constructed).
+    idle_timeout = 10.0
+
     def __init__(
         self,
         telemetry,
@@ -445,22 +428,30 @@ class ObservatoryServer:
         self.reporter = reporter
         self.query_service = query_service
         handler = type(
-            "BoundObservatoryHandler", (_ObservatoryHandler,), {"observatory": self}
+            "BoundObservatoryHandler",
+            (_ObservatoryHandler,),
+            # The handler's socket timeout is the idle timeout: the stdlib
+            # request loop closes a connection whose read waits longer.
+            {"observatory": self, "timeout": self.idle_timeout},
         )
         self._httpd = _ObservatoryHTTPServer((host, port), handler)
+        #: The bound address (``port=0`` resolved to the ephemeral port).
+        self.host, self.port = self._httpd.server_address[:2]
+        self.url = f"http://{self.host}:{self.port}"
         self._thread: Optional[threading.Thread] = None
+        self._lock = threading.Lock()
+        #: Open connections and the handler thread serving each.
+        self._connections: Dict[socket.socket, threading.Thread] = {}
+        #: Connections accepted so far (persistent clients keep this small).
+        self.accepted = 0
+        #: True once :meth:`stop` has begun: every response now closes.
+        self.stopping = False
 
     @property
-    def host(self) -> str:
-        return self._httpd.server_address[0]
-
-    @property
-    def port(self) -> int:
-        return self._httpd.server_address[1]
-
-    @property
-    def url(self) -> str:
-        return f"http://{self.host}:{self.port}"
+    def open_connections(self) -> int:
+        """Accepted connections not yet closed."""
+        with self._lock:
+            return len(self._connections)
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -476,11 +467,25 @@ class ObservatoryServer:
         return self
 
     def stop(self) -> None:
+        """Stop accepting, let requests in flight send their response, give
+        idle connections EOF, join the handler threads: afterwards no
+        accepted socket is open and no handler thread is alive."""
+        self.stopping = True
         if self._thread is not None:
             self._httpd.shutdown()
-            self._thread.join(timeout=5.0)
+            self._thread.join(timeout=_STOP_GRACE)
             self._thread = None
         self._httpd.server_close()
+        with self._lock:
+            live = list(self._connections.items())
+        for conn, _thread in live:
+            try:
+                conn.shutdown(socket.SHUT_RD)  # wakes a handler parked in readline()
+            except OSError:
+                pass  # already closed by its own thread
+        deadline = time.monotonic() + _STOP_GRACE
+        for _conn, thread in live:
+            thread.join(max(0.0, deadline - time.monotonic()))
 
     def __enter__(self) -> "ObservatoryServer":
         return self.start()
@@ -492,19 +497,15 @@ class ObservatoryServer:
 
     def healthz(self) -> dict:
         """The ``/healthz`` document."""
-        out: dict = {"status": "ok"}
-        if self.health is not None:
-            snapshot = self.health.to_dict()
-            out["sources"] = snapshot
-            degraded = sorted(
-                sid for sid, entry in snapshot.items() if entry["status"] == "degraded"
-            )
-            out["degraded"] = degraded
-            if degraded:
-                out["status"] = "degraded"
-        else:
-            out["sources"] = {}
-            out["degraded"] = []
+        snapshot = self.health.to_dict() if self.health is not None else {}
+        degraded = sorted(
+            sid for sid, entry in snapshot.items() if entry["status"] == "degraded"
+        )
+        out: dict = {
+            "status": "degraded" if degraded else "ok",
+            "sources": snapshot,
+            "degraded": degraded,
+        }
         if self.breakers is not None:
             out["breakers"] = dict(self.breakers())
         events = self.telemetry.events
@@ -523,44 +524,27 @@ class ObservatoryServer:
 
     def profiles(self, limit: int = _DEFAULT_TAIL) -> list:
         """The ``/profile`` document: recent query profiles, oldest first."""
-        log = getattr(self.telemetry, "profiles", None)
-        if log is None:
-            return []
-        recent = log.tail(limit) if limit else []
+        recent = self.telemetry.profiles.tail(limit) if limit else []
         return [profile.to_dict() for profile in recent]
 
     def trace(self, trace_id: str) -> Optional[dict]:
         """The ``/trace/<id>`` document, or None when the id matched
         no span, event, or profile (an unknown or expired trace)."""
-        tracer = self.telemetry.tracer
-        spans = [span.to_dict() for span in tracer.spans_for_trace(trace_id)]
-        events = [
-            event.to_dict() for event in self.telemetry.events.for_trace(trace_id)
-        ]
-        log = getattr(self.telemetry, "profiles", None)
-        profiles = (
-            [profile.to_dict() for profile in log.for_trace(trace_id)]
-            if log is not None
-            else []
-        )
-        if not spans and not events and not profiles:
-            return None
-        return {
+        tel = self.telemetry
+        doc = {
             "trace_id": trace_id,
-            "spans": spans,
-            "events": events,
-            "profiles": profiles,
+            "spans": [s.to_dict() for s in tel.tracer.spans_for_trace(trace_id)],
+            "events": [e.to_dict() for e in tel.events.for_trace(trace_id)],
+            "profiles": [p.to_dict() for p in tel.profiles.for_trace(trace_id)],
         }
+        return doc if doc["spans"] or doc["events"] or doc["profiles"] else None
 
     def provenance(self, trace_id: str) -> Optional[dict]:
         """The ``/provenance/<trace_id>`` document: the provenance records
         (row-level source sets + quality summary) of the report(s) stamped
         with that trace id, or None when none is retained (reports run
         without lineage enabled, or the record aged out of the ring)."""
-        log = getattr(self.telemetry, "provenance", None)
-        if log is None:
-            return None
-        records = [record.to_dict() for record in log.for_trace(trace_id)]
+        records = [r.to_dict() for r in self.telemetry.provenance.for_trace(trace_id)]
         if not records:
             return None
         return {"trace_id": trace_id, "provenance": records}
@@ -570,30 +554,12 @@ class ObservatoryServer:
         return f"ObservatoryServer({self.url}, {running})"
 
 
-def serve(
-    telemetry=None,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    health=None,
-    breakers: Optional[Callable[[], Dict[str, str]]] = None,
-    status_provider: Optional[Callable[[], dict]] = None,
-    reporter=None,
-    query_service=None,
-) -> ObservatoryServer:
+def serve(telemetry=None, **options) -> ObservatoryServer:
     """Start an :class:`ObservatoryServer` for ``telemetry`` (the process
-    default when omitted) and return it already serving."""
+    default when omitted; ``options`` as for the class) and return it
+    already serving."""
     if telemetry is None:
         from repro.obs.instrument import get_default
 
         telemetry = get_default()
-    server = ObservatoryServer(
-        telemetry,
-        host=host,
-        port=port,
-        health=health,
-        breakers=breakers,
-        status_provider=status_provider,
-        reporter=reporter,
-        query_service=query_service,
-    )
-    return server.start()
+    return ObservatoryServer(telemetry, **options).start()

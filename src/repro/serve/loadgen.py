@@ -11,26 +11,30 @@ counts against the server, not the schedule.
 
 Mechanics: ``senders`` threads split the schedule round-robin (sender
 ``j`` owns requests ``i ≡ j (mod senders)``), each sleeping until its
-next request is due, then POSTing synchronously. With enough senders the
-schedule never blocks on a slow response; the guard and CLI size
-``senders`` generously relative to ``rate ×`` expected latency.
+next request is due, then POSTing synchronously on its own persistent
+connection (one socket per sender for the whole run while the server
+keeps it open). With enough senders the schedule never blocks on a slow
+response; the guard and CLI size ``senders`` generously relative to
+``rate ×`` expected latency.
 
 Results aggregate into a :class:`LoadResult`: latency percentiles over
 successful responses, status-class counts (429s are *expected* under
-overload — they prove admission control sheds instead of queueing), and
-the raw schedule parameters for the JSON artifact CI uploads.
+overload — they prove admission control sheds instead of queueing), the
+number of sockets opened, and the raw schedule parameters for the JSON
+artifact CI uploads.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
 import math
 import socket
 import threading
 import time
-import urllib.error
-import urllib.request
+from collections import Counter
 from typing import Any, Dict, List, Optional, Sequence
+from urllib.parse import urlsplit
 
 from repro.errors import TracError
 
@@ -110,11 +114,18 @@ class LoadResult:
         statuses: List[int],
         ok_latencies: List[float],
         wall_seconds: float,
+        connections: int = 0,
+        reconnects: int = 0,
     ) -> None:
         self.config = config
         self.statuses = statuses
         self.ok_latencies = sorted(ok_latencies)
         self.wall_seconds = wall_seconds
+        #: Sockets opened: ``senders`` when every connection was kept alive,
+        #: ``requests`` when the server closed after each response.
+        self.connections = connections
+        #: Requests re-sent on a fresh socket because the reused one was dead.
+        self.reconnects = reconnects
 
     # -- derived -------------------------------------------------------------
 
@@ -167,11 +178,8 @@ class LoadResult:
 
     def to_dict(self) -> Dict[str, Any]:
         """The JSON document ``tools/loadgen.py`` writes and CI archives."""
-        status_counts: Dict[str, int] = {}
         labels = {0: "transport_error", STATUS_REFUSED: "refused", STATUS_TIMEOUT: "timeout"}
-        for status in self.statuses:
-            key = labels.get(status, str(status))
-            status_counts[key] = status_counts.get(key, 0) + 1
+        status_counts = dict(Counter(labels.get(s, str(s)) for s in self.statuses))
         return {
             "config": {
                 "url": self.config.url,
@@ -190,6 +198,8 @@ class LoadResult:
             "wall_seconds": round(self.wall_seconds, 3),
             "achieved_ok_per_s": round(self.achieved_rate, 1),
             "status_counts": status_counts,
+            "connections": self.connections,
+            "reconnects": self.reconnects,
             "latency_ms": {
                 "p50": self.latency_ms(0.50),
                 "p90": self.latency_ms(0.90),
@@ -207,41 +217,54 @@ class LoadResult:
 
 
 def _classify_transport(exc: BaseException) -> int:
-    """Map a transport exception to its sentinel status.
-
-    urllib wraps socket-level errors in :class:`urllib.error.URLError`
-    (the original lives in ``.reason``), but can also let them escape
-    bare; classify the innermost cause either way.
-    """
-    reason = getattr(exc, "reason", exc)
-    if isinstance(reason, (ConnectionRefusedError, ConnectionResetError, BrokenPipeError)):
+    """Map a transport exception to its sentinel status."""
+    if isinstance(exc, ConnectionError):  # refused, reset, broken pipe
         return STATUS_REFUSED
-    if isinstance(reason, (socket.timeout, TimeoutError)):
+    if isinstance(exc, (socket.timeout, TimeoutError)):  # one class from 3.10 on
         return STATUS_TIMEOUT
     return 0
 
 
-def _post_once(config: LoadgenConfig, tenant: str) -> int:
-    """POST one query; returns the HTTP status, or a non-positive sentinel
-    for transport failures (refused/reset, timeout, other)."""
-    body: Dict[str, Any] = {"sql": config.sql, "tenant": tenant}
-    if config.method:
-        body["method"] = config.method
-    request = urllib.request.Request(
-        config.url,
-        data=json.dumps(body).encode("utf-8"),
-        headers={"Content-Type": "application/json"},
-        method="POST",
-    )
-    try:
-        with urllib.request.urlopen(request, timeout=config.timeout) as response:
-            response.read()
-            return response.status
-    except urllib.error.HTTPError as exc:
-        exc.read()
-        return exc.code
-    except (urllib.error.URLError, OSError, TimeoutError) as exc:
-        return _classify_transport(exc)
+class _Sender:
+    """One sender's persistent connection to the server under load."""
+
+    def __init__(self, config: LoadgenConfig) -> None:
+        url = urlsplit(config.url)
+        self.conn = http.client.HTTPConnection(url.hostname, url.port, timeout=config.timeout)
+        self.path = url.path or "/"
+        self.config = config
+        self.connections = 0
+        self.reconnects = 0
+
+    def post(self, tenant: str) -> int:
+        """POST one query; returns the HTTP status, or a non-positive
+        sentinel for transport failures (refused/reset, timeout, other)."""
+        body: Dict[str, Any] = {"sql": self.config.sql, "tenant": tenant}
+        if self.config.method:
+            body["method"] = self.config.method
+        payload = json.dumps(body).encode("utf-8")
+        while True:
+            reused = self.conn.sock is not None
+            try:
+                if not reused:
+                    self.connections += 1
+                    self.conn.connect()
+                self.conn.request(
+                    "POST", self.path, body=payload, headers={"Content-Type": "application/json"}
+                )
+                response = self.conn.getresponse()
+                response.read()
+                return response.status
+            except (OSError, http.client.HTTPException) as exc:
+                self.conn.close()
+                # A reused socket the server had closed meanwhile (idle
+                # timeout, restart) says nothing about this request: send
+                # it once more on a fresh connection. A fresh connection
+                # that fails is the server's answer.
+                if reused and isinstance(exc, ConnectionError):
+                    self.reconnects += 1
+                    continue
+                return _classify_transport(exc)
 
 
 def run_load(config: LoadgenConfig) -> LoadResult:
@@ -249,16 +272,17 @@ def run_load(config: LoadgenConfig) -> LoadResult:
     total = config.total_requests
     statuses: List[int] = [0] * total
     latencies: List[Optional[float]] = [None] * total
+    senders = [_Sender(config) for _ in range(config.senders)]
     start = time.monotonic()
 
-    def sender(offset: int) -> None:
+    def run(sender: _Sender, offset: int) -> None:
         for index in range(offset, total, config.senders):
             scheduled = start + index / config.rate
             delay = scheduled - time.monotonic()
             if delay > 0:
                 time.sleep(delay)
             tenant = config.tenants[index % len(config.tenants)]
-            status = _post_once(config, tenant)
+            status = sender.post(tenant)
             # Latency from the *scheduled* arrival, not the actual send:
             # schedule slip (a sender stuck behind a slow response) is
             # server-induced queueing and must count against the server.
@@ -268,16 +292,25 @@ def run_load(config: LoadgenConfig) -> LoadResult:
                 latencies[index] = elapsed
 
     threads = [
-        threading.Thread(target=sender, args=(j,), name=f"loadgen-{j}", daemon=True)
-        for j in range(config.senders)
+        threading.Thread(target=run, args=(sender, j), name=f"loadgen-{j}", daemon=True)
+        for j, sender in enumerate(senders)
     ]
     for thread in threads:
         thread.start()
     for thread in threads:
         thread.join()
     wall = time.monotonic() - start
+    for sender in senders:
+        sender.conn.close()  # here, not in the thread: closed even if one died
     ok_latencies = [value for value in latencies if value is not None]
-    return LoadResult(config, statuses, ok_latencies, wall)
+    return LoadResult(
+        config,
+        statuses,
+        ok_latencies,
+        wall,
+        connections=sum(sender.connections for sender in senders),
+        reconnects=sum(sender.reconnects for sender in senders),
+    )
 
 
 __all__ = [

@@ -9,11 +9,16 @@ the shutdown banner, (b) ``trac recover`` sees zero torn segments, and
 garbage.
 """
 
+import http.client
+import json
 import os
+import re
 import signal
 import subprocess
 import sys
 import time
+
+import pytest
 
 REPO_ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", ".."))
 
@@ -92,7 +97,9 @@ def test_sigterm_drains_flushes_and_resumes(tmp_path):
     assert "0 torn" in resume.stdout
 
 
-def test_sigterm_stops_trac_serve_cleanly(tmp_path):
+def serve_until_sigterm(tmp_path, before_signal=None):
+    """Start ``trac serve``, wait for its banner, run ``before_signal(port)``,
+    SIGTERM it; returns (returncode, output, seconds from signal to exit)."""
     env = cli_env()
     db = str(tmp_path / "serve.sqlite")
     seed = run_cli(
@@ -122,12 +129,51 @@ def test_sigterm_stops_trac_serve_cleanly(tmp_path):
                 break
         else:
             raise AssertionError(f"server never came up: {''.join(banner)}")
+        if before_signal is not None:
+            before_signal(int(re.search(r"http://[^:]+:(\d+)", line).group(1)))
+        signalled = time.monotonic()
         process.send_signal(signal.SIGTERM)
         stdout, _ = process.communicate(timeout=60)
+        took = time.monotonic() - signalled
     finally:
         if process.poll() is None:
             process.kill()
             process.wait()
+    return process.returncode, "".join(banner) + stdout, took
 
-    assert process.returncode == 0, "".join(banner) + stdout
-    assert "SIGTERM: draining" in stdout
+
+def test_sigterm_stops_trac_serve_cleanly(tmp_path):
+    returncode, output, _ = serve_until_sigterm(tmp_path)
+    assert returncode == 0, output
+    assert "SIGTERM: draining" in output
+
+
+def test_sigterm_with_an_idle_keepalive_client_still_exits_cleanly(tmp_path):
+    """A client parked on a kept-alive connection must not hold the server
+    up: stop() closes idle connections instead of waiting them out."""
+    clients = []
+
+    def park_a_client(port):
+        conn = http.client.HTTPConnection("127.0.0.1", port, timeout=10.0)
+        clients.append(conn)
+        conn.request(
+            "POST", "/v1/query", body=json.dumps({"sql": "SELECT mach_id FROM activity"})
+        )
+        response = conn.getresponse()
+        assert response.status == 200, response.read()
+        response.read()
+        assert conn.sock is not None  # kept alive, now idle
+
+    try:
+        returncode, output, took = serve_until_sigterm(tmp_path, park_a_client)
+        assert returncode == 0, output
+        assert "SIGTERM: draining" in output
+        # Well inside the server's idle timeout (10 s): the connection was
+        # closed by stop(), not waited out.
+        assert took < 8.0, output
+        with pytest.raises((ConnectionError, http.client.HTTPException)):
+            clients[0].request("GET", "/healthz")
+            clients[0].getresponse()
+    finally:
+        for conn in clients:
+            conn.close()

@@ -45,10 +45,14 @@ class TestConcurrentQueries:
                              tenant_burst=10_000.0, max_inflight=256)
         stop_writing = threading.Event()
 
-        def write_forever():
-            beat = 0
-            while not stop_writing.is_set():
-                beat += 1
+        def write_beats():
+            # Bounded work: a hot loop grows `activity` (and so every racing
+            # query's scan) with host load until a request outlives its
+            # deadline. One beat per millisecond at most, 2000 at most; the
+            # wait also yields the interpreter to the readers.
+            for beat in range(1, 2001):
+                if stop_writing.wait(0.001):
+                    break
                 paper_memory_backend.upsert_heartbeat("m1", BASE_TIME + beat)
                 paper_memory_backend.insert_rows(
                     "activity", [(f"m{1 + beat % 3}", "busy", BASE_TIME + beat)]
@@ -57,7 +61,7 @@ class TestConcurrentQueries:
         docs = []
         docs_lock = threading.Lock()
         with QueryService(paper_memory_backend, config, telemetry=tel) as svc:
-            writer = threading.Thread(target=write_forever)
+            writer = threading.Thread(target=write_beats)
             writer.start()
             try:
                 def work(index):

@@ -1,5 +1,7 @@
 """The open-loop load generator: schedule math, aggregation, a real run."""
 
+import time
+
 import pytest
 
 from repro.errors import TracError
@@ -102,26 +104,25 @@ class TestLoadResult:
 
 class TestClassifyTransport:
     def test_refused_and_reset_map_to_refused(self):
-        import urllib.error
+        import http.client
 
         assert _classify_transport(ConnectionRefusedError()) == STATUS_REFUSED
         assert _classify_transport(ConnectionResetError()) == STATUS_REFUSED
         assert _classify_transport(BrokenPipeError()) == STATUS_REFUSED
-        # urllib wraps the real cause in URLError.reason.
-        wrapped = urllib.error.URLError(ConnectionRefusedError())
-        assert _classify_transport(wrapped) == STATUS_REFUSED
+        # What http.client raises when the peer closes before replying.
+        assert _classify_transport(http.client.RemoteDisconnected()) == STATUS_REFUSED
 
     def test_timeouts_map_to_timeout(self):
         import socket
-        import urllib.error
 
         assert _classify_transport(socket.timeout()) == STATUS_TIMEOUT
         assert _classify_transport(TimeoutError()) == STATUS_TIMEOUT
-        wrapped = urllib.error.URLError(socket.timeout())
-        assert _classify_transport(wrapped) == STATUS_TIMEOUT
 
     def test_everything_else_is_generic_transport(self):
+        import http.client
+
         assert _classify_transport(OSError("no route to host")) == 0
+        assert _classify_transport(http.client.IncompleteRead(b"")) == 0
 
     def test_real_refused_connection_is_classified(self):
         import socket
@@ -142,6 +143,28 @@ class TestClassifyTransport:
         assert result.refused == result.requests
         assert result.timeouts == 0
         assert result.ok == 0
+        assert result.reconnects == 0  # a fresh connect that fails is an answer
+
+    def test_real_unanswered_request_is_a_timeout(self):
+        import socket
+
+        # Listening but never accepting: the connect succeeds (backlog),
+        # the request is sent, nobody answers.
+        with socket.socket() as mute:
+            mute.bind(("127.0.0.1", 0))
+            mute.listen(8)
+            result = run_load(
+                LoadgenConfig(
+                    url=f"http://127.0.0.1:{mute.getsockname()[1]}/v1/query",
+                    sql=SQL,
+                    rate=10.0,
+                    duration=0.2,
+                    senders=2,
+                    timeout=0.3,
+                )
+            )
+        assert result.timeouts == result.requests == 2
+        assert result.refused == 0
 
 
 class TestRunLoad:
@@ -171,6 +194,31 @@ class TestRunLoad:
         # Both tenants took traffic (round-robin across the schedule).
         status = svc.serving_status()
         assert set(status["tenants"]) == {"a", "b"}
+        # One socket per sender for the whole run, none re-opened.
+        assert 1 <= result.connections <= 8
+        assert result.connections == server.accepted
+        assert result.reconnects == 0
+        assert result.to_dict()["connections"] == result.connections
+
+    def test_dead_reused_socket_is_retried_once(self, paper_memory_backend, monkeypatch):
+        from repro.serve.loadgen import _Sender
+
+        monkeypatch.setattr(ObservatoryServer, "idle_timeout", 0.1)
+        tel = Telemetry()
+        with QueryService(paper_memory_backend, ServeConfig(workers=1), telemetry=tel) as svc:
+            with ObservatoryServer(tel, query_service=svc) as server:
+                sender = _Sender(LoadgenConfig(server.url + "/v1/query", SQL, timeout=2.0))
+                assert sender.post("a") == 200
+                deadline = time.monotonic() + 5.0
+                while server.open_connections and time.monotonic() < deadline:
+                    time.sleep(0.02)  # the server times the idle socket out
+                assert sender.post("a") == 200  # re-sent on a fresh connection
+                assert (sender.connections, sender.reconnects) == (2, 1)
+                assert server.accepted == 2
+            # Server gone: the reused socket is dead and the one retry is
+            # refused — an answer, not another retry.
+            assert sender.post("a") == STATUS_REFUSED
+            assert (sender.connections, sender.reconnects) == (3, 2)
 
     def test_rejections_are_counted_not_raised(self, paper_memory_backend):
         config = ServeConfig(workers=1, tenant_rate=0.0, tenant_burst=3.0)

@@ -6,8 +6,10 @@ CoW snapshots, real HTTP through :class:`~repro.obs.server.ObservatoryServer`):
 
 1. **SLO phase** — open-loop load at ``--rate`` (default 200 req/s) for
    ``--duration`` (default 10 s); asserts p99 latency ≤ ``--p99-ms``
-   (default 100 ms), zero 5xx, zero transport errors, and zero shed
-   requests (the server must actually *serve* in-capacity load).
+   (default 100 ms), zero 5xx, zero transport errors, zero shed
+   requests (the server must actually *serve* in-capacity load), and
+   connection reuse: no more sockets opened than senders plus re-sends
+   on a dead reused socket (the server keeps connections alive).
 2. **Overload phase** — offered load far above an artificially small
    admission capacity (tight tenant quota + tiny queue); asserts the
    server sheds with 429s (``Retry-After`` present), never 5xx, and —
@@ -116,6 +118,11 @@ def main() -> int:
         failures.append(f"SLO phase: {slo['server_errors']} 5xx responses")
     if p99 is None or p99 > args.p99_ms:
         failures.append(f"SLO phase: p99 {p99} ms exceeds the {args.p99_ms:g} ms bound")
+    if slo["connections"] > args.senders + slo["reconnects"]:
+        failures.append(
+            f"SLO phase: {slo['connections']} connections for {args.senders} senders "
+            f"(+{slo['reconnects']} reconnects) — the server is not keeping them alive"
+        )
 
     # -- phase 2: overload must shed with 429, never hang -------------------
     overload_service = QueryService(
@@ -167,7 +174,7 @@ def main() -> int:
 
     # -- report -------------------------------------------------------------
     rows = [
-        ("phase", "offered", "ok", "429", "5xx", "refused", "timeout", "p50 ms", "p99 ms"),
+        ("phase", "offered", "ok", "429", "5xx", "refused", "timeout", "conns", "p50 ms", "p99 ms"),
         (
             "slo",
             f"{args.rate:g}/s x {args.duration:g}s",
@@ -176,6 +183,7 @@ def main() -> int:
             str(slo["server_errors"]),
             str(slo["refused"]),
             str(slo["timeouts"]),
+            str(slo["connections"]),
             f"{slo['latency_ms']['p50']:.2f}" if slo["latency_ms"]["p50"] else "-",
             f"{p99:.2f}" if p99 is not None else "-",
         ),
@@ -187,6 +195,7 @@ def main() -> int:
             str(over["server_errors"]),
             str(over["refused"]),
             str(over["timeouts"]),
+            str(over["connections"]),
             "-",
             "-",
         ),

@@ -71,6 +71,7 @@ def main() -> int:
           f"({doc['requests']} requests, {config.senders} senders)")
     print(f"ok        {doc['ok']}  (achieved {doc['achieved_ok_per_s']:g} ok/s)")
     print(f"shed 429  {doc['rejected_429']}")
+    print(f"sockets   {doc['connections']} opened, {doc['reconnects']} re-sent on a dead reused one")
     print(f"5xx       {doc['server_errors']}   "
           f"refused {doc['refused']}   timeout {doc['timeouts']}   "
           f"other-transport {doc['transport_errors'] - doc['refused'] - doc['timeouts']}")
