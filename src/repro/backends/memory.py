@@ -244,7 +244,8 @@ class MemoryBackend(Backend):
                 lineage=lineage,
             )
         if tel.enabled:
-            obs.record_backend_query(tel, self.kind, len(result.rows))
+            tel.count(obs.BACKEND_QUERIES, backend=self.kind)
+            tel.count(obs.BACKEND_ROWS_RETURNED, len(result.rows), backend=self.kind)
         return result
 
     def _references_temp_table(self, sql: str) -> bool:
@@ -302,7 +303,7 @@ class MemoryBackend(Backend):
         tel = obs.resolve(self.telemetry)
         enabled = tel.enabled
         if enabled:
-            obs.record_snapshot_open(tel, self.kind)
+            tel.count(obs.SNAPSHOTS_OPENED, backend=self.kind)
             opened = time.perf_counter()
         with self._mutate_lock:
             frozen = self.db.snapshot_view() if self._cow_snapshots else self.db.copy()
@@ -313,7 +314,8 @@ class MemoryBackend(Backend):
                 with self._mutate_lock:
                     self.db.release_view(frozen)
             if enabled:
-                obs.record_snapshot_close(tel, self.kind, time.perf_counter() - opened)
+                tel.count(obs.SNAPSHOTS_CLOSED, backend=self.kind)
+                tel.observe(obs.SNAPSHOT_SECONDS, time.perf_counter() - opened, backend=self.kind)
 
     # -- temp tables ---------------------------------------------------------------
 

@@ -228,7 +228,8 @@ class SQLiteBackend(Backend):
             rows = [tuple(row) for row in cursor.fetchall()]
         tel = obs.resolve(self.telemetry)
         if tel.enabled:
-            obs.record_backend_query(tel, self.kind, len(rows))
+            tel.count(obs.BACKEND_QUERIES, backend=self.kind)
+            tel.count(obs.BACKEND_ROWS_RETURNED, len(rows), backend=self.kind)
         return QueryResult(columns, rows)
 
     @contextlib.contextmanager
@@ -242,7 +243,7 @@ class SQLiteBackend(Backend):
             self._conn.execute("BEGIN")
         tel = obs.resolve(self.telemetry)
         if tel.enabled:
-            obs.record_snapshot_open(tel, self.kind)
+            tel.count(obs.SNAPSHOTS_OPENED, backend=self.kind)
         opened = time.perf_counter()
         try:
             yield _SQLiteSnapshot(self)
@@ -254,7 +255,8 @@ class SQLiteBackend(Backend):
                     self._conn.execute("ROLLBACK")
                 self._in_snapshot = False
             if tel.enabled:
-                obs.record_snapshot_close(tel, self.kind, time.perf_counter() - opened)
+                tel.count(obs.SNAPSHOTS_CLOSED, backend=self.kind)
+                tel.observe(obs.SNAPSHOT_SECONDS, time.perf_counter() - opened, backend=self.kind)
 
     # -- temp tables ---------------------------------------------------------
 

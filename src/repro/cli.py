@@ -63,6 +63,7 @@ Subcommands::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from typing import List, Optional
 
@@ -80,6 +81,43 @@ def main(argv: Optional[List[str]] = None) -> int:
     except TracError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+
+
+def _add_durability_flags(parser, fsync: str, checkpoint_interval: float) -> None:
+    """The crash-safety flags ``simulate`` and ``shard-serve`` share (read
+    back by :func:`_open_durability`); only two defaults differ."""
+    parser.add_argument(
+        "--data-dir",
+        default=None,
+        metavar="DIR",
+        help="crash-safe ingest: mirror logs, journal applied batches to a "
+        "WAL and checkpoint into DIR",
+    )
+    parser.add_argument(
+        "--resume",
+        action="store_true",
+        help="resume a previous run from --data-dir (config, clock and "
+        "ingest watermarks come from the journal); a simulate --duration is "
+        "the total simulated time including the part already run",
+    )
+    parser.add_argument(
+        "--fsync",
+        choices=["always", "interval", "never"],
+        default=fsync,
+        help="WAL fsync policy (with --data-dir)",
+    )
+    parser.add_argument(
+        "--fsync-interval",
+        type=float,
+        default=1.0,
+        help="wall seconds between WAL fsyncs (with --fsync interval)",
+    )
+    parser.add_argument(
+        "--checkpoint-interval",
+        type=float,
+        default=checkpoint_interval,
+        help="simulated seconds between checkpoints (with --data-dir)",
+    )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -151,38 +189,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=5.0,
         help="simulated seconds between dashboard frames (with --top)",
     )
-    simulate.add_argument(
-        "--data-dir",
-        default=None,
-        metavar="DIR",
-        help="crash-safe ingest: mirror logs, journal applied batches to a "
-        "WAL and checkpoint into DIR",
-    )
-    simulate.add_argument(
-        "--resume",
-        action="store_true",
-        help="resume a previous run from --data-dir (config, clock and "
-        "ingest watermarks come from the journal); --duration is the "
-        "total simulated time including the part already run",
-    )
-    simulate.add_argument(
-        "--fsync",
-        choices=["always", "interval", "never"],
-        default="interval",
-        help="WAL fsync policy (with --data-dir)",
-    )
-    simulate.add_argument(
-        "--fsync-interval",
-        type=float,
-        default=1.0,
-        help="wall seconds between WAL fsyncs (with --fsync interval)",
-    )
-    simulate.add_argument(
-        "--checkpoint-interval",
-        type=float,
-        default=60.0,
-        help="simulated seconds between checkpoints (with --data-dir)",
-    )
+    _add_durability_flags(simulate, fsync="interval", checkpoint_interval=60.0)
     simulate.add_argument(
         "--shards",
         type=int,
@@ -212,20 +219,8 @@ def _build_parser() -> argparse.ArgumentParser:
     shard.add_argument("--seed", type=int, default=0)
     shard.add_argument("--host", default="127.0.0.1")
     shard.add_argument("--port", type=int, default=0, help="0 = ephemeral")
-    shard.add_argument(
-        "--data-dir", default=None, metavar="DIR", help="crash-safe WAL + checkpoints"
-    )
-    shard.add_argument(
-        "--resume", action="store_true", help="resume from --data-dir after a crash"
-    )
-    shard.add_argument(
-        "--fsync",
-        choices=["always", "interval", "never"],
-        default="always",
-        help="WAL fsync policy (shards default to always: they exist to be killed)",
-    )
-    shard.add_argument("--fsync-interval", type=float, default=1.0)
-    shard.add_argument("--checkpoint-interval", type=float, default=30.0)
+    # Shards default to fsync=always: they exist to be killed.
+    _add_durability_flags(shard, fsync="always", checkpoint_interval=30.0)
     shard.add_argument(
         "--faults",
         help="JSON fault plan; rpc_* kinds target this shard's replies by shard id",
@@ -443,6 +438,60 @@ def _run_until_stopped(announce, tick=None, interval=None, duration=None) -> boo
     return stop.is_set()
 
 
+def _read_text(path: str, what: str) -> str:
+    """The text of the ``what`` file at ``path``; unreadable is a one-line
+    :class:`TracError` (exit 1), never a traceback."""
+    try:
+        with open(path) as handle:
+            return handle.read()
+    except OSError as exc:
+        raise TracError(f"cannot read {what} {path!r}: {exc}") from exc
+
+
+def _load_fault_plan(path: Optional[str]):
+    """The ``--faults`` plan, or ``None`` without the flag."""
+    if not path:
+        return None
+    from repro.faults import plan_from_json
+
+    return plan_from_json(_read_text(path, "fault plan"))
+
+
+def _open_durability(args: argparse.Namespace):
+    """``(manager, config)`` for ``--data-dir`` / ``--resume``: no manager
+    without ``--data-dir``; ``config`` is the :class:`SimulationConfig` the
+    newest checkpoint saved when resuming, else ``None``."""
+    if not args.data_dir:
+        if args.resume:
+            raise TracError("--resume requires --data-dir")
+        return None, None
+    from repro.durable import DurabilityManager, DurabilityPolicy
+    from repro.grid.simulator import SimulationConfig
+
+    policy = DurabilityPolicy(
+        fsync=args.fsync,
+        fsync_interval=args.fsync_interval,
+        checkpoint_interval=args.checkpoint_interval,
+    )
+    manager = DurabilityManager(args.data_dir, policy=policy, resume=args.resume)
+    saved = manager.saved_config() if args.resume else None
+    return manager, None if saved is None else SimulationConfig.from_dict(saved)
+
+
+def _status_source(source_id: str, state: str, recency: float, age: float, quality: float) -> dict:
+    """One ``/status`` source row as ``trac top`` reads it, for the commands
+    that have no simulator to ask (no z-score, no lag series)."""
+    return {
+        "id": source_id, "state": state, "recency": recency, "age": age,
+        "z": 0.0, "quality": quality, "lag_series": [],
+    }
+
+
+def _print_row_counts(backend) -> None:
+    for table in ("activity", "routing", "sched_jobs", "run_jobs", "heartbeat"):
+        print(f"  {table:<10} {backend.row_count(table):>8} rows")
+
+
 def _cmd_simulate(args: argparse.Namespace) -> int:
     from repro.grid.simulator import GridSimulator, SimulationConfig
     from repro.grid.supervisor import SupervisorPolicy
@@ -454,30 +503,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             raise TracError(f"--shards must be >= 1, got {args.shards}")
         return _cmd_simulate_sharded(args)
 
-    durability = None
-    if args.data_dir:
-        from repro.durable import DurabilityManager, DurabilityPolicy
-
-        durability = DurabilityManager(
-            args.data_dir,
-            policy=DurabilityPolicy(
-                fsync=args.fsync,
-                fsync_interval=args.fsync_interval,
-                checkpoint_interval=args.checkpoint_interval,
-            ),
-            resume=args.resume,
-        )
-
-    config = None
-    if args.resume:
-        saved = durability.saved_config()
-        if saved is not None:
-            config = SimulationConfig.from_dict(saved)
-            print(
-                f"resuming from {args.data_dir}: {config.num_machines} machines, "
-                f"seed {config.seed}"
-            )
-    if config is None:
+    durability, config = _open_durability(args)
+    if config is not None:
+        print(f"resuming from {args.data_dir}: {config.num_machines} machines, seed {config.seed}")
+    else:
         config = SimulationConfig(
             num_machines=args.machines,
             seed=args.seed,
@@ -485,17 +514,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             job_submit_probability=args.job_probability,
             machine_failure_probability=args.failure_probability,
         )
-    fault_plan = None
+    fault_plan = _load_fault_plan(args.faults)
     supervisor_policy = None
-    if args.faults:
-        from repro.faults import plan_from_json
-
-        try:
-            with open(args.faults) as handle:
-                plan_text = handle.read()
-        except OSError as exc:
-            raise TracError(f"cannot read fault plan {args.faults!r}: {exc}") from exc
-        fault_plan = plan_from_json(plan_text)
     if args.silence_timeout is not None or fault_plan is not None:
         supervisor_policy = SupervisorPolicy(silence_timeout=args.silence_timeout)
 
@@ -581,8 +601,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
     backend = sim.backend
     print(f"done at t={sim.now:.0f}s:")
-    for table in ("activity", "routing", "sched_jobs", "run_jobs", "heartbeat"):
-        print(f"  {table:<10} {backend.row_count(table):>8} rows")
+    _print_row_counts(backend)
     jobs = sim.all_jobs
     completed = sum(1 for job in jobs if not job.is_active)
     print(f"  jobs: {len(jobs)} submitted, {completed} completed")
@@ -655,28 +674,7 @@ def _cmd_shard_serve(args: argparse.Namespace) -> int:
     from repro.grid.simulator import SimulationConfig
     from repro.grid.supervisor import SupervisorPolicy
 
-    if args.resume and not args.data_dir:
-        raise TracError("--resume requires --data-dir")
-
-    durability = None
-    if args.data_dir:
-        from repro.durable import DurabilityManager, DurabilityPolicy
-
-        durability = DurabilityManager(
-            args.data_dir,
-            policy=DurabilityPolicy(
-                fsync=args.fsync,
-                fsync_interval=args.fsync_interval,
-                checkpoint_interval=args.checkpoint_interval,
-            ),
-            resume=args.resume,
-        )
-
-    config = None
-    if args.resume:
-        saved = durability.saved_config()
-        if saved is not None:
-            config = SimulationConfig.from_dict(saved)
+    durability, config = _open_durability(args)
     if config is None:
         config = SimulationConfig(
             num_machines=args.machines,
@@ -684,18 +682,8 @@ def _cmd_shard_serve(args: argparse.Namespace) -> int:
             machine_id_start=args.machine_id_start,
         )
 
-    fault_plan = None
-    supervisor_policy = None
-    if args.faults:
-        from repro.faults import plan_from_json
-
-        try:
-            with open(args.faults) as handle:
-                plan_text = handle.read()
-        except OSError as exc:
-            raise TracError(f"cannot read fault plan {args.faults!r}: {exc}") from exc
-        fault_plan = plan_from_json(plan_text)
-        supervisor_policy = SupervisorPolicy()
+    fault_plan = _load_fault_plan(args.faults)
+    supervisor_policy = SupervisorPolicy() if fault_plan is not None else None
 
     shard = ShardServer(
         args.shard_id,
@@ -781,24 +769,15 @@ def _cmd_simulate_sharded(args: argparse.Namespace) -> int:
             from repro.obs.server import ObservatoryServer
 
             def status() -> dict:
-                by_source = []
-                newest = 0.0
-                for info in registry.shards():
-                    for mid, recency in sorted(info.recency.items()):
-                        newest = max(newest, recency)
-                        by_source.append(
-                            {
-                                "id": mid,
-                                "state": "healthy" if info.alive else "unknown",
-                                "recency": recency,
-                                "age": 0.0,
-                                "z": 0.0,
-                                "quality": 1.0,
-                                "lag_series": [],
-                            }
-                        )
-                for entry in by_source:
-                    entry["age"] = newest - entry["recency"]
+                shards = registry.shards()
+                newest = max((r for info in shards for r in info.recency.values()), default=0.0)
+                by_source = [
+                    _status_source(
+                        mid, "healthy" if info.alive else "unknown", recency, newest - recency, 1.0
+                    )
+                    for info in shards
+                    for mid, recency in sorted(info.recency.items())
+                ]
                 return {
                     "now": newest,
                     "sources": by_source,
@@ -893,8 +872,7 @@ def _cmd_recover(args: argparse.Namespace) -> int:
         if recovered.empty:
             print("  (nothing recovered: empty directory)")
         if backend is not None:
-            for table in ("activity", "routing", "sched_jobs", "run_jobs", "heartbeat"):
-                print(f"  {table:<10} {backend.row_count(table):>8} rows")
+            _print_row_counts(backend)
             print(f"monitoring database rebuilt at {args.db}")
         return 0
     finally:
@@ -903,8 +881,7 @@ def _cmd_recover(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    backend = SQLiteBackend.open(args.db)
-    try:
+    with contextlib.closing(SQLiteBackend.open(args.db)) as backend:
         query_backend = backend
         if args.lineage:
             # SQLite runs the SQL natively and cannot attribute rows to
@@ -962,8 +939,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
             for note in report.plan.notes:
                 print(f"  note: {note}")
         return 0
-    finally:
-        backend.close()
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
@@ -974,23 +949,18 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     if not logs:
         print(f"error: no *.log files in {args.logs}", file=sys.stderr)
         return 1
-    backend = SQLiteBackend(monitoring_catalog(sorted(logs)), args.db)
-    try:
+    with contextlib.closing(SQLiteBackend(monitoring_catalog(sorted(logs)), args.db)) as backend:
         sniffers = replay_directory(backend, args.logs, up_to_time=args.up_to)
         loaded = sum(s.records_loaded for s in sniffers.values())
         print(f"replayed {loaded} records from {len(sniffers)} logs into {args.db}")
-        for table in ("activity", "routing", "sched_jobs", "run_jobs", "heartbeat"):
-            print(f"  {table:<10} {backend.row_count(table):>8} rows")
+        _print_row_counts(backend)
         return 0
-    finally:
-        backend.close()
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
     from repro.core.explain import explain_sql
 
-    backend = SQLiteBackend.open(args.db)
-    try:
+    with contextlib.closing(SQLiteBackend.open(args.db)) as backend:
         if args.analyze:
             from repro.engine.profile import database_from_backend, profile_query
 
@@ -1003,13 +973,10 @@ def _cmd_explain(args: argparse.Namespace) -> int:
                 )
             )
         return 0
-    finally:
-        backend.close()
 
 
 def _cmd_inspect(args: argparse.Namespace) -> int:
-    backend = SQLiteBackend.open(args.db)
-    try:
+    with contextlib.closing(SQLiteBackend.open(args.db)) as backend:
         print(f"monitoring database: {args.db}")
         print("tables:")
         for schema in backend.catalog:
@@ -1033,17 +1000,13 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
         else:
             print("  exceptional: none")
         return 0
-    finally:
-        backend.close()
 
 
 def _cmd_watch(args: argparse.Namespace) -> int:
     from repro.core.monitor import RecencyMonitor, rules_from_json
 
-    with open(args.rules) as handle:
-        rules = rules_from_json(handle.read())
-    backend = SQLiteBackend.open(args.db)
-    try:
+    rules = rules_from_json(_read_text(args.rules, "watch rules"))
+    with contextlib.closing(SQLiteBackend.open(args.db)) as backend:
         monitor = RecencyMonitor(backend)
         for rule in rules:
             monitor.add_rule(rule)
@@ -1054,8 +1017,6 @@ def _cmd_watch(args: argparse.Namespace) -> int:
         for alert in alerts:
             print(f"ALERT [{alert.kind}] {alert.message}")
         return 2  # distinct exit code: rules tripped
-    finally:
-        backend.close()
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
@@ -1069,17 +1030,11 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         if args.incremental:
             # SQLite publishes no change events; mirror the database into a
             # MemoryBackend and maintain the materialized sets there.
-            from repro.backends.memory import MemoryBackend
             from repro.incremental import IncrementalMaintainer
+            from repro.serve import mirror_into_memory
 
-            memory = MemoryBackend(backend.catalog)
-            memory.create_tables()
-            for schema in backend.catalog:
-                rows = backend.execute(f"SELECT * FROM {schema.name}").rows
-                if rows:
-                    memory.insert_rows(schema.name, rows)
-            maintainer = IncrementalMaintainer(memory, telemetry=tel)
-            query_backend = memory
+            query_backend = mirror_into_memory(backend)
+            maintainer = IncrementalMaintainer(query_backend, telemetry=tel)
         reporter = RecencyReporter(
             query_backend,
             telemetry=tel,
@@ -1130,12 +1085,9 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 def _cmd_shell(args: argparse.Namespace) -> int:
     from repro.shell import run_shell
 
-    backend = SQLiteBackend.open(args.db)
-    try:
+    with contextlib.closing(SQLiteBackend.open(args.db)) as backend:
         run_shell(backend)
         return 0
-    finally:
-        backend.close()
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -1180,18 +1132,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 quality = model.freshness(age)
                 if source.source_id in exceptional:
                     quality *= model.exceptional_penalty
+                state = "exceptional" if source.source_id in exceptional else "healthy"
                 by_source.append(
-                    {
-                        "id": source.source_id,
-                        "state": "exceptional"
-                        if source.source_id in exceptional
-                        else "healthy",
-                        "recency": source.recency,
-                        "age": age,
-                        "z": 0.0,
-                        "quality": quality,
-                        "lag_series": [],
-                    }
+                    _status_source(source.source_id, state, source.recency, age, quality)
                 )
             return {"now": newest, "sources": by_source}
 

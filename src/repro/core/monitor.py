@@ -162,7 +162,9 @@ class RecencyMonitor:
                 tripped = self._evaluate(rule, report, at)
                 phase.set_attribute("trips", len(tripped))
             if tel.enabled:
-                obs.record_rule_evaluation(tel, rule.name, phase.duration, len(tripped))
+                tel.observe(obs.MONITOR_RULE_SECONDS, phase.duration, rule=rule.name)
+                if tripped:
+                    tel.count(obs.MONITOR_TRIPS, len(tripped), rule=rule.name)
                 for alert in tripped:
                     tel.emit(
                         EVT_MONITOR_ALERT,

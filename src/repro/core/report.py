@@ -437,7 +437,7 @@ class RecencyReporter:
             if cached is not None:
                 tel = obs.resolve(self.telemetry)
                 if tel.enabled:
-                    obs.record_plan_cache_hit(tel)
+                    tel.count(obs.PLAN_CACHE_HITS)
                 return cached
         tel = obs.resolve(self.telemetry)
         resolved = resolve_cached(
@@ -587,13 +587,17 @@ class RecencyReporter:
                 recency=exc_source.recency,
                 threshold=report.split.threshold,
             )
-        obs.record_report(tel, method, seconds, trace_id=trace_id)
+        tel.count(obs.REPORTS, method=method)
+        tel.observe(obs.REPORT_SECONDS, seconds, trace_id=trace_id, method=method)
         quality_summary = report.quality_summary
         if quality_summary is not None:
-            obs.record_row_quality(tel, method, quality_summary.row_quality)
-            obs.record_rows_from_exceptional(
-                tel, method, quality_summary.rows_from_exceptional
-            )
+            for quality in quality_summary.row_quality:
+                if quality is not None:
+                    tel.observe(obs.ROW_QUALITY, quality, method=method)
+            if quality_summary.rows_from_exceptional > 0:
+                tel.count(
+                    obs.ROWS_FROM_EXCEPTIONAL, quality_summary.rows_from_exceptional, method=method
+                )
             tel.provenance.record(
                 ProvenanceRecord(
                     sql, trace_id, method, report.result.lineage, quality_summary
@@ -605,7 +609,7 @@ class RecencyReporter:
             else slow_query_threshold()
         )
         if threshold > 0 and seconds >= threshold:
-            obs.record_slow_query(tel, method)
+            tel.count(obs.SLOW_QUERIES, method=method)
             # A slow dump should answer "was the answer trustworthy?"
             # without a second query, so attach the quality rollup.
             slow_attrs: Dict[str, object] = {}

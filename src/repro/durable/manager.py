@@ -385,7 +385,7 @@ class DurabilityManager:
         self._journaled_offsets[source] = end
         tel = obs.resolve(self.telemetry)
         if tel.enabled:
-            obs.record_wal_records(tel, "event", max(1, len(events)))
+            tel.count(obs.WAL_RECORDS, max(1, len(events)), kind="event")
         if synced:
             self._promote()
 
@@ -399,7 +399,7 @@ class DurabilityManager:
         self._journaled_recency[source] = recency
         tel = obs.resolve(self.telemetry)
         if tel.enabled:
-            obs.record_wal_records(tel, "heartbeat")
+            tel.count(obs.WAL_RECORDS, kind="heartbeat")
         if synced:
             self._promote()
 
@@ -419,7 +419,7 @@ class DurabilityManager:
             self.wal_syncs += 1
             tel = obs.resolve(self.telemetry)
             if tel.enabled:
-                obs.record_wal_sync(tel)
+                tel.count(obs.WAL_SYNCS)
         return synced
 
     def _promote(self) -> None:
@@ -496,7 +496,7 @@ class DurabilityManager:
         except (DurabilityError, SimulationError, OSError) as exc:
             self.checkpoint_failures += 1
             if tel.enabled:
-                obs.record_checkpoint(tel, "failed")
+                tel.count(obs.CHECKPOINTS, outcome="failed")
                 tel.emit(
                     EVT_CHECKPOINT_FAILED,
                     t=now,
@@ -507,8 +507,8 @@ class DurabilityManager:
             return False
         self.checkpoints_written += 1
         if tel.enabled:
-            elapsed = time.perf_counter() - started
-            obs.record_checkpoint(tel, "ok", elapsed)
+            tel.count(obs.CHECKPOINTS, outcome="ok")
+            tel.observe(obs.CHECKPOINT_SECONDS, time.perf_counter() - started)
             tel.emit(EVT_CHECKPOINT, t=now, severity="info", epoch=self.epoch)
         return True
 

@@ -168,13 +168,11 @@ def recover(
         _replay_segment(recovered, scan, backend, tel)
 
     if tel.enabled:
-        obs.record_recovery(
-            tel,
-            events=recovered.replayed_events,
-            heartbeats=recovered.replayed_heartbeats,
-            skipped=recovered.skipped_records,
-            torn=len(recovered.torn_segments),
-        )
+        tel.count(obs.RECOVERY_RUNS)
+        tel.count(obs.RECOVERY_REPLAYED, recovered.replayed_events, kind="event")
+        tel.count(obs.RECOVERY_REPLAYED, recovered.replayed_heartbeats, kind="heartbeat")
+        tel.count(obs.RECOVERY_REPLAYED, recovered.skipped_records, kind="skipped")
+        tel.count(obs.RECOVERY_TORN_SEGMENTS, len(recovered.torn_segments))
         tel.emit(
             EVT_RECOVERED,
             severity="info",

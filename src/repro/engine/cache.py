@@ -150,7 +150,7 @@ class ResolvedQueryCache:
         if telemetry is not None and getattr(telemetry, "enabled", False):
             from repro.obs import instrument as obs
 
-            obs.record_query_cache(telemetry, hit)
+            telemetry.count(obs.QUERY_CACHE_HITS if hit else obs.QUERY_CACHE_MISSES)
 
     def clear(self) -> None:
         """Drop every entry and reset the hit/miss counters."""

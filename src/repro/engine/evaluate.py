@@ -141,7 +141,7 @@ def execute_sql(
         for b in resolved.bindings
         if db.has(b.schema.name)
     )
-    obs.record_backend_scan(telemetry, "memory", scanned)
+    telemetry.count(obs.BACKEND_ROWS_SCANNED, scanned, backend="memory")
     profile = QueryProfile(sql)
     profile.cache_hit = cache_hit
     profile.snapshot = in_snapshot

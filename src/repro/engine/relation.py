@@ -79,7 +79,8 @@ class Relation:
 
         tel = obs.get_default()
         if tel.enabled:
-            obs.record_cow_copy(tel, self.schema.name, len(copied))
+            tel.count(obs.COW_COPIES, table=self.schema.name)
+            tel.count(obs.COW_ROWS_COPIED, len(copied), table=self.schema.name)
         self._rows = copied
         self._share_count = 0
 

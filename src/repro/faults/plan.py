@@ -274,8 +274,7 @@ class FaultPlan:
         self.injected[kind] = self.injected.get(kind, 0) + count
         tel = obs.resolve(self.telemetry)
         if tel.enabled:
-            for _ in range(count):
-                obs.record_fault_injected(tel, kind, source)
+            tel.count(obs.FAULTS_INJECTED, count, kind=kind, machine=source)
             tel.emit(
                 EVT_FAULT_INJECTED,
                 source=source,

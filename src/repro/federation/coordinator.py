@@ -67,6 +67,8 @@ _NEVER = float("inf")
 _PLAN_MEMO_SIZE = 256
 #: Last-good fragments kept for the stale fallback, least recently stored out first.
 _FRAGMENT_CACHE_SIZE = 1024
+#: Circuit-breaker states as gauge values (closed < half-open < open).
+_BREAKER_STATE_VALUES = {"closed": 0.0, "half_open": 1.0, "open": 2.0}
 
 
 def _stable_seed(seed: int, shard_id: str) -> int:
@@ -371,7 +373,7 @@ class _FanOut:
             call.hedge_at = _NEVER
             self._launch(call, now)
             if self.tel.enabled:
-                obs.record_shard_hedge(self.tel, info.shard_id)
+                self.tel.count(obs.SHARD_HEDGES, shard=info.shard_id)
                 self.tel.emit(EVT_SHARD_HEDGE, source=info.shard_id, severity="info")
 
     def _release(self, call: _ShardCall, conn: rpc.Connection) -> rpc.Connection:
@@ -396,7 +398,9 @@ class _FanOut:
         call.breaker.record_failure(now)
         if self.tel.enabled:
             outcome = "timeout" if isinstance(exc, RPCTimeout) else "error"
-            obs.record_shard_rpc(self.tel, shard_id, outcome, now - call.started)
+            self.tel.observe(
+                obs.SHARD_RPC_SECONDS, now - call.started, shard=shard_id, outcome=outcome
+            )
         call.failures += 1
         if call.failures > self.co.retries:
             self.results[shard_id] = None
@@ -411,14 +415,17 @@ class _FanOut:
         for loser in list(call.conns):  # its answer is still owed: close, don't pool
             self._release(call, loser).close()
         now = time.monotonic()
+        shard_id = call.info.shard_id
         if reply.get("ok"):
             call.breaker.record_success()
             if self.tel.enabled:
-                obs.record_shard_rpc(self.tel, call.info.shard_id, "ok", now - call.started)
+                self.tel.observe(
+                    obs.SHARD_RPC_SECONDS, now - call.started, shard=shard_id, outcome="ok"
+                )
         else:  # the shard answered but refused: don't retry
             call.breaker.record_failure(now)
             reply = None
-        self.results[call.info.shard_id] = reply
+        self.results[shard_id] = reply
 
 
 class FederationCoordinator:
@@ -578,12 +585,12 @@ class FederationCoordinator:
             if not report.complete:
                 self.partial_reports += 1
         if tel.enabled:
-            obs.record_federation_report(tel, partial=not report.complete)
+            tel.count(obs.FEDERATION_REPORTS)
             for info in shards:
-                obs.record_shard_breaker_state(
-                    tel, info.shard_id, self._breaker(info.shard_id).state
-                )
+                state = _BREAKER_STATE_VALUES.get(self._breaker(info.shard_id).state, 2.0)
+                tel.set(obs.SHARD_BREAKER_STATE, state, shard=info.shard_id)
             if not report.complete:
+                tel.count(obs.FEDERATION_PARTIAL_REPORTS)
                 tel.emit(
                     EVT_FEDERATION_PARTIAL,
                     severity="warning",

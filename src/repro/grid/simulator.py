@@ -611,8 +611,8 @@ class GridSimulator:
                 elapsed = time.perf_counter() - start
                 if ingested:
                     polled += 1
-                    obs.record_poll_latency(
-                        tel, mid, elapsed, trace_id=span.trace_id_hex
+                    tel.observe(
+                        obs.POLL_SECONDS, elapsed, trace_id=span.trace_id_hex, machine=mid
                     )
                     self._poll_ms.setdefault(mid, deque(maxlen=32)).append(
                         elapsed * 1000.0
@@ -636,14 +636,14 @@ class GridSimulator:
             if self.slo is not None:
                 self.slo.record(mid, now, lag)
             if tel.enabled:
-                obs.record_source_lag(tel, mid, lag)
+                tel.observe(obs.SOURCE_LAG, lag, source=mid)
         if self.slo is not None:
             breached = set(self.slo.breached_sources())
             if tel.enabled:
                 for mid in sorted(breached | self._slo_breached):
                     status = self.slo.status_of(mid)
                     if status is not None:
-                        obs.record_slo_burn(tel, mid, status.burn)
+                        tel.set(obs.SLO_BURN, status.burn, source=mid)
                 for mid in sorted(breached - self._slo_breached):
                     status = self.slo.status_of(mid)
                     tel.emit(

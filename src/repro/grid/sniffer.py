@@ -209,17 +209,15 @@ class Sniffer:
 
         tel = obs.resolve(self.backend.telemetry)
         if tel.enabled:
+            machine = self.machine.machine_id
             if events:
+                tel.count(obs.SNIFFER_BATCHES, machine=machine)
+                tel.count(obs.SNIFFER_EVENTS, len(events), machine=machine)
                 # End-to-end sniff->DB lag per event: simulated "now" minus
                 # the moment the source logged it.
-                obs.record_sniffer_batch(
-                    tel,
-                    self.machine.machine_id,
-                    len(events),
-                    now,
-                    (event.timestamp for event in events),
-                )
-            obs.record_sniffer_backlog(tel, self.machine.machine_id, self.backlog)
+                for event in events:
+                    tel.observe(obs.SNIFFER_LAG, now - event.timestamp, machine=machine)
+            tel.set(obs.SNIFFER_BACKLOG, self.backlog, machine=machine)
 
         recency: Optional[float] = None
         if self.config.recency_protocol == "horizon" and not truncated:

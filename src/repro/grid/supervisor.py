@@ -292,7 +292,7 @@ class SnifferSupervisor:
         self.retries_total += 1
         tel = obs.resolve(self.telemetry)
         if tel.enabled:
-            obs.record_sniffer_retry(tel, self.machine_id)
+            tel.count(obs.SNIFFER_RETRIES, machine=self.machine_id)
             tel.emit(
                 EVT_SNIFFER_RETRY,
                 t=now,
@@ -317,7 +317,7 @@ class SnifferSupervisor:
         self.restarts += 1
         tel = obs.resolve(self.telemetry)
         if tel.enabled:
-            obs.record_sniffer_restart(tel, self.machine_id)
+            tel.count(obs.SNIFFER_RESTARTS, machine=self.machine_id)
             tel.emit(
                 EVT_SNIFFER_RESTART,
                 t=now,
@@ -341,7 +341,7 @@ class SnifferSupervisor:
         self.health.mark(self.machine_id, DEGRADED, reason=reason, at=now)
         tel = obs.resolve(self.telemetry)
         if tel.enabled:
-            obs.record_sources_degraded(tel, len(self.health.degraded_sources()))
+            tel.set(obs.SOURCES_DEGRADED, len(self.health.degraded_sources()))
             tel.emit(
                 EVT_SOURCE_DEGRADED,
                 t=now,
@@ -360,7 +360,7 @@ class SnifferSupervisor:
     def _record_breaker(self, state: str, now: Optional[float] = None) -> None:
         tel = obs.resolve(self.telemetry)
         if tel.enabled:
-            obs.record_breaker_transition(tel, self.machine_id, state)
+            tel.count(obs.BREAKER_TRANSITIONS, machine=self.machine_id, state=state)
             tel.emit(
                 EVT_BREAKER_TRANSITION,
                 t=now,

@@ -435,18 +435,21 @@ class IncrementalMaintainer:
     def _record_lookup(self, outcome: str) -> None:
         tel = obs.resolve(self.telemetry)
         if tel.enabled:
-            obs.record_incremental(tel, outcome)
+            if outcome == "hit":
+                tel.count(obs.INCREMENTAL_HITS)
+            else:
+                tel.count(obs.INCREMENTAL_MISSES, outcome=outcome)
 
     def _record_maintenance(self, started: float) -> None:
         tel = obs.resolve(self.telemetry)
         if tel.enabled:
-            obs.record_incremental_maintenance(tel, time.perf_counter() - started)
+            tel.observe(obs.INCREMENTAL_MAINTENANCE_SECONDS, time.perf_counter() - started)
 
     def _invalidated(self, reason: str, **attrs: object) -> None:
         self.invalidations += 1
         tel = obs.resolve(self.telemetry)
         if tel.enabled:
-            obs.record_incremental_invalidation(tel, reason)
+            tel.count(obs.INCREMENTAL_INVALIDATIONS, reason=reason)
             tel.emit(
                 EVT_INCREMENTAL_INVALIDATED, severity="debug", reason=reason, **attrs
             )

@@ -24,8 +24,10 @@ itself. Three layers, no third-party dependencies:
 * :mod:`repro.obs.dashboard` — the ``trac top`` ANSI dashboard.
 
 :mod:`repro.obs.instrument` glues it together: a :class:`Telemetry`
-facade, a process-wide default (no-op unless enabled), and the
-``record_*`` shims the instrumented subsystems call.
+facade, a process-wide default (no-op unless enabled), the instrument
+table (``instrument.INSTRUMENTS`` — every metric declared once with kind,
+labels, help and buckets) and the three recorders the instrumented
+subsystems call: ``tel.count``, ``tel.observe`` and ``tel.set``.
 
 Telemetry is **off by default** and the disabled path costs one attribute
 load plus a branch (guarded by ``tools/check_telemetry_overhead.py``).

@@ -17,7 +17,7 @@ fault injection, a z-score outlier in a report — recorded with:
 * free-form JSON-serializable **attributes**.
 
 Events land in an :class:`EventLog` — a lock-protected ring buffer
-(:class:`collections.deque` with ``maxlen``) so a week-long simulation
+(the shared :class:`~repro.obs.ring.BoundedRing`) so a week-long simulation
 cannot grow without bound — and are fanned out to subscribed listeners
 (the :class:`~repro.obs.flight.FlightRecorder` is one). The
 :class:`NullEventLog` is the zero-cost stand-in while telemetry is
@@ -26,13 +26,14 @@ disabled, mirroring ``NullTracer``/``NullRegistry``.
 
 from __future__ import annotations
 
+import io
 import json
-import threading
 import time
-from collections import deque
-from typing import Any, Callable, Deque, Dict, IO, Iterable, List, Optional
+from collections import Counter
+from typing import Any, Callable, Dict, IO, Iterable, List, Optional
 
 from repro.errors import TracError
+from repro.obs.ring import BoundedRing, NullRing
 
 # -- canonical event names --------------------------------------------------
 #
@@ -128,7 +129,7 @@ class Event:
         return f"Event(#{self.seq} {self.name}{where}{when} [{self.severity}])"
 
 
-class EventLog:
+class EventLog(BoundedRing):
     """Thread-safe ring buffer of :class:`Event` objects with listeners.
 
     Listeners are called synchronously from the emitting thread, outside
@@ -138,12 +139,7 @@ class EventLog:
     """
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
-        if capacity < 1:
-            raise TracError(f"event log capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self._lock = threading.Lock()
-        self._events: Deque[Event] = deque(maxlen=capacity)
-        self._seq = 0
+        super().__init__(capacity)
         self._listeners: List[Callable[[Event], None]] = []
 
     def emit(
@@ -162,9 +158,8 @@ class EventLog:
                 f"unknown event severity {severity!r}; expected one of {SEVERITIES}"
             )
         with self._lock:
-            self._seq += 1
             event = Event(
-                self._seq,
+                self._total + 1,
                 name,
                 time.time(),
                 t,
@@ -174,7 +169,7 @@ class EventLog:
                 attributes,
                 trace_id=trace_id,
             )
-            self._events.append(event)
+            self._push(event)
             listeners = list(self._listeners)
         for listener in listeners:
             try:
@@ -182,8 +177,6 @@ class EventLog:
             except Exception:
                 pass
         return event
-
-    # -- listeners ----------------------------------------------------------
 
     def subscribe(self, listener: Callable[[Event], None]) -> None:
         """Register ``listener`` to receive every future event."""
@@ -196,65 +189,16 @@ class EventLog:
             if listener in self._listeners:
                 self._listeners.remove(listener)
 
-    # -- inspection ---------------------------------------------------------
-
-    def snapshot(self) -> List[Event]:
-        """Every retained event, oldest first."""
-        with self._lock:
-            return list(self._events)
-
-    def tail(self, n: int) -> List[Event]:
-        """The most recent ``n`` retained events, oldest first."""
-        if n <= 0:
-            return []
-        with self._lock:
-            return list(self._events)[-n:]
-
     def counts_by_name(self) -> Dict[str, int]:
         """Retained-event counts keyed by event name."""
-        out: Dict[str, int] = {}
-        for event in self.snapshot():
-            out[event.name] = out.get(event.name, 0) + 1
-        return out
-
-    def for_trace(self, trace_id: str) -> List[Event]:
-        """Retained events stamped with ``trace_id`` (32-hex), oldest first."""
-        return [e for e in self.snapshot() if e.trace_id == trace_id]
-
-    @property
-    def total(self) -> int:
-        """Events ever emitted (including ones the ring has dropped)."""
-        with self._lock:
-            return self._seq
-
-    @property
-    def dropped(self) -> int:
-        """Events pushed out of the ring by newer ones."""
-        with self._lock:
-            return self._seq - len(self._events)
-
-    def clear(self) -> None:
-        """Discard retained events (the sequence counter keeps counting)."""
-        with self._lock:
-            self._events.clear()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._events)
-
-    def __repr__(self) -> str:
-        return f"EventLog({len(self)}/{self.capacity} retained, total={self.total})"
+        return dict(Counter(event.name for event in self.snapshot()))
 
 
-class NullEventLog:
+class NullEventLog(NullRing):
     """Inert event log for disabled telemetry: emits nothing, stores
     nothing, notifies nobody. One shared instance suffices."""
 
     __slots__ = ()
-
-    capacity = 0
-    total = 0
-    dropped = 0
 
     def emit(
         self, name, t=None, source=None, severity="info", span_id=None,
@@ -268,23 +212,8 @@ class NullEventLog:
     def unsubscribe(self, listener) -> None:
         pass
 
-    def snapshot(self) -> List[Event]:
-        return []
-
-    def tail(self, n: int) -> List[Event]:
-        return []
-
     def counts_by_name(self) -> Dict[str, int]:
         return {}
-
-    def for_trace(self, trace_id: str) -> List[Event]:
-        return []
-
-    def clear(self) -> None:
-        pass
-
-    def __len__(self) -> int:
-        return 0
 
 
 #: Shared no-op event log used by disabled telemetry.
@@ -292,31 +221,32 @@ NULL_EVENT_LOG = NullEventLog()
 
 
 # -- JSONL export -----------------------------------------------------------
+#
+# One writer and one parser for every ``to_dict()``-able record; the span
+# dump in :mod:`repro.obs.export` goes through the same three functions.
 
 
-def write_events_jsonl(events: Iterable[Event], fp: IO[str]) -> int:
-    """Stream events to ``fp`` as newline-terminated JSON objects;
-    returns the number of lines written."""
+def write_jsonl(records: Iterable[Any], fp: IO[str]) -> int:
+    """Stream ``record.to_dict()`` to ``fp`` as newline-terminated compact
+    JSON objects; returns the number of lines written."""
     count = 0
-    for event in events:
-        fp.write(json.dumps(event.to_dict(), sort_keys=True, separators=(",", ":")))
+    for record in records:
+        fp.write(json.dumps(record.to_dict(), sort_keys=True, separators=(",", ":")))
         fp.write("\n")
         count += 1
     return count
 
 
-def events_to_jsonl(events: Iterable[Event]) -> str:
-    """One compact JSON object per event, newline-separated (no trailing
-    newline, mirroring :func:`repro.obs.export.spans_to_jsonl`)."""
-    import io
-
+def to_jsonl(records: Iterable[Any]) -> str:
+    """One compact JSON object per record, newline-separated (no trailing
+    newline)."""
     buffer = io.StringIO()
-    write_events_jsonl(events, buffer)
+    write_jsonl(records, buffer)
     return buffer.getvalue().removesuffix("\n")
 
 
-def events_from_jsonl(text: str) -> List[Dict[str, object]]:
-    """Parse an event JSONL dump back into event dicts."""
+def from_jsonl(text: str, what: str = "event") -> List[Dict[str, object]]:
+    """Parse a ``what`` JSONL dump back into dicts."""
     out: List[Dict[str, object]] = []
     for number, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -325,8 +255,11 @@ def events_from_jsonl(text: str) -> List[Dict[str, object]]:
         try:
             record = json.loads(stripped)
         except json.JSONDecodeError as exc:
-            raise TracError(f"malformed event JSONL at line {number}: {exc}") from exc
+            raise TracError(f"malformed {what} JSONL at line {number}: {exc}") from exc
         if not isinstance(record, dict):
-            raise TracError(f"event JSONL line {number} is not an object")
+            raise TracError(f"{what} JSONL line {number} is not an object")
         out.append(record)
     return out
+
+
+write_events_jsonl, events_to_jsonl, events_from_jsonl = write_jsonl, to_jsonl, from_jsonl

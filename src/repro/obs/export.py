@@ -16,12 +16,12 @@ human-readable summary table.
 
 from __future__ import annotations
 
-import io
 import json
 import math
 from typing import Dict, IO, Iterable, List, Sequence, Tuple
 
 from repro.errors import TracError
+from repro.obs.events import from_jsonl, to_jsonl, write_jsonl
 from repro.obs.metrics import Counter, Gauge, Histogram
 from repro.obs.trace import Span
 
@@ -39,37 +39,18 @@ def write_spans_jsonl(spans: Iterable[Span], fp: IO[str]) -> int:
     thousands of spans without materializing one giant string; returns the
     number of lines written.
     """
-    count = 0
-    for span in spans:
-        fp.write(json.dumps(span.to_dict(), sort_keys=True, separators=(",", ":")))
-        fp.write("\n")
-        count += 1
-    return count
+    return write_jsonl(spans, fp)
 
 
 def spans_to_jsonl(spans: Iterable[Span]) -> str:
     """One compact JSON object per span, newline-separated (no trailing
-    newline). Delegates to :func:`write_spans_jsonl`."""
-    buffer = io.StringIO()
-    write_spans_jsonl(spans, buffer)
-    return buffer.getvalue().removesuffix("\n")
+    newline)."""
+    return to_jsonl(spans)
 
 
 def spans_from_jsonl(text: str) -> List[Dict[str, object]]:
     """Parse a JSONL span dump back into span dicts."""
-    out: List[Dict[str, object]] = []
-    for number, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped:
-            continue
-        try:
-            record = json.loads(stripped)
-        except json.JSONDecodeError as exc:
-            raise TracError(f"malformed span JSONL at line {number}: {exc}") from exc
-        if not isinstance(record, dict):
-            raise TracError(f"span JSONL line {number} is not an object")
-        out.append(record)
-    return out
+    return from_jsonl(text, "span")
 
 
 # -- Prometheus text format -------------------------------------------------

@@ -1,4 +1,4 @@
-"""The telemetry facade and its integration shims.
+"""The telemetry facade, the instrument table and the three recorders.
 
 A :class:`Telemetry` bundles a :class:`~repro.obs.trace.Tracer` with a
 :class:`~repro.obs.metrics.MetricsRegistry`. Exactly one of two flavours is
@@ -11,9 +11,9 @@ ever handed to instrumented code:
 Instrumented hot paths are written so the *disabled* cost is one attribute
 load and one branch::
 
-    tel = self.telemetry or get_default()
+    tel = obs.resolve(self.telemetry)
     if tel.enabled:
-        ...record...
+        tel.count(obs.BACKEND_QUERIES, backend=self.kind)
 
 Resolution order: an explicit ``telemetry=`` argument (to a reporter,
 backend, monitor, ...) wins; otherwise the process-wide default applies,
@@ -21,84 +21,30 @@ which is :data:`NULL_TELEMETRY` unless :func:`enable` was called or the
 ``TRAC_TELEMETRY`` environment variable was set to a truthy value
 (``1``/``true``/``yes``/``on``) when this module was imported.
 
-The ``record_*`` helpers below keep metric names and label conventions in
-one place; instrumented modules call them instead of minting names ad hoc.
+The metric vocabulary is data: every instrument is declared exactly once
+below — ``NAME = counter|gauge|histogram("trac_...", help, *label names)``
+registers kind, help, label names and buckets in :data:`INSTRUMENTS` and
+evaluates to the name string. Instrumented modules record through
+:meth:`Telemetry.count`, :meth:`Telemetry.observe` and :meth:`Telemetry.set`,
+which reject an undeclared name or a label set that differs from the
+declaration; nothing else in ``src/`` mints a metric.
 """
 
 from __future__ import annotations
 
 import os
-import threading
 import time
-from collections import deque
-from typing import Any, Deque, Iterable, List, Optional
+from typing import Any, Dict, FrozenSet, NamedTuple, Optional, Tuple
 
+from repro.errors import TracError
 from repro.obs.events import NULL_EVENT_LOG, Event, EventLog
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
     MetricsRegistry,
     NULL_REGISTRY,
 )
+from repro.obs.ring import BoundedRing, NullRing
 from repro.obs.trace import NULL_SPAN, NULL_TRACER, Tracer
-
-# -- canonical metric names -------------------------------------------------
-
-BACKEND_QUERIES = "trac_backend_queries_total"
-BACKEND_ROWS_RETURNED = "trac_backend_rows_returned_total"
-BACKEND_ROWS_SCANNED = "trac_backend_rows_scanned_total"
-SNAPSHOTS_OPENED = "trac_backend_snapshots_opened_total"
-SNAPSHOTS_CLOSED = "trac_backend_snapshots_closed_total"
-SNAPSHOT_SECONDS = "trac_backend_snapshot_seconds"
-COW_COPIES = "trac_cow_copies_total"
-COW_ROWS_COPIED = "trac_cow_rows_copied_total"
-REPORTS = "trac_reports_total"
-REPORT_SECONDS = "trac_report_seconds"
-PLAN_CACHE_HITS = "trac_plan_cache_hits_total"
-QUERY_CACHE_HITS = "trac_query_cache_hits_total"
-QUERY_CACHE_MISSES = "trac_query_cache_misses_total"
-DNF_CONVERSIONS = "trac_dnf_conversions_total"
-DNF_CONJUNCTS = "trac_dnf_conjuncts"
-DNF_EXPANSION = "trac_dnf_expansion_factor"
-SNIFFER_EVENTS = "trac_sniffer_events_total"
-SNIFFER_BATCHES = "trac_sniffer_batches_total"
-SNIFFER_LAG = "trac_sniff_lag_seconds"
-SNIFFER_BACKLOG = "trac_sniffer_backlog"
-SNIFFER_RETRIES = "trac_sniffer_retries_total"
-SNIFFER_RESTARTS = "trac_sniffer_restarts_total"
-SOURCES_DEGRADED = "trac_sources_degraded"
-FAULTS_INJECTED = "trac_faults_injected_total"
-BREAKER_TRANSITIONS = "trac_sniffer_breaker_transitions_total"
-MONITOR_RULE_SECONDS = "trac_monitor_rule_seconds"
-MONITOR_TRIPS = "trac_monitor_trips_total"
-SOURCE_LAG = "trac_source_lag_seconds"
-SLO_BURN = "trac_slo_error_budget_burn"
-EVENTS_EMITTED = "trac_events_emitted_total"
-WAL_RECORDS = "trac_wal_records_total"
-WAL_SYNCS = "trac_wal_syncs_total"
-CHECKPOINTS = "trac_checkpoints_total"
-CHECKPOINT_SECONDS = "trac_checkpoint_seconds"
-RECOVERY_RUNS = "trac_recovery_runs_total"
-RECOVERY_REPLAYED = "trac_recovery_replayed_total"
-RECOVERY_TORN_SEGMENTS = "trac_recovery_torn_segments_total"
-HTTP_REQUEST_SECONDS = "trac_http_request_seconds"
-SERVE_REQUEST_SECONDS = "trac_serve_request_seconds"
-SERVE_REQUESTS = "trac_serve_requests_total"
-SERVE_REJECTIONS = "trac_serve_rejections_total"
-SERVE_INFLIGHT = "trac_serve_inflight"
-SERVE_QUEUE_DEPTH = "trac_serve_queue_depth"
-POLL_SECONDS = "trac_poll_seconds"
-SLOW_QUERIES = "trac_slow_queries_total"
-INCREMENTAL_HITS = "trac_incremental_hits_total"
-INCREMENTAL_MISSES = "trac_incremental_misses_total"
-INCREMENTAL_INVALIDATIONS = "trac_incremental_invalidations_total"
-INCREMENTAL_MAINTENANCE_SECONDS = "trac_incremental_maintenance_seconds"
-ROW_QUALITY = "trac_row_quality"
-ROWS_FROM_EXCEPTIONAL = "trac_rows_from_exceptional_total"
-SHARD_RPC_SECONDS = "trac_shard_rpc_seconds"
-SHARD_BREAKER_STATE = "trac_shard_breaker_state"
-SHARD_HEDGES = "trac_shard_hedged_requests_total"
-FEDERATION_REPORTS = "trac_federation_reports_total"
-FEDERATION_PARTIAL_REPORTS = "trac_federation_partial_reports_total"
 
 #: Buckets for DNF conjunct counts / expansion factors (dimensionless).
 COUNT_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 512.0, 4096.0)
@@ -108,25 +54,214 @@ LAG_BUCKETS = (0.5, 1.0, 2.0, 5.0, 10.0, 30.0, 60.0, 300.0, 900.0, 3600.0)
 
 #: Buckets for served-query latency: fine-grained under the 100 ms SLO the
 #: serve-load guard enforces, coarse above it.
-SERVE_BUCKETS = (
-    0.001,
-    0.0025,
-    0.005,
-    0.01,
-    0.025,
-    0.05,
-    0.075,
-    0.1,
-    0.25,
-    0.5,
-    1.0,
-    2.5,
-    5.0,
-)
+SERVE_BUCKETS = (0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.075, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0)
 
 #: Buckets for row quality scores, which live in (0, 1]: fine near 1
 #: (healthy rows cluster there) and a coarse low tail.
 QUALITY_BUCKETS = (0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 1.0)
+
+# -- the instrument table ---------------------------------------------------
+
+
+class Instrument(NamedTuple):
+    """One declared metric: everything the exposition says about it."""
+
+    name: str
+    kind: str
+    help: str
+    labels: FrozenSet[str]
+    buckets: Optional[Tuple[float, ...]]  # histograms only
+
+
+#: Every metric the system publishes about itself, keyed by name, in
+#: declaration order (docs/OBSERVABILITY.md's reference table is rendered
+#: from this).
+INSTRUMENTS: Dict[str, Instrument] = {}
+
+
+def _declare(kind: str, name: str, help: str, labels: Tuple[str, ...], buckets=None) -> str:
+    if name in INSTRUMENTS:
+        raise TracError(f"metric {name!r} is declared twice")
+    INSTRUMENTS[name] = Instrument(name, kind, help, frozenset(labels), buckets)
+    return name
+
+
+def counter(name: str, help: str, *labels: str) -> str:
+    """Declare a counter; evaluates to ``name``."""
+    return _declare("counter", name, help, labels)
+
+
+def gauge(name: str, help: str, *labels: str) -> str:
+    """Declare a gauge; evaluates to ``name``."""
+    return _declare("gauge", name, help, labels)
+
+
+def histogram(name: str, help: str, *labels: str, buckets=DEFAULT_BUCKETS) -> str:
+    """Declare a histogram with fixed ``buckets``; evaluates to ``name``."""
+    return _declare("histogram", name, help, labels, tuple(buckets))
+
+
+BACKEND_QUERIES = counter(
+    "trac_backend_queries_total", "Queries executed through a backend", "backend"
+)
+BACKEND_ROWS_RETURNED = counter(
+    "trac_backend_rows_returned_total", "Result rows returned by backend queries", "backend"
+)
+BACKEND_ROWS_SCANNED = counter(
+    "trac_backend_rows_scanned_total",
+    "Base-table rows readable by executed queries (scan upper bound)", "backend",
+)
+SNAPSHOTS_OPENED = counter("trac_backend_snapshots_opened_total", "Snapshots opened", "backend")
+SNAPSHOTS_CLOSED = counter("trac_backend_snapshots_closed_total", "Snapshots closed", "backend")
+SNAPSHOT_SECONDS = histogram(
+    "trac_backend_snapshot_seconds", "How long snapshots stayed open", "backend"
+)
+COW_COPIES = counter(
+    "trac_cow_copies_total", "Copy-on-write row-list copies taken by writers", "table"
+)
+COW_ROWS_COPIED = counter(
+    "trac_cow_rows_copied_total", "Rows duplicated by copy-on-write copies", "table"
+)
+REPORTS = counter("trac_reports_total", "Recency reports produced", "method")
+REPORT_SECONDS = histogram("trac_report_seconds", "End-to-end recency report latency", "method")
+PLAN_CACHE_HITS = counter("trac_plan_cache_hits_total", "Relevance-plan LRU cache hits")
+QUERY_CACHE_HITS = counter(
+    "trac_query_cache_hits_total", "Resolved-query cache hits (parse skipped)"
+)
+QUERY_CACHE_MISSES = counter(
+    "trac_query_cache_misses_total", "Resolved-query cache misses (full parse+resolve)"
+)
+DNF_CONVERSIONS = counter("trac_dnf_conversions_total", "Predicate DNF conversions performed")
+DNF_CONJUNCTS = histogram(
+    "trac_dnf_conjuncts", "Conjuncts produced per DNF conversion", buckets=COUNT_BUCKETS
+)
+DNF_EXPANSION = histogram(
+    "trac_dnf_expansion_factor", "DNF blowup: conjuncts produced per input basic term",
+    buckets=COUNT_BUCKETS,
+)
+SNIFFER_EVENTS = counter("trac_sniffer_events_total", "Log events parsed and applied", "machine")
+SNIFFER_BATCHES = counter(
+    "trac_sniffer_batches_total", "Sniffer polls that applied records", "machine"
+)
+SNIFFER_LAG = histogram(
+    "trac_sniff_lag_seconds", "End-to-end lag from event timestamp to DB load",
+    "machine", buckets=LAG_BUCKETS,
+)
+SNIFFER_BACKLOG = gauge("trac_sniffer_backlog", "Log records written but not loaded", "machine")
+SNIFFER_RETRIES = counter(
+    "trac_sniffer_retries_total", "Sniffer poll failures retried with backoff", "machine"
+)
+SNIFFER_RESTARTS = counter(
+    "trac_sniffer_restarts_total", "Sniffer crash/restart cycles performed by the supervisor",
+    "machine",
+)
+SOURCES_DEGRADED = gauge(
+    "trac_sources_degraded", "Sources currently marked degraded by supervisors"
+)
+FAULTS_INJECTED = counter(
+    "trac_faults_injected_total", "Faults injected by the active FaultPlan", "kind", "machine"
+)
+BREAKER_TRANSITIONS = counter(
+    "trac_sniffer_breaker_transitions_total", "Per-source circuit breaker state transitions",
+    "machine", "state",
+)
+MONITOR_RULE_SECONDS = histogram(
+    "trac_monitor_rule_seconds", "Watch-rule evaluation latency", "rule"
+)
+MONITOR_TRIPS = counter("trac_monitor_trips_total", "Watch-rule conditions tripped", "rule")
+SOURCE_LAG = histogram(
+    "trac_source_lag_seconds", "Per-source recency lag sampled by the simulator loop",
+    "source", buckets=LAG_BUCKETS,
+)
+SLO_BURN = gauge(
+    "trac_slo_error_budget_burn", "Staleness-SLO error-budget burn rate (>= 1 means breached)",
+    "source",
+)
+EVENTS_EMITTED = counter("trac_events_emitted_total", "Structured events emitted", "event")
+WAL_RECORDS = counter(
+    "trac_wal_records_total", "Records appended to the write-ahead journal", "kind"
+)
+WAL_SYNCS = counter("trac_wal_syncs_total", "fsync calls issued by the journal writer")
+CHECKPOINTS = counter("trac_checkpoints_total", "Checkpoint attempts by outcome", "outcome")
+CHECKPOINT_SECONDS = histogram("trac_checkpoint_seconds", "Wall seconds spent writing checkpoints")
+RECOVERY_RUNS = counter("trac_recovery_runs_total", "Recovery passes executed")
+RECOVERY_REPLAYED = counter(
+    "trac_recovery_replayed_total", "WAL records replayed or skipped during recovery", "kind"
+)
+RECOVERY_TORN_SEGMENTS = counter(
+    "trac_recovery_torn_segments_total", "WAL segments whose torn tail was truncated"
+)
+HTTP_REQUEST_SECONDS = histogram(
+    "trac_http_request_seconds", "Observatory HTTP request latency by endpoint", "path", "status"
+)
+SERVE_REQUEST_SECONDS = histogram(
+    "trac_serve_request_seconds", "Served-query latency from worker pickup to response built",
+    "tenant", buckets=SERVE_BUCKETS,
+)
+SERVE_REQUESTS = counter(
+    "trac_serve_requests_total", "Queries served through the serving front end", "tenant", "outcome"
+)
+SERVE_REJECTIONS = counter(
+    "trac_serve_rejections_total", "Requests shed by admission control, quotas or deadlines",
+    "tenant", "reason",
+)
+SERVE_INFLIGHT = gauge("trac_serve_inflight", "Admitted-but-unfinished serving requests")
+SERVE_QUEUE_DEPTH = gauge("trac_serve_queue_depth", "Jobs waiting in the serving admission queue")
+POLL_SECONDS = histogram(
+    "trac_poll_seconds", "Wall seconds per sniffer poll inside the grid poll cycle", "machine"
+)
+SLOW_QUERIES = counter(
+    "trac_slow_queries_total", "Reports exceeding the slow-query threshold", "method"
+)
+INCREMENTAL_HITS = counter("trac_incremental_hits_total", "Reports served from materialized sets")
+INCREMENTAL_MISSES = counter(
+    "trac_incremental_misses_total", "Reports computed from scratch (miss) or ineligible (bypass)",
+    "outcome",
+)
+INCREMENTAL_INVALIDATIONS = counter(
+    "trac_incremental_invalidations_total", "Materialized-set invalidation events", "reason"
+)
+INCREMENTAL_MAINTENANCE_SECONDS = histogram(
+    "trac_incremental_maintenance_seconds", "Per-mutation materialized-set maintenance latency"
+)
+ROW_QUALITY = histogram(
+    "trac_row_quality", "Staleness-derived quality scores of provenance-annotated rows",
+    "method", buckets=QUALITY_BUCKETS,
+)
+ROWS_FROM_EXCEPTIONAL = counter(
+    "trac_rows_from_exceptional_total", "Result rows citing an exceptional or degraded source",
+    "method",
+)
+SHARD_RPC_SECONDS = histogram(
+    "trac_shard_rpc_seconds", "Coordinator-to-shard RPC latency by outcome",
+    "shard", "outcome", buckets=SERVE_BUCKETS,
+)
+SHARD_BREAKER_STATE = gauge(
+    "trac_shard_breaker_state",
+    "Per-shard federation breaker state (0=closed, 1=half-open, 2=open)", "shard",
+)
+SHARD_HEDGES = counter(
+    "trac_shard_hedged_requests_total", "Hedged (duplicate) shard requests fired at stragglers",
+    "shard",
+)
+FEDERATION_REPORTS = counter("trac_federation_reports_total", "Federated recency reports produced")
+FEDERATION_PARTIAL_REPORTS = counter(
+    "trac_federation_partial_reports_total",
+    "Federated reports answered with one or more shards missing",
+)
+
+
+def _declared(kind: str, name: str, labels: Dict[str, Any]) -> Instrument:
+    """The declaration a recorder call must match, or :class:`TracError`."""
+    spec = INSTRUMENTS.get(name)
+    if spec is None or spec.kind != kind:
+        raise TracError(f"metric {name!r} is not a declared {kind}")
+    if labels.keys() != spec.labels:
+        raise TracError(
+            f"metric {name!r} takes labels {sorted(spec.labels)}, got {sorted(labels)}"
+        )
+    return spec
+
 
 #: Default slow-query threshold (seconds); overridable per reporter or via
 #: the ``TRAC_SLOW_QUERY_SECONDS`` environment variable. ``0`` disables.
@@ -148,7 +283,7 @@ def slow_query_threshold() -> float:
     return max(0.0, value)
 
 
-class ProfileLog:
+class ProfileLog(BoundedRing):
     """Thread-safe ring buffer of per-operator query profiles.
 
     Stores the structured :class:`~repro.engine.profile.QueryProfile`
@@ -159,80 +294,27 @@ class ProfileLog:
     """
 
     def __init__(self, capacity: int = 256) -> None:
-        self.capacity = capacity
-        self._lock = threading.Lock()
-        self._profiles: Deque[Any] = deque(maxlen=capacity)
-        self._total = 0
+        super().__init__(capacity)
 
     def record(self, profile: Any) -> None:
         with self._lock:
-            self._profiles.append(profile)
-            self._total += 1
-
-    def snapshot(self) -> List[Any]:
-        """Every retained profile, oldest first."""
-        with self._lock:
-            return list(self._profiles)
-
-    def tail(self, n: int) -> List[Any]:
-        if n <= 0:
-            return []
-        with self._lock:
-            return list(self._profiles)[-n:]
+            self._push(profile)
 
     def last(self) -> Optional[Any]:
         with self._lock:
-            return self._profiles[-1] if self._profiles else None
-
-    def for_trace(self, trace_id: str) -> List[Any]:
-        """Retained profiles stamped with ``trace_id`` (32-hex)."""
-        return [p for p in self.snapshot() if getattr(p, "trace_id", None) == trace_id]
-
-    @property
-    def total(self) -> int:
-        with self._lock:
-            return self._total
-
-    def clear(self) -> None:
-        with self._lock:
-            self._profiles.clear()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._profiles)
-
-    def __repr__(self) -> str:
-        return f"ProfileLog({len(self)}/{self.capacity} retained, total={self.total})"
+            return self._items[-1] if self._items else None
 
 
-class NullProfileLog:
+class NullProfileLog(NullRing):
     """Inert profile log for disabled telemetry."""
 
     __slots__ = ()
 
-    capacity = 0
-    total = 0
-
     def record(self, profile: Any) -> None:
         pass
 
-    def snapshot(self) -> List[Any]:
-        return []
-
-    def tail(self, n: int) -> List[Any]:
-        return []
-
     def last(self) -> None:
         return None
-
-    def for_trace(self, trace_id: str) -> List[Any]:
-        return []
-
-    def clear(self) -> None:
-        pass
-
-    def __len__(self) -> int:
-        return 0
 
 
 #: Shared no-op profile log used by disabled telemetry.
@@ -276,9 +358,7 @@ class Telemetry:
         root span closed."""
         if span is None:
             span = self.tracer.current_span()
-        self.metrics.counter(
-            EVENTS_EMITTED, {"event": name}, help="Structured events emitted"
-        ).inc()
+        self.count(EVENTS_EMITTED, event=name)
         trace_id: Optional[str] = None
         if span is not None and getattr(span, "trace_id", 0):
             trace_id = f"{span.trace_id:032x}"
@@ -291,6 +371,24 @@ class Telemetry:
             trace_id=trace_id,
             **attributes,
         )
+
+    def count(self, name: str, amount: float = 1.0, **labels: Any) -> None:
+        """Add ``amount`` to the declared counter ``name``."""
+        spec = _declared("counter", name, labels)
+        self.metrics.counter(name, labels, help=spec.help).inc(amount)
+
+    def observe(
+        self, name: str, value: float, trace_id: Optional[str] = None, **labels: Any
+    ) -> None:
+        """Record ``value`` in the declared histogram ``name``; ``trace_id``
+        (32-hex) attaches an exemplar."""
+        spec = _declared("histogram", name, labels)
+        self.metrics.histogram(name, labels, spec.buckets, spec.help).observe(value, trace_id)
+
+    def set(self, name: str, value: float, **labels: Any) -> None:
+        """Set the declared gauge ``name`` to ``value``."""
+        spec = _declared("gauge", name, labels)
+        self.metrics.gauge(name, labels, help=spec.help).set(value)
 
     def reset(self) -> None:
         """Clear collected spans, every metric, retained events and profiles."""
@@ -319,16 +417,17 @@ class _NullTelemetry:
     provenance = NULL_PROFILE_LOG
     enabled = False
 
-    def emit(
-        self,
-        name: str,
-        t: Optional[float] = None,
-        source: Optional[str] = None,
-        severity: str = "info",
-        span: Optional[Any] = None,
-        **attributes: Any,
-    ) -> None:
+    def emit(self, name, t=None, source=None, severity="info", span=None, **attributes) -> None:
         return None
+
+    def count(self, name: str, amount: float = 1.0, **labels: Any) -> None:
+        pass
+
+    def observe(self, name: str, value: float, trace_id=None, **labels: Any) -> None:
+        pass
+
+    def set(self, name: str, value: float, **labels: Any) -> None:
+        pass
 
     def reset(self) -> None:
         pass
@@ -386,390 +485,6 @@ def resolve(telemetry=None):
     return telemetry if telemetry is not None else _default
 
 
-# -- integration shims ------------------------------------------------------
-#
-# Each helper assumes the caller already checked ``tel.enabled`` (they are
-# only reachable from enabled paths) and encapsulates the metric names and
-# label conventions above.
-
-
-def record_backend_query(tel, backend: str, rows_returned: int) -> None:
-    labels = {"backend": backend}
-    tel.metrics.counter(
-        BACKEND_QUERIES, labels, help="Queries executed through a backend"
-    ).inc()
-    tel.metrics.counter(
-        BACKEND_ROWS_RETURNED, labels, help="Result rows returned by backend queries"
-    ).inc(rows_returned)
-
-
-def record_backend_scan(tel, backend: str, rows_scanned: int) -> None:
-    tel.metrics.counter(
-        BACKEND_ROWS_SCANNED,
-        {"backend": backend},
-        help="Base-table rows readable by executed queries (scan upper bound)",
-    ).inc(rows_scanned)
-
-
-def record_snapshot_open(tel, backend: str) -> None:
-    tel.metrics.counter(
-        SNAPSHOTS_OPENED, {"backend": backend}, help="Snapshots opened"
-    ).inc()
-
-
-def record_snapshot_close(tel, backend: str, held_seconds: float) -> None:
-    labels = {"backend": backend}
-    tel.metrics.counter(SNAPSHOTS_CLOSED, labels, help="Snapshots closed").inc()
-    tel.metrics.histogram(
-        SNAPSHOT_SECONDS, labels, help="How long snapshots stayed open"
-    ).observe(held_seconds)
-
-
-def record_report(tel, method: str, seconds: float, trace_id: Optional[str] = None) -> None:
-    labels = {"method": method}
-    tel.metrics.counter(REPORTS, labels, help="Recency reports produced").inc()
-    tel.metrics.histogram(
-        REPORT_SECONDS, labels, help="End-to-end recency report latency"
-    ).observe(seconds, trace_id=trace_id)
-
-
-def record_http_request(
-    tel, path: str, status: int, seconds: float, trace_id: Optional[str] = None
-) -> None:
-    tel.metrics.histogram(
-        HTTP_REQUEST_SECONDS,
-        {"path": path, "status": str(status)},
-        help="Observatory HTTP request latency by endpoint",
-    ).observe(seconds, trace_id=trace_id)
-
-
-def record_serve_request(
-    tel, tenant: str, outcome: str, seconds: float, trace_id: Optional[str] = None
-) -> None:
-    """Count one served query and record its end-to-end latency (queue wait
-    included). ``outcome`` is ``"ok"`` or ``"error"``."""
-    tel.metrics.counter(
-        SERVE_REQUESTS,
-        {"tenant": tenant, "outcome": outcome},
-        help="Queries served through the serving front end",
-    ).inc()
-    tel.metrics.histogram(
-        SERVE_REQUEST_SECONDS,
-        {"tenant": tenant},
-        buckets=SERVE_BUCKETS,
-        help="Served-query latency from worker pickup to response built",
-    ).observe(seconds, trace_id=trace_id)
-
-
-def record_serve_rejection(tel, tenant: str, reason: str) -> None:
-    """Count one shed request; ``reason`` is ``"quota"``, ``"inflight"``,
-    ``"queue"`` or ``"deadline"``."""
-    tel.metrics.counter(
-        SERVE_REJECTIONS,
-        {"tenant": tenant, "reason": reason},
-        help="Requests shed by admission control, quotas or deadlines",
-    ).inc()
-
-
-def record_serve_inflight(tel, inflight: int) -> None:
-    tel.metrics.gauge(
-        SERVE_INFLIGHT, help="Admitted-but-unfinished serving requests"
-    ).set(inflight)
-
-
-def record_serve_queue_depth(tel, depth: int) -> None:
-    tel.metrics.gauge(
-        SERVE_QUEUE_DEPTH, help="Jobs waiting in the serving admission queue"
-    ).set(depth)
-
-
-def record_poll_latency(
-    tel, machine: str, seconds: float, trace_id: Optional[str] = None
-) -> None:
-    tel.metrics.histogram(
-        POLL_SECONDS,
-        {"machine": machine},
-        help="Wall seconds per sniffer poll inside the grid poll cycle",
-    ).observe(seconds, trace_id=trace_id)
-
-
-def record_slow_query(tel, method: str) -> None:
-    tel.metrics.counter(
-        SLOW_QUERIES,
-        {"method": method},
-        help="Reports exceeding the slow-query threshold",
-    ).inc()
-
-
-def record_row_quality(
-    tel, method: str, qualities: Iterable[Optional[float]]
-) -> None:
-    """Observe the quality score of every attributed result row."""
-    histogram = tel.metrics.histogram(
-        ROW_QUALITY,
-        {"method": method},
-        buckets=QUALITY_BUCKETS,
-        help="Staleness-derived quality scores of provenance-annotated rows",
-    )
-    for quality in qualities:
-        if quality is not None:
-            histogram.observe(quality)
-
-
-def record_rows_from_exceptional(tel, method: str, count: int) -> None:
-    """Count result rows whose lineage touches an exceptional or degraded
-    source (rows the report says not to trust)."""
-    if count > 0:
-        tel.metrics.counter(
-            ROWS_FROM_EXCEPTIONAL,
-            {"method": method},
-            help="Result rows citing an exceptional or degraded source",
-        ).inc(count)
-
-
-def record_plan_cache_hit(tel) -> None:
-    tel.metrics.counter(
-        PLAN_CACHE_HITS, help="Relevance-plan LRU cache hits"
-    ).inc()
-
-
-def record_query_cache(tel, hit: bool) -> None:
-    if hit:
-        tel.metrics.counter(
-            QUERY_CACHE_HITS, help="Resolved-query cache hits (parse skipped)"
-        ).inc()
-    else:
-        tel.metrics.counter(
-            QUERY_CACHE_MISSES, help="Resolved-query cache misses (full parse+resolve)"
-        ).inc()
-
-
-def record_incremental(tel, outcome: str) -> None:
-    """Count one incremental-maintainer lookup; ``outcome`` is ``"hit"``,
-    ``"miss"`` or ``"bypass"``."""
-    if outcome == "hit":
-        tel.metrics.counter(
-            INCREMENTAL_HITS, help="Reports served from materialized sets"
-        ).inc()
-    else:
-        tel.metrics.counter(
-            INCREMENTAL_MISSES,
-            {"outcome": outcome},
-            help="Reports computed from scratch (miss) or ineligible (bypass)",
-        ).inc()
-
-
-def record_incremental_invalidation(tel, reason: str) -> None:
-    tel.metrics.counter(
-        INCREMENTAL_INVALIDATIONS,
-        {"reason": reason},
-        help="Materialized-set invalidation events",
-    ).inc()
-
-
-def record_incremental_maintenance(tel, seconds: float) -> None:
-    tel.metrics.histogram(
-        INCREMENTAL_MAINTENANCE_SECONDS,
-        help="Per-mutation materialized-set maintenance latency",
-    ).observe(seconds)
-
-
-def record_cow_copy(tel, table: str, rows: int) -> None:
-    labels = {"table": table}
-    tel.metrics.counter(
-        COW_COPIES, labels, help="Copy-on-write row-list copies taken by writers"
-    ).inc()
-    tel.metrics.counter(
-        COW_ROWS_COPIED, labels, help="Rows duplicated by copy-on-write copies"
-    ).inc(rows)
-
-
-def record_dnf(tel, input_terms: int, conjuncts: int) -> None:
-    tel.metrics.counter(
-        DNF_CONVERSIONS, help="Predicate DNF conversions performed"
-    ).inc()
-    tel.metrics.histogram(
-        DNF_CONJUNCTS,
-        buckets=COUNT_BUCKETS,
-        help="Conjuncts produced per DNF conversion",
-    ).observe(float(conjuncts))
-    if input_terms > 0:
-        tel.metrics.histogram(
-            DNF_EXPANSION,
-            buckets=COUNT_BUCKETS,
-            help="DNF blowup: conjuncts produced per input basic term",
-        ).observe(conjuncts / input_terms)
-
-
-def record_sniffer_batch(
-    tel, machine: str, events: int, now: float, timestamps: Iterable[float]
-) -> None:
-    labels = {"machine": machine}
-    tel.metrics.counter(
-        SNIFFER_BATCHES, labels, help="Sniffer polls that applied records"
-    ).inc()
-    tel.metrics.counter(
-        SNIFFER_EVENTS, labels, help="Log events parsed and applied"
-    ).inc(events)
-    lag_hist = tel.metrics.histogram(
-        SNIFFER_LAG,
-        labels,
-        buckets=LAG_BUCKETS,
-        help="End-to-end lag from event timestamp to DB load",
-    )
-    for ts in timestamps:
-        lag_hist.observe(now - ts)
-
-
-def record_sniffer_backlog(tel, machine: str, backlog: int) -> None:
-    tel.metrics.gauge(
-        SNIFFER_BACKLOG, {"machine": machine}, help="Log records written but not loaded"
-    ).set(backlog)
-
-
-def record_sniffer_retry(tel, machine: str) -> None:
-    tel.metrics.counter(
-        SNIFFER_RETRIES,
-        {"machine": machine},
-        help="Sniffer poll failures retried with backoff",
-    ).inc()
-
-
-def record_sniffer_restart(tel, machine: str) -> None:
-    tel.metrics.counter(
-        SNIFFER_RESTARTS,
-        {"machine": machine},
-        help="Sniffer crash/restart cycles performed by the supervisor",
-    ).inc()
-
-
-def record_sources_degraded(tel, count: int) -> None:
-    tel.metrics.gauge(
-        SOURCES_DEGRADED, help="Sources currently marked degraded by supervisors"
-    ).set(count)
-
-
-def record_fault_injected(tel, kind: str, machine: str) -> None:
-    tel.metrics.counter(
-        FAULTS_INJECTED,
-        {"kind": kind, "machine": machine},
-        help="Faults injected by the active FaultPlan",
-    ).inc()
-
-
-def record_breaker_transition(tel, machine: str, state: str) -> None:
-    tel.metrics.counter(
-        BREAKER_TRANSITIONS,
-        {"machine": machine, "state": state},
-        help="Per-source circuit breaker state transitions",
-    ).inc()
-
-
-def record_wal_records(tel, kind: str, count: int = 1) -> None:
-    tel.metrics.counter(
-        WAL_RECORDS, {"kind": kind}, help="Records appended to the write-ahead journal"
-    ).inc(count)
-
-
-def record_wal_sync(tel) -> None:
-    tel.metrics.counter(WAL_SYNCS, help="fsync calls issued by the journal writer").inc()
-
-
-def record_checkpoint(tel, outcome: str, seconds: float = 0.0) -> None:
-    tel.metrics.counter(
-        CHECKPOINTS, {"outcome": outcome}, help="Checkpoint attempts by outcome"
-    ).inc()
-    if outcome == "ok":
-        tel.metrics.histogram(
-            CHECKPOINT_SECONDS, help="Wall seconds spent writing checkpoints"
-        ).observe(seconds)
-
-
-def record_recovery(tel, events: int, heartbeats: int, skipped: int, torn: int) -> None:
-    tel.metrics.counter(RECOVERY_RUNS, help="Recovery passes executed").inc()
-    replayed = tel.metrics.counter(
-        RECOVERY_REPLAYED,
-        {"kind": "event"},
-        help="WAL records replayed or skipped during recovery",
-    )
-    replayed.inc(events)
-    tel.metrics.counter(RECOVERY_REPLAYED, {"kind": "heartbeat"}).inc(heartbeats)
-    tel.metrics.counter(RECOVERY_REPLAYED, {"kind": "skipped"}).inc(skipped)
-    tel.metrics.counter(
-        RECOVERY_TORN_SEGMENTS, help="WAL segments whose torn tail was truncated"
-    ).inc(torn)
-
-
-def record_source_lag(tel, source: str, lag: float) -> None:
-    tel.metrics.histogram(
-        SOURCE_LAG,
-        {"source": source},
-        buckets=LAG_BUCKETS,
-        help="Per-source recency lag sampled by the simulator loop",
-    ).observe(lag)
-
-
-def record_slo_burn(tel, source: str, burn: float) -> None:
-    tel.metrics.gauge(
-        SLO_BURN,
-        {"source": source},
-        help="Staleness-SLO error-budget burn rate (>= 1 means breached)",
-    ).set(burn)
-
-
-#: Circuit-breaker states as gauge values (closed < half-open < open).
-_BREAKER_STATE_VALUES = {"closed": 0.0, "half_open": 1.0, "open": 2.0}
-
-
-def record_shard_rpc(tel, shard: str, outcome: str, seconds: float) -> None:
-    """One coordinator->shard RPC attempt; ``outcome`` is ``"ok"``,
-    ``"error"`` or ``"timeout"``."""
-    tel.metrics.histogram(
-        SHARD_RPC_SECONDS,
-        {"shard": shard, "outcome": outcome},
-        buckets=SERVE_BUCKETS,
-        help="Coordinator-to-shard RPC latency by outcome",
-    ).observe(seconds)
-
-
-def record_shard_breaker_state(tel, shard: str, state: str) -> None:
-    tel.metrics.gauge(
-        SHARD_BREAKER_STATE,
-        {"shard": shard},
-        help="Per-shard federation breaker state (0=closed, 1=half-open, 2=open)",
-    ).set(_BREAKER_STATE_VALUES.get(state, 2.0))
-
-
-def record_shard_hedge(tel, shard: str) -> None:
-    tel.metrics.counter(
-        SHARD_HEDGES,
-        {"shard": shard},
-        help="Hedged (duplicate) shard requests fired at stragglers",
-    ).inc()
-
-
-def record_federation_report(tel, partial: bool) -> None:
-    tel.metrics.counter(
-        FEDERATION_REPORTS, help="Federated recency reports produced"
-    ).inc()
-    if partial:
-        tel.metrics.counter(
-            FEDERATION_PARTIAL_REPORTS,
-            help="Federated reports answered with one or more shards missing",
-        ).inc()
-
-
-def record_rule_evaluation(tel, rule: str, seconds: float, trips: int) -> None:
-    labels = {"rule": rule}
-    tel.metrics.histogram(
-        MONITOR_RULE_SECONDS, labels, help="Watch-rule evaluation latency"
-    ).observe(seconds)
-    if trips:
-        tel.metrics.counter(
-            MONITOR_TRIPS, labels, help="Watch-rule conditions tripped"
-        ).inc(trips)
-
-
 class PhaseTimer:
     """Times a region with :func:`time.perf_counter`; optionally also
     records it as a span.
@@ -805,6 +520,8 @@ class PhaseTimer:
 __all__ = [
     "Telemetry",
     "NULL_TELEMETRY",
+    "Instrument",
+    "INSTRUMENTS",
     "ProfileLog",
     "NullProfileLog",
     "NULL_PROFILE_LOG",

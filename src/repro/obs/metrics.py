@@ -51,18 +51,31 @@ def _label_pairs(labels: Optional[Mapping[str, str]]) -> LabelPairs:
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
 
 
-class Counter:
-    """Monotonically increasing count."""
+class _Scalar:
+    """One number under the registry lock: what counters and gauges share."""
 
     __slots__ = ("name", "labels", "_lock", "_value")
-
-    kind = "counter"
 
     def __init__(self, name: str, labels: LabelPairs, lock: threading.Lock) -> None:
         self.name = name
         self.labels = labels
         self._lock = lock
         self._value = 0.0
+
+    @property
+    def value(self) -> float:
+        return self._value
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.name!r}, {dict(self.labels)}, value={self._value})"
+
+
+class Counter(_Scalar):
+    """Monotonically increasing count."""
+
+    __slots__ = ()
+
+    kind = "counter"
 
     def inc(self, amount: float = 1.0) -> None:
         if amount < 0:
@@ -70,26 +83,13 @@ class Counter:
         with self._lock:
             self._value += amount
 
-    @property
-    def value(self) -> float:
-        return self._value
 
-    def __repr__(self) -> str:
-        return f"Counter({self.name!r}, {dict(self.labels)}, value={self._value})"
-
-
-class Gauge:
+class Gauge(_Scalar):
     """A value that can go up and down."""
 
-    __slots__ = ("name", "labels", "_lock", "_value")
+    __slots__ = ()
 
     kind = "gauge"
-
-    def __init__(self, name: str, labels: LabelPairs, lock: threading.Lock) -> None:
-        self.name = name
-        self.labels = labels
-        self._lock = lock
-        self._value = 0.0
 
     def set(self, value: float) -> None:
         with self._lock:
@@ -100,15 +100,7 @@ class Gauge:
             self._value += amount
 
     def dec(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self._value -= amount
-
-    @property
-    def value(self) -> float:
-        return self._value
-
-    def __repr__(self) -> str:
-        return f"Gauge({self.name!r}, {dict(self.labels)}, value={self._value})"
+        self.inc(-amount)
 
 
 class Histogram:
@@ -258,21 +250,17 @@ class MetricsRegistry:
         self._kinds: Dict[str, str] = {}
         self._help: Dict[str, str] = {}
 
-    def _get(self, kind: str, name: str, labels: LabelPairs, factory) -> object:
-        key = (name, labels)
+    def _get(self, kind: str, name: str, labels, help: Optional[str], factory) -> object:
+        pairs = _label_pairs(labels)
         with self._lock:
-            existing = self._instruments.get(key)
-            if existing is not None:
-                if self._kinds[name] != kind:
-                    raise TracError(
-                        f"metric {name!r} is a {self._kinds[name]}, not a {kind}"
-                    )
-                return existing
-            if name in self._kinds and self._kinds[name] != kind:
+            if self._kinds.get(name, kind) != kind:
                 raise TracError(f"metric {name!r} is a {self._kinds[name]}, not a {kind}")
-            instrument = factory()
-            self._instruments[key] = instrument
-            self._kinds[name] = kind
+            if help:
+                self._help.setdefault(name, help)
+            instrument = self._instruments.get((name, pairs))
+            if instrument is None:
+                instrument = self._instruments[(name, pairs)] = factory(name, pairs, self._lock)
+                self._kinds[name] = kind
             return instrument
 
     def counter(
@@ -281,12 +269,7 @@ class MetricsRegistry:
         labels: Optional[Mapping[str, str]] = None,
         help: Optional[str] = None,
     ) -> Counter:
-        pairs = _label_pairs(labels)
-        if help:
-            self._help.setdefault(name, help)
-        return self._get(  # type: ignore[return-value]
-            "counter", name, pairs, lambda: Counter(name, pairs, self._lock)
-        )
+        return self._get("counter", name, labels, help, Counter)  # type: ignore[return-value]
 
     def gauge(
         self,
@@ -294,12 +277,7 @@ class MetricsRegistry:
         labels: Optional[Mapping[str, str]] = None,
         help: Optional[str] = None,
     ) -> Gauge:
-        pairs = _label_pairs(labels)
-        if help:
-            self._help.setdefault(name, help)
-        return self._get(  # type: ignore[return-value]
-            "gauge", name, pairs, lambda: Gauge(name, pairs, self._lock)
-        )
+        return self._get("gauge", name, labels, help, Gauge)  # type: ignore[return-value]
 
     def histogram(
         self,
@@ -308,11 +286,8 @@ class MetricsRegistry:
         buckets: Sequence[float] = DEFAULT_BUCKETS,
         help: Optional[str] = None,
     ) -> Histogram:
-        pairs = _label_pairs(labels)
-        if help:
-            self._help.setdefault(name, help)
         return self._get(  # type: ignore[return-value]
-            "histogram", name, pairs, lambda: Histogram(name, pairs, self._lock, buckets)
+            "histogram", name, labels, help, lambda *series: Histogram(*series, buckets)
         )
 
     def collect(self) -> List[object]:
@@ -350,14 +325,10 @@ class NullRegistry:
 
     __slots__ = ()
 
-    def counter(self, name, labels=None, help=None) -> NullInstrument:
+    def counter(self, name, *args, **kwargs) -> NullInstrument:
         return NULL_INSTRUMENT
 
-    def gauge(self, name, labels=None, help=None) -> NullInstrument:
-        return NULL_INSTRUMENT
-
-    def histogram(self, name, labels=None, buckets=DEFAULT_BUCKETS, help=None) -> NullInstrument:
-        return NULL_INSTRUMENT
+    gauge = histogram = counter
 
     def collect(self) -> List[object]:
         return []

@@ -1,0 +1,100 @@
+"""The one bounded ring behind the event, profile and provenance logs.
+
+:class:`BoundedRing` owns what every in-process log needs — the lock, the
+``maxlen`` deque that drops the *oldest* item, the running total
+and the read side (``snapshot``/``tail``/``for_trace``/``total``/
+``dropped``/``clear``/``len``). :class:`~repro.obs.events.EventLog` adds
+``emit`` + listeners and :class:`~repro.obs.instrument.ProfileLog` adds
+``record`` + ``last``; :class:`NullRing` is the inert read side their null
+twins share while telemetry is disabled. (The
+:class:`~repro.obs.trace.Tracer` collector is deliberately not a ring: it
+drops the *newest* span.)
+"""
+
+from __future__ import annotations
+
+import threading
+from collections import deque
+from typing import Any, Deque, List
+
+from repro.errors import TracError
+
+
+class BoundedRing:
+    """Thread-safe ring buffer; items are duck-typed on ``trace_id``."""
+
+    def __init__(self, capacity: int) -> None:
+        if capacity < 1:
+            raise TracError(f"{type(self).__name__} capacity must be >= 1, got {capacity}")
+        self.capacity = capacity
+        self._lock = threading.Lock()
+        self._items: Deque[Any] = deque(maxlen=capacity)
+        self._total = 0
+
+    def _push(self, item: Any) -> None:
+        """Append ``item``; the caller holds ``self._lock``."""
+        self._items.append(item)
+        self._total += 1
+
+    def snapshot(self) -> List[Any]:
+        """Every retained item, oldest first."""
+        with self._lock:
+            return list(self._items)
+
+    def tail(self, n: int) -> List[Any]:
+        """The most recent ``n`` retained items, oldest first."""
+        return self.snapshot()[-n:] if n > 0 else []
+
+    def for_trace(self, trace_id: str) -> List[Any]:
+        """Retained items stamped with ``trace_id`` (32-hex), oldest first."""
+        return [i for i in self.snapshot() if getattr(i, "trace_id", None) == trace_id]
+
+    @property
+    def total(self) -> int:
+        """Items ever pushed (including ones the ring has dropped)."""
+        with self._lock:
+            return self._total
+
+    @property
+    def dropped(self) -> int:
+        """Items no longer retained: pushed out by newer ones, or cleared."""
+        with self._lock:
+            return self._total - len(self._items)
+
+    def clear(self) -> None:
+        """Discard retained items (the total keeps counting)."""
+        with self._lock:
+            self._items.clear()
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._items)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({len(self)}/{self.capacity} retained, total={self.total})"
+
+
+class NullRing:
+    """Inert read side for disabled telemetry: stores nothing, returns
+    nothing. One shared instance per null log suffices."""
+
+    __slots__ = ()
+
+    capacity = 0
+    total = 0
+    dropped = 0
+
+    def snapshot(self) -> List[Any]:
+        return []
+
+    def tail(self, n: int) -> List[Any]:
+        return []
+
+    def for_trace(self, trace_id: str) -> List[Any]:
+        return []
+
+    def clear(self) -> None:
+        pass
+
+    def __len__(self) -> int:
+        return 0

@@ -84,7 +84,7 @@ from urllib.parse import parse_qs, urlparse
 
 from repro.obs.export import prometheus_text, write_spans_jsonl
 from repro.obs.events import write_events_jsonl
-from repro.obs.instrument import record_http_request
+from repro.obs.instrument import HTTP_REQUEST_SECONDS
 from repro.obs.trace import extract_context
 
 PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
@@ -282,8 +282,9 @@ class _ObservatoryHandler(BaseHTTPRequestHandler):
             status = self._dispatch(method, path, parsed, query)
             span.set_attribute("status", status)
             trace_id = span.trace_id_hex
-        record_http_request(
-            tel, path, status, time.perf_counter() - start, trace_id=trace_id
+        elapsed = time.perf_counter() - start
+        tel.observe(
+            HTTP_REQUEST_SECONDS, elapsed, trace_id=trace_id, path=path, status=str(status)
         )
 
     do_GET = do_HEAD = do_POST = do_PUT = do_DELETE = do_PATCH = _handle  # noqa: N815

@@ -95,7 +95,11 @@ def to_dnf(expr: ast.Expr, max_conjuncts: int = DEFAULT_MAX_CONJUNCTS) -> List[L
     simplified = _simplify(conjuncts)
     tel = obs.get_default()
     if tel.enabled:
-        obs.record_dnf(tel, _count_leaves(expr), len(simplified))
+        tel.count(obs.DNF_CONVERSIONS)
+        tel.observe(obs.DNF_CONJUNCTS, float(len(simplified)))
+        input_terms = _count_leaves(expr)
+        if input_terms > 0:
+            tel.observe(obs.DNF_EXPANSION, len(simplified) / input_terms)
     return simplified
 
 

@@ -223,7 +223,7 @@ class QueryService:
         future.add_done_callback(lambda f, t=tenant: self._on_done(t, f))
         tel = obs.resolve(self.telemetry)
         if tel.enabled:
-            obs.record_serve_queue_depth(tel, self.pool.queued())
+            tel.set(obs.SERVE_QUEUE_DEPTH, self.pool.queued())
         return future
 
     def query(
@@ -303,19 +303,18 @@ class QueryService:
         tel = obs.resolve(self.telemetry)
         queue_wait = time.monotonic() - enqueued
         start = time.perf_counter()
-        with obs.PhaseTimer(tel, SPAN_SERVE, tenant=tenant, method=method) as timer:
-            timer.set_attribute("queue_wait_s", round(queue_wait, 6))
-            try:
+        outcome, trace_id = "error", None
+        try:
+            with obs.PhaseTimer(tel, SPAN_SERVE, tenant=tenant, method=method) as timer:
+                timer.set_attribute("queue_wait_s", round(queue_wait, 6))
                 report = reporter.report(sql, method=method)
-            except Exception:
+                timer.set_attribute("rows", len(report.result.rows))
+            outcome, trace_id = "ok", report.trace_id
+        finally:
+            if tel.enabled:
                 seconds = time.perf_counter() - start
-                if tel.enabled:
-                    obs.record_serve_request(tel, tenant, "error", seconds)
-                raise
-            timer.set_attribute("rows", len(report.result.rows))
-        seconds = time.perf_counter() - start
-        if tel.enabled:
-            obs.record_serve_request(tel, tenant, "ok", seconds, trace_id=report.trace_id)
+                tel.count(obs.SERVE_REQUESTS, tenant=tenant, outcome=outcome)
+                tel.observe(obs.SERVE_REQUEST_SECONDS, seconds, trace_id=trace_id, tenant=tenant)
         now = time.monotonic()
         with self._lock:
             self._completions.append(now)
@@ -330,14 +329,14 @@ class QueryService:
             self._counts[outcome] += 1
         tel = obs.resolve(self.telemetry)
         if tel.enabled:
-            obs.record_serve_rejection(tel, tenant, kind)
+            tel.count(obs.SERVE_REJECTIONS, tenant=tenant, reason=kind)
             tel.emit(EVT_SERVE_REJECTED, severity="warning", tenant=tenant, reason=kind)
 
     def _on_done(self, tenant: str, future: Future) -> None:
         self.quotas.release(tenant)
         tel = obs.resolve(self.telemetry)
         if tel.enabled:
-            obs.record_serve_inflight(tel, self.quotas.total_inflight())
+            tel.set(obs.SERVE_INFLIGHT, self.quotas.total_inflight())
         if future.cancelled():
             outcome = "cancelled"
         else:
@@ -347,7 +346,7 @@ class QueryService:
             elif isinstance(exc, DeadlineExceeded):
                 outcome = "deadline"
                 if tel.enabled:
-                    obs.record_serve_rejection(tel, tenant, "deadline")
+                    tel.count(obs.SERVE_REJECTIONS, tenant=tenant, reason="deadline")
             else:
                 outcome = "error"
         with self._lock:
@@ -385,16 +384,10 @@ class QueryService:
             return None
         merged: Dict[float, int] = {}
         for instrument in tel.metrics.collect():
-            if getattr(instrument, "name", None) != obs.SERVE_REQUEST_SECONDS:
-                continue
-            if getattr(instrument, "kind", None) != "histogram":
-                continue
-            for bound, count in instrument.bucket_counts():
-                merged[bound] = merged.get(bound, 0) + count
-        if not merged:
-            return None
-        buckets = sorted(merged.items())
-        value = histogram_quantile(buckets, q)
+            if instrument.name == obs.SERVE_REQUEST_SECONDS:  # a histogram, by declaration
+                for bound, count in instrument.bucket_counts():
+                    merged[bound] = merged.get(bound, 0) + count
+        value = histogram_quantile(sorted(merged.items()), q)  # None when nothing was served
         return None if value is None else value * 1000.0
 
     def serving_status(self) -> Dict[str, Any]:
@@ -434,15 +427,21 @@ def mirror_into_memory(backend) -> "Any":
     locks; the memory backend snapshots as O(#tables) CoW views, which is
     what lets one process serve hundreds of concurrent readers. ``trac
     serve`` mirrors the monitoring database through this at startup.
+
+    Every table is read inside **one** ``backend.snapshot()``: a simulator
+    writing beside the copy must not leave the mirror holding ``heartbeat``
+    from one instant and the job tables from another (the paper's rule that
+    user query and recency query read one snapshot starts here).
     """
     from repro.backends.memory import MemoryBackend
 
     memory = MemoryBackend(backend.catalog)
     memory.create_tables()
-    for schema in backend.catalog:
-        rows = backend.execute(f"SELECT * FROM {schema.name}").rows
-        if rows:
-            memory.insert_rows(schema.name, rows)
+    with backend.snapshot() as snapshot:
+        for schema in backend.catalog:
+            rows = snapshot.execute(f"SELECT * FROM {schema.name}").rows
+            if rows:
+                memory.insert_rows(schema.name, rows)
     return memory
 
 

@@ -1,0 +1,133 @@
+"""The one bounded ring behind the event, profile and provenance logs.
+
+The same laws are run against :class:`EventLog` and :class:`ProfileLog`
+because both are :class:`~repro.obs.ring.BoundedRing` with a different
+write verb; the null twins share the inert read side.
+"""
+
+from types import SimpleNamespace
+
+import pytest
+from hypothesis import given, strategies as st
+
+from repro.errors import TracError
+from repro.obs import NULL_EVENT_LOG, NULL_PROFILE_LOG, NullEventLog, NullProfileLog
+from repro.obs.events import EventLog
+from repro.obs.instrument import ProfileLog
+from repro.obs.ring import BoundedRing, NullRing
+from repro.obs.trace import Tracer
+
+TRACE_IDS = [None, "a" * 32, "b" * 32, "c" * 32]
+
+
+def _push_event(log, index, trace_id):
+    log.emit("e", trace_id=trace_id, index=index)
+
+
+def _push_profile(log, index, trace_id):
+    log.record(SimpleNamespace(sql=f"q{index}", trace_id=trace_id, attributes={"index": index}))
+
+
+LOGS = [
+    pytest.param(EventLog, _push_event, id="EventLog"),
+    pytest.param(ProfileLog, _push_profile, id="ProfileLog"),
+]
+
+
+def _index(item) -> int:
+    return item.attributes["index"]
+
+
+@pytest.mark.parametrize("make,push", LOGS)
+class TestRingLaws:
+    @given(
+        capacity=st.integers(min_value=1, max_value=8),
+        pushes=st.lists(st.sampled_from(TRACE_IDS), max_size=30),
+        n=st.integers(min_value=-1, max_value=12),
+    )
+    def test_retention_tail_and_trace_filter(self, make, push, capacity, pushes, n):
+        log = make(capacity=capacity)
+        for index, trace_id in enumerate(pushes):
+            push(log, index, trace_id)
+
+        snapshot = log.snapshot()
+        assert log.total == len(pushes)
+        assert len(log) == len(snapshot) == min(log.total, capacity)
+        assert log.dropped == log.total - len(log)
+        # The ring drops the *oldest*: what is left is the newest, in order.
+        assert [_index(i) for i in snapshot] == list(range(len(pushes)))[-capacity:]
+        # tail(n) is the suffix of snapshot().
+        assert log.tail(n) == (snapshot[-n:] if n > 0 else [])
+        # for_trace filters it, order kept.
+        for trace_id in TRACE_IDS[1:]:
+            assert log.for_trace(trace_id) == [i for i in snapshot if i.trace_id == trace_id]
+        assert log.for_trace("f" * 32) == []
+
+        log.clear()
+        assert len(log) == 0 and log.snapshot() == [] and log.tail(3) == []
+        assert log.total == len(pushes)  # the total keeps counting...
+        assert log.dropped == log.total  # ...so everything cleared reads as dropped
+        push(log, len(pushes), None)
+        assert log.total == len(pushes) + 1 and len(log) == 1
+
+    def test_capacity_must_be_positive(self, make, push):
+        for capacity in (0, -1):
+            with pytest.raises(TracError, match="capacity must be >= 1"):
+                make(capacity=capacity)
+
+    def test_is_the_shared_ring(self, make, push):
+        log = make()
+        assert isinstance(log, BoundedRing)
+        # One implementation: the subclass adds its write verb, not a read side.
+        for name in ("snapshot", "tail", "for_trace", "clear", "__len__", "total", "dropped"):
+            assert name not in vars(type(log)), name
+        assert f"0/{log.capacity} retained" in repr(log)
+
+
+class TestWriteVerbs:
+    def test_event_log_adds_emit_and_listeners(self):
+        log = EventLog(capacity=2)
+        seen = []
+        log.subscribe(seen.append)
+        events = [log.emit("e", index=i) for i in range(3)]
+        assert [e.seq for e in events] == [1, 2, 3]  # seq is the ring's running total
+        assert seen == events and log.snapshot() == events[1:]
+
+    def test_profile_log_adds_record_and_last(self):
+        log = ProfileLog(capacity=2)
+        assert log.last() is None
+        for index in range(3):
+            _push_profile(log, index, None)
+        assert _index(log.last()) == 2
+        assert log.dropped == 1
+
+
+class TestNullTwins:
+    @pytest.mark.parametrize("null", [NULL_EVENT_LOG, NULL_PROFILE_LOG], ids=["events", "profiles"])
+    def test_inert_read_side_is_shared(self, null):
+        assert isinstance(null, NullRing)
+        assert null.snapshot() == [] and null.tail(5) == [] and null.for_trace("a" * 32) == []
+        assert (len(null), null.total, null.dropped, null.capacity) == (0, 0, 0, 0)
+        null.clear()
+
+    def test_null_write_verbs_do_nothing(self):
+        assert isinstance(NULL_EVENT_LOG, NullEventLog)
+        assert isinstance(NULL_PROFILE_LOG, NullProfileLog)
+        assert NULL_EVENT_LOG.emit("e", source="m1") is None
+        assert NULL_EVENT_LOG.counts_by_name() == {}
+        NULL_EVENT_LOG.subscribe(print)
+        NULL_EVENT_LOG.unsubscribe(print)
+        assert NULL_PROFILE_LOG.record(object()) is None
+        assert NULL_PROFILE_LOG.last() is None
+        assert len(NULL_EVENT_LOG) == len(NULL_PROFILE_LOG) == 0
+
+
+def test_tracer_keeps_its_own_policy():
+    """The span collector is *not* this ring: past ``max_spans`` it drops the
+    newest span, not the oldest."""
+    tracer = Tracer(max_spans=2)
+    for name in ("first", "second", "third"):
+        with tracer.span(name):
+            pass
+    assert [s.name for s in tracer.finished_spans()] == ["first", "second"]
+    assert tracer.dropped == 1

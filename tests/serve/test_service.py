@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.backends.memory import MemoryBackend
 from repro.errors import TracError
 from repro.obs import Telemetry
 from repro.obs.instrument import SERVE_REQUEST_SECONDS
@@ -123,7 +124,41 @@ class TestServingStatus:
         assert status["req_per_s"] >= 0
 
 
+class _WriterBesideEveryRead(MemoryBackend):
+    """A simulator tick lands right after every table read: each tick moves
+    every table (and m1's heartbeat) to a new instant."""
+
+    ticks = 0
+
+    def _execute_on(self, db, sql, *args, **kwargs):
+        result = super()._execute_on(db, sql, *args, **kwargs)
+        self.ticks += 1
+        self.upsert_heartbeat("m1", 5_000_000_000.0 + self.ticks)
+        self.insert_rows("activity", [("m1", "busy", float(self.ticks))])
+        self.insert_rows("routing", [("m1", "m2", float(self.ticks))])
+        return result
+
+
 class TestMirror:
+    def test_mirror_is_one_snapshot_beside_a_writer(self, paper_catalog, paper_memory_backend):
+        source = _WriterBesideEveryRead(paper_catalog)
+        for schema in paper_catalog:
+            source.insert_rows(
+                schema.name, paper_memory_backend.execute(f"SELECT * FROM {schema.name}").rows
+            )
+        tables = [schema.name for schema in paper_catalog]
+
+        def rows_of(backend):
+            return {t: sorted(backend.execute(f"SELECT * FROM {t}").rows) for t in tables}
+
+        instant = rows_of(paper_memory_backend)
+
+        memory = mirror_into_memory(source)
+
+        assert source.ticks >= len(tables)  # the writer really ran beside the copy
+        mirrored = rows_of(memory)
+        assert mirrored == instant  # every table from the same instant: none saw a tick
+
     def test_mirror_into_memory_copies_all_tables(self, paper_sqlite_backend):
         memory = mirror_into_memory(paper_sqlite_backend)
         rows = memory.execute("SELECT mach_id FROM activity").rows

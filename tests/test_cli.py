@@ -76,10 +76,14 @@ class TestSimulate:
 
     def test_missing_faults_file_reports_error(self, tmp_path, capsys):
         db = str(tmp_path / "g.sqlite")
-        code = main(
-            ["simulate", "--db", db, "--duration", "10", "--faults", "/nonexistent.json"]
-        )
-        assert code != 0
+        # simulate and shard-serve read the plan through one loader.
+        for command in (
+            ["simulate", "--db", db, "--duration", "10"],
+            ["shard-serve", "--shard-id", "s0", "--duration", "0"],
+        ):
+            code = main(command + ["--faults", "/nonexistent.json"])
+            assert code == 1
+            assert capsys.readouterr().err.startswith("error: cannot read fault plan")
 
 
 class TestReport:
@@ -159,6 +163,18 @@ class TestInspect:
         assert "spread" in out
 
 
+class TestWatch:
+    def test_missing_rules_file_is_an_error_line_not_a_traceback(self, grid_db, tmp_path, capsys):
+        db, _ = grid_db
+        capsys.readouterr()
+        missing = str(tmp_path / "no-such-rules.json")
+        code = main(["watch", "--db", db, "--rules", missing])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: cannot read watch rules")
+        assert missing in captured.err
+
+
 class TestBench:
     def test_bench_delegates_to_figures(self, capsys):
         code = main(["bench", "fpr", "--fpr-sources", "30"])
@@ -200,6 +216,13 @@ class TestStats:
             line for line in out.splitlines() if line.strip().startswith("trac.report")
         )
         assert " 6 " in report_line
+
+    def test_stats_incremental_reads_through_the_serving_mirror(self, grid_db, capsys):
+        db, _ = grid_db
+        sql = "SELECT mach_id FROM activity WHERE value = 'idle'"
+        assert main(["stats", "--db", db, "--incremental", "--repeat", "3", sql]) == 0
+        out = capsys.readouterr().out
+        assert "incremental: 2 hit(s), 1 miss(es)" in out
 
     def test_stats_dump_files(self, grid_db, tmp_path, capsys):
         from repro.obs import parse_prometheus_text, spans_from_jsonl

@@ -18,7 +18,7 @@ first-principles bound instead of a before/after diff:
    ``resolve()`` + ``enabled`` branch, the event-emission guard
    (the ``enabled`` branch in front of every ``tel.emit`` call — with
    telemetry disabled the ``NullEventLog`` is never even reached),
-   a disabled histogram observation (``NullInstrument.observe`` with a
+   a disabled histogram observation (``NULL_TELEMETRY.observe`` with a
    trace-id exemplar), the trace-propagation guard (the
    ``enabled`` branch in front of context inject/extract — disabled
    telemetry never builds a SpanContext or touches a carrier), and the
@@ -51,7 +51,7 @@ from repro import obs
 from repro.core.report import RecencyReporter
 from repro.backends.memory import MemoryBackend
 from repro.obs.events import NULL_EVENT_LOG, NullEventLog
-from repro.obs.instrument import NULL_TELEMETRY, PhaseTimer
+from repro.obs.instrument import NULL_TELEMETRY, REPORT_SECONDS, PhaseTimer
 from repro.workload.generator import (
     WorkloadConfig,
     generate_workload,
@@ -138,16 +138,18 @@ def time_event_guard() -> float:
 def time_histogram_observe() -> float:
     """Seconds per disabled histogram observation (exemplar included).
 
-    With telemetry off every ``record_*`` shim bottoms out in
-    ``NullInstrument.observe`` — no bucket search, no lock, no exemplar
-    storage. This times that no-op, trace-id argument and all.
+    Instrumented code records through ``tel.observe(NAME, value, ...)``
+    behind the ``enabled`` guard; should a call ever run unguarded with
+    telemetry off it lands in ``NULL_TELEMETRY.observe`` — no table lookup,
+    no bucket search, no lock, no exemplar storage. This times that no-op,
+    trace-id and label keywords and all.
     """
-    histogram = NULL_TELEMETRY.metrics.histogram("overhead_probe_seconds")
+    tel = NULL_TELEMETRY
     start = time.perf_counter()
     for _ in range(MICRO_LOOPS):
-        histogram.observe(0.001, trace_id="0" * 32)
+        tel.observe(REPORT_SECONDS, 0.001, trace_id="0" * 32, method="focused")
     elapsed = time.perf_counter() - start
-    assert histogram.exemplars() == {}, "null histogram must not retain exemplars"
+    assert len(tel.metrics) == 0, "null telemetry must not create instruments"
     return elapsed / MICRO_LOOPS
 
 
