@@ -56,7 +56,7 @@ def build_backend() -> SQLiteBackend:
 
 def main() -> None:
     backend = build_backend()
-    reporter = RecencyReporter(backend)
+    reporter = RecencyReporter(backend, create_temp_tables=True)
 
     query = "SELECT mach_id, value FROM activity A WHERE value = 'idle'"
     print("mydb=# SELECT * FROM recencyReport($$")

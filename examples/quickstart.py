@@ -72,7 +72,7 @@ def print_report(report) -> None:
 
 def main() -> None:
     backend = build_backend()
-    reporter = RecencyReporter(backend)
+    reporter = RecencyReporter(backend, create_temp_tables=True)
 
     print("=" * 72)
     print("Focused method: which of m1, m2 reported an 'idle' state?")

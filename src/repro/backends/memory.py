@@ -90,6 +90,8 @@ class MemoryBackend(Backend):
         super().__init__(catalog, telemetry)
         self.db = Database(catalog)
         self._temp: Dict[str, Tuple[List[str], List[Tuple[object, ...]]]] = {}
+        #: Lower-cased ``_temp`` names, intersected with a query's identifiers.
+        self._temp_names: Set[str] = set()
         self._cow_snapshots = cow_snapshots
         self._heartbeat_index: Dict[str, int] = {}
         self._heartbeat_index_valid = True
@@ -236,13 +238,7 @@ class MemoryBackend(Backend):
             # would be vacuous; the shadow-database path skips it.
             result = self._execute_with_temp(db, sql)
         else:
-            result = execute_sql(
-                db,
-                sql,
-                telemetry=tel if tel.enabled else None,
-                in_snapshot=in_snapshot,
-                lineage=lineage,
-            )
+            result = execute_sql(db, sql, telemetry=tel, in_snapshot=in_snapshot, lineage=lineage)
         if tel.enabled:
             tel.count(obs.BACKEND_QUERIES, backend=self.kind)
             tel.count(obs.BACKEND_ROWS_RETURNED, len(result.rows), backend=self.kind)
@@ -255,7 +251,7 @@ class MemoryBackend(Backend):
         like ``rep_norm_1`` from misfiring on ``rep_norm_10`` or on string
         literals that happen to contain it.
         """
-        if not self._temp:
+        if not self._temp_names:
             return False
         try:
             tokens = tokenize(sql)
@@ -266,7 +262,7 @@ class MemoryBackend(Backend):
             for token in tokens
             if token.type is TokenType.IDENTIFIER and isinstance(token.value, str)
         }
-        return any(name.lower() in identifiers for name in self._temp)
+        return not identifiers.isdisjoint(self._temp_names)
 
     def _execute_with_temp(self, db: Database, sql: str) -> QueryResult:
         # Queries over temp tables are rare (a user inspecting a recency
@@ -322,9 +318,10 @@ class MemoryBackend(Backend):
     def _store_temp_table(
         self, name: str, columns: Sequence[str], rows: Iterable[Sequence[object]]
     ) -> None:
-        if name in self._temp:
+        if name.lower() in self._temp_names:
             raise BackendError(f"temp table {name!r} already exists")
         self._temp[name] = (list(columns), [tuple(r) for r in rows])
+        self._temp_names.add(name.lower())
 
     def persist_temp_table(self, temp_name: str, permanent_name: str) -> None:
         from repro.catalog import Column, TableSchema
@@ -338,7 +335,8 @@ class MemoryBackend(Backend):
         self.db.add_table(schema, rows)
 
     def drop_temp_table(self, name: str) -> None:
-        self._temp.pop(name, None)
+        if self._temp.pop(name, None) is not None:
+            self._temp_names.discard(name.lower())
 
     def list_temp_tables(self) -> List[str]:
         return list(self._temp)

@@ -73,7 +73,7 @@ def figure1_series(
     for config in sweep_points(SweepConfig(total_rows=total_rows)):
         say(f"fig1: ratio={config.data_ratio} sources={config.num_sources}")
         backend = _loaded_backend(config, backend_kind)
-        reporter = RecencyReporter(backend, create_temp_tables=False)
+        reporter = RecencyReporter(backend)
         queries = paper_queries(config.num_sources)
         for name, sql in queries.items():
             measurements = measure_methods(reporter, sql, runs=runs)
@@ -110,7 +110,7 @@ def figure2_series(
     for config in sweep_points(SweepConfig(total_rows=total_rows)):
         say(f"fig2: ratio={config.data_ratio} sources={config.num_sources}")
         backend = _loaded_backend(config, backend_kind)
-        reporter = RecencyReporter(backend, create_temp_tables=False)
+        reporter = RecencyReporter(backend)
         queries = paper_queries(config.num_sources)
         for name in ("Q1", "Q3"):
             sql = queries[name]
@@ -150,7 +150,7 @@ def fpr_results(
         query_machine_indexes(num_sources),
     )
     load_workload(backend, data)
-    reporter = RecencyReporter(backend, create_temp_tables=False)
+    reporter = RecencyReporter(backend)
 
     records: List[Dict[str, object]] = []
     for name, sql in paper_queries(num_sources).items():

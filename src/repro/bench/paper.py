@@ -153,7 +153,7 @@ def check_transcript() -> List[ClaimResult]:
     for i in range(4, 12):
         backend.upsert_heartbeat(f"m{i}", base + (17 + i) * 60)
 
-    report = RecencyReporter(backend, create_temp_tables=False).report(
+    report = RecencyReporter(backend).report(
         "SELECT mach_id, value FROM activity A WHERE value = 'idle'"
     )
     stats = report.statistics
@@ -212,7 +212,7 @@ def check_semantics() -> List[ClaimResult]:
         "WHERE S.schedMachineId = 'sched' AND S.jobId = 'myId' "
         "AND R.jobId = 'myId' AND R.runningMachineId = S.remoteMachineId"
     )
-    reporter = RecencyReporter(backend, create_temp_tables=False)
+    reporter = RecencyReporter(backend)
     case_b = reporter.report(q4).relevant_source_ids
 
     backend.insert_rows("r_jobs", [("remote", "myId")])  # now it joins

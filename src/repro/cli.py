@@ -892,6 +892,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         reporter = RecencyReporter(
             query_backend,
             z_threshold=args.z_threshold,
+            create_temp_tables=True,
             use_constraints=not args.no_constraints,
             lineage=args.lineage,
         )
@@ -1038,7 +1039,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         reporter = RecencyReporter(
             query_backend,
             telemetry=tel,
-            create_temp_tables=False,
             incremental=maintainer,
         )
         for sql in args.sql:

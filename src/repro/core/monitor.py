@@ -131,7 +131,6 @@ class RecencyMonitor:
         self.reporter = RecencyReporter(
             backend,
             z_threshold=z_threshold,
-            create_temp_tables=False,
             telemetry=telemetry,
             source_health=source_health,
             slo=slo,

@@ -324,9 +324,10 @@ class RecencyReporter:
     check_satisfiability:
         Ablation switch for the satisfiability-based pruning.
     create_temp_tables:
-        When False, skip temp-table materialization (useful in tight
-        benchmark loops where thousands of reports would otherwise pile up
-        temp tables).
+        When True, materialize each report's normal / exceptional sources
+        as two session temp tables (Section 4.3) that later queries can
+        read. Off by default: a long-lived reporter would otherwise pile
+        up two tables per report.
     use_constraints:
         Conjoin schema CHECK constraints onto queries before relevance
         analysis (``Q -> Q'``, Section 3.4).
@@ -390,7 +391,7 @@ class RecencyReporter:
         z_threshold: float = DEFAULT_Z_THRESHOLD,
         max_conjuncts: int = 4096,
         check_satisfiability: bool = True,
-        create_temp_tables: bool = True,
+        create_temp_tables: bool = False,
         use_constraints: bool = True,
         plan_cache_size: int = 0,
         telemetry: Optional[object] = None,
@@ -440,9 +441,7 @@ class RecencyReporter:
                     tel.count(obs.PLAN_CACHE_HITS)
                 return cached
         tel = obs.resolve(self.telemetry)
-        resolved = resolve_cached(
-            sql, self.backend.catalog, tel if tel.enabled else None
-        )
+        resolved = resolve_cached(sql, self.backend.catalog, tel)
         plan = build_relevance_plan(
             resolved,
             max_conjuncts=self.max_conjuncts,
@@ -570,14 +569,12 @@ class RecencyReporter:
         sql, method, root_span = report.sql, report.method, report.telemetry
         trace_id = root_span.trace_id_hex
         seconds = report.timings.total
-        # The engine recorded a QueryProfile for every execution of this
-        # report; the user query's is the newest one carrying its SQL.
-        for candidate in reversed(tel.profiles.snapshot()):
-            if candidate.sql == sql and candidate.trace_id == trace_id:
-                report.profile = candidate
-                if report.incremental is not None:
-                    candidate.incremental = report.incremental
-                break
+        # The user query's result carries the profile its execution recorded
+        # (under this report's trace when the backend shares our telemetry).
+        profile = report.result.profile
+        if profile is not None and profile.trace_id == trace_id:
+            report.profile = profile
+            profile.incremental = report.incremental
         for exc_source in report.split.exceptional:
             tel.emit(
                 EVT_REPORT_EXCEPTIONAL,

@@ -4,7 +4,7 @@ Every recency report re-executes the same generated subquery and guard SQL
 strings (and ``trac stats`` / the bench sweeps repeat user queries
 verbatim), and each execution used to pay a full lex + parse + resolve.
 This module keeps a process-wide LRU of :class:`ResolvedQuery` objects
-keyed by ``(catalog.identity, sql, lineage)``.
+keyed by ``(catalog.identity, sql)``.
 
 The cache used to key on ``catalog.generation`` — a ticket bumped on
 *every* catalog mutation — which meant registering table ``U`` evicted
@@ -27,18 +27,19 @@ Cached :class:`ResolvedQuery` objects are shared, which is safe because
 resolution annotates the tree once and everything downstream (executor,
 relevance planner, constraints) treats resolved trees as read-only.
 
-The lineage flag is part of the key: a lineage-enabled resolution carries
-an attached :class:`~repro.engine.lineage.LineagePlan` (the per-binding
-source-column probes the executor reads per output row), which a
-lineage-free resolution deliberately lacks. Serving one where the other
-was requested would either drop lineage from a lineage-requesting
-execution or tax every plain execution with a plan it never uses, so the
-two populations never share entries.
+Every cached resolution carries its
+:class:`~repro.engine.lineage.LineagePlan` (the per-binding source-column
+probes) as ``lineage_plan``: a pure function of the bindings, microseconds
+to build, so lineage-on and lineage-off executions of one SQL share one
+entry and only the former read it.
 
 Hits and misses are counted on the cache itself (always, cheaply) and
 additionally recorded as telemetry counters when a live
-:class:`~repro.obs.Telemetry` is passed. Size is configurable through
-``TRAC_QUERY_CACHE_SIZE`` (default 256; ``0`` disables caching).
+:class:`~repro.obs.Telemetry` is passed. Those counters are process-wide
+and move under other threads, so a query profile records the verdict
+:meth:`ResolvedQueryCache.lookup` returns for *its* lookup. Size is
+configurable through ``TRAC_QUERY_CACHE_SIZE`` (default 256; ``0`` disables
+caching).
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ from collections import OrderedDict
 from typing import Dict, Optional, Tuple
 
 from repro.catalog import Catalog
+from repro.engine.lineage import build_lineage_plan
 from repro.sqlparser.parser import parse_query
 from repro.sqlparser.resolver import ResolvedQuery, resolve
 
@@ -57,15 +59,14 @@ DEFAULT_MAXSIZE = 256
 
 class ResolvedQueryCache:
     """A thread-safe LRU of resolved queries keyed by (catalog identity,
-    SQL, lineage flag), validated by the referenced tables' schema
-    generations."""
+    SQL), validated by the referenced tables' schema generations."""
 
     def __init__(self, maxsize: int = DEFAULT_MAXSIZE) -> None:
         self.maxsize = max(0, int(maxsize))
         self.hits = 0
         self.misses = 0
         self._lock = threading.Lock()
-        self._entries: "OrderedDict[Tuple[int, str, bool], Tuple[ResolvedQuery, Tuple[Tuple[str, int], ...]]]" = (
+        self._entries: "OrderedDict[Tuple[int, str], Tuple[ResolvedQuery, Tuple[Tuple[str, int], ...]]]" = (
             OrderedDict()
         )
 
@@ -80,22 +81,19 @@ class ResolvedQueryCache:
         )
 
     def resolve(
-        self,
-        sql: str,
-        catalog: Catalog,
-        telemetry: Optional[object] = None,
-        lineage: bool = False,
+        self, sql: str, catalog: Catalog, telemetry: Optional[object] = None
     ) -> ResolvedQuery:
-        """Parse + resolve ``sql`` against ``catalog``, through the cache.
+        """Parse + resolve ``sql`` against ``catalog``, through the cache."""
+        return self.lookup(sql, catalog, telemetry)[0]
 
-        ``lineage`` requests a lineage-enabled resolution: the returned
-        (and cached) :class:`ResolvedQuery` carries a ``lineage_plan``
-        attribute, and the entry is keyed apart from lineage-free
-        resolutions of the same SQL — the two are not interchangeable.
-        """
+    def lookup(
+        self, sql: str, catalog: Catalog, telemetry: Optional[object] = None
+    ) -> Tuple[ResolvedQuery, bool]:
+        """:meth:`resolve` plus whether this lookup was served from the
+        cache (always False when caching is disabled)."""
         if self.maxsize == 0:
-            return self._resolve_fresh(sql, catalog, lineage)
-        key = (catalog.identity, sql, lineage)
+            return self._resolve_fresh(sql, catalog), False
+        key = (catalog.identity, sql)
         cached: Optional[ResolvedQuery] = None
         with self._lock:
             entry = self._entries.get(key)
@@ -114,8 +112,8 @@ class ResolvedQueryCache:
                     del self._entries[key]
         if cached is not None:
             self._record(telemetry, hit=True)
-            return cached
-        resolved = self._resolve_fresh(sql, catalog, lineage)
+            return cached, True
+        resolved = self._resolve_fresh(sql, catalog)
         evicted = []
         with self._lock:
             self.misses += 1
@@ -126,23 +124,19 @@ class ResolvedQueryCache:
         if evicted and telemetry is not None and getattr(telemetry, "enabled", False):
             from repro.obs.events import EVT_CACHE_EVICTED
 
-            for identity, evicted_sql, evicted_lineage in evicted:
+            for identity, evicted_sql in evicted:
                 telemetry.emit(
                     EVT_CACHE_EVICTED,
                     severity="debug",
                     catalog=identity,
                     sql=evicted_sql[:200],
-                    lineage=evicted_lineage,
                 )
-        return resolved
+        return resolved, False
 
     @staticmethod
-    def _resolve_fresh(sql: str, catalog: Catalog, lineage: bool) -> ResolvedQuery:
+    def _resolve_fresh(sql: str, catalog: Catalog) -> ResolvedQuery:
         resolved = resolve(parse_query(sql), catalog)
-        if lineage:
-            from repro.engine.lineage import build_lineage_plan
-
-            resolved.lineage_plan = build_lineage_plan(resolved)
+        resolved.lineage_plan = build_lineage_plan(resolved)
         return resolved
 
     @staticmethod
@@ -214,13 +208,10 @@ def configure(maxsize: int) -> ResolvedQueryCache:
 
 
 def resolve_cached(
-    sql: str,
-    catalog: Catalog,
-    telemetry: Optional[object] = None,
-    lineage: bool = False,
+    sql: str, catalog: Catalog, telemetry: Optional[object] = None
 ) -> ResolvedQuery:
     """Module-level convenience over :meth:`ResolvedQueryCache.resolve`."""
-    return _global_cache.resolve(sql, catalog, telemetry, lineage=lineage)
+    return _global_cache.resolve(sql, catalog, telemetry)
 
 
 __all__ = [

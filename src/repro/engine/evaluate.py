@@ -7,14 +7,21 @@ WHERE clauses fall back to an (incrementally built) cross product with the
 predicate applied at the end. Both paths produce identical results; the
 planner only changes the work done to get there.
 
-Two execution modes exist for predicates and projections: the *compiled*
-mode (default) lowers each expression once per query to closed-over
-lambdas via :mod:`repro.engine.compile`, and the *interpreted* mode walks
-the AST per row via :mod:`repro.predicates.evaluate`. The interpreted mode
-is the semantic oracle; ``tools/fuzz_engine.py`` differentially checks the
-two (and SQLite). Select per call with ``execute_query(..., compiled=...)``
-or globally with :func:`repro.engine.compile.set_compiled_default` /
+What cuts across the operators — relations, column index map, expression
+lowering, profile, lineage probes — is fixed once per query in
+:class:`_Execution`, whose methods are the operators.
+
+Two lowerings exist: *compiled* (default) turns each expression once per
+query into closed-over lambdas (:mod:`repro.engine.compile`); *interpreted*
+(:class:`_Interpreted`) walks the AST per row and is the semantic oracle
+that ``tools/fuzz_engine.py`` differentially checks against it (and
+SQLite). Select per call with ``execute_query(..., compiled=...)`` or
+globally with :func:`repro.engine.compile.set_compiled_default` /
 ``TRAC_INTERPRETED=1``.
+
+The profile is the execution's only record of itself: ``execute_query``
+finishes the one it is given and returns it as :attr:`QueryResult.profile`,
+and both EXPLAIN forms are renderings of it.
 
 ``execute_sql`` additionally fronts parse+resolve with the process-wide
 resolved-query cache (:mod:`repro.engine.cache`), so repeated SQL strings
@@ -24,11 +31,14 @@ resolved-query cache (:mod:`repro.engine.cache`), so repeated SQL strings
 from __future__ import annotations
 
 import itertools
+import math
 import time
-from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.engine import compile as compile_mod
-from repro.engine.cache import get_cache, resolve_cached
+from repro.engine.cache import get_cache
+from repro.engine.compile import Env as _Env, IndexMap as _IndexMap
+from repro.engine.lineage import annotate_profile, env_lineage, lineage_plan_for, union_lineage
 from repro.engine.profile import (
     OP_AGGREGATE,
     OP_CROSS,
@@ -38,18 +48,17 @@ from repro.engine.profile import (
     OP_PROJECT,
     OP_SCAN,
     OP_SORT,
+    PIPELINE_CONJUNCTIVE,
+    PIPELINE_GENERAL,
     QueryProfile,
 )
 from repro.engine.relation import Database, Relation, Row
 from repro.errors import EngineError, UnsupportedQueryError
 from repro.predicates.dnf import basic_terms_of
-from repro.predicates.evaluate import evaluate_predicate
+from repro.predicates.evaluate import _scalar, evaluate_predicate
 from repro.sqlparser import ast
 from repro.sqlparser.parser import parse_query
 from repro.sqlparser.resolver import ResolvedQuery, resolve
-
-#: An intermediate tuple: binding key -> source row.
-_Env = Dict[str, Row]
 
 
 class QueryResult:
@@ -59,9 +68,13 @@ class QueryResult:
     (``execute_sql(..., lineage=True)``); then it is a list parallel to
     ``rows`` of frozensets naming the data sources whose tuples produced
     each row (see :mod:`repro.engine.lineage`).
+
+    ``profile`` is the :class:`~repro.engine.profile.QueryProfile` the
+    execution recorded, or ``None`` when it ran unprofiled (telemetry off,
+    or a backend that does not profile, e.g. SQLite).
     """
 
-    __slots__ = ("columns", "rows", "lineage")
+    __slots__ = ("columns", "rows", "lineage", "profile")
 
     def __init__(
         self,
@@ -72,6 +85,7 @@ class QueryResult:
         self.columns = columns
         self.rows = rows
         self.lineage = lineage
+        self.profile: Optional[QueryProfile] = None
 
     def scalar(self) -> object:
         """The single value of a single-row, single-column result."""
@@ -110,30 +124,24 @@ def execute_sql(
     records the scan upper bound — the total base-table rows the executor
     may read for this query — and builds a per-operator
     :class:`~repro.engine.profile.QueryProfile`, stamped with the current
-    trace id and recorded into ``telemetry.profiles``; the memory backend
-    threads its telemetry through here. ``in_snapshot`` marks the profile
-    as snapshot-scoped.
+    trace id, attached to the result and recorded into
+    ``telemetry.profiles``; the memory backend threads its telemetry
+    through here. ``in_snapshot`` marks the profile as snapshot-scoped.
 
     ``cache`` (default True) routes parse+resolve through the process-wide
     resolved-query cache; pass False for throwaway catalogs (e.g. the
     temp-table shadow database) whose generations would only pollute it.
     ``compiled`` overrides the compiled/interpreted default for this call.
     ``lineage`` (default False) attaches per-row source lineage to the
-    result (:attr:`QueryResult.lineage`, see :mod:`repro.engine.lineage`);
-    the disabled path never touches the lineage machinery.
+    result (:attr:`QueryResult.lineage`, see :mod:`repro.engine.lineage`).
     """
-    profiling = telemetry is not None and telemetry.enabled
     cache_hit: Optional[bool] = None
     if cache:
-        hits_before = get_cache().stats()["hits"] if profiling else 0
-        resolved = resolve_cached(sql, db.catalog, telemetry, lineage=lineage)
-        if profiling:
-            cache_hit = get_cache().stats()["hits"] > hits_before
+        resolved, cache_hit = get_cache().lookup(sql, db.catalog, telemetry)
     else:
         resolved = resolve(parse_query(sql), db.catalog)
-    if not profiling:
+    if telemetry is None or not telemetry.enabled:
         return execute_query(db, resolved, compiled=compiled, lineage=lineage)
-
     from repro.obs import instrument as obs
 
     scanned = sum(
@@ -148,11 +156,7 @@ def execute_sql(
     span = telemetry.tracer.current_span()
     if span is not None and span.trace_id:
         profile.trace_id = span.trace_id_hex
-    start = time.perf_counter()
-    result = execute_query(
-        db, resolved, compiled=compiled, profile=profile, lineage=lineage
-    )
-    profile.finish(result, time.perf_counter() - start)
+    result = execute_query(db, resolved, compiled=compiled, profile=profile, lineage=lineage)
     telemetry.profiles.record(profile)
     return result
 
@@ -161,7 +165,6 @@ def execute_query(
     db: Database,
     resolved: ResolvedQuery,
     relation_override: Optional[Dict[str, Relation]] = None,
-    trace: Optional[List[str]] = None,
     compiled: Optional[bool] = None,
     profile: Optional[QueryProfile] = None,
     lineage: bool = False,
@@ -178,10 +181,6 @@ def execute_query(
         Optional map from *binding key* to a replacement
         :class:`Relation` — how the brute-force oracle substitutes a
         relation by the cross product of its column domains.
-    trace:
-        Optional list that receives plan-decision messages as execution
-        proceeds (push-downs, join order, join methods) — the legacy
-        string form of EXPLAIN ANALYZE.
     compiled:
         ``True`` forces the compiled predicate/projection path, ``False``
         the interpreted oracle; ``None`` (default) follows
@@ -189,84 +188,43 @@ def execute_query(
     profile:
         Optional :class:`~repro.engine.profile.QueryProfile` that receives
         one structured operator record (rows in/out, wall seconds,
-        selectivity) per executed plan step — the structured EXPLAIN
-        ANALYZE. ``None`` (default) skips all profiling work.
+        selectivity) per executed plan step plus the join pipeline that
+        ran, is finished with the query-level totals and comes back as
+        :attr:`QueryResult.profile`. ``None`` (default) skips all
+        profiling work.
     lineage:
         When True, attach per-row source lineage to the result
         (:attr:`QueryResult.lineage`); see :mod:`repro.engine.lineage`.
-        The default (False) path never touches the lineage machinery.
     """
-    if compiled is None:
-        compiled = compile_mod.compiled_default()
-    query = resolved.query
-    relations: Dict[str, Relation] = {}
-    for binding in resolved.bindings:
-        override = (relation_override or {}).get(binding.key)
-        relations[binding.key] = override if override is not None else db.relation(
-            binding.schema.name
+    return _Execution(db, resolved, relation_override, compiled, profile, lineage).run()
+
+
+class _Interpreted:
+    """The oracle's lowering: the four entry points of
+    :mod:`repro.engine.compile`, each walking the AST per row."""
+
+    @staticmethod
+    def compile_predicate(expr: ast.Expr, index_of: _IndexMap) -> Callable[[_Env], bool]:
+        return lambda env: evaluate_predicate(expr, _make_lookup(env, index_of))
+
+    @staticmethod
+    def compile_scalar(expr: ast.Expr, index_of: _IndexMap) -> Callable[[_Env], object]:
+        return lambda env: _scalar(expr, _make_lookup(env, index_of))
+
+    @staticmethod
+    def compile_row_predicate(
+        expr: ast.Expr, binding_key: str, index_of: _IndexMap
+    ) -> Callable[[Row], bool]:
+        return lambda row: evaluate_predicate(
+            expr, _make_lookup({binding_key: row}, index_of)
         )
 
-    index_of = _build_index_map(resolved)
-    envs = _join(resolved, relations, index_of, trace, compiled, profile)
-    if query.order_by and not (query.has_aggregates or query.group_by or query.distinct):
-        t0 = time.perf_counter() if profile is not None else 0.0
-        envs = _sort_envs(query.order_by, envs, index_of, compiled)
-        if profile is not None:
-            profile.add(
-                OP_SORT, "rows", len(envs), len(envs),
-                time.perf_counter() - t0, "ORDER BY before projection",
-            )
-    t0 = time.perf_counter() if profile is not None else 0.0
-    result = _project(resolved, envs, index_of, compiled, lineage)
-    if profile is not None:
-        op = OP_AGGREGATE if (query.has_aggregates or query.group_by) else OP_PROJECT
-        detail = "aggregate/group" if op == OP_AGGREGATE else (
-            "select *" if query.select_items and query.select_items[0].is_star
-            else "select list"
-        )
-        if query.distinct:
-            detail += ", distinct"
-        profile.add(op, "output", len(envs), len(result.rows),
-                    time.perf_counter() - t0, detail)
-    if query.order_by and (query.has_aggregates or query.group_by or query.distinct):
-        t0 = time.perf_counter() if profile is not None else 0.0
-        _sort_rows(query, result)
-        if profile is not None:
-            profile.add(
-                OP_SORT, "output", len(result.rows), len(result.rows),
-                time.perf_counter() - t0, "ORDER BY over aggregated output",
-            )
-    if query.limit is not None:
-        before = len(result.rows)
-        result.rows = result.rows[: query.limit]
-        if result.lineage is not None:
-            result.lineage = result.lineage[: query.limit]
-        if profile is not None:
-            profile.add(OP_LIMIT, "output", before, len(result.rows), 0.0,
-                        f"LIMIT {query.limit}")
-    if lineage and profile is not None:
-        from repro.engine.lineage import annotate_profile, lineage_plan_for
-
-        annotate_profile(profile, lineage_plan_for(resolved), result.lineage)
-    return result
-
-
-def _env_predicate(
-    expr: ast.Expr, index_of: Dict[Tuple[str, str], int], compiled: bool
-) -> Callable[[_Env], bool]:
-    """A reusable env -> bool predicate, compiled or interpreted."""
-    if compiled:
-        return compile_mod.compile_predicate(expr, index_of)
-    return lambda env: evaluate_predicate(expr, _make_lookup(env, index_of))
-
-
-def _env_scalar(
-    expr: ast.Expr, index_of: Dict[Tuple[str, str], int], compiled: bool
-) -> Callable[[_Env], object]:
-    """A reusable env -> value getter, compiled or interpreted."""
-    if compiled:
-        return compile_mod.compile_scalar(expr, index_of)
-    return lambda env: _scalar_value(expr, _make_lookup(env, index_of))
+    @staticmethod
+    def compile_projection(
+        exprs: Sequence[ast.Expr], index_of: _IndexMap
+    ) -> Callable[[_Env], Tuple[object, ...]]:
+        getters = [_Interpreted.compile_scalar(expr, index_of) for expr in exprs]
+        return lambda env: tuple(getter(env) for getter in getters)
 
 
 class _SortKey:
@@ -289,73 +247,25 @@ class _SortKey:
             return self.rank < other.rank
         return self.value < other.value  # type: ignore[operator]
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, _SortKey)
-            and self.rank == other.rank
-            and self.value == other.value
-        )
 
-
-def _sort_envs(
-    order_by,
-    envs: List[_Env],
-    index_of: Dict[Tuple[str, str], int],
-    compiled: bool = False,
-) -> List[_Env]:
-    # Stable sorts applied minor-key-first honor mixed ASC/DESC directions.
-    out = list(envs)
-    for item in reversed(order_by):
-        getter = _env_scalar(item.expr, index_of, compiled)
-
-        def key(env, getter=getter):
-            return _SortKey(getter(env))
-
-        out.sort(key=key, reverse=item.descending)
+def _sorted_by(items, keys: List[Tuple[Callable, bool]]) -> list:
+    """``items`` ordered by ``(getter, descending)`` keys, major key first.
+    Stable sorts applied minor-key-first honor mixed ASC/DESC directions."""
+    out = list(items)
+    for getter, descending in reversed(keys):
+        out.sort(key=lambda item, getter=getter: _SortKey(getter(item)), reverse=descending)
     return out
 
 
-def _sort_rows(query: ast.Query, result: QueryResult) -> None:
-    """ORDER BY over aggregated/distinct output: keys must name output
-    columns (alias or plain column name)."""
-    lowered = [c.lower() for c in result.columns]
-    indexes: List[Tuple[int, bool]] = []
-    for item in query.order_by:
-        if not isinstance(item.expr, ast.ColumnRef):
-            raise EngineError("ORDER BY supports column references only")
-        name = item.expr.name.lower()
-        if name not in lowered:
-            raise EngineError(
-                f"ORDER BY column {item.expr.display()!r} must appear in the "
-                "select list of an aggregated or DISTINCT query"
-            )
-        indexes.append((lowered.index(name), item.descending))
-    if result.lineage is not None:
-        # Lineage is positional: co-sort it with the rows it annotates.
-        paired = list(zip(result.rows, result.lineage))
-        for index, descending in reversed(indexes):
-            paired.sort(key=lambda pair: _SortKey(pair[0][index]), reverse=descending)
-        result.rows = [row for row, _ in paired]
-        result.lineage = [lin for _, lin in paired]
-        return
-    for index, descending in reversed(indexes):
-        result.rows.sort(key=lambda row: _SortKey(row[index]), reverse=descending)
-
-
-# ---------------------------------------------------------------------------
-# Join pipeline
-# ---------------------------------------------------------------------------
-
-
-def _build_index_map(resolved: ResolvedQuery) -> Dict[Tuple[str, str], int]:
-    index_of: Dict[Tuple[str, str], int] = {}
+def _build_index_map(resolved: ResolvedQuery) -> _IndexMap:
+    index_of: _IndexMap = {}
     for binding in resolved.bindings:
         for i, column in enumerate(binding.schema.columns):
             index_of[(binding.key, column.name.lower())] = i
     return index_of
 
 
-def _make_lookup(env: _Env, index_of: Dict[Tuple[str, str], int]) -> Callable[[ast.ColumnRef], object]:
+def _make_lookup(env: _Env, index_of: _IndexMap) -> Callable[[ast.ColumnRef], object]:
     def lookup(ref: ast.ColumnRef) -> object:
         if ref.binding_key is None:
             raise EngineError(f"unresolved column {ref.display()!r}")
@@ -373,182 +283,340 @@ def _term_keys(term: ast.Expr) -> Set[str]:
     return keys
 
 
-def _join(
-    resolved: ResolvedQuery,
-    relations: Dict[str, Relation],
-    index_of: Dict[Tuple[str, str], int],
-    trace: Optional[List[str]] = None,
-    compiled: bool = False,
-    profile: Optional[QueryProfile] = None,
-) -> List[_Env]:
-    where = resolved.query.where
-    conjunctive_terms: Optional[List[ast.Expr]] = None
-    if where is None:
-        conjunctive_terms = []
-    else:
-        try:
-            conjunctive_terms = basic_terms_of(where)
-        except UnsupportedQueryError:
-            conjunctive_terms = None
-
-    if conjunctive_terms is not None:
-        if trace is not None:
-            trace.append("plan: conjunctive (push-down + ordered joins)")
-        return _join_conjunctive(
-            resolved, relations, index_of, conjunctive_terms, trace, compiled, profile
-        )
-    if trace is not None:
-        trace.append("plan: general boolean (filtered cross product)")
-    return _join_general(resolved, relations, index_of, where, compiled, profile)
+def _conjoin(terms: List[ast.Expr]) -> ast.Expr:
+    return ast.And(terms) if len(terms) > 1 else terms[0]
 
 
-def _join_general(
-    resolved: ResolvedQuery,
-    relations: Dict[str, Relation],
-    index_of: Dict[Tuple[str, str], int],
-    where: Optional[ast.Expr],
-    compiled: bool = False,
-    profile: Optional[QueryProfile] = None,
-) -> List[_Env]:
-    keys = [b.key for b in resolved.bindings]
-    t0 = time.perf_counter() if profile is not None else 0.0
-    predicate = None if where is None else _env_predicate(where, index_of, compiled)
-    out: List[_Env] = []
-    for combo in itertools.product(*(relations[k].rows for k in keys)):
-        env = dict(zip(keys, combo))
-        if predicate is None or predicate(env):
-            out.append(env)
-    if profile is not None:
-        combos = 1
-        for k in keys:
-            combos *= len(relations[k].rows)
-        detail = "filtered cross product" if predicate is not None else "cross product"
-        profile.add(OP_CROSS, " x ".join(keys), combos, len(out),
-                    time.perf_counter() - t0, detail)
-    return out
+class _Execution:
+    """One query execution: what is fixed once, and the operators over it.
 
+    ``lower`` is the expression lowering — :mod:`repro.engine.compile` or
+    :class:`_Interpreted` — chosen here and nowhere else; ``lineage_plan``
+    holds the lineage probes, or ``None`` on a lineage-free execution;
+    :meth:`clock` / :meth:`record` are the only way an operator reports
+    itself, and cost nothing when there is no profile. A new cross-cutting
+    concern is one more field here, not one more parameter on every operator.
+    """
 
-def _join_conjunctive(
-    resolved: ResolvedQuery,
-    relations: Dict[str, Relation],
-    index_of: Dict[Tuple[str, str], int],
-    terms: List[ast.Expr],
-    trace: Optional[List[str]] = None,
-    compiled: bool = False,
-    profile: Optional[QueryProfile] = None,
-) -> List[_Env]:
-    keys = [b.key for b in resolved.bindings]
+    def __init__(
+        self,
+        db: Database,
+        resolved: ResolvedQuery,
+        relation_override: Optional[Dict[str, Relation]],
+        compiled: Optional[bool],
+        profile: Optional[QueryProfile],
+        lineage: bool,
+    ) -> None:
+        if compiled is None:
+            compiled = compile_mod.compiled_default()
+        self.resolved = resolved
+        self.query = resolved.query
+        self.keys = [b.key for b in resolved.bindings]
+        self.relations: Dict[str, Relation] = {}
+        for binding in resolved.bindings:
+            override = (relation_override or {}).get(binding.key)
+            self.relations[binding.key] = (
+                override if override is not None else db.relation(binding.schema.name)
+            )
+        self.index_of = _build_index_map(resolved)
+        self.lower = compile_mod if compiled else _Interpreted
+        self.profile = profile
+        self.lineage_plan = lineage_plan_for(resolved) if lineage else None
 
-    # Push single-relation (and constant) terms down to base scans.
-    selection: Dict[str, List[ast.Expr]] = {k: [] for k in keys}
-    multi_terms: List[ast.Expr] = []
-    constant_terms: List[ast.Expr] = []
-    for term in terms:
-        term_keys = _term_keys(term)
-        if not term_keys:
-            constant_terms.append(term)
-        elif len(term_keys) == 1:
-            selection[next(iter(term_keys))].append(term)
-        else:
-            multi_terms.append(term)
+    # -- profiling -----------------------------------------------------------
 
-    # A constant contradiction empties the result outright.
-    for term in constant_terms:
-        if not _env_predicate(term, index_of, compiled)({}):
-            if profile is not None:
-                profile.add(OP_FILTER, "constant", 0, 0, 0.0,
-                            "constant contradiction, result empty")
-            return []
+    def clock(self) -> float:
+        return time.perf_counter() if self.profile is not None else 0.0
 
-    filtered: Dict[str, List[Row]] = {}
-    for key in keys:
-        rows = relations[key].rows
-        preds = selection[key]
-        t0 = time.perf_counter() if profile is not None else 0.0
-        if preds:
-            conj = ast.And(preds) if len(preds) > 1 else preds[0]
-            if compiled:
-                # Compiled push-down takes the row tuple directly: column
-                # indexes are resolved once and no per-row env is built.
-                row_pred = compile_mod.compile_row_predicate(conj, key, index_of)
-                kept = [row for row in rows if row_pred(row)]
-            else:
-                kept = []
-                for row in rows:
-                    env = {key: row}
-                    if evaluate_predicate(conj, _make_lookup(env, index_of)):
-                        kept.append(row)
-            filtered[key] = kept
-            if trace is not None:
-                trace.append(
-                    f"scan {key}: {len(preds)} pushed predicate(s), "
-                    f"{len(rows)} -> {len(kept)} rows"
+    def record(
+        self, op: str, target: str, rows_in: int, rows_out: int, since: float, detail: str
+    ) -> None:
+        """One operator record, timed from ``since`` (a :meth:`clock` value)."""
+        if self.profile is not None:
+            self.profile.add(
+                op, target, rows_in, rows_out, time.perf_counter() - since, detail
+            )
+
+    # -- the plan --------------------------------------------------------------
+
+    def run(self) -> QueryResult:
+        query = self.query
+        started = self.clock()
+        envs = self.join()
+        # ORDER BY sorts the joined tuples when they project one-to-one,
+        # the output rows when aggregation or DISTINCT reshapes them.
+        reshaped = query.has_aggregates or query.group_by or query.distinct
+        if query.order_by and not reshaped:
+            envs = self.sort_envs(envs)
+        result = self.project(envs)
+        if query.order_by and reshaped:
+            self.sort_output(result)
+        if query.limit is not None:
+            t0 = self.clock()
+            before = len(result.rows)
+            result.rows = result.rows[: query.limit]
+            if result.lineage is not None:
+                result.lineage = result.lineage[: query.limit]
+            self.record(OP_LIMIT, "output", before, len(result.rows), t0,
+                        f"LIMIT {query.limit}")
+        profile = self.profile
+        if profile is not None:
+            if self.lineage_plan is not None:
+                annotate_profile(profile, self.lineage_plan, result.lineage)
+            profile.pipeline = self.pipeline
+            profile.finish(result, time.perf_counter() - started)
+            result.profile = profile
+        return result
+
+    def sort_envs(self, envs: List[_Env]) -> List[_Env]:
+        t0 = self.clock()
+        out = _sorted_by(envs, [
+            (self.lower.compile_scalar(item.expr, self.index_of), item.descending)
+            for item in self.query.order_by
+        ])
+        self.record(OP_SORT, "rows", len(out), len(out), t0, "ORDER BY before projection")
+        return out
+
+    def sort_output(self, result: QueryResult) -> None:
+        """ORDER BY over aggregated/distinct output: keys must name output
+        columns (alias or plain column name)."""
+        t0 = self.clock()
+        rows = result.rows
+        lowered = [c.lower() for c in result.columns]
+        keys: List[Tuple[Callable, bool]] = []
+        for item in self.query.order_by:
+            if not isinstance(item.expr, ast.ColumnRef):
+                raise EngineError("ORDER BY supports column references only")
+            name = item.expr.name.lower()
+            if name not in lowered:
+                raise EngineError(
+                    f"ORDER BY column {item.expr.display()!r} must appear in the "
+                    "select list of an aggregated or DISTINCT query"
                 )
-            if profile is not None:
-                profile.add(OP_SCAN, key, len(rows), len(kept),
-                            time.perf_counter() - t0,
-                            f"{len(preds)} pushed predicate(s)")
-        else:
-            filtered[key] = list(rows)
-            if trace is not None:
-                trace.append(f"scan {key}: full ({len(rows)} rows)")
-            if profile is not None:
-                profile.add(OP_SCAN, key, len(rows), len(rows),
-                            time.perf_counter() - t0, "full scan")
+            keys.append((lambda at, i=lowered.index(name): rows[at][i], item.descending))
+        # Lineage is positional: one index permutation co-sorts it with the
+        # rows it annotates.
+        order = _sorted_by(range(len(rows)), keys)
+        result.rows = [rows[at] for at in order]
+        if result.lineage is not None:
+            result.lineage = [result.lineage[at] for at in order]
+        self.record(OP_SORT, "output", len(rows), len(rows), t0,
+                    "ORDER BY over aggregated output")
 
-    # Greedy join order: start with the smallest filtered relation, then
-    # repeatedly add the relation connected by an applicable term (preferring
-    # hash-joinable equality terms), falling back to the smallest remaining.
-    remaining = set(keys)
-    start = min(remaining, key=lambda k: len(filtered[k]))
-    remaining.discard(start)
-    current_keys: Set[str] = {start}
-    envs: List[_Env] = [{start: row} for row in filtered[start]]
-    pending = list(multi_terms)
-    if trace is not None and len(keys) > 1:
-        trace.append(f"join order starts at {start} ({len(envs)} rows)")
+    # -- join pipeline -------------------------------------------------------
 
-    while remaining:
-        next_key, equi_terms = _pick_next(current_keys, remaining, pending, filtered)
-        remaining.discard(next_key)
-        t0 = time.perf_counter() if profile is not None else 0.0
-        envs_in = len(envs)
-        envs = _join_step(envs, next_key, filtered[next_key], equi_terms, index_of)
-        current_keys.add(next_key)
-        method = f"hash join on {len(equi_terms)} key(s)" if equi_terms else "nested loop"
-        if trace is not None:
-            trace.append(f"join {next_key}: {method} -> {len(envs)} rows")
-        if profile is not None:
-            profile.add(OP_JOIN, next_key, envs_in, len(envs),
-                        time.perf_counter() - t0,
+    def join(self) -> List[_Env]:
+        where = self.query.where
+        try:
+            terms = [] if where is None else basic_terms_of(where)
+        except UnsupportedQueryError:
+            terms = None
+        if terms is None:
+            self.pipeline = PIPELINE_GENERAL
+            return self._join_general(where)
+        self.pipeline = PIPELINE_CONJUNCTIVE
+        return self._join_conjunctive(terms)
+
+    def _join_general(self, where: ast.Expr) -> List[_Env]:
+        keys = self.keys
+        t0 = self.clock()
+        predicate = self.lower.compile_predicate(where, self.index_of)
+        sides = [self.relations[k].rows for k in keys]
+        out: List[_Env] = []
+        for combo in itertools.product(*sides):
+            env = dict(zip(keys, combo))
+            if predicate(env):
+                out.append(env)
+        self.record(OP_CROSS, " x ".join(keys), math.prod(map(len, sides)), len(out), t0,
+                    "filtered cross product")
+        return out
+
+    def _join_conjunctive(self, terms: List[ast.Expr]) -> List[_Env]:
+        keys = self.keys
+
+        # Push single-relation (and constant) terms down to base scans.
+        selection: Dict[str, List[ast.Expr]] = {k: [] for k in keys}
+        pending: List[ast.Expr] = []
+        for term in terms:
+            term_keys = _term_keys(term)
+            if len(term_keys) > 1:
+                pending.append(term)
+            elif term_keys:
+                selection[next(iter(term_keys))].append(term)
+            elif not self.lower.compile_predicate(term, self.index_of)({}):
+                # A constant contradiction empties the result outright.
+                self.record(OP_FILTER, "constant", 0, 0, self.clock(),
+                            "constant contradiction, result empty")
+                return []
+
+        filtered = {key: self._scan(key, selection[key]) for key in keys}
+
+        # Greedy join order: start with the smallest filtered relation, then
+        # repeatedly add the relation connected by an applicable term (preferring
+        # hash-joinable equality terms), falling back to the smallest remaining.
+        remaining = set(keys)
+        start = min(remaining, key=lambda k: len(filtered[k]))
+        remaining.discard(start)
+        current_keys: Set[str] = {start}
+        envs: List[_Env] = [{start: row} for row in filtered[start]]
+
+        while remaining:
+            next_key, equi_terms = _pick_next(current_keys, remaining, pending, filtered)
+            remaining.discard(next_key)
+            t0 = self.clock()
+            envs_in = len(envs)
+            envs = _join_step(envs, next_key, filtered[next_key], equi_terms, self.index_of)
+            current_keys.add(next_key)
+            method = f"hash join on {len(equi_terms)} key(s)" if equi_terms else "nested loop"
+            self.record(OP_JOIN, next_key, envs_in, len(envs), t0,
                         f"{method}, build side {len(filtered[next_key])} rows")
-        # Apply every pending term that is now fully bound.
-        applicable = [t for t in pending if _term_keys(t) <= current_keys]
-        if applicable:
-            pending = [t for t in pending if t not in applicable]
-            t0 = time.perf_counter() if profile is not None else 0.0
-            before = len(envs)
-            conj = ast.And(applicable) if len(applicable) > 1 else applicable[0]
-            residual = _env_predicate(conj, index_of, compiled)
-            envs = [env for env in envs if residual(env)]
-            if profile is not None:
-                profile.add(OP_FILTER, next_key, before, len(envs),
-                            time.perf_counter() - t0,
-                            f"{len(applicable)} residual term(s)")
-        if not envs:
-            return []
+            # Apply every pending term that is now fully bound.
+            applicable = [t for t in pending if _term_keys(t) <= current_keys]
+            if applicable:
+                pending = [t for t in pending if t not in applicable]
+                envs = self._filter(envs, applicable, next_key)
+            if not envs:
+                return []
 
-    if pending:
-        t0 = time.perf_counter() if profile is not None else 0.0
-        before = len(envs)
-        conj = ast.And(pending) if len(pending) > 1 else pending[0]
-        residual = _env_predicate(conj, index_of, compiled)
-        envs = [env for env in envs if residual(env)]
-        if profile is not None:
-            profile.add(OP_FILTER, "residual", before, len(envs),
-                        time.perf_counter() - t0,
-                        f"{len(pending)} residual term(s)")
-    return envs
+        if pending:
+            envs = self._filter(envs, pending, "residual")
+        return envs
+
+    def _scan(self, key: str, preds: List[ast.Expr]) -> List[Row]:
+        rows = self.relations[key].rows
+        t0 = self.clock()
+        if preds:
+            # The push-down predicate takes the row tuple directly: no
+            # per-row env flows through the scan.
+            keep = self.lower.compile_row_predicate(_conjoin(preds), key, self.index_of)
+            kept = [row for row in rows if keep(row)]
+            detail = f"{len(preds)} pushed predicate(s)"
+        else:
+            kept, detail = list(rows), "full scan"
+        self.record(OP_SCAN, key, len(rows), len(kept), t0, detail)
+        return kept
+
+    def _filter(self, envs: List[_Env], terms: List[ast.Expr], target: str) -> List[_Env]:
+        t0 = self.clock()
+        residual = self.lower.compile_predicate(_conjoin(terms), self.index_of)
+        kept = [env for env in envs if residual(env)]
+        self.record(OP_FILTER, target, len(envs), len(kept), t0,
+                    f"{len(terms)} residual term(s)")
+        return kept
+
+    # -- projection and aggregation ------------------------------------------
+
+    def project(self, envs: List[_Env]) -> QueryResult:
+        query = self.query
+        t0 = self.clock()
+        op, detail = OP_PROJECT, "select list"
+        if query.select_items and query.select_items[0].is_star:
+            detail = "select *"
+            bindings = self.resolved.bindings
+            prefixed = len(bindings) > 1
+            columns = [
+                f"{b.key}.{c.name}" if prefixed else c.name
+                for b in bindings
+                for c in b.schema.columns
+            ]
+            rows = [
+                tuple(itertools.chain.from_iterable(env[key] for key in self.keys))
+                for env in envs
+            ]
+            lineages = self.env_lineages(envs)
+        else:
+            columns = [_output_name(item) for item in query.select_items]
+            if query.has_aggregates or query.group_by:
+                op, detail = OP_AGGREGATE, "aggregate/group"
+                rows, lineages = self._aggregate_groups(envs)
+            else:
+                project_row = self.lower.compile_projection(
+                    [item.expr for item in query.select_items], self.index_of
+                )
+                rows = [project_row(env) for env in envs]
+                lineages = self.env_lineages(envs)
+        if query.distinct:
+            detail += ", distinct"
+            rows, lineages = _distinct(rows, lineages)
+        self.record(op, "output", len(envs), len(rows), t0, detail)
+        return QueryResult(columns, rows, lineages)
+
+    def env_lineages(self, envs: List[_Env]) -> Optional[List[FrozenSet[str]]]:
+        if self.lineage_plan is None:
+            return None
+        probes = self.lineage_plan.probes
+        return [env_lineage(env, probes) for env in envs]
+
+    def _aggregate_groups(
+        self, envs: List[_Env]
+    ) -> Tuple[List[Tuple[object, ...]], Optional[List[FrozenSet[str]]]]:
+        query = self.query
+        group_exprs = list(query.group_by)
+        for item in query.select_items:
+            if isinstance(item.expr, (ast.AggregateCall, ast.Literal)):
+                continue
+            if item.expr not in group_exprs:
+                raise EngineError(
+                    f"column {_output_name(item)!r} must appear in GROUP BY "
+                    "when aggregates are present"
+                )
+
+        group_getters = [
+            self.lower.compile_scalar(e, self.index_of) for e in group_exprs
+        ]
+        # Dicts keep insertion order: groups come out in first-seen order.
+        groups: Dict[Tuple[object, ...], List[_Env]] = {}
+        for env in envs:
+            group_key = tuple(getter(env) for getter in group_getters)
+            groups.setdefault(group_key, []).append(env)
+        if not group_exprs and not groups:
+            # Aggregates over an empty input produce a single row.
+            groups[()] = []
+
+        rows: List[Tuple[object, ...]] = []
+        for group_key, member_envs in groups.items():
+            out_row: List[object] = []
+            for item in query.select_items:
+                expr = item.expr
+                if isinstance(expr, ast.AggregateCall):
+                    out_row.append(self._aggregate(expr, member_envs))
+                elif isinstance(expr, ast.Literal):
+                    out_row.append(expr.value)
+                else:
+                    out_row.append(group_key[group_exprs.index(expr)])  # type: ignore[arg-type]
+            rows.append(tuple(out_row))
+        if self.lineage_plan is None:
+            return rows, None
+        # An aggregate row derives from every member of its group.
+        return rows, [
+            union_lineage(self.env_lineages(member_envs))
+            for member_envs in groups.values()
+        ]
+
+    def _aggregate(self, call: ast.AggregateCall, envs: List[_Env]) -> object:
+        if call.argument is None:  # COUNT(*)
+            return len(envs)
+        getter = self.lower.compile_scalar(call.argument, self.index_of)
+        values: List[object] = []
+        for env in envs:
+            value = getter(env)
+            if value is not None:
+                values.append(value)
+        if call.distinct:
+            values = list(dict.fromkeys(values))
+        if call.func == "COUNT":
+            return len(values)
+        if not values:
+            return None
+        if call.func == "SUM":
+            return sum(_require_number(v) for v in values)
+        if call.func == "AVG":
+            return sum(_require_number(v) for v in values) / len(values)
+        if call.func == "MIN":
+            return min(values)  # type: ignore[type-var]
+        if call.func == "MAX":
+            return max(values)  # type: ignore[type-var]
+        raise EngineError(f"unknown aggregate {call.func!r}")
 
 
 def _pick_next(
@@ -566,11 +634,10 @@ def _pick_next(
         if equi and (best is None or len(filtered[key]) < len(filtered[best])):
             best = key
             best_terms = equi
-    if best is not None:
-        return best, best_terms
-    # No connecting equality term: smallest remaining relation, cross join.
-    fallback = min(remaining, key=lambda k: len(filtered[k]))
-    return fallback, []
+    if best is None:
+        # No connecting equality term: smallest remaining relation, cross join.
+        best = min(remaining, key=lambda k: len(filtered[k]))
+    return best, best_terms
 
 
 def _equi_terms(
@@ -595,23 +662,18 @@ def _join_step(
     key: str,
     rows: List[Row],
     equi_terms: List[ast.Comparison],
-    index_of: Dict[Tuple[str, str], int],
+    index_of: _IndexMap,
 ) -> List[_Env]:
     if not equi_terms:
         return [dict(env, **{key: row}) for env in envs for row in rows]
 
     # Hash join: build on the new relation, probe with the intermediate.
-    new_side: List[ast.ColumnRef] = []
-    old_side: List[ast.ColumnRef] = []
-    for term in equi_terms:
-        if term.left.binding_key == key:  # type: ignore[union-attr]
-            new_side.append(term.left)  # type: ignore[arg-type]
-            old_side.append(term.right)  # type: ignore[arg-type]
-        else:
-            new_side.append(term.right)  # type: ignore[arg-type]
-            old_side.append(term.left)  # type: ignore[arg-type]
-
-    new_indexes = [index_of[(key, ref.name.lower())] for ref in new_side]
+    # Each equality term is oriented as (new relation's ref, bound ref).
+    sides: List[Tuple[ast.ColumnRef, ast.ColumnRef]] = [
+        (t.left, t.right) if t.left.binding_key == key else (t.right, t.left)  # type: ignore
+        for t in equi_terms
+    ]
+    new_indexes = [index_of[(key, new.name.lower())] for new, _ in sides]
     table: Dict[Tuple[object, ...], List[Row]] = {}
     for row in rows:
         hash_key = tuple(row[i] for i in new_indexes)
@@ -622,8 +684,8 @@ def _join_step(
     # Probe-side (binding key, column index) pairs are resolved once, not
     # per intermediate tuple.
     old_indexes = [
-        (ref.binding_key, index_of[(ref.binding_key, ref.name.lower())])
-        for ref in old_side
+        (old.binding_key, index_of[(old.binding_key, old.name.lower())])
+        for _, old in sides
     ]
     out: List[_Env] = []
     for env in envs:
@@ -635,179 +697,6 @@ def _join_step(
             merged[key] = row
             out.append(merged)
     return out
-
-
-# ---------------------------------------------------------------------------
-# Projection and aggregation
-# ---------------------------------------------------------------------------
-
-
-def _project(
-    resolved: ResolvedQuery,
-    envs: List[_Env],
-    index_of: Dict[Tuple[str, str], int],
-    compiled: bool = False,
-    lineage: bool = False,
-) -> QueryResult:
-    query = resolved.query
-
-    if query.select_items and query.select_items[0].is_star:
-        return _project_star(resolved, envs, lineage)
-
-    if query.has_aggregates or query.group_by:
-        return _project_aggregates(resolved, envs, index_of, compiled, lineage)
-
-    columns = [_output_name(item) for item in query.select_items]
-    rows: List[Tuple[object, ...]] = []
-    if compiled:
-        project_row = compile_mod.compile_projection(
-            [item.expr for item in query.select_items], index_of
-        )
-        rows = [project_row(env) for env in envs]
-    else:
-        for env in envs:
-            lookup = _make_lookup(env, index_of)
-            rows.append(
-                tuple(_scalar_value(item.expr, lookup) for item in query.select_items)  # type: ignore[arg-type]
-            )
-    lineages = _env_lineages(resolved, envs) if lineage else None
-    if query.distinct:
-        if lineages is not None:
-            rows, lineages = _distinct_with_lineage(rows, lineages)
-        else:
-            rows = _distinct(rows)
-    return QueryResult(columns, rows, lineages)
-
-
-def _scalar_value(expr: ast.Expr, lookup: Callable[[ast.ColumnRef], object]) -> object:
-    if isinstance(expr, ast.Literal):
-        return expr.value
-    if isinstance(expr, ast.ColumnRef):
-        return lookup(expr)
-    raise EngineError(f"cannot project expression {expr!r}")
-
-
-def _project_star(
-    resolved: ResolvedQuery, envs: List[_Env], lineage: bool = False
-) -> QueryResult:
-    columns: List[str] = []
-    for binding in resolved.bindings:
-        prefix = f"{binding.key}." if len(resolved.bindings) > 1 else ""
-        columns.extend(f"{prefix}{c.name}" for c in binding.schema.columns)
-    rows: List[Tuple[object, ...]] = []
-    for env in envs:
-        row: List[object] = []
-        for binding in resolved.bindings:
-            row.extend(env[binding.key])
-        rows.append(tuple(row))
-    lineages = _env_lineages(resolved, envs) if lineage else None
-    if resolved.query.distinct:
-        if lineages is not None:
-            rows, lineages = _distinct_with_lineage(rows, lineages)
-        else:
-            rows = _distinct(rows)
-    return QueryResult(columns, rows, lineages)
-
-
-def _project_aggregates(
-    resolved: ResolvedQuery,
-    envs: List[_Env],
-    index_of: Dict[Tuple[str, str], int],
-    compiled: bool = False,
-    lineage: bool = False,
-) -> QueryResult:
-    query = resolved.query
-    group_exprs = list(query.group_by)
-
-    plain_items = [
-        item
-        for item in query.select_items
-        if not isinstance(item.expr, (ast.AggregateCall, ast.Literal))
-    ]
-    for item in plain_items:
-        if item.expr not in group_exprs:
-            raise EngineError(
-                f"column {_output_name(item)!r} must appear in GROUP BY "
-                "when aggregates are present"
-            )
-
-    group_getters = [_env_scalar(e, index_of, compiled) for e in group_exprs]
-    groups: Dict[Tuple[object, ...], List[_Env]] = {}
-    order: List[Tuple[object, ...]] = []
-    for env in envs:
-        group_key = tuple(getter(env) for getter in group_getters)
-        if group_key not in groups:
-            groups[group_key] = []
-            order.append(group_key)
-        groups[group_key].append(env)
-
-    if not group_exprs and not groups:
-        # Aggregates over an empty input produce a single row.
-        groups[()] = []
-        order.append(())
-
-    columns = [_output_name(item) for item in query.select_items]
-    probes = None
-    if lineage:
-        from repro.engine.lineage import env_lineage, lineage_plan_for, union_lineage
-
-        probes = lineage_plan_for(resolved).probes
-    rows: List[Tuple[object, ...]] = []
-    lineages: Optional[List[FrozenSet[str]]] = [] if lineage else None
-    for group_key in order:
-        member_envs = groups[group_key]
-        out_row: List[object] = []
-        for item in query.select_items:
-            expr = item.expr
-            if isinstance(expr, ast.AggregateCall):
-                out_row.append(_aggregate(expr, member_envs, index_of, compiled))
-            elif isinstance(expr, ast.Literal):
-                out_row.append(expr.value)
-            else:
-                out_row.append(group_key[group_exprs.index(expr)])  # type: ignore[arg-type]
-        rows.append(tuple(out_row))
-        if lineages is not None:
-            # An aggregate row derives from every member of its group.
-            lineages.append(
-                union_lineage(env_lineage(env, probes) for env in member_envs)
-            )
-    if query.distinct:
-        if lineages is not None:
-            rows, lineages = _distinct_with_lineage(rows, lineages)
-        else:
-            rows = _distinct(rows)
-    return QueryResult(columns, rows, lineages)
-
-
-def _aggregate(
-    call: ast.AggregateCall,
-    envs: List[_Env],
-    index_of: Dict[Tuple[str, str], int],
-    compiled: bool = False,
-) -> object:
-    if call.argument is None:  # COUNT(*)
-        return len(envs)
-    getter = _env_scalar(call.argument, index_of, compiled)
-    values: List[object] = []
-    for env in envs:
-        value = getter(env)
-        if value is not None:
-            values.append(value)
-    if call.distinct:
-        values = list(dict.fromkeys(values))
-    if call.func == "COUNT":
-        return len(values)
-    if not values:
-        return None
-    if call.func == "SUM":
-        return sum(_require_number(v) for v in values)
-    if call.func == "AVG":
-        return sum(_require_number(v) for v in values) / len(values)
-    if call.func == "MIN":
-        return min(values)  # type: ignore[type-var]
-    if call.func == "MAX":
-        return max(values)  # type: ignore[type-var]
-    raise EngineError(f"unknown aggregate {call.func!r}")
 
 
 def _require_number(value: object) -> float:
@@ -831,39 +720,19 @@ def _output_name(item: ast.SelectItem) -> str:
     return repr(expr)
 
 
-def _distinct(rows: List[Tuple[object, ...]]) -> List[Tuple[object, ...]]:
-    seen: Set[Tuple[object, ...]] = set()
-    out: List[Tuple[object, ...]] = []
-    for row in rows:
-        if row in seen:
-            continue
-        seen.add(row)
-        out.append(row)
-    return out
-
-
-def _env_lineages(
-    resolved: ResolvedQuery, envs: List[_Env]
-) -> List[FrozenSet[str]]:
-    from repro.engine.lineage import env_lineage, lineage_plan_for
-
-    probes = lineage_plan_for(resolved).probes
-    return [env_lineage(env, probes) for env in envs]
-
-
-def _distinct_with_lineage(
-    rows: List[Tuple[object, ...]], lineages: List[FrozenSet[str]]
-) -> Tuple[List[Tuple[object, ...]], List[FrozenSet[str]]]:
-    """DISTINCT that unions the lineages of the duplicates it collapses."""
+def _distinct(
+    rows: List[Tuple[object, ...]], lineages: Optional[List[FrozenSet[str]]]
+) -> Tuple[List[Tuple[object, ...]], Optional[List[FrozenSet[str]]]]:
+    """DISTINCT, first occurrence kept; with lineage, each kept row carries
+    the union of the lineages of the duplicates it stands for."""
+    if lineages is None:
+        return list(dict.fromkeys(rows)), None
     position: Dict[Tuple[object, ...], int] = {}
-    out_rows: List[Tuple[object, ...]] = []
     merged: List[Set[str]] = []
     for row, lineage in zip(rows, lineages):
-        at = position.get(row)
-        if at is None:
-            position[row] = len(out_rows)
-            out_rows.append(row)
+        at = position.setdefault(row, len(position))
+        if at == len(merged):
             merged.append(set(lineage))
         else:
             merged[at] |= lineage
-    return out_rows, [frozenset(s) for s in merged]
+    return list(position), [frozenset(s) for s in merged]

@@ -1,47 +1,26 @@
-"""EXPLAIN ANALYZE for the mini engine.
+"""EXPLAIN for the mini engine: two renderings of one profile.
 
-``explain_query`` executes a query with the evaluator's trace hook enabled
-and renders the decisions the executor actually made — predicate push-downs
-with their selectivities, the join order, and the join methods. Because the
-trace is produced by the execution itself, it can never drift from the real
-plan.
-
-Two output forms:
-
-* ``analyze=False`` (default) — the original flat string trace;
-* ``analyze=True`` — the structured per-operator
-  :class:`~repro.engine.profile.QueryProfile` rendered as a table, with
-  per-operator wall time, rows in/out and selectivity. Obtain the profile
-  object itself with :func:`profile_query`.
+``explain_query`` executes a query with profiling on and renders the
+:class:`~repro.engine.profile.QueryProfile` the execution recorded (see
+:mod:`repro.engine.profile`), so neither form can drift from the real
+plan. Obtain the profile object itself with :func:`profile_query`.
 """
 
 from __future__ import annotations
 
-from typing import List
-
-from repro.engine.evaluate import execute_query
 from repro.engine.profile import QueryProfile, profile_query
 from repro.engine.relation import Database
-from repro.sqlparser.parser import parse_query
-from repro.sqlparser.resolver import resolve
 
 __all__ = ["explain_query", "profile_query", "QueryProfile"]
 
 
 def explain_query(db: Database, sql: str, analyze: bool = False, lineage: bool = False) -> str:
-    """Run ``sql`` and return its execution trace plus the result size.
+    """Run ``sql`` and return its plan decisions plus the result size.
 
-    ``analyze=True`` returns the structured per-operator profile instead
-    of the flat trace (rows in/out, selectivity, wall milliseconds);
-    ``lineage=True`` additionally annotates each operator with its
-    row-provenance fan-in (implies nothing without ``analyze``).
+    ``analyze=True`` returns the per-operator table instead (rows in/out,
+    selectivity, wall milliseconds); ``lineage=True`` additionally
+    annotates each operator with its row-provenance fan-in (shown only
+    with ``analyze``).
     """
-    if analyze:
-        return profile_query(db, sql, lineage=lineage).render()
-    resolved = resolve(parse_query(sql), db.catalog)
-    trace: List[str] = []
-    result = execute_query(db, resolved, trace=trace)
-    lines = [f"explain: {sql}"]
-    lines.extend(f"  {entry}" for entry in trace)
-    lines.append(f"  result: {len(result.rows)} row(s), columns {result.columns}")
-    return "\n".join(lines)
+    profile = profile_query(db, sql, lineage=lineage)
+    return profile.render() if analyze else profile.render_plan()

@@ -17,11 +17,11 @@ Aggregates union the lineages of their group's member environments;
 why-provenance semantics, per Cheney et al.'s Provenance Traces).
 
 A :class:`LineagePlan` is the per-query recipe: one ``(binding key,
-source-column index)`` probe per source-bearing FROM binding. Plans are
-built once per resolution (the resolved-query cache attaches one to every
-lineage-enabled entry) and cost one tuple-index read per probe per output
-row when enabled — and exactly nothing when disabled, since the executor
-never touches this module on the lineage-off path.
+source-column index)`` probe per source-bearing FROM binding. A plan is a
+pure function of the bindings, so the resolved-query cache attaches one to
+every entry; a lineage-enabled execution reads it once and pays one
+tuple-index read per probe per output row, a lineage-free execution never
+looks at it.
 """
 
 from __future__ import annotations

@@ -1,24 +1,28 @@
 """Structured per-operator query profiles: EXPLAIN ANALYZE as data.
 
-The evaluator's original trace hook produced flat strings — fine for a
-human, useless for a system that wants to *query* how a result was
-computed (Provenance Traces' framing). A :class:`QueryProfile` is the
-structured replacement: one :class:`OperatorProfile` per plan operator the
-executor actually ran — scans with their pushed predicates and
-selectivities, join steps with their method and fan-out, residual filters,
-sorts, projection/aggregation, LIMIT — each with rows in/out and wall
-seconds, plus query-level totals, the resolved-query cache verdict and the
-``trace_id`` that links the profile to its spans and events.
+A flat string trace is fine for a human and useless for a system that wants
+to *query* how a result was computed; Provenance Traces' framing is that an
+execution has one trace and everything else is a view of it. A
+:class:`QueryProfile` is that trace: the join pipeline that ran and one
+:class:`OperatorProfile` per plan operator the executor actually ran —
+scans with their pushed predicates and selectivities, join steps with their
+method and fan-out, residual filters, sorts, projection/aggregation, LIMIT
+— each with rows in/out and wall seconds, plus query-level totals, the
+resolved-query cache verdict and the ``trace_id`` that links the profile to
+its spans and events.
 
-Profiles are produced two ways:
+The profile is the executor's only record of an execution:
+``execute_query`` fills the one it is given and hands it back as
+``QueryResult.profile``; :meth:`QueryProfile.render`
+(``explain_query(..., analyze=True)``, ``trac explain --analyze``, the
+shell's ``.profile``) and :meth:`QueryProfile.render_plan` (plain
+``explain_query``) are two views of it. Profiles are produced two ways:
 
-* explicitly — :func:`profile_query` (and
-  ``explain_query(..., analyze=True)`` / ``trac explain --analyze`` /
-  the shell's ``.profile``) runs one query with profiling on;
+* explicitly — :func:`profile_query` runs one query with profiling on;
 * implicitly — ``execute_sql`` profiles every query it runs while
-  telemetry is enabled and records the result into
+  telemetry is enabled and also records the profile into
   :attr:`Telemetry.profiles <repro.obs.instrument.Telemetry.profiles>`,
-  which the Observatory serves at ``/profile`` and ``/trace/<id>``.
+  the ring the Observatory serves at ``/profile`` and ``/trace/<id>``.
 """
 
 from __future__ import annotations
@@ -36,6 +40,10 @@ OP_SORT = "sort"
 OP_PROJECT = "project"
 OP_AGGREGATE = "aggregate"
 OP_LIMIT = "limit"
+
+#: Which join pipeline ran (the ``pipeline`` field of :class:`QueryProfile`).
+PIPELINE_CONJUNCTIVE = "conjunctive (push-down + ordered joins)"
+PIPELINE_GENERAL = "general boolean (filtered cross product)"
 
 
 class OperatorProfile:
@@ -107,6 +115,8 @@ class QueryProfile:
         self.total_seconds = 0.0
         self.rows = 0
         self.columns: List[str] = []
+        #: The join pipeline the executor chose (a ``PIPELINE_*`` constant).
+        self.pipeline: Optional[str] = None
         #: Resolved-query cache verdict (None = cache not consulted).
         self.cache_hit: Optional[bool] = None
         #: Whether the query ran inside a backend snapshot.
@@ -204,6 +214,35 @@ class QueryProfile:
         )
         return "\n".join(lines)
 
+    def render_plan(self) -> str:
+        """The plan decisions alone: pipeline, push-downs with their
+        selectivities, join order and join methods."""
+        lines = [f"explain: {self.sql}", f"  plan: {self.pipeline}"]
+        joins = [op for op in self.operators if op.op == OP_JOIN]
+        scans = [op for op in self.operators if op.op == OP_SCAN]
+        for op in scans:
+            if op.detail == "full scan":
+                lines.append(f"  scan {op.target}: full ({op.rows_in} rows)")
+            else:
+                lines.append(
+                    f"  scan {op.target}: {op.detail}, "
+                    f"{op.rows_in} -> {op.rows_out} rows"
+                )
+        if len(scans) > 1:
+            # The greedy join starts at the smallest scan, which no join
+            # step ever targets (an emptied join leaves others untargeted too).
+            joined = {op.target for op in joins}
+            start = min(
+                (op for op in scans if op.target not in joined),
+                key=lambda op: op.rows_out,
+            )
+            lines.append(f"  join order starts at {start.target} ({start.rows_out} rows)")
+        for op in joins:
+            method = op.detail.partition(", build side")[0]
+            lines.append(f"  join {op.target}: {method} -> {op.rows_out} rows")
+        lines.append(f"  result: {self.rows} row(s), columns {self.columns}")
+        return "\n".join(lines)
+
     def __repr__(self) -> str:
         return (
             f"QueryProfile(sql={self.sql!r}, operators={len(self.operators)}, "
@@ -221,20 +260,14 @@ def profile_query(
 
     ``lineage=True`` additionally runs the query with row-level lineage and
     stamps per-operator fan-in plus the profile-level lineage summary."""
-    import time
-
     from repro.engine.evaluate import execute_query
     from repro.sqlparser.parser import parse_query
     from repro.sqlparser.resolver import resolve
 
     resolved = resolve(parse_query(sql), db.catalog)
-    profile = QueryProfile(sql)
-    start = time.perf_counter()
-    result = execute_query(
-        db, resolved, compiled=compiled, profile=profile, lineage=lineage
-    )
-    profile.finish(result, time.perf_counter() - start)
-    return profile
+    return execute_query(
+        db, resolved, compiled=compiled, profile=QueryProfile(sql), lineage=lineage
+    ).profile
 
 
 def database_from_backend(backend) -> Database:

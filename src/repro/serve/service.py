@@ -161,16 +161,11 @@ class QueryService:
         self._closed = False
 
     def _make_reporter(self) -> RecencyReporter:
-        """One private reporter per worker thread (no cross-thread state).
-
-        Temp-table materialization is off: a server answering hundreds of
-        requests per second must not pile up session temp tables; the
-        normal/exceptional splits travel in the response body instead.
-        """
+        """One private reporter per worker thread (no cross-thread state);
+        the normal/exceptional splits travel in the response body."""
         return RecencyReporter(
             self.backend,
             telemetry=self.telemetry,
-            create_temp_tables=False,
             plan_cache_size=self.config.plan_cache_size,
             lineage=self.config.lineage,
         )

@@ -50,7 +50,7 @@ class Shell:
     def __init__(self, backend: Backend, write: Optional[Callable[[str], None]] = None) -> None:
         self.backend = backend
         self.telemetry = obs.Telemetry()
-        self.reporter = RecencyReporter(backend, telemetry=self.telemetry)
+        self.reporter = RecencyReporter(backend, create_temp_tables=True, telemetry=self.telemetry)
         self._saved_backend_telemetry = backend.telemetry
         backend.telemetry = self.telemetry
         self._write = write or (lambda text: print(text, end=""))

@@ -85,6 +85,22 @@ class TestTempTableRouting:
         result = backend.execute("SELECT src FROM rep_norm_1")
         assert sorted(result.rows) == [("m1",), ("m2",)]
 
+    def test_routing_is_case_insensitive_and_follows_drops(self):
+        import pytest
+
+        from repro.errors import BackendError
+
+        backend = self.make_backend()
+        backend._store_temp_table("Rep_Norm_1", ["src"], [("m1",)])
+        assert backend.execute("SELECT src FROM rep_norm_1").rows == [("m1",)]
+        with pytest.raises(BackendError):  # one name, whatever its case
+            backend._store_temp_table("rep_norm_1", ["src"], [])
+        backend.drop_temp_table("rep_norm_1")  # not the stored name: a no-op
+        assert backend.list_temp_tables() == ["Rep_Norm_1"]
+        assert backend._references_temp_table("SELECT src FROM REP_NORM_1")
+        backend.drop_temp_table("Rep_Norm_1")
+        assert not backend._references_temp_table("SELECT src FROM rep_norm_1")
+
     def test_temp_query_can_still_touch_base_tables(self):
         backend = self.make_backend()
         backend._store_temp_table("picked", ["src"], [("m1",)])

@@ -77,7 +77,9 @@ class TestSection51Transcript:
         assert len(report.normal_sources) == 10
 
     def test_notices_format(self, paper_backend):
-        report = RecencyReporter(paper_backend).report(IDLE_QUERY)
+        report = RecencyReporter(paper_backend, create_temp_tables=True).report(
+            IDLE_QUERY
+        )
         notices = report.notices()
         assert any("Exceptional relevant data sources" in n for n in notices)
         assert any("The least recent data source: m1" in n for n in notices)
@@ -86,7 +88,7 @@ class TestSection51Transcript:
         assert any('All "normal" relevant data sources' in n for n in notices)
 
     def test_temp_tables_queryable(self, paper_backend):
-        reporter = RecencyReporter(paper_backend)
+        reporter = RecencyReporter(paper_backend, create_temp_tables=True)
         report = reporter.report(IDLE_QUERY)
         normal = paper_backend.execute(
             f"SELECT sid FROM {report.temp_tables.normal}"
@@ -224,9 +226,17 @@ class TestZThreshold:
 
 class TestReporterLifecycle:
     def test_context_manager_drops_temp_tables(self, paper_backend):
-        with RecencyReporter(paper_backend) as reporter:
+        with RecencyReporter(paper_backend, create_temp_tables=True) as reporter:
             reporter.report(IDLE_QUERY)
             assert len(paper_backend.list_temp_tables()) == 2
+        assert paper_backend.list_temp_tables() == []
+
+    def test_default_reporter_leaves_no_temp_tables(self, paper_backend):
+        reporter = RecencyReporter(paper_backend)
+        for _ in range(50):
+            report = reporter.report(IDLE_QUERY)
+        assert report.temp_tables is None
+        assert not any("temporary table" in n for n in report.notices())
         assert paper_backend.list_temp_tables() == []
 
     def test_create_temp_tables_false(self, paper_backend):

@@ -62,7 +62,7 @@ class TestLifecycle:
     def test_temp_tables_persist_across_reports(self, paper_memory_backend):
         """Section 4.3: the temp table persists until the session ends, not
         just until the next query."""
-        reporter = RecencyReporter(paper_memory_backend)
+        reporter = RecencyReporter(paper_memory_backend, create_temp_tables=True)
         first = reporter.report(QUERY)
         reporter.report(QUERY)
         rows = paper_memory_backend.execute(
@@ -73,7 +73,7 @@ class TestLifecycle:
 
 class TestPersistTempTable:
     def test_save_as_survives_session_close(self, paper_memory_backend):
-        reporter = RecencyReporter(paper_memory_backend)
+        reporter = RecencyReporter(paper_memory_backend, create_temp_tables=True)
         report = reporter.report(QUERY)
         reporter.session.save_as(report.temp_tables.normal, "kept_recency")
         reporter.close()
@@ -81,7 +81,7 @@ class TestPersistTempTable:
         assert len(rows) == 10
 
     def test_save_as_on_sqlite(self, paper_sqlite_backend):
-        reporter = RecencyReporter(paper_sqlite_backend)
+        reporter = RecencyReporter(paper_sqlite_backend, create_temp_tables=True)
         report = reporter.report(QUERY)
         reporter.session.save_as(report.temp_tables.exceptional, "kept_exceptional")
         reporter.close()
@@ -98,7 +98,7 @@ class TestPersistTempTable:
     def test_duplicate_permanent_name_rejected_memory(self, paper_memory_backend):
         from repro.errors import BackendError
 
-        reporter = RecencyReporter(paper_memory_backend)
+        reporter = RecencyReporter(paper_memory_backend, create_temp_tables=True)
         report = reporter.report(QUERY)
         reporter.session.save_as(report.temp_tables.normal, "kept_twice")
         with pytest.raises(BackendError):

@@ -112,6 +112,30 @@ class TestGlobalCache:
         after = cache.stats()
         assert after["hits"] >= before["hits"] + 1
 
+    def test_profile_cache_verdict_ignores_a_foreign_hit(self, monkeypatch):
+        """The verdict is this lookup's, not a diff of the process-wide
+        counter: another thread's hit landing inside our miss (injected
+        here through the parser the miss calls) must not flip it."""
+        from repro.engine import cache as cache_mod
+
+        db = Database(Catalog([schema()]))
+        db.insert("t", ("x", 1))
+        tel = Telemetry()
+        execute_sql(db, Q)  # the foreign query is cached
+        real_parse = cache_mod.parse_query
+
+        def parse_beside_a_foreign_hit(sql):
+            get_cache().resolve(Q, db.catalog)
+            return real_parse(sql)
+
+        monkeypatch.setattr(cache_mod, "parse_query", parse_beside_a_foreign_hit)
+        first_sighting = "SELECT t.b FROM t WHERE t.a = 'first sighting'"
+        execute_sql(db, first_sighting, telemetry=tel)
+        assert tel.profiles.last().cache_hit is False
+        monkeypatch.undo()
+        execute_sql(db, first_sighting, telemetry=tel)
+        assert tel.profiles.last().cache_hit is True
+
     def test_configure_replaces_cache(self):
         original = get_cache()
         try:

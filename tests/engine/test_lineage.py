@@ -1,4 +1,4 @@
-"""Row-level lineage: algebra laws, alignment, and the cache-key split.
+"""Row-level lineage: algebra laws, alignment, and the shared cache entry.
 
 The lineage algebra has three laws the engine must uphold for every query
 shape (checked here with Hypothesis, and at scale by
@@ -11,9 +11,8 @@ shape (checked here with Hypothesis, and at scale by
   funnel through the same projection, so this is by construction — the
   test pins it against regressions).
 
-Plus the satellite regression: the resolved-query cache key includes the
-lineage flag, so a lineage-free cached entry can never serve a
-lineage-requesting execution (or vice versa).
+Plus the cache contract: lineage-on and lineage-off executions of one SQL
+share one resolved-query entry, and neither leaks into the other's result.
 """
 
 from hypothesis import given, settings
@@ -21,7 +20,7 @@ from hypothesis import strategies as st
 
 from repro.catalog import Catalog, Column, FiniteDomain, TableSchema
 from repro.engine import Database, execute_sql
-from repro.engine.cache import ResolvedQueryCache, resolve_cached
+from repro.engine.cache import get_cache, resolve_cached
 from repro.engine.lineage import (
     EMPTY_LINEAGE,
     build_lineage_plan,
@@ -190,7 +189,7 @@ class TestLineageAlgebra:
 
 
 class TestLineageCacheKey:
-    """Satellite: the resolved-query LRU keys on the lineage flag."""
+    """Lineage-on and lineage-off executions share one resolved-query entry."""
 
     def test_lineage_free_entry_never_serves_lineage_execution(self):
         db = make_db([("a", 1), ("b", 2)], [])
@@ -203,24 +202,16 @@ class TestLineageCacheKey:
         plain_again = execute_sql(db, sql)
         assert plain_again.lineage is None
 
-    def test_cache_entries_are_split_by_flag(self):
-        cache = ResolvedQueryCache(maxsize=8)
-        sql = "SELECT t1.x FROM t1"
-        cat = catalog()
-        plain = cache.resolve(sql, cat)
-        lineaged = cache.resolve(sql, cat, lineage=True)
-        assert plain is not lineaged
-        assert not hasattr(plain, "lineage_plan")
-        assert lineaged.lineage_plan.fanin == 1
-        # Both entries hit independently.
-        assert cache.resolve(sql, cat) is plain
-        assert cache.resolve(sql, cat, lineage=True) is lineaged
-        assert cache.stats()["hits"] == 2
-
-    def test_module_level_cache_attaches_plan_only_when_asked(self):
-        sql = "SELECT t2.y FROM t2"
-        cat = catalog()
-        plain = resolve_cached(sql, cat)
-        lineaged = resolve_cached(sql, cat, lineage=True)
-        assert not hasattr(plain, "lineage_plan")
-        assert hasattr(lineaged, "lineage_plan")
+    def test_one_entry_serves_lineage_off_then_on(self):
+        db = make_db([("a", 1), ("b", 2)], [])
+        sql = "SELECT t1.x FROM t1 WHERE t1.x >= 1"
+        cache = get_cache()
+        size, stats = len(cache), cache.stats()
+        plain = execute_sql(db, sql)
+        with_lineage = execute_sql(db, sql, lineage=True)
+        assert len(cache) == size + 1
+        assert cache.stats()["misses"] == stats["misses"] + 1
+        assert cache.stats()["hits"] == stats["hits"] + 1
+        assert plain.lineage is None
+        assert with_lineage.lineage == [frozenset({"a"}), frozenset({"b"})]
+        assert resolve_cached(sql, db.catalog).lineage_plan.fanin == 1

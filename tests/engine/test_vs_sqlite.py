@@ -68,37 +68,37 @@ ROWS1 = [("a", 1, "p"), ("b", 2, "q"), ("c", 3, "p"), ("a", 2, None)]
 ROWS2 = [("a", 1), ("b", 2), ("c", 9)]
 
 
+CURATED = [
+    "SELECT s FROM t1",
+    "SELECT s, x FROM t1 WHERE x > 1",
+    "SELECT s FROM t1 WHERE v = 'p' AND x < 3",
+    "SELECT s FROM t1 WHERE v = 'p' OR x = 2",
+    "SELECT s FROM t1 WHERE s IN ('a', 'c')",
+    "SELECT s FROM t1 WHERE s NOT IN ('a')",
+    "SELECT s FROM t1 WHERE x BETWEEN 1 AND 2",
+    "SELECT s FROM t1 WHERE v IS NULL",
+    "SELECT s FROM t1 WHERE v IS NOT NULL",
+    "SELECT s FROM t1 WHERE v LIKE 'p%'",
+    "SELECT s FROM t1 WHERE NOT (x = 1 OR x = 2)",
+    "SELECT DISTINCT v FROM t1",
+    "SELECT COUNT(*) FROM t1",
+    "SELECT COUNT(v) FROM t1",
+    "SELECT COUNT(DISTINCT v) FROM t1",
+    "SELECT SUM(x) FROM t1",
+    "SELECT AVG(x) FROM t1 WHERE x > 0",
+    "SELECT MIN(x), MAX(x) FROM t1",
+    "SELECT v, COUNT(*) FROM t1 GROUP BY v",
+    "SELECT t1.s FROM t1, t2 WHERE t1.s = t2.s",
+    "SELECT t1.s, t2.y FROM t1, t2 WHERE t1.s = t2.s AND t2.y > 1",
+    "SELECT t1.s FROM t1, t2 WHERE t1.x = t2.y",
+    "SELECT t1.s FROM t1, t2 WHERE t1.s = t2.s OR t1.x = t2.y",
+    "SELECT COUNT(*) FROM t1, t2 WHERE t1.s = t2.s",
+    "SELECT t1.s FROM t1, t2 WHERE t1.s = t2.s AND t1.v = 'p' AND t2.y < 5",
+]
+
+
 class TestCuratedQueries:
-    @pytest.mark.parametrize(
-        "sql",
-        [
-            "SELECT s FROM t1",
-            "SELECT s, x FROM t1 WHERE x > 1",
-            "SELECT s FROM t1 WHERE v = 'p' AND x < 3",
-            "SELECT s FROM t1 WHERE v = 'p' OR x = 2",
-            "SELECT s FROM t1 WHERE s IN ('a', 'c')",
-            "SELECT s FROM t1 WHERE s NOT IN ('a')",
-            "SELECT s FROM t1 WHERE x BETWEEN 1 AND 2",
-            "SELECT s FROM t1 WHERE v IS NULL",
-            "SELECT s FROM t1 WHERE v IS NOT NULL",
-            "SELECT s FROM t1 WHERE v LIKE 'p%'",
-            "SELECT s FROM t1 WHERE NOT (x = 1 OR x = 2)",
-            "SELECT DISTINCT v FROM t1",
-            "SELECT COUNT(*) FROM t1",
-            "SELECT COUNT(v) FROM t1",
-            "SELECT COUNT(DISTINCT v) FROM t1",
-            "SELECT SUM(x) FROM t1",
-            "SELECT AVG(x) FROM t1 WHERE x > 0",
-            "SELECT MIN(x), MAX(x) FROM t1",
-            "SELECT v, COUNT(*) FROM t1 GROUP BY v",
-            "SELECT t1.s FROM t1, t2 WHERE t1.s = t2.s",
-            "SELECT t1.s, t2.y FROM t1, t2 WHERE t1.s = t2.s AND t2.y > 1",
-            "SELECT t1.s FROM t1, t2 WHERE t1.x = t2.y",
-            "SELECT t1.s FROM t1, t2 WHERE t1.s = t2.s OR t1.x = t2.y",
-            "SELECT COUNT(*) FROM t1, t2 WHERE t1.s = t2.s",
-            "SELECT t1.s FROM t1, t2 WHERE t1.s = t2.s AND t1.v = 'p' AND t2.y < 5",
-        ],
-    )
+    @pytest.mark.parametrize("sql", CURATED)
     def test_agreement(self, sql):
         assert_same(ROWS1, ROWS2, sql)
 

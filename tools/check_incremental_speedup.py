@@ -25,6 +25,7 @@ Exit status 0 when the speedup holds, 1 otherwise.
 from __future__ import annotations
 
 import argparse
+import statistics
 import sys
 import time
 
@@ -63,28 +64,24 @@ def build_backend(num_sources: int) -> MemoryBackend:
     return backend
 
 
-def measure(
-    backend: MemoryBackend,
-    reporter: RecencyReporter,
-    sql: str,
-    runs: int,
-    num_sources: int,
-) -> float:
-    """Mean seconds per report in steady state (first run discarded as
-    warm-up — it is the incremental path's registration miss). The same
-    deterministic heartbeat trickle lands before every report so both
+def measure(sides, sql: str, runs: int, num_sources: int):
+    """Median seconds per report in steady state, one per ``(backend,
+    reporter)`` side (first run discarded as warm-up — it is the
+    incremental path's registration miss). The sides alternate report by
+    report, so a host stall lands on a sample of each rather than on one
+    side's whole phase, and medians ignore the sample it does land on. The
+    same deterministic heartbeat trickle lands before every report so the
     backends stay identical and maintenance cost is paid inside the loop."""
-    samples = []
+    samples = [[] for _ in sides]
     for run in range(runs):
-        for j in range(UPSERTS_PER_REPORT):
-            sid = (run * UPSERTS_PER_REPORT + j) % num_sources
-            backend.upsert_heartbeat(f"s{sid}", 2000.0 + run + j / 10.0)
-        start = time.perf_counter()
-        reporter.report(sql, method="focused")
-        samples.append(time.perf_counter() - start)
-    if len(samples) > 1:
-        samples = samples[1:]
-    return sum(samples) / len(samples)
+        for side, (backend, reporter) in zip(samples, sides):
+            for j in range(UPSERTS_PER_REPORT):
+                sid = (run * UPSERTS_PER_REPORT + j) % num_sources
+                backend.upsert_heartbeat(f"s{sid}", 2000.0 + run + j / 10.0)
+            start = time.perf_counter()
+            reporter.report(sql, method="focused")
+            side.append(time.perf_counter() - start)
+    return [statistics.median(side[1:] or side) for side in samples]
 
 
 def main(argv=None) -> int:
@@ -97,23 +94,17 @@ def main(argv=None) -> int:
     obs.disable()
 
     recompute_backend = build_backend(args.num_sources)
-    recompute = RecencyReporter(
-        recompute_backend, create_temp_tables=False, plan_cache_size=32
-    )
-    t_recompute = measure(
-        recompute_backend, recompute, HOT_QUERY, args.runs, args.num_sources
-    )
-
+    recompute = RecencyReporter(recompute_backend, plan_cache_size=32)
     incremental_backend = build_backend(args.num_sources)
     maintainer = IncrementalMaintainer(incremental_backend)
     incremental = RecencyReporter(
-        incremental_backend,
-        create_temp_tables=False,
-        plan_cache_size=32,
-        incremental=maintainer,
+        incremental_backend, plan_cache_size=32, incremental=maintainer
     )
-    t_incremental = measure(
-        incremental_backend, incremental, HOT_QUERY, args.runs, args.num_sources
+    t_recompute, t_incremental = measure(
+        [(recompute_backend, recompute), (incremental_backend, incremental)],
+        HOT_QUERY,
+        args.runs,
+        args.num_sources,
     )
 
     # Same mutation sequence hit both backends: the answers must agree.

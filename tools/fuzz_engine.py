@@ -3,7 +3,9 @@
 
 Generates random data and random queries over a two-table schema and
 asserts three executions return the same multiset of rows — including
-ORDER BY prefixes, aggregates and NULL semantics:
+ORDER BY prefixes, aggregates and NULL semantics — and that the engine's
+two paths record the same per-operator profile (operator sequence, rows
+in/out):
 
 * the mini engine's *compiled* path (lowered lambdas, the default);
 * the mini engine's *interpreted* path (per-row AST walk, the oracle);
@@ -17,8 +19,8 @@ semantics; the SQLite comparison pins both to real-world SQL. Usage::
 
 from __future__ import annotations
 
+import argparse
 import sqlite3
-import sys
 from collections import Counter
 
 from hypothesis import given, settings
@@ -26,6 +28,7 @@ from hypothesis import strategies as st
 
 from repro.catalog import Catalog, Column, FiniteDomain, TableSchema
 from repro.engine import Database, execute_sql
+from repro.engine.profile import profile_query
 
 
 def catalog():
@@ -133,6 +136,19 @@ def make_property(max_examples: int):
             f"COMPILED/INTERPRETED DISAGREEMENT on {sql!r}: "
             f"{compiled} vs {interpreted}"
         )
+        # The two lowerings must also do the same work: one operator
+        # sequence, equal rows in/out per operator.
+        shapes = [
+            [
+                (op.op, op.target, op.rows_in, op.rows_out)
+                for op in profile_query(db, sql, compiled=flag).operators
+            ]
+            for flag in (True, False)
+        ]
+        assert shapes[0] == shapes[1], (
+            f"COMPILED/INTERPRETED PROFILE DISAGREEMENT on {sql!r}: "
+            f"{shapes[0]} vs {shapes[1]}"
+        )
         theirs = _run_sqlite(rows1, rows2, sql)
         assert compiled == theirs, f"DISAGREEMENT on {sql!r}: {compiled} vs {theirs}"
 
@@ -140,7 +156,11 @@ def make_property(max_examples: int):
 
 
 def main() -> int:
-    examples = int(sys.argv[1]) if len(sys.argv) > 1 else 2000
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "examples", type=int, nargs="?", default=2000, help="hypothesis examples to run"
+    )
+    examples = parser.parse_args().examples
     print(
         "differential-fuzzing compiled vs interpreted vs SQLite "
         f"with {examples} examples ..."

@@ -37,6 +37,7 @@ Intended for occasional deep verification (e.g. a nightly job)::
 
 from __future__ import annotations
 
+import argparse
 import random
 import shutil
 import sys
@@ -293,7 +294,11 @@ def run_federation_once(rng: random.Random, run_index: int) -> None:
 
 
 def main() -> int:
-    runs = int(sys.argv[1]) if len(sys.argv) > 1 else 25
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "runs", type=int, nargs="?", default=25, help="chaos campaigns to run"
+    )
+    runs = parser.parse_args().runs
     rng = random.Random(20060912)  # VLDB 2006 started on Sept 12
     for i in range(runs):
         run_once(rng, i)

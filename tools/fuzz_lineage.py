@@ -25,7 +25,7 @@ Usage::
 
 from __future__ import annotations
 
-import sys
+import argparse
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -155,7 +155,11 @@ def make_property(max_examples: int):
 
 
 def main() -> int:
-    examples = int(sys.argv[1]) if len(sys.argv) > 1 else 2000
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "examples", type=int, nargs="?", default=2000, help="hypothesis examples to run"
+    )
+    examples = parser.parse_args().examples
     print(f"fuzzing the lineage algebra with {examples} examples ...")
     make_property(examples)()
     print("OK: every lineage law held on every example")

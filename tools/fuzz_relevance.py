@@ -10,7 +10,7 @@ budget and richer strategies. Intended for occasional deep verification::
 
 from __future__ import annotations
 
-import sys
+import argparse
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -239,7 +239,11 @@ def make_incremental_property(max_examples: int):
 
 
 def main() -> int:
-    examples = int(sys.argv[1]) if len(sys.argv) > 1 else 2000
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "examples", type=int, nargs="?", default=2000, help="hypothesis examples per property"
+    )
+    examples = parser.parse_args().examples
     print(f"fuzzing relevance guarantees with {examples} examples ...")
     make_property(examples)()
     print("OK: completeness, minimality and Theorem 1 held on every example")
