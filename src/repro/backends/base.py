@@ -90,7 +90,10 @@ class Backend(abc.ABC):
         """Insert rows, replacing any existing row with equal key columns.
 
         This is how sniffers apply "the scheduler *updates* its tuple for
-        that job" semantics (Section 4.2)."""
+        that job" semantics (Section 4.2). Where the replacing row lands in
+        the scan order of an unordered SELECT is not part of the contract:
+        the memory backend overwrites a key's single holder in place,
+        SQLite deletes and re-inserts."""
 
     @abc.abstractmethod
     def delete_rows(

@@ -8,13 +8,18 @@ import time
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.backends.base import Backend, Snapshot
-from repro.catalog import HEARTBEAT_TABLE, Catalog
+from repro.catalog import HEARTBEAT_SOURCE_COLUMN, HEARTBEAT_TABLE, Catalog
 from repro.engine import Database, execute_sql
 from repro.engine.evaluate import QueryResult
 from repro.errors import BackendError, LexerError
 from repro.obs import instrument as obs
 from repro.sqlparser.lexer import tokenize
 from repro.sqlparser.tokens import TokenType
+
+
+#: Heartbeat's key: ``source_id``, the first column of ``heartbeat_schema()``.
+_HEARTBEAT_KEY = (HEARTBEAT_SOURCE_COLUMN,)
+_HEARTBEAT_KEY_INDEXES = (0,)
 
 
 class _MemorySnapshot(Snapshot):
@@ -58,25 +63,31 @@ class MemoryBackend(Backend):
     deep copy and exists for baseline measurements
     (``tools/check_fastpath_speedup.py``).
 
+    Writes
+    ------
+    Every keyed write — ``upsert_rows``, ``delete_rows`` and
+    ``upsert_heartbeat``, which is all the ingest path issues — is a loop
+    over :meth:`Relation.upsert` / :meth:`Relation.delete_keys`, whose key
+    index is derived from the call's ``key_columns`` (see
+    :mod:`repro.engine.relation`); the Heartbeat table is not special.
+
     Change listeners
     ----------------
     Components that maintain derived state (the incremental report
     maintainer in :mod:`repro.incremental`) register via
     :meth:`add_change_listener` and are notified synchronously from every
-    mutation, *after* the rows have landed. Listeners are duck-typed; each
-    notification calls the listener method of the same name when present:
+    mutation of the Heartbeat table, *after* the rows have landed.
+    Listeners are duck-typed; a notification calls the listener method of
+    the same name when present:
 
-    * ``heartbeat_upserted(source_id, recency)``
-    * ``heartbeat_rows_inserted(rows)``
-    * ``heartbeat_rows_upserted(key_columns, rows)``
-    * ``heartbeat_rows_deleted(key_columns, keys)`` — deletes emit an
-      explicit invalidation event so materialized sets can never serve a
-      tombstoned source
+    * ``heartbeat_rows_upserted(key_columns, rows)`` — rows landed: a keyed
+      upsert or ``upsert_heartbeat`` carries the key it was upserted under,
+      a plain ``insert_rows`` append carries ``None``
+    * ``heartbeat_rows_deleted(key_columns, keys)`` — deletes are announced
+      eagerly so materialized sets can never serve a tombstoned source
     * ``heartbeat_cleared()``
-    * ``table_changed(table)`` for non-heartbeat mutations
 
-    With no listeners registered every notify site is a single falsy
-    check, so the write path stays as fast as before.
+    With no listeners registered a notify site is a single falsy check.
     """
 
     kind = "memory"
@@ -93,8 +104,6 @@ class MemoryBackend(Backend):
         #: Lower-cased ``_temp`` names, intersected with a query's identifiers.
         self._temp_names: Set[str] = set()
         self._cow_snapshots = cow_snapshots
-        self._heartbeat_index: Dict[str, int] = {}
-        self._heartbeat_index_valid = True
         self._listeners: List[object] = []
         # Serializes writers against snapshot open/close (see class
         # docstring). RLock: a change listener may call back into reads.
@@ -112,11 +121,13 @@ class MemoryBackend(Backend):
         if listener in self._listeners:
             self._listeners.remove(listener)
 
-    def _notify(self, event: str, *args: object) -> None:
-        for listener in self._listeners:
-            method = getattr(listener, event, None)
-            if method is not None:
-                method(*args)
+    def _changed(self, table: str, event: str, *args: object) -> None:
+        """Announce a mutation of ``table`` (only Heartbeat has an audience)."""
+        if self._listeners and table.lower() == HEARTBEAT_TABLE:
+            for listener in self._listeners:
+                method = getattr(listener, event, None)
+                if method is not None:
+                    method(*args)
 
     # -- schema / data -------------------------------------------------------
 
@@ -126,18 +137,11 @@ class MemoryBackend(Backend):
                 self.db.add_table(schema)
 
     def insert_rows(self, table: str, rows: Iterable[Sequence[object]]) -> None:
-        heartbeat = table.lower() == HEARTBEAT_TABLE
-        if self._listeners and heartbeat:
-            rows = [tuple(r) for r in rows]
+        if self._listeners:
+            rows = list(rows)  # announced after being consumed
         with self._mutate_lock:
             self.db.insert_many(table, rows)
-            if heartbeat:
-                self._heartbeat_index_valid = False
-            if self._listeners:
-                if heartbeat:
-                    self._notify("heartbeat_rows_inserted", rows)
-                else:
-                    self._notify("table_changed", table)
+            self._changed(table, "heartbeat_rows_upserted", None, rows)
 
     def upsert_rows(
         self,
@@ -146,25 +150,13 @@ class MemoryBackend(Backend):
         rows: Iterable[Sequence[object]],
     ) -> None:
         relation = self.db.relation(table)
-        key_indexes = [relation.schema.column_index(k) for k in key_columns]
-        heartbeat = table.lower() == HEARTBEAT_TABLE
-        if self._listeners and heartbeat:
-            rows = [tuple(r) for r in rows]
+        key_indexes = tuple(relation.schema.column_index(k) for k in key_columns)
+        if self._listeners:
+            rows = list(rows)
         with self._mutate_lock:
             for row in rows:
-                row = tuple(row)
-                key = tuple(row[i] for i in key_indexes)
-                relation.delete_where(
-                    lambda r, key=key: tuple(r[i] for i in key_indexes) == key
-                )
-                relation.insert(row)
-            if heartbeat:
-                self._heartbeat_index_valid = False
-            if self._listeners:
-                if heartbeat:
-                    self._notify("heartbeat_rows_upserted", tuple(key_columns), rows)
-                else:
-                    self._notify("table_changed", table)
+                relation.upsert(key_indexes, row)
+            self._changed(table, "heartbeat_rows_upserted", tuple(key_columns), rows)
 
     def delete_rows(
         self,
@@ -173,52 +165,24 @@ class MemoryBackend(Backend):
         keys: Iterable[Sequence[object]],
     ) -> None:
         relation = self.db.relation(table)
-        key_indexes = [relation.schema.column_index(k) for k in key_columns]
-        wanted = {tuple(k) for k in keys}
+        key_indexes = tuple(relation.schema.column_index(k) for k in key_columns)
+        keys = list(dict.fromkeys(tuple(k) for k in keys))
         with self._mutate_lock:
-            relation.delete_where(lambda r: tuple(r[i] for i in key_indexes) in wanted)
-            if table.lower() == HEARTBEAT_TABLE:
-                # Deleting shifts positions; the index is rebuilt lazily on the
-                # next upsert_heartbeat (previously it silently went stale).
-                self._heartbeat_index_valid = False
-                if self._listeners:
-                    # Deletes must be announced eagerly: a lazily rebuilt index
-                    # is fine for the backend itself, but any materialized set
-                    # downstream would keep serving the tombstoned source.
-                    self._notify(
-                        "heartbeat_rows_deleted", tuple(key_columns), sorted(wanted)
-                    )
-            elif self._listeners:
-                self._notify("table_changed", table)
+            relation.delete_keys(key_indexes, keys)
+            self._changed(table, "heartbeat_rows_deleted", tuple(key_columns), keys)
 
     def delete_all(self, table: str) -> None:
         relation = self.db.relation(table)
         with self._mutate_lock:
             relation.clear()
-            if table.lower() == HEARTBEAT_TABLE:
-                self._heartbeat_index.clear()
-                self._heartbeat_index_valid = True
-                if self._listeners:
-                    self._notify("heartbeat_cleared")
-            elif self._listeners:
-                self._notify("table_changed", table)
+            self._changed(table, "heartbeat_cleared")
 
     def upsert_heartbeat(self, source_id: str, recency: float) -> None:
         relation = self.db.relation(HEARTBEAT_TABLE)
+        row = (source_id, recency)
         with self._mutate_lock:
-            if not self._heartbeat_index_valid:
-                self._heartbeat_index = {
-                    str(row[0]): position for position, row in enumerate(relation.rows)
-                }
-                self._heartbeat_index_valid = True
-            position = self._heartbeat_index.get(source_id)
-            if position is None:
-                self._heartbeat_index[source_id] = len(relation.rows)
-                relation.insert((source_id, recency))
-            else:
-                relation.replace_row(position, (source_id, recency))
-            if self._listeners:
-                self._notify("heartbeat_upserted", source_id, recency)
+            relation.upsert(_HEARTBEAT_KEY_INDEXES, row)
+            self._changed(HEARTBEAT_TABLE, "heartbeat_rows_upserted", _HEARTBEAT_KEY, [row])
 
     # -- querying ---------------------------------------------------------------
 

@@ -102,6 +102,7 @@ class FiniteDomain(Domain):
         if not frozen:
             raise DomainError("a finite domain must contain at least one value")
         self._values: FrozenSet[object] = frozen
+        self._ordered: Optional[Tuple[object, ...]] = None
 
     @property
     def is_finite(self) -> bool:
@@ -115,8 +116,13 @@ class FiniteDomain(Domain):
         return value in self._values
 
     def iter_values(self) -> Iterable[object]:
-        # Deterministic order so brute-force sweeps and tests are stable.
-        return sorted(self._values, key=lambda v: (str(type(v).__name__), str(v)))
+        # Deterministic order so brute-force sweeps and tests are stable;
+        # the set is immutable, so it is sorted once and the tuple handed out.
+        if self._ordered is None:
+            self._ordered = tuple(
+                sorted(self._values, key=lambda v: (str(type(v).__name__), str(v)))
+            )
+        return self._ordered
 
     def cardinality(self) -> Optional[int]:
         return len(self._values)

@@ -6,16 +6,31 @@ list only when a live share still references it. Opening a
 :class:`~repro.backends.memory.MemoryBackend` snapshot is therefore
 O(#tables) instead of O(#rows); an unmodified database pays nothing at
 all. CoW copies are recorded via :mod:`repro.obs` when telemetry is on.
+
+Keyed writes (:meth:`Relation.upsert`, :meth:`Relation.delete_keys` — the
+whole ingest path) go through one ``key values -> row positions`` index
+per relation, so an upsert does not scan its table. The index is built by
+the first keyed write under a key (a different key rebuilds it), kept by
+:meth:`Relation.insert`, still valid after a copy-on-write copy because
+positions do not move, dropped by whatever shifts positions (a delete that
+removed something, ``delete_where``, ``clear``) and never handed to a
+snapshot view.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.catalog import Catalog, TableSchema
 from repro.errors import EngineError
 
 Row = Tuple[object, ...]
+
+
+def _key_of(row: Sequence[object], key_indexes: Sequence[int]) -> Row:
+    # A function of its own: a generator expression inside ``Relation.insert``
+    # would turn ``row`` into a closure cell and tax every unkeyed bulk load.
+    return tuple(row[i] for i in key_indexes)
 
 
 class Relation:
@@ -34,6 +49,9 @@ class Relation:
         self._rows: List[Row] = []
         self._width = len(schema.columns)
         self._share_count = 0
+        #: ``(key column positions, key values -> positions of the rows
+        #: holding them)``, or ``None`` until a keyed write asks for it.
+        self._keyed: Optional[Tuple[Tuple[int, ...], Dict[Row, List[int]]]] = None
         for row in rows:
             self.insert(row)
 
@@ -56,6 +74,7 @@ class Relation:
         view.schema = self.schema
         view._rows = self._rows
         view._width = self._width
+        view._keyed = None
         # The view also counts one (phantom) share so that an accidental
         # write through it copies instead of corrupting the live relation.
         view._share_count = 1
@@ -86,31 +105,75 @@ class Relation:
 
     # -- mutation -------------------------------------------------------------
 
+    def _arity_error(self, row: Sequence[object]) -> EngineError:
+        return EngineError(
+            f"row arity {len(row)} does not match table "
+            f"{self.schema.name!r} with {self._width} columns"
+        )
+
     def insert(self, row: Sequence[object]) -> None:
         """Append one row (validated for arity)."""
         if len(row) != self._width:
-            raise EngineError(
-                f"row arity {len(row)} does not match table "
-                f"{self.schema.name!r} with {self._width} columns"
-            )
+            raise self._arity_error(row)
         if self._share_count:
             self._materialize()
+        if self._keyed is not None:
+            key_indexes, index = self._keyed
+            index.setdefault(_key_of(row, key_indexes), []).append(len(self._rows))
         self._rows.append(tuple(row))
 
     def insert_many(self, rows: Iterable[Sequence[object]]) -> None:
         for row in rows:
             self.insert(row)
 
-    def replace_row(self, position: int, row: Sequence[object]) -> None:
-        """Overwrite the row at ``position`` in place (CoW-safe)."""
+    def _index_for(self, key_indexes: Sequence[int]) -> Dict[Row, List[int]]:
+        """The key index over ``key_indexes``, (re)built on demand: O(rows)."""
+        key_indexes = tuple(key_indexes)
+        if self._keyed is None or self._keyed[0] != key_indexes:
+            index: Dict[Row, List[int]] = {}
+            for position, row in enumerate(self._rows):
+                index.setdefault(_key_of(row, key_indexes), []).append(position)
+            self._keyed = (key_indexes, index)
+        return self._keyed[1]
+
+    def upsert(self, key_indexes: Sequence[int], row: Sequence[object]) -> None:
+        """Insert ``row``, replacing whatever rows hold its key.
+
+        The single holder of a key is overwritten in place and keeps its
+        position; several holders (a bag loaded by :meth:`insert`) are
+        deleted first and the row is appended.
+        """
         if len(row) != self._width:
-            raise EngineError(
-                f"row arity {len(row)} does not match table "
-                f"{self.schema.name!r} with {self._width} columns"
-            )
-        if self._share_count:
-            self._materialize()
-        self._rows[position] = tuple(row)
+            raise self._arity_error(row)
+        row = tuple(row)
+        key = _key_of(row, key_indexes)
+        held = self._index_for(key_indexes).get(key)
+        if held is None:
+            self.insert(row)
+        elif len(held) == 1:
+            if self._share_count:
+                self._materialize()
+            self._rows[held[0]] = row
+        else:
+            self.delete_keys(key_indexes, [key])
+            self.insert(row)
+
+    def delete_keys(self, key_indexes: Sequence[int], keys: Iterable[Sequence[object]]) -> int:
+        """Delete the rows whose key columns equal any of ``keys``.
+
+        Returns the number of rows removed. One pass over the table, and
+        only when some key is held; the survivors keep their order.
+        """
+        index = self._index_for(key_indexes)
+        doomed = {position for key in keys for position in index.get(tuple(key), ())}
+        if doomed:
+            # Rebinding to a fresh list never disturbs snapshot shares.
+            self._rows = [
+                row for position, row in enumerate(self._rows) if position not in doomed
+            ]
+            self._share_count = 0
+            self._keyed = None
+        return len(doomed)
 
     def clear(self) -> None:
         """Remove every row (CoW-safe)."""
@@ -120,6 +183,7 @@ class Relation:
             self._share_count = 0
         else:
             self._rows.clear()
+        self._keyed = None
 
     def delete_where(self, predicate) -> int:
         """Delete rows for which ``predicate(row_tuple)`` is true.
@@ -130,34 +194,10 @@ class Relation:
         # Rebinding to a fresh list never disturbs snapshot shares.
         self._rows = [row for row in self._rows if not predicate(row)]
         self._share_count = 0
+        self._keyed = None
         return before - len(self._rows)
 
-    def update_where(self, predicate, updater) -> int:
-        """Replace rows matching ``predicate`` by ``updater(row)``.
-
-        Returns the number of rows updated.
-        """
-        count = 0
-        new_rows: List[Row] = []
-        for row in self._rows:
-            if predicate(row):
-                new_row = tuple(updater(row))
-                if len(new_row) != self._width:
-                    raise EngineError("updater changed row arity")
-                new_rows.append(new_row)
-                count += 1
-            else:
-                new_rows.append(row)
-        self._rows = new_rows
-        self._share_count = 0
-        return count
-
     # -- reading --------------------------------------------------------------
-
-    def column_values(self, name: str) -> List[object]:
-        """All values of one column, in row order."""
-        index = self.schema.column_index(name)
-        return [row[index] for row in self._rows]
 
     def copy(self) -> "Relation":
         clone = Relation(self.schema)

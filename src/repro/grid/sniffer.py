@@ -201,7 +201,7 @@ class Sniffer:
                 self.machine.machine_id, self.offset, new_offset, events, now
             )
         for event in events:
-            self._apply(event)
+            apply_event(self.backend, event)
         self.offset = new_offset
         if events:
             self.last_loaded_timestamp = events[-1].timestamp
@@ -235,11 +235,6 @@ class Sniffer:
             self.backend.upsert_heartbeat(self.machine.machine_id, recency)
             self._reported_recency = recency
         return len(events)
-
-    # -- record transformation ------------------------------------------------
-
-    def _apply(self, event: LogEvent) -> None:
-        apply_event(self.backend, event)
 
     # -- failure injection --------------------------------------------------------
 

@@ -7,10 +7,6 @@ public surface is :class:`IncrementalMaintainer` (attach one to a
 :func:`plan_streamable` predicate that decides fast-path eligibility.
 """
 
-from repro.incremental.maintainer import (
-    IncrementalMaintainer,
-    WelfordAccumulator,
-    plan_streamable,
-)
+from repro.incremental.maintainer import IncrementalMaintainer, plan_streamable
 
-__all__ = ["IncrementalMaintainer", "WelfordAccumulator", "plan_streamable"]
+__all__ = ["IncrementalMaintainer", "plan_streamable"]

@@ -39,13 +39,11 @@ observe it.
 
 Statistics
 ----------
-Each entry also maintains running per-source recency statistics
-(count/mean/M2 via Welford, with constant-time remove) exposed through
-:meth:`IncrementalMaintainer.stats` and telemetry. The *report's* z-score
-split still recomputes mean/σ from the materialized values with the same
-``mean_stddev`` arithmetic as the from-scratch path — summation order and
-rounding differ under Welford, and the differential oracle demands
-byte-identical reports. The scan the split performs is O(k) over the
+Entries hold sets, not statistics: the report's z-score split recomputes
+mean/σ from the materialized values with the same ``mean_stddev``
+arithmetic as the from-scratch path, because a streaming accumulator sums
+in another order and rounds differently, and the differential oracle
+demands byte-identical reports. That scan is O(k) over the
 already-materialized relevant set, not O(N) over Heartbeat.
 
 Consistency model
@@ -62,7 +60,6 @@ every lookup bypasses until the table is cleared or resynced clean.
 
 from __future__ import annotations
 
-import math
 import time
 from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -109,48 +106,8 @@ def plan_streamable(plan: object) -> bool:
     return True
 
 
-class WelfordAccumulator:
-    """Streaming count/mean/M2 with constant-time add, remove, replace."""
-
-    __slots__ = ("count", "mean", "m2")
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.mean = 0.0
-        self.m2 = 0.0
-
-    def add(self, x: float) -> None:
-        self.count += 1
-        delta = x - self.mean
-        self.mean += delta / self.count
-        self.m2 += delta * (x - self.mean)
-
-    def remove(self, x: float) -> None:
-        self.count -= 1
-        if self.count <= 0:
-            self.count = 0
-            self.mean = 0.0
-            self.m2 = 0.0
-            return
-        delta = x - self.mean
-        self.mean -= delta / self.count
-        # Floating error can push M2 a hair below zero on near-empty sets.
-        self.m2 = max(self.m2 - delta * (x - self.mean), 0.0)
-
-    def replace(self, old: float, new: float) -> None:
-        self.remove(old)
-        self.add(new)
-
-    def stddev(self) -> float:
-        """Population standard deviation (0 for fewer than two values)."""
-        if self.count < 2:
-            return 0.0
-        return math.sqrt(self.m2 / self.count)
-
-    def clear(self) -> None:
-        self.count = 0
-        self.mean = 0.0
-        self.m2 = 0.0
+def _keyed_by_source(key_columns: Sequence[str]) -> bool:
+    return len(key_columns) == 1 and key_columns[0].lower() == HEARTBEAT_SOURCE_COLUMN
 
 
 class _Entry:
@@ -165,13 +122,12 @@ class _Entry:
     ``sorted(sources.items())``.
     """
 
-    __slots__ = ("wheres", "sources", "membership", "welford")
+    __slots__ = ("wheres", "sources", "membership")
 
     def __init__(self, wheres: Sequence[Optional[ast.Expr]]) -> None:
         self.wheres = list(wheres)
         self.sources: Dict[str, float] = {}
         self.membership: Dict[str, bool] = {}
-        self.welford = WelfordAccumulator()
 
     def _member(self, source_id: str) -> bool:
         cached = self.membership.get(source_id)
@@ -185,24 +141,12 @@ class _Entry:
         return member
 
     def upsert(self, source_id: str, recency: float) -> None:
-        if not self._member(source_id):
-            return
-        old = self.sources.get(source_id)
-        self.sources[source_id] = recency
-        if old is None:
-            self.welford.add(recency)
-        else:
-            self.welford.replace(old, recency)
+        if self._member(source_id):
+            self.sources[source_id] = recency
 
     def remove(self, source_id: str) -> None:
         self.membership.pop(source_id, None)
-        old = self.sources.pop(source_id, None)
-        if old is not None:
-            self.welford.remove(old)
-
-    def clear_sources(self) -> None:
-        self.sources.clear()
-        self.welford.clear()
+        self.sources.pop(source_id, None)
 
     def materialize(self) -> List[SourceRecency]:
         return [
@@ -287,7 +231,6 @@ class IncrementalMaintainer:
         entry = _Entry([sub.query.where for sub in plan.subqueries])
         for source in sources:
             entry.sources[source.source_id] = source.recency
-            entry.welford.add(source.recency)
         members = set(entry.sources)
         entry.membership = {sid: sid in members for sid in self._hb}
         self._entries[self._key(plan)] = entry
@@ -296,22 +239,13 @@ class IncrementalMaintainer:
 
     # -- backend change-listener interface ----------------------------------
 
-    def heartbeat_upserted(self, source_id: object, recency: object) -> None:
-        started = time.perf_counter()
-        self._apply(source_id, recency)
-        self._record_maintenance(started)
-
-    def heartbeat_rows_inserted(self, rows: Sequence[Sequence[object]]) -> None:
-        started = time.perf_counter()
-        for row in rows:
-            self._apply(row[0], row[1])
-        self._record_maintenance(started)
-
     def heartbeat_rows_upserted(
-        self, key_columns: Sequence[str], rows: Sequence[Sequence[object]]
+        self, key_columns: Optional[Sequence[str]], rows: Sequence[Sequence[object]]
     ) -> None:
+        """Rows landed in Heartbeat: appended (``key_columns`` is ``None``)
+        or upserted under ``key_columns``."""
         started = time.perf_counter()
-        if tuple(c.lower() for c in key_columns) == (HEARTBEAT_SOURCE_COLUMN,):
+        if key_columns is None or _keyed_by_source(key_columns):
             for row in rows:
                 self._apply(row[0], row[1])
         else:
@@ -324,7 +258,7 @@ class IncrementalMaintainer:
         self, key_columns: Sequence[str], keys: Sequence[Sequence[object]]
     ) -> None:
         started = time.perf_counter()
-        if tuple(c.lower() for c in key_columns) == (HEARTBEAT_SOURCE_COLUMN,):
+        if _keyed_by_source(key_columns):
             if not self._degraded:
                 for key in keys:
                     source_id = key[0]
@@ -343,14 +277,8 @@ class IncrementalMaintainer:
         self._hb.clear()
         self._degraded = False
         for entry in self._entries.values():
-            entry.clear_sources()
+            entry.sources.clear()
         self._invalidated(REASON_CLEARED)
-
-    def table_changed(self, table: str) -> None:
-        """Non-heartbeat mutation: streamable entries read only Heartbeat,
-        so materialized data stays valid. A *schema* change that alters
-        planning produces different subquery SQL — a different key — so
-        stale entries are never served (they age out of the LRU)."""
 
     # -- maintenance core ----------------------------------------------------
 
@@ -420,18 +348,6 @@ class IncrementalMaintainer:
             "degraded": self._degraded,
         }
 
-    def entry_stats(self) -> List[Dict[str, object]]:
-        """Per-entry streaming statistics (Welford), freshest last."""
-        return [
-            {
-                "subqueries": len(key),
-                "sources": entry.welford.count,
-                "mean": entry.welford.mean,
-                "stddev": entry.welford.stddev(),
-            }
-            for key, entry in self._entries.items()
-        ]
-
     def _record_lookup(self, outcome: str) -> None:
         tel = obs.resolve(self.telemetry)
         if tel.enabled:
@@ -457,7 +373,6 @@ class IncrementalMaintainer:
 
 __all__ = [
     "IncrementalMaintainer",
-    "WelfordAccumulator",
     "plan_streamable",
     "DEFAULT_MAXSIZE",
 ]

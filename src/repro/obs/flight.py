@@ -173,7 +173,7 @@ class FlightRecorder:
 
     def _snapshot(self, reason: str, trigger: Optional[Event], wall: float) -> dict:
         tracer = self.telemetry.tracer
-        finished = tracer.finished_spans()[-self.max_spans :]
+        finished = tracer.tail(self.max_spans)
         # The listener runs on the emitting thread, so that thread's span
         # stack is exactly the work in flight around the anomaly.
         stack = getattr(tracer, "_stack", None)

@@ -296,9 +296,7 @@ class ProfileLog(BoundedRing):
     def __init__(self, capacity: int = 256) -> None:
         super().__init__(capacity)
 
-    def record(self, profile: Any) -> None:
-        with self._lock:
-            self._push(profile)
+    record = BoundedRing.push
 
     def last(self) -> Optional[Any]:
         with self._lock:

@@ -1,18 +1,18 @@
-"""The one bounded ring behind the event, profile and provenance logs.
+"""The one bounded ring behind the span, event, profile and provenance logs.
 
 :class:`BoundedRing` owns what every in-process log needs — the lock, the
 ``maxlen`` deque that drops the *oldest* item, the running total
 and the read side (``snapshot``/``tail``/``for_trace``/``total``/
 ``dropped``/``clear``/``len``). :class:`~repro.obs.events.EventLog` adds
 ``emit`` + listeners and :class:`~repro.obs.instrument.ProfileLog` adds
-``record`` + ``last``; :class:`NullRing` is the inert read side their null
-twins share while telemetry is disabled. (The
-:class:`~repro.obs.trace.Tracer` collector is deliberately not a ring: it
-drops the *newest* span.)
+``record`` + ``last``; the :class:`~repro.obs.trace.Tracer` pushes its
+finished spans onto one; :class:`NullRing` is the inert read side the null
+twins share while telemetry is disabled.
 """
 
 from __future__ import annotations
 
+import itertools
 import threading
 from collections import deque
 from typing import Any, Deque, List
@@ -36,14 +36,24 @@ class BoundedRing:
         self._items.append(item)
         self._total += 1
 
+    def push(self, item: Any) -> None:
+        """Append ``item``, dropping the oldest one when full."""
+        with self._lock:
+            self._push(item)
+
     def snapshot(self) -> List[Any]:
         """Every retained item, oldest first."""
         with self._lock:
             return list(self._items)
 
     def tail(self, n: int) -> List[Any]:
-        """The most recent ``n`` retained items, oldest first."""
-        return self.snapshot()[-n:] if n > 0 else []
+        """The most recent ``n`` retained items, oldest first (copies only those)."""
+        if n <= 0:
+            return []
+        with self._lock:
+            newest = list(itertools.islice(reversed(self._items), n))
+        newest.reverse()
+        return newest
 
     def for_trace(self, trace_id: str) -> List[Any]:
         """Retained items stamped with ``trace_id`` (32-hex), oldest first."""

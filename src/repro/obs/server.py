@@ -313,8 +313,7 @@ class _ObservatoryHandler(BaseHTTPRequestHandler):
                 buffer = io.StringIO()
                 limit = self._limit(query)
                 if path == "/spans":
-                    spans = obs.telemetry.tracer.finished_spans()
-                    write_spans_jsonl(spans[-limit:] if limit else [], buffer)
+                    write_spans_jsonl(obs.telemetry.tracer.tail(limit), buffer)
                 else:
                     write_events_jsonl(obs.telemetry.events.tail(limit), buffer)
                 return self._send(200, NDJSON_CONTENT_TYPE, buffer.getvalue())

@@ -14,10 +14,13 @@ or as a decorator::
     def plan_for(sql): ...
 
 Each thread has its own span stack, so concurrently recording threads nest
-independently; finished spans land in one shared, lock-protected list in
-completion order. Timing uses :func:`time.perf_counter` (monotonic, never
-jumps backwards); :attr:`Span.start_wall` additionally records the wall
-clock so exported spans can be correlated with external logs.
+independently; finished spans land in completion order on one shared
+:class:`~repro.obs.ring.BoundedRing` of ``max_spans`` — like the event,
+profile and provenance logs it drops the *oldest* span when full, so a
+long-lived serving process always holds its newest traces. Timing uses
+:func:`time.perf_counter` (monotonic, never jumps backwards);
+:attr:`Span.start_wall` additionally records the wall clock so exported
+spans can be correlated with external logs.
 
 **Distributed context.** A :class:`SpanContext` is the process-crossing
 identity of a span: ``(trace_id, span_id, sampled)``. It serializes to the
@@ -40,6 +43,8 @@ import random
 import threading
 import time
 from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Union
+
+from repro.obs.ring import BoundedRing
 
 #: Canonical carrier key for the serialized context (W3C Trace Context).
 TRACEPARENT_HEADER = "traceparent"
@@ -298,10 +303,9 @@ class Tracer:
         # handler threads can never observe a torn or duplicated id.
         self._next_id = 1
         self._rand = random.Random()
-        self._finished: List[Span] = []
         self._local = threading.local()
-        self._dropped = 0
         self.max_spans = max_spans
+        self._finished = BoundedRing(max_spans)
 
     # -- recording ----------------------------------------------------------
 
@@ -384,11 +388,7 @@ class Tracer:
                 stack.remove(span)
             except ValueError:
                 pass
-        with self._lock:
-            if len(self._finished) < self.max_spans:
-                self._finished.append(span)
-            else:
-                self._dropped += 1
+        self._finished.push(span)
 
     def trace(self, name: Optional[str] = None) -> Callable:
         """Decorator form: wraps the function body in a span."""
@@ -413,15 +413,17 @@ class Tracer:
         return stack[-1] if stack else None
 
     def finished_spans(self) -> List[Span]:
-        """Snapshot of finished spans, in completion order."""
-        with self._lock:
-            return list(self._finished)
+        """Snapshot of the retained finished spans, in completion order."""
+        return self._finished.snapshot()
+
+    def tail(self, n: int) -> List[Span]:
+        """The most recent ``n`` finished spans, in completion order."""
+        return self._finished.tail(n)
 
     @property
     def dropped(self) -> int:
-        """Spans discarded because the collector hit ``max_spans``."""
-        with self._lock:
-            return self._dropped
+        """Spans pushed out because the collector held ``max_spans``."""
+        return self._finished.dropped
 
     def spans_for_trace(self, trace_id: Union[int, str]) -> List[Span]:
         """Finished spans belonging to one trace, in completion order.
@@ -433,7 +435,7 @@ class Tracer:
                 trace_id = int(trace_id, 16)
             except ValueError:
                 return []
-        return [s for s in self.finished_spans() if s.trace_id == trace_id]
+        return self._finished.for_trace(trace_id)
 
     def children_of(self, span: Span) -> List[Span]:
         return [s for s in self.finished_spans() if s.parent_id == span.span_id]
@@ -450,9 +452,7 @@ class Tracer:
 
     def reset(self) -> None:
         """Discard every collected span (open spans keep recording)."""
-        with self._lock:
-            self._finished.clear()
-            self._dropped = 0
+        self._finished = BoundedRing(self.max_spans)
 
 
 class NullTracer:
@@ -483,6 +483,9 @@ class NullTracer:
         return None
 
     def finished_spans(self) -> List[Span]:
+        return []
+
+    def tail(self, n: int) -> List[Span]:
         return []
 
     def spans_for_trace(self, trace_id: Union[int, str]) -> List[Span]:

@@ -449,19 +449,18 @@ def _exact_check(
     for term in terms:
         for ref in ast.column_refs(term):
             columns.setdefault(_column_key(ref), ref)
-    domains: List[List[object]] = []
-    keys: List[Tuple[str, str]] = []
+    # Multiply the cardinalities first: a product over budget is decided
+    # without enumerating (and sorting) any domain.
+    keys = sorted(columns)
+    referenced = [domain_of(columns[key]) for key in keys]
     total = 1
-    for key, ref in sorted(columns.items()):
-        domain = domain_of(ref)
+    for domain in referenced:
         if not domain.is_finite:
             return None
-        values = list(domain.iter_values())
-        total *= max(len(values), 1)
+        total *= max(domain.cardinality(), 1)
         if total > exact_limit:
             return None
-        domains.append(values)
-        keys.append(key)
+    domains = [domain.iter_values() for domain in referenced]
 
     conjunction = ast.And(list(terms)) if len(terms) != 1 else terms[0]
     for assignment in itertools.product(*domains):

@@ -66,7 +66,6 @@ class ServeConfig:
         "queue_depth",
         "default_deadline",
         "max_deadline",
-        "max_body_bytes",
         "tenant_rate",
         "tenant_burst",
         "max_inflight",
@@ -81,7 +80,6 @@ class ServeConfig:
         queue_depth: int = 64,
         default_deadline: float = 5.0,
         max_deadline: float = 30.0,
-        max_body_bytes: int = 64 * 1024,
         tenant_rate: float = 200.0,
         tenant_burst: float = 400.0,
         max_inflight: int = 64,
@@ -93,7 +91,6 @@ class ServeConfig:
         self.queue_depth = int(queue_depth)
         self.default_deadline = float(default_deadline)
         self.max_deadline = float(max_deadline)
-        self.max_body_bytes = int(max_body_bytes)
         self.tenant_rate = float(tenant_rate)
         self.tenant_burst = float(tenant_burst)
         self.max_inflight = int(max_inflight)

@@ -2,9 +2,14 @@
 snapshot-isolation tests."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import Catalog, Column, FiniteDomain, MemoryBackend, SQLiteBackend, TableSchema
 from repro.errors import BackendError
+from repro.grid.events import EventKind, LogEvent
+from repro.grid.simulator import monitoring_catalog
+from repro.grid.sniffer import apply_event
 
 
 def tiny_catalog():
@@ -50,6 +55,13 @@ class TestCrud:
         result = {s: x for s, x in backend.execute("SELECT s, x FROM t").rows}
         assert result == {"a": 99, "b": 2}
         assert backend.row_count("t") == 2
+
+    def test_upsert_collapses_a_bag_to_one_row(self, backend):
+        """Rows loaded by ``insert_rows`` stay a bag until their key is upserted."""
+        backend.insert_rows("t", [("a", 1), ("a", 2), ("a", 3), ("b", 4)])
+        assert backend.row_count("t") == 4
+        backend.upsert_rows("t", ("s",), [("a", 9)])
+        assert sorted(backend.execute("SELECT s, x FROM t").rows) == [("a", 9), ("b", 4)]
 
     def test_upsert_composite_key(self, backend):
         backend.insert_rows("t", [("a", 1), ("a", 2)])
@@ -184,3 +196,51 @@ class TestSqliteSpecifics:
     def test_context_manager_closes(self):
         with SQLiteBackend(tiny_catalog()) as backend:
             backend.insert_rows("t", [("a", 1)])
+
+
+MACHINES = ("m1", "m2", "m3")
+_JOB = {"job_id": st.sampled_from(["j1", "j2", "j3"])}
+_PAYLOADS = {
+    EventKind.MACHINE_STATE: {"value": st.sampled_from(["idle", "busy"])},
+    EventKind.NEIGHBOR_ADDED: {"neighbor": st.sampled_from(MACHINES)},
+    EventKind.JOB_SUBMITTED: _JOB,
+    EventKind.JOB_SCHEDULED: {**_JOB, "remote_machine": st.sampled_from(MACHINES)},
+    EventKind.JOB_STARTED: _JOB,
+    EventKind.JOB_COMPLETED: _JOB,
+    EventKind.JOB_SUSPENDED: _JOB,
+    EventKind.HEARTBEAT: {},
+}
+_events = st.lists(
+    st.sampled_from(list(_PAYLOADS)).flatmap(
+        lambda kind: st.tuples(
+            st.just(kind), st.sampled_from(MACHINES), st.fixed_dictionaries(_PAYLOADS[kind])
+        )
+    ),
+    max_size=40,
+)
+
+
+class TestSameContent:
+    @given(_events)
+    @settings(max_examples=60, deadline=None)
+    def test_memory_and_sqlite_hold_the_same_rows_for_one_event_sequence(self, events):
+        """What a sniffer does — ``apply_event`` then advance the heartbeat —
+        leaves both backends with the same sorted tables; scan order is not
+        compared (memory overwrites in place, SQLite re-inserts)."""
+        catalog = monitoring_catalog(MACHINES)
+        contents = []
+        for backend in (MemoryBackend(catalog), SQLiteBackend(catalog)):
+            with backend:
+                for tick, (kind, source, payload) in enumerate(events):
+                    apply_event(backend, LogEvent(float(tick), source, kind, payload))
+                    backend.upsert_heartbeat(source, float(tick))
+                contents.append(
+                    {
+                        schema.name: sorted(
+                            backend.execute(f"SELECT * FROM {schema.name}").rows, key=repr
+                        )
+                        for schema in catalog
+                    }
+                )
+        assert contents[0] == contents[1]
+        assert len(contents[0]["heartbeat"]) == len({source for _, source, _ in events})

@@ -26,11 +26,20 @@ class TestRelationSharing:
         assert r.rows == [("x", 1), ("y", 2)]
 
     def test_replace_row_diverges(self):
+        """An upsert overwrites the key's single holder in place — on a copy
+        when a share is live."""
         r = Relation(schema(), [("x", 1)])
         view = r.share()
-        r.replace_row(0, ("x", 99))
+        r.upsert((0,), ("x", 99))
         assert view.rows == [("x", 1)]
         assert r.rows == [("x", 99)]
+
+    def test_delete_keys_diverges(self):
+        r = Relation(schema(), [("x", 1), ("y", 2)])
+        view = r.share()
+        assert r.delete_keys((0,), [("x",)]) == 1
+        assert view.rows == [("x", 1), ("y", 2)]
+        assert r.rows == [("y", 2)]
 
     def test_clear_diverges(self):
         r = Relation(schema(), [("x", 1)])
@@ -45,12 +54,6 @@ class TestRelationSharing:
         r.delete_where(lambda row: row[0] == "x")
         assert view.rows == [("x", 1), ("y", 2)]
         assert r.rows == [("y", 2)]
-
-    def test_update_where_diverges(self):
-        r = Relation(schema(), [("x", 1)])
-        view = r.share()
-        r.update_where(lambda row: True, lambda row: ("x", 5))
-        assert view.rows == [("x", 1)]
 
     def test_released_share_writes_in_place(self):
         r = Relation(schema(), [("x", 1)])

@@ -51,20 +51,11 @@ class TestRelation:
         assert removed == 2
         assert r.rows == [("y", 2)]
 
-    def test_update_where(self):
-        r = Relation(schema(), [("x", 1), ("y", 2)])
-        updated = r.update_where(lambda row: row[0] == "x", lambda row: ("x", 99))
-        assert updated == 1
-        assert ("x", 99) in r.rows
-
     def test_update_arity_check(self):
         r = Relation(schema(), [("x", 1)])
         with pytest.raises(EngineError):
-            r.update_where(lambda row: True, lambda row: ("x",))
-
-    def test_column_values(self):
-        r = Relation(schema(), [("x", 1), ("y", 2)])
-        assert r.column_values("b") == [1, 2]
+            r.upsert((0,), ("x",))
+        assert r.rows == [("x", 1)]
 
     def test_copy_is_independent(self):
         r = Relation(schema(), [("x", 1)])

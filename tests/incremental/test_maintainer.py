@@ -5,9 +5,9 @@ import pytest
 from repro import Catalog, Column, FiniteDomain, MemoryBackend, TableSchema
 from repro.core.relevance import build_naive_plan
 from repro.core.report import RecencyReporter
-from repro.core.statistics import SourceRecency, mean_stddev
+from repro.core.statistics import SourceRecency
 from repro.errors import TracError
-from repro.incremental import IncrementalMaintainer, WelfordAccumulator, plan_streamable
+from repro.incremental import IncrementalMaintainer, plan_streamable
 from repro.obs.instrument import (
     INCREMENTAL_HITS,
     INCREMENTAL_INVALIDATIONS,
@@ -84,42 +84,6 @@ class TestStreamability:
 
     def test_naive_plan_is_not_streamable(self):
         assert not plan_streamable(build_naive_plan())
-
-
-class TestWelford:
-    def test_matches_batch_mean_stddev(self):
-        values = [3.0, 7.5, 1.25, 9.0, 4.0]
-        acc = WelfordAccumulator()
-        for v in values:
-            acc.add(v)
-        mean, stddev = mean_stddev(values)
-        assert acc.count == len(values)
-        assert acc.mean == pytest.approx(mean)
-        assert acc.stddev() == pytest.approx(stddev)
-
-    def test_remove_matches_recompute(self):
-        acc = WelfordAccumulator()
-        for v in (3.0, 7.5, 1.25, 9.0):
-            acc.add(v)
-        acc.remove(7.5)
-        mean, stddev = mean_stddev([3.0, 1.25, 9.0])
-        assert acc.mean == pytest.approx(mean)
-        assert acc.stddev() == pytest.approx(stddev)
-
-    def test_remove_to_empty_resets(self):
-        acc = WelfordAccumulator()
-        acc.add(5.0)
-        acc.remove(5.0)
-        assert (acc.count, acc.mean, acc.m2) == (0, 0.0, 0.0)
-
-    def test_replace(self):
-        acc = WelfordAccumulator()
-        for v in (1.0, 2.0, 3.0):
-            acc.add(v)
-        acc.replace(2.0, 9.0)
-        mean, stddev = mean_stddev([1.0, 9.0, 3.0])
-        assert acc.mean == pytest.approx(mean)
-        assert acc.stddev() == pytest.approx(stddev)
 
 
 class TestFetchRegister:
@@ -277,14 +241,6 @@ class TestPlumbing:
             tel.metrics.counter(INCREMENTAL_INVALIDATIONS, {"reason": "delete"}).value
             == 1
         )
-
-    def test_entry_stats_track_welford(self, backend, reporter, maintainer):
-        reporter.report(HOT)
-        (entry,) = maintainer.entry_stats()
-        mean, stddev = mean_stddev([100.0, 101.0])  # m1, m2 heartbeats
-        assert entry["sources"] == 2
-        assert entry["mean"] == pytest.approx(mean)
-        assert entry["stddev"] == pytest.approx(stddev)
 
     def test_materialized_equals_sorted_sources(self, backend, maintainer, reporter):
         reporter.report(HOT)

@@ -1,8 +1,9 @@
-"""The one bounded ring behind the event, profile and provenance logs.
+"""The one bounded ring behind the span, event, profile and provenance logs.
 
 The same laws are run against :class:`EventLog` and :class:`ProfileLog`
 because both are :class:`~repro.obs.ring.BoundedRing` with a different
-write verb; the null twins share the inert read side.
+write verb, and against the :class:`Tracer`, which keeps its finished spans
+on one; the null twins share the inert read side.
 """
 
 from types import SimpleNamespace
@@ -15,7 +16,7 @@ from repro.obs import NULL_EVENT_LOG, NULL_PROFILE_LOG, NullEventLog, NullProfil
 from repro.obs.events import EventLog
 from repro.obs.instrument import ProfileLog
 from repro.obs.ring import BoundedRing, NullRing
-from repro.obs.trace import Tracer
+from repro.obs.trace import SpanContext, Tracer
 
 TRACE_IDS = [None, "a" * 32, "b" * 32, "c" * 32]
 
@@ -122,12 +123,39 @@ class TestNullTwins:
         assert len(NULL_EVENT_LOG) == len(NULL_PROFILE_LOG) == 0
 
 
-def test_tracer_keeps_its_own_policy():
-    """The span collector is *not* this ring: past ``max_spans`` it drops the
-    newest span, not the oldest."""
-    tracer = Tracer(max_spans=2)
-    for name in ("first", "second", "third"):
-        with tracer.span(name):
+@given(
+    capacity=st.integers(min_value=1, max_value=8),
+    pushes=st.lists(st.sampled_from(TRACE_IDS[1:]), max_size=30),
+    n=st.integers(min_value=-1, max_value=12),
+)
+def test_tracer_obeys_the_ring_laws(capacity, pushes, n):
+    """The span collector sits on this ring too: past ``max_spans`` it drops
+    the *oldest* span, so the newest trace is always retained."""
+    tracer = Tracer(max_spans=capacity)
+    for index, trace_id in enumerate(pushes):
+        with tracer.span(str(index), parent=SpanContext(int(trace_id, 16), 1)):
             pass
-    assert [s.name for s in tracer.finished_spans()] == ["first", "second"]
-    assert tracer.dropped == 1
+
+    spans = tracer.finished_spans()
+    assert [s.name for s in spans] == [str(i) for i in range(len(pushes))][-capacity:]
+    assert tracer.dropped == len(pushes) - len(spans)
+    assert tracer.tail(n) == (spans[-n:] if n > 0 else [])
+    for trace_id in TRACE_IDS[1:]:
+        assert tracer.spans_for_trace(trace_id) == [s for s in spans if s.trace_id_hex == trace_id]
+    assert tracer.spans_for_trace("f" * 32) == []
+
+    tracer.reset()
+    assert tracer.finished_spans() == [] and tracer.dropped == 0
+    with tracer.span("after"):
+        pass
+    assert [s.name for s in tracer.finished_spans()] == ["after"]
+
+
+def test_tracer_at_capacity_still_returns_a_new_trace():
+    tracer = Tracer(max_spans=2)
+    for _ in range(5):
+        with tracer.span("old"):
+            pass
+    with tracer.span("new") as span:
+        pass
+    assert [s.name for s in tracer.spans_for_trace(span.trace_id_hex)] == ["new"]

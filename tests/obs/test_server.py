@@ -10,6 +10,7 @@ import pytest
 from repro.core.health import DEGRADED, HEALTHY, SourceHealth
 from repro.obs import Telemetry
 from repro.obs.server import PROMETHEUS_CONTENT_TYPE, ObservatoryServer, serve
+from repro.obs.trace import Tracer
 
 
 def get(url):
@@ -159,6 +160,28 @@ class TestTracingEndpoints:
         assert [s["name"] for s in doc["spans"]] == ["outer"]
         assert [e["name"] for e in doc["events"]] == ["probe.fired"]
         assert [p["sql"] for p in doc["profiles"]] == ["SELECT 1"]
+
+    def test_trace_endpoint_serves_the_newest_request_at_span_capacity(self, telemetry):
+        """A long-lived server fills the span collector; the collector must
+        drop its oldest spans, not go blind to every later request."""
+        telemetry.tracer = Tracer(max_spans=3)
+        caller_trace = "f" * 31 + "d"
+        header = {"traceparent": f"00-{caller_trace}-00f067aa0ba902b7-01"}
+        with ObservatoryServer(telemetry) as server:
+            for _ in range(6):
+                get(server.url + "/healthz")
+            request = urllib.request.Request(server.url + "/healthz", headers=header)
+            with urllib.request.urlopen(request, timeout=5.0):
+                pass
+            deadline = time.monotonic() + 5.0
+            while not telemetry.tracer.spans_for_trace(caller_trace):
+                assert time.monotonic() < deadline, "the newest request's span was dropped"
+                time.sleep(0.01)
+            _, _, body = get(server.url + f"/trace/{caller_trace}")
+            _, _, recent = get(server.url + "/spans?limit=2")
+        assert [s["name"] for s in json.loads(body)["spans"]] == ["http.request"]
+        assert len(recent.splitlines()) == 2
+        assert telemetry.tracer.dropped >= 4
 
     def test_unknown_trace_is_404(self, telemetry):
         with ObservatoryServer(telemetry) as server:

@@ -1,8 +1,15 @@
 """Workload generator / queries / sweep tests."""
 
+import sys
+from collections import Counter
+
 import pytest
 
 from repro import MemoryBackend, SQLiteBackend
+from repro.catalog import domains
+from repro.core.relevance import build_relevance_plan
+from repro.sqlparser import parse_query
+from repro.sqlparser.resolver import resolve
 from repro.errors import TracError
 from repro.workload.generator import (
     WorkloadConfig,
@@ -239,3 +246,36 @@ class TestSkew:
         reporter = RecencyReporter(backend, create_temp_tables=False)
         report = reporter.report(paper_queries(30)["Q1"])
         assert len(report.relevant_source_ids) == 6
+
+
+class TestPlanningCost:
+    def test_planning_is_not_linear_in_the_source_domain(self, monkeypatch):
+        """By counts, not time: at 20,000 sources no plan enumerates a domain
+        whose cross product is over ``exact_limit``, and repeated plans sort
+        a given ``FiniteDomain`` at most once."""
+        enumerated_from = Counter()
+        sorts = Counter()
+        iter_values = domains.FiniteDomain.iter_values
+
+        def spying_iter_values(self):
+            enumerated_from[sys._getframe(1).f_code.co_name] += 1
+            return iter_values(self)
+
+        def counting_sorted(values, **kwargs):
+            sorts[id(values)] += 1
+            return sorted(values, **kwargs)
+
+        monkeypatch.setattr(domains.FiniteDomain, "iter_values", spying_iter_values)
+        monkeypatch.setattr(domains, "sorted", counting_sorted, raising=False)
+
+        catalog = workload_catalog(20_000)
+        for _ in range(3):
+            for sql in paper_queries(20_000).values():
+                plan = build_relevance_plan(resolve(parse_query(sql), catalog))
+                assert plan.mode == "focused"
+        # Q3 / Q4 relate two columns (R.neighbor = A.mach_id), which sends the
+        # conjunct to the exact check: 20,000^3 x 2 assignments, never tried.
+        assert enumerated_from["_exact_check"] == 0
+        # Q2 / Q4's NOT IN does walk the machine domain for a witness.
+        assert enumerated_from["check"] > 0
+        assert max(sorts.values()) == 1
