@@ -58,10 +58,9 @@ class MemoryBackend(Backend):
     which is what lets the serving front end run hundreds of concurrent
     readers against one backend while a simulator keeps writing.
 
-    ``cow_snapshots`` (default True) opens snapshots as O(#tables)
-    copy-on-write views; ``False`` restores the pre-fast-path O(#rows)
-    deep copy and exists for baseline measurements
-    (``tools/check_fastpath_speedup.py``).
+    Snapshots are O(#tables) copy-on-write views
+    (:meth:`Database.snapshot_view` / :meth:`Database.release_view`); no
+    row is copied unless a writer touches a table a snapshot still shares.
 
     Writes
     ------
@@ -92,18 +91,12 @@ class MemoryBackend(Backend):
 
     kind = "memory"
 
-    def __init__(
-        self,
-        catalog: Catalog,
-        telemetry: Optional[object] = None,
-        cow_snapshots: bool = True,
-    ) -> None:
+    def __init__(self, catalog: Catalog, telemetry: Optional[object] = None) -> None:
         super().__init__(catalog, telemetry)
         self.db = Database(catalog)
         self._temp: Dict[str, Tuple[List[str], List[Tuple[object, ...]]]] = {}
         #: Lower-cased ``_temp`` names, intersected with a query's identifiers.
         self._temp_names: Set[str] = set()
-        self._cow_snapshots = cow_snapshots
         self._listeners: List[object] = []
         # Serializes writers against snapshot open/close (see class
         # docstring). RLock: a change listener may call back into reads.
@@ -266,13 +259,12 @@ class MemoryBackend(Backend):
             tel.count(obs.SNAPSHOTS_OPENED, backend=self.kind)
             opened = time.perf_counter()
         with self._mutate_lock:
-            frozen = self.db.snapshot_view() if self._cow_snapshots else self.db.copy()
+            frozen = self.db.snapshot_view()
         try:
             yield _MemorySnapshot(self, frozen)
         finally:
-            if self._cow_snapshots:
-                with self._mutate_lock:
-                    self.db.release_view(frozen)
+            with self._mutate_lock:
+                self.db.release_view(frozen)
             if enabled:
                 tel.count(obs.SNAPSHOTS_CLOSED, backend=self.kind)
                 tel.observe(obs.SNAPSHOT_SECONDS, time.perf_counter() - opened, backend=self.kind)

@@ -22,7 +22,7 @@ dropped with an UNKNOWN satisfiability verdict.
 
 from __future__ import annotations
 
-from typing import Callable, List
+from typing import Callable, List, Tuple
 
 from repro.catalog import Domain
 from repro.core.recency_query import (
@@ -246,6 +246,35 @@ def build_relevance_plan(
         return RelevancePlan("empty", [], minimal=True, notes=notes or ["all conjuncts pruned"])
     subqueries = _dedup_subqueries(subqueries)
     return RelevancePlan("focused", subqueries, minimal=minimal, notes=notes)
+
+
+def memoized_relevance_plan(
+    resolved: ResolvedQuery,
+    max_conjuncts: int = DEFAULT_MAX_CONJUNCTS,
+    check_satisfiability: bool = True,
+    use_constraints: bool = True,
+) -> Tuple[RelevancePlan, bool]:
+    """:func:`build_relevance_plan` memoised on ``resolved`` itself; returns
+    ``(plan, whether it was already there)``.
+
+    A plan is a pure function of the resolution and these options, so it is
+    exactly as valid as the resolution: hand in one from
+    :func:`repro.engine.cache.resolve_cached` and a schema change to a
+    referenced table — which retires the cached resolution — retires the
+    plan with it. Two threads that miss together build the same plan twice;
+    either assignment wins, so there is no lock.
+    """
+    key = (max_conjuncts, check_satisfiability, use_constraints)
+    plan = resolved.relevance_plans.get(key)
+    if plan is not None:
+        return plan, True
+    plan = resolved.relevance_plans[key] = build_relevance_plan(
+        resolved,
+        max_conjuncts=max_conjuncts,
+        check_satisfiability=check_satisfiability,
+        use_constraints=use_constraints,
+    )
+    return plan, False
 
 
 def _dedup_subqueries(subqueries: List[SubqueryPlan]) -> List[SubqueryPlan]:

@@ -17,15 +17,18 @@ Three methods are supported, matching the experimental setup of Section 5.2:
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence, Set
 
 from repro.backends.base import Backend, Snapshot
 from repro.core.health import SourceHealth
 from repro.core.quality import ProvenanceRecord, QualityModel, QualitySummary
 from repro.core.recency_query import execute_fragment, fragment_request, merge_fragments
-from repro.core.relevance import RelevancePlan, build_naive_plan, build_relevance_plan
+from repro.core.relevance import (
+    RelevancePlan,
+    build_naive_plan,
+    build_relevance_plan,
+    memoized_relevance_plan,
+)
 from repro.core.session import Session, TempTablePair
 from repro.core.statistics import (
     DEFAULT_Z_THRESHOLD,
@@ -266,8 +269,11 @@ class RecencyReport:
         Every surface (``GET /query``, ``POST /v1/query``, a federated
         report) serves exactly these keys plus its own envelope. ``normal``
         and ``exceptional`` are the paper's two temp tables as data:
-        ``[source, recency]`` pairs. ``provenance`` appears only on reports
-        produced with lineage on.
+        ``[source, recency]`` pairs. The document says nothing about what
+        is off: ``trace_id`` and ``profile`` appear only with telemetry
+        enabled, ``incremental`` only with a maintainer, ``provenance`` only
+        with lineage on. Every other key is always present — a ``null``
+        ``bound_of_inconsistency`` means no relevant source has reported in.
         """
         result = self.result
         doc: Dict[str, object] = {
@@ -283,11 +289,15 @@ class RecencyReport:
             "degraded": list(self.degraded_sources),
             "bound_of_inconsistency": self.statistics.inconsistency_bound,
             "minimal": self.minimal,
-            "incremental": self.incremental,
-            "trace_id": self.trace_id,
             "timings": self.timings.to_dict(),
-            "profile": self.profile.to_dict() if self.profile is not None else None,
         }
+        if self.incremental is not None:
+            doc["incremental"] = self.incremental
+        trace_id = self.trace_id
+        if trace_id is not None:
+            doc["trace_id"] = trace_id
+        if self.profile is not None:
+            doc["profile"] = self.profile.to_dict()
         if self.row_provenance is not None:
             # The trace_id above pivots to /trace/<id> and /provenance/<id>
             # on the observatory; the inline block answers "why trust this
@@ -332,10 +342,13 @@ class RecencyReporter:
         Conjoin schema CHECK constraints onto queries before relevance
         analysis (``Q -> Q'``, Section 3.4).
     plan_cache_size:
-        When positive, keep an LRU cache of relevance plans keyed by the
-        SQL text. Repeated queries then pay parse/generation only once —
-        the paper's "hardcoded" method, automated. Safe because plans
-        depend only on the catalog (fixed per reporter), never on data.
+        On/off. When positive, a query's relevance plan is kept on its
+        entry in the resolved-query cache (:mod:`repro.engine.cache`), so a
+        repeated query pays parse/generation only once — the paper's
+        "hardcoded" method, automated — and a schema change to a table it
+        references retires plan and resolution together. Capacity is that
+        cache's; the value only has to be positive. ``0`` (default) plans
+        on every call: the paper's Focused method as measured.
     source_health:
         An optional :class:`~repro.core.health.SourceHealth` registry (the
         one the sniffer supervisors write into). When given, every report
@@ -350,7 +363,7 @@ class RecencyReporter:
     telemetry:
         An explicit :class:`~repro.obs.Telemetry` for this reporter's spans
         and counters. ``None`` (default) follows the process-wide default,
-        which is a no-op unless enabled via ``repro.obs.enable()`` or
+        which is disabled unless enabled via ``repro.obs.enable()`` or
         ``TRAC_TELEMETRY=1``.
     slow_query_seconds:
         Reports slower than this (end-to-end wall seconds) emit a
@@ -418,41 +431,30 @@ class RecencyReporter:
         self.incremental_verify = incremental_verify
         self.lineage = lineage
         self.quality_model = quality_model
-        self._plan_cache: "OrderedDict[str, RelevancePlan]" = OrderedDict()
-        # The serving layer gives each worker its own reporter, but a
-        # shared reporter must not corrupt its LRU under concurrent use.
-        self._plan_cache_lock = threading.Lock()
+        #: Plans served from the memo (a statistic: reports running
+        #: concurrently on one shared reporter may undercount it).
         self.plan_cache_hits = 0
         self.session = Session(backend)
 
     # -- planning -----------------------------------------------------------
 
     def plan_for(self, sql: str) -> RelevancePlan:
-        """Parse + resolve + plan (through the LRU cache when enabled)."""
-        if self.plan_cache_size > 0:
-            with self._plan_cache_lock:
-                cached = self._plan_cache.get(sql)
-                if cached is not None:
-                    self._plan_cache.move_to_end(sql)
-                    self.plan_cache_hits += 1
-            if cached is not None:
-                tel = obs.resolve(self.telemetry)
-                if tel.enabled:
-                    tel.count(obs.PLAN_CACHE_HITS)
-                return cached
+        """Parse + resolve + plan (the plan memoised when ``plan_cache_size``
+        is positive)."""
         tel = obs.resolve(self.telemetry)
         resolved = resolve_cached(sql, self.backend.catalog, tel)
-        plan = build_relevance_plan(
-            resolved,
+        options = dict(
             max_conjuncts=self.max_conjuncts,
             check_satisfiability=self.check_satisfiability,
             use_constraints=self.use_constraints,
         )
-        if self.plan_cache_size > 0:
-            with self._plan_cache_lock:
-                self._plan_cache[sql] = plan
-                while len(self._plan_cache) > self.plan_cache_size:
-                    self._plan_cache.popitem(last=False)
+        if self.plan_cache_size <= 0:
+            return build_relevance_plan(resolved, **options)
+        plan, hit = memoized_relevance_plan(resolved, **options)
+        if hit:
+            self.plan_cache_hits += 1
+            if tel.enabled:
+                tel.count(obs.PLAN_CACHE_HITS)
         return plan
 
     # -- reporting ------------------------------------------------------------

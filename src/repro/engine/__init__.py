@@ -20,7 +20,6 @@ from repro.engine.relation import Relation, Database
 from repro.engine.evaluate import execute_query, execute_sql
 from repro.engine.explain import explain_query
 from repro.engine.cache import ResolvedQueryCache, get_cache, resolve_cached
-from repro.engine.compile import compiled_default, set_compiled_default
 
 __all__ = [
     "Relation",
@@ -31,6 +30,4 @@ __all__ = [
     "ResolvedQueryCache",
     "get_cache",
     "resolve_cached",
-    "compiled_default",
-    "set_compiled_default",
 ]

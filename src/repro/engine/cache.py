@@ -31,20 +31,22 @@ Every cached resolution carries its
 :class:`~repro.engine.lineage.LineagePlan` (the per-binding source-column
 probes) as ``lineage_plan``: a pure function of the bindings, microseconds
 to build, so lineage-on and lineage-off executions of one SQL share one
-entry and only the former read it.
+entry and only the former read it. Relevance plans ride the same way
+(``ResolvedQuery.relevance_plans``, filled by
+:func:`repro.core.relevance.memoized_relevance_plan`): whatever is derived
+from a resolution is retired with it, so no second cache needs validating.
 
 Hits and misses are counted on the cache itself (always, cheaply) and
 additionally recorded as telemetry counters when a live
 :class:`~repro.obs.Telemetry` is passed. Those counters are process-wide
 and move under other threads, so a query profile records the verdict
-:meth:`ResolvedQueryCache.lookup` returns for *its* lookup. Size is
-configurable through ``TRAC_QUERY_CACHE_SIZE`` (default 256; ``0`` disables
-caching).
+:meth:`ResolvedQueryCache.lookup` returns for *its* lookup. The
+process-wide cache holds :data:`DEFAULT_MAXSIZE` entries; a throwaway
+catalog opts out per call (``execute_sql(..., cache=False)``).
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import OrderedDict
 from typing import Dict, Optional, Tuple
@@ -181,29 +183,11 @@ class ResolvedQueryCache:
         )
 
 
-def _env_maxsize() -> int:
-    raw = os.environ.get("TRAC_QUERY_CACHE_SIZE", "").strip()
-    if not raw:
-        return DEFAULT_MAXSIZE
-    try:
-        return max(0, int(raw))
-    except ValueError:
-        return DEFAULT_MAXSIZE
-
-
-_global_cache = ResolvedQueryCache(_env_maxsize())
+_global_cache = ResolvedQueryCache()
 
 
 def get_cache() -> ResolvedQueryCache:
     """The process-wide resolved-query cache."""
-    return _global_cache
-
-
-def configure(maxsize: int) -> ResolvedQueryCache:
-    """Replace the process-wide cache with a fresh one of ``maxsize``
-    entries (``0`` disables caching); returns the new cache."""
-    global _global_cache
-    _global_cache = ResolvedQueryCache(maxsize)
     return _global_cache
 
 
@@ -218,6 +202,5 @@ __all__ = [
     "ResolvedQueryCache",
     "DEFAULT_MAXSIZE",
     "get_cache",
-    "configure",
     "resolve_cached",
 ]

@@ -17,15 +17,13 @@ compiled path cannot drift on NULL or mixed-type behaviour. The
 interpreter stays as the executable oracle; ``tools/fuzz_engine.py``
 differentially checks the two paths (and SQLite) on random queries.
 
-The compiled path is on by default. Set ``TRAC_INTERPRETED=1`` (read at
-import) or call :func:`set_compiled_default` to fall back to the
-interpreter globally; per-call overrides go through
-``execute_query(..., compiled=...)``.
+The compiled path is what the engine runs; there is no process-wide
+switch. The oracle is reached per call, ``execute_query(...,
+compiled=False)``, which is all the fuzzers and differential tests use.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import EngineError
@@ -39,35 +37,6 @@ Env = Dict[str, Tuple[object, ...]]
 IndexMap = Dict[Tuple[str, str], int]
 
 _TruthValue = Optional[bool]
-
-# -- global default ----------------------------------------------------------
-
-
-def _env_interpreted() -> bool:
-    return os.environ.get("TRAC_INTERPRETED", "").strip().lower() in (
-        "1",
-        "true",
-        "yes",
-        "on",
-    )
-
-
-_compiled_default = not _env_interpreted()
-
-
-def compiled_default() -> bool:
-    """Whether the executor uses the compiled path when not overridden."""
-    return _compiled_default
-
-
-def set_compiled_default(flag: bool) -> bool:
-    """Set the process-wide compiled/interpreted default; returns the old
-    value (so callers can restore it)."""
-    global _compiled_default
-    previous = _compiled_default
-    _compiled_default = bool(flag)
-    return previous
-
 
 # -- reference lowering ------------------------------------------------------
 #
@@ -305,8 +274,6 @@ def compile_projection(
 
 
 __all__ = [
-    "compiled_default",
-    "set_compiled_default",
     "compile_scalar",
     "compile_truth",
     "compile_predicate",

@@ -15,9 +15,8 @@ Two lowerings exist: *compiled* (default) turns each expression once per
 query into closed-over lambdas (:mod:`repro.engine.compile`); *interpreted*
 (:class:`_Interpreted`) walks the AST per row and is the semantic oracle
 that ``tools/fuzz_engine.py`` differentially checks against it (and
-SQLite). Select per call with ``execute_query(..., compiled=...)`` or
-globally with :func:`repro.engine.compile.set_compiled_default` /
-``TRAC_INTERPRETED=1``.
+SQLite). The oracle is selected per call, ``execute_query(...,
+compiled=False)``; there is no process-wide switch.
 
 The profile is the execution's only record of itself: ``execute_query``
 finishes the one it is given and returns it as :attr:`QueryResult.profile`,
@@ -113,7 +112,7 @@ def execute_sql(
     db: Database,
     sql: str,
     telemetry=None,
-    compiled: Optional[bool] = None,
+    compiled: bool = True,
     cache: bool = True,
     in_snapshot: bool = False,
     lineage: bool = False,
@@ -131,7 +130,7 @@ def execute_sql(
     ``cache`` (default True) routes parse+resolve through the process-wide
     resolved-query cache; pass False for throwaway catalogs (e.g. the
     temp-table shadow database) whose generations would only pollute it.
-    ``compiled`` overrides the compiled/interpreted default for this call.
+    ``compiled=False`` runs this call on the interpreted oracle.
     ``lineage`` (default False) attaches per-row source lineage to the
     result (:attr:`QueryResult.lineage`, see :mod:`repro.engine.lineage`).
     """
@@ -165,7 +164,7 @@ def execute_query(
     db: Database,
     resolved: ResolvedQuery,
     relation_override: Optional[Dict[str, Relation]] = None,
-    compiled: Optional[bool] = None,
+    compiled: bool = True,
     profile: Optional[QueryProfile] = None,
     lineage: bool = False,
 ) -> QueryResult:
@@ -182,9 +181,8 @@ def execute_query(
         :class:`Relation` — how the brute-force oracle substitutes a
         relation by the cross product of its column domains.
     compiled:
-        ``True`` forces the compiled predicate/projection path, ``False``
-        the interpreted oracle; ``None`` (default) follows
-        :func:`repro.engine.compile.compiled_default`.
+        ``True`` (default) runs the compiled predicate/projection path,
+        ``False`` the interpreted oracle.
     profile:
         Optional :class:`~repro.engine.profile.QueryProfile` that receives
         one structured operator record (rows in/out, wall seconds,
@@ -303,12 +301,10 @@ class _Execution:
         db: Database,
         resolved: ResolvedQuery,
         relation_override: Optional[Dict[str, Relation]],
-        compiled: Optional[bool],
+        compiled: bool,
         profile: Optional[QueryProfile],
         lineage: bool,
     ) -> None:
-        if compiled is None:
-            compiled = compile_mod.compiled_default()
         self.resolved = resolved
         self.query = resolved.query
         self.keys = [b.key for b in resolved.bindings]

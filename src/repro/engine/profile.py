@@ -253,7 +253,7 @@ class QueryProfile:
 def profile_query(
     db: Database,
     sql: str,
-    compiled: Optional[bool] = None,
+    compiled: bool = True,
     lineage: bool = False,
 ) -> QueryProfile:
     """Execute ``sql`` against ``db`` with per-operator profiling enabled.

@@ -254,9 +254,10 @@ class Database:
     def copy(self) -> "Database":
         """Deep-enough copy: relations are copied, the catalog is shared.
 
-        O(#rows). Retained as the pre-CoW baseline (see
-        ``MemoryBackend(cow_snapshots=False)``); live code paths use
-        :meth:`snapshot_view` instead.
+        O(#rows): an independent database a caller may mutate freely (the
+        Theorem-1 trials in the relevance property tests and
+        ``tools/fuzz_relevance.py`` do). Backend snapshots never copy; they
+        are :meth:`snapshot_view`.
         """
         clone = Database.__new__(Database)
         clone.catalog = self.catalog

@@ -44,7 +44,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.breaker import CircuitBreaker, backoff_delay
 from repro.core.recency_query import fragment_request, merge_fragments
-from repro.core.relevance import RelevancePlan, build_naive_plan, build_relevance_plan
+from repro.core.relevance import RelevancePlan, build_naive_plan, memoized_relevance_plan
 from repro.core.report import DEFAULT_Z_THRESHOLD, RecencyReport, ReportTimings, format_interval
 from repro.engine.cache import resolve_cached
 from repro.errors import TracError
@@ -63,8 +63,6 @@ from repro.obs.trace import inject_context
 
 _METHODS = ("focused", "naive")
 _NEVER = float("inf")
-#: Distinct SQL texts whose plans are kept per machine set.
-_PLAN_MEMO_SIZE = 256
 #: Last-good fragments kept for the stale fallback, least recently stored out first.
 _FRAGMENT_CACHE_SIZE = 1024
 #: Circuit-breaker states as gauge values (closed < half-open < open).
@@ -500,8 +498,8 @@ class FederationCoordinator:
         self._lock = threading.Lock()
         self._pool = rpc.ConnectionPool()
         self._request_ids = itertools.count(1)
-        # (machine set, its union catalog, {sql: plan}); see plan_for.
-        self._planned: tuple = ((), None, {})
+        # (machine set, its union catalog); see plan_for.
+        self._planned: tuple = ((), None)
         self.reports_total = 0
         self.partial_reports = 0
 
@@ -523,7 +521,8 @@ class FederationCoordinator:
     # -- planning -----------------------------------------------------------
 
     def plan_for(self, sql: str, method: str = "focused") -> RelevancePlan:
-        """Plan ``sql`` over the shards' union catalog; memoised until the machine set changes."""
+        """Plan ``sql`` over the shards' union catalog (rebuilt when the
+        machine set changes); the plan is memoised on the cached resolution."""
         if method == "naive":
             return build_naive_plan()
         machines = tuple(self.registry.machines())
@@ -531,14 +530,9 @@ class FederationCoordinator:
             raise TracError("no shards registered; cannot build the union catalog")
         with self._lock:
             if machines != self._planned[0]:  # a shard (re)registered or rejoined
-                self._planned = (machines, monitoring_catalog(machines), {})
-            _, catalog, plans = self._planned
-        plan = plans.get(sql)
-        if plan is None:
-            if len(plans) >= _PLAN_MEMO_SIZE:
-                plans.clear()
-            plan = plans[sql] = build_relevance_plan(resolve_cached(sql, catalog))
-        return plan
+                self._planned = (machines, monitoring_catalog(machines))
+            catalog = self._planned[1]
+        return memoized_relevance_plan(resolve_cached(sql, catalog))[0]
 
     # -- reporting ----------------------------------------------------------
 

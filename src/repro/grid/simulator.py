@@ -332,6 +332,12 @@ class GridSimulator:
                     health=self.health,
                     seed=self.config.seed,
                 )
+        #: Each machine's poll turn, in machine order: its supervisor's
+        #: ``tick`` when supervised, else its sniffer's ``maybe_poll``.
+        self._polls: List[Tuple[str, Callable[[float], int]]] = [
+            (mid, self.supervisors[mid].tick if self.supervisors else sniffer.maybe_poll)
+            for mid, sniffer in self.sniffers.items()
+        ]
 
         self._job_counter = 0
         #: Recent per-source poll wall latencies in milliseconds (ring of
@@ -592,22 +598,16 @@ class GridSimulator:
         a short per-source series consumed by the dashboard.
         """
         tel = obs.resolve(self.telemetry)
+        now = self.now
         if not tel.enabled:
-            if self.supervisors:
-                for supervisor in self.supervisors.values():
-                    supervisor.tick(self.now)
-            else:
-                for sniffer in self.sniffers.values():
-                    sniffer.maybe_poll(self.now)
+            for _mid, poll in self._polls:
+                poll(now)
             return
-        with tel.tracer.span("grid.poll_cycle", t=self.now) as span:
+        with tel.tracer.span("grid.poll_cycle", t=now) as span:
             polled = 0
-            for mid in self.machine_ids:
+            for mid, poll in self._polls:
                 start = time.perf_counter()
-                if self.supervisors:
-                    ingested = self.supervisors[mid].tick(self.now)
-                else:
-                    ingested = self.sniffers[mid].maybe_poll(self.now)
+                ingested = poll(now)
                 elapsed = time.perf_counter() - start
                 if ingested:
                     polled += 1

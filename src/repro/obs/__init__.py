@@ -4,8 +4,8 @@ The paper's whole point is *reporting* on a system you cannot fully
 control; this package applies the same discipline to the reproduction
 itself. Three layers, no third-party dependencies:
 
-* :mod:`repro.obs.trace` — hierarchical spans (context-manager and
-  decorator APIs, monotonic clocks, per-span attributes) collected by a
+* :mod:`repro.obs.trace` — hierarchical spans (a context-manager API,
+  monotonic clocks, per-span attributes) collected by a
   thread-safe in-process :class:`Tracer`, carrying 128-bit trace ids
   that cross process boundaries as W3C ``traceparent`` headers
   (:class:`SpanContext`, :func:`inject_context`, :func:`extract_context`);
@@ -24,13 +24,15 @@ itself. Three layers, no third-party dependencies:
 * :mod:`repro.obs.dashboard` — the ``trac top`` ANSI dashboard.
 
 :mod:`repro.obs.instrument` glues it together: a :class:`Telemetry`
-facade, a process-wide default (no-op unless enabled), the instrument
-table (``instrument.INSTRUMENTS`` — every metric declared once with kind,
-labels, help and buckets) and the three recorders the instrumented
-subsystems call: ``tel.count``, ``tel.observe`` and ``tel.set``.
+facade, a process-wide default (``Telemetry(enabled=False)`` unless
+enabled), the instrument table (``instrument.INSTRUMENTS`` — every metric
+declared once with kind, labels, help and buckets) and the recorders the
+instrumented subsystems call: ``tel.count``, ``tel.observe``, ``tel.set``
+and ``tel.emit``.
 
 Telemetry is **off by default** and the disabled path costs one attribute
-load plus a branch (guarded by ``tools/check_telemetry_overhead.py``).
+load plus a branch — every recording site sits under ``if tel.enabled:``
+(bounded by ``tools/check_telemetry_overhead.py``).
 Enable it per process::
 
     from repro import obs
@@ -45,9 +47,7 @@ or per component, by passing ``telemetry=Telemetry()`` to
 
 from repro.obs.trace import (
     NULL_SPAN,
-    NULL_TRACER,
     TRACEPARENT_HEADER,
-    NullTracer,
     Span,
     SpanContext,
     Tracer,
@@ -60,12 +60,9 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    NULL_REGISTRY,
 )
 from repro.obs.instrument import (
-    NULL_PROFILE_LOG,
     NULL_TELEMETRY,
-    NullProfileLog,
     PhaseTimer,
     ProfileLog,
     Telemetry,
@@ -90,8 +87,6 @@ from repro.obs.export import (
 from repro.obs.events import (
     Event,
     EventLog,
-    NULL_EVENT_LOG,
-    NullEventLog,
     events_from_jsonl,
     events_to_jsonl,
     write_events_jsonl,
@@ -113,9 +108,7 @@ __all__ = [
     "Span",
     "SpanContext",
     "Tracer",
-    "NullTracer",
     "NULL_SPAN",
-    "NULL_TRACER",
     "TRACEPARENT_HEADER",
     "inject_context",
     "extract_context",
@@ -123,14 +116,11 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NULL_REGISTRY",
     "DEFAULT_BUCKETS",
     "Telemetry",
     "NULL_TELEMETRY",
     "PhaseTimer",
     "ProfileLog",
-    "NullProfileLog",
-    "NULL_PROFILE_LOG",
     "slow_query_threshold",
     "enable",
     "disable",
@@ -148,8 +138,6 @@ __all__ = [
     "phase_durations",
     "Event",
     "EventLog",
-    "NullEventLog",
-    "NULL_EVENT_LOG",
     "events_to_jsonl",
     "events_from_jsonl",
     "write_events_jsonl",

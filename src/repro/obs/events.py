@@ -19,9 +19,9 @@ fault injection, a z-score outlier in a report — recorded with:
 Events land in an :class:`EventLog` — a lock-protected ring buffer
 (the shared :class:`~repro.obs.ring.BoundedRing`) so a week-long simulation
 cannot grow without bound — and are fanned out to subscribed listeners
-(the :class:`~repro.obs.flight.FlightRecorder` is one). The
-:class:`NullEventLog` is the zero-cost stand-in while telemetry is
-disabled, mirroring ``NullTracer``/``NullRegistry``.
+(the :class:`~repro.obs.flight.FlightRecorder` is one). A disabled
+:class:`~repro.obs.instrument.Telemetry` owns an ordinary ``EventLog`` that
+stays empty: ``Telemetry.emit`` returns before reaching it.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from collections import Counter
 from typing import Any, Callable, Dict, IO, Iterable, List, Optional
 
 from repro.errors import TracError
-from repro.obs.ring import BoundedRing, NullRing
+from repro.obs.ring import BoundedRing
 
 # -- canonical event names --------------------------------------------------
 #
@@ -192,32 +192,6 @@ class EventLog(BoundedRing):
     def counts_by_name(self) -> Dict[str, int]:
         """Retained-event counts keyed by event name."""
         return dict(Counter(event.name for event in self.snapshot()))
-
-
-class NullEventLog(NullRing):
-    """Inert event log for disabled telemetry: emits nothing, stores
-    nothing, notifies nobody. One shared instance suffices."""
-
-    __slots__ = ()
-
-    def emit(
-        self, name, t=None, source=None, severity="info", span_id=None,
-        trace_id=None, **attributes,
-    ):
-        return None
-
-    def subscribe(self, listener) -> None:
-        pass
-
-    def unsubscribe(self, listener) -> None:
-        pass
-
-    def counts_by_name(self) -> Dict[str, int]:
-        return {}
-
-
-#: Shared no-op event log used by disabled telemetry.
-NULL_EVENT_LOG = NullEventLog()
 
 
 # -- JSONL export -----------------------------------------------------------

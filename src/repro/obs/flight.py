@@ -61,8 +61,8 @@ class FlightRecorder:
     ----------
     telemetry:
         The :class:`~repro.obs.instrument.Telemetry` whose event log,
-        tracer and metrics to snapshot. Must be an enabled (non-null)
-        telemetry — a null telemetry's event log never notifies.
+        tracer and metrics to snapshot. Installs on a disabled telemetry
+        too, where it never fires: nothing is ever emitted there.
     directory:
         Where dump files land; created on first dump.
     triggers:
@@ -176,8 +176,7 @@ class FlightRecorder:
         finished = tracer.tail(self.max_spans)
         # The listener runs on the emitting thread, so that thread's span
         # stack is exactly the work in flight around the anomaly.
-        stack = getattr(tracer, "_stack", None)
-        open_spans = [s.to_dict() for s in stack()] if callable(stack) else []
+        open_spans = [s.to_dict() for s in tracer._stack()]
         payload: dict = {
             "format": "trac-flight-v1",
             "reason": reason,

@@ -1,19 +1,26 @@
-"""The telemetry facade, the instrument table and the three recorders.
+"""The telemetry facade, the instrument table and the recorders.
 
-A :class:`Telemetry` bundles a :class:`~repro.obs.trace.Tracer` with a
-:class:`~repro.obs.metrics.MetricsRegistry`. Exactly one of two flavours is
-ever handed to instrumented code:
+A :class:`Telemetry` bundles a :class:`~repro.obs.trace.Tracer`, a
+:class:`~repro.obs.metrics.MetricsRegistry`, an
+:class:`~repro.obs.events.EventLog` and two :class:`ProfileLog` rings. Off is
+a value of that one class: ``Telemetry(enabled=False)`` — shared as
+:data:`NULL_TELEMETRY` — owns the same structures, and they stay empty.
 
-* a live ``Telemetry()`` — records spans and metrics;
-* the shared :data:`NULL_TELEMETRY` — ``enabled`` is False and every
-  operation is a no-op on shared singletons.
-
-Instrumented hot paths are written so the *disabled* cost is one attribute
-load and one branch::
+**The guard is the contract.** Instrumented code resolves its telemetry and
+tests ``enabled`` before it records anything, so the disabled cost is one
+attribute load and one branch::
 
     tel = obs.resolve(self.telemetry)
     if tel.enabled:
         tel.count(obs.BACKEND_QUERIES, backend=self.kind)
+
+That covers every recording call: the four facade recorders (``count``,
+``observe``, ``set``, ``emit``) and every direct ``tel.tracer.span(...)``,
+``tel.profiles.record(...)`` and ``tel.provenance.record(...)``. A facade
+recorder reached without the guard on a disabled instance returns at once
+(no validation, nothing stored); an unguarded direct call lands in the real
+structure, where ``tests/test_telemetry_off.py`` — a whole-system run that
+must leave the disabled default empty — finds it.
 
 Resolution order: an explicit ``telemetry=`` argument (to a reporter,
 backend, monitor, ...) wins; otherwise the process-wide default applies,
@@ -26,8 +33,8 @@ below — ``NAME = counter|gauge|histogram("trac_...", help, *label names)``
 registers kind, help, label names and buckets in :data:`INSTRUMENTS` and
 evaluates to the name string. Instrumented modules record through
 :meth:`Telemetry.count`, :meth:`Telemetry.observe` and :meth:`Telemetry.set`,
-which reject an undeclared name or a label set that differs from the
-declaration; nothing else in ``src/`` mints a metric.
+which (enabled) reject an undeclared name or a label set that differs from
+the declaration; nothing else in ``src/`` mints a metric.
 """
 
 from __future__ import annotations
@@ -37,14 +44,10 @@ import time
 from typing import Any, Dict, FrozenSet, NamedTuple, Optional, Tuple
 
 from repro.errors import TracError
-from repro.obs.events import NULL_EVENT_LOG, Event, EventLog
-from repro.obs.metrics import (
-    DEFAULT_BUCKETS,
-    MetricsRegistry,
-    NULL_REGISTRY,
-)
-from repro.obs.ring import BoundedRing, NullRing
-from repro.obs.trace import NULL_SPAN, NULL_TRACER, Tracer
+from repro.obs.events import Event, EventLog
+from repro.obs.metrics import DEFAULT_BUCKETS, MetricsRegistry
+from repro.obs.ring import BoundedRing
+from repro.obs.trace import NULL_SPAN, Tracer
 
 #: Buckets for DNF conjunct counts / expansion factors (dimensionless).
 COUNT_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 512.0, 4096.0)
@@ -303,24 +306,12 @@ class ProfileLog(BoundedRing):
             return self._items[-1] if self._items else None
 
 
-class NullProfileLog(NullRing):
-    """Inert profile log for disabled telemetry."""
-
-    __slots__ = ()
-
-    def record(self, profile: Any) -> None:
-        pass
-
-    def last(self) -> None:
-        return None
-
-
-#: Shared no-op profile log used by disabled telemetry.
-NULL_PROFILE_LOG = NullProfileLog()
-
-
 class Telemetry:
-    """A live tracer + metrics registry + event log + profile log bundle.
+    """A tracer + metrics registry + event log + profile log bundle.
+
+    ``enabled`` is fixed at construction and is what instrumented code
+    branches on (see the module docstring); a disabled instance records
+    nothing through its recorders, so everything it owns reads as empty.
 
     ``provenance`` is a second :class:`ProfileLog` ring holding
     :class:`~repro.core.quality.ProvenanceRecord` documents — one per
@@ -331,13 +322,13 @@ class Telemetry:
 
     __slots__ = ("tracer", "metrics", "events", "profiles", "provenance", "enabled")
 
-    def __init__(self) -> None:
+    def __init__(self, enabled: bool = True) -> None:
         self.tracer = Tracer()
         self.metrics = MetricsRegistry()
         self.events = EventLog()
         self.profiles = ProfileLog()
         self.provenance = ProfileLog()
-        self.enabled = True
+        self.enabled = enabled
 
     def emit(
         self,
@@ -354,6 +345,8 @@ class Telemetry:
         Pass ``span=`` to correlate with a specific (possibly already
         finished) span instead — e.g. a slow-query event emitted after its
         root span closed."""
+        if not self.enabled:
+            return None
         if span is None:
             span = self.tracer.current_span()
         self.count(EVENTS_EMITTED, event=name)
@@ -372,6 +365,8 @@ class Telemetry:
 
     def count(self, name: str, amount: float = 1.0, **labels: Any) -> None:
         """Add ``amount`` to the declared counter ``name``."""
+        if not self.enabled:
+            return
         spec = _declared("counter", name, labels)
         self.metrics.counter(name, labels, help=spec.help).inc(amount)
 
@@ -380,11 +375,15 @@ class Telemetry:
     ) -> None:
         """Record ``value`` in the declared histogram ``name``; ``trace_id``
         (32-hex) attaches an exemplar."""
+        if not self.enabled:
+            return
         spec = _declared("histogram", name, labels)
         self.metrics.histogram(name, labels, spec.buckets, spec.help).observe(value, trace_id)
 
     def set(self, name: str, value: float, **labels: Any) -> None:
         """Set the declared gauge ``name`` to ``value``."""
+        if not self.enabled:
+            return
         spec = _declared("gauge", name, labels)
         self.metrics.gauge(name, labels, help=spec.help).set(value)
 
@@ -398,44 +397,13 @@ class Telemetry:
 
     def __repr__(self) -> str:
         return (
-            f"Telemetry(spans={len(self.tracer.finished_spans())}, "
+            f"Telemetry(enabled={self.enabled}, spans={len(self.tracer.finished_spans())}, "
             f"metrics={len(self.metrics)}, events={len(self.events)})"
         )
 
 
-class _NullTelemetry:
-    """The disabled telemetry: shared no-op tracer, registry and event log."""
-
-    __slots__ = ()
-
-    tracer = NULL_TRACER
-    metrics = NULL_REGISTRY
-    events = NULL_EVENT_LOG
-    profiles = NULL_PROFILE_LOG
-    provenance = NULL_PROFILE_LOG
-    enabled = False
-
-    def emit(self, name, t=None, source=None, severity="info", span=None, **attributes) -> None:
-        return None
-
-    def count(self, name: str, amount: float = 1.0, **labels: Any) -> None:
-        pass
-
-    def observe(self, name: str, value: float, trace_id=None, **labels: Any) -> None:
-        pass
-
-    def set(self, name: str, value: float, **labels: Any) -> None:
-        pass
-
-    def reset(self) -> None:
-        pass
-
-    def __repr__(self) -> str:
-        return "NullTelemetry()"
-
-
 #: The shared disabled telemetry (the process default unless enabled).
-NULL_TELEMETRY = _NullTelemetry()
+NULL_TELEMETRY = Telemetry(enabled=False)
 
 
 def _env_enabled() -> bool:
@@ -450,14 +418,13 @@ def _env_enabled() -> bool:
 _default = Telemetry() if _env_enabled() else NULL_TELEMETRY
 
 
-def get_default():
+def get_default() -> Telemetry:
     """The process-wide telemetry (``NULL_TELEMETRY`` unless enabled)."""
     return _default
 
 
-def set_default(telemetry) -> None:
-    """Install ``telemetry`` (a :class:`Telemetry` or ``NULL_TELEMETRY``)
-    as the process-wide default."""
+def set_default(telemetry: Telemetry) -> None:
+    """Install ``telemetry`` as the process-wide default."""
     global _default
     _default = telemetry
 
@@ -470,11 +437,11 @@ def enable() -> Telemetry:
     global _default
     if not _default.enabled:
         _default = Telemetry()
-    return _default  # type: ignore[return-value]
+    return _default
 
 
 def disable() -> None:
-    """Reset the process-wide default back to the no-op telemetry."""
+    """Reset the process-wide default back to :data:`NULL_TELEMETRY`."""
     set_default(NULL_TELEMETRY)
 
 
@@ -521,8 +488,6 @@ __all__ = [
     "Instrument",
     "INSTRUMENTS",
     "ProfileLog",
-    "NullProfileLog",
-    "NULL_PROFILE_LOG",
     "slow_query_threshold",
     "get_default",
     "set_default",

@@ -95,13 +95,6 @@ class Gauge(_Scalar):
         with self._lock:
             self._value = float(value)
 
-    def inc(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self._value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.inc(-amount)
-
 
 class Histogram:
     """Fixed-bucket histogram with cumulative bucket semantics.
@@ -199,43 +192,6 @@ class Histogram:
         )
 
 
-class NullInstrument:
-    """Stand-in for any instrument while telemetry is disabled."""
-
-    __slots__ = ()
-
-    name = ""
-    labels: LabelPairs = ()
-    kind = "null"
-    value = 0.0
-    count = 0
-    sum = 0.0
-    mean = 0.0
-    bounds: Tuple[float, ...] = ()
-
-    def inc(self, amount: float = 1.0) -> None:
-        pass
-
-    def dec(self, amount: float = 1.0) -> None:
-        pass
-
-    def set(self, value: float) -> None:
-        pass
-
-    def observe(self, value: float, trace_id: Optional[str] = None) -> None:
-        pass
-
-    def bucket_counts(self) -> List[Tuple[float, int]]:
-        return []
-
-    def exemplars(self) -> Dict[float, Tuple[str, float]]:
-        return {}
-
-
-#: Shared instance handed out by :class:`NullRegistry`.
-NULL_INSTRUMENT = NullInstrument()
-
-
 class MetricsRegistry:
     """Owns every instrument; creation is idempotent per (name, labels).
 
@@ -299,14 +255,6 @@ class MetricsRegistry:
     def help_text(self, name: str) -> Optional[str]:
         return self._help.get(name)
 
-    def kind_of(self, name: str) -> Optional[str]:
-        return self._kinds.get(name)
-
-    def names(self) -> List[str]:
-        """Distinct metric names, sorted."""
-        with self._lock:
-            return sorted(self._kinds)
-
     def reset(self) -> None:
         """Drop every instrument (a fresh registry in place)."""
         with self._lock:
@@ -317,40 +265,6 @@ class MetricsRegistry:
     def __len__(self) -> int:
         with self._lock:
             return len(self._instruments)
-
-
-class NullRegistry:
-    """Registry stand-in while telemetry is disabled: hands out one shared
-    no-op instrument and never stores anything."""
-
-    __slots__ = ()
-
-    def counter(self, name, *args, **kwargs) -> NullInstrument:
-        return NULL_INSTRUMENT
-
-    gauge = histogram = counter
-
-    def collect(self) -> List[object]:
-        return []
-
-    def help_text(self, name: str) -> None:
-        return None
-
-    def kind_of(self, name: str) -> None:
-        return None
-
-    def names(self) -> List[str]:
-        return []
-
-    def reset(self) -> None:
-        pass
-
-    def __len__(self) -> int:
-        return 0
-
-
-#: Shared no-op registry used by disabled telemetry.
-NULL_REGISTRY = NullRegistry()
 
 
 def histogram_quantile(

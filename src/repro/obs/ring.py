@@ -6,8 +6,8 @@ and the read side (``snapshot``/``tail``/``for_trace``/``total``/
 ``dropped``/``clear``/``len``). :class:`~repro.obs.events.EventLog` adds
 ``emit`` + listeners and :class:`~repro.obs.instrument.ProfileLog` adds
 ``record`` + ``last``; the :class:`~repro.obs.trace.Tracer` pushes its
-finished spans onto one; :class:`NullRing` is the inert read side the null
-twins share while telemetry is disabled.
+finished spans onto one. A disabled :class:`~repro.obs.instrument.Telemetry`
+owns the same rings; they stay empty because nothing is ever pushed.
 """
 
 from __future__ import annotations
@@ -83,28 +83,3 @@ class BoundedRing:
     def __repr__(self) -> str:
         return f"{type(self).__name__}({len(self)}/{self.capacity} retained, total={self.total})"
 
-
-class NullRing:
-    """Inert read side for disabled telemetry: stores nothing, returns
-    nothing. One shared instance per null log suffices."""
-
-    __slots__ = ()
-
-    capacity = 0
-    total = 0
-    dropped = 0
-
-    def snapshot(self) -> List[Any]:
-        return []
-
-    def tail(self, n: int) -> List[Any]:
-        return []
-
-    def for_trace(self, trace_id: str) -> List[Any]:
-        return []
-
-    def clear(self) -> None:
-        pass
-
-    def __len__(self) -> int:
-        return 0

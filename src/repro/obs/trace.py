@@ -3,15 +3,10 @@
 A :class:`Span` is one timed region of work: a name, monotonic start/end
 times, a parent (for nesting), a 128-bit ``trace_id`` shared by every span
 of one request, and free-form attributes. Spans are created through a
-:class:`Tracer`, either as a context manager::
+:class:`Tracer` as a context manager::
 
     with tracer.span("report", method="focused") as span:
         span.set_attribute("rows", 42)
-
-or as a decorator::
-
-    @tracer.trace("plan")
-    def plan_for(sql): ...
 
 Each thread has its own span stack, so concurrently recording threads nest
 independently; finished spans land in completion order on one shared
@@ -31,18 +26,17 @@ yields ``None`` and the receiver simply starts a fresh trace. Pass an
 extracted context as ``tracer.span(name, parent=ctx)`` and the local span
 joins the remote trace (same ``trace_id``, remote ``span_id`` as parent).
 
-The :class:`NullTracer` is the zero-cost stand-in used while telemetry is
-disabled: ``span()`` hands back one shared no-op context manager and nothing
-is ever recorded.
+While telemetry is disabled no call site reaches the tracer (see the guard
+contract in :mod:`repro.obs.instrument`); :data:`NULL_SPAN` is the shared
+no-op span a disabled :class:`~repro.obs.instrument.PhaseTimer` enters.
 """
 
 from __future__ import annotations
 
-import functools
 import random
 import threading
 import time
-from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Union
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Union
 
 from repro.obs.ring import BoundedRing
 
@@ -364,18 +358,6 @@ class Tracer:
         stack.append(span)
         return span
 
-    # -- context propagation ------------------------------------------------
-
-    def inject(self, carrier: Dict[str, str]) -> Dict[str, str]:
-        """Write the calling thread's current span context into ``carrier``
-        (a no-op when no span is open); returns the carrier."""
-        span = self.current_span()
-        return inject_context(span.context if span is not None else None, carrier)
-
-    def extract(self, carrier: Optional[Mapping]) -> Optional[SpanContext]:
-        """Alias of :func:`extract_context`; never raises."""
-        return extract_context(carrier)
-
     def _finish(self, span: Span, exc: Optional[BaseException]) -> None:
         span.end = time.perf_counter()
         if exc is not None:
@@ -389,21 +371,6 @@ class Tracer:
             except ValueError:
                 pass
         self._finished.push(span)
-
-    def trace(self, name: Optional[str] = None) -> Callable:
-        """Decorator form: wraps the function body in a span."""
-
-        def decorate(fn: Callable) -> Callable:
-            span_name = name or fn.__qualname__
-
-            @functools.wraps(fn)
-            def wrapper(*args: Any, **kwargs: Any) -> Any:
-                with self.span(span_name):
-                    return fn(*args, **kwargs)
-
-            return wrapper
-
-        return decorate
 
     # -- inspection ---------------------------------------------------------
 
@@ -454,55 +421,3 @@ class Tracer:
         """Discard every collected span (open spans keep recording)."""
         self._finished = BoundedRing(self.max_spans)
 
-
-class NullTracer:
-    """Tracer that records nothing; ``span()`` returns the shared
-    :data:`NULL_SPAN` so the disabled path allocates nothing."""
-
-    __slots__ = ()
-
-    max_spans = 0
-    dropped = 0
-
-    def span(self, name: str, parent: Optional[object] = None, **attributes: Any) -> NullSpan:
-        return NULL_SPAN
-
-    def trace(self, name: Optional[str] = None) -> Callable:
-        def decorate(fn: Callable) -> Callable:
-            return fn
-
-        return decorate
-
-    def inject(self, carrier: Dict[str, str]) -> Dict[str, str]:
-        return carrier
-
-    def extract(self, carrier: Optional[Mapping]) -> None:
-        return None
-
-    def current_span(self) -> None:
-        return None
-
-    def finished_spans(self) -> List[Span]:
-        return []
-
-    def tail(self, n: int) -> List[Span]:
-        return []
-
-    def spans_for_trace(self, trace_id: Union[int, str]) -> List[Span]:
-        return []
-
-    def children_of(self, span: Span) -> List[Span]:
-        return []
-
-    def roots(self) -> List[Span]:
-        return []
-
-    def walk(self, root: Span, depth: int = 0) -> Iterator[tuple]:
-        return iter(())
-
-    def reset(self) -> None:
-        pass
-
-
-#: Shared no-op tracer used by disabled telemetry.
-NULL_TRACER = NullTracer()

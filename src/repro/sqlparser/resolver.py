@@ -71,6 +71,11 @@ class ResolvedQuery:
         self.bindings = bindings
         self.catalog = catalog
         self._by_key: Dict[str, RelationBinding] = {b.key: b for b in bindings}
+        #: Relevance plans built from this resolution, by planner options
+        #: (:func:`repro.core.relevance.memoized_relevance_plan`). They live
+        #: and die with the resolution, which the resolved-query cache
+        #: revalidates against the referenced tables' schema generations.
+        self.relevance_plans: Dict[tuple, object] = {}
 
     def binding(self, key: str) -> RelationBinding:
         """Look up a binding by its (lower-cased) key."""

@@ -140,14 +140,6 @@ class TestSnapshotCow:
         # The closed snapshot released its share: the write was in place.
         assert backend.db.relation("activity").rows is rows_before
 
-    def test_cow_disabled_still_isolates(self):
-        backend = MemoryBackend(catalog(), cow_snapshots=False)
-        backend.insert_rows("activity", [("m1", "idle")])
-        with backend.snapshot() as snap:
-            backend.insert_rows("activity", [("m2", "busy")])
-            rows = snap.execute("SELECT mach_id FROM activity").rows
-        assert rows == [("m1",)]
-
     @staticmethod
     def make_loaded():
         backend = MemoryBackend(catalog())

@@ -2,7 +2,7 @@
 
 from repro.catalog import Catalog, Column, TableSchema
 from repro.engine import Database, execute_sql
-from repro.engine.cache import ResolvedQueryCache, configure, get_cache
+from repro.engine.cache import ResolvedQueryCache, get_cache
 from repro.obs import instrument as obs
 from repro.obs.instrument import QUERY_CACHE_HITS, QUERY_CACHE_MISSES, Telemetry
 
@@ -135,16 +135,6 @@ class TestGlobalCache:
         monkeypatch.undo()
         execute_sql(db, first_sighting, telemetry=tel)
         assert tel.profiles.last().cache_hit is True
-
-    def test_configure_replaces_cache(self):
-        original = get_cache()
-        try:
-            fresh = configure(8)
-            assert get_cache() is fresh
-            assert fresh.maxsize == 8
-            assert len(fresh) == 0
-        finally:
-            configure(original.maxsize)
 
     def test_cached_execution_matches_uncached(self):
         db = Database(Catalog([schema()]))

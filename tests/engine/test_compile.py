@@ -2,8 +2,8 @@
 
 ``tools/fuzz_engine.py`` (and its marked wrapper) covers the random
 surface; these tests pin the deliberate design points — 3VL corners, the
-IN set specialization, the row-carrier restriction, and the global
-default switch.
+IN set specialization, the row-carrier restriction, and that nothing but
+``compiled=False`` ever reaches the interpreter.
 """
 
 import pytest
@@ -11,7 +11,7 @@ import pytest
 from repro.catalog import Catalog, Column, TableSchema
 from repro.engine import Database, execute_sql
 from repro.engine import compile as compile_mod
-from repro.engine.evaluate import _build_index_map
+from repro.engine.evaluate import _build_index_map, _Interpreted
 from repro.errors import EngineError
 from repro.sqlparser.parser import parse_query
 from repro.sqlparser.resolver import resolve
@@ -164,15 +164,28 @@ class TestTruthCorners:
         assert result.rows == [("a", 42)]
 
 
-class TestGlobalDefault:
-    def test_set_and_restore(self):
-        saved = compile_mod.set_compiled_default(False)
-        try:
-            assert compile_mod.compiled_default() is False
-            db = database(ROWS_T)
-            # Still correct when the interpreted default applies.
-            rows = execute_sql(db, "SELECT t.s FROM t WHERE t.x = 1").rows
-            assert ("a",) in rows
-        finally:
-            compile_mod.set_compiled_default(saved)
-        assert compile_mod.compiled_default() is saved
+class TestInterpreterIsPerCallOnly:
+    SQL = (
+        "SELECT t.s, COUNT(*) FROM t, u WHERE t.s = u.s AND t.x >= 1 "
+        "GROUP BY t.s ORDER BY t.s LIMIT 5"
+    )
+
+    def test_default_execution_never_builds_the_interpreted_lowering(self, monkeypatch):
+        built = []
+
+        def trap(name, real):
+            def lowering(*args):
+                built.append(name)
+                return real(*args)
+
+            return staticmethod(lowering)
+
+        for name in (
+            "compile_predicate", "compile_scalar", "compile_row_predicate", "compile_projection"
+        ):
+            monkeypatch.setattr(_Interpreted, name, trap(name, getattr(_Interpreted, name)))
+        db = database(ROWS_T, [("a", 1), ("c", 2)])
+        default = execute_sql(db, self.SQL, cache=False).rows
+        assert built == []
+        assert execute_sql(db, self.SQL, cache=False, compiled=False).rows == default
+        assert "compile_row_predicate" in built  # the trap does see the oracle

@@ -22,7 +22,6 @@ def test_compiled_interpreted_and_sqlite_agree():
     env["PYTHONPATH"] = os.path.join(REPO_ROOT, "src") + os.pathsep + env.get(
         "PYTHONPATH", ""
     )
-    env.pop("TRAC_INTERPRETED", None)  # the compiled default must be on
     completed = subprocess.run(
         [sys.executable, TOOL, "200"],
         capture_output=True,

@@ -13,8 +13,9 @@ from repro.federation import (
     ShardRegistry,
     ShardServer,
 )
+from repro.federation import coordinator as coordinator_mod
 from repro.federation.rpc import RPCServer
-from repro.grid.simulator import SimulationConfig
+from repro.grid.simulator import SimulationConfig, monitoring_catalog
 
 SQL = "SELECT * FROM activity WHERE value = 'busy'"
 
@@ -69,6 +70,21 @@ class TestHealthy:
         focused = coordinator.report(SQL)
         naive = coordinator.report(SQL, method="naive")
         assert focused.relevant_source_ids == naive.relevant_source_ids
+
+    def test_replans_when_the_union_catalog_is_replaced(self, pair, monkeypatch):
+        # Machine set unchanged, schema changed: the plan must follow the
+        # catalog, not the SQL text (it used to be memoised per SQL).
+        _, registry = pair
+        union = monitoring_catalog(("m1", "m2"))  # m3 outside every domain
+        monkeypatch.setattr(coordinator_mod, "monitoring_catalog", lambda machines: union)
+        sql = "SELECT * FROM activity WHERE mach_id = 'm3'"
+        coordinator = make_coordinator(registry)
+        try:
+            assert coordinator.report(sql).relevant_source_ids == set()
+            union.replace(monitoring_catalog(registry.machines()).get("activity"))
+            assert coordinator.report(sql).relevant_source_ids == {"m3"}
+        finally:
+            coordinator.close()
 
     def test_unknown_method_rejected(self, pair):
         _, registry = pair

@@ -6,12 +6,10 @@ import threading
 import pytest
 
 from repro.errors import TracError
-from repro.obs import Telemetry
+from repro.obs import NULL_TELEMETRY, Telemetry
 from repro.obs.events import (
     EVT_SOURCE_DEGRADED,
-    NULL_EVENT_LOG,
     EventLog,
-    NullEventLog,
     events_from_jsonl,
     events_to_jsonl,
     write_events_jsonl,
@@ -132,21 +130,6 @@ class TestEventLog:
         assert len(set(seqs)) == len(seqs)
 
 
-class TestNullEventLog:
-    def test_is_inert(self):
-        assert NULL_EVENT_LOG.emit("e", source="m1", extra=1) is None
-        assert NULL_EVENT_LOG.snapshot() == []
-        assert NULL_EVENT_LOG.tail(5) == []
-        assert len(NULL_EVENT_LOG) == 0
-        assert NULL_EVENT_LOG.total == 0
-        assert NULL_EVENT_LOG.dropped == 0
-        NULL_EVENT_LOG.subscribe(lambda e: None)
-        NULL_EVENT_LOG.clear()
-
-    def test_shared_singleton(self):
-        assert isinstance(NULL_EVENT_LOG, NullEventLog)
-
-
 class TestTelemetryEmit:
     def test_emit_counts_and_correlates_spans(self):
         tel = Telemetry()
@@ -168,6 +151,19 @@ class TestTelemetryEmit:
         tel.emit("e")
         tel.reset()
         assert len(tel.events) == 0
+
+    def test_disabled_emit_is_inert(self):
+        log = NULL_TELEMETRY.events
+        seen = []
+        log.subscribe(seen.append)
+        try:
+            assert NULL_TELEMETRY.emit("e", source="m1", extra=1) is None
+            assert NULL_TELEMETRY.emit("e", severity="not-a-severity") is None
+        finally:
+            log.unsubscribe(seen.append)
+        assert seen == [] and log.snapshot() == [] and log.tail(5) == []
+        assert (len(log), log.total, log.dropped) == (0, 0, 0)
+        assert len(NULL_TELEMETRY.metrics) == 0
 
 
 class TestJsonl:

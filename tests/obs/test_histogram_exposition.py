@@ -137,8 +137,8 @@ class TestExemplars:
         assert parsed[matching[0]] == 3
 
     def test_exemplar_survives_null_path(self):
-        from repro.obs.metrics import NULL_REGISTRY
+        from repro.obs.instrument import NULL_TELEMETRY, REPORT_SECONDS
 
-        hist = NULL_REGISTRY.histogram("n_seconds", help="n")
-        hist.observe(1.0, trace_id="ab" * 16)  # must be a silent no-op
-        assert hist.exemplars() == {}
+        # must be a silent no-op
+        NULL_TELEMETRY.observe(REPORT_SECONDS, 1.0, trace_id="ab" * 16, method="focused")
+        assert prometheus_text(NULL_TELEMETRY.metrics) == ""

@@ -8,7 +8,8 @@ Three angles on one rule — a metric exists exactly as it is declared in
   declared label keywords, and nothing but the three recorders (and
   ``obs/metrics.py`` itself) asks the registry for an instrument;
 * runtime: an undeclared name, a wrong kind or a wrong label set raises on
-  a live ``Telemetry`` and does nothing on ``NULL_TELEMETRY``;
+  a live ``Telemetry``; on a disabled one no recorder call, in any order
+  and however wrong, raises or stores anything;
 * the generated "Metric reference" table in docs/OBSERVABILITY.md matches
   the declarations.
 """
@@ -19,6 +20,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.errors import TracError
 from repro.obs import NULL_TELEMETRY, Telemetry, instrument
@@ -223,14 +225,35 @@ class TestRecordersRejectWhatIsNotDeclared:
             tel.observe(instrument.REPORT_SECONDS, 0.1, **labels)
         assert len(tel.metrics) == 0
 
-    def test_null_telemetry_does_nothing(self):
-        for method in ("count", "observe", "set"):
-            recorder = getattr(NULL_TELEMETRY, method)
-            assert recorder("trac_made_up_total", 1.0) is None
-            assert recorder(instrument.REPORTS, 1.0, wrong="labels") is None
-        assert NULL_TELEMETRY.observe(instrument.REPORT_SECONDS, 0.1, trace_id="a" * 32) is None
-        assert len(NULL_TELEMETRY.metrics) == 0
-        assert NULL_TELEMETRY.metrics.collect() == []
+    @given(
+        calls=st.lists(
+            st.tuples(
+                st.sampled_from(["count", "observe", "set", "emit"]),
+                st.sampled_from(sorted(INSTRUMENTS)) | st.text(max_size=12),
+                st.floats(allow_nan=False) | st.none(),
+                st.dictionaries(
+                    st.sampled_from(["method", "backend", "severity", "source", "wrong"]),
+                    st.text(max_size=6),
+                    max_size=3,
+                ),
+            ),
+            max_size=12,
+        )
+    )
+    def test_null_telemetry_does_nothing(self, calls):
+        """Any recorder sequence on a disabled ``Telemetry`` — undeclared
+        names, wrong kinds, wrong labels, an unknown severity — returns
+        ``None`` and leaves every structure it owns empty."""
+        for tel in (NULL_TELEMETRY, Telemetry(enabled=False)):
+            for method, name, value, labels in calls:
+                if method == "emit":
+                    assert tel.emit(name, t=value, **labels) is None
+                else:
+                    assert getattr(tel, method)(name, value, **labels) is None
+            assert len(tel.metrics) == 0 and tel.metrics.collect() == []
+            assert tel.tracer.finished_spans() == [] and tel.tracer.dropped == 0
+            for ring in (tel.events, tel.profiles, tel.provenance):
+                assert (len(ring), ring.total) == (0, 0)
 
 
 class TestMetricReferenceDoc:

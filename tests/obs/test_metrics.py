@@ -7,8 +7,6 @@ import pytest
 from repro.errors import TracError
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
-    NULL_INSTRUMENT,
-    NULL_REGISTRY,
     Counter,
     Gauge,
     Histogram,
@@ -38,12 +36,13 @@ class TestCounter:
 
 
 class TestGauge:
-    def test_set_inc_dec(self, registry):
+    def test_set_moves_both_ways(self, registry):
         g = registry.gauge("backlog")
         g.set(10)
-        g.inc(5)
-        g.dec(2)
+        g.set(13)
         assert g.value == 13.0
+        g.set(2)
+        assert g.value == 2.0
 
 
 class TestHistogramBuckets:
@@ -137,16 +136,6 @@ class TestRegistry:
             ("z_metric", ()),
         ]
 
-    def test_names_and_kind_of(self, registry):
-        registry.counter("c")
-        registry.gauge("g")
-        registry.histogram("h")
-        assert registry.names() == ["c", "g", "h"]
-        assert registry.kind_of("c") == "counter"
-        assert registry.kind_of("g") == "gauge"
-        assert registry.kind_of("h") == "histogram"
-        assert registry.kind_of("missing") is None
-
     def test_help_text_first_writer_wins(self, registry):
         registry.counter("c", help="first")
         registry.counter("c", help="second")
@@ -157,7 +146,7 @@ class TestRegistry:
         registry.counter("c").inc()
         registry.reset()
         assert len(registry) == 0
-        assert registry.names() == []
+        assert registry.collect() == []
         # Re-registering after reset starts fresh.
         assert registry.counter("c").value == 0.0
 
@@ -185,28 +174,6 @@ class TestThreadSafety:
         assert c.value == 2000.0
         assert h.count == 2000
         assert h.bucket_counts()[0] == (0.5, 2000)
-
-
-class TestNullRegistry:
-    def test_hands_out_shared_null_instrument(self):
-        assert NULL_REGISTRY.counter("x") is NULL_INSTRUMENT
-        assert NULL_REGISTRY.gauge("x") is NULL_INSTRUMENT
-        assert NULL_REGISTRY.histogram("x") is NULL_INSTRUMENT
-
-    def test_null_instrument_is_inert(self):
-        NULL_INSTRUMENT.inc()
-        NULL_INSTRUMENT.dec()
-        NULL_INSTRUMENT.set(5)
-        NULL_INSTRUMENT.observe(1.0)
-        assert NULL_INSTRUMENT.value == 0.0
-        assert NULL_INSTRUMENT.count == 0
-        assert NULL_INSTRUMENT.bucket_counts() == []
-
-    def test_stores_nothing(self):
-        NULL_REGISTRY.counter("x").inc()
-        assert len(NULL_REGISTRY) == 0
-        assert NULL_REGISTRY.collect() == []
-        assert NULL_REGISTRY.names() == []
 
 
 class TestHistogramQuantile:

@@ -3,7 +3,7 @@
 The same laws are run against :class:`EventLog` and :class:`ProfileLog`
 because both are :class:`~repro.obs.ring.BoundedRing` with a different
 write verb, and against the :class:`Tracer`, which keeps its finished spans
-on one; the null twins share the inert read side.
+on one; a disabled ``Telemetry`` owns the same rings, empty.
 """
 
 from types import SimpleNamespace
@@ -12,10 +12,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import TracError
-from repro.obs import NULL_EVENT_LOG, NULL_PROFILE_LOG, NullEventLog, NullProfileLog
+from repro.obs import NULL_TELEMETRY, Telemetry
 from repro.obs.events import EventLog
 from repro.obs.instrument import ProfileLog
-from repro.obs.ring import BoundedRing, NullRing
+from repro.obs.ring import BoundedRing
 from repro.obs.trace import SpanContext, Tracer
 
 TRACE_IDS = [None, "a" * 32, "b" * 32, "c" * 32]
@@ -103,24 +103,19 @@ class TestWriteVerbs:
         assert log.dropped == 1
 
 
-class TestNullTwins:
-    @pytest.mark.parametrize("null", [NULL_EVENT_LOG, NULL_PROFILE_LOG], ids=["events", "profiles"])
-    def test_inert_read_side_is_shared(self, null):
-        assert isinstance(null, NullRing)
-        assert null.snapshot() == [] and null.tail(5) == [] and null.for_trace("a" * 32) == []
-        assert (len(null), null.total, null.dropped, null.capacity) == (0, 0, 0, 0)
-        null.clear()
+class TestDisabledTelemetryRings:
+    @pytest.mark.parametrize("name", ["events", "profiles", "provenance"])
+    def test_read_side_is_an_ordinary_empty_ring(self, name):
+        ring = getattr(NULL_TELEMETRY, name)
+        assert type(ring) is type(getattr(Telemetry(), name))
+        assert ring.snapshot() == [] and ring.tail(5) == [] and ring.for_trace("a" * 32) == []
+        assert (len(ring), ring.total, ring.dropped) == (0, 0, 0)
+        ring.clear()
 
-    def test_null_write_verbs_do_nothing(self):
-        assert isinstance(NULL_EVENT_LOG, NullEventLog)
-        assert isinstance(NULL_PROFILE_LOG, NullProfileLog)
-        assert NULL_EVENT_LOG.emit("e", source="m1") is None
-        assert NULL_EVENT_LOG.counts_by_name() == {}
-        NULL_EVENT_LOG.subscribe(print)
-        NULL_EVENT_LOG.unsubscribe(print)
-        assert NULL_PROFILE_LOG.record(object()) is None
-        assert NULL_PROFILE_LOG.last() is None
-        assert len(NULL_EVENT_LOG) == len(NULL_PROFILE_LOG) == 0
+    def test_read_verbs_of_the_logs_answer_empty(self):
+        assert NULL_TELEMETRY.events.counts_by_name() == {}
+        assert NULL_TELEMETRY.profiles.last() is None
+        assert NULL_TELEMETRY.provenance.last() is None
 
 
 @given(

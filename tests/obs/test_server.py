@@ -112,7 +112,12 @@ class TestTracingEndpoints:
     def test_requests_record_http_latency_histogram(self, telemetry):
         with ObservatoryServer(telemetry) as server:
             get(server.url + "/healthz")
-            _, _, body = get(server.url + "/metrics")
+            # The latency lands after the response is on the wire, so a
+            # scrape on a fresh connection can overtake it.
+            deadline = time.monotonic() + 5.0
+            body = ""
+            while 'path="/healthz"' not in body and time.monotonic() < deadline:
+                _, _, body = get(server.url + "/metrics")
         assert "trac_http_request_seconds_bucket" in body
         assert 'path="/healthz"' in body
 

@@ -4,7 +4,8 @@ import threading
 
 import pytest
 
-from repro.obs.trace import NULL_SPAN, NULL_TRACER, NullSpan, Tracer
+from repro.obs.instrument import NULL_TELEMETRY, PhaseTimer
+from repro.obs.trace import NULL_SPAN, NullSpan, Tracer
 
 
 @pytest.fixture
@@ -128,35 +129,6 @@ class TestSpanLifecycle:
         assert tracer.dropped == 0
 
 
-class TestDecorator:
-    def test_explicit_name(self, tracer):
-        @tracer.trace("compute")
-        def add(a, b):
-            return a + b
-
-        assert add(2, 3) == 5
-        assert [s.name for s in tracer.finished_spans()] == ["compute"]
-
-    def test_default_name_is_qualname(self, tracer):
-        @tracer.trace()
-        def helper():
-            return 1
-
-        helper()
-        (span,) = tracer.finished_spans()
-        assert "helper" in span.name
-
-    def test_decorated_call_nests_under_open_span(self, tracer):
-        @tracer.trace("inner")
-        def inner():
-            pass
-
-        with tracer.span("outer") as outer:
-            inner()
-        spans = {s.name: s for s in tracer.finished_spans()}
-        assert spans["inner"].parent_id == outer.span_id
-
-
 class TestCapacity:
     def test_max_spans_drops_and_counts(self):
         tracer = Tracer(max_spans=2)
@@ -197,26 +169,19 @@ class TestThreadSafety:
             assert all(c.parent_id == root.span_id for c in children)
 
 
-class TestNullTracer:
-    def test_span_is_shared_null_span(self):
-        assert NULL_TRACER.span("anything", k="v") is NULL_SPAN
+class TestNullSpan:
+    """The one twin a call site really enters: a disabled PhaseTimer's span."""
 
     def test_null_span_works_as_context_manager(self):
-        with NULL_TRACER.span("x") as span:
+        with NULL_SPAN as span:
             span.set_attribute("ignored", 1)
         assert isinstance(span, NullSpan)
         assert span.attributes == {}
         assert span.to_dict() == {}
 
     def test_records_nothing(self):
-        with NULL_TRACER.span("x"):
-            pass
-        assert NULL_TRACER.finished_spans() == []
-        assert NULL_TRACER.roots() == []
-        assert NULL_TRACER.current_span() is None
-
-    def test_decorator_returns_function_unwrapped(self):
-        def fn():
-            return 7
-
-        assert NULL_TRACER.trace("x")(fn) is fn
+        tracer = NULL_TELEMETRY.tracer
+        with PhaseTimer(NULL_TELEMETRY, "x"):
+            assert tracer.current_span() is None
+        assert tracer.finished_spans() == []
+        assert tracer.roots() == []

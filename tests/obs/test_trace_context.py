@@ -127,9 +127,8 @@ class TestTracerPropagation:
     def test_remote_parent_joins_the_callers_trace(self):
         caller, callee = Tracer(), Tracer()
         with caller.span("client") as client:
-            carrier = {}
-            caller.inject(carrier)
-        remote = callee.extract(carrier)
+            carrier = inject_context(caller.current_span().context, {})
+        remote = extract_context(carrier)
         assert remote == client.context
         with callee.span("server", parent=remote) as server:
             with callee.span("inner") as inner:

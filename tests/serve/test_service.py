@@ -109,7 +109,7 @@ class TestTelemetry:
 
     def test_disabled_telemetry_still_serves(self, service):
         doc = service.query(SQL)
-        assert doc["trace_id"] is None
+        assert "trace_id" not in doc and "profile" not in doc
         assert service.latency_quantile_ms() is None
 
 

@@ -23,6 +23,29 @@ from repro.serve import QueryService, ServeConfig
 
 SQL = "SELECT mach_id, value FROM activity WHERE value = 'busy'"
 
+#: The keys every report document carries, whatever is switched on.
+ALWAYS = {
+    "sql", "method", "columns", "rows", "notices", "relevant_sources",
+    "exceptional_sources", "normal", "exceptional", "degraded",
+    "bound_of_inconsistency", "minimal", "timings",
+}
+#: Keys that appear only when what they describe is on (never as ``null``).
+OPTIONAL = {
+    "trace_id": "telemetry enabled",
+    "profile": "telemetry enabled on reporter and memory backend alike",
+    "incremental": "the reporter has an incremental maintainer",
+    "provenance": "lineage on",
+}
+#: Which of them each surface of the fixture below turns on: the reporter
+#: and the two HTTP surfaces share one enabled ``Telemetry`` (the backend
+#: does not, so no profile); the coordinator follows the disabled default.
+ON = {
+    "reporter": {"trace_id"},
+    "GET /query": {"trace_id"},
+    "POST /v1/query": {"trace_id"},
+    "federation": set(),
+}
+
 #: What each surface may add to the report document.
 ENVELOPES = {
     "reporter": set(),
@@ -82,9 +105,10 @@ def documents():
 def test_surface_serves_the_report_document_plus_its_envelope(documents, surface):
     local, doc = documents["reporter"], documents[surface]
     assert local["relevant_sources"], "the fixture query must have relevant sources"
-    assert set(doc) == set(local) | ENVELOPES[surface]
-    skip = VOLATILE | ENVELOPES[surface] | (USER_QUERY if surface == "federation" else set())
-    for key in set(local) - skip:
+    assert ON[surface] <= set(OPTIONAL)
+    assert set(doc) == ALWAYS | ON[surface] | ENVELOPES[surface]
+    skip = VOLATILE | (USER_QUERY if surface == "federation" else set())
+    for key in ALWAYS - skip:
         assert doc[key] == local[key], key
 
 
@@ -95,3 +119,27 @@ def test_envelopes_carry_what_they_declare(documents):
     assert (fed["shards_total"], fed["shards_ok"], fed["complete"]) == (1, 1, True)
     assert fed["missing_shards"] == [] and fed["stale_shards"] == {}
     assert fed["columns"] == [] and fed["rows"] == []
+
+
+def test_the_document_says_nothing_about_what_is_off(paper_memory_backend):
+    """Telemetry off, no maintainer, no lineage: exactly the ``ALWAYS`` keys;
+    each optional key arrives with its feature and is never ``null``. A
+    ``null`` ``bound_of_inconsistency`` is a finding, not an absence."""
+    from repro.incremental import IncrementalMaintainer
+
+    sql = "SELECT mach_id FROM activity WHERE value = 'idle'"
+    with RecencyReporter(paper_memory_backend) as plain:
+        assert set(plain.report(sql).to_dict()) == ALWAYS
+    maintainer = IncrementalMaintainer(paper_memory_backend)
+    paper_memory_backend.telemetry = tel = Telemetry()
+    with RecencyReporter(
+        paper_memory_backend, incremental=maintainer, lineage=True, telemetry=tel
+    ) as full:
+        doc = full.report(sql).to_dict()
+    paper_memory_backend.telemetry = None
+    assert set(doc) == ALWAYS | set(OPTIONAL)
+    assert all(doc[key] is not None for key in OPTIONAL)
+    paper_memory_backend.delete_all("heartbeat")
+    with RecencyReporter(paper_memory_backend) as plain:
+        silent = plain.report(sql).to_dict()
+    assert silent["relevant_sources"] == [] and silent["bound_of_inconsistency"] is None

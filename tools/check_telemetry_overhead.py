@@ -17,9 +17,10 @@ first-principles bound instead of a before/after diff:
    a full no-op ``PhaseTimer`` cycle (construct + enter + exit), a
    ``resolve()`` + ``enabled`` branch, the event-emission guard
    (the ``enabled`` branch in front of every ``tel.emit`` call — with
-   telemetry disabled the ``NullEventLog`` is never even reached),
+   telemetry disabled the event log is never even reached),
    a disabled histogram observation (``NULL_TELEMETRY.observe`` with a
-   trace-id exemplar), the trace-propagation guard (the
+   trace-id exemplar: the recorder's own early return), the
+   trace-propagation guard (the
    ``enabled`` branch in front of context inject/extract — disabled
    telemetry never builds a SpanContext or touches a carrier), and the
    disabled lineage guard (the ``lineage=False`` keyword forward plus
@@ -50,7 +51,6 @@ from typing import Callable
 from repro import obs
 from repro.core.report import RecencyReporter
 from repro.backends.memory import MemoryBackend
-from repro.obs.events import NULL_EVENT_LOG, NullEventLog
 from repro.obs.instrument import NULL_TELEMETRY, REPORT_SECONDS, PhaseTimer
 from repro.workload.generator import (
     WorkloadConfig,
@@ -119,10 +119,10 @@ def time_event_guard() -> float:
     """Seconds per disabled event-emission site.
 
     Every instrumented emitter guards ``tel.emit(...)`` behind
-    ``tel.enabled`` — the NullEmitter pattern: with telemetry off the
-    branch is the whole cost and the event log is never touched. This
-    times exactly that guard (resolve + branch; the emit is never
-    reached, mirroring the real call sites).
+    ``tel.enabled``: with telemetry off the branch is the whole cost and
+    the event log is never touched. This times exactly that guard
+    (resolve + branch; the emit is never reached, mirroring the real call
+    sites).
     """
     start = time.perf_counter()
     emitted = 0
@@ -140,17 +140,15 @@ def time_histogram_observe() -> float:
 
     Instrumented code records through ``tel.observe(NAME, value, ...)``
     behind the ``enabled`` guard; should a call ever run unguarded with
-    telemetry off it lands in ``NULL_TELEMETRY.observe`` — no table lookup,
-    no bucket search, no lock, no exemplar storage. This times that no-op,
-    trace-id and label keywords and all.
+    telemetry off ``Telemetry.observe`` returns on its own ``enabled`` test —
+    no table lookup, no bucket search, no lock, no exemplar storage. This
+    times that early return, trace-id and label keywords and all.
     """
     tel = NULL_TELEMETRY
     start = time.perf_counter()
     for _ in range(MICRO_LOOPS):
         tel.observe(REPORT_SECONDS, 0.001, trace_id="0" * 32, method="focused")
-    elapsed = time.perf_counter() - start
-    assert len(tel.metrics) == 0, "null telemetry must not create instruments"
-    return elapsed / MICRO_LOOPS
+    return (time.perf_counter() - start) / MICRO_LOOPS
 
 
 def time_propagation_guard() -> float:
@@ -195,16 +193,15 @@ def time_lineage_guard() -> float:
     return (time.perf_counter() - start) / MICRO_LOOPS
 
 
-def assert_null_event_log() -> None:
-    """Structural check: disabled telemetry shares the inert event log."""
-    assert isinstance(NULL_TELEMETRY.events, NullEventLog), (
-        "disabled telemetry must use the NullEventLog"
-    )
-    assert NULL_TELEMETRY.events is NULL_EVENT_LOG, (
-        "disabled telemetry must share the singleton NULL_EVENT_LOG"
-    )
-    assert NULL_TELEMETRY.events.emit("probe") is None
-    assert len(NULL_TELEMETRY.events) == 0, "NullEventLog must never retain events"
+def assert_disabled_default_retained_nothing() -> None:
+    """Structural check: the timed reports and the microbenchmarks all ran on
+    the disabled default, and none of them reached one of its structures."""
+    tel = obs.get_default()
+    assert tel is NULL_TELEMETRY and not tel.enabled
+    assert not tel.tracer.finished_spans(), "a span was recorded with telemetry off"
+    assert len(tel.metrics) == 0, "an instrument was created with telemetry off"
+    for ring in (tel.events, tel.profiles, tel.provenance):
+        assert ring.total == 0, f"{ring!r} was written with telemetry off"
 
 
 def build_reporter(num_sources: int, data_ratio: int) -> RecencyReporter:
@@ -230,7 +227,6 @@ def main(argv=None) -> int:
     reporter = build_reporter(args.num_sources, args.data_ratio)
     sql = paper_queries(args.num_sources)["Q1"]
 
-    assert_null_event_log()
     t_report = _mean_seconds(lambda: reporter.report(sql, method="focused"), args.runs)
     t_timer = time_phase_timer_cycle()
     t_check = time_enabled_check()
@@ -238,6 +234,7 @@ def main(argv=None) -> int:
     t_histogram = time_histogram_observe()
     t_propagation = time_propagation_guard()
     t_lineage = time_lineage_guard()
+    assert_disabled_default_retained_nothing()
 
     bound = (
         TIMERS_PER_REPORT * t_timer
