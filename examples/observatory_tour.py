@@ -29,7 +29,7 @@ from repro.core.slo import StalenessSLO
 from repro.faults import plan_from_json
 from repro.grid import GridSimulator, SimulationConfig
 from repro.grid.supervisor import SupervisorPolicy
-from repro.obs.dashboard import render_top, status_from_simulator
+from repro.obs.dashboard import render_top
 from repro.obs.flight import FlightRecorder
 from repro.obs.server import ObservatoryServer
 
@@ -59,11 +59,7 @@ def main() -> None:
     recorder = FlightRecorder(telemetry, flight_dir, slo=slo, health=sim.health)
     recorder.install()
 
-    with ObservatoryServer(
-        telemetry,
-        health=sim.health,
-        status_provider=lambda: status_from_simulator(sim, slo),
-    ) as server:
+    with ObservatoryServer(telemetry, status_provider=sim.status) as server:
         print(f"observatory serving on {server.url}")
 
         print("\n--- 1. simulate with an injected silence on m2 ---")

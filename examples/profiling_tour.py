@@ -8,9 +8,10 @@ Walks the end-to-end query tracing story, entirely in-process:
 2. print the user query's :class:`~repro.engine.profile.QueryProfile`
    (rows in/out, selectivity, wall ms per operator) straight off the
    :class:`~repro.core.report.RecencyReport`;
-3. serve a query over HTTP through the observatory with an injected W3C
+3. serve a query over ``POST /v1/query`` with an injected W3C
    ``traceparent`` header, then pull ``/trace/<id>`` to see the caller's
-   trace id on every span, event and profile produced while serving it;
+   trace id on every span, event and profile produced while serving it —
+   on the connection thread and on the worker thread it was handed to;
 4. scrape ``/metrics`` and show the latency histograms carrying the
    trace id as an exemplar;
 5. trip the slow-query threshold and watch ``query.slow`` fire.
@@ -25,7 +26,6 @@ Run:  python examples/profiling_tour.py
 
 import json
 import time
-import urllib.parse
 import urllib.request
 
 from repro.backends.memory import MemoryBackend
@@ -33,12 +33,14 @@ from repro.catalog import Catalog, Column, TableSchema
 from repro.core.report import RecencyReporter
 from repro.obs import Telemetry
 from repro.obs.server import ObservatoryServer
+from repro.serve import QueryService, ServeConfig
 
 CALLER_TRACE = "1badb002" * 4  # a 32-hex trace id the "caller" minted
 
 
-def scrape(url: str, headers=None) -> str:
-    request = urllib.request.Request(url, headers=headers or {})
+def scrape(url: str, headers=None, body=None) -> str:
+    data = json.dumps(body).encode("utf-8") if body is not None else None
+    request = urllib.request.Request(url, data=data, headers=headers or {})
     with urllib.request.urlopen(request, timeout=10.0) as response:
         return response.read().decode("utf-8")
 
@@ -82,11 +84,11 @@ def main() -> None:
     print(report.profile.render())
 
     print("\n--- 2. a query served over HTTP joins the caller's trace ---")
-    with ObservatoryServer(telemetry, reporter=reporter) as server:
+    service = QueryService(reporter.backend, ServeConfig(workers=2), telemetry=telemetry)
+    with service, ObservatoryServer(telemetry, query_service=service) as server:
         traceparent = f"00-{CALLER_TRACE}-00f067aa0ba902b7-01"
         body = scrape(
-            f"{server.url}/query?sql={urllib.parse.quote(sql)}",
-            headers={"traceparent": traceparent},
+            f"{server.url}/v1/query", headers={"traceparent": traceparent}, body={"sql": sql}
         )
         doc = json.loads(body)
         print(f"injected  trace_id: {CALLER_TRACE}")
@@ -95,7 +97,7 @@ def main() -> None:
         print(f"profile operators over HTTP: {ops}")
 
         print("\n--- 3. /trace/<id> correlates spans, events and profiles ---")
-        # The /query request's own span closes on the server thread just
+        # The request's own span closes on the connection thread just
         # after its response is sent; wait for it to land in the trace.
         deadline = time.monotonic() + 5.0
         while True:

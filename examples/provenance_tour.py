@@ -12,8 +12,8 @@ Answers "why should I trust this row?" end to end, entirely in-process:
    (``trac explain --analyze --lineage`` shows the same table);
 4. inject staleness into one source and watch row quality degrade
    monotonically;
-5. serve the same query through the observatory — the ``/query``
-   response gains a ``provenance`` block, its ``trace_id`` pivots to
+5. serve the same query through ``POST /v1/query`` — the response
+   gains a ``provenance`` block, its ``trace_id`` pivots to
    ``/provenance/<trace_id>``, and ``/metrics`` grows the
    ``trac_row_quality`` histogram.
 
@@ -33,10 +33,12 @@ from repro.catalog import Catalog, Column, TableSchema
 from repro.core.report import RecencyReporter
 from repro.obs import Telemetry
 from repro.obs.server import ObservatoryServer
+from repro.serve import QueryService, ServeConfig
 
 
-def scrape(url: str) -> str:
-    with urllib.request.urlopen(url, timeout=10.0) as response:
+def scrape(url: str, body=None) -> str:
+    data = json.dumps(body).encode("utf-8") if body is not None else None
+    with urllib.request.urlopen(urllib.request.Request(url, data=data), timeout=10.0) as response:
         return response.read().decode("utf-8")
 
 
@@ -134,15 +136,16 @@ def main() -> None:
     backend.upsert_heartbeat("m3", 940.0)
 
     print("\n--- 5. the observatory serves the provenance story over HTTP ---")
-    with ObservatoryServer(telemetry, reporter=reporter) as server:
+    service = QueryService(backend, ServeConfig(workers=2, lineage=True), telemetry=telemetry)
+    with service, ObservatoryServer(telemetry, query_service=service) as server:
         print(f"observatory serving on {server.url}")
         body = scrape(
-            server.url + "/query?sql=SELECT+mach_id,+COUNT(*)+FROM+activity"
-            "+GROUP+BY+mach_id"
+            server.url + "/v1/query",
+            body={"sql": "SELECT mach_id, COUNT(*) FROM activity GROUP BY mach_id"},
         )
         doc = json.loads(body)
         provenance = doc["provenance"]
-        print(f"/query provenance block: row_sources={provenance['row_sources']}")
+        print(f"/v1/query provenance block: row_sources={provenance['row_sources']}")
         print(
             "  quality: worst="
             f"{provenance['quality']['worst_row_quality']:.3f}"

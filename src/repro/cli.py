@@ -69,8 +69,9 @@ from typing import List, Optional
 
 from repro.backends.sqlite import SQLiteBackend
 from repro.core.report import RecencyReporter
-from repro.core.statistics import format_interval, format_timestamp, zscore_split, SourceRecency
+from repro.core.statistics import DEFAULT_Z_THRESHOLD, format_interval, format_timestamp
 from repro.errors import TracError
+from repro.obs.dashboard import fetch_status, render_top, run_top, source_rows
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -197,7 +198,7 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="federated mode: split the machines over N shard-server "
         "subprocesses and report through the federation coordinator "
-        "(--duration then counts wall seconds; --db is not written)",
+        "(--duration counts wall seconds; --db is not written; --serve + trac top watch it)",
     )
     simulate.add_argument(
         "--report-interval",
@@ -478,15 +479,6 @@ def _open_durability(args: argparse.Namespace):
     return manager, None if saved is None else SimulationConfig.from_dict(saved)
 
 
-def _status_source(source_id: str, state: str, recency: float, age: float, quality: float) -> dict:
-    """One ``/status`` source row as ``trac top`` reads it, for the commands
-    that have no simulator to ask (no z-score, no lag series)."""
-    return {
-        "id": source_id, "state": state, "recency": recency, "age": age,
-        "z": 0.0, "quality": quality, "lag_series": [],
-    }
-
-
 def _print_row_counts(backend) -> None:
     for table in ("activity", "routing", "sched_jobs", "run_jobs", "heartbeat"):
         print(f"  {table:<10} {backend.row_count(table):>8} rows")
@@ -496,8 +488,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     from repro.grid.simulator import GridSimulator, SimulationConfig
     from repro.grid.supervisor import SupervisorPolicy
 
-    if args.resume and not args.data_dir:
-        raise TracError("--resume requires --data-dir")
     if args.shards is not None:
         if args.shards < 1:
             raise TracError(f"--shards must be >= 1, got {args.shards}")
@@ -554,7 +544,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             )
 
     if observing:
-        from repro.obs.dashboard import status_from_simulator
         from repro.obs.flight import FlightRecorder
 
         flight_dir = args.flight_dir or f"{args.db}.flight"
@@ -565,14 +554,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             from repro.obs.server import ObservatoryServer
 
             server = ObservatoryServer(
-                telemetry,
-                host=args.serve_host,
-                port=args.serve,
-                health=sim.health,
-                breakers=lambda: {
-                    mid: sup.breaker.state for mid, sup in sim.supervisors.items()
-                },
-                status_provider=lambda: status_from_simulator(sim, slo),
+                telemetry, host=args.serve_host, port=args.serve, status_provider=sim.status
             ).start()
 
     announce = (
@@ -590,9 +572,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             return False
         sim.step()
         if args.top and observing and sim.now >= next_frame:
-            from repro.obs.dashboard import render_top
-
-            sys.stdout.write(render_top(status_from_simulator(sim, slo)) + "\n")
+            sys.stdout.write(render_top(sim.status()) + "\n")
             next_frame = sim.now + max(args.top_interval, config.tick)
         return True
 
@@ -713,6 +693,13 @@ def _cmd_shard_serve(args: argparse.Namespace) -> int:
     return 0
 
 
+#: ``trac simulate`` flags with no shard-side meaning: refused with --shards.
+_UNSHARDED_FLAGS = (
+    "top", "schedulers", "job_probability", "failure_probability", "silence_timeout",
+    "slo_target", "slo_budget", "flight_dir", "archive",
+)
+
+
 def _cmd_simulate_sharded(args: argparse.Namespace) -> int:
     import os
 
@@ -720,8 +707,12 @@ def _cmd_simulate_sharded(args: argparse.Namespace) -> int:
     from repro.federation import FederationCoordinator, ShardRegistry
     from repro.federation.process import launch_shard
 
-    if args.top:
-        raise TracError("--top is not supported with --shards (use --serve + trac top)")
+    defaults = _build_parser().parse_args(["simulate", "--db", args.db])
+    for flag in _UNSHARDED_FLAGS:
+        if getattr(args, flag) != getattr(defaults, flag):
+            raise TracError(f"--{flag.replace('_', '-')} is not supported with --shards")
+    if args.resume and not args.data_dir:
+        raise TracError("--resume requires --data-dir")
     if args.db:
         print(f"note: --shards mode does not write {args.db}; state lives per shard")
 
@@ -753,6 +744,10 @@ def _cmd_simulate_sharded(args: argparse.Namespace) -> int:
                 resume=args.resume,
                 fsync=args.fsync,
                 faults=args.faults,
+                extra_args=[
+                    "--fsync-interval", str(args.fsync_interval),
+                    "--checkpoint-interval", str(args.checkpoint_interval),
+                ],
             )
             processes.append(proc)
             registry.register(proc.host, proc.port)
@@ -768,27 +763,8 @@ def _cmd_simulate_sharded(args: argparse.Namespace) -> int:
         if args.serve is not None:
             from repro.obs.server import ObservatoryServer
 
-            def status() -> dict:
-                shards = registry.shards()
-                newest = max((r for info in shards for r in info.recency.values()), default=0.0)
-                by_source = [
-                    _status_source(
-                        mid, "healthy" if info.alive else "unknown", recency, newest - recency, 1.0
-                    )
-                    for info in shards
-                    for mid, recency in sorted(info.recency.items())
-                ]
-                return {
-                    "now": newest,
-                    "sources": by_source,
-                    "federation": coordinator.federation_status(),
-                }
-
             server = ObservatoryServer(
-                telemetry,
-                host=args.serve_host,
-                port=args.serve,
-                status_provider=status,
+                telemetry, host=args.serve_host, port=args.serve, status_provider=coordinator.status
             ).start()
             announce += f"\nobservatory serving on {server.url}"
 
@@ -963,9 +939,10 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 
     with contextlib.closing(SQLiteBackend.open(args.db)) as backend:
         if args.analyze:
-            from repro.engine.profile import database_from_backend, profile_query
+            from repro.engine.profile import profile_query
+            from repro.serve import mirror_into_memory
 
-            db = database_from_backend(backend)
+            db = mirror_into_memory(backend).db  # SQLite runs its SQL natively: nothing to profile
             print(profile_query(db, args.sql, lineage=args.lineage).render())
         else:
             print(
@@ -984,20 +961,19 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
             count = backend.row_count(schema.name)
             source = f"source={schema.source_column}" if schema.source_column else "system"
             print(f"  {schema.name:<12} {count:>8} rows   ({source})")
-        heartbeats = backend.heartbeat_rows()
+        heartbeats = dict(backend.heartbeat_rows())
         if not heartbeats:
             print("no heartbeats recorded")
             return 0
-        sources = [SourceRecency(sid, rec) for sid, rec in heartbeats]
-        split = zscore_split(sources)
-        recencies = [rec for _, rec in heartbeats]
+        oldest, newest = min(heartbeats.values()), max(heartbeats.values())
         print(f"heartbeats: {len(heartbeats)} sources")
-        print(f"  oldest : {format_timestamp(min(recencies))}")
-        print(f"  newest : {format_timestamp(max(recencies))}")
-        print(f"  spread : {format_interval(max(recencies) - min(recencies))}")
-        if split.exceptional:
-            names = ", ".join(s.source_id for s in split.exceptional)
-            print(f"  exceptional (|z| >= {split.threshold}): {names}")
+        print(f"  oldest : {format_timestamp(oldest)}")
+        print(f"  newest : {format_timestamp(newest)}")
+        print(f"  spread : {format_interval(newest - oldest)}")
+        rows = source_rows(heartbeats, newest)
+        names = ", ".join(row["id"] for row in rows if row["state"] == "exceptional")
+        if names:
+            print(f"  exceptional (|z| >= {DEFAULT_Z_THRESHOLD}): {names}")
         else:
             print("  exceptional: none")
         return 0
@@ -1095,14 +1071,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.obs.server import ObservatoryServer
     from repro.serve import QueryService, ServeConfig, mirror_into_memory
 
-    backend = SQLiteBackend.open(args.db)
     tel = obs.enable()
     server = None
     service = None
     try:
         # SQLite connections are single-threaded; serving mirrors the DB
         # into a memory backend whose CoW snapshots carry concurrent load.
-        memory = mirror_into_memory(backend)
+        with contextlib.closing(SQLiteBackend.open(args.db)) as backend:
+            memory = mirror_into_memory(backend)
         service = QueryService(
             memory,
             ServeConfig(
@@ -1117,32 +1093,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             telemetry=tel,
         )
 
-        def status() -> dict:
-            from repro.core.quality import QualityModel
-
-            model = QualityModel()
-            heartbeats = backend.heartbeat_rows()
-            sources = [SourceRecency(sid, rec) for sid, rec in heartbeats]
-            split = zscore_split(sources)
-            exceptional = {s.source_id for s in split.exceptional}
-            newest = max((rec for _, rec in heartbeats), default=0.0)
-            by_source = []
-            for source in sorted(sources, key=lambda s: s.source_id):
-                age = newest - source.recency
-                quality = model.freshness(age)
-                if source.source_id in exceptional:
-                    quality *= model.exceptional_penalty
-                state = "exceptional" if source.source_id in exceptional else "healthy"
-                by_source.append(
-                    _status_source(source.source_id, state, source.recency, age, quality)
-                )
-            return {"now": newest, "sources": by_source}
-
         server = ObservatoryServer(
             tel,
             host=args.host,
             port=args.port,
-            status_provider=status,
+            status_provider=service.status,
             query_service=service,
         ).start()
         announce = (
@@ -1157,13 +1112,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             server.stop()
         if service is not None:
             service.close()
-        backend.close()
         obs.disable()
 
 
 def _cmd_top(args: argparse.Namespace) -> int:
-    from repro.obs.dashboard import fetch_status, run_top
-
     frames = run_top(
         lambda: fetch_status(args.url),
         interval=args.interval,

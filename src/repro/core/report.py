@@ -266,8 +266,8 @@ class RecencyReport:
     def to_dict(self) -> Dict[str, object]:
         """The report as one JSON document — the only report → JSON mapping.
 
-        Every surface (``GET /query``, ``POST /v1/query``, a federated
-        report) serves exactly these keys plus its own envelope. ``normal``
+        Every surface (``POST /v1/query``, a federated report) serves
+        exactly these keys plus its own envelope. ``normal``
         and ``exceptional`` are the paper's two temp tables as data:
         ``[source, recency]`` pairs. The document says nothing about what
         is off: ``trace_id`` and ``profile`` appear only with telemetry

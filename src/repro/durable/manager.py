@@ -65,6 +65,13 @@ _NEG_INF = float("-inf")
 #: Subdirectory of the data dir holding per-machine log mirrors.
 LOGS_SUBDIR = "logs"
 
+#: Checkpoint epochs (and their WAL segments) retained for fall-back recovery.
+KEEP_CHECKPOINTS = 2
+
+#: Log mirrors are flushed per append (SIGKILL-safe) but never fsynced: the
+#: WAL is what recovery trusts, so syncing them buys nothing.
+MIRROR_FSYNC = "never"
+
 
 class DurableLogFile(LogFile):
     """An in-memory :class:`LogFile` whose appends are mirrored to disk.
@@ -102,13 +109,6 @@ class DurabilityPolicy:
         Wall-clock seconds between WAL fsyncs under the ``interval`` policy.
     checkpoint_interval:
         *Simulated* seconds between checkpoints.
-    keep_checkpoints:
-        How many checkpoint epochs (and their WAL segments) to retain for
-        fall-back recovery.
-    mirror_fsync:
-        Fsync policy for the per-machine log mirrors. Defaults to
-        ``never``: mirrors are flushed per append (SIGKILL-safe) but the
-        WAL is what recovery trusts, so syncing them buys nothing.
     """
 
     def __init__(
@@ -116,30 +116,20 @@ class DurabilityPolicy:
         fsync: str = "interval",
         fsync_interval: float = 1.0,
         checkpoint_interval: float = 60.0,
-        keep_checkpoints: int = 2,
-        mirror_fsync: str = "never",
     ) -> None:
         validate_fsync_policy(fsync, fsync_interval)
-        validate_fsync_policy(mirror_fsync, fsync_interval)
         if not (checkpoint_interval > 0.0):
             raise DurabilityError(
                 f"checkpoint_interval must be positive, got {checkpoint_interval!r}"
             )
-        if keep_checkpoints < 1:
-            raise DurabilityError(
-                f"keep_checkpoints must be at least 1, got {keep_checkpoints!r}"
-            )
         self.fsync = fsync
         self.fsync_interval = float(fsync_interval)
         self.checkpoint_interval = float(checkpoint_interval)
-        self.keep_checkpoints = int(keep_checkpoints)
-        self.mirror_fsync = mirror_fsync
 
     def __repr__(self) -> str:
         return (
             f"DurabilityPolicy(fsync={self.fsync!r}, "
-            f"checkpoint_interval={self.checkpoint_interval}, "
-            f"keep={self.keep_checkpoints})"
+            f"checkpoint_interval={self.checkpoint_interval})"
         )
 
 
@@ -264,7 +254,7 @@ class DurabilityManager:
             writer = FileLogWriter(
                 log_path(self.logs_dir, mid),
                 mid,
-                fsync=self.policy.mirror_fsync,
+                fsync=MIRROR_FSYNC,
                 fsync_interval=self.policy.fsync_interval,
                 clock=self._clock,
             )
@@ -321,7 +311,7 @@ class DurabilityManager:
         for mid, sniffer in sim.sniffers.items():
             sniffer.offset = recovered.offsets.get(mid, sniffer.offset)
             if mid in recovered.recency:
-                sniffer._reported_recency = recovered.recency[mid]
+                sniffer.reported_recency = recovered.recency[mid]
             if mid in recovered.last_loaded:
                 sniffer.last_loaded_timestamp = recovered.last_loaded[mid]
         if state is not None:
@@ -492,7 +482,7 @@ class DurabilityManager:
             if old_wal is not None:
                 old_wal.close()
             self.epoch = new_epoch
-            prune_artifacts(self.data_dir, self.policy.keep_checkpoints)
+            prune_artifacts(self.data_dir, KEEP_CHECKPOINTS)
         except (DurabilityError, SimulationError, OSError) as exc:
             self.checkpoint_failures += 1
             if tel.enabled:

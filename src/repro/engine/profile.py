@@ -166,6 +166,8 @@ class QueryProfile:
 
     def render(self) -> str:
         """Aligned plain text (what ``trac explain --analyze`` prints)."""
+        from repro.obs.export import aligned
+
         lines = [f"profile: {self.sql}"]
         with_lineage = any(op.lineage_fanin is not None for op in self.operators)
         headers = ("operator", "target", "rows_in", "rows_out", "sel", "ms", "detail")
@@ -187,14 +189,7 @@ class QueryProfile:
                 fanin = op.lineage_fanin
                 row = row + (str(fanin) if fanin is not None else "-",)
             rows.append(row)
-        widths = [len(h) for h in headers]
-        for row in rows:
-            for i, cell in enumerate(row):
-                widths[i] = max(widths[i], len(cell))
-        lines.append("  " + "  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip())
-        lines.append("  " + "  ".join("-" * w for w in widths))
-        for row in rows:
-            lines.append("  " + "  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
+        lines.extend(line.rstrip() for line in aligned(headers, rows, "  "))
         flags = []
         if self.cache_hit is not None:
             flags.append(f"cache={'hit' if self.cache_hit else 'miss'}")
@@ -268,21 +263,3 @@ def profile_query(
     return execute_query(
         db, resolved, compiled=compiled, profile=QueryProfile(sql), lineage=lineage
     ).profile
-
-
-def database_from_backend(backend) -> Database:
-    """A :class:`Database` mirroring ``backend``'s current base tables.
-
-    The memory backend's own database is returned directly (no copy); any
-    other backend is materialized table-by-table through its snapshot so
-    ``.profile`` and ``trac explain --analyze`` work regardless of storage.
-    """
-    direct = getattr(backend, "db", None)
-    if isinstance(direct, Database):
-        return direct
-    db = Database(backend.catalog)
-    with backend.snapshot() as snapshot:
-        for schema in backend.catalog:
-            result = snapshot.execute(f"SELECT * FROM {schema.name}")
-            db.insert_many(schema.name, result.rows)
-    return db

@@ -52,6 +52,7 @@ from repro.federation import rpc
 from repro.federation.rpc import RPCError, RPCTimeout
 from repro.grid.simulator import monitoring_catalog
 from repro.obs import instrument as obs
+from repro.obs.dashboard import source_rows
 from repro.obs.events import (
     EVT_FEDERATION_PARTIAL,
     EVT_SHARD_DEAD,
@@ -65,6 +66,8 @@ _METHODS = ("focused", "naive")
 _NEVER = float("inf")
 #: Last-good fragments kept for the stale fallback, least recently stored out first.
 _FRAGMENT_CACHE_SIZE = 1024
+#: Seconds before a shard's first retry (grown by ``backoff_multiplier``).
+_BACKOFF_BASE = 0.05
 #: Circuit-breaker states as gauge values (closed < half-open < open).
 _BREAKER_STATE_VALUES = {"closed": 0.0, "half_open": 1.0, "open": 2.0}
 
@@ -457,7 +460,6 @@ class FederationCoordinator:
         deadline: float = 2.0,
         attempt_timeout: float = 0.5,
         retries: int = 2,
-        backoff_base: float = 0.05,
         backoff_multiplier: float = 2.0,
         jitter: float = 0.5,
         hedge_delay: Optional[float] = 0.25,
@@ -479,7 +481,6 @@ class FederationCoordinator:
         self.deadline = deadline
         self.attempt_timeout = attempt_timeout
         self.retries = retries
-        self.backoff_base = backoff_base
         self.backoff_multiplier = backoff_multiplier
         self.jitter = jitter
         self.hedge_delay = hedge_delay
@@ -516,7 +517,7 @@ class FederationCoordinator:
             rng = self._rngs.get(shard_id)
             if rng is None:
                 rng = self._rngs[shard_id] = random.Random(_stable_seed(self.seed, shard_id))
-        return backoff_delay(self.backoff_base, self.backoff_multiplier, attempt, self.jitter, rng)
+        return backoff_delay(_BACKOFF_BASE, self.backoff_multiplier, attempt, self.jitter, rng)
 
     # -- planning -----------------------------------------------------------
 
@@ -655,6 +656,16 @@ class FederationCoordinator:
         self._pool.close()
 
     # -- status -------------------------------------------------------------
+
+    def status(self) -> dict:
+        """The ``/status`` document: a row per source in the shards' last heartbeat
+        replies, the newest as clock (a dead shard's sources read ``unknown``)."""
+        shards = self.registry.shards()
+        recency = {mid: rec for info in shards for mid, rec in info.recency.items()}
+        now = max(recency.values(), default=0.0)
+        dead = {mid for info in shards if not info.alive for mid in info.recency}
+        rows = source_rows(recency, now, unknown=dead)
+        return {"now": now, "sources": rows, "federation": self.federation_status()}
 
     def federation_status(self) -> dict:
         """The ``federation`` block for ``/status`` and ``trac top``."""

@@ -30,7 +30,7 @@ back with every acked heartbeat intact.
 from __future__ import annotations
 
 import threading
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.core.recency_query import execute_fragment
 from repro.errors import TracError
@@ -179,17 +179,12 @@ class ShardServer:
 
     def _info(self, full: bool = False) -> dict:
         with self._lock:
-            recency: Dict[str, float] = {}
-            for mid, sniffer in self.sim.sniffers.items():
-                reported = sniffer._reported_recency
-                if reported != float("-inf"):
-                    recency[mid] = reported
             doc: dict = {
                 "ok": True,
                 "shard_id": self.shard_id,
                 "now": self.sim.now,
                 "machines": list(self.sim.machine_ids),
-                "recency": recency,
+                "recency": self.sim.reported_recency(),
             }
             if full:
                 doc["degraded"] = (

@@ -35,6 +35,7 @@ from repro.grid.scheduler import Scheduler
 from repro.grid.sniffer import Sniffer, SnifferConfig
 from repro.grid.supervisor import SnifferSupervisor, SupervisorPolicy
 from repro.obs import instrument as obs
+from repro.obs.dashboard import source_rows
 from repro.obs.events import EVT_SLO_BREACH
 
 
@@ -491,11 +492,7 @@ class GridSimulator:
                 for mid, sniffer in self.sniffers.items()
                 if sniffer.last_poll != float("-inf")
             },
-            "recency": {
-                mid: sniffer._reported_recency
-                for mid, sniffer in self.sniffers.items()
-                if sniffer._reported_recency != float("-inf")
-            },
+            "recency": self.reported_recency(),
             "last_loaded": {
                 mid: sniffer.last_loaded_timestamp
                 for mid, sniffer in self.sniffers.items()
@@ -619,19 +616,31 @@ class GridSimulator:
                     )
             span.set_attribute("polled", polled)
 
-    def poll_latency_ms(self, machine_id: str) -> List[float]:
-        """Recent ingest-poll wall latencies for ``machine_id`` (ms)."""
-        return list(self._poll_ms.get(machine_id, ()))
+    def reported_recency(self) -> Dict[str, float]:
+        """``{machine id: reported recency}`` of every sniffer that has
+        reported (a source that never has is absent, not ``-inf``)."""
+        pairs = ((mid, sniffer.reported_recency) for mid, sniffer in self.sniffers.items())
+        return {mid: recency for mid, recency in pairs if recency != float("-inf")}
+
+    def status(self) -> dict:
+        """The ``/status`` document (``trac simulate --serve`` / ``--top``)."""
+        rows = source_rows(
+            self.reported_recency(), self.now, self.health, self.slo,
+            self.supervisors, self.sniffers, self._poll_ms,
+        )
+        doc: dict = {"now": self.now, "wall": time.time(), "sources": rows}
+        if self.slo is not None:
+            doc["slo"] = self.slo.status().to_dict()
+        if self.incremental is not None:
+            doc["incremental"] = self.incremental.stats()
+        return doc
 
     def _observe(self, now: float) -> None:
         """Sample per-source recency lag into the SLO tracker + histogram."""
         tel = obs.resolve(self.telemetry)
         if self.slo is None and not tel.enabled:
             return
-        for mid, sniffer in self.sniffers.items():
-            reported = sniffer._reported_recency
-            if reported == float("-inf"):
-                continue  # never reported; no lag to speak of yet
+        for mid, reported in self.reported_recency().items():
             lag = max(0.0, now - reported)
             if self.slo is not None:
                 self.slo.record(mid, now, lag)

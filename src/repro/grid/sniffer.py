@@ -165,7 +165,8 @@ class Sniffer:
         self.last_loaded_timestamp: Optional[float] = None
         self.failed = False
         self.records_loaded = 0
-        self._reported_recency = float("-inf")
+        #: The newest recency the database acknowledged (``-inf``: none yet).
+        self.reported_recency = float("-inf")
         #: Optional durability sink (a ``DurabilityManager``): applied
         #: batches and acknowledged heartbeats are journaled through it
         #: *before* they touch the backend, so recovery can replay them.
@@ -229,11 +230,11 @@ class Sniffer:
             # whose heartbeat upsert failed mid-poll: publication retries on
             # every poll until the database acknowledges it.
             recency = self.last_loaded_timestamp
-        if recency is not None and recency > self._reported_recency:
+        if recency is not None and recency > self.reported_recency:
             if self.journal is not None:
                 self.journal.journal_heartbeat(self.machine.machine_id, recency, now)
             self.backend.upsert_heartbeat(self.machine.machine_id, recency)
-            self._reported_recency = recency
+            self.reported_recency = recency
         return len(events)
 
     # -- failure injection --------------------------------------------------------

@@ -246,7 +246,7 @@ class SnifferSupervisor:
         if self._faulty_log is not None:
             self._faulty_log.now = now
 
-        previous_recency = self.sniffer._reported_recency
+        previous_recency = self.sniffer.reported_recency
         # The span covers the poll *and* its outcome handling, so retry /
         # restart / breaker events emitted there correlate to this span.
         with obs.PhaseTimer(obs.resolve(self.telemetry), "sniffer.poll", machine=self.machine_id):
@@ -269,7 +269,7 @@ class SnifferSupervisor:
             self._record_breaker(CircuitBreaker.CLOSED, now)
         self.consecutive_failures = 0
         self._pending_attempt = False
-        if applied > 0 or self.sniffer._reported_recency > previous_recency:
+        if applied > 0 or self.sniffer.reported_recency > previous_recency:
             self._last_progress = now
         if self.state != HEALTHY:
             self.health.mark(self.machine_id, HEALTHY, at=now)

@@ -1,17 +1,19 @@
 """The ``trac top`` dashboard: live per-source recency at a glance.
 
 A terminal dashboard in the spirit of ``top``: one row per source showing
-its health state, last reported recency, current lag, a unicode sparkline
-of the recent lag series, the z-score against the fleet, SLO burn, the
-staleness-derived quality score (``qual``, the same decay curve the
-provenance layer applies per row), the ingest-poll latency distribution
-(p50/p95 milliseconds), and the supervisor's retry/restart/breaker
-counters. It renders from a plain
-**status document** — the same JSON the observatory server serves at
-``/status`` — so the one renderer works both in-process (polling a
-:class:`~repro.grid.simulator.GridSimulator` directly via
-:func:`status_from_simulator`) and out-of-process (``trac top --url``
-fetching over HTTP via :func:`fetch_status`).
+its state, last reported recency, current age, the z-score against the
+fleet, SLO burn, the quality score (``qual``), a unicode sparkline of the
+recent lag series, the ingest-poll latency distribution (p50/p95
+milliseconds), and the supervisor's retry/restart/breaker counters. It
+renders from a plain **status document** — the JSON the observatory server
+serves at ``/status`` — so the one renderer works in-process and
+out-of-process (``trac top --url`` fetching over HTTP via
+:func:`fetch_status`).
+
+**Status rows.** :func:`source_rows` is the only producer of the
+document's ``sources``: a deployment supplies where recency comes from and
+its clock, and ``z`` / ``state`` / ``quality`` are the report's own z-score
+split and quality model — the page says what a report would.
 
 The renderer is a pure function of the status document (easy to test,
 no terminal required); :func:`run_top` adds the poll/clear/redraw loop.
@@ -22,12 +24,13 @@ from __future__ import annotations
 import json
 import sys
 import time
-from typing import Callable, Dict, List, Optional, Sequence
-from urllib.request import urlopen
+from typing import Callable, Collection, List, Mapping, Optional, Sequence
 
+from repro.core.health import DEGRADED
 from repro.core.quality import QualityModel
-from repro.core.statistics import format_interval, mean_stddev
+from repro.core.statistics import SourceRecency, format_interval, zscore_split
 from repro.errors import TracError
+from repro.obs.export import aligned
 
 #: Eight-level block characters, lowest to highest.
 SPARK_CHARS = "▁▂▃▄▅▆▇█"
@@ -64,80 +67,67 @@ def sparkline(values: Sequence[float], width: int = 16) -> str:
 # -- status documents -------------------------------------------------------
 
 
-def status_from_simulator(sim, slo=None) -> dict:
-    """Build the dashboard status document from a live simulator.
+def source_rows(
+    recency: Mapping[str, float],
+    now: float,
+    health=None,
+    slo=None,
+    supervisors: Optional[Mapping[str, object]] = None,
+    sniffers: Optional[Mapping[str, object]] = None,
+    poll_ms: Optional[Mapping[str, Sequence[float]]] = None,
+    unknown: Collection[str] = (),
+) -> List[dict]:
+    """The ``sources`` rows of a ``/status`` document, whatever the deployment.
 
-    Duck-typed against :class:`~repro.grid.simulator.GridSimulator`
-    (``now``, ``sniffers``, ``supervisors``, ``health``) so ``repro.obs``
-    never imports ``repro.grid``.
+    ``recency`` maps every source that has reported to its recency; ``now``
+    is the deployment's clock (the newest heartbeat where it has none).
+    ``z`` comes from the report's own ``zscore_split`` (positive is staler)
+    and ``quality`` from its ``QualityModel.score_sources`` at ``now``.
+    ``state`` is the ``health`` registry's status when it knows the source
+    (the row then carries the entry as ``health``), else ``exceptional`` /
+    ``healthy`` from the split, or ``unknown`` for the ids in ``unknown`` (a
+    dead shard's). ``slo``, ``supervisors``, ``sniffers`` (backlog) and
+    ``poll_ms`` (latency series) each add their columns when passed.
     """
-    now = sim.now
-    recencies: Dict[str, float] = {}
-    for mid, sniffer in sim.sniffers.items():
-        reported = sniffer._reported_recency
-        if reported != float("-inf"):
-            recencies[mid] = reported
-    ages = {mid: max(0.0, now - r) for mid, r in recencies.items()}
-    mean, stddev = mean_stddev(list(ages.values())) if ages else (0.0, 0.0)
-
-    slo_status = slo.status() if slo is not None else None
-    slo_by_source = (
-        {s.source_id: s for s in slo_status.sources} if slo_status is not None else {}
-    )
-
-    poll_fn = getattr(sim, "poll_latency_ms", None)
-    quality_model = QualityModel.from_slo(slo) if slo is not None else QualityModel()
-    sources: List[dict] = []
-    for mid in sorted(sim.sniffers):
-        supervisor = sim.supervisors.get(mid)
-        stats = supervisor.stats() if supervisor is not None else {}
-        entry = sim.health.entry_of(mid) if sim.health is not None else None
-        age = ages.get(mid)
-        z = (age - mean) / stddev if age is not None and stddev > 0 else 0.0
-        source_slo = slo_by_source.get(mid)
-        series = slo.series(mid) if slo is not None else []
-        poll_series = list(poll_fn(mid)) if callable(poll_fn) else []
-        state = entry.status if entry is not None else "healthy"
-        lag = source_slo.latest if source_slo is not None else age
-        quality: Optional[float] = None
-        if lag is not None:
-            # Same staleness-decay curve the reporter applies per row
-            # (docs/PROVENANCE.md), so the dashboard and the provenance
-            # block agree on what a source is currently worth.
-            quality = quality_model.freshness(lag)
-            if state == "degraded":
-                quality *= quality_model.degraded_penalty
-        sources.append(
-            {
-                "id": mid,
-                "state": state,
-                "reason": entry.reason if entry is not None else None,
-                "recency": recencies.get(mid),
-                "age": age,
-                "z": z,
-                "quality": quality,
-                "retries": stats.get("retries", 0),
-                "restarts": stats.get("restarts", 0),
-                "breaker": stats.get("breaker", "closed"),
-                "backlog": getattr(sim.sniffers[mid], "backlog", 0),
-                "lag": source_slo.latest if source_slo is not None else age,
-                "lag_p95": source_slo.p95 if source_slo is not None else None,
-                "burn": source_slo.burn if source_slo is not None else None,
-                "lag_series": [lag for _, lag in series],
-                "poll_ms_series": poll_series,
-            }
-        )
-    doc: dict = {"now": now, "wall": time.time(), "sources": sources}
-    if slo_status is not None:
-        doc["slo"] = slo_status.to_dict()
-    maintainer = getattr(sim, "incremental", None)
-    if maintainer is not None:
-        doc["incremental"] = maintainer.stats()
-    return doc
+    known = health.snapshot() if health is not None else {}
+    reported = [SourceRecency(sid, rec) for sid, rec in sorted(recency.items())]
+    split = zscore_split(reported)
+    outliers = {s.source_id for s in split.exceptional}
+    degraded = {sid for sid, entry in known.items() if entry.status == DEGRADED}
+    scores = QualityModel.from_slo(slo).score_sources(reported, outliers, degraded, now=now)
+    rows: List[dict] = []
+    for sid in sorted(set(recency).union(known, supervisors or (), sniffers or ())):
+        entry, score, rec = known.get(sid), scores.get(sid), recency.get(sid)
+        verdict = "unknown" if sid in unknown else "exceptional" if sid in outliers else "healthy"
+        row = {
+            "id": sid,
+            "state": entry.status if entry is not None else verdict,
+            "recency": rec,
+            "age": score.staleness if score is not None else None,
+            "z": (split.mean - rec) / split.stddev if rec is not None and split.stddev else 0.0,
+            "quality": score.quality if score is not None else None,
+        }
+        if entry is not None:
+            row["health"] = entry.to_dict()
+        standing = slo.status_of(sid) if slo is not None else None
+        if standing is not None:
+            row.update(lag=standing.latest, lag_p95=standing.p95, burn=standing.burn)
+            row["lag_series"] = [lag for _, lag in slo.series(sid)]
+        if supervisors and sid in supervisors:
+            stats = supervisors[sid].stats()
+            row.update({key: stats[key] for key in ("retries", "restarts", "breaker")})
+        if sniffers and sid in sniffers:
+            row["backlog"] = sniffers[sid].backlog
+        if poll_ms is not None:
+            row["poll_ms_series"] = list(poll_ms.get(sid, ()))
+        rows.append(row)
+    return rows
 
 
 def fetch_status(url: str, timeout: float = 5.0) -> dict:
     """GET the ``/status`` document from an observatory server."""
+    from urllib.request import urlopen  # not paid by the simulator, which imports source_rows
+
     target = url.rstrip("/")
     if not target.endswith("/status"):
         target += "/status"
@@ -156,12 +146,6 @@ def fetch_status(url: str, timeout: float = 5.0) -> dict:
 
 
 # -- rendering --------------------------------------------------------------
-
-
-def _fmt_age(value: Optional[float]) -> str:
-    if value is None:
-        return "-"
-    return format_interval(value)
 
 
 def _fmt_poll_ms(series: Sequence[float]) -> str:
@@ -269,15 +253,14 @@ def render_top(status: dict, width: int = 16) -> str:
         key=lambda s: (_STATE_ORDER.get(s.get("state", "healthy"), 9), s.get("id", "")),
     )
     for src in ordered:
-        burn = src.get("burn")
-        quality = src.get("quality")
+        recency, age = src.get("recency"), src.get("age")
+        burn, quality = src.get("burn"), src.get("quality")
         rows.append(
             (
                 str(src.get("id", "?")),
                 str(src.get("state", "?")),
-                _fmt_age(src.get("recency")) if src.get("recency") is None
-                else f"{src['recency']:g}",
-                _fmt_age(src.get("age")),
+                f"{recency:g}" if recency is not None else "-",
+                format_interval(age) if age is not None else "-",
                 f"{src.get('z', 0.0):+.2f}",
                 f"{burn:.2f}" if burn is not None else "-",
                 f"{quality:.2f}" if quality is not None else "-",
@@ -288,14 +271,7 @@ def render_top(status: dict, width: int = 16) -> str:
                 str(src.get("breaker", "-")),
             )
         )
-    widths = [len(h) for h in headers]
-    for row in rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    lines.append("  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip())
-    lines.append("  ".join("-" * w for w in widths))
-    for row in rows:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
+    lines.extend(line.rstrip() for line in aligned(headers, rows))
     return "\n".join(lines) + "\n"
 
 

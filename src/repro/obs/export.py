@@ -219,15 +219,19 @@ def metrics_snapshot(registry) -> List[Dict[str, object]]:
 # -- human-readable summary -------------------------------------------------
 
 
-def _table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> List[str]:
+def aligned(
+    headers: Sequence[str], rows: Sequence[Sequence[str]], indent: str = "", sep: str = "  "
+) -> List[str]:
+    """``headers``, a dashed rule and ``rows`` as lines of left-aligned
+    columns ``sep`` apart (under a `` | `` separator the rule is joined
+    psql-style, ``-+-``). Trailing padding is the caller's to strip."""
     widths = [len(h) for h in headers]
     for row in rows:
         for i, cell in enumerate(row):
             widths[i] = max(widths[i], len(cell))
-    lines = ["  " + "  ".join(h.ljust(w) for h, w in zip(headers, widths))]
-    lines.append("  " + "  ".join("-" * w for w in widths))
-    for row in rows:
-        lines.append("  " + "  ".join(c.ljust(w) for c, w in zip(row, widths)))
+    lines = [indent + sep.join(h.ljust(w) for h, w in zip(headers, widths))]
+    lines.append(indent + sep.replace(" | ", "-+-").join("-" * w for w in widths))
+    lines.extend(indent + sep.join(c.ljust(w) for c, w in zip(row, widths)) for row in rows)
     return lines
 
 
@@ -274,7 +278,7 @@ def render_summary(telemetry, max_spans: int = 0) -> str:
             (i.name, _labels_str(i.labels), _format_value(i.value))
             for i in counters + gauges
         ]
-        lines.extend(_table(("name", "labels", "value"), rows))
+        lines.extend(aligned(("name", "labels", "value"), rows, "  "))
 
     if histograms:
         lines.append("")
@@ -290,7 +294,7 @@ def render_summary(telemetry, max_spans: int = 0) -> str:
                     f"{h.sum:.6f}",
                 )
             )
-        lines.extend(_table(("name", "labels", "count", "mean", "sum"), rows))
+        lines.extend(aligned(("name", "labels", "count", "mean", "sum"), rows, "  "))
 
     spans = telemetry.tracer.finished_spans()
     if spans:
@@ -309,9 +313,7 @@ def render_summary(telemetry, max_spans: int = 0) -> str:
                 )
             )
         lines.extend(
-            _table(
-                ("span", "count", "total_ms", "mean_ms", "min_ms", "max_ms"), rows
-            )
+            aligned(("span", "count", "total_ms", "mean_ms", "min_ms", "max_ms"), rows, "  ")
         )
 
     if max_spans > 0 and spans:

@@ -189,22 +189,14 @@ class FlightRecorder:
             "spans": [s.to_dict() for s in finished],
             "open_spans": open_spans,
             "metrics": metrics_snapshot(self.telemetry.metrics),
+            "profiles": [p.to_dict() for p in self.telemetry.profiles.tail(self.max_events)],
+            "provenance": [p.to_dict() for p in self.telemetry.provenance.tail(self.max_events)],
         }
         # Trace correlation: the trigger's trace id (when stamped) plus
         # recent query profiles, so a query.slow dump carries the span
         # tree AND the per-operator profile of the offending query.
         if trigger is not None and trigger.trace_id:
             payload["trigger_trace_id"] = trigger.trace_id
-        profile_log = getattr(self.telemetry, "profiles", None)
-        if profile_log is not None:
-            payload["profiles"] = [
-                p.to_dict() for p in profile_log.tail(self.max_events)
-            ]
-        provenance_log = getattr(self.telemetry, "provenance", None)
-        if provenance_log is not None:
-            payload["provenance"] = [
-                p.to_dict() for p in provenance_log.tail(self.max_events)
-            ]
         if self.health is not None:
             payload["health"] = self.health.to_dict()
         if self.slo is not None:

@@ -28,9 +28,6 @@ path        content type                         body
                                                  (row-level source sets +
                                                  quality summary) of the
                                                  report with that trace id
-/query      application/json                     run a recency report
-                                                 (``?sql=...&method=...``;
-                                                 requires a wired reporter)
 /status     application/json                     full dashboard payload
                                                  (what ``trac top`` polls)
 /v1/query   application/json                     POST: serve one query with
@@ -51,10 +48,10 @@ traceback.
 **Distributed tracing.** When the exposed telemetry is enabled, every
 request runs inside an ``http.request`` span. A caller-supplied W3C
 ``traceparent`` header becomes that span's remote parent, so spans
-produced while serving the request — including a full recency report via
-``/query`` — share the caller's trace id; per-endpoint latency lands in
-the ``trac_http_request_seconds`` histogram with the trace id as an
-exemplar.
+produced while serving the request — including the ``serve.request`` and
+``trac.report`` spans of a ``POST /v1/query``, which run on a worker
+thread — share the caller's trace id; per-endpoint latency lands in the
+``trac_http_request_seconds`` histogram with the trace id as an exemplar.
 
 **Connections.** HTTP/1.1 with keep-alive: one handler thread serves a
 connection's requests one after another, and every response carries
@@ -107,7 +104,6 @@ _ROUTES = {
     "/profile": "GET",
     "/trace/<id>": "GET",
     "/provenance/<trace_id>": "GET",
-    "/query": "GET",
     "/status": "GET",
     "/v1/query": "POST",
 }
@@ -331,8 +327,6 @@ class _ObservatoryHandler(BaseHTTPRequestHandler):
                             404, {"error": f"no {what} for trace {trace_id!r}"}
                         )
                     return self._send_json(200, doc)
-            if path == "/query":
-                return self._query(query)
             return self._send_json(
                 404, {"error": f"unknown path {parsed.path!r}", "endpoints": list(_ROUTES)}
             )
@@ -348,24 +342,6 @@ class _ObservatoryHandler(BaseHTTPRequestHandler):
         except Exception:
             self.close_connection = True  # the socket is no use for a next request
             return status
-
-    def _query(self, query: Dict[str, list]) -> int:
-        """``/query?sql=...&method=...`` — serve one recency report."""
-        obs = self.observatory
-        if obs.reporter is None:
-            return self._send_json(503, {"error": "no reporter wired to this observatory"})
-        sql_values = query.get("sql")
-        if not sql_values or not sql_values[0].strip():
-            raise _HttpError(400, "missing required query parameter 'sql'")
-        sql = sql_values[0]
-        method = query.get("method", ["focused"])[0]
-        from repro.errors import TracError
-
-        try:
-            report = obs.reporter.report(sql, method=method)
-        except TracError as exc:
-            raise _HttpError(400, str(exc)) from exc
-        return self._send_json(200, report.to_dict())
 
     def _serve_query(self) -> int:
         """``POST /v1/query`` — mount point of the wired query service,
@@ -387,18 +363,11 @@ class ObservatoryServer:
         The :class:`~repro.obs.instrument.Telemetry` to expose.
     host / port:
         Bind address; ``port=0`` picks an ephemeral port.
-    health:
-        Optional :class:`~repro.core.health.SourceHealth` for ``/healthz``.
-    breakers:
-        Optional zero-argument callable returning ``{source: state}`` for
-        the supervisor's circuit breakers.
     status_provider:
         Optional zero-argument callable returning the ``/status`` payload
-        (the dashboard document); defaults to a minimal summary.
-    reporter:
-        Optional :class:`~repro.core.report.RecencyReporter`; when wired,
-        ``/query?sql=...`` serves full recency reports over HTTP (503
-        otherwise).
+        (the dashboard document, its ``sources`` rows built by
+        :func:`~repro.obs.dashboard.source_rows`); ``/healthz`` projects
+        the same rows. Defaults to a minimal summary.
     query_service:
         Optional :class:`~repro.serve.QueryService`; when wired, ``POST
         /v1/query`` serves admission-controlled, quota'd, deadline-bounded
@@ -415,17 +384,11 @@ class ObservatoryServer:
         telemetry,
         host: str = "127.0.0.1",
         port: int = 0,
-        health=None,
-        breakers: Optional[Callable[[], Dict[str, str]]] = None,
         status_provider: Optional[Callable[[], dict]] = None,
-        reporter=None,
         query_service=None,
     ) -> None:
         self.telemetry = telemetry
-        self.health = health
-        self.breakers = breakers
         self.status_provider = status_provider
-        self.reporter = reporter
         self.query_service = query_service
         handler = type(
             "BoundObservatoryHandler",
@@ -496,8 +459,11 @@ class ObservatoryServer:
     # -- payloads -----------------------------------------------------------
 
     def healthz(self) -> dict:
-        """The ``/healthz`` document."""
-        snapshot = self.health.to_dict() if self.health is not None else {}
+        """The ``/healthz`` document, a projection of the ``/status`` source
+        rows: the health registry's entries and the supervisors' breakers."""
+        wired = self.status_provider is not None
+        rows = self.status_provider().get("sources", ()) if wired else ()
+        snapshot = {row["id"]: row["health"] for row in rows if "health" in row}
         degraded = sorted(
             sid for sid, entry in snapshot.items() if entry["status"] == "degraded"
         )
@@ -506,8 +472,8 @@ class ObservatoryServer:
             "sources": snapshot,
             "degraded": degraded,
         }
-        if self.breakers is not None:
-            out["breakers"] = dict(self.breakers())
+        if wired:
+            out["breakers"] = {row["id"]: row["breaker"] for row in rows if "breaker" in row}
         events = self.telemetry.events
         out["events"] = {"retained": len(events), "total": events.total}
         return out

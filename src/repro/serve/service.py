@@ -14,8 +14,9 @@ recency report from one snapshot-consistent read. Every request:
    whose ``report()`` opens a per-request copy-on-write snapshot
    (``Database.snapshot_view``), so the rows and their recency report are
    consistent with each other and isolated from concurrent ingest;
-4. lands in the observatory: a ``serve.request`` span (child of the HTTP
-   request span when called from the server), the
+4. lands in the observatory: a ``serve.request`` span (child of the span
+   open on the submitting thread — the server's ``http.request`` — whose
+   context :meth:`QueryService.submit` hands across the pool), the
    ``trac_serve_request_seconds`` histogram with the report's trace id as
    exemplar, outcome counters, and queue/inflight gauges.
 
@@ -32,11 +33,13 @@ import threading
 import time
 from collections import deque
 from concurrent.futures import Future
+from concurrent.futures import TimeoutError as FutureTimeoutError  # the builtin only from 3.11
 from typing import Any, Deque, Dict, Optional, Tuple
 
 from repro.core.report import RecencyReporter
 from repro.errors import TracError
 from repro.obs import instrument as obs
+from repro.obs.dashboard import source_rows
 from repro.obs.events import EVT_SERVE_REJECTED
 from repro.obs.metrics import histogram_quantile
 from repro.serve.pool import DeadlineExceeded, QueueFull, WorkerPool
@@ -47,6 +50,15 @@ SPAN_SERVE = "serve.request"
 
 #: Default tenant when a request names none.
 DEFAULT_TENANT = "default"
+
+#: Report method when a request names none.
+DEFAULT_METHOD = "focused"
+
+#: Ceiling on a request's ``deadline_seconds``.
+MAX_DEADLINE = 30.0
+
+#: Seconds ``query`` waits past the deadline for a worker wedged mid-query.
+WORKER_GRACE = 5.0
 
 #: req/s is computed over this sliding window of completions (seconds).
 RATE_WINDOW_SECONDS = 10.0
@@ -65,11 +77,9 @@ class ServeConfig:
         "workers",
         "queue_depth",
         "default_deadline",
-        "max_deadline",
         "tenant_rate",
         "tenant_burst",
         "max_inflight",
-        "default_method",
         "plan_cache_size",
         "lineage",
     )
@@ -79,22 +89,18 @@ class ServeConfig:
         workers: int = 8,
         queue_depth: int = 64,
         default_deadline: float = 5.0,
-        max_deadline: float = 30.0,
         tenant_rate: float = 200.0,
         tenant_burst: float = 400.0,
         max_inflight: int = 64,
-        default_method: str = "focused",
         plan_cache_size: int = 128,
         lineage: bool = False,
     ) -> None:
         self.workers = int(workers)
         self.queue_depth = int(queue_depth)
         self.default_deadline = float(default_deadline)
-        self.max_deadline = float(max_deadline)
         self.tenant_rate = float(tenant_rate)
         self.tenant_burst = float(tenant_burst)
         self.max_inflight = int(max_inflight)
-        self.default_method = default_method
         self.plan_cache_size = int(plan_cache_size)
         #: Annotate every served row with its provenance + quality block.
         self.lineage = bool(lineage)
@@ -193,8 +199,12 @@ class QueryService:
             raise TracError("tenant must be a non-empty string")
         budget = self.config.default_deadline
         if deadline_seconds is not None:
-            budget = min(max(0.001, float(deadline_seconds)), self.config.max_deadline)
-        method = method or self.config.default_method
+            budget = min(max(0.001, float(deadline_seconds)), MAX_DEADLINE)
+        method = method or DEFAULT_METHOD
+        tel = obs.resolve(self.telemetry)
+        # The worker thread's span stack is empty: the span open here (the
+        # server's http.request) has to cross the hand-off explicitly.
+        parent = tel.tracer.current_span() if tel.enabled else None
 
         try:
             self.quotas.admit(tenant)
@@ -205,7 +215,7 @@ class QueryService:
         deadline = enqueued + budget
         try:
             future = self.pool.submit(
-                lambda reporter: self._execute(reporter, sql, method, tenant, enqueued),
+                lambda reporter: self._execute(reporter, sql, method, tenant, enqueued, parent),
                 deadline=deadline,
             )
         except QueueFull as exc:
@@ -213,7 +223,6 @@ class QueryService:
             self._record_rejection(tenant, exc.kind)
             raise
         future.add_done_callback(lambda f, t=tenant: self._on_done(t, f))
-        tel = obs.resolve(self.telemetry)
         if tel.enabled:
             tel.set(obs.SERVE_QUEUE_DEPTH, self.pool.queued())
         return future
@@ -234,8 +243,8 @@ class QueryService:
         # The worker enforces the deadline; the extra grace only covers a
         # worker wedged mid-query, surfaced as DeadlineExceeded here too.
         try:
-            return future.result(timeout=min(budget, self.config.max_deadline) + 5.0)
-        except TimeoutError:
+            return future.result(timeout=min(budget, MAX_DEADLINE) + WORKER_GRACE)
+        except FutureTimeoutError:
             future.cancel()
             raise DeadlineExceeded("request timed out awaiting a worker") from None
 
@@ -291,13 +300,15 @@ class QueryService:
         method: str,
         tenant: str,
         enqueued: float,
+        parent: Optional[object],
     ) -> Dict[str, Any]:
         tel = obs.resolve(self.telemetry)
         queue_wait = time.monotonic() - enqueued
         start = time.perf_counter()
         outcome, trace_id = "error", None
         try:
-            with obs.PhaseTimer(tel, SPAN_SERVE, tenant=tenant, method=method) as timer:
+            timer = obs.PhaseTimer(tel, SPAN_SERVE, parent=parent, tenant=tenant, method=method)
+            with timer:
                 timer.set_attribute("queue_wait_s", round(queue_wait, 6))
                 report = reporter.report(sql, method=method)
                 timer.set_attribute("rows", len(report.result.rows))
@@ -381,6 +392,13 @@ class QueryService:
                     merged[bound] = merged.get(bound, 0) + count
         value = histogram_quantile(sorted(merged.items()), q)  # None when nothing was served
         return None if value is None else value * 1000.0
+
+    def status(self) -> Dict[str, Any]:
+        """The ``/status`` document of a served database: a row per source in the
+        heartbeat table the queries answer from, the newest heartbeat as clock."""
+        recency = dict(self.backend.heartbeat_rows())
+        now = max(recency.values(), default=0.0)
+        return {"now": now, "sources": source_rows(recency, now)}
 
     def serving_status(self) -> Dict[str, Any]:
         """The ``serving`` block of the ``/status`` document."""

@@ -31,8 +31,10 @@ from repro import obs
 from repro.backends.base import Backend
 from repro.core.explain import explain_sql
 from repro.core.report import RecencyReporter
-from repro.core.statistics import SourceRecency, format_timestamp, zscore_split
+from repro.core.statistics import format_timestamp
 from repro.errors import TracError
+from repro.obs.dashboard import source_rows
+from repro.obs.export import aligned
 
 PROMPT = "trac=# "
 
@@ -65,15 +67,9 @@ class Shell:
         if not columns:
             self._say("(no columns)")
             return
-        widths = [len(c) for c in columns]
         rendered = [[("" if v is None else str(v)) for v in row] for row in rows]
-        for row in rendered:
-            for i, cell in enumerate(row):
-                widths[i] = max(widths[i], len(cell))
-        self._say(" | ".join(c.ljust(w) for c, w in zip(columns, widths)))
-        self._say("-+-".join("-" * w for w in widths))
-        for row in rendered:
-            self._say(" | ".join(c.ljust(w) for c, w in zip(row, widths)))
+        for line in aligned(columns, rendered, sep=" | "):
+            self._say(line)
         self._say(f"({len(rows)} row{'s' if len(rows) != 1 else ''})")
 
     # -- command dispatch -----------------------------------------------------
@@ -143,10 +139,11 @@ class Shell:
         totals line names the contributing sources — the shell is the
         interactive "why should I trust this row?" surface.
         """
-        from repro.engine.profile import database_from_backend, profile_query
+        from repro.engine.profile import profile_query
+        from repro.serve import mirror_into_memory
 
-        db = database_from_backend(self.backend)
-        self._say(profile_query(db, sql, lineage=True).render())
+        backend = self.backend if hasattr(self.backend, "db") else mirror_into_memory(self.backend)
+        self._say(profile_query(backend.db, sql, lineage=True).render())
 
     def _events(self, rest: str) -> None:
         try:
@@ -184,13 +181,10 @@ class Shell:
         if not heartbeats:
             self._say("no heartbeats recorded")
             return
-        split = zscore_split([SourceRecency(s, r) for s, r in heartbeats])
-        for source in sorted(split.normal, key=lambda s: s.recency):
-            self._say(f"  {source.source_id:<12} {format_timestamp(source.recency)}")
-        for source in sorted(split.exceptional, key=lambda s: s.recency):
-            self._say(
-                f"  {source.source_id:<12} {format_timestamp(source.recency)}   EXCEPTIONAL"
-            )
+        rows = source_rows(dict(heartbeats), max(r for _, r in heartbeats))
+        for row in sorted(rows, key=lambda r: (r["state"] == "exceptional", r["recency"])):
+            mark = "   EXCEPTIONAL" if row["state"] == "exceptional" else ""
+            self._say(f"  {row['id']:<12} {format_timestamp(row['recency'])}{mark}")
 
     def _report(self, sql: str, method: str) -> None:
         report = self.reporter.report(sql, method=method)

@@ -12,7 +12,6 @@ from repro.obs.dashboard import (
     render_top,
     run_top,
     sparkline,
-    status_from_simulator,
 )
 
 
@@ -87,37 +86,40 @@ class TestRenderTop:
 
 
 class TestStatusFromSimulator:
-    def make_sim(self):
+    def make_sim(self, with_slo=True):
         from repro.core.slo import StalenessSLO
         from repro.grid.simulator import GridSimulator, SimulationConfig
+        from repro.grid.supervisor import SupervisorPolicy
 
-        slo = StalenessSLO(target_p95=5.0, budget=0.05, window=64)
-        sim = GridSimulator(SimulationConfig(num_machines=3, seed=11), slo=slo)
+        slo = StalenessSLO(target_p95=5.0, budget=0.05, window=64) if with_slo else None
+        sim = GridSimulator(
+            SimulationConfig(num_machines=3, seed=11),
+            supervisor_policy=SupervisorPolicy(),
+            slo=slo,
+        )
         for _ in range(30):
             sim.step()
-        return sim, slo
+        return sim
 
     def test_document_shape(self):
-        sim, slo = self.make_sim()
-        doc = status_from_simulator(sim, slo)
+        sim = self.make_sim()
+        doc = sim.status()
         assert doc["now"] == sim.now
         assert len(doc["sources"]) == 3
         src = doc["sources"][0]
-        for key in ("id", "state", "recency", "age", "z", "retries",
-                    "restarts", "breaker", "lag", "burn", "lag_series"):
+        for key in ("id", "state", "recency", "age", "z", "quality", "retries",
+                    "restarts", "breaker", "backlog", "lag", "burn", "lag_series"):
             assert key in src
         assert doc["slo"]["target_p95"] == 5.0
         json.dumps(doc)  # must be JSON-serializable (/status contract)
 
     def test_without_slo(self):
-        sim, _ = self.make_sim()
-        doc = status_from_simulator(sim)
+        doc = self.make_sim(with_slo=False).status()
         assert "slo" not in doc
-        assert doc["sources"][0]["burn"] is None
+        assert "burn" not in doc["sources"][0]  # a column appears with its owner
 
     def test_renderable(self):
-        sim, slo = self.make_sim()
-        frame = render_top(status_from_simulator(sim, slo))
+        frame = render_top(self.make_sim().status())
         assert "m1" in frame and "m3" in frame
 
 

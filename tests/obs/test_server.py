@@ -39,17 +39,29 @@ class TestEndpoints:
         assert "trac_probe_total 3" in body
 
     def test_healthz_reports_degraded_sources(self, telemetry):
+        from repro.obs.dashboard import source_rows
+
+        class Supervisor:
+            def __init__(self, breaker):
+                self.breaker = breaker
+
+            def stats(self):
+                return {"retries": 0, "restarts": 0, "breaker": self.breaker}
+
         health = SourceHealth()
         health.mark("m1", HEALTHY)
         health.mark("m2", DEGRADED, reason="silent", at=40.0)
-        breakers = lambda: {"m1": "closed", "m2": "open"}  # noqa: E731
-        with ObservatoryServer(telemetry, health=health, breakers=breakers) as server:
+        supervisors = {"m1": Supervisor("closed"), "m2": Supervisor("open")}
+        status = lambda: {  # noqa: E731
+            "sources": source_rows({"m1": 50.0}, 60.0, health=health, supervisors=supervisors)
+        }
+        with ObservatoryServer(telemetry, status_provider=status) as server:
             _, ctype, body = get(server.url + "/healthz")
         assert ctype.startswith("application/json")
         doc = json.loads(body)
         assert doc["status"] == "degraded"
         assert doc["degraded"] == ["m2"]
-        assert doc["sources"]["m2"]["reason"] == "silent"
+        assert doc["sources"] == health.to_dict()  # m2 never reported: still listed
         assert doc["breakers"] == {"m1": "closed", "m2": "open"}
         assert doc["events"]["total"] == 1
 
@@ -193,18 +205,6 @@ class TestTracingEndpoints:
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 get(server.url + "/trace/" + "0" * 32)
         assert excinfo.value.code == 404
-
-    def test_query_without_reporter_is_503(self, telemetry):
-        with ObservatoryServer(telemetry) as server:
-            with pytest.raises(urllib.error.HTTPError) as excinfo:
-                get(server.url + "/query?sql=SELECT+1")
-        assert excinfo.value.code == 503
-
-    def test_query_without_sql_is_400(self, telemetry):
-        with ObservatoryServer(telemetry, reporter=object()) as server:
-            with pytest.raises(urllib.error.HTTPError) as excinfo:
-                get(server.url + "/query")
-        assert excinfo.value.code == 400
 
 
 class TestNdjsonSchemaPin:

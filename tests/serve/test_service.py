@@ -68,6 +68,30 @@ class TestQuery:
             svc.submit(SQL)
 
 
+class TestWedgedWorker:
+    def test_a_future_that_never_completes_is_a_504_and_is_cancelled(self, service, monkeypatch):
+        """``Future.result(timeout=)`` raises ``concurrent.futures.TimeoutError``,
+        the builtin's alias only from 3.11 on: caught by the builtin's name it
+        escaped on 3.9 / 3.10 as a 500 and the future was never cancelled."""
+        from concurrent.futures import Future
+
+        from repro.serve import service as service_module
+
+        handed_out = []
+
+        def never_runs(fn, deadline):
+            handed_out.append(Future())
+            return handed_out[-1]
+
+        monkeypatch.setattr(service.pool, "submit", never_runs)
+        monkeypatch.setattr(service_module, "WORKER_GRACE", 0.01)
+        body = b'{"sql": "SELECT mach_id FROM activity", "deadline_seconds": 0.01}'
+        status, doc, _ = service.handle_http(body)
+        assert status == 504 and "timed out" in doc["error"]
+        assert [future.cancelled() for future in handed_out] == [True]
+        assert service.counts()["cancelled"] == 1
+
+
 class TestQuotaIntegration:
     def test_quota_rejections_surface_and_are_counted(self, paper_memory_backend):
         config = ServeConfig(workers=1, tenant_rate=0.0, tenant_burst=2.0)

@@ -5,6 +5,7 @@ import os
 import pytest
 
 from repro.cli import main
+from repro.errors import TracError
 
 
 @pytest.fixture
@@ -84,6 +85,51 @@ class TestSimulate:
             code = main(command + ["--faults", "/nonexistent.json"])
             assert code == 1
             assert capsys.readouterr().err.startswith("error: cannot read fault plan")
+
+
+class TestSimulateSharded:
+    """``--shards`` forwards a flag to the shards or refuses it — checked
+    before any shard is launched — and never drops one on the floor."""
+
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            ["--top"], ["--schedulers", "2"], ["--job-probability", "0.5"],
+            ["--failure-probability", "0.1"], ["--silence-timeout", "30"],
+            ["--slo-target", "10"], ["--slo-budget", "0.5"], ["--flight-dir", "f"],
+            ["--archive", "a"], ["--resume"],
+        ],
+        ids=lambda flag: flag[0],
+    )
+    def test_a_flag_with_no_shard_side_meaning_is_refused_by_name(self, tmp_path, capsys, flag):
+        code = main(["simulate", "--db", str(tmp_path / "g.sqlite"), "--shards", "2", *flag])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert ("--data-dir" if flag == ["--resume"] else flag[0]) in err
+
+    def test_durability_flags_reach_the_shards(self, tmp_path, capsys, monkeypatch):
+        from repro.federation import process
+
+        launched = []
+
+        def refuse(shard_id, **options):
+            launched.append(options)
+            raise TracError("launch refused")
+
+        monkeypatch.setattr(process, "launch_shard", refuse)
+        code = main(
+            [
+                "simulate", "--db", str(tmp_path / "g.sqlite"), "--shards", "2",
+                "--data-dir", str(tmp_path / "d"), "--fsync", "never",
+                "--fsync-interval", "0.25", "--checkpoint-interval", "7",
+            ]
+        )
+        assert code == 1 and "launch refused" in capsys.readouterr().err
+        assert launched[0]["fsync"] == "never"
+        assert launched[0]["extra_args"] == [
+            "--fsync-interval", "0.25", "--checkpoint-interval", "7.0",
+        ]
 
 
 class TestReport:

@@ -9,8 +9,8 @@ The acceptance contract for the provenance layer:
   contributing source;
 * the quality rollup reaches every surface — the ``trac_row_quality``
   histogram and ``trac_rows_from_exceptional_total`` counter, the
-  ``/provenance/<trace_id>`` observatory view, the ``/query`` and
-  ``POST /v1/query`` response bodies, slow-query events, and flight dumps.
+  ``/provenance/<trace_id>`` observatory view, the ``POST /v1/query``
+  response body, slow-query events, and flight dumps.
 """
 
 import json
@@ -38,8 +38,9 @@ from repro.workload.queries import paper_queries, query_machine_indexes
 NUM_SOURCES = 24
 
 
-def get(url):
-    with urllib.request.urlopen(url, timeout=5.0) as response:
+def get(url, body=None):
+    data = json.dumps(body).encode("utf-8") if body is not None else None
+    with urllib.request.urlopen(urllib.request.Request(url, data=data), timeout=5.0) as response:
         return response.status, response.read().decode("utf-8")
 
 
@@ -189,11 +190,10 @@ class TestTelemetrySurfaces:
 class TestObservatoryEndpoints:
     def test_query_endpoint_gains_provenance_block(self, small_backend):
         tel = Telemetry()
-        reporter = RecencyReporter(
-            small_backend, telemetry=tel, lineage=True, create_temp_tables=False
-        )
-        with ObservatoryServer(tel, reporter=reporter) as server:
-            _, body = get(server.url + "/query?sql=SELECT+t1.s+FROM+t1")
+        with QueryService(
+            small_backend, ServeConfig(workers=1, lineage=True), telemetry=tel
+        ) as service, ObservatoryServer(tel, query_service=service) as server:
+            _, body = get(server.url + "/v1/query", body={"sql": "SELECT t1.s FROM t1"})
             doc = json.loads(body)
             assert doc["provenance"]["row_sources"] == [["a"], ["b"]]
             assert doc["provenance"]["quality"]["rows"] == 2
@@ -213,11 +213,10 @@ class TestObservatoryEndpoints:
 
     def test_query_without_lineage_has_no_provenance_block(self, small_backend):
         tel = Telemetry()
-        reporter = RecencyReporter(
-            small_backend, telemetry=tel, create_temp_tables=False
-        )
-        with ObservatoryServer(tel, reporter=reporter) as server:
-            _, body = get(server.url + "/query?sql=SELECT+t1.s+FROM+t1")
+        with QueryService(
+            small_backend, ServeConfig(workers=1), telemetry=tel
+        ) as service, ObservatoryServer(tel, query_service=service) as server:
+            _, body = get(server.url + "/v1/query", body={"sql": "SELECT t1.s FROM t1"})
         assert "provenance" not in json.loads(body)
 
 

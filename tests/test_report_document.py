@@ -1,15 +1,14 @@
 """One report document: every surface serves ``RecencyReport.to_dict()``.
 
 The same report — one settled grid partition, one query — is produced
-in-process, over ``GET /query``, over ``POST /v1/query`` and by a
-``FederationCoordinator`` whose single shard holds every machine. Each
-surface's JSON must be the report document plus that surface's declared
-envelope keys and nothing else, and must agree with the in-process report
-on everything that is not a clock reading.
+in-process, over ``POST /v1/query`` and by a ``FederationCoordinator``
+whose single shard holds every machine. Each surface's JSON must be the
+report document plus that surface's declared envelope keys and nothing
+else, and must agree with the in-process report on everything that is not
+a clock reading.
 """
 
 import json
-import urllib.parse
 import urllib.request
 
 import pytest
@@ -37,11 +36,10 @@ OPTIONAL = {
     "provenance": "lineage on",
 }
 #: Which of them each surface of the fixture below turns on: the reporter
-#: and the two HTTP surfaces share one enabled ``Telemetry`` (the backend
-#: does not, so no profile); the coordinator follows the disabled default.
+#: and the HTTP surface share one enabled ``Telemetry`` (the backend does
+#: not, so no profile); the coordinator follows the disabled default.
 ON = {
     "reporter": {"trace_id"},
-    "GET /query": {"trace_id"},
     "POST /v1/query": {"trace_id"},
     "federation": set(),
 }
@@ -49,7 +47,6 @@ ON = {
 #: What each surface may add to the report document.
 ENVELOPES = {
     "reporter": set(),
-    "GET /query": set(),
     "POST /v1/query": {"tenant", "queue_wait_seconds"},
     "federation": {"shards_total", "shards_ok", "missing_shards", "stale_shards", "complete"},
 }
@@ -87,10 +84,7 @@ def documents():
             "federation": json.loads(json.dumps(coordinator.report(SQL).to_dict())),
         }
         with QueryService(backend, ServeConfig(workers=1), telemetry=tel) as service:
-            with ObservatoryServer(tel, reporter=reporter, query_service=service) as server:
-                docs["GET /query"] = fetch_json(
-                    server.url + "/query?" + urllib.parse.urlencode({"sql": SQL})
-                )
+            with ObservatoryServer(tel, query_service=service) as server:
                 docs["POST /v1/query"] = fetch_json(
                     server.url + "/v1/query", body={"sql": SQL, "tenant": "ops"}
                 )

@@ -56,7 +56,7 @@ def retained(tel):
 EMPTY = retained(Telemetry(enabled=False))
 
 
-def test_the_whole_system_leaves_the_disabled_default_empty(tmp_path):
+def test_the_whole_system_leaves_the_disabled_default_empty(tmp_path, monkeypatch):
     tel = obs.get_default()
     assert tel is NULL_TELEMETRY and type(tel) is Telemetry and tel.enabled is False
     assert retained(tel) == EMPTY
@@ -104,9 +104,12 @@ def test_the_whole_system_leaves_the_disabled_default_empty(tmp_path):
                 assert report.row_provenance is not None
                 assert report.trace_id is None and report.profile is None
 
-    # One served request and one federated report.
+    # One served request (submit captures no span context: it never asks for
+    # one) and one federated report.
     with QueryService(sim.backend, ServeConfig(workers=1, lineage=True)) as service:
-        assert service.query(SQL)["relevant_sources"]
+        with monkeypatch.context() as patched:
+            patched.setattr(tel.tracer, "current_span", lambda: pytest.fail("asked for a span"))
+            assert service.query(SQL)["relevant_sources"]
     shard = ShardServer("s0", SimulationConfig(num_machines=3, seed=3))
     shard.server.start()
     registry = ShardRegistry()
@@ -147,13 +150,13 @@ def test_an_unguarded_direct_call_is_what_the_run_above_would_catch():
 
 _HEALTHZ = '{"degraded": [], "events": {"retained": 0, "total": 0}, "sources": {}, "status": "ok"}'
 _TRACE = "a" * 32
-_UNKNOWN = (
-    '{"error": "unknown path \'/\'", "endpoints": ["/metrics", "/healthz", "/spans", "/events", '
-    '"/profile", "/trace/<id>", "/provenance/<trace_id>", "/query", "/status", "/v1/query"]}'
+_ENDPOINTS = (
+    '"endpoints": ["/metrics", "/healthz", "/spans", "/events", '
+    '"/profile", "/trace/<id>", "/provenance/<trace_id>", "/status", "/v1/query"]}'
 )
 
 DISABLED_ENDPOINTS = {
-    "/": (404, _UNKNOWN),
+    "/": (404, '{"error": "unknown path \'/\'", ' + _ENDPOINTS),
     "/metrics": (200, ""),
     "/spans": (200, ""),
     "/spans?limit=5": (200, ""),
@@ -165,7 +168,8 @@ DISABLED_ENDPOINTS = {
     "/status": (200, '{"healthz": ' + _HEALTHZ + "}"),
     "/trace/" + _TRACE: (404, '{"error": "no telemetry for trace \'' + _TRACE + '\'"}'),
     "/provenance/" + _TRACE: (404, '{"error": "no provenance for trace \'' + _TRACE + '\'"}'),
-    "/query?sql=SELECT+1": (503, '{"error": "no reporter wired to this observatory"}'),
+    # One front door: the GET report endpoint is gone, POST /v1/query is the path.
+    "/query?sql=SELECT+1": (404, '{"error": "unknown path \'/query\'", ' + _ENDPOINTS),
 }
 
 

@@ -1,9 +1,10 @@
 """Acceptance: end-to-end distributed tracing through the observatory.
 
-A query served through ``repro.obs.server`` with an injected W3C
+A query served through ``POST /v1/query`` with an injected W3C
 ``traceparent`` header must produce, under the *caller's* trace id:
 
-* spans for the request and the full recency report beneath it;
+* spans for the request, its ``serve.request`` on the worker thread the
+  pool handed it to, and the full recency report beneath that;
 * correlated event-log records (forced here via a zero-second slow-query
   threshold so ``query.slow`` fires on every report);
 * a structured per-operator :class:`QueryProfile` retrievable via
@@ -19,22 +20,28 @@ import pytest
 
 from repro.backends.memory import MemoryBackend
 from repro.catalog import Catalog, Column, TableSchema
-from repro.core.report import RecencyReporter
 from repro.obs import Telemetry
 from repro.obs.server import ObservatoryServer
+from repro.serve import QueryService, ServeConfig
 
 CALLER_TRACE = "deadbeefdeadbeefdeadbeefdeadbeef"
 TRACEPARENT = f"00-{CALLER_TRACE}-00f067aa0ba902b7-01"
 
 
-def get(url, headers=None):
-    request = urllib.request.Request(url, headers=headers or {})
+def get(url, headers=None, body=None):
+    data = json.dumps(body).encode("utf-8") if body is not None else None
+    request = urllib.request.Request(url, data=data, headers=headers or {})
     with urllib.request.urlopen(request, timeout=10.0) as response:
         return response.status, response.read().decode("utf-8")
 
 
+def query(server, sql, headers=None):
+    """``POST /v1/query``: the one HTTP path to a report."""
+    return get(server.url + "/v1/query", headers=headers, body={"sql": sql})
+
+
 @pytest.fixture()
-def observatory():
+def observatory(monkeypatch):
     catalog = Catalog()
     catalog.add(
         TableSchema("activity", [Column("mach_id", "TEXT"), Column("state", "TEXT")])
@@ -52,14 +59,10 @@ def observatory():
     )
     for mid in ("m1", "m2", "m3"):
         backend.upsert_heartbeat(mid, 100.0)
-    reporter = RecencyReporter(
-        backend, telemetry=telemetry, slow_query_seconds=1e-9
-    )
-    server = ObservatoryServer(telemetry, reporter=reporter).start()
-    try:
-        yield server, telemetry
-    finally:
-        server.stop()
+    monkeypatch.setenv("TRAC_SLOW_QUERY_SECONDS", "1e-9")
+    with QueryService(backend, ServeConfig(workers=2), telemetry=telemetry) as service:
+        with ObservatoryServer(telemetry, query_service=service) as server:
+            yield server, telemetry
 
 
 def wait_for_trace(telemetry, trace_id, deadline_s=5.0):
@@ -77,10 +80,7 @@ def test_traced_query_end_to_end(observatory):
     server, telemetry = observatory
     sql = "SELECT state, COUNT(*) FROM activity GROUP BY state"
 
-    status, body = get(
-        server.url + "/query?sql=" + urllib.parse.quote(sql),
-        headers={"traceparent": TRACEPARENT},
-    )
+    status, body = query(server, sql, headers={"traceparent": TRACEPARENT})
     assert status == 200
     doc = json.loads(body)
 
@@ -94,11 +94,11 @@ def test_traced_query_end_to_end(observatory):
     assert doc["profile"]["trace_id"] == CALLER_TRACE
 
     # 1. Spans: the request span plus the whole report span tree share
-    # the caller's trace id.
+    # the caller's trace id, across the hand-off to the worker thread.
     spans = wait_for_trace(telemetry, CALLER_TRACE)
     names = {s.name for s in spans}
-    assert "http.request" in names and "trac.report" in names
-    assert len(spans) >= 4  # request + report + its phases
+    assert {"http.request", "serve.request", "trac.report"} <= names
+    assert len(spans) >= 5  # request + serve + report + its phases
     assert all(s.trace_id_hex == CALLER_TRACE for s in spans)
 
     # 2. Events: the forced slow-query event correlates by trace id.
@@ -112,6 +112,12 @@ def test_traced_query_end_to_end(observatory):
     _, body = get(server.url + f"/trace/{CALLER_TRACE}")
     trace_doc = json.loads(body)
     assert trace_doc["spans"] and trace_doc["events"] and trace_doc["profiles"]
+    # ... as one chain: the caller's span -> http.request -> serve.request
+    # -> trac.report, each the parent of the next.
+    by_name = {s["name"]: s for s in trace_doc["spans"]}
+    chain = [by_name[name] for name in ("http.request", "serve.request", "trac.report")]
+    assert chain[0]["parent_id"] == 0x00F067AA0BA902B7
+    assert [s["parent_id"] for s in chain[1:]] == [s["span_id"] for s in chain[:-1]]
 
     # 4. Histogram latency series, exemplar-stamped, in /metrics.
     _, metrics = get(server.url + "/metrics")
@@ -123,9 +129,7 @@ def test_traced_query_end_to_end(observatory):
 
 def test_untraced_query_still_gets_a_fresh_trace(observatory):
     server, telemetry = observatory
-    status, body = get(server.url + "/query?sql=" + urllib.parse.quote(
-        "SELECT mach_id FROM activity"
-    ))
+    status, body = query(server, "SELECT mach_id FROM activity")
     assert status == 200
     doc = json.loads(body)
     assert doc["trace_id"] and doc["trace_id"] != CALLER_TRACE
