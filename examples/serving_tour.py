@@ -34,14 +34,7 @@ from repro.backends.memory import MemoryBackend
 from repro.obs.dashboard import render_top
 from repro.obs.server import ObservatoryServer
 from repro.serve import LoadgenConfig, QueryService, ServeConfig, run_load
-from repro.workload import (
-    WorkloadConfig,
-    generate_workload,
-    load_workload,
-    paper_queries,
-    query_machine_indexes,
-    workload_catalog,
-)
+from repro.workload import WorkloadConfig, loaded_backend, paper_queries
 
 SOURCES = 8
 
@@ -61,21 +54,10 @@ def post_query(url: str, sql: str, tenant: str = "default"):
         return exc.code, json.loads(exc.read() or b"{}"), dict(exc.headers)
 
 
-def build_backend() -> MemoryBackend:
-    backend = MemoryBackend(workload_catalog(SOURCES))
-    backend.create_tables()
-    data = generate_workload(
-        WorkloadConfig(num_sources=SOURCES, data_ratio=10),
-        query_machine_indexes(SOURCES),
-    )
-    load_workload(backend, data)
-    return backend
-
-
 def main() -> None:
     print("=== Serving tour ===")
     telemetry = obs.enable()
-    backend = build_backend()
+    backend = loaded_backend(WorkloadConfig(num_sources=SOURCES, data_ratio=10), MemoryBackend)
     sql = paper_queries(SOURCES)["Q1"]
 
     # -- 1. one query, end to end -------------------------------------------

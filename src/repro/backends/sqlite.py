@@ -175,12 +175,12 @@ class SQLiteBackend(Backend):
         delete_sql = f"DELETE FROM {_check_name(schema.name)} WHERE {where}"
         placeholders = ", ".join("?" for _ in schema.columns)
         insert_sql = f"INSERT INTO {_check_name(schema.name)} VALUES ({placeholders})"
-        materialized = [tuple(r) for r in rows]
+        # One row per key, the last: a key the call carries twice must not
+        # survive the delete pass as two inserted rows.
+        last = {tuple(row[i] for i in key_indexes): tuple(row) for row in rows}
         with self._lock:
-            self._conn.executemany(
-                delete_sql, [tuple(row[i] for i in key_indexes) for row in materialized]
-            )
-            self._conn.executemany(insert_sql, materialized)
+            self._conn.executemany(delete_sql, last)
+            self._conn.executemany(insert_sql, last.values())
             self._conn.commit()
 
     def delete_rows(

@@ -2,11 +2,11 @@
 
 * :mod:`repro.bench.metrics` — the paper's two metrics: response-time
   overhead and false-positive rate (fpr);
-* :mod:`repro.bench.harness` — the timing protocol (the paper ran each
-  query 11 times and averaged the last 10);
-* :mod:`repro.bench.figures` — series builders and a CLI
-  (``python -m repro.bench.figures {fig1,fig2,fpr,all}``) producing the
-  rows/series behind Figure 1, Figure 2 and the fpr results;
+* :mod:`repro.bench.harness` — the one timing loop (the paper ran each
+  query 11 times and averaged the last 10); a cell's phases come from it;
+* :mod:`repro.bench.figures` — one sweep and a CLI
+  (``python -m repro.bench.figures {fig1,fig2,fpr,all}``): the rows behind
+  Figure 1, Figure 2 (a projection of them) and the fpr results;
 * :mod:`repro.bench.reporting` — ASCII tables and CSV output.
 """
 

@@ -1,10 +1,11 @@
 """Series builders for every figure/table of the paper's evaluation.
 
-* :func:`figure1_series` — Figure 1: response-time overhead of the Focused,
-  Focused-hardcoded and Naive methods for Q1–Q4 across the
-  ``data_ratio x num_sources = total`` sweep;
-* :func:`figure2_series` — Figure 2: absolute response times for the
-  selective queries Q1 and Q3 with and without recency reporting;
+* :func:`figure1_series` — the one sweep over ``data_ratio x num_sources =
+  total``, and Figure 1: response-time overhead of the Focused,
+  Focused-hardcoded and Naive methods for Q1–Q4;
+* :func:`figure2_records` — Figure 2: absolute response times for the
+  selective queries Q1 and Q3 with and without recency reporting, projected
+  from the sweep's Focused cells (each cell is measured once);
 * :func:`fpr_results` — the false-positive-rate numbers at the end of
   Section 5.2: measured exactly against the brute-force oracle at a small
   scale, plus the paper-scale closed forms.
@@ -22,12 +23,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.backends.base import Backend
 from repro.backends.memory import MemoryBackend
 from repro.backends.sqlite import SQLiteBackend
-from repro.bench.harness import measure_methods, time_call
+from repro.bench.harness import measure_methods
 from repro.bench.metrics import false_positive_rate, naive_fpr
 from repro.bench.reporting import (
     ascii_chart,
@@ -40,25 +40,26 @@ from repro.core.bruteforce import brute_force_relevant_sources
 from repro.core.report import RecencyReporter
 from repro.sqlparser.parser import parse_query
 from repro.sqlparser.resolver import resolve
-from repro.workload.generator import generate_workload, load_workload, workload_catalog
-from repro.workload.queries import paper_queries, query_machine_indexes
+from repro.workload import WorkloadConfig, loaded_backend, paper_queries
 from repro.workload.sweep import SweepConfig, sweep_points
 
 #: Default Activity row total for the sweep (the paper used 10,000,000).
 DEFAULT_TOTAL_ROWS = 200_000
 
-_BACKENDS: Dict[str, Callable] = {
-    "sqlite": lambda catalog: SQLiteBackend(catalog),
-    "memory": lambda catalog: MemoryBackend(catalog),
+_BACKENDS: Dict[str, Callable] = {"sqlite": SQLiteBackend, "memory": MemoryBackend}
+
+#: The cells Figure 2 plots: the selective queries under the auto-generated
+#: Focused report (what ``fig2`` alone has to sweep), and its columns with
+#: the Figure 1 column each is read from.
+FIG2_QUERIES = ("Q1", "Q3")
+FIG2_METHOD = "focused"
+_FIG2_COLUMNS = {
+    "query": "query",
+    "data_ratio": "data_ratio",
+    "num_sources": "num_sources",
+    "without_report_s": "t_plain_s",
+    "with_report_s": "t_report_s",
 }
-
-
-def _loaded_backend(config, backend_kind: str) -> Backend:
-    catalog = workload_catalog(config.num_sources)
-    backend = _BACKENDS[backend_kind](catalog)
-    data = generate_workload(config, query_machine_indexes(config.num_sources))
-    load_workload(backend, data)
-    return backend
 
 
 def figure1_series(
@@ -66,67 +67,37 @@ def figure1_series(
     runs: int = 5,
     backend_kind: str = "sqlite",
     progress: Optional[Callable[[str], None]] = None,
+    queries: Optional[Sequence[str]] = None,
+    methods: Optional[List[str]] = None,
 ) -> List[Dict[str, object]]:
-    """Rows of Figure 1: one record per (query, sweep point, method)."""
+    """The sweep: one record per (query, sweep point, method), each sweep
+    point generated and loaded once. ``queries`` / ``methods`` narrow it
+    (default: Q1–Q4, all three methods — the rows of Figure 1)."""
     say = progress or (lambda message: None)
     records: List[Dict[str, object]] = []
     for config in sweep_points(SweepConfig(total_rows=total_rows)):
-        say(f"fig1: ratio={config.data_ratio} sources={config.num_sources}")
-        backend = _loaded_backend(config, backend_kind)
+        say(f"sweep: ratio={config.data_ratio} sources={config.num_sources}")
+        backend = loaded_backend(config, _BACKENDS[backend_kind])
         reporter = RecencyReporter(backend)
-        queries = paper_queries(config.num_sources)
-        for name, sql in queries.items():
-            measurements = measure_methods(reporter, sql, runs=runs)
-            for method, m in measurements.items():
-                record = {
-                    "query": name,
-                    "data_ratio": config.data_ratio,
-                    "num_sources": config.num_sources,
-                    "method": method,
-                    "t_plain_s": m.t_plain,
-                    "t_report_s": m.t_report,
-                    "overhead_pct": 100.0 * m.overhead,
-                    "relevant_sources": m.relevant_count,
-                }
-                for phase, seconds in sorted(m.phases.items()):
-                    record[f"phase_{phase.split('.', 1)[-1]}_s"] = seconds
-                for cache, count in sorted(m.caches.items()):
-                    record[f"cache_{cache}"] = count
-                records.append(record)
+        point = {"data_ratio": config.data_ratio, "num_sources": config.num_sources}
+        for name, sql in paper_queries(config.num_sources).items():
+            if queries is not None and name not in queries:
+                continue
+            for m in measure_methods(reporter, sql, runs=runs, methods=methods).values():
+                records.append({"query": name, **point, **m.to_dict()})
         backend.close()
     return records
 
 
-def figure2_series(
-    total_rows: int = DEFAULT_TOTAL_ROWS,
-    runs: int = 5,
-    backend_kind: str = "sqlite",
-    progress: Optional[Callable[[str], None]] = None,
-) -> List[Dict[str, object]]:
+def figure2_records(fig1_records: List[Dict[str, object]]) -> List[Dict[str, object]]:
     """Rows of Figure 2: absolute response times for Q1 and Q3, with and
-    without the (auto-generated, Focused) recency report."""
-    say = progress or (lambda message: None)
-    records: List[Dict[str, object]] = []
-    for config in sweep_points(SweepConfig(total_rows=total_rows)):
-        say(f"fig2: ratio={config.data_ratio} sources={config.num_sources}")
-        backend = _loaded_backend(config, backend_kind)
-        reporter = RecencyReporter(backend)
-        queries = paper_queries(config.num_sources)
-        for name in ("Q1", "Q3"):
-            sql = queries[name]
-            t_without = time_call(lambda: reporter.run_plain(sql), runs)
-            t_with = time_call(lambda: reporter.report(sql, method="focused"), runs)
-            records.append(
-                {
-                    "query": name,
-                    "data_ratio": config.data_ratio,
-                    "num_sources": config.num_sources,
-                    "without_report_s": t_without,
-                    "with_report_s": t_with,
-                }
-            )
-        backend.close()
-    return records
+    without the (auto-generated, Focused) recency report — the sweep's own
+    cells, renamed."""
+    return [
+        {column: record[cell] for column, cell in _FIG2_COLUMNS.items()}
+        for record in fig1_records
+        if record["query"] in FIG2_QUERIES and record["method"] == FIG2_METHOD
+    ]
 
 
 def fpr_results(
@@ -141,15 +112,9 @@ def fpr_results(
     oracle runs on the mini engine; the Focused sets come from the full
     reporting pipeline, so this is an end-to-end precision check.
     """
-    config_catalog = workload_catalog(num_sources)
-    backend = MemoryBackend(config_catalog)
-    from repro.workload.generator import WorkloadConfig
-
-    data = generate_workload(
-        WorkloadConfig(num_sources=num_sources, data_ratio=data_ratio),
-        query_machine_indexes(num_sources),
+    backend = loaded_backend(
+        WorkloadConfig(num_sources=num_sources, data_ratio=data_ratio), MemoryBackend
     )
-    load_workload(backend, data)
     reporter = RecencyReporter(backend)
 
     records: List[Dict[str, object]] = []
@@ -177,7 +142,7 @@ def fpr_results(
 # CLI
 # ---------------------------------------------------------------------------
 
-_FIG1_HEADERS = [
+FIG1_HEADERS = [
     "query",
     "data_ratio",
     "num_sources",
@@ -194,8 +159,8 @@ _FIG1_HEADERS = [
     "cache_query_misses",
     "cache_plan_hits",
 ]
-_FIG2_HEADERS = ["query", "data_ratio", "num_sources", "without_report_s", "with_report_s"]
-_FPR_HEADERS = [
+FIG2_HEADERS = list(_FIG2_COLUMNS)
+FPR_HEADERS = [
     "query",
     "relevant_exact",
     "fpr_focused",
@@ -255,7 +220,7 @@ def plot_figure1(records: List[Dict[str, object]]) -> str:
 
 def plot_figure2(records: List[Dict[str, object]]) -> str:
     panels: List[str] = []
-    for query in ("Q1", "Q3"):
+    for query in FIG2_QUERIES:
         series: Dict[str, List[Tuple[float, float]]] = {"without": [], "with": []}
         for record in records:
             if record["query"] != query:
@@ -290,25 +255,28 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     say = lambda message: print(f"  ... {message}", file=sys.stderr)  # noqa: E731
 
+    if args.target != "fpr":
+        # One sweep behind both figures; fig2 alone needs only its own cells.
+        cells = {"queries": FIG2_QUERIES, "methods": [FIG2_METHOD]} if args.target == "fig2" else {}
+        sweep = figure1_series(args.total_rows, args.runs, args.backend, say, **cells)
     if args.target in ("fig1", "all"):
-        records = figure1_series(args.total_rows, args.runs, args.backend, say)
         _emit(
             "Figure 1: recency-reporting overhead (%) vs data ratio",
-            records,
-            _FIG1_HEADERS,
+            sweep,
+            FIG1_HEADERS,
             args.csv_dir,
             "figure1.csv",
             json_dir=args.json_dir,
         )
         if args.plot:
             print()
-            print(plot_figure1(records))
+            print(plot_figure1(sweep))
     if args.target in ("fig2", "all"):
-        records = figure2_series(args.total_rows, args.runs, args.backend, say)
+        records = figure2_records(sweep)
         _emit(
             "Figure 2: response times for Q1/Q3 with and without recency report",
             records,
-            _FIG2_HEADERS,
+            FIG2_HEADERS,
             args.csv_dir,
             "figure2.csv",
             json_dir=args.json_dir,
@@ -321,7 +289,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         _emit(
             "False positive rates (measured vs paper-scale closed form)",
             records,
-            _FPR_HEADERS,
+            FPR_HEADERS,
             args.csv_dir,
             "fpr.csv",
             json_dir=args.json_dir,

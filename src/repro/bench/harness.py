@@ -1,10 +1,11 @@
-"""Timing protocol.
+"""Timing protocol: the one loop every paper-figure cell is measured by.
 
 Section 5.2: "Each individual query was run 11 times and the average
 response time of the last 10 runs is used to minimize fluctuation." The
 default here keeps the warm-up discard but uses fewer repetitions so the
 full sweep stays laptop-friendly; pass ``runs=11`` for the paper's exact
-protocol.
+protocol. A cell costs exactly ``runs`` reports: its per-phase breakdown
+is read from the ``ReportTimings`` of the very runs that were timed.
 """
 
 from __future__ import annotations
@@ -13,21 +14,22 @@ import time
 from typing import Callable, Dict, List, Optional
 
 from repro.bench.metrics import overhead
-from repro.core.report import SPAN_REPORT, RecencyReporter
-from repro.core.relevance import RelevancePlan
+from repro.core.report import RecencyReport, RecencyReporter, ReportTimings
 from repro.engine.cache import get_cache
-from repro.obs import Telemetry, phase_durations
 
-#: Paper protocol: 11 runs, first discarded.
-PAPER_RUNS = 11
+#: The :class:`~repro.core.report.ReportTimings` fields a cell breaks down into.
+PHASES = ("parse_generate", "user_query", "recency_query", "statistics")
 
 
-def time_call(fn: Callable[[], object], runs: int = 5, drop_first: bool = True) -> float:
-    """Mean wall-clock seconds of ``fn()`` over ``runs`` calls.
+def mean_of_kept(samples: List[float]) -> float:
+    """The paper's "average of the last 10 runs": the first of several runs
+    is a warm-up and is dropped, the rest are averaged."""
+    kept = samples[1:] if len(samples) > 1 else samples
+    return sum(kept) / len(kept)
 
-    The first call is a discarded warm-up when ``drop_first`` (and
-    ``runs > 1``), matching the paper's measurement protocol.
-    """
+
+def time_call(fn: Callable[[], object], runs: int = 5) -> float:
+    """:func:`mean_of_kept` wall-clock seconds of ``fn()`` over ``runs`` calls."""
     if runs < 1:
         raise ValueError("runs must be >= 1")
     samples: List[float] = []
@@ -35,17 +37,15 @@ def time_call(fn: Callable[[], object], runs: int = 5, drop_first: bool = True) 
         start = time.perf_counter()
         fn()
         samples.append(time.perf_counter() - start)
-    if drop_first and len(samples) > 1:
-        samples = samples[1:]
-    return sum(samples) / len(samples)
+    return mean_of_kept(samples)
 
 
 class MethodMeasurement:
     """Timings of one (query, method) cell of Figure 1 / Figure 2.
 
-    ``phases`` maps phase span names (``report.user_query``, ...) to mean
-    durations in seconds, captured from an instrumented run outside the
-    timed region — the per-phase breakdown benchmark JSON carries.
+    ``phases`` maps each of :data:`PHASES` to its :func:`mean_of_kept`
+    seconds over the very runs ``t_report`` averages (``parse_generate``
+    reads 0 for ``focused_hardcoded``: its plan is built outside them).
 
     ``caches`` carries the fast-path cache activity observed during the
     timed report loop: resolved-query cache hits/misses (the process-wide
@@ -75,16 +75,16 @@ class MethodMeasurement:
         return overhead(self.t_plain, self.t_report)
 
     def to_dict(self) -> Dict[str, object]:
-        """JSON-friendly form, phases flattened under ``phase_*`` keys."""
+        """The cell's columns of a Figure 1 record (CSV / JSON friendly)."""
         out: Dict[str, object] = {
             "method": self.method,
             "t_plain_s": self.t_plain,
             "t_report_s": self.t_report,
-            "overhead": self.overhead,
+            "overhead_pct": 100.0 * self.overhead,
             "relevant_sources": self.relevant_count,
         }
-        for name, seconds in sorted(self.phases.items()):
-            out[f"phase_{name.split('.', 1)[-1]}_s"] = seconds
+        for name, seconds in self.phases.items():
+            out[f"phase_{name}_s"] = seconds
         for name, count in sorted(self.caches.items()):
             out[f"cache_{name}"] = count
         return out
@@ -101,34 +101,30 @@ def measure_methods(
     sql: str,
     runs: int = 5,
     methods: Optional[List[str]] = None,
-    collect_phases: bool = True,
 ) -> Dict[str, MethodMeasurement]:
     """Measure the plain query and each reporting method for one query.
 
     ``focused_hardcoded`` reuses a plan built once outside the timed region,
     isolating execution cost from parse/generation cost exactly as the
     paper's hardcoded table function did.
-
-    With ``collect_phases`` (default), one extra instrumented report per
-    method runs *outside* the timed loop to capture the per-phase span
-    breakdown — the timed runs themselves keep the reporter's (normally
-    disabled) telemetry so timings stay comparable to the paper protocol.
     """
     methods = methods or ["focused", "focused_hardcoded", "naive"]
     t_plain = time_call(lambda: reporter.run_plain(sql), runs)
 
     out: Dict[str, MethodMeasurement] = {}
-    plan: Optional[RelevancePlan] = None
-    if "focused_hardcoded" in methods:
-        plan = reporter.plan_for(sql)
+    plan = reporter.plan_for(sql) if "focused_hardcoded" in methods else None
+    query_cache = get_cache()
     for method in methods:
         kwargs = {"plan": plan} if method == "focused_hardcoded" else {}
-        report_holder = {}
+        # Only the timings of every run are kept: at the paper's scale a
+        # report names up to a million sources.
+        timings: List[ReportTimings] = []
+        last: Dict[str, RecencyReport] = {}
 
-        def run(method=method, kwargs=kwargs):
-            report_holder["r"] = reporter.report(sql, method=method, **kwargs)
+        def run():  # called by time_call within this iteration only
+            last["report"] = report = reporter.report(sql, method=method, **kwargs)
+            timings.append(report.timings)
 
-        query_cache = get_cache()
         before = query_cache.stats()
         plan_hits_before = reporter.plan_cache_hits
         t_report = time_call(run, runs)
@@ -138,26 +134,7 @@ def measure_methods(
             "query_misses": after["misses"] - before["misses"],
             "plan_hits": reporter.plan_cache_hits - plan_hits_before,
         }
-        relevant = len(report_holder["r"].relevant_source_ids)
-        phases: Dict[str, float] = {}
-        if collect_phases:
-            phases = _capture_phases(reporter, sql, method, kwargs)
-        out[method] = MethodMeasurement(
-            method, t_plain, t_report, relevant, phases, caches
-        )
+        phases = {name: mean_of_kept([getattr(t, name) for t in timings]) for name in PHASES}
+        relevant = len(last["report"].relevant_source_ids)
+        out[method] = MethodMeasurement(method, t_plain, t_report, relevant, phases, caches)
     return out
-
-
-def _capture_phases(
-    reporter: RecencyReporter, sql: str, method: str, kwargs: Dict[str, object]
-) -> Dict[str, float]:
-    """One instrumented report through a throwaway telemetry; returns the
-    phase-name -> duration breakdown of its ``trac.report`` span."""
-    tel = Telemetry()
-    saved = reporter.telemetry
-    reporter.telemetry = tel
-    try:
-        reporter.report(sql, method=method, **kwargs)  # type: ignore[arg-type]
-    finally:
-        reporter.telemetry = saved
-    return phase_durations(tel, SPAN_REPORT)

@@ -1,7 +1,7 @@
 """One-command paper reproduction with programmatic claim checking.
 
-Runs the full evaluation (Figure 1 sweep, Figure 2, fpr, the Section 5.1
-transcript values and the Section 4.2 case analysis) and grades every
+Runs the full evaluation (one sweep behind Figures 1 and 2, fpr, the Section
+5.1 transcript values and the Section 4.2 case analysis) and grades every
 qualitative claim of the paper as PASS/FAIL, emitting a markdown report::
 
     python -m repro.bench.paper --total-rows 50000 -o REPRODUCTION_REPORT.md
@@ -18,7 +18,7 @@ import platform
 import sys
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.bench.figures import figure1_series, figure2_series, fpr_results
+from repro.bench import figures
 from repro.bench.reporting import ascii_table, rows_from_dicts
 
 
@@ -236,12 +236,11 @@ def build_report(
 ) -> Tuple[str, bool]:
     """Run everything; return (markdown, all_passed)."""
     say = progress or (lambda message: None)
-    say("running Figure 1 sweep...")
-    fig1 = figure1_series(total_rows, runs, "sqlite", say)
-    say("running Figure 2 sweep...")
-    fig2 = figure2_series(total_rows, runs, "sqlite", say)
+    say("running the Figure 1 / Figure 2 sweep...")
+    fig1 = figures.figure1_series(total_rows, runs, "sqlite", say)
+    fig2 = figures.figure2_records(fig1)
     say("running fpr experiment...")
-    fpr = fpr_results(num_sources=fpr_sources)
+    fpr = figures.fpr_results(num_sources=fpr_sources)
 
     claims: List[ClaimResult] = []
     claims.extend(check_figure1(fig1))
@@ -271,27 +270,17 @@ def build_report(
         status = "**PASS**" if claim.passed else "**FAIL**"
         lines.append(f"| {status} | {claim.claim} | {claim.evidence} |")
     lines.append("")
-    lines.append("## Figure 1 data (overhead %, per query/ratio/method)")
-    lines.append("")
-    lines.append("```")
-    headers = ["query", "data_ratio", "num_sources", "method", "overhead_pct", "relevant_sources"]
-    lines.append(ascii_table(headers, rows_from_dicts(fig1, headers)))
-    lines.append("```")
-    lines.append("")
-    lines.append("## Figure 2 data (response times, seconds)")
-    lines.append("")
-    lines.append("```")
-    headers = ["query", "data_ratio", "num_sources", "without_report_s", "with_report_s"]
-    lines.append(ascii_table(headers, rows_from_dicts(fig2, headers)))
-    lines.append("```")
-    lines.append("")
-    lines.append("## False-positive rates")
-    lines.append("")
-    lines.append("```")
-    headers = ["query", "relevant_exact", "fpr_focused", "fpr_naive", "paper_scale_fpr_naive"]
-    lines.append(ascii_table(headers, rows_from_dicts(fpr, headers)))
-    lines.append("```")
-    lines.append("")
+    fig1_headers = [
+        "query", "data_ratio", "num_sources", "method", "overhead_pct", "relevant_sources"
+    ]
+    for title, headers, records in (
+        ("Figure 1 data (overhead %, per query/ratio/method)", fig1_headers, fig1),
+        ("Figure 2 data (response times, seconds)", figures.FIG2_HEADERS, fig2),
+        ("False-positive rates", figures.FPR_HEADERS, fpr),
+    ):
+        lines += [f"## {title}", "", "```"]
+        lines.append(ascii_table(headers, rows_from_dicts(records, headers)))
+        lines += ["```", ""]
     verdict = "every claim PASSED" if all_passed else "SOME CLAIMS FAILED"
     lines.append(f"Overall: {verdict}.")
     return "\n".join(lines) + "\n", all_passed

@@ -161,27 +161,20 @@ class QualitySummary:
 class QualityModel:
     """Maps heartbeat staleness to per-source and per-row quality scores."""
 
-    __slots__ = ("half_life", "exceptional_penalty", "degraded_penalty")
+    __slots__ = ("half_life",)
 
-    def __init__(
-        self,
-        half_life: float = DEFAULT_HALF_LIFE,
-        exceptional_penalty: float = DEFAULT_EXCEPTIONAL_PENALTY,
-        degraded_penalty: float = DEFAULT_DEGRADED_PENALTY,
-    ) -> None:
+    def __init__(self, half_life: float = DEFAULT_HALF_LIFE) -> None:
         if half_life <= 0:
             raise ValueError(f"half_life must be positive, got {half_life!r}")
         self.half_life = half_life
-        self.exceptional_penalty = exceptional_penalty
-        self.degraded_penalty = degraded_penalty
 
     @classmethod
-    def from_slo(cls, slo, **kwargs) -> "QualityModel":
+    def from_slo(cls, slo) -> "QualityModel":
         """A model whose half-life is the SLO tracker's p95 lag target."""
         target = getattr(slo, "target_p95", None)
         if target is None or target <= 0:
-            return cls(**kwargs)
-        return cls(half_life=float(target), **kwargs)
+            return cls()
+        return cls(half_life=float(target))
 
     # -- per-source scoring --------------------------------------------------
 
@@ -216,9 +209,9 @@ class QualityModel:
             is_exceptional = s.source_id in exceptional
             is_degraded = s.source_id in degraded
             if is_exceptional:
-                quality *= self.exceptional_penalty
+                quality *= DEFAULT_EXCEPTIONAL_PENALTY
             if is_degraded:
-                quality *= self.degraded_penalty
+                quality *= DEFAULT_DEGRADED_PENALTY
             out[s.source_id] = SourceQuality(
                 s.source_id, s.recency, staleness, quality, is_exceptional, is_degraded
             )

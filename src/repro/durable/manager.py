@@ -8,9 +8,10 @@ One :class:`DurabilityManager` owns a *data directory*::
         wal-00000001.wal        # rotated after each checkpoint
         logs/m1.log ...         # disk mirrors of the machine logs
 
-Write path (per sniffer poll): the applied batch and any acknowledged
-heartbeat are journaled *before* they touch the backend, under the
-configured fsync policy.  ``acked()`` exposes the per-source watermarks
+Write path (per sniffer poll): the poll's delivery (one frame, see
+:meth:`DurabilityManager.journal_events`) and any acknowledged heartbeat
+are journaled *before* they touch the backend, under the configured
+fsync policy.  ``acked()`` exposes the per-source watermarks
 covered by the last fsync — the crash matrix kills the process and then
 asserts recovery never loses anything behind those watermarks.
 
@@ -46,7 +47,6 @@ from repro.durable.wal import (
     FSYNC_POLICIES,
     FrameWriter,
     encode_batch,
-    encode_event,
     encode_heartbeat,
     validate_fsync_policy,
     wal_path,
@@ -54,6 +54,7 @@ from repro.durable.wal import (
 from repro.errors import DurabilityError, SimulationError
 from repro.grid.events import LogEvent
 from repro.grid.logfile import LogFile
+from repro.grid.logformat import format_line
 from repro.grid.persist import FileLogWriter, log_path, read_log_events, rewrite_log
 from repro.obs import instrument as obs
 from repro.obs.events import EVT_CHECKPOINT, EVT_CHECKPOINT_FAILED
@@ -182,7 +183,7 @@ class DurabilityManager:
         self._wal: Optional[FrameWriter] = None
         self._last_checkpoint_now: Optional[float] = None
         # Cumulative across WAL rotations (FrameWriter counters reset each
-        # epoch).
+        # epoch).  Records are log records + heartbeats journaled, not frames.
         self.wal_records = 0
         self.wal_syncs = 0
         # Journaled watermarks: everything appended to the WAL (synced or
@@ -342,9 +343,11 @@ class DurabilityManager:
     # -- journaling (sniffer hooks) ----------------------------------------
 
     def journal_events(self, source: str, start: int, end: int, events, now: float) -> None:
-        """Journal one applied poll batch covering log offsets [start, end).
+        """Journal one poll's delivery over log offsets [start, end) as one frame.
 
-        Skips records below the journaled watermark (a resumed sniffer
+        Also when ``events`` is empty (every record of the span was dropped
+        on the way): the journaled offsets of a source must not gap.  Skips
+        what lies below the journaled watermark (a resumed sniffer
         re-reading regenerated events, or a poll retried after a backend
         fault) so the WAL never holds a duplicate within an epoch.
         """
@@ -357,25 +360,20 @@ class DurabilityManager:
             raise DurabilityError(
                 f"journal gap for {source}: watermark {watermark}, batch starts at {start}"
             )
-        synced = False
-        if len(events) == end - start:
-            # Normal delivery: one record per event, dedupe by offset.
-            for index, event in enumerate(events):
-                offset = start + index
-                if offset < watermark:
-                    continue
-                line = self._format(event)
-                synced = self._append(("ev", source, offset + 1), encode_event(source, offset, line)) or synced
-        else:
-            # Fault injection dropped/duplicated records: the delivered
-            # lines no longer map onto offsets, so journal the batch with
-            # its true log span and replay exactly what was applied.
-            lines = [self._format(event) for event in events]
-            synced = self._append(("ev", source, end), encode_batch(source, start, end, lines))
+        if watermark > start and len(events) == end - start:
+            # Regular delivery, one event per offset: drop the prefix the
+            # journal already holds.  When faults dropped or duplicated
+            # records the lines no longer map onto offsets: journal the
+            # true log span and replay exactly what was applied.
+            events = events[watermark - start :]
+            start = watermark
+        lines = [self._format(event) for event in events]
+        synced = self._append(("ev", source, end), encode_batch(source, start, end, lines))
         self._journaled_offsets[source] = end
+        self.wal_records += len(lines)
         tel = obs.resolve(self.telemetry)
         if tel.enabled:
-            tel.count(obs.WAL_RECORDS, max(1, len(events)), kind="event")
+            tel.count(obs.WAL_RECORDS, len(lines), kind="event")
         if synced:
             self._promote()
 
@@ -387,6 +385,7 @@ class DurabilityManager:
             self.fault_plan.check_durability(source, now, "wal")
         synced = self._append(("hb", source, recency), encode_heartbeat(source, recency))
         self._journaled_recency[source] = recency
+        self.wal_records += 1
         tel = obs.resolve(self.telemetry)
         if tel.enabled:
             tel.count(obs.WAL_RECORDS, kind="heartbeat")
@@ -394,8 +393,6 @@ class DurabilityManager:
             self._promote()
 
     def _format(self, event: LogEvent) -> str:
-        from repro.grid.logformat import format_line
-
         payload = {k: str(v) for k, v in event.payload.items()}
         return format_line(LogEvent(event.timestamp, event.source, event.kind, payload))
 
@@ -404,7 +401,6 @@ class DurabilityManager:
             raise DurabilityError("durability manager has no open WAL (closed?)")
         self._pending.append(marker)
         synced = self._wal.append(payload)
-        self.wal_records += 1
         if synced:
             self.wal_syncs += 1
             tel = obs.resolve(self.telemetry)

@@ -7,12 +7,13 @@ Recovery proceeds in three steps:
    heartbeats are reset to the checkpointed snapshot.
 2. Replay every WAL segment whose epoch is >= the recovered epoch, in
    ascending order.  Torn tails are truncated and counted, never fatal.
-3. Dedupe replayed records by ``(source, offset)`` watermarks so each
-   applied event is exactly-once: offsets below the watermark are skipped
-   (they were already in the checkpoint, or in an earlier segment replayed
-   after a fall-back), the offset *at* the watermark is applied, and an
-   offset *beyond* it is a gap — a broken invariant worth dying over,
-   because silently continuing would hide lost acknowledged writes.
+3. Dedupe replayed batches by per-source offset watermarks so each
+   applied event is exactly-once: a batch whose span ends at or below the
+   watermark is skipped (it was already in the checkpoint, or in an
+   earlier segment replayed after a fall-back), a batch reaching the
+   watermark is applied, and one starting *beyond* it is a gap — a broken
+   invariant worth dying over, because silently continuing would hide
+   lost acknowledged writes.
    Heartbeats are applied only when they advance a source's recency, which
    keeps per-source recency monotonically non-decreasing across restarts.
 
@@ -29,7 +30,13 @@ from typing import Dict, List, Optional
 
 from repro.catalog import HEARTBEAT_TABLE
 from repro.durable.checkpoint import latest_valid_checkpoint
-from repro.durable.wal import FrameScan, decode_record, list_wal_segments, repair_torn_tail
+from repro.durable.wal import (
+    FrameScan,
+    decode_record,
+    list_wal_segments,
+    repair_torn_tail,
+    scan_frames,
+)
 from repro.errors import DurabilityError
 from repro.obs import instrument as obs
 from repro.obs.events import EVT_RECOVERED, EVT_WAL_TORN
@@ -160,11 +167,7 @@ def recover(
         if segment_epoch < recovered.epoch:
             continue
         recovered.segments.append(path)
-        scan = repair_torn_tail(path) if repair else None
-        if scan is None:
-            from repro.durable.wal import scan_frames
-
-            scan = scan_frames(path)
+        scan = repair_torn_tail(path) if repair else scan_frames(path)
         _replay_segment(recovered, scan, backend, tel)
 
     if tel.enabled:
@@ -188,23 +191,8 @@ def _replay_segment(recovered: RecoveredState, scan: FrameScan, backend, tel) ->
             tel.emit(EVT_WAL_TORN, severity="warning", path=scan.path, reason=scan.torn)
     for payload in scan.payloads:
         record = decode_record(payload)
-        kind = record["k"]
         source = record["s"]
-        if kind == "ev":
-            offset = record["o"]
-            watermark = recovered.offsets.get(source, 0)
-            if offset < watermark:
-                recovered.skipped_records += 1
-                continue
-            if offset > watermark:
-                raise DurabilityError(
-                    f"gap in journaled offsets for {source}: expected {watermark}, "
-                    f"found {offset} in {scan.path}"
-                )
-            recovered.last_loaded[source] = _apply_line(backend, record["l"])
-            recovered.offsets[source] = offset + 1
-            recovered.replayed_events += 1
-        elif kind == "bat":
+        if record["k"] == "bat":
             start, end = record["a"], record["b"]
             watermark = recovered.offsets.get(source, 0)
             if end <= watermark:

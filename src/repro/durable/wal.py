@@ -15,9 +15,9 @@ raises on corrupt input — corruption shortens the prefix, it does not
 poison it.
 
 On top of the framing sits the WAL record codec used by the ingest
-journal: ``ev`` (one applied log event), ``bat`` (one applied poll batch
-covering a half-open offset span — used when fault injection made the
-delivered records diverge from the log span), and ``hb`` (a heartbeat
+journal: ``bat`` (one poll's delivery: the half-open span of log offsets
+it consumed and the lines applied — fewer than the span, or none, when
+fault injection dropped records on the way) and ``hb`` (a heartbeat
 upsert).  Records carry the *formatted* log line (see
 ``repro.grid.logformat``) rather than structured events so this module
 stays dependency-free below the grid layer.
@@ -67,7 +67,6 @@ __all__ = [
     "repair_torn_tail",
     "wal_path",
     "list_wal_segments",
-    "encode_event",
     "encode_batch",
     "encode_heartbeat",
     "decode_record",
@@ -279,18 +278,11 @@ def _encode(record: dict) -> bytes:
     return json.dumps(record, separators=(",", ":"), sort_keys=True).encode("utf-8")
 
 
-def encode_event(source: str, offset: int, line: str) -> bytes:
-    """One applied log event: ``source``'s log line at log ``offset``."""
-    return _encode({"k": "ev", "s": source, "o": int(offset), "l": line})
-
-
 def encode_batch(source: str, start: int, end: int, lines: Sequence[str]) -> bytes:
-    """One applied poll batch covering log offsets ``[start, end)``.
-
-    Used when fault injection dropped or duplicated records, so the
-    delivered lines no longer map one-to-one onto log offsets; replay
-    dedupes by the span instead.
-    """
+    """One poll's delivery: the lines applied while consuming log offsets
+    ``[start, end)``.  Fault injection can drop or duplicate records, so
+    the lines need not map one-to-one onto the offsets (there may be none
+    at all); replay dedupes by the span."""
     return _encode({"k": "bat", "s": source, "a": int(start), "b": int(end), "l": list(lines)})
 
 
@@ -314,10 +306,10 @@ def decode_record(payload: bytes) -> dict:
         raise DurabilityError(f"WAL record is not an object: {record!r}")
     kind = record.get("k")
     if kind == "ev":
-        if not isinstance(record.get("s"), str) or not isinstance(record.get("o"), int) \
-                or not isinstance(record.get("l"), str):
-            raise DurabilityError(f"malformed event record: {record!r}")
-    elif kind == "bat":
+        raise DurabilityError(
+            "WAL record kind 'ev' (one frame per event) was written by an older version"
+        )
+    if kind == "bat":
         if not isinstance(record.get("s"), str) or not isinstance(record.get("a"), int) \
                 or not isinstance(record.get("b"), int) or not isinstance(record.get("l"), list):
             raise DurabilityError(f"malformed batch record: {record!r}")

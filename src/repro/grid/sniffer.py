@@ -197,7 +197,8 @@ class Sniffer:
             events = events[: self.config.batch_size]
             new_offset = self.offset + len(events)
             truncated = True
-        if self.journal is not None and events:
+        if self.journal is not None and new_offset > self.offset:
+            # Even with every record dropped on the way: no journal gap.
             self.journal.journal_events(
                 self.machine.machine_id, self.offset, new_offset, events, now
             )

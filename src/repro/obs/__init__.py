@@ -76,7 +76,6 @@ from repro.obs.instrument import (
 from repro.obs.export import (
     metrics_snapshot,
     parse_prometheus_text,
-    phase_durations,
     prometheus_text,
     render_summary,
     span_name_aggregates,
@@ -135,7 +134,6 @@ __all__ = [
     "spans_from_jsonl",
     "write_spans_jsonl",
     "metrics_snapshot",
-    "phase_durations",
     "Event",
     "EventLog",
     "events_to_jsonl",

@@ -334,17 +334,3 @@ def render_summary(telemetry, max_spans: int = 0) -> str:
     if not lines:
         return "telemetry is enabled but nothing has been recorded yet"
     return "\n".join(lines)
-
-
-def phase_durations(telemetry, root_name: str) -> Dict[str, float]:
-    """Mean duration per direct child span name under roots called
-    ``root_name`` (the per-phase breakdown benchmarks attach)."""
-    spans = telemetry.tracer.finished_spans()
-    root_ids = {s.span_id for s in spans if s.name == root_name}
-    if not root_ids:
-        return {}
-    totals: Dict[str, List[float]] = {}
-    for span in spans:
-        if span.parent_id in root_ids:
-            totals.setdefault(span.name, []).append(span.duration)
-    return {name: sum(ds) / len(ds) for name, ds in sorted(totals.items())}

@@ -65,8 +65,6 @@ class FlightRecorder:
         too, where it never fires: nothing is ever emitted there.
     directory:
         Where dump files land; created on first dump.
-    triggers:
-        Event names that fire an automatic dump.
     cooldown:
         Minimum wall-clock seconds between automatic dumps (manual
         :meth:`dump` calls ignore it).
@@ -84,7 +82,6 @@ class FlightRecorder:
         self,
         telemetry,
         directory: str,
-        triggers: frozenset = DEFAULT_TRIGGERS,
         cooldown: float = DEFAULT_COOLDOWN,
         max_events: int = 256,
         max_spans: int = 256,
@@ -94,7 +91,6 @@ class FlightRecorder:
     ) -> None:
         self.telemetry = telemetry
         self.directory = directory
-        self.triggers = frozenset(triggers)
         self.cooldown = cooldown
         self.max_events = max_events
         self.max_spans = max_spans
@@ -124,7 +120,7 @@ class FlightRecorder:
             self._installed = False
 
     def _on_event(self, event: Event) -> None:
-        if event.name not in self.triggers:
+        if event.name not in DEFAULT_TRIGGERS:
             return
         with self._lock:
             if self._dumping:
@@ -209,7 +205,4 @@ class FlightRecorder:
 
     def __repr__(self) -> str:
         state = "installed" if self._installed else "detached"
-        return (
-            f"FlightRecorder({self.directory!r}, {state}, "
-            f"dumps={len(self.dumps)}, triggers={sorted(self.triggers)})"
-        )
+        return f"FlightRecorder({self.directory!r}, {state}, dumps={len(self.dumps)})"

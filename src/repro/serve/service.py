@@ -51,8 +51,9 @@ SPAN_SERVE = "serve.request"
 #: Default tenant when a request names none.
 DEFAULT_TENANT = "default"
 
-#: Report method when a request names none.
-DEFAULT_METHOD = "focused"
+#: Methods a request may name, the default first (``focused_hardcoded``
+#: needs a pre-built plan, and no plan crosses the front door).
+SERVED_METHODS = ("focused", "naive")
 
 #: Ceiling on a request's ``deadline_seconds``.
 MAX_DEADLINE = 30.0
@@ -175,48 +176,44 @@ class QueryService:
 
     # -- submission ----------------------------------------------------------
 
-    def submit(
-        self,
-        sql: str,
-        tenant: str = DEFAULT_TENANT,
-        method: Optional[str] = None,
-        deadline_seconds: Optional[float] = None,
-    ) -> Future:
-        """Admit and enqueue one query; returns its :class:`Future`.
-
-        Raises :class:`~repro.serve.quota.QuotaExceeded` or
-        :class:`~repro.serve.pool.QueueFull` synchronously when the
-        request is shed at admission; the future fails with
-        :class:`~repro.serve.pool.DeadlineExceeded` when the deadline
-        passes while queued, or :class:`~repro.errors.TracError` for bad
-        SQL.
-        """
+    def _admit(
+        self, sql: Any, tenant: Any, method: Any, deadline_seconds: Any
+    ) -> Tuple[Future, float]:
+        """Check a request once — before it costs a quota token, a queue
+        slot or a worker — then admit and enqueue it; returns its future
+        and its budget, the deadline clamped to ``(0, MAX_DEADLINE]``."""
         if self._closed:
             raise TracError("query service is closed")
         if not isinstance(sql, str) or not sql.strip():
-            raise TracError("sql must be a non-empty string")
+            raise TracError("'sql' must be a non-empty string")
         if not isinstance(tenant, str) or not tenant:
-            raise TracError("tenant must be a non-empty string")
+            raise TracError("'tenant' must be a non-empty string")
+        if method is None:
+            method = SERVED_METHODS[0]
+        elif method not in SERVED_METHODS:
+            raise TracError(f"'method' must be one of {SERVED_METHODS}, got {method!r}")
         budget = self.config.default_deadline
         if deadline_seconds is not None:
-            budget = min(max(0.001, float(deadline_seconds)), MAX_DEADLINE)
-        method = method or DEFAULT_METHOD
+            try:
+                budget = min(float(deadline_seconds), MAX_DEADLINE)
+            except (TypeError, ValueError):
+                raise TracError("'deadline_seconds' must be a number") from None
+            if not budget > 0:  # also refuses NaN
+                raise TracError("'deadline_seconds' must be positive")
         tel = obs.resolve(self.telemetry)
         # The worker thread's span stack is empty: the span open here (the
         # server's http.request) has to cross the hand-off explicitly.
         parent = tel.tracer.current_span() if tel.enabled else None
-
         try:
             self.quotas.admit(tenant)
         except QuotaExceeded as exc:
             self._record_rejection(tenant, exc.kind)
             raise
         enqueued = time.monotonic()
-        deadline = enqueued + budget
         try:
             future = self.pool.submit(
                 lambda reporter: self._execute(reporter, sql, method, tenant, enqueued, parent),
-                deadline=deadline,
+                deadline=enqueued + budget,
             )
         except QueueFull as exc:
             self.quotas.release(tenant)
@@ -225,7 +222,26 @@ class QueryService:
         future.add_done_callback(lambda f, t=tenant: self._on_done(t, f))
         if tel.enabled:
             tel.set(obs.SERVE_QUEUE_DEPTH, self.pool.queued())
-        return future
+        return future, budget
+
+    def submit(
+        self,
+        sql: str,
+        tenant: str = DEFAULT_TENANT,
+        method: Optional[str] = None,
+        deadline_seconds: Optional[float] = None,
+    ) -> Future:
+        """Validate, admit and enqueue one query; returns its :class:`Future`.
+
+        Raises :class:`~repro.errors.TracError` for a malformed request,
+        :class:`~repro.serve.quota.QuotaExceeded` or
+        :class:`~repro.serve.pool.QueueFull` synchronously when the
+        request is shed at admission; the future fails with
+        :class:`~repro.serve.pool.DeadlineExceeded` when the deadline
+        passes while queued, or :class:`~repro.errors.TracError` for bad
+        SQL.
+        """
+        return self._admit(sql, tenant, method, deadline_seconds)[0]
 
     def query(
         self,
@@ -234,16 +250,13 @@ class QueryService:
         method: Optional[str] = None,
         deadline_seconds: Optional[float] = None,
     ) -> Dict[str, Any]:
-        """Blocking convenience over :meth:`submit` (what the HTTP layer
-        calls); returns the response document."""
-        budget = deadline_seconds if deadline_seconds is not None else self.config.default_deadline
-        future = self.submit(
-            sql, tenant=tenant, method=method, deadline_seconds=deadline_seconds
-        )
+        """Blocking :meth:`submit` (what the HTTP layer calls); returns the
+        response document."""
+        future, budget = self._admit(sql, tenant, method, deadline_seconds)
         # The worker enforces the deadline; the extra grace only covers a
         # worker wedged mid-query, surfaced as DeadlineExceeded here too.
         try:
-            return future.result(timeout=min(budget, MAX_DEADLINE) + WORKER_GRACE)
+            return future.result(timeout=budget + WORKER_GRACE)
         except FutureTimeoutError:
             future.cancel()
             raise DeadlineExceeded("request timed out awaiting a worker") from None
@@ -265,24 +278,13 @@ class QueryService:
                 raise TracError(f"request body is not valid JSON: {exc}") from None
             if not isinstance(doc, dict):
                 raise TracError("request body must be a JSON object")
-            sql = doc.get("sql")
-            if not isinstance(sql, str) or not sql.strip():
-                raise TracError("field 'sql' must be a non-empty string")
-            tenant = doc.get("tenant", DEFAULT_TENANT)
-            if not isinstance(tenant, str) or not tenant:
-                raise TracError("field 'tenant' must be a non-empty string")
-            method = doc.get("method")
-            if method is not None and not isinstance(method, str):
-                raise TracError("field 'method' must be a string")
-            deadline = doc.get("deadline_seconds")
-            if deadline is not None:
-                try:
-                    deadline = float(deadline)
-                except (TypeError, ValueError):
-                    raise TracError("field 'deadline_seconds' must be a number") from None
-                if deadline <= 0:
-                    raise TracError("field 'deadline_seconds' must be positive")
-            return 200, self.query(sql, tenant=tenant, method=method, deadline_seconds=deadline), {}
+            document = self.query(
+                doc.get("sql"),
+                tenant=doc.get("tenant", DEFAULT_TENANT),
+                method=doc.get("method"),
+                deadline_seconds=doc.get("deadline_seconds"),
+            )
+            return 200, document, {}
         except (QuotaExceeded, QueueFull) as exc:
             retry_after = f"{max(exc.retry_after, 0.05):.3f}"
             return 429, {"error": str(exc)}, {"Retry-After": retry_after}

@@ -7,6 +7,10 @@ Heartbeat and Routing tables that go with it, and the four test queries
 Q1–Q4.
 """
 
+from typing import Callable
+
+from repro.backends.base import Backend
+from repro.catalog import Catalog
 from repro.workload.generator import (
     WorkloadConfig,
     WorkloadData,
@@ -27,11 +31,25 @@ from repro.workload.queries import (
 )
 from repro.workload.sweep import SweepConfig, sweep_points
 
+
+def loaded_backend(
+    config: WorkloadConfig, backend_factory: Callable[[Catalog], Backend]
+) -> Backend:
+    """A backend holding one workload instance: the benchmark catalog, rows
+    generated with Routing mapping the query machines onto themselves (what
+    Q3/Q4 and the Naive fpr formulas assume), bulk-loaded."""
+    backend = backend_factory(workload_catalog(config.num_sources))
+    data = generate_workload(config, query_machine_indexes(config.num_sources))
+    load_workload(backend, data)
+    return backend
+
+
 __all__ = [
     "WorkloadConfig",
     "WorkloadData",
     "generate_workload",
     "load_workload",
+    "loaded_backend",
     "workload_catalog",
     "source_name",
     "PAPER_MACHINE_INDEXES",

@@ -77,10 +77,6 @@ class WorkloadConfig:
         RNG seed for value assignment.
     idle_fraction:
         Fraction of activity rows with value ``idle``.
-    base_time:
-        Epoch timestamp of the oldest event.
-    heartbeat_step:
-        Seconds between consecutive sources' recency timestamps.
     exceptional_sources:
         Indexes (1-based) of sources whose heartbeat is frozen
         ``exceptional_gap`` seconds before ``base_time`` (z-score outliers).
@@ -92,16 +88,20 @@ class WorkloadConfig:
         An ablation axis: real grids are never uniform.
     """
 
+    #: Epoch timestamp of the oldest event (around the paper's March 2006).
+    base_time = 1_142_368_000.0
+    #: Seconds between consecutive sources' recency timestamps.
+    heartbeat_step = 60.0
+    #: How far before ``base_time`` an exceptional source's heartbeat froze.
+    exceptional_gap = 30 * 24 * 3600.0
+
     def __init__(
         self,
         num_sources: int,
         data_ratio: int,
         seed: int = 0,
         idle_fraction: float = 0.5,
-        base_time: float = 1_142_368_000.0,  # around the paper's March 2006
-        heartbeat_step: float = 60.0,
         exceptional_sources: Sequence[int] = (),
-        exceptional_gap: float = 30 * 24 * 3600.0,
         skew: float = 0.0,
     ) -> None:
         if num_sources < 1 or data_ratio < 1:
@@ -112,10 +112,7 @@ class WorkloadConfig:
         self.data_ratio = data_ratio
         self.seed = seed
         self.idle_fraction = idle_fraction
-        self.base_time = base_time
-        self.heartbeat_step = heartbeat_step
         self.exceptional_sources = tuple(exceptional_sources)
-        self.exceptional_gap = exceptional_gap
         self.skew = skew
 
     def rows_per_source(self) -> List[int]:

@@ -13,6 +13,9 @@ from typing import List, Tuple
 from repro.errors import TracError
 from repro.workload.generator import WorkloadConfig
 
+#: The smallest data ratio of a sweep — where the paper's started.
+MIN_RATIO = 10
+
 
 class SweepConfig:
     """One sweep: a fixed Activity row total and the ratios to visit."""
@@ -20,19 +23,17 @@ class SweepConfig:
     def __init__(
         self,
         total_rows: int = 200_000,
-        min_ratio: int = 10,
         min_sources: int = 10,
         factor: int = 10,
         seed: int = 0,
         exceptional_fraction: float = 0.0,
     ) -> None:
-        if total_rows < min_ratio * min_sources:
+        if total_rows < MIN_RATIO * min_sources:
             raise TracError(
-                f"total_rows={total_rows} too small for min_ratio={min_ratio} "
+                f"total_rows={total_rows} too small for ratio {MIN_RATIO} "
                 f"x min_sources={min_sources}"
             )
         self.total_rows = total_rows
-        self.min_ratio = min_ratio
         self.min_sources = min_sources
         self.factor = factor
         self.seed = seed
@@ -45,7 +46,7 @@ class SweepConfig:
 def sweep_points(config: SweepConfig) -> List[WorkloadConfig]:
     """The workload configurations of one sweep, in increasing-ratio order."""
     out: List[WorkloadConfig] = []
-    ratio = config.min_ratio
+    ratio = MIN_RATIO
     while True:
         num_sources = config.total_rows // ratio
         if num_sources < config.min_sources:

@@ -56,6 +56,10 @@ class TestCrud:
         assert result == {"a": 99, "b": 2}
         assert backend.row_count("t") == 2
 
+    def test_upsert_keeps_the_last_row_of_a_key_the_call_carries_twice(self, backend):
+        backend.upsert_rows("t", ("s",), [("a", 1), ("b", 2), ("a", 3)])
+        assert sorted(backend.execute("SELECT s, x FROM t").rows) == [("a", 3), ("b", 2)]
+
     def test_upsert_collapses_a_bag_to_one_row(self, backend):
         """Rows loaded by ``insert_rows`` stay a bag until their key is upserted."""
         backend.insert_rows("t", [("a", 1), ("a", 2), ("a", 3), ("b", 4)])

@@ -1,5 +1,7 @@
 """Benchmark-harness tests: metrics, timing protocol, figure builders."""
 
+import csv
+
 import pytest
 
 from repro.bench.harness import MethodMeasurement, measure_methods, time_call
@@ -83,6 +85,45 @@ class TestMeasureMethods:
         assert results["focused"].relevant_count == 1
         assert results["naive"].relevant_count == 11
 
+    def test_a_cell_costs_exactly_runs_reports_and_its_phases_are_theirs(
+        self, paper_memory_backend
+    ):
+        """One timing loop: no extra instrumented run, no write to the
+        reporter's telemetry, and the phase breakdown is the mean of the
+        kept (all but the first) timed runs' own ``timings``."""
+
+        class Counting(RecencyReporter):
+            def __init__(self, backend):
+                super().__init__(backend)
+                self.plain_calls = 0
+                self.reports = {}
+
+            def run_plain(self, sql):
+                self.plain_calls += 1
+                return super().run_plain(sql)
+
+            def report(self, sql, method="focused", **kwargs):
+                report = super().report(sql, method=method, **kwargs)
+                self.reports.setdefault(method, []).append(report)
+                return report
+
+        PHASES = ("parse_generate", "user_query", "recency_query", "statistics")
+        reporter = Counting(paper_memory_backend)
+        telemetry = reporter.telemetry
+        sql = "SELECT mach_id FROM activity WHERE mach_id = 'm1'"
+        results = measure_methods(reporter, sql, runs=3)
+        assert reporter.plain_calls == 3
+        assert reporter.telemetry is telemetry
+        for method, m in results.items():
+            reports = reporter.reports[method]
+            assert len(reports) == 3, method
+            assert set(m.phases) == set(PHASES)
+            for phase in PHASES:
+                kept = [getattr(r.timings, phase) for r in reports[1:]]
+                assert m.phases[phase] == pytest.approx(sum(kept) / len(kept)), (method, phase)
+        assert results["focused"].phases["parse_generate"] > 0
+        assert results["focused_hardcoded"].phases["parse_generate"] == 0
+
     def test_measurement_repr_contains_overhead(self):
         m = MethodMeasurement("focused", 1.0, 2.0, 5)
         assert "100.00%" in repr(m)
@@ -140,14 +181,36 @@ class TestFigureBuilders:
         for record in records:
             assert record["data_ratio"] * record["num_sources"] == 2000
 
-    def test_figure2_series_shape(self):
-        from repro.bench.figures import figure2_series
+    def test_fpr_results_naive_matches_the_closed_form(self):
+        from repro.bench.figures import fpr_results
 
-        records = figure2_series(total_rows=2000, runs=1, backend_kind="sqlite")
-        assert {r["query"] for r in records} == {"Q1", "Q3"}
-        for record in records:
-            assert record["with_report_s"] > 0
-            assert record["without_report_s"] > 0
+        for record in fpr_results(num_sources=100, data_ratio=5):
+            assert record["fpr_naive"] == pytest.approx(
+                naive_fpr(100, record["relevant_exact"])
+            )
+            if record["query"] in ("Q1", "Q3"):
+                assert record["relevant_exact"] == 6  # the brute-force oracle's own count
+            else:
+                assert record["fpr_naive"] < 0.1  # almost everything is relevant
+
+    def test_figure2_records_project_the_figure1_cells(self):
+        from repro.bench.figures import figure1_series, figure2_records
+
+        fig1 = figure1_series(total_rows=2000, runs=1, backend_kind="sqlite")
+        fig2 = figure2_records(fig1)
+        points = {(r["data_ratio"], r["num_sources"]) for r in fig1}
+        assert sorted((r["query"], r["data_ratio"], r["num_sources"]) for r in fig2) == sorted(
+            (query, ratio, sources) for query in ("Q1", "Q3") for ratio, sources in points
+        )
+        for record in fig2:
+            (cell,) = [
+                r
+                for r in fig1
+                if r["method"] == "focused"
+                and (r["query"], r["data_ratio"]) == (record["query"], record["data_ratio"])
+            ]
+            assert record["without_report_s"] == cell["t_plain_s"] > 0
+            assert record["with_report_s"] == cell["t_report_s"] > 0
 
     def test_cli_fpr(self, capsys):
         from repro.bench.figures import main
@@ -166,6 +229,48 @@ class TestCliPlot:
         out = capsys.readouterr().out
         assert "overhead (%) vs data ratio (log-log)" in out
         assert "legend:" in out
+
+    def test_all_runs_one_sweep_and_figure2_csv_projects_figure1_csv(self, tmp_path, capsys):
+        from repro.bench.figures import FIG1_HEADERS, main
+
+        assert main(
+            ["all", "--total-rows", "2000", "--runs", "1", "--fpr-sources", "30",
+             "--csv-dir", str(tmp_path)]
+        ) == 0
+        progress = [l for l in capsys.readouterr().err.splitlines() if "ratio=" in l]
+        assert len(progress) == 2  # 2000 rows: ratios 10 and 100, each loaded once
+        with open(tmp_path / "figure1.csv") as handle:
+            fig1 = list(csv.DictReader(handle))
+        with open(tmp_path / "figure2.csv") as handle:
+            fig2 = list(csv.DictReader(handle))
+        assert list(fig1[0]) == FIG1_HEADERS and len(FIG1_HEADERS) == 15
+        assert all(row[h] != "" for row in fig1 for h in FIG1_HEADERS if h.startswith("phase_"))
+        assert fig2 == [
+            {
+                "query": row["query"],
+                "data_ratio": row["data_ratio"],
+                "num_sources": row["num_sources"],
+                "without_report_s": row["t_plain_s"],
+                "with_report_s": row["t_report_s"],
+            }
+            for row in fig1
+            if row["query"] in ("Q1", "Q3") and row["method"] == "focused"
+        ]
+
+    def test_fig2_alone_sweeps_only_its_own_cells(self, monkeypatch, capsys):
+        from repro.bench import figures
+
+        calls = []
+        real = figures.measure_methods
+
+        def spy(reporter, sql, runs=5, methods=None):
+            calls.append(methods)
+            return real(reporter, sql, runs=runs, methods=methods)
+
+        monkeypatch.setattr(figures, "measure_methods", spy)
+        assert figures.main(["fig2", "--total-rows", "2000", "--runs", "1"]) == 0
+        assert calls == [["focused"]] * 4  # Q1 and Q3 at two sweep points
+        assert "Figure 1" not in capsys.readouterr().out
 
     def test_csv_dir_writes_files(self, tmp_path, capsys):
         from repro.bench.figures import main

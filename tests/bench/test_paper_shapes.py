@@ -12,13 +12,7 @@ import pytest
 from repro import SQLiteBackend
 from repro.bench.harness import measure_methods
 from repro.core.report import RecencyReporter
-from repro.workload.generator import (
-    WorkloadConfig,
-    generate_workload,
-    load_workload,
-    workload_catalog,
-)
-from repro.workload.queries import paper_queries, query_machine_indexes
+from repro.workload import WorkloadConfig, loaded_backend, paper_queries
 
 MANY_SOURCES = 2000
 RATIO = 10
@@ -26,11 +20,8 @@ RATIO = 10
 
 @pytest.fixture(scope="module")
 def many_sources_setup():
-    catalog = workload_catalog(MANY_SOURCES)
-    backend = SQLiteBackend(catalog)
-    config = WorkloadConfig(num_sources=MANY_SOURCES, data_ratio=RATIO)
-    load_workload(
-        backend, generate_workload(config, query_machine_indexes(MANY_SOURCES))
+    backend = loaded_backend(
+        WorkloadConfig(num_sources=MANY_SOURCES, data_ratio=RATIO), SQLiteBackend
     )
     reporter = RecencyReporter(backend, create_temp_tables=False)
     queries = paper_queries(MANY_SOURCES)
@@ -84,9 +75,9 @@ class TestHighRatioShapes:
         """At few sources / many rows per source, every method's overhead
         collapses (the user query dominates)."""
         sources, ratio = 20, 2000
-        backend = SQLiteBackend(workload_catalog(sources))
-        config = WorkloadConfig(num_sources=sources, data_ratio=ratio)
-        load_workload(backend, generate_workload(config, query_machine_indexes(sources)))
+        backend = loaded_backend(
+            WorkloadConfig(num_sources=sources, data_ratio=ratio), SQLiteBackend
+        )
         reporter = RecencyReporter(backend, create_temp_tables=False)
         try:
             queries = paper_queries(sources)

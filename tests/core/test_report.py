@@ -244,3 +244,36 @@ class TestReporterLifecycle:
         report = reporter.report(IDLE_QUERY)
         assert report.temp_tables is None
         assert paper_backend.list_temp_tables() == []
+
+
+class TestPlanningKnobs:
+    """The two design choices DESIGN.md calls out, at the reporter: the DNF
+    blow-up guard and satisfiability pruning."""
+
+    #: (idle OR t > c_i) AND ... over distinct cutoffs: 2^8 = 256 raw
+    #: conjuncts, all satisfiable (range predicates compose).
+    OR_HEAVY = "SELECT mach_id FROM activity A WHERE " + " AND ".join(
+        f"(A.value = 'idle' OR A.event_time > {1000 + i})" for i in range(8)
+    )
+    UNSAT = (
+        "SELECT mach_id FROM activity A "
+        "WHERE A.value = 'idle' AND A.value = 'busy' AND A.mach_id = 'm1'"
+    )
+
+    @pytest.mark.parametrize("budget, mode", [(4, "all"), (64, "all"), (4096, "focused")])
+    def test_dnf_budget_decides_between_focused_and_fallback(
+        self, paper_memory_backend, budget, mode
+    ):
+        reporter = RecencyReporter(paper_memory_backend, max_conjuncts=budget)
+        assert reporter.plan_for(self.OR_HEAVY).mode == mode
+
+    def test_dnf_fallback_report_is_still_complete(self, paper_backend):
+        report = RecencyReporter(paper_backend, max_conjuncts=4).report(self.OR_HEAVY)
+        assert report.relevant_source_ids == {s for s, _ in paper_backend.heartbeat_rows()}
+
+    def test_satisfiability_pruning_buys_precision(self, paper_backend):
+        """Without pruning the report names a source for a query whose
+        answer no update can change."""
+        unpruned = RecencyReporter(paper_backend, check_satisfiability=False)
+        assert unpruned.report(self.UNSAT).relevant_source_ids == {"m1"}
+        assert RecencyReporter(paper_backend).report(self.UNSAT).relevant_source_ids == set()

@@ -120,6 +120,13 @@ class TestZScoreSplit:
         lenient = zscore_split(data, threshold=3.0)
         assert len(strict.exceptional) >= len(lenient.exceptional)
 
+    @pytest.mark.parametrize("threshold", [3.0, 6.0])
+    def test_a_threshold_of_three_or_more_flags_only_the_dead(self, threshold):
+        data = srcs(*[(f"s{i}", 1000.0 + (i % 13) * 60.0) for i in range(500)])
+        dead = srcs(*[(f"dead{i}", -1e6 * (i + 1)) for i in range(3)])
+        split = zscore_split(data + dead, threshold)
+        assert {s.source_id for s in split.exceptional} <= {s.source_id for s in dead}
+
     def test_two_points_never_exceptional_at_default_threshold(self):
         # Two points are each exactly 1 sigma from the mean.
         split = zscore_split(srcs(("a", 0.0), ("b", 1e9)))

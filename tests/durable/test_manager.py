@@ -11,7 +11,7 @@ import pytest
 
 from repro.backends.memory import MemoryBackend
 from repro.durable import DurabilityManager, DurabilityPolicy, recover
-from repro.durable.wal import wal_path
+from repro.durable.wal import list_wal_segments, read_wal, wal_path
 from repro.errors import DurabilityError
 from repro.faults import FaultPlan
 from repro.grid.simulator import GridSimulator, SimulationConfig, monitoring_catalog
@@ -154,6 +154,59 @@ class TestCrashResume:
         assert names == [os.path.basename(wal_path(str(tmp_path), 0))]
         fresh_sim.run(1.0)
         second.close(fresh_sim.now, final_checkpoint=False)
+
+
+class TestLossyDelivery:
+    """Records dropped between the log and the sniffer: the journal holds
+    what was delivered, and never loses track of the offsets consumed."""
+
+    def lossy_sim(self, directory, resume=False):
+        # A fresh plan per run: its RNG stream is stateful.
+        plan = FaultPlan(seed=1).drop_records("m2", probability=0.7)
+        manager = make_manager(directory, resume=resume, fault_plan=plan)
+        sim = GridSimulator(
+            SimulationConfig(num_machines=MACHINES, seed=SEED),
+            fault_plan=plan,
+            durability=manager,
+        )
+        return sim, manager
+
+    def assert_recovers_to(self, directory, sim):
+        fresh = MemoryBackend(monitoring_catalog(sim.machine_ids))
+        recover(str(directory), backend=fresh)
+        assert database_state(fresh, sim.catalog) == database_state(sim.backend, sim.catalog)
+
+    def test_a_poll_whose_records_were_all_dropped_leaves_no_journal_gap(self, tmp_path):
+        sim, manager = self.lossy_sim(tmp_path)
+        sim.run(400.0)  # DurabilityError "journal gap for m2" at t = 37 before the fix
+        assert sim.now == pytest.approx(400.0)
+        assert sim.fault_plan.injected["drop_records"] > 0
+        del manager  # crash: no close(), no final checkpoint
+        self.assert_recovers_to(tmp_path, sim)
+
+        resumed, resumed_manager = self.lossy_sim(tmp_path, resume=True)
+        assert resumed.now > 0 and resumed_manager.recovered.has_checkpoint
+        resumed.run(500.0 - resumed.now)
+        resumed_manager.close(resumed.now, final_checkpoint=False)
+        self.assert_recovers_to(tmp_path, resumed)
+
+    def test_a_poll_is_one_frame_however_many_events_it_delivers(self, tmp_path):
+        manager = make_manager(tmp_path, checkpoint_interval=10_000.0)
+        sim = make_sim(durability=manager)
+        sim.run(30.0)
+        sniffer = sim.sniffers["m1"]
+        machine = sim.machines["m1"]
+        for i in range(25):
+            machine.set_activity(sim.now + i * 0.01, "busy" if i % 2 else "idle")
+        (_, path), = list_wal_segments(str(tmp_path))
+        frames, records = len(read_wal(path)[0]), manager.stats()["wal_records"]
+        assert sniffer.poll(sim.now + 100.0) >= 25
+        appended = read_wal(path)[0][frames:]
+        assert [r["k"] for r in appended] == ["bat", "hb"]
+        assert appended[0]["b"] - appended[0]["a"] == len(appended[0]["l"]) >= 25
+        # stats count records journaled (log records + heartbeats), not frames
+        assert manager.stats()["wal_records"] - records == len(appended[0]["l"]) + 1
+        manager.close(sim.now, final_checkpoint=False)
 
 
 class TestCheckpointing:

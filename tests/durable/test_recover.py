@@ -10,7 +10,6 @@ from repro.durable.recover import recover, restore_database
 from repro.durable.wal import (
     FrameWriter,
     encode_batch,
-    encode_event,
     encode_heartbeat,
     wal_path,
 )
@@ -54,8 +53,7 @@ class TestWalOnlyReplay:
             directory,
             0,
             [
-                encode_event("m1", 0, line(5.0, value="idle")),
-                encode_event("m1", 1, line(8.0, value="busy")),
+                encode_batch("m1", 0, 2, [line(5.0, value="idle"), line(8.0, value="busy")]),
                 encode_heartbeat("m1", 9.0),
             ],
         )
@@ -76,9 +74,9 @@ class TestWalOnlyReplay:
             directory,
             0,
             [
-                encode_event("m1", 0, line(5.0)),
-                encode_event("m1", 1, line(8.0, value="busy")),
-                encode_event("m1", 1, line(8.0, value="busy")),
+                encode_batch("m1", 0, 1, [line(5.0)]),
+                encode_batch("m1", 1, 2, [line(8.0, value="busy")]),
+                encode_batch("m1", 1, 2, [line(8.0, value="busy")]),
             ],
         )
         recovered = recover(directory, backend=backend_for("m1"))
@@ -91,7 +89,7 @@ class TestWalOnlyReplay:
         write_wal(
             directory,
             0,
-            [encode_event("m1", 0, line(5.0)), encode_event("m1", 5, line(9.0))],
+            [encode_batch("m1", 0, 1, [line(5.0)]), encode_batch("m1", 5, 6, [line(9.0)])],
         )
         with pytest.raises(DurabilityError, match="gap"):
             recover(directory, backend=backend_for("m1"))
@@ -108,6 +106,25 @@ class TestWalOnlyReplay:
         assert recovered.offsets == {"m1": 3}
         assert recovered.replayed_events == 3
         assert recovered.skipped_records == 1
+
+    def test_a_span_with_nothing_delivered_advances_the_watermark(self, tmp_path):
+        """Every record of [1, 4) was dropped on the way: the frame still
+        says the offsets were consumed, so the next batch does not gap."""
+        directory = str(tmp_path)
+        write_wal(
+            directory,
+            0,
+            [
+                encode_batch("m1", 0, 1, [line(5.0)]),
+                encode_batch("m1", 1, 4, []),
+                encode_batch("m1", 4, 5, [line(9.0, value="busy")]),
+            ],
+        )
+        backend = backend_for("m1")
+        recovered = recover(directory, backend=backend)
+        assert recovered.offsets == {"m1": 5}
+        assert recovered.replayed_events == 2
+        assert activity_rows(backend) == [("m1", "busy", 9.0)]
 
     def test_batch_gap_is_fatal(self, tmp_path):
         directory = str(tmp_path)
@@ -131,7 +148,7 @@ class TestWalOnlyReplay:
 
     def test_torn_tail_is_counted_and_repaired(self, tmp_path):
         directory = str(tmp_path)
-        write_wal(directory, 0, [encode_event("m1", 0, line(5.0)), b"oops"])
+        write_wal(directory, 0, [encode_batch("m1", 0, 1, [line(5.0)]), b"oops"])
         path = wal_path(directory, 0)
         with open(path, "rb+") as fp:
             fp.truncate(os.path.getsize(path) - 2)
@@ -164,8 +181,8 @@ class TestCheckpointRestore:
 
     def test_snapshot_restored_then_tail_replayed(self, tmp_path):
         directory = self.checkpointed_dir(tmp_path)
-        write_wal(directory, 1, [encode_event("m1", 99, line(1.0))])  # stale epoch
-        write_wal(directory, 2, [encode_event("m1", 3, line(7.0, value="busy"))])
+        write_wal(directory, 1, [encode_batch("m1", 99, 100, [line(1.0)])])  # stale epoch
+        write_wal(directory, 2, [encode_batch("m1", 3, 4, [line(7.0, value="busy")])])
         backend = backend_for("m1")
         recovered = recover(directory, backend=backend)
         assert recovered.epoch == 2 and recovered.has_checkpoint

@@ -10,7 +10,6 @@ from repro.durable.wal import (
     FrameWriter,
     decode_record,
     encode_batch,
-    encode_event,
     encode_heartbeat,
     list_wal_segments,
     read_wal,
@@ -195,12 +194,23 @@ class TestSegments:
 
 class TestRecordCodec:
     def test_event_round_trip(self):
-        record = decode_record(encode_event("m1", 7, "line"))
-        assert record == {"k": "ev", "s": "m1", "o": 7, "l": "line"}
+        """One event travels as a batch of one: there is no per-event record."""
+        record = decode_record(encode_batch("m1", 7, 8, ["line"]))
+        assert record == {"k": "bat", "s": "m1", "a": 7, "b": 8, "l": ["line"]}
 
     def test_batch_round_trip(self):
         record = decode_record(encode_batch("m1", 3, 6, ["a", "b"]))
         assert record == {"k": "bat", "s": "m1", "a": 3, "b": 6, "l": ["a", "b"]}
+
+    def test_a_span_with_nothing_delivered_round_trips(self):
+        record = decode_record(encode_batch("m1", 4, 6, []))
+        assert record == {"k": "bat", "s": "m1", "a": 4, "b": 6, "l": []}
+
+    def test_per_event_frame_of_an_older_version_is_refused_by_name(self, tmp_path):
+        path = str(tmp_path / "wal-00000000.wal")
+        write_frames(path, [b'{"k":"ev","l":"line","o":7,"s":"m1"}'])
+        with pytest.raises(DurabilityError, match="'ev'.*older version"):
+            read_wal(path)
 
     def test_heartbeat_round_trip(self):
         record = decode_record(encode_heartbeat("m1", 42.5))
@@ -213,6 +223,7 @@ class TestRecordCodec:
             b"[1,2]",
             b'{"k":"zz"}',
             b'{"k":"ev","s":"m1","o":"seven","l":"x"}',
+            b'{"k":"bat","s":"m1","a":"zero","b":1,"l":[]}',
             b'{"k":"bat","s":"m1","a":0,"b":1,"l":"notalist"}',
             b'{"k":"hb","s":"m1","r":"soon"}',
         ],
@@ -224,8 +235,8 @@ class TestRecordCodec:
     def test_read_wal_decodes_in_order(self, tmp_path):
         path = str(tmp_path / "j.wal")
         write_frames(
-            path, [encode_event("m1", 0, "x"), encode_heartbeat("m1", 9.0)]
+            path, [encode_batch("m1", 0, 1, ["x"]), encode_heartbeat("m1", 9.0)]
         )
         records, scan = read_wal(path)
-        assert [r["k"] for r in records] == ["ev", "hb"]
+        assert [r["k"] for r in records] == ["bat", "hb"]
         assert scan.torn is None

@@ -128,6 +128,14 @@ class TestLagAndBatching:
         assert sniffer.maybe_poll(4.0) == 0   # interval not elapsed
         assert sniffer.maybe_poll(7.0) == 1
 
+    def test_one_poll_drains_a_large_backlog(self, machine, backend):
+        for t in range(5000):
+            machine.heartbeat(float(t))
+        sniffer = make_sniffer(machine, backend, lag=0.0)
+        assert sniffer.poll(1e9) == 5000
+        assert sniffer.backlog == 0
+        assert dict(backend.heartbeat_rows()) == {"m1": 4999.0}
+
     def test_records_loaded_counter(self, machine, backend):
         sniffer = make_sniffer(machine, backend, lag=0.0)
         machine.heartbeat(1.0)

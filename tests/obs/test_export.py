@@ -13,7 +13,6 @@ from repro.obs import (
     Tracer,
     metrics_snapshot,
     parse_prometheus_text,
-    phase_durations,
     prometheus_text,
     render_summary,
     span_name_aggregates,
@@ -263,21 +262,3 @@ class TestRenderSummary:
             root_line.lstrip()
         )
         assert '"method": "focused"' in out
-
-
-class TestPhaseDurations:
-    def test_means_of_direct_children(self):
-        tel = Telemetry()
-        for _ in range(2):
-            with tel.tracer.span("trac.report"):
-                with tel.tracer.span("report.user_query"):
-                    pass
-                with tel.tracer.span("report.statistics"):
-                    with tel.tracer.span("grandchild"):
-                        pass
-        phases = phase_durations(tel, "trac.report")
-        assert set(phases) == {"report.user_query", "report.statistics"}
-        assert all(v >= 0.0 for v in phases.values())
-
-    def test_unknown_root_name(self):
-        assert phase_durations(Telemetry(), "nope") == {}

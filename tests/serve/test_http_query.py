@@ -156,6 +156,22 @@ class TestQuotaOverHttp:
         assert float(headers["Retry-After"]) > 0
         assert "rate" in doc["error"]
 
+    def test_a_refused_method_costs_no_token_no_slot_and_no_worker(self, paper_memory_backend):
+        tel = Telemetry()
+        config = ServeConfig(workers=1, tenant_rate=0.0, tenant_burst=1.0)
+        with QueryService(paper_memory_backend, config, telemetry=tel) as svc:
+            with ObservatoryServer(tel, query_service=svc) as server:
+                for method in ("bogus", "focused_hardcoded", "", 7):
+                    status, doc, _ = post(
+                        server.url + "/v1/query", body={"sql": SQL, "method": method}
+                    )
+                    assert status == 400 and "method" in doc["error"], method
+                assert svc.quotas.snapshot() == {}  # the tenant's one token is untouched
+                assert svc.pool.stats()["executed"] == 0
+                assert svc.counts()["error"] == 0
+                status, _, _ = post(server.url + "/v1/query", body={"sql": SQL})
+        assert status == 200
+
     def test_no_service_wired_is_503(self):
         tel = Telemetry()
         with ObservatoryServer(tel) as server:

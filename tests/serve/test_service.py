@@ -53,6 +53,11 @@ class TestQuery:
             service.submit("   ")
         with pytest.raises(TracError):
             service.submit(SQL, tenant="")
+        with pytest.raises(TracError, match="method"):
+            service.submit(SQL, method="focused_hardcoded")  # no plan crosses the front door
+        with pytest.raises(TracError, match="positive"):
+            service.submit(SQL, deadline_seconds=-1)
+        assert service.quotas.snapshot() == {}
 
     def test_counts_ok(self, service):
         service.query(SQL)

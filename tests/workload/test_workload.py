@@ -10,7 +10,9 @@ from repro.catalog import domains
 from repro.core.relevance import build_relevance_plan
 from repro.sqlparser import parse_query
 from repro.sqlparser.resolver import resolve
+from repro.core.report import RecencyReporter
 from repro.errors import TracError
+from repro.workload import loaded_backend
 from repro.workload.generator import (
     WorkloadConfig,
     generate_workload,
@@ -177,6 +179,34 @@ class TestQueries:
         assert backend.execute(q1).scalar() == 30
 
 
+class TestLoadedBackend:
+    def test_backends_agree_on_the_paper_queries(self):
+        """The same workload behind SQLite and the pure-Python engine: same
+        rows, same relevant sources, six of them for the selective queries."""
+        config = WorkloadConfig(num_sources=200, data_ratio=10)
+        memory = RecencyReporter(loaded_backend(config, MemoryBackend))
+        sqlite = RecencyReporter(loaded_backend(config, SQLiteBackend))
+        try:
+            for name, sql in paper_queries(200).items():
+                mem, sq = memory.report(sql), sqlite.report(sql)
+                assert mem.relevant_source_ids == sq.relevant_source_ids, name
+                assert mem.result.rows == sq.result.rows, name
+                if name in ("Q1", "Q3"):
+                    assert len(mem.relevant_source_ids) == 6, name
+        finally:
+            sqlite.backend.close()
+
+    def test_routing_maps_the_query_machines_onto_themselves(self):
+        backend = loaded_backend(WorkloadConfig(num_sources=30, data_ratio=2), MemoryBackend)
+        machines = set(query_machines(30))
+        routed = {
+            neighbor
+            for mach_id, neighbor, _ in backend.execute("SELECT * FROM routing").rows
+            if mach_id in machines
+        }
+        assert routed == machines
+
+
 class TestSweep:
     def test_product_invariant(self):
         for config in sweep_points(SweepConfig(total_rows=100_000)):
@@ -241,11 +271,10 @@ class TestSkew:
         data = generate_workload(config, query_machine_indexes(30))
         backend = MemoryBackend(workload_catalog(30))
         load_workload(backend, data)
-        from repro.core.report import RecencyReporter
-
         reporter = RecencyReporter(backend, create_temp_tables=False)
-        report = reporter.report(paper_queries(30)["Q1"])
-        assert len(report.relevant_source_ids) == 6
+        # Insensitive to skew: the recency query touches Heartbeat, not Activity.
+        assert len(reporter.report(paper_queries(30)["Q1"]).relevant_source_ids) == 6
+        assert len(reporter.report(paper_queries(30)["Q2"]).relevant_source_ids) == 30 - 6
 
 
 class TestPlanningCost:

@@ -35,25 +35,7 @@ from repro.obs import instrument as obs  # noqa: E402
 from repro.obs.server import ObservatoryServer  # noqa: E402
 from repro.serve import QueryService, ServeConfig  # noqa: E402
 from repro.serve.loadgen import LoadgenConfig, run_load  # noqa: E402
-from repro.workload import (  # noqa: E402
-    WorkloadConfig,
-    generate_workload,
-    load_workload,
-    paper_queries,
-    query_machine_indexes,
-    workload_catalog,
-)
-
-
-def build_backend(num_sources: int, data_ratio: int) -> MemoryBackend:
-    backend = MemoryBackend(workload_catalog(num_sources))
-    backend.create_tables()
-    data = generate_workload(
-        WorkloadConfig(num_sources=num_sources, data_ratio=data_ratio),
-        query_machine_indexes(num_sources),
-    )
-    load_workload(backend, data)
-    return backend
+from repro.workload import WorkloadConfig, loaded_backend, paper_queries  # noqa: E402
 
 
 def main() -> int:
@@ -75,7 +57,9 @@ def main() -> int:
     args = parser.parse_args()
 
     tel = obs.enable()
-    backend = build_backend(args.sources, args.ratio)
+    backend = loaded_backend(
+        WorkloadConfig(num_sources=args.sources, data_ratio=args.ratio), MemoryBackend
+    )
     sql = paper_queries(args.sources)["Q1"]
     failures = []
     doc = {}

@@ -46,19 +46,13 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from typing import Callable
 
 from repro import obs
+from repro.bench.harness import time_call
 from repro.core.report import RecencyReporter
 from repro.backends.memory import MemoryBackend
 from repro.obs.instrument import NULL_TELEMETRY, REPORT_SECONDS, PhaseTimer
-from repro.workload.generator import (
-    WorkloadConfig,
-    generate_workload,
-    load_workload,
-    workload_catalog,
-)
-from repro.workload.queries import paper_queries, query_machine_indexes
+from repro.workload import WorkloadConfig, loaded_backend, paper_queries
 
 #: Over-estimates of disabled-path primitive invocations per report.
 #: report() opens 5 PhaseTimers; backend/engine/monitor paths add a handful
@@ -80,17 +74,6 @@ PROPAGATIONS_PER_REPORT = 8
 LINEAGE_CHECKS_PER_REPORT = 32
 
 MICRO_LOOPS = 200_000
-
-
-def _mean_seconds(fn: Callable[[], object], runs: int) -> float:
-    samples = []
-    for _ in range(runs):
-        start = time.perf_counter()
-        fn()
-        samples.append(time.perf_counter() - start)
-    if len(samples) > 1:
-        samples = samples[1:]  # discard warm-up, paper protocol
-    return sum(samples) / len(samples)
 
 
 def time_phase_timer_cycle() -> float:
@@ -204,17 +187,6 @@ def assert_disabled_default_retained_nothing() -> None:
         assert ring.total == 0, f"{ring!r} was written with telemetry off"
 
 
-def build_reporter(num_sources: int, data_ratio: int) -> RecencyReporter:
-    catalog = workload_catalog(num_sources)
-    backend = MemoryBackend(catalog)
-    data = generate_workload(
-        WorkloadConfig(num_sources=num_sources, data_ratio=data_ratio),
-        query_machine_indexes(num_sources),
-    )
-    load_workload(backend, data)
-    return RecencyReporter(backend, create_temp_tables=False)
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--runs", type=int, default=11)
@@ -224,10 +196,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     obs.disable()
-    reporter = build_reporter(args.num_sources, args.data_ratio)
+    backend = loaded_backend(
+        WorkloadConfig(num_sources=args.num_sources, data_ratio=args.data_ratio), MemoryBackend
+    )
+    reporter = RecencyReporter(backend)
     sql = paper_queries(args.num_sources)["Q1"]
 
-    t_report = _mean_seconds(lambda: reporter.report(sql, method="focused"), args.runs)
+    t_report = time_call(lambda: reporter.report(sql, method="focused"), args.runs)
     t_timer = time_phase_timer_cycle()
     t_check = time_enabled_check()
     t_event = time_event_guard()
@@ -247,10 +222,9 @@ def main(argv=None) -> int:
     overhead_pct = 100.0 * bound / t_report
 
     # Informational: the *enabled* path is allowed to be slower.
-    tel = obs.Telemetry()
-    reporter.telemetry = tel
-    t_enabled = _mean_seconds(lambda: reporter.report(sql, method="focused"), args.runs)
-    reporter.telemetry = None
+    traced = RecencyReporter(backend, telemetry=obs.Telemetry())
+    t_enabled = time_call(lambda: traced.report(sql, method="focused"), args.runs)
+    traced.close()
     reporter.close()
 
     print("telemetry overhead guard")

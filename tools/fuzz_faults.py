@@ -19,10 +19,11 @@ probabilities they can legitimately degrade a source, which would make
 
 Every run also gets a **durability campaign**: the same simulation runs
 again under a :class:`~repro.durable.DurabilityManager` with injected
-``wal_append`` and ``checkpoint_write`` faults, and afterwards the journal
+``wal_append`` and ``checkpoint_write`` faults and lossy delivery
+(dropped / duplicated records) on two machines, and afterwards the journal
 is recovered into a fresh backend which must reproduce the live database
-exactly — durability faults may slow ingest down but can never corrupt
-the recoverable state.
+exactly — durability faults may slow ingest down and delivery faults
+change what arrives, but what is journaled is what was applied.
 
 And a **federation campaign**: random ``rpc_*`` fault plans (dropped,
 delayed, duplicated and garbage frames) run under live shard servers
@@ -135,10 +136,12 @@ def plan_totals(sim: GridSimulator) -> str:
 def run_durability_once(rng: random.Random, run_index: int) -> None:
     """Chaos the durability layer itself, then prove recovery is lossless.
 
-    Only journal-side faults are injected (``wal_append`` retried by the
-    supervisor, ``checkpoint_write`` absorbed by the manager): backend
-    faults are excluded because a batch that is journaled but only partly
-    applied *legitimately* makes the journal richer than the live DB.
+    Journal-side faults (``wal_append`` retried by the supervisor,
+    ``checkpoint_write`` absorbed by the manager) and delivery faults
+    (records dropped or duplicated between the log and the sniffer — the
+    journal holds what was delivered) are injected; backend faults are
+    excluded because a batch that is journaled but only partly applied
+    *legitimately* makes the journal richer than the live DB.
     """
     from repro.backends.memory import MemoryBackend
     from repro.durable import DurabilityManager, DurabilityPolicy, recover
@@ -149,6 +152,9 @@ def run_durability_once(rng: random.Random, run_index: int) -> None:
     plan = FaultPlan(seed=rng.randrange(2**16))
     plan.durability_error("*", op="wal", probability=rng.uniform(0.02, 0.15))
     plan.durability_error("*", op="checkpoint", probability=rng.uniform(0.1, 0.5))
+    dropping, duplicating = rng.sample(range(1, num_machines + 1), k=2)
+    plan.drop_records(f"m{dropping}", probability=rng.uniform(0.3, 1.0))
+    plan.duplicate_records(f"m{duplicating}", probability=rng.uniform(0.1, 0.5))
 
     data_dir = tempfile.mkdtemp(prefix="fuzz-durable-")
     try:
