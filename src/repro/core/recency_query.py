@@ -26,7 +26,7 @@ Rewrites applied:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 from repro.catalog import HEARTBEAT_RECENCY_COLUMN, HEARTBEAT_SOURCE_COLUMN, HEARTBEAT_TABLE
 from repro.core.statistics import SourceRecency
@@ -48,17 +48,9 @@ def heartbeat_alias_for(resolved: ResolvedQuery) -> str:
     return alias
 
 
-def rewrite_term(
-    term: ast.Expr,
-    target_binding: str,
-    h_alias: str,
-) -> ast.Expr:
-    """Clone ``term``, re-qualifying every column and redirecting
-    ``target_binding``'s source column to the Heartbeat alias."""
-    return _rewrite(term, target_binding, h_alias)
-
-
-def _rewrite(expr: ast.Expr, target: str, h_alias: str) -> ast.Expr:
+def rewrite_term(expr: ast.Expr, target: str, h_alias: str) -> ast.Expr:
+    """Clone ``expr``, re-qualifying every column and redirecting binding
+    ``target``'s source column to the Heartbeat alias."""
     if isinstance(expr, ast.ColumnRef):
         if expr.binding_key is None:
             raise UnsupportedQueryError(
@@ -77,27 +69,25 @@ def _rewrite(expr: ast.Expr, target: str, h_alias: str) -> ast.Expr:
         return expr
     if isinstance(expr, ast.Comparison):
         return ast.Comparison(
-            expr.op, _rewrite(expr.left, target, h_alias), _rewrite(expr.right, target, h_alias)
+            expr.op, rewrite_term(expr.left, target, h_alias), rewrite_term(expr.right, target, h_alias)
         )
     if isinstance(expr, ast.InList):
-        return ast.InList(_rewrite(expr.expr, target, h_alias), expr.values, expr.negated)
+        return ast.InList(rewrite_term(expr.expr, target, h_alias), expr.values, expr.negated)
     if isinstance(expr, ast.Between):
         return ast.Between(
-            _rewrite(expr.expr, target, h_alias),
-            _rewrite(expr.low, target, h_alias),
-            _rewrite(expr.high, target, h_alias),
+            rewrite_term(expr.expr, target, h_alias),
+            rewrite_term(expr.low, target, h_alias),
+            rewrite_term(expr.high, target, h_alias),
             expr.negated,
         )
     if isinstance(expr, ast.Like):
-        return ast.Like(_rewrite(expr.expr, target, h_alias), expr.pattern, expr.negated)
+        return ast.Like(rewrite_term(expr.expr, target, h_alias), expr.pattern, expr.negated)
     if isinstance(expr, ast.IsNull):
-        return ast.IsNull(_rewrite(expr.expr, target, h_alias), expr.negated)
-    if isinstance(expr, ast.And):
-        return ast.And([_rewrite(e, target, h_alias) for e in expr.items])
-    if isinstance(expr, ast.Or):
-        return ast.Or([_rewrite(e, target, h_alias) for e in expr.items])
+        return ast.IsNull(rewrite_term(expr.expr, target, h_alias), expr.negated)
+    if isinstance(expr, (ast.And, ast.Or)):
+        return type(expr)([rewrite_term(e, target, h_alias) for e in expr.items])
     if isinstance(expr, ast.Not):
-        return ast.Not(_rewrite(expr.expr, target, h_alias))
+        return ast.Not(rewrite_term(expr.expr, target, h_alias))
     raise UnsupportedQueryError(f"cannot rewrite expression {expr!r}")
 
 
@@ -116,10 +106,12 @@ def build_subquery(
     product). We therefore factor the cross product into connected
     components: the component containing Heartbeat becomes the main
     subquery; every other component becomes an existence **guard** —
-    ``SELECT COUNT(*) ...`` — that the executor checks before running the
-    subquery. This keeps the via-``R_i`` recency query as cheap as the
-    Naive query when the predicates do not link ``R_i``'s source column to
-    the rest (the cost behaviour the paper reports for Q4).
+    ``SELECT 1 ... LIMIT 1`` — that the executor checks before running the
+    subquery. Both backends stop a guard at its first witness, so the
+    via-``R_i`` recency query costs what the Naive query costs when the
+    predicates do not link ``R_i``'s source column to the rest (the cost
+    behaviour the paper reports for Q4; counted, not clocked, in
+    ``tests/bench/test_paper_shapes.py``).
 
     Parameters
     ----------
@@ -136,17 +128,15 @@ def build_subquery(
     Returns
     -------
     (query, guards):
-        The subquery AST plus the guard SQL statements; each guard returns
-        one integer and the subquery's answer is valid (non-vacuous) only
-        when every guard is non-zero.
+        The subquery AST plus the guard SQL statements; the subquery's
+        answer is valid (non-vacuous) only when every guard returns a row.
     """
     rewritten = [rewrite_term(term, binding.key, h_alias) for term in retained_terms]
-
-    if any(
-        ref.binding_key == binding.key
-        for term in rewritten
-        for ref in ast.column_refs(term)
-    ):
+    # The relations each term references; one that references none is Heartbeat's.
+    term_keys = [
+        {ref.binding_key for ref in ast.column_refs(term)} or {h_alias} for term in rewritten
+    ]
+    if any(binding.key in keys for keys in term_keys):
         # Retained terms must not reference R_i's regular columns; a source
         # reference was rewritten to the Heartbeat alias above, so any
         # remaining reference indicates a planner bug.
@@ -154,38 +144,26 @@ def build_subquery(
             f"internal error: retained term still references {binding.key!r}"
         )
 
-    other_keys = [b.key for b in resolved.bindings if b.key != binding.key]
-    components, term_component = _connected_components(rewritten, h_alias, other_keys)
+    others = [b for b in resolved.bindings if b.key != binding.key]
+    components = _components(term_keys, [h_alias] + [b.key for b in others])
 
-    h_component = next(nodes for nodes in components if h_alias in nodes)
-    main_terms = [
-        term for term, nodes in zip(rewritten, term_component) if nodes is h_component
-    ]
+    def part(nodes: Set[str]):
+        """The tables and the WHERE of one component."""
+        tables = [ast.TableRef(b.schema.name, b.key) for b in others if b.key in nodes]
+        terms = [term for term, keys in zip(rewritten, term_keys) if keys & nodes]
+        if not terms:
+            return tables, None
+        return tables, ast.And(terms) if len(terms) > 1 else terms[0]
 
-    tables: List[ast.TableRef] = [ast.TableRef(HEARTBEAT_TABLE, h_alias)]
-    for other in resolved.bindings:
-        if other.key != binding.key and other.key in h_component:
-            tables.append(ast.TableRef(other.schema.name, other.key))
-
+    # Heartbeat is the first node, so its component is the first: the main subquery.
+    joined, where_expr = part(components[0])
+    tables = [ast.TableRef(HEARTBEAT_TABLE, h_alias)] + joined
     guards: List[str] = []
-    for nodes in components:
-        if nodes is h_component:
-            continue
-        guard_terms = [
-            term for term, owner in zip(rewritten, term_component) if owner is nodes
-        ]
-        guard_tables = [
-            ast.TableRef(b.schema.name, b.key)
-            for b in resolved.bindings
-            if b.key in nodes
-        ]
-        if not guard_tables:
-            continue  # constant-only component was folded into H's component
-        guard_where: Optional[ast.Expr] = None
-        if guard_terms:
-            guard_where = ast.And(guard_terms) if len(guard_terms) > 1 else guard_terms[0]
-        # Existence check: LIMIT 1 lets the backend stop at the first match
-        # instead of counting everything.
+    for nodes in components[1:]:
+        guard_tables, guard_where = part(nodes)
+        # Existence check. No ORDER BY, aggregate or DISTINCT, so LIMIT 1 is a
+        # row budget on the memory engine as it is on SQLite: the scan, last
+        # join step or cross product producing the row stops at the first match.
         guard_query = ast.Query(
             select_items=[ast.SelectItem(ast.Literal(1))],
             tables=guard_tables,
@@ -193,10 +171,6 @@ def build_subquery(
             limit=1,
         )
         guards.append(to_sql(guard_query))
-
-    where_expr: Optional[ast.Expr] = None
-    if main_terms:
-        where_expr = ast.And(main_terms) if len(main_terms) > 1 else main_terms[0]
 
     sid = ast.ColumnRef(HEARTBEAT_SOURCE_COLUMN, qualifier=h_alias)
     sid.binding_key = h_alias
@@ -213,52 +187,16 @@ def build_subquery(
     return query, guards
 
 
-def _connected_components(
-    terms: Sequence[ast.Expr], h_alias: str, other_keys: Sequence[str]
-):
-    """Union-find over {Heartbeat} + other bindings, linked by co-reference.
-
-    Returns ``(components, term_component)`` where ``components`` is a list
-    of node sets and ``term_component[i]`` is the component (set identity)
-    that owns ``terms[i]``. Terms referencing no relation (constants) are
-    owned by Heartbeat's component.
-    """
-    parent: Dict[str, str] = {h_alias: h_alias}
-    for key in other_keys:
-        parent[key] = key
-
-    def find(node: str) -> str:
-        while parent[node] != node:
-            parent[node] = parent[parent[node]]
-            node = parent[node]
-        return node
-
-    def union(a: str, b: str) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    term_nodes: List[List[str]] = []
-    for term in terms:
-        nodes = sorted({ref.binding_key for ref in ast.column_refs(term) if ref.binding_key})
-        term_nodes.append(nodes)
-        for i in range(1, len(nodes)):
-            union(nodes[0], nodes[i])
-
-    roots: Dict[str, Set[str]] = {}
-    for node in parent:
-        roots.setdefault(find(node), set()).add(node)
-    components = list(roots.values())
-    h_component = next(nodes for nodes in components if h_alias in nodes)
-
-    term_component: List[Set[str]] = []
-    for nodes in term_nodes:
-        if not nodes:
-            term_component.append(h_component)
-        else:
-            root = find(nodes[0])
-            term_component.append(roots[root])
-    return components, term_component
+def _components(term_keys: Sequence[Set[str]], nodes: Sequence[str]) -> List[Set[str]]:
+    """``nodes`` partitioned into the classes that co-reference in one term
+    links, in first-member order (so the first node is in the first class)."""
+    components = [{node} for node in nodes]
+    for keys in term_keys:
+        linked = [members for members in components if members & keys]
+        for members in linked[1:]:
+            linked[0] |= members
+            components.remove(members)
+    return components
 
 
 def build_all_sources_query() -> ast.Query:
@@ -271,11 +209,6 @@ def build_all_sources_query() -> ast.Query:
         where=None,
         distinct=False,
     )
-
-
-def subquery_sql(query: ast.Query) -> str:
-    """Render a generated subquery to SQL text."""
-    return to_sql(query)
 
 
 # -- the fetch stage: one fragment per holder of the data, one merge ---------
@@ -308,7 +241,7 @@ def execute_fragment(snapshot, request: dict, short_circuit: bool = False) -> di
     results: List[List[List[object]]] = []
     guards: Dict[str, bool] = {}
     if mode == "all":
-        rows = snapshot.execute(subquery_sql(build_all_sources_query())).rows
+        rows = snapshot.execute(to_sql(build_all_sources_query())).rows
         results.append([[str(sid), float(rec)] for sid, rec in rows])
     elif mode != "empty":
         for sub in request.get("subqueries", ()):

@@ -29,13 +29,13 @@ from repro.core.recency_query import (
     build_all_sources_query,
     build_subquery,
     heartbeat_alias_for,
-    subquery_sql,
 )
 from repro.errors import DnfBlowupError, UnsupportedQueryError
 from repro.predicates.classify import classify_conjunct
 from repro.predicates.dnf import DEFAULT_MAX_CONJUNCTS, to_dnf
 from repro.predicates.satisfiability import Satisfiability, check_conjunction
 from repro.sqlparser import ast
+from repro.sqlparser.printer import to_sql
 from repro.sqlparser.resolver import ResolvedQuery
 
 
@@ -65,7 +65,7 @@ class SubqueryPlan:
         self.conjunct_index = conjunct_index
         self.binding_key = binding_key
         self.query = query
-        self.sql = subquery_sql(query)
+        self.sql = to_sql(query)
         self.guards = guards
         self.minimal = minimal
         self.notes = notes

@@ -8,8 +8,19 @@ predicate applied at the end. Both paths produce identical results; the
 planner only changes the work done to get there.
 
 What cuts across the operators — relations, column index map, expression
-lowering, profile, lineage probes — is fixed once per query in
+lowering, profile, lineage probes, row budget — is fixed once per query in
 :class:`_Execution`, whose methods are the operators.
+
+``LIMIT n`` is a **row budget** when the output is the join output projected
+one-to-one in pipeline order (no ``ORDER BY``, aggregate, ``GROUP BY`` or
+``DISTINCT``): the operator that produces the final tuples — a single-relation
+scan, the last join step (hash or nested loop) with its residual filter, the
+general path's filtered cross product — stops at its *n*-th row
+(:meth:`_Execution.take`), so a ``SELECT 1 ... LIMIT 1`` existence guard
+costs its first witness. Build sides, earlier join steps and the scans a join
+order is chosen from are needed whole and still materialise. Any other query
+has no budget and ``run()``'s final slice is the one enforcement; with one,
+the rows are the first *n* the pipeline would have produced anyway.
 
 Two lowerings exist: *compiled* (default) turns each expression once per
 query into closed-over lambdas (:mod:`repro.engine.compile`); *interpreted*
@@ -32,7 +43,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.engine import compile as compile_mod
 from repro.engine.cache import get_cache
@@ -120,12 +131,11 @@ def execute_sql(
     """Parse, resolve and execute a SQL string against ``db``.
 
     ``telemetry`` (a :class:`repro.obs.Telemetry`, enabled) additionally
-    records the scan upper bound — the total base-table rows the executor
-    may read for this query — and builds a per-operator
-    :class:`~repro.engine.profile.QueryProfile`, stamped with the current
-    trace id, attached to the result and recorded into
-    ``telemetry.profiles``; the memory backend threads its telemetry
-    through here. ``in_snapshot`` marks the profile as snapshot-scoped.
+    builds a per-operator :class:`~repro.engine.profile.QueryProfile`,
+    stamped with the current trace id, attached to the result and recorded
+    into ``telemetry.profiles``, and counts the base-table rows the
+    profile's scans read; the memory backend threads its telemetry through
+    here. ``in_snapshot`` marks the profile as snapshot-scoped.
 
     ``cache`` (default True) routes parse+resolve through the process-wide
     resolved-query cache; pass False for throwaway catalogs (e.g. the
@@ -143,12 +153,6 @@ def execute_sql(
         return execute_query(db, resolved, compiled=compiled, lineage=lineage)
     from repro.obs import instrument as obs
 
-    scanned = sum(
-        len(db.relation(b.schema.name).rows)
-        for b in resolved.bindings
-        if db.has(b.schema.name)
-    )
-    telemetry.count(obs.BACKEND_ROWS_SCANNED, scanned, backend="memory")
     profile = QueryProfile(sql)
     profile.cache_hit = cache_hit
     profile.snapshot = in_snapshot
@@ -156,6 +160,8 @@ def execute_sql(
     if span is not None and span.trace_id:
         profile.trace_id = span.trace_id_hex
     result = execute_query(db, resolved, compiled=compiled, profile=profile, lineage=lineage)
+    scanned = sum(op.rows_in for op in profile.operators if op.op == OP_SCAN)
+    telemetry.count(obs.BACKEND_ROWS_SCANNED, scanned, backend="memory")
     telemetry.profiles.record(profile)
     return result
 
@@ -291,6 +297,7 @@ class _Execution:
     ``lower`` is the expression lowering — :mod:`repro.engine.compile` or
     :class:`_Interpreted` — chosen here and nowhere else; ``lineage_plan``
     holds the lineage probes, or ``None`` on a lineage-free execution;
+    ``budget`` is the row budget (module docstring) or ``None``;
     :meth:`clock` / :meth:`record` are the only way an operator reports
     itself, and cost nothing when there is no profile. A new cross-cutting
     concern is one more field here, not one more parameter on every operator.
@@ -318,6 +325,13 @@ class _Execution:
         self.lower = compile_mod if compiled else _Interpreted
         self.profile = profile
         self.lineage_plan = lineage_plan_for(resolved) if lineage else None
+        query = self.query
+        # Aggregation and DISTINCT reshape the joined tuples; otherwise they
+        # project one-to-one, in pipeline order.
+        self.reshaped = bool(query.has_aggregates or query.group_by or query.distinct)
+        # The row budget: LIMIT, when the first n joined tuples are the answer
+        # (LIMIT 0 takes none: there is no row to stop at).
+        self.budget = None if query.order_by or self.reshaped else query.limit or None
 
     # -- profiling -----------------------------------------------------------
 
@@ -325,13 +339,46 @@ class _Execution:
         return time.perf_counter() if self.profile is not None else 0.0
 
     def record(
-        self, op: str, target: str, rows_in: int, rows_out: int, since: float, detail: str
+        self, op: str, target: str, rows_in: int, rows_out: int, since: float, detail: str,
+        available: Optional[int] = None,
     ) -> None:
         """One operator record, timed from ``since`` (a :meth:`clock` value)."""
         if self.profile is not None:
             self.profile.add(
-                op, target, rows_in, rows_out, time.perf_counter() - since, detail
+                op, target, rows_in, rows_out, time.perf_counter() - since, detail, available
             )
+
+    def take(
+        self, op: str, target: str, source: Iterable, available: int, since: float,
+        detail: str, keep: Optional[Callable] = None, through: Optional[Callable] = None,
+    ) -> list:
+        """A lazy operator: the items of ``source`` — sent ``through`` an
+        expansion, if any — that pass ``keep``, and under a row budget only
+        the first ``budget`` of them, drawing no more of ``source`` than
+        finding those takes. A budgeted record's rows in are the rows it
+        examined (counted for a profile only); when the budget cut it short
+        it says so, and how many were ``available``."""
+        counting = self.budget and self.profile is not None
+        drawn = 0
+
+        def counted() -> Iterable:
+            nonlocal drawn
+            for drawn, item in enumerate(source, 1):
+                yield item
+
+        items = counted() if counting else source
+        if through is not None:
+            items = through(items)
+        if keep is not None:
+            items = filter(keep, items)
+        out = list(itertools.islice(items, self.budget))
+        stopped = len(out) == self.budget
+        self.record(
+            op, target, drawn if counting else available, len(out), since,
+            f"{detail}, stopped at LIMIT {self.budget}" if stopped else detail,
+            available if stopped else None,
+        )
+        return out
 
     # -- the plan --------------------------------------------------------------
 
@@ -341,11 +388,10 @@ class _Execution:
         envs = self.join()
         # ORDER BY sorts the joined tuples when they project one-to-one,
         # the output rows when aggregation or DISTINCT reshapes them.
-        reshaped = query.has_aggregates or query.group_by or query.distinct
-        if query.order_by and not reshaped:
+        if query.order_by and not self.reshaped:
             envs = self.sort_envs(envs)
         result = self.project(envs)
-        if query.order_by and reshaped:
+        if query.order_by and self.reshaped:
             self.sort_output(result)
         if query.limit is not None:
             t0 = self.clock()
@@ -418,14 +464,9 @@ class _Execution:
         t0 = self.clock()
         predicate = self.lower.compile_predicate(where, self.index_of)
         sides = [self.relations[k].rows for k in keys]
-        out: List[_Env] = []
-        for combo in itertools.product(*sides):
-            env = dict(zip(keys, combo))
-            if predicate(env):
-                out.append(env)
-        self.record(OP_CROSS, " x ".join(keys), math.prod(map(len, sides)), len(out), t0,
-                    "filtered cross product")
-        return out
+        envs = (dict(zip(keys, combo)) for combo in itertools.product(*sides))
+        return self.take(OP_CROSS, " x ".join(keys), envs, math.prod(map(len, sides)), t0,
+                         "filtered cross product", keep=predicate)
 
     def _join_conjunctive(self, terms: List[ast.Expr]) -> List[_Env]:
         keys = self.keys
@@ -460,44 +501,54 @@ class _Execution:
             next_key, equi_terms = _pick_next(current_keys, remaining, pending, filtered)
             remaining.discard(next_key)
             t0 = self.clock()
-            envs_in = len(envs)
-            envs = _join_step(envs, next_key, filtered[next_key], equi_terms, self.index_of)
+            build = filtered[next_key]
             current_keys.add(next_key)
             method = f"hash join on {len(equi_terms)} key(s)" if equi_terms else "nested loop"
-            self.record(OP_JOIN, next_key, envs_in, len(envs), t0,
-                        f"{method}, build side {len(filtered[next_key])} rows")
-            # Apply every pending term that is now fully bound.
+            detail = f"{method}, build side {len(build)} rows"
+            # Every pending term that is now fully bound applies to this step.
             applicable = [t for t in pending if _term_keys(t) <= current_keys]
+            residual = None
             if applicable:
                 pending = [t for t in pending if t not in applicable]
-                envs = self._filter(envs, applicable, next_key)
+                residual = self.lower.compile_predicate(_conjoin(applicable), self.index_of)
+            if self.budget and not remaining:
+                # The last step's output is final: probe, join and residual
+                # filter run as one lazy operator (the build side, like every
+                # earlier step, was needed whole).
+                if applicable:
+                    detail += f", {len(applicable)} residual term(s)"
+                return self.take(
+                    OP_JOIN, next_key, envs, len(envs), t0, detail, keep=residual,
+                    through=lambda probe: _join_step(
+                        probe, next_key, build, equi_terms, self.index_of),
+                )
+            envs_in = len(envs)
+            envs = list(_join_step(envs, next_key, build, equi_terms, self.index_of))
+            self.record(OP_JOIN, next_key, envs_in, len(envs), t0, detail)
+            if applicable:
+                t0, joined = self.clock(), envs
+                envs = [env for env in joined if residual(env)]
+                self.record(OP_FILTER, next_key, len(joined), len(envs), t0,
+                            f"{len(applicable)} residual term(s)")
             if not envs:
                 return []
-
-        if pending:
-            envs = self._filter(envs, pending, "residual")
+        # Every multi-relation term was bound by the last step at the latest.
         return envs
 
     def _scan(self, key: str, preds: List[ast.Expr]) -> List[Row]:
         rows = self.relations[key].rows
         t0 = self.clock()
+        keep, detail = None, "full scan"
         if preds:
             # The push-down predicate takes the row tuple directly: no
             # per-row env flows through the scan.
             keep = self.lower.compile_row_predicate(_conjoin(preds), key, self.index_of)
-            kept = [row for row in rows if keep(row)]
             detail = f"{len(preds)} pushed predicate(s)"
-        else:
-            kept, detail = list(rows), "full scan"
+        if self.budget and len(self.keys) == 1:
+            # The only relation: its scan produces the final rows.
+            return self.take(OP_SCAN, key, rows, len(rows), t0, detail, keep=keep)
+        kept = list(rows) if keep is None else [row for row in rows if keep(row)]
         self.record(OP_SCAN, key, len(rows), len(kept), t0, detail)
-        return kept
-
-    def _filter(self, envs: List[_Env], terms: List[ast.Expr], target: str) -> List[_Env]:
-        t0 = self.clock()
-        residual = self.lower.compile_predicate(_conjoin(terms), self.index_of)
-        kept = [env for env in envs if residual(env)]
-        self.record(OP_FILTER, target, len(envs), len(kept), t0,
-                    f"{len(terms)} residual term(s)")
         return kept
 
     # -- projection and aggregation ------------------------------------------
@@ -654,17 +705,17 @@ def _equi_terms(
 
 
 def _join_step(
-    envs: List[_Env],
+    envs: Iterable[_Env],
     key: str,
     rows: List[Row],
     equi_terms: List[ast.Comparison],
     index_of: _IndexMap,
-) -> List[_Env]:
-    if not equi_terms:
-        return [dict(env, **{key: row}) for env in envs for row in rows]
-
+) -> Iterable[_Env]:
+    """``envs`` joined to ``rows`` under ``key``, lazily and in probe order
+    (the caller materialises every step but a budgeted last one)."""
     # Hash join: build on the new relation, probe with the intermediate.
-    # Each equality term is oriented as (new relation's ref, bound ref).
+    # Each equality term is oriented as (new relation's ref, bound ref). With
+    # no term every row shares the empty key and the probe is a nested loop.
     sides: List[Tuple[ast.ColumnRef, ast.ColumnRef]] = [
         (t.left, t.right) if t.left.binding_key == key else (t.right, t.left)  # type: ignore
         for t in equi_terms
@@ -683,7 +734,6 @@ def _join_step(
         (old.binding_key, index_of[(old.binding_key, old.name.lower())])
         for _, old in sides
     ]
-    out: List[_Env] = []
     for env in envs:
         probe = tuple(env[k][i] for k, i in old_indexes)
         if any(v is None for v in probe):
@@ -691,8 +741,7 @@ def _join_step(
         for row in table.get(probe, ()):  # type: ignore[arg-type]
             merged = dict(env)
             merged[key] = row
-            out.append(merged)
-    return out
+            yield merged
 
 
 def _require_number(value: object) -> float:

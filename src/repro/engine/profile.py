@@ -54,10 +54,15 @@ class OperatorProfile:
     sources feeding this operator — 0/1 on scans, cumulative source-bearing
     bindings on joins, the max per-row source-set size on the output
     operators. ``None`` means the query ran without lineage.
+
+    ``rows_in`` is what the operator *read*. ``rows_available`` is set only
+    on an operator a ``LIMIT`` row budget stopped early (its ``detail`` ends
+    ``stopped at LIMIT n``): the rows it could have read.
     """
 
     __slots__ = (
-        "op", "target", "rows_in", "rows_out", "seconds", "detail", "lineage_fanin",
+        "op", "target", "rows_in", "rows_out", "seconds", "detail", "rows_available",
+        "lineage_fanin",
     )
 
     def __init__(
@@ -68,7 +73,7 @@ class OperatorProfile:
         rows_out: int,
         seconds: float,
         detail: str = "",
-        lineage_fanin: Optional[int] = None,
+        rows_available: Optional[int] = None,
     ) -> None:
         self.op = op
         self.target = target
@@ -76,7 +81,8 @@ class OperatorProfile:
         self.rows_out = rows_out
         self.seconds = seconds
         self.detail = detail
-        self.lineage_fanin = lineage_fanin
+        self.rows_available = rows_available
+        self.lineage_fanin: Optional[int] = None
 
     @property
     def selectivity(self) -> Optional[float]:
@@ -95,6 +101,8 @@ class OperatorProfile:
             "selectivity": self.selectivity,
             "detail": self.detail,
         }
+        if self.rows_available is not None:
+            out["rows_available"] = self.rows_available
         if self.lineage_fanin is not None:
             out["lineage_fanin"] = self.lineage_fanin
         return out
@@ -139,8 +147,11 @@ class QueryProfile:
         rows_out: int,
         seconds: float,
         detail: str = "",
+        rows_available: Optional[int] = None,
     ) -> OperatorProfile:
-        operator = OperatorProfile(op, target, rows_in, rows_out, seconds, detail)
+        operator = OperatorProfile(
+            op, target, rows_in, rows_out, seconds, detail, rows_available
+        )
         self.operators.append(operator)
         return operator
 
@@ -216,7 +227,12 @@ class QueryProfile:
         joins = [op for op in self.operators if op.op == OP_JOIN]
         scans = [op for op in self.operators if op.op == OP_SCAN]
         for op in scans:
-            if op.detail == "full scan":
+            if op.rows_available is not None:
+                lines.append(
+                    f"  scan {op.target}: {op.detail} after "
+                    f"{op.rows_in} of {op.rows_available} rows"
+                )
+            elif op.detail == "full scan":
                 lines.append(f"  scan {op.target}: full ({op.rows_in} rows)")
             else:
                 lines.append(
@@ -235,6 +251,8 @@ class QueryProfile:
         for op in joins:
             method = op.detail.partition(", build side")[0]
             lines.append(f"  join {op.target}: {method} -> {op.rows_out} rows")
+            if op.rows_available is not None:
+                lines[-1] += f", stopped after {op.rows_in} of {op.rows_available} probe rows"
         lines.append(f"  result: {self.rows} row(s), columns {self.columns}")
         return "\n".join(lines)
 

@@ -111,8 +111,7 @@ BACKEND_ROWS_RETURNED = counter(
     "trac_backend_rows_returned_total", "Result rows returned by backend queries", "backend"
 )
 BACKEND_ROWS_SCANNED = counter(
-    "trac_backend_rows_scanned_total",
-    "Base-table rows readable by executed queries (scan upper bound)", "backend",
+    "trac_backend_rows_scanned_total", "Base-table rows read by executed queries", "backend"
 )
 SNAPSHOTS_OPENED = counter("trac_backend_snapshots_opened_total", "Snapshots opened", "backend")
 SNAPSHOTS_CLOSED = counter("trac_backend_snapshots_closed_total", "Snapshots closed", "backend")

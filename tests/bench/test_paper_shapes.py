@@ -89,3 +89,52 @@ class TestHighRatioShapes:
                 )
         finally:
             backend.close()
+
+
+class TestQ4RecencyCostIsTheNaiveCost:
+    """docs/THEORY.md: Q4's predicates do not link Routing's source column
+    to Activity, so Activity factors out of the via-Routing subquery as an
+    existence guard and the Focused recency side "costs the same as the
+    Naive query" — a statement about rows read, asserted as a count on the
+    memory engine (SQLite's ``LIMIT 1`` has always stopped at the witness)."""
+
+    SOURCES = 50
+
+    def recency_side(self, data_ratio):
+        """(base-table rows the guards + subqueries of Q4 read, the guard's
+        witness offset, |Heartbeat|, |Routing|)."""
+        from repro import MemoryBackend
+        from repro.core.recency_query import execute_fragment, fragment_request
+        from repro.obs.instrument import Telemetry
+
+        tel = Telemetry()
+        backend = loaded_backend(
+            WorkloadConfig(num_sources=self.SOURCES, data_ratio=data_ratio),
+            lambda catalog: MemoryBackend(catalog, telemetry=tel),
+        )
+        values = backend.execute("SELECT value FROM activity").column()
+        assert len(values) == self.SOURCES * data_ratio
+        reporter = RecencyReporter(backend, create_temp_tables=False)
+        plan = reporter.plan_for(paper_queries(self.SOURCES)["Q4"])
+        statements = {g for sub in plan.subqueries for g in sub.guards}
+        assert len(statements) == 1, "Q4 has one guard: Activity, via Routing"
+        statements.update(sub.sql for sub in plan.subqueries)
+        with backend.snapshot() as snapshot:
+            execute_fragment(snapshot, fragment_request(plan), short_circuit=True)
+        read = sum(
+            op.rows_in
+            for profile in tel.profiles.snapshot()
+            if profile.sql in statements
+            for op in profile.operators
+            if op.op == "scan"
+        )
+        sizes = backend.row_count("heartbeat"), backend.row_count("routing")
+        return (read, values.index("idle") + 1) + sizes
+
+    def test_rows_read_do_not_grow_with_the_data_ratio(self):
+        read, offset, heartbeat, routing = self.recency_side(data_ratio=40)
+        read2, offset2, heartbeat2, routing2 = self.recency_side(data_ratio=80)
+        assert (heartbeat, routing) == (heartbeat2, routing2) == (self.SOURCES, self.SOURCES)
+        # via Routing: Heartbeat, behind the guard; via Activity: Heartbeat x Routing.
+        assert read - offset == read2 - offset2 == 2 * heartbeat + routing
+        assert max(offset, offset2) < 40, "half the rows are idle: the witness is near the front"

@@ -10,7 +10,6 @@ from repro.core.recency_query import (
     heartbeat_alias_for,
     merge_fragments,
     rewrite_term,
-    subquery_sql,
 )
 from repro.predicates.dnf import basic_terms_of
 from repro.sqlparser.parser import parse_query
@@ -179,7 +178,7 @@ class TestBuildSubquery:
 
 class TestAllSourcesQuery:
     def test_shape(self):
-        assert subquery_sql(build_all_sources_query()) == (
+        assert to_sql(build_all_sources_query()) == (
             "SELECT source_id, recency FROM heartbeat"
         )
 
@@ -210,7 +209,7 @@ class TestSingleFragmentLaw:
         if plan.mode == "empty":
             return []
         if plan.mode == "all":
-            rows = snapshot.execute(subquery_sql(build_all_sources_query())).rows
+            rows = snapshot.execute(to_sql(build_all_sources_query())).rows
             return [SourceRecency(str(sid), float(rec)) for sid, rec in rows]
         found, guard_cache = {}, {}
         for sub in plan.subqueries:
@@ -248,3 +247,160 @@ class TestSingleFragmentLaw:
                 assert merge_fragments(request, [full]) == expected
         assert verdicts == {True, False}, "the cases must exercise both guard outcomes"
         assert {plan.mode for plan in plans} >= {"focused", "all"}
+
+
+class TestGuardCost:
+    """What a guard costs, as rows read (the scans of its profile), not as
+    time: it stops at its first witness on the memory engine as on SQLite."""
+
+    ROWS = 5000
+    SQL = (
+        "SELECT A.mach_id FROM routing R, activity A WHERE R.mach_id = 'm1' "
+        "AND A.value = 'idle' AND R.neighbor = A.mach_id"
+    )
+    GUARD = "SELECT 1 FROM activity a WHERE a.value = 'idle' LIMIT 1"
+
+    @staticmethod
+    def backend(paper_catalog, idle_at=()):
+        from repro import MemoryBackend
+        from repro.obs.instrument import Telemetry
+
+        backend = MemoryBackend(paper_catalog, telemetry=Telemetry())
+        backend.insert_rows(
+            "activity",
+            [
+                (f"m{i % 11 + 1}", "idle" if i + 1 in idle_at else "busy", float(i))
+                for i in range(TestGuardCost.ROWS)
+            ],
+        )
+        backend.insert_rows("routing", [("m1", "m3", 0.0), ("m2", "m3", 0.0)])
+        for i in range(1, 12):
+            backend.upsert_heartbeat(f"m{i}", 100.0 + i)
+        return backend
+
+    @staticmethod
+    def fragment(backend, sql, short_circuit):
+        """(request, fragment, {sql: base-table rows its scans read})."""
+        from repro.core.report import RecencyReporter
+
+        request = fragment_request(
+            RecencyReporter(backend, create_temp_tables=False).plan_for(sql)
+        )
+        seen = len(backend.telemetry.profiles.snapshot())
+        with backend.snapshot() as snapshot:
+            fragment = execute_fragment(snapshot, request, short_circuit=short_circuit)
+        read = {
+            profile.sql: sum(op.rows_in for op in profile.operators if op.op == "scan")
+            for profile in backend.telemetry.profiles.snapshot()[seen:]
+        }
+        return request, fragment, read
+
+    def test_guard_reads_exactly_up_to_its_first_witness(self, paper_catalog):
+        for first in (1, 2500, 5000):
+            backend = self.backend(paper_catalog, idle_at=(first, 5000))
+            request, fragment, read = self.fragment(backend, self.SQL, short_circuit=True)
+            assert read[self.GUARD] == first
+            assert fragment["guards"] == {self.GUARD: True}
+            # Every subquery ran, and none of them touches Activity.
+            assert set(read) == {self.GUARD} | {sub["sql"] for sub in request["subqueries"]}
+            assert sum(read.values()) - first <= 2 * 11 + 2
+            assert [s.source_id for s in merge_fragments(request, [fragment])] == ["m1", "m3"]
+
+    def test_no_witness_reads_everything_and_only_the_sole_holder_may_skip(self, paper_catalog):
+        backend = self.backend(paper_catalog)
+        request, local, read = self.fragment(backend, self.SQL, short_circuit=True)
+        guarded = [sub["sql"] for sub in request["subqueries"] if sub["guards"]]
+        assert len(guarded) == 1
+        assert read[self.GUARD] == self.ROWS
+        assert local["guards"] == {self.GUARD: False}
+        assert guarded[0] not in read, "the sole holder skips a subquery whose guard failed"
+        # One of several holders cannot decide the guard alone: it answers.
+        _, shard, read = self.fragment(backend, self.SQL, short_circuit=False)
+        assert shard["guards"] == {self.GUARD: False} and guarded[0] in read
+        at = [sub["sql"] for sub in request["subqueries"]].index(guarded[0])
+        assert shard["results"][at] and not local["results"][at]
+        assert merge_fragments(request, [local]) == merge_fragments(request, [shard])
+
+    def test_two_relation_guard_stops_at_its_first_joined_witness(self, paper_catalog):
+        """The plan of ``test_three_relation_components``, seen via ``load``:
+        Activity and Routing, linked by the join term, form one guard."""
+        from repro.catalog import Column, FiniteDomain, TableSchema
+        from repro.core.report import RecencyReporter
+
+        paper_catalog.add(
+            TableSchema(
+                "load",
+                [Column("mach_id", "TEXT", FiniteDomain({"m1"})), Column("cpu", "REAL")],
+                source_column="mach_id",
+            )
+        )
+        backend = self.backend(paper_catalog, idle_at=(1,))
+        backend.insert_rows("load", [("m1", 0.9)])
+        plan = RecencyReporter(backend, create_temp_tables=False).plan_for(
+            "SELECT A.mach_id FROM activity A, routing R, load L "
+            "WHERE R.neighbor = A.mach_id AND L.cpu > 0.5"
+        )
+        guard = "SELECT 1 FROM activity a, routing r WHERE r.neighbor = a.mach_id LIMIT 1"
+        assert guard in {g for sub in plan.subqueries for g in sub.guards}
+        result = backend.execute(guard)
+        ops = {op.op: op for op in result.profile.operators}
+        assert result.rows == [(1,)]
+        # 5,000 / 11 Activity rows join each Routing row; the guard needs one.
+        assert (ops["project"].rows_in, ops["limit"].rows_in) == (1, 1)
+        assert ops["join"].rows_out == 1
+        assert ops["join"].detail.endswith("stopped at LIMIT 1")
+
+
+class TestFragmentsAgreeAcrossBackends:
+    """``execute_fragment`` for the paper's Q1-Q4 answers the same on the
+    memory engine (``LIMIT`` as a row budget) and on SQLite — also when a
+    guard has nothing to find."""
+
+    @staticmethod
+    def fragments(activity_of):
+        from repro import MemoryBackend, SQLiteBackend
+        from repro.core.report import RecencyReporter
+        from repro.workload import (
+            WorkloadConfig,
+            generate_workload,
+            load_workload,
+            paper_queries,
+            query_machine_indexes,
+            workload_catalog,
+        )
+
+        sources = 40
+        data = generate_workload(WorkloadConfig(sources, 5), query_machine_indexes(sources))
+        data.activity = activity_of(data.activity)
+        answers = []
+        for factory in (MemoryBackend, SQLiteBackend):
+            backend = factory(workload_catalog(sources))
+            try:
+                load_workload(backend, data)
+                reporter = RecencyReporter(backend, create_temp_tables=False)
+                for name, sql in sorted(paper_queries(sources).items()):
+                    request = fragment_request(reporter.plan_for(sql))
+                    for short_circuit in (True, False):
+                        with backend.snapshot() as snapshot:
+                            fragment = execute_fragment(snapshot, request, short_circuit)
+                        fragment["results"] = [sorted(rows) for rows in fragment["results"]]
+                        answers.append((factory.__name__, name, short_circuit, fragment))
+            finally:
+                backend.close()
+        half = len(answers) // 2
+        return answers[:half], answers[half:]
+
+    def check(self, activity_of, verdicts):
+        memory, sqlite = self.fragments(activity_of)
+        assert [a[1:] for a in memory] == [a[1:] for a in sqlite]
+        seen = {v for _, _, _, fragment in memory for v in fragment["guards"].values()}
+        assert seen == verdicts
+
+    def test_paper_data(self):
+        self.check(lambda rows: rows, {True})
+
+    def test_empty_activity(self):
+        self.check(lambda rows: [], {False})
+
+    def test_no_idle_row(self):
+        self.check(lambda rows: [(m, "busy", t) for m, _v, t in rows], {False})

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.catalog import Column, FiniteDomain, TableSchema
 from repro.engine import Database, execute_sql
 from repro.errors import EngineError
 
@@ -223,3 +222,143 @@ class TestAggregates:
 
     def test_min_on_strings(self, db):
         assert execute_sql(db, "SELECT MIN(value) FROM activity").scalar() == "busy"
+
+
+class TestRowBudget:
+    """``LIMIT`` as a row budget, asserted as rows *read* (profile counts),
+    never as time: a budgeted operator stops at its n-th row, every other
+    ``LIMIT`` query reads its whole input, and the rows are the same."""
+
+    ROWS = 5000
+
+    @staticmethod
+    def big(paper_catalog, idle_at=()):
+        database = Database(paper_catalog)
+        database.insert_many(
+            "activity",
+            [
+                (f"m{i % 11 + 1}", "idle" if i + 1 in idle_at else "busy", float(i))
+                for i in range(TestRowBudget.ROWS)
+            ],
+        )
+        database.insert_many("routing", [(f"m{i}", f"m{i % 11 + 1}", 0.0) for i in range(1, 12)])
+        return database
+
+    @staticmethod
+    def ops(database, sql, **kwargs):
+        from repro.engine.profile import profile_query
+
+        profile = profile_query(database, sql, **kwargs)
+        return {op.op: op for op in profile.operators}, profile
+
+    @pytest.mark.parametrize("first", [1, 2500, 5000])
+    def test_guard_reads_up_to_its_first_witness(self, paper_catalog, first):
+        database = self.big(paper_catalog, idle_at=(first, 5000))
+        ops, profile = self.ops(
+            database, "SELECT 1 FROM activity a WHERE a.value = 'idle' LIMIT 1"
+        )
+        scan = ops["scan"]
+        assert (scan.rows_in, scan.rows_out) == (first, 1)
+        assert (ops["project"].rows_in, ops["limit"].rows_in, ops["limit"].rows_out) == (1, 1, 1)
+        assert scan.rows_available == self.ROWS
+        assert scan.detail.endswith("stopped at LIMIT 1")
+        assert (
+            f"scan a: 1 pushed predicate(s), stopped at LIMIT 1 after {first} of 5000 rows"
+            in profile.render_plan()
+        )
+
+    def test_guard_without_a_witness_reads_everything(self, paper_catalog):
+        database = self.big(paper_catalog)
+        ops, profile = self.ops(
+            database, "SELECT 1 FROM activity a WHERE a.value = 'idle' LIMIT 1"
+        )
+        scan = ops["scan"]
+        assert (scan.rows_in, scan.rows_out, scan.rows_available) == (self.ROWS, 0, None)
+        assert execute_sql(database, profile.sql).rows == []
+        assert "stopped" not in scan.detail and "stopped" not in profile.render_plan()
+        assert profile.rows == 0
+
+    def test_unfiltered_scan_takes_a_prefix(self, paper_catalog):
+        database = self.big(paper_catalog)
+        ops, _ = self.ops(database, "SELECT mach_id FROM activity LIMIT 3")
+        assert (ops["scan"].rows_in, ops["scan"].rows_out) == (3, 3)
+        assert ops["scan"].detail == "full scan, stopped at LIMIT 3"
+
+    def test_last_join_step_stops_at_its_first_joined_witness(self, paper_catalog):
+        database = self.big(paper_catalog, idle_at=(7,))
+        sql = (
+            "SELECT 1 FROM activity a, routing r "
+            "WHERE r.neighbor = a.mach_id AND a.value = 'idle' LIMIT 1"
+        )
+        ops, profile = self.ops(database, sql)
+        join = ops["join"]
+        assert join.rows_out == 1 and join.rows_in <= join.rows_available
+        assert join.detail.endswith("residual term(s), stopped at LIMIT 1")
+        assert "filter" not in ops  # the residual ran inside the budgeted join
+        assert (ops["project"].rows_in, ops["limit"].rows_in) == (1, 1)
+        assert "stopped after" in profile.render_plan()
+        assert execute_sql(database, sql).rows == [(1,)]
+
+    def test_nested_loop_and_general_path_stop_too(self, paper_catalog):
+        database = self.big(paper_catalog)
+        ops, _ = self.ops(database, "SELECT 1 FROM activity a, routing r LIMIT 2")
+        assert ops["join"].detail.startswith("nested loop")
+        assert (ops["join"].rows_in, ops["join"].rows_out, ops["project"].rows_in) == (1, 2, 2)
+        ops, _ = self.ops(
+            database,
+            "SELECT a.mach_id FROM activity a, routing r "
+            "WHERE a.event_time > 2.0 OR r.mach_id = 'm1' LIMIT 4",
+        )
+        cross = ops["cross_product"]
+        # a's first three rows pair only with r = m1 (combinations 1, 12, 23);
+        # its fourth passes the first disjunct at combination 34.
+        assert (cross.rows_in, cross.rows_out) == (34, 4)
+        assert cross.rows_available == self.ROWS * 11
+        assert cross.detail == "filtered cross product, stopped at LIMIT 4"
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "SELECT mach_id FROM activity WHERE value = 'busy' LIMIT 0",
+            "SELECT mach_id FROM activity WHERE value = 'busy' LIMIT 9999",
+            "SELECT mach_id FROM activity WHERE value = 'busy' ORDER BY event_time DESC LIMIT 2",
+            "SELECT DISTINCT mach_id FROM activity WHERE value = 'busy' LIMIT 2",
+            "SELECT COUNT(*) FROM activity WHERE value = 'busy' LIMIT 1",
+            "SELECT mach_id, COUNT(*) FROM activity WHERE value = 'busy' GROUP BY mach_id LIMIT 2",
+            "SELECT a.mach_id FROM activity a, routing r WHERE a.event_time < 3.0 "
+            "OR r.mach_id = 'm1' ORDER BY a.event_time LIMIT 2",
+        ],
+    )
+    def test_unbudgeted_limits_read_their_whole_input(self, paper_catalog, sql):
+        database = self.big(paper_catalog, idle_at=(1,))
+        ops, profile = self.ops(database, sql)
+        reader = ops.get("scan") or ops["cross_product"]
+        assert reader.rows_in == (self.ROWS if "scan" in ops else self.ROWS * 11)
+        assert reader.rows_available is None and "stopped" not in reader.detail
+        unlimited = execute_sql(database, sql[: sql.index(" LIMIT")]).rows
+        limit = int(sql.rsplit(" ", 1)[1])
+        assert execute_sql(database, sql).rows == unlimited[:limit]
+        assert ops["limit"].rows_out == profile.rows == len(unlimited[:limit])
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "SELECT a.mach_id, a.event_time FROM activity a WHERE a.value = 'idle' LIMIT 2",
+            "SELECT a.mach_id, r.mach_id FROM activity a, routing r "
+            "WHERE r.neighbor = a.mach_id AND a.event_time > 40.0 LIMIT 3",
+            "SELECT a.mach_id, r.mach_id FROM activity a, routing r "
+            "WHERE r.neighbor = a.mach_id OR a.event_time < 2.0 LIMIT 5",
+        ],
+    )
+    @pytest.mark.parametrize("compiled", [True, False])
+    def test_budgeted_rows_and_lineage_are_the_sliced_unlimited_run(
+        self, paper_catalog, sql, compiled
+    ):
+        database = self.big(paper_catalog, idle_at=(3, 40, 41, 4000))
+        limit = int(sql.rsplit(" ", 1)[1])
+        full = execute_sql(database, sql[: sql.index(" LIMIT")], compiled=compiled, lineage=True)
+        cut = execute_sql(database, sql, compiled=compiled, lineage=True)
+        assert len(cut.rows) == limit
+        assert cut.rows == full.rows[:limit]
+        assert cut.lineage == full.lineage[:limit] and len(cut.lineage) == len(cut.rows)
+        assert all(cut.lineage)

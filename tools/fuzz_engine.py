@@ -1,18 +1,24 @@
 #!/usr/bin/env python
 """Long-running differential fuzz: mini engine (both paths) vs SQLite.
 
-Generates random data and random queries over a two-table schema and
-asserts three executions return the same multiset of rows — including
-ORDER BY prefixes, aggregates and NULL semantics — and that the engine's
-two paths record the same per-operator profile (operator sequence, rows
-in/out):
+Generates random data and random statements over a two-table schema —
+one- and two-table ``FROM`` lists, conjunctive and general boolean
+``WHERE`` clauses, aggregates, ``DISTINCT``, ``ORDER BY`` and ``LIMIT n``
+(n in 0..4) — and asserts that three executions agree, and that the
+engine's two paths record the same per-operator profile (operator
+sequence, rows in/out):
 
 * the mini engine's *compiled* path (lowered lambdas, the default);
 * the mini engine's *interpreted* path (per-row AST walk, the oracle);
 * SQLite.
 
-The compiled/interpreted comparison pins the fast path to the oracle's
-semantics; the SQLite comparison pins both to real-world SQL. Usage::
+Compiled and interpreted must return the same rows *in the same order*;
+SQLite the same multiset. A ``LIMIT`` statement must also return exactly
+the rows of the same statement without ``LIMIT``, run on the same engine
+and sliced ``[:n]`` — the row budget of :mod:`repro.engine.evaluate` may
+change what is read, never what is returned — and, because SQLite leaves
+the order of an unordered ``LIMIT`` unspecified, as many rows as SQLite
+returns, drawn from SQLite's unlimited answer. Usage::
 
     python tools/fuzz_engine.py [examples]
 """
@@ -62,48 +68,80 @@ _row1 = st.tuples(
 )
 _row2 = st.tuples(st.sampled_from(["a", "b", "c"]), st.one_of(st.none(), st.integers(-3, 6)))
 
-_atoms = st.sampled_from(
-    [
-        "t1.x = 2",
-        "t1.x <> 0",
-        "t1.x > -1",
-        "t1.x BETWEEN 0 AND 4",
-        "t1.x NOT BETWEEN 1 AND 2",
-        "t1.v = 'p'",
-        "t1.v LIKE 'p%'",
-        "t1.v NOT LIKE '%q'",
-        "t1.v IS NULL",
-        "t1.v IS NOT NULL",
-        "t1.s IN ('a', 'b')",
-        "t1.s NOT IN ('c')",
-        "t2.y < 3",
-        "t2.y = t1.x",
-        "t1.s = t2.s",
-        "t1.s <> t2.s",
-        "t1.x <= t2.y",
-    ]
-)
+_ATOMS = [
+    "t1.x = 2",
+    "t1.x <> 0",
+    "t1.x > -1",
+    "t1.x BETWEEN 0 AND 4",
+    "t1.x NOT BETWEEN 1 AND 2",
+    "t1.v = 'p'",
+    "t1.v LIKE 'p%'",
+    "t1.v NOT LIKE '%q'",
+    "t1.v IS NULL",
+    "t1.v IS NOT NULL",
+    "t1.s IN ('a', 'b')",
+    "t1.s NOT IN ('c')",
+    "t2.y < 3",
+    "t2.y IS NOT NULL",
+    "t2.s IN ('a', 'c')",
+    "t2.y = t1.x",
+    "t1.s = t2.s",
+    "t1.s <> t2.s",
+    "t1.x <= t2.y",
+]
 
-_where = st.recursive(
-    _atoms,
-    lambda inner: st.one_of(
-        st.builds(lambda a, b: f"({a} AND {b})", inner, inner),
-        st.builds(lambda a, b: f"({a} OR {b})", inner, inner),
-        st.builds(lambda a: f"NOT ({a})", inner),
-    ),
-    max_leaves=7,
-)
-
-_select = st.sampled_from(
-    [
+#: FROM list -> the select lists that can be drawn over it (a parenthesis
+#: marks an aggregate).
+_SELECTS = {
+    "t1": ["t1.s, t1.x", "t1.v", "COUNT(*)", "COUNT(t1.v)", "SUM(t1.x)"],
+    "t2": ["t2.s, t2.y", "t2.y", "COUNT(*)", "MAX(t2.y)"],
+    "t1, t2": [
         "t1.s, t1.x, t2.y",
         "t1.s, t2.s",
         "COUNT(*)",
         "COUNT(t1.v)",
         "MIN(t1.x), MAX(t2.y)",
         "SUM(t1.x)",
-    ]
-)
+    ],
+}
+
+
+def _where_over(tables: str):
+    """Boolean combinations of the atoms that name only ``tables``."""
+    atoms = [a for a in _ATOMS if all(t in tables for t in ("t1", "t2") if f"{t}." in a)]
+    return st.recursive(
+        st.sampled_from(atoms),
+        lambda inner: st.one_of(
+            st.builds(lambda a, b: f"({a} AND {b})", inner, inner),
+            st.builds(lambda a, b: f"({a} OR {b})", inner, inner),
+            st.builds(lambda a: f"NOT ({a})", inner),
+        ),
+        max_leaves=7,
+    )
+
+
+_WHERE = {tables: _where_over(tables) for tables in _SELECTS}
+
+
+@st.composite
+def _statements(draw):
+    """``(statement without LIMIT, n or None, shape)``. Two shapes in five are
+    plain select-project-join, the only ones whose ``LIMIT`` is a row budget."""
+    tables = draw(st.sampled_from(sorted(_SELECTS)))
+    shape = draw(st.sampled_from(["plain", "plain", "ordered", "distinct", "aggregate"]))
+    select = draw(
+        st.sampled_from([s for s in _SELECTS[tables] if ("(" in s) == (shape == "aggregate")])
+    )
+    if shape == "distinct":
+        select = f"DISTINCT {select}"
+    sql = f"SELECT {select} FROM {tables} WHERE {draw(_WHERE[tables])}"
+    if shape == "ordered":
+        keys = draw(
+            st.lists(st.sampled_from(select.split(", ")), min_size=1, max_size=2, unique=True)
+        )
+        directions = [draw(st.sampled_from(["", " DESC"])) for _ in keys]
+        sql += " ORDER BY " + ", ".join(k + d for k, d in zip(keys, directions))
+    return sql, draw(st.sampled_from([None, None, None, 0, 1, 2, 3, 4])), shape
 
 
 def _run_sqlite(rows1, rows2, sql):
@@ -118,39 +156,56 @@ def _run_sqlite(rows1, rows2, sql):
         conn.close()
 
 
-def make_property(max_examples: int):
+def make_property(max_examples: int, corpus: Counter):
+    """The property, tallying into ``corpus`` what kinds of statement it ran
+    (hypothesis replays examples while shrinking, so the tallies describe
+    the executions, not distinct statements)."""
+
     @settings(max_examples=max_examples, deadline=None, print_blob=True)
-    @given(st.lists(_row1, max_size=6), st.lists(_row2, max_size=5), _where, _select)
-    def engines_agree(rows1, rows2, where, select):
-        sql = f"SELECT {select} FROM t1, t2 WHERE {where}"
+    @given(st.lists(_row1, max_size=6), st.lists(_row2, max_size=5), _statements())
+    def engines_agree(rows1, rows2, statement):
+        unlimited, limit, shape = statement
+        sql = unlimited if limit is None else f"{unlimited} LIMIT {limit}"
         db = Database(catalog())
         db.insert_many("t1", rows1)
         db.insert_many("t2", rows2)
-        compiled = Counter(
-            tuple(r) for r in execute_sql(db, sql, compiled=True).rows
-        )
-        interpreted = Counter(
-            tuple(r) for r in execute_sql(db, sql, compiled=False).rows
-        )
+        compiled = execute_sql(db, sql, compiled=True).rows
+        interpreted = execute_sql(db, sql, compiled=False).rows
         assert compiled == interpreted, (
             f"COMPILED/INTERPRETED DISAGREEMENT on {sql!r}: "
             f"{compiled} vs {interpreted}"
         )
         # The two lowerings must also do the same work: one operator
         # sequence, equal rows in/out per operator.
+        profiles = [profile_query(db, sql, compiled=flag) for flag in (True, False)]
         shapes = [
-            [
-                (op.op, op.target, op.rows_in, op.rows_out)
-                for op in profile_query(db, sql, compiled=flag).operators
-            ]
-            for flag in (True, False)
+            [(op.op, op.target, op.rows_in, op.rows_out) for op in profile.operators]
+            for profile in profiles
         ]
         assert shapes[0] == shapes[1], (
             f"COMPILED/INTERPRETED PROFILE DISAGREEMENT on {sql!r}: "
             f"{shapes[0]} vs {shapes[1]}"
         )
-        theirs = _run_sqlite(rows1, rows2, sql)
-        assert compiled == theirs, f"DISAGREEMENT on {sql!r}: {compiled} vs {theirs}"
+        theirs = _run_sqlite(rows1, rows2, unlimited)
+        if limit is None:
+            assert Counter(compiled) == theirs, f"DISAGREEMENT on {sql!r}: {compiled} vs {theirs}"
+        else:
+            for flag in (True, False):
+                whole = execute_sql(db, unlimited, compiled=flag).rows
+                assert compiled == whole[:limit], (
+                    f"LIMIT CHANGED THE ROWS of {sql!r} (compiled={flag}): "
+                    f"{compiled} vs {whole}[:{limit}]"
+                )
+            assert len(compiled) == sum(_run_sqlite(rows1, rows2, sql).values()), sql
+            assert not Counter(compiled) - theirs, (
+                f"LIMIT ROWS NOT AMONG SQLITE'S for {sql!r}: {compiled} vs {theirs}"
+            )
+        operators = profiles[0].operators
+        corpus["one-table"] += "," not in unlimited.partition(" WHERE ")[0]
+        corpus["general-path"] += any(op.op == "cross_product" for op in operators)
+        corpus["LIMIT"] += limit is not None
+        corpus["budgeted"] += bool(limit) and shape == "plain"
+        corpus["stopped early"] += any(op.rows_available is not None for op in operators)
 
     return engines_agree
 
@@ -165,8 +220,10 @@ def main() -> int:
         "differential-fuzzing compiled vs interpreted vs SQLite "
         f"with {examples} examples ..."
     )
-    make_property(examples)()
+    corpus: Counter = Counter()
+    make_property(examples, corpus)()
     print("OK: compiled, interpreted and SQLite agreed on every example")
+    print("executions by kind: " + ", ".join(f"{n} {kind}" for kind, n in corpus.items()))
     return 0
 
 
