@@ -25,7 +25,7 @@ import tempfile
 import urllib.request
 
 from repro import obs
-from repro.core.slo import StalenessSLO
+from repro.core.sources import SourceRegistry
 from repro.faults import plan_from_json
 from repro.grid import GridSimulator, SimulationConfig
 from repro.grid.supervisor import SupervisorPolicy
@@ -46,17 +46,17 @@ def scrape(url: str) -> str:
 def main() -> None:
     print("=== Observatory tour ===")
     telemetry = obs.enable()
-    slo = StalenessSLO(target_p95=25.0, budget=0.05)
+    sources = SourceRegistry(target_p95=25.0, budget=0.05)
     sim = GridSimulator(
         SimulationConfig(num_machines=4, seed=7),
         fault_plan=plan_from_json(PLAN),
         supervisor_policy=SupervisorPolicy(silence_timeout=30.0),
-        slo=slo,
+        sources=sources,
         telemetry=telemetry,
     )
 
     flight_dir = tempfile.mkdtemp(prefix="trac-flight-")
-    recorder = FlightRecorder(telemetry, flight_dir, slo=slo, health=sim.health)
+    recorder = FlightRecorder(telemetry, flight_dir, sources=sources)
     recorder.install()
 
     with ObservatoryServer(telemetry, status_provider=sim.status) as server:
@@ -95,9 +95,9 @@ def main() -> None:
               f"events={len(doc['events'])} spans={len(doc['spans'])} "
               f"lag_series={sorted(doc['lag_series'])}")
 
-    verdict = slo.status()
-    state = f"BREACHED ({', '.join(verdict.breached)})" if not verdict.ok else "ok"
-    print(f"\nstaleness SLO (p95 < {slo.target_p95:g}s): {state}")
+    breached = sources.breached()
+    state = f"BREACHED ({', '.join(breached)})" if breached else "ok"
+    print(f"\nstaleness SLO (p95 < {sources.target_p95:g}s): {state}")
     obs.disable()
 
 

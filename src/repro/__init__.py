@@ -67,7 +67,7 @@ from repro.core import (
     recency_report,
     zscore_split,
 )
-from repro.core import SourceHealth
+from repro.core import SourceRegistry
 from repro.errors import SimulationError, TracError
 from repro.faults import FaultPlan, InjectedFault
 
@@ -105,7 +105,7 @@ __all__ = [
     "describe",
     "recency_report",
     "zscore_split",
-    "SourceHealth",
+    "SourceRegistry",
     "FaultPlan",
     "InjectedFault",
     "TracError",

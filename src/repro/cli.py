@@ -511,22 +511,22 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
     observing = args.serve is not None or args.top or args.flight_dir is not None
     telemetry = None
-    slo = None
+    sources = None
     recorder = None
     server = None
     if observing:
         from repro import obs
-        from repro.core.slo import StalenessSLO
+        from repro.core.sources import SourceRegistry
 
         telemetry = obs.enable()
-        slo = StalenessSLO(target_p95=args.slo_target, budget=args.slo_budget)
+        sources = SourceRegistry(target_p95=args.slo_target, budget=args.slo_budget)
 
     sim = GridSimulator(
         config,
         backend_factory=lambda catalog: SQLiteBackend(catalog, args.db),
         fault_plan=fault_plan,
         supervisor_policy=supervisor_policy,
-        slo=slo,
+        sources=sources,
         telemetry=telemetry,
         durability=durability,
     )
@@ -547,9 +547,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         from repro.obs.flight import FlightRecorder
 
         flight_dir = args.flight_dir or f"{args.db}.flight"
-        recorder = FlightRecorder(
-            telemetry, flight_dir, slo=slo, health=sim.health
-        ).install()
+        recorder = FlightRecorder(telemetry, flight_dir, sources=sources).install()
         if args.serve is not None:
             from repro.obs.server import ObservatoryServer
 
@@ -587,21 +585,22 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     print(f"  jobs: {len(jobs)} submitted, {completed} completed")
     if sim.supervisors:
         print("supervision:")
+        records = sim.sources.snapshot()
         for mid in sim.machine_ids:
-            stats = sim.supervisors[mid].stats()
+            record = records[mid]
             line = (
-                f"  {mid:<6} {stats['state']:<12} retries={stats['retries']} "
-                f"restarts={stats['restarts']} breaker={stats['breaker']}"
+                f"  {mid:<6} {record.status:<12} retries={record.retries} "
+                f"restarts={record.restarts} breaker={record.breaker}"
             )
-            if stats["degraded_reason"]:
-                line += f"  ({stats['degraded_reason']})"
+            if record.status == "degraded":
+                line += f"  ({record.reason})"
             print(line)
         if fault_plan is not None and fault_plan.injected:
             injected = ", ".join(
                 f"{kind}={count}" for kind, count in sorted(fault_plan.injected.items())
             )
             print(f"  faults injected: {injected}")
-        degraded = sim.health.degraded_sources() if sim.health is not None else []
+        degraded = sim.sources.degraded()
         if degraded:
             print(f"  degraded sources: {', '.join(degraded)}")
     if args.archive:
@@ -609,15 +608,14 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
         paths = archive_simulation(sim, args.archive)
         print(f"  archived {len(paths)} log files to {args.archive}")
-    if slo is not None:
-        status = slo.status()
-        verdict = (
-            f"BREACHED ({', '.join(status.breached)})" if status.breached else "ok"
-        )
+    if sources is not None:
+        status = sources.slo_status()
+        breached = status["breached"]
+        verdict = f"BREACHED ({', '.join(breached)})" if breached else "ok"
         print(
-            f"staleness SLO (p95 < {status.target_p95:g}s, "
-            f"budget {status.budget:g}): {verdict}, "
-            f"worst burn {status.worst_burn:.2f}"
+            f"staleness SLO (p95 < {status['target_p95']:g}s, "
+            f"budget {status['budget']:g}): {verdict}, "
+            f"worst burn {status['worst_burn']:.2f}"
         )
     if durability is not None:
         durability.close(sim.now)

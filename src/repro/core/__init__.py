@@ -38,13 +38,13 @@ from repro.core.constraints import augmented_where, all_constraint_exprs
 from repro.core.explain import explain, explain_sql
 from repro.core.monitor import Alert, RecencyMonitor, WatchRule
 from repro.core.breaker import CircuitBreaker
-from repro.core.health import (
+from repro.core.sources import (
     BACKING_OFF,
     DEGRADED,
     HEALTHY,
     RESTARTING,
-    SourceHealth,
-    SourceStatus,
+    SourceRegistry,
+    SourceState,
 )
 
 __all__ = [
@@ -70,8 +70,8 @@ __all__ = [
     "RecencyMonitor",
     "WatchRule",
     "CircuitBreaker",
-    "SourceHealth",
-    "SourceStatus",
+    "SourceRegistry",
+    "SourceState",
     "HEALTHY",
     "BACKING_OFF",
     "RESTARTING",

@@ -62,7 +62,7 @@ class WatchRule:
         Trip when the plan cannot guarantee the minimal relevant set.
     forbid_degraded:
         Trip when the supervision layer has quarantined any source (needs
-        the monitor to be constructed with a ``source_health`` registry).
+        the monitor to be constructed with a ``sources`` registry).
     """
 
     def __init__(
@@ -122,8 +122,7 @@ class RecencyMonitor:
         clock: Optional[Callable[[], float]] = None,
         z_threshold: float = 3.0,
         telemetry: Optional[object] = None,
-        source_health: Optional[object] = None,
-        slo: Optional[object] = None,
+        sources: Optional[object] = None,
     ) -> None:
         self.backend = backend
         self.clock = clock or time.time
@@ -132,8 +131,7 @@ class RecencyMonitor:
             backend,
             z_threshold=z_threshold,
             telemetry=telemetry,
-            source_health=source_health,
-            slo=slo,
+            sources=sources,
         )
         self._rules: Dict[str, WatchRule] = {}
         self.history: List[Alert] = []

@@ -21,9 +21,10 @@ staleness halves the score, so quality degrades strictly monotonically
 with staleness. Sources the report distrusts are penalized further:
 z-score-**exceptional** sources (Section 4.3's split, reused as-is) and
 supervisor-**degraded** sources each multiply the freshness by a penalty
-factor. The default half-life equals the staleness SLO's default p95
-target (:data:`repro.core.slo.DEFAULT_TARGET_P95`); build a model from a
-live tracker with :meth:`QualityModel.from_slo`.
+factor. The half-life is the deployment's staleness target
+(:attr:`repro.core.sources.SourceRegistry.half_life`), and the usual
+target (:data:`repro.core.sources.DEFAULT_TARGET_P95`) where no registry
+is wired.
 
 A row whose lineage cites a source with *no* heartbeat at all scores 0.0
 (the source never reported — nothing is known about its recency), and a
@@ -36,7 +37,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.core.slo import DEFAULT_TARGET_P95
+from repro.core.sources import DEFAULT_TARGET_P95
 from repro.core.statistics import SourceRecency
 
 #: Seconds of staleness that halve a source's quality score.
@@ -167,14 +168,6 @@ class QualityModel:
         if half_life <= 0:
             raise ValueError(f"half_life must be positive, got {half_life!r}")
         self.half_life = half_life
-
-    @classmethod
-    def from_slo(cls, slo) -> "QualityModel":
-        """A model whose half-life is the SLO tracker's p95 lag target."""
-        target = getattr(slo, "target_p95", None)
-        if target is None or target <= 0:
-            return cls()
-        return cls(half_life=float(target))
 
     # -- per-source scoring --------------------------------------------------
 

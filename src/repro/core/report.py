@@ -20,7 +20,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Set
 
 from repro.backends.base import Backend, Snapshot
-from repro.core.health import SourceHealth
 from repro.core.quality import ProvenanceRecord, QualityModel, QualitySummary
 from repro.core.recency_query import execute_fragment, fragment_request, merge_fragments
 from repro.core.relevance import (
@@ -30,6 +29,7 @@ from repro.core.relevance import (
     memoized_relevance_plan,
 )
 from repro.core.session import Session, TempTablePair
+from repro.core.sources import SourceRegistry
 from repro.core.statistics import (
     DEFAULT_Z_THRESHOLD,
     RecencySplit,
@@ -121,7 +121,7 @@ class RecencyReport:
     ``degraded_sources`` carries the supervision layer's known outages
     (sources a :class:`~repro.grid.supervisor.SnifferSupervisor` quarantined)
     when the producing reporter was given a
-    :class:`~repro.core.health.SourceHealth` registry; empty otherwise.
+    :class:`~repro.core.sources.SourceRegistry`; empty otherwise.
     Unlike ``exceptional_sources`` — which the z-score *infers* from the
     Heartbeat data — degraded sources are positively known to be down, so
     a source can be degraded yet absent from the heartbeat-derived split
@@ -149,7 +149,8 @@ class RecencyReport:
         self.timings: Optional[ReportTimings] = None
         self.telemetry: Optional[object] = None
         self.degraded_sources: List[str] = []
-        self.slo_status: Optional[object] = None
+        #: ``{"target_p95", "budget", "breached"}`` when the registry has a target.
+        self.slo_status: Optional[Dict[str, object]] = None
         #: The user query's per-operator
         #: :class:`~repro.engine.profile.QueryProfile` when the producing
         #: reporter had telemetry enabled and the backend profiles queries
@@ -234,11 +235,11 @@ class RecencyReport:
                 f"degraded sources (worst row quality: {worst})"
             )
         slo = self.slo_status
-        if slo is not None and getattr(slo, "breached", None):
+        if slo is not None and slo["breached"]:
             lines.append(
                 "NOTICE: Staleness SLO breached "
-                f"(p95 lag target {slo.target_p95:g}s, budget {slo.budget:g}): "
-                f"{', '.join(slo.breached)}"
+                f"(p95 lag target {slo['target_p95']:g}s, budget {slo['budget']:g}): "
+                f"{', '.join(slo['breached'])}"
             )
         stats = self.statistics
         if stats.least_recent is not None and stats.most_recent is not None:
@@ -349,17 +350,14 @@ class RecencyReporter:
         references retires plan and resolution together. Capacity is that
         cache's; the value only has to be positive. ``0`` (default) plans
         on every call: the paper's Focused method as measured.
-    source_health:
-        An optional :class:`~repro.core.health.SourceHealth` registry (the
-        one the sniffer supervisors write into). When given, every report
-        carries the currently degraded sources and flags them in its
-        NOTICE lines — the deployment's known outages, cross-checkable
-        against the z-score's inferred exceptional sources.
-    slo:
-        An optional :class:`~repro.core.slo.StalenessSLO` tracker. When
-        given, every report carries its point-in-time
-        :class:`~repro.core.slo.SLOStatus` (``report.slo_status``) and a
-        breached SLO adds a NOTICE line.
+    sources:
+        An optional :class:`~repro.core.sources.SourceRegistry` (the one the
+        ingest path writes into). When given, every report carries the
+        currently degraded sources and flags them in its NOTICE lines — the
+        deployment's known outages, cross-checkable against the z-score's
+        inferred exceptional sources; a registry with a staleness target
+        also adds a NOTICE line naming the sources whose SLO is breached,
+        and its target is the half-life row quality decays by.
     telemetry:
         An explicit :class:`~repro.obs.Telemetry` for this reporter's spans
         and counters. ``None`` (default) follows the process-wide default,
@@ -391,11 +389,6 @@ class RecencyReporter:
         :mod:`repro.core.quality`). Strictly opt-in: the default path
         never touches the lineage machinery. Backends that cannot
         attribute rows (SQLite) degrade to ``row_provenance=None``.
-    quality_model:
-        The :class:`~repro.core.quality.QualityModel` scoring contributing
-        sources when ``lineage`` is on. ``None`` builds one from the
-        reporter's SLO tracker (half-life = the SLO's p95 target) or the
-        defaults.
     """
 
     def __init__(
@@ -408,13 +401,11 @@ class RecencyReporter:
         use_constraints: bool = True,
         plan_cache_size: int = 0,
         telemetry: Optional[object] = None,
-        source_health: Optional[SourceHealth] = None,
-        slo: Optional[object] = None,
+        sources: Optional[SourceRegistry] = None,
         slow_query_seconds: Optional[float] = None,
         incremental: Optional[object] = None,
         incremental_verify: bool = False,
         lineage: bool = False,
-        quality_model: Optional[QualityModel] = None,
     ) -> None:
         self.backend = backend
         self.z_threshold = z_threshold
@@ -424,13 +415,11 @@ class RecencyReporter:
         self.use_constraints = use_constraints
         self.plan_cache_size = plan_cache_size
         self.telemetry = telemetry
-        self.source_health = source_health
-        self.slo = slo
+        self.sources = sources
         self.slow_query_seconds = slow_query_seconds
         self.incremental = incremental
         self.incremental_verify = incremental_verify
         self.lineage = lineage
-        self.quality_model = quality_model
         #: Plans served from the memo (a statistic: reports running
         #: concurrently on one shared reporter may undercount it).
         self.plan_cache_hits = 0
@@ -544,20 +533,13 @@ class RecencyReporter:
 
     def _annotate(self, report: RecencyReport, sources: List[SourceRecency]) -> None:
         """The annotate stage: known outages, SLO standing, row quality."""
-        if self.source_health is not None:
-            report.degraded_sources = self.source_health.degraded_sources()
-        if self.slo is not None:
-            report.slo_status = self.slo.status()
+        registry = self.sources
+        if registry is not None:
+            report.degraded_sources, report.slo_status = registry.verdict()
         lineage = getattr(report.result, "lineage", None)
         if self.lineage and lineage is not None:
             report.row_provenance = [sorted(lin) for lin in lineage]
-            model = self.quality_model
-            if model is None:
-                model = (
-                    QualityModel.from_slo(self.slo)
-                    if self.slo is not None
-                    else QualityModel()
-                )
+            model = QualityModel(registry.half_life) if registry is not None else QualityModel()
             scores = model.score_sources(
                 sources,
                 exceptional={s.source_id for s in report.split.exceptional},

@@ -6,8 +6,10 @@ A checkpoint file ``checkpoint-<epoch>.json`` holds one JSON document::
 
 The ``state`` payload is produced by ``GridSimulator.durable_state()``:
 a consistent copy-on-write snapshot of every table plus sniffer offsets,
-heartbeats, :class:`~repro.core.health.SourceHealth`, SLO windows, the
-simulator RNG, and the scheduler/job bookkeeping needed to resume.
+heartbeats, the per-source records of the
+:class:`~repro.core.sources.SourceRegistry` (``health``, ``slo`` and the
+supervision counters in ``ingest``), the simulator RNG, and the
+scheduler/job bookkeeping needed to resume.
 
 Writes are crash-atomic: the document is written to a temp file, fsynced,
 ``os.rename``d into place, and the directory entry is fsynced.  A reader

@@ -29,9 +29,10 @@ supervisors exist) replays the journal into the bare backend and installs
 :class:`DurableLogFile` mirrors whose contents are truncated back to the
 checkpointed length — deterministic re-simulation regrows the tail
 identically, and the sniffers skip regenerated events below their
-recovered offsets.  Phase 2 (:meth:`finish_binding`, after supervisors
-marked every source HEALTHY) restores clocks/RNG/jobs, sniffer
-offsets/recency, SourceHealth, and SLO windows.
+recovered offsets.  Phase 2 (:meth:`finish_binding`, once the sniffers
+exist and the constructor drew their configs from the RNG) restores
+clocks/RNG/jobs, sniffer offsets/recency and the per-source records —
+whole, so a resumed ``/status`` row equals the one checkpointed.
 """
 
 from __future__ import annotations
@@ -289,9 +290,9 @@ class DurabilityManager:
         return tuple(events)
 
     def finish_binding(self, sim) -> bool:
-        """Phase 2 of binding: restore simulator + ingest + health state.
+        """Phase 2 of binding: restore simulator + ingest + per-source state.
 
-        Runs after supervisors exist.  Returns ``True`` when a checkpoint
+        Runs after the sniffers exist.  Returns ``True`` when a checkpoint
         was restored (the simulator must then skip topology/bootstrap).
         """
         for sniffer in sim.sniffers.values():
@@ -312,33 +313,18 @@ class DurabilityManager:
         for mid, sniffer in sim.sniffers.items():
             sniffer.offset = recovered.offsets.get(mid, sniffer.offset)
             if mid in recovered.recency:
-                sniffer.reported_recency = recovered.recency[mid]
+                sniffer.record.recency = recovered.recency[mid]
             if mid in recovered.last_loaded:
                 sniffer.last_loaded_timestamp = recovered.last_loaded[mid]
         if state is not None:
-            self._restore_health(sim, state.get("health"))
-            self._restore_slo(sim, state.get("slo"))
+            sim.sources.restore(state)
+            for sid in sim.sources.degraded():
+                if sid in sim.sniffers:  # a shared registry may know more
+                    # A degraded source stays dark after restart until an
+                    # operator (or test) revives it explicitly.
+                    sim.sniffers[sid].fail()
             self._last_checkpoint_now = sim.now
         return state is not None
-
-    def _restore_health(self, sim, saved: Optional[dict]) -> None:
-        if not saved or sim.health is None:
-            return
-        from repro.core.health import DEGRADED
-
-        for sid, entry in saved.items():
-            sim.health.mark(sid, entry["status"], entry.get("reason"), at=entry.get("since"))
-            if entry["status"] == DEGRADED and sid in sim.sniffers:
-                # A degraded source stays dark after restart until an
-                # operator (or test) revives it explicitly.
-                sim.sniffers[sid].fail()
-
-    def _restore_slo(self, sim, saved: Optional[dict]) -> None:
-        if not saved or sim.slo is None:
-            return
-        for sid, samples in saved.get("series", {}).items():
-            for t, lag in samples:
-                sim.slo.record(sid, float(t), float(lag))
 
     # -- journaling (sniffer hooks) ----------------------------------------
 

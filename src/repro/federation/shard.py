@@ -187,11 +187,7 @@ class ShardServer:
                 "recency": self.sim.reported_recency(),
             }
             if full:
-                doc["degraded"] = (
-                    self.sim.health.degraded_sources()
-                    if self.sim.health is not None
-                    else []
-                )
+                doc["degraded"] = self.sim.sources.degraded()
                 if self.durability is not None:
                     doc["acked"] = self.durability.acked()
                     doc["durability"] = self.durability.stats()
@@ -208,11 +204,7 @@ class ShardServer:
                     # One of several holders: guards and subqueries both
                     # run unconditionally (no short-circuit).
                     fragment = execute_fragment(snap, request)
-                degraded = (
-                    self.sim.health.degraded_sources()
-                    if self.sim.health is not None
-                    else []
-                )
+                degraded = self.sim.sources.degraded()
                 now = self.sim.now
         return dict(fragment, ok=True, shard_id=self.shard_id, now=now, degraded=degraded)
 

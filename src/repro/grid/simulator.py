@@ -20,13 +20,12 @@ from __future__ import annotations
 import math
 import random
 import time
-from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.backends.base import Backend
 from repro.backends.memory import MemoryBackend
 from repro.catalog import Catalog, Column, FiniteDomain, TableSchema, TextDomain, TimestampDomain
-from repro.core.health import SourceHealth
+from repro.core.sources import SourceRegistry
 from repro.errors import SimulationError
 from repro.faults.plan import FaultPlan
 from repro.grid.job import Job, JobState
@@ -231,16 +230,15 @@ class GridSimulator:
         Supervision knobs; implies supervised sniffers even without a
         fault plan (the supervisor then guards un-planned errors and runs
         the silent-source watchdog).
-    health:
-        A shared :class:`~repro.core.health.SourceHealth` registry; one is
-        created when supervision is active and none is given. Pass it to a
+    sources:
+        The :class:`~repro.core.sources.SourceRegistry` the ingest path
+        writes (``sim.sources``; one is created when none is given): every
+        sniffer and supervisor keeps its source's record there. Pass it to a
         :class:`~repro.core.report.RecencyReporter` to get degradation-aware
-        reports.
-    slo:
-        An optional :class:`~repro.core.slo.StalenessSLO`. When given, every
-        tick samples each sniffer's recency lag into the tracker (and into
-        the ``trac_source_lag_seconds`` histogram when telemetry is on),
-        and newly breached sources emit an ``slo.breach`` event.
+        reports. When it has a staleness target, every tick samples each
+        source's recency lag into its record (and into the
+        ``trac_source_lag_seconds`` histogram when telemetry is on), and a
+        newly breached source emits an ``slo.breach`` event.
     telemetry:
         Explicit telemetry override for the simulator's own samples;
         defaults to the process-wide one.
@@ -268,8 +266,7 @@ class GridSimulator:
         backend_factory: Optional[Callable[[Catalog], Backend]] = None,
         fault_plan: Optional[FaultPlan] = None,
         supervisor_policy: Optional[SupervisorPolicy] = None,
-        health: Optional[SourceHealth] = None,
-        slo: Optional[object] = None,
+        sources: Optional[SourceRegistry] = None,
         telemetry: Optional[object] = None,
         durability: Optional[object] = None,
         incremental: bool = False,
@@ -307,30 +304,28 @@ class GridSimulator:
             # backend and swaps each machine's log for a disk-mirrored one.
             durability.prepare_simulator(self)
 
+        self.sources = sources if sources is not None else SourceRegistry()
         self.sniffers: Dict[str, Sniffer] = {}
         for mid in self.machine_ids:
             sniffer_config = SnifferConfig(
                 poll_interval=self.rng.uniform(*self.config.sniffer_poll_interval_range),
                 lag=self.rng.uniform(*self.config.sniffer_lag_range),
             )
-            self.sniffers[mid] = Sniffer(self.machines[mid], self.backend, sniffer_config)
+            sniffer = Sniffer(self.machines[mid], self.backend, sniffer_config)
+            sniffer.record = self.sources.open(mid)
+            self.sniffers[mid] = sniffer
 
         self.fault_plan = fault_plan
         self.supervisors: Dict[str, SnifferSupervisor] = {}
-        self.health: Optional[SourceHealth] = health
-        self.slo = slo
         self.telemetry = telemetry
-        self._slo_breached: Set[str] = set()
         self._plan_silenced: Set[str] = set()
         if fault_plan is not None or supervisor_policy is not None:
-            if self.health is None:
-                self.health = SourceHealth()
             for mid in self.machine_ids:
                 self.supervisors[mid] = SnifferSupervisor(
                     self.sniffers[mid],
                     plan=fault_plan,
                     policy=supervisor_policy,
-                    health=self.health,
+                    sources=self.sources,
                     seed=self.config.seed,
                 )
         #: Each machine's poll turn, in machine order: its supervisor's
@@ -341,19 +336,16 @@ class GridSimulator:
         ]
 
         self._job_counter = 0
-        #: Recent per-source poll wall latencies in milliseconds (ring of
-        #: 32), feeding the dashboard's latency column. Ephemeral — not
-        #: part of durable state.
-        self._poll_ms: Dict[str, Deque[float]] = {}
         self._pending_starts: List[Tuple[float, str, str]] = []  # (time, machine, job)
         self._pending_completions: List[Tuple[float, str, str]] = []
         self._last_heartbeat: Dict[str, float] = {mid: 0.0 for mid in self.machine_ids}
         restored = False
         if durability is not None:
-            # Phase 2 runs after the supervisors exist (they mark every
-            # source HEALTHY on construction, which recovered health must
-            # override) and restores clocks, RNG, jobs, and sniffer
-            # offsets/recency from the recovered state.
+            # Phase 2 needs what the lines above built: it resets the RNG
+            # past the sniffer-config draws, sets each sniffer's offset and
+            # recency, and stops the sniffers of degraded sources. (The
+            # per-source records could be restored at any point — a
+            # supervisor keeps a status it finds — and ride along here.)
             restored = durability.finish_binding(self)
         if not restored:
             self._build_topology()
@@ -514,29 +506,23 @@ class GridSimulator:
             "pending_completions": [list(p) for p in self._pending_completions],
             "last_heartbeat": dict(self._last_heartbeat),
             "plan_silenced": sorted(self._plan_silenced),
-            "slo_breached": sorted(self._slo_breached),
+            "slo_breached": self.sources.breached(),
             "database": {"tables": tables, "heartbeats": heartbeats},
             "ingest": ingest,
-            "health": self.health.to_dict() if self.health is not None else None,
         }
-        if self.slo is not None:
-            state["slo"] = {
-                "target_p95": self.slo.target_p95,
-                "budget": self.slo.budget,
-                "window": self.slo.window,
-                "series": {
-                    mid: [list(sample) for sample in samples]
-                    for mid, samples in self.slo.lag_series().items()
-                },
-            }
+        # The per-source records, whole: ``health`` and ``slo`` blocks, and
+        # the supervision counters beside the sniffers' in ``ingest``.
+        records = self.sources.checkpoint()
+        ingest.update(records.pop("ingest"))
+        state.update(records)
         return state
 
     def restore_durable_state(self, state: dict) -> None:
         """Reset simulator bookkeeping to a checkpointed ``durable_state``.
 
         Restores clocks, RNG, machines, jobs, and pending queues — the
-        database and sniffer/health/SLO side is handled by the durability
-        manager, which also replays the WAL tail past this checkpoint.
+        database, the sniffers and the per-source records are handled by the
+        durability manager, which also replays the WAL tail past this checkpoint.
         """
         self.now = float(state["now"])
         self._job_counter = int(state["job_counter"])
@@ -581,7 +567,6 @@ class GridSimulator:
             mid: float(t) for mid, t in state["last_heartbeat"].items()
         }
         self._plan_silenced = set(state.get("plan_silenced", []))
-        self._slo_breached = set(state.get("slo_breached", []))
 
     # -- internals -----------------------------------------------------------
 
@@ -592,7 +577,7 @@ class GridSimulator:
         ``grid.poll_cycle`` span, and each sniffer turn that actually
         ingested events records its wall latency into the
         ``trac_poll_seconds`` histogram (trace-id exemplar attached) and
-        a short per-source series consumed by the dashboard.
+        the source's poll-latency ring, which the dashboard shows.
         """
         tel = obs.resolve(self.telemetry)
         now = self.now
@@ -611,60 +596,54 @@ class GridSimulator:
                     tel.observe(
                         obs.POLL_SECONDS, elapsed, trace_id=span.trace_id_hex, machine=mid
                     )
-                    self._poll_ms.setdefault(mid, deque(maxlen=32)).append(
-                        elapsed * 1000.0
-                    )
+                    self.sources.record_poll(mid, elapsed * 1000.0)
             span.set_attribute("polled", polled)
 
     def reported_recency(self) -> Dict[str, float]:
         """``{machine id: reported recency}`` of every sniffer that has
         reported (a source that never has is absent, not ``-inf``)."""
-        pairs = ((mid, sniffer.reported_recency) for mid, sniffer in self.sniffers.items())
+        pairs = ((mid, sniffer.record.recency) for mid, sniffer in self.sniffers.items())
         return {mid: recency for mid, recency in pairs if recency != float("-inf")}
 
     def status(self) -> dict:
         """The ``/status`` document (``trac simulate --serve`` / ``--top``)."""
-        rows = source_rows(
-            self.reported_recency(), self.now, self.health, self.slo,
-            self.supervisors, self.sniffers, self._poll_ms,
-        )
+        rows = source_rows(self.reported_recency(), self.now, self.sources)
+        for row in rows:
+            if row["id"] in self.sniffers:
+                row["backlog"] = self.sniffers[row["id"]].backlog
         doc: dict = {"now": self.now, "wall": time.time(), "sources": rows}
-        if self.slo is not None:
-            doc["slo"] = self.slo.status().to_dict()
+        if self.sources.target_p95 is not None:
+            doc["slo"] = self.sources.slo_status()
         if self.incremental is not None:
             doc["incremental"] = self.incremental.stats()
         return doc
 
     def _observe(self, now: float) -> None:
-        """Sample per-source recency lag into the SLO tracker + histogram."""
+        """Sample per-source recency lag into the records + histogram."""
         tel = obs.resolve(self.telemetry)
-        if self.slo is None and not tel.enabled:
+        sources = self.sources
+        tracked = sources.target_p95 is not None
+        if not tracked and not tel.enabled:
             return
         for mid, reported in self.reported_recency().items():
             lag = max(0.0, now - reported)
-            if self.slo is not None:
-                self.slo.record(mid, now, lag)
             if tel.enabled:
                 tel.observe(obs.SOURCE_LAG, lag, source=mid)
-        if self.slo is not None:
-            breached = set(self.slo.breached_sources())
-            if tel.enabled:
-                for mid in sorted(breached | self._slo_breached):
-                    status = self.slo.status_of(mid)
-                    if status is not None:
-                        tel.set(obs.SLO_BURN, status.burn, source=mid)
-                for mid in sorted(breached - self._slo_breached):
-                    status = self.slo.status_of(mid)
+            if not tracked:
+                continue
+            was_breached, burn = sources.record_lag(mid, now, lag)
+            if tel.enabled and (was_breached or burn >= 1.0):
+                tel.set(obs.SLO_BURN, burn, source=mid)
+                if not was_breached:
                     tel.emit(
                         EVT_SLO_BREACH,
                         t=now,
                         source=mid,
                         severity="error",
-                        burn=status.burn if status is not None else None,
-                        p95=status.p95 if status is not None else None,
-                        target=self.slo.target_p95,
+                        burn=burn,
+                        p95=sources.standing_of(mid)["p95"],
+                        target=sources.target_p95,
                     )
-            self._slo_breached = breached
 
     def _apply_plan_silences(self) -> None:
         """Start/stop plan-scripted silences (the machine stops logging)."""

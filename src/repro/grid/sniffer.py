@@ -19,6 +19,7 @@ import math
 from typing import Optional
 
 from repro.backends.base import Backend
+from repro.core.sources import SourceState
 from repro.errors import SimulationError
 from repro.grid.events import EventKind, LogEvent
 from repro.grid.machine import Machine
@@ -165,8 +166,9 @@ class Sniffer:
         self.last_loaded_timestamp: Optional[float] = None
         self.failed = False
         self.records_loaded = 0
-        #: The newest recency the database acknowledged (``-inf``: none yet).
-        self.reported_recency = float("-inf")
+        #: This source's record (``record.recency``: the newest recency the database
+        #: acknowledged); private until its runner points it at a registry's.
+        self.record = SourceState(machine.machine_id)
         #: Optional durability sink (a ``DurabilityManager``): applied
         #: batches and acknowledged heartbeats are journaled through it
         #: *before* they touch the backend, so recovery can replay them.
@@ -231,11 +233,11 @@ class Sniffer:
             # whose heartbeat upsert failed mid-poll: publication retries on
             # every poll until the database acknowledges it.
             recency = self.last_loaded_timestamp
-        if recency is not None and recency > self.reported_recency:
+        if recency is not None and recency > self.record.recency:
             if self.journal is not None:
                 self.journal.journal_heartbeat(self.machine.machine_id, recency, now)
             self.backend.upsert_heartbeat(self.machine.machine_id, recency)
-            self.reported_recency = recency
+            self.record.recency = recency
         return len(events)
 
     # -- failure injection --------------------------------------------------------

@@ -23,7 +23,7 @@ ladder:
 4. **Degradation, not death** — a permanent fault, an exhausted restart
    budget, or a silent source (no progress for ``silence_timeout``) marks
    the source *degraded* in the shared
-   :class:`~repro.core.health.SourceHealth` registry and stops its sniffer.
+   :class:`~repro.core.sources.SourceRegistry` and stops its sniffer.
    The simulation keeps running; the recency report gains a known-outage
    annotation instead of a mystery gap.
 
@@ -31,16 +31,22 @@ Silence detection is only sound under the default ``last_event`` recency
 protocol: under ``"horizon"`` a dead machine's recency keeps advancing —
 precisely the risk Section 3.1's heartbeat discussion warns about — so the
 watchdog sees "progress" and cannot fire.
+
+What the ladder *knows* about its source — status, reason, retry and
+restart counts, last error, breaker state — it writes to and reads from the
+source's record in the registry, so a resumed supervisor continues from
+the checkpointed record (a spent restart budget stays spent). Only
+mechanism state is its own: breaker, backoff schedule, silence watchdog.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.core.breaker import CircuitBreaker, backoff_delay
-from repro.core.health import BACKING_OFF, DEGRADED, HEALTHY, RESTARTING, SourceHealth
+from repro.core.sources import BACKING_OFF, DEGRADED, HEALTHY, RESTARTING, SourceRegistry
 from repro.errors import SimulationError
 from repro.faults.backend import FaultyBackend
 from repro.faults.log import FaultyLog
@@ -144,9 +150,9 @@ class SnifferSupervisor:
         any :class:`SimulationError` a poll raises).
     policy:
         The :class:`SupervisorPolicy`; defaults apply otherwise.
-    health:
-        Shared :class:`~repro.core.health.SourceHealth` registry; a private
-        one is created when omitted.
+    sources:
+        Shared :class:`~repro.core.sources.SourceRegistry`; a private one is
+        created when omitted. The sniffer is pointed at its record there.
     seed:
         Jitter RNG seed; combined with the machine id so supervisor fleets
         are deterministic yet decorrelated.
@@ -159,7 +165,7 @@ class SnifferSupervisor:
         sniffer: Sniffer,
         plan: Optional["FaultPlan"] = None,
         policy: Optional[SupervisorPolicy] = None,
-        health: Optional[SourceHealth] = None,
+        sources: Optional[SourceRegistry] = None,
         seed: int = 0,
         telemetry: Optional[object] = None,
     ) -> None:
@@ -167,16 +173,14 @@ class SnifferSupervisor:
         self.machine_id = sniffer.machine.machine_id
         self.plan = plan
         self.policy = policy or SupervisorPolicy()
-        self.health = health if health is not None else SourceHealth()
+        self.sources = sources if sources is not None else SourceRegistry()
+        #: The source's live record: written through ``self.sources``.
+        self.record = sniffer.record = self.sources.open(self.machine_id)
         self.telemetry = telemetry
         self.rng = random.Random(_stable_seed(seed, self.machine_id))
         self.breaker = CircuitBreaker(self.policy.breaker_threshold, self.policy.breaker_reset)
 
         self.consecutive_failures = 0
-        self.retries_total = 0
-        self.restarts = 0
-        self.last_error: Optional[str] = None
-        self.degraded_reason: Optional[str] = None
         self._pending_attempt = False
         self._next_attempt = float("-inf")
         self._last_progress: Optional[float] = None
@@ -188,15 +192,19 @@ class SnifferSupervisor:
             sniffer.backend = self._faulty_backend
             self._faulty_log = FaultyLog(sniffer.machine.log, plan, self.machine_id)
             sniffer.machine.log = self._faulty_log  # type: ignore[assignment]
-        self.health.mark(self.machine_id, HEALTHY)
+        # The breaker column is the rebuilt breaker's real state, never a
+        # remembered one; a status restored from a checkpoint is kept.
+        self.sources.update(self.machine_id, breaker=self.breaker.state)
+        if self.record.status is None:
+            self.sources.mark(self.machine_id, HEALTHY)
 
     @property
     def degraded(self) -> bool:
-        return self.health.is_degraded(self.machine_id)
+        return self.state == DEGRADED
 
     @property
     def state(self) -> str:
-        return self.health.status_of(self.machine_id) or HEALTHY
+        return self.sources.status_of(self.machine_id)
 
     # -- the tick -----------------------------------------------------------
 
@@ -246,7 +254,7 @@ class SnifferSupervisor:
         if self._faulty_log is not None:
             self._faulty_log.now = now
 
-        previous_recency = self.sniffer.reported_recency
+        previous_recency = self.record.recency
         # The span covers the poll *and* its outcome handling, so retry /
         # restart / breaker events emitted there correlate to this span.
         with obs.PhaseTimer(obs.resolve(self.telemetry), "sniffer.poll", machine=self.machine_id):
@@ -269,13 +277,14 @@ class SnifferSupervisor:
             self._record_breaker(CircuitBreaker.CLOSED, now)
         self.consecutive_failures = 0
         self._pending_attempt = False
-        if applied > 0 or self.sniffer.reported_recency > previous_recency:
+        if applied > 0 or self.record.recency > previous_recency:
             self._last_progress = now
         if self.state != HEALTHY:
-            self.health.mark(self.machine_id, HEALTHY, at=now)
+            self.sources.mark(self.machine_id, HEALTHY, at=now)
 
     def _on_failure(self, now: float, error: SimulationError) -> None:
-        self.last_error = str(error)
+        last_error = str(error)
+        self.sources.update(self.machine_id, last_error=last_error)
         prior_state = self.breaker.state
         self.breaker.record_failure(now)
         if self.breaker.state == CircuitBreaker.OPEN and prior_state != CircuitBreaker.OPEN:
@@ -289,7 +298,7 @@ class SnifferSupervisor:
             self._restart(now)
             return
 
-        self.retries_total += 1
+        self.sources.update(self.machine_id, retries=self.record.retries + 1)
         tel = obs.resolve(self.telemetry)
         if tel.enabled:
             tel.count(obs.SNIFFER_RETRIES, machine=self.machine_id)
@@ -298,23 +307,24 @@ class SnifferSupervisor:
                 t=now,
                 source=self.machine_id,
                 severity="warning",
-                error=self.last_error,
+                error=last_error,
                 attempt=self.consecutive_failures,
             )
         self._pending_attempt = True
         self._next_attempt = now + self._backoff(self.consecutive_failures)
-        self.health.mark(self.machine_id, BACKING_OFF, reason=self.last_error, at=now)
+        self.sources.mark(self.machine_id, BACKING_OFF, reason=last_error, at=now)
 
     def _restart(self, now: float) -> None:
         """Treat the sniffer as crashed; restart it if budget remains."""
-        if self.restarts >= self.policy.max_restarts:
+        record = self.record
+        if record.restarts >= self.policy.max_restarts:
             self._degrade(
                 now,
                 f"restart budget exhausted ({self.policy.max_restarts}) "
-                f"after: {self.last_error}",
+                f"after: {record.last_error}",
             )
             return
-        self.restarts += 1
+        self.sources.update(self.machine_id, restarts=record.restarts + 1)
         tel = obs.resolve(self.telemetry)
         if tel.enabled:
             tel.count(obs.SNIFFER_RESTARTS, machine=self.machine_id)
@@ -323,25 +333,24 @@ class SnifferSupervisor:
                 t=now,
                 source=self.machine_id,
                 severity="warning",
-                restart=self.restarts,
-                error=self.last_error,
+                restart=record.restarts,
+                error=record.last_error,
             )
         # The restart resumes from the durable offset: no records are lost.
         self.sniffer.recover()
         self.consecutive_failures = 0
         self._pending_attempt = True
-        self._next_attempt = now + self._backoff(self.restarts + 1)
-        self.health.mark(
-            self.machine_id, RESTARTING, reason=f"restart #{self.restarts}", at=now
+        self._next_attempt = now + self._backoff(record.restarts + 1)
+        self.sources.mark(
+            self.machine_id, RESTARTING, reason=f"restart #{record.restarts}", at=now
         )
 
     def _degrade(self, now: float, reason: str) -> None:
-        self.degraded_reason = reason
         self.sniffer.fail()
-        self.health.mark(self.machine_id, DEGRADED, reason=reason, at=now)
+        self.sources.mark(self.machine_id, DEGRADED, reason=reason, at=now)
         tel = obs.resolve(self.telemetry)
         if tel.enabled:
-            tel.set(obs.SOURCES_DEGRADED, len(self.health.degraded_sources()))
+            tel.set(obs.SOURCES_DEGRADED, len(self.sources.degraded()))
             tel.emit(
                 EVT_SOURCE_DEGRADED,
                 t=now,
@@ -358,6 +367,7 @@ class SnifferSupervisor:
         )
 
     def _record_breaker(self, state: str, now: Optional[float] = None) -> None:
+        self.sources.update(self.machine_id, breaker=state)
         tel = obs.resolve(self.telemetry)
         if tel.enabled:
             tel.count(obs.BREAKER_TRANSITIONS, machine=self.machine_id, state=state)
@@ -369,25 +379,8 @@ class SnifferSupervisor:
                 state=state,
             )
 
-    # -- reporting ------------------------------------------------------------
-
-    def stats(self) -> Dict[str, object]:
-        """A summary dict for CLI / test display."""
-        return {
-            "machine": self.machine_id,
-            "state": self.state,
-            "retries": self.retries_total,
-            "restarts": self.restarts,
-            "breaker": self.breaker.state,
-            "consecutive_failures": self.consecutive_failures,
-            "last_error": self.last_error,
-            "degraded_reason": self.degraded_reason,
-            "records_loaded": self.sniffer.records_loaded,
-            "backlog": self.sniffer.backlog,
-        }
-
     def __repr__(self) -> str:
         return (
             f"SnifferSupervisor({self.machine_id!r}, {self.state}, "
-            f"retries={self.retries_total}, restarts={self.restarts})"
+            f"retries={self.record.retries}, restarts={self.record.restarts})"
         )

@@ -12,8 +12,10 @@ out-of-process (``trac top --url`` fetching over HTTP via
 
 **Status rows.** :func:`source_rows` is the only producer of the
 document's ``sources``: a deployment supplies where recency comes from and
-its clock, and ``z`` / ``state`` / ``quality`` are the report's own z-score
-split and quality model — the page says what a report would.
+its clock, ``z`` / ``state`` / ``quality`` are the report's own z-score
+split and quality model — the page says what a report would — and every
+other column is read from the source's record in the deployment's
+:class:`~repro.core.sources.SourceRegistry`, when it has one.
 
 The renderer is a pure function of the status document (easy to test,
 no terminal required); :func:`run_top` adds the poll/clear/redraw loop.
@@ -26,8 +28,8 @@ import sys
 import time
 from typing import Callable, Collection, List, Mapping, Optional, Sequence
 
-from repro.core.health import DEGRADED
 from repro.core.quality import QualityModel
+from repro.core.sources import DEGRADED
 from repro.core.statistics import SourceRecency, format_interval, zscore_split
 from repro.errors import TracError
 from repro.obs.export import aligned
@@ -70,11 +72,7 @@ def sparkline(values: Sequence[float], width: int = 16) -> str:
 def source_rows(
     recency: Mapping[str, float],
     now: float,
-    health=None,
-    slo=None,
-    supervisors: Optional[Mapping[str, object]] = None,
-    sniffers: Optional[Mapping[str, object]] = None,
-    poll_ms: Optional[Mapping[str, Sequence[float]]] = None,
+    sources=None,
     unknown: Collection[str] = (),
 ) -> List[dict]:
     """The ``sources`` rows of a ``/status`` document, whatever the deployment.
@@ -83,43 +81,45 @@ def source_rows(
     is the deployment's clock (the newest heartbeat where it has none).
     ``z`` comes from the report's own ``zscore_split`` (positive is staler)
     and ``quality`` from its ``QualityModel.score_sources`` at ``now``.
-    ``state`` is the ``health`` registry's status when it knows the source
-    (the row then carries the entry as ``health``), else ``exceptional`` /
-    ``healthy`` from the split, or ``unknown`` for the ids in ``unknown`` (a
-    dead shard's). ``slo``, ``supervisors``, ``sniffers`` (backlog) and
-    ``poll_ms`` (latency series) each add their columns when passed.
+    ``sources`` is the deployment's registry, read once: ``state`` is the
+    record's status when a supervisor ever marked the source (the row then
+    carries the entry as ``health``), else ``exceptional`` / ``healthy`` from
+    the split, or ``unknown`` for the ids in ``unknown`` (a dead shard's).
+    A record adds the columns it has something to say in: its SLO standing
+    once lag was sampled, its supervisor's counters once supervised, its
+    poll-latency ring.
     """
-    known = health.snapshot() if health is not None else {}
+    known = sources.snapshot() if sources is not None else {}
     reported = [SourceRecency(sid, rec) for sid, rec in sorted(recency.items())]
     split = zscore_split(reported)
     outliers = {s.source_id for s in split.exceptional}
-    degraded = {sid for sid, entry in known.items() if entry.status == DEGRADED}
-    scores = QualityModel.from_slo(slo).score_sources(reported, outliers, degraded, now=now)
+    degraded = {sid for sid, record in known.items() if record.status == DEGRADED}
+    model = QualityModel(sources.half_life) if sources is not None else QualityModel()
+    scores = model.score_sources(reported, outliers, degraded, now=now)
     rows: List[dict] = []
-    for sid in sorted(set(recency).union(known, supervisors or (), sniffers or ())):
-        entry, score, rec = known.get(sid), scores.get(sid), recency.get(sid)
+    for sid in sorted(set(recency).union(known)):
+        record, score, rec = known.get(sid), scores.get(sid), recency.get(sid)
         verdict = "unknown" if sid in unknown else "exceptional" if sid in outliers else "healthy"
         row = {
             "id": sid,
-            "state": entry.status if entry is not None else verdict,
+            "state": verdict,
             "recency": rec,
             "age": score.staleness if score is not None else None,
             "z": (split.mean - rec) / split.stddev if rec is not None and split.stddev else 0.0,
             "quality": score.quality if score is not None else None,
         }
-        if entry is not None:
-            row["health"] = entry.to_dict()
-        standing = slo.status_of(sid) if slo is not None else None
-        if standing is not None:
-            row.update(lag=standing.latest, lag_p95=standing.p95, burn=standing.burn)
-            row["lag_series"] = [lag for _, lag in slo.series(sid)]
-        if supervisors and sid in supervisors:
-            stats = supervisors[sid].stats()
-            row.update({key: stats[key] for key in ("retries", "restarts", "breaker")})
-        if sniffers and sid in sniffers:
-            row["backlog"] = sniffers[sid].backlog
-        if poll_ms is not None:
-            row["poll_ms_series"] = list(poll_ms.get(sid, ()))
+        if record is not None:
+            if record.status is not None:
+                row.update(state=record.status, health=record.health())
+            if record.lags:
+                standing = sources.standing(record)
+                row.update(lag=standing["latest"], lag_p95=standing["p95"], burn=standing["burn"])
+                row["lag_series"] = [lag for _, lag in record.lags]
+            if record.breaker is not None:
+                row.update(
+                    retries=record.retries, restarts=record.restarts, breaker=record.breaker
+                )
+            row["poll_ms_series"] = list(record.poll_ms)
         rows.append(row)
     return rows
 

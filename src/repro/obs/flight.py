@@ -18,9 +18,9 @@ an investigation needs into one timestamped JSON file:
 * recent row-provenance records with their quality summaries, when the
   reporter runs with lineage enabled (so a slow dump also answers *which
   sources fed the answer and how stale were they*);
-* the health registry's view of each source, when wired;
-* the SLO tracker's status and each source's retained lag series, when
-  wired.
+* the source registry's health entry for each marked source, when wired;
+* its SLO status and each source's retained lag series, when it has a
+  staleness target.
 
 Dumps are rate-limited by a wall-clock ``cooldown`` (one degraded source
 can emit many triggers in a burst), guarded against re-entrancy (the
@@ -70,9 +70,8 @@ class FlightRecorder:
         :meth:`dump` calls ignore it).
     max_events / max_spans:
         Retention caps for the dumped context.
-    slo / health:
-        Optional :class:`~repro.core.slo.StalenessSLO` and
-        :class:`~repro.core.health.SourceHealth` to embed.
+    sources:
+        Optional :class:`~repro.core.sources.SourceRegistry` to embed.
     clock:
         Wall-clock callable, injectable for tests (default
         :func:`time.time`).
@@ -85,8 +84,7 @@ class FlightRecorder:
         cooldown: float = DEFAULT_COOLDOWN,
         max_events: int = 256,
         max_spans: int = 256,
-        slo=None,
-        health=None,
+        sources=None,
         clock: Optional[Callable[[], float]] = None,
     ) -> None:
         self.telemetry = telemetry
@@ -94,8 +92,7 @@ class FlightRecorder:
         self.cooldown = cooldown
         self.max_events = max_events
         self.max_spans = max_spans
-        self.slo = slo
-        self.health = health
+        self.sources = sources
         self._clock = clock or time.time
         self._lock = threading.Lock()
         self._last_dump_wall: Optional[float] = None
@@ -193,14 +190,12 @@ class FlightRecorder:
         # tree AND the per-operator profile of the offending query.
         if trigger is not None and trigger.trace_id:
             payload["trigger_trace_id"] = trigger.trace_id
-        if self.health is not None:
-            payload["health"] = self.health.to_dict()
-        if self.slo is not None:
-            payload["slo"] = self.slo.status().to_dict()
-            payload["lag_series"] = {
-                source: [[t, lag] for t, lag in series]
-                for source, series in self.slo.lag_series().items()
-            }
+        sources = self.sources
+        if sources is not None:
+            payload["health"] = sources.health()
+            if sources.target_p95 is not None:
+                payload["slo"] = sources.slo_status()
+                payload["lag_series"] = sources.lag_series()  # (t, lag) pairs
         return payload
 
     def __repr__(self) -> str:

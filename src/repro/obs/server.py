@@ -460,7 +460,7 @@ class ObservatoryServer:
 
     def healthz(self) -> dict:
         """The ``/healthz`` document, a projection of the ``/status`` source
-        rows: the health registry's entries and the supervisors' breakers."""
+        rows: the source registry's health entries and breaker states."""
         wired = self.status_provider is not None
         rows = self.status_provider().get("sources", ()) if wired else ()
         snapshot = {row["id"]: row["health"] for row in rows if "health" in row}

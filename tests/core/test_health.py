@@ -1,19 +1,19 @@
-"""SourceHealth registry semantics, and how degradation flows into
+"""The source registry's health view, and how degradation flows into
 recency reports and watch rules."""
 
 import pytest
 
-from repro.core.health import (
+from repro.core.monitor import RecencyMonitor, WatchRule, rules_from_json
+from repro.core.report import RecencyReporter
+from repro.core.sources import (
     BACKING_OFF,
     DEGRADED,
     HEALTHY,
     RESTARTING,
     STATUSES,
-    SourceHealth,
-    SourceStatus,
+    SourceRegistry,
+    SourceState,
 )
-from repro.core.monitor import RecencyMonitor, WatchRule, rules_from_json
-from repro.core.report import RecencyReporter
 from repro.errors import TracError
 
 IDLE = "SELECT mach_id FROM activity WHERE value = 'idle'"
@@ -21,40 +21,37 @@ IDLE = "SELECT mach_id FROM activity WHERE value = 'idle'"
 
 class TestRegistry:
     def test_empty(self):
-        health = SourceHealth()
-        assert len(health) == 0
+        health = SourceRegistry()
+        assert health.snapshot() == {} and health.health() == {}
         assert health.status_of("m1") is None
-        assert health.entry_of("m1") is None
-        assert not health.is_degraded("m1")
-        assert health.degraded_sources() == []
+        assert health.degraded() == []
+        assert health.verdict() == ([], None)
 
     def test_mark_overwrites(self):
-        health = SourceHealth()
+        health = SourceRegistry()
         health.mark("m1", HEALTHY, at=0.0)
         health.mark("m1", BACKING_OFF, reason="poll error", at=5.0)
-        entry = health.entry_of("m1")
-        assert entry.status == BACKING_OFF
-        assert entry.reason == "poll error"
-        assert entry.since == 5.0
-        assert len(health) == 1
+        assert health.health() == {
+            "m1": {"source": "m1", "status": BACKING_OFF, "reason": "poll error", "since": 5.0}
+        }
 
     def test_unknown_status_rejected(self):
-        health = SourceHealth()
+        health = SourceRegistry()
         with pytest.raises(ValueError):
             health.mark("m1", "on-fire")
         assert set(STATUSES) == {HEALTHY, BACKING_OFF, RESTARTING, DEGRADED}
 
     def test_degraded_sources_sorted(self):
-        health = SourceHealth()
+        health = SourceRegistry()
         health.mark("m9", DEGRADED)
         health.mark("m2", DEGRADED)
         health.mark("m5", HEALTHY)
-        assert health.degraded_sources() == ["m2", "m9"]
-        assert health.is_degraded("m9")
-        assert not health.is_degraded("m5")
+        assert health.degraded() == ["m2", "m9"]
+        health.mark("m9", HEALTHY)
+        assert health.degraded() == ["m2"]
 
     def test_snapshot_is_a_copy(self):
-        health = SourceHealth()
+        health = SourceRegistry()
         health.mark("m1", DEGRADED)
         snap = health.snapshot()
         health.mark("m1", HEALTHY)
@@ -62,16 +59,18 @@ class TestRegistry:
         assert health.status_of("m1") == HEALTHY
 
     def test_status_repr_mentions_reason(self):
-        status = SourceStatus("m1", DEGRADED, reason="gave up")
-        assert "gave up" in repr(status)
+        health = SourceRegistry()
+        health.mark("m1", DEGRADED, reason="gave up")
+        assert "gave up" in repr(health.open("m1"))
+        assert SourceState("m2").health() is None  # never marked: no entry
 
 
 class TestReportIntegration:
     def test_degraded_sources_annotate_the_report(self, paper_memory_backend):
-        health = SourceHealth()
+        health = SourceRegistry()
         health.mark("m3", DEGRADED, reason="restart budget exhausted")
         reporter = RecencyReporter(
-            paper_memory_backend, create_temp_tables=False, source_health=health
+            paper_memory_backend, create_temp_tables=False, sources=health
         )
         report = reporter.report(IDLE, method="naive")
         assert report.degraded_sources == ["m3"]
@@ -91,10 +90,10 @@ class TestReportIntegration:
     def test_degraded_need_not_be_exceptional(self, paper_memory_backend):
         """Degradation is supervisor knowledge: it can flag a source whose
         heartbeat still looks statistically normal."""
-        health = SourceHealth()
+        health = SourceRegistry()
         health.mark("m1", DEGRADED, reason="permanent fault")
         reporter = RecencyReporter(
-            paper_memory_backend, create_temp_tables=False, source_health=health
+            paper_memory_backend, create_temp_tables=False, sources=health
         )
         report = reporter.report(IDLE, method="naive")
         assert "m1" not in {s.source_id for s in report.split.exceptional}
@@ -103,10 +102,10 @@ class TestReportIntegration:
 
 class TestMonitorIntegration:
     def test_forbid_degraded_trips(self, paper_memory_backend):
-        health = SourceHealth()
+        health = SourceRegistry()
         health.mark("m3", DEGRADED, reason="silent source")
         monitor = RecencyMonitor(
-            paper_memory_backend, clock=lambda: 0.0, source_health=health
+            paper_memory_backend, clock=lambda: 0.0, sources=health
         )
         monitor.add_rule(WatchRule("quarantine", IDLE, forbid_degraded=True))
         alerts = monitor.check()
@@ -114,10 +113,10 @@ class TestMonitorIntegration:
         assert "m3" in alerts[0].message
 
     def test_forbid_degraded_quiet_when_healthy(self, paper_memory_backend):
-        health = SourceHealth()
+        health = SourceRegistry()
         health.mark("m3", HEALTHY)
         monitor = RecencyMonitor(
-            paper_memory_backend, clock=lambda: 0.0, source_health=health
+            paper_memory_backend, clock=lambda: 0.0, sources=health
         )
         monitor.add_rule(WatchRule("quarantine", IDLE, forbid_degraded=True))
         assert monitor.check() == []

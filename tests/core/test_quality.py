@@ -13,7 +13,7 @@ from repro.core.quality import (
     QualityModel,
     QualitySummary,
 )
-from repro.core.slo import StalenessSLO
+from repro.core.sources import SourceRegistry
 from repro.core.statistics import SourceRecency
 
 
@@ -40,9 +40,9 @@ class TestFreshness:
         with pytest.raises(ValueError):
             QualityModel(half_life=0.0)
 
-    def test_from_slo_uses_p95_target(self):
-        slo = StalenessSLO(target_p95=42.0)
-        assert QualityModel.from_slo(slo).half_life == 42.0
+    def test_half_life_is_the_registrys_target(self):
+        assert SourceRegistry(target_p95=42.0).half_life == 42.0
+        assert SourceRegistry().half_life == QualityModel().half_life == 60.0
 
 
 class TestScoreSources:

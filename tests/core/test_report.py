@@ -277,3 +277,46 @@ class TestPlanningKnobs:
         unpruned = RecencyReporter(paper_backend, check_satisfiability=False)
         assert unpruned.report(self.UNSAT).relevant_source_ids == {"m1"}
         assert RecencyReporter(paper_backend).report(self.UNSAT).relevant_source_ids == set()
+
+
+class TestSLOAnnotation:
+    """A registry-wired reporter's SLO annotation: a lookup, and a NOTICE."""
+
+    def registry(self, burning=()):
+        from repro.core.sources import SourceRegistry
+
+        registry = SourceRegistry(target_p95=30.0, budget=0.1, window=16)
+        for t in range(16):
+            for sid in ("m1", "m2", "m3"):
+                registry.record_lag(sid, float(t), 99.0 if sid in burning and t % 4 == 0 else 1.0)
+        return registry
+
+    def test_a_breached_source_adds_the_notice(self, paper_memory_backend):
+        reporter = RecencyReporter(paper_memory_backend, sources=self.registry(burning={"m2"}))
+        report = reporter.report(IDLE_QUERY)
+        notice = "NOTICE: Staleness SLO breached (p95 lag target 30s, budget 0.1): m2"
+        assert notice in report.notices()
+        assert notice in report.to_dict()["notices"]
+        assert report.slo_status == {"target_p95": 30.0, "budget": 0.1, "breached": ["m2"]}
+
+    def test_no_notice_when_nothing_is_breached(self, paper_memory_backend):
+        reporter = RecencyReporter(paper_memory_backend, sources=self.registry())
+        report = reporter.report(IDLE_QUERY)
+        assert report.slo_status["breached"] == []
+        assert not any("SLO" in line for line in report.notices())
+        plain = RecencyReporter(paper_memory_backend).report(IDLE_QUERY)
+        assert plain.slo_status is None and plain.notices() == report.notices()
+
+    def test_annotating_a_report_sorts_no_lag_window(self, paper_memory_backend, monkeypatch):
+        """The per-report cost is O(sources) over running counts; percentiles
+        are for ``/status`` and the flight recorder."""
+        from repro.core import sources
+
+        registry = self.registry(burning={"m2"})
+        reporter = RecencyReporter(paper_memory_backend, sources=registry, lineage=True)
+        calls = []
+        monkeypatch.setattr(sources, "percentile", lambda *args: calls.append(args) or 0.0)
+        assert reporter.report(IDLE_QUERY).slo_status["breached"] == ["m2"]
+        assert calls == []
+        registry.slo_status()  # the patch is live: the full evaluation does sort
+        assert len(calls) == 3

@@ -123,6 +123,43 @@ class TestCrashResume:
         third.close(sim3.now)
         assert database_state(sim3.backend, sim3.catalog) == oracle_state(180.0)
 
+    def test_a_checkpoint_written_before_the_counters_rode_along_still_resumes(self, tmp_path):
+        """A ``trac-checkpoint-v1`` state as PR 21 and earlier wrote it: no
+        ``retries`` / ``restarts`` / ``last_error`` under ``ingest``. The
+        health and SLO blocks restore as ever; the absent counters read 0 / None."""
+        from repro.core.sources import SourceRegistry
+        from repro.durable.checkpoint import latest_valid_checkpoint, write_checkpoint
+        from repro.grid.supervisor import SupervisorPolicy
+
+        def supervised(resume):
+            return GridSimulator(
+                SimulationConfig(num_machines=MACHINES, seed=SEED),
+                fault_plan=FaultPlan(seed=1).poll_error("m2", probability=0.5),
+                supervisor_policy=SupervisorPolicy(),
+                sources=SourceRegistry(target_p95=20.0),
+                durability=make_manager(tmp_path, resume=resume),
+            )
+
+        sim = supervised(resume=False)
+        sim.run(60.0)
+        assert sim.sources.open("m2").retries > 0
+        sim.durability.close(sim.now)
+        epoch, state, _ = latest_valid_checkpoint(str(tmp_path))
+        for key in ("retries", "restarts", "last_error"):
+            assert state["ingest"].pop(key) is not None
+        assert set(state["ingest"]) == {
+            "offsets", "last_poll", "recency", "last_loaded", "records_loaded"
+        }
+        write_checkpoint(str(tmp_path), epoch, state)
+
+        resumed = supervised(resume=True)
+        assert resumed.now == sim.now
+        assert resumed.sources.health() == sim.sources.health() == state["health"]
+        assert resumed.sources.lag_series() == sim.sources.lag_series()
+        record = resumed.sources.open("m2")
+        assert (record.retries, record.restarts, record.last_error) == (0, 0, None)
+        resumed.durability.close(resumed.now, final_checkpoint=False)
+
     def test_machine_set_mismatch_refuses_resume(self, tmp_path):
         manager = make_manager(tmp_path)
         sim = make_sim(durability=manager)

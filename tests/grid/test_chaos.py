@@ -42,7 +42,7 @@ def run_chaos():
     )
     sim.run(500.0)
     reporter = RecencyReporter(
-        sim.backend, create_temp_tables=False, source_health=sim.health
+        sim.backend, create_temp_tables=False, sources=sim.sources
     )
     try:
         report = reporter.report(IDLE_SQL, method="naive")
@@ -68,9 +68,9 @@ class TestChaosAcceptance:
         assert not healthy & suspect, f"healthy sources flagged: {healthy & suspect}"
 
         # The silenced sources were caught by the watchdog, not by luck.
-        assert set(sim.health.degraded_sources()) == silenced
+        assert set(sim.sources.degraded()) == silenced
         for mid in silenced:
-            assert "silent source" in sim.supervisors[mid].degraded_reason
+            assert "silent source" in sim.supervisors[mid].record.reason
         assert not sim.supervisors["m2"].degraded
         assert sim.fault_plan.injected.get("poll_error", 0) > 0
 
@@ -84,16 +84,16 @@ class TestChaosAcceptance:
             runs.append(
                 {
                     "suspect": frozenset(report.suspect_sources),
-                    "degraded": tuple(sim.health.degraded_sources()),
+                    "degraded": tuple(sim.sources.degraded()),
                     "injected": dict(sim.fault_plan.injected),
                     "heartbeats": {
                         mid: sim.backend.heartbeat_of(mid) for mid in sim.machine_ids
                     },
                     "retries": {
-                        mid: sup.retries_total for mid, sup in sim.supervisors.items()
+                        mid: sup.record.retries for mid, sup in sim.supervisors.items()
                     },
                     "restarts": {
-                        mid: sup.restarts for mid, sup in sim.supervisors.items()
+                        mid: sup.record.restarts for mid, sup in sim.supervisors.items()
                     },
                 }
             )
@@ -119,4 +119,4 @@ class TestZScorePath:
         exceptional = {s.source_id for s in report.split.exceptional}
         assert exceptional == {"m5"}
         # No supervisor gave up: this is pure statistics, not supervision.
-        assert sim.health.degraded_sources() == []
+        assert sim.sources.degraded() == []

@@ -40,7 +40,7 @@ def test_sparing_heartbeats_preserves_liveness(drop_probability, plan_seed):
         assert plan.injected.get("drop_records", 0) > 0
 
     reporter = RecencyReporter(
-        sim.backend, create_temp_tables=False, source_health=sim.health
+        sim.backend, create_temp_tables=False, sources=sim.sources
     )
     try:
         report = reporter.report(IDLE_SQL, method="naive")
@@ -50,5 +50,5 @@ def test_sparing_heartbeats_preserves_liveness(drop_probability, plan_seed):
     # ...yet the surviving heartbeats keep its recency current: it is
     # neither statistically exceptional nor supervisor-degraded.
     assert TARGET not in {s.source_id for s in report.split.exceptional}
-    assert not sim.health.is_degraded(TARGET)
+    assert TARGET not in sim.sources.degraded()
     assert TARGET not in report.suspect_sources

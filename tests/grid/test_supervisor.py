@@ -4,7 +4,7 @@ retry -> restart -> degrade ladder driven by injected faults."""
 import pytest
 
 from repro import MemoryBackend, obs
-from repro.core.health import BACKING_OFF, HEALTHY, SourceHealth
+from repro.core.sources import BACKING_OFF, HEALTHY, SourceRegistry
 from repro.errors import SimulationError
 from repro.faults import FaultPlan
 from repro.grid.machine import Machine
@@ -104,8 +104,8 @@ class TestHappyPath:
         applied = drive(supervisor, 0.0, 20.0)
         assert applied >= 1
         assert supervisor.state == HEALTHY
-        assert supervisor.retries_total == 0
-        assert supervisor.restarts == 0
+        assert supervisor.record.retries == 0
+        assert supervisor.record.restarts == 0
 
     def test_respects_poll_interval(self):
         sniffer = make_sniffer(poll_interval=10.0)
@@ -128,7 +128,7 @@ class TestRetryPath:
         sniffer.machine.set_activity(1.0, "busy")
         supervisor.tick(5.0)  # injected failure
         assert supervisor.state == BACKING_OFF
-        assert supervisor.retries_total == 1
+        assert supervisor.record.retries == 1
         assert supervisor.consecutive_failures == 1
         # The retry is gated on the backoff deadline, not the poll interval.
         assert supervisor.tick(6.0) == 0
@@ -161,13 +161,13 @@ class TestRetryPath:
 class TestDegradePaths:
     def test_permanent_fault_degrades_immediately(self):
         plan = FaultPlan(seed=0).poll_error("m1", at=[5.0], transient=False)
-        health = SourceHealth()
-        supervisor = SnifferSupervisor(make_sniffer(), plan=plan, health=health)
+        health = SourceRegistry()
+        supervisor = SnifferSupervisor(make_sniffer(), plan=plan, sources=health)
         supervisor.tick(5.0)
         assert supervisor.degraded
-        assert health.is_degraded("m1")
-        assert "permanent" in supervisor.degraded_reason
-        assert supervisor.retries_total == 0  # no retry for a permanent fault
+        assert health.degraded() == ["m1"]
+        assert "permanent" in supervisor.record.reason
+        assert supervisor.record.retries == 0  # no retry for a permanent fault
         # Degraded is terminal: further ticks are no-ops.
         assert supervisor.tick(100.0) == 0
         assert supervisor.sniffer.failed
@@ -179,29 +179,29 @@ class TestDegradePaths:
             max_retries=2, max_restarts=1, base_backoff=1.0, jitter=0.0,
             breaker_threshold=100,  # keep the breaker out of this test
         )
-        health = SourceHealth()
+        health = SourceRegistry()
         supervisor = SnifferSupervisor(
-            make_sniffer(), plan=plan, policy=policy, health=health
+            make_sniffer(), plan=plan, policy=policy, sources=health
         )
         drive(supervisor, 0.0, 200.0)
         assert supervisor.degraded
-        assert supervisor.restarts == 1
-        assert supervisor.retries_total >= 2
-        assert "restart budget exhausted" in supervisor.degraded_reason
-        assert health.degraded_sources() == ["m1"]
+        assert supervisor.record.restarts == 1
+        assert supervisor.record.retries >= 2
+        assert "restart budget exhausted" in supervisor.record.reason
+        assert health.degraded() == ["m1"]
 
     def test_silence_watchdog_degrades_quiet_source(self):
         sniffer = make_sniffer()
         policy = SupervisorPolicy(silence_timeout=50.0)
-        health = SourceHealth()
-        supervisor = SnifferSupervisor(make_sniffer(), policy=policy, health=health)
+        health = SourceRegistry()
+        supervisor = SnifferSupervisor(make_sniffer(), policy=policy, sources=health)
         sniffer = supervisor.sniffer
         # The machine logs once, then goes silent forever.
         sniffer.machine.set_activity(1.0, "busy")
         drive(supervisor, 0.0, 100.0)
         assert supervisor.degraded
-        assert "silent source" in supervisor.degraded_reason
-        assert health.is_degraded("m1")
+        assert "silent source" in supervisor.record.reason
+        assert health.degraded() == ["m1"]
 
     def test_heartbeats_keep_watchdog_quiet(self):
         policy = SupervisorPolicy(silence_timeout=50.0)
@@ -227,10 +227,10 @@ class TestBreakerIntegration:
         supervisor = SnifferSupervisor(make_sniffer(), plan=plan, policy=policy)
         drive(supervisor, 0.0, 10.0)
         assert supervisor.breaker.state == CircuitBreaker.OPEN
-        failures_at_open = supervisor.retries_total
+        failures_at_open = supervisor.record.retries
         # While open, nothing is attempted, so the counter is frozen.
         drive(supervisor, 11.0, 30.0)
-        assert supervisor.retries_total == failures_at_open
+        assert supervisor.record.retries == failures_at_open
 
 
 class TestTelemetry:
@@ -241,17 +241,17 @@ class TestTelemetry:
             max_retries=1, max_restarts=1, base_backoff=1.0, jitter=0.0,
             breaker_threshold=100,
         )
-        health = SourceHealth()
+        health = SourceRegistry()
         supervisor = SnifferSupervisor(
-            make_sniffer(), plan=plan, policy=policy, health=health, telemetry=tel
+            make_sniffer(), plan=plan, policy=policy, sources=health, telemetry=tel
         )
         drive(supervisor, 0.0, 50.0)
         assert supervisor.degraded
         retries = tel.metrics.counter(instrument.SNIFFER_RETRIES, {"machine": "m1"})
         restarts = tel.metrics.counter(instrument.SNIFFER_RESTARTS, {"machine": "m1"})
         degraded = tel.metrics.gauge(instrument.SOURCES_DEGRADED)
-        assert retries.value == supervisor.retries_total >= 1
-        assert restarts.value == supervisor.restarts == 1
+        assert retries.value == supervisor.record.retries >= 1
+        assert restarts.value == supervisor.record.restarts == 1
         assert degraded.value == 1
 
     def test_fault_injection_counter(self):

@@ -4,8 +4,7 @@ import json
 
 import pytest
 
-from repro.core.health import DEGRADED, SourceHealth
-from repro.core.slo import StalenessSLO
+from repro.core.sources import DEGRADED, SourceRegistry
 from repro.obs import Telemetry
 from repro.obs.events import (
     EVT_FLIGHT_DUMPED,
@@ -109,11 +108,10 @@ class TestDumpContents:
         tel.metrics.counter("trac_probe_total").inc()
         with tel.tracer.span("work", machine="m1"):
             pass
-        health = SourceHealth()
-        health.mark("m1", DEGRADED, reason="silent", at=50.0)
-        slo = StalenessSLO(target_p95=10.0, budget=0.05, window=8)
-        slo.record("m1", 1.0, 99.0)
-        recorder = FlightRecorder(tel, str(tmp_path), slo=slo, health=health)
+        sources = SourceRegistry(target_p95=10.0, budget=0.05, window=8)
+        sources.mark("m1", DEGRADED, reason="silent", at=50.0)
+        sources.record_lag("m1", 1.0, 99.0)
+        recorder = FlightRecorder(tel, str(tmp_path), sources=sources)
         doc = load_dump(recorder.dump(reason="manual"))
 
         assert [s["name"] for s in doc["spans"]] == ["work"]

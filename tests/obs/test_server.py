@@ -7,7 +7,7 @@ import urllib.request
 
 import pytest
 
-from repro.core.health import DEGRADED, HEALTHY, SourceHealth
+from repro.core.sources import DEGRADED, HEALTHY, SourceRegistry
 from repro.obs import Telemetry
 from repro.obs.server import PROMETHEUS_CONTENT_TYPE, ObservatoryServer, serve
 from repro.obs.trace import Tracer
@@ -41,27 +41,19 @@ class TestEndpoints:
     def test_healthz_reports_degraded_sources(self, telemetry):
         from repro.obs.dashboard import source_rows
 
-        class Supervisor:
-            def __init__(self, breaker):
-                self.breaker = breaker
-
-            def stats(self):
-                return {"retries": 0, "restarts": 0, "breaker": self.breaker}
-
-        health = SourceHealth()
+        health = SourceRegistry()
         health.mark("m1", HEALTHY)
         health.mark("m2", DEGRADED, reason="silent", at=40.0)
-        supervisors = {"m1": Supervisor("closed"), "m2": Supervisor("open")}
-        status = lambda: {  # noqa: E731
-            "sources": source_rows({"m1": 50.0}, 60.0, health=health, supervisors=supervisors)
-        }
+        health.update("m1", breaker="closed")
+        health.update("m2", breaker="open")
+        status = lambda: {"sources": source_rows({"m1": 50.0}, 60.0, health)}  # noqa: E731
         with ObservatoryServer(telemetry, status_provider=status) as server:
             _, ctype, body = get(server.url + "/healthz")
         assert ctype.startswith("application/json")
         doc = json.loads(body)
         assert doc["status"] == "degraded"
         assert doc["degraded"] == ["m2"]
-        assert doc["sources"] == health.to_dict()  # m2 never reported: still listed
+        assert doc["sources"] == health.health()  # m2 never reported: still listed
         assert doc["breakers"] == {"m1": "closed", "m2": "open"}
         assert doc["events"]["total"] == 1
 

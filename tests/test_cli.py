@@ -461,6 +461,40 @@ class TestDurability:
         assert "resuming from" in out
         assert "recovered epoch" in out
 
+    def test_resumed_supervision_block_still_says_why_a_source_is_degraded(
+        self, tmp_path, capsys
+    ):
+        plan = tmp_path / "faults.json"
+        plan.write_text(
+            '{"seed": 11, "faults": ['
+            '{"kind": "silence", "source": "m3", "start": 60},'
+            '{"kind": "poll_error", "source": "m2", "probability": 0.4}]}'
+        )
+        chaos = ("--faults", str(plan), "--silence-timeout", "40")
+        code, _, data = self.simulate(tmp_path, *chaos, duration="300")
+        assert code == 0
+
+        def supervision_lines():
+            lines = capsys.readouterr().out.splitlines()
+            return {
+                line.split()[0]: line
+                for line in lines[lines.index("supervision:") + 1 :]
+                if line.startswith("  m")
+            }
+
+        first = supervision_lines()
+        assert "(silent source: no progress for 40s (limit 40s))" in first["m3"]
+        code = main(
+            [
+                "simulate", "--db", str(tmp_path / "resumed.sqlite"),
+                "--duration", "300", "--data-dir", data, "--resume", *chaos,
+            ]
+        )
+        assert code == 0
+        # Nothing ran after the resume (the duration was already reached): the
+        # block is the checkpointed records', reason and counters included.
+        assert supervision_lines() == first
+
     def test_resume_requires_data_dir(self, tmp_path, capsys):
         code = main(
             ["simulate", "--db", str(tmp_path / "g.sqlite"), "--resume"]

@@ -20,8 +20,8 @@ import urllib.request
 import pytest
 
 from repro.backends.memory import MemoryBackend
-from repro.core.quality import QualityModel
 from repro.core.report import RecencyReporter
+from repro.core.sources import SourceRegistry
 from repro.obs import Telemetry
 from repro.obs.export import prometheus_text
 from repro.obs.flight import FlightRecorder
@@ -85,7 +85,7 @@ class TestPaperQueriesAcceptance:
             workload_backend,
             lineage=True,
             create_temp_tables=False,
-            quality_model=QualityModel(half_life=30.0),
+            sources=SourceRegistry(target_p95=30.0),
         )
         sql = paper_queries(NUM_SOURCES)["Q1"]
         baseline = reporter.report(sql)

@@ -13,7 +13,9 @@ import pytest
 
 from repro.core.quality import QualityModel
 from repro.core.report import RecencyReporter
+from repro.core.sources import SourceRegistry
 from repro.core.statistics import SourceRecency
+from repro.durable import DurabilityManager, DurabilityPolicy
 from repro.faults import FaultPlan
 from repro.federation import FederationCoordinator, ShardRegistry
 from repro.federation.coordinator import ShardInfo
@@ -42,7 +44,7 @@ def simulator():
     sim = GridSimulator(SimulationConfig(num_machines=16, seed=5))
     for mid, recency in HEARTBEATS.items():
         sim.backend.upsert_heartbeat(mid, recency)
-        sim.sniffers[mid].reported_recency = recency
+        sim.sniffers[mid].record.recency = recency
     sim.now = SIM_NOW
     return sim
 
@@ -116,10 +118,10 @@ def test_a_dead_shards_sources_read_unknown():
 
 
 def test_a_degraded_source_reads_as_the_registry_and_the_report_say():
-    """The ``trac simulate --serve`` wiring, supervised: ``state`` is the health
-    registry's, ``quality`` what a ``source_health=``-wired report's
-    provenance block gives the source, and ``/healthz`` — a projection of the
-    same rows — what the registry and the supervisors' breakers say."""
+    """The ``trac simulate --serve`` wiring, supervised: ``state`` is the source
+    registry's, ``quality`` what a ``sources=``-wired report's provenance
+    block gives the source, and ``/healthz`` — a projection of the same
+    rows — what the registry and the supervisors' breakers say."""
     plan = FaultPlan(seed=11).silence("m3", start=60.0)
     sim = GridSimulator(
         SimulationConfig(num_machines=6, seed=7),
@@ -127,24 +129,81 @@ def test_a_degraded_source_reads_as_the_registry_and_the_report_say():
         supervisor_policy=SupervisorPolicy(silence_timeout=40.0),
     )
     sim.run(300.0)
-    assert sim.health.degraded_sources() == ["m3"]
+    assert sim.sources.degraded() == ["m3"]
     # One source reports at the clock, so the report's reference (the newest
     # relevant heartbeat) and the simulator's clock are the same instant.
     sim.backend.upsert_heartbeat("m1", sim.now)
-    sim.sniffers["m1"].reported_recency = sim.now
+    sim.sniffers["m1"].record.recency = sim.now
 
     with ObservatoryServer(Telemetry(), status_provider=sim.status) as server:
         rows = rows_of(fetch_status(server.url))
         healthz = server.healthz()
-    with RecencyReporter(sim.backend, source_health=sim.health, lineage=True) as reporter:
+    with RecencyReporter(sim.backend, sources=sim.sources, lineage=True) as reporter:
         block = reporter.report("SELECT mach_id FROM activity", method="naive").to_dict()
     cited = {source["source_id"]: source for source in block["provenance"]["quality"]["sources"]}
 
-    assert rows["m3"]["state"] == sim.health.status_of("m3") == "degraded"
-    assert rows["m3"]["health"] == sim.health.entry_of("m3").to_dict()
+    assert rows["m3"]["state"] == sim.sources.status_of("m3") == "degraded"
+    assert rows["m3"]["health"] == sim.sources.health()["m3"]
     assert cited["m3"]["degraded"] and set(cited) == set(rows)
     for sid, row in rows.items():
         assert row["quality"] == pytest.approx(cited[sid]["quality"], abs=1e-12)
-    assert healthz["sources"] == sim.health.to_dict()
+    assert healthz["sources"] == sim.sources.health()
     assert healthz["degraded"] == ["m3"] and healthz["status"] == "degraded"
     assert healthz["breakers"] == {mid: sup.breaker.state for mid, sup in sim.supervisors.items()}
+
+
+RECORD_COLUMNS = (
+    "state", "health", "retries", "restarts", "lag", "lag_p95", "burn", "lag_series",
+)
+
+
+def supervised_durable_sim(data_dir, resume=False):
+    """The chaos wiring under a data directory: m3 goes silent (and is
+    degraded by the watchdog), m2's polls fail four times in ten."""
+    return GridSimulator(
+        SimulationConfig(num_machines=6, seed=7),
+        fault_plan=FaultPlan(seed=11).silence("m3", start=60.0).poll_error("m2", probability=0.4),
+        supervisor_policy=SupervisorPolicy(silence_timeout=40.0),
+        sources=SourceRegistry(target_p95=20.0),
+        durability=DurabilityManager(
+            str(data_dir),
+            DurabilityPolicy(fsync="never", checkpoint_interval=40.0),
+            resume=resume,
+        ),
+    )
+
+
+def test_resume_keeps_the_whole_record(tmp_path):
+    """Close and re-open: every column a record owns reads as it did, the
+    supervisor knows why its source is degraded, and a spent restart budget
+    stays spent. ``breaker`` is the one mechanism column: it shows the rebuilt
+    breaker's real state."""
+    sim = supervised_durable_sim(tmp_path)
+    sim.run(300.0)
+    before = rows_of(sim.status())
+    assert before["m3"]["state"] == "degraded" and before["m2"]["retries"] > 0
+    assert before["m2"]["restarts"] >= 1  # the scenario does spend budget
+    sim.durability.close(sim.now)
+
+    resumed = supervised_durable_sim(tmp_path, resume=True)
+    after = rows_of(resumed.status())
+    assert resumed.now == sim.now and set(after) == set(before)
+    for sid, row in before.items():
+        for column in RECORD_COLUMNS:
+            assert after[sid][column] == row[column], (sid, column)
+        assert after[sid]["breaker"] == resumed.supervisors[sid].breaker.state
+
+    reason = resumed.sources.health()["m3"]["reason"]
+    assert reason.startswith("silent source: no progress for 40s")
+    assert resumed.supervisors["m3"].record.reason == reason
+    assert resumed.sniffers["m3"].failed  # a degraded source stays dark
+
+    # The restarts m2 spent before the checkpoint stay spent: what is left of
+    # its budget restarts it, the next crash degrades it.
+    supervisor = resumed.supervisors["m2"]
+    for _ in range(supervisor.policy.max_restarts - before["m2"]["restarts"]):
+        supervisor._restart(resumed.now)
+        assert not supervisor.degraded
+    supervisor._restart(resumed.now)
+    assert supervisor.degraded and "restart budget exhausted" in supervisor.record.reason
+    resumed.durability.close(resumed.now, final_checkpoint=False)

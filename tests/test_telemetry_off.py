@@ -15,7 +15,7 @@ import pytest
 
 from repro import MemoryBackend, obs
 from repro.core.report import RecencyReporter
-from repro.core.slo import StalenessSLO
+from repro.core.sources import SourceRegistry
 from repro.durable import DurabilityManager, DurabilityPolicy, recover
 from repro.faults import FaultPlan
 from repro.federation import FederationCoordinator, ShardRegistry, ShardServer
@@ -74,25 +74,24 @@ def test_the_whole_system_leaves_the_disabled_default_empty(tmp_path, monkeypatc
     durability = DurabilityManager(
         data_dir, DurabilityPolicy(fsync="never", checkpoint_interval=40.0), fault_plan=plan
     )
-    slo = StalenessSLO(target_p95=20.0)
+    sources = SourceRegistry(target_p95=20.0)
     sim = GridSimulator(
         SimulationConfig(num_machines=6, seed=7),
         fault_plan=plan,
         supervisor_policy=SupervisorPolicy(silence_timeout=40.0),
-        slo=slo,
+        sources=sources,
         durability=durability,
         incremental=True,
     )
     sim.run(300.0)
-    assert plan.injected and sim.health.degraded_sources()
+    assert plan.injected and sources.degraded()
 
     # Reports by all three methods, lineage on, every annotation wired.
     with RecencyReporter(
         sim.backend,
         create_temp_tables=True,
         plan_cache_size=8,
-        source_health=sim.health,
-        slo=slo,
+        sources=sources,
         slow_query_seconds=1e-9,
         incremental=sim.incremental,
         lineage=True,

@@ -93,9 +93,7 @@ def run_once(rng: random.Random, run_index: int) -> None:
 
     sim = simulate()
     silenced = plan.silenced_sources()
-    reporter = RecencyReporter(
-        sim.backend, create_temp_tables=False, source_health=sim.health
-    )
+    reporter = RecencyReporter(sim.backend, create_temp_tables=False, sources=sim.sources)
     try:
         report = reporter.report(IDLE_SQL, method="naive")
     finally:
@@ -108,7 +106,7 @@ def run_once(rng: random.Random, run_index: int) -> None:
             f"run {run_index}: silenced sources not flagged: {sorted(missing)} "
             f"(machines={num_machines}, sim_seed={sim_seed}, plan={plan.to_json()})"
         )
-    degraded = set(sim.health.degraded_sources())
+    degraded = set(sim.sources.degraded())
     false_degraded = degraded - silenced
     if false_degraded:
         raise AssertionError(
@@ -117,7 +115,7 @@ def run_once(rng: random.Random, run_index: int) -> None:
         )
 
     repeat = simulate()
-    if set(repeat.health.degraded_sources()) != degraded:
+    if set(repeat.sources.degraded()) != degraded:
         raise AssertionError(
             f"run {run_index}: non-deterministic degraded set "
             f"(machines={num_machines}, sim_seed={sim_seed}, plan={plan.to_json()})"
