@@ -3,11 +3,13 @@
 
 Walks the Recency Observatory end to end, entirely in-process:
 
-1. run a grid simulation with an injected silence fault, a staleness SLO
-   and an :class:`~repro.obs.server.ObservatoryServer` on an ephemeral
-   port;
+1. run a grid simulation with an injected silence fault and a staleness
+   SLO as one :class:`~repro.deploy.Deployment`: telemetry, flight
+   recorder and the observatory on an ephemeral port, one ``close()``;
 2. scrape the live ``/metrics``, ``/healthz`` and ``/status`` endpoints
-   over real HTTP mid-run, exactly as Prometheus or ``trac top`` would;
+   over real HTTP mid-run, exactly as Prometheus or ``trac top`` would —
+   and ask the database a question through ``POST /v1/query`` while it
+   is loading;
 3. render one ``trac top`` dashboard frame from the status document;
 4. inspect the structured event log and the flight dump the watchdog
    anomaly triggered.
@@ -24,42 +26,37 @@ import json
 import tempfile
 import urllib.request
 
-from repro import obs
 from repro.core.sources import SourceRegistry
+from repro.deploy import Deployment
 from repro.faults import plan_from_json
 from repro.grid import GridSimulator, SimulationConfig
 from repro.grid.supervisor import SupervisorPolicy
 from repro.obs.dashboard import render_top
-from repro.obs.flight import FlightRecorder
-from repro.obs.server import ObservatoryServer
 
 PLAN = json.dumps(
     {"seed": 7, "faults": [{"kind": "silence", "source": "m2", "start": 5}]}
 )
 
 
-def scrape(url: str) -> str:
-    with urllib.request.urlopen(url, timeout=5.0) as response:
+def scrape(url: str, body=None) -> str:
+    data = json.dumps(body).encode("utf-8") if body is not None else None
+    with urllib.request.urlopen(urllib.request.Request(url, data=data), timeout=5.0) as response:
         return response.read().decode("utf-8")
 
 
 def main() -> None:
     print("=== Observatory tour ===")
-    telemetry = obs.enable()
     sources = SourceRegistry(target_p95=25.0, budget=0.05)
     sim = GridSimulator(
         SimulationConfig(num_machines=4, seed=7),
         fault_plan=plan_from_json(PLAN),
         supervisor_policy=SupervisorPolicy(silence_timeout=30.0),
         sources=sources,
-        telemetry=telemetry,
     )
 
     flight_dir = tempfile.mkdtemp(prefix="trac-flight-")
-    recorder = FlightRecorder(telemetry, flight_dir, sources=sources)
-    recorder.install()
-
-    with ObservatoryServer(telemetry, status_provider=sim.status) as server:
+    with Deployment(sim, port=0, flight_dir=flight_dir) as deployment:
+        server, telemetry, recorder = deployment.server, deployment.telemetry, deployment.recorder
         print(f"observatory serving on {server.url}")
 
         print("\n--- 1. simulate with an injected silence on m2 ---")
@@ -76,6 +73,10 @@ def main() -> None:
         healthz = json.loads(scrape(server.url + "/healthz"))
         print(f"scraped /healthz: status={healthz['status']} "
               f"degraded={healthz['degraded']}")
+        answer = json.loads(scrape(server.url + "/v1/query",
+                                   body={"sql": "SELECT mach_id FROM activity"}))
+        print(f"POST /v1/query mid-run: {len(answer['rows'])} rows, "
+              f"degraded={answer['degraded']}")
 
         print("\n--- 3. one trac top frame from /status ---")
         status = json.loads(scrape(server.url + "/status"))
@@ -86,7 +87,6 @@ def main() -> None:
         print(f"  {name:<20} x{count}")
 
     print("\n--- 5. the flight recorder caught the anomaly ---")
-    recorder.uninstall()
     for path in recorder.dumps:
         with open(path, encoding="utf-8") as fp:
             doc = json.load(fp)
@@ -98,7 +98,6 @@ def main() -> None:
     breached = sources.breached()
     state = f"BREACHED ({', '.join(breached)})" if breached else "ok"
     print(f"\nstaleness SLO (p95 < {sources.target_p95:g}s): {state}")
-    obs.disable()
 
 
 if __name__ == "__main__":

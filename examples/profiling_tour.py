@@ -31,9 +31,9 @@ import urllib.request
 from repro.backends.memory import MemoryBackend
 from repro.catalog import Catalog, Column, TableSchema
 from repro.core.report import RecencyReporter
+from repro.deploy import Deployment
 from repro.obs import Telemetry
-from repro.obs.server import ObservatoryServer
-from repro.serve import QueryService, ServeConfig
+from repro.serve import ServeConfig
 
 CALLER_TRACE = "1badb002" * 4  # a 32-hex trace id the "caller" minted
 
@@ -84,8 +84,9 @@ def main() -> None:
     print(report.profile.render())
 
     print("\n--- 2. a query served over HTTP joins the caller's trace ---")
-    service = QueryService(reporter.backend, ServeConfig(workers=2), telemetry=telemetry)
-    with service, ObservatoryServer(telemetry, query_service=service) as server:
+    door = Deployment(reporter.backend, port=0, config=ServeConfig(workers=2), telemetry=telemetry)
+    with door:
+        server = door.server
         traceparent = f"00-{CALLER_TRACE}-00f067aa0ba902b7-01"
         body = scrape(
             f"{server.url}/v1/query", headers={"traceparent": traceparent}, body={"sql": sql}

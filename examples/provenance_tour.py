@@ -31,9 +31,9 @@ import urllib.request
 from repro.backends.memory import MemoryBackend
 from repro.catalog import Catalog, Column, TableSchema
 from repro.core.report import RecencyReporter
+from repro.deploy import Deployment
 from repro.obs import Telemetry
-from repro.obs.server import ObservatoryServer
-from repro.serve import QueryService, ServeConfig
+from repro.serve import ServeConfig
 
 
 def scrape(url: str, body=None) -> str:
@@ -136,8 +136,9 @@ def main() -> None:
     backend.upsert_heartbeat("m3", 940.0)
 
     print("\n--- 5. the observatory serves the provenance story over HTTP ---")
-    service = QueryService(backend, ServeConfig(workers=2, lineage=True), telemetry=telemetry)
-    with service, ObservatoryServer(telemetry, query_service=service) as server:
+    config = ServeConfig(workers=2, lineage=True)
+    with Deployment(backend, port=0, config=config, telemetry=telemetry) as door:
+        server = door.server
         print(f"observatory serving on {server.url}")
         body = scrape(
             server.url + "/v1/query",

@@ -5,8 +5,9 @@ TRAC's reporter answers one query at a time; this tour puts it behind
 the query-serving front end (``repro.serve``) and exercises the full
 request path over real HTTP:
 
-1. build an in-memory grid workload and wire a :class:`QueryService`
-   (bounded worker pool + per-tenant token-bucket quotas) into the
+1. build an in-memory grid workload and start a
+   :class:`~repro.deploy.Deployment` over it: a :class:`QueryService`
+   (bounded worker pool + per-tenant token-bucket quotas) behind the
    Observatory's HTTP server;
 2. ``POST /v1/query`` and read back rows *plus* the recency report and
    the request's ``trace_id`` — every served query is traceable;
@@ -29,11 +30,10 @@ import json
 import urllib.error
 import urllib.request
 
-from repro import obs
 from repro.backends.memory import MemoryBackend
+from repro.deploy import Deployment
 from repro.obs.dashboard import render_top
-from repro.obs.server import ObservatoryServer
-from repro.serve import LoadgenConfig, QueryService, ServeConfig, run_load
+from repro.serve import LoadgenConfig, ServeConfig, run_load
 from repro.workload import WorkloadConfig, loaded_backend, paper_queries
 
 SOURCES = 8
@@ -56,59 +56,57 @@ def post_query(url: str, sql: str, tenant: str = "default"):
 
 def main() -> None:
     print("=== Serving tour ===")
-    telemetry = obs.enable()
     backend = loaded_backend(WorkloadConfig(num_sources=SOURCES, data_ratio=10), MemoryBackend)
     sql = paper_queries(SOURCES)["Q1"]
 
     # -- 1. one query, end to end -------------------------------------------
     config = ServeConfig(workers=4, tenant_rate=500.0, tenant_burst=500.0)
-    with QueryService(backend, config, telemetry=telemetry) as service:
-        with ObservatoryServer(telemetry, query_service=service) as server:
-            print(f"\nserving on {server.url} (POST /v1/query)")
-            status, doc, _ = post_query(server.url, sql, tenant="analytics")
-            print(f"POST /v1/query -> {status}: {len(doc['rows'])} rows "
-                  f"for tenant {doc['tenant']!r}")
-            print(f"  relevant sources : {len(doc['relevant_sources'])}")
-            for notice in doc["notices"]:
-                print(f"  {notice}")
-            print(f"  trace_id: {doc['trace_id']}")
+    with Deployment(backend, port=0, config=config) as deployment:
+        server = deployment.server
+        print(f"\nserving on {server.url} (POST /v1/query)")
+        status, doc, _ = post_query(server.url, sql, tenant="analytics")
+        print(f"POST /v1/query -> {status}: {len(doc['rows'])} rows "
+              f"for tenant {doc['tenant']!r}")
+        print(f"  relevant sources : {len(doc['relevant_sources'])}")
+        for notice in doc["notices"]:
+            print(f"  {notice}")
+        print(f"  trace_id: {doc['trace_id']}")
 
-            # -- 4a. a short open-loop load run -----------------------------
-            result = run_load(
-                LoadgenConfig(
-                    url=server.url + "/v1/query",
-                    sql=sql,
-                    rate=50.0,
-                    duration=1.0,
-                    senders=8,
-                )
+        # -- 4a. a short open-loop load run -----------------------------
+        result = run_load(
+            LoadgenConfig(
+                url=server.url + "/v1/query",
+                sql=sql,
+                rate=50.0,
+                duration=1.0,
+                senders=8,
             )
-            print(f"\nopen-loop load: {result.requests} requests at 50/s, "
-                  f"ok={result.ok}, p99={result.latency_ms(0.99):.1f} ms")
+        )
+        print(f"\nopen-loop load: {result.requests} requests at 50/s, "
+              f"ok={result.ok}, p99={result.latency_ms(0.99):.1f} ms")
 
-            # -- 4b. the trac top serving line ------------------------------
-            with urllib.request.urlopen(server.url + "/status", timeout=5.0) as resp:
-                status_doc = json.loads(resp.read())
-            frame = render_top(status_doc)
-            serving_line = next(
-                line for line in frame.splitlines() if line.startswith("serve:")
-            )
-            print("\ntrac top serving line:")
-            print(f"  {serving_line}")
+        # -- 4b. the trac top serving line ------------------------------
+        with urllib.request.urlopen(server.url + "/status", timeout=5.0) as resp:
+            status_doc = json.loads(resp.read())
+        frame = render_top(status_doc)
+        serving_line = next(
+            line for line in frame.splitlines() if line.startswith("serve:")
+        )
+        print("\ntrac top serving line:")
+        print(f"  {serving_line}")
 
     # -- 3. overload: the server sheds, it does not queue forever ------------
     print("\nquota shedding (tenant budget: 3 requests, no refill):")
     tight = ServeConfig(workers=2, tenant_rate=0.0, tenant_burst=3.0)
-    with QueryService(backend, tight, telemetry=telemetry) as service:
-        with ObservatoryServer(telemetry, query_service=service) as server:
-            for i in range(5):
-                status, doc, headers = post_query(server.url, sql)
-                if status == 429:
-                    print(f"  request {i + 1}: 429 Too Many Requests "
-                          f"(Retry-After: {headers['Retry-After']}s)")
-                else:
-                    print(f"  request {i + 1}: {status} OK")
-            counts = service.counts()
+    with Deployment(backend, port=0, config=tight) as deployment:
+        for i in range(5):
+            status, doc, headers = post_query(deployment.server.url, sql)
+            if status == 429:
+                print(f"  request {i + 1}: 429 Too Many Requests "
+                      f"(Retry-After: {headers['Retry-After']}s)")
+            else:
+                print(f"  request {i + 1}: {status} OK")
+        counts = deployment.service.counts()
     print(f"admitted={counts['ok']} shed={counts['rejected_quota']} "
           "— admission control is exact")
     print("\ndone: rows, recency report and trace travel on every response")

@@ -12,12 +12,12 @@ interface with two implementations:
   ``sqlite3``) in WAL mode, where a deferred read transaction sees a stable
   snapshot while writer connections proceed;
 * :class:`~repro.backends.memory.MemoryBackend` — the pure-Python mini
-  engine, whose snapshots are row-list copies. It requires nothing outside
+  engine, whose snapshots are copy-on-write views. It requires nothing outside
   this repository and doubles as ground truth in differential tests.
 """
 
-from repro.backends.base import Backend, Snapshot
+from repro.backends.base import Backend, Snapshot, copy_tables
 from repro.backends.sqlite import SQLiteBackend
 from repro.backends.memory import MemoryBackend
 
-__all__ = ["Backend", "Snapshot", "SQLiteBackend", "MemoryBackend"]
+__all__ = ["Backend", "Snapshot", "SQLiteBackend", "MemoryBackend", "copy_tables"]

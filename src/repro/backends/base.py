@@ -163,3 +163,25 @@ class Backend(abc.ABC):
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
+
+
+def copy_tables(source: Backend, into: Backend) -> Backend:
+    """Replace every cataloged table of ``into`` with ``source``'s rows;
+    returns ``into``. The one bulk copy between backends, in both directions:
+    SQLite file → memory engine (which profiles, attributes rows and serves
+    concurrent readers from CoW snapshots) and live memory engine → SQLite
+    file (``trac simulate --db``, written once at exit).
+
+    Every table is read inside **one** ``source.snapshot()``: a simulator
+    writing beside the copy must not leave ``into`` holding ``heartbeat``
+    from one instant and the job tables from another (the paper's rule that
+    user query and recency query read one snapshot starts here).
+    """
+    into.create_tables()
+    with source.snapshot() as snapshot:
+        for schema in source.catalog:
+            rows = snapshot.execute(f"SELECT * FROM {schema.name}").rows
+            into.delete_all(schema.name)
+            if rows:
+                into.insert_rows(schema.name, rows)
+    return into

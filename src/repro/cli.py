@@ -1,63 +1,37 @@
 """``trac`` — the command-line face of the reproduction.
 
-Subcommands::
+Every subcommand that ingests or serves runs as one
+:class:`repro.deploy.Deployment` — over a database (``serve``), a simulator
+loading one (``simulate``, ``shard-serve``) or a federation coordinator
+(``simulate --shards``) — which owns telemetry, the front door, the flight
+recorder, the step loop and the one teardown order. ``trac <cmd> --help``
+lists every flag; README.md walks through them.
 
     trac simulate --db grid.sqlite --machines 12 --duration 600
-        Run the grid simulator and leave behind a monitoring database
-        (optionally also a directory of text log files via --archive).
-        With --faults plan.json the sniffers run under supervisors against
-        an injected fault plan and a supervision summary is printed.
-        With --serve PORT a live observatory HTTP server (/metrics,
-        /healthz, /spans, /events, /status) runs for the duration of the
-        simulation; --flight-dir DIR arms the anomaly flight recorder;
-        --top renders the live dashboard while simulating.
-        With --data-dir DIR ingest becomes crash-safe: machine logs are
-        mirrored to disk, applied batches are journaled to a WAL, and
-        checkpoints rotate it; --resume continues a previous (possibly
-        killed) run from the journal instead of starting over.
-
+        Run the grid simulator on the memory engine; --db is its export,
+        written at exit (SIGKILL without --data-dir leaves no file).
+        --serve PORT runs the observatory for the duration, POST /v1/query
+        answering from the database *while it loads* (rows and recency from
+        one snapshot); --faults / --flight-dir / --top supervise, record
+        and watch it; --data-dir makes ingest crash-safe, --resume continues
+        a (possibly killed) run from it.
     trac simulate --shards 3 --machines 12 --duration 60 --db grid.sqlite
-        Sharded mode: split the machines over N shard-server subprocesses
-        and answer *federated* recency reports through a coordinator with
-        per-shard deadlines, retries, hedging and circuit breakers. The
-        report states its own completeness (shards_ok / missing shards).
-
+        The machines split over N shard-server subprocesses behind a
+        coordinator; --serve PORT answers POST /v1/query with the federated
+        report (recency side only, completeness stated).
     trac shard-serve --shard-id s0 --machines 4 --machine-id-start 1
-        Run one grid shard behind the federation RPC (used by simulate
-        --shards; also standalone for chaos testing). Prints a
-        ``SHARD READY ...`` announce line once the socket is bound and
-        shuts down gracefully on SIGTERM (drain, flush WAL, checkpoint).
-
+        One grid shard behind the federation RPC (SIGTERM: drain, flush WAL).
     trac recover --data-dir DIR [--db out.sqlite]
-        Inspect (and optionally rebuild a database from) a durability
-        directory: latest checkpoint + WAL tail replay, exactly-once.
-
+        Inspect a durability directory; rebuild the database a killed run
+        never exported.
     trac serve --db grid.sqlite --port 9464
-        Expose an existing monitoring database through the observatory
-        endpoints (scrape /metrics, poll /status with trac top).
-
-    trac top --url http://127.0.0.1:9464
-        Live per-source dashboard polling an observatory server.
-
-    trac report --db grid.sqlite "SELECT ... " [--method naive] [--show-plan]
-        Run a query with recency and consistency reporting, printing the
-        prototype's NOTICE lines, the result rows and the relevant sources.
-
-    trac replay --logs DIR --db out.sqlite
-        Rebuild a monitoring database offline from a directory of log
-        files (the format of repro.grid.logformat).
-
-    trac inspect --db grid.sqlite
-        Summarize a monitoring database: tables, row counts, heartbeat
-        spread, exceptional sources.
-
-    trac stats --db grid.sqlite "SELECT ..." [SQL ...]
-        Run reports with telemetry enabled and print the live span/metric
-        summary (optionally dump spans as JSONL / metrics as Prometheus
-        text).
-
-    trac bench {fig1,fig2,fpr,all} [...]
-        Regenerate the paper's figures (delegates to repro.bench.figures).
+        The deployment where nothing ingests: a monitoring database copied
+        into the memory engine behind POST /v1/query and the observatory.
+    trac top --url http://127.0.0.1:9464       live per-source dashboard
+    trac report --db grid.sqlite "SELECT ..."  a query + its recency report
+    trac replay --logs DIR --db out.sqlite     rebuild a database from logs
+    trac explain | inspect | watch | shell | stats --db grid.sqlite ...
+    trac bench {fig1,fig2,fpr,all} [...]       the paper's figures
 """
 
 from __future__ import annotations
@@ -67,7 +41,7 @@ import contextlib
 import sys
 from typing import List, Optional
 
-from repro.backends.sqlite import SQLiteBackend
+from repro.backends import MemoryBackend, SQLiteBackend, copy_tables
 from repro.core.report import RecencyReporter
 from repro.core.statistics import DEFAULT_Z_THRESHOLD, format_interval, format_timestamp
 from repro.errors import TracError
@@ -129,7 +103,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     simulate = sub.add_parser("simulate", help="run the grid simulator into a DB file")
-    simulate.add_argument("--db", required=True, help="output SQLite file")
+    simulate.add_argument("--db", required=True, help="output SQLite file (written at exit)")
     simulate.add_argument("--machines", type=int, default=12)
     simulate.add_argument("--duration", type=float, default=600.0, help="simulated seconds")
     simulate.add_argument("--seed", type=int, default=0)
@@ -155,7 +129,8 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="PORT",
         help="expose the live observatory (/metrics, /healthz, /spans, "
-        "/events, /status) on this port while simulating (0 = ephemeral)",
+        "/events, /status) and POST /v1/query on this port while simulating "
+        "(0 = ephemeral)",
     )
     simulate.add_argument(
         "--serve-host", default="127.0.0.1", help="bind address for --serve"
@@ -198,7 +173,8 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="federated mode: split the machines over N shard-server "
         "subprocesses and report through the federation coordinator "
-        "(--duration counts wall seconds; --db is not written; --serve + trac top watch it)",
+        "(--duration counts wall seconds; --db is not written; --serve answers "
+        "POST /v1/query with the federated report, trac top watches /status)",
     )
     simulate.add_argument(
         "--report-interval",
@@ -395,48 +371,30 @@ def _build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 
-def _run_until_stopped(announce, tick=None, interval=None, duration=None) -> bool:
-    """Announce readiness, then run until SIGTERM, ctrl-C, ``duration`` wall
-    seconds, or ``tick()`` returning ``False``; true when SIGTERM ended it.
-
-    The one loop behind simulate, serve and shard-serve. The SIGTERM handler
-    goes in *before* ``announce`` is printed, so a supervisor that signals
-    the moment it reads the readiness line still gets the caller's normal
-    teardown — drain in-flight work, flush the WAL, final checkpoint — never
-    a hard kill. ``tick`` runs every ``interval`` seconds (0: back to back;
-    ``None``: just wait). Outside the main thread (in-process tests) signals
-    cannot be hooked; the run then ends by ``tick`` or ``duration`` only.
-    """
+def _run_until_stopped(deployment, announce, tick=None, interval=None, duration=None) -> bool:
+    """Announce readiness, then :meth:`Deployment.run` until SIGTERM, ctrl-C,
+    ``duration`` wall seconds, or ``tick()`` returning ``False``; true when
+    SIGTERM ended it. The handler goes in *before* ``announce`` is printed,
+    so a supervisor that signals the moment it reads the readiness line still
+    gets the deployment's teardown, never a hard kill. Outside the main
+    thread (in-process tests) signals cannot be hooked; the run then ends by
+    ``tick`` or ``duration`` only."""
     import signal
-    import threading
-    import time
 
-    stop = threading.Event()
     previous = None
     try:
-        previous = signal.signal(signal.SIGTERM, lambda signum, frame: stop.set())
+        previous = signal.signal(signal.SIGTERM, lambda signum, frame: deployment.stop())
     except ValueError:
         pass  # not the main thread
     try:
         print(announce, flush=True)
-        deadline = None if duration is None else time.monotonic() + duration
-        while not stop.is_set():
-            wait = interval
-            if deadline is not None:
-                wait = deadline - time.monotonic()
-                if wait <= 0:
-                    break
-                wait = wait if interval is None else min(interval, wait)
-            if wait != 0 and stop.wait(wait):
-                break
-            if tick is not None and tick() is False:
-                break
+        deployment.run(tick, interval, duration)
     except KeyboardInterrupt:
         pass
     finally:
         if previous is not None:
             signal.signal(signal.SIGTERM, previous)
-    return stop.is_set()
+    return deployment.stopping.is_set()
 
 
 def _read_text(path: str, what: str) -> str:
@@ -485,6 +443,8 @@ def _print_row_counts(backend) -> None:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from repro.core.sources import SourceRegistry
+    from repro.deploy import Deployment
     from repro.grid.simulator import GridSimulator, SimulationConfig
     from repro.grid.supervisor import SupervisorPolicy
 
@@ -508,26 +468,16 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     supervisor_policy = None
     if args.silence_timeout is not None or fault_plan is not None:
         supervisor_policy = SupervisorPolicy(silence_timeout=args.silence_timeout)
-
     observing = args.serve is not None or args.top or args.flight_dir is not None
-    telemetry = None
-    sources = None
-    recorder = None
-    server = None
-    if observing:
-        from repro import obs
-        from repro.core.sources import SourceRegistry
+    sources = SourceRegistry(args.slo_target, args.slo_budget) if observing else None
 
-        telemetry = obs.enable()
-        sources = SourceRegistry(target_p95=args.slo_target, budget=args.slo_budget)
-
+    # The live database is the memory engine (what POST /v1/query snapshots
+    # while this loads it); --db is its export, written once at exit.
     sim = GridSimulator(
         config,
-        backend_factory=lambda catalog: SQLiteBackend(catalog, args.db),
         fault_plan=fault_plan,
         supervisor_policy=supervisor_policy,
         sources=sources,
-        telemetry=telemetry,
         durability=durability,
     )
     remaining = args.duration
@@ -543,82 +493,78 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                 f"{summary['torn_segments']} torn"
             )
 
-    if observing:
-        from repro.obs.flight import FlightRecorder
-
-        flight_dir = args.flight_dir or f"{args.db}.flight"
-        recorder = FlightRecorder(telemetry, flight_dir, sources=sources).install()
-        if args.serve is not None:
-            from repro.obs.server import ObservatoryServer
-
-            server = ObservatoryServer(
-                telemetry, host=args.serve_host, port=args.serve, status_provider=sim.status
-            ).start()
-
-    announce = (
-        f"simulating {config.num_machines} machines for {remaining:.0f}s "
-        f"(seed {config.seed})..."
+    deployment = Deployment(
+        sim,
+        port=args.serve,
+        host=args.serve_host,
+        flight_dir=(args.flight_dir or f"{args.db}.flight") if observing else None,
     )
-    if server is not None:
-        announce = f"observatory serving on {server.url}\n{announce}"
-    target = sim.now + remaining
-    next_frame = 0.0
-
-    def step() -> bool:
-        nonlocal next_frame
-        if sim.now >= target:
-            return False
-        sim.step()
-        if args.top and observing and sim.now >= next_frame:
-            sys.stdout.write(render_top(sim.status()) + "\n")
-            next_frame = sim.now + max(args.top_interval, config.tick)
-        return True
-
-    if _run_until_stopped(announce, step, interval=0):
-        print(f"SIGTERM: stopping early at t={sim.now:.0f}s (flushing WAL, final checkpoint)")
-
-    backend = sim.backend
-    print(f"done at t={sim.now:.0f}s:")
-    _print_row_counts(backend)
-    jobs = sim.all_jobs
-    completed = sum(1 for job in jobs if not job.is_active)
-    print(f"  jobs: {len(jobs)} submitted, {completed} completed")
-    if sim.supervisors:
-        print("supervision:")
-        records = sim.sources.snapshot()
-        for mid in sim.machine_ids:
-            record = records[mid]
-            line = (
-                f"  {mid:<6} {record.status:<12} retries={record.retries} "
-                f"restarts={record.restarts} breaker={record.breaker}"
-            )
-            if record.status == "degraded":
-                line += f"  ({record.reason})"
-            print(line)
-        if fault_plan is not None and fault_plan.injected:
-            injected = ", ".join(
-                f"{kind}={count}" for kind, count in sorted(fault_plan.injected.items())
-            )
-            print(f"  faults injected: {injected}")
-        degraded = sim.sources.degraded()
-        if degraded:
-            print(f"  degraded sources: {', '.join(degraded)}")
-    if args.archive:
-        from repro.grid.persist import archive_simulation
-
-        paths = archive_simulation(sim, args.archive)
-        print(f"  archived {len(paths)} log files to {args.archive}")
-    if sources is not None:
-        status = sources.slo_status()
-        breached = status["breached"]
-        verdict = f"BREACHED ({', '.join(breached)})" if breached else "ok"
-        print(
-            f"staleness SLO (p95 < {status['target_p95']:g}s, "
-            f"budget {status['budget']:g}): {verdict}, "
-            f"worst burn {status['worst_burn']:.2f}"
+    try:
+        announce = (
+            f"simulating {config.num_machines} machines for {remaining:.0f}s "
+            f"(seed {config.seed})..."
         )
+        if deployment.server is not None:
+            announce = f"observatory serving on {deployment.server.url}\n{announce}"
+        target = sim.now + remaining
+        next_frame = 0.0
+
+        def step() -> bool:
+            nonlocal next_frame
+            if not deployment.step(until=target):
+                return False
+            if args.top and sim.now >= next_frame:
+                sys.stdout.write(render_top(sim.status()) + "\n")
+                next_frame = sim.now + max(args.top_interval, config.tick)
+            return True
+
+        if _run_until_stopped(deployment, announce, step, interval=0):
+            print(f"SIGTERM: stopping early at t={sim.now:.0f}s (flushing WAL, final checkpoint)")
+
+        print(f"done at t={sim.now:.0f}s:")
+        _print_row_counts(sim.backend)
+        jobs = sim.all_jobs
+        completed = sum(1 for job in jobs if not job.is_active)
+        print(f"  jobs: {len(jobs)} submitted, {completed} completed")
+        if sim.supervisors:
+            print("supervision:")
+            records = sim.sources.snapshot()
+            for mid in sim.machine_ids:
+                record = records[mid]
+                line = (
+                    f"  {mid:<6} {record.status:<12} retries={record.retries} "
+                    f"restarts={record.restarts} breaker={record.breaker}"
+                )
+                if record.status == "degraded":
+                    line += f"  ({record.reason})"
+                print(line)
+            if fault_plan is not None and fault_plan.injected:
+                injected = ", ".join(
+                    f"{kind}={count}" for kind, count in sorted(fault_plan.injected.items())
+                )
+                print(f"  faults injected: {injected}")
+            degraded = sim.sources.degraded()
+            if degraded:
+                print(f"  degraded sources: {', '.join(degraded)}")
+        if args.archive:
+            from repro.grid.persist import archive_simulation
+
+            paths = archive_simulation(sim, args.archive)
+            print(f"  archived {len(paths)} log files to {args.archive}")
+        if sources is not None:
+            status = sources.slo_status()
+            breached = status["breached"]
+            verdict = f"BREACHED ({', '.join(breached)})" if breached else "ok"
+            print(
+                f"staleness SLO (p95 < {status['target_p95']:g}s, "
+                f"budget {status['budget']:g}): {verdict}, "
+                f"worst burn {status['worst_burn']:.2f}"
+            )
+        with contextlib.closing(SQLiteBackend(sim.catalog, args.db)) as exported:
+            copy_tables(sim.backend, exported)
+    finally:
+        deployment.close()
     if durability is not None:
-        durability.close(sim.now)
         dstats = durability.stats()
         print(
             f"durability: epoch {dstats['epoch']}, "
@@ -627,22 +573,15 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             f"{dstats['wal_records']} WAL record(s), "
             f"{dstats['wal_syncs']} fsync(s)"
         )
+    recorder = deployment.recorder
     if recorder is not None:
-        recorder.uninstall()
         if recorder.dumps:
             print(f"flight recorder: {len(recorder.dumps)} dump(s)")
             for path in recorder.dumps:
                 print(f"  {path}")
         else:
             print("flight recorder: no anomalies triggered")
-    if server is not None:
-        server.stop()
     print(f"monitoring database written to {args.db}")
-    backend.close()
-    if observing:
-        from repro import obs
-
-        obs.disable()
     return 0
 
 
@@ -673,20 +612,17 @@ def _cmd_shard_serve(args: argparse.Namespace) -> int:
         supervisor_policy=supervisor_policy,
         step_interval=args.step_interval,
     )
-    shard.start()
     try:
-        # The announce line the launcher/chaos harness parses (flushed so a
-        # pipe-buffered parent sees it immediately).
+        shard.start()
+        # The announce line the launcher/chaos harness parses; the ``stop``
+        # op ends the wait as SIGTERM does.
         _run_until_stopped(
+            shard.deployment,
             format_ready_line(shard.shard_id, shard.host, shard.port, shard.sim.machine_ids),
-            lambda: not shard.stopping,
-            interval=0.1,
             duration=args.duration,
         )
     finally:
-        # Graceful shutdown on every exit path: drain the in-flight
-        # fragment, flush the WAL, write the final checkpoint.
-        shard.close()
+        shard.close()  # drain the in-flight fragment, flush the WAL, checkpoint
     print(f"shard {shard.shard_id} stopped at t={shard.sim.now:.0f}s")
     return 0
 
@@ -701,7 +637,7 @@ _UNSHARDED_FLAGS = (
 def _cmd_simulate_sharded(args: argparse.Namespace) -> int:
     import os
 
-    from repro import obs
+    from repro.deploy import Deployment
     from repro.federation import FederationCoordinator, ShardRegistry
     from repro.federation.process import launch_shard
 
@@ -711,8 +647,7 @@ def _cmd_simulate_sharded(args: argparse.Namespace) -> int:
             raise TracError(f"--{flag.replace('_', '-')} is not supported with --shards")
     if args.resume and not args.data_dir:
         raise TracError("--resume requires --data-dir")
-    if args.db:
-        print(f"note: --shards mode does not write {args.db}; state lives per shard")
+    print(f"note: --shards mode does not write {args.db}; state lives per shard")
 
     shards_n = args.shards
     if args.machines < shards_n:
@@ -723,10 +658,9 @@ def _cmd_simulate_sharded(args: argparse.Namespace) -> int:
     base, extra = divmod(args.machines, shards_n)
     counts = [base + (1 if k < extra else 0) for k in range(shards_n)]
 
-    telemetry = obs.enable() if args.serve is not None else None
     processes = []
-    registry = ShardRegistry(telemetry=telemetry)
-    server = coordinator = None
+    registry = ShardRegistry()
+    deployment = None
     try:
         start_id = 1
         for k, count in enumerate(counts):
@@ -755,16 +689,10 @@ def _cmd_simulate_sharded(args: argparse.Namespace) -> int:
             f"({', '.join(f'{p.shard_id}:{len(p.machines)}' for p in processes)})"
         )
 
-        coordinator = FederationCoordinator(
-            registry, stale_fallback=True, seed=args.seed, telemetry=telemetry
-        )
-        if args.serve is not None:
-            from repro.obs.server import ObservatoryServer
-
-            server = ObservatoryServer(
-                telemetry, host=args.serve_host, port=args.serve, status_provider=coordinator.status
-            ).start()
-            announce += f"\nobservatory serving on {server.url}"
+        coordinator = FederationCoordinator(registry, stale_fallback=True, seed=args.seed)
+        deployment = Deployment(coordinator, port=args.serve, host=args.serve_host)
+        if deployment.server is not None:
+            announce += f"\nobservatory serving on {deployment.server.url}"
 
         report = None
 
@@ -773,7 +701,7 @@ def _cmd_simulate_sharded(args: argparse.Namespace) -> int:
             registry.refresh()
             report = coordinator.report("SELECT * FROM activity", method="naive")
 
-        if _run_until_stopped(announce, tick, args.report_interval, args.duration):
+        if _run_until_stopped(deployment, announce, tick, args.report_interval, args.duration):
             print("SIGTERM: stopping the federation")
         if report is not None:
             print(
@@ -790,14 +718,10 @@ def _cmd_simulate_sharded(args: argparse.Namespace) -> int:
         )
         return 0
     finally:
-        if server is not None:
-            server.stop()
-        if coordinator is not None:
-            coordinator.close()
+        if deployment is not None:
+            deployment.close()
         for proc in processes:
             proc.terminate()
-        if telemetry is not None:
-            obs.disable()
 
 
 def _cmd_recover(args: argparse.Namespace) -> int:
@@ -859,10 +783,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
         query_backend = backend
         if args.lineage:
             # SQLite runs the SQL natively and cannot attribute rows to
-            # sources; lineage needs the mini engine, so mirror first.
-            from repro.serve import mirror_into_memory
-
-            query_backend = mirror_into_memory(backend)
+            # sources; lineage needs the mini engine, so copy first.
+            query_backend = copy_tables(backend, MemoryBackend(backend.catalog))
         reporter = RecencyReporter(
             query_backend,
             z_threshold=args.z_threshold,
@@ -938,9 +860,9 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     with contextlib.closing(SQLiteBackend.open(args.db)) as backend:
         if args.analyze:
             from repro.engine.profile import profile_query
-            from repro.serve import mirror_into_memory
 
-            db = mirror_into_memory(backend).db  # SQLite runs its SQL natively: nothing to profile
+            # SQLite runs its SQL natively: nothing to profile.
+            db = copy_tables(backend, MemoryBackend(backend.catalog)).db
             print(profile_query(db, args.sql, lineage=args.lineage).render())
         else:
             print(
@@ -1003,12 +925,11 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         maintainer = None
         query_backend = backend
         if args.incremental:
-            # SQLite publishes no change events; mirror the database into a
+            # SQLite publishes no change events; copy the database into a
             # MemoryBackend and maintain the materialized sets there.
             from repro.incremental import IncrementalMaintainer
-            from repro.serve import mirror_into_memory
 
-            query_backend = mirror_into_memory(backend)
+            query_backend = copy_tables(backend, MemoryBackend(backend.catalog))
             maintainer = IncrementalMaintainer(query_backend, telemetry=tel)
         reporter = RecencyReporter(
             query_backend,
@@ -1033,8 +954,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
             f"{cache_stats['misses']} miss(es), "
             f"{cache_stats['size']}/{cache_stats['maxsize']} entries"
         )
-        if reporter.plan_cache_size > 0:
-            print(f"plan cache: {reporter.plan_cache_hits} hit(s)")
         if maintainer is not None:
             inc = maintainer.stats()
             print(
@@ -1065,52 +984,30 @@ def _cmd_shell(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro import obs
-    from repro.obs.server import ObservatoryServer
-    from repro.serve import QueryService, ServeConfig, mirror_into_memory
+    from repro.deploy import Deployment
+    from repro.serve import ServeConfig
 
-    tel = obs.enable()
-    server = None
-    service = None
-    try:
-        # SQLite connections are single-threaded; serving mirrors the DB
-        # into a memory backend whose CoW snapshots carry concurrent load.
-        with contextlib.closing(SQLiteBackend.open(args.db)) as backend:
-            memory = mirror_into_memory(backend)
-        service = QueryService(
-            memory,
-            ServeConfig(
-                workers=args.workers,
-                queue_depth=args.queue_depth,
-                tenant_rate=args.tenant_rate,
-                tenant_burst=args.tenant_burst,
-                max_inflight=args.max_inflight,
-                default_deadline=args.deadline,
-                lineage=args.lineage,
-            ),
-            telemetry=tel,
-        )
-
-        server = ObservatoryServer(
-            tel,
-            host=args.host,
-            port=args.port,
-            status_provider=service.status,
-            query_service=service,
-        ).start()
+    # SQLite connections are single-threaded; the file is copied into the
+    # memory engine, whose CoW snapshots carry concurrent load.
+    with contextlib.closing(SQLiteBackend.open(args.db)) as backend:
+        memory = copy_tables(backend, MemoryBackend(backend.catalog))
+    config = ServeConfig(
+        workers=args.workers,
+        queue_depth=args.queue_depth,
+        tenant_rate=args.tenant_rate,
+        tenant_burst=args.tenant_burst,
+        max_inflight=args.max_inflight,
+        default_deadline=args.deadline,
+        lineage=args.lineage,
+    )
+    with Deployment(memory, port=args.port, host=args.host, config=config) as deployment:
         announce = (
-            f"observatory serving {args.db} on {server.url} "
+            f"observatory serving {args.db} on {deployment.server.url} "
             f"(POST /v1/query, {args.workers} workers; ctrl-C to stop)"
         )
-        if _run_until_stopped(announce, duration=args.duration):  # None waits forever
+        if _run_until_stopped(deployment, announce, duration=args.duration):  # None: forever
             print("SIGTERM: draining in-flight queries and stopping")
-        return 0
-    finally:
-        if server is not None:
-            server.stop()
-        if service is not None:
-            service.close()
-        obs.disable()
+    return 0
 
 
 def _cmd_top(args: argparse.Namespace) -> int:

@@ -2,8 +2,10 @@
 
 A :class:`ShardServer` owns a :class:`~repro.grid.simulator.GridSimulator`
 over a *disjoint* slice of the machine-id space (``machine_id_start`` gives
-shard ``k`` the ids ``m{k*M+1}..m{(k+1)*M}``), steps it on a wall-clock
-cadence in a background thread, and answers the federation RPC ops:
+shard ``k`` the ids ``m{k*M+1}..m{(k+1)*M}``), runs it as a
+:class:`~repro.deploy.Deployment` with no front door — the deployment's step
+loop on a wall-clock cadence, its teardown order — and answers the
+federation RPC ops:
 
 ``hello`` / ``heartbeat``
     Membership and liveness: shard id, owned machines, simulated clock and
@@ -29,10 +31,10 @@ back with every acked heartbeat intact.
 
 from __future__ import annotations
 
-import threading
 from typing import Optional
 
 from repro.core.recency_query import execute_fragment
+from repro.deploy import Deployment
 from repro.errors import TracError
 from repro.faults.plan import FaultPlan
 from repro.federation.rpc import RPCServer
@@ -85,7 +87,6 @@ class ShardServer:
         self.telemetry = telemetry
         self.step_interval = step_interval
         self.fault_plan = fault_plan
-        self.durability = durability
         self.sim = GridSimulator(
             config,
             fault_plan=fault_plan,
@@ -93,12 +94,6 @@ class ShardServer:
             telemetry=telemetry,
             durability=durability,
         )
-        # One lock serializes simulator steps against RPC reads; fragment
-        # queries additionally run inside one backend snapshot, so a reply
-        # is consistent even mid-step.
-        self._lock = threading.Lock()
-        self._stop = threading.Event()
-        self._sim_thread: Optional[threading.Thread] = None
         self.server = RPCServer(
             self._handle,
             host=host,
@@ -107,45 +102,27 @@ class ShardServer:
         )
         self.host = self.server.host
         self.port = self.server.port
+        self.deployment = Deployment(self.sim, telemetry=telemetry, doors=[self.server])
+        # The deployment's lock serializes simulator steps against RPC
+        # reads; fragment queries additionally run inside one backend
+        # snapshot, so a reply is consistent even mid-step.
+        self._lock = self.deployment.lock
 
     # -- lifecycle ----------------------------------------------------------
 
     def start(self) -> "ShardServer":
         self.server.start()
-        self._sim_thread = threading.Thread(
-            target=self._step_loop, name=f"shard-sim:{self.shard_id}", daemon=True
-        )
-        self._sim_thread.start()
+        self.deployment.start_stepping(self.step_interval)
         return self
-
-    def _step_loop(self) -> None:
-        while not self._stop.is_set():
-            with self._lock:
-                self.sim.step()
-            self._stop.wait(self.step_interval)
 
     @property
     def stopping(self) -> bool:
-        return self._stop.is_set()
+        return self.deployment.stopping.is_set()
 
     def close(self) -> None:
-        """Graceful shutdown: drain, flush the WAL, final checkpoint.
-
-        Safe to call twice. Ordering matters: stop the stepping thread and
-        the RPC acceptor first, then take the simulator lock (which drains
-        any in-flight fragment), then let the durability manager write its
-        final checkpoint and sync/close the WAL.
-        """
-        self._stop.set()
-        if self._sim_thread is not None:
-            self._sim_thread.join(timeout=5.0)
-            self._sim_thread = None
-        self.server.stop()
-        with self._lock:
-            if self.durability is not None:
-                self.durability.close(self.sim.now)
-                self.durability = None
-            self.sim.backend.close()
+        """Graceful shutdown in :meth:`Deployment.close`'s order: stepping,
+        the RPC acceptor, then the final checkpoint and WAL close."""
+        self.deployment.close()
 
     def __enter__(self) -> "ShardServer":
         return self.start()
@@ -173,7 +150,7 @@ class ShardServer:
         if op == "stop":
             # Reply first (the flag only stops the step loop); the caller
             # or signal handler runs close() for the WAL/checkpoint flush.
-            self._stop.set()
+            self.deployment.stop()
             return {"ok": True, "shard_id": self.shard_id, "stopping": True}
         return {"ok": False, "shard_id": self.shard_id, "error": f"unknown op {op!r}"}
 
@@ -188,9 +165,10 @@ class ShardServer:
             }
             if full:
                 doc["degraded"] = self.sim.sources.degraded()
-                if self.durability is not None:
-                    doc["acked"] = self.durability.acked()
-                    doc["durability"] = self.durability.stats()
+                durability = self.sim.durability
+                if durability is not None:
+                    doc["acked"] = durability.acked()
+                    doc["durability"] = durability.stats()
                 if self.fault_plan is not None:
                     doc["faults_injected"] = dict(self.fault_plan.injected)
         return doc

@@ -19,8 +19,8 @@ itself. Three layers, no third-party dependencies:
   JSON dumps of recent events + spans + metrics on trigger events);
 * :mod:`repro.obs.server` — a dependency-free threaded HTTP server
   exposing ``/metrics``, ``/healthz``, ``/spans``, ``/events`` and
-  ``/status`` (imported lazily via :func:`serve` to keep ``import
-  repro`` light);
+  ``/status`` (not imported here, to keep ``import repro`` light; a
+  :class:`repro.deploy.Deployment` starts it);
 * :mod:`repro.obs.dashboard` — the ``trac top`` ANSI dashboard.
 
 :mod:`repro.obs.instrument` glues it together: a :class:`Telemetry`
@@ -92,17 +92,6 @@ from repro.obs.events import (
 )
 
 
-def serve(*args, **kwargs):
-    """Start an :class:`~repro.obs.server.ObservatoryServer` and return it.
-
-    Lazy wrapper so ``import repro`` never pays for ``http.server``;
-    accepts the same arguments as :func:`repro.obs.server.serve`.
-    """
-    from repro.obs.server import serve as _serve
-
-    return _serve(*args, **kwargs)
-
-
 __all__ = [
     "Span",
     "SpanContext",
@@ -139,5 +128,4 @@ __all__ = [
     "events_to_jsonl",
     "events_from_jsonl",
     "write_events_jsonl",
-    "serve",
 ]

@@ -64,8 +64,8 @@ on :meth:`ObservatoryServer.stop`. ``docs/SERVING.md`` tables the rules.
 
 Handler threads are daemons, so the server never blocks interpreter exit;
 ``port=0`` binds an ephemeral port, exposed via
-:attr:`ObservatoryServer.port`. Start one with ``obs.serve()``, ``trac
-serve``, or ``trac simulate --serve PORT``.
+:attr:`ObservatoryServer.port`. :class:`repro.deploy.Deployment` starts the
+one behind ``trac serve`` and ``trac simulate --serve PORT``.
 """
 
 from __future__ import annotations
@@ -519,13 +519,3 @@ class ObservatoryServer:
         running = "running" if self._thread is not None else "stopped"
         return f"ObservatoryServer({self.url}, {running})"
 
-
-def serve(telemetry=None, **options) -> ObservatoryServer:
-    """Start an :class:`ObservatoryServer` for ``telemetry`` (the process
-    default when omitted; ``options`` as for the class) and return it
-    already serving."""
-    if telemetry is None:
-        from repro.obs.instrument import get_default
-
-        telemetry = get_default()
-    return ObservatoryServer(telemetry, **options).start()

@@ -16,14 +16,12 @@ from repro.serve.service import (
     DEFAULT_TENANT,
     QueryService,
     ServeConfig,
-    mirror_into_memory,
 )
 
 __all__ = [
     "QueryService",
     "ServeConfig",
     "DEFAULT_TENANT",
-    "mirror_into_memory",
     "WorkerPool",
     "QueueFull",
     "DeadlineExceeded",

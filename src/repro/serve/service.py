@@ -13,7 +13,8 @@ recency report from one snapshot-consistent read. Every request:
 3. executes on a worker-private :class:`~repro.core.report.RecencyReporter`
    whose ``report()`` opens a per-request copy-on-write snapshot
    (``Database.snapshot_view``), so the rows and their recency report are
-   consistent with each other and isolated from concurrent ingest;
+   consistent with each other and isolated from the ingest running beside
+   them;
 4. lands in the observatory: a ``serve.request`` span (child of the span
    open on the submitting thread — the server's ``http.request`` — whose
    context :meth:`QueryService.submit` hands across the pool), the
@@ -34,7 +35,7 @@ import time
 from collections import deque
 from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FutureTimeoutError  # the builtin only from 3.11
-from typing import Any, Deque, Dict, Optional, Tuple
+from typing import Any, Deque, Dict, NamedTuple, Optional, Tuple
 
 from repro.core.report import RecencyReporter
 from repro.errors import TracError
@@ -64,6 +65,10 @@ WORKER_GRACE = 5.0
 #: req/s is computed over this sliding window of completions (seconds).
 RATE_WINDOW_SECONDS = 10.0
 
+#: A served reporter keeps each query's relevance plan on its cached
+#: resolution (``RecencyReporter(plan_cache_size=)`` is on/off).
+PLAN_CACHE_SIZE = 128
+
 _REJECTION_OUTCOMES = {
     "quota": "rejected_quota",
     "inflight": "rejected_inflight",
@@ -71,46 +76,19 @@ _REJECTION_OUTCOMES = {
 }
 
 
-class ServeConfig:
-    """Tunables for one :class:`QueryService` (all keyword-overridable)."""
+class ServeConfig(NamedTuple):
+    """Tunables for one :class:`QueryService` (all keyword-overridable; a
+    ``NamedTuple``, not a dataclass: importing ``dataclasses`` costs every
+    process that imports ``repro.serve`` ~0.7 MB and a slower collector)."""
 
-    __slots__ = (
-        "workers",
-        "queue_depth",
-        "default_deadline",
-        "tenant_rate",
-        "tenant_burst",
-        "max_inflight",
-        "plan_cache_size",
-        "lineage",
-    )
-
-    def __init__(
-        self,
-        workers: int = 8,
-        queue_depth: int = 64,
-        default_deadline: float = 5.0,
-        tenant_rate: float = 200.0,
-        tenant_burst: float = 400.0,
-        max_inflight: int = 64,
-        plan_cache_size: int = 128,
-        lineage: bool = False,
-    ) -> None:
-        self.workers = int(workers)
-        self.queue_depth = int(queue_depth)
-        self.default_deadline = float(default_deadline)
-        self.tenant_rate = float(tenant_rate)
-        self.tenant_burst = float(tenant_burst)
-        self.max_inflight = int(max_inflight)
-        self.plan_cache_size = int(plan_cache_size)
-        #: Annotate every served row with its provenance + quality block.
-        self.lineage = bool(lineage)
-
-    def __repr__(self) -> str:
-        return (
-            f"ServeConfig(workers={self.workers}, queue_depth={self.queue_depth}, "
-            f"rate={self.tenant_rate}/s, max_inflight={self.max_inflight})"
-        )
+    workers: int = 8
+    queue_depth: int = 64
+    default_deadline: float = 5.0
+    tenant_rate: float = 200.0
+    tenant_burst: float = 400.0
+    max_inflight: int = 64
+    #: Annotate every served row with its provenance + quality block.
+    lineage: bool = False
 
 
 class QueryService:
@@ -118,12 +96,17 @@ class QueryService:
 
     Parameters
     ----------
-    backend:
-        The backend every worker reporter queries. For concurrent serving
-        use a :class:`~repro.backends.memory.MemoryBackend` — its
-        snapshots are copy-on-write views, opened and released under the
-        backend's snapshot lock so hundreds of concurrent readers never
-        race ingest.
+    source:
+        What the reports come from. A :class:`~repro.backends.base.Backend`:
+        every worker gets a private reporter over it (serve concurrently from
+        a :class:`~repro.backends.memory.MemoryBackend` — its snapshots are
+        copy-on-write views opened under the backend's lock, so readers never
+        race ingest). A :class:`~repro.grid.simulator.GridSimulator`: the
+        same over the backend it is loading, plus its ``sources`` registry,
+        so every answer names the sources known to be degraded. A
+        :class:`~repro.federation.FederationCoordinator`: shared by the
+        workers (it locks its own state); the answer is the federated report
+        — recency side and completeness envelope, no user-query rows.
     config:
         A :class:`ServeConfig`; defaults apply when omitted.
     telemetry:
@@ -134,11 +117,11 @@ class QueryService:
 
     def __init__(
         self,
-        backend,
+        source,
         config: Optional[ServeConfig] = None,
         telemetry: Optional[object] = None,
     ) -> None:
-        self.backend = backend
+        self.source = source
         self.config = config or ServeConfig()
         self.telemetry = telemetry
         self.quotas = TenantQuotas(
@@ -164,13 +147,20 @@ class QueryService:
         self._completions: Deque[float] = deque()
         self._closed = False
 
-    def _make_reporter(self) -> RecencyReporter:
-        """One private reporter per worker thread (no cross-thread state);
-        the normal/exceptional splits travel in the response body."""
+    def _make_reporter(self):
+        """A worker's reporter. Over a backend or a simulator: a private
+        :class:`RecencyReporter` (no cross-thread state; the normal /
+        exceptional splits travel in the response body). Over a coordinator:
+        the coordinator itself (a worker's exit ``close()``s its state: for
+        the coordinator that only drops pooled sockets it reopens on demand)."""
+        source = self.source
+        if hasattr(source, "report"):
+            return source
         return RecencyReporter(
-            self.backend,
+            getattr(source, "backend", source),
             telemetry=self.telemetry,
-            plan_cache_size=self.config.plan_cache_size,
+            plan_cache_size=PLAN_CACHE_SIZE,
+            sources=getattr(source, "sources", None),
             lineage=self.config.lineage,
         )
 
@@ -313,7 +303,9 @@ class QueryService:
             with timer:
                 timer.set_attribute("queue_wait_s", round(queue_wait, 6))
                 report = reporter.report(sql, method=method)
-                timer.set_attribute("rows", len(report.result.rows))
+                # A federated report ran the recency side only: no result.
+                rows = report.result.rows if report.result is not None else ()
+                timer.set_attribute("rows", len(rows))
             outcome, trace_id = "ok", report.trace_id
         finally:
             if tel.enabled:
@@ -398,7 +390,7 @@ class QueryService:
     def status(self) -> Dict[str, Any]:
         """The ``/status`` document of a served database: a row per source in the
         heartbeat table the queries answer from, the newest heartbeat as clock."""
-        recency = dict(self.backend.heartbeat_rows())
+        recency = dict(self.source.heartbeat_rows())
         now = max(recency.values(), default=0.0)
         return {"now": now, "sources": source_rows(recency, now)}
 
@@ -430,37 +422,3 @@ class QueryService:
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
 
-
-def mirror_into_memory(backend) -> "Any":
-    """Copy every cataloged table of ``backend`` into a fresh
-    :class:`~repro.backends.memory.MemoryBackend` — the serving mirror.
-
-    SQLite connections are bound to one thread and snapshot with file
-    locks; the memory backend snapshots as O(#tables) CoW views, which is
-    what lets one process serve hundreds of concurrent readers. ``trac
-    serve`` mirrors the monitoring database through this at startup.
-
-    Every table is read inside **one** ``backend.snapshot()``: a simulator
-    writing beside the copy must not leave the mirror holding ``heartbeat``
-    from one instant and the job tables from another (the paper's rule that
-    user query and recency query read one snapshot starts here).
-    """
-    from repro.backends.memory import MemoryBackend
-
-    memory = MemoryBackend(backend.catalog)
-    memory.create_tables()
-    with backend.snapshot() as snapshot:
-        for schema in backend.catalog:
-            rows = snapshot.execute(f"SELECT * FROM {schema.name}").rows
-            if rows:
-                memory.insert_rows(schema.name, rows)
-    return memory
-
-
-__all__ = [
-    "QueryService",
-    "ServeConfig",
-    "mirror_into_memory",
-    "SPAN_SERVE",
-    "DEFAULT_TENANT",
-]

@@ -139,10 +139,12 @@ class Shell:
         totals line names the contributing sources — the shell is the
         interactive "why should I trust this row?" surface.
         """
+        from repro.backends import MemoryBackend, copy_tables
         from repro.engine.profile import profile_query
-        from repro.serve import mirror_into_memory
 
-        backend = self.backend if hasattr(self.backend, "db") else mirror_into_memory(self.backend)
+        backend = self.backend
+        if not hasattr(backend, "db"):  # SQLite: nothing to profile
+            backend = copy_tables(backend, MemoryBackend(backend.catalog))
         self._say(profile_query(backend.db, sql, lineage=True).render())
 
     def _events(self, rest: str) -> None:

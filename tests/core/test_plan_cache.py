@@ -162,8 +162,12 @@ class TestStalePlan:
         assert reporter.plan_cache_hits == (1 if plan_cache_size else 0)
 
     def test_query_service_defaults_replan_after_catalog_replace(self, backend):
-        assert ServeConfig().plan_cache_size > 0
         with QueryService(backend, ServeConfig(workers=1)) as service:
             assert service.query(self.SQL)["relevant_sources"] == []
             backend.catalog.replace(self.schema("abc"))
             assert service.query(self.SQL)["relevant_sources"] == ["c"]
+            # The served reporter memoises: the repeat is a plan-cache hit.
+            reporter = service.pool.submit(lambda reporter: reporter).result(timeout=5.0)
+            hits = reporter.plan_cache_hits
+            assert service.query(self.SQL)["relevant_sources"] == ["c"]
+            assert reporter.plan_cache_hits == hits + 1

@@ -9,7 +9,7 @@ import pytest
 
 from repro.core.sources import DEGRADED, HEALTHY, SourceRegistry
 from repro.obs import Telemetry
-from repro.obs.server import PROMETHEUS_CONTENT_TYPE, ObservatoryServer, serve
+from repro.obs.server import PROMETHEUS_CONTENT_TYPE, ObservatoryServer
 from repro.obs.trace import Tracer
 
 
@@ -247,22 +247,6 @@ class TestLifecycle:
         # Port is free again: a new server can bind it.
         rebound = ObservatoryServer(telemetry, port=port)
         rebound.stop()
-
-    def test_serve_helper_returns_running_server(self, telemetry):
-        server = serve(telemetry)
-        try:
-            assert get(server.url + "/metrics")[0] == 200
-        finally:
-            server.stop()
-
-    def test_obs_namespace_serve_is_lazy(self, telemetry):
-        from repro import obs
-
-        server = obs.serve(telemetry)
-        try:
-            assert get(server.url + "/healthz")[0] == 200
-        finally:
-            server.stop()
 
 
 class TestMethodDiscipline:

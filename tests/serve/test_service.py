@@ -2,13 +2,12 @@
 
 import pytest
 
-from repro.backends.memory import MemoryBackend
+from repro.backends import MemoryBackend, SQLiteBackend, copy_tables
 from repro.errors import TracError
 from repro.obs import Telemetry
 from repro.obs.instrument import SERVE_REQUEST_SECONDS
 from repro.serve import QueryService, ServeConfig
 from repro.serve.quota import QuotaExceeded
-from repro.serve.service import mirror_into_memory
 
 SQL = "SELECT mach_id FROM activity"
 
@@ -182,14 +181,14 @@ class TestMirror:
 
         instant = rows_of(paper_memory_backend)
 
-        memory = mirror_into_memory(source)
+        memory = copy_tables(source, MemoryBackend(paper_catalog))
 
         assert source.ticks >= len(tables)  # the writer really ran beside the copy
         mirrored = rows_of(memory)
         assert mirrored == instant  # every table from the same instant: none saw a tick
 
     def test_mirror_into_memory_copies_all_tables(self, paper_sqlite_backend):
-        memory = mirror_into_memory(paper_sqlite_backend)
+        memory = copy_tables(paper_sqlite_backend, MemoryBackend(paper_sqlite_backend.catalog))
         rows = memory.execute("SELECT mach_id FROM activity").rows
         assert sorted(r[0] for r in rows) == ["m1", "m2", "m3"]
         heartbeats = dict(memory.heartbeat_rows())
@@ -197,3 +196,21 @@ class TestMirror:
         with QueryService(memory) as svc:
             doc = svc.query(SQL)
             assert doc["exceptional_sources"] == ["m2"]
+
+    def test_the_export_is_the_same_copy_and_replaces_what_the_file_held(
+        self, paper_memory_backend, tmp_path
+    ):
+        """Memory → SQLite file (``trac simulate --db`` at exit) is the same
+        function; rows a previous run left in the file do not survive it."""
+        path = str(tmp_path / "export.sqlite")
+        with SQLiteBackend(paper_memory_backend.catalog, path) as stale:
+            stale.insert_rows("activity", [("m9", "idle", 1.0)])
+            stale.upsert_heartbeat("m99", 1.0)
+        with SQLiteBackend(paper_memory_backend.catalog, path) as exported:
+            assert copy_tables(paper_memory_backend, exported) is exported
+        with SQLiteBackend.open(path) as reopened:
+            for schema in paper_memory_backend.catalog:
+                sql = f"SELECT * FROM {schema.name}"
+                assert sorted(reopened.execute(sql).rows) == sorted(
+                    paper_memory_backend.execute(sql).rows
+                )

@@ -31,6 +31,51 @@ def grid_db(tmp_path):
     return db, logs
 
 
+@pytest.fixture
+def deployments(monkeypatch):
+    """Every ``Deployment`` a CLI run starts, so a test can ``stop()`` one the
+    way SIGTERM would (an in-process ``main`` cannot be signalled)."""
+    from repro.deploy import Deployment
+
+    started = []
+    real_init = Deployment.__init__
+    monkeypatch.setattr(
+        Deployment,
+        "__init__",
+        lambda self, *args, **kwargs: (real_init(self, *args, **kwargs), started.append(self))[0],
+    )
+    return started
+
+
+def serve_in_thread(argv, capsys):
+    """Run ``main(argv)`` on a thread; returns ``(thread, result, url)`` once the
+    run has announced the URL it serves on."""
+    import threading
+    import time
+
+    result = {}
+    thread = threading.Thread(target=lambda: result.update(code=main(argv)), daemon=True)
+    thread.start()
+    url, deadline = None, time.monotonic() + 60.0
+    while url is None and time.monotonic() < deadline and thread.is_alive():
+        for line in capsys.readouterr().out.splitlines():
+            if " on http://" in line:
+                url = line.split(" on ", 1)[1].split()[0]
+        time.sleep(0.02)
+    assert url, f"{argv[0]} never announced its URL"
+    return thread, result, url
+
+
+def post_query(url, sql):
+    import json
+    import urllib.request
+
+    request = urllib.request.Request(url + "/v1/query", data=json.dumps({"sql": sql}).encode())
+    with urllib.request.urlopen(request, timeout=10.0) as response:
+        assert response.status == 200
+        return json.loads(response.read())
+
+
 class TestSimulate:
     def test_creates_database_and_archive(self, grid_db, capsys):
         db, logs = grid_db
@@ -130,6 +175,28 @@ class TestSimulateSharded:
         assert launched[0]["extra_args"] == [
             "--fsync-interval", "0.25", "--checkpoint-interval", "7.0",
         ]
+
+
+    def test_shards_serve_answers_with_the_federated_report(self, tmp_path, capsys, deployments):
+        """``simulate --shards N --serve``: ``POST /v1/query`` is a 200 carrying
+        the five completeness keys and no user-query rows."""
+        thread, result, url = serve_in_thread(
+            [
+                "simulate", "--db", str(tmp_path / "g.sqlite"), "--shards", "2",
+                "--machines", "4", "--duration", "60", "--serve", "0",
+            ],
+            capsys,
+        )
+        try:
+            doc = post_query(url, "SELECT mach_id FROM activity")
+        finally:
+            deployments[0].stop()
+            thread.join(timeout=60.0)
+        assert result.get("code") == 0
+        assert (doc["shards_total"], doc["shards_ok"], doc["complete"]) == (2, 2, True)
+        assert doc["missing_shards"] == [] and doc["stale_shards"] == {} and doc["rows"] == []
+        # Freshly launched shards: whichever machines have reported in so far.
+        assert set(doc["relevant_sources"]) <= {"m1", "m2", "m3", "m4"}
 
 
 class TestReport:
@@ -354,6 +421,74 @@ class TestObservatory:
         )
         assert not obs.get_default().enabled
 
+    def test_an_error_mid_run_still_tears_the_whole_deployment_down(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """A ``TracError`` out of ``sim.step()`` exits 1 through the one
+        ``Deployment.close()``: telemetry off, no observatory thread, the port
+        refusing, the WAL closed — and no half-written ``--db``."""
+        import re
+        import socket
+        import threading
+
+        from repro import obs
+        from repro.errors import SimulationError
+        from repro.grid.simulator import GridSimulator
+
+        real_step = GridSimulator.step
+
+        def failing_step(sim):
+            if sim.now >= 5:
+                raise SimulationError("injected: step 5 failed")
+            real_step(sim)
+
+        monkeypatch.setattr(GridSimulator, "step", failing_step)
+        db, data = tmp_path / "g.sqlite", tmp_path / "data"
+        code = main(
+            [
+                "simulate", "--db", str(db), "--machines", "3", "--duration", "50",
+                "--serve", "0", "--data-dir", str(data),
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 1 and "injected: step 5 failed" in captured.err
+        assert not obs.get_default().enabled
+        assert not [t for t in threading.enumerate() if t.name.startswith("trac-observatory")]
+        port = int(re.search(r"serving on http://127\.0\.0\.1:(\d+)", captured.out).group(1))
+        with pytest.raises(OSError):
+            socket.create_connection(("127.0.0.1", port), timeout=2.0).close()
+        assert not db.exists()  # --db is written at a clean exit only
+        monkeypatch.undo()
+        assert main(["recover", "--data-dir", str(data)]) == 0
+        assert "torn segments       : 0" in capsys.readouterr().out
+
+    def test_simulate_serve_answers_queries_while_it_ingests(self, tmp_path, capsys, deployments):
+        """``simulate --serve`` is a live front door: ``POST /v1/query`` is a
+        200 whose recency advances between two calls, and a stopped run (what
+        SIGTERM does) still exports ``--db``."""
+        import time
+
+        db = str(tmp_path / "live.sqlite")
+        thread, result, url = serve_in_thread(
+            ["simulate", "--db", db, "--machines", "4", "--duration", "100000000", "--serve", "0"],
+            capsys,
+        )
+
+        def newest_recency():
+            doc = post_query(url, "SELECT mach_id FROM activity")
+            assert sorted(row[0] for row in doc["rows"]) == ["m1", "m2", "m3", "m4"]
+            return max(recency for _sid, recency in doc["normal"] + doc["exceptional"])
+
+        try:
+            first, deadline = newest_recency(), time.monotonic() + 30.0
+            while newest_recency() <= first:
+                assert time.monotonic() < deadline, "recency never advanced: the door is not live"
+        finally:
+            deployments[0].stop()
+            thread.join(timeout=60.0)
+        assert result.get("code") == 0
+        assert main(["inspect", "--db", db]) == 0
+
     def test_simulate_top_renders_frames(self, tmp_path, capsys):
         code = main(
             [
@@ -372,27 +507,12 @@ class TestObservatory:
 
     def test_serve_exposes_database_status(self, grid_db, capsys):
         import json
-        import threading
-        import time
         import urllib.request
 
         db, _ = grid_db
-        result = {}
-
-        def run():
-            result["code"] = main(["serve", "--db", db, "--port", "0", "--duration", "3"])
-
-        thread = threading.Thread(target=run, daemon=True)
-        thread.start()
-        url = None
-        deadline = time.monotonic() + 5.0
-        while time.monotonic() < deadline and url is None:
-            out = capsys.readouterr().out
-            for line in out.splitlines():
-                if " on http://" in line:
-                    url = line.split(" on ", 1)[1].split()[0]
-            time.sleep(0.02)
-        assert url, "serve never announced its URL"
+        thread, result, url = serve_in_thread(
+            ["serve", "--db", db, "--port", "0", "--duration", "3"], capsys
+        )
         with urllib.request.urlopen(url + "/status", timeout=5.0) as response:
             doc = json.loads(response.read().decode("utf-8"))
         assert doc["sources"], "status document must list the DB's sources"

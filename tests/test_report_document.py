@@ -1,8 +1,9 @@
 """One report document: every surface serves ``RecencyReport.to_dict()``.
 
 The same report — one settled grid partition, one query — is produced
-in-process, over ``POST /v1/query`` and by a ``FederationCoordinator``
-whose single shard holds every machine. Each surface's JSON must be the
+in-process, over ``POST /v1/query``, by a ``FederationCoordinator`` whose
+single shard holds every machine, and over the ``POST /v1/query`` of a
+deployment over that coordinator. Each surface's JSON must be the
 report document plus that surface's declared envelope keys and nothing
 else, and must agree with the in-process report on everything that is not
 a clock reading.
@@ -14,6 +15,7 @@ import urllib.request
 import pytest
 
 from repro.core.report import RecencyReporter
+from repro.deploy import Deployment
 from repro.federation import FederationCoordinator, ShardRegistry, ShardServer
 from repro.grid.simulator import SimulationConfig
 from repro.obs import Telemetry
@@ -42,6 +44,7 @@ ON = {
     "reporter": {"trace_id"},
     "POST /v1/query": {"trace_id"},
     "federation": set(),
+    "federated POST /v1/query": set(),
 }
 
 #: What each surface may add to the report document.
@@ -50,6 +53,8 @@ ENVELOPES = {
     "POST /v1/query": {"tenant", "queue_wait_seconds"},
     "federation": {"shards_total", "shards_ok", "missing_shards", "stale_shards", "complete"},
 }
+#: ``trac simulate --shards --serve``: the federated report through the door.
+ENVELOPES["federated POST /v1/query"] = ENVELOPES["POST /v1/query"] | ENVELOPES["federation"]
 
 #: Keys that read a clock or a per-request id, so differ between two runs.
 VOLATILE = {"timings", "trace_id", "profile"}
@@ -88,6 +93,10 @@ def documents():
                 docs["POST /v1/query"] = fetch_json(
                     server.url + "/v1/query", body={"sql": SQL, "tenant": "ops"}
                 )
+        with Deployment(coordinator, port=0, config=ServeConfig(workers=1), telemetry=tel) as door:
+            docs["federated POST /v1/query"] = fetch_json(
+                door.server.url + "/v1/query", body={"sql": SQL, "tenant": "ops"}
+            )
     finally:
         reporter.close()
         coordinator.close()
@@ -101,18 +110,20 @@ def test_surface_serves_the_report_document_plus_its_envelope(documents, surface
     assert local["relevant_sources"], "the fixture query must have relevant sources"
     assert ON[surface] <= set(OPTIONAL)
     assert set(doc) == ALWAYS | ON[surface] | ENVELOPES[surface]
-    skip = VOLATILE | (USER_QUERY if surface == "federation" else set())
+    skip = VOLATILE | (USER_QUERY if "federat" in surface else set())
     for key in ALWAYS - skip:
         assert doc[key] == local[key], key
 
 
 def test_envelopes_carry_what_they_declare(documents):
-    served = documents["POST /v1/query"]
-    assert served["tenant"] == "ops" and served["queue_wait_seconds"] >= 0.0
-    fed = documents["federation"]
-    assert (fed["shards_total"], fed["shards_ok"], fed["complete"]) == (1, 1, True)
-    assert fed["missing_shards"] == [] and fed["stale_shards"] == {}
-    assert fed["columns"] == [] and fed["rows"] == []
+    for surface in ("POST /v1/query", "federated POST /v1/query"):
+        served = documents[surface]
+        assert served["tenant"] == "ops" and served["queue_wait_seconds"] >= 0.0
+    for surface in ("federation", "federated POST /v1/query"):
+        fed = documents[surface]
+        assert (fed["shards_total"], fed["shards_ok"], fed["complete"]) == (1, 1, True)
+        assert fed["missing_shards"] == [] and fed["stale_shards"] == {}
+        assert fed["columns"] == [] and fed["rows"] == []
 
 
 def test_the_document_says_nothing_about_what_is_off(paper_memory_backend):

@@ -11,6 +11,7 @@ heartbeats computes, because ``source_rows`` computes them the same way.
 
 import pytest
 
+from repro.backends import MemoryBackend, copy_tables
 from repro.core.quality import QualityModel
 from repro.core.report import RecencyReporter
 from repro.core.sources import SourceRegistry
@@ -24,7 +25,7 @@ from repro.grid.supervisor import SupervisorPolicy
 from repro.obs import Telemetry
 from repro.obs.dashboard import fetch_status
 from repro.obs.server import ObservatoryServer
-from repro.serve import QueryService, ServeConfig, mirror_into_memory
+from repro.serve import QueryService, ServeConfig
 
 LAGGARD = "m16"
 HEARTBEATS = {f"m{i}": 1000.0 + i for i in range(1, 16)}
@@ -53,7 +54,8 @@ def simulator():
 def documents(simulator):
     """``{deployment: (its /status document, its clock)}``."""
     docs = {"simulate": (served_status(simulator.status), SIM_NOW)}
-    with QueryService(mirror_into_memory(simulator.backend), ServeConfig(workers=1)) as service:
+    mirror = copy_tables(simulator.backend, MemoryBackend(simulator.catalog))
+    with QueryService(mirror, ServeConfig(workers=1)) as service:
         docs["serve"] = (served_status(service.status, query_service=service), NEWEST)
     registry = ShardRegistry()
     for k, machines in enumerate((sorted(HEARTBEATS)[:8], sorted(HEARTBEATS)[8:])):

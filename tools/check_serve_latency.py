@@ -1,8 +1,8 @@
 #!/usr/bin/env python
 """Guard: the serving front end holds its latency SLO under open-loop load.
 
-Two phases against an in-process ``POST /v1/query`` stack (memory backend,
-CoW snapshots, real HTTP through :class:`~repro.obs.server.ObservatoryServer`):
+Two phases against an in-process :class:`~repro.deploy.Deployment` (memory
+backend, CoW snapshots, real HTTP through its ``POST /v1/query`` front door):
 
 1. **SLO phase** — open-loop load at ``--rate`` (default 200 req/s) for
    ``--duration`` (default 10 s); asserts p99 latency ≤ ``--p99-ms``
@@ -31,9 +31,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.backends.memory import MemoryBackend  # noqa: E402
-from repro.obs import instrument as obs  # noqa: E402
-from repro.obs.server import ObservatoryServer  # noqa: E402
-from repro.serve import QueryService, ServeConfig  # noqa: E402
+from repro.deploy import Deployment  # noqa: E402
+from repro.serve import ServeConfig  # noqa: E402
 from repro.serve.loadgen import LoadgenConfig, run_load  # noqa: E402
 from repro.workload import WorkloadConfig, loaded_backend, paper_queries  # noqa: E402
 
@@ -56,7 +55,6 @@ def main() -> int:
     parser.add_argument("--json", default=None, help="write both phase documents here")
     args = parser.parse_args()
 
-    tel = obs.enable()
     backend = loaded_backend(
         WorkloadConfig(num_sources=args.sources, data_ratio=args.ratio), MemoryBackend
     )
@@ -65,22 +63,18 @@ def main() -> int:
     doc = {}
 
     # -- phase 1: hold the SLO at the stated rate ---------------------------
-    slo_service = QueryService(
-        backend,
-        ServeConfig(
-            workers=args.workers,
-            queue_depth=max(64, int(args.rate)),
-            # Quotas stay out of this phase's way: it measures latency.
-            tenant_rate=args.rate * 4,
-            tenant_burst=args.rate * 8,
-            max_inflight=max(256, args.senders * 2),
-        ),
-        telemetry=tel,
+    slo_config = ServeConfig(
+        workers=args.workers,
+        queue_depth=max(64, int(args.rate)),
+        # Quotas stay out of this phase's way: it measures latency.
+        tenant_rate=args.rate * 4,
+        tenant_burst=args.rate * 8,
+        max_inflight=max(256, args.senders * 2),
     )
-    with slo_service, ObservatoryServer(tel, query_service=slo_service) as server:
+    with Deployment(backend, port=0, config=slo_config) as deployment:
         result = run_load(
             LoadgenConfig(
-                url=server.url + "/v1/query",
+                url=deployment.server.url + "/v1/query",
                 sql=sql,
                 rate=args.rate,
                 duration=args.duration,
@@ -109,23 +103,19 @@ def main() -> int:
         )
 
     # -- phase 2: overload must shed with 429, never hang -------------------
-    overload_service = QueryService(
-        backend,
-        ServeConfig(
-            workers=2,
-            queue_depth=8,
-            # Capacity is the quota: ~50 req/s admitted of the offered load.
-            tenant_rate=50.0,
-            tenant_burst=50.0,
-            max_inflight=64,
-        ),
-        telemetry=tel,
+    overload_config = ServeConfig(
+        workers=2,
+        queue_depth=8,
+        # Capacity is the quota: ~50 req/s admitted of the offered load.
+        tenant_rate=50.0,
+        tenant_burst=50.0,
+        max_inflight=64,
     )
     timeout = 10.0
-    with overload_service, ObservatoryServer(tel, query_service=overload_service) as server:
+    with Deployment(backend, port=0, config=overload_config) as deployment:
         result = run_load(
             LoadgenConfig(
-                url=server.url + "/v1/query",
+                url=deployment.server.url + "/v1/query",
                 sql=sql,
                 rate=args.overload_rate,
                 duration=args.overload_duration,
