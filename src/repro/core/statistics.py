@@ -33,10 +33,6 @@ class SourceRecency:
         self.source_id = source_id
         self.recency = float(recency)
 
-    def recency_iso(self) -> str:
-        """Human-readable UTC timestamp."""
-        return format_timestamp(self.recency)
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, SourceRecency)

@@ -148,10 +148,6 @@ class DurabilityManager:
     resume:
         ``True`` recovers whatever the directory holds; ``False`` starts
         fresh, deleting any previous run's artifacts.
-    fault_plan:
-        Optional :class:`~repro.faults.FaultPlan` consulted before WAL
-        appends (``wal_append`` kind) and checkpoint writes
-        (``checkpoint_write`` kind).
     telemetry:
         Explicit telemetry override; defaults to the process-wide one.
     """
@@ -161,7 +157,6 @@ class DurabilityManager:
         data_dir: str,
         policy: Optional[DurabilityPolicy] = None,
         resume: bool = False,
-        fault_plan=None,
         telemetry=None,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
@@ -169,7 +164,6 @@ class DurabilityManager:
         self.logs_dir = os.path.join(data_dir, LOGS_SUBDIR)
         self.policy = policy or DurabilityPolicy()
         self.resume = bool(resume)
-        self.fault_plan = fault_plan
         self.telemetry = telemetry
         self._clock = clock
         os.makedirs(self.logs_dir, exist_ok=True)
@@ -326,6 +320,13 @@ class DurabilityManager:
             self._last_checkpoint_now = sim.now
         return state is not None
 
+    def _check_fault(self, kind: str, source: str, now: float) -> None:
+        """Ask the bound simulator's fault plan (if any) whether this
+        WAL append / checkpoint write fails."""
+        plan = None if self._sim is None else self._sim.fault_plan
+        if plan is not None:
+            plan.check(kind, source, now)
+
     # -- journaling (sniffer hooks) ----------------------------------------
 
     def journal_events(self, source: str, start: int, end: int, events, now: float) -> None:
@@ -337,8 +338,7 @@ class DurabilityManager:
         re-reading regenerated events, or a poll retried after a backend
         fault) so the WAL never holds a duplicate within an epoch.
         """
-        if self.fault_plan is not None:
-            self.fault_plan.check_durability(source, now, "wal")
+        self._check_fault("wal_append", source, now)
         watermark = self._journaled_offsets.get(source, 0)
         if end <= watermark:
             return
@@ -367,8 +367,7 @@ class DurabilityManager:
         """Journal one heartbeat upsert (only if it advances the source)."""
         if recency <= self._journaled_recency.get(source, _NEG_INF):
             return
-        if self.fault_plan is not None:
-            self.fault_plan.check_durability(source, now, "wal")
+        self._check_fault("wal_append", source, now)
         synced = self._append(("hb", source, recency), encode_heartbeat(source, recency))
         self._journaled_recency[source] = recency
         self.wal_records += 1
@@ -443,8 +442,7 @@ class DurabilityManager:
         tel = obs.resolve(self.telemetry)
         started = time.perf_counter()
         try:
-            if self.fault_plan is not None:
-                self.fault_plan.check_durability("*", now, "checkpoint")
+            self._check_fault("checkpoint_write", "*", now)
             if state is None:
                 if self._sim is None:
                     raise DurabilityError("no simulator bound and no explicit state given")

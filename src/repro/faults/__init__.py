@@ -8,17 +8,16 @@ the report's exceptional/degraded classifications can be validated against
 
 Three pieces:
 
-* :class:`FaultPlan` — a seeded, deterministic schedule of faults: transient
-  or permanent sniffer poll errors, dropped or duplicated log records,
-  silenced (stalled) sources and failing backend ``apply`` /
-  ``upsert_heartbeat`` calls, each by probability or at scripted times;
+* :class:`FaultPlan` — a seeded, deterministic table of fault rules (poll
+  errors, dropped / duplicated records, silences, failing backend, WAL and
+  checkpoint writes, RPC misbehaviour), each by probability or at scripted
+  times; handed to the simulator, which is its one holder;
 * :class:`FaultyBackend` — a delegating backend wrapper that raises
-  :class:`InjectedFault` from write calls when the plan says so;
+  :class:`InjectedFault` from a sniffer's writes when the plan says so;
 * :class:`FaultyLog` — a log-file proxy that drops/duplicates records on
   *read* (the log itself stays durable; delivery is what's lossy).
 
-The :class:`~repro.grid.supervisor.SnifferSupervisor` consumes all three;
-see docs/ROBUSTNESS.md for the full fault model.
+See docs/ROBUSTNESS.md for the full fault model.
 """
 
 from repro.faults.plan import KINDS, RPC_KINDS, FaultPlan, InjectedFault, plan_from_json

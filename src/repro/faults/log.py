@@ -8,8 +8,8 @@ What the faults perturb is *delivery* — the slice of records a sniffer's
 lossy republishing (dropped records) and at-least-once redelivery
 (duplicated records) without violating the log's durability contract.
 
-The supervisor updates ``now`` each tick so scripted faults fire against
-simulation time; before the first tick the read horizon is used instead.
+The supervisor updates ``now`` each poll so scripted faults fire against
+simulation time; before the first poll the read horizon is used instead.
 """
 
 from __future__ import annotations
@@ -38,18 +38,10 @@ class FaultyLog:
         at = self.now if self.now is not None else up_to_time
         return self.plan.filter_events(self.source, at, events), new_offset
 
-    # -- pass-through (the durable log underneath) ---------------------------
+    # -- everything else is the durable log underneath -----------------------
 
-    def append(self, event: "LogEvent") -> None:
-        self.inner.append(event)
-
-    @property
-    def owner(self) -> str:
-        return self.inner.owner
-
-    @property
-    def last_timestamp(self) -> float:
-        return self.inner.last_timestamp
+    def __getattr__(self, name: str):
+        return getattr(self.inner, name)
 
     def __len__(self) -> int:
         return len(self.inner)

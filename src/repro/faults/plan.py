@@ -1,19 +1,23 @@
 """The fault plan: a seeded, deterministic schedule of pipeline failures.
 
-A :class:`FaultPlan` is pure decision logic — it never touches a sniffer or
-backend itself. The integration points (supervisor, :class:`FaultyBackend`,
-:class:`FaultyLog`) *ask* it whether a fault fires for ``(source, now)`` and
-act on the answer. Determinism has two ingredients:
+A :class:`FaultPlan` is data with one door: a table of rules, one decision
+(:meth:`FaultPlan.fires`) and one state (:meth:`FaultPlan.checkpoint`, which
+rides in the simulator's checkpoint beside its RNG). It never touches a
+sniffer or backend itself — the injection points (supervisor,
+:class:`FaultyBackend`, :class:`FaultyLog`, the durability manager, the shard
+RPC server) *ask* it whether a fault of the kind they mean fires for
+``(source, now)`` and act on the answer. Determinism has two ingredients:
 
-* every ``(source, channel)`` pair draws from its own ``random.Random``
-  seeded by a stable hash of ``(plan seed, source, channel)``, so the
+* every ``(source, kind)`` pair draws from its own ``random.Random``
+  seeded by a stable hash of ``(plan seed, source, kind)``, so the
   decision stream for one source is independent of how many other sources
   exist or in what order they poll;
 * scripted times (``at=...``) are one-shot triggers that fire on the first
   consultation with ``now >=`` the scripted time, so they are robust to
   tick sizes and irregular poll cadences.
 
-Fault kinds (the channels):
+Fault kinds (the only vocabulary — a rule's ``kind`` is what the injection
+point asks for):
 
 ``poll_error``
     The sniffer's poll raises an :class:`InjectedFault` — transient (the
@@ -56,18 +60,17 @@ from repro.obs.events import EVT_FAULT_INJECTED
 if TYPE_CHECKING:  # grid imports stay type-only: faults must not import grid
     from repro.grid.events import LogEvent  # pragma: no cover
 
-#: Channels that carry probabilistic / scripted error rules.
-_ERROR_KINDS = (
-    "poll_error",
-    "backend_apply",
-    "backend_heartbeat",
-    "wal_append",
-    "checkpoint_write",
-)
-_RECORD_KINDS = ("drop_records", "duplicate_records")
-#: Federation RPC fault channels (source = shard id, not machine id).
+#: The kinds :meth:`FaultPlan.check` raises for, with the failure each names.
+_MESSAGES = {
+    "poll_error": "{flavour} poll error",
+    "backend_apply": "backend apply failure",
+    "backend_heartbeat": "backend heartbeat failure",
+    "wal_append": "wal write failure",
+    "checkpoint_write": "checkpoint write failure",
+}
+#: Federation RPC fault kinds (source = shard id, not machine id).
 RPC_KINDS = ("rpc_drop", "rpc_delay", "rpc_duplicate", "rpc_garbage")
-KINDS = _ERROR_KINDS + _RECORD_KINDS + RPC_KINDS + ("silence",)
+KINDS = tuple(_MESSAGES) + ("drop_records", "duplicate_records") + RPC_KINDS + ("silence",)
 
 
 class InjectedFault(SimulationError):
@@ -91,35 +94,47 @@ def _stable_seed(*parts: object) -> int:
 
 
 class _Rule:
-    """One fault rule; ``source`` may be ``"*"`` (every source)."""
+    """One fault rule. Its fields beside ``kind`` are :attr:`FIELDS` — also
+    the JSON schema of one ``faults`` entry, defaults included."""
 
-    __slots__ = ("kind", "source", "probability", "at", "fired", "transient", "spare_heartbeats")
+    #: ``source`` may be ``"*"`` (every source); ``start``/``end`` are the
+    #: silence window, the other kinds fire by ``probability`` or ``at``.
+    FIELDS = {
+        "source": "*", "probability": 0.0, "at": (), "transient": True,
+        "spare_heartbeats": False, "start": None, "end": None,
+    }
+    __slots__ = ("kind", "fired") + tuple(FIELDS)
 
-    def __init__(
-        self,
-        kind: str,
-        source: str,
-        probability: float = 0.0,
-        at: Sequence[float] = (),
-        transient: bool = True,
-        spare_heartbeats: bool = False,
-    ) -> None:
+    def __init__(self, kind: str, **fields: object) -> None:
+        unknown = set(fields) - set(self.FIELDS)
+        if unknown:
+            raise SimulationError(f"unknown fields: {sorted(unknown)}")
         if kind not in KINDS:
             raise SimulationError(f"unknown fault kind {kind!r}; expected one of {KINDS}")
-        if not 0.0 <= probability <= 1.0:
-            raise SimulationError(f"fault probability must be in [0, 1], got {probability}")
-        if probability == 0.0 and not at and kind != "silence":
-            raise SimulationError(f"{kind} rule for {source!r} would never fire "
-                                  "(zero probability and no scripted times)")
+        for name, default in self.FIELDS.items():
+            setattr(self, name, fields.get(name, default))
         self.kind = kind
-        self.source = source
-        self.probability = float(probability)
-        self.at = tuple(float(t) for t in at)
+        self.probability = float(self.probability)
+        if not 0.0 <= self.probability <= 1.0:
+            raise SimulationError(f"fault probability must be in [0, 1], got {self.probability}")
+        if not isinstance(self.at, (list, tuple)):
+            raise SimulationError("'at' must be a list of times")
+        self.at = tuple(float(t) for t in self.at)
+        if kind == "silence":
+            if self.source == "*":
+                raise SimulationError("silence rules need a concrete source id")
+            if self.start is None or self.start < 0:
+                raise SimulationError(f"silence needs a 'start' >= 0, got {self.start}")
+            self.start = float(self.start)
+            self.end = None if self.end is None else float(self.end)
+            if self.end is not None and self.end <= self.start:
+                raise SimulationError(f"silence end {self.end} must be after start {self.start}")
+        elif self.probability == 0.0 and not self.at:
+            raise SimulationError(f"{kind} rule for {self.source!r} would never fire "
+                                  "(zero probability and no scripted times)")
         #: scripted times that already fired, per concrete source (a "*"
         #: rule fires once per source, not once globally).
         self.fired: Dict[str, Set[float]] = {}
-        self.transient = transient
-        self.spare_heartbeats = spare_heartbeats
 
     def matches(self, source: str) -> bool:
         return self.source == "*" or self.source == source
@@ -133,23 +148,17 @@ class _Rule:
                 return True
         return False
 
-
-class _Silence:
-    __slots__ = ("source", "start", "end")
-
-    def __init__(self, source: str, start: float, end: Optional[float]) -> None:
-        if source == "*":
-            raise SimulationError("silence rules need a concrete source id")
-        if start < 0:
-            raise SimulationError(f"silence start must be >= 0, got {start}")
-        if end is not None and end <= start:
-            raise SimulationError(f"silence end ({end}) must be after start ({start})")
-        self.source = source
-        self.start = float(start)
-        self.end = None if end is None else float(end)
-
-    def active(self, now: float) -> bool:
+    def silent(self, now: float) -> bool:
         return now >= self.start and (self.end is None or now < self.end)
+
+    def document(self) -> Dict[str, object]:
+        """The rule as its JSON entry: ``kind``, ``source``, then every
+        field that differs from its default."""
+        entry = {"kind": self.kind, "source": self.source}
+        for name, default in self.FIELDS.items():
+            if getattr(self, name) != default:
+                entry[name] = getattr(self, name)
+        return entry
 
 
 class FaultPlan:
@@ -161,18 +170,33 @@ class FaultPlan:
                 .silence("m3", start=120.0)
                 .poll_error("m2", probability=0.2)
                 .backend_error("*", op="heartbeat", at=[50.0]))
+
+    Hand the plan to the simulator (the ``fault_plan`` argument of
+    ``GridSimulator`` or ``ShardServer``, or ``--faults``) and nowhere else:
+    what the simulator builds and binds reads it from there.
     """
 
     def __init__(self, seed: int = 0, telemetry: Optional[object] = None) -> None:
         self.seed = seed
         self.telemetry = telemetry
         self._rules: List[_Rule] = []
-        self._silences: List[_Silence] = []
         self._rngs: Dict[Tuple[str, str], random.Random] = {}
         #: Count of injections actually performed, keyed by fault kind.
         self.injected: Dict[str, int] = {}
 
-    # -- builders -----------------------------------------------------------
+    # -- builders (sugar over ``add``) ---------------------------------------
+
+    def add(
+        self,
+        kind: str,
+        source: str = "*",
+        probability: float = 0.0,
+        at: Sequence[float] = (),
+        **fields: object,
+    ) -> "FaultPlan":
+        """Append one rule of ``kind``; the fields are :attr:`_Rule.FIELDS`."""
+        self._rules.append(_Rule(kind, source=source, probability=probability, at=at, **fields))
+        return self
 
     def poll_error(
         self,
@@ -182,8 +206,7 @@ class FaultPlan:
         transient: bool = True,
     ) -> "FaultPlan":
         """Make the source's sniffer poll raise an :class:`InjectedFault`."""
-        self._rules.append(_Rule("poll_error", source, probability, at, transient=transient))
-        return self
+        return self.add("poll_error", source, probability, at, transient=transient)
 
     def drop_records(
         self,
@@ -193,17 +216,13 @@ class FaultPlan:
         spare_heartbeats: bool = False,
     ) -> "FaultPlan":
         """Drop records from what a poll reads (each record rolls independently)."""
-        self._rules.append(
-            _Rule("drop_records", source, probability, at, spare_heartbeats=spare_heartbeats)
-        )
-        return self
+        return self.add("drop_records", source, probability, at, spare_heartbeats=spare_heartbeats)
 
     def duplicate_records(
         self, source: str = "*", probability: float = 0.0, at: Sequence[float] = ()
     ) -> "FaultPlan":
         """Deliver some records twice (at-least-once delivery)."""
-        self._rules.append(_Rule("duplicate_records", source, probability, at))
-        return self
+        return self.add("duplicate_records", source, probability, at)
 
     def backend_error(
         self,
@@ -217,10 +236,7 @@ class FaultPlan:
         ``op="heartbeat"`` (``upsert_heartbeat``)."""
         if op not in ("apply", "heartbeat"):
             raise SimulationError(f"backend_error op must be 'apply' or 'heartbeat', got {op!r}")
-        self._rules.append(
-            _Rule(f"backend_{op}", source, probability, at, transient=transient)
-        )
-        return self
+        return self.add(f"backend_{op}", source, probability, at, transient=transient)
 
     def durability_error(
         self,
@@ -233,13 +249,10 @@ class FaultPlan:
         """Fail durability writes: ``op="wal"`` (journal append during a
         poll) or ``op="checkpoint"`` (checkpoint write — use source ``"*"``,
         checkpoints are not per-source)."""
-        if op not in ("wal", "checkpoint"):
-            raise SimulationError(
-                f"durability_error op must be 'wal' or 'checkpoint', got {op!r}"
-            )
-        kind = "wal_append" if op == "wal" else "checkpoint_write"
-        self._rules.append(_Rule(kind, source, probability, at, transient=transient))
-        return self
+        kinds = {"wal": "wal_append", "checkpoint": "checkpoint_write"}
+        if op not in kinds:
+            raise SimulationError(f"durability_error op must be 'wal' or 'checkpoint', got {op!r}")
+        return self.add(kinds[op], source, probability, at, transient=transient)
 
     def rpc_fault(
         self,
@@ -250,86 +263,55 @@ class FaultPlan:
     ) -> "FaultPlan":
         """Misbehave on a shard's RPC replies; ``source`` is the shard id."""
         if kind not in RPC_KINDS:
-            raise SimulationError(
-                f"rpc fault kind must be one of {RPC_KINDS}, got {kind!r}"
-            )
-        self._rules.append(_Rule(kind, source, probability, at))
-        return self
+            raise SimulationError(f"rpc fault kind must be one of {RPC_KINDS}, got {kind!r}")
+        return self.add(kind, source, probability, at)
 
     def silence(self, source: str, start: float, end: Optional[float] = None) -> "FaultPlan":
         """Stall the machine's log from ``start`` (to ``end``, or forever)."""
-        self._silences.append(_Silence(source, start, end))
-        return self
+        return self.add("silence", source, start=start, end=end)
 
     # -- decision queries ---------------------------------------------------
 
-    def _rng(self, source: str, channel: str) -> random.Random:
-        key = (source, channel)
+    def _rng(self, source: str, kind: str) -> random.Random:
+        key = (source, kind)
         rng = self._rngs.get(key)
         if rng is None:
-            rng = self._rngs[key] = random.Random(_stable_seed(self.seed, source, channel))
+            rng = self._rngs[key] = random.Random(_stable_seed(self.seed, source, kind))
         return rng
+
+    def _roll(self, rule: _Rule, source: str) -> bool:
+        return rule.probability > 0.0 and self._rng(source, rule.kind).random() < rule.probability
+
+    def _rules_for(self, kind: str, source: str) -> List[_Rule]:
+        return [r for r in self._rules if r.kind == kind and r.matches(source)]
 
     def _record(self, kind: str, source: str, count: int = 1) -> None:
         self.injected[kind] = self.injected.get(kind, 0) + count
         tel = obs.resolve(self.telemetry)
         if tel.enabled:
             tel.count(obs.FAULTS_INJECTED, count, kind=kind, machine=source)
-            tel.emit(
-                EVT_FAULT_INJECTED,
-                source=source,
-                severity="warning",
-                kind=kind,
-                count=count,
-            )
+            tel.emit(EVT_FAULT_INJECTED, source=source, severity="warning", kind=kind, count=count)
 
-    def _error_due(self, kind: str, source: str, now: float) -> Optional[_Rule]:
+    def fires(self, kind: str, source: str, now: float) -> Optional[_Rule]:
+        """The one decision: the first ``kind`` rule due for ``source`` at
+        ``now`` — a scripted trigger (consumed), else a roll of the rule's
+        probability on the ``(source, kind)`` stream — recorded; or ``None``."""
         for rule in self._rules:
-            if rule.kind != kind or not rule.matches(source):
-                continue
-            if rule.scripted_due(source, now):
-                return rule
-            if rule.probability > 0.0 and self._rng(source, kind).random() < rule.probability:
+            if rule.kind == kind and rule.matches(source) and (
+                rule.scripted_due(source, now) or self._roll(rule, source)
+            ):
+                self._record(kind, source)
                 return rule
         return None
 
-    def check_poll(self, source: str, now: float) -> None:
-        """Raise :class:`InjectedFault` if a poll error fires for this poll."""
-        rule = self._error_due("poll_error", source, now)
+    def check(self, kind: str, source: str, now: float) -> None:
+        """Raise :class:`InjectedFault` if a ``kind`` fault fires (``kind``
+        is one of the raising kinds: poll, backend, WAL, checkpoint)."""
+        rule = self.fires(kind, source, now)
         if rule is not None:
-            self._record("poll_error", source)
-            flavour = "transient" if rule.transient else "permanent"
+            what = _MESSAGES[kind].format(flavour="transient" if rule.transient else "permanent")
             raise InjectedFault(
-                f"injected {flavour} poll error for {source!r} at t={now:g}",
-                source,
-                "poll_error",
-                transient=rule.transient,
-            )
-
-    def check_backend(self, source: str, now: float, op: str) -> None:
-        """Raise :class:`InjectedFault` if a backend write should fail."""
-        kind = f"backend_{op}"
-        rule = self._error_due(kind, source, now)
-        if rule is not None:
-            self._record(kind, source)
-            raise InjectedFault(
-                f"injected backend {op} failure for {source!r} at t={now:g}",
-                source,
-                kind,
-                transient=rule.transient,
-            )
-
-    def check_durability(self, source: str, now: float, op: str) -> None:
-        """Raise :class:`InjectedFault` if a WAL/checkpoint write should fail."""
-        kind = "wal_append" if op == "wal" else "checkpoint_write"
-        rule = self._error_due(kind, source, now)
-        if rule is not None:
-            self._record(kind, source)
-            raise InjectedFault(
-                f"injected {op} write failure for {source!r} at t={now:g}",
-                source,
-                kind,
-                transient=rule.transient,
+                f"injected {what} for {source!r} at t={now:g}", source, kind, rule.transient
             )
 
     def check_rpc(self, source: str, now: float) -> Optional[str]:
@@ -340,98 +322,91 @@ class FaultPlan:
         duplicate beats garbage when several are due the same instant).
         """
         for kind in RPC_KINDS:
-            if self._error_due(kind, source, now) is not None:
-                self._record(kind, source)
+            if self.fires(kind, source, now) is not None:
                 return kind
         return None
 
     def filter_events(
         self, source: str, now: float, events: Sequence["LogEvent"]
     ) -> List["LogEvent"]:
-        """Apply drop/duplicate rules to one poll's worth of records."""
+        """Apply drop/duplicate rules to one poll's worth of records (one
+        ``fault.injected`` event per kind per poll, ``count`` = records)."""
         if not events:
             return list(events)
         # Local import keeps repro.faults importable without repro.grid
         # (which imports the supervisor, which imports this package).
         from repro.grid.events import EventKind
 
-        out: List["LogEvent"] = []
-        drop_rules = [
-            r for r in self._rules if r.kind == "drop_records" and r.matches(source)
-        ]
-        dup_rules = [
-            r for r in self._rules if r.kind == "duplicate_records" and r.matches(source)
-        ]
+        drop_rules = self._rules_for("drop_records", source)
+        dup_rules = self._rules_for("duplicate_records", source)
         drop_all = any(r.scripted_due(source, now) for r in drop_rules)
         dup_all = any(r.scripted_due(source, now) for r in dup_rules)
+        out: List["LogEvent"] = []
+        dropped = 0
         for event in events:
-            dropped = False
-            for rule in drop_rules:
-                if rule.spare_heartbeats and event.kind is EventKind.HEARTBEAT:
-                    continue
-                if drop_all or (
-                    rule.probability > 0.0
-                    and self._rng(source, "drop_records").random() < rule.probability
-                ):
-                    dropped = True
-                    break
-            if dropped:
-                self._record("drop_records", source)
+            heartbeat = event.kind is EventKind.HEARTBEAT
+            if any(
+                not (rule.spare_heartbeats and heartbeat)
+                and (drop_all or self._roll(rule, source))
+                for rule in drop_rules
+            ):
+                dropped += 1
                 continue
             out.append(event)
-            for rule in dup_rules:
-                if dup_all or (
-                    rule.probability > 0.0
-                    and self._rng(source, "duplicate_records").random() < rule.probability
-                ):
-                    out.append(event)
-                    self._record("duplicate_records", source)
-                    break
+            if any(dup_all or self._roll(rule, source) for rule in dup_rules):
+                out.append(event)
+        duplicated = len(out) + dropped - len(events)
+        if dropped:
+            self._record("drop_records", source, dropped)
+        if duplicated:
+            self._record("duplicate_records", source, duplicated)
         return out
 
     def is_silenced(self, source: str, now: float) -> bool:
         """Whether the plan silences ``source`` at time ``now``."""
-        return any(s.source == source and s.active(now) for s in self._silences)
+        return source in self.silenced_sources(now)
 
     def silenced_sources(self, now: Optional[float] = None) -> Set[str]:
         """Sources silenced at ``now`` (or by *any* window when ``None``)."""
-        if now is None:
-            return {s.source for s in self._silences}
-        return {s.source for s in self._silences if s.active(now)}
+        return {
+            r.source for r in self._rules
+            if r.kind == "silence" and (now is None or r.silent(now))
+        }
+
+    # -- state ---------------------------------------------------------------
+
+    def checkpoint(self) -> dict:
+        """Everything deciding changes, JSON-serializable: the spent triggers
+        of each rule, every decision stream's RNG state, the counts."""
+        return {
+            "fired": [{s: sorted(ts) for s, ts in r.fired.items()} for r in self._rules],
+            "rngs": [[s, k, rng.getstate()] for (s, k), rng in self._rngs.items()],
+            "injected": dict(self.injected),
+        }
+
+    def restore(self, state: dict) -> None:
+        """Continue from a :meth:`checkpoint` of a plan with these rules."""
+        for rule, fired in zip(self._rules, state["fired"]):
+            rule.fired = {source: set(times) for source, times in fired.items()}
+        self._rngs = {}
+        for source, kind, (version, internal, gauss) in state["rngs"]:
+            self._rng(source, kind).setstate((version, tuple(internal), gauss))
+        self.injected = dict(state["injected"])
 
     # -- (de)serialization --------------------------------------------------
 
     def to_json(self) -> str:
-        faults: List[Dict[str, object]] = []
-        for rule in self._rules:
-            entry: Dict[str, object] = {"kind": rule.kind, "source": rule.source}
-            if rule.probability:
-                entry["probability"] = rule.probability
-            if rule.at:
-                entry["at"] = list(rule.at)
-            if not rule.transient:
-                entry["transient"] = False
-            if rule.spare_heartbeats:
-                entry["spare_heartbeats"] = True
-            faults.append(entry)
-        for silence in self._silences:
-            entry = {"kind": "silence", "source": silence.source, "start": silence.start}
-            if silence.end is not None:
-                entry["end"] = silence.end
-            faults.append(entry)
+        faults = [rule.document() for rule in self._rules]
         return json.dumps({"seed": self.seed, "faults": faults}, indent=2)
 
     def __repr__(self) -> str:
-        return (
-            f"FaultPlan(seed={self.seed}, rules={len(self._rules)}, "
-            f"silences={len(self._silences)}, injected={sum(self.injected.values())})"
-        )
+        injected = sum(self.injected.values())
+        return f"FaultPlan(seed={self.seed}, rules={len(self._rules)}, injected={injected})"
 
 
 def plan_from_json(text: str) -> FaultPlan:
-    """Load a :class:`FaultPlan` from its JSON document form.
-
-    Format::
+    """Load a :class:`FaultPlan` from its JSON document form: a ``seed`` and
+    a list of rules, each a ``kind`` plus any of :attr:`_Rule.FIELDS`::
 
         {"seed": 7,
          "faults": [
@@ -455,50 +430,12 @@ def plan_from_json(text: str) -> FaultPlan:
     faults = data.get("faults", [])
     if not isinstance(faults, list):
         raise SimulationError("'faults' must be a list of fault objects")
-    allowed = {"kind", "source", "probability", "at", "transient", "spare_heartbeats",
-               "start", "end"}
     for index, item in enumerate(faults):
         if not isinstance(item, dict):
             raise SimulationError(f"fault #{index} is not an object")
-        unknown = set(item) - allowed
-        if unknown:
-            raise SimulationError(f"fault #{index} has unknown fields: {sorted(unknown)}")
-        kind = item.get("kind")
-        source = item.get("source", "*")
-        if kind == "silence":
-            if "start" not in item:
-                raise SimulationError(f"fault #{index}: silence needs 'start'")
-            plan.silence(source, item["start"], item.get("end"))
-            continue
-        probability = float(item.get("probability", 0.0))
-        at = item.get("at", ())
-        if not isinstance(at, (list, tuple)):
-            raise SimulationError(f"fault #{index}: 'at' must be a list of times")
-        transient = bool(item.get("transient", True))
-        if kind == "poll_error":
-            plan.poll_error(source, probability, at, transient=transient)
-        elif kind == "drop_records":
-            plan.drop_records(
-                source, probability, at,
-                spare_heartbeats=bool(item.get("spare_heartbeats", False)),
-            )
-        elif kind == "duplicate_records":
-            plan.duplicate_records(source, probability, at)
-        elif kind in ("backend_apply", "backend_heartbeat"):
-            plan.backend_error(
-                source, op=kind.split("_", 1)[1], probability=probability, at=at,
-                transient=transient,
-            )
-        elif kind in RPC_KINDS:
-            plan.rpc_fault(source, kind, probability, at)
-        elif kind in ("wal_append", "checkpoint_write"):
-            plan.durability_error(
-                source,
-                op="wal" if kind == "wal_append" else "checkpoint",
-                probability=probability,
-                at=at,
-                transient=transient,
-            )
-        else:
-            raise SimulationError(f"fault #{index} has unknown kind {kind!r}")
+        fields = dict(item)
+        try:
+            plan.add(fields.pop("kind", None), **fields)
+        except SimulationError as exc:
+            raise SimulationError(f"fault #{index}: {exc}") from exc
     return plan

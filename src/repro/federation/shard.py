@@ -86,7 +86,6 @@ class ShardServer:
         self.shard_id = shard_id
         self.telemetry = telemetry
         self.step_interval = step_interval
-        self.fault_plan = fault_plan
         self.sim = GridSimulator(
             config,
             fault_plan=fault_plan,
@@ -133,11 +132,11 @@ class ShardServer:
     # -- RPC ----------------------------------------------------------------
 
     def _rpc_fault(self, request: dict) -> Optional[str]:
-        if self.fault_plan is None:
+        plan = self.sim.fault_plan
+        if plan is None:
             return None
-        with self._lock:
-            now = self.sim.now
-        return self.fault_plan.check_rpc(self.shard_id, now)
+        with self._lock:  # the plan's state is the stepping thread's too
+            return plan.check_rpc(self.shard_id, self.sim.now)
 
     def _handle(self, request: dict) -> dict:
         op = request.get("op")
@@ -169,8 +168,8 @@ class ShardServer:
                 if durability is not None:
                     doc["acked"] = durability.acked()
                     doc["durability"] = durability.stats()
-                if self.fault_plan is not None:
-                    doc["faults_injected"] = dict(self.fault_plan.injected)
+                if self.sim.fault_plan is not None:
+                    doc["faults_injected"] = dict(self.sim.fault_plan.injected)
         return doc
 
     def _fragment(self, request: dict) -> dict:

@@ -77,10 +77,6 @@ class Machine:
         if not self.running_jobs and self.activity != "idle":
             self.set_activity(now, "idle")
 
-    def suspend_job(self, now: float, job_id: str) -> None:
-        self.running_jobs.discard(job_id)
-        self._emit(now, EventKind.JOB_SUSPENDED, job_id=job_id)
-
     # -- failure injection -------------------------------------------------------
 
     def fail(self) -> None:

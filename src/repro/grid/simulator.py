@@ -297,6 +297,9 @@ class GridSimulator:
         for mid in self.machine_ids[: self.config.num_schedulers]:
             self.schedulers[mid] = Scheduler(self.machines[mid], self.rng)
 
+        #: The one holder of the plan: supervisors, their proxies, the
+        #: durability manager and a ``ShardServer`` all read it from here.
+        self.fault_plan = fault_plan
         self.durability = durability
         if durability is not None:
             # Phase 1 must run before supervisors wrap machine logs in
@@ -315,7 +318,6 @@ class GridSimulator:
             sniffer.record = self.sources.open(mid)
             self.sniffers[mid] = sniffer
 
-        self.fault_plan = fault_plan
         self.supervisors: Dict[str, SnifferSupervisor] = {}
         self.telemetry = telemetry
         self._plan_silenced: Set[str] = set()
@@ -515,6 +517,9 @@ class GridSimulator:
         records = self.sources.checkpoint()
         ingest.update(records.pop("ingest"))
         state.update(records)
+        if self.fault_plan is not None:
+            # Spent triggers and decision streams rewind with the clock.
+            state["fault_plan"] = self.fault_plan.checkpoint()
         return state
 
     def restore_durable_state(self, state: dict) -> None:
@@ -567,6 +572,8 @@ class GridSimulator:
             mid: float(t) for mid, t in state["last_heartbeat"].items()
         }
         self._plan_silenced = set(state.get("plan_silenced", []))
+        if self.fault_plan is not None and "fault_plan" in state:
+            self.fault_plan.restore(state["fault_plan"])
 
     # -- internals -----------------------------------------------------------
 
@@ -647,13 +654,13 @@ class GridSimulator:
 
     def _apply_plan_silences(self) -> None:
         """Start/stop plan-scripted silences (the machine stops logging)."""
+        silenced = self.fault_plan.silenced_sources(self.now)
         for mid in self.machine_ids:
-            silenced = self.fault_plan.is_silenced(mid, self.now)
             machine = self.machines[mid]
-            if silenced and mid not in self._plan_silenced:
+            if mid in silenced and mid not in self._plan_silenced:
                 machine.fail()
                 self._plan_silenced.add(mid)
-            elif not silenced and mid in self._plan_silenced:
+            elif mid not in silenced and mid in self._plan_silenced:
                 self._plan_silenced.discard(mid)
                 machine.recover(self.now)
 

@@ -184,14 +184,12 @@ class SnifferSupervisor:
         self._pending_attempt = False
         self._next_attempt = float("-inf")
         self._last_progress: Optional[float] = None
-        self._faulty_backend: Optional["FaultyBackend"] = None
-        self._faulty_log: Optional["FaultyLog"] = None
-
+        #: The fault-injecting proxies, told each poll's time; none without a plan.
+        self._proxies: tuple = ()
         if plan is not None:
-            self._faulty_backend = FaultyBackend(sniffer.backend, plan)
-            sniffer.backend = self._faulty_backend
-            self._faulty_log = FaultyLog(sniffer.machine.log, plan, self.machine_id)
-            sniffer.machine.log = self._faulty_log  # type: ignore[assignment]
+            sniffer.backend = FaultyBackend(sniffer.backend, plan, self.machine_id)
+            sniffer.machine.log = FaultyLog(sniffer.machine.log, plan, self.machine_id)
+            self._proxies = (sniffer.backend, sniffer.machine.log)
         # The breaker column is the rebuilt breaker's real state, never a
         # remembered one; a status restored from a checkpoint is kept.
         self.sources.update(self.machine_id, breaker=self.breaker.state)
@@ -249,10 +247,8 @@ class SnifferSupervisor:
         if was_open and self.breaker.state == CircuitBreaker.HALF_OPEN:
             self._record_breaker(CircuitBreaker.HALF_OPEN, now)
 
-        if self._faulty_backend is not None:
-            self._faulty_backend.set_context(self.machine_id, now)
-        if self._faulty_log is not None:
-            self._faulty_log.now = now
+        for proxy in self._proxies:
+            proxy.now = now
 
         previous_recency = self.record.recency
         # The span covers the poll *and* its outcome handling, so retry /
@@ -260,7 +256,7 @@ class SnifferSupervisor:
         with obs.PhaseTimer(obs.resolve(self.telemetry), "sniffer.poll", machine=self.machine_id):
             try:
                 if self.plan is not None:
-                    self.plan.check_poll(self.machine_id, now)
+                    self.plan.check("poll_error", self.machine_id, now)
                 applied = self.sniffer.poll(now)
             except SimulationError as exc:
                 self._on_failure(now, exc)

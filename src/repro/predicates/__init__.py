@@ -17,18 +17,14 @@ This package implements the machinery of Section 4:
 """
 
 from repro.predicates.evaluate import evaluate_predicate, evaluate_truth, like_match
-from repro.predicates.dnf import to_dnf, to_nnf, conjuncts_of, basic_terms_of
+from repro.predicates.dnf import to_dnf, to_nnf, basic_terms_of
 from repro.predicates.classify import (
     TermClass,
     ClassifiedConjunct,
     classify_conjunct,
     classify_term,
 )
-from repro.predicates.satisfiability import (
-    Satisfiability,
-    check_conjunction,
-    column_constraint,
-)
+from repro.predicates.satisfiability import Satisfiability, check_conjunction
 
 __all__ = [
     "evaluate_predicate",
@@ -36,7 +32,6 @@ __all__ = [
     "like_match",
     "to_dnf",
     "to_nnf",
-    "conjuncts_of",
     "basic_terms_of",
     "TermClass",
     "ClassifiedConjunct",
@@ -44,5 +39,4 @@ __all__ = [
     "classify_term",
     "Satisfiability",
     "check_conjunction",
-    "column_constraint",
 ]

@@ -175,11 +175,6 @@ def _simplify(conjuncts: List[List[ast.Expr]]) -> List[List[ast.Expr]]:
     return out
 
 
-def conjuncts_of(expr: ast.Expr, max_conjuncts: int = DEFAULT_MAX_CONJUNCTS) -> List[List[ast.Expr]]:
-    """Alias of :func:`to_dnf`, reads better at call sites."""
-    return to_dnf(expr, max_conjuncts)
-
-
 def basic_terms_of(expr: ast.Expr) -> List[ast.Expr]:
     """Flatten a conjunction into its basic terms (no OR/NOT allowed).
 

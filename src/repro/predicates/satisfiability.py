@@ -288,24 +288,6 @@ def _gt(a: object, b: object) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def column_constraint(terms: Sequence[ast.Expr], column: ast.ColumnRef) -> ColumnConstraint:
-    """Fold all single-column terms about ``column`` into one constraint.
-
-    Terms about other columns (or relating several columns) are ignored;
-    this helper exists mostly for tests and for the recency-query planner's
-    per-column reasoning.
-    """
-    constraint = ColumnConstraint()
-    for term in terms:
-        parsed = _single_column_parts(term)
-        if parsed is None:
-            continue
-        ref, apply = parsed
-        if ref == column:
-            apply(constraint)
-    return constraint
-
-
 def check_conjunction(
     terms: Sequence[ast.Expr],
     domain_of: DomainLookup,

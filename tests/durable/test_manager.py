@@ -20,14 +20,14 @@ SEED = 3
 MACHINES = 4
 
 
-def make_manager(directory, resume=False, checkpoint_interval=25.0, **kwargs):
+def make_manager(directory, resume=False, checkpoint_interval=25.0):
     policy = DurabilityPolicy(fsync="always", checkpoint_interval=checkpoint_interval)
-    return DurabilityManager(str(directory), policy=policy, resume=resume, **kwargs)
+    return DurabilityManager(str(directory), policy=policy, resume=resume)
 
 
-def make_sim(durability=None, machines=MACHINES, seed=SEED):
+def make_sim(durability=None, machines=MACHINES, seed=SEED, **kwargs):
     return GridSimulator(
-        SimulationConfig(num_machines=machines, seed=seed), durability=durability
+        SimulationConfig(num_machines=machines, seed=seed), durability=durability, **kwargs
     )
 
 
@@ -200,7 +200,7 @@ class TestLossyDelivery:
     def lossy_sim(self, directory, resume=False):
         # A fresh plan per run: its RNG stream is stateful.
         plan = FaultPlan(seed=1).drop_records("m2", probability=0.7)
-        manager = make_manager(directory, resume=resume, fault_plan=plan)
+        manager = make_manager(directory, resume=resume)
         sim = GridSimulator(
             SimulationConfig(num_machines=MACHINES, seed=SEED),
             fault_plan=plan,
@@ -268,8 +268,8 @@ class TestCheckpointing:
 
     def test_checkpoint_failure_is_survivable(self, tmp_path):
         plan = FaultPlan().durability_error(op="checkpoint", probability=1.0)
-        manager = make_manager(tmp_path, fault_plan=plan)
-        sim = make_sim(durability=manager)
+        manager = make_manager(tmp_path)
+        sim = make_sim(durability=manager, fault_plan=plan)
         sim.run(100.0)
         assert manager.checkpoints_written == 0
         assert manager.checkpoint_failures >= 2

@@ -27,7 +27,7 @@ class TestCheckDurability:
     def test_wal_fault_raises_and_records(self):
         plan = FaultPlan().durability_error("m1", op="wal", probability=1.0)
         with pytest.raises(InjectedFault) as excinfo:
-            plan.check_durability("m1", 10.0, "wal")
+            plan.check("wal_append", "m1", 10.0)
         assert excinfo.value.kind == "wal_append"
         assert excinfo.value.transient is True
         assert plan.injected == {"wal_append": 1}
@@ -35,21 +35,21 @@ class TestCheckDurability:
     def test_checkpoint_fault_uses_wildcard_source(self):
         plan = FaultPlan().durability_error(op="checkpoint", probability=1.0)
         with pytest.raises(InjectedFault) as excinfo:
-            plan.check_durability("*", 10.0, "checkpoint")
+            plan.check("checkpoint_write", "*", 10.0)
         assert excinfo.value.kind == "checkpoint_write"
         assert plan.injected == {"checkpoint_write": 1}
 
     def test_kinds_do_not_cross_fire(self):
         plan = FaultPlan().durability_error(op="checkpoint", probability=1.0)
-        plan.check_durability("m1", 10.0, "wal")  # no wal rule: silent
+        plan.check("wal_append", "m1", 10.0)  # no wal rule: silent
         assert plan.injected == {}
 
     def test_scripted_trigger_fires_once_at_time(self):
         plan = FaultPlan().durability_error("m1", op="wal", at=(20.0,))
-        plan.check_durability("m1", 10.0, "wal")  # before the trigger
+        plan.check("wal_append", "m1", 10.0)  # before the trigger
         with pytest.raises(InjectedFault):
-            plan.check_durability("m1", 25.0, "wal")
-        plan.check_durability("m1", 30.0, "wal")  # one-shot: spent
+            plan.check("wal_append", "m1", 25.0)
+        plan.check("wal_append", "m1", 30.0)  # one-shot: spent
         assert plan.injected == {"wal_append": 1}
 
     def test_permanent_fault_flagged(self):
@@ -57,7 +57,7 @@ class TestCheckDurability:
             "m1", op="wal", probability=1.0, transient=False
         )
         with pytest.raises(InjectedFault) as excinfo:
-            plan.check_durability("m1", 10.0, "wal")
+            plan.check("wal_append", "m1", 10.0)
         assert excinfo.value.transient is False
 
 
@@ -88,6 +88,6 @@ class TestJsonForm:
             )
         )
         with pytest.raises(InjectedFault):
-            plan.check_durability("m2", 1.0, "wal")
+            plan.check("wal_append", "m2", 1.0)
         with pytest.raises(InjectedFault):
-            plan.check_durability("*", 1.0, "checkpoint")
+            plan.check("checkpoint_write", "*", 1.0)

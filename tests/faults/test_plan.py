@@ -3,10 +3,13 @@ one-shots, record filtering and the JSON document form."""
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
+from repro import obs
 from repro.errors import SimulationError
-from repro.faults import FaultPlan, InjectedFault, plan_from_json
+from repro.faults import KINDS, FaultPlan, InjectedFault, plan_from_json
 from repro.grid.events import EventKind, LogEvent
 
 
@@ -50,24 +53,24 @@ class TestBuilders:
 class TestScriptedTriggers:
     def test_scripted_poll_error_fires_once(self):
         plan = FaultPlan(seed=0).poll_error("m1", at=[10.0])
-        plan.check_poll("m1", 5.0)  # before the scripted time: nothing
+        plan.check("poll_error", "m1", 5.0)  # before the scripted time: nothing
         with pytest.raises(InjectedFault):
-            plan.check_poll("m1", 12.0)
-        plan.check_poll("m1", 13.0)  # one-shot: consumed
+            plan.check("poll_error", "m1", 12.0)
+        plan.check("poll_error", "m1", 13.0)  # one-shot: consumed
         assert plan.injected == {"poll_error": 1}
 
     def test_wildcard_scripted_rule_fires_once_per_source(self):
         plan = FaultPlan(seed=0).backend_error("*", op="heartbeat", at=[20.0])
         with pytest.raises(InjectedFault):
-            plan.check_backend("m1", 25.0, "heartbeat")
+            plan.check("backend_heartbeat", "m1", 25.0)
         with pytest.raises(InjectedFault):
-            plan.check_backend("m2", 25.0, "heartbeat")
-        plan.check_backend("m1", 26.0, "heartbeat")  # consumed for m1
+            plan.check("backend_heartbeat", "m2", 25.0)
+        plan.check("backend_heartbeat", "m1", 26.0)  # consumed for m1
 
     def test_permanent_flag_propagates(self):
         plan = FaultPlan(seed=0).poll_error("m1", at=[1.0], transient=False)
         with pytest.raises(InjectedFault) as excinfo:
-            plan.check_poll("m1", 2.0)
+            plan.check("poll_error", "m1", 2.0)
         assert excinfo.value.transient is False
         assert excinfo.value.kind == "poll_error"
         assert excinfo.value.source == "m1"
@@ -78,7 +81,7 @@ class TestDeterminism:
         out = []
         for i in range(n):
             try:
-                plan.check_poll(source, float(i))
+                plan.check("poll_error", source, float(i))
                 out.append(False)
             except InjectedFault:
                 out.append(True)
@@ -103,11 +106,11 @@ class TestDeterminism:
         m1_mixed = []
         for i in range(200):
             try:
-                interleaved.check_poll("m2", float(i))
+                interleaved.check("poll_error", "m2", float(i))
             except InjectedFault:
                 pass
             try:
-                interleaved.check_poll("m1", float(i))
+                interleaved.check("poll_error", "m1", float(i))
                 m1_mixed.append(False)
             except InjectedFault:
                 m1_mixed.append(True)
@@ -146,6 +149,84 @@ class TestRecordFiltering:
         assert plan.filter_events("m2", 2.0, events) == events
 
 
+    def test_a_poll_is_one_injection_event_per_kind(self):
+        """200 dropped records are one ``fault.injected`` event with a count,
+        not 200 events rotating the ring; the counters still count records."""
+        tel = obs.Telemetry()
+        plan = (
+            FaultPlan(seed=2, telemetry=tel)
+            .drop_records("m1", probability=0.7)
+            .duplicate_records("m1", probability=0.5)
+        )
+        events = [_state(float(i)) for i in range(200)]
+        out = plan.filter_events("m1", 300.0, events)
+        dropped = plan.injected["drop_records"]
+        assert 100 < dropped < 200
+        assert len(out) == 200 - dropped + plan.injected["duplicate_records"]
+        emitted = [e for e in tel.events.snapshot() if e.name == "fault.injected"]
+        assert [(e.attributes["kind"], e.attributes["count"]) for e in emitted] == [
+            ("drop_records", dropped),
+            ("duplicate_records", plan.injected["duplicate_records"]),
+        ]
+        counter = tel.metrics.counter(
+            obs.instrument.FAULTS_INJECTED, {"kind": "drop_records", "machine": "m1"}
+        )
+        assert counter.value == dropped
+
+
+class TestState:
+    """``checkpoint()`` / ``restore()``: spent triggers, RNG streams, counts."""
+
+    SOURCES = ("m1", "m4", "m5", "m6", "s0", "s1", "*")
+
+    def decisions(self, plan, start, n=100):
+        """``n`` consultations of every injection point's question."""
+        out = []
+        for i in range(start, start + n):
+            now = float(i)
+            for source in self.SOURCES:
+                for kind in KINDS[:5]:  # the raising kinds
+                    try:
+                        plan.check(kind, source, now)
+                        out.append(None)
+                    except InjectedFault as exc:
+                        out.append((kind, source, exc.transient))
+                out.append(plan.check_rpc(source, now))
+                batch = [_state(now, source), _heartbeat(now, source), _state(now, source)]
+                out.append([e.kind for e in plan.filter_events(source, now, batch)])
+            out.append(sorted(plan.silenced_sources(now)))
+        return out
+
+    def make_plan(self):
+        return plan_from_json(json.dumps({"seed": 9, "faults": EVERY_KIND}))
+
+    def test_restore_mid_stream_reproduces_the_next_decisions(self):
+        plan = self.make_plan()
+        self.decisions(plan, 0, n=40)  # past the t=30/35 triggers, before t=50
+        assert set(plan.injected) >= set(KINDS) - {"silence"}
+        state = json.loads(json.dumps(plan.checkpoint()))  # as a checkpoint file holds it
+        injected = dict(plan.injected)
+        expected = self.decisions(plan, 40)
+
+        resumed = self.make_plan()
+        resumed.restore(state)
+        assert resumed.injected == injected
+        assert self.decisions(resumed, 40) == expected
+        assert resumed.injected == plan.injected
+        # A fresh plan does not: its spent triggers are due again.
+        assert self.decisions(self.make_plan(), 40) != expected
+
+    def test_checkpoint_is_a_copy(self):
+        plan = FaultPlan(seed=1).poll_error("m1", at=[5.0])
+        state = plan.checkpoint()
+        with pytest.raises(InjectedFault):
+            plan.check("poll_error", "m1", 6.0)
+        assert state == {"fired": [{}], "rngs": [], "injected": {}}
+        plan.restore(state)
+        with pytest.raises(InjectedFault):  # rewound: due again
+            plan.check("poll_error", "m1", 6.0)
+
+
 class TestSilence:
     def test_window_semantics(self):
         plan = FaultPlan().silence("m1", start=10.0, end=20.0)
@@ -163,21 +244,50 @@ class TestSilence:
         assert plan.silenced_sources(6.0) == {"m1"}
 
 
+#: One entry per kind in ``KINDS`` as a user writes it in a ``--faults`` file
+#: (``source`` first, defaults omitted): what the JSON and state tests cover.
+EVERY_KIND = [
+    {"kind": "poll_error", "source": "m4", "at": [30.0, 35.0], "transient": False},
+    {"kind": "backend_apply", "source": "*", "probability": 0.3},
+    {"kind": "backend_heartbeat", "source": "m6", "probability": 0.3, "at": [50.0]},
+    {"kind": "wal_append", "source": "m1", "probability": 0.25},
+    {"kind": "checkpoint_write", "source": "*", "probability": 0.5, "transient": False},
+    {"kind": "drop_records", "source": "m5", "probability": 0.4, "spare_heartbeats": True},
+    {"kind": "duplicate_records", "source": "*", "probability": 0.2},
+    {"kind": "rpc_drop", "source": "s0", "probability": 0.2, "at": [5.0]},
+    {"kind": "rpc_delay", "source": "*", "probability": 0.1},
+    {"kind": "rpc_duplicate", "source": "s1", "probability": 0.3},
+    {"kind": "rpc_garbage", "source": "s0", "probability": 0.05},
+    {"kind": "silence", "source": "m3", "start": 120.0, "end": 240.0},
+]
+
+
 class TestJson:
     def test_round_trip(self):
-        plan = (
-            FaultPlan(seed=9)
-            .silence("m3", start=120.0, end=240.0)
-            .poll_error("m2", probability=0.2)
-            .poll_error("m4", at=[30.0, 35.0], transient=False)
-            .drop_records("m5", probability=0.1, spare_heartbeats=True)
-            .duplicate_records("*", probability=0.05)
-            .backend_error("m6", op="heartbeat", at=[50.0])
-        )
+        assert [entry["kind"] for entry in EVERY_KIND] == list(KINDS)
+        text = json.dumps({"seed": 9, "faults": EVERY_KIND}, indent=2)
+        plan = plan_from_json(text)
+        # The document *is* the list of rule fields: nothing added or lost.
+        assert plan.to_json() == text
         clone = plan_from_json(plan.to_json())
         assert clone.to_json() == plan.to_json()
         assert clone.seed == 9
         assert clone.silenced_sources() == {"m3"}
+
+    @pytest.mark.parametrize("entry", EVERY_KIND, ids=lambda entry: entry["kind"])
+    def test_builders_write_the_same_document(self, entry):
+        fields = {k: v for k, v in entry.items() if k != "kind"}
+        kind = entry["kind"]
+        plan = FaultPlan()
+        if kind.startswith("backend_"):
+            plan.backend_error(op=kind.split("_")[1], **fields)
+        elif kind in ("wal_append", "checkpoint_write"):
+            plan.durability_error(op=kind.split("_")[0], **fields)
+        elif kind.startswith("rpc_"):
+            plan.rpc_fault(kind=kind, **fields)
+        else:
+            getattr(plan, kind)(**fields)
+        assert json.loads(plan.to_json())["faults"] == [entry]
 
     def test_loaded_plan_behaves_like_the_original(self):
         text = '{"seed": 3, "faults": [{"kind": "poll_error", "source": "m1", "probability": 0.5}]}'
@@ -187,7 +297,7 @@ class TestJson:
             row = []
             for i in range(50):
                 try:
-                    plan.check_poll("m1", float(i))
+                    plan.check("poll_error", "m1", float(i))
                     row.append(False)
                 except InjectedFault:
                     row.append(True)
@@ -221,7 +331,7 @@ class TestRpcFaults:
     """
 
     def test_kind_registry_includes_rpc(self):
-        from repro.faults import KINDS, RPC_KINDS
+        from repro.faults import RPC_KINDS
 
         assert set(RPC_KINDS) == {
             "rpc_drop", "rpc_delay", "rpc_duplicate", "rpc_garbage",

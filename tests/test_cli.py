@@ -1,6 +1,8 @@
 """CLI tests: simulate / report / replay / inspect / bench."""
 
 import os
+import re
+import time
 
 import pytest
 
@@ -119,6 +121,56 @@ class TestSimulate:
         assert "supervision:" in out
         assert "faults injected:" in out
         assert "degraded sources: m3" in out
+
+    #: The durability kinds: what only the WAL and the checkpoint writer ask for.
+    DURABILITY_PLAN = (
+        '{"faults": ['
+        '{"kind": "checkpoint_write", "source": "*", "probability": 1.0},'
+        '{"kind": "wal_append", "source": "m2", "probability": 0.5}]}'
+    )
+
+    def test_faults_reach_the_wal_and_the_checkpoint_writer(self, tmp_path, capsys):
+        plan = tmp_path / "faults.json"
+        plan.write_text(self.DURABILITY_PLAN)
+        code = main(
+            [
+                "simulate", "--db", str(tmp_path / "g.sqlite"), "--machines", "4",
+                "--seed", "3", "--duration", "200", "--data-dir", str(tmp_path / "d"),
+                "--checkpoint-interval", "50", "--faults", str(plan),
+            ]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        failed = re.search(r"(\d+) checkpoint\(s\) \((\d+) failed\)", out)
+        assert failed and int(failed.group(2)) >= 1
+        assert int(re.search(r"m2 +\S+ +retries=(\d+)", out).group(1)) > 0
+        injected = re.search(r"faults injected: (.*)", out).group(1)
+        assert "wal_append=" in injected and "checkpoint_write=" in injected
+
+    def test_shard_serve_faults_reach_the_wal_and_the_checkpoint_writer(self, tmp_path):
+        from repro.federation.process import launch_shard
+        from repro.federation.rpc import call
+
+        plan = tmp_path / "faults.json"
+        plan.write_text(self.DURABILITY_PLAN)
+        shard = launch_shard(
+            "s0", machines=4, seed=3, data_dir=str(tmp_path / "d"), fsync="never",
+            faults=str(plan),
+            extra_args=["--checkpoint-interval", "20", "--step-interval", "0.001"],
+        )
+        try:
+            deadline = time.monotonic() + 20.0
+            while True:
+                status = call(shard.host, shard.port, {"op": "status"})
+                injected = status["faults_injected"]
+                if "wal_append" in injected and "checkpoint_write" in injected:
+                    break
+                assert time.monotonic() < deadline, status
+                time.sleep(0.05)
+            assert status["durability"]["checkpoint_failures"] >= 1
+            assert status["durability"]["checkpoints_written"] == 0
+        finally:
+            assert shard.terminate() == 0
 
     def test_missing_faults_file_reports_error(self, tmp_path, capsys):
         db = str(tmp_path / "g.sqlite")

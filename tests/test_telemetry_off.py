@@ -72,7 +72,7 @@ def test_the_whole_system_leaves_the_disabled_default_empty(tmp_path, monkeypatc
     )
     data_dir = str(tmp_path / "data")
     durability = DurabilityManager(
-        data_dir, DurabilityPolicy(fsync="never", checkpoint_interval=40.0), fault_plan=plan
+        data_dir, DurabilityPolicy(fsync="never", checkpoint_interval=40.0)
     )
     sources = SourceRegistry(target_p95=20.0)
     sim = GridSimulator(

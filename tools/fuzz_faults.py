@@ -159,7 +159,6 @@ def run_durability_once(rng: random.Random, run_index: int) -> None:
         manager = DurabilityManager(
             data_dir,
             policy=DurabilityPolicy(fsync="always", checkpoint_interval=30.0),
-            fault_plan=plan,
         )
         sim = GridSimulator(
             SimulationConfig(num_machines=num_machines, seed=sim_seed),
