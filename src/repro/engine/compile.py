@@ -5,9 +5,9 @@ for every row, re-dispatching on node types and allocating a fresh lookup
 closure per tuple. This module lowers a *resolved* expression once per
 query into closed-over Python lambdas: column references become captured
 ``(binding_key, column_index)`` pairs (or a bare row index on the
-single-relation push-down path), literals become captured constants, and
-the boolean connectives become small closures implementing the same SQL
-three-valued logic. Per row, evaluation is then just nested calls — no AST
+single-relation push-down and projection paths), literals become captured
+constants, and the boolean connectives become small closures implementing
+the same SQL three-valued logic. Per row, evaluation is then just nested calls — no AST
 walk, no dict-of-lookup allocation.
 
 Semantics are intentionally *shared* with the interpreter: the comparison,
@@ -24,6 +24,7 @@ compiled=False)``, which is all the fuzzers and differential tests use.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import EngineError
@@ -42,7 +43,8 @@ _TruthValue = Optional[bool]
 #
 # A "ref maker" turns a resolved ColumnRef into a value getter over some
 # carrier. Two carriers exist: the env dict used by the join pipeline, and a
-# bare row tuple used by single-relation push-down scans.
+# bare row tuple used by single-relation push-down scans and by the
+# projection of an output binding's rows.
 
 
 def _env_ref_maker(index_of: IndexMap) -> Callable[[ast.ColumnRef], Callable[[Env], object]]:
@@ -273,10 +275,26 @@ def compile_projection(
     return lambda env: tuple(getter(env) for getter in getters)
 
 
+def compile_row_projection(
+    exprs: Sequence[ast.Expr], binding_key: str, index_of: IndexMap
+) -> Callable[[Tuple[object, ...]], Tuple[object, ...]]:
+    """Lower select expressions over one relation to ``f(row) -> row`` (the
+    executor's output-binding path: the carrier is the bare row tuple)."""
+    getters = [_compile_scalar(expr, _row_ref_maker(binding_key, index_of)) for expr in exprs]
+    if len(getters) == 1:
+        only = getters[0]
+        return lambda row: (only(row),)
+    if all(isinstance(expr, ast.ColumnRef) for expr in exprs):
+        # Plain columns: the output row is one C-level fetch of their positions.
+        return itemgetter(*(index_of[(binding_key, expr.name.lower())] for expr in exprs))
+    return lambda row: tuple(getter(row) for getter in getters)
+
+
 __all__ = [
     "compile_scalar",
     "compile_truth",
     "compile_predicate",
     "compile_row_predicate",
     "compile_projection",
+    "compile_row_projection",
 ]

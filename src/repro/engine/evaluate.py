@@ -8,8 +8,8 @@ predicate applied at the end. Both paths produce identical results; the
 planner only changes the work done to get there.
 
 What cuts across the operators — relations, column index map, expression
-lowering, profile, lineage probes, row budget — is fixed once per query in
-:class:`_Execution`, whose methods are the operators.
+lowering, profile, lineage probes, row budget, output binding — is fixed
+once per query in :class:`_Execution`, whose methods are the operators.
 
 ``LIMIT n`` is a **row budget** when the output is the join output projected
 one-to-one in pipeline order (no ``ORDER BY``, aggregate, ``GROUP BY`` or
@@ -21,6 +21,16 @@ costs its first witness. Build sides, earlier join steps and the scans a join
 order is chosen from are needed whole and still materialise. Any other query
 has no budget and ``run()``'s final slice is the one enforcement; with one,
 the rows are the first *n* the pipeline would have produced anyway.
+
+The **output binding** is the one relation every select item reads, when no
+other relation can show in the output: no aggregate, ``GROUP BY``, ``ORDER
+BY`` or lineage, and one relation or ``DISTINCT``. Alone, its scanned rows
+go straight to a projection over the bare row, with no env per row. In a
+join whose terms touching it are all ``col = col`` links to other bindings,
+the query is Theorem 4's semijoin: the others are joined, their link keys
+gathered into one set (NULL never joins) and its scanned rows kept when
+their key is in it — one ``join`` operator, ``semijoin on k key(s)``. Any
+other query runs the env pipeline: the query's shape is the only switch.
 
 Two lowerings exist: *compiled* (default) turns each expression once per
 query into closed-over lambdas (:mod:`repro.engine.compile`); *interpreted*
@@ -43,6 +53,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
+from operator import itemgetter
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.engine import compile as compile_mod
@@ -204,7 +215,7 @@ def execute_query(
 
 
 class _Interpreted:
-    """The oracle's lowering: the four entry points of
+    """The oracle's lowering: the five entry points of
     :mod:`repro.engine.compile`, each walking the AST per row."""
 
     @staticmethod
@@ -229,6 +240,13 @@ class _Interpreted:
     ) -> Callable[[_Env], Tuple[object, ...]]:
         getters = [_Interpreted.compile_scalar(expr, index_of) for expr in exprs]
         return lambda env: tuple(getter(env) for getter in getters)
+
+    @staticmethod
+    def compile_row_projection(
+        exprs: Sequence[ast.Expr], binding_key: str, index_of: _IndexMap
+    ) -> Callable[[Row], Tuple[object, ...]]:
+        project = _Interpreted.compile_projection(exprs, index_of)
+        return lambda row: project({binding_key: row})
 
 
 class _SortKey:
@@ -297,7 +315,8 @@ class _Execution:
     ``lower`` is the expression lowering — :mod:`repro.engine.compile` or
     :class:`_Interpreted` — chosen here and nowhere else; ``lineage_plan``
     holds the lineage probes, or ``None`` on a lineage-free execution;
-    ``budget`` is the row budget (module docstring) or ``None``;
+    ``budget`` is the row budget and ``output`` the output binding (module
+    docstring) or ``None``; the join hands on envs once it clears ``output``;
     :meth:`clock` / :meth:`record` are the only way an operator reports
     itself, and cost nothing when there is no profile. A new cross-cutting
     concern is one more field here, not one more parameter on every operator.
@@ -332,6 +351,7 @@ class _Execution:
         # The row budget: LIMIT, when the first n joined tuples are the answer
         # (LIMIT 0 takes none: there is no row to stop at).
         self.budget = None if query.order_by or self.reshaped else query.limit or None
+        self.output = None if lineage else _output_binding(query, self.keys)
 
     # -- profiling -----------------------------------------------------------
 
@@ -385,12 +405,12 @@ class _Execution:
     def run(self) -> QueryResult:
         query = self.query
         started = self.clock()
-        envs = self.join()
+        joined = self.join()
         # ORDER BY sorts the joined tuples when they project one-to-one,
         # the output rows when aggregation or DISTINCT reshapes them.
         if query.order_by and not self.reshaped:
-            envs = self.sort_envs(envs)
-        result = self.project(envs)
+            joined = self.sort_envs(joined)
+        result = self.project(joined)
         if query.order_by and self.reshaped:
             self.sort_output(result)
         if query.limit is not None:
@@ -447,7 +467,7 @@ class _Execution:
 
     # -- join pipeline -------------------------------------------------------
 
-    def join(self) -> List[_Env]:
+    def join(self) -> list:
         where = self.query.where
         try:
             terms = [] if where is None else basic_terms_of(where)
@@ -455,6 +475,7 @@ class _Execution:
             terms = None
         if terms is None:
             self.pipeline = PIPELINE_GENERAL
+            self.output = None
             return self._join_general(where)
         self.pipeline = PIPELINE_CONJUNCTIVE
         return self._join_conjunctive(terms)
@@ -468,7 +489,7 @@ class _Execution:
         return self.take(OP_CROSS, " x ".join(keys), envs, math.prod(map(len, sides)), t0,
                          "filtered cross product", keep=predicate)
 
-    def _join_conjunctive(self, terms: List[ast.Expr]) -> List[_Env]:
+    def _join_conjunctive(self, terms: List[ast.Expr]) -> list:
         keys = self.keys
 
         # Push single-relation (and constant) terms down to base scans.
@@ -487,7 +508,20 @@ class _Execution:
                 return []
 
         filtered = {key: self._scan(key, selection[key]) for key in keys}
+        out = self.output
+        if out is not None:
+            if len(keys) == 1:
+                return filtered[out]
+            links = [term for term in pending if out in _term_keys(term)]
+            if all(_is_equi(term) for term in links):
+                rest = [term for term in pending if out not in _term_keys(term)]
+                return self._semijoin(filtered, links, rest)
+            self.output = None
+        return self._join_ordered(keys, filtered, pending)
 
+    def _join_ordered(
+        self, keys: List[str], filtered: Dict[str, List[Row]], pending: List[ast.Expr]
+    ) -> List[_Env]:
         # Greedy join order: start with the smallest filtered relation, then
         # repeatedly add the relation connected by an applicable term (preferring
         # hash-joinable equality terms), falling back to the smallest remaining.
@@ -535,6 +569,29 @@ class _Execution:
         # Every multi-relation term was bound by the last step at the latest.
         return envs
 
+    def _semijoin(
+        self, filtered: Dict[str, List[Row]], links: List[ast.Comparison], rest: List[ast.Expr]
+    ) -> List[Row]:
+        """The output binding's rows with a partner in the join of the others
+        (joined under ``rest``); ``links`` tie the two sides."""
+        out = self.output
+        partners = self._join_ordered([k for k in self.keys if k != out], filtered, rest)
+        t0, rows = self.clock(), filtered[out]
+        refs = [(t.left, t.right) if t.left.binding_key == out else (t.right, t.left)
+                for t in links]
+        mine = [self.index_of[(out, ref.name.lower())] for ref, _ in refs]
+        theirs = [(r.binding_key, self.index_of[(r.binding_key, r.name.lower())]) for _, r in refs]
+        # NULL never joins, as in a hash join: no key holding one enters the set.
+        found = {key for key in (tuple(env[k][i] for k, i in theirs) for env in partners)
+                 if None not in key}
+        if len(mine) == 1:  # ``itemgetter`` of one position returns the bare value
+            found = {key for (key,) in found}
+        key_of = itemgetter(*mine) if mine else lambda row: ()
+        kept = [row for row in rows if key_of(row) in found]
+        self.record(OP_JOIN, out, len(rows), len(kept), t0,
+                    f"semijoin on {len(mine)} key(s), build side {len(partners)} rows")
+        return kept
+
     def _scan(self, key: str, preds: List[ast.Expr]) -> List[Row]:
         rows = self.relations[key].rows
         t0 = self.clock()
@@ -553,7 +610,7 @@ class _Execution:
 
     # -- projection and aggregation ------------------------------------------
 
-    def project(self, envs: List[_Env]) -> QueryResult:
+    def project(self, joined: list) -> QueryResult:
         query = self.query
         t0 = self.clock()
         op, detail = OP_PROJECT, "select list"
@@ -566,26 +623,29 @@ class _Execution:
                 for b in bindings
                 for c in b.schema.columns
             ]
-            rows = [
+            rows = joined if self.output is not None else [
                 tuple(itertools.chain.from_iterable(env[key] for key in self.keys))
-                for env in envs
+                for env in joined
             ]
-            lineages = self.env_lineages(envs)
+            lineages = self.env_lineages(joined)
         else:
             columns = [_output_name(item) for item in query.select_items]
             if query.has_aggregates or query.group_by:
                 op, detail = OP_AGGREGATE, "aggregate/group"
-                rows, lineages = self._aggregate_groups(envs)
+                rows, lineages = self._aggregate_groups(joined)
             else:
-                project_row = self.lower.compile_projection(
-                    [item.expr for item in query.select_items], self.index_of
+                exprs = [item.expr for item in query.select_items]
+                project_row = (
+                    self.lower.compile_row_projection(exprs, self.output, self.index_of)
+                    if self.output is not None
+                    else self.lower.compile_projection(exprs, self.index_of)
                 )
-                rows = [project_row(env) for env in envs]
-                lineages = self.env_lineages(envs)
+                rows = list(map(project_row, joined))
+                lineages = self.env_lineages(joined)
         if query.distinct:
             detail += ", distinct"
             rows, lineages = _distinct(rows, lineages)
-        self.record(op, "output", len(envs), len(rows), t0, detail)
+        self.record(op, "output", len(joined), len(rows), t0, detail)
         return QueryResult(columns, rows, lineages)
 
     def env_lineages(self, envs: List[_Env]) -> Optional[List[FrozenSet[str]]]:
@@ -692,9 +752,7 @@ def _equi_terms(
 ) -> List[ast.Comparison]:
     out: List[ast.Comparison] = []
     for term in pending:
-        if not isinstance(term, ast.Comparison) or term.op != "=":
-            continue
-        if not isinstance(term.left, ast.ColumnRef) or not isinstance(term.right, ast.ColumnRef):
+        if not _is_equi(term):
             continue
         left_key, right_key = term.left.binding_key, term.right.binding_key
         if left_key == candidate and right_key in current_keys:
@@ -702,6 +760,24 @@ def _equi_terms(
         elif right_key == candidate and left_key in current_keys:
             out.append(term)
     return out
+
+
+def _is_equi(term: ast.Expr) -> bool:
+    """``col = col`` — on a pending term, an equality between two bindings."""
+    return isinstance(term, ast.Comparison) and term.op == "=" and all(
+        isinstance(side, ast.ColumnRef) for side in (term.left, term.right))
+
+
+def _output_binding(query: ast.Query, keys: List[str]) -> Optional[str]:
+    """The output binding (module docstring), or ``None``."""
+    if query.has_aggregates or query.group_by or query.order_by:
+        return None
+    if len(keys) == 1:
+        return keys[0]
+    if not query.distinct or any(item.is_star for item in query.select_items):
+        return None
+    read = {ref.binding_key for item in query.select_items for ref in ast.column_refs(item.expr)}
+    return read.pop() if len(read) == 1 else None
 
 
 def _join_step(

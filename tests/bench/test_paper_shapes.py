@@ -138,3 +138,36 @@ class TestQ4RecencyCostIsTheNaiveCost:
         # via Routing: Heartbeat, behind the guard; via Activity: Heartbeat x Routing.
         assert read - offset == read2 - offset2 == 2 * heartbeat + routing
         assert max(offset, offset2) < 40, "half the rows are idle: the witness is near the front"
+
+
+class TestHeartbeatRoutingSubqueryIsASemijoin:
+    """docs/THEORY.md, Theorem 4: the via-Activity recency query of Q3 and Q4
+    is ``π_cs σ(Heartbeat × Routing)``, and the memory engine runs it as the
+    semijoin it is — counted, not clocked: no operator after the scans
+    carries more than one row per Heartbeat row, whatever the data ratio."""
+
+    SOURCES = 50
+
+    @pytest.mark.parametrize("data_ratio", [40, 80])
+    @pytest.mark.parametrize("name", ["Q3", "Q4"])
+    def test_semijoin_output_is_bounded_by_heartbeat(self, name, data_ratio):
+        from repro import MemoryBackend
+        from repro.obs.instrument import Telemetry
+
+        backend = loaded_backend(
+            WorkloadConfig(num_sources=self.SOURCES, data_ratio=data_ratio),
+            lambda catalog: MemoryBackend(catalog, telemetry=Telemetry()),
+        )
+        plan = RecencyReporter(backend, create_temp_tables=False).plan_for(
+            paper_queries(self.SOURCES)[name]
+        )
+        (sql,) = [sub.sql for sub in plan.subqueries if " routing " in sub.sql]
+        assert sql.startswith("SELECT DISTINCT trac_h.source_id, trac_h.recency")
+        operators = backend.execute(sql).profile.operators
+        heartbeat = backend.row_count("heartbeat")
+        (semijoin,) = [op for op in operators if op.detail.startswith("semijoin on 1 key(s)")]
+        (project,) = [op for op in operators if op.op == "project"]
+        assert semijoin.target == "trac_h"
+        assert semijoin.rows_out <= heartbeat and project.rows_in <= heartbeat
+        # Heartbeat holds one row per source: DISTINCT has nothing left to drop.
+        assert project.rows_in == project.rows_out == semijoin.rows_out

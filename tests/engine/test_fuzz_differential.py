@@ -7,6 +7,7 @@ large count for deep fuzzing.
 """
 
 import os
+import re
 import subprocess
 import sys
 
@@ -31,3 +32,6 @@ def test_compiled_interpreted_and_sqlite_agree():
     )
     assert completed.returncode == 0, completed.stdout + completed.stderr
     assert "OK" in completed.stdout
+    # The generator draws semijoin candidates, and the engine ran them as such.
+    semijoins = re.search(r"(\d+) semijoin", completed.stdout)
+    assert semijoins and int(semijoins.group(1)) > 0, completed.stdout

@@ -3,10 +3,11 @@
 
 Generates random data and random statements over a two-table schema —
 one- and two-table ``FROM`` lists, conjunctive and general boolean
-``WHERE`` clauses, aggregates, ``DISTINCT``, ``ORDER BY`` and ``LIMIT n``
-(n in 0..4) — and asserts that three executions agree, and that the
-engine's two paths record the same per-operator profile (operator
-sequence, rows in/out):
+``WHERE`` clauses, aggregates, ``DISTINCT`` (over a join also of one
+table's columns, which the engine answers as a semijoin), ``ORDER BY`` and
+``LIMIT n`` (n in 0..4) — and asserts that three executions agree, and
+that the engine's two paths record the same per-operator profile
+(operator sequence, rows in/out):
 
 * the mini engine's *compiled* path (lowered lambdas, the default);
 * the mini engine's *interpreted* path (per-row AST walk, the oracle);
@@ -18,7 +19,9 @@ the rows of the same statement without ``LIMIT``, run on the same engine
 and sliced ``[:n]`` — the row budget of :mod:`repro.engine.evaluate` may
 change what is read, never what is returned — and, because SQLite leaves
 the order of an unordered ``LIMIT`` unspecified, as many rows as SQLite
-returns, drawn from SQLite's unlimited answer. Usage::
+returns, drawn from SQLite's unlimited answer. The last line tallies the
+executions by kind, among them how many projected bare rows of one table
+(``row carrier``) and how many ran a semijoin. Usage::
 
     python tools/fuzz_engine.py [examples]
 """
@@ -98,6 +101,10 @@ _SELECTS = {
     "t1, t2": [
         "t1.s, t1.x, t2.y",
         "t1.s, t2.s",
+        # One relation's columns: under DISTINCT, a semijoin candidate.
+        "t1.s, t1.x",
+        "t1.v",
+        "t2.y",
         "COUNT(*)",
         "COUNT(t1.v)",
         "MIN(t1.x), MAX(t2.y)",
@@ -107,28 +114,55 @@ _SELECTS = {
 
 
 def _where_over(tables: str):
-    """Boolean combinations of the atoms that name only ``tables``."""
-    atoms = [a for a in _ATOMS if all(t in tables for t in ("t1", "t2") if f"{t}." in a)]
-    return st.recursive(
-        st.sampled_from(atoms),
-        lambda inner: st.one_of(
-            st.builds(lambda a, b: f"({a} AND {b})", inner, inner),
-            st.builds(lambda a, b: f"({a} OR {b})", inner, inner),
-            st.builds(lambda a: f"NOT ({a})", inner),
+    """Boolean combinations of the atoms that name only ``tables``; half of
+    them plain conjunctions, which the engine's conjunctive pipeline runs."""
+    atoms = st.sampled_from(
+        [a for a in _ATOMS if all(t in tables for t in ("t1", "t2") if f"{t}." in a)]
+    )
+    return st.one_of(
+        st.lists(atoms, min_size=1, max_size=3).map(" AND ".join),
+        st.recursive(
+            atoms,
+            lambda inner: st.one_of(
+                st.builds(lambda a, b: f"({a} AND {b})", inner, inner),
+                st.builds(lambda a, b: f"({a} OR {b})", inner, inner),
+                st.builds(lambda a: f"NOT ({a})", inner),
+            ),
+            max_leaves=7,
         ),
-        max_leaves=7,
     )
 
 
 _WHERE = {tables: _where_over(tables) for tables in _SELECTS}
 
 
+def _one_table(text: str) -> bool:
+    return not ("t1." in text and "t2." in text)
+
+
+#: The ``semijoin`` shape: ``DISTINCT`` of one table's columns over the join,
+#: under a conjunction whose cross-table atoms are all equalities (none at
+#: all leaves the other table unlinked) — what the engine runs as a semijoin.
+_SEMIJOIN_SELECTS = [s for s in _SELECTS["t1, t2"] if "(" not in s and _one_table(s)]
+_SEMIJOIN_WHERE = st.lists(
+    st.sampled_from([a for a in _ATOMS if " = " in a or _one_table(a)]), min_size=1, max_size=3
+).map(" AND ".join)
+
+_LIMITS = st.sampled_from([None, None, None, 0, 1, 2, 3, 4])
+
+
 @st.composite
 def _statements(draw):
-    """``(statement without LIMIT, n or None, shape)``. Two shapes in five are
+    """``(statement without LIMIT, n or None, shape)``. Two shapes in six are
     plain select-project-join, the only ones whose ``LIMIT`` is a row budget."""
+    shape = draw(
+        st.sampled_from(["plain", "plain", "ordered", "distinct", "semijoin", "aggregate"])
+    )
+    if shape == "semijoin":
+        select = draw(st.sampled_from(_SEMIJOIN_SELECTS))
+        sql = f"SELECT DISTINCT {select} FROM t1, t2 WHERE {draw(_SEMIJOIN_WHERE)}"
+        return sql, draw(_LIMITS), shape
     tables = draw(st.sampled_from(sorted(_SELECTS)))
-    shape = draw(st.sampled_from(["plain", "plain", "ordered", "distinct", "aggregate"]))
     select = draw(
         st.sampled_from([s for s in _SELECTS[tables] if ("(" in s) == (shape == "aggregate")])
     )
@@ -141,7 +175,7 @@ def _statements(draw):
         )
         directions = [draw(st.sampled_from(["", " DESC"])) for _ in keys]
         sql += " ORDER BY " + ", ".join(k + d for k, d in zip(keys, directions))
-    return sql, draw(st.sampled_from([None, None, None, 0, 1, 2, 3, 4])), shape
+    return sql, draw(_LIMITS), shape
 
 
 def _run_sqlite(rows1, rows2, sql):
@@ -201,11 +235,15 @@ def make_property(max_examples: int, corpus: Counter):
                 f"LIMIT ROWS NOT AMONG SQLITE'S for {sql!r}: {compiled} vs {theirs}"
             )
         operators = profiles[0].operators
-        corpus["one-table"] += "," not in unlimited.partition(" WHERE ")[0]
-        corpus["general-path"] += any(op.op == "cross_product" for op in operators)
+        one_table = "," not in unlimited.partition(" FROM ")[2].partition(" WHERE ")[0]
+        general = any(op.op == "cross_product" for op in operators)
+        corpus["one-table"] += one_table
+        corpus["general-path"] += general
         corpus["LIMIT"] += limit is not None
         corpus["budgeted"] += bool(limit) and shape == "plain"
         corpus["stopped early"] += any(op.rows_available is not None for op in operators)
+        corpus["row carrier"] += one_table and not general and shape in ("plain", "distinct")
+        corpus["semijoin"] += any(op.detail.startswith("semijoin") for op in operators)
 
     return engines_agree
 
