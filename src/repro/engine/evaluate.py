@@ -27,10 +27,10 @@ other relation can show in the output: no aggregate, ``GROUP BY``, ``ORDER
 BY`` or lineage, and one relation or ``DISTINCT``. Alone, its scanned rows
 go straight to a projection over the bare row, with no env per row. In a
 join whose terms touching it are all ``col = col`` links to other bindings,
-the query is Theorem 4's semijoin: the others are joined, their link keys
-gathered into one set (NULL never joins) and its scanned rows kept when
-their key is in it — one ``join`` operator, ``semijoin on k key(s)``. Any
-other query runs the env pipeline: the query's shape is the only switch.
+the query is Theorem 4's semijoin: one set of the others' link keys (one
+relation's scanned rows read by an ``itemgetter``, several joined greedily;
+NULL never joins) keeps its scanned rows whose key is in it. One ``join``
+operator, ``semijoin on k key(s)``; any other query runs the env pipeline.
 
 Two lowerings exist: *compiled* (default) turns each expression once per
 query into closed-over lambdas (:mod:`repro.engine.compile`); *interpreted*
@@ -514,8 +514,7 @@ class _Execution:
                 return filtered[out]
             links = [term for term in pending if out in _term_keys(term)]
             if all(_is_equi(term) for term in links):
-                rest = [term for term in pending if out not in _term_keys(term)]
-                return self._semijoin(filtered, links, rest)
+                return self._semijoin(filtered, links, pending)
             self.output = None
         return self._join_ordered(keys, filtered, pending)
 
@@ -570,23 +569,31 @@ class _Execution:
         return envs
 
     def _semijoin(
-        self, filtered: Dict[str, List[Row]], links: List[ast.Comparison], rest: List[ast.Expr]
+        self, filtered: Dict[str, List[Row]], links: List[ast.Comparison], terms: List[ast.Expr]
     ) -> List[Row]:
         """The output binding's rows with a partner in the join of the others
-        (joined under ``rest``); ``links`` tie the two sides."""
+        (under the pending ``terms`` other than ``links``, which tie the sides).
+        One other binding is its scanned rows, keyed by one ``itemgetter``."""
         out = self.output
-        partners = self._join_ordered([k for k in self.keys if k != out], filtered, rest)
-        t0, rows = self.clock(), filtered[out]
-        refs = [(t.left, t.right) if t.left.binding_key == out else (t.right, t.left)
-                for t in links]
+        others = [k for k in self.keys if k != out]
+        refs = [sorted((t.left, t.right), key=lambda r: r.binding_key != out) for t in links]
         mine = [self.index_of[(out, ref.name.lower())] for ref, _ in refs]
         theirs = [(r.binding_key, self.index_of[(r.binding_key, r.name.lower())]) for _, r in refs]
-        # NULL never joins, as in a hash join: no key holding one enters the set.
-        found = {key for key in (tuple(env[k][i] for k, i in theirs) for env in partners)
-                 if None not in key}
-        if len(mine) == 1:  # ``itemgetter`` of one position returns the bare value
-            found = {key for (key,) in found}
         key_of = itemgetter(*mine) if mine else lambda row: ()
+        if len(others) == 1:  # then every pending term is a link
+            partners = filtered[others[0]]
+            get = itemgetter(*[i for _, i in theirs]) if theirs else key_of
+        else:
+            partners = self._join_ordered(others, filtered, [t for t in terms if t not in links])
+            get = ((lambda env, k=theirs[0][0], i=theirs[0][1]: env[k][i]) if len(theirs) == 1
+                   else lambda env: tuple([env[k][i] for k, i in theirs]))
+        t0, rows = self.clock(), filtered[out]
+        found = set(map(get, partners))
+        # NULL never joins, as in a hash join (one key is a bare value, k a tuple).
+        if len(mine) == 1:
+            found.discard(None)
+        else:
+            found = {key for key in found if None not in key}
         kept = [row for row in rows if key_of(row) in found]
         self.record(OP_JOIN, out, len(rows), len(kept), t0,
                     f"semijoin on {len(mine)} key(s), build side {len(partners)} rows")
@@ -750,16 +757,9 @@ def _pick_next(
 def _equi_terms(
     current_keys: Set[str], candidate: str, pending: List[ast.Expr]
 ) -> List[ast.Comparison]:
-    out: List[ast.Comparison] = []
-    for term in pending:
-        if not _is_equi(term):
-            continue
-        left_key, right_key = term.left.binding_key, term.right.binding_key
-        if left_key == candidate and right_key in current_keys:
-            out.append(term)
-        elif right_key == candidate and left_key in current_keys:
-            out.append(term)
-    return out
+    """``pending``'s ``col = col`` terms between ``candidate`` and a bound key."""
+    bound = current_keys | {candidate}
+    return [t for t in pending if _is_equi(t) and candidate in _term_keys(t) <= bound]
 
 
 def _is_equi(term: ast.Expr) -> bool:

@@ -1,6 +1,7 @@
 """The output-binding path: a DISTINCT projection of one relation over a join
 runs as a semijoin, every other shape keeps the env pipeline, and both
-return what SQLite returns."""
+return what SQLite returns. One partner relation is read as scanned rows;
+only several partners go through the greedy join's envs."""
 
 import sqlite3
 from collections import Counter
@@ -9,6 +10,7 @@ import pytest
 
 from repro.catalog import Catalog, Column, FiniteDomain, TableSchema
 from repro.engine import Database, execute_sql
+from repro.engine.evaluate import _Execution
 from repro.engine.profile import profile_query
 
 SCHEMAS = {
@@ -60,6 +62,138 @@ def run(db, sql, **kwargs):
     assert profile.rows == len(rows)
     assert Counter(rows) == sqlite_rows(db, sql), sql
     return rows, profile
+
+
+def shape(profile):
+    return [(op.op, op.target, op.rows_in, op.rows_out, op.detail) for op in profile.operators]
+
+
+@pytest.fixture
+def join_ordered_calls(monkeypatch):
+    """The bindings of every ``_Execution._join_ordered`` call, the only
+    place a conjunctive semijoin builds envs."""
+    calls = []
+    original = _Execution._join_ordered
+
+    def spy(self, keys, filtered, pending):
+        calls.append(sorted(keys))
+        return original(self, keys, filtered, pending)
+
+    monkeypatch.setattr(_Execution, "_join_ordered", spy)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "sql",
+    [
+        "SELECT DISTINCT r.a FROM r, s WHERE r.id = s.id",
+        "SELECT DISTINCT r.a FROM r, s WHERE r.id = s.id AND r.a = s.b AND s.b > 5",
+        "SELECT DISTINCT r.src, r.id, r.a FROM r, t",
+    ],
+    ids=["one-key", "two-keys", "no-key"],
+)
+def test_a_one_partner_semijoin_builds_no_env(join_ordered_calls, sql):
+    for compiled in (True, False):
+        _, profile = run(make_db(), sql, compiled=compiled)
+        assert len(semijoins(profile)) == 1
+    assert join_ordered_calls == []
+
+
+def test_several_partners_still_join_through_the_greedy_pipeline(join_ordered_calls):
+    _, profile = run(make_db(), "SELECT DISTINCT r.a FROM r, s, t WHERE r.id = s.id AND r.id = t.c")
+    assert len(semijoins(profile)) == 1
+    assert join_ordered_calls == [["s", "t"], ["s", "t"]]  # profiled run, then plain run
+
+
+#: Operator records (op, target, rows in, rows out, detail) pinned per shape:
+#: which side is read how may change, what the profile says may not.
+PINNED_PROFILES = {
+    "SELECT DISTINCT r.a FROM r, s WHERE r.id = s.id": [
+        ("scan", "r", 5, 5, "full scan"),
+        ("scan", "s", 5, 5, "full scan"),
+        ("join", "r", 5, 3, "semijoin on 1 key(s), build side 5 rows"),
+        ("project", "output", 3, 2, "select list, distinct"),
+    ],
+    "SELECT DISTINCT r.a FROM r, s WHERE r.id = s.id AND r.a = s.b": [
+        ("scan", "r", 5, 5, "full scan"),
+        ("scan", "s", 5, 5, "full scan"),
+        ("join", "r", 5, 0, "semijoin on 2 key(s), build side 5 rows"),
+        ("project", "output", 0, 0, "select list, distinct"),
+    ],
+    "SELECT DISTINCT r.src, r.id, r.a FROM r, t": [
+        ("scan", "r", 5, 5, "full scan"),
+        ("scan", "t", 3, 3, "full scan"),
+        ("join", "r", 5, 5, "semijoin on 0 key(s), build side 3 rows"),
+        ("project", "output", 5, 4, "select list, distinct"),
+    ],
+    "SELECT DISTINCT r.a FROM r, s, t WHERE r.id = s.id AND s.b = t.b AND t.c > 0": [
+        ("scan", "r", 5, 5, "full scan"),
+        ("scan", "s", 5, 5, "full scan"),
+        ("scan", "t", 3, 2, "1 pushed predicate(s)"),
+        ("join", "s", 2, 2, "hash join on 1 key(s), build side 5 rows"),
+        ("filter", "s", 2, 2, "1 residual term(s)"),
+        ("join", "r", 5, 1, "semijoin on 1 key(s), build side 2 rows"),
+        ("project", "output", 1, 1, "select list, distinct"),
+    ],
+    "SELECT DISTINCT r.a FROM r, s, t WHERE r.id = s.id AND r.id = t.c": [
+        ("scan", "r", 5, 5, "full scan"),
+        ("scan", "s", 5, 5, "full scan"),
+        ("scan", "t", 3, 3, "full scan"),
+        ("join", "s", 3, 15, "nested loop, build side 5 rows"),
+        ("join", "r", 5, 3, "semijoin on 2 key(s), build side 15 rows"),
+        ("project", "output", 3, 2, "select list, distinct"),
+    ],
+}
+
+
+@pytest.mark.parametrize("sql", sorted(PINNED_PROFILES))
+def test_semijoin_profiles_are_pinned(sql):
+    for compiled in (True, False):
+        _, profile = run(make_db(), sql, compiled=compiled)
+        assert shape(profile) == PINNED_PROFILES[sql]
+
+
+#: NULL in every link column, and ``1`` beside ``1.0``, on both sides.
+NULLISH = {
+    "r": [("m1", 1, 1), ("m2", 1.0, None), ("m3", None, 1), ("m1", 0, 0), ("m2", 2, 1)],
+    "s": [("m1", 1, 1), ("m2", 1, 1.0), ("m3", None, None), ("m2", 0, None), ("m3", 2, 5)],
+    "t": [("m1", 1, 1), ("m2", None, 1), ("m3", 5, None)],
+}
+
+
+@pytest.mark.parametrize("t_rows", [NULLISH["t"], []], ids=["t", "empty-t"])
+@pytest.mark.parametrize(
+    "sql",
+    [
+        "SELECT DISTINCT r.src, r.id, r.a FROM r, s WHERE r.id = s.id",
+        "SELECT DISTINCT r.src, r.id, r.a FROM r, s WHERE r.id = s.id AND r.a = s.b",
+        "SELECT DISTINCT r.src, r.id, r.a FROM r, s WHERE s.b = r.id AND s.id = r.a",
+        "SELECT DISTINCT r.src, r.id, r.a FROM r, s, t WHERE r.id = s.id AND s.b = t.c",
+        "SELECT DISTINCT r.src, r.id, r.a FROM r, s, t WHERE r.id = s.id AND r.a = t.b",
+        "SELECT DISTINCT r.src, r.id, r.a FROM r, s, t WHERE s.id = t.b",
+    ],
+    ids=["one-key", "two-keys", "crossed-keys", "chain", "star", "no-key-over-a-join"],
+)
+def test_one_and_several_partners_agree_with_the_env_pipeline(sql, t_rows):
+    db = make_db(r=NULLISH["r"], s=NULLISH["s"], t=t_rows)
+    rows, profile = run(db, sql)
+    assert len(semijoins(profile)) == 1
+    # Lineage clears the output binding: the same statement as a hash join.
+    assert Counter(rows) == Counter(execute_sql(db, sql, lineage=True).rows)
+
+
+def test_true_and_one_are_one_link_key_as_in_the_hash_table():
+    # The hash join's table is keyed by Python equality, where True == 1 ==
+    # 1.0 (SQLite stores True as 1 and agrees); the semijoin's key set is too.
+    r = [("m1", True, 1), ("m2", 1.0, True), ("m3", 1, None), ("m1", 0, 0), ("m2", None, 1)]
+    s = [("m1", 1, True), ("m2", True, 1.0), ("m3", None, None), ("m3", 2, 5)]
+    db = make_db(r=r, s=s)
+    rows, _ = run(db, "SELECT DISTINCT r.src, r.id, r.a FROM r, s WHERE r.id = s.id")
+    ids = {row[1] for row in s} - {None}
+    assert rows == [row for row in r if row[1] in ids] == r[:3]
+    rows, _ = run(db, "SELECT DISTINCT r.src, r.id, r.a FROM r, s WHERE r.id = s.id AND r.a = s.b")
+    pairs = {row[1:] for row in s if None not in row[1:]}
+    assert rows == [row for row in r if row[1:] in pairs] == r[:2]
 
 
 @pytest.mark.parametrize(

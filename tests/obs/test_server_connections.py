@@ -49,8 +49,12 @@ def responses_in(stream: str) -> int:
     return len(re.findall(r"HTTP/1\.[01] \d{3} ", stream))
 
 
-def observatory_threads():
-    return [t for t in threading.enumerate() if t.name.startswith("trac-observatory")]
+def observatory_threads(server):
+    """The live threads of ``server``: its accept loop and its connection
+    handlers. Threads another test's server left behind, or has not yet
+    joined, are not this server's."""
+    name = f"trac-observatory-{server.port}"
+    return [t for t in threading.enumerate() if t.name in (name, f"{name}-conn")]
 
 
 @pytest.fixture
@@ -248,7 +252,7 @@ class TestStop:
             server.stop()
             assert time.monotonic() - started < 3.0  # nobody waited for idle_timeout
             assert server.open_connections == 0
-            assert observatory_threads() == []
+            assert observatory_threads(server) == []
             with pytest.raises((ConnectionError, http.client.HTTPException)):
                 busy.request("GET", "/healthz")
                 busy.getresponse()
@@ -286,7 +290,7 @@ class TestStop:
             stopper.join(timeout=5.0)
             assert not stopper.is_alive()
             assert server.open_connections == 0
-            assert observatory_threads() == []
+            assert observatory_threads(server) == []
         finally:
             release.set()
             conn.close()
@@ -296,4 +300,4 @@ class TestStop:
         server = ObservatoryServer(Telemetry())
         server.stop()
         server.stop()
-        assert observatory_threads() == []
+        assert observatory_threads(server) == []

@@ -19,9 +19,11 @@ the rows of the same statement without ``LIMIT``, run on the same engine
 and sliced ``[:n]`` — the row budget of :mod:`repro.engine.evaluate` may
 change what is read, never what is returned — and, because SQLite leaves
 the order of an unordered ``LIMIT`` unspecified, as many rows as SQLite
-returns, drawn from SQLite's unlimited answer. The last line tallies the
-executions by kind, among them how many projected bare rows of one table
-(``row carrier``) and how many ran a semijoin. Usage::
+returns, drawn from SQLite's unlimited answer. A ``semijoin``-shape
+statement must also return, without ``LIMIT``, the row set it returns with
+lineage on, which runs it through the env pipeline instead. The last line
+tallies the executions by kind, among them how many projected bare rows of
+one table (``row carrier``) and how many ran a semijoin. Usage::
 
     python tools/fuzz_engine.py [examples]
 """
@@ -220,6 +222,14 @@ def make_property(max_examples: int, corpus: Counter):
             f"COMPILED/INTERPRETED PROFILE DISAGREEMENT on {sql!r}: "
             f"{shapes[0]} vs {shapes[1]}"
         )
+        if shape == "semijoin":
+            # An oracle inside the engine: lineage clears the output binding,
+            # so the same statement runs the env pipeline's hash join.
+            semijoin = execute_sql(db, unlimited).rows
+            envs = execute_sql(db, unlimited, lineage=True).rows
+            assert set(semijoin) == set(envs), (
+                f"SEMIJOIN/ENV PIPELINE DISAGREEMENT on {unlimited!r}: {semijoin} vs {envs}"
+            )
         theirs = _run_sqlite(rows1, rows2, unlimited)
         if limit is None:
             assert Counter(compiled) == theirs, f"DISAGREEMENT on {sql!r}: {compiled} vs {theirs}"
