@@ -20,6 +20,13 @@ from repro.catalog import (
 )
 from repro.engine.evaluate import QueryResult
 
+#: The two ops of a :data:`Write`.
+UPSERT, DELETE = "upsert", "delete"
+#: One keyed write of :meth:`Backend.apply_poll`: ``(op, table, key columns,
+#: values)`` — the row an ``UPSERT`` lands, the key a ``DELETE`` removes.
+Write = Tuple[str, str, Tuple[str, ...], Tuple[object, ...]]
+_HEARTBEAT_KEY = (HEARTBEAT_SOURCE_COLUMN,)
+
 
 class Snapshot(abc.ABC):
     """A consistent view of the database.
@@ -80,33 +87,45 @@ class Backend(abc.ABC):
     def delete_all(self, table: str) -> None:
         """Remove every row of ``table``."""
 
-    @abc.abstractmethod
-    def upsert_rows(
-        self,
-        table: str,
-        key_columns: Sequence[str],
-        rows: Iterable[Sequence[object]],
+    def apply_poll(
+        self, writes: Sequence[Write], source_id: Optional[str], recency: Optional[float]
     ) -> None:
-        """Insert rows, replacing any existing row with equal key columns.
+        """Apply one sniffer poll as one write: ``writes`` in order, then
+        (unless ``recency`` is ``None``) ``source_id``'s Heartbeat entry.
 
-        This is how sniffers apply "the scheduler *updates* its tuple for
-        that job" semantics (Section 4.2). Where the replacing row lands in
-        the scan order of an unordered SELECT is not part of the contract:
-        the memory backend overwrites a key's single holder in place,
-        SQLite deletes and re-inserts."""
+        The heartbeat protocol's "load and timestamp move together" (§3.1):
+        a snapshot sees the whole poll or none of it. Sniffers and WAL replay
+        call this; the per-call methods below are for bulk loads and probes."""
+        if recency is not None:  # the Heartbeat entry is the poll's last keyed write
+            writes = [*writes, (UPSERT, HEARTBEAT_TABLE, _HEARTBEAT_KEY, (source_id, recency))]
+        self._apply(writes)
 
     @abc.abstractmethod
+    def _apply(self, writes: Sequence[Write]) -> None:
+        """Apply ``writes`` in order as one transaction. An ``UPSERT``
+        replaces any row with equal key columns — "the scheduler *updates*
+        its tuple for that job" (Section 4.2); where the replacing row lands
+        in an unordered scan is not part of the contract. SQLite rolls back
+        writes that fail partway; the memory backend's fail only when
+        malformed (an unknown table or column, a row of the wrong width)."""
+
+    def upsert_rows(
+        self, table: str, key_columns: Sequence[str], rows: Iterable[Sequence[object]]
+    ) -> None:
+        """Insert rows, replacing any existing row with equal key columns."""
+        key = tuple(key_columns)
+        self._apply([(UPSERT, table, key, tuple(row)) for row in rows])
+
     def delete_rows(
-        self,
-        table: str,
-        key_columns: Sequence[str],
-        keys: Iterable[Sequence[object]],
+        self, table: str, key_columns: Sequence[str], keys: Iterable[Sequence[object]]
     ) -> None:
         """Delete rows whose key columns equal any of ``keys``."""
+        key = tuple(key_columns)
+        self._apply([(DELETE, table, key, tuple(k)) for k in keys])
 
-    @abc.abstractmethod
     def upsert_heartbeat(self, source_id: str, recency: float) -> None:
         """Set the recency timestamp of ``source_id`` (insert or update)."""
+        self.apply_poll((), source_id, recency)
 
     # -- querying -------------------------------------------------------------
 

@@ -7,19 +7,14 @@ import threading
 import time
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
-from repro.backends.base import Backend, Snapshot
-from repro.catalog import HEARTBEAT_SOURCE_COLUMN, HEARTBEAT_TABLE, Catalog
+from repro.backends.base import DELETE, Backend, Snapshot, Write
+from repro.catalog import HEARTBEAT_TABLE, Catalog
 from repro.engine import Database, execute_sql
 from repro.engine.evaluate import QueryResult
 from repro.errors import BackendError, LexerError
 from repro.obs import instrument as obs
 from repro.sqlparser.lexer import tokenize
 from repro.sqlparser.tokens import TokenType
-
-
-#: Heartbeat's key: ``source_id``, the first column of ``heartbeat_schema()``.
-_HEARTBEAT_KEY = (HEARTBEAT_SOURCE_COLUMN,)
-_HEARTBEAT_KEY_INDEXES = (0,)
 
 
 class _MemorySnapshot(Snapshot):
@@ -64,9 +59,9 @@ class MemoryBackend(Backend):
 
     Writes
     ------
-    Every keyed write — ``upsert_rows``, ``delete_rows`` and
-    ``upsert_heartbeat``, which is all the ingest path issues — is a loop
-    over :meth:`Relation.upsert` / :meth:`Relation.delete_keys`, whose key
+    Every keyed write — a poll's ``apply_poll``, ``upsert_rows``,
+    ``delete_rows``, ``upsert_heartbeat`` — is one lock hold over a loop of
+    :meth:`Relation.upsert` / :meth:`Relation.delete_keys`, whose key
     index is derived from the call's ``key_columns`` (see
     :mod:`repro.engine.relation`); the Heartbeat table is not special.
 
@@ -136,46 +131,24 @@ class MemoryBackend(Backend):
             self.db.insert_many(table, rows)
             self._changed(table, "heartbeat_rows_upserted", None, rows)
 
-    def upsert_rows(
-        self,
-        table: str,
-        key_columns: Sequence[str],
-        rows: Iterable[Sequence[object]],
-    ) -> None:
-        relation = self.db.relation(table)
-        key_indexes = tuple(relation.schema.column_index(k) for k in key_columns)
-        if self._listeners:
-            rows = list(rows)
-        with self._mutate_lock:
-            for row in rows:
-                relation.upsert(key_indexes, row)
-            self._changed(table, "heartbeat_rows_upserted", tuple(key_columns), rows)
-
-    def delete_rows(
-        self,
-        table: str,
-        key_columns: Sequence[str],
-        keys: Iterable[Sequence[object]],
-    ) -> None:
-        relation = self.db.relation(table)
-        key_indexes = tuple(relation.schema.column_index(k) for k in key_columns)
-        keys = list(dict.fromkeys(tuple(k) for k in keys))
-        with self._mutate_lock:
-            relation.delete_keys(key_indexes, keys)
-            self._changed(table, "heartbeat_rows_deleted", tuple(key_columns), keys)
-
     def delete_all(self, table: str) -> None:
         relation = self.db.relation(table)
         with self._mutate_lock:
             relation.clear()
             self._changed(table, "heartbeat_cleared")
 
-    def upsert_heartbeat(self, source_id: str, recency: float) -> None:
-        relation = self.db.relation(HEARTBEAT_TABLE)
-        row = (source_id, recency)
-        with self._mutate_lock:
-            relation.upsert(_HEARTBEAT_KEY_INDEXES, row)
-            self._changed(HEARTBEAT_TABLE, "heartbeat_rows_upserted", _HEARTBEAT_KEY, [row])
+    def _apply(self, writes: Sequence[Write]) -> None:
+        db = self.db
+        with self._mutate_lock:  # one hold: a snapshot sees the poll whole
+            for op, table, key_columns, values in writes:
+                relation = db.relation(table)
+                key_indexes = tuple(relation.schema.column_index(k) for k in key_columns)
+                if op == DELETE:
+                    relation.delete_keys(key_indexes, [values])
+                    self._changed(table, "heartbeat_rows_deleted", key_columns, [values])
+                else:
+                    relation.upsert(key_indexes, values)
+                    self._changed(table, "heartbeat_rows_upserted", key_columns, [values])
 
     # -- querying ---------------------------------------------------------------
 

@@ -18,16 +18,11 @@ import re
 import sqlite3
 import threading
 import time
-from typing import Iterable, Iterator, List, Optional, Sequence
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.backends.base import Backend, Snapshot
+from repro.backends.base import DELETE, Backend, Snapshot, Write
 from repro.obs import instrument as obs
-from repro.catalog import (
-    HEARTBEAT_RECENCY_COLUMN,
-    HEARTBEAT_SOURCE_COLUMN,
-    HEARTBEAT_TABLE,
-    Catalog,
-)
+from repro.catalog import HEARTBEAT_SOURCE_COLUMN, HEARTBEAT_TABLE, Catalog
 from repro.engine.evaluate import QueryResult
 from repro.errors import BackendError
 
@@ -82,6 +77,7 @@ class SQLiteBackend(Backend):
         self._conn.isolation_level = None  # explicit transaction control
         self._lock = threading.RLock()
         self._temp_tables: List[str] = []
+        self._statements: dict = {}  # (table, key columns) -> _keyed_sql
         self._in_snapshot = False
         if path != ":memory:":
             self._conn.execute("PRAGMA journal_mode=WAL")
@@ -163,38 +159,20 @@ class SQLiteBackend(Backend):
             self._conn.executemany(sql, [tuple(r) for r in rows])
             self._conn.commit()
 
-    def upsert_rows(
-        self,
-        table: str,
-        key_columns: Sequence[str],
-        rows: Iterable[Sequence[object]],
-    ) -> None:
-        schema = self.catalog.get(table)
-        key_indexes = [schema.column_index(k) for k in key_columns]
-        where = " AND ".join(f"{_check_name(schema.column(k).name)} = ?" for k in key_columns)
-        delete_sql = f"DELETE FROM {_check_name(schema.name)} WHERE {where}"
-        placeholders = ", ".join("?" for _ in schema.columns)
-        insert_sql = f"INSERT INTO {_check_name(schema.name)} VALUES ({placeholders})"
-        # One row per key, the last: a key the call carries twice must not
-        # survive the delete pass as two inserted rows.
-        last = {tuple(row[i] for i in key_indexes): tuple(row) for row in rows}
-        with self._lock:
-            self._conn.executemany(delete_sql, last)
-            self._conn.executemany(insert_sql, last.values())
-            self._conn.commit()
-
-    def delete_rows(
-        self,
-        table: str,
-        key_columns: Sequence[str],
-        keys: Iterable[Sequence[object]],
-    ) -> None:
-        schema = self.catalog.get(table)
-        where = " AND ".join(f"{_check_name(schema.column(k).name)} = ?" for k in key_columns)
-        delete_sql = f"DELETE FROM {_check_name(schema.name)} WHERE {where}"
-        with self._lock:
-            self._conn.executemany(delete_sql, [tuple(k) for k in keys])
-            self._conn.commit()
+    def _keyed_sql(self, table: str, key_columns: Tuple[str, ...]) -> Tuple[List[int], str, str]:
+        """``(key positions, DELETE by key, INSERT a row)`` for ``table``
+        keyed by ``key_columns`` (built once per pair)."""
+        sql = self._statements.get((table, key_columns))
+        if sql is None:
+            schema = self.catalog.get(table)
+            where = " AND ".join(f"{_check_name(schema.column(k).name)} = ?" for k in key_columns)
+            name, marks = _check_name(schema.name), ", ".join("?" for _ in schema.columns)
+            sql = self._statements[table, key_columns] = (
+                [schema.column_index(k) for k in key_columns],
+                f"DELETE FROM {name} WHERE {where}",
+                f"INSERT INTO {name} VALUES ({marks})",
+            )
+        return sql
 
     def delete_all(self, table: str) -> None:
         schema = self.catalog.get(table)
@@ -202,16 +180,26 @@ class SQLiteBackend(Backend):
             self._conn.execute(f"DELETE FROM {_check_name(schema.name)}")
             self._conn.commit()
 
-    def upsert_heartbeat(self, source_id: str, recency: float) -> None:
+    def _apply(self, writes: Sequence[Write]) -> None:
+        conn = self._conn
         with self._lock:
-            self._conn.execute(
-                f"INSERT INTO {HEARTBEAT_TABLE} ({HEARTBEAT_SOURCE_COLUMN}, "
-                f"{HEARTBEAT_RECENCY_COLUMN}) VALUES (?, ?) "
-                f"ON CONFLICT({HEARTBEAT_SOURCE_COLUMN}) "
-                f"DO UPDATE SET {HEARTBEAT_RECENCY_COLUMN} = excluded.{HEARTBEAT_RECENCY_COLUMN}",
-                (source_id, recency),
-            )
-            self._conn.commit()
+            # A savepoint is the poll's one transaction, or nests in an open
+            # snapshot's: all or nothing either way. Row by row, a key the
+            # writes carry twice ends as its last row.
+            conn.execute("SAVEPOINT poll")
+            try:
+                for op, table, key_columns, values in writes:
+                    key_indexes, delete_sql, insert_sql = self._keyed_sql(table, key_columns)
+                    if op == DELETE:
+                        conn.execute(delete_sql, values)
+                    else:
+                        conn.execute(delete_sql, [values[i] for i in key_indexes])
+                        conn.execute(insert_sql, values)
+            except BaseException:
+                conn.execute("ROLLBACK TO poll")
+                conn.execute("RELEASE poll")
+                raise
+            conn.execute("RELEASE poll")  # outside a snapshot: the poll's one commit
 
     # -- querying -----------------------------------------------------------
 

@@ -80,20 +80,25 @@ def _fsync_directory(directory: str) -> None:
         os.close(fd)
 
 
+def _dumps(value: object) -> str:
+    return json.dumps(value, separators=(",", ":"), sort_keys=True)
+
+
 def write_checkpoint(directory: str, epoch: int, state: dict) -> str:
-    """Atomically write ``state`` as checkpoint ``epoch``; return its path."""
+    """Atomically write ``state`` as checkpoint ``epoch``; return its path.
+
+    The bytes are ``json.dump``'s with sorted keys, written one top-level
+    ``state`` entry at a time: ``json.dumps`` runs the C encoder (``dump``
+    the pure-Python one), and no piece holds the whole document."""
     os.makedirs(directory, exist_ok=True)
     path = checkpoint_path(directory, epoch)
-    payload = {
-        "format": CHECKPOINT_FORMAT,
-        "epoch": int(epoch),
-        "wall": time.time(),
-        "state": state,
-    }
     tmp_path = path + ".tmp"
     with open(tmp_path, "w", encoding="utf-8") as fp:
-        json.dump(payload, fp, separators=(",", ":"), sort_keys=True)
-        fp.write("\n")
+        # The top level's sorted keys: epoch, format, state, wall.
+        fp.write(f'{{"epoch":{int(epoch)},"format":{_dumps(CHECKPOINT_FORMAT)},"state":{{')
+        for i, key in enumerate(sorted(state)):
+            fp.write(("," if i else "") + _dumps(key) + ":" + _dumps(state[key]))
+        fp.write(f'}},"wall":{_dumps(time.time())}}}\n')
         fp.flush()
         os.fsync(fp.fileno())
     os.rename(tmp_path, path)

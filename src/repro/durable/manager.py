@@ -8,9 +8,9 @@ One :class:`DurabilityManager` owns a *data directory*::
         wal-00000001.wal        # rotated after each checkpoint
         logs/m1.log ...         # disk mirrors of the machine logs
 
-Write path (per sniffer poll): the poll's delivery (one frame, see
-:meth:`DurabilityManager.journal_events`) and any acknowledged heartbeat
-are journaled *before* they touch the backend, under the configured
+Write path (per sniffer poll): one frame — the poll's delivery and the
+recency it publishes, see :meth:`DurabilityManager.journal_events` — is
+journaled *before* the poll touches the backend, under the configured
 fsync policy.  ``acked()`` exposes the per-source watermarks
 covered by the last fsync — the crash matrix kills the process and then
 asserts recovery never loses anything behind those watermarks.
@@ -40,7 +40,7 @@ from __future__ import annotations
 import glob
 import os
 import time
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Set, Tuple
 
 from repro.durable.checkpoint import prune_artifacts, write_checkpoint
 from repro.durable.recover import RecoveredState, recover
@@ -94,9 +94,7 @@ class DurableLogFile(LogFile):
 
     def append(self, event: LogEvent) -> None:
         super().append(event)
-        # Mirror with stringified payloads: the text format carries strings.
-        payload = {k: str(v) for k, v in event.payload.items()}
-        self.writer.append(LogEvent(event.timestamp, event.source, event.kind, payload))
+        self.writer.append(event)
 
 
 class DurabilityPolicy:
@@ -188,7 +186,7 @@ class DurabilityManager:
         self._journaled_recency: Dict[str, float] = {}
         self._acked_offsets: Dict[str, int] = {}
         self._acked_recency: Dict[str, float] = {}
-        self._pending: List[Tuple[str, str, object]] = []  # (kind, source, value)
+        self._unsynced: Set[str] = set()  # sources journaled since the last fsync
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -329,18 +327,22 @@ class DurabilityManager:
 
     # -- journaling (sniffer hooks) ----------------------------------------
 
-    def journal_events(self, source: str, start: int, end: int, events, now: float) -> None:
-        """Journal one poll's delivery over log offsets [start, end) as one frame.
+    def journal_events(
+        self, source: str, start: int, end: int, events, now: float, recency=None
+    ) -> None:
+        """Journal one poll as one ``bat`` frame: its delivery over log
+        offsets [start, end) and, as ``"r"``, the ``recency`` it publishes.
 
         Also when ``events`` is empty (every record of the span was dropped
         on the way): the journaled offsets of a source must not gap.  Skips
-        what lies below the journaled watermark (a resumed sniffer
+        what lies below the journaled watermarks (a resumed sniffer
         re-reading regenerated events, or a poll retried after a backend
         fault) so the WAL never holds a duplicate within an epoch.
         """
         self._check_fault("wal_append", source, now)
         watermark = self._journaled_offsets.get(source, 0)
-        if end <= watermark:
+        if end <= watermark:  # the span is journaled; its recency may not be
+            self._journal(source, recency)
             return
         if start > watermark:
             raise DurabilityError(
@@ -353,58 +355,55 @@ class DurabilityManager:
             # true log span and replay exactly what was applied.
             events = events[watermark - start :]
             start = watermark
-        lines = [self._format(event) for event in events]
-        synced = self._append(("ev", source, end), encode_batch(source, start, end, lines))
-        self._journaled_offsets[source] = end
-        self.wal_records += len(lines)
+        self._journal(source, recency, (start, end, [format_line(e, coerce=True) for e in events]))
+
+    def journal_heartbeat(self, source: str, recency: float, now: float) -> None:
+        """Journal a poll that read nothing new but publishes ``recency``
+        (only if it advances the source) as one ``hb`` frame."""
+        if recency > self._journaled_recency.get(source, _NEG_INF):
+            self._check_fault("wal_append", source, now)
+            self._journal(source, recency)
+
+    def _journal(self, source: str, recency: Optional[float], span=None) -> None:
+        """Append one frame: a ``bat`` over ``span = (start, end, lines)``,
+        else an ``hb``.  ``recency`` rides only if it advances the source's
+        journaled one (an ``hb`` without it is not written)."""
+        if recency is not None and recency <= self._journaled_recency.get(source, _NEG_INF):
+            recency = None
+        if span is None and recency is None:
+            return
+        if self._wal is None:
+            raise DurabilityError("durability manager has no open WAL (closed?)")
+        if span is None:
+            lines, synced = (), self._wal.append(encode_heartbeat(source, recency))
+        else:
+            lines, synced = span[2], self._wal.append(encode_batch(source, *span, recency))
+            self._journaled_offsets[source] = span[1]
+        if recency is not None:
+            self._journaled_recency[source] = recency
+        self._unsynced.add(source)
+        self.wal_records += len(lines) + (recency is not None)
         tel = obs.resolve(self.telemetry)
         if tel.enabled:
             tel.count(obs.WAL_RECORDS, len(lines), kind="event")
-        if synced:
-            self._promote()
-
-    def journal_heartbeat(self, source: str, recency: float, now: float) -> None:
-        """Journal one heartbeat upsert (only if it advances the source)."""
-        if recency <= self._journaled_recency.get(source, _NEG_INF):
-            return
-        self._check_fault("wal_append", source, now)
-        synced = self._append(("hb", source, recency), encode_heartbeat(source, recency))
-        self._journaled_recency[source] = recency
-        self.wal_records += 1
-        tel = obs.resolve(self.telemetry)
-        if tel.enabled:
-            tel.count(obs.WAL_RECORDS, kind="heartbeat")
-        if synced:
-            self._promote()
-
-    def _format(self, event: LogEvent) -> str:
-        payload = {k: str(v) for k, v in event.payload.items()}
-        return format_line(LogEvent(event.timestamp, event.source, event.kind, payload))
-
-    def _append(self, marker: Tuple[str, str, object], payload: bytes) -> bool:
-        if self._wal is None:
-            raise DurabilityError("durability manager has no open WAL (closed?)")
-        self._pending.append(marker)
-        synced = self._wal.append(payload)
+            tel.count(obs.WAL_RECORDS, int(recency is not None), kind="heartbeat")
         if synced:
             self.wal_syncs += 1
-            tel = obs.resolve(self.telemetry)
             if tel.enabled:
                 tel.count(obs.WAL_SYNCS)
-        return synced
+            self._promote()
 
     def _promote(self) -> None:
-        """Fold fsync-covered pending markers into the acked watermarks."""
-        for kind, source, value in self._pending:
-            if kind == "ev":
-                self._acked_offsets[source] = max(
-                    self._acked_offsets.get(source, 0), int(value)
-                )
-            else:
-                self._acked_recency[source] = max(
-                    self._acked_recency.get(source, _NEG_INF), float(value)
-                )
-        self._pending.clear()
+        """The WAL is on stable storage: fold the journaled watermarks of
+        the sources journaled since the last sync into the acked ones."""
+        for source in self._unsynced:
+            for acked, journaled in (
+                (self._acked_offsets, self._journaled_offsets),
+                (self._acked_recency, self._journaled_recency),
+            ):
+                if source in journaled:
+                    acked[source] = max(acked.get(source, journaled[source]), journaled[source])
+        self._unsynced.clear()
 
     def sync(self) -> None:
         """Force the WAL onto stable storage and advance the acked marks."""
@@ -463,6 +462,13 @@ class DurabilityManager:
                 old_wal.close()
             self.epoch = new_epoch
             prune_artifacts(self.data_dir, KEEP_CHECKPOINTS)
+            # The new segment continues from the captured marks, not the
+            # journaled ones: a poll journaled but failed at the backend is
+            # not in the state, so its retry is journaled again.
+            ingest = state.get("ingest")
+            if ingest is not None:
+                self._journaled_offsets = dict(ingest["offsets"])
+                self._journaled_recency = dict(ingest["recency"])
         except (DurabilityError, SimulationError, OSError) as exc:
             self.checkpoint_failures += 1
             if tel.enabled:

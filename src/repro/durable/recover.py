@@ -14,8 +14,10 @@ Recovery proceeds in three steps:
    watermark is applied, and one starting *beyond* it is a gap — a broken
    invariant worth dying over, because silently continuing would hide
    lost acknowledged writes.
-   Heartbeats are applied only when they advance a source's recency, which
-   keeps per-source recency monotonically non-decreasing across restarts.
+   A frame's recency (``"r"``, on an ``hb`` or optionally on a ``bat``) is
+   applied only when it advances the source's, which keeps per-source
+   recency monotonically non-decreasing across restarts.  What survives of
+   a frame reaches the backend as one ``apply_poll``, as it did live.
 
 The result also carries the per-source offsets / recency / last-loaded
 timestamps that :class:`~repro.durable.manager.DurabilityManager` feeds
@@ -119,17 +121,6 @@ def restore_database(backend, database_state: dict) -> None:
         backend.upsert_heartbeat(source, float(recency))
 
 
-def _apply_line(backend, line: str) -> float:
-    """Apply one formatted log line to ``backend``; return its timestamp."""
-    from repro.grid.logformat import parse_line
-    from repro.grid.sniffer import apply_event
-
-    event = parse_line(line)
-    if backend is not None:
-        apply_event(backend, event)
-    return event.timestamp
-
-
 def recover(
     data_dir: str,
     backend=None,
@@ -189,30 +180,39 @@ def _replay_segment(recovered: RecoveredState, scan: FrameScan, backend, tel) ->
         recovered.torn_segments.append(scan.path)
         if tel.enabled:
             tel.emit(EVT_WAL_TORN, severity="warning", path=scan.path, reason=scan.torn)
+    from repro.grid.logformat import parse_line
+    from repro.grid.sniffer import event_writes
+
     for payload in scan.payloads:
         record = decode_record(payload)
         source = record["s"]
+        events = []
         if record["k"] == "bat":
             start, end = record["a"], record["b"]
             watermark = recovered.offsets.get(source, 0)
             if end <= watermark:
                 recovered.skipped_records += 1
-                continue
-            if start > watermark:
+            elif start > watermark:
                 raise DurabilityError(
                     f"gap in journaled offsets for {source}: expected {watermark}, "
                     f"found batch [{start}, {end}) in {scan.path}"
                 )
-            for line in record["l"]:
-                recovered.last_loaded[source] = _apply_line(backend, line)
-                recovered.replayed_events += 1
-            recovered.offsets[source] = end
-        else:  # "hb"
-            recency = float(record["r"])
+            else:
+                events = [parse_line(line) for line in record["l"]]
+                if events:
+                    recovered.last_loaded[source] = events[-1].timestamp
+                recovered.replayed_events += len(events)
+                recovered.offsets[source] = end
+        # A frame's lines and its recency ("r", optional on a "bat") are
+        # deduped apart — by offsets, by recency — and applied together.
+        recency = record.get("r")
+        if recency is not None:
+            recency = float(recency)
             if recency > recovered.recency.get(source, _NEG_INF):
-                if backend is not None:
-                    backend.upsert_heartbeat(source, recency)
                 recovered.recency[source] = recency
                 recovered.replayed_heartbeats += 1
             else:
                 recovered.skipped_records += 1
+                recency = None
+        if backend is not None and (events or recency is not None):
+            backend.apply_poll(event_writes(events), source, recency)

@@ -15,12 +15,13 @@ raises on corrupt input — corruption shortens the prefix, it does not
 poison it.
 
 On top of the framing sits the WAL record codec used by the ingest
-journal: ``bat`` (one poll's delivery: the half-open span of log offsets
-it consumed and the lines applied — fewer than the span, or none, when
-fault injection dropped records on the way) and ``hb`` (a heartbeat
-upsert).  Records carry the *formatted* log line (see
-``repro.grid.logformat``) rather than structured events so this module
-stays dependency-free below the grid layer.
+journal, one frame per sniffer poll: ``bat`` (the half-open span of log
+offsets the poll consumed, the lines applied — fewer than the span, or
+none, when fault injection dropped records on the way — and, as an
+optional ``"r"``, the recency it publishes) and ``hb`` (a poll that read
+nothing new and only advances recency).  Records carry the *formatted*
+log line (see ``repro.grid.logformat``) rather than structured events so
+this module stays dependency-free below the grid layer.
 
 Durability is governed by an fsync policy:
 
@@ -278,16 +279,22 @@ def _encode(record: dict) -> bytes:
     return json.dumps(record, separators=(",", ":"), sort_keys=True).encode("utf-8")
 
 
-def encode_batch(source: str, start: int, end: int, lines: Sequence[str]) -> bytes:
-    """One poll's delivery: the lines applied while consuming log offsets
-    ``[start, end)``.  Fault injection can drop or duplicate records, so
-    the lines need not map one-to-one onto the offsets (there may be none
-    at all); replay dedupes by the span."""
-    return _encode({"k": "bat", "s": source, "a": int(start), "b": int(end), "l": list(lines)})
+def encode_batch(
+    source: str, start: int, end: int, lines: Sequence[str], recency: Optional[float] = None
+) -> bytes:
+    """One poll: the lines applied while consuming log offsets ``[start,
+    end)`` and, as ``"r"``, the recency the poll publishes (if any).  Fault
+    injection can drop or duplicate records, so the lines need not map
+    one-to-one onto the offsets (there may be none at all); replay dedupes
+    the lines by the span and ``"r"`` by the source's recency."""
+    record = {"k": "bat", "s": source, "a": int(start), "b": int(end), "l": list(lines)}
+    if recency is not None:
+        record["r"] = float(recency)
+    return _encode(record)
 
 
 def encode_heartbeat(source: str, recency: float) -> bytes:
-    """One acknowledged heartbeat upsert for ``source``."""
+    """A poll that read nothing new but advances ``source``'s recency."""
     return _encode({"k": "hb", "s": source, "r": float(recency)})
 
 
@@ -311,7 +318,8 @@ def decode_record(payload: bytes) -> dict:
         )
     if kind == "bat":
         if not isinstance(record.get("s"), str) or not isinstance(record.get("a"), int) \
-                or not isinstance(record.get("b"), int) or not isinstance(record.get("l"), list):
+                or not isinstance(record.get("b"), int) or not isinstance(record.get("l"), list) \
+                or not isinstance(record.get("r", 0.0), (int, float)):
             raise DurabilityError(f"malformed batch record: {record!r}")
     elif kind == "hb":
         if not isinstance(record.get("s"), str) or not isinstance(record.get("r"), (int, float)):

@@ -28,8 +28,8 @@ point asks for):
     spare ``HEARTBEAT`` records (``spare_heartbeats=True``) to model the
     paper's Section 3.1 scenario: data lost, liveness signal intact.
 ``backend_apply`` / ``backend_heartbeat``
-    The backend write (``upsert_rows``/``delete_rows``, or
-    ``upsert_heartbeat``) raises mid-poll.
+    A poll's backend write raises before any of it lands (consulted per
+    row it writes, and for the heartbeat it publishes).
 ``wal_append`` / ``checkpoint_write``
     The durability layer fails: a WAL journal append raises mid-poll (the
     supervisor retries the poll), or a checkpoint write fails (the manager
@@ -232,8 +232,8 @@ class FaultPlan:
         at: Sequence[float] = (),
         transient: bool = True,
     ) -> "FaultPlan":
-        """Fail backend writes: ``op="apply"`` (upsert/delete rows) or
-        ``op="heartbeat"`` (``upsert_heartbeat``)."""
+        """Fail a poll's backend write: ``op="apply"`` (its rows) or
+        ``op="heartbeat"`` (the recency it publishes)."""
         if op not in ("apply", "heartbeat"):
             raise SimulationError(f"backend_error op must be 'apply' or 'heartbeat', got {op!r}")
         return self.add(f"backend_{op}", source, probability, at, transient=transient)

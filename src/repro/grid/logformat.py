@@ -28,16 +28,23 @@ from repro.grid.events import EventKind, LogEvent
 _KIND_BY_NAME = {kind.name: kind for kind in EventKind}
 
 
-def format_line(event: LogEvent) -> str:
-    """Serialize one event to its text line (no trailing newline)."""
+def format_line(event: LogEvent, coerce: bool = False) -> str:
+    """Serialize one event to its text line (no trailing newline).
+
+    The text carries strings only: a non-string payload value raises, or
+    with ``coerce=True`` (the WAL and the log mirrors) is written as
+    ``str(value)``."""
     parts = [f"{event.timestamp:.6f}", _encode(event.source), event.kind.name]
-    for key in sorted(event.payload):
-        value = event.payload[key]
+    payload = event.payload
+    for key in sorted(payload):
+        value = payload[key]
         if not isinstance(value, str):
-            raise SimulationError(
-                f"payload {key!r} of {event.kind.name} is {type(value).__name__}; "
-                "the text log format carries strings only"
-            )
+            if not coerce:
+                raise SimulationError(
+                    f"payload {key!r} of {event.kind.name} is {type(value).__name__}; "
+                    "the text log format carries strings only"
+                )
+            value = str(value)
         parts.append(f"{key}={_encode(value)}")
     return " ".join(parts)
 
@@ -90,8 +97,13 @@ def parse_log(text: str) -> List[LogEvent]:
     return events
 
 
+#: What ``quote(value, safe="")`` never escapes (RFC 3986 unreserved).
+_UNRESERVED = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_.-~")
+
+
 def _encode(value: str) -> str:
-    return quote(value, safe="")
+    # Ids and states are unreserved already: skip the quoting machinery.
+    return value if _UNRESERVED.issuperset(value) else quote(value, safe="")
 
 
 def _decode(value: str) -> str:

@@ -47,7 +47,8 @@ class FileLogWriter:
 
     Events must arrive in non-decreasing timestamp order, mirroring the
     in-memory :class:`LogFile` contract — the order is enforced across
-    reopens by scanning the existing file's tail.
+    reopens by scanning the existing file's tail. Payload values are
+    written as strings (the text format carries nothing else).
 
     Durability contract: each event is written as one line and flushed to
     the OS, so another process can tail it immediately and a *killed
@@ -103,7 +104,7 @@ class FileLogWriter:
                 f"log {self.path!r}: timestamp {event.timestamp} is before "
                 f"the last written record"
             )
-        self._handle.write(format_line(event) + "\n")
+        self._handle.write(format_line(event, coerce=True) + "\n")
         self._handle.flush()
         self._last_timestamp = event.timestamp
         if self.fsync_policy == "always":
@@ -232,16 +233,14 @@ class FileSource:
 def archive_simulation(sim, directory: str) -> List[str]:
     """Write every machine's in-memory log to ``directory``.
 
-    Returns the file paths written. Payload values are stringified where
-    needed (the text format carries strings)."""
+    Returns the file paths written."""
     os.makedirs(directory, exist_ok=True)
     paths: List[str] = []
     for machine_id, machine in sorted(sim.machines.items()):
         path = log_path(directory, machine_id)
         with FileLogWriter(path, machine_id) as writer:
             for event in machine.log:
-                payload = {k: str(v) for k, v in event.payload.items()}
-                writer.append(LogEvent(event.timestamp, event.source, event.kind, payload))
+                writer.append(event)
         paths.append(path)
     return paths
 

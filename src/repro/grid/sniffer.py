@@ -2,12 +2,13 @@
 
 Each sniffer tails exactly one machine's log. On each poll it reads every
 record flushed before its visibility horizon (``now - lag``), transforms the
-records into rows of the monitoring schema, applies them to the backend and
-finally advances the machine's Heartbeat entry to the newest event timestamp
-it loaded — the simple recency protocol of Section 3.1 ("maintain for each
-data source the timestamp of the most recent event reported by that
-source"). HEARTBEAT records carry no data but still advance recency, which
-is the paper's fix for sources that have nothing to report.
+records into rows of the monitoring schema and applies them to the backend
+in one write with the machine's Heartbeat entry, advanced to the newest
+event timestamp it loaded — the simple recency protocol of Section 3.1
+("maintain for each data source the timestamp of the most recent event
+reported by that source"). HEARTBEAT records carry no data but still
+advance recency, which is the paper's fix for sources that have nothing to
+report.
 
 Because each sniffer has its own lag and poll interval, the database is
 inconsistent across sources in exactly the way the paper describes.
@@ -16,9 +17,9 @@ inconsistent across sources in exactly the way the paper describes.
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import List, Optional, Sequence
 
-from repro.backends.base import Backend
+from repro.backends.base import DELETE, UPSERT, Backend, Write
 from repro.core.sources import SourceState
 from repro.errors import SimulationError
 from repro.grid.events import EventKind, LogEvent
@@ -32,53 +33,39 @@ SCHED_TABLE = "sched_jobs"
 RUN_TABLE = "run_jobs"
 
 
-def apply_event(backend: Backend, event: LogEvent) -> None:
-    """Transform one log event into monitoring-schema rows on ``backend``.
+_SCHED_KEY = ("sched_machine_id", "job_id")
+_RUN_KEY = ("running_machine_id", "job_id")
 
-    Shared by the live sniffer path and WAL replay
-    (:mod:`repro.durable.recover`): every operation is a keyed upsert or
-    delete, so applying the same event again converges to the same rows.
-    """
-    source = event.source
-    ts = event.timestamp
-    if event.kind is EventKind.MACHINE_STATE:
-        backend.upsert_rows(
-            ACTIVITY_TABLE, ("mach_id",), [(source, event.value("value"), ts)]
-        )
-    elif event.kind is EventKind.NEIGHBOR_ADDED:
-        backend.upsert_rows(
-            ROUTING_TABLE,
-            ("mach_id", "neighbor"),
-            [(source, event.value("neighbor"), ts)],
-        )
-    elif event.kind is EventKind.JOB_SUBMITTED:
-        backend.upsert_rows(
-            SCHED_TABLE,
-            ("sched_machine_id", "job_id"),
-            [(source, event.value("job_id"), None, ts)],
-        )
-    elif event.kind is EventKind.JOB_SCHEDULED:
-        backend.upsert_rows(
-            SCHED_TABLE,
-            ("sched_machine_id", "job_id"),
-            [(source, event.value("job_id"), event.value("remote_machine"), ts)],
-        )
-    elif event.kind is EventKind.JOB_STARTED:
-        backend.upsert_rows(
-            RUN_TABLE,
-            ("running_machine_id", "job_id"),
-            [(source, event.value("job_id"), ts)],
-        )
-    elif event.kind in (EventKind.JOB_COMPLETED, EventKind.JOB_SUSPENDED):
-        backend.delete_rows(
-            RUN_TABLE,
-            ("running_machine_id", "job_id"),
-            [(source, event.value("job_id"))],
-        )
-    elif event.kind is EventKind.HEARTBEAT:
-        pass  # advances recency only
-    else:  # pragma: no cover - exhaustiveness guard
-        raise SimulationError(f"unknown event kind {event.kind!r}")
+#: Each record kind's write: ``(op, table, key columns, values of the record)``
+#: — the row an ``upsert`` lands, the key a ``delete`` removes. Every write is
+#: keyed, so applying a record again converges to the same rows. HEARTBEAT
+#: writes nothing: it only advances recency. The live poll and WAL replay
+#: (:mod:`repro.durable.recover`) both read this table.
+EVENT_WRITES = {
+    EventKind.MACHINE_STATE: (UPSERT, ACTIVITY_TABLE, ("mach_id",),
+                              lambda e: (e.source, e.value("value"), e.timestamp)),
+    EventKind.NEIGHBOR_ADDED: (UPSERT, ROUTING_TABLE, ("mach_id", "neighbor"),
+                               lambda e: (e.source, e.value("neighbor"), e.timestamp)),
+    EventKind.JOB_SUBMITTED: (UPSERT, SCHED_TABLE, _SCHED_KEY,
+                              lambda e: (e.source, e.value("job_id"), None, e.timestamp)),
+    EventKind.JOB_SCHEDULED: (UPSERT, SCHED_TABLE, _SCHED_KEY, lambda e: (
+        e.source, e.value("job_id"), e.value("remote_machine"), e.timestamp)),
+    EventKind.JOB_STARTED: (UPSERT, RUN_TABLE, _RUN_KEY,
+                            lambda e: (e.source, e.value("job_id"), e.timestamp)),
+    EventKind.JOB_COMPLETED: (DELETE, RUN_TABLE, _RUN_KEY, lambda e: (e.source, e.value("job_id"))),
+    EventKind.JOB_SUSPENDED: (DELETE, RUN_TABLE, _RUN_KEY, lambda e: (e.source, e.value("job_id"))),
+    EventKind.HEARTBEAT: None,
+}
+
+
+def event_writes(events: Sequence[LogEvent]) -> List[Write]:
+    """The backend writes of ``events``, in order (see :data:`EVENT_WRITES`)."""
+    writes = []
+    for event in events:
+        spec = EVENT_WRITES[event.kind]
+        if spec is not None:
+            writes.append((spec[0], spec[1], spec[2], spec[3](event)))
+    return writes
 
 
 class SnifferConfig:
@@ -169,9 +156,9 @@ class Sniffer:
         #: This source's record (``record.recency``: the newest recency the database
         #: acknowledged); private until its runner points it at a registry's.
         self.record = SourceState(machine.machine_id)
-        #: Optional durability sink (a ``DurabilityManager``): applied
-        #: batches and acknowledged heartbeats are journaled through it
-        #: *before* they touch the backend, so recovery can replay them.
+        #: Optional durability sink (a ``DurabilityManager``): each poll is
+        #: journaled through it *before* it touches the backend, so recovery
+        #: can replay it.
         self.journal = None
 
     def maybe_poll(self, now: float) -> int:
@@ -199,21 +186,42 @@ class Sniffer:
             events = events[: self.config.batch_size]
             new_offset = self.offset + len(events)
             truncated = True
-        if self.journal is not None and new_offset > self.offset:
-            # Even with every record dropped on the way: no journal gap.
-            self.journal.journal_events(
-                self.machine.machine_id, self.offset, new_offset, events, now
-            )
-        for event in events:
-            apply_event(self.backend, event)
+        last_loaded = events[-1].timestamp if events else self.last_loaded_timestamp
+        if self.config.recency_protocol == "horizon" and not truncated:
+            # Fully drained up to the horizon: everything at or before it
+            # that will ever exist has been reported (see SnifferConfig).
+            recency: Optional[float] = horizon
+        else:
+            # The newest loaded event, this batch's or an earlier one's:
+            # publication retries on every poll until the database
+            # acknowledges it.
+            recency = last_loaded
+        if recency is not None and not recency > self.record.recency:
+            recency = None  # nothing new to publish
+
+        # One write per layer — one WAL frame, then one backend call — carries
+        # the records and the recency they publish: seen, or failed, together.
+        machine = self.machine.machine_id
+        if self.journal is not None:
+            if new_offset > self.offset:
+                # Even with every record dropped on the way: no journal gap.
+                self.journal.journal_events(
+                    machine, self.offset, new_offset, events, now, recency
+                )
+            elif recency is not None:
+                self.journal.journal_heartbeat(machine, recency, now)
+        writes = event_writes(events)
+        if writes or recency is not None:
+            self.backend.apply_poll(writes, machine, recency)
         self.offset = new_offset
         if events:
-            self.last_loaded_timestamp = events[-1].timestamp
+            self.last_loaded_timestamp = last_loaded
             self.records_loaded += len(events)
+        if recency is not None:
+            self.record.recency = recency
 
         tel = obs.resolve(self.backend.telemetry)
         if tel.enabled:
-            machine = self.machine.machine_id
             if events:
                 tel.count(obs.SNIFFER_BATCHES, machine=machine)
                 tel.count(obs.SNIFFER_EVENTS, len(events), machine=machine)
@@ -222,22 +230,6 @@ class Sniffer:
                 for event in events:
                     tel.observe(obs.SNIFFER_LAG, now - event.timestamp, machine=machine)
             tel.set(obs.SNIFFER_BACKLOG, self.backlog, machine=machine)
-
-        recency: Optional[float] = None
-        if self.config.recency_protocol == "horizon" and not truncated:
-            # Fully drained up to the horizon: everything at or before it
-            # that will ever exist has been reported (see SnifferConfig).
-            recency = horizon
-        elif self.last_loaded_timestamp is not None:
-            # The newest loaded event — this batch's, or an earlier batch's
-            # whose heartbeat upsert failed mid-poll: publication retries on
-            # every poll until the database acknowledges it.
-            recency = self.last_loaded_timestamp
-        if recency is not None and recency > self.record.recency:
-            if self.journal is not None:
-                self.journal.journal_heartbeat(self.machine.machine_id, recency, now)
-            self.backend.upsert_heartbeat(self.machine.machine_id, recency)
-            self.record.recency = recency
         return len(events)
 
     # -- failure injection --------------------------------------------------------

@@ -1,15 +1,19 @@
 """Backend behaviour shared across implementations, plus SQLite-specific
 snapshot-isolation tests."""
 
+import contextlib
+import sqlite3
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Catalog, Column, FiniteDomain, MemoryBackend, SQLiteBackend, TableSchema
+from repro.backends.base import UPSERT
 from repro.errors import BackendError
 from repro.grid.events import EventKind, LogEvent
 from repro.grid.simulator import monitoring_catalog
-from repro.grid.sniffer import apply_event
+from repro.grid.sniffer import event_writes
 
 
 def tiny_catalog():
@@ -201,6 +205,28 @@ class TestSqliteSpecifics:
         with SQLiteBackend(tiny_catalog()) as backend:
             backend.insert_rows("t", [("a", 1)])
 
+    @pytest.mark.parametrize("in_snapshot", [False, True])
+    def test_a_poll_failing_partway_lands_nothing(self, in_snapshot):
+        """A statement failing mid-poll rolls the whole poll back — also
+        inside an open snapshot, whose own transaction later commits."""
+        backend = SQLiteBackend(tiny_catalog())
+        backend.insert_rows("t", [("b", 1)])
+        # The second write deletes b's row, then its short INSERT fails.
+        writes = [(UPSERT, "t", ("s",), ("a", 1)), (UPSERT, "t", ("s",), ("b",))]
+        try:
+            with contextlib.ExitStack() as stack:
+                if in_snapshot:
+                    stack.enter_context(backend.snapshot())
+                with pytest.raises(sqlite3.ProgrammingError):
+                    backend.apply_poll(writes, "a", 5.0)
+            assert backend.execute("SELECT s, x FROM t").rows == [("b", 1)]
+            assert backend.heartbeat_rows() == []
+            backend.apply_poll(writes[:1], "a", 5.0)  # the connection writes on
+            assert sorted(backend.execute("SELECT s, x FROM t").rows) == [("a", 1), ("b", 1)]
+            assert backend.heartbeat_rows() == [("a", 5.0)]
+        finally:
+            backend.close()
+
 
 MACHINES = ("m1", "m2", "m3")
 _JOB = {"job_id": st.sampled_from(["j1", "j2", "j3"])}
@@ -228,16 +254,17 @@ class TestSameContent:
     @given(_events)
     @settings(max_examples=60, deadline=None)
     def test_memory_and_sqlite_hold_the_same_rows_for_one_event_sequence(self, events):
-        """What a sniffer does — ``apply_event`` then advance the heartbeat —
-        leaves both backends with the same sorted tables; scan order is not
-        compared (memory overwrites in place, SQLite re-inserts)."""
+        """What a sniffer does — one ``apply_poll`` of an event's writes and
+        the heartbeat it publishes — leaves both backends with the same sorted
+        tables; scan order is not compared (memory overwrites in place, SQLite
+        re-inserts)."""
         catalog = monitoring_catalog(MACHINES)
         contents = []
         for backend in (MemoryBackend(catalog), SQLiteBackend(catalog)):
             with backend:
                 for tick, (kind, source, payload) in enumerate(events):
-                    apply_event(backend, LogEvent(float(tick), source, kind, payload))
-                    backend.upsert_heartbeat(source, float(tick))
+                    writes = event_writes([LogEvent(float(tick), source, kind, payload)])
+                    backend.apply_poll(writes, source, float(tick))
                 contents.append(
                     {
                         schema.name: sorted(

@@ -1,17 +1,20 @@
 """Concurrency stress tests: reports stay internally consistent while
-sniffer-like writers commit continuously through separate connections.
+sniffer-like writers commit continuously through separate connections, and
+memory-backend snapshots see each sniffer poll whole.
 
 This is the deployment reality the paper targets: the monitoring database
 is written around the clock, and every recencyReport must still observe one
 snapshot.
 """
 
+import sys
 import threading
 import time
 
 import pytest
 
-from repro import Catalog, Column, FiniteDomain, SQLiteBackend, TableSchema
+from repro import Catalog, Column, FiniteDomain, MemoryBackend, SQLiteBackend, TableSchema
+from repro.backends.base import UPSERT
 from repro.core.report import RecencyReporter
 
 SOURCES = [f"m{i}" for i in range(1, 6)]
@@ -106,6 +109,41 @@ def test_reports_see_consistent_snapshots_under_writes(tmp_path, rounds):
         thread.join(timeout=10)
         backend.close()
     assert not writer_error, writer_error
+
+
+def test_a_memory_snapshot_sees_each_poll_whole():
+    """``apply_poll`` lands a poll's rows and its heartbeat under one lock
+    hold: a snapshot taken beside a writer never holds a row newer than the
+    heartbeat that publishes it (nor the heartbeat without the row)."""
+    backend = MemoryBackend(catalog())
+    stop = threading.Event()
+
+    def writer(source):
+        seq = 0
+        while not stop.is_set():
+            seq += 1
+            row = (source, "idle", seq)
+            backend.apply_poll([(UPSERT, "activity", ("mach_id",), row)], source, float(seq))
+
+    writers = [threading.Thread(target=writer, args=(source,)) for source in SOURCES]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    deadline = time.monotonic() + 30.0
+    try:
+        for thread in writers:
+            thread.start()
+        for _ in range(500):
+            assert time.monotonic() < deadline
+            with backend.snapshot() as snap:
+                rows = snap.execute("SELECT mach_id, seq FROM activity").rows
+                beats = snap.execute("SELECT source_id, recency FROM heartbeat").rows
+            assert {source: float(seq) for source, seq in rows} == dict(beats)
+    finally:
+        stop.set()
+        sys.setswitchinterval(interval)
+        for thread in writers:
+            thread.join(timeout=10)
+    assert not any(thread.is_alive() for thread in writers)
 
 
 def test_many_sequential_reports_with_interleaved_writes(tmp_path):

@@ -1,11 +1,13 @@
 """Checkpoints: atomic writes, fall-back on corruption, artifact pruning."""
 
+import io
 import json
 import os
 
 import pytest
 
 from repro.durable.checkpoint import (
+    CHECKPOINT_FORMAT,
     checkpoint_path,
     latest_valid_checkpoint,
     list_checkpoints,
@@ -43,6 +45,39 @@ class TestWriteLoad:
         json.dump({"format": "other", "epoch": 1, "state": {}}, open(path, "w"))
         with pytest.raises(DurabilityError):
             load_checkpoint(path)
+
+
+def simulator_state():
+    from repro.faults import FaultPlan
+    from repro.grid.simulator import GridSimulator, SimulationConfig
+
+    plan = FaultPlan(seed=1).drop_records("m2", probability=0.3)
+    sim = GridSimulator(SimulationConfig(num_machines=6, seed=2), fault_plan=plan)
+    sim.run(120.0)
+    return sim.durable_state()
+
+
+class TestBytes:
+    @pytest.mark.parametrize(
+        "state",
+        [
+            {},
+            {"z": [1.5, None, True, float("nan")], "a": {"é": "ü", "b": {"d": 1, "c": 2}}},
+            "simulator",
+        ],
+    )
+    def test_the_file_is_what_one_json_dump_writes(self, tmp_path, state):
+        """Written one top-level ``state`` entry at a time by the C encoder,
+        the file is still ``json.dump``'s document byte for byte."""
+        if state == "simulator":
+            state = simulator_state()
+        path = write_checkpoint(str(tmp_path), 7, state)
+        wall = load_checkpoint(path)["wall"]  # the one value not ours to choose
+        expected = io.StringIO()
+        payload = {"format": CHECKPOINT_FORMAT, "epoch": 7, "wall": wall, "state": state}
+        json.dump(payload, expected, separators=(",", ":"), sort_keys=True)
+        with open(path, "rb") as fp:
+            assert fp.read() == (expected.getvalue() + "\n").encode("utf-8")
 
 
 class TestLatestValid:

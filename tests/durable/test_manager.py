@@ -239,11 +239,60 @@ class TestLossyDelivery:
         frames, records = len(read_wal(path)[0]), manager.stats()["wal_records"]
         assert sniffer.poll(sim.now + 100.0) >= 25
         appended = read_wal(path)[0][frames:]
-        assert [r["k"] for r in appended] == ["bat", "hb"]
+        # One frame: the delivery and the recency it publishes, together.
+        assert [r["k"] for r in appended] == ["bat"]
         assert appended[0]["b"] - appended[0]["a"] == len(appended[0]["l"]) >= 25
+        assert appended[0]["r"] == sniffer.record.recency == sniffer.last_loaded_timestamp
         # stats count records journaled (log records + heartbeats), not frames
         assert manager.stats()["wal_records"] - records == len(appended[0]["l"]) + 1
         manager.close(sim.now, final_checkpoint=False)
+
+    def test_a_poll_that_only_advances_recency_is_one_hb_frame(self, tmp_path):
+        """The horizon protocol republishes recency with nothing new read."""
+        from repro.grid.sniffer import Sniffer, SnifferConfig
+
+        manager = make_manager(tmp_path, checkpoint_interval=10_000.0)
+        sim = make_sim(durability=manager)
+        sim.run(30.0)
+        machine = sim.machines["m1"]
+        sniffer = Sniffer(machine, sim.backend, SnifferConfig(recency_protocol="horizon"))
+        sniffer.journal, sniffer.offset = manager, len(machine.log)  # nothing new to read
+        (_, path), = list_wal_segments(str(tmp_path))
+        frames = len(read_wal(path)[0])
+        assert sniffer.poll(sim.now + 50.0) == 0
+        appended = read_wal(path)[0][frames:]
+        assert appended == [{"k": "hb", "s": "m1", "r": sim.now + 48.0}]
+        assert sim.backend.heartbeat_of("m1") == sim.now + 48.0
+        manager.close(sim.now, final_checkpoint=False)
+
+    def test_a_segment_written_two_frames_per_poll_replays_to_the_same_tables(self, tmp_path):
+        """A segment whose polls are a ``bat`` frame then an ``hb`` frame (the
+        format before a poll became one frame) replays to the tables a
+        one-frame-per-poll segment of the same run replays to."""
+        from repro.durable.wal import FrameWriter, encode_batch, encode_heartbeat
+
+        manager = make_manager(tmp_path / "new", checkpoint_interval=10_000.0)
+        sim = make_sim(durability=manager)
+        sim.run(120.0)
+        manager.close(sim.now, final_checkpoint=False)
+        (_, path), = list_wal_segments(str(tmp_path / "new"))
+        records = read_wal(path)[0]
+        assert any("r" in r for r in records if r["k"] == "bat")
+        old = tmp_path / "old"
+        with FrameWriter(wal_path(str(old), 0), fsync="never") as writer:
+            for r in records:
+                if r["k"] == "bat":
+                    writer.append(encode_batch(r["s"], r["a"], r["b"], r["l"]))
+                if "r" in r:
+                    writer.append(encode_heartbeat(r["s"], r["r"]))
+        assert len(read_wal(wal_path(str(old), 0))[0]) > len(records)
+        states = []
+        for directory in (tmp_path / "new", old):
+            fresh = MemoryBackend(monitoring_catalog(sim.machine_ids))
+            recovered = recover(str(directory), backend=fresh)
+            states.append((database_state(fresh, sim.catalog), recovered.offsets, recovered.recency))
+        assert states[0] == states[1]
+        assert states[0][0] == database_state(sim.backend, sim.catalog)
 
 
 class TestCheckpointing:

@@ -7,7 +7,8 @@ probabilistic streams continue where they stopped, ``injected`` carries over.
 
 import pytest
 
-from repro.durable import DurabilityManager, DurabilityPolicy
+from repro import MemoryBackend
+from repro.durable import DurabilityManager, DurabilityPolicy, recover
 from repro.durable.checkpoint import latest_valid_checkpoint, write_checkpoint
 from repro.faults import FaultPlan
 from repro.grid.simulator import GridSimulator, SimulationConfig
@@ -100,6 +101,37 @@ def test_a_checkpoint_without_the_plan_key_resumes_with_a_fresh_plan_state(tmp_p
     resumed.durability.close(resumed.now)
     # Fresh state: the two old triggers are due again (the parent's behaviour).
     assert resumed.fault_plan.injected["poll_error"] == 1
+
+
+def test_a_poll_failed_at_a_checkpoint_is_journaled_again_after_it(tmp_path):
+    """The poll's frame reaches the WAL, its backend write fails, and the
+    tick's checkpoint records the un-advanced offset before the retry: the
+    retry must land in the new segment, or recovery meets a gap."""
+    policy = DurabilityPolicy(fsync="never", checkpoint_interval=10_000.0)
+    plan = FaultPlan(seed=0).backend_error("m3", op="heartbeat", at=[40])
+    sim = GridSimulator(
+        SimulationConfig(num_machines=4, seed=5),
+        fault_plan=plan,
+        durability=DurabilityManager(str(tmp_path), policy=policy),
+    )
+    while "backend_heartbeat" not in plan.injected:
+        sim.step()
+    offset = sim.sniffers["m3"].offset
+    assert sim.durability.checkpoint(sim.now)  # the end of the failing tick
+    assert latest_valid_checkpoint(str(tmp_path))[1]["ingest"]["offsets"]["m3"] == offset
+    sim.run(30.0)  # past the supervisor's retry
+    assert sim.sniffers["m3"].offset > offset and sim.sources.snapshot()["m3"].retries == 1
+    sim.durability.close(final_checkpoint=False)
+    live = outcome(sim)[2]
+
+    rebuilt = MemoryBackend(sim.catalog)
+    recover(str(tmp_path), backend=rebuilt)
+    resumed = make_sim(tmp_path, resume=True, planned=False)
+    for backend in (rebuilt, resumed.backend):
+        assert sorted(backend.heartbeat_rows()) == live["heartbeat"]
+        for name in ("activity", "routing", "sched_jobs", "run_jobs"):
+            assert sorted(backend.execute(f"SELECT * FROM {name}").rows) == live[name]
+    resumed.durability.close(final_checkpoint=False)
 
 
 def test_a_run_without_a_plan_checkpoints_no_plan_key(tmp_path):

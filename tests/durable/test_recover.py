@@ -68,6 +68,28 @@ class TestWalOnlyReplay:
         assert activity_rows(backend) == [("m1", "busy", 8.0)]
         assert dict(backend.heartbeat_rows()) == {"m1": 9.0}
 
+    def test_a_batch_and_its_recency_replay_together_and_dedupe_apart(self, tmp_path):
+        """One frame per poll: the lines dedupe by offsets, the ``"r"`` by
+        recency. A frame whose span is below the watermark can still carry a
+        recency that advances, and vice versa."""
+        directory = str(tmp_path)
+        write_wal(
+            directory,
+            0,
+            [
+                encode_batch("m1", 0, 2, [line(5.0), line(8.0, value="busy")], 8.0),
+                encode_batch("m1", 0, 2, [line(5.0), line(8.0, value="busy")], 9.0),
+                encode_batch("m1", 2, 3, [line(8.5, value="idle")], 8.5),
+            ],
+        )
+        backend = backend_for("m1")
+        recovered = recover(directory, backend=backend)
+        assert recovered.offsets == {"m1": 3} and recovered.recency == {"m1": 9.0}
+        assert recovered.replayed_events == 3 and recovered.replayed_heartbeats == 2
+        assert recovered.skipped_records == 2  # the second frame's span, the third's "r"
+        assert activity_rows(backend) == [("m1", "idle", 8.5)]
+        assert dict(backend.heartbeat_rows()) == {"m1": 9.0}
+
     def test_duplicate_offsets_skipped_not_reapplied(self, tmp_path):
         directory = str(tmp_path)
         write_wal(

@@ -212,6 +212,10 @@ class TestRecordCodec:
         with pytest.raises(DurabilityError, match="'ev'.*older version"):
             read_wal(path)
 
+    def test_a_batch_carries_the_recency_its_poll_publishes(self):
+        record = decode_record(encode_batch("m1", 3, 5, ["a", "b"], 42.5))
+        assert record == {"k": "bat", "s": "m1", "a": 3, "b": 5, "l": ["a", "b"], "r": 42.5}
+
     def test_heartbeat_round_trip(self):
         record = decode_record(encode_heartbeat("m1", 42.5))
         assert record == {"k": "hb", "s": "m1", "r": 42.5}
@@ -225,6 +229,7 @@ class TestRecordCodec:
             b'{"k":"ev","s":"m1","o":"seven","l":"x"}',
             b'{"k":"bat","s":"m1","a":"zero","b":1,"l":[]}',
             b'{"k":"bat","s":"m1","a":0,"b":1,"l":"notalist"}',
+            b'{"k":"bat","s":"m1","a":0,"b":1,"l":[],"r":"soon"}',
             b'{"k":"hb","s":"m1","r":"soon"}',
         ],
     )

@@ -1,12 +1,14 @@
 """Text log format tests, including the round-trip property."""
 
+from urllib.parse import quote
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError
 from repro.grid.events import EventKind, LogEvent
-from repro.grid.logformat import format_line, format_log, parse_line, parse_log
+from repro.grid.logformat import _encode, format_line, format_log, parse_line, parse_log
 
 
 def ev(t=1.5, source="m1", kind=EventKind.MACHINE_STATE, **payload):
@@ -87,6 +89,16 @@ _text = st.text(
     max_size=20,
 )
 _ident = st.text(alphabet="abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=10)
+
+
+class TestEncoding:
+    @given(st.one_of(st.text(), st.text(alphabet="az09_.-~")))
+    @settings(max_examples=300, deadline=None)
+    def test_the_unreserved_fast_path_writes_what_quote_writes(self, value):
+        assert _encode(value) == quote(value, safe="")
+
+    def test_coerce_writes_a_non_string_value_as_its_str(self):
+        assert format_line(ev(value=3), coerce=True) == format_line(ev(value="3"))
 
 
 class TestRoundTripProperty:

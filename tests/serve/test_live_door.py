@@ -3,8 +3,9 @@
 A ``GridSimulator`` (32 machines, one silenced, one with a flaky sniffer)
 steps flat out inside a :class:`~repro.deploy.Deployment` while four clients
 query it over HTTP. Every answer's rows and recency must come from one
-snapshot — recency is never overstated — and once ingest stops the answer
-must cover the brute-force minimum.
+snapshot — recency is never overstated, and since a poll's rows and its
+heartbeat land as one write, never understated either — and once ingest
+stops the answer must cover the brute-force minimum.
 """
 
 import json
@@ -90,6 +91,10 @@ def client(url, sim, failures):
                 expected = newest_state_event(sim, source, value)
                 if expected is not None:
                     assert rows[source] >= expected, (source, rows[source], expected, value)
+            # (d) a poll's rows and its heartbeat land as one write: no row is
+            # newer than its source's reported recency (and none lacks one).
+            for source, stamp in rows.items():
+                assert stamp <= recency.get(source, float("-inf")), (source, stamp, recency)
     except BaseException as exc:  # noqa: BLE001 — reported by the main thread
         failures.append(exc)
 

@@ -505,8 +505,10 @@ class TestObservatory:
         captured = capsys.readouterr()
         assert code == 1 and "injected: step 5 failed" in captured.err
         assert not obs.get_default().enabled
-        assert not [t for t in threading.enumerate() if t.name.startswith("trac-observatory")]
         port = int(re.search(r"serving on http://127\.0\.0\.1:(\d+)", captured.out).group(1))
+        # This run's server only: another test's may still be in its grace join.
+        name = f"trac-observatory-{port}"
+        assert not [t for t in threading.enumerate() if t.name in (name, f"{name}-conn")]
         with pytest.raises(OSError):
             socket.create_connection(("127.0.0.1", port), timeout=2.0).close()
         assert not db.exists()  # --db is written at a clean exit only

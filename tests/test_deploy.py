@@ -17,12 +17,16 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
 
 
 def front_door_threads():
-    return [
-        t.name for t in threading.enumerate() if t.name.startswith(("trac-observatory", "trac-serve"))
-    ]
+    """Live accept, connection-handler and worker threads, as objects: a test
+    compares them against the set it started with, so a thread another test
+    left behind (or has not yet joined) is never this test's."""
+    return {
+        t for t in threading.enumerate() if t.name.startswith(("trac-observatory", "trac-serve"))
+    }
 
 
 def test_close_runs_the_one_teardown_order(tmp_path, monkeypatch):
+    before = front_door_threads()
     durability = DurabilityManager(str(tmp_path / "data"))
     sim = GridSimulator(SimulationConfig(num_machines=3, seed=1), durability=durability)
     calls = []
@@ -56,22 +60,23 @@ def test_close_runs_the_one_teardown_order(tmp_path, monkeypatch):
         "rpc door", ("front door", False), "workers", "durability", "recorder", "telemetry",
     ]
     assert not obs.get_default().enabled and sim.durability is None
-    assert not front_door_threads() and not stepper.is_alive()
+    assert not front_door_threads() - before and not stepper.is_alive()
     deployment.close()  # safe to call twice
     assert len(calls) == 6
 
 
 def test_no_port_mounts_no_front_door_and_leaves_telemetry_alone():
-    before = set(front_door_threads())
+    before = front_door_threads()
     with ShardServer("s0", SimulationConfig(num_machines=2, seed=1)) as shard:
         deployment = shard.deployment
         assert deployment.server is None and deployment.service is None
         assert deployment.telemetry is None and not obs.get_default().enabled
-        assert set(front_door_threads()) == before
+        assert not front_door_threads() - before
     assert shard.stopping
 
 
 def test_a_failed_start_unwinds_what_was_started(tmp_path):
+    before = front_door_threads()
     closed = []
     sim = GridSimulator(SimulationConfig(num_machines=2, seed=1))
     sim.backend.close = lambda: closed.append("backend")
@@ -80,7 +85,7 @@ def test_a_failed_start_unwinds_what_was_started(tmp_path):
         with pytest.raises(OSError):
             Deployment(sim, port=taken.getsockname()[1], flight_dir=str(tmp_path / "f"))
     assert closed == ["backend"] and not obs.get_default().enabled
-    assert not front_door_threads()
+    assert not front_door_threads() - before
 
 
 def test_src_builds_the_front_door_in_one_place():
