@@ -10,8 +10,8 @@ Walks the end-to-end query tracing story, entirely in-process:
    :class:`~repro.core.report.RecencyReport`;
 3. serve a query over ``POST /v1/query`` with an injected W3C
    ``traceparent`` header, then pull ``/trace/<id>`` to see the caller's
-   trace id on every span, event and profile produced while serving it —
-   on the connection thread and on the worker thread it was handed to;
+   trace id on every span, event and profile produced while serving it,
+   all on the connection thread that read the request;
 4. scrape ``/metrics`` and show the latency histograms carrying the
    trace id as an exemplar;
 5. trip the slow-query threshold and watch ``query.slow`` fire.

@@ -7,7 +7,8 @@ request path over real HTTP:
 
 1. build an in-memory grid workload and start a
    :class:`~repro.deploy.Deployment` over it: a :class:`QueryService`
-   (bounded worker pool + per-tenant token-bucket quotas) behind the
+   (per-tenant token-bucket quotas + a gate of ``workers`` slots, each
+   report running on the connection thread that read it) behind the
    Observatory's HTTP server;
 2. ``POST /v1/query`` and read back rows *plus* the recency report and
    the request's ``trace_id`` — every served query is traceable;

@@ -305,13 +305,13 @@ def _build_parser() -> argparse.ArgumentParser:
         help="serve for this many wall seconds, then exit (default: forever)",
     )
     serve.add_argument(
-        "--workers", type=int, default=8, help="query worker threads for POST /v1/query"
+        "--workers", type=int, default=8, help="POST /v1/query reports run at once"
     )
     serve.add_argument(
         "--queue-depth",
         type=int,
         default=64,
-        help="admission queue depth; a full queue returns 429",
+        help="requests that may wait for a free slot; the next one gets 429",
     )
     serve.add_argument(
         "--tenant-rate",
@@ -335,8 +335,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--deadline",
         type=float,
         default=5.0,
-        help="default per-request deadline in seconds (expired queued work "
-        "is cancelled with HTTP 504)",
+        help="default per-request deadline in seconds (a request still "
+        "waiting for a slot then gets HTTP 504)",
     )
     serve.add_argument(
         "--lineage",

@@ -34,10 +34,11 @@ class Deployment:
     """A started deployment over ``source`` (which :meth:`close` closes).
 
     ``port`` mounts the front door: one :class:`~repro.serve.QueryService`
-    (``config``) whose workers report from ``source``, behind one
+    (``config``) reporting from ``source`` on each connection's own thread,
+    at most ``config.workers`` at once, behind one
     :class:`~repro.obs.server.ObservatoryServer` on ``host:port`` (0 =
     ephemeral; read ``deployment.server.url``). ``None`` starts no HTTP
-    server and no worker pool: a shard answers over its own RPC door, passed
+    server and no query service: a shard answers over its own RPC door, passed
     in ``doors`` (anything with ``stop()``) to be stopped where the front
     door stops. ``flight_dir`` arms the anomaly flight recorder.
     ``telemetry=None`` follows the process-wide default, which a deployment
@@ -86,7 +87,7 @@ class Deployment:
                 from repro.serve import QueryService
 
                 self.service = QueryService(source, config, telemetry=telemetry)
-                stack.callback(self.service.close)  # drains the workers
+                stack.callback(self.service.close)  # waits for the reports in flight
                 # A simulator's and a coordinator's /status are their own.
                 status = getattr(source, "status", self.service.status)
                 self.server = ObservatoryServer(
@@ -150,7 +151,7 @@ class Deployment:
 
     def close(self) -> None:
         """The one teardown, on every exit path: stop stepping → stop
-        accepting → drain the workers → final checkpoint and WAL close →
+        accepting → finish the reports in flight → final checkpoint and WAL close →
         flight recorder → backend (or coordinator) → telemetry. Safe to
         call twice."""
         self.stop()

@@ -2,9 +2,9 @@
 
 TRAC's recency reports reach users through here: ``POST /v1/query`` on the
 observatory server hands SQL + tenant id to a :class:`QueryService`, which
-admits it through per-tenant quotas (:mod:`repro.serve.quota`), runs it on
-a bounded worker pool (:mod:`repro.serve.pool`) against a per-request
-copy-on-write snapshot, and returns rows + recency report + trace id in
+admits it through per-tenant quotas (:mod:`repro.serve.quota`) and a slot
+gate (:mod:`repro.serve.pool`), runs it on the thread that read it against
+a per-request copy-on-write snapshot, and returns rows + recency report + trace id in
 one consistent response. :mod:`repro.serve.loadgen` is the open-loop load
 generator the CI latency guard drives against it.
 """

@@ -1,29 +1,29 @@
-"""A bounded worker pool with admission control and request deadlines.
+"""A slot gate: bounded concurrency, a bounded wait line and deadlines.
 
 ``concurrent.futures.ThreadPoolExecutor`` queues unboundedly — exactly
 wrong for a serving front end, where an overloaded server must shed load
 *immediately* (fail fast with a retry hint) instead of building a queue
-whose latency grows without bound. This pool:
+whose latency grows without bound. Nor does a served report need a thread
+of its own: the connection's thread already holds the request, its span
+and its socket. This gate runs the work **on the caller's thread** and:
 
-* keeps a **bounded queue** (``queue_depth``); a submit against a full
-  queue raises :class:`QueueFull` with a ``retry_after`` estimated from
-  the recent mean service time (how long until a slot frees up);
-* enforces **deadlines**: a job whose deadline passed while it sat in the
-  queue is never executed — its future fails with
-  :class:`DeadlineExceeded` the moment a worker dequeues it, so queued
-  work a client has given up on is cancelled rather than wasting a worker;
-* gives each worker thread **private state** built once at thread start
-  by ``worker_state_factory`` (the query service builds one
-  :class:`~repro.core.report.RecencyReporter` per worker there, so
-  reporters never need cross-thread locking).
-
-Results travel on :class:`concurrent.futures.Future` objects, so callers
-compose with the stdlib (``result(timeout=...)``, done-callbacks).
+* lets at most ``workers`` runs in at once;
+* keeps a **bounded wait line** (``queue_depth``): a caller arriving while
+  every slot is busy and the line is full raises :class:`QueueFull` with a
+  ``retry_after`` estimated from the recent mean service time (how long
+  until a slot frees up);
+* enforces **deadlines**: a caller still waiting when its deadline passes
+  raises :class:`DeadlineExceeded` and its work never runs; work that got a
+  slot runs to completion;
+* hands every run **per-slot state** from a free list, built lazily by
+  ``worker_state_factory`` — at most ``workers`` of them, each used by one
+  thread at a time (the query service builds one
+  :class:`~repro.core.report.RecencyReporter` per slot, so reporters never
+  need cross-thread locking).
 """
 
 from __future__ import annotations
 
-import queue
 import threading
 import time
 from concurrent.futures import Future
@@ -33,7 +33,7 @@ from repro.errors import TracError
 
 
 class QueueFull(TracError):
-    """The pool's admission queue is full (HTTP 429)."""
+    """The gate's wait line is full (HTTP 429)."""
 
     def __init__(self, message: str, retry_after: float) -> None:
         super().__init__(message)
@@ -42,42 +42,24 @@ class QueueFull(TracError):
 
 
 class DeadlineExceeded(TracError):
-    """The request's deadline passed before a worker could run it (HTTP 504)."""
-
-
-class _Stop:
-    """Sentinel telling a worker thread to exit."""
-
-
-_STOP = _Stop()
-
-
-class _Job:
-    __slots__ = ("fn", "future", "deadline", "enqueued_at")
-
-    def __init__(self, fn: Callable[[Any], Any], future: Future, deadline: Optional[float]) -> None:
-        self.fn = fn
-        self.future = future
-        self.deadline = deadline
-        self.enqueued_at = time.monotonic()
+    """The request's deadline passed before a slot freed up (HTTP 504)."""
 
 
 class WorkerPool:
-    """Fixed worker threads draining one bounded queue.
+    """At most ``workers`` concurrent runs on their callers' threads.
 
     Parameters
     ----------
     workers:
-        Number of worker threads (started lazily on first submit).
+        Number of slots: runs allowed in at once.
     queue_depth:
-        Maximum queued (not yet executing) jobs; further submits raise
+        Maximum callers waiting for a slot; the next one raises
         :class:`QueueFull`.
     worker_state_factory:
-        Zero-argument callable run once per worker thread; its return
-        value is passed as the single argument to every job function the
-        worker executes. ``None`` passes ``None``.
-    name:
-        Thread-name prefix (shows up in stack dumps and ``threading``).
+        Zero-argument callable building one slot's state, lazily, at most
+        ``workers`` times; a state is passed as the single argument to
+        every function run in its slot and ``close()``d (when it has that
+        method) once by :meth:`stop`. ``None`` passes ``None``.
     """
 
     def __init__(
@@ -85,7 +67,6 @@ class WorkerPool:
         workers: int = 8,
         queue_depth: int = 64,
         worker_state_factory: Optional[Callable[[], Any]] = None,
-        name: str = "trac-serve",
     ) -> None:
         if workers < 1:
             raise TracError(f"worker pool needs at least one worker, got {workers}")
@@ -94,132 +75,120 @@ class WorkerPool:
         self.workers = workers
         self.queue_depth = queue_depth
         self._factory = worker_state_factory
-        self._name = name
-        self._queue: "queue.Queue[object]" = queue.Queue(maxsize=queue_depth)
-        self._threads: List[threading.Thread] = []
-        self._lock = threading.Lock()
-        self._started = False
+        self._cond = threading.Condition()
+        self._free: List[Any] = []  # built states no run holds
+        self._running = 0
+        self._waiting = 0
         self._stopped = False
-        # EWMA of job service time, feeding the QueueFull retry hint.
+        # EWMA of run time, feeding the QueueFull retry hint.
         self._mean_service = 0.01
         self._expired = 0
         self._executed = 0
 
     # -- lifecycle -----------------------------------------------------------
 
-    def start(self) -> "WorkerPool":
-        with self._lock:
-            if self._started:
-                return self
-            self._started = True
-            for index in range(self.workers):
-                thread = threading.Thread(
-                    target=self._worker_loop,
-                    name=f"{self._name}-worker-{index}",
-                    daemon=True,
-                )
-                thread.start()
-                self._threads.append(thread)
-        return self
-
     def stop(self, timeout: float = 5.0) -> None:
-        """Drain accepted work, then stop every worker and join it."""
-        with self._lock:
-            if self._stopped:
-                return
+        """Refuse new work and waiting callers, wait up to ``timeout`` for the
+        runs in flight, then close every state once (a run still in flight
+        closes its own when it leaves)."""
+        with self._cond:
             self._stopped = True
-            started = self._started
-        if not started:
-            return
-        for _ in self._threads:
-            self._queue.put(_STOP)
-        for thread in self._threads:
-            thread.join(timeout=timeout)
+            self._cond.notify_all()
+            self._cond.wait_for(lambda: self._running == 0, timeout)
+            idle, self._free = self._free, []
+        for state in idle:
+            _close(state)
 
     def __enter__(self) -> "WorkerPool":
-        return self.start()
+        return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.stop()
 
-    # -- submission ----------------------------------------------------------
+    # -- running -------------------------------------------------------------
 
-    def submit(self, fn: Callable[[Any], Any], deadline: Optional[float] = None) -> Future:
-        """Enqueue ``fn(worker_state)``; raises :class:`QueueFull` when the
-        queue is at capacity. ``deadline`` is an absolute
-        ``time.monotonic()`` instant after which the job must not run."""
-        if self._stopped:
-            raise TracError("worker pool is stopped")
-        if not self._started:
-            self.start()
-        future: Future = Future()
-        job = _Job(fn, future, deadline)
+    def run(self, fn: Callable[[Any], Any], deadline: Optional[float] = None) -> Any:
+        """Call ``fn(state)`` on this thread once a slot is free; returns its
+        result or raises what it raised. Raises :class:`QueueFull` when every
+        slot is busy and ``queue_depth`` callers already wait, and
+        :class:`DeadlineExceeded` when ``deadline`` (an absolute
+        ``time.monotonic()`` instant) passes while waiting."""
+        with self._cond:
+            if self._stopped:
+                raise TracError("worker pool is stopped")
+            if self._running >= self.workers:
+                self._wait(deadline)
+            self._running += 1
+            state = self._free.pop() if self._free else _UNBUILT
+        started = time.monotonic()
         try:
-            self._queue.put_nowait(job)
-        except queue.Full:
+            if state is _UNBUILT:
+                state = self._factory() if self._factory is not None else None
+            return fn(state)
+        finally:
+            self._leave(state, time.monotonic() - started)
+
+    def _wait(self, deadline: Optional[float]) -> None:
+        """Wait (holding ``_cond``) until a slot frees, or raise."""
+        if self._waiting >= self.queue_depth:
             raise QueueFull(
                 f"admission queue full ({self.queue_depth} queued)",
-                retry_after=self._retry_hint(),
-            ) from None
-        return future
-
-    def _retry_hint(self) -> float:
-        """Seconds until a queue slot plausibly frees: the full queue
-        drained by every worker at the recent mean service time."""
-        with self._lock:
-            mean = self._mean_service
-        return max(0.05, self.queue_depth * mean / self.workers)
-
-    # -- workers -------------------------------------------------------------
-
-    def _worker_loop(self) -> None:
-        state = self._factory() if self._factory is not None else None
+                retry_after=max(0.05, self.queue_depth * self._mean_service / self.workers),
+            )
+        self._waiting += 1
+        arrived = time.monotonic()
         try:
-            while True:
-                job = self._queue.get()
-                if job is _STOP:
-                    return
-                assert isinstance(job, _Job)
-                if not job.future.set_running_or_notify_cancel():
-                    continue  # cancelled while queued
-                if job.deadline is not None and time.monotonic() > job.deadline:
-                    with self._lock:
-                        self._expired += 1
-                    job.future.set_exception(
-                        DeadlineExceeded(
-                            "deadline passed after "
-                            f"{time.monotonic() - job.enqueued_at:.3f}s in queue"
-                        )
+            while self._running >= self.workers and not self._stopped:
+                remaining = None if deadline is None else deadline - time.monotonic()
+                if remaining is not None and remaining <= 0:
+                    self._expired += 1
+                    raise DeadlineExceeded(
+                        f"deadline passed after {time.monotonic() - arrived:.3f}s in queue"
                     )
-                    continue
-                started = time.monotonic()
-                try:
-                    result = job.fn(state)
-                except BaseException as exc:  # noqa: BLE001 — future carries it
-                    job.future.set_exception(exc)
-                else:
-                    job.future.set_result(result)
-                elapsed = time.monotonic() - started
-                with self._lock:
-                    self._executed += 1
-                    self._mean_service += 0.1 * (elapsed - self._mean_service)
+                self._cond.wait(remaining)
         finally:
-            close = getattr(state, "close", None)
-            if callable(close):
-                close()
+            self._waiting -= 1
+        if self._stopped:
+            raise TracError("worker pool is stopped")
+
+    def _leave(self, state: Any, elapsed: float) -> None:
+        with self._cond:
+            self._running -= 1
+            self._executed += 1
+            self._mean_service += 0.1 * (elapsed - self._mean_service)
+            stopped = self._stopped
+            if stopped:
+                self._cond.notify_all()  # stop() waits for the last run
+            else:
+                if state is not _UNBUILT:  # the factory raised: no state to keep
+                    self._free.append(state)
+                self._cond.notify()
+        if stopped:
+            _close(state)
+
+    def submit(self, fn: Callable[[Any], Any], deadline: Optional[float] = None) -> Future:
+        """:meth:`run` as an already-resolved :class:`Future` carrying its
+        result or whatever it raised, admission errors included."""
+        future: Future = Future()
+        try:
+            future.set_result(self.run(fn, deadline))
+        except Exception as exc:  # noqa: BLE001 — the future carries it
+            future.set_exception(exc)
+        return future
 
     # -- introspection -------------------------------------------------------
 
     def queued(self) -> int:
-        """Jobs accepted but not yet picked up by a worker (approximate)."""
-        return self._queue.qsize()
+        """Callers waiting for a slot right now."""
+        return self._waiting
 
     def stats(self) -> dict:
-        with self._lock:
+        with self._cond:
             return {
                 "workers": self.workers,
-                "queue_depth": self.queued(),
+                "queue_depth": self._waiting,
                 "queue_capacity": self.queue_depth,
+                "running": self._running,
                 "executed": self._executed,
                 "expired": self._expired,
                 "mean_service_seconds": self._mean_service,
@@ -227,6 +196,16 @@ class WorkerPool:
 
     def __repr__(self) -> str:
         return (
-            f"WorkerPool(workers={self.workers}, queued={self.queued()}/"
-            f"{self.queue_depth}, executed={self._executed})"
+            f"WorkerPool(workers={self.workers}, running={self._running}, "
+            f"queued={self._waiting}/{self.queue_depth}, executed={self._executed})"
         )
+
+
+#: Marks a slot whose state has not been built yet.
+_UNBUILT = object()
+
+
+def _close(state: Any) -> None:
+    close = getattr(state, "close", None)
+    if callable(close):
+        close()

@@ -7,8 +7,8 @@ this the hard way — one chatty consumer can starve every producer):
 * a **token bucket** bounding the sustained request *rate* (``rate``
   tokens/second, bursts up to ``burst``), and
 * an **inflight ceiling** bounding how many of a tenant's requests may be
-  admitted-but-unfinished at once (queued or executing), so a tenant
-  cannot fill the whole worker queue within its rate budget.
+  admitted-but-unfinished at once (waiting or running), so a tenant
+  cannot fill the whole wait line within its rate budget.
 
 Both checks happen atomically in :meth:`TenantQuotas.admit` under one
 lock, which makes rejections *exact* under contention: with a burst of
@@ -108,9 +108,9 @@ class TenantQuotas:
 
     Tenants are created lazily on first sight with the shared defaults.
     :meth:`admit` and :meth:`release` bracket one request's admitted
-    lifetime; the service calls ``release`` from the request future's
-    done-callback so every admitted request — completed, failed, expired
-    or cancelled — releases exactly once.
+    lifetime; the service calls ``release`` in a ``finally`` so every
+    admitted request — completed, failed, shed or expired — releases
+    exactly once.
     """
 
     def __init__(

@@ -5,26 +5,24 @@ SQL (plus a tenant id) and gets back rows *and* the auto-generated
 recency report from one snapshot-consistent read. Every request:
 
 1. passes per-tenant admission (:class:`~repro.serve.quota.TenantQuotas`:
-   token-bucket rate + inflight ceiling) — rejected requests never touch
-   a worker;
-2. enters the bounded :class:`~repro.serve.pool.WorkerPool` — a full
-   queue sheds the request immediately with a retry hint, and a deadline
-   that expires while queued cancels the work before it wastes a worker;
-3. executes on a worker-private :class:`~repro.core.report.RecencyReporter`
-   whose ``report()`` opens a per-request copy-on-write snapshot
-   (``Database.snapshot_view``), so the rows and their recency report are
-   consistent with each other and isolated from the ingest running beside
-   them;
+   token-bucket rate + inflight ceiling) — rejected requests never wait
+   for a slot;
+2. passes the :class:`~repro.serve.pool.WorkerPool` slot gate — a full
+   wait line sheds the request immediately with a retry hint, and a
+   deadline that passes while it waits answers 504 before anything runs;
+3. runs on the thread that read it, with a slot-private
+   :class:`~repro.core.report.RecencyReporter` whose ``report()`` opens a
+   per-request copy-on-write snapshot (``Database.snapshot_view``), so the
+   rows and their recency report are consistent with each other and
+   isolated from the ingest running beside them;
 4. lands in the observatory: a ``serve.request`` span (child of the span
-   open on the submitting thread — the server's ``http.request`` — whose
-   context :meth:`QueryService.submit` hands across the pool), the
+   open on that thread — the server's ``http.request``), the
    ``trac_serve_request_seconds`` histogram with the report's trace id as
    exemplar, outcome counters, and queue/inflight gauges.
 
-The service is transport-agnostic — :meth:`query` blocks, :meth:`submit`
-returns a :class:`~concurrent.futures.Future`, :meth:`handle_http` is the
-whole tenant front end short of the socket — and the observatory server
-mounts it at ``POST /v1/query``.
+The service is transport-agnostic — :meth:`query` is the whole request,
+:meth:`handle_http` the whole tenant front end short of the socket — and
+the observatory server mounts it at ``POST /v1/query``.
 """
 
 from __future__ import annotations
@@ -33,8 +31,6 @@ import json
 import threading
 import time
 from collections import deque
-from concurrent.futures import Future
-from concurrent.futures import TimeoutError as FutureTimeoutError  # the builtin only from 3.11
 from typing import Any, Deque, Dict, NamedTuple, Optional, Tuple
 
 from repro.core.report import RecencyReporter
@@ -58,9 +54,6 @@ SERVED_METHODS = ("focused", "naive")
 
 #: Ceiling on a request's ``deadline_seconds``.
 MAX_DEADLINE = 30.0
-
-#: Seconds ``query`` waits past the deadline for a worker wedged mid-query.
-WORKER_GRACE = 5.0
 
 #: req/s is computed over this sliding window of completions (seconds).
 RATE_WINDOW_SECONDS = 10.0
@@ -92,20 +85,20 @@ class ServeConfig(NamedTuple):
 
 
 class QueryService:
-    """Serves recency reports from a pool of per-worker reporters.
+    """Serves recency reports through a slot gate of per-slot reporters.
 
     Parameters
     ----------
     source:
         What the reports come from. A :class:`~repro.backends.base.Backend`:
-        every worker gets a private reporter over it (serve concurrently from
+        every slot gets a private reporter over it (serve concurrently from
         a :class:`~repro.backends.memory.MemoryBackend` — its snapshots are
         copy-on-write views opened under the backend's lock, so readers never
         race ingest). A :class:`~repro.grid.simulator.GridSimulator`: the
         same over the backend it is loading, plus its ``sources`` registry,
         so every answer names the sources known to be degraded. A
         :class:`~repro.federation.FederationCoordinator`: shared by the
-        workers (it locks its own state); the answer is the federated report
+        slots (it locks its own state); the answer is the federated report
         — recency side and completeness envelope, no user-query rows.
     config:
         A :class:`ServeConfig`; defaults apply when omitted.
@@ -139,7 +132,6 @@ class QueryService:
             "ok": 0,
             "error": 0,
             "deadline": 0,
-            "cancelled": 0,
             "rejected_quota": 0,
             "rejected_inflight": 0,
             "rejected_queue": 0,
@@ -148,11 +140,12 @@ class QueryService:
         self._closed = False
 
     def _make_reporter(self):
-        """A worker's reporter. Over a backend or a simulator: a private
+        """A slot's reporter. Over a backend or a simulator: a private
         :class:`RecencyReporter` (no cross-thread state; the normal /
         exceptional splits travel in the response body). Over a coordinator:
-        the coordinator itself (a worker's exit ``close()``s its state: for
-        the coordinator that only drops pooled sockets it reopens on demand)."""
+        the coordinator itself (the gate's ``stop()`` ``close()``s every
+        slot's state: for the coordinator that only drops pooled sockets it
+        reopens on demand)."""
         source = self.source
         if hasattr(source, "report"):
             return source
@@ -164,14 +157,26 @@ class QueryService:
             lineage=self.config.lineage,
         )
 
-    # -- submission ----------------------------------------------------------
+    # -- the front door ------------------------------------------------------
 
-    def _admit(
-        self, sql: Any, tenant: Any, method: Any, deadline_seconds: Any
-    ) -> Tuple[Future, float]:
-        """Check a request once — before it costs a quota token, a queue
-        slot or a worker — then admit and enqueue it; returns its future
-        and its budget, the deadline clamped to ``(0, MAX_DEADLINE]``."""
+    def query(
+        self,
+        sql: str,
+        tenant: str = DEFAULT_TENANT,
+        method: Optional[str] = None,
+        deadline_seconds: Optional[float] = None,
+    ) -> Dict[str, Any]:
+        """Validate, admit and run one query on the calling thread; returns
+        the response document (what the HTTP layer calls).
+
+        The request is checked once — before it costs a quota token, a wait
+        or a slot. Raises :class:`~repro.errors.TracError` for a malformed
+        request or bad SQL, :class:`~repro.serve.quota.QuotaExceeded` or
+        :class:`~repro.serve.pool.QueueFull` when the request is shed at
+        admission, and :class:`~repro.serve.pool.DeadlineExceeded` when the
+        deadline (clamped to ``(0, MAX_DEADLINE]``) passes while it waits for
+        a slot; a report that got a slot runs to completion.
+        """
         if self._closed:
             raise TracError("query service is closed")
         if not isinstance(sql, str) or not sql.strip():
@@ -190,66 +195,30 @@ class QueryService:
                 raise TracError("'deadline_seconds' must be a number") from None
             if not budget > 0:  # also refuses NaN
                 raise TracError("'deadline_seconds' must be positive")
-        tel = obs.resolve(self.telemetry)
-        # The worker thread's span stack is empty: the span open here (the
-        # server's http.request) has to cross the hand-off explicitly.
-        parent = tel.tracer.current_span() if tel.enabled else None
         try:
             self.quotas.admit(tenant)
         except QuotaExceeded as exc:
             self._record_rejection(tenant, exc.kind)
             raise
-        enqueued = time.monotonic()
+        arrived = time.monotonic()
+        outcome: Optional[str] = "error"
         try:
-            future = self.pool.submit(
-                lambda reporter: self._execute(reporter, sql, method, tenant, enqueued, parent),
-                deadline=enqueued + budget,
+            document = self.pool.run(
+                lambda reporter: self._execute(reporter, sql, method, tenant, arrived),
+                deadline=arrived + budget,
             )
+            outcome = "ok"
+            return document
         except QueueFull as exc:
-            self.quotas.release(tenant)
+            outcome = None  # counted as a rejection
             self._record_rejection(tenant, exc.kind)
             raise
-        future.add_done_callback(lambda f, t=tenant: self._on_done(t, f))
-        if tel.enabled:
-            tel.set(obs.SERVE_QUEUE_DEPTH, self.pool.queued())
-        return future, budget
-
-    def submit(
-        self,
-        sql: str,
-        tenant: str = DEFAULT_TENANT,
-        method: Optional[str] = None,
-        deadline_seconds: Optional[float] = None,
-    ) -> Future:
-        """Validate, admit and enqueue one query; returns its :class:`Future`.
-
-        Raises :class:`~repro.errors.TracError` for a malformed request,
-        :class:`~repro.serve.quota.QuotaExceeded` or
-        :class:`~repro.serve.pool.QueueFull` synchronously when the
-        request is shed at admission; the future fails with
-        :class:`~repro.serve.pool.DeadlineExceeded` when the deadline
-        passes while queued, or :class:`~repro.errors.TracError` for bad
-        SQL.
-        """
-        return self._admit(sql, tenant, method, deadline_seconds)[0]
-
-    def query(
-        self,
-        sql: str,
-        tenant: str = DEFAULT_TENANT,
-        method: Optional[str] = None,
-        deadline_seconds: Optional[float] = None,
-    ) -> Dict[str, Any]:
-        """Blocking :meth:`submit` (what the HTTP layer calls); returns the
-        response document."""
-        future, budget = self._admit(sql, tenant, method, deadline_seconds)
-        # The worker enforces the deadline; the extra grace only covers a
-        # worker wedged mid-query, surfaced as DeadlineExceeded here too.
-        try:
-            return future.result(timeout=budget + WORKER_GRACE)
-        except FutureTimeoutError:
-            future.cancel()
-            raise DeadlineExceeded("request timed out awaiting a worker") from None
+        except DeadlineExceeded:
+            outcome = "deadline"
+            raise
+        finally:
+            self.quotas.release(tenant)
+            self._leave(tenant, outcome)
 
     def handle_http(self, raw: bytes) -> Tuple[int, Dict[str, Any], Dict[str, str]]:
         """``POST /v1/query`` — the tenant front end, transport-free: from
@@ -258,8 +227,8 @@ class QueryService:
         Body: ``{"sql": ..., "tenant"?: ..., "method"?: ...,
         "deadline_seconds"?: ...}``. 200 with rows + recency report + trace
         id; 400 for malformed requests or bad SQL; 429 with ``Retry-After``
-        when quotas or the admission queue shed the request; 504 when the
-        deadline expires first.
+        when quotas or the gate's wait line shed the request; 504 when the
+        deadline passes while it waits for a slot.
         """
         try:
             try:
@@ -283,23 +252,21 @@ class QueryService:
         except TracError as exc:
             return 400, {"error": str(exc)}, {}
 
-    # -- execution (worker thread) ------------------------------------------
+    # -- execution (inside the gate) -----------------------------------------
 
     def _execute(
-        self,
-        reporter: RecencyReporter,
-        sql: str,
-        method: str,
-        tenant: str,
-        enqueued: float,
-        parent: Optional[object],
+        self, reporter: RecencyReporter, sql: str, method: str, tenant: str, arrived: float
     ) -> Dict[str, Any]:
         tel = obs.resolve(self.telemetry)
-        queue_wait = time.monotonic() - enqueued
+        queue_wait = time.monotonic() - arrived
+        if tel.enabled:
+            self._set_gauges(tel)
         start = time.perf_counter()
         outcome, trace_id = "error", None
         try:
-            timer = obs.PhaseTimer(tel, SPAN_SERVE, parent=parent, tenant=tenant, method=method)
+            # Opened on the thread that read the request: the span open there
+            # (the server's http.request) is its parent.
+            timer = obs.PhaseTimer(tel, SPAN_SERVE, tenant=tenant, method=method)
             with timer:
                 timer.set_attribute("queue_wait_s", round(queue_wait, 6))
                 report = reporter.report(sql, method=method)
@@ -329,25 +296,25 @@ class QueryService:
             tel.count(obs.SERVE_REJECTIONS, tenant=tenant, reason=kind)
             tel.emit(EVT_SERVE_REJECTED, severity="warning", tenant=tenant, reason=kind)
 
-    def _on_done(self, tenant: str, future: Future) -> None:
-        self.quotas.release(tenant)
+    def _leave(self, tenant: str, outcome: Optional[str]) -> None:
+        """An admitted request's exit, its quota already released: count its
+        outcome (``None``: shed, counted as a rejection) and refresh the gauges."""
+        if outcome is not None:
+            with self._lock:
+                self._counts[outcome] += 1
         tel = obs.resolve(self.telemetry)
         if tel.enabled:
-            tel.set(obs.SERVE_INFLIGHT, self.quotas.total_inflight())
-        if future.cancelled():
-            outcome = "cancelled"
-        else:
-            exc = future.exception()
-            if exc is None:
-                outcome = "ok"
-            elif isinstance(exc, DeadlineExceeded):
-                outcome = "deadline"
-                if tel.enabled:
-                    tel.count(obs.SERVE_REJECTIONS, tenant=tenant, reason="deadline")
-            else:
-                outcome = "error"
+            if outcome == "deadline":
+                tel.count(obs.SERVE_REJECTIONS, tenant=tenant, reason="deadline")
+            self._set_gauges(tel)
+
+    def _set_gauges(self, tel) -> None:
+        """Written on entering the gate and on leaving it, so neither gauge
+        keeps a burst's value after the burst; read and written under one
+        lock, so the last write reads the last state."""
         with self._lock:
-            self._counts[outcome] += 1
+            tel.set(obs.SERVE_QUEUE_DEPTH, self.pool.queued())
+            tel.set(obs.SERVE_INFLIGHT, self.quotas.total_inflight())
 
     def _prune_completions(self, now: float) -> None:
         horizon = now - RATE_WINDOW_SECONDS
@@ -411,8 +378,8 @@ class QueryService:
     # -- lifecycle -----------------------------------------------------------
 
     def close(self) -> None:
-        """Stop accepting work and join the workers (reporters close with
-        their threads)."""
+        """Stop accepting work, wait for the reports in flight and close
+        every slot's reporter."""
         self._closed = True
         self.pool.stop()
 

@@ -2,6 +2,8 @@
 
 import json
 import socket
+import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -171,6 +173,42 @@ class TestQuotaOverHttp:
                 assert svc.counts()["error"] == 0
                 status, _, _ = post(server.url + "/v1/query", body={"sql": SQL})
         assert status == 200
+
+    def test_a_full_wait_line_sheds_one_429_and_no_5xx(self, held_source):
+        """One slot, a wait line of one, three concurrent requests while the
+        first holds the slot: the second waits and is served, the third is
+        shed with ``Retry-After``."""
+        tel = Telemetry()
+        config = ServeConfig(workers=1, queue_depth=1)
+        answers = []
+
+        def send():
+            answers.append(post(url, body={"sql": SQL}))
+
+        with QueryService(held_source, config, telemetry=tel) as svc:
+            with ObservatoryServer(tel, query_service=svc) as server:
+                url = server.url + "/v1/query"
+                threads = [threading.Thread(target=send) for _ in range(2)]
+                try:
+                    threads[0].start()
+                    assert held_source.entered.wait(timeout=5.0)
+                    threads[1].start()
+                    deadline = time.monotonic() + 5.0
+                    while svc.pool.queued() < 1:
+                        assert time.monotonic() < deadline
+                        time.sleep(0.001)
+                    send()
+                finally:
+                    held_source.release.set()
+                    for thread in threads:
+                        thread.join(timeout=10.0)
+                counts = svc.counts()
+        statuses = sorted(status for status, _, _ in answers)
+        assert statuses == [200, 200, 429]
+        shed = next(headers for status, _, headers in answers if status == 429)
+        assert float(shed["Retry-After"]) > 0
+        assert counts["ok"] == 2 and counts["rejected_queue"] == 1
+        assert svc.quotas.total_inflight() == 0
 
     def test_no_service_wired_is_503(self):
         tel = Telemetry()

@@ -1,11 +1,19 @@
 """QueryService: serving recency reports with admission control."""
 
+import threading
+import time
+
 import pytest
 
 from repro.backends import MemoryBackend, SQLiteBackend, copy_tables
 from repro.errors import TracError
 from repro.obs import Telemetry
-from repro.obs.instrument import SERVE_REQUEST_SECONDS
+from repro.obs.instrument import (
+    SERVE_INFLIGHT,
+    SERVE_QUEUE_DEPTH,
+    SERVE_REJECTIONS,
+    SERVE_REQUEST_SECONDS,
+)
 from repro.serve import QueryService, ServeConfig
 from repro.serve.quota import QuotaExceeded
 
@@ -49,13 +57,13 @@ class TestQuery:
 
     def test_empty_sql_rejected_before_admission(self, service):
         with pytest.raises(TracError):
-            service.submit("   ")
+            service.query("   ")
         with pytest.raises(TracError):
-            service.submit(SQL, tenant="")
+            service.query(SQL, tenant="")
         with pytest.raises(TracError, match="method"):
-            service.submit(SQL, method="focused_hardcoded")  # no plan crosses the front door
+            service.query(SQL, method="focused_hardcoded")  # no plan crosses the front door
         with pytest.raises(TracError, match="positive"):
-            service.submit(SQL, deadline_seconds=-1)
+            service.query(SQL, deadline_seconds=-1)
         assert service.quotas.snapshot() == {}
 
     def test_counts_ok(self, service):
@@ -69,31 +77,51 @@ class TestQuery:
         svc = QueryService(paper_memory_backend)
         svc.close()
         with pytest.raises(TracError):
-            svc.submit(SQL)
+            svc.query(SQL)
 
 
-class TestWedgedWorker:
-    def test_a_future_that_never_completes_is_a_504_and_is_cancelled(self, service, monkeypatch):
-        """``Future.result(timeout=)`` raises ``concurrent.futures.TimeoutError``,
-        the builtin's alias only from 3.11 on: caught by the builtin's name it
-        escaped on 3.9 / 3.10 as a 500 and the future was never cancelled."""
-        from concurrent.futures import Future
+def serve_in_background(service, **kwargs):
+    """``service.query`` on a thread of its own; returns the thread and a
+    list that receives the document or the exception."""
+    outcome = []
 
-        from repro.serve import service as service_module
+    def main():
+        try:
+            outcome.append(service.query(SQL, **kwargs))
+        except Exception as exc:  # noqa: BLE001 - asserted by the test
+            outcome.append(exc)
 
-        handed_out = []
+    thread = threading.Thread(target=main)
+    thread.start()
+    return thread, outcome
 
-        def never_runs(fn, deadline):
-            handed_out.append(Future())
-            return handed_out[-1]
 
-        monkeypatch.setattr(service.pool, "submit", never_runs)
-        monkeypatch.setattr(service_module, "WORKER_GRACE", 0.01)
-        body = b'{"sql": "SELECT mach_id FROM activity", "deadline_seconds": 0.01}'
-        status, doc, _ = service.handle_http(body)
-        assert status == 504 and "timed out" in doc["error"]
-        assert [future.cancelled() for future in handed_out] == [True]
-        assert service.counts()["cancelled"] == 1
+class TestDeadline:
+    def test_a_deadline_that_passes_behind_a_held_slot_is_a_504(self, held_source):
+        """The report holding the only slot finishes; the request behind it
+        never runs, is counted as a deadline and gives its quota back."""
+        tel = Telemetry()
+        with QueryService(held_source, ServeConfig(workers=1), telemetry=tel) as svc:
+            holder, held = serve_in_background(svc, tenant="first")
+            assert held_source.entered.wait(timeout=5.0)
+            body = b'{"sql": "SELECT mach_id FROM activity", "deadline_seconds": 0.05}'
+            status, doc, _ = svc.handle_http(body)
+            assert status == 504 and "deadline" in doc["error"]
+            assert held_source.reports == 1  # the late request's report never ran
+            assert svc.quotas.inflight("default") == 0
+            held_source.release.set()
+            holder.join(timeout=10.0)
+            counts = svc.counts()
+        assert held[0]["tenant"] == "first"  # a started report runs to completion
+        assert counts["deadline"] == 1 and counts["ok"] == 1 and counts["error"] == 0
+        assert svc.quotas.total_inflight() == 0
+        assert svc.pool.stats()["expired"] == 1
+        rejections = {
+            dict(m.labels)["reason"]: m.value
+            for m in tel.metrics.collect()
+            if m.name == SERVE_REJECTIONS
+        }
+        assert rejections == {"deadline": 1.0}
 
 
 class TestQuotaIntegration:
@@ -103,7 +131,7 @@ class TestQuotaIntegration:
             svc.query(SQL)
             svc.query(SQL)
             with pytest.raises(QuotaExceeded) as exc_info:
-                svc.submit(SQL)
+                svc.query(SQL)
             assert exc_info.value.kind == "quota"
             counts = svc.counts()
         assert counts["ok"] == 2
@@ -135,6 +163,20 @@ class TestTelemetry:
             names = [s.name for s in tel.tracer.finished_spans()]
             assert "serve.request" in names
 
+    def test_serve_span_is_a_child_of_the_span_open_on_the_calling_thread(
+        self, paper_memory_backend
+    ):
+        """The report runs on the caller's thread, so ``serve.request`` nests
+        under whatever span is open there (the server's ``http.request``)
+        with nothing handed across."""
+        tel = Telemetry()
+        with QueryService(paper_memory_backend, telemetry=tel) as svc:
+            with tel.tracer.span("caller") as caller:
+                doc = svc.query(SQL)
+        serve = next(s for s in tel.tracer.finished_spans() if s.name == "serve.request")
+        assert serve.parent_id == caller.span_id
+        assert doc["trace_id"] == caller.trace_id_hex == serve.trace_id_hex
+
     def test_disabled_telemetry_still_serves(self, service):
         doc = service.query(SQL)
         assert "trace_id" not in doc and "profile" not in doc
@@ -150,6 +192,45 @@ class TestServingStatus:
         assert status["inflight"] == 0
         assert "bob" in status["tenants"]
         assert status["req_per_s"] >= 0
+
+
+class TestGauges:
+    @staticmethod
+    def gauges(tel):
+        return {
+            m.name: m.value
+            for m in tel.metrics.collect()
+            if m.name in (SERVE_INFLIGHT, SERVE_QUEUE_DEPTH)
+        }
+
+    def test_inflight_shows_a_request_while_it_runs(self, held_source):
+        tel = Telemetry()
+        with QueryService(held_source, ServeConfig(workers=1), telemetry=tel) as svc:
+            thread, _ = serve_in_background(svc)
+            try:
+                assert held_source.entered.wait(timeout=5.0)
+                assert self.gauges(tel)[SERVE_INFLIGHT] >= 1
+            finally:
+                held_source.release.set()
+                thread.join(timeout=10.0)
+            assert self.gauges(tel) == {SERVE_INFLIGHT: 0.0, SERVE_QUEUE_DEPTH: 0.0}
+
+    def test_both_gauges_read_zero_after_a_burst_drains(self, held_source):
+        tel = Telemetry()
+        with QueryService(held_source, ServeConfig(workers=1), telemetry=tel) as svc:
+            threads = [serve_in_background(svc)[0] for _ in range(4)]
+            try:
+                assert held_source.entered.wait(timeout=5.0)
+                deadline = time.monotonic() + 5.0
+                while svc.pool.queued() < 3:  # one runs, three wait
+                    assert time.monotonic() < deadline
+                    time.sleep(0.001)
+            finally:
+                held_source.release.set()
+                for thread in threads:
+                    thread.join(timeout=10.0)
+            assert svc.counts()["ok"] == 4
+            assert self.gauges(tel) == {SERVE_INFLIGHT: 0.0, SERVE_QUEUE_DEPTH: 0.0}
 
 
 class _WriterBesideEveryRead(MemoryBackend):

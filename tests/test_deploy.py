@@ -17,11 +17,11 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
 
 
 def front_door_threads():
-    """Live accept, connection-handler and worker threads, as objects: a test
+    """Live accept and connection-handler threads, as objects: a test
     compares them against the set it started with, so a thread another test
     left behind (or has not yet joined) is never this test's."""
     return {
-        t for t in threading.enumerate() if t.name.startswith(("trac-observatory", "trac-serve"))
+        t for t in threading.enumerate() if t.name.startswith("trac-observatory")
     }
 
 

@@ -103,8 +103,8 @@ def test_the_whole_system_leaves_the_disabled_default_empty(tmp_path, monkeypatc
                 assert report.row_provenance is not None
                 assert report.trace_id is None and report.profile is None
 
-    # One served request (submit captures no span context: it never asks for
-    # one) and one federated report.
+    # One served request (it asks for no span context) and one federated
+    # report.
     with QueryService(sim.backend, ServeConfig(workers=1, lineage=True)) as service:
         with monkeypatch.context() as patched:
             patched.setattr(tel.tracer, "current_span", lambda: pytest.fail("asked for a span"))

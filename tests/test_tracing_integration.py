@@ -3,8 +3,9 @@
 A query served through ``POST /v1/query`` with an injected W3C
 ``traceparent`` header must produce, under the *caller's* trace id:
 
-* spans for the request, its ``serve.request`` on the worker thread the
-  pool handed it to, and the full recency report beneath that;
+* spans for the request, its ``serve.request`` (opened on the connection's
+  thread, inside ``http.request``: no context crosses a thread) and the
+  full recency report beneath that;
 * correlated event-log records (forced here via a zero-second slow-query
   threshold so ``query.slow`` fires on every report);
 * a structured per-operator :class:`QueryProfile` retrievable via
@@ -94,7 +95,7 @@ def test_traced_query_end_to_end(observatory):
     assert doc["profile"]["trace_id"] == CALLER_TRACE
 
     # 1. Spans: the request span plus the whole report span tree share
-    # the caller's trace id, across the hand-off to the worker thread.
+    # the caller's trace id.
     spans = wait_for_trace(telemetry, CALLER_TRACE)
     names = {s.name for s in spans}
     assert {"http.request", "serve.request", "trac.report"} <= names
