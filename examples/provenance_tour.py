@@ -87,12 +87,11 @@ def build_backend(telemetry: Telemetry) -> MemoryBackend:
 
 def show(report, title: str) -> None:
     print(f"\n{title}")
-    quality = report.quality_summary
-    by_source = {s.source_id: s.quality for s in quality.sources}
-    for row, sources in zip(report.result.rows, report.row_provenance):
-        row_quality = min(by_source[s] for s in sources)
+    provenance = report.provenance
+    rows = zip(report.result.rows, provenance["row_sources"], report.row_quality)
+    for row, sources, row_quality in rows:
         print(f"  {str(row):<24} from {sources}  quality {row_quality:.3f}")
-    print(f"  worst row quality: {quality.worst_row_quality:.3f}")
+    print(f"  worst row quality: {provenance['quality']['worst_row_quality']:.3f}")
 
 
 def main() -> None:
@@ -106,10 +105,10 @@ def main() -> None:
         "SELECT mach_id, COUNT(*) FROM activity GROUP BY mach_id"
     )
     show(report, "per-row provenance (one source per group):")
-    for source in report.quality_summary.sources:
+    for source in report.provenance["quality"]["sources"]:
         print(
-            f"  {source.source_id}: staleness {source.staleness:5.1f}s"
-            f" -> quality {source.quality:.3f}"
+            f"  {source['source_id']}: staleness {source['staleness']:5.1f}s"
+            f" -> quality {source['quality']:.3f}"
         )
 
     print("\n--- 2. joins union lineage; quality is min over contributors ---")
@@ -123,12 +122,12 @@ def main() -> None:
     print(report.profile.render())
 
     print("\n--- 4. quality degrades monotonically with injected staleness ---")
-    worsening = [report.quality_summary.worst_row_quality]
+    worsening = [report.provenance["quality"]["worst_row_quality"]]
     for lag in (120.0, 600.0):
         backend.upsert_heartbeat("m3", 940.0 - lag)
         worst = reporter.report(
             "SELECT mach_id, COUNT(*) FROM activity GROUP BY mach_id"
-        ).quality_summary.worst_row_quality
+        ).provenance["quality"]["worst_row_quality"]
         worsening.append(worst)
         print(f"  m3 a further {lag:5.0f}s stale -> worst row quality {worst:.3f}")
     assert worsening == sorted(worsening, reverse=True)

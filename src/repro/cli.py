@@ -802,17 +802,16 @@ def _cmd_report(args: argparse.Namespace) -> int:
             print(" | ".join(str(v) for v in row))
         print(f"({len(report.result.rows)} rows)")
         print()
-        if report.row_provenance is not None:
-            quality = report.quality_summary
-            qualities = quality.row_quality if quality is not None else []
+        if report.provenance is not None:
             print("provenance       :")
-            for index, sources in enumerate(report.row_provenance):
-                q = qualities[index] if index < len(qualities) else None
+            rows = zip(report.provenance["row_sources"], report.row_quality)
+            for index, (sources, q) in enumerate(rows, 1):
                 score = f"{q:.3f}" if q is not None else "unattributed"
                 names = ", ".join(sources) if sources else "(none)"
-                print(f"  row {index + 1}: {names}  [quality {score}]")
-            if quality is not None and quality.worst_row_quality is not None:
-                print(f"  worst row quality: {quality.worst_row_quality:.3f}")
+                print(f"  row {index}: {names}  [quality {score}]")
+            worst = report.provenance["quality"]["worst_row_quality"]
+            if worst is not None:
+                print(f"  worst row quality: {worst:.3f}")
         print(f"method           : {report.method}")
         print(f"relevant sources : {len(report.relevant_source_ids)}")
         print(f"provably minimal : {report.minimal}")

@@ -8,11 +8,17 @@ between closing it again and re-opening. The breaker is driven entirely by
 an external clock passed to :meth:`CircuitBreaker.allow` — simulation time
 for supervisors, wall time for federation RPCs — which keeps it trivially
 testable and free of hidden ``time.time()`` calls.
+
+Beside it: the retry ladder both callers climb (:func:`backoff_delay`) and
+the one seed derivation their jitter streams — and the fault plan's
+decision streams — start from (:func:`stable_seed`).
 """
 
 from __future__ import annotations
 
+import hashlib
 import random
+from typing import Type
 
 
 class CircuitBreaker:
@@ -73,3 +79,32 @@ def backoff_delay(
     if jitter:
         delay *= 1.0 + jitter * (2.0 * rng.random() - 1.0)
     return delay
+
+
+def check_retry_settings(
+    backoff_multiplier: float,
+    jitter: float,
+    breaker_threshold: int,
+    breaker_reset: float,
+    error: Type[Exception],
+) -> None:
+    """Raise ``error`` for a ladder :func:`backoff_delay` and
+    :class:`CircuitBreaker` cannot climb (``jitter >= 1`` would make a
+    delay negative). The supervisor policy and the coordinator both ask."""
+    if backoff_multiplier < 1.0:
+        raise error("backoff_multiplier must be >= 1")
+    if not 0.0 <= jitter < 1.0:
+        raise error("jitter must be in [0, 1)")
+    if breaker_threshold < 1:
+        raise error("breaker_threshold must be >= 1")
+    if breaker_reset <= 0:
+        raise error("breaker_reset must be positive")
+
+
+def stable_seed(*parts: object) -> int:
+    """A hash-seed-independent RNG seed for one stream: the first 8 bytes of
+    sha256 over ``":".join(parts)``. The supervisors (``seed, source,
+    "supervisor"``), the federation coordinator (``seed, shard, "federation"``)
+    and the fault plan (``seed, source, kind``) each seed their streams here."""
+    digest = hashlib.sha256(":".join(str(p) for p in parts).encode()).digest()
+    return int.from_bytes(digest[:8], "big")

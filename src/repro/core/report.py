@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Set
 
 from repro.backends.base import Backend, Snapshot
-from repro.core.quality import ProvenanceRecord, QualityModel, QualitySummary
+from repro.core.quality import ProvenanceRecord, QualityModel
 from repro.core.recency_query import execute_fragment, fragment_request, merge_fragments
 from repro.core.relevance import (
     RelevancePlan,
@@ -161,14 +161,14 @@ class RecencyReport:
         #: scratch, now registered) or ``"bypass"`` (plan ineligible);
         #: ``None`` when the reporter has no maintainer.
         self.incremental: Optional[str] = None
-        #: Per-row provenance: one sorted source-id list per result row
-        #: when the producing reporter ran with ``lineage=True`` and the
-        #: backend can attribute rows; ``None`` otherwise.
-        self.row_provenance: Optional[List[List[str]]] = None
-        #: The :class:`~repro.core.quality.QualitySummary` rollup (worst
-        #: row score, per-source contribution counts, rows touched by
-        #: exceptional/degraded sources); ``None`` without lineage.
-        self.quality_summary: Optional[QualitySummary] = None
+        #: The ``provenance`` block (``{"row_sources", "quality"}``, see
+        #: :meth:`~repro.core.quality.QualityModel.summarize`) when the
+        #: producing reporter ran with ``lineage=True`` and the backend can
+        #: attribute rows; ``None`` otherwise.
+        self.provenance: Optional[Dict[str, object]] = None
+        #: Per-row quality scores, parallel to the result rows (``None``
+        #: without a ``provenance`` block).
+        self.row_quality: Optional[List[Optional[float]]] = None
 
     @property
     def trace_id(self) -> Optional[str]:
@@ -220,19 +220,16 @@ class RecencyReport:
                 "NOTICE: Degraded data sources (supervisor-quarantined, not "
                 f"merely stale): {', '.join(self.degraded_sources)}"
             )
-        quality = self.quality_summary
+        quality = self.provenance["quality"] if self.provenance is not None else None
         if quality is not None and (
-            quality.rows_from_exceptional or quality.rows_from_degraded
+            quality["rows_from_exceptional"] or quality["rows_from_degraded"]
         ):
-            worst = (
-                f"{quality.worst_row_quality:.3f}"
-                if quality.worst_row_quality is not None
-                else "unknown"
-            )
+            worst = quality["worst_row_quality"]
+            worst_text = f"{worst:.3f}" if worst is not None else "unknown"
             lines.append(
-                f"NOTICE: {quality.rows_from_exceptional} result row(s) cite "
-                f"exceptional sources and {quality.rows_from_degraded} cite "
-                f"degraded sources (worst row quality: {worst})"
+                f"NOTICE: {quality['rows_from_exceptional']} result row(s) cite "
+                f"exceptional sources and {quality['rows_from_degraded']} cite "
+                f"degraded sources (worst row quality: {worst_text})"
             )
         slo = self.slo_status
         if slo is not None and slo["breached"]:
@@ -299,18 +296,11 @@ class RecencyReport:
             doc["trace_id"] = trace_id
         if self.profile is not None:
             doc["profile"] = self.profile.to_dict()
-        if self.row_provenance is not None:
+        if self.provenance is not None:
             # The trace_id above pivots to /trace/<id> and /provenance/<id>
             # on the observatory; the inline block answers "why trust this
             # row" without a second round trip.
-            doc["provenance"] = {
-                "row_sources": self.row_provenance,
-                "quality": (
-                    self.quality_summary.to_dict()
-                    if self.quality_summary is not None
-                    else None
-                ),
-            }
+            doc["provenance"] = self.provenance
         return doc
 
     def __repr__(self) -> str:
@@ -384,11 +374,12 @@ class RecencyReporter:
         Leave False in production use; it removes the speedup.
     lineage:
         When True, the user query runs with row-level lineage enabled and
-        every report carries ``row_provenance`` (per-row source sets) and
-        ``quality_summary`` (staleness-derived per-row quality, see
-        :mod:`repro.core.quality`). Strictly opt-in: the default path
-        never touches the lineage machinery. Backends that cannot
-        attribute rows (SQLite) degrade to ``row_provenance=None``.
+        every report carries a ``provenance`` block (per-row source lists
+        and their staleness-derived quality rollup, see
+        :mod:`repro.core.quality`) and the per-row ``row_quality`` scores.
+        Strictly opt-in: a report without lineage never reads them.
+        Backends that cannot attribute rows (SQLite) degrade to
+        ``provenance=None``.
     """
 
     def __init__(
@@ -538,14 +529,13 @@ class RecencyReporter:
             report.degraded_sources, report.slo_status = registry.verdict()
         lineage = getattr(report.result, "lineage", None)
         if self.lineage and lineage is not None:
-            report.row_provenance = [sorted(lin) for lin in lineage]
             model = QualityModel(registry.half_life) if registry is not None else QualityModel()
             scores = model.score_sources(
                 sources,
                 exceptional={s.source_id for s in report.split.exceptional},
                 degraded=set(report.degraded_sources),
             )
-            report.quality_summary = model.summarize(lineage, scores)
+            report.provenance, report.row_quality = model.summarize(lineage, scores)
 
     def _observe(self, tel, report: RecencyReport, stats_span) -> None:
         """The observe stage: everything telemetry learns from one finished
@@ -570,20 +560,16 @@ class RecencyReporter:
             )
         tel.count(obs.REPORTS, method=method)
         tel.observe(obs.REPORT_SECONDS, seconds, trace_id=trace_id, method=method)
-        quality_summary = report.quality_summary
-        if quality_summary is not None:
-            for quality in quality_summary.row_quality:
-                if quality is not None:
-                    tel.observe(obs.ROW_QUALITY, quality, method=method)
-            if quality_summary.rows_from_exceptional > 0:
-                tel.count(
-                    obs.ROWS_FROM_EXCEPTIONAL, quality_summary.rows_from_exceptional, method=method
-                )
-            tel.provenance.record(
-                ProvenanceRecord(
-                    sql, trace_id, method, report.result.lineage, quality_summary
-                )
-            )
+        provenance = report.provenance
+        quality = provenance["quality"] if provenance is not None else None
+        if quality is not None:
+            for score in report.row_quality:
+                if score is not None:
+                    tel.observe(obs.ROW_QUALITY, score, method=method)
+            from_exceptional = quality["rows_from_exceptional"]
+            if from_exceptional > 0:
+                tel.count(obs.ROWS_FROM_EXCEPTIONAL, from_exceptional, method=method)
+            tel.provenance.record(ProvenanceRecord(sql, trace_id, method, provenance))
         threshold = (
             self.slow_query_seconds
             if self.slow_query_seconds is not None
@@ -594,12 +580,12 @@ class RecencyReporter:
             # A slow dump should answer "was the answer trustworthy?"
             # without a second query, so attach the quality rollup.
             slow_attrs: Dict[str, object] = {}
-            if quality_summary is not None:
-                slow_attrs["worst_row_quality"] = quality_summary.worst_row_quality
-                slow_attrs["top_sources"] = [
-                    [source_id, count]
-                    for source_id, count in quality_summary.top_sources(3)
-                ]
+            if quality is not None:
+                slow_attrs["worst_row_quality"] = quality["worst_row_quality"]
+                # The three sources most rows cite, ties by id.
+                counts = quality["per_source_rows"]
+                ranked = sorted(counts, key=lambda sid: (-counts[sid], sid))[:3]
+                slow_attrs["top_sources"] = [[sid, counts[sid]] for sid in ranked]
             # Correlate with the (already finished) root span so the
             # flight recorder's dump carries the whole span tree.
             tel.emit(

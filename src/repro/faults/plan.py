@@ -48,11 +48,11 @@ point asks for):
 
 from __future__ import annotations
 
-import hashlib
 import json
 import random
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.core.breaker import stable_seed
 from repro.errors import SimulationError
 from repro.obs import instrument as obs
 from repro.obs.events import EVT_FAULT_INJECTED
@@ -86,11 +86,6 @@ class InjectedFault(SimulationError):
         self.source = source
         self.kind = kind
         self.transient = transient
-
-
-def _stable_seed(*parts: object) -> int:
-    digest = hashlib.sha256(":".join(str(p) for p in parts).encode()).digest()
-    return int.from_bytes(digest[:8], "big")
 
 
 class _Rule:
@@ -276,7 +271,7 @@ class FaultPlan:
         key = (source, kind)
         rng = self._rngs.get(key)
         if rng is None:
-            rng = self._rngs[key] = random.Random(_stable_seed(self.seed, source, kind))
+            rng = self._rngs[key] = random.Random(stable_seed(self.seed, source, kind))
         return rng
 
     def _roll(self, rule: _Rule, source: str) -> bool:

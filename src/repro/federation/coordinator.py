@@ -33,7 +33,6 @@ Guard filtering or outlier-splitting per shard would both be unsound.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import random
 import selectors
@@ -42,7 +41,7 @@ import time
 from collections import OrderedDict
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.core.breaker import CircuitBreaker, backoff_delay
+from repro.core.breaker import CircuitBreaker, backoff_delay, check_retry_settings, stable_seed
 from repro.core.recency_query import fragment_request, merge_fragments
 from repro.core.relevance import RelevancePlan, build_naive_plan, memoized_relevance_plan
 from repro.core.report import DEFAULT_Z_THRESHOLD, RecencyReport, ReportTimings, format_interval
@@ -70,11 +69,6 @@ _FRAGMENT_CACHE_SIZE = 1024
 _BACKOFF_BASE = 0.05
 #: Circuit-breaker states as gauge values (closed < half-open < open).
 _BREAKER_STATE_VALUES = {"closed": 0.0, "half_open": 1.0, "open": 2.0}
-
-
-def _stable_seed(seed: int, shard_id: str) -> int:
-    digest = hashlib.sha256(f"{seed}:{shard_id}:federation".encode()).digest()
-    return int.from_bytes(digest[:8], "big")
 
 
 class ShardInfo:
@@ -477,6 +471,9 @@ class FederationCoordinator:
             raise TracError("attempt_timeout must be positive")
         if retries < 0:
             raise TracError("retries cannot be negative")
+        check_retry_settings(
+            backoff_multiplier, jitter, breaker_threshold, breaker_reset, TracError
+        )
         self.registry = registry
         self.deadline = deadline
         self.attempt_timeout = attempt_timeout
@@ -516,7 +513,8 @@ class FederationCoordinator:
         with self._lock:
             rng = self._rngs.get(shard_id)
             if rng is None:
-                rng = self._rngs[shard_id] = random.Random(_stable_seed(self.seed, shard_id))
+                seed = stable_seed(self.seed, shard_id, "federation")
+                rng = self._rngs[shard_id] = random.Random(seed)
         return backoff_delay(_BACKOFF_BASE, self.backoff_multiplier, attempt, self.jitter, rng)
 
     # -- planning -----------------------------------------------------------

@@ -41,11 +41,10 @@ mechanism state is its own: breaker, backoff schedule, silence watchdog.
 
 from __future__ import annotations
 
-import hashlib
 import random
 from typing import Optional
 
-from repro.core.breaker import CircuitBreaker, backoff_delay
+from repro.core.breaker import CircuitBreaker, backoff_delay, check_retry_settings, stable_seed
 from repro.core.sources import BACKING_OFF, DEGRADED, HEALTHY, RESTARTING, SourceRegistry
 from repro.errors import SimulationError
 from repro.faults.backend import FaultyBackend
@@ -60,11 +59,6 @@ from repro.obs.events import (
     EVT_SOURCE_DEGRADED,
     EVT_WATCHDOG_SILENCE,
 )
-
-
-def _stable_seed(seed: int, source: str) -> int:
-    digest = hashlib.sha256(f"{seed}:{source}:supervisor".encode()).digest()
-    return int.from_bytes(digest[:8], "big")
 
 
 class SupervisorPolicy:
@@ -98,18 +92,13 @@ class SupervisorPolicy:
             raise SimulationError("max_retries cannot be negative")
         if base_backoff <= 0 or base_backoff != base_backoff:
             raise SimulationError("base_backoff must be a positive number")
-        if backoff_multiplier < 1.0:
-            raise SimulationError("backoff_multiplier must be >= 1")
         if max_backoff < base_backoff:
             raise SimulationError("max_backoff must be >= base_backoff")
-        if not 0.0 <= jitter < 1.0:
-            raise SimulationError("jitter must be in [0, 1)")
         if max_restarts < 0:
             raise SimulationError("max_restarts cannot be negative")
-        if breaker_threshold < 1:
-            raise SimulationError("breaker_threshold must be >= 1")
-        if breaker_reset <= 0:
-            raise SimulationError("breaker_reset must be positive")
+        check_retry_settings(
+            backoff_multiplier, jitter, breaker_threshold, breaker_reset, SimulationError
+        )
         if silence_timeout is not None and silence_timeout <= 0:
             raise SimulationError("silence_timeout must be positive when given")
         self.max_retries = max_retries
@@ -177,7 +166,7 @@ class SnifferSupervisor:
         #: The source's live record: written through ``self.sources``.
         self.record = sniffer.record = self.sources.open(self.machine_id)
         self.telemetry = telemetry
-        self.rng = random.Random(_stable_seed(seed, self.machine_id))
+        self.rng = random.Random(stable_seed(seed, self.machine_id, "supervisor"))
         self.breaker = CircuitBreaker(self.policy.breaker_threshold, self.policy.breaker_reset)
 
         self.consecutive_failures = 0

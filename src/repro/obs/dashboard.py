@@ -104,9 +104,9 @@ def source_rows(
             "id": sid,
             "state": verdict,
             "recency": rec,
-            "age": score.staleness if score is not None else None,
+            "age": score["staleness"] if score is not None else None,
             "z": (split.mean - rec) / split.stddev if rec is not None and split.stddev else 0.0,
-            "quality": score.quality if score is not None else None,
+            "quality": score["quality"] if score is not None else None,
         }
         if record is not None:
             if record.status is not None:

@@ -49,8 +49,8 @@ traceback.
 request runs inside an ``http.request`` span. A caller-supplied W3C
 ``traceparent`` header becomes that span's remote parent, so spans
 produced while serving the request — including the ``serve.request`` and
-``trac.report`` spans of a ``POST /v1/query``, which run on a worker
-thread — share the caller's trace id; per-endpoint latency lands in the
+``trac.report`` spans of a ``POST /v1/query``, which run on the thread
+that read the request — share the caller's trace id; per-endpoint latency lands in the
 ``trac_http_request_seconds`` histogram with the trace id as an exemplar.
 
 **Connections.** HTTP/1.1 with keep-alive: one handler thread serves a

@@ -156,12 +156,45 @@ class TestBackoffDelay:
     def test_coordinator_delays_are_bit_identical_to_its_old_private_formula(self):
         import random
 
+        from repro.core.breaker import stable_seed
         from repro.federation import FederationCoordinator, ShardRegistry
-        from repro.federation.coordinator import _stable_seed
 
         coordinator = FederationCoordinator(ShardRegistry(), seed=9)
-        rng = random.Random(_stable_seed(9, "s0"))
+        rng = random.Random(stable_seed(9, "s0", "federation"))
         for attempt in (1, 2, 3):
             delay = 0.05 * 2.0 ** (attempt - 1)
             delay *= 1.0 + 0.5 * (2.0 * rng.random() - 1.0)
             assert coordinator._backoff("s0", attempt) == delay
+
+
+class TestStableSeed:
+    """One seed derivation: every seeded jitter and fault stream replays."""
+
+    def test_pins_the_supervisor_federation_and_fault_plan_seeds(self):
+        from repro.core.breaker import stable_seed
+
+        # The values each caller's private copy derived before they merged.
+        assert stable_seed(7, "m3", "supervisor") == 16091729587701259977
+        assert stable_seed(9, "s0", "federation") == 7284848284509243318
+        assert stable_seed(11, "m2", "poll_error") == 9775660371085392912
+
+    def test_every_stream_is_seeded_from_it(self):
+        import random
+
+        from repro.core.breaker import stable_seed
+        from repro.faults import FaultPlan
+        from repro.federation import FederationCoordinator, ShardRegistry
+        from repro.grid.simulator import GridSimulator, SimulationConfig
+        from repro.grid.supervisor import SupervisorPolicy
+
+        sim = GridSimulator(SimulationConfig(num_machines=2, seed=7),
+                            supervisor_policy=SupervisorPolicy())
+        expected = random.Random(stable_seed(7, "m1", "supervisor")).random()
+        assert sim.supervisors["m1"].rng.random() == expected
+        plan = FaultPlan(seed=11)
+        expected = random.Random(stable_seed(11, "m2", "poll_error")).random()
+        assert plan._rng("m2", "poll_error").random() == expected
+        coordinator = FederationCoordinator(ShardRegistry(), seed=9, jitter=0.0)
+        coordinator._backoff("s0", 1)
+        expected = random.Random(stable_seed(9, "s0", "federation")).random()
+        assert coordinator._rngs["s0"].random() == expected

@@ -1,4 +1,8 @@
-"""The staleness-derived quality model (``repro.core.quality``)."""
+"""The staleness-derived quality model (``repro.core.quality``).
+
+The model returns the JSON every surface serves: per-source score entries
+and the report's ``provenance`` block, read here as the dicts they are.
+"""
 
 import math
 
@@ -11,7 +15,6 @@ from repro.core.quality import (
     DEFAULT_EXCEPTIONAL_PENALTY,
     ProvenanceRecord,
     QualityModel,
-    QualitySummary,
 )
 from repro.core.sources import SourceRegistry
 from repro.core.statistics import SourceRecency
@@ -51,14 +54,14 @@ class TestScoreSources:
         scores = model.score_sources(
             [SourceRecency("new", 100.0), SourceRecency("old", 40.0)]
         )
-        assert scores["new"].quality == 1.0
-        assert math.isclose(scores["old"].quality, 0.5)
-        assert scores["old"].staleness == 60.0
+        assert scores["new"]["quality"] == 1.0
+        assert math.isclose(scores["old"]["quality"], 0.5)
+        assert scores["old"]["staleness"] == 60.0
 
     def test_now_override_anchors_reference(self):
         model = QualityModel(half_life=60.0)
         scores = model.score_sources([SourceRecency("s", 40.0)], now=100.0)
-        assert math.isclose(scores["s"].quality, 0.5)
+        assert math.isclose(scores["s"]["quality"], 0.5)
 
     def test_exceptional_and_degraded_penalties(self):
         model = QualityModel(half_life=60.0)
@@ -67,22 +70,28 @@ class TestScoreSources:
             exceptional={"e"},
             degraded={"d"},
         )
-        assert scores["n"].quality == 1.0
-        assert scores["e"].quality == DEFAULT_EXCEPTIONAL_PENALTY
-        assert scores["d"].quality == DEFAULT_DEGRADED_PENALTY
-        assert scores["e"].exceptional and not scores["e"].degraded
-        assert scores["d"].degraded and not scores["d"].exceptional
+        assert scores["n"]["quality"] == 1.0
+        assert scores["e"]["quality"] == DEFAULT_EXCEPTIONAL_PENALTY
+        assert scores["d"]["quality"] == DEFAULT_DEGRADED_PENALTY
+        assert scores["e"]["exceptional"] and not scores["e"]["degraded"]
+        assert scores["d"]["degraded"] and not scores["d"]["exceptional"]
 
     def test_degraded_source_without_heartbeat_scores_zero(self):
         scores = QualityModel().score_sources(
             [SourceRecency("alive", 10.0)], degraded={"silent"}
         )
-        assert scores["silent"].quality == 0.0
-        assert scores["silent"].recency is None
-        assert scores["silent"].degraded
+        assert scores["silent"]["quality"] == 0.0
+        assert scores["silent"]["recency"] is None
+        assert scores["silent"]["degraded"]
 
     def test_empty_inputs_yield_no_scores(self):
         assert QualityModel().score_sources([]) == {}
+
+
+def score_row(model, lineage, scores):
+    """One row's score, as :meth:`QualityModel.summarize` computes it."""
+    _block, row_quality = model.summarize([lineage], scores)
+    return row_quality[0]
 
 
 class TestRowQuality:
@@ -91,15 +100,15 @@ class TestRowQuality:
         scores = model.score_sources(
             [SourceRecency("good", 100.0), SourceRecency("bad", 40.0)]
         )
-        assert math.isclose(model.row_quality({"good", "bad"}, scores), 0.5)
+        assert math.isclose(score_row(model, {"good", "bad"}, scores), 0.5)
 
     def test_cited_but_unscored_source_pins_to_zero(self):
         model = QualityModel()
         scores = model.score_sources([SourceRecency("known", 10.0)])
-        assert model.row_quality({"known", "ghost"}, scores) == 0.0
+        assert score_row(model, {"known", "ghost"}, scores) == 0.0
 
     def test_empty_lineage_is_unattributed(self):
-        assert QualityModel().row_quality([], {}) is None
+        assert score_row(QualityModel(), frozenset(), {}) is None
 
     def test_quality_degrades_monotonically_with_injected_staleness(self):
         """The acceptance property: aging one contributor can only lower
@@ -112,14 +121,14 @@ class TestRowQuality:
                 [SourceRecency("a", 1000.0 - staleness), SourceRecency("b", 1000.0)],
                 now=1000.0,
             )
-            summary = model.summarize(lineages, scores)
-            for prior, current in zip(previous, summary.row_quality):
+            _block, row_quality = model.summarize(lineages, scores)
+            for prior, current in zip(previous, row_quality):
                 assert current <= prior
-            previous = summary.row_quality
+            previous = row_quality
 
 
 class TestSummarize:
-    def _summary(self) -> QualitySummary:
+    def _summary(self):
         model = QualityModel(half_life=60.0)
         scores = model.score_sources(
             [SourceRecency("a", 100.0), SourceRecency("b", 40.0)],
@@ -129,36 +138,59 @@ class TestSummarize:
         return model.summarize(lineages, scores)
 
     def test_counts(self):
-        summary = self._summary()
-        assert summary.rows == 3
-        assert summary.attributed_rows == 2
-        assert summary.unattributed_rows == 1
-        assert summary.rows_from_exceptional == 1
-        assert summary.rows_from_degraded == 0
-        assert summary.per_source_rows == {"a": 2, "b": 1}
-        assert math.isclose(summary.worst_row_quality, 0.5 * DEFAULT_EXCEPTIONAL_PENALTY)
-        assert summary.row_quality[2] is None
+        block, row_quality = self._summary()
+        quality = block["quality"]
+        assert quality["rows"] == 3
+        assert quality["attributed_rows"] == 2
+        assert quality["unattributed_rows"] == 1
+        assert quality["rows_from_exceptional"] == 1
+        assert quality["rows_from_degraded"] == 0
+        assert quality["per_source_rows"] == {"a": 2, "b": 1}
+        assert math.isclose(quality["worst_row_quality"], 0.5 * DEFAULT_EXCEPTIONAL_PENALTY)
+        assert row_quality[0] == 1.0 and row_quality[2] is None
+        assert block["row_sources"] == [["a"], ["a", "b"], []]  # sorted once, here
 
     def test_top_sources_ranked_by_row_count_then_id(self):
-        summary = self._summary()
-        assert summary.top_sources(2) == [("a", 2), ("b", 1)]
-        assert summary.top_sources(0) == []
+        """The slow-query event ranks the rollup's per-source row counts:
+        most rows first, ties by id, at most three."""
+        from repro.backends.memory import MemoryBackend
+        from repro.catalog import Catalog, Column, TableSchema
+        from repro.core.report import RecencyReporter
+        from repro.obs import Telemetry
+
+        catalog = Catalog()
+        catalog.add(TableSchema("t", [Column("s", "TEXT")], source_column="s"))
+        backend = MemoryBackend(catalog)
+        backend.create_tables()
+        backend.insert_rows("t", [("c",), ("a",), ("d",), ("c",), ("b",), ("a",)])
+        for source in "abcd":
+            backend.upsert_heartbeat(source, 100.0)
+        tel = Telemetry()
+        reporter = RecencyReporter(backend, telemetry=tel, lineage=True, slow_query_seconds=1e-9)
+        reporter.report("SELECT t.s FROM t")
+        (slow,) = [e for e in tel.events.tail(10) if e.name == "query.slow"]
+        assert slow.attributes["top_sources"] == [["a", 2], ["c", 2], ["b", 1]]
 
     def test_to_dict_shape(self):
-        doc = self._summary().to_dict()
-        assert doc["rows"] == 3
-        assert {s["source_id"] for s in doc["sources"]} == {"a", "b"}
-        assert "row_quality" not in doc  # the parallel list stays in-process
+        block, _row_quality = self._summary()
+        assert set(block) == {"row_sources", "quality"}
+        quality = block["quality"]
+        assert quality["rows"] == 3
+        assert {s["source_id"] for s in quality["sources"]} == {"a", "b"}
+        assert "row_quality" not in quality  # the parallel list rides beside the block
+        assert set(quality["sources"][0]) == {
+            "source_id", "recency", "staleness", "quality", "exceptional", "degraded"
+        }
 
 
 class TestProvenanceRecord:
     def test_duck_types_for_the_profile_ring(self):
-        record = ProvenanceRecord(
-            "SELECT 1", "ab" * 16, "focused", [frozenset({"b", "a"})], None
-        )
+        block = {"row_sources": [["a", "b"]], "quality": {"rows": 1}}
+        record = ProvenanceRecord("SELECT 1", "ab" * 16, "focused", block)
         assert record.sql == "SELECT 1"
         assert record.trace_id == "ab" * 16
-        assert record.row_provenance == [["a", "b"]]  # sorted for stable output
         doc = record.to_dict()
-        assert doc["row_provenance"] == [["a", "b"]]
-        assert doc["quality"] is None
+        # The block's own lists under the ring's keys: no copy, no re-sort.
+        assert doc["row_provenance"] is block["row_sources"]
+        assert doc["quality"] is block["quality"]
+        assert doc["method"] == "focused"

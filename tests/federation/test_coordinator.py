@@ -218,6 +218,34 @@ class TestEmptyAndEdge:
         with pytest.raises(TracError):
             FederationCoordinator(registry, retries=-1)
 
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            {"jitter": 1.0},  # would make backoff_delay negative
+            {"jitter": 1.5},
+            {"jitter": -0.1},
+            {"backoff_multiplier": 0.5},
+            {"breaker_threshold": 0},
+            {"breaker_reset": 0.0},
+            {"breaker_reset": -1.0},
+        ],
+    )
+    def test_retry_settings_follow_the_supervisor_policy_rules(self, setting):
+        from repro.errors import SimulationError
+        from repro.grid.supervisor import SupervisorPolicy
+
+        with pytest.raises(TracError, match=next(iter(setting))):
+            FederationCoordinator(ShardRegistry(), **setting)
+        with pytest.raises(SimulationError, match=next(iter(setting))):
+            SupervisorPolicy(**setting)
+
+    def test_retry_settings_at_the_boundaries_are_accepted(self):
+        coordinator = FederationCoordinator(
+            ShardRegistry(), jitter=0.0, backoff_multiplier=1.0,
+            breaker_threshold=1, breaker_reset=1e-9,
+        )
+        assert coordinator._backoff("s0", 3) == 0.05
+
     GUARD_OR_REQUEST = {
         "mode": "focused",
         "subqueries": [

@@ -62,10 +62,10 @@ class TestPaperQueriesAcceptance:
         )
         for name, sql in paper_queries(NUM_SOURCES).items():
             report = reporter.report(sql)
-            assert report.row_provenance is not None, name
+            assert report.provenance is not None, name
             assert report.result.rows[0][0] > 0, f"{name} matched no rows"
             relevant = report.relevant_source_ids
-            for sources in report.row_provenance:
+            for sources in report.provenance["row_sources"]:
                 assert sources, f"{name}: row with empty source set"
                 assert set(sources) <= relevant, (
                     f"{name}: row cites sources outside the relevant set: "
@@ -75,8 +75,8 @@ class TestPaperQueriesAcceptance:
     def test_lineage_off_reports_no_provenance(self, workload_backend):
         reporter = RecencyReporter(workload_backend, create_temp_tables=False)
         report = reporter.report(paper_queries(NUM_SOURCES)["Q1"])
-        assert report.row_provenance is None
-        assert report.quality_summary is None
+        assert report.provenance is None
+        assert report.row_quality is None
 
     def test_quality_degrades_monotonically_with_injected_staleness(
         self, workload_backend
@@ -90,7 +90,7 @@ class TestPaperQueriesAcceptance:
         sql = paper_queries(NUM_SOURCES)["Q1"]
         baseline = reporter.report(sql)
         victim = sorted(baseline.relevant_source_ids)[0]
-        previous = baseline.quality_summary.worst_row_quality
+        previous = baseline.provenance["quality"]["worst_row_quality"]
         assert previous is not None
         original = next(
             rec
@@ -101,7 +101,7 @@ class TestPaperQueriesAcceptance:
             worsening = []
             for lag in (60.0, 300.0, 3000.0):
                 workload_backend.upsert_heartbeat(victim, original - lag)
-                worst = reporter.report(sql).quality_summary.worst_row_quality
+                worst = reporter.report(sql).provenance["quality"]["worst_row_quality"]
                 worsening.append(worst)
             assert worsening[0] < previous
             assert worsening == sorted(worsening, reverse=True)
@@ -141,7 +141,7 @@ class TestTelemetrySurfaces:
             small_backend, telemetry=tel, lineage=True, create_temp_tables=False
         )
         report = reporter.report("SELECT t1.s FROM t1")
-        assert report.quality_summary.rows_from_exceptional >= 1
+        assert report.provenance["quality"]["rows_from_exceptional"] >= 1
         text = prometheus_text(tel.metrics)
         assert "trac_row_quality_bucket" in text
         assert "trac_rows_from_exceptional_total" in text
@@ -154,8 +154,9 @@ class TestTelemetrySurfaces:
         report = reporter.report("SELECT t1.x FROM t1")
         records = tel.provenance.for_trace(report.trace_id)
         assert len(records) == 1
-        assert records[0].row_provenance == [["a"], ["b"]]
-        assert records[0].quality.rows == 2
+        assert records[0].provenance is report.provenance
+        assert records[0].to_dict()["row_provenance"] == [["a"], ["b"]]
+        assert records[0].to_dict()["quality"]["rows"] == 2
 
     def test_slow_query_event_carries_quality(self, small_backend):
         tel = Telemetry()
@@ -188,7 +189,7 @@ class TestTelemetrySurfaces:
 
 
 class TestObservatoryEndpoints:
-    def test_query_endpoint_gains_provenance_block(self, small_backend):
+    def test_query_endpoint_gains_provenance_block(self, small_backend, tmp_path):
         tel = Telemetry()
         with QueryService(
             small_backend, ServeConfig(workers=1, lineage=True), telemetry=tel
@@ -202,7 +203,23 @@ class TestObservatoryEndpoints:
         assert status == 200
         view = json.loads(body)
         assert view["trace_id"] == doc["trace_id"]
-        assert view["provenance"][0]["row_provenance"] == [["a"], ["b"]]
+        (record,) = view["provenance"]
+        # One document on every surface: the served block, the ring record
+        # and the flight dump's entry carry the same lists.
+        block = doc["provenance"]
+        assert record["row_provenance"] == block["row_sources"] == [["a"], ["b"]]
+        assert record["quality"] == block["quality"]
+        path = FlightRecorder(tel, str(tmp_path)).dump(reason="manual")
+        (dumped,) = [
+            entry
+            for entry in json.loads(open(path).read())["provenance"]
+            if entry["trace_id"] == doc["trace_id"]
+        ]
+        assert dumped == record
+        quality = block["quality"]
+        assert quality["worst_row_quality"] == min(s["quality"] for s in quality["sources"])
+        assert quality["per_source_rows"] == {"a": 1, "b": 1}
+        assert [s["source_id"] for s in quality["sources"]] == ["a", "b"]
 
     def test_unknown_provenance_trace_is_404(self, small_backend):
         tel = Telemetry()

@@ -95,7 +95,7 @@ def test_status_rows_carry_the_reports_verdict(documents, report, deployment):
     for sid, row in rows.items():
         assert row["recency"] == HEARTBEATS[sid]
         assert row["z"] == pytest.approx((split.mean - row["recency"]) / split.stddev, abs=1e-9)
-        assert row["quality"] == pytest.approx(scores[sid].quality, abs=1e-12)
+        assert row["quality"] == pytest.approx(scores[sid]["quality"], abs=1e-12)
         assert row["age"] == pytest.approx(now - row["recency"])
     assert rows[LAGGARD]["z"] > 0  # positive is staler
 

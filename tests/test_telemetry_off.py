@@ -100,7 +100,7 @@ def test_the_whole_system_leaves_the_disabled_default_empty(tmp_path, monkeypatc
             for method in ("focused", "focused_hardcoded", "naive"):
                 plan_ = reporter.plan_for(sql) if method == "focused_hardcoded" else None
                 report = reporter.report(sql, method=method, plan=plan_)
-                assert report.row_provenance is not None
+                assert report.provenance is not None
                 assert report.trace_id is None and report.profile is None
 
     # One served request (it asks for no span context) and one federated

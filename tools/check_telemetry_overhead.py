@@ -25,7 +25,7 @@ first-principles bound instead of a before/after diff:
    telemetry never builds a SpanContext or touches a carrier), and the
    disabled lineage guard (the ``lineage=False`` keyword forward plus
    falsy branch the engine pays per operator when row provenance is off
-   — the lineage module is never even imported on that path);
+   — no lineage function runs and no per-row set is built on that path);
 3. overhead_bound = (timers_per_report * t_timer
                      + checks_per_report * t_check
                      + events_per_report * t_event
@@ -159,8 +159,8 @@ def time_lineage_guard() -> float:
 
     Row provenance is strictly opt-in: with ``lineage=False`` (the
     default) the execution path pays one keyword-argument forward plus
-    one falsy branch per operator — the lineage module is never imported
-    and no per-row set is ever built. This times that forward+branch,
+    one falsy branch per operator — no lineage function runs and no
+    per-row set is ever built. This times that forward+branch,
     mirroring the ``_project``/``execute_query`` call sites.
     """
 
