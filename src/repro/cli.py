@@ -443,6 +443,7 @@ def _print_row_counts(backend) -> None:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from repro import obs
     from repro.core.sources import SourceRegistry
     from repro.deploy import Deployment
     from repro.grid.simulator import GridSimulator, SimulationConfig
@@ -472,14 +473,23 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     sources = SourceRegistry(args.slo_target, args.slo_budget) if observing else None
 
     # The live database is the memory engine (what POST /v1/query snapshots
-    # while this loads it); --db is its export, written once at exit.
-    sim = GridSimulator(
-        config,
-        fault_plan=fault_plan,
-        supervisor_policy=supervisor_policy,
-        sources=sources,
-        durability=durability,
-    )
+    # while this loads it); --db is its export, written once at exit. A
+    # resume recovers inside GridSimulator(...), so an observed run turns
+    # telemetry on first; the deployment keeps that instance and turns it off.
+    if observing:
+        obs.enable()
+    try:
+        sim = GridSimulator(
+            config,
+            fault_plan=fault_plan,
+            supervisor_policy=supervisor_policy,
+            sources=sources,
+            durability=durability,
+        )
+    except BaseException:
+        if observing:
+            obs.disable()
+        raise
     remaining = args.duration
     if durability is not None and args.resume:
         remaining = max(0.0, args.duration - sim.now)

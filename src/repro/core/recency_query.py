@@ -29,7 +29,7 @@ from __future__ import annotations
 from typing import Dict, List, Sequence, Set, Tuple
 
 from repro.catalog import HEARTBEAT_RECENCY_COLUMN, HEARTBEAT_SOURCE_COLUMN, HEARTBEAT_TABLE
-from repro.core.statistics import SourceRecency
+from repro.core.statistics import SourceRecency, sorted_recencies
 from repro.errors import UnsupportedQueryError
 from repro.sqlparser import ast
 from repro.sqlparser.printer import to_sql
@@ -229,8 +229,10 @@ def fragment_request(plan) -> dict:
 
 def execute_fragment(snapshot, request: dict, short_circuit: bool = False) -> dict:
     """Run ``request``'s guards and subqueries inside one snapshot; returns
-    ``{"mode", "results": [[[source, recency], ...] per subquery], "guards":
+    ``{"mode", "results": [[(source, recency), ...] per subquery], "guards":
     {sql: verdict}}`` (mode ``"all"`` answers with the one all-sources scan).
+    The rows are the engine's, NULL source ids dropped;
+    :func:`merge_fragments` normalizes them.
 
     A guard asks "does this query return rows?" of the *union* of every
     holder's data, so one holder of several must answer unconditionally;
@@ -238,11 +240,10 @@ def execute_fragment(snapshot, request: dict, short_circuit: bool = False) -> di
     is sound only for the sole holder.
     """
     mode = request.get("mode", "focused")
-    results: List[List[List[object]]] = []
+    results: List[Sequence[Sequence[object]]] = []
     guards: Dict[str, bool] = {}
     if mode == "all":
-        rows = snapshot.execute(to_sql(build_all_sources_query())).rows
-        results.append([[str(sid), float(rec)] for sid, rec in rows])
+        results.append(snapshot.execute(to_sql(build_all_sources_query())).rows)
     elif mode != "empty":
         for sub in request.get("subqueries", ()):
             held = True
@@ -253,9 +254,7 @@ def execute_fragment(snapshot, request: dict, short_circuit: bool = False) -> di
                     held = False
                     break
             rows = snapshot.execute(sub["sql"]).rows if held else ()
-            results.append(
-                [[str(sid), float(rec)] for sid, rec in rows if sid is not None]
-            )
+            results.append([row for row in rows if row[0] is not None])
     return {"mode": mode, "results": results, "guards": guards}
 
 
@@ -265,15 +264,19 @@ def merge_fragments(request: dict, fragments: Sequence[dict]) -> List[SourceRece
     rows iff all its guards hold globally, sort by source id (mode ``"all"``
     keeps the Heartbeat scan order, fragment by fragment). A fragment
     shorter than the request — malformed, or cut by ``short_circuit`` —
-    contributes nothing for the subqueries it lacks."""
+    contributes nothing for the subqueries it lacks.
+
+    The one place a row is normalized, whoever produced it (a local
+    snapshot, a shard's JSON reply): the source id becomes a ``str`` here,
+    the recency a ``float`` in :class:`SourceRecency`."""
     mode = request.get("mode", "focused")
-    found: Dict[str, float] = {}
+    found: Dict[str, object] = {}
     if mode == "all":
         for fragment in fragments:
             for rows in fragment.get("results", ()):
                 for sid, rec in rows:
-                    found[str(sid)] = float(rec)
-        return [SourceRecency(sid, rec) for sid, rec in found.items()]
+                    found[str(sid)] = rec
+        return list(map(SourceRecency, found, found.values()))
     if mode == "empty":
         return []
     guard_or: Dict[str, bool] = {}
@@ -287,5 +290,5 @@ def merge_fragments(request: dict, fragments: Sequence[dict]) -> List[SourceRece
             results = fragment.get("results", ())
             if index < len(results):
                 for sid, rec in results[index]:
-                    found[str(sid)] = float(rec)
-    return [SourceRecency(sid, rec) for sid, rec in sorted(found.items())]
+                    found[str(sid)] = rec
+    return sorted_recencies(found)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from datetime import datetime, timezone
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 #: Default |z| threshold for exceptional sources, per the paper.
 DEFAULT_Z_THRESHOLD = 3.0
@@ -45,6 +45,13 @@ class SourceRecency:
 
     def __repr__(self) -> str:
         return f"SourceRecency({self.source_id!r}, {self.recency})"
+
+
+def sorted_recencies(recency: Mapping[str, float]) -> List[SourceRecency]:
+    """``{source: recency}`` as a report's source list, sorted by source id
+    (keys are unique, so sorting the keys alone gives the pairs' order)."""
+    keys = sorted(recency)
+    return list(map(SourceRecency, keys, map(recency.__getitem__, keys)))
 
 
 def format_timestamp(epoch_seconds: float) -> str:
@@ -124,13 +131,29 @@ class RecencySplit:
 def describe(sources: Sequence[SourceRecency]) -> RecencyStatistics:
     """Compute the least/most recent source and the count.
 
-    Ties are broken by source id so reports are deterministic.
+    Ties are broken by source id so reports are deterministic: the least
+    recent is the least ``(recency, source_id)``, the first of equals.
     """
     if not sources:
         return RecencyStatistics(None, None, 0)
-    least = min(sources, key=lambda s: (s.recency, s.source_id))
-    most = max(sources, key=lambda s: (s.recency, s.source_id))
-    return RecencyStatistics(least, most, len(sources))
+    items = list(sources)
+    values = [s.recency for s in items]
+    if math.isnan(sum(values)):
+        # A NaN (or +inf beside -inf) sums to NaN. NaN has no order, so the
+        # answer is whatever the pairwise scan of the tuples picks.
+        least = min(items, key=lambda s: (s.recency, s.source_id))
+        most = max(items, key=lambda s: (s.recency, s.source_id))
+    else:
+        least = _first_by_id(items, values, min(values), min)
+        most = _first_by_id(items, values, max(values), max)
+    return RecencyStatistics(least, most, len(items))
+
+
+def _first_by_id(items, values, value, pick):
+    """The first of the sources at ``value`` with the ``pick``-most id."""
+    if values.count(value) == 1:
+        return items[values.index(value)]
+    return pick((s for s, v in zip(items, values) if v == value), key=lambda s: s.source_id)
 
 
 def mean_stddev(values: Sequence[float]) -> Tuple[float, float]:
@@ -147,9 +170,7 @@ def percentile(values: Sequence[float], q: float) -> float:
     """The ``q``-th percentile (0..100) with linear interpolation.
 
     The paper notes "other statistics could be computed as well"; the
-    extended summary uses percentiles so a user can see, e.g., that 90% of
-    the relevant sources reported within the last minute even when the
-    minimum is dragged down by one laggard.
+    per-source SLO standing reads its lag p95 with it.
     """
     if not values:
         raise ValueError("percentile of an empty sequence")
@@ -168,51 +189,6 @@ def percentile(values: Sequence[float], q: float) -> float:
     return ordered[lower] + (ordered[upper] - ordered[lower]) * fraction
 
 
-class ExtendedStatistics:
-    """The optional richer summary: mean/stddev/median/deciles on top of
-    the paper's min/max/range."""
-
-    __slots__ = ("basic", "mean", "stddev", "median", "p10", "p90")
-
-    def __init__(
-        self,
-        basic: RecencyStatistics,
-        mean: float,
-        stddev: float,
-        median: float,
-        p10: float,
-        p90: float,
-    ) -> None:
-        self.basic = basic
-        self.mean = mean
-        self.stddev = stddev
-        self.median = median
-        self.p10 = p10
-        self.p90 = p90
-
-    def __repr__(self) -> str:
-        return (
-            f"ExtendedStatistics(count={self.basic.count}, median={self.median}, "
-            f"p10={self.p10}, p90={self.p90})"
-        )
-
-
-def describe_extended(sources: Sequence[SourceRecency]) -> Optional[ExtendedStatistics]:
-    """Extended summary, or ``None`` for an empty source set."""
-    if not sources:
-        return None
-    values = [s.recency for s in sources]
-    mu, sigma = mean_stddev(values)
-    return ExtendedStatistics(
-        basic=describe(sources),
-        mean=mu,
-        stddev=sigma,
-        median=percentile(values, 50.0),
-        p10=percentile(values, 10.0),
-        p90=percentile(values, 90.0),
-    )
-
-
 def zscore_split(
     sources: Sequence[SourceRecency],
     threshold: float = DEFAULT_Z_THRESHOLD,
@@ -225,8 +201,12 @@ def zscore_split(
     items = list(sources)
     if len(items) < 2:
         return RecencySplit(items, [], threshold, None, None)
-    mu, sigma = mean_stddev([s.recency for s in items])
-    if sigma == 0.0:
+    values = [s.recency for s in items]
+    mu, sigma = mean_stddev(values)
+    # Subtracting mu and dividing by sigma > 0 are monotone, so no |z| exceeds
+    # the extremes': partition only when one of them reaches the threshold.
+    # A NaN anywhere fails the comparison and takes the loop.
+    if sigma == 0.0 or max(mu - min(values), max(values) - mu) / sigma < threshold:
         return RecencySplit(items, [], threshold, mu, sigma)
     normal: List[SourceRecency] = []
     exceptional: List[SourceRecency] = []

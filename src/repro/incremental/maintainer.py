@@ -65,7 +65,7 @@ from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.catalog import HEARTBEAT_SOURCE_COLUMN, HEARTBEAT_TABLE
-from repro.core.statistics import SourceRecency
+from repro.core.statistics import SourceRecency, sorted_recencies
 from repro.errors import TracError
 from repro.obs import instrument as obs
 from repro.obs.events import EVT_INCREMENTAL_INVALIDATED
@@ -118,8 +118,8 @@ class _Entry:
     engine's own WHERE semantics decide every source present at that
     point) and extended by :func:`evaluate_predicate` for sources first
     seen later. ``sources`` maps each member id to its latest recency —
-    exactly the dict the from-scratch path builds, so materialization is
-    ``sorted(sources.items())``.
+    exactly the dict the from-scratch merge builds, and materialization is
+    the merge's own :func:`~repro.core.statistics.sorted_recencies`.
     """
 
     __slots__ = ("wheres", "sources", "membership")
@@ -149,10 +149,7 @@ class _Entry:
         self.sources.pop(source_id, None)
 
     def materialize(self) -> List[SourceRecency]:
-        return [
-            SourceRecency(source_id, recency)
-            for source_id, recency in sorted(self.sources.items())
-        ]
+        return sorted_recencies(self.sources)
 
 
 class IncrementalMaintainer:

@@ -30,7 +30,7 @@ from typing import Callable, Collection, List, Mapping, Optional, Sequence
 
 from repro.core.quality import QualityModel
 from repro.core.sources import DEGRADED
-from repro.core.statistics import SourceRecency, format_interval, zscore_split
+from repro.core.statistics import format_interval, sorted_recencies, zscore_split
 from repro.errors import TracError
 from repro.obs.export import aligned
 
@@ -90,7 +90,7 @@ def source_rows(
     poll-latency ring.
     """
     known = sources.snapshot() if sources is not None else {}
-    reported = [SourceRecency(sid, rec) for sid, rec in sorted(recency.items())]
+    reported = sorted_recencies(recency)
     split = zscore_split(reported)
     outliers = {s.source_id for s in split.exceptional}
     degraded = {sid for sid, record in known.items() if record.status == DEGRADED}

@@ -249,6 +249,47 @@ class TestSingleFragmentLaw:
         assert {plan.mode for plan in plans} >= {"focused", "all"}
 
 
+class TestMergeNormalizes:
+    """A fragment carries the engine's rows; ``merge_fragments`` is the one
+    place a pair becomes ``(str, float)``, however the fragment arrived."""
+
+    @staticmethod
+    def plans(backend):
+        from repro.core.relevance import build_naive_plan
+        from repro.core.report import RecencyReporter
+
+        reporter = RecencyReporter(backend)
+        return [reporter.plan_for(sql) for sql in TestSingleFragmentLaw.QUERIES] + [
+            build_naive_plan()
+        ]
+
+    def test_a_fragment_through_the_wire_merges_like_the_local_one(self, paper_backend):
+        from repro.federation.rpc import FrameDecoder, encode_frame
+
+        for plan in self.plans(paper_backend):
+            request = fragment_request(plan)
+            with paper_backend.snapshot() as snapshot:
+                local = execute_fragment(snapshot, request)
+            (wired,) = FrameDecoder().feed(encode_frame(local))
+            merged = merge_fragments(request, [wired])
+            assert merged == merge_fragments(request, [local])
+            assert all(type(s.source_id) is str and type(s.recency) is float for s in merged)
+
+    def test_raw_heartbeat_rows_merge_to_str_and_float(self, paper_catalog):
+        """Rows loaded around ``upsert_heartbeat``: an int recency, an int id."""
+        from repro import MemoryBackend
+
+        backend = MemoryBackend(paper_catalog)
+        backend.insert_rows("heartbeat", [("m1", 7), (5, 7.5)])
+        for plan in self.plans(backend)[-2:]:  # a heartbeat scan, focused and naive
+            request = fragment_request(plan)
+            with backend.snapshot() as snapshot:
+                merged = merge_fragments(request, [execute_fragment(snapshot, request)])
+            pairs = {(s.source_id, s.recency) for s in merged}
+            assert pairs == {("m1", 7.0), ("5", 7.5)}
+            assert {(type(sid), type(rec)) for sid, rec in pairs} == {(str, float)}
+
+
 class TestGuardCost:
     """What a guard costs, as rows read (the scans of its profile), not as
     time: it stops at its first witness on the memory engine as on SQLite."""

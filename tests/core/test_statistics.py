@@ -179,6 +179,90 @@ class TestChebyshevProperty:
         assert stats.inconsistency_bound == pytest.approx(max(values) - min(values))
 
 
+def oracle_describe(sources):
+    """``describe`` before the one-pass rewrite, frozen as the oracle."""
+    if not sources:
+        return None, None, 0
+    least = min(sources, key=lambda s: (s.recency, s.source_id))
+    most = max(sources, key=lambda s: (s.recency, s.source_id))
+    return least, most, len(sources)
+
+
+def oracle_zscore_split(sources, threshold):
+    """``zscore_split`` before the one-pass rewrite, frozen as the oracle:
+    ``(normal, exceptional, mean, stddev)``."""
+    items = list(sources)
+    if len(items) < 2:
+        return items, [], None, None
+    values = [s.recency for s in items]
+    mu = sum(values) / len(values)
+    sigma = math.sqrt(sum((x - mu) ** 2 for x in values) / len(values))
+    if sigma == 0.0:
+        return items, [], mu, sigma
+    normal, exceptional = [], []
+    for source in items:
+        z = (source.recency - mu) / sigma
+        if abs(z) >= threshold:
+            exceptional.append(source)
+        else:
+            normal.append(source)
+    return normal, exceptional, mu, sigma
+
+
+NAN = float("nan")  # one object: tuple comparison treats it as equal to itself
+
+#: Values that force ties, zero spread, NaN (shared and fresh) and ±inf.
+RECENCIES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 2.0, 60.0, 1e9, NAN, math.inf, -math.inf]),
+    st.builds(float, st.just("nan")),
+    st.floats(min_value=-1e6, max_value=1e6),
+)
+SOURCES = st.lists(
+    st.builds(SourceRecency, st.sampled_from(["m1", "m10", "m2", "a", "b"]), RECENCIES),
+    max_size=12,
+)
+THRESHOLDS = st.sampled_from([0.0, 0.5, 1.0, 1.5, 3.0, math.inf, NAN, -1.0])
+
+
+def same_float(a, b):
+    """Equal, or both NaN; ``None`` only matches ``None``."""
+    if a is None or b is None:
+        return a is b
+    return a == b or (a != a and b != b)
+
+
+class TestDifferential:
+    """``zscore_split`` and ``describe`` against their frozen predecessors:
+    the same lists in the same order (the same objects), the same mean and
+    stddev, the same least and most recent source, the same count."""
+
+    def assert_describes_alike(self, sources):
+        least, most, count = oracle_describe(sources)
+        stats = describe(sources)
+        assert stats.least_recent is least and stats.most_recent is most
+        assert stats.count == count
+
+    @given(SOURCES, THRESHOLDS)
+    @settings(max_examples=500, deadline=None)
+    def test_split_and_statistics_match_the_oracle(self, sources, threshold):
+        normal, exceptional, mu, sigma = oracle_zscore_split(sources, threshold)
+        split = zscore_split(sources, threshold)
+        assert [id(s) for s in split.normal] == [id(s) for s in normal]
+        assert [id(s) for s in split.exceptional] == [id(s) for s in exceptional]
+        assert same_float(split.mean, mu) and same_float(split.stddev, sigma)
+        self.assert_describes_alike(split.normal)
+        self.assert_describes_alike(sources)
+
+    def test_the_drawn_corners_are_reached(self):
+        ties = srcs(("b", 5.0), ("a", 5.0), ("a", 1.0), ("c", 1.0))
+        self.assert_describes_alike(ties)
+        self.assert_describes_alike(srcs(("b", -0.0), ("a", 0.0)))
+        self.assert_describes_alike(srcs(("b", NAN), ("a", NAN), ("c", 1.0)))
+        for data in ([], srcs(("a", 1.0)), srcs(("a", 1.0), ("b", 1.0))):
+            assert zscore_split(data).exceptional == [] and describe(data).count == len(data)
+        assert len(zscore_split(ties, threshold=0.0).exceptional) == 4
+
+
 class TestPercentiles:
     from repro.core.statistics import percentile as _p  # noqa: F401
 
@@ -231,25 +315,6 @@ class TestPercentiles:
 
         points = [percentile(values, q) for q in (0, 10, 50, 90, 100)]
         assert points == sorted(points)
-
-
-class TestExtendedStatistics:
-    def test_none_for_empty(self):
-        from repro.core.statistics import describe_extended
-
-        assert describe_extended([]) is None
-
-    def test_values(self):
-        from repro.core.statistics import describe_extended
-
-        data = srcs(*[(f"m{i}", float(i)) for i in range(1, 12)])  # 1..11
-        ext = describe_extended(data)
-        assert ext.basic.count == 11
-        assert ext.median == 6.0
-        assert ext.mean == 6.0
-        assert ext.p10 == 2.0
-        assert ext.p90 == 10.0
-        assert ext.basic.inconsistency_bound == 10.0
 
 
 class TestNegativeIntervals:

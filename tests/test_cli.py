@@ -543,6 +543,43 @@ class TestObservatory:
         assert result.get("code") == 0
         assert main(["inspect", "--db", db]) == 0
 
+    def test_a_resumed_run_counts_its_recovery_on_metrics(self, tmp_path, capsys, deployments):
+        """``simulate --resume --serve``: the recovery runs before the front
+        door exists, and ``/metrics`` still carries it and its replay counts."""
+        import urllib.request
+
+        from repro.durable import DurabilityManager, DurabilityPolicy, recover
+        from repro.grid.simulator import GridSimulator, SimulationConfig
+        from repro.obs import parse_prometheus_text
+
+        data = str(tmp_path / "data")
+        manager = DurabilityManager(data, DurabilityPolicy(checkpoint_interval=20))
+        sim = GridSimulator(SimulationConfig(num_machines=3, seed=4), durability=manager)
+        for _ in range(50):
+            sim.step()
+        manager.close(sim.now, final_checkpoint=False)  # a crash after the last checkpoint
+        sim.backend.close()
+        expected = recover(data)  # a dry scan, telemetry off: what the resume replays
+        assert expected.replayed_events > 0 and expected.replayed_heartbeats > 0
+        thread, result, url = serve_in_thread(
+            [
+                "simulate", "--db", str(tmp_path / "r.sqlite"), "--duration", "100000000",
+                "--serve", "0", "--data-dir", data, "--resume",
+            ],
+            capsys,
+        )
+        try:
+            with urllib.request.urlopen(url + "/metrics", timeout=10.0) as response:
+                samples = parse_prometheus_text(response.read().decode("utf-8"))
+        finally:
+            deployments[0].stop()
+            thread.join(timeout=60.0)
+        assert result.get("code") == 0
+        replayed = "trac_recovery_replayed_total"
+        assert samples[("trac_recovery_runs_total", ())] == 1
+        assert samples[(replayed, (("kind", "event"),))] == expected.replayed_events
+        assert samples[(replayed, (("kind", "heartbeat"),))] == expected.replayed_heartbeats
+
     def test_simulate_top_renders_frames(self, tmp_path, capsys):
         code = main(
             [

@@ -148,3 +148,39 @@ def test_the_document_says_nothing_about_what_is_off(paper_memory_backend):
     with RecencyReporter(paper_memory_backend) as plain:
         silent = plain.report(sql).to_dict()
     assert silent["relevant_sources"] == [] and silent["bound_of_inconsistency"] is None
+
+
+#: ``to_dict()`` without ``timings`` for the paper's queries at 40 sources x 3
+#: rows (seed 5; sources 7 and 31 a month stale): sha256 of the sorted-key
+#: JSON, and the relevant-source count. Q1-Q4 run Focused, "naive" is Q2 by
+#: the Naive method. The same on both backends.
+PINNED = {
+    "Q1": ("49d451b1b597e9c41773f14357a4939d1f244d2efe6a7e860702d4de619ad79b", 6),
+    "Q2": ("492b6cc8616fb002b2207856c2580bd5373c14f3d896b9912c513981b972d603", 34),
+    "Q3": ("2f296fc047c086ccd2c3410e2109c0f35a0d36862803a22dc210621b164785df", 6),
+    "Q4": ("ecb4657d4843a1b2380259e2c7d86d8f9e73d5152101527279941644c79cf3d7", 36),
+    "naive": ("574e449b26c0c55bd06986ff832777bc297e8e919967fc6628334224f3748d0a", 40),
+}
+
+
+@pytest.mark.parametrize("backend_name", ["memory", "sqlite"])
+def test_paper_query_documents_are_pinned(backend_name):
+    import hashlib
+
+    from repro.backends import MemoryBackend, SQLiteBackend
+    from repro.workload import WorkloadConfig, loaded_backend, paper_queries
+
+    factory = {"memory": MemoryBackend, "sqlite": SQLiteBackend}[backend_name]
+    backend = loaded_backend(WorkloadConfig(40, 3, seed=5, exceptional_sources=(7, 31)), factory)
+    queries = paper_queries(40)
+    cases = {name: (sql, "focused") for name, sql in queries.items()}
+    cases["naive"] = (queries["Q2"], "naive")
+    with RecencyReporter(backend) as reporter:
+        for name, (sql, method) in cases.items():
+            doc = reporter.report(sql, method=method).to_dict()
+            del doc["timings"]
+            digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode("utf-8")).hexdigest()
+            assert (digest, len(doc["relevant_sources"])) == PINNED[name], name
+            stale = ["Tao31", "Tao7"] if name in ("Q2", "Q4", "naive") else []
+            assert doc["exceptional_sources"] == stale
+    backend.close()
