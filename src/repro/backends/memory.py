@@ -8,7 +8,7 @@ import time
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.backends.base import DELETE, Backend, Snapshot, Write
-from repro.catalog import HEARTBEAT_TABLE, Catalog
+from repro.catalog import HEARTBEAT_SOURCE_COLUMN, HEARTBEAT_TABLE, Catalog
 from repro.engine import Database, execute_sql
 from repro.engine.evaluate import QueryResult
 from repro.errors import BackendError, LexerError
@@ -63,7 +63,8 @@ class MemoryBackend(Backend):
     ``delete_rows``, ``upsert_heartbeat`` — is one lock hold over a loop of
     :meth:`Relation.upsert` / :meth:`Relation.delete_keys`, whose key
     index is derived from the call's ``key_columns`` (see
-    :mod:`repro.engine.relation`); the Heartbeat table is not special.
+    :mod:`repro.engine.relation`); the Heartbeat is keyed on its source
+    column from construction, so a bulk load is indexed too.
 
     Change listeners
     ----------------
@@ -89,6 +90,8 @@ class MemoryBackend(Backend):
     def __init__(self, catalog: Catalog, telemetry: Optional[object] = None) -> None:
         super().__init__(catalog, telemetry)
         self.db = Database(catalog)
+        heartbeat = self.db.relation(HEARTBEAT_TABLE)
+        heartbeat.index_on((heartbeat.schema.column_index(HEARTBEAT_SOURCE_COLUMN),))
         self._temp: Dict[str, Tuple[List[str], List[Tuple[object, ...]]]] = {}
         #: Lower-cased ``_temp`` names, intersected with a query's identifiers.
         self._temp_names: Set[str] = set()
@@ -197,32 +200,20 @@ class MemoryBackend(Backend):
     def _execute_with_temp(self, db: Database, sql: str) -> QueryResult:
         # Queries over temp tables are rare (a user inspecting a recency
         # report); support the simple form SELECT ... FROM <temp_table>.
-        # Base tables are attached as CoW shares, not copied.
+        # Base tables are a snapshot view of ``db``, not copied, under a
+        # catalog of their own that the temp tables join.
         from repro.catalog import Column, TableSchema
-        from repro.catalog.catalog import Catalog as _Catalog
 
-        extended = _Catalog()
-        for schema in db.catalog:
-            if schema.name.lower() != HEARTBEAT_TABLE:
-                extended.add(schema)
-        shadow = Database(extended)
-        shared: List[Tuple[object, object]] = []
         with self._mutate_lock:
-            for name in shadow.tables():
-                if db.has(name):
-                    source = db.relation(name)
-                    view = source.share()
-                    shadow.attach(name, view)
-                    shared.append((source, view))
+            shadow = db.snapshot_view()
+        shadow.catalog = Catalog(db.catalog.monitored_tables())
         for name, (columns, rows) in self._temp.items():
-            schema = TableSchema(name, [Column(c, "TEXT") for c in columns])
-            shadow.add_table(schema, rows)
+            shadow.add_table(TableSchema(name, [Column(c, "TEXT") for c in columns]), rows)
         try:
             return execute_sql(shadow, sql, cache=False)
         finally:
             with self._mutate_lock:
-                for source, view in shared:
-                    source.release_share(view)
+                db.release_view(shadow)
 
     @contextlib.contextmanager
     def snapshot(self) -> Iterator[Snapshot]:

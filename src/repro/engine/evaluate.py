@@ -1,11 +1,12 @@
 """Query execution against in-memory relations.
 
 The executor handles the full supported dialect. Conjunctive WHERE clauses
-get a lightweight plan — per-relation predicate push-down, greedy join
-ordering, hash joins on equality join terms — while arbitrary boolean
-WHERE clauses fall back to an (incrementally built) cross product with the
-predicate applied at the end. Both paths produce identical results; the
-planner only changes the work done to get there.
+get a lightweight plan — per-relation predicate push-down (a key lookup
+where :meth:`Relation.lookup` answers), greedy join ordering, hash joins on
+equality join terms — while arbitrary boolean WHERE clauses fall back to an
+(incrementally built) cross product with the predicate applied at the end.
+Both paths produce identical results; the planner only changes the work
+done to get there.
 
 What cuts across the operators — relations, column index map, expression
 lowering, profile, lineage probes, row budget, output binding — is fixed
@@ -600,20 +601,44 @@ class _Execution:
         return kept
 
     def _scan(self, key: str, preds: List[ast.Expr]) -> List[Row]:
-        rows = self.relations[key].rows
+        relation = self.relations[key]
+        rows = relation.rows
         t0 = self.clock()
         keep, detail = None, "full scan"
         if preds:
             # The push-down predicate takes the row tuple directly: no
-            # per-row env flows through the scan.
+            # per-row env flows through the scan. On a keyed relation it
+            # re-checks the rows a key lookup found, in position order.
             keep = self.lower.compile_row_predicate(_conjoin(preds), key, self.index_of)
             detail = f"{len(preds)} pushed predicate(s)"
+            found = relation.keyed and self._lookup(relation, key, preds)
+            if found is not None:
+                rows, detail = found, f"index lookup, {detail}"
         if self.budget and len(self.keys) == 1:
             # The only relation: its scan produces the final rows.
             return self.take(OP_SCAN, key, rows, len(rows), t0, detail, keep=keep)
         kept = list(rows) if keep is None else [row for row in rows if keep(row)]
         self.record(OP_SCAN, key, len(rows), len(kept), t0, detail)
         return kept
+
+    def _lookup(self, relation: Relation, key: str, preds: List[ast.Expr]) -> Optional[List[Row]]:
+        """The rows a pushed ``col = c`` or ``col IN (c, ...)`` on the column
+        ``relation`` is keyed on can hold, or ``None`` when no term is one."""
+        for term in preds:
+            if isinstance(term, ast.InList) and not term.negated:
+                ref, literals = term.expr, term.values
+            elif isinstance(term, ast.Comparison) and term.op == "=":
+                ref, literals = term.left, (term.right,)
+                if isinstance(ref, ast.Literal):  # c = col
+                    ref, literals = term.right, (term.left,)
+            else:
+                continue
+            if isinstance(ref, ast.ColumnRef) and all(isinstance(v, ast.Literal) for v in literals):
+                column = self.index_of[(key, ref.name.lower())]
+                rows = relation.lookup(column, [v.value for v in literals])
+                if rows is not None:
+                    return rows
+        return None
 
     # -- projection and aggregation ------------------------------------------
 

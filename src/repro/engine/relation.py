@@ -9,12 +9,16 @@ all. CoW copies are recorded via :mod:`repro.obs` when telemetry is on.
 
 Keyed writes (:meth:`Relation.upsert`, :meth:`Relation.delete_keys` — the
 whole ingest path) go through one ``key values -> row positions`` index
-per relation, so an upsert does not scan its table. The index is built by
-the first keyed write under a key (a different key rebuilds it), kept by
-:meth:`Relation.insert`, still valid after a copy-on-write copy because
-positions do not move, dropped by whatever shifts positions (a delete that
-removed something, ``delete_where``, ``clear``) and never handed to a
-snapshot view.
+per relation, so an upsert does not scan its table and ``key = c`` /
+``key IN (...)`` is a :meth:`Relation.lookup`. The first keyed write under a
+key builds it (a different key rebuilds it), :meth:`Relation.insert` keeps
+it, a delete rebuilds it and ``clear`` empties it. A snapshot view borrows
+its parent's index for reading only, and four rules keep that safe: an
+upsert overwrites in place and never moves a position; ``insert`` appends,
+and a lookup drops any position at or past the view's own length; a delete
+or ``clear`` rebinds both list and index, so the view keeps the old pair,
+which nothing mutates again; the first write through a view drops the
+borrowed index before touching it.
 """
 
 from __future__ import annotations
@@ -28,9 +32,9 @@ Row = Tuple[object, ...]
 
 
 def _key_of(row: Sequence[object], key_indexes: Sequence[int]) -> Row:
-    # A function of its own: a generator expression inside ``Relation.insert``
-    # would turn ``row`` into a closure cell and tax every unkeyed bulk load.
-    return tuple(row[i] for i in key_indexes)
+    # A function of its own: inlined in ``Relation.insert``, a comprehension
+    # would tax every unkeyed bulk load. A list builds faster than a generator.
+    return tuple([row[i] for i in key_indexes])
 
 
 class Relation:
@@ -51,9 +55,10 @@ class Relation:
         self._share_count = 0
         #: ``(key column positions, key values -> positions of the rows
         #: holding them)``, or ``None`` until a keyed write asks for it.
-        self._keyed: Optional[Tuple[Tuple[int, ...], Dict[Row, List[int]]]] = None
-        for row in rows:
-            self.insert(row)
+        #: Read-only outside this class; ``_borrowed`` when a parent's.
+        self.keyed: Optional[Tuple[Tuple[int, ...], Dict[Row, List[int]]]] = None
+        self._borrowed = False
+        self.insert_many(rows)
 
     @property
     def rows(self) -> List[Row]:
@@ -74,7 +79,7 @@ class Relation:
         view.schema = self.schema
         view._rows = self._rows
         view._width = self._width
-        view._keyed = None
+        view.keyed, view._borrowed = self.keyed, self.keyed is not None
         # The view also counts one (phantom) share so that an accidental
         # write through it copies instead of corrupting the live relation.
         view._share_count = 1
@@ -93,6 +98,8 @@ class Relation:
 
     def _materialize(self) -> None:
         """Copy the shared row list so in-place mutation is safe (CoW)."""
+        if self._borrowed:  # a view's first write: the index is the parent's
+            self.keyed, self._borrowed = None, False
         copied = list(self._rows)
         from repro.obs import instrument as obs
 
@@ -117,8 +124,8 @@ class Relation:
             raise self._arity_error(row)
         if self._share_count:
             self._materialize()
-        if self._keyed is not None:
-            key_indexes, index = self._keyed
+        if self.keyed is not None:
+            key_indexes, index = self.keyed
             index.setdefault(_key_of(row, key_indexes), []).append(len(self._rows))
         self._rows.append(tuple(row))
 
@@ -126,15 +133,15 @@ class Relation:
         for row in rows:
             self.insert(row)
 
-    def _index_for(self, key_indexes: Sequence[int]) -> Dict[Row, List[int]]:
-        """The key index over ``key_indexes``, (re)built on demand: O(rows)."""
+    def index_on(self, key_indexes: Sequence[int]) -> Dict[Row, List[int]]:
+        """The key index over ``key_indexes``, (re)built on demand (always for a view): O(rows)."""
         key_indexes = tuple(key_indexes)
-        if self._keyed is None or self._keyed[0] != key_indexes:
+        if self._borrowed or self.keyed is None or self.keyed[0] != key_indexes:
             index: Dict[Row, List[int]] = {}
             for position, row in enumerate(self._rows):
                 index.setdefault(_key_of(row, key_indexes), []).append(position)
-            self._keyed = (key_indexes, index)
-        return self._keyed[1]
+            self.keyed, self._borrowed = (key_indexes, index), False
+        return self.keyed[1]
 
     def upsert(self, key_indexes: Sequence[int], row: Sequence[object]) -> None:
         """Insert ``row``, replacing whatever rows hold its key.
@@ -147,7 +154,7 @@ class Relation:
             raise self._arity_error(row)
         row = tuple(row)
         key = _key_of(row, key_indexes)
-        held = self._index_for(key_indexes).get(key)
+        held = self.index_on(key_indexes).get(key)
         if held is None:
             self.insert(row)
         elif len(held) == 1:
@@ -162,42 +169,43 @@ class Relation:
         """Delete the rows whose key columns equal any of ``keys``.
 
         Returns the number of rows removed. One pass over the table, and
-        only when some key is held; the survivors keep their order.
+        only when some key is held; the survivors keep their order and the
+        index is rebuilt over them in the same pass.
         """
-        index = self._index_for(key_indexes)
+        index = self.index_on(key_indexes)
         doomed = {position for key in keys for position in index.get(tuple(key), ())}
         if doomed:
-            # Rebinding to a fresh list never disturbs snapshot shares.
-            self._rows = [
-                row for position, row in enumerate(self._rows) if position not in doomed
-            ]
-            self._share_count = 0
-            self._keyed = None
+            # Rebinding to a fresh list and index never disturbs snapshot shares.
+            key_indexes, index, kept = tuple(key_indexes), {}, []
+            for position, row in enumerate(self._rows):
+                if position not in doomed:
+                    index.setdefault(_key_of(row, key_indexes), []).append(len(kept))
+                    kept.append(row)
+            self._rows, self.keyed, self._share_count = kept, (key_indexes, index), 0
         return len(doomed)
 
     def clear(self) -> None:
-        """Remove every row (CoW-safe)."""
+        """Remove every row (CoW-safe); a keyed relation stays keyed."""
         if self._share_count:
             # Live shares keep the old list; just point at a fresh one.
             self._rows = []
             self._share_count = 0
         else:
             self._rows.clear()
-        self._keyed = None
-
-    def delete_where(self, predicate) -> int:
-        """Delete rows for which ``predicate(row_tuple)`` is true.
-
-        Returns the number of rows removed.
-        """
-        before = len(self._rows)
-        # Rebinding to a fresh list never disturbs snapshot shares.
-        self._rows = [row for row in self._rows if not predicate(row)]
-        self._share_count = 0
-        self._keyed = None
-        return before - len(self._rows)
+        if self.keyed is not None:
+            self.keyed, self._borrowed = (self.keyed[0], {}), False
 
     # -- reading --------------------------------------------------------------
+
+    def lookup(self, column: int, values: Iterable[object]) -> Optional[List[Row]]:
+        """The rows, in position order, whose ``column`` may equal one of
+        ``values`` by Python's ``==`` (``True == 1 == 1.0``: the caller
+        re-checks its own), or ``None`` unless keyed on ``column`` alone."""
+        keyed, rows = self.keyed, self._rows
+        if keyed is None or keyed[0] != (column,):
+            return None
+        held = {p for value in values for p in keyed[1].get((value,), ()) if p < len(rows)}
+        return [rows[p] for p in sorted(held)]
 
     def copy(self) -> "Relation":
         clone = Relation(self.schema)

@@ -16,6 +16,7 @@ import pytest
 from repro import Catalog, Column, FiniteDomain, MemoryBackend, SQLiteBackend, TableSchema
 from repro.backends.base import UPSERT
 from repro.core.report import RecencyReporter
+from repro.obs.instrument import Telemetry
 
 SOURCES = [f"m{i}" for i in range(1, 6)]
 
@@ -144,6 +145,50 @@ def test_a_memory_snapshot_sees_each_poll_whole():
         for thread in writers:
             thread.join(timeout=10)
     assert not any(thread.is_alive() for thread in writers)
+
+
+def test_a_snapshot_lookup_equals_its_scan_beside_polls():
+    """A snapshot reads the Heartbeat through the key index its parent keeps
+    writing: one thread polls new and existing sources while another runs
+    ``source_id IN (...)`` in snapshots. Each lookup must equal the same
+    snapshot's answer with the index out of the way (a ``NOT (... NOT IN
+    ...)`` is no conjunct, so it scans)."""
+    backend = MemoryBackend(catalog(), telemetry=Telemetry())
+    stop = threading.Event()
+
+    def writer():
+        seq = 0
+        while not stop.is_set():
+            seq += 1
+            for source in (f"n{seq % 400}", SOURCES[seq % len(SOURCES)]):
+                row = (source, "idle", seq)
+                backend.apply_poll([(UPSERT, "activity", ("mach_id",), row)], source, float(seq))
+
+    thread = threading.Thread(target=writer)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    deadline = time.monotonic() + 30.0
+    looked_up = 0
+    try:
+        thread.start()
+        for i in range(200):
+            assert time.monotonic() < deadline
+            wanted = ", ".join(f"'{s}'" for s in ("m1", "m4", f"n{i}", f"n{2 * i}", "n1"))
+            with backend.snapshot() as snap:
+                lookup = snap.execute(
+                    f"SELECT source_id, recency FROM heartbeat WHERE source_id IN ({wanted})")
+                scan = snap.execute(
+                    "SELECT source_id, recency FROM heartbeat "
+                    f"WHERE NOT (source_id NOT IN ({wanted}))")
+            assert lookup.rows == scan.rows
+            looked_up += lookup.profile.operators[0].detail.startswith("index lookup")
+            assert scan.profile.operators[0].op == "cross_product"
+    finally:
+        stop.set()
+        sys.setswitchinterval(interval)
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert looked_up == 200
 
 
 def test_many_sequential_reports_with_interleaved_writes(tmp_path):

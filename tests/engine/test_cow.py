@@ -48,12 +48,17 @@ class TestRelationSharing:
         assert view.rows == [("x", 1)]
         assert r.rows == []
 
-    def test_delete_where_diverges(self):
+    def test_a_view_reads_through_the_index_it_borrows(self):
+        """A delete rebinds the parent's list and index; the view keeps the
+        old pair and still answers a lookup from it."""
         r = Relation(schema(), [("x", 1), ("y", 2)])
+        r.index_on((0,))
         view = r.share()
-        r.delete_where(lambda row: row[0] == "x")
-        assert view.rows == [("x", 1), ("y", 2)]
-        assert r.rows == [("y", 2)]
+        r.insert(("x", 3))  # past the view's length: a view lookup drops it
+        assert r.delete_keys((0,), [("y",)]) == 1
+        assert view.lookup(0, ["x", "y"]) == [("x", 1), ("y", 2)]
+        assert r.lookup(0, ["x", "y"]) == [("x", 1), ("x", 3)]
+        assert r.lookup(1, [1]) is None  # not keyed on that column
 
     def test_released_share_writes_in_place(self):
         r = Relation(schema(), [("x", 1)])

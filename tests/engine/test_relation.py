@@ -45,9 +45,9 @@ class TestRelation:
         r = Relation(schema(), [("x", 1)])
         assert len(r) == 1
 
-    def test_delete_where(self):
+    def test_delete_keys(self):
         r = Relation(schema(), [("x", 1), ("y", 2), ("x", 3)])
-        removed = r.delete_where(lambda row: row[0] == "x")
+        removed = r.delete_keys((0,), [("x",)])
         assert removed == 2
         assert r.rows == [("y", 2)]
 

@@ -23,7 +23,11 @@ returns, drawn from SQLite's unlimited answer. A ``semijoin``-shape
 statement must also return, without ``LIMIT``, the row set it returns with
 lineage on, which runs it through the env pipeline instead. The last line
 tallies the executions by kind, among them how many projected bare rows of
-one table (``row carrier``) and how many ran a semijoin. Usage::
+one table (``row carrier``), how many ran a semijoin and how many read a
+relation through its key index (``index lookup``). Some examples key ``t1``
+(on ``x`` or ``s``) or ``t2`` (on ``s``), and some run the statement on a
+``snapshot_view`` taken before more inserts and upserts land on the parent,
+which the view must not see. Usage::
 
     python tools/fuzz_engine.py [examples]
 """
@@ -85,6 +89,7 @@ _ATOMS = [
     "t1.v IS NULL",
     "t1.v IS NOT NULL",
     "t1.s IN ('a', 'b')",
+    "'b' = t1.s",
     "t1.s NOT IN ('c')",
     "t2.y < 3",
     "t2.y IS NOT NULL",
@@ -152,6 +157,15 @@ _SEMIJOIN_WHERE = st.lists(
 
 _LIMITS = st.sampled_from([None, None, None, 0, 1, 2, 3, 4])
 
+#: The column ``t1`` and ``t2`` are keyed on (``None``: unkeyed), so that a
+#: pushed ``col = c`` / ``col IN (...)`` on it runs as an index lookup.
+_KEYS = st.tuples(st.sampled_from([None, "x", "s"]), st.sampled_from([None, "s"]))
+#: Rows written to ``t1`` and ``t2`` after a snapshot view is taken, every
+#: other one as an upsert under the table's key; ``None`` reads the database.
+_LATER = st.one_of(
+    st.none(), st.tuples(st.lists(_row1, max_size=4), st.lists(_row2, max_size=4))
+)
+
 
 @st.composite
 def _statements(draw):
@@ -180,6 +194,29 @@ def _statements(draw):
     return sql, draw(_LIMITS), shape
 
 
+def _database(rows1, rows2, keys, later):
+    """The database a statement reads: ``rows1`` and ``rows2``, keyed by
+    ``keys``, or a snapshot view of them while ``later`` lands on its parent."""
+    db = Database(catalog())
+    db.insert_many("t1", rows1)
+    db.insert_many("t2", rows2)
+    for table, column in zip(("t1", "t2"), keys):
+        if column is not None:
+            relation = db.relation(table)
+            relation.index_on((relation.schema.column_index(column),))
+    if later is None:
+        return db
+    view = db.snapshot_view()
+    for table, rows in zip(("t1", "t2"), later):
+        relation = db.relation(table)
+        for i, row in enumerate(rows):
+            if i % 2:
+                relation.upsert(relation.keyed[0] if relation.keyed else (0,), row)
+            else:
+                relation.insert(row)
+    return view
+
+
 def _run_sqlite(rows1, rows2, sql):
     conn = sqlite3.connect(":memory:")
     conn.execute("CREATE TABLE t1 (s TEXT, x INTEGER, v TEXT)")
@@ -198,13 +235,13 @@ def make_property(max_examples: int, corpus: Counter):
     the executions, not distinct statements)."""
 
     @settings(max_examples=max_examples, deadline=None, print_blob=True)
-    @given(st.lists(_row1, max_size=6), st.lists(_row2, max_size=5), _statements())
-    def engines_agree(rows1, rows2, statement):
+    @given(
+        st.lists(_row1, max_size=6), st.lists(_row2, max_size=5), _statements(), _KEYS, _LATER
+    )
+    def engines_agree(rows1, rows2, statement, keys, later):
         unlimited, limit, shape = statement
         sql = unlimited if limit is None else f"{unlimited} LIMIT {limit}"
-        db = Database(catalog())
-        db.insert_many("t1", rows1)
-        db.insert_many("t2", rows2)
+        db = _database(rows1, rows2, keys, later)
         compiled = execute_sql(db, sql, compiled=True).rows
         interpreted = execute_sql(db, sql, compiled=False).rows
         assert compiled == interpreted, (
@@ -254,6 +291,8 @@ def make_property(max_examples: int, corpus: Counter):
         corpus["stopped early"] += any(op.rows_available is not None for op in operators)
         corpus["row carrier"] += one_table and not general and shape in ("plain", "distinct")
         corpus["semijoin"] += any(op.detail.startswith("semijoin") for op in operators)
+        corpus["index lookup"] += any(op.detail.startswith("index lookup") for op in operators)
+        corpus["snapshot"] += later is not None
 
     return engines_agree
 
