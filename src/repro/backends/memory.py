@@ -18,16 +18,15 @@ from repro.sqlparser.tokens import TokenType
 
 
 class _MemorySnapshot(Snapshot):
-    """A frozen view of the database's row lists (copy-on-write)."""
+    """A frozen view of the database's row lists (copy-on-write); ``db``
+    is that view, as the backend's ``db`` is the live database."""
 
     def __init__(self, backend: "MemoryBackend", frozen: Database) -> None:
         self._backend = backend
-        self._frozen = frozen
+        self.db = frozen
 
     def execute(self, sql: str, lineage: bool = False) -> QueryResult:
-        return self._backend._execute_on(
-            self._frozen, sql, in_snapshot=True, lineage=lineage
-        )
+        return self._backend._execute_on(self.db, sql, in_snapshot=True, lineage=lineage)
 
     def create_temp_table(
         self, name: str, columns: Sequence[str], rows: Iterable[Sequence[object]]
@@ -65,24 +64,6 @@ class MemoryBackend(Backend):
     index is derived from the call's ``key_columns`` (see
     :mod:`repro.engine.relation`); the Heartbeat is keyed on its source
     column from construction, so a bulk load is indexed too.
-
-    Change listeners
-    ----------------
-    Components that maintain derived state (the incremental report
-    maintainer in :mod:`repro.incremental`) register via
-    :meth:`add_change_listener` and are notified synchronously from every
-    mutation of the Heartbeat table, *after* the rows have landed.
-    Listeners are duck-typed; a notification calls the listener method of
-    the same name when present:
-
-    * ``heartbeat_rows_upserted(key_columns, rows)`` — rows landed: a keyed
-      upsert or ``upsert_heartbeat`` carries the key it was upserted under,
-      a plain ``insert_rows`` append carries ``None``
-    * ``heartbeat_rows_deleted(key_columns, keys)`` — deletes are announced
-      eagerly so materialized sets can never serve a tombstoned source
-    * ``heartbeat_cleared()``
-
-    With no listeners registered a notify site is a single falsy check.
     """
 
     kind = "memory"
@@ -95,30 +76,8 @@ class MemoryBackend(Backend):
         self._temp: Dict[str, Tuple[List[str], List[Tuple[object, ...]]]] = {}
         #: Lower-cased ``_temp`` names, intersected with a query's identifiers.
         self._temp_names: Set[str] = set()
-        self._listeners: List[object] = []
-        # Serializes writers against snapshot open/close (see class
-        # docstring). RLock: a change listener may call back into reads.
-        self._mutate_lock = threading.RLock()
-
-    # -- change listeners ----------------------------------------------------
-
-    def add_change_listener(self, listener: object) -> None:
-        """Register ``listener`` for mutation notifications (see class
-        docstring for the event vocabulary)."""
-        if listener not in self._listeners:
-            self._listeners.append(listener)
-
-    def remove_change_listener(self, listener: object) -> None:
-        if listener in self._listeners:
-            self._listeners.remove(listener)
-
-    def _changed(self, table: str, event: str, *args: object) -> None:
-        """Announce a mutation of ``table`` (only Heartbeat has an audience)."""
-        if self._listeners and table.lower() == HEARTBEAT_TABLE:
-            for listener in self._listeners:
-                method = getattr(listener, event, None)
-                if method is not None:
-                    method(*args)
+        # Serializes writers against snapshot open/close (see class docstring).
+        self._mutate_lock = threading.Lock()
 
     # -- schema / data -------------------------------------------------------
 
@@ -128,17 +87,13 @@ class MemoryBackend(Backend):
                 self.db.add_table(schema)
 
     def insert_rows(self, table: str, rows: Iterable[Sequence[object]]) -> None:
-        if self._listeners:
-            rows = list(rows)  # announced after being consumed
         with self._mutate_lock:
             self.db.insert_many(table, rows)
-            self._changed(table, "heartbeat_rows_upserted", None, rows)
 
     def delete_all(self, table: str) -> None:
         relation = self.db.relation(table)
         with self._mutate_lock:
             relation.clear()
-            self._changed(table, "heartbeat_cleared")
 
     def _apply(self, writes: Sequence[Write]) -> None:
         db = self.db
@@ -148,10 +103,8 @@ class MemoryBackend(Backend):
                 key_indexes = tuple(relation.schema.column_index(k) for k in key_columns)
                 if op == DELETE:
                     relation.delete_keys(key_indexes, [values])
-                    self._changed(table, "heartbeat_rows_deleted", key_columns, [values])
                 else:
                     relation.upsert(key_indexes, values)
-                    self._changed(table, "heartbeat_rows_upserted", key_columns, [values])
 
     # -- querying ---------------------------------------------------------------
 

@@ -934,8 +934,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         maintainer = None
         query_backend = backend
         if args.incremental:
-            # SQLite publishes no change events; copy the database into a
-            # MemoryBackend and maintain the materialized sets there.
+            # The maintainer reads Heartbeat positions: copy the database
+            # into a MemoryBackend and report from there.
             from repro.incremental import IncrementalMaintainer
 
             query_backend = copy_tables(backend, MemoryBackend(backend.catalog))

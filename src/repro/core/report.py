@@ -157,9 +157,9 @@ class RecencyReport:
         #: (the memory backend does); ``None`` otherwise.
         self.profile: Optional[object] = None
         #: Incremental-maintenance verdict: ``"hit"`` (relevant sources
-        #: served from a materialized set), ``"miss"`` (computed from
-        #: scratch, now registered) or ``"bypass"`` (plan ineligible);
-        #: ``None`` when the reporter has no maintainer.
+        #: read at the maintainer's Heartbeat positions), ``"miss"``
+        #: (computed from scratch, now registered) or ``"bypass"`` (plan
+        #: ineligible); ``None`` when the reporter has no maintainer.
         self.incremental: Optional[str] = None
         #: The ``provenance`` block (``{"row_sources", "quality"}``, see
         #: :meth:`~repro.core.quality.QualityModel.summarize`) when the
@@ -361,12 +361,14 @@ class RecencyReporter:
         ``TRAC_SLOW_QUERY_SECONDS`` environment variable; ``0`` disables.
     incremental:
         An optional :class:`~repro.incremental.IncrementalMaintainer`
-        attached to this reporter's backend. Eligible plans then serve
-        their relevant-source set from the materialized entries (verdict
-        ``"hit"``); a first sighting computes from scratch and registers
-        the entry (``"miss"``); ineligible plans fall through unchanged
+        attached to this reporter's backend. Eligible plans then read
+        their relevant sources from the report's snapshot at the Heartbeat
+        positions the maintainer remembers (verdict ``"hit"``); a first
+        sighting computes from scratch and registers the entry
+        (``"miss"``); ineligible plans fall through unchanged
         (``"bypass"``). The verdict lands on the report, the user query's
-        profile and the telemetry counters.
+        profile and the telemetry counters. ``fetch`` extends the
+        maintainer's entries, so one reporter thread uses it at a time.
     incremental_verify:
         When True, every incremental hit *also* runs the from-scratch path
         in the same snapshot and raises :class:`~repro.errors.TracError`
@@ -507,19 +509,20 @@ class RecencyReporter:
         return report
 
     def _fetch(self, snapshot: Snapshot, plan: RelevancePlan):
-        """The fetch stage: ``(relevant sources, incremental verdict)`` from
-        the maintainer's materialized set when it has one, else from the
-        snapshot (the verdict is ``None`` without a maintainer)."""
+        """The fetch stage: ``(relevant sources, incremental verdict)``, read
+        from the snapshot through the maintainer's members when it has an
+        entry, else computed from scratch in it (the verdict is ``None``
+        without a maintainer)."""
         if self.incremental is None:
             return self._relevant_sources(snapshot, plan), None
-        verdict, sources = self.incremental.fetch(plan)
+        verdict, sources = self.incremental.fetch(plan, snapshot)
         if verdict == "hit":
             if self.incremental_verify:
                 self._verify_incremental(snapshot, plan, sources)
             return sources, verdict
         sources = self._relevant_sources(snapshot, plan)
         if verdict == "miss":
-            self.incremental.register(plan, sources)
+            self.incremental.register(plan, sources, snapshot)
         return sources, verdict
 
     def _annotate(self, report: RecencyReport, sources: List[SourceRecency]) -> None:
@@ -621,15 +624,15 @@ class RecencyReporter:
         self,
         snapshot: Snapshot,
         plan: RelevancePlan,
-        materialized: List[SourceRecency],
+        maintained: List[SourceRecency],
     ) -> None:
-        """Differential oracle: the materialized set must equal the
+        """Differential oracle: the hit's sources must equal the
         from-scratch computation in the same snapshot, byte for byte."""
         oracle = self._relevant_sources(snapshot, plan)
-        if oracle != materialized:
+        if oracle != maintained:
             raise TracError(
                 "incremental maintenance diverged from the from-scratch "
-                f"oracle: materialized {materialized!r} != oracle {oracle!r}"
+                f"oracle: maintained {maintained!r} != oracle {oracle!r}"
             )
 
     def close(self) -> None:

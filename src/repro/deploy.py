@@ -14,9 +14,9 @@ come from*:
 * a :class:`~repro.federation.FederationCoordinator` — shards ingest
   (``trac simulate --shards``): reports are federated, recency side only.
 
-Not on the served path, on purpose: the single-writer
-:class:`~repro.incremental.IncrementalMaintainer` — beside concurrent
-snapshots it would report recency *newer* than the rows (docs/SERVING.md).
+Not on the served path, on purpose: the
+:class:`~repro.incremental.IncrementalMaintainer` — its ``fetch`` extends
+its entries, so one reporter thread uses it at a time (docs/SERVING.md).
 """
 
 from __future__ import annotations

@@ -250,14 +250,12 @@ class GridSimulator:
         the simulator is restored to the recovered state instead of
         bootstrapping from scratch.
     incremental:
-        When True, attach an
-        :class:`~repro.incremental.IncrementalMaintainer` to the backend
-        (``sim.incremental``): every heartbeat/delete the sniffer apply
-        loop lands immediately maintains the materialized relevant-source
-        sets, and reporters built with ``incremental=sim.incremental``
-        serve eligible repeated queries from them. Requires a backend that
-        publishes change events (the default :class:`MemoryBackend` does;
-        SQLite does not).
+        When True, build an
+        :class:`~repro.incremental.IncrementalMaintainer` over the backend
+        (``sim.incremental``): reporters built with
+        ``incremental=sim.incremental`` answer eligible repeated queries
+        from the Heartbeat positions it remembers, read in each report's
+        snapshot. Requires the default :class:`MemoryBackend`.
     """
 
     def __init__(
@@ -285,11 +283,6 @@ class GridSimulator:
         if incremental:
             from repro.incremental import IncrementalMaintainer
 
-            if not hasattr(self.backend, "add_change_listener"):
-                raise SimulationError(
-                    "incremental maintenance needs a backend that publishes "
-                    f"change events; {type(self.backend).__name__} does not"
-                )
             self.incremental = IncrementalMaintainer(self.backend, telemetry=telemetry)
 
         self.machines: Dict[str, Machine] = {mid: Machine(mid) for mid in self.machine_ids}

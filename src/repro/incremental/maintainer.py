@@ -1,18 +1,19 @@
 """The materialized-report maintenance layer.
 
-Every recency report used to recompute its relevant-source set by running
-the plan's heartbeat subqueries from scratch — a full Heartbeat scan per
-subquery per report — even though heartbeats arrive as a *stream* and
-monitoring queries repeat with identical predicate structure. This module
-keeps those sets materialized and maintains them in O(affected entries)
-per mutation, so a repeated query pays a dictionary copy instead of a
-scan.
+Every recency report recomputes its relevant-source set by running the
+plan's heartbeat subqueries — a key lookup for ``IN``, a scan of every
+Heartbeat row for ``NOT IN`` — even though monitoring queries repeat with
+identical predicate structure. This module remembers, per plan, *which
+Heartbeat positions are members* of that set, and reads their recencies
+from the Heartbeat relation of the snapshot the report runs in: the paper
+computes a report's recency inside the user query's snapshot (Section
+3.2), and a hit does too.
 
 Eligibility (the "streamable" criterion)
 ----------------------------------------
-An entry can be maintained from the heartbeat stream alone when relevance
-membership is a pure function of ``source_id``. That is exactly the case
-when every subquery of a ``focused`` plan:
+Membership can be decided row by row when it is a pure function of
+``source_id``. That is exactly the case when every subquery of a
+``focused`` plan:
 
 * scans only the Heartbeat table (no joined relations),
 * carries no existence guards, and
@@ -24,66 +25,71 @@ touching the SQL engine. Plans with joins, guards, ``all``/``empty`` mode
 or the naive method bypass the fast path entirely (the reporter records
 the ``bypass`` verdict).
 
-Keying and invalidation
------------------------
+Entries
+-------
 Entries are keyed by the tuple of subquery SQL strings — the canonical
-form the DNF classifier and subquery builder produce. This replaces the
-old whole-``catalog.generation`` flush for schema-compatible changes: a
-schema change that alters planning yields *different* subquery SQL, so the
-stale entry is simply never looked up again and ages out of the LRU, while
-entries over untouched predicates keep serving hits. Data-level
-invalidation is event-driven: the backend's change listeners call straight
-into this maintainer, and heartbeat *deletes* in particular remove the
-tombstoned source from every materialized set before the next lookup can
-observe it.
+form the DNF classifier and subquery builder produce — so a schema change
+that alters planning yields a key that is never looked up again and ages
+out of the LRU. An entry is three things: the Heartbeat key index it was
+built against (``Relation.keyed[1]``), how many positions it has decided,
+and its members as ``(source id, position)`` pairs sorted by id.
+
+:mod:`repro.engine.relation`'s rules make that enough. An upsert
+overwrites in place, so within one index object a position always holds
+the same source; ``insert`` appends; a delete, a ``clear`` or a re-key
+rebinds the index. So ``relation.keyed[1] is entry.index`` is the whole
+validity test, and it holds for a snapshot view too, which borrows its
+parent's index. On a mismatch — or a snapshot shorter than the entry has
+decided — the entry is dropped and the verdict is ``miss``.
+
+Registration seeds the members from the oracle's own ids through the key
+index, so the engine's WHERE semantics decide every source present at
+that point; positions appended later are decided by ``evaluate_predicate``.
+A bag Heartbeat (loaded by ``insert_rows``) keeps the last position per
+id, as ``merge_fragments`` does. A source id that is not a string is left
+to the engine, whose answer ``str`` reshapes: a Heartbeat holding one at
+registration leaves the plan unregistered, and a position appended with
+one drops the entry.
 
 Statistics
 ----------
-Entries hold sets, not statistics: the report's z-score split recomputes
-mean/σ from the materialized values with the same ``mean_stddev``
+Entries hold positions, not statistics: the report's z-score split
+recomputes mean/σ from the snapshot's values with the same ``mean_stddev``
 arithmetic as the from-scratch path, because a streaming accumulator sums
 in another order and rounds differently, and the differential oracle
-demands byte-identical reports. That scan is O(k) over the
-already-materialized relevant set, not O(N) over Heartbeat.
+demands byte-identical reports.
 
-Consistency model
------------------
-Mutations and reports are assumed to come from one writer thread (the
-simulator poll loop and its reporter), which is how every backend consumer
-in this codebase works. Registration stores a from-scratch result computed
-in a snapshot; with a single writer no mutation can interleave between
-snapshot and registration. Rows with non-string source ids or
-non-numeric recencies cannot be mirrored faithfully (the from-scratch path
-keys by ``str(sid)`` per *row*); observing one degrades the maintainer —
-every lookup bypasses until the table is cleared or resynced clean.
+Concurrency
+-----------
+``fetch`` extends entries, so one reporter thread uses a maintainer at a
+time. The rows it reads are the snapshot's, immutable while it is open.
 """
 
 from __future__ import annotations
 
-import time
+from bisect import bisect_left
 from collections import OrderedDict
+from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.backends.memory import MemoryBackend
 from repro.catalog import HEARTBEAT_SOURCE_COLUMN, HEARTBEAT_TABLE
-from repro.core.statistics import SourceRecency, sorted_recencies
+from repro.core.statistics import SourceRecency
 from repro.errors import TracError
 from repro.obs import instrument as obs
-from repro.obs.events import EVT_INCREMENTAL_INVALIDATED
 from repro.predicates.evaluate import evaluate_predicate
 from repro.sqlparser import ast
 
 DEFAULT_MAXSIZE = 64
 
-#: Invalidation reasons (label values on the invalidations counter).
-REASON_DELETE = "delete"
-REASON_CLEARED = "cleared"
-REASON_RESYNC = "resync"
-REASON_DEGRADED = "degraded"
+#: A Heartbeat row is ``(source_id, recency)``; it is keyed on the first.
+_SOURCE_KEY = (0,)
+_ID_TYPES = {str, type(None)}
 
 
 def plan_streamable(plan: object) -> bool:
     """Whether ``plan``'s relevant-source set is a pure function of the
-    heartbeat stream (see module docstring for the criterion)."""
+    Heartbeat's source ids (see module docstring for the criterion)."""
     if getattr(plan, "mode", None) != "focused" or not plan.subqueries:
         return False
     for sub in plan.subqueries:
@@ -106,69 +112,71 @@ def plan_streamable(plan: object) -> bool:
     return True
 
 
-def _keyed_by_source(key_columns: Sequence[str]) -> bool:
-    return len(key_columns) == 1 and key_columns[0].lower() == HEARTBEAT_SOURCE_COLUMN
+def _string_ids(rows: Sequence[Sequence[object]]) -> bool:
+    """Whether every source id in ``rows`` is a string or NULL: then the
+    oracle's ids are the rows' own, and the key index finds them."""
+    return set(map(type, map(itemgetter(0), rows))) <= _ID_TYPES
 
 
 class _Entry:
-    """One materialized relevant-source set.
+    """One plan's members: ``(source id, position)`` pairs sorted by id,
+    for the first ``decided`` positions under key index ``index``."""
 
-    ``membership`` caches the per-source verdict of the entry's WHERE
-    clauses; it is seeded from the *oracle* result at registration (so the
-    engine's own WHERE semantics decide every source present at that
-    point) and extended by :func:`evaluate_predicate` for sources first
-    seen later. ``sources`` maps each member id to its latest recency —
-    exactly the dict the from-scratch merge builds, and materialization is
-    the merge's own :func:`~repro.core.statistics.sorted_recencies`.
-    """
+    __slots__ = ("wheres", "index", "decided", "members")
 
-    __slots__ = ("wheres", "sources", "membership")
-
-    def __init__(self, wheres: Sequence[Optional[ast.Expr]]) -> None:
+    def __init__(
+        self,
+        wheres: Sequence[Optional[ast.Expr]],
+        index: Dict[tuple, List[int]],
+        decided: int,
+        members: List[Tuple[str, int]],
+    ) -> None:
         self.wheres = list(wheres)
-        self.sources: Dict[str, float] = {}
-        self.membership: Dict[str, bool] = {}
+        self.index = index
+        self.decided = decided
+        self.members = members
 
     def _member(self, source_id: str) -> bool:
-        cached = self.membership.get(source_id)
-        if cached is not None:
-            return cached
-        member = any(
+        return any(
             where is None or evaluate_predicate(where, lambda ref: source_id)
             for where in self.wheres
         )
-        self.membership[source_id] = member
-        return member
 
-    def upsert(self, source_id: str, recency: float) -> None:
-        if self._member(source_id):
-            self.sources[source_id] = recency
-
-    def remove(self, source_id: str) -> None:
-        self.membership.pop(source_id, None)
-        self.sources.pop(source_id, None)
-
-    def materialize(self) -> List[SourceRecency]:
-        return sorted_recencies(self.sources)
+    def extend(self, rows: Sequence[Sequence[object]]) -> bool:
+        """Decide the positions past ``decided``; False when one holds a
+        source id only the engine can judge (not a string)."""
+        members = self.members
+        for position in range(self.decided, len(rows)):
+            source_id = rows[position][0]
+            if source_id is None:
+                continue  # the from-scratch path drops NULL ids too
+            if not isinstance(source_id, str):
+                return False
+            at = bisect_left(members, (source_id,))
+            if at < len(members) and members[at][0] == source_id:
+                members[at] = (source_id, position)  # a bag's later row wins
+            elif self._member(source_id):
+                members.insert(at, (source_id, position))
+        self.decided = len(rows)
+        return True
 
 
 class IncrementalMaintainer:
-    """Maintains materialized relevant-source sets off a backend's
-    change-listener stream.
+    """Remembers which Heartbeat positions are each plan's relevant
+    sources (see the module docstring).
 
     Parameters
     ----------
     backend:
-        A backend exposing ``add_change_listener`` (currently
-        :class:`~repro.backends.memory.MemoryBackend`) whose ``db``
-        attribute holds the live relations.
+        The :class:`~repro.backends.memory.MemoryBackend` the reporter
+        reads; ``fetch`` without a snapshot reads its live ``db``.
     maxsize:
         LRU capacity in entries (distinct plan structures).
     telemetry:
         Optional :class:`~repro.obs.Telemetry`; ``None`` follows the
-        process-wide default. Counters, the maintenance-latency histogram
-        and invalidation events are recorded only when it is enabled; the
-        plain integer counters on the maintainer itself are always kept.
+        process-wide default. Lookup counters are recorded only when it is
+        enabled; the plain integer counters on the maintainer itself are
+        always kept.
     """
 
     def __init__(
@@ -177,10 +185,9 @@ class IncrementalMaintainer:
         maxsize: int = DEFAULT_MAXSIZE,
         telemetry: Optional[object] = None,
     ) -> None:
-        if not hasattr(backend, "add_change_listener"):
+        if not isinstance(backend, MemoryBackend):
             raise TracError(
-                f"backend {type(backend).__name__} does not publish change "
-                "events; incremental maintenance needs MemoryBackend"
+                f"incremental maintenance needs a MemoryBackend, not {type(backend).__name__}"
             )
         self.backend = backend
         self.maxsize = max(1, int(maxsize))
@@ -188,148 +195,75 @@ class IncrementalMaintainer:
         self.hits = 0
         self.misses = 0
         self.bypasses = 0
+        #: Positions decided after registration.
         self.updates = 0
-        self.invalidations = 0
         self._entries: "OrderedDict[Tuple[str, ...], _Entry]" = OrderedDict()
-        self._hb: Dict[str, float] = {}
-        self._degraded = False
-        self.resync(_initial=True)
-        backend.add_change_listener(self)
-
-    # -- lookup / registration (reporter side) ------------------------------
 
     @staticmethod
     def _key(plan: object) -> Tuple[str, ...]:
         return tuple(sub.sql for sub in plan.subqueries)
 
-    def fetch(self, plan: object) -> Tuple[str, Optional[List[SourceRecency]]]:
-        """Look ``plan`` up; returns ``(verdict, sources)`` where verdict
-        is ``"hit"`` (sources materialized), ``"miss"`` (eligible but not
-        yet registered) or ``"bypass"`` (ineligible / degraded)."""
-        if self._degraded or not plan_streamable(plan):
+    def _heartbeat(self, snapshot: Optional[object]):
+        return (self.backend if snapshot is None else snapshot).db.relation(HEARTBEAT_TABLE)
+
+    def fetch(
+        self, plan: object, snapshot: Optional[object] = None
+    ) -> Tuple[str, Optional[List[SourceRecency]]]:
+        """Look ``plan`` up in ``snapshot`` (the backend's live rows when
+        ``None``); returns ``(verdict, sources)`` where verdict is ``"hit"``
+        (sources read from the snapshot), ``"miss"`` (eligible but not
+        registered, or the entry no longer matches the Heartbeat) or
+        ``"bypass"`` (ineligible)."""
+        if not plan_streamable(plan):
             self.bypasses += 1
             self._record_lookup("bypass")
             return "bypass", None
-        entry = self._entries.get(self._key(plan))
-        if entry is None:
-            self.misses += 1
-            self._record_lookup("miss")
-            return "miss", None
-        self._entries.move_to_end(self._key(plan))
-        self.hits += 1
-        self._record_lookup("hit")
-        return "hit", entry.materialize()
+        key = self._key(plan)
+        entry = self._entries.get(key)
+        if entry is not None:
+            relation = self._heartbeat(snapshot)
+            keyed, rows = relation.keyed, relation.rows
+            decided = entry.decided
+            if (
+                keyed is not None
+                and keyed[1] is entry.index
+                and decided <= len(rows)
+                and entry.extend(rows)
+            ):
+                self.updates += len(rows) - decided
+                self._entries.move_to_end(key)
+                self.hits += 1
+                self._record_lookup("hit")
+                return "hit", [SourceRecency(sid, rows[p][1]) for sid, p in entry.members]
+            del self._entries[key]
+        self.misses += 1
+        self._record_lookup("miss")
+        return "miss", None
 
-    def register(self, plan: object, sources: Sequence[SourceRecency]) -> None:
-        """Seed an entry for ``plan`` from a from-scratch ``sources``
-        result just computed against the backend's current state."""
-        if self._degraded or not plan_streamable(plan):
+    def register(
+        self,
+        plan: object,
+        sources: Sequence[SourceRecency],
+        snapshot: Optional[object] = None,
+    ) -> None:
+        """Seed an entry for ``plan`` from ``sources``, the from-scratch
+        result just computed in ``snapshot`` (the live rows when ``None``)."""
+        if not plan_streamable(plan):
             return
-        entry = _Entry([sub.query.where for sub in plan.subqueries])
-        for source in sources:
-            entry.sources[source.source_id] = source.recency
-        members = set(entry.sources)
-        entry.membership = {sid: sid in members for sid in self._hb}
-        self._entries[self._key(plan)] = entry
+        relation = self._heartbeat(snapshot)
+        keyed, rows = relation.keyed, relation.rows
+        if keyed is None or keyed[0] != _SOURCE_KEY or not _string_ids(rows):
+            return
+        index, limit = keyed[1], len(rows)
+        members = [
+            (source.source_id, max(p for p in index[(source.source_id,)] if p < limit))
+            for source in sources
+        ]
+        members.sort()
+        wheres = [sub.query.where for sub in plan.subqueries]
+        self._entries[self._key(plan)] = _Entry(wheres, index, limit, members)
         while len(self._entries) > self.maxsize:
             self._entries.popitem(last=False)
-
-    # -- backend change-listener interface ----------------------------------
-
-    def heartbeat_rows_upserted(
-        self, key_columns: Optional[Sequence[str]], rows: Sequence[Sequence[object]]
-    ) -> None:
-        """Rows landed in Heartbeat: appended (``key_columns`` is ``None``)
-        or upserted under ``key_columns``."""
-        started = time.perf_counter()
-        if key_columns is None or _keyed_by_source(key_columns):
-            for row in rows:
-                self._apply(row[0], row[1])
-        else:
-            # Keyed by something other than source_id: per-source last-wins
-            # cannot be tracked precisely, so rebuild from the table.
-            self.resync()
-        self._record_maintenance(started)
-
-    def heartbeat_rows_deleted(
-        self, key_columns: Sequence[str], keys: Sequence[Sequence[object]]
-    ) -> None:
-        started = time.perf_counter()
-        if _keyed_by_source(key_columns):
-            if not self._degraded:
-                for key in keys:
-                    source_id = key[0]
-                    if not isinstance(source_id, str):
-                        continue  # cannot match a (non-degraded) str mirror
-                    self._hb.pop(source_id, None)
-                    for entry in self._entries.values():
-                        entry.remove(source_id)
-                self.updates += 1
-            self._invalidated(REASON_DELETE, keys=len(keys))
-        else:
-            self.resync()
-        self._record_maintenance(started)
-
-    def heartbeat_cleared(self) -> None:
-        self._hb.clear()
-        self._degraded = False
-        for entry in self._entries.values():
-            entry.sources.clear()
-        self._invalidated(REASON_CLEARED)
-
-    # -- maintenance core ----------------------------------------------------
-
-    def _apply(self, source_id: object, recency: object) -> None:
-        if self._degraded or source_id is None:
-            return
-        if not isinstance(source_id, str):
-            self._degrade()
-            return
-        try:
-            value = float(recency)  # type: ignore[arg-type]
-        except (TypeError, ValueError):
-            self._degrade()
-            return
-        self._hb[source_id] = value
-        for entry in self._entries.values():
-            entry.upsert(source_id, value)
-        self.updates += 1
-
-    def resync(self, _initial: bool = False) -> None:
-        """Rebuild the heartbeat mirror from the live relation and drop all
-        entries (they re-register from the oracle on the next miss)."""
-        relation = self.backend.db.relation(HEARTBEAT_TABLE)
-        mirror: Dict[str, float] = {}
-        degraded = False
-        for row in relation.rows:
-            source_id, recency = row[0], row[1]
-            if source_id is None:
-                continue  # the from-scratch path skips NULL ids too
-            if not isinstance(source_id, str):
-                degraded = True
-                break
-            try:
-                mirror[source_id] = float(recency)  # type: ignore[arg-type]
-            except (TypeError, ValueError):
-                degraded = True
-                break
-        self._degraded = degraded
-        self._hb = {} if degraded else mirror
-        self._entries.clear()
-        if not _initial:
-            self._invalidated(REASON_DEGRADED if degraded else REASON_RESYNC)
-
-    def _degrade(self) -> None:
-        self._degraded = True
-        self._hb = {}
-        self._entries.clear()
-        self._invalidated(REASON_DEGRADED)
-
-    # -- stats / telemetry ---------------------------------------------------
-
-    @property
-    def degraded(self) -> bool:
-        return self._degraded
 
     def stats(self) -> Dict[str, object]:
         lookups = self.hits + self.misses + self.bypasses
@@ -340,9 +274,7 @@ class IncrementalMaintainer:
             "misses": self.misses,
             "bypasses": self.bypasses,
             "updates": self.updates,
-            "invalidations": self.invalidations,
             "hit_rate": (self.hits / lookups) if lookups else 0.0,
-            "degraded": self._degraded,
         }
 
     def _record_lookup(self, outcome: str) -> None:
@@ -352,20 +284,6 @@ class IncrementalMaintainer:
                 tel.count(obs.INCREMENTAL_HITS)
             else:
                 tel.count(obs.INCREMENTAL_MISSES, outcome=outcome)
-
-    def _record_maintenance(self, started: float) -> None:
-        tel = obs.resolve(self.telemetry)
-        if tel.enabled:
-            tel.observe(obs.INCREMENTAL_MAINTENANCE_SECONDS, time.perf_counter() - started)
-
-    def _invalidated(self, reason: str, **attrs: object) -> None:
-        self.invalidations += 1
-        tel = obs.resolve(self.telemetry)
-        if tel.enabled:
-            tel.count(obs.INCREMENTAL_INVALIDATIONS, reason=reason)
-            tel.emit(
-                EVT_INCREMENTAL_INVALIDATED, severity="debug", reason=reason, **attrs
-            )
 
 
 __all__ = [

@@ -175,13 +175,7 @@ def render_top(status: dict, width: int = 16) -> str:
     if incremental:
         # Older observatories don't send this block; omit the segment then.
         hit_rate = incremental.get("hit_rate", 0.0) or 0.0
-        header += (
-            f" — inc {hit_rate * 100:.0f}% hit"
-            f" ({incremental.get('entries', 0)} sets,"
-            f" {incremental.get('invalidations', 0)} inval)"
-        )
-        if incremental.get("degraded"):
-            header += " DEGRADED"
+        header += f" — inc {hit_rate * 100:.0f}% hit ({incremental.get('entries', 0)} sets)"
     if slo:
         breached = slo.get("breached") or []
         verdict = (

@@ -50,7 +50,6 @@ EVT_REPORT_EXCEPTIONAL = "report.exceptional"
 EVT_QUERY_SLOW = "query.slow"
 EVT_CACHE_EVICTED = "cache.evicted"
 EVT_CACHE_CLEARED = "cache.cleared"
-EVT_INCREMENTAL_INVALIDATED = "incremental.invalidated"
 EVT_SERVE_REJECTED = "serve.rejected"
 EVT_MONITOR_ALERT = "monitor.alert"
 EVT_SLO_BREACH = "slo.breach"

@@ -215,16 +215,12 @@ POLL_SECONDS = histogram(
 SLOW_QUERIES = counter(
     "trac_slow_queries_total", "Reports exceeding the slow-query threshold", "method"
 )
-INCREMENTAL_HITS = counter("trac_incremental_hits_total", "Reports served from materialized sets")
+INCREMENTAL_HITS = counter(
+    "trac_incremental_hits_total", "Reports answered from an incremental entry"
+)
 INCREMENTAL_MISSES = counter(
     "trac_incremental_misses_total", "Reports computed from scratch (miss) or ineligible (bypass)",
     "outcome",
-)
-INCREMENTAL_INVALIDATIONS = counter(
-    "trac_incremental_invalidations_total", "Materialized-set invalidation events", "reason"
-)
-INCREMENTAL_MAINTENANCE_SECONDS = histogram(
-    "trac_incremental_maintenance_seconds", "Per-mutation materialized-set maintenance latency"
 )
 ROW_QUALITY = histogram(
     "trac_row_quality", "Staleness-derived quality scores of provenance-annotated rows",

@@ -49,6 +49,20 @@ class TestHeartbeatIndexInvalidation:
         backend.upsert_heartbeat("m2", 20.0)
         assert heartbeat_rows(backend) == [("m1", 1.0), ("m2", 20.0)]
 
+    def test_insert_rows_takes_an_iterator(self):
+        """An iterable of rows is consumed once, and every row lands."""
+        backend = MemoryBackend(catalog())
+        backend.insert_rows(HEARTBEAT_TABLE, iter([("m1", 1.0), ("m2", 2.0)]))
+        assert backend.row_count(HEARTBEAT_TABLE) == 2
+        assert heartbeat_rows(backend) == [("m1", 1.0), ("m2", 2.0)]
+
+    def test_upsert_rows_takes_an_iterator(self):
+        backend = MemoryBackend(catalog())
+        backend.upsert_rows(HEARTBEAT_TABLE, ["source_id"], iter([("m1", 5.0)]))
+        assert backend.row_count(HEARTBEAT_TABLE) == 1
+        backend.upsert_rows(HEARTBEAT_TABLE, ["source_id"], iter([("m1", 6.0), ("m2", 2.0)]))
+        assert heartbeat_rows(backend) == [("m1", 6.0), ("m2", 2.0)]
+
     def test_delete_all_keeps_index_consistent(self):
         backend = MemoryBackend(catalog())
         backend.upsert_heartbeat("m1", 1.0)

@@ -163,7 +163,7 @@ class TestStaticContract:
 
 class TestDeclarations:
     def test_every_instrument_is_fully_declared(self):
-        assert len(INSTRUMENTS) == 56
+        assert len(INSTRUMENTS) == 54
         for name, spec in INSTRUMENTS.items():
             assert spec.name == name and name.startswith("trac_")
             assert spec.kind in ("counter", "gauge", "histogram")

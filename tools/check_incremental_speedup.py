@@ -12,9 +12,9 @@ landing between reports. Two identically-loaded backends are measured:
   all N, since every source but the listed ones is relevant;
 * **incremental** — the same reporter wired to an
   :class:`~repro.incremental.IncrementalMaintainer`; after the first
-  (miss) report the relevant-source set is materialized and each
-  heartbeat maintains it in O(affected entries), so a report pays a
-  dictionary copy.
+  (miss) report the maintainer remembers which Heartbeat positions are
+  relevant, so a report reads the recencies at those positions in its
+  snapshot (and decides any position appended since).
 
 For each shape (``IN``, ``NOT IN``) and size the script prints both medians,
 the maintainer's lead (recompute / incremental) and how recompute read the
