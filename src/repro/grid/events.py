@@ -4,12 +4,22 @@ Every status record an application process writes to its log is a
 :class:`LogEvent`: the event's timestamp (the simulation clock when it
 happened — Section 3.1: "each update is tagged with the time of the event
 recorded in the update"), the source machine, a kind, and a payload.
+
+The payload is read-only, and equal all-string payloads are one shared
+object from a bounded table (the last :data:`PAYLOAD_TABLE_SIZE` distinct
+ones): an empty HEARTBEAT and a status flip's two values are nearly every
+record a log holds.  Any other payload is a private read-only copy.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Dict, Optional
+from functools import lru_cache
+from types import MappingProxyType
+from typing import Mapping, Optional, Tuple
+
+#: Distinct payloads the sharing table holds, least recently used out first.
+PAYLOAD_TABLE_SIZE = 64
 
 
 class EventKind(enum.Enum):
@@ -25,6 +35,24 @@ class EventKind(enum.Enum):
     HEARTBEAT = "heartbeat"              # "nothing to report" record
 
 
+@lru_cache(maxsize=PAYLOAD_TABLE_SIZE)
+def _shared_payload(items: Tuple[Tuple[str, str], ...]) -> Mapping[str, object]:
+    return MappingProxyType(dict(items))
+
+
+_EMPTY_PAYLOAD: Mapping[str, object] = MappingProxyType({})  # every HEARTBEAT's
+
+
+def _frozen_payload(payload: Optional[Mapping[str, object]]) -> Mapping[str, object]:
+    if not payload:
+        return _EMPTY_PAYLOAD
+    items = tuple(payload.items())
+    for _, value in items:
+        if type(value) is not str:  # 1, 1.0 and True are one table key but print apart
+            return MappingProxyType(dict(items))
+    return _shared_payload(items)
+
+
 class LogEvent:
     """One immutable log record."""
 
@@ -35,12 +63,12 @@ class LogEvent:
         timestamp: float,
         source: str,
         kind: EventKind,
-        payload: Optional[Dict[str, object]] = None,
+        payload: Optional[Mapping[str, object]] = None,
     ) -> None:
         self.timestamp = float(timestamp)
         self.source = source
         self.kind = kind
-        self.payload = dict(payload or {})
+        self.payload = _frozen_payload(payload)
 
     def value(self, key: str) -> object:
         """Payload field access with a clear error."""
@@ -65,5 +93,5 @@ class LogEvent:
     def __repr__(self) -> str:
         return (
             f"LogEvent(t={self.timestamp}, src={self.source!r}, "
-            f"kind={self.kind.value}, {self.payload!r})"
+            f"kind={self.kind.value}, {dict(self.payload)!r})"
         )

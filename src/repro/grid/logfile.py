@@ -42,21 +42,21 @@ class LogFile:
         visibility horizon (propagation lag). Returns the events and the new
         offset.
         """
-        if offset < 0 or offset > len(self._events):
+        events = self._events  # read once: a FileLog's is a property
+        if offset < 0 or offset > len(events):
             raise SimulationError(f"invalid log offset {offset}")
         out: List[LogEvent] = []
         position = offset
-        while position < len(self._events) and self._events[position].timestamp <= up_to_time:
-            out.append(self._events[position])
+        while position < len(events) and events[position].timestamp <= up_to_time:
+            out.append(events[position])
             position += 1
         return out, position
 
     @property
     def last_timestamp(self) -> float:
         """Timestamp of the newest record, or ``-inf`` when empty."""
-        if not self._events:
-            return float("-inf")
-        return self._events[-1].timestamp
+        events = self._events
+        return events[-1].timestamp if events else float("-inf")
 
     def __len__(self) -> int:
         return len(self._events)

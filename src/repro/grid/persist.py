@@ -26,7 +26,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.backends.base import Backend
 from repro.errors import DurabilityError, SimulationError
 from repro.grid.events import LogEvent
-from repro.grid.logformat import format_line, parse_line
+from repro.grid.logfile import LogFile
+from repro.grid.logformat import format_line, format_log, parse_line
 from repro.grid.sniffer import Sniffer, SnifferConfig
 
 #: File name pattern for one machine's log.
@@ -50,13 +51,13 @@ class FileLogWriter:
     reopens by scanning the existing file's tail. Payload values are
     written as strings (the text format carries nothing else).
 
-    Durability contract: each event is written as one line and flushed to
-    the OS, so another process can tail it immediately and a *killed
-    process* loses nothing that ``append`` returned for.  Whether a machine
-    crash or power loss can lose the tail is governed by the fsync policy:
-    ``"always"`` fsyncs every append, ``"interval"`` fsyncs at most every
-    ``fsync_interval`` wall seconds, and ``"never"`` (the default, and the
-    historical behaviour) leaves it to the OS.
+    Durability contract: each event is one line handed to the OS by one
+    ``write(2)`` on an unbuffered handle (no per-file buffer), so another
+    process can tail it at once and a *killed process* loses nothing that
+    ``append`` returned for; reopening cuts off a line a crash tore.  Whether
+    a machine crash or power loss can lose the tail is governed by the fsync
+    policy: ``"always"`` fsyncs every append, ``"interval"`` at most every
+    ``fsync_interval`` wall seconds, ``"never"`` (the default) leaves it to the OS.
     """
 
     def __init__(
@@ -83,13 +84,17 @@ class FileLogWriter:
         if directory:
             os.makedirs(directory, exist_ok=True)
         if os.path.exists(path):
+            with open(path, "rb+") as handle:
+                whole = handle.read().rfind(b"\n") + 1
+                if whole < handle.tell():
+                    handle.truncate(whole)  # drop the torn last line
             events, _ = read_log_events(path, owner, lenient=True)
             if events:
                 self._last_timestamp = events[-1].timestamp
         else:
             with open(path, "w") as handle:
                 handle.write(LOG_HEADER)
-        self._handle = open(path, "a")
+        self._handle = open(path, "ab", buffering=0)
         self._last_sync = self._clock()
 
     def append(self, event: LogEvent) -> None:
@@ -104,8 +109,9 @@ class FileLogWriter:
                 f"log {self.path!r}: timestamp {event.timestamp} is before "
                 f"the last written record"
             )
-        self._handle.write(format_line(event, coerce=True) + "\n")
-        self._handle.flush()
+        line = (format_line(event, coerce=True) + "\n").encode()
+        while line:  # one write(2) unless the OS takes a short write
+            line = line[self._handle.write(line):]
         self._last_timestamp = event.timestamp
         if self.fsync_policy == "always":
             self.sync()
@@ -119,7 +125,6 @@ class FileLogWriter:
         """Force everything appended so far onto stable storage."""
         if self._handle is None:
             return
-        self._handle.flush()
         os.fsync(self._handle.fileno())
         self._last_sync = self._clock()
 
@@ -159,7 +164,7 @@ def read_log_events(
             event = parse_line(stripped, number)
         except Exception as exc:
             if lenient:
-                return events, f"line {number}: {exc}"
+                return events, str(exc)  # parse_line names the line
             raise
         if event.source != owner:
             raise SimulationError(
@@ -173,49 +178,38 @@ def rewrite_log(path: str, events: List[LogEvent]) -> None:
     """Atomically rewrite a log file to exactly ``events`` (temp + rename)."""
     tmp_path = path + ".tmp"
     with open(tmp_path, "w") as handle:
-        handle.write(LOG_HEADER)
-        for event in events:
-            handle.write(format_line(event) + "\n")
+        handle.write(format_log(events))  # LOG_HEADER, then one line each
         handle.flush()
         os.fsync(handle.fileno())
     os.rename(tmp_path, path)
 
 
-class FileLog:
-    """Read-side view of an on-disk log, duck-typed like ``LogFile``.
+class FileLog(LogFile):
+    """Read-side view of an on-disk log: a ``LogFile`` whose events are the
+    file's, parsed again only when its inode, size or mtime changes.
 
     ``read_from`` offsets are *event indexes* (comments and blank lines are
     not counted), so a sniffer's durable offset stays valid as the file
-    grows."""
+    grows.  Appends go through :class:`FileLogWriter`."""
 
     def __init__(self, path: str, owner: str) -> None:
         self.path = path
         self.owner = owner
-
-    def _events(self) -> List[LogEvent]:
-        events, _ = read_log_events(self.path, self.owner)
-        return events
-
-    def read_from(self, offset: int, up_to_time: float) -> Tuple[List[LogEvent], int]:
-        events = self._events()
-        if offset < 0 or offset > len(events):
-            raise SimulationError(f"invalid log offset {offset}")
-        out: List[LogEvent] = []
-        position = offset
-        while position < len(events) and events[position].timestamp <= up_to_time:
-            out.append(events[position])
-            position += 1
-        return out, position
+        self._parsed: Tuple[Optional[tuple], List[LogEvent]] = (None, [])
 
     @property
-    def last_timestamp(self) -> float:
-        events = self._events()
-        if not events:
-            return float("-inf")
-        return events[-1].timestamp
+    def _events(self) -> List[LogEvent]:  # type: ignore[override]
+        try:
+            st = os.stat(self.path)
+            stamp: Optional[tuple] = (st.st_ino, st.st_size, st.st_mtime_ns)
+        except FileNotFoundError:
+            stamp = None
+        if stamp != self._parsed[0]:
+            self._parsed = (stamp, read_log_events(self.path, self.owner)[0])
+        return self._parsed[1]
 
-    def __len__(self) -> int:
-        return len(self._events())
+    def append(self, event: LogEvent) -> None:
+        raise SimulationError(f"{self.path} is read here; append through FileLogWriter")
 
 
 class FileSource:

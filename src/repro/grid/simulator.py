@@ -17,7 +17,6 @@ The monitoring schema (``monitoring_catalog``):
 
 from __future__ import annotations
 
-import math
 import random
 import time
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
@@ -31,28 +30,23 @@ from repro.faults.plan import FaultPlan
 from repro.grid.job import Job, JobState
 from repro.grid.machine import Machine
 from repro.grid.scheduler import Scheduler
-from repro.grid.sniffer import Sniffer, SnifferConfig
+from repro.grid.sniffer import Sniffer, SnifferConfig, require_finite
 from repro.grid.supervisor import SnifferSupervisor, SupervisorPolicy
 from repro.obs import instrument as obs
 from repro.obs.dashboard import source_rows
 from repro.obs.events import EVT_SLO_BREACH
 
 
-def _require_finite(name: str, value: float) -> None:
-    if not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise SimulationError(f"{name} must be a finite number, got {value!r}")
-
-
 def _require_probability(name: str, value: float) -> None:
-    _require_finite(name, value)
+    require_finite(name, value)
     if not 0.0 <= value <= 1.0:
         raise SimulationError(f"{name} must be in [0, 1], got {value!r}")
 
 
 def _require_positive_range(name: str, value: Tuple[float, float]) -> None:
     low, high = value
-    _require_finite(f"{name}[0]", low)
-    _require_finite(f"{name}[1]", high)
+    require_finite(f"{name}[0]", low)
+    require_finite(f"{name}[1]", high)
     if low <= 0:
         raise SimulationError(f"{name} must have a positive lower bound, got {low!r}")
     if high < low:
@@ -135,15 +129,15 @@ class SimulationConfig:
             )
         if num_schedulers < 1 or num_schedulers > num_machines:
             raise SimulationError("num_schedulers must be in [1, num_machines]")
-        _require_finite("tick", tick)
+        require_finite("tick", tick)
         if tick <= 0:
             raise SimulationError(f"tick must be positive, got {tick!r}")
-        _require_finite("heartbeat_interval", heartbeat_interval)
+        require_finite("heartbeat_interval", heartbeat_interval)
         if heartbeat_interval <= 0:
             raise SimulationError(
                 f"heartbeat_interval must be positive, got {heartbeat_interval!r}"
             )
-        _require_finite("transfer_delay", transfer_delay)
+        require_finite("transfer_delay", transfer_delay)
         if transfer_delay < 0:
             raise SimulationError(f"transfer_delay cannot be negative, got {transfer_delay!r}")
         _require_probability("activity_flip_probability", activity_flip_probability)
@@ -153,8 +147,8 @@ class SimulationConfig:
         _require_positive_range("job_duration_range", job_duration_range)
         _require_positive_range("sniffer_poll_interval_range", sniffer_poll_interval_range)
         lag_low, lag_high = sniffer_lag_range
-        _require_finite("sniffer_lag_range[0]", lag_low)
-        _require_finite("sniffer_lag_range[1]", lag_high)
+        require_finite("sniffer_lag_range[0]", lag_low)
+        require_finite("sniffer_lag_range[1]", lag_high)
         if lag_low < 0 or lag_high < lag_low:
             raise SimulationError(
                 f"sniffer_lag_range must be ordered and non-negative, got {sniffer_lag_range!r}"
@@ -176,33 +170,15 @@ class SimulationConfig:
         self.machine_id_start = machine_id_start
 
     def to_dict(self) -> dict:
-        """JSON-serializable form, checkpointed so ``--resume`` can rebuild
-        an identical simulator without the caller re-specifying flags."""
-        return {
-            "num_machines": self.num_machines,
-            "seed": self.seed,
-            "tick": self.tick,
-            "neighbor_degree": self.neighbor_degree,
-            "heartbeat_interval": self.heartbeat_interval,
-            "activity_flip_probability": self.activity_flip_probability,
-            "job_submit_probability": self.job_submit_probability,
-            "job_duration_range": list(self.job_duration_range),
-            "transfer_delay": self.transfer_delay,
-            "machine_failure_probability": self.machine_failure_probability,
-            "machine_recover_probability": self.machine_recover_probability,
-            "sniffer_poll_interval_range": list(self.sniffer_poll_interval_range),
-            "sniffer_lag_range": list(self.sniffer_lag_range),
-            "num_schedulers": self.num_schedulers,
-            "machine_id_start": self.machine_id_start,
-        }
+        """The constructor's arguments by name (every attribute is one),
+        checkpointed as JSON so ``--resume`` can rebuild an identical
+        simulator without the caller re-specifying flags."""
+        return dict(vars(self))
 
     @classmethod
     def from_dict(cls, data: dict) -> "SimulationConfig":
-        kwargs = dict(data)
-        for key in ("job_duration_range", "sniffer_poll_interval_range", "sniffer_lag_range"):
-            if key in kwargs:
-                kwargs[key] = tuple(kwargs[key])
-        return cls(**kwargs)
+        # JSON turned the three ranges into lists.
+        return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in data.items()})
 
     def __repr__(self) -> str:
         return (

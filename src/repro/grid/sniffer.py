@@ -68,6 +68,11 @@ def event_writes(events: Sequence[LogEvent]) -> List[Write]:
     return writes
 
 
+def require_finite(name: str, value: float) -> None:
+    if not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise SimulationError(f"{name} must be a finite number, got {value!r}")
+
+
 class SnifferConfig:
     """Tuning knobs for one sniffer.
 
@@ -112,14 +117,10 @@ class SnifferConfig:
         batch_size: Optional[int] = None,
         recency_protocol: str = "last_event",
     ) -> None:
-        if not isinstance(poll_interval, (int, float)) or not math.isfinite(poll_interval):
-            raise SimulationError(
-                f"poll_interval must be a finite number, got {poll_interval!r}"
-            )
+        require_finite("poll_interval", poll_interval)
         if poll_interval <= 0:
             raise SimulationError(f"poll_interval must be positive, got {poll_interval!r}")
-        if not isinstance(lag, (int, float)) or not math.isfinite(lag):
-            raise SimulationError(f"lag must be a finite number, got {lag!r}")
+        require_finite("lag", lag)
         if lag < 0:
             raise SimulationError(f"lag cannot be negative, got {lag!r}")
         if batch_size is not None and batch_size <= 0:

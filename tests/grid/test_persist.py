@@ -85,6 +85,31 @@ class TestFileLog:
             FileLog(path, "m1").read_from(5, 10.0)
 
 
+    def test_a_file_is_parsed_once_per_change(self, tmp_path, monkeypatch):
+        """Replaying four files parses each once, reading the backlogs parses
+        nothing again, and a record appended between two polls is read."""
+        import repro.grid.persist as persist
+
+        sim = GridSimulator(SimulationConfig(num_machines=4, seed=5))
+        sim.run(60)
+        archive_simulation(sim, str(tmp_path))
+        calls = []
+        parse = persist.read_log_events
+        monkeypatch.setattr(
+            persist, "read_log_events", lambda *args: calls.append(args[0]) or parse(*args)
+        )
+        backend = MemoryBackend(monitoring_catalog(sim.machine_ids))
+        sniffers = replay_directory(backend, str(tmp_path))
+        assert len(calls) == 4
+        assert [sniffer.backlog for sniffer in sniffers.values()] == [0, 0, 0, 0]
+        assert len(calls) == 4
+        with open(log_path(str(tmp_path), "m2"), "a") as handle:
+            handle.write("500.000000 m2 HEARTBEAT\n")
+        assert sniffers["m2"].poll(600.0) == 1
+        assert sniffers["m2"].backlog == 0 and backend.heartbeat_of("m2") == 500.0
+        assert len(calls) == 5
+
+
 class TestSnifferOverFileLog:
     def test_standard_sniffer_tails_a_file(self, tmp_path):
         """The same Sniffer implementation works over an on-disk log —
@@ -225,6 +250,25 @@ class TestTornLogRecovery:
         events, tear = read_log_events(self.torn_log(tmp_path), "m1", lenient=True)
         assert [e.timestamp for e in events] == [1.0, 2.0]
         assert tear is not None and "line 4" in tear
+
+    def test_the_tear_reason_names_the_line_once(self, tmp_path):
+        from repro.grid.persist import read_log_events
+
+        _, tear = read_log_events(self.torn_log(tmp_path), "m1", lenient=True)
+        assert tear == "line 4: unknown event kind 'HEART'"
+
+    def test_reopening_a_torn_log_cuts_the_torn_line(self, tmp_path):
+        """Appending onto the torn bytes would merge the next record into
+        them; the writer cuts back to the last newline first."""
+        from repro.grid.persist import read_log_events
+
+        path = self.torn_log(tmp_path)
+        with FileLogWriter(path, "m1") as writer:
+            writer.append(hb(5.0))
+            writer.append(hb(6.0))
+        events, tear = read_log_events(path, "m1", lenient=True)
+        assert [e.timestamp for e in events] == [1.0, 2.0, 5.0, 6.0] and tear is None
+        assert [e.timestamp for e in FileLog(path, "m1")] == [1.0, 2.0, 5.0, 6.0]
 
     def test_strict_read_raises_on_torn_line(self, tmp_path):
         from repro.grid.persist import read_log_events
