@@ -834,16 +834,11 @@ def _cmd_report(args: argparse.Namespace) -> int:
             f"stats {timings.statistics * 1000:.2f}ms"
         )
         if args.show_plan:
+            from repro.core.explain import explain
+            from repro.engine.cache import resolve_cached
+
             print("recency plan     :")
-            if not report.plan.subqueries:
-                print(f"  (mode={report.plan.mode})")
-            for sub in report.plan.subqueries:
-                flavour = "minimal" if sub.minimal else "upper-bound"
-                print(f"  via {sub.binding_key} [{flavour}]: {sub.sql}")
-                for guard in sub.guards:
-                    print(f"      guard: {guard}")
-            for note in report.plan.notes:
-                print(f"  note: {note}")
+            print(explain(resolve_cached(args.sql, backend.catalog), report.plan))
         return 0
 
 

@@ -15,7 +15,7 @@ expressions ready to be conjoined onto the user query's WHERE clause.
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Optional
 
 from repro.errors import CatalogError
 from repro.sqlparser import ast
@@ -71,14 +71,18 @@ def all_constraint_exprs(resolved: ResolvedQuery) -> List[ast.Expr]:
     return out
 
 
-def augmented_where(resolved: ResolvedQuery) -> ast.Expr:
-    """``Q -> Q'``: the WHERE clause with every constraint conjoined.
+def augmented_where(
+    resolved: ResolvedQuery, constraints: Optional[List[ast.Expr]] = None
+) -> ast.Expr:
+    """``Q -> Q'``: the WHERE clause with every constraint conjoined
+    (``constraints``, when given, are :func:`all_constraint_exprs`' result).
 
     Returns the original WHERE when no referenced table has constraints;
     a pure-constraint conjunction when the query has no WHERE; and TRUE
     when there is neither.
     """
-    constraints = all_constraint_exprs(resolved)
+    if constraints is None:
+        constraints = all_constraint_exprs(resolved)
     where = resolved.query.where
     if not constraints:
         return where if where is not None else ast.Literal(True)

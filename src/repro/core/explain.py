@@ -1,10 +1,13 @@
 """Human-readable explanation of a relevance analysis.
 
-``explain_sql`` walks the same steps as the planner — DNF, per-relation
-classification, satisfiability — but narrates them: which bucket every
-basic term fell into (in the paper's notation), why each subquery is or is
-not guaranteed minimal, and what SQL will run. Exposed on the CLI as
-``trac explain``.
+The planner records each decision as it makes it (see
+:mod:`repro.core.relevance`): every conjunct's satisfiability verdict, and
+per relation the classified terms and the subquery it kept, folded into an
+earlier identical one, or skipped. :func:`explain` renders that record —
+which bucket every basic term fell into (in the paper's notation), why each
+subquery is or is not guaranteed minimal, and what SQL will run — and runs
+no analysis of its own. ``trac explain``, the shell's ``.plan`` and
+``trac report --show-plan`` all print it.
 """
 
 from __future__ import annotations
@@ -12,112 +15,79 @@ from __future__ import annotations
 from typing import List
 
 from repro.catalog import Catalog
-from repro.core.constraints import all_constraint_exprs
-from repro.core.relevance import build_relevance_plan, domain_lookup
-from repro.errors import DnfBlowupError, UnsupportedQueryError
-from repro.predicates.classify import TermClass, classify_conjunct, classify_term
-from repro.predicates.dnf import to_dnf
-from repro.predicates.satisfiability import Satisfiability, check_conjunction
+from repro.core.relevance import RelationDecision, RelevancePlan, Satisfiability
+from repro.core.relevance import build_relevance_plan
+from repro.errors import DnfBlowupError
 from repro.sqlparser import ast
 from repro.sqlparser.parser import parse_query
 from repro.sqlparser.printer import expr_to_sql
 from repro.sqlparser.resolver import ResolvedQuery, resolve
 
-_CLASS_LABEL = {
-    TermClass.PS: "Ps  (data-source-only selection)",
-    TermClass.PR: "Pr  (regular-column selection)",
-    TermClass.PM: "Pm  (MIXED selection - breaks minimality)",
-    TermClass.JS: "Js  (data-source-only join)",
-    TermClass.JRM: "Jrm (regular/mixed join - breaks minimality)",
-    TermClass.PO: "Po  (other relations)",
-}
+#: (``ClassifiedConjunct`` bucket, label), one per class of Notation 4/6.
+_CLASS_LABELS = (
+    ("ps", "Ps  (data-source-only selection)"),
+    ("pr", "Pr  (regular-column selection)"),
+    ("pm", "Pm  (MIXED selection - breaks minimality)"),
+    ("js", "Js  (data-source-only join)"),
+    ("jrm", "Jrm (regular/mixed join - breaks minimality)"),
+    ("po", "Po  (other relations)"),
+)
 
 
 def explain_sql(sql: str, catalog: Catalog, use_constraints: bool = True) -> str:
     """Explain the relevance analysis of a SQL string against a catalog."""
     resolved = resolve(parse_query(sql), catalog)
-    return explain(resolved, use_constraints=use_constraints)
+    return explain(resolved, build_relevance_plan(resolved, use_constraints=use_constraints))
 
 
-def explain(resolved: ResolvedQuery, use_constraints: bool = True) -> str:
-    """Explain the relevance analysis of a resolved query."""
-    lines: List[str] = []
+def explain(resolved: ResolvedQuery, plan: RelevancePlan) -> str:
+    """Render the decisions ``plan`` recorded for ``resolved``."""
     bindings = resolved.bindings
-    lines.append(
+    lines: List[str] = [
         f"Query references {len(bindings)} relation(s): "
         + ", ".join(f"{b.schema.name} (as {b.key})" for b in bindings)
-    )
-
-    where = resolved.query.where
-    if use_constraints and any(b.schema.constraints for b in bindings):
-        constraints = all_constraint_exprs(resolved)
+    ]
+    if plan.constraints:
         lines.append(
-            f"Schema constraints conjoined (Q -> Q'): "
-            + "; ".join(expr_to_sql(c) for c in constraints)
+            "Schema constraints conjoined (Q -> Q'): "
+            + "; ".join(expr_to_sql(c) for c in plan.constraints)
         )
-        parts: List[ast.Expr] = ([where] if where is not None else []) + constraints
-        where = ast.And(parts) if len(parts) > 1 else parts[0]
 
-    if where is None:
+    if plan.mode == "all":
+        if isinstance(plan.fallback, DnfBlowupError):
+            lines.append(
+                f"DNF conversion exceeded the budget ({plan.fallback.term_count} > "
+                f"{plan.fallback.limit}): falling back to reporting ALL sources "
+                "(complete, not minimal)."
+            )
+        elif plan.fallback is not None:
+            lines.append(f"Unsupported predicate ({plan.fallback}): reporting ALL sources.")
+        for sub in plan.subqueries:
+            lines.append(f"  recency subquery: {sub.sql}")
+        lines.extend(f"  note: {note}" for note in plan.notes)
+        return "\n".join(lines)
+
+    if resolved.query.where is None and not plan.constraints:
         lines.append("No WHERE clause: every data source is relevant (minimal).")
-        return "\n".join(lines)
+    else:
+        lines.append(f"WHERE normalizes to {len(plan.conjuncts)} conjunct(s) (Corollary 1).")
 
-    try:
-        conjuncts = to_dnf(where)
-    except DnfBlowupError as exc:
-        lines.append(
-            f"DNF conversion exceeded the budget ({exc.term_count} > {exc.limit}): "
-            "falling back to reporting ALL sources (complete, not minimal)."
-        )
-        return "\n".join(lines)
-    except UnsupportedQueryError as exc:
-        lines.append(f"Unsupported predicate ({exc}): reporting ALL sources.")
-        return "\n".join(lines)
-
-    lines.append(f"WHERE normalizes to {len(conjuncts)} conjunct(s) (Corollary 1).")
-    lookup = domain_lookup(resolved)
-
-    plan = build_relevance_plan(resolved, use_constraints=use_constraints)
-    plan_subs = {(s.conjunct_index, s.binding_key): s for s in plan.subqueries}
-
-    for index, conjunct in enumerate(conjuncts):
+    theorem = "Theorem 3" if resolved.is_single_relation else "Theorem 4"
+    for index, decision in enumerate(plan.conjuncts):
         lines.append("")
         lines.append(f"Conjunct {index}:")
-        if not conjunct:
+        if not decision.terms:
             lines.append("  (TRUE - no terms)")
-        verdict = (
-            check_conjunction(conjunct, lookup) if conjunct else Satisfiability.SAT
-        )
-        if verdict is Satisfiability.UNSAT:
+        if decision.verdict is Satisfiability.UNSAT:
             lines.append(
                 "  unsatisfiable over the column domains (Corollary 2/6): "
                 "contributes no relevant sources; pruned."
             )
             continue
-        if verdict is Satisfiability.UNKNOWN:
+        if decision.verdict is Satisfiability.UNKNOWN:
             lines.append("  satisfiability could not be decided cheaply.")
-
-        for binding in bindings:
-            classified = classify_conjunct(conjunct, binding.key)
-            sub = plan_subs.get((index, binding.key))
-            lines.append(f"  via {binding.key} ({binding.schema.name}):")
-            for term in conjunct:
-                term_class = classify_term(term, binding.key)
-                lines.append(f"    {_CLASS_LABEL[term_class]:<46}: {expr_to_sql(term)}")
-            if sub is None:
-                lines.append(
-                    "    -> pruned: Pr unsatisfiable over the domains "
-                    "(no potential tuple can qualify)"
-                )
-                continue
-            if sub.minimal:
-                theorem = "Theorem 3" if resolved.is_single_relation else "Theorem 4"
-                lines.append(f"    -> MINIMAL by {theorem}")
-            else:
-                lines.append(f"    -> complete UPPER BOUND ({sub.notes})")
-            lines.append(f"    recency subquery: {sub.sql}")
-            for guard in sub.guards:
-                lines.append(f"    existence guard : {guard}")
+        for relation in decision.relations:
+            _render_relation(lines, decision.terms, relation, theorem)
 
     lines.append("")
     if plan.mode == "empty":
@@ -129,3 +99,36 @@ def explain(resolved: ResolvedQuery, use_constraints: bool = True) -> str:
             "Overall: the union of the subqueries is a complete upper bound on S(Q)."
         )
     return "\n".join(lines)
+
+
+def _render_relation(
+    lines: List[str], terms: List[ast.Expr], relation: RelationDecision, theorem: str
+) -> None:
+    binding, classified, sub, kept = relation
+    lines.append(f"  via {binding.key} ({binding.schema.name}):")
+    label_of = {
+        id(term): label
+        for bucket, label in _CLASS_LABELS
+        for term in getattr(classified, bucket)
+    }
+    for term in terms:
+        lines.append(f"    {label_of[id(term)]:<46}: {expr_to_sql(term)}")
+    if sub is None:
+        lines.append(
+            "    -> pruned: Pr unsatisfiable over the domains "
+            "(no potential tuple can qualify)"
+        )
+        return
+    if sub.minimal:
+        lines.append(f"    -> MINIMAL by {theorem}")
+    else:
+        lines.append(f"    -> complete UPPER BOUND ({sub.notes})")
+    if kept is not sub:
+        lines.append(
+            f"    recency subquery: shared with conjunct {kept.conjunct_index} "
+            f"via {kept.binding_key} (runs once)"
+        )
+        return
+    lines.append(f"    recency subquery: {sub.sql}")
+    for guard in sub.guards:
+        lines.append(f"    existence guard : {guard}")

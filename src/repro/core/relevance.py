@@ -18,25 +18,30 @@ The plan's answer — the union of its subquery results plus the non-emptiness
 gates — is always **complete** (never misses a relevant source); it is the
 **minimum** exactly when every subquery is minimal and no conjunct was
 dropped with an UNKNOWN satisfiability verdict.
+
+Each decision is recorded as it is made (``plan.conjuncts``), and
+:mod:`repro.core.explain` renders that record instead of re-running the
+analysis.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.catalog import Domain
+from repro.core.constraints import all_constraint_exprs, augmented_where
 from repro.core.recency_query import (
     build_all_sources_query,
     build_subquery,
     heartbeat_alias_for,
 )
-from repro.errors import DnfBlowupError, UnsupportedQueryError
-from repro.predicates.classify import classify_conjunct
+from repro.errors import DnfBlowupError, TracError, UnsupportedQueryError
+from repro.predicates.classify import ClassifiedConjunct, classify_conjunct
 from repro.predicates.dnf import DEFAULT_MAX_CONJUNCTS, to_dnf
 from repro.predicates.satisfiability import Satisfiability, check_conjunction
 from repro.sqlparser import ast
 from repro.sqlparser.printer import to_sql
-from repro.sqlparser.resolver import ResolvedQuery
+from repro.sqlparser.resolver import RelationBinding, ResolvedQuery
 
 
 class SubqueryPlan:
@@ -77,6 +82,30 @@ class SubqueryPlan:
         )
 
 
+class RelationDecision(NamedTuple):
+    """How one relation was handled under one conjunct.
+
+    ``subquery`` is the pair's own subquery, ``None`` when its Pr is
+    unsatisfiable; ``kept`` is the ``plan.subqueries`` entry that runs it —
+    ``subquery`` itself, or the earlier identical one it was folded into.
+    """
+
+    binding: RelationBinding
+    classified: ClassifiedConjunct
+    subquery: Optional[SubqueryPlan]
+    kept: Optional[SubqueryPlan]
+
+
+class ConjunctDecision(NamedTuple):
+    """One DNF conjunct: its terms, its satisfiability verdict (``None``
+    when not checked) and one :class:`RelationDecision` per relation (none
+    when the verdict pruned it)."""
+
+    terms: List[ast.Expr]
+    verdict: Optional[Satisfiability]
+    relations: List[RelationDecision]
+
+
 class RelevancePlan:
     """The full recency plan for a user query.
 
@@ -93,9 +122,16 @@ class RelevancePlan:
         True when the plan provably returns exactly ``S(Q)``.
     notes:
         Human-readable reasons for any downgrade from minimality.
+    conjuncts:
+        One :class:`ConjunctDecision` per DNF conjunct, in order (empty
+        when no DNF was built).
+    constraints:
+        The schema constraints conjoined onto WHERE (``Q -> Q'``).
+    fallback:
+        The error that made the planner report all sources, if any.
     """
 
-    __slots__ = ("mode", "subqueries", "minimal", "notes")
+    __slots__ = ("mode", "subqueries", "minimal", "notes", "conjuncts", "constraints", "fallback")
 
     def __init__(
         self,
@@ -103,11 +139,17 @@ class RelevancePlan:
         subqueries: List[SubqueryPlan],
         minimal: bool,
         notes: List[str],
+        conjuncts: Optional[List[ConjunctDecision]] = None,
+        constraints: Optional[List[ast.Expr]] = None,
+        fallback: Optional[TracError] = None,
     ) -> None:
         self.mode = mode
         self.subqueries = subqueries
         self.minimal = minimal
         self.notes = notes
+        self.conjuncts = conjuncts or []
+        self.constraints = constraints or []
+        self.fallback = fallback
 
     @property
     def sql_statements(self) -> List[str]:
@@ -138,7 +180,6 @@ def build_relevance_plan(
     resolved: ResolvedQuery,
     max_conjuncts: int = DEFAULT_MAX_CONJUNCTS,
     check_satisfiability: bool = True,
-    exact_limit: int = 20000,
     use_constraints: bool = True,
 ) -> RelevancePlan:
     """Build the Focused method's plan for a resolved query.
@@ -152,8 +193,6 @@ def build_relevance_plan(
     check_satisfiability:
         The ablation switch: when False, no conjunct is pruned and no
         minimality is claimed (results stay complete upper bounds).
-    exact_limit:
-        Budget forwarded to the exact finite-domain satisfiability fallback.
     use_constraints:
         Conjoin each referenced table's CHECK-style constraints onto the
         query (``Q -> Q'``, Section 3.4) before analysis. Requires the
@@ -161,11 +200,11 @@ def build_relevance_plan(
     """
     where = resolved.query.where
     notes: List[str] = []
+    constraints: List[ast.Expr] = []
 
     if use_constraints and any(b.schema.constraints for b in resolved.bindings):
-        from repro.core.constraints import augmented_where
-
-        where = augmented_where(resolved)
+        constraints = all_constraint_exprs(resolved)
+        where = augmented_where(resolved, constraints)
         notes.append("schema constraints conjoined (Q -> Q')")
 
     if where is None:
@@ -173,29 +212,38 @@ def build_relevance_plan(
     else:
         try:
             conjuncts = to_dnf(where, max_conjuncts)
-        except DnfBlowupError as exc:
-            notes.append(f"DNF blow-up ({exc.term_count} > {exc.limit}); reporting all sources")
-            return RelevancePlan("all", [], minimal=False, notes=notes)
-        except UnsupportedQueryError as exc:
-            notes.append(f"unsupported predicate ({exc}); reporting all sources")
-            return RelevancePlan("all", [], minimal=False, notes=notes)
+        except (DnfBlowupError, UnsupportedQueryError) as exc:
+            if isinstance(exc, DnfBlowupError):
+                notes.append(f"DNF blow-up ({exc.term_count} > {exc.limit}); reporting all sources")
+            else:
+                notes.append(f"unsupported predicate ({exc}); reporting all sources")
+            fallback = exc.with_traceback(None)  # no frames kept alive by the plan
+            return RelevancePlan("all", [], False, notes, [], constraints, fallback)
 
     if not conjuncts:
         # WHERE is constant-FALSE: no source can ever influence the result.
-        return RelevancePlan("empty", [], minimal=True, notes=["predicate is FALSE"])
+        return RelevancePlan("empty", [], True, ["predicate is FALSE"], constraints=constraints)
 
     lookup = domain_lookup(resolved)
     h_alias = heartbeat_alias_for(resolved)
     subqueries: List[SubqueryPlan] = []
+    # (SQL, guards) -> the first subquery with them: a later identical one
+    # (``(v='a' OR v='b') AND src='s1'`` probes Heartbeat twice) is folded
+    # into it. Plan-level minimality still counts every pair.
+    kept_by_text: Dict[Tuple[str, Tuple[str, ...]], SubqueryPlan] = {}
+    decisions: List[ConjunctDecision] = []
     minimal = True
 
     for index, conjunct in enumerate(conjuncts):
+        verdict = None
         if check_satisfiability and conjunct:
-            overall = check_conjunction(conjunct, lookup, exact_limit)
-            if overall is Satisfiability.UNSAT:
-                # Corollaries 2/6: this conjunct contributes no sources.
-                notes.append(f"conjunct {index} is unsatisfiable over the domains; pruned")
-                continue
+            verdict = check_conjunction(conjunct, lookup)
+        relations: List[RelationDecision] = []
+        decisions.append(ConjunctDecision(conjunct, verdict, relations))
+        if verdict is Satisfiability.UNSAT:
+            # Corollaries 2/6: this conjunct contributes no sources.
+            notes.append(f"conjunct {index} is unsatisfiable over the domains; pruned")
+            continue
         for binding in resolved.bindings:
             classified = classify_conjunct(conjunct, binding.key)
             sub_minimal = True
@@ -210,7 +258,7 @@ def build_relevance_plan(
 
             if check_satisfiability:
                 if classified.pr:
-                    pr_sat = check_conjunction(classified.pr, lookup, exact_limit)
+                    pr_sat = check_conjunction(classified.pr, lookup)
                     if pr_sat is Satisfiability.UNSAT:
                         # Pr unsatisfiable over R_i's domains: no potential
                         # tuple of R_i can pass, so no source is relevant
@@ -219,6 +267,7 @@ def build_relevance_plan(
                             f"conjunct {index}: Pr unsatisfiable via "
                             f"{binding.key!r}; subquery skipped"
                         )
+                        relations.append(RelationDecision(binding, classified, None, None))
                         continue
                     if pr_sat is Satisfiability.UNKNOWN:
                         sub_minimal = False
@@ -229,23 +278,26 @@ def build_relevance_plan(
 
             retained = classified.ps + classified.js + classified.po
             query, guards = build_subquery(resolved, binding, retained, h_alias)
-            subqueries.append(
-                SubqueryPlan(
-                    conjunct_index=index,
-                    binding_key=binding.key,
-                    query=query,
-                    guards=guards,
-                    minimal=sub_minimal,
-                    notes="; ".join(sub_notes),
-                )
+            sub = SubqueryPlan(
+                conjunct_index=index,
+                binding_key=binding.key,
+                query=query,
+                guards=guards,
+                minimal=sub_minimal,
+                notes="; ".join(sub_notes),
             )
+            kept = kept_by_text.setdefault((sub.sql, tuple(guards)), sub)
+            if kept is sub:
+                subqueries.append(sub)
+            relations.append(RelationDecision(binding, classified, sub, kept))
             if not sub_minimal:
                 minimal = False
 
     if not subqueries:
-        return RelevancePlan("empty", [], minimal=True, notes=notes or ["all conjuncts pruned"])
-    subqueries = _dedup_subqueries(subqueries)
-    return RelevancePlan("focused", subqueries, minimal=minimal, notes=notes)
+        return RelevancePlan(
+            "empty", [], True, notes or ["all conjuncts pruned"], decisions, constraints
+        )
+    return RelevancePlan("focused", subqueries, minimal, notes, decisions, constraints)
 
 
 def memoized_relevance_plan(
@@ -275,25 +327,6 @@ def memoized_relevance_plan(
         use_constraints=use_constraints,
     )
     return plan, False
-
-
-def _dedup_subqueries(subqueries: List[SubqueryPlan]) -> List[SubqueryPlan]:
-    """Drop duplicate (SQL, guards) subqueries.
-
-    Different DNF conjuncts frequently produce identical recency subqueries
-    (e.g. ``(v='a' OR v='b') AND src='s1'`` yields the same Heartbeat probe
-    twice). The union result is unchanged by running one copy; plan-level
-    minimality was already decided from the full set.
-    """
-    seen = set()
-    out: List[SubqueryPlan] = []
-    for sub in subqueries:
-        key = (sub.sql, tuple(sub.guards))
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(sub)
-    return out
 
 
 def build_naive_plan() -> RelevancePlan:

@@ -46,6 +46,7 @@ from repro.errors import TracError
 from repro.obs import instrument as obs
 from repro.obs.events import EVT_QUERY_SLOW, EVT_REPORT_EXCEPTIONAL
 from repro.obs.instrument import PhaseTimer, slow_query_threshold
+from repro.predicates.dnf import DEFAULT_MAX_CONJUNCTS
 
 _METHODS = ("focused", "focused_hardcoded", "naive")
 
@@ -388,7 +389,7 @@ class RecencyReporter:
         self,
         backend: Backend,
         z_threshold: float = DEFAULT_Z_THRESHOLD,
-        max_conjuncts: int = 4096,
+        max_conjuncts: int = DEFAULT_MAX_CONJUNCTS,
         check_satisfiability: bool = True,
         create_temp_tables: bool = False,
         use_constraints: bool = True,

@@ -18,7 +18,6 @@ nested loops.
 
 from repro.engine.relation import Relation, Database
 from repro.engine.evaluate import execute_query, execute_sql
-from repro.engine.explain import explain_query
 from repro.engine.cache import ResolvedQueryCache, get_cache, resolve_cached
 
 __all__ = [
@@ -26,7 +25,6 @@ __all__ = [
     "Database",
     "execute_query",
     "execute_sql",
-    "explain_query",
     "ResolvedQueryCache",
     "get_cache",
     "resolve_cached",

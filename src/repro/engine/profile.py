@@ -13,10 +13,10 @@ its spans and events.
 
 The profile is the executor's only record of an execution:
 ``execute_query`` fills the one it is given and hands it back as
-``QueryResult.profile``; :meth:`QueryProfile.render`
-(``explain_query(..., analyze=True)``, ``trac explain --analyze``, the
-shell's ``.profile``) and :meth:`QueryProfile.render_plan` (plain
-``explain_query``) are two views of it. Profiles are produced two ways:
+``QueryResult.profile``; :meth:`QueryProfile.render` (``trac explain
+--analyze``, the shell's ``.profile``) and :meth:`QueryProfile.render_plan`
+(the plan decisions plus the result size) are two views of it. Profiles are
+produced two ways:
 
 * explicitly — :func:`profile_query` runs one query with profiling on;
 * implicitly — ``execute_sql`` profiles every query it runs while

@@ -21,7 +21,6 @@ import random
 import time
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.backends.base import Backend
 from repro.backends.memory import MemoryBackend
 from repro.catalog import Catalog, Column, FiniteDomain, TableSchema, TextDomain, TimestampDomain
 from repro.core.sources import SourceRegistry
@@ -194,9 +193,6 @@ class GridSimulator:
     ----------
     config:
         The :class:`SimulationConfig`.
-    backend_factory:
-        Builds the monitoring backend from the catalog; defaults to
-        :class:`~repro.backends.memory.MemoryBackend`.
     fault_plan:
         An optional :class:`~repro.faults.FaultPlan`. When given, every
         sniffer runs under a :class:`~repro.grid.supervisor.SnifferSupervisor`
@@ -231,13 +227,12 @@ class GridSimulator:
         (``sim.incremental``): reporters built with
         ``incremental=sim.incremental`` answer eligible repeated queries
         from the Heartbeat positions it remembers, read in each report's
-        snapshot. Requires the default :class:`MemoryBackend`.
+        snapshot.
     """
 
     def __init__(
         self,
         config: Optional[SimulationConfig] = None,
-        backend_factory: Optional[Callable[[Catalog], Backend]] = None,
         fault_plan: Optional[FaultPlan] = None,
         supervisor_policy: Optional[SupervisorPolicy] = None,
         sources: Optional[SourceRegistry] = None,
@@ -253,8 +248,7 @@ class GridSimulator:
         start = self.config.machine_id_start
         self.machine_ids = [f"m{start + i}" for i in range(self.config.num_machines)]
         self.catalog = monitoring_catalog(self.machine_ids)
-        factory = backend_factory or MemoryBackend
-        self.backend = factory(self.catalog)
+        self.backend = MemoryBackend(self.catalog)
         self.incremental = None
         if incremental:
             from repro.incremental import IncrementalMaintainer

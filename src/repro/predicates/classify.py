@@ -22,7 +22,7 @@ generated recency query, so constant contradictions still filter correctly.
 from __future__ import annotations
 
 import enum
-from typing import Dict, List, Sequence, Set
+from typing import List, Sequence, Set
 
 from repro.errors import UnsupportedQueryError
 from repro.sqlparser import ast
@@ -136,9 +136,3 @@ def classify_conjunct(terms: Sequence[ast.Expr], relation_key: str) -> Classifie
         out.bucket(classify_term(term, relation_key)).append(term)
     return out
 
-
-def classify_for_all(
-    terms: Sequence[ast.Expr], relation_keys: Sequence[str]
-) -> Dict[str, ClassifiedConjunct]:
-    """Classify the conjunct once per relation binding."""
-    return {key.lower(): classify_conjunct(terms, key) for key in relation_keys}

@@ -98,6 +98,20 @@ class TestExplainBasics:
         assert "exceeded the budget" in text
 
 
+class TestExplainRendersThePlan:
+    def test_folded_subquery_is_shared_not_pruned(self):
+        from repro.grid.simulator import monitoring_catalog
+
+        text = explain_sql(
+            "SELECT * FROM activity "
+            "WHERE (value = 'idle' OR value = 'busy') AND mach_id = 'm1'",
+            monitoring_catalog(["m1", "m2"]),
+        )
+        assert "pruned:" not in text
+        conjunct_1 = text.split("Conjunct 1:")[1]
+        assert "recency subquery: shared with conjunct 0 via activity" in conjunct_1
+
+
 class TestExplainCli:
     def test_cli_explain(self, tmp_path, capsys):
         from repro.cli import main

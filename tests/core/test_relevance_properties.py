@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from repro import Catalog, Column, FiniteDomain, MemoryBackend, TableSchema
 from repro.core.bruteforce import brute_force_relevant_sources
+from repro.core.explain import explain
 from repro.core.relevance import build_relevance_plan
 from repro.core.report import RecencyReporter
 from repro.engine.evaluate import execute_query
@@ -177,3 +178,25 @@ class TestTheorem1Property:
                 f"single insert {row!r} into {table} from irrelevant source "
                 f"{row[0]!r} changed the answer of {where!r}"
             )
+
+
+class TestExplainRendersThePlan:
+    """``explain`` prints every subquery the plan runs, and a ``pruned:``
+    line exactly where the planner skipped a relation for its Pr."""
+
+    @given(
+        st.one_of(
+            _boolean(_single_atoms).map(lambda w: f"SELECT t1.src FROM t1 WHERE {w}"),
+            _boolean(_join_atoms).map(lambda w: f"SELECT t1.src FROM t1, t2 WHERE {w}"),
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_explain_agrees_with_the_plan(self, sql):
+        resolved = resolve(parse_query(sql), catalog())
+        plan = build_relevance_plan(resolved)
+        text = explain(resolved, plan)
+
+        for sub in plan.subqueries:
+            assert sub.sql in text, f"{sub.sql!r} missing for {sql!r}"
+        skipped = sum("Pr unsatisfiable" in note for note in plan.notes)
+        assert text.count("pruned:") == skipped, sql

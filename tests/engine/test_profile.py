@@ -6,7 +6,6 @@ import pytest
 
 from repro.catalog import Catalog, Column, TableSchema
 from repro.engine import Database
-from repro.engine.explain import explain_query
 from repro.engine.profile import (
     OP_AGGREGATE,
     OP_FILTER,
@@ -131,12 +130,12 @@ class TestProfileShape:
 
 class TestExplainAnalyze:
     def test_explain_analyze_returns_profile_render(self, db):
-        text = explain_query(db, "SELECT mach_id FROM activity LIMIT 2", analyze=True)
+        text = profile_query(db, "SELECT mach_id FROM activity LIMIT 2").render()
         assert text.startswith("profile:")
         assert "scan" in text
 
     def test_plain_explain_unchanged(self, db):
-        text = explain_query(db, "SELECT mach_id FROM activity LIMIT 2")
+        text = profile_query(db, "SELECT mach_id FROM activity LIMIT 2").render_plan()
         assert text.startswith("explain:")
         assert "result: 2 row(s)" in text
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import UnsupportedQueryError
-from repro.predicates.classify import TermClass, classify_conjunct, classify_for_all, classify_term
+from repro.predicates.classify import TermClass, classify_conjunct, classify_term
 from repro.predicates.dnf import basic_terms_of
 from repro.sqlparser.parser import parse_expression, parse_query
 from repro.sqlparser.resolver import resolve
@@ -146,16 +146,6 @@ class TestConjunctClassification:
             ]
             assert sum(len(b) for b in buckets) == len(terms)
             assert sorted(map(repr, classified.all_terms())) == sorted(map(repr, terms))
-
-    def test_classify_for_all(self, paper_catalog):
-        query = parse_query(
-            "SELECT A.mach_id FROM activity A, routing R "
-            "WHERE R.neighbor = A.mach_id"
-        )
-        resolve(query, paper_catalog)
-        by_key = classify_for_all(basic_terms_of(query.where), ["a", "r"])
-        assert set(by_key) == {"a", "r"}
-        assert by_key["a"].js and by_key["r"].jrm
 
     def test_bucket_accessor(self, paper_catalog):
         classified = classify("A.value = 'idle'", "a", paper_catalog)
