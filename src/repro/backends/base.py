@@ -36,7 +36,7 @@ class Snapshot(abc.ABC):
     """
 
     @abc.abstractmethod
-    def execute(self, sql: str, lineage: bool = False) -> QueryResult:
+    def execute(self, sql: str, lineage: bool = False, statement=None) -> QueryResult:
         """Run a SELECT inside the snapshot.
 
         ``lineage=True`` requests per-row source lineage on the result
@@ -44,6 +44,9 @@ class Snapshot(abc.ABC):
         that cannot produce it (e.g. SQLite, which runs the SQL natively)
         degrade gracefully by returning ``lineage=None``; callers must
         treat missing lineage as "unattributed", never as an error.
+        ``statement`` is the planner's resolution of ``sql``: a backend
+        that resolves SQL itself may run it instead of parsing ``sql``,
+        one that runs the text natively (SQLite) ignores it.
         """
 
     @abc.abstractmethod

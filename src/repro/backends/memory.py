@@ -25,8 +25,8 @@ class _MemorySnapshot(Snapshot):
         self._backend = backend
         self.db = frozen
 
-    def execute(self, sql: str, lineage: bool = False) -> QueryResult:
-        return self._backend._execute_on(self.db, sql, in_snapshot=True, lineage=lineage)
+    def execute(self, sql: str, lineage: bool = False, statement=None) -> QueryResult:
+        return self._backend._execute_on(self.db, sql, True, lineage, statement)
 
     def create_temp_table(
         self, name: str, columns: Sequence[str], rows: Iterable[Sequence[object]]
@@ -117,6 +117,7 @@ class MemoryBackend(Backend):
         sql: str,
         in_snapshot: bool = False,
         lineage: bool = False,
+        statement=None,
     ) -> QueryResult:
         tel = obs.resolve(self.telemetry)
         if self._references_temp_table(sql):
@@ -124,7 +125,8 @@ class MemoryBackend(Backend):
             # would be vacuous; the shadow-database path skips it.
             result = self._execute_with_temp(db, sql)
         else:
-            result = execute_sql(db, sql, telemetry=tel, in_snapshot=in_snapshot, lineage=lineage)
+            result = execute_sql(db, sql, tel, in_snapshot=in_snapshot, lineage=lineage,
+                                 statement=statement)
         if tel.enabled:
             tel.count(obs.BACKEND_QUERIES, backend=self.kind)
             tel.count(obs.BACKEND_ROWS_RETURNED, len(result.rows), backend=self.kind)

@@ -40,7 +40,7 @@ class _SQLiteSnapshot(Snapshot):
     def __init__(self, backend: "SQLiteBackend") -> None:
         self._backend = backend
 
-    def execute(self, sql: str, lineage: bool = False) -> QueryResult:
+    def execute(self, sql: str, lineage: bool = False, statement=None) -> QueryResult:
         # SQLite runs the SQL natively and cannot attribute rows to
         # sources; results degrade gracefully to ``lineage=None``.
         return self._backend._run_select(sql)

@@ -26,7 +26,7 @@ Rewrites applied:
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.catalog import HEARTBEAT_RECENCY_COLUMN, HEARTBEAT_SOURCE_COLUMN, HEARTBEAT_TABLE
 from repro.core.statistics import SourceRecency, sorted_recencies
@@ -96,7 +96,7 @@ def build_subquery(
     binding: RelationBinding,
     retained_terms: Sequence[ast.Expr],
     h_alias: str,
-) -> Tuple[ast.Query, List[str]]:
+) -> Tuple[ast.Query, List[ast.Query]]:
     """Assemble the recency subquery for one (conjunct, relation) pair.
 
     The semijoin of Theorem 4 is over ``H x R_1 x ... x R_{i-1} x R_{i+1} x
@@ -128,8 +128,8 @@ def build_subquery(
     Returns
     -------
     (query, guards):
-        The subquery AST plus the guard SQL statements; the subquery's
-        answer is valid (non-vacuous) only when every guard returns a row.
+        The subquery AST plus the guard ASTs; the subquery's answer is
+        valid (non-vacuous) only when every guard returns a row.
     """
     rewritten = [rewrite_term(term, binding.key, h_alias) for term in retained_terms]
     # The relations each term references; one that references none is Heartbeat's.
@@ -158,19 +158,15 @@ def build_subquery(
     # Heartbeat is the first node, so its component is the first: the main subquery.
     joined, where_expr = part(components[0])
     tables = [ast.TableRef(HEARTBEAT_TABLE, h_alias)] + joined
-    guards: List[str] = []
+    guards: List[ast.Query] = []
     for nodes in components[1:]:
         guard_tables, guard_where = part(nodes)
         # Existence check. No ORDER BY, aggregate or DISTINCT, so LIMIT 1 is a
         # row budget on the memory engine as it is on SQLite: the scan, last
         # join step or cross product producing the row stops at the first match.
-        guard_query = ast.Query(
-            select_items=[ast.SelectItem(ast.Literal(1))],
-            tables=guard_tables,
-            where=guard_where,
-            limit=1,
+        guards.append(
+            ast.Query([ast.SelectItem(ast.Literal(1))], guard_tables, guard_where, limit=1)
         )
-        guards.append(to_sql(guard_query))
 
     sid = ast.ColumnRef(HEARTBEAT_SOURCE_COLUMN, qualifier=h_alias)
     sid.binding_key = h_alias
@@ -199,16 +195,13 @@ def _components(term_keys: Sequence[Set[str]], nodes: Sequence[str]) -> List[Set
     return components
 
 
-def build_all_sources_query() -> ast.Query:
-    """The Naive method's recency query: every source in Heartbeat."""
-    sid = ast.ColumnRef(HEARTBEAT_SOURCE_COLUMN)
-    recency = ast.ColumnRef(HEARTBEAT_RECENCY_COLUMN)
-    return ast.Query(
-        select_items=[ast.SelectItem(sid), ast.SelectItem(recency)],
-        tables=[ast.TableRef(HEARTBEAT_TABLE)],
-        where=None,
-        distinct=False,
-    )
+#: The Naive method's recency query — every source in Heartbeat — and its text.
+ALL_SOURCES_QUERY = ast.Query(
+    [ast.SelectItem(ast.ColumnRef(HEARTBEAT_SOURCE_COLUMN)),
+     ast.SelectItem(ast.ColumnRef(HEARTBEAT_RECENCY_COLUMN))],
+    [ast.TableRef(HEARTBEAT_TABLE)],
+)
+ALL_SOURCES_SQL = to_sql(ALL_SOURCES_QUERY)
 
 
 # -- the fetch stage: one fragment per holder of the data, one merge ---------
@@ -227,12 +220,16 @@ def fragment_request(plan) -> dict:
     }
 
 
-def execute_fragment(snapshot, request: dict, short_circuit: bool = False) -> dict:
+def execute_fragment(
+    snapshot, request: dict, short_circuit: bool = False, statements: Optional[dict] = None
+) -> dict:
     """Run ``request``'s guards and subqueries inside one snapshot; returns
     ``{"mode", "results": [[(source, recency), ...] per subquery], "guards":
     {sql: verdict}}`` (mode ``"all"`` answers with the one all-sources scan).
     The rows are the engine's, NULL source ids dropped;
-    :func:`merge_fragments` normalizes them.
+    :func:`merge_fragments` normalizes them. ``statements`` maps a
+    statement's text to the planner's resolution of it
+    (``RelevancePlan.statements``), which the snapshot may run instead.
 
     A guard asks "does this query return rows?" of the *union* of every
     holder's data, so one holder of several must answer unconditionally;
@@ -242,18 +239,23 @@ def execute_fragment(snapshot, request: dict, short_circuit: bool = False) -> di
     mode = request.get("mode", "focused")
     results: List[Sequence[Sequence[object]]] = []
     guards: Dict[str, bool] = {}
+    statements = statements or {}
+
+    def run(sql: str) -> Sequence[Sequence[object]]:
+        return snapshot.execute(sql, statement=statements.get(sql)).rows
+
     if mode == "all":
-        results.append(snapshot.execute(to_sql(build_all_sources_query())).rows)
+        results.append(run(ALL_SOURCES_SQL))
     elif mode != "empty":
         for sub in request.get("subqueries", ()):
             held = True
             for guard in sub.get("guards", ()):
                 if guard not in guards:
-                    guards[guard] = bool(snapshot.execute(guard).rows)
+                    guards[guard] = bool(run(guard))
                 if short_circuit and not guards[guard]:
                     held = False
                     break
-            rows = snapshot.execute(sub["sql"]).rows if held else ()
+            rows = run(sub["sql"]) if held else ()
             results.append([row for row in rows if row[0] is not None])
     return {"mode": mode, "results": results, "guards": guards}
 

@@ -30,11 +30,8 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.catalog import Domain
 from repro.core.constraints import all_constraint_exprs, augmented_where
-from repro.core.recency_query import (
-    build_all_sources_query,
-    build_subquery,
-    heartbeat_alias_for,
-)
+from repro.core.recency_query import ALL_SOURCES_QUERY, build_subquery, heartbeat_alias_for
+from repro.engine.cache import resolve_statement
 from repro.errors import DnfBlowupError, TracError, UnsupportedQueryError
 from repro.predicates.classify import ClassifiedConjunct, classify_conjunct
 from repro.predicates.dnf import DEFAULT_MAX_CONJUNCTS, to_dnf
@@ -46,7 +43,15 @@ from repro.sqlparser.resolver import RelationBinding, ResolvedQuery
 
 class SubqueryPlan:
     """One recency subquery: sources relevant via one relation, for one
-    conjunct of the user query's DNF."""
+    conjunct of the user query's DNF.
+
+    ``query`` is the tree the planner built and ``guards`` the guards'
+    text. Text — ``sql`` and ``guards`` — is what the wire format
+    (:func:`~repro.core.recency_query.fragment_request`), shards, SQLite,
+    explain and query profiles see; the memory backend runs the trees, as
+    resolved once in :attr:`RelevancePlan.statements`, and never parses
+    the text.
+    """
 
     __slots__ = (
         "conjunct_index",
@@ -129,9 +134,17 @@ class RelevancePlan:
         The schema constraints conjoined onto WHERE (``Q -> Q'``).
     fallback:
         The error that made the planner report all sources, if any.
+    statements:
+        Each kept subquery's and guard's text -> the planner's tree for
+        it, resolved (annotated in place) before the plan is published, so
+        plans shared between threads are read-only; run it while
+        :meth:`~repro.sqlparser.resolver.ResolvedQuery.is_current`.
     """
 
-    __slots__ = ("mode", "subqueries", "minimal", "notes", "conjuncts", "constraints", "fallback")
+    __slots__ = (
+        "mode", "subqueries", "minimal", "notes", "conjuncts", "constraints", "fallback",
+        "statements",
+    )
 
     def __init__(
         self,
@@ -142,6 +155,7 @@ class RelevancePlan:
         conjuncts: Optional[List[ConjunctDecision]] = None,
         constraints: Optional[List[ast.Expr]] = None,
         fallback: Optional[TracError] = None,
+        statements: Optional[Dict[str, ResolvedQuery]] = None,
     ) -> None:
         self.mode = mode
         self.subqueries = subqueries
@@ -150,6 +164,7 @@ class RelevancePlan:
         self.conjuncts = conjuncts or []
         self.constraints = constraints or []
         self.fallback = fallback
+        self.statements = statements or {}
 
     @property
     def sql_statements(self) -> List[str]:
@@ -231,6 +246,7 @@ def build_relevance_plan(
     # (``(v='a' OR v='b') AND src='s1'`` probes Heartbeat twice) is folded
     # into it. Plan-level minimality still counts every pair.
     kept_by_text: Dict[Tuple[str, Tuple[str, ...]], SubqueryPlan] = {}
+    statements: Dict[str, ResolvedQuery] = {}
     decisions: List[ConjunctDecision] = []
     minimal = True
 
@@ -278,17 +294,14 @@ def build_relevance_plan(
 
             retained = classified.ps + classified.js + classified.po
             query, guards = build_subquery(resolved, binding, retained, h_alias)
-            sub = SubqueryPlan(
-                conjunct_index=index,
-                binding_key=binding.key,
-                query=query,
-                guards=guards,
-                minimal=sub_minimal,
-                notes="; ".join(sub_notes),
-            )
-            kept = kept_by_text.setdefault((sub.sql, tuple(guards)), sub)
+            texts = [to_sql(guard) for guard in guards]
+            sub = SubqueryPlan(index, binding.key, query, texts, sub_minimal, "; ".join(sub_notes))
+            kept = kept_by_text.setdefault((sub.sql, tuple(texts)), sub)
             if kept is sub:
                 subqueries.append(sub)
+                for text, tree in zip([sub.sql] + texts, [query] + guards):
+                    if text not in statements:
+                        statements[text] = resolve_statement(tree, resolved.catalog)
             relations.append(RelationDecision(binding, classified, sub, kept))
             if not sub_minimal:
                 minimal = False
@@ -297,7 +310,9 @@ def build_relevance_plan(
         return RelevancePlan(
             "empty", [], True, notes or ["all conjuncts pruned"], decisions, constraints
         )
-    return RelevancePlan("focused", subqueries, minimal, notes, decisions, constraints)
+    return RelevancePlan(
+        "focused", subqueries, minimal, notes, decisions, constraints, statements=statements
+    )
 
 
 def memoized_relevance_plan(
@@ -331,13 +346,6 @@ def memoized_relevance_plan(
 
 def build_naive_plan() -> RelevancePlan:
     """The Naive method: one query returning every source in Heartbeat."""
-    query = build_all_sources_query()
-    sub = SubqueryPlan(
-        conjunct_index=0,
-        binding_key="*",
-        query=query,
-        guards=[],
-        minimal=False,
-        notes="naive method reports every data source",
-    )
+    notes = "naive method reports every data source"
+    sub = SubqueryPlan(0, "*", ALL_SOURCES_QUERY, [], False, notes)
     return RelevancePlan("all", [sub], minimal=False, notes=["naive method"])

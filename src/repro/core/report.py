@@ -617,9 +617,8 @@ class RecencyReporter:
         """From-scratch fetch: the merge of the one local fragment (the sole
         holder of the data, so failed guards may short-circuit)."""
         request = fragment_request(plan)
-        return merge_fragments(
-            request, [execute_fragment(snapshot, request, short_circuit=True)]
-        )
+        fragment = execute_fragment(snapshot, request, True, plan.statements)
+        return merge_fragments(request, [fragment])
 
     def _verify_incremental(
         self,

@@ -1,19 +1,17 @@
 """The resolved-query cache: parse + resolve once per (SQL, catalog state).
 
-Every recency report re-executes the same generated subquery and guard SQL
-strings (and ``trac stats`` / the bench sweeps repeat user queries
-verbatim), and each execution used to pay a full lex + parse + resolve.
-This module keeps a process-wide LRU of :class:`ResolvedQuery` objects
-keyed by ``(catalog.identity, sql)``.
+A report runs its plan's generated subquery and guard statements, and
+``trac stats`` / the bench sweeps repeat user queries verbatim. This module
+keeps a process-wide LRU of :class:`ResolvedQuery` objects keyed by
+``(catalog.identity, sql)``. The planner's statements skip the text: it
+resolves the trees it built (:func:`resolve_statement`,
+``RelevancePlan.statements``), and a lookup that misses on one's text stores
+that resolution, while it is current, instead of parsing the text.
 
-The cache used to key on ``catalog.generation`` — a ticket bumped on
-*every* catalog mutation — which meant registering table ``U`` evicted
-(by unreachability) every cached query over unrelated table ``T``.
-Resolution only depends on the schemas of the tables a query actually
-references, so entries now validate per *referenced table*: each entry
-records the ``(table, generation)`` pairs it was resolved against (see
-:meth:`repro.catalog.Catalog.table_generation`) and a hit is served only
-while every one still matches. This gives:
+A resolution depends only on the schemas of the tables it references, so it
+records their ``(table, generation)`` pairs (``ResolvedQuery.generations``,
+see :meth:`repro.catalog.Catalog.table_generation`) and a hit is served only
+while every one still matches (``ResolvedQuery.is_current``). This gives:
 
 * a schema change to a referenced table bumps that table's generation,
   so stale resolutions can never be served;
@@ -29,9 +27,8 @@ relevance planner, constraints) treats resolved trees as read-only.
 
 Every cached resolution carries its
 :class:`~repro.engine.lineage.LineagePlan` (the per-binding source-column
-probes) as ``lineage_plan``: a pure function of the bindings, microseconds
-to build, so lineage-on and lineage-off executions of one SQL share one
-entry and only the former read it. Relevance plans ride the same way
+probes) as ``lineage_plan``, so lineage-on and lineage-off executions of
+one SQL share one entry. Relevance plans ride the same way
 (``ResolvedQuery.relevance_plans``, filled by
 :func:`repro.core.relevance.memoized_relevance_plan`): whatever is derived
 from a resolution is retired with it, so no second cache needs validating.
@@ -53,6 +50,7 @@ from typing import Dict, Optional, Tuple
 
 from repro.catalog import Catalog
 from repro.engine.lineage import build_lineage_plan
+from repro.sqlparser import ast
 from repro.sqlparser.parser import parse_query
 from repro.sqlparser.resolver import ResolvedQuery, resolve
 
@@ -68,19 +66,7 @@ class ResolvedQueryCache:
         self.hits = 0
         self.misses = 0
         self._lock = threading.Lock()
-        self._entries: "OrderedDict[Tuple[int, str], Tuple[ResolvedQuery, Tuple[Tuple[str, int], ...]]]" = (
-            OrderedDict()
-        )
-
-    @staticmethod
-    def _dependencies(
-        resolved: ResolvedQuery, catalog: Catalog
-    ) -> Tuple[Tuple[str, int], ...]:
-        """The (table, generation) pairs this resolution depends on."""
-        names = {b.schema.name.lower() for b in resolved.bindings}
-        return tuple(
-            (name, catalog.table_generation(name)) for name in sorted(names)
-        )
+        self._entries: "OrderedDict[Tuple[int, str], ResolvedQuery]" = OrderedDict()
 
     def resolve(
         self, sql: str, catalog: Catalog, telemetry: Optional[object] = None
@@ -89,37 +75,39 @@ class ResolvedQueryCache:
         return self.lookup(sql, catalog, telemetry)[0]
 
     def lookup(
-        self, sql: str, catalog: Catalog, telemetry: Optional[object] = None
+        self,
+        sql: str,
+        catalog: Catalog,
+        telemetry: Optional[object] = None,
+        statement: Optional[ResolvedQuery] = None,
     ) -> Tuple[ResolvedQuery, bool]:
         """:meth:`resolve` plus whether this lookup was served from the
-        cache (always False when caching is disabled)."""
+        cache (always False when caching is disabled). ``statement``, the
+        planner's resolution of ``sql``, stands in for parsing it on a miss."""
+        if statement is not None and not statement.is_current(catalog):
+            statement = None
         if self.maxsize == 0:
-            return self._resolve_fresh(sql, catalog), False
+            return statement or resolve_statement(parse_query(sql), catalog), False
         key = (catalog.identity, sql)
-        cached: Optional[ResolvedQuery] = None
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                resolved_entry, deps = entry
-                if all(
-                    catalog.table_generation(name) == generation
-                    for name, generation in deps
-                ):
+            cached = self._entries.get(key)
+            if cached is not None:
+                if cached.is_current(catalog):
                     self._entries.move_to_end(key)
                     self.hits += 1
-                    cached = resolved_entry
                 else:
                     # A referenced table's schema changed: this resolution
                     # can never be valid again (generations are unique).
                     del self._entries[key]
+                    cached = None
         if cached is not None:
             self._record(telemetry, hit=True)
             return cached, True
-        resolved = self._resolve_fresh(sql, catalog)
+        resolved = statement or resolve_statement(parse_query(sql), catalog)
         evicted = []
         with self._lock:
             self.misses += 1
-            self._entries[key] = (resolved, self._dependencies(resolved, catalog))
+            self._entries[key] = resolved
             while len(self._entries) > self.maxsize:
                 evicted.append(self._entries.popitem(last=False)[0])
         self._record(telemetry, hit=False)
@@ -134,12 +122,6 @@ class ResolvedQueryCache:
                     sql=evicted_sql[:200],
                 )
         return resolved, False
-
-    @staticmethod
-    def _resolve_fresh(sql: str, catalog: Catalog) -> ResolvedQuery:
-        resolved = resolve(parse_query(sql), catalog)
-        resolved.lineage_plan = build_lineage_plan(resolved)
-        return resolved
 
     @staticmethod
     def _record(telemetry: Optional[object], hit: bool) -> None:
@@ -183,6 +165,14 @@ class ResolvedQueryCache:
         )
 
 
+def resolve_statement(query: ast.Query, catalog: Catalog) -> ResolvedQuery:
+    """Resolve ``query`` (annotating it in place) with its lineage plan: a
+    cache entry, whether parsed from text or built by the planner."""
+    resolved = resolve(query, catalog)
+    resolved.lineage_plan = build_lineage_plan(resolved)
+    return resolved
+
+
 _global_cache = ResolvedQueryCache()
 
 
@@ -203,4 +193,5 @@ __all__ = [
     "DEFAULT_MAXSIZE",
     "get_cache",
     "resolve_cached",
+    "resolve_statement",
 ]

@@ -139,6 +139,7 @@ def execute_sql(
     cache: bool = True,
     in_snapshot: bool = False,
     lineage: bool = False,
+    statement: Optional[ResolvedQuery] = None,
 ) -> QueryResult:
     """Parse, resolve and execute a SQL string against ``db``.
 
@@ -155,10 +156,12 @@ def execute_sql(
     ``compiled=False`` runs this call on the interpreted oracle.
     ``lineage`` (default False) attaches per-row source lineage to the
     result (:attr:`QueryResult.lineage`, see :mod:`repro.engine.lineage`).
+    ``statement``, the planner's resolution of ``sql``, replaces parsing it
+    on a cache miss while it is current.
     """
     cache_hit: Optional[bool] = None
     if cache:
-        resolved, cache_hit = get_cache().lookup(sql, db.catalog, telemetry)
+        resolved, cache_hit = get_cache().lookup(sql, db.catalog, telemetry, statement)
     else:
         resolved = resolve(parse_query(sql), db.catalog)
     if telemetry is None or not telemetry.enabled:
@@ -611,33 +614,46 @@ class _Execution:
             # re-checks the rows a key lookup found, in position order.
             keep = self.lower.compile_row_predicate(_conjoin(preds), key, self.index_of)
             detail = f"{len(preds)} pushed predicate(s)"
-            found = relation.keyed and self._lookup(relation, key, preds)
-            if found is not None:
-                rows, detail = found, f"index lookup, {detail}"
+            found = relation.keyed and self._lookup(relation, key, preds, keep)
+            if found:
+                rows, keep, how = found
+                detail = f"{how}, {detail}"
         if self.budget and len(self.keys) == 1:
             # The only relation: its scan produces the final rows.
             return self.take(OP_SCAN, key, rows, len(rows), t0, detail, keep=keep)
         kept = list(rows) if keep is None else [row for row in rows if keep(row)]
-        self.record(OP_SCAN, key, len(rows), len(kept), t0, detail)
+        # An index complement (pushed terms, none left to pass) read them all.
+        read = len(relation) if preds and keep is None else len(rows)
+        self.record(OP_SCAN, key, read, len(kept), t0, detail)
         return kept
 
-    def _lookup(self, relation: Relation, key: str, preds: List[ast.Expr]) -> Optional[List[Row]]:
-        """The rows a pushed ``col = c`` or ``col IN (c, ...)`` on the column
-        ``relation`` is keyed on can hold, or ``None`` when no term is one."""
+    def _lookup(
+        self, relation: Relation, key: str, preds: List[ast.Expr], keep: Callable
+    ) -> Optional[Tuple[List[Row], Optional[Callable], str]]:
+        """``(rows, the check left for them, how)`` through ``relation``'s key
+        index: the candidates of a pushed ``col = c`` / ``col IN (c, ...)``,
+        or what the only pushed ``col <> c`` / ``col NOT IN (c, ...)`` keeps
+        (see :mod:`repro.engine.relation`); ``None`` when no term is one."""
         for term in preds:
-            if isinstance(term, ast.InList) and not term.negated:
-                ref, literals = term.expr, term.values
-            elif isinstance(term, ast.Comparison) and term.op == "=":
-                ref, literals = term.left, (term.right,)
+            if isinstance(term, ast.InList):
+                ref, literals, negated = term.expr, term.values, term.negated
+            elif isinstance(term, ast.Comparison) and term.op in ("=", "<>"):
+                ref, literals, negated = term.left, (term.right,), term.op == "<>"
                 if isinstance(ref, ast.Literal):  # c = col
                     ref, literals = term.right, (term.left,)
             else:
                 continue
             if isinstance(ref, ast.ColumnRef) and all(isinstance(v, ast.Literal) for v in literals):
                 column = self.index_of[(key, ref.name.lower())]
-                rows = relation.lookup(column, [v.value for v in literals])
-                if rows is not None:
-                    return rows
+                values = [v.value for v in literals]
+                if not negated:
+                    rows = relation.lookup(column, values)
+                    if rows is not None:
+                        return rows, keep, "index lookup"
+                elif len(preds) == 1 and all(type(v) in (str, int, float) for v in values):
+                    rows = relation.complement(column, values, keep)
+                    if rows is not None:
+                        return rows, None, "index complement"
         return None
 
     # -- projection and aggregation ------------------------------------------

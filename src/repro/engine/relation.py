@@ -10,20 +10,25 @@ all. CoW copies are recorded via :mod:`repro.obs` when telemetry is on.
 Keyed writes (:meth:`Relation.upsert`, :meth:`Relation.delete_keys` — the
 whole ingest path) go through one ``key values -> row positions`` index
 per relation, so an upsert does not scan its table and ``key = c`` /
-``key IN (...)`` is a :meth:`Relation.lookup`. The first keyed write under a
-key builds it (a different key rebuilds it), :meth:`Relation.insert` keeps
-it, a delete rebuilds it and ``clear`` empties it. A snapshot view borrows
-its parent's index for reading only, and four rules keep that safe: an
-upsert overwrites in place and never moves a position; ``insert`` appends,
-and a lookup drops any position at or past the view's own length; a delete
-or ``clear`` rebinds both list and index, so the view keeps the old pair,
-which nothing mutates again; the first write through a view drops the
-borrowed index before touching it.
+``key IN (...)`` is a :meth:`Relation.lookup`. ``key <> c`` / ``key NOT IN
+(...)``, the scan's only pushed term with no NULL or boolean literal, is a
+:meth:`Relation.complement`: a row whose key is neither NULL nor
+Python-equal to a literal passes unevaluated (for such literals the
+engine's ``=`` is never true where ``==`` is false), and only the rows the
+index holds under a literal or NULL are re-checked (``True == 1 == 1.0``,
+and NULL fails). The first keyed write under a key builds it (a different
+key rebuilds it), :meth:`Relation.insert` keeps it, a delete rebuilds it
+and ``clear`` empties it. A snapshot view borrows its parent's index for
+reading only, and four rules keep that safe: an upsert overwrites in place
+and never moves a position; ``insert`` appends, and a lookup drops any
+position at or past the view's own length; a delete or ``clear`` rebinds
+both list and index, so the view keeps the old pair, which nothing mutates
+again; the first write through a view drops the borrowed index first.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.catalog import Catalog, TableSchema
 from repro.errors import EngineError
@@ -206,6 +211,23 @@ class Relation:
             return None
         held = {p for value in values for p in keyed[1].get((value,), ()) if p < len(rows)}
         return [rows[p] for p in sorted(held)]
+
+    def complement(
+        self, column: int, values: Iterable[object], keep: Callable[[Row], object]
+    ) -> Optional[List[Row]]:
+        """The rows, in position order, whose ``column`` is not NULL and none
+        of ``values`` by Python's ``==``, and of the others those that pass
+        the caller's re-check ``keep``; ``None`` unless keyed on ``column`` alone."""
+        keyed, rows = self.keyed, self._rows
+        if keyed is None or keyed[0] != (column,):
+            return None
+        held = {p for value in [*values, None] for p in keyed[1].get((value,), ()) if p < len(rows)}
+        out: List[Row] = []
+        start = 0
+        for p in sorted(p for p in held if not keep(rows[p])):
+            out += rows[start:p]
+            start = p + 1
+        return out + rows[start:]
 
     def copy(self) -> "Relation":
         clone = Relation(self.schema)

@@ -64,12 +64,17 @@ class ResolvedQuery:
         FROM-clause bindings in declaration order.
     catalog:
         The catalog resolution ran against.
+    generations:
+        The ``(table, schema generation)`` pairs it read, sorted; see
+        :meth:`is_current`.
     """
 
     def __init__(self, query: ast.Query, bindings: List[RelationBinding], catalog: Catalog) -> None:
         self.query = query
         self.bindings = bindings
         self.catalog = catalog
+        names = sorted({b.schema.name.lower() for b in bindings})
+        self.generations = tuple((name, catalog.table_generation(name)) for name in names)
         self._by_key: Dict[str, RelationBinding] = {b.key: b for b in bindings}
         #: Relevance plans built from this resolution, by planner options
         #: (:func:`repro.core.relevance.memoized_relevance_plan`). They live
@@ -83,6 +88,13 @@ class ResolvedQuery:
             return self._by_key[key.lower()]
         except KeyError as exc:
             raise ResolutionError(f"no FROM item bound as {key!r}") from exc
+
+    def is_current(self, catalog: Catalog) -> bool:
+        """Whether this is still a valid resolution against ``catalog``:
+        the same catalog, and no referenced table's schema changed since."""
+        return catalog is self.catalog and all(
+            catalog.table_generation(name) == generation for name, generation in self.generations
+        )
 
     @property
     def is_single_relation(self) -> bool:

@@ -2,8 +2,9 @@
 components, guards) — the machinery behind Theorems 3/4's SQL."""
 
 from repro.core.recency_query import (
+    ALL_SOURCES_QUERY,
+    ALL_SOURCES_SQL,
     HEARTBEAT_ALIAS,
-    build_all_sources_query,
     build_subquery,
     execute_fragment,
     fragment_request,
@@ -121,7 +122,7 @@ class TestBuildSubquery:
         query, guards = build_subquery(resolved, binding, retained, "trac_h")
         sql = to_sql(query)
         assert "activity" not in sql  # factored out
-        assert guards == ["SELECT 1 FROM activity a WHERE a.value = 'idle' LIMIT 1"]
+        assert [to_sql(guard) for guard in guards] == ["SELECT 1 FROM activity a WHERE a.value = 'idle' LIMIT 1"]
 
     def test_unreferenced_relation_bare_guard(self, paper_catalog):
         resolved = resolve(
@@ -136,7 +137,7 @@ class TestBuildSubquery:
             basic_terms_of(resolved.query.where),
             "trac_h",
         )
-        assert guards == ["SELECT 1 FROM routing r LIMIT 1"]
+        assert [to_sql(guard) for guard in guards] == ["SELECT 1 FROM routing r LIMIT 1"]
 
     def test_no_terms_all_sources(self, paper_catalog):
         resolved = resolve(parse_query("SELECT mach_id FROM activity"), paper_catalog)
@@ -173,12 +174,12 @@ class TestBuildSubquery:
         sql = to_sql(query)
         assert "routing r" in sql
         assert "load" not in sql
-        assert guards == ["SELECT 1 FROM load l WHERE l.cpu > 0.5 LIMIT 1"]
+        assert [to_sql(guard) for guard in guards] == ["SELECT 1 FROM load l WHERE l.cpu > 0.5 LIMIT 1"]
 
 
 class TestAllSourcesQuery:
     def test_shape(self):
-        assert to_sql(build_all_sources_query()) == (
+        assert to_sql(ALL_SOURCES_QUERY) == ALL_SOURCES_SQL == (
             "SELECT source_id, recency FROM heartbeat"
         )
 
@@ -209,7 +210,7 @@ class TestSingleFragmentLaw:
         if plan.mode == "empty":
             return []
         if plan.mode == "all":
-            rows = snapshot.execute(to_sql(build_all_sources_query())).rows
+            rows = snapshot.execute(ALL_SOURCES_SQL).rows
             return [SourceRecency(str(sid), float(rec)) for sid, rec in rows]
         found, guard_cache = {}, {}
         for sub in plan.subqueries:

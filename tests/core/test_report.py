@@ -189,9 +189,9 @@ class TestConsistency:
 
         calls = {"n": 0}
 
-        def hooked(self, sql):
+        def hooked(self, sql, **kwargs):
             calls["n"] += 1
-            result = type(self)._original_execute(self, sql)
+            result = type(self)._original_execute(self, sql, **kwargs)
             if calls["n"] == 1:
                 # Sneak a write in right after the user query finished and
                 # before the recency query runs.

@@ -34,6 +34,6 @@ def test_compiled_interpreted_and_sqlite_agree():
     assert "OK" in completed.stdout
     # The generator draws semijoin candidates and keyed relations, and the
     # engine ran them as such.
-    for kind in ("semijoin", "index lookup"):
+    for kind in ("semijoin", "index lookup", "index complement"):
         tally = re.search(rf"(\d+) {kind}", completed.stdout)
         assert tally and int(tally.group(1)) > 0, completed.stdout

@@ -5,7 +5,8 @@ below is the table scan they replaced, kept verbatim
 (``[r for r in rows if key(r) != k] + [row]``), so every interleaving of
 writes must leave the two holding the same bag. A snapshot view borrows the
 index for reading, so a ``key IN (...)`` read through a view must also equal
-the same read over the view's rows with no index at all.
+the same read over the view's rows with no index at all, and so must the
+index's complement (``key <> c`` / ``key NOT IN (...)``).
 """
 
 from collections import Counter
@@ -45,6 +46,7 @@ _op = st.one_of(
     st.tuples(st.just("upsert_through_view"), _key, _row),
     st.tuples(st.just("insert_through_view"), _row),
     st.tuples(st.just("lookup"), st.lists(_value, min_size=1, max_size=4)),
+    st.tuples(st.just("complement"), st.lists(_value, min_size=1, max_size=3)),
 )
 
 
@@ -136,6 +138,12 @@ def test_keyed_relation_equals_the_scan_model(ops):
             assert looked_up == (target.keyed is not None and target.keyed[0] == (0,))
             assert found == _select_in(Relation(SCHEMA, target.rows), op[1])[0]
             assert target.lookup(0, op[1]) in (None, [r for r in target.rows if r[0] in op[1]])
+        elif kind == "complement":
+            # So does the index's complement (a NULL literal: the scan).
+            target = views[-1][0] if views else relation
+            literals = ["NULL" if v is None else repr(v) for v in op[1] if v is not True] or ["NULL"]
+            for where in (f"a NOT IN ({', '.join(literals)})", f"a <> {literals[0]}"):
+                assert _select(target, where)[0] == _select(Relation(SCHEMA, target.rows), where)[0]
         elif views:
             # A write through a view lands on the view's own copy, and on
             # nothing the live relation or another view reads.
@@ -153,6 +161,60 @@ def test_keyed_relation_equals_the_scan_model(ops):
         # A view shared before a write still reads its old rows.
         for view, frozen in views:
             assert view.rows == frozen
+
+
+def _select(relation, where, compiled=True):
+    """``SELECT * FROM t WHERE <where>`` over ``relation``: its rows and the
+    detail of its scan."""
+    db = Database(CATALOG)
+    db.attach("t", relation)
+    resolved = resolve(parse_query(f"SELECT * FROM t WHERE {where}"), CATALOG)
+    profile = QueryProfile(where)
+    rows = execute_query(db, resolved, compiled=compiled, profile=profile).rows
+    return rows, profile.operators[0].detail
+
+
+#: Keys on which Python's ``==`` and the engine's ``=`` part ways, and NULL.
+MIXED = [None, True, 1, 1.0, "1", "a", "b"]
+COMPLEMENTS = {
+    "a NOT IN (1, 'x')": [True, "1", "a", "b"],
+    "a <> 1": [True, "1", "a", "b"],
+    "1 <> a": [True, "1", "a", "b"],
+}
+
+
+def _assert_complement_is_the_scan(relation, expected_keys):
+    for where in COMPLEMENTS:
+        rows, detail = _select(relation, where)
+        assert detail == "index complement, 1 pushed predicate(s)"
+        # In order and row for row: the interpreter, and a scan of an unkeyed copy.
+        assert rows == _select(relation, where, compiled=False)[0]
+        assert rows == _select(Relation(SCHEMA, relation.rows), where, compiled=False)[0]
+        assert [row[0] for row in rows] == expected_keys
+
+
+def test_the_complement_is_the_scan_live_and_through_a_view():
+    relation = Relation(SCHEMA, [(key, i % 3, i) for i, key in enumerate(MIXED)])
+    relation.index_on((0,))
+    _assert_complement_is_the_scan(relation, COMPLEMENTS["a <> 1"])
+    view = relation.share()
+    relation.insert((None, 0, 10))
+    relation.insert(("c", 1, 11))
+    relation.insert((1, 2, 12))
+    relation.upsert((0,), ("b", 2, 13))  # one holder: overwritten in place
+    relation.upsert((0,), (1, 0, 14))  # True, 1, 1.0 and 1 hold it: rebuilt
+    _assert_complement_is_the_scan(view, COMPLEMENTS["a <> 1"])
+    assert [row[2] for row in _select(view, "a <> 1")[0]] == [1, 4, 5, 6]
+    _assert_complement_is_the_scan(relation, ["1", "a", "b", "c"])
+
+
+def test_two_pushed_terms_fall_back_to_the_scan():
+    relation = Relation(SCHEMA, [(key, i % 3, i) for i, key in enumerate(MIXED)])
+    relation.index_on((0,))
+    for where in ("a <> 1 AND b > 0", "a NOT IN (1, 'x') AND a <> 'b'"):
+        rows, detail = _select(relation, where)
+        assert detail == "2 pushed predicate(s)"
+        assert rows == _select(Relation(SCHEMA, relation.rows), where, compiled=False)[0]
 
 
 class Probed(str):

@@ -24,7 +24,9 @@ statement must also return, without ``LIMIT``, the row set it returns with
 lineage on, which runs it through the env pipeline instead. The last line
 tallies the executions by kind, among them how many projected bare rows of
 one table (``row carrier``), how many ran a semijoin and how many read a
-relation through its key index (``index lookup``). Some examples key ``t1``
+relation through its key index (``index lookup``) or its complement
+(``index complement``: the only pushed term is ``<>`` / ``NOT IN`` on the
+key, e.g. ``t1.x NOT IN (0, 2)`` over a NULL-holding ``x``). Some examples key ``t1``
 (on ``x`` or ``s``) or ``t2`` (on ``s``), and some run the statement on a
 ``snapshot_view`` taken before more inserts and upserts land on the parent,
 which the view must not see. Usage::
@@ -38,7 +40,7 @@ import argparse
 import sqlite3
 from collections import Counter
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.catalog import Catalog, Column, FiniteDomain, TableSchema
@@ -91,6 +93,9 @@ _ATOMS = [
     "t1.s IN ('a', 'b')",
     "'b' = t1.s",
     "t1.s NOT IN ('c')",
+    "t1.s <> 'a'",
+    "t1.x NOT IN (0, 2)",
+    "t1.x <> 2",
     "t2.y < 3",
     "t2.y IS NOT NULL",
     "t2.s IN ('a', 'c')",
@@ -155,10 +160,17 @@ _SEMIJOIN_WHERE = st.lists(
     st.sampled_from([a for a in _ATOMS if " = " in a or _one_table(a)]), min_size=1, max_size=3
 ).map(" AND ".join)
 
+#: A lone ``<>`` / ``NOT IN`` on a column ``t1`` may be keyed on: with the
+#: key on it, the scan reads the index's complement.
+_COMPLEMENT_WHERE = st.sampled_from(
+    [a for a in _ATOMS if a.startswith("t1.") and ("<>" in a or "NOT IN" in a) and "t2" not in a]
+)
+
 _LIMITS = st.sampled_from([None, None, None, 0, 1, 2, 3, 4])
 
 #: The column ``t1`` and ``t2`` are keyed on (``None``: unkeyed), so that a
-#: pushed ``col = c`` / ``col IN (...)`` on it runs as an index lookup.
+#: pushed ``col = c`` / ``col IN (...)`` on it runs as an index lookup, and
+#: a lone ``col <> c`` / ``col NOT IN (...)`` as its complement.
 _KEYS = st.tuples(st.sampled_from([None, "x", "s"]), st.sampled_from([None, "s"]))
 #: Rows written to ``t1`` and ``t2`` after a snapshot view is taken, every
 #: other one as an upsert under the table's key; ``None`` reads the database.
@@ -169,11 +181,17 @@ _LATER = st.one_of(
 
 @st.composite
 def _statements(draw):
-    """``(statement without LIMIT, n or None, shape)``. Two shapes in six are
-    plain select-project-join, the only ones whose ``LIMIT`` is a row budget."""
+    """``(statement without LIMIT, n or None, shape)``. Three shapes in seven
+    are plain select-project-join, the only ones whose ``LIMIT`` is a row
+    budget; one of them filters ``t1`` by one complement atom alone."""
     shape = draw(
-        st.sampled_from(["plain", "plain", "ordered", "distinct", "semijoin", "aggregate"])
+        st.sampled_from(
+            ["plain", "plain", "complement", "ordered", "distinct", "semijoin", "aggregate"]
+        )
     )
+    if shape == "complement":
+        select = draw(st.sampled_from([s for s in _SELECTS["t1"] if "(" not in s]))
+        return f"SELECT {select} FROM t1 WHERE {draw(_COMPLEMENT_WHERE)}", draw(_LIMITS), "plain"
     if shape == "semijoin":
         select = draw(st.sampled_from(_SEMIJOIN_SELECTS))
         sql = f"SELECT DISTINCT {select} FROM t1, t2 WHERE {draw(_SEMIJOIN_WHERE)}"
@@ -235,6 +253,13 @@ def make_property(max_examples: int, corpus: Counter):
     the executions, not distinct statements)."""
 
     @settings(max_examples=max_examples, deadline=None, print_blob=True)
+    # The complement over a key holding NULLs, read through a snapshot view
+    # while the parent upserts a looked-up key.
+    @example(
+        [("a", None, "p"), ("b", 2, None), ("c", 1, "q"), ("a", 0, "p")], [],
+        ("SELECT t1.s, t1.x FROM t1 WHERE t1.x NOT IN (0, 2)", None, "plain"),
+        ("x", None), ([("b", 3, "q"), ("c", 2, "p")], []),
+    )
     @given(
         st.lists(_row1, max_size=6), st.lists(_row2, max_size=5), _statements(), _KEYS, _LATER
     )
@@ -291,7 +316,8 @@ def make_property(max_examples: int, corpus: Counter):
         corpus["stopped early"] += any(op.rows_available is not None for op in operators)
         corpus["row carrier"] += one_table and not general and shape in ("plain", "distinct")
         corpus["semijoin"] += any(op.detail.startswith("semijoin") for op in operators)
-        corpus["index lookup"] += any(op.detail.startswith("index lookup") for op in operators)
+        for kind in ("index lookup", "index complement"):
+            corpus[kind] += any(op.detail.startswith(kind) for op in operators)
         corpus["snapshot"] += later is not None
 
     return engines_agree
