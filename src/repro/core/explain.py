@@ -104,7 +104,7 @@ def explain(resolved: ResolvedQuery, plan: RelevancePlan) -> str:
 def _render_relation(
     lines: List[str], terms: List[ast.Expr], relation: RelationDecision, theorem: str
 ) -> None:
-    binding, classified, sub, kept = relation
+    binding, classified, sub, kept = relation[:4]
     lines.append(f"  via {binding.key} ({binding.schema.name}):")
     label_of = {
         id(term): label

@@ -22,6 +22,16 @@ dropped with an UNKNOWN satisfiability verdict.
 Each decision is recorded as it is made (``plan.conjuncts``), and
 :mod:`repro.core.explain` renders that record instead of re-running the
 analysis.
+
+Of all this only satisfiability depends on the literals' values. So a query
+that differs from an earlier one only in its literals — one the
+resolved-query cache bound from the earlier one's template
+(``ResolvedQuery.bound_from``) — is planned once per shape:
+:func:`memoized_relevance_plan` reruns every satisfiability check the
+template's plan recorded (each conjunct's verdict, each relation's Pr
+verdict) on the bound terms, and when all agree returns the template's plan
+with this text's literals substituted into its terms, subqueries, guards and
+statements (printed again). A verdict that differs builds the plan afresh.
 """
 
 from __future__ import annotations
@@ -71,11 +81,12 @@ class SubqueryPlan:
         guards: List[str],
         minimal: bool,
         notes: str = "",
+        sql: Optional[str] = None,
     ) -> None:
         self.conjunct_index = conjunct_index
         self.binding_key = binding_key
         self.query = query
-        self.sql = to_sql(query)
+        self.sql = to_sql(query) if sql is None else sql
         self.guards = guards
         self.minimal = minimal
         self.notes = notes
@@ -92,13 +103,15 @@ class RelationDecision(NamedTuple):
 
     ``subquery`` is the pair's own subquery, ``None`` when its Pr is
     unsatisfiable; ``kept`` is the ``plan.subqueries`` entry that runs it —
-    ``subquery`` itself, or the earlier identical one it was folded into.
+    ``subquery`` itself, or the earlier identical one it was folded into;
+    ``pr_verdict`` is Pr's satisfiability (``None`` when not checked).
     """
 
     binding: RelationBinding
     classified: ClassifiedConjunct
     subquery: Optional[SubqueryPlan]
     kept: Optional[SubqueryPlan]
+    pr_verdict: Optional[Satisfiability] = None
 
 
 class ConjunctDecision(NamedTuple):
@@ -272,6 +285,7 @@ def build_relevance_plan(
                 sub_minimal = False
                 sub_notes.append("regular-column join predicate (Jrm) present")
 
+            pr_sat = None
             if check_satisfiability:
                 if classified.pr:
                     pr_sat = check_conjunction(classified.pr, lookup)
@@ -283,7 +297,9 @@ def build_relevance_plan(
                             f"conjunct {index}: Pr unsatisfiable via "
                             f"{binding.key!r}; subquery skipped"
                         )
-                        relations.append(RelationDecision(binding, classified, None, None))
+                        relations.append(
+                            RelationDecision(binding, classified, None, None, pr_sat)
+                        )
                         continue
                     if pr_sat is Satisfiability.UNKNOWN:
                         sub_minimal = False
@@ -302,7 +318,7 @@ def build_relevance_plan(
                 for text, tree in zip([sub.sql] + texts, [query] + guards):
                     if text not in statements:
                         statements[text] = resolve_statement(tree, resolved.catalog)
-            relations.append(RelationDecision(binding, classified, sub, kept))
+            relations.append(RelationDecision(binding, classified, sub, kept, pr_sat))
             if not sub_minimal:
                 minimal = False
 
@@ -330,18 +346,121 @@ def memoized_relevance_plan(
     referenced table — which retires the cached resolution — retires the
     plan with it. Two threads that miss together build the same plan twice;
     either assignment wins, so there is no lock.
+
+    A resolution the cache bound from a template of its shape
+    (``resolved.bound_from``) is planned by re-binding the template's plan
+    for these options, when there is one: :func:`_rebound_plan` reruns every
+    satisfiability check the template's plan recorded on the bound terms and
+    substitutes this text's literals into its trees. A verdict that differs,
+    or an error, builds the plan afresh. Template plans are never written once
+    published, so threads share them freely.
     """
     key = (max_conjuncts, check_satisfiability, use_constraints)
     plan = resolved.relevance_plans.get(key)
     if plan is not None:
         return plan, True
-    plan = resolved.relevance_plans[key] = build_relevance_plan(
-        resolved,
-        max_conjuncts=max_conjuncts,
-        check_satisfiability=check_satisfiability,
-        use_constraints=use_constraints,
-    )
+    if resolved.bound_from is not None:
+        template = resolved.bound_from[0].relevance_plans.get(key)
+        if template is not None:
+            try:
+                plan = _rebound_plan(template, resolved)
+            except TracError:
+                plan = None
+    if plan is None:
+        plan = build_relevance_plan(
+            resolved,
+            max_conjuncts=max_conjuncts,
+            check_satisfiability=check_satisfiability,
+            use_constraints=use_constraints,
+        )
+    resolved.relevance_plans[key] = plan
     return plan, False
+
+
+def _rebound_plan(plan: RelevancePlan, resolved: ResolvedQuery) -> Optional[RelevancePlan]:
+    """The template's ``plan`` for ``resolved``, a text of its shape; None
+    when this text's literals could give a plan of another structure.
+
+    The shape key keeps DNF de-duplication and the folding of identical
+    subqueries; two things it cannot see are checked here: a satisfiability
+    verdict (every one the template recorded is rerun on the bound terms),
+    and a literal equal to one of a schema constraint's.
+    """
+    template, copies = resolved.bound_from
+    if plan.mode == "all":
+        return plan if isinstance(plan.fallback, DnfBlowupError) else None
+    if plan.constraints:
+        fixed = {
+            node.value
+            for expr in plan.constraints
+            for node in ast.walk(expr)
+            if isinstance(node, ast.Literal)
+        }
+        slots = [node for node in template.query.literals if node is not None]
+        if any(n.value in fixed or copies[id(n)].value in fixed for n in slots):
+            return None
+    memo = dict(copies)
+    texts: Dict[str, str] = {}
+    statements: Dict[str, ResolvedQuery] = {}
+    for text, statement in plan.statements.items():
+        query = ast.substitute_query(statement.query, memo)
+        texts[text] = to_sql(query)
+        statements[texts[text]] = statement.rebound(query)
+    if len(statements) != len(plan.statements):
+        return None  # two statements now print alike
+
+    subqueries: Dict[int, SubqueryPlan] = {}
+
+    def bind(sub: Optional[SubqueryPlan]) -> Optional[SubqueryPlan]:
+        if sub is None:
+            return None
+        if id(sub) not in subqueries:
+            subqueries[id(sub)] = SubqueryPlan(
+                sub.conjunct_index,
+                sub.binding_key,
+                ast.substitute_query(sub.query, memo),
+                [texts[guard] for guard in sub.guards],
+                sub.minimal,
+                sub.notes,
+                texts[sub.sql],
+            )
+        return subqueries[id(sub)]
+
+    lookup = domain_lookup(resolved)
+    decisions: List[ConjunctDecision] = []
+    for decision in plan.conjuncts:
+        terms = [ast.substitute(term, memo) for term in decision.terms]
+        if decision.verdict is not None and check_conjunction(terms, lookup) is not decision.verdict:
+            return None
+        relations: List[RelationDecision] = []
+        for relation in decision.relations:
+            classified = ClassifiedConjunct(relation.classified.relation_key)
+            for bucket in _BUCKETS:
+                terms_of = getattr(relation.classified, bucket)
+                if terms_of:
+                    setattr(classified, bucket, [ast.substitute(t, memo) for t in terms_of])
+            verdict = relation.pr_verdict
+            if verdict is not None and check_conjunction(classified.pr, lookup) is not verdict:
+                return None
+            relations.append(
+                RelationDecision(
+                    relation.binding, classified, bind(relation.subquery), bind(relation.kept), verdict
+                )
+            )
+        decisions.append(ConjunctDecision(terms, decision.verdict, relations))
+    return RelevancePlan(
+        plan.mode,
+        [bind(sub) for sub in plan.subqueries],
+        plan.minimal,
+        plan.notes,
+        decisions,
+        plan.constraints,
+        statements=statements,
+    )
+
+
+#: The :class:`ClassifiedConjunct` buckets, in its order.
+_BUCKETS = ("ps", "pr", "pm", "js", "jrm", "po")
 
 
 def build_naive_plan() -> RelevancePlan:

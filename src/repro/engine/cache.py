@@ -25,6 +25,23 @@ Cached :class:`ResolvedQuery` objects are shared, which is safe because
 resolution annotates the tree once and everything downstream (executor,
 relevance planner, constraints) treats resolved trees as read-only.
 
+A text miss is not always a parse. Texts that differ only in their
+literals — the same query asked of other sources — share a *shape*
+(:func:`repro.sqlparser.lexer.shape_key`: the text around the literals,
+their types and which of them are equal). The first text of a shape is
+parsed and resolved and becomes its *template*; a later one is bound into a
+copy of the template's tree, its literals substituted by slot
+(``Query.literals``, recorded by the parser), keeping the template's
+bindings, generations and lineage plan (``ResolvedQuery.rebound``). A slot
+can only hold an ``ast.Literal``; a value the tree keeps elsewhere (LIMIT's
+count, LIKE's pattern) must equal the template's, or the text is parsed.
+The bound resolution remembers its template (``bound_from``), so the
+planner can re-bind the template's relevance plan rather than build one.
+Templates live in this cache, under the same lock, ``maxsize`` (their own
+least-recently-used order beside the texts') and ``is_current`` check;
+``maxsize == 0`` disables them too. ``hits`` / ``misses`` / :meth:`stats`
+count texts: a bound text is a miss.
+
 Every cached resolution carries its
 :class:`~repro.engine.lineage.LineagePlan` (the per-binding source-column
 probes) as ``lineage_plan``, so lineage-on and lineage-off executions of
@@ -51,6 +68,7 @@ from typing import Dict, Optional, Tuple
 from repro.catalog import Catalog
 from repro.engine.lineage import build_lineage_plan
 from repro.sqlparser import ast
+from repro.sqlparser.lexer import shape_key
 from repro.sqlparser.parser import parse_query
 from repro.sqlparser.resolver import ResolvedQuery, resolve
 
@@ -59,7 +77,8 @@ DEFAULT_MAXSIZE = 256
 
 class ResolvedQueryCache:
     """A thread-safe LRU of resolved queries keyed by (catalog identity,
-    SQL), validated by the referenced tables' schema generations."""
+    SQL), validated by the referenced tables' schema generations, beside
+    an LRU of shape templates keyed by (catalog identity, shape)."""
 
     def __init__(self, maxsize: int = DEFAULT_MAXSIZE) -> None:
         self.maxsize = max(0, int(maxsize))
@@ -67,6 +86,8 @@ class ResolvedQueryCache:
         self.misses = 0
         self._lock = threading.Lock()
         self._entries: "OrderedDict[Tuple[int, str], ResolvedQuery]" = OrderedDict()
+        #: (catalog identity, shape key) -> (template resolution, its literals).
+        self._shapes: "OrderedDict[tuple, Tuple[ResolvedQuery, list]]" = OrderedDict()
 
     def resolve(
         self, sql: str, catalog: Catalog, telemetry: Optional[object] = None
@@ -90,26 +111,16 @@ class ResolvedQueryCache:
             return statement or resolve_statement(parse_query(sql), catalog), False
         key = (catalog.identity, sql)
         with self._lock:
-            cached = self._entries.get(key)
+            cached = self._current(self._entries, key, catalog)
             if cached is not None:
-                if cached.is_current(catalog):
-                    self._entries.move_to_end(key)
-                    self.hits += 1
-                else:
-                    # A referenced table's schema changed: this resolution
-                    # can never be valid again (generations are unique).
-                    del self._entries[key]
-                    cached = None
+                self.hits += 1
         if cached is not None:
             self._record(telemetry, hit=True)
             return cached, True
-        resolved = statement or resolve_statement(parse_query(sql), catalog)
-        evicted = []
+        resolved = statement or self._bind_or_parse(sql, catalog)
         with self._lock:
             self.misses += 1
-            self._entries[key] = resolved
-            while len(self._entries) > self.maxsize:
-                evicted.append(self._entries.popitem(last=False)[0])
+            evicted = self._store(self._entries, key, resolved)
         self._record(telemetry, hit=False)
         if evicted and telemetry is not None and getattr(telemetry, "enabled", False):
             from repro.obs.events import EVT_CACHE_EVICTED
@@ -123,6 +134,47 @@ class ResolvedQueryCache:
                 )
         return resolved, False
 
+    def _bind_or_parse(self, sql: str, catalog: Catalog) -> ResolvedQuery:
+        """A text miss: bind ``sql``'s literals into the template of its
+        shape, or parse and resolve it and make it that shape's template."""
+        shape = shape_key(sql)
+        if shape is None:
+            return resolve_statement(parse_query(sql), catalog)
+        key = (catalog.identity, shape[0])
+        with self._lock:
+            template = self._current(self._shapes, key, catalog)
+        if template is not None:
+            bound = _bind(template[0], template[1], shape[1])
+            if bound is not None:
+                return bound
+        resolved = resolve_statement(parse_query(sql), catalog)
+        with self._lock:
+            self._store(self._shapes, key, (resolved, shape[1]))
+        return resolved
+
+    def _current(self, entries: "OrderedDict", key: tuple, catalog: Catalog):
+        """``entries[key]`` refreshed as most recently used, or None; an
+        entry whose resolution is no longer current is dropped (generations
+        are unique, so it can never be valid again). Caller holds the lock."""
+        entry = entries.get(key)
+        if entry is None:
+            return None
+        resolved = entry if isinstance(entry, ResolvedQuery) else entry[0]
+        if not resolved.is_current(catalog):
+            del entries[key]
+            return None
+        entries.move_to_end(key)
+        return entry
+
+    def _store(self, entries: "OrderedDict", key: tuple, entry) -> list:
+        """Insert ``entry``, evicting least recently used keys down to
+        ``maxsize``; returns the evicted keys. Caller holds the lock."""
+        entries[key] = entry
+        evicted = []
+        while len(entries) > self.maxsize:
+            evicted.append(entries.popitem(last=False)[0])
+        return evicted
+
     @staticmethod
     def _record(telemetry: Optional[object], hit: bool) -> None:
         if telemetry is not None and getattr(telemetry, "enabled", False):
@@ -135,6 +187,7 @@ class ResolvedQueryCache:
         with self._lock:
             dropped = len(self._entries)
             self._entries.clear()
+            self._shapes.clear()
             self.hits = 0
             self.misses = 0
         from repro.obs import instrument as obs
@@ -171,6 +224,18 @@ def resolve_statement(query: ast.Query, catalog: Catalog) -> ResolvedQuery:
     resolved = resolve(query, catalog)
     resolved.lineage_plan = build_lineage_plan(resolved)
     return resolved
+
+
+def _bind(template: ResolvedQuery, literals: list, values: list) -> Optional[ResolvedQuery]:
+    """``template`` with ``values`` bound into its literal slots, or None
+    when a value that is no slot (LIMIT's count, LIKE's pattern) differs."""
+    memo: Dict[int, object] = {}
+    for node, literal, value in zip(template.query.literals, literals, values):
+        if node is not None:
+            memo[id(node)] = ast.Literal(value)
+        elif value != literal:
+            return None
+    return template.rebound(ast.substitute_query(template.query, memo), (template, memo))
 
 
 _global_cache = ResolvedQueryCache()

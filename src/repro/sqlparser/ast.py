@@ -9,7 +9,8 @@ machinery and tests rely on.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+import operator
+from typing import Dict, List, Optional, Sequence, Tuple
 
 # --------------------------------------------------------------------------
 # Expressions
@@ -46,11 +47,6 @@ class Literal(Expr):
 
     def __repr__(self) -> str:
         return f"Literal({self.value!r})"
-
-
-#: The boolean constants, convenient for predicate rewriting.
-TRUE = Literal(True)
-FALSE = Literal(False)
 
 
 class ColumnRef(Expr):
@@ -393,6 +389,7 @@ class Query:
         "group_by",
         "order_by",
         "limit",
+        "literals",
     )
 
     def __init__(
@@ -412,6 +409,11 @@ class Query:
         self.group_by: Tuple[Expr, ...] = tuple(group_by)
         self.order_by: Tuple[OrderItem, ...] = tuple(order_by)
         self.limit = limit
+        #: Set by the parser: one entry per STRING / NUMBER token of the
+        #: text, in order — the :class:`Literal` made from it, or ``None``
+        #: where none was (LIMIT's count, LIKE's pattern). Not part of
+        #: equality; empty for a tree not parsed from text.
+        self.literals: Tuple[Optional[Literal], ...] = ()
 
     @property
     def has_aggregates(self) -> bool:
@@ -463,3 +465,61 @@ def walk(expr: Expr) -> List[Expr]:
 def column_refs(expr: Expr) -> List[ColumnRef]:
     """All column references in an expression tree, in pre-order."""
     return [node for node in walk(expr) if isinstance(node, ColumnRef)]
+
+
+_LEAVES = (Literal, ColumnRef)
+_REBUILD = {
+    Comparison: lambda node, c: Comparison(node.op, *c),
+    InList: lambda node, c: InList(c[0], c[1:], node.negated),
+    Between: lambda node, c: Between(*c, node.negated),
+    Like: lambda node, c: Like(c[0], node.pattern, node.negated),
+    IsNull: lambda node, c: IsNull(c[0], node.negated),
+    And: lambda node, c: And(c),
+    Or: lambda node, c: Or(c),
+    Not: lambda node, c: Not(c[0]),
+    AggregateCall: lambda node, c: AggregateCall(node.func, c[0] if c else None, node.distinct),
+}
+
+
+def substitute(expr: Expr, memo: Dict[int, object]) -> Expr:
+    """``expr`` with every node whose ``id`` is a key of ``memo`` replaced by
+    its value: new nodes along the paths to a replacement, every other
+    subtree shared (annotations included). Each inner node visited is
+    recorded in ``memo``, so a node that several trees share maps to one
+    copy."""
+    out = memo.get(id(expr))
+    if out is not None:
+        return out  # type: ignore[return-value]
+    children = expr.children()
+    if not children:
+        return expr
+    copies = [
+        memo.get(id(child)) or (child if isinstance(child, _LEAVES) else substitute(child, memo))
+        for child in children
+    ]
+    if all(map(operator.is_, copies, children)):
+        out = expr
+    else:
+        out = _REBUILD[type(expr)](expr, copies)
+    memo[id(expr)] = out
+    return out
+
+
+def substitute_query(query: Query, memo: Dict[int, object]) -> Query:
+    """:func:`substitute` over a query's select list, WHERE and literals;
+    the copy is recorded in ``memo`` too."""
+    if id(query) in memo:
+        return memo[id(query)]  # type: ignore[return-value]
+    items = []
+    for item in query.select_items:
+        expr = item.expr if item.expr is None else substitute(item.expr, memo)
+        items.append(item if expr is item.expr else SelectItem(expr, item.alias))
+    where = None if query.where is None else substitute(query.where, memo)
+    out = Query(
+        items, query.tables, where, query.distinct, query.group_by, query.limit, query.order_by
+    )
+    out.literals = tuple(
+        None if node is None else memo.get(id(node), node) for node in query.literals
+    )
+    memo[id(query)] = out
+    return out

@@ -34,10 +34,12 @@ from repro.sqlparser.tokens import AGGREGATES, Token, TokenType
 
 
 def parse_query(text: str) -> ast.Query:
-    """Parse a full SELECT statement into a :class:`repro.sqlparser.ast.Query`."""
+    """Parse a full SELECT statement into a :class:`repro.sqlparser.ast.Query`,
+    recording its literal slots in ``Query.literals``."""
     parser = _Parser(tokenize(text))
     query = parser.query()
     parser.expect_end()
+    query.literals = tuple(parser.literals)
     return query
 
 
@@ -53,6 +55,9 @@ class _Parser:
     def __init__(self, tokens: List[Token]) -> None:
         self._tokens = tokens
         self._pos = 0
+        #: One entry per STRING / NUMBER token, in token order: the literal
+        #: node made from it, or None (LIMIT's count, LIKE's pattern).
+        self.literals: List[Optional[ast.Literal]] = []
 
     # -- token helpers ----------------------------------------------------
 
@@ -84,6 +89,17 @@ class _Parser:
                 self.current.position,
             )
         return self._advance()
+
+    def _value(self) -> ast.Literal:
+        """The current STRING / NUMBER token as a literal node."""
+        node = ast.Literal(self._advance().value)
+        self.literals.append(node)
+        return node
+
+    def _constant(self, type_: TokenType) -> Token:
+        """The current token, of ``type_``, kept as a value, not a node."""
+        self.literals.append(None)
+        return self._expect(type_)
 
     def expect_end(self) -> None:
         if self.current.type is TokenType.SEMICOLON:
@@ -120,7 +136,7 @@ class _Parser:
                 order_by.append(self._order_item())
         limit: Optional[int] = None
         if self._match_keyword("LIMIT"):
-            token = self._expect(TokenType.NUMBER)
+            token = self._constant(TokenType.NUMBER)
             if not isinstance(token.value, int) or token.value < 0:
                 raise ParseError("LIMIT requires a non-negative integer", token.position)
             limit = token.value
@@ -149,7 +165,7 @@ class _Parser:
         if self.current.type is TokenType.KEYWORD and self.current.value in AGGREGATES:
             expr: ast.Expr = self._aggregate()
         elif self.current.type in (TokenType.STRING, TokenType.NUMBER):
-            expr = ast.Literal(self._advance().value)
+            expr = self._value()
         else:
             expr = self._column_ref()
         alias = self._optional_alias()
@@ -240,7 +256,7 @@ class _Parser:
             return ast.Between(left, low, high, negated)
         if self.current.is_keyword("LIKE"):
             self._advance()
-            pattern = self._expect(TokenType.STRING)
+            pattern = self._constant(TokenType.STRING)
             return ast.Like(left, str(pattern.value), negated)
         if negated:
             raise ParseError(
@@ -272,8 +288,7 @@ class _Parser:
     def _operand(self) -> ast.Expr:
         token = self.current
         if token.type in (TokenType.STRING, TokenType.NUMBER):
-            self._advance()
-            return ast.Literal(token.value)
+            return self._value()
         if token.is_keyword("NULL"):
             self._advance()
             return ast.Literal(None)
@@ -290,8 +305,7 @@ class _Parser:
     def _literal(self) -> ast.Literal:
         token = self.current
         if token.type in (TokenType.STRING, TokenType.NUMBER):
-            self._advance()
-            return ast.Literal(token.value)
+            return self._value()
         if token.is_keyword("NULL"):
             self._advance()
             return ast.Literal(None)

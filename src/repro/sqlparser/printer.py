@@ -9,6 +9,8 @@ annotations).
 
 from __future__ import annotations
 
+import math
+
 from repro.errors import UnsupportedQueryError
 from repro.sqlparser import ast
 
@@ -67,7 +69,14 @@ def literal_to_sql(value: object) -> str:
     if isinstance(value, str):
         escaped = value.replace("'", "''")
         return f"'{escaped}'"
-    if isinstance(value, (int, float)):
+    if isinstance(value, int):
+        return repr(value)
+    if isinstance(value, float):
+        if math.isinf(value):
+            # ``inf`` would lex back as an identifier; 1e999 overflows to it.
+            return "1e999" if value > 0 else "-1e999"
+        if math.isnan(value):
+            raise UnsupportedQueryError("cannot render NaN: no SQL literal means it")
         return repr(value)
     raise UnsupportedQueryError(f"cannot render literal {value!r}")
 

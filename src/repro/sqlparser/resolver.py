@@ -16,7 +16,7 @@ generator.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.catalog import Catalog, TableSchema
 from repro.errors import ResolutionError
@@ -81,6 +81,28 @@ class ResolvedQuery:
         #: and die with the resolution, which the resolved-query cache
         #: revalidates against the referenced tables' schema generations.
         self.relevance_plans: Dict[tuple, object] = {}
+        #: ``(template, copies)`` when the resolved-query cache bound this
+        #: resolution from an earlier one of the same shape: ``copies`` maps
+        #: the ``id`` of each of the template's literal nodes, and of each
+        #: node above one, to this tree's (:func:`repro.sqlparser.ast.substitute`).
+        #: The relevance planner re-binds the template's plan with it.
+        self.bound_from: Optional[Tuple["ResolvedQuery", Dict[int, ast.Expr]]] = None
+
+    def rebound(
+        self,
+        query: ast.Query,
+        bound_from: Optional[Tuple["ResolvedQuery", Dict[int, ast.Expr]]] = None,
+    ) -> "ResolvedQuery":
+        """This resolution for ``query``, a copy of this one's tree that
+        differs only in literals (:func:`repro.sqlparser.ast.substitute`):
+        the bindings, generations and lineage plan are shared, the
+        relevance plans start empty."""
+        twin = ResolvedQuery.__new__(ResolvedQuery)
+        twin.__dict__.update(self.__dict__)
+        twin.query = query
+        twin.relevance_plans = {}
+        twin.bound_from = bound_from
+        return twin
 
     def binding(self, key: str) -> RelationBinding:
         """Look up a binding by its (lower-cased) key."""

@@ -275,3 +275,42 @@ class TestSameContent:
                 )
         assert contents[0] == contents[1]
         assert len(contents[0]["heartbeat"]) == len({source for _, source, _ in events})
+
+
+class TestInfiniteLiterals:
+    """A literal that overflows to infinity reaches every backend as text
+    that lexes back: the generated subquery carries ``1e999``, not ``inf``."""
+
+    SQL = "SELECT t.a FROM t, u WHERE t.a = u.c AND u.d < 1e999"
+
+    @staticmethod
+    def _catalog():
+        return Catalog(
+            [
+                TableSchema("t", [Column("a", "TEXT"), Column("x", "INTEGER")], source_column="a"),
+                TableSchema(
+                    "u",
+                    [Column("s", "TEXT"), Column("c", "TEXT"), Column("d", "REAL")],
+                    source_column="s",
+                ),
+            ]
+        )
+
+    def _report(self, backend):
+        from repro.core.report import RecencyReporter
+
+        backend.insert_rows("t", [("m1", 1), ("m2", 2)])
+        backend.insert_rows("u", [("m3", "m1", 5.0), ("m3", "m2", float("inf"))])
+        for i, source in enumerate(("m1", "m2", "m3")):
+            backend.upsert_heartbeat(source, 100.0 + i)
+        report = RecencyReporter(backend).report(self.SQL)
+        return sorted(report.result.rows), report.relevant_source_ids
+
+    def test_memory_and_sqlite_give_equal_reports(self):
+        memory = self._report(MemoryBackend(self._catalog()))
+        sqlite_backend = SQLiteBackend(self._catalog())
+        try:
+            assert self._report(sqlite_backend) == memory
+        finally:
+            sqlite_backend.close()
+        assert memory[0] == [("m1",)]

@@ -26,6 +26,17 @@ class TestLiterals:
         assert literal_to_sql(42) == "42"
         assert literal_to_sql(2.5) == "2.5"
 
+    def test_infinities_print_as_literals_that_lex_back(self):
+        # "inf" would lex back as an identifier.
+        assert literal_to_sql(float("inf")) == "1e999"
+        assert literal_to_sql(float("-inf")) == "-1e999"
+
+    def test_nan_has_no_literal(self):
+        from repro.errors import UnsupportedQueryError
+
+        with pytest.raises(UnsupportedQueryError):
+            literal_to_sql(float("nan"))
+
 
 class TestExpressionPrinting:
     @pytest.mark.parametrize(
@@ -141,3 +152,44 @@ class TestPropertyRoundTrip:
     def test_printing_is_deterministic(self, text):
         parsed = parse_expression(text)
         assert expr_to_sql(parsed) == expr_to_sql(parse_expression(text))
+
+
+def _literal_types(query):
+    from repro.sqlparser import ast
+
+    nodes = [node for node in ast.walk(query.where) if isinstance(node, ast.Literal)]
+    return [(type(node.value), node.value) for node in nodes]
+
+
+_round_trip_values = st.one_of(
+    st.integers(min_value=-(10**20), max_value=10**20),
+    st.floats(allow_nan=False),  # includes +-inf (printed 1e999) and -0.0
+    st.text(alphabet="ab' %_", max_size=6),
+)
+
+
+class TestLiteralRoundTrip:
+    """``parse_query(to_sql(q)) == q`` with every literal of the same type."""
+
+    @given(st.lists(_round_trip_values, min_size=1, max_size=4))
+    @settings(max_examples=200, deadline=None)
+    def test_literals_survive_print_and_parse(self, values):
+        from repro.sqlparser import ast
+
+        literals = [ast.Literal(value) for value in values]
+        terms = [ast.Comparison("=", ast.ColumnRef("a", "t"), literals[0])]
+        if len(literals) > 1:
+            terms.append(ast.InList(ast.ColumnRef("b", "t"), literals[1:]))
+        where = ast.And(terms) if len(terms) > 1 else terms[0]
+        query = ast.Query([ast.SelectItem(ast.ColumnRef("a", "t"))], [ast.TableRef("t")], where)
+        again = parse_query(to_sql(query))
+        assert again == query
+        assert _literal_types(again) == _literal_types(query)
+        assert [repr(value) for _type, value in _literal_types(again)] == list(map(repr, values))
+
+    @pytest.mark.parametrize("text", ["1", "-7", "2.5", "1e999", "-1e999", "'it''s'", "''''"])
+    def test_each_literal_form(self, text):
+        query = parse_query(f"SELECT t.a FROM t WHERE t.a = {text}")
+        again = parse_query(to_sql(query))
+        assert again == query
+        assert _literal_types(again) == _literal_types(query)

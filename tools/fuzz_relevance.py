@@ -3,7 +3,9 @@
 
 Runs the completeness / minimality / Theorem-1 properties (the same ones as
 ``tests/core/test_relevance_properties.py``) with a much larger example
-budget and richer strategies. Intended for occasional deep verification::
+budget and richer strategies, the incremental-maintenance campaign, and the
+shape campaign (literal twins planned through the caches). Intended for
+occasional deep verification::
 
     python tools/fuzz_relevance.py [examples-per-property]
 """
@@ -11,16 +13,21 @@ budget and richer strategies. Intended for occasional deep verification::
 from __future__ import annotations
 
 import argparse
+from collections import Counter
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Catalog, Column, FiniteDomain, MemoryBackend, TableSchema
+from repro.core import relevance
 from repro.core.bruteforce import brute_force_relevant_sources
 from repro.core.relevance import build_relevance_plan
 from repro.core.report import RecencyReporter
+from repro.engine.cache import resolve_cached
 from repro.engine.evaluate import execute_query
+from repro.sqlparser.lexer import shape_key
 from repro.sqlparser.parser import parse_query
+from repro.sqlparser.printer import literal_to_sql
 from repro.sqlparser.resolver import resolve
 
 SOURCES = ("s1", "s2", "s3", "s4")
@@ -238,6 +245,75 @@ def make_incremental_property(max_examples: int):
     return property_holds
 
 
+# One-to-one per type, so a twin keeps the equality pattern, and onto values
+# outside the domains too, so verdicts flip; 0 and 1 stay, being part of the
+# shape (they equal FALSE and TRUE).
+_FREE = tuple(n for n in NUMS if n not in (0, 1))
+_permutation = st.tuples(
+    st.permutations(SOURCES + ("s8", "s9")),
+    st.permutations(VALUES + ("y", "z")),
+    st.permutations(_FREE + (7, 8)),
+).map(
+    lambda p: dict(
+        zip(
+            SOURCES + VALUES + _FREE,
+            p[0][: len(SOURCES)] + p[1][: len(VALUES)] + p[2][: len(_FREE)],
+        )
+    )
+)
+
+
+def literal_twin(sql: str, mapping: dict) -> str:
+    """``sql`` with each literal ``v`` replaced by ``mapping.get(v, v)``: a
+    text of the same shape when ``mapping`` is one-to-one per type."""
+    (segments, _kinds, _pattern), values = shape_key(sql)
+    out = [segments[0]]
+    for value, segment in zip(values, segments[1:]):
+        out += [literal_to_sql(mapping.get(value, value)), segment]
+    return "".join(out)
+
+
+def make_shape_property(max_examples: int, tally: Counter):
+    """Shape campaign: report a formula, then its literal-permuted twin
+    through the same caches. The twin is bound into the formula's tree and
+    its plan re-bound (``shape rebound``) or, when a literal changes a
+    satisfiability verdict, built afresh (``shape re-planned``); either way
+    its report must stay complete, and exact when the plan says minimal."""
+    planned = []
+    build = relevance.build_relevance_plan
+
+    def counting_build(resolved, **options):
+        planned.append(resolved)
+        return build(resolved, **options)
+
+    @settings(max_examples=max_examples, deadline=None, print_blob=True)
+    @given(st.lists(_row1, max_size=4), st.lists(_row2, max_size=4), _where, _permutation)
+    def property_holds(rows1, rows2, where, mapping):
+        backend = _setup(rows1, rows2)
+        template = f"SELECT t1.src FROM t1, t2 WHERE {where}"
+        sql = literal_twin(template, mapping)
+        reporter = RecencyReporter(backend, create_temp_tables=False, plan_cache_size=16)
+        reporter.report(template)
+        del planned[:]
+        report = reporter.report(sql)
+        if sql != template and resolve_cached(sql, backend.catalog).bound_from is not None:
+            tally["shape re-planned" if planned else "shape rebound"] += 1
+        exact = brute_force_relevant_sources(backend.db, resolve(parse_query(sql), backend.catalog))
+        reported = report.relevant_source_ids
+        assert reported >= exact, f"INCOMPLETE twin {sql!r}: missing {exact - reported}"
+        if report.plan.minimal:
+            assert reported == exact, f"NOT MINIMAL twin {sql!r}: extra {reported - exact}"
+
+    def run() -> None:
+        relevance.build_relevance_plan = counting_build
+        try:
+            property_holds()
+        finally:
+            relevance.build_relevance_plan = build
+
+    return run
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -250,6 +326,13 @@ def main() -> int:
     print(f"fuzzing incremental maintenance with {examples} examples ...")
     make_incremental_property(examples)()
     print("OK: incremental reports matched the from-scratch oracle on every example")
+    print(f"fuzzing query shapes with {examples} examples ...")
+    tally: Counter = Counter()
+    make_shape_property(examples, tally)()
+    print(
+        f"OK: every literal twin's report was complete "
+        f"({tally['shape rebound']} shape rebound, {tally['shape re-planned']} shape re-planned)"
+    )
     return 0
 
 
