@@ -19,6 +19,7 @@ from repro.catalog import (
     Catalog,
 )
 from repro.engine.evaluate import QueryResult
+from repro.errors import BackendError
 
 #: The two ops of a :data:`Write`.
 UPSERT, DELETE = "upsert", "delete"
@@ -98,7 +99,10 @@ class Backend(abc.ABC):
 
         The heartbeat protocol's "load and timestamp move together" (§3.1):
         a snapshot sees the whole poll or none of it. Sniffers and WAL replay
-        call this; the per-call methods below are for bulk loads and probes."""
+        call this; the per-call methods below are for bulk loads and probes.
+        A NaN ``recency``, which would be stored as NULL, is refused."""
+        if recency != recency:
+            raise BackendError(f"source {source_id!r} polled a NaN recency")
         if recency is not None:  # the Heartbeat entry is the poll's last keyed write
             writes = [*writes, (UPSERT, HEARTBEAT_TABLE, _HEARTBEAT_KEY, (source_id, recency))]
         self._apply(writes)

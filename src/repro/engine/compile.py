@@ -93,7 +93,7 @@ def _compile_scalar(expr: ast.Expr, ref_maker) -> Callable:
 
 def _in_list_generic(value, literal_values, negated) -> _TruthValue:
     """The interpreter's IN loop for a non-NULL ``value`` (3VL over
-    possibly-NULL or boolean literals)."""
+    literals among which is NULL)."""
     saw_unknown = False
     for literal in literal_values:
         truth = _compare("=", value, literal)
@@ -162,21 +162,17 @@ def _compile_truth(expr: ast.Expr, ref_maker) -> Callable:
         literal_values = [literal.value for literal in expr.values]
         negated = expr.negated
 
-        if all(v is not None and not isinstance(v, bool) for v in literal_values):
-            # Common case: no NULL/boolean literals. ``_compare("=")`` then
-            # reduces to Python equality (numbers compare numerically and
-            # hash consistently; mixed number/string is plain inequality),
-            # so per-row evaluation is one set membership test. Boolean
-            # *values* still need the generic loop (True == 1 in Python but
-            # not in SQL), hence the isinstance guard below.
+        if None not in literal_values:
+            # Common case: no NULL literal. ``_compare("=")`` is then Python
+            # equality (numbers compare numerically and hash consistently, and
+            # a number never equals a string), so per-row evaluation is one
+            # set membership test.
             members = frozenset(literal_values)
 
             def in_set(carrier) -> _TruthValue:
                 value = value_fn(carrier)
                 if value is None:
                     return None
-                if isinstance(value, bool):
-                    return _in_list_generic(value, literal_values, negated)
                 found = value in members
                 return (not found) if negated else found
 

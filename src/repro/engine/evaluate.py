@@ -261,8 +261,6 @@ class _SortKey:
     def __init__(self, value: object) -> None:
         if value is None:
             self.rank, self.value = 0, 0
-        elif isinstance(value, bool):
-            self.rank, self.value = 1, int(value)
         elif isinstance(value, (int, float)):
             self.rank, self.value = 1, value
         else:
@@ -650,8 +648,8 @@ class _Execution:
                     rows = relation.lookup(column, values)
                     if rows is not None:
                         return rows, keep, "index lookup"
-                elif len(preds) == 1 and all(type(v) in (str, int, float) for v in values):
-                    rows = relation.complement(column, values, keep)
+                elif len(preds) == 1 and None not in values:
+                    rows = relation.complement(column, values)
                     if rows is not None:
                         return rows, None, "index complement"
         return None
@@ -862,7 +860,7 @@ def _join_step(
 
 
 def _require_number(value: object) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not isinstance(value, (int, float)):
         raise EngineError(f"SUM/AVG over non-numeric value {value!r}")
     return value
 

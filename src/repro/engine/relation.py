@@ -7,28 +7,30 @@ list only when a live share still references it. Opening a
 O(#tables) instead of O(#rows); an unmodified database pays nothing at
 all. CoW copies are recorded via :mod:`repro.obs` when telemetry is on.
 
+Rows enter only through :meth:`Relation.insert` and :meth:`Relation.upsert`,
+as SQLite stores them: outside a TEXT column a bool is its integer and a NaN
+is NULL, so the engine's ``=`` on a stored value is Python's ``==``.
+
 Keyed writes (:meth:`Relation.upsert`, :meth:`Relation.delete_keys` — the
 whole ingest path) go through one ``key values -> row positions`` index
 per relation, so an upsert does not scan its table and ``key = c`` /
 ``key IN (...)`` is a :meth:`Relation.lookup`. ``key <> c`` / ``key NOT IN
-(...)``, the scan's only pushed term with no NULL or boolean literal, is a
-:meth:`Relation.complement`: a row whose key is neither NULL nor
-Python-equal to a literal passes unevaluated (for such literals the
-engine's ``=`` is never true where ``==`` is false), and only the rows the
-index holds under a literal or NULL are re-checked (``True == 1 == 1.0``,
-and NULL fails). The first keyed write under a key builds it (a different
-key rebuilds it), :meth:`Relation.insert` keeps it, a delete rebuilds it
-and ``clear`` empties it. A snapshot view borrows its parent's index for
-reading only, and four rules keep that safe: an upsert overwrites in place
-and never moves a position; ``insert`` appends, and a lookup drops any
-position at or past the view's own length; a delete or ``clear`` rebinds
-both list and index, so the view keeps the old pair, which nothing mutates
-again; the first write through a view drops the borrowed index first.
+(...)``, the scan's only pushed term with no NULL literal, is a
+:meth:`Relation.complement`: every row but those the index holds under a
+literal or NULL, none evaluated. The first keyed write under a key builds
+it (a different key rebuilds it), :meth:`Relation.insert` keeps it, a
+delete rebuilds it and ``clear`` empties it. A snapshot view borrows its
+parent's index for reading only, and four rules keep that safe: an upsert
+overwrites in place and never moves a position; ``insert`` appends, and a
+lookup drops any position at or past the view's own length; a delete or
+``clear`` rebinds both list and index, so the view keeps the old pair,
+which nothing mutates again; the first write through a view drops the
+borrowed index first.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.catalog import Catalog, TableSchema
 from repro.errors import EngineError
@@ -57,6 +59,8 @@ class Relation:
         self.schema = schema
         self._rows: List[Row] = []
         self._width = len(schema.columns)
+        #: The positions where a bool or NaN is stored as SQLite stores it.
+        self._numeric = tuple(i for i, c in enumerate(schema.columns) if c.sql_type != "TEXT")
         self._share_count = 0
         #: ``(key column positions, key values -> positions of the rows
         #: holding them)``, or ``None`` until a keyed write asks for it.
@@ -83,7 +87,7 @@ class Relation:
         view = Relation.__new__(Relation)
         view.schema = self.schema
         view._rows = self._rows
-        view._width = self._width
+        view._width, view._numeric = self._width, self._numeric
         view.keyed, view._borrowed = self.keyed, self.keyed is not None
         # The view also counts one (phantom) share so that an accidental
         # write through it copies instead of corrupting the live relation.
@@ -123,16 +127,26 @@ class Relation:
             f"{self.schema.name!r} with {self._width} columns"
         )
 
-    def insert(self, row: Sequence[object]) -> None:
-        """Append one row (validated for arity)."""
+    def _stored(self, row: Sequence[object]) -> Row:
+        """``row`` as SQLite stores it (validated for arity)."""
         if len(row) != self._width:
             raise self._arity_error(row)
+        row = tuple(row)
+        for i in self._numeric:
+            value = row[i]
+            if value is True or value is False or value != value:
+                row = row[:i] + (None if value != value else int(value),) + row[i + 1 :]
+        return row
+
+    def insert(self, row: Sequence[object]) -> None:
+        """Append one row."""
+        row = self._stored(row)
         if self._share_count:
             self._materialize()
         if self.keyed is not None:
             key_indexes, index = self.keyed
             index.setdefault(_key_of(row, key_indexes), []).append(len(self._rows))
-        self._rows.append(tuple(row))
+        self._rows.append(row)
 
     def insert_many(self, rows: Iterable[Sequence[object]]) -> None:
         for row in rows:
@@ -155,9 +169,7 @@ class Relation:
         position; several holders (a bag loaded by :meth:`insert`) are
         deleted first and the row is appended.
         """
-        if len(row) != self._width:
-            raise self._arity_error(row)
-        row = tuple(row)
+        row = self._stored(row)
         key = _key_of(row, key_indexes)
         held = self.index_on(key_indexes).get(key)
         if held is None:
@@ -203,28 +215,25 @@ class Relation:
     # -- reading --------------------------------------------------------------
 
     def lookup(self, column: int, values: Iterable[object]) -> Optional[List[Row]]:
-        """The rows, in position order, whose ``column`` may equal one of
-        ``values`` by Python's ``==`` (``True == 1 == 1.0``: the caller
-        re-checks its own), or ``None`` unless keyed on ``column`` alone."""
+        """The rows, in position order, whose ``column`` equals one of
+        ``values`` by Python's ``==`` (a NULL too: the caller re-checks its
+        own), or ``None`` unless keyed on ``column`` alone."""
         keyed, rows = self.keyed, self._rows
         if keyed is None or keyed[0] != (column,):
             return None
         held = {p for value in values for p in keyed[1].get((value,), ()) if p < len(rows)}
         return [rows[p] for p in sorted(held)]
 
-    def complement(
-        self, column: int, values: Iterable[object], keep: Callable[[Row], object]
-    ) -> Optional[List[Row]]:
+    def complement(self, column: int, values: Iterable[object]) -> Optional[List[Row]]:
         """The rows, in position order, whose ``column`` is not NULL and none
-        of ``values`` by Python's ``==``, and of the others those that pass
-        the caller's re-check ``keep``; ``None`` unless keyed on ``column`` alone."""
+        of ``values`` by Python's ``==``; ``None`` unless keyed on ``column`` alone."""
         keyed, rows = self.keyed, self._rows
         if keyed is None or keyed[0] != (column,):
             return None
         held = {p for value in [*values, None] for p in keyed[1].get((value,), ()) if p < len(rows)}
         out: List[Row] = []
         start = 0
-        for p in sorted(p for p in held if not keep(rows[p])):
+        for p in sorted(held):
             out += rows[start:p]
             start = p + 1
         return out + rows[start:]

@@ -4,14 +4,16 @@
 ``evaluate_predicate`` collapses UNKNOWN to ``False``, which is the WHERE
 clause behaviour (rows for which the predicate is UNKNOWN are filtered out).
 
-Values are compared with SQL semantics over our value model:
+Values are compared with SQL semantics over our value model, the values
+SQLite stores (the parser reads TRUE as ``1``, and the memory engine stores
+a bool as its integer and NaN as NULL), so ``=`` is Python's ``==``:
 
 * ``None`` is NULL — any comparison involving it is UNKNOWN;
 * numbers compare numerically (``1 == 1.0``);
 * strings compare lexicographically;
-* comparing a number with a string is UNKNOWN (the engines we target would
-  coerce; refusing keeps the relevance analysis conservative and makes the
-  mini engine's behaviour deterministic).
+* a number never equals a string, and ordering the two is UNKNOWN (SQLite
+  would order by storage class; refusing keeps the relevance analysis
+  conservative).
 """
 
 from __future__ import annotations
@@ -101,20 +103,17 @@ def _scalar(expr: ast.Expr, lookup: ValueLookup) -> object:
 
 
 def _comparable(a: object, b: object) -> bool:
-    a_num = isinstance(a, (int, float)) and not isinstance(a, bool)
-    b_num = isinstance(b, (int, float)) and not isinstance(b, bool)
-    if a_num and b_num:
-        return True
-    return isinstance(a, str) and isinstance(b, str)
+    numbers = isinstance(a, (int, float)) and isinstance(b, (int, float))
+    return numbers or (isinstance(a, str) and isinstance(b, str))
 
 
 def _compare(op: str, left: object, right: object) -> _TruthValue:
     if left is None or right is None:
         return None
     if not _comparable(left, right):
-        # Mixed-type comparison: SQL engines differ; we return UNKNOWN, which
-        # filters the row out, matching SQLite's behaviour of such rows not
-        # matching equality across affinities in our usage.
+        # A number and a string: ``=`` / ``<>`` answer as ``==`` does, and as
+        # SQLite does where no column affinity converts one of them; an
+        # ordering between them is UNKNOWN.
         if op == "=":
             return False
         if op == "<>":

@@ -39,7 +39,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.catalog.domains import Domain, IntegerDomain, RealDomain, TextDomain
 from repro.errors import UnsupportedQueryError
-from repro.predicates.evaluate import evaluate_predicate, like_match
+from repro.predicates.evaluate import _comparable, evaluate_predicate, like_match
 from repro.sqlparser import ast
 
 #: Maximum number of assignments the exact cross-product fallback enumerates.
@@ -265,14 +265,6 @@ class ColumnConstraint:
                 candidates.append(k)
                 candidates.append(float(k))
         return candidates
-
-
-def _comparable(a: object, b: object) -> bool:
-    a_num = isinstance(a, (int, float)) and not isinstance(a, bool)
-    b_num = isinstance(b, (int, float)) and not isinstance(b, bool)
-    if a_num and b_num:
-        return True
-    return isinstance(a, str) and isinstance(b, str)
 
 
 def _lt(a: object, b: object) -> bool:

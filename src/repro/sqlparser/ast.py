@@ -35,7 +35,7 @@ class Expr:
 
 
 class Literal(Expr):
-    """A constant: string, int, float, bool or NULL (``None``)."""
+    """A constant: string, int, float, NULL (``None``) or, bare, TRUE / FALSE."""
 
     __slots__ = ("value",)
 

@@ -19,7 +19,8 @@ Grammar (informal)::
                  | operand [NOT] BETWEEN operand AND operand
                  | operand [NOT] LIKE string
                  | operand IS [NOT] NULL
-    operand     := literal | column_ref
+    operand     := column_ref | literal
+    literal     := string | number | NULL | TRUE (the integer 1) | FALSE (0)
     column_ref  := identifier ['.' identifier]
 """
 
@@ -31,6 +32,12 @@ from repro.errors import ParseError
 from repro.sqlparser import ast
 from repro.sqlparser.lexer import tokenize
 from repro.sqlparser.tokens import AGGREGATES, Token, TokenType
+
+#: Keywords that are values; as in SQLite (``typeof(TRUE)`` is ``integer``),
+#: only a TRUE or FALSE that no predicate compares is a truth constant.
+_LITERAL_WORDS = {"NULL": None, "TRUE": 1, "FALSE": 0}
+#: Keywords that go on from an operand into a predicate.
+_PREDICATE_WORDS = frozenset({"NOT", "IN", "BETWEEN", "LIKE", "IS"})
 
 
 def parse_query(text: str) -> ast.Query:
@@ -234,12 +241,12 @@ class _Parser:
             inner = self.expression()
             self._expect(TokenType.RPAREN)
             return inner
-        if self.current.is_keyword("TRUE"):
-            self._advance()
-            return ast.Literal(True)
-        if self.current.is_keyword("FALSE"):
-            self._advance()
-            return ast.Literal(False)
+        if self.current.is_keyword("TRUE") or self.current.is_keyword("FALSE"):
+            ahead = self._tokens[self._pos + 1]  # a compared TRUE is an operand
+            if ahead.type is not TokenType.OPERATOR and not (
+                ahead.type is TokenType.KEYWORD and ahead.value in _PREDICATE_WORDS
+            ):
+                return ast.Literal(self._advance().value == "TRUE")
         return self._predicate()
 
     def _predicate(self) -> ast.Expr:
@@ -286,29 +293,17 @@ class _Parser:
         return ast.InList(expr, values, negated)
 
     def _operand(self) -> ast.Expr:
-        token = self.current
-        if token.type in (TokenType.STRING, TokenType.NUMBER):
-            return self._value()
-        if token.is_keyword("NULL"):
-            self._advance()
-            return ast.Literal(None)
-        if token.is_keyword("TRUE"):
-            self._advance()
-            return ast.Literal(True)
-        if token.is_keyword("FALSE"):
-            self._advance()
-            return ast.Literal(False)
-        if token.type is TokenType.IDENTIFIER:
+        if self.current.type is TokenType.IDENTIFIER:
             return self._column_ref()
-        raise ParseError(f"expected a value or column, found {token.value!r}", token.position)
+        return self._literal()
 
     def _literal(self) -> ast.Literal:
         token = self.current
         if token.type in (TokenType.STRING, TokenType.NUMBER):
             return self._value()
-        if token.is_keyword("NULL"):
+        if token.type is TokenType.KEYWORD and token.value in _LITERAL_WORDS:
             self._advance()
-            return ast.Literal(None)
+            return ast.Literal(_LITERAL_WORDS[token.value])
         raise ParseError(f"expected a literal, found {token.value!r}", token.position)
 
     def _column_ref(self) -> ast.ColumnRef:

@@ -101,6 +101,15 @@ class TestHeartbeat:
         backend.upsert_heartbeat("b", 2.0)
         assert sorted(backend.heartbeat_rows()) == [("a", 1.0), ("b", 2.0)]
 
+    def test_a_nan_recency_is_refused_whole(self, backend):
+        """Stored, a NaN is NULL: the write would land a recency no report
+        can read, so the poll is refused, naming its source, and lands nothing."""
+        backend.upsert_heartbeat("a", 1.0)
+        with pytest.raises(BackendError, match="'b'"):
+            backend.apply_poll([(UPSERT, "t", ("s",), ("b", 7))], "b", float("nan"))
+        assert backend.heartbeat_rows() == [("a", 1.0)]
+        assert backend.row_count("t") == 0
+
 
 class TestSnapshots:
     def test_queries_inside_snapshot(self, backend):

@@ -196,6 +196,35 @@ class TestBooleanStructure:
     def test_true_false_literals(self):
         assert parse_expression("TRUE").value is True
         assert parse_expression("FALSE").value is False
+        assert parse_expression("(TRUE) AND NOT FALSE") == ast.And(
+            [ast.Literal(True), ast.Not(ast.Literal(False))]
+        )
+
+    def test_a_compared_true_or_false_is_the_integer_sqlite_stores(self):
+        """In an operand position TRUE is 1 and FALSE 0, as ``typeof(TRUE)``
+        is ``integer`` in SQLite; on either side of a comparison too."""
+        one, zero = ast.Literal(1), ast.Literal(0)
+        a = ast.ColumnRef("a")
+        for text, tree in [
+            ("a = TRUE", ast.Comparison("=", a, one)),
+            ("FALSE <> a", ast.Comparison("<>", zero, a)),
+            ("a IN (TRUE, 5)", ast.InList(a, [one, ast.Literal(5)])),
+            ("a BETWEEN FALSE AND TRUE", ast.Between(a, zero, one)),
+            ("TRUE NOT IN (0)", ast.InList(one, [zero], True)),
+            ("TRUE IS NULL", ast.IsNull(one)),
+        ]:
+            parsed = parse_expression(text)
+            assert parsed == tree, text
+            assert all(type(v.value) is int for v in _literals(parsed)), text
+
+
+def _literals(expr):
+    """Every literal node under a predicate ``expr``."""
+    if isinstance(expr, ast.Literal):
+        return [expr]
+    children = [getattr(expr, name) for name in ("left", "right", "expr", "low", "high")
+                if hasattr(expr, name)] + list(getattr(expr, "values", ()))
+    return [literal for child in children for literal in _literals(child)]
 
 
 class TestFullQueries:

@@ -26,7 +26,10 @@ tallies the executions by kind, among them how many projected bare rows of
 one table (``row carrier``), how many ran a semijoin and how many read a
 relation through its key index (``index lookup``) or its complement
 (``index complement``: the only pushed term is ``<>`` / ``NOT IN`` on the
-key, e.g. ``t1.x NOT IN (0, 2)`` over a NULL-holding ``x``). Some examples key ``t1``
+key, e.g. ``t1.x NOT IN (0, 2)`` over a NULL-holding ``x``), and how many
+wrote a bool (``bool value``) or a NaN (``nan value``) into an INTEGER
+column, which the engine must store as SQLite does. Operands include
+``TRUE`` and ``FALSE``, the integers ``1`` and ``0``. Some examples key ``t1``
 (on ``x`` or ``s``) or ``t2`` (on ``s``), and some run the statement on a
 ``snapshot_view`` taken before more inserts and upserts land on the parent,
 which the view must not see. Usage::
@@ -37,6 +40,7 @@ which the view must not see. Usage::
 from __future__ import annotations
 
 import argparse
+import math
 import sqlite3
 from collections import Counter
 
@@ -72,12 +76,15 @@ def catalog():
     )
 
 
+#: An INTEGER value, or one SQLite stores as another: a bool as its integer,
+#: ``1.0`` as ``1`` and NaN (one object, equal to itself under ``==``) as NULL.
+_int = st.one_of(st.none(), st.integers(-3, 6), st.sampled_from([True, False, 1.0, math.nan]))
 _row1 = st.tuples(
     st.sampled_from(["a", "b", "c"]),
-    st.one_of(st.none(), st.integers(-3, 6)),
+    _int,
     st.one_of(st.none(), st.sampled_from(["p", "q", "pq"])),
 )
-_row2 = st.tuples(st.sampled_from(["a", "b", "c"]), st.one_of(st.none(), st.integers(-3, 6)))
+_row2 = st.tuples(st.sampled_from(["a", "b", "c"]), _int)
 
 _ATOMS = [
     "t1.x = 2",
@@ -103,6 +110,12 @@ _ATOMS = [
     "t1.s = t2.s",
     "t1.s <> t2.s",
     "t1.x <= t2.y",
+    "t1.x = TRUE",
+    "FALSE = t1.x",
+    "t1.x IN (TRUE, 5)",
+    "t1.x NOT IN (FALSE, 2)",
+    "t2.y <> FALSE",
+    "t2.y BETWEEN FALSE AND TRUE",
 ]
 
 #: FROM list -> the select lists that can be drawn over it (a parenthesis
@@ -319,6 +332,9 @@ def make_property(max_examples: int, corpus: Counter):
         for kind in ("index lookup", "index complement"):
             corpus[kind] += any(op.detail.startswith(kind) for op in operators)
         corpus["snapshot"] += later is not None
+        values = [v for rows in (rows1, rows2, *(later or ())) for row in rows for v in row]
+        corpus["bool value"] += any(v is True or v is False for v in values)
+        corpus["nan value"] += any(v != v for v in values)
 
     return engines_agree
 

@@ -90,6 +90,12 @@ _atoms = st.sampled_from(
         "t2.src = t2.ref",
         "t1.v IS NULL",
         "t1.v IS NOT NULL",
+        # TRUE and FALSE are the INTEGER literals 1 and 0.
+        "t1.n = TRUE",
+        "t1.n IN (TRUE, 3)",
+        "t2.m <> FALSE",
+        "t1.n BETWEEN FALSE AND TRUE",
+        "TRUE < t2.m",
     ]
 )
 
@@ -162,6 +168,7 @@ _t1_atoms = st.sampled_from(
         "t1.v <> 'q'",
         "t1.n > 0",
         "t1.n BETWEEN 1 AND 2",
+        "t1.n = TRUE",
     ]
 )
 
