@@ -208,8 +208,8 @@ class RecencyMonitor:
                     )
                 )
 
-        if rule.forbid_exceptional and report.exceptional_sources:
-            names = ", ".join(s.source_id for s in report.exceptional_sources)
+        if rule.forbid_exceptional and report.split.exceptional_ids:
+            names = ", ".join(report.split.exceptional_ids)
             alerts.append(
                 Alert(
                     rule,

@@ -43,7 +43,6 @@ from __future__ import annotations
 from typing import Collection, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from repro.core.sources import DEFAULT_TARGET_P95
-from repro.core.statistics import SourceRecency
 
 #: Seconds of staleness that halve a source's quality score.
 DEFAULT_HALF_LIFE = DEFAULT_TARGET_P95
@@ -55,15 +54,9 @@ DEFAULT_EXCEPTIONAL_PENALTY = 0.5
 DEFAULT_DEGRADED_PENALTY = 0.25
 
 
-def _entry(source_id, recency, staleness, quality, exceptional, degraded) -> Dict[str, object]:
-    return {
-        "source_id": source_id,
-        "recency": recency,
-        "staleness": staleness,
-        "quality": quality,
-        "exceptional": exceptional,
-        "degraded": degraded,
-    }
+def _entry(*values: object) -> Dict[str, object]:
+    return dict(zip(("source_id", "recency", "staleness", "quality", "exceptional", "degraded"),
+                    values))
 
 
 class QualityModel:
@@ -82,39 +75,37 @@ class QualityModel:
 
     def score_sources(
         self,
-        sources: Sequence[SourceRecency],
+        ids: Sequence[str],
+        recencies: Sequence[float],
         exceptional: Optional[Set[str]] = None,
         degraded: Optional[Set[str]] = None,
         now: Optional[float] = None,
     ) -> Dict[str, Dict[str, object]]:
         """Score every source against the freshest one (or ``now``).
 
-        ``sources`` is the report's relevant-source set (normal plus
-        exceptional); ``exceptional`` and ``degraded`` name the sources the
-        z-score split and the supervision layer distrust. Returns, keyed by
-        source id, the ``{"source_id", "recency", "staleness", "quality",
-        "exceptional", "degraded"}`` entry every surface serves.
+        ``ids`` / ``recencies`` are the report's relevant-source columns
+        (normal plus exceptional); ``exceptional`` and ``degraded`` name the
+        sources the z-score split and the supervision layer distrust.
+        Returns, keyed by source id, the ``{"source_id", "recency",
+        "staleness", "quality", "exceptional", "degraded"}`` entry every
+        surface serves.
         """
         exceptional = exceptional or set()
         degraded = degraded or set()
         out: Dict[str, Dict[str, object]] = {}
-        if not sources and not degraded:
+        if not ids and not degraded:
             return out
-        reference: Optional[float] = now
-        if reference is None and sources:
-            reference = max(s.recency for s in sources)
-        for s in sources:
-            staleness = max(0.0, (reference or s.recency) - s.recency)
+        reference = max(recencies, default=None) if now is None else now
+        for source_id, recency in zip(ids, recencies):
+            staleness = max(0.0, reference - recency)
             quality = self.freshness(staleness)
-            is_exceptional = s.source_id in exceptional
-            is_degraded = s.source_id in degraded
+            is_exceptional, is_degraded = source_id in exceptional, source_id in degraded
             if is_exceptional:
                 quality *= DEFAULT_EXCEPTIONAL_PENALTY
             if is_degraded:
                 quality *= DEFAULT_DEGRADED_PENALTY
-            out[s.source_id] = _entry(
-                s.source_id, s.recency, staleness, quality, is_exceptional, is_degraded
-            )
+            out[source_id] = _entry(source_id, recency, staleness, quality, is_exceptional,
+                                    is_degraded)
         # Degraded sources with no heartbeat are positively known to be
         # down and never reported: worst possible score.
         for source_id in degraded:

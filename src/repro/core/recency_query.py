@@ -29,7 +29,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.catalog import HEARTBEAT_RECENCY_COLUMN, HEARTBEAT_SOURCE_COLUMN, HEARTBEAT_TABLE
-from repro.core.statistics import SourceRecency, sorted_recencies
+from repro.core.statistics import Columns, sorted_columns
 from repro.errors import UnsupportedQueryError
 from repro.sqlparser import ast
 from repro.sqlparser.printer import to_sql
@@ -260,17 +260,18 @@ def execute_fragment(
     return {"mode": mode, "results": results, "guards": guards}
 
 
-def merge_fragments(request: dict, fragments: Sequence[dict]) -> List[SourceRecency]:
-    """Union fragments into the relevant-source set: OR each guard across
-    fragments (the union has rows iff some holder does), keep a subquery's
-    rows iff all its guards hold globally, sort by source id (mode ``"all"``
-    keeps the Heartbeat scan order, fragment by fragment). A fragment
-    shorter than the request — malformed, or cut by ``short_circuit`` —
-    contributes nothing for the subqueries it lacks.
+def merge_fragments(request: dict, fragments: Sequence[dict]) -> Columns:
+    """Union fragments into the relevant-source set, returned as two columns
+    ``(ids, recencies)``: OR each guard across fragments (the union has rows
+    iff some holder does), keep a subquery's rows iff all its guards hold
+    globally, sort by source id. Mode ``"all"`` keeps the Heartbeat scan
+    order, fragment by fragment; mode ``"empty"`` is two empty columns. A
+    fragment shorter than the request — malformed, or cut by
+    ``short_circuit`` — contributes nothing for the subqueries it lacks.
 
     The one place a row is normalized, whoever produced it (a local
-    snapshot, a shard's JSON reply): the source id becomes a ``str`` here,
-    the recency a ``float`` in :class:`SourceRecency`."""
+    snapshot, a shard's JSON reply): the source id becomes a ``str``, the
+    recency a ``float``, and a later row of an id wins."""
     mode = request.get("mode", "focused")
     found: Dict[str, object] = {}
     if mode == "all":
@@ -278,9 +279,9 @@ def merge_fragments(request: dict, fragments: Sequence[dict]) -> List[SourceRece
             for rows in fragment.get("results", ()):
                 for sid, rec in rows:
                     found[str(sid)] = rec
-        return list(map(SourceRecency, found, found.values()))
+        return list(found), [float(rec) for rec in found.values()]
     if mode == "empty":
-        return []
+        return [], []
     guard_or: Dict[str, bool] = {}
     for fragment in fragments:
         for guard, verdict in fragment.get("guards", {}).items():
@@ -293,4 +294,4 @@ def merge_fragments(request: dict, fragments: Sequence[dict]) -> List[SourceRece
             if index < len(results):
                 for sid, rec in results[index]:
                     found[str(sid)] = rec
-    return sorted_recencies(found)
+    return sorted_columns(found)

@@ -17,7 +17,7 @@ Three methods are supported, matching the experimental setup of Section 5.2:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Set
 
 from repro.backends.base import Backend, Snapshot
 from repro.core.quality import ProvenanceRecord, QualityModel
@@ -32,13 +32,14 @@ from repro.core.session import Session, TempTablePair
 from repro.core.sources import SourceRegistry
 from repro.core.statistics import (
     DEFAULT_Z_THRESHOLD,
+    Columns,
     RecencySplit,
     RecencyStatistics,
     SourceRecency,
-    describe,
+    describe_columns,
     format_interval,
     format_timestamp,
-    zscore_split,
+    split_columns,
 )
 from repro.engine.cache import resolve_cached
 from repro.engine.evaluate import QueryResult
@@ -89,13 +90,7 @@ class ReportTimings:
 
     def to_dict(self) -> Dict[str, float]:
         """Phase durations keyed by phase name (JSON exporter friendly)."""
-        return {
-            "parse_generate": self.parse_generate,
-            "user_query": self.user_query,
-            "recency_query": self.recency_query,
-            "statistics": self.statistics,
-            "total": self.total,
-        }
+        return {name: getattr(self, name) for name in self.__slots__}
 
     def __repr__(self) -> str:
         return (
@@ -110,8 +105,10 @@ class RecencyReport:
 
     Built from the relevant sources some *fetch* stage produced (snapshot
     subqueries, the incremental maintainer, a shard fan-out — the report
-    cannot tell which); the z-score split and statistics happen here, and
-    the producing pipeline then fills the annotation attributes.
+    cannot tell which) as two columns, ``(ids, recencies)``; the z-score
+    split and statistics run over the columns here, and the producing
+    pipeline then fills the annotation attributes. ``normal_sources`` /
+    ``exceptional_sources`` build their objects on first read.
 
     ``telemetry`` is the report's root :class:`~repro.obs.trace.Span`
     (``trac.report``) when the producing reporter had telemetry enabled,
@@ -134,7 +131,7 @@ class RecencyReport:
         sql: str,
         method: str,
         plan: RelevancePlan,
-        sources: Sequence[SourceRecency],
+        sources: Columns,
         z_threshold: float = DEFAULT_Z_THRESHOLD,
         result: Optional[QueryResult] = None,
     ) -> None:
@@ -144,8 +141,10 @@ class RecencyReport:
         #: The user query's rows; ``None`` when only the recency side ran
         #: (a federated report never executes the user query).
         self.result = result
-        self.split: RecencySplit = zscore_split(sources, z_threshold)
-        self.statistics: RecencyStatistics = describe(self.split.normal)
+        split = self.split = split_columns(*sources, z_threshold)
+        self.statistics: RecencyStatistics = describe_columns(
+            split.normal_ids, split.normal_recencies
+        )
         self.temp_tables: Optional[TempTablePair] = None
         self.timings: Optional[ReportTimings] = None
         self.telemetry: Optional[object] = None
@@ -190,9 +189,7 @@ class RecencyReport:
     @property
     def relevant_source_ids(self) -> Set[str]:
         """All reported relevant sources (normal plus exceptional)."""
-        return {s.source_id for s in self.split.normal} | {
-            s.source_id for s in self.split.exceptional
-        }
+        return set(self.split.normal_ids).union(self.split.exceptional_ids)
 
     @property
     def minimal(self) -> bool:
@@ -203,7 +200,7 @@ class RecencyReport:
     def suspect_sources(self) -> Set[str]:
         """Sources the report says not to trust: the z-score-exceptional
         ones plus the supervisor-degraded ones."""
-        return {s.source_id for s in self.split.exceptional} | set(self.degraded_sources)
+        return set(self.split.exceptional_ids).union(self.degraded_sources)
 
     def is_degraded(self, source_id: str) -> bool:
         return source_id in self.degraded_sources
@@ -211,7 +208,7 @@ class RecencyReport:
     def notices(self) -> List[str]:
         """The NOTICE lines of the prototype's interactive session."""
         lines: List[str] = []
-        if self.exceptional_sources and self.temp_tables is not None:
+        if self.split.exceptional_ids and self.temp_tables is not None:
             lines.append(
                 "NOTICE: Exceptional relevant data sources and timestamps "
                 f"are in the temporary table: {self.temp_tables.exceptional}"
@@ -274,17 +271,19 @@ class RecencyReport:
         with lineage on. Every other key is always present — a ``null``
         ``bound_of_inconsistency`` means no relevant source has reported in.
         """
-        result = self.result
+        result, split = self.result, self.split
         doc: Dict[str, object] = {
             "sql": self.sql,
             "method": self.method,
             "columns": list(result.columns) if result is not None else [],
             "rows": [list(row) for row in result.rows] if result is not None else [],
             "notices": self.notices(),
-            "relevant_sources": sorted(self.relevant_source_ids),
-            "exceptional_sources": sorted(s.source_id for s in self.split.exceptional),
-            "normal": [[s.source_id, s.recency] for s in self.split.normal],
-            "exceptional": [[s.source_id, s.recency] for s in self.split.exceptional],
+            "relevant_sources": sorted(split.normal_ids + split.exceptional_ids),
+            "exceptional_sources": sorted(split.exceptional_ids),
+            "normal": list(map(list, zip(split.normal_ids, split.normal_recencies))),
+            "exceptional": list(
+                map(list, zip(split.exceptional_ids, split.exceptional_recencies))
+            ),
             "degraded": list(self.degraded_sources),
             "bound_of_inconsistency": self.statistics.inconsistency_bound,
             "minimal": self.minimal,
@@ -478,7 +477,7 @@ class RecencyReporter:
 
                 with PhaseTimer(tel, SPAN_RECENCY) as recency_phase:
                     sources, verdict = self._fetch(snapshot, plan)
-                    recency_phase.set_attribute("relevant", len(sources))
+                    recency_phase.set_attribute("relevant", len(sources[0]))
                     if verdict is not None:
                         recency_phase.set_attribute("incremental", verdict)
 
@@ -488,11 +487,11 @@ class RecencyReporter:
                     )
                     if self.create_temp_tables:
                         report.temp_tables = self.session.next_table_names()
+                        split = report.split
                         self.session.materialize(
-                            snapshot,
-                            report.temp_tables,
-                            report.split.normal,
-                            report.split.exceptional,
+                            snapshot, report.temp_tables,
+                            (split.normal_ids, split.normal_recencies),
+                            (split.exceptional_ids, split.exceptional_recencies),
                         )
 
         report.incremental = verdict
@@ -523,10 +522,10 @@ class RecencyReporter:
             return sources, verdict
         sources = self._relevant_sources(snapshot, plan)
         if verdict == "miss":
-            self.incremental.register(plan, sources, snapshot)
+            self.incremental.register(plan, sources[0], snapshot)
         return sources, verdict
 
-    def _annotate(self, report: RecencyReport, sources: List[SourceRecency]) -> None:
+    def _annotate(self, report: RecencyReport, sources: Columns) -> None:
         """The annotate stage: known outages, SLO standing, row quality."""
         registry = self.sources
         if registry is not None:
@@ -535,8 +534,8 @@ class RecencyReporter:
         if self.lineage and lineage is not None:
             model = QualityModel(registry.half_life) if registry is not None else QualityModel()
             scores = model.score_sources(
-                sources,
-                exceptional={s.source_id for s in report.split.exceptional},
+                *sources,
+                exceptional=set(report.split.exceptional_ids),
                 degraded=set(report.degraded_sources),
             )
             report.provenance, report.row_quality = model.summarize(lineage, scores)
@@ -553,14 +552,15 @@ class RecencyReporter:
         if profile is not None and profile.trace_id == trace_id:
             report.profile = profile
             profile.incremental = report.incremental
-        for exc_source in report.split.exceptional:
+        split = report.split
+        for source_id, recency in zip(split.exceptional_ids, split.exceptional_recencies):
             tel.emit(
                 EVT_REPORT_EXCEPTIONAL,
-                source=exc_source.source_id,
+                source=source_id,
                 severity="warning",
                 span=stats_span,
-                recency=exc_source.recency,
-                threshold=report.split.threshold,
+                recency=recency,
+                threshold=split.threshold,
             )
         tel.count(obs.REPORTS, method=method)
         tel.observe(obs.REPORT_SECONDS, seconds, trace_id=trace_id, method=method)
@@ -611,21 +611,14 @@ class RecencyReporter:
 
     # -- internals ----------------------------------------------------------------
 
-    def _relevant_sources(
-        self, snapshot: Snapshot, plan: RelevancePlan
-    ) -> List[SourceRecency]:
+    def _relevant_sources(self, snapshot: Snapshot, plan: RelevancePlan) -> Columns:
         """From-scratch fetch: the merge of the one local fragment (the sole
         holder of the data, so failed guards may short-circuit)."""
         request = fragment_request(plan)
         fragment = execute_fragment(snapshot, request, True, plan.statements)
         return merge_fragments(request, [fragment])
 
-    def _verify_incremental(
-        self,
-        snapshot: Snapshot,
-        plan: RelevancePlan,
-        maintained: List[SourceRecency],
-    ) -> None:
+    def _verify_incremental(self, snapshot: Snapshot, plan: RelevancePlan, maintained: Columns):
         """Differential oracle: the hit's sources must equal the
         from-scratch computation in the same snapshot, byte for byte."""
         oracle = self._relevant_sources(snapshot, plan)

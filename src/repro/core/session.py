@@ -10,10 +10,10 @@ prototype's ``sys_temp_a<ts>`` / ``sys_temp_e<ts>`` tables.
 from __future__ import annotations
 
 import itertools
-from typing import List, Sequence
+from typing import List
 
 from repro.backends.base import Backend, Snapshot
-from repro.core.statistics import SourceRecency
+from repro.core.statistics import Columns
 
 
 class Session:
@@ -34,20 +34,14 @@ class Session:
         self,
         snapshot: Snapshot,
         names: "TempTablePair",
-        normal: Sequence[SourceRecency],
-        exceptional: Sequence[SourceRecency],
+        normal: Columns,
+        exceptional: Columns,
     ) -> None:
-        """Create the temp tables holding the report's recency rows."""
-        snapshot.create_temp_table(
-            names.normal, ("sid", "recency"), [(s.source_id, s.recency) for s in normal]
-        )
-        self._created.append(names.normal)
-        snapshot.create_temp_table(
-            names.exceptional,
-            ("sid", "recency"),
-            [(s.source_id, s.recency) for s in exceptional],
-        )
-        self._created.append(names.exceptional)
+        """Create the temp tables holding the report's recency rows, given
+        as ``(ids, recencies)`` columns."""
+        for name, (ids, recencies) in ((names.normal, normal), (names.exceptional, exceptional)):
+            snapshot.create_temp_table(name, ("sid", "recency"), list(zip(ids, recencies)))
+            self._created.append(name)
 
     def drop(self, name: str) -> None:
         """Drop one temp table early (before session end)."""

@@ -17,7 +17,10 @@ justified by Chebyshev's theorem — at most 1/9 of any data set lies beyond
 from __future__ import annotations
 
 import math
+import operator
 from datetime import datetime, timezone
+from functools import cached_property
+from itertools import compress
 from typing import List, Mapping, Optional, Sequence, Tuple
 
 #: Default |z| threshold for exceptional sources, per the paper.
@@ -25,7 +28,8 @@ DEFAULT_Z_THRESHOLD = 3.0
 
 
 class SourceRecency:
-    """One source's recency timestamp (epoch seconds)."""
+    """One source's recency timestamp (epoch seconds): a view of one entry
+    of a report's :data:`Columns`, built only when a caller asks for one."""
 
     __slots__ = ("source_id", "recency")
 
@@ -47,11 +51,14 @@ class SourceRecency:
         return f"SourceRecency({self.source_id!r}, {self.recency})"
 
 
-def sorted_recencies(recency: Mapping[str, float]) -> List[SourceRecency]:
-    """``{source: recency}`` as a report's source list, sorted by source id
-    (keys are unique, so sorting the keys alone gives the pairs' order)."""
-    keys = sorted(recency)
-    return list(map(SourceRecency, keys, map(recency.__getitem__, keys)))
+#: A set of sources as two parallel columns: ``(ids, recencies)``.
+Columns = Tuple[List[str], List[float]]
+
+
+def sorted_columns(recency: Mapping[str, object]) -> Columns:
+    """``{source: recency}`` as id-sorted columns, each recency a ``float``."""
+    ids = sorted(recency)
+    return ids, [float(recency[sid]) for sid in ids]
 
 
 def format_timestamp(epoch_seconds: float) -> str:
@@ -103,57 +110,66 @@ class RecencyStatistics:
 
 
 class RecencySplit:
-    """The z-score partition of sources into normal vs exceptional."""
-
-    __slots__ = ("normal", "exceptional", "threshold", "mean", "stddev")
+    """The z-score partition of sources into normal vs exceptional, as two
+    pairs of columns in their input order: in a report, each id once, sorted
+    by id (a naive report's in Heartbeat scan order). ``normal`` and
+    ``exceptional`` are :class:`SourceRecency` lists, built on first read."""
 
     def __init__(
-        self,
-        normal: List[SourceRecency],
-        exceptional: List[SourceRecency],
-        threshold: float,
-        mean: Optional[float],
-        stddev: Optional[float],
+        self, normal: Columns, exceptional: Columns, threshold: float,
+        mean: Optional[float], stddev: Optional[float],
     ) -> None:
-        self.normal = normal
-        self.exceptional = exceptional
-        self.threshold = threshold
-        self.mean = mean
-        self.stddev = stddev
+        self.normal_ids, self.normal_recencies = normal
+        self.exceptional_ids, self.exceptional_recencies = exceptional
+        self.threshold, self.mean, self.stddev = threshold, mean, stddev
+
+    @cached_property
+    def normal(self) -> List[SourceRecency]:
+        return list(map(SourceRecency, self.normal_ids, self.normal_recencies))
+
+    @cached_property
+    def exceptional(self) -> List[SourceRecency]:
+        return list(map(SourceRecency, self.exceptional_ids, self.exceptional_recencies))
 
     def __repr__(self) -> str:
-        return (
-            f"RecencySplit(normal={len(self.normal)}, "
-            f"exceptional={len(self.exceptional)}, threshold={self.threshold})"
-        )
+        normal, exceptional = len(self.normal_ids), len(self.exceptional_ids)
+        return f"RecencySplit({normal=}, {exceptional=}, threshold={self.threshold})"
+
+
+def _columns(sources: Sequence[SourceRecency]) -> Columns:
+    items = list(sources)
+    return [s.source_id for s in items], [s.recency for s in items]
 
 
 def describe(sources: Sequence[SourceRecency]) -> RecencyStatistics:
+    """:func:`describe_columns` of a :class:`SourceRecency` list."""
+    return describe_columns(*_columns(sources))
+
+
+def describe_columns(ids: Sequence[str], recencies: Sequence[float]) -> RecencyStatistics:
     """Compute the least/most recent source and the count.
 
     Ties are broken by source id so reports are deterministic: the least
     recent is the least ``(recency, source_id)``, the first of equals.
     """
-    if not sources:
+    if not recencies:
         return RecencyStatistics(None, None, 0)
-    items = list(sources)
-    values = [s.recency for s in items]
+    return RecencyStatistics(_end(ids, recencies, min), _end(ids, recencies, max), len(ids))
+
+
+def _end(ids, values, pick) -> SourceRecency:
+    """The first source at the ``pick``-most recency with the ``pick``-most id."""
     if math.isnan(sum(values)):
         # A NaN (or +inf beside -inf) sums to NaN. NaN has no order, so the
         # answer is whatever the pairwise scan of the tuples picks.
-        least = min(items, key=lambda s: (s.recency, s.source_id))
-        most = max(items, key=lambda s: (s.recency, s.source_id))
-    else:
-        least = _first_by_id(items, values, min(values), min)
-        most = _first_by_id(items, values, max(values), max)
-    return RecencyStatistics(least, most, len(items))
-
-
-def _first_by_id(items, values, value, pick):
-    """The first of the sources at ``value`` with the ``pick``-most id."""
+        recency, source_id = pick(zip(values, ids))
+        return SourceRecency(source_id, recency)
+    value = pick(values)
     if values.count(value) == 1:
-        return items[values.index(value)]
-    return pick((s for s, v in zip(items, values) if v == value), key=lambda s: s.source_id)
+        at = values.index(value)
+    else:
+        at = pick((i for i, v in enumerate(values) if v == value), key=ids.__getitem__)
+    return SourceRecency(ids[at], values[at])
 
 
 def mean_stddev(values: Sequence[float]) -> Tuple[float, float]:
@@ -162,7 +178,7 @@ def mean_stddev(values: Sequence[float]) -> Tuple[float, float]:
     if n == 0:
         raise ValueError("mean_stddev of an empty sequence")
     mu = sum(values) / n
-    variance = sum((x - mu) ** 2 for x in values) / n
+    variance = sum([(x - mu) ** 2 for x in values]) / n
     return mu, math.sqrt(variance)
 
 
@@ -190,30 +206,31 @@ def percentile(values: Sequence[float], q: float) -> float:
 
 
 def zscore_split(
-    sources: Sequence[SourceRecency],
-    threshold: float = DEFAULT_Z_THRESHOLD,
+    sources: Sequence[SourceRecency], threshold: float = DEFAULT_Z_THRESHOLD
+) -> RecencySplit:
+    """:func:`split_columns` of a :class:`SourceRecency` list."""
+    return split_columns(*_columns(sources), threshold)
+
+
+def split_columns(
+    ids: List[str], recencies: List[float], threshold: float = DEFAULT_Z_THRESHOLD
 ) -> RecencySplit:
     """Partition sources by z-score of their recency timestamps.
 
     Sources with ``|z| >= threshold`` are exceptional. With fewer than two
-    sources, or zero standard deviation, nothing is exceptional.
+    sources, or zero standard deviation, nothing is exceptional and the
+    columns become the normal ones as they are.
     """
-    items = list(sources)
-    if len(items) < 2:
-        return RecencySplit(items, [], threshold, None, None)
-    values = [s.recency for s in items]
-    mu, sigma = mean_stddev(values)
+    if len(recencies) < 2:
+        return RecencySplit((ids, recencies), ([], []), threshold, None, None)
+    mu, sigma = mean_stddev(recencies)
     # Subtracting mu and dividing by sigma > 0 are monotone, so no |z| exceeds
     # the extremes': partition only when one of them reaches the threshold.
-    # A NaN anywhere fails the comparison and takes the loop.
-    if sigma == 0.0 or max(mu - min(values), max(values) - mu) / sigma < threshold:
-        return RecencySplit(items, [], threshold, mu, sigma)
-    normal: List[SourceRecency] = []
-    exceptional: List[SourceRecency] = []
-    for source in items:
-        z = (source.recency - mu) / sigma
-        if abs(z) >= threshold:
-            exceptional.append(source)
-        else:
-            normal.append(source)
+    # A NaN anywhere fails the comparison and takes the partition.
+    if sigma == 0.0 or max(mu - min(recencies), max(recencies) - mu) / sigma < threshold:
+        return RecencySplit((ids, recencies), ([], []), threshold, mu, sigma)
+    flagged = [abs((x - mu) / sigma) >= threshold for x in recencies]
+    kept = list(map(operator.not_, flagged))
+    normal = list(compress(ids, kept)), list(compress(recencies, kept))
+    exceptional = list(compress(ids, flagged)), list(compress(recencies, flagged))
     return RecencySplit(normal, exceptional, threshold, mu, sigma)

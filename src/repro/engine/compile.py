@@ -273,16 +273,22 @@ def compile_projection(
 
 def compile_row_projection(
     exprs: Sequence[ast.Expr], binding_key: str, index_of: IndexMap
-) -> Callable[[Tuple[object, ...]], Tuple[object, ...]]:
+) -> Optional[Callable[[Tuple[object, ...]], Tuple[object, ...]]]:
     """Lower select expressions over one relation to ``f(row) -> row`` (the
-    executor's output-binding path: the carrier is the bare row tuple)."""
+    executor's output-binding path: the carrier is the bare row tuple), or
+    ``None`` when they are all of its columns in schema order: the row is
+    its own output, passed through."""
+    if all(isinstance(expr, ast.ColumnRef) for expr in exprs):
+        # Plain columns: the output row is one C-level fetch of their positions.
+        at = [index_of[(binding_key, expr.name.lower())] for expr in exprs]
+        if at == list(range(sum(key == binding_key for key, _ in index_of))):
+            return None
+        if len(at) > 1:
+            return itemgetter(*at)
     getters = [_compile_scalar(expr, _row_ref_maker(binding_key, index_of)) for expr in exprs]
     if len(getters) == 1:
         only = getters[0]
         return lambda row: (only(row),)
-    if all(isinstance(expr, ast.ColumnRef) for expr in exprs):
-        # Plain columns: the output row is one C-level fetch of their positions.
-        return itemgetter(*(index_of[(binding_key, expr.name.lower())] for expr in exprs))
     return lambda row: tuple(getter(row) for getter in getters)
 
 

@@ -686,7 +686,8 @@ class _Execution:
                     if self.output is not None
                     else self.lower.compile_projection(exprs, self.index_of)
                 )
-                rows = list(map(project_row, joined))
+                # A pass-through's output is the rows, copied: never a relation's list.
+                rows = list(joined if project_row is None else map(project_row, joined))
                 lineages = self.env_lineages(joined)
         if query.distinct:
             detail += ", distinct"

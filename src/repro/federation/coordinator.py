@@ -598,7 +598,7 @@ class FederationCoordinator:
     def _fetch(self, plan: RelevancePlan, shards: List[ShardInfo], deadline_at: float, context):
         """The fetch stage, remote: fan the plan's fragment request out, stand
         a cached fragment in for a silent shard when allowed, merge. Returns
-        ``(sources, degraded sources, shards heard from, missing, {stale: age})``."""
+        ``(columns, degraded sources, shards heard from, missing, {stale: age})``."""
         request = fragment_request(plan)
         # The stale cache is keyed by what was asked, not only of whom: a
         # fragment's results are index-aligned to *its* request's subqueries.

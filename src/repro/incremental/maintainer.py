@@ -74,7 +74,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.backends.memory import MemoryBackend
 from repro.catalog import HEARTBEAT_SOURCE_COLUMN, HEARTBEAT_TABLE
-from repro.core.statistics import SourceRecency
+from repro.core.statistics import Columns
 from repro.errors import TracError
 from repro.obs import instrument as obs
 from repro.predicates.evaluate import evaluate_predicate
@@ -208,12 +208,12 @@ class IncrementalMaintainer:
 
     def fetch(
         self, plan: object, snapshot: Optional[object] = None
-    ) -> Tuple[str, Optional[List[SourceRecency]]]:
+    ) -> Tuple[str, Optional[Columns]]:
         """Look ``plan`` up in ``snapshot`` (the backend's live rows when
         ``None``); returns ``(verdict, sources)`` where verdict is ``"hit"``
-        (sources read from the snapshot), ``"miss"`` (eligible but not
-        registered, or the entry no longer matches the Heartbeat) or
-        ``"bypass"`` (ineligible)."""
+        (sources read from the snapshot as id-sorted ``(ids, recencies)``
+        columns), ``"miss"`` (eligible but not registered, or the entry no
+        longer matches the Heartbeat) or ``"bypass"`` (ineligible)."""
         if not plan_streamable(plan):
             self.bypasses += 1
             self._record_lookup("bypass")
@@ -234,20 +234,18 @@ class IncrementalMaintainer:
                 self._entries.move_to_end(key)
                 self.hits += 1
                 self._record_lookup("hit")
-                return "hit", [SourceRecency(sid, rows[p][1]) for sid, p in entry.members]
+                members = entry.members
+                recencies = [float(rows[p][1]) for _, p in members]
+                return "hit", (list(map(itemgetter(0), members)), recencies)
             del self._entries[key]
         self.misses += 1
         self._record_lookup("miss")
         return "miss", None
 
-    def register(
-        self,
-        plan: object,
-        sources: Sequence[SourceRecency],
-        snapshot: Optional[object] = None,
-    ) -> None:
-        """Seed an entry for ``plan`` from ``sources``, the from-scratch
-        result just computed in ``snapshot`` (the live rows when ``None``)."""
+    def register(self, plan: object, ids: Sequence[str], snapshot: Optional[object] = None):
+        """Seed an entry for ``plan`` from ``ids``, the source ids of the
+        from-scratch result just computed in ``snapshot`` (the live rows
+        when ``None``)."""
         if not plan_streamable(plan):
             return
         relation = self._heartbeat(snapshot)
@@ -255,10 +253,7 @@ class IncrementalMaintainer:
         if keyed is None or keyed[0] != _SOURCE_KEY or not _string_ids(rows):
             return
         index, limit = keyed[1], len(rows)
-        members = [
-            (source.source_id, max(p for p in index[(source.source_id,)] if p < limit))
-            for source in sources
-        ]
+        members = [(sid, max(p for p in index[(sid,)] if p < limit)) for sid in ids]
         members.sort()
         wheres = [sub.query.where for sub in plan.subqueries]
         self._entries[self._key(plan)] = _Entry(wheres, index, limit, members)

@@ -30,7 +30,7 @@ from typing import Callable, Collection, List, Mapping, Optional, Sequence
 
 from repro.core.quality import QualityModel
 from repro.core.sources import DEGRADED
-from repro.core.statistics import format_interval, sorted_recencies, zscore_split
+from repro.core.statistics import format_interval, sorted_columns, split_columns
 from repro.errors import TracError
 from repro.obs.export import aligned
 
@@ -79,7 +79,7 @@ def source_rows(
 
     ``recency`` maps every source that has reported to its recency; ``now``
     is the deployment's clock (the newest heartbeat where it has none).
-    ``z`` comes from the report's own ``zscore_split`` (positive is staler)
+    ``z`` comes from the report's own ``split_columns`` (positive is staler)
     and ``quality`` from its ``QualityModel.score_sources`` at ``now``.
     ``sources`` is the deployment's registry, read once: ``state`` is the
     record's status when a supervisor ever marked the source (the row then
@@ -90,12 +90,12 @@ def source_rows(
     poll-latency ring.
     """
     known = sources.snapshot() if sources is not None else {}
-    reported = sorted_recencies(recency)
-    split = zscore_split(reported)
-    outliers = {s.source_id for s in split.exceptional}
+    reported = sorted_columns(recency)
+    split = split_columns(*reported)
+    outliers = set(split.exceptional_ids)
     degraded = {sid for sid, record in known.items() if record.status == DEGRADED}
     model = QualityModel(sources.half_life) if sources is not None else QualityModel()
-    scores = model.score_sources(reported, outliers, degraded, now=now)
+    scores = model.score_sources(*reported, outliers, degraded, now=now)
     rows: List[dict] = []
     for sid in sorted(set(recency).union(known)):
         record, score, rec = known.get(sid), scores.get(sid), recency.get(sid)

@@ -68,9 +68,7 @@ def assert_text_agrees(backend, report, monkeypatch):
             request = fragment_request(report.plan)
             by_text = merge_fragments(request, [execute_fragment(snapshot, request, True)])
     reported = report.split.normal + report.split.exceptional
-    assert sorted((s.source_id, s.recency) for s in reported) == [
-        (s.source_id, s.recency) for s in by_text
-    ]
+    assert sorted((s.source_id, s.recency) for s in reported) == list(zip(*by_text))
 
 
 @pytest.fixture(scope="module", params=[20, 1000])

@@ -17,7 +17,11 @@ from repro.core.quality import (
     QualityModel,
 )
 from repro.core.sources import SourceRegistry
-from repro.core.statistics import SourceRecency
+
+
+def cols(*pairs):
+    """``(source, recency)`` pairs as ``score_sources``' two columns."""
+    return [sid for sid, _ in pairs], [recency for _, recency in pairs]
 
 
 class TestFreshness:
@@ -52,7 +56,7 @@ class TestScoreSources:
     def test_reference_is_freshest_source(self):
         model = QualityModel(half_life=60.0)
         scores = model.score_sources(
-            [SourceRecency("new", 100.0), SourceRecency("old", 40.0)]
+            *cols(("new", 100.0), ("old", 40.0))
         )
         assert scores["new"]["quality"] == 1.0
         assert math.isclose(scores["old"]["quality"], 0.5)
@@ -60,13 +64,13 @@ class TestScoreSources:
 
     def test_now_override_anchors_reference(self):
         model = QualityModel(half_life=60.0)
-        scores = model.score_sources([SourceRecency("s", 40.0)], now=100.0)
+        scores = model.score_sources(*cols(("s", 40.0)), now=100.0)
         assert math.isclose(scores["s"]["quality"], 0.5)
 
     def test_exceptional_and_degraded_penalties(self):
         model = QualityModel(half_life=60.0)
         scores = model.score_sources(
-            [SourceRecency("e", 100.0), SourceRecency("d", 100.0), SourceRecency("n", 100.0)],
+            *cols(("e", 100.0), ("d", 100.0), ("n", 100.0)),
             exceptional={"e"},
             degraded={"d"},
         )
@@ -78,14 +82,24 @@ class TestScoreSources:
 
     def test_degraded_source_without_heartbeat_scores_zero(self):
         scores = QualityModel().score_sources(
-            [SourceRecency("alive", 10.0)], degraded={"silent"}
+            *cols(("alive", 10.0)), degraded={"silent"}
         )
         assert scores["silent"]["quality"] == 0.0
         assert scores["silent"]["recency"] is None
         assert scores["silent"]["degraded"]
 
     def test_empty_inputs_yield_no_scores(self):
-        assert QualityModel().score_sources([]) == {}
+        assert QualityModel().score_sources([], []) == {}
+
+    def test_a_reference_of_zero_is_a_reference(self):
+        """The freshest recency, or ``now``, may be 0.0 (the grid simulator
+        starts its clock there): staleness is still measured from it."""
+        model = QualityModel(half_life=60.0)
+        scores = model.score_sources(*cols(("a", -10.0), ("b", 0.0)))
+        assert scores["a"]["staleness"] == 10.0 and scores["b"]["staleness"] == 0.0
+        scores = model.score_sources(*cols(("s", -5.0)), now=0.0)
+        assert scores["s"]["staleness"] == 5.0
+        assert math.isclose(scores["s"]["quality"], 2.0 ** (-5.0 / 60.0))
 
 
 def score_row(model, lineage, scores):
@@ -98,13 +112,13 @@ class TestRowQuality:
     def test_min_combine(self):
         model = QualityModel(half_life=60.0)
         scores = model.score_sources(
-            [SourceRecency("good", 100.0), SourceRecency("bad", 40.0)]
+            *cols(("good", 100.0), ("bad", 40.0))
         )
         assert math.isclose(score_row(model, {"good", "bad"}, scores), 0.5)
 
     def test_cited_but_unscored_source_pins_to_zero(self):
         model = QualityModel()
-        scores = model.score_sources([SourceRecency("known", 10.0)])
+        scores = model.score_sources(*cols(("known", 10.0)))
         assert score_row(model, {"known", "ghost"}, scores) == 0.0
 
     def test_empty_lineage_is_unattributed(self):
@@ -118,7 +132,7 @@ class TestRowQuality:
         previous = [1.1, 1.1]
         for staleness in (0.0, 30.0, 90.0, 400.0):
             scores = model.score_sources(
-                [SourceRecency("a", 1000.0 - staleness), SourceRecency("b", 1000.0)],
+                *cols(("a", 1000.0 - staleness), ("b", 1000.0)),
                 now=1000.0,
             )
             _block, row_quality = model.summarize(lineages, scores)
@@ -131,7 +145,7 @@ class TestSummarize:
     def _summary(self):
         model = QualityModel(half_life=60.0)
         scores = model.score_sources(
-            [SourceRecency("a", 100.0), SourceRecency("b", 40.0)],
+            *cols(("a", 100.0), ("b", 40.0)),
             exceptional={"b"},
         )
         lineages = [frozenset({"a"}), frozenset({"a", "b"}), frozenset()]

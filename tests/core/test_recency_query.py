@@ -205,13 +205,12 @@ class TestSingleFragmentLaw:
 
     @staticmethod
     def reference(snapshot, plan):
-        from repro.core.statistics import SourceRecency
-
+        """The relevant-source columns ``(ids, recencies)``."""
         if plan.mode == "empty":
-            return []
+            return [], []
         if plan.mode == "all":
             rows = snapshot.execute(ALL_SOURCES_SQL).rows
-            return [SourceRecency(str(sid), float(rec)) for sid, rec in rows]
+            return [str(sid) for sid, _ in rows], [float(rec) for _, rec in rows]
         found, guard_cache = {}, {}
         for sub in plan.subqueries:
             skip = False
@@ -226,7 +225,8 @@ class TestSingleFragmentLaw:
             for sid, recency in snapshot.execute(sub.sql).rows:
                 if sid is not None:
                     found[str(sid)] = float(recency)
-        return [SourceRecency(sid, rec) for sid, rec in sorted(found.items())]
+        ids = sorted(found)
+        return ids, [found[sid] for sid in ids]
 
     def test_one_local_fragment_merges_to_the_reference(self, paper_backend):
         from repro.core.relevance import build_naive_plan
@@ -274,7 +274,9 @@ class TestMergeNormalizes:
             (wired,) = FrameDecoder().feed(encode_frame(local))
             merged = merge_fragments(request, [wired])
             assert merged == merge_fragments(request, [local])
-            assert all(type(s.source_id) is str and type(s.recency) is float for s in merged)
+            ids, recencies = merged
+            assert all(type(sid) is str for sid in ids)
+            assert all(type(recency) is float for recency in recencies)
 
     def test_raw_heartbeat_rows_merge_to_str_and_float(self, paper_catalog):
         """Rows loaded around ``upsert_heartbeat``: an int recency, an int id."""
@@ -286,9 +288,32 @@ class TestMergeNormalizes:
             request = fragment_request(plan)
             with backend.snapshot() as snapshot:
                 merged = merge_fragments(request, [execute_fragment(snapshot, request)])
-            pairs = {(s.source_id, s.recency) for s in merged}
+            pairs = set(zip(*merged))
             assert pairs == {("m1", 7.0), ("5", 7.5)}
             assert {(type(sid), type(rec)) for sid, rec in pairs} == {(str, float)}
+
+
+class TestMergeColumns:
+    """``merge_fragments`` answers with two columns, ``(ids, recencies)``."""
+
+    FRAGMENTS = [
+        {"results": [[("m3", 3), ("m1", 1.0)]], "guards": {}},
+        {"results": [[("m2", 2.5), ("m1", 4.0)]], "guards": {}},
+    ]
+
+    def test_focused_sorts_by_id_and_a_later_row_wins(self):
+        request = {"mode": "focused", "subqueries": [{"sql": "q", "guards": []}]}
+        merged = merge_fragments(request, self.FRAGMENTS)
+        assert merged == (["m1", "m2", "m3"], [4.0, 2.5, 3.0])
+
+    def test_all_keeps_the_scan_order_fragment_by_fragment(self):
+        merged = merge_fragments({"mode": "all"}, self.FRAGMENTS)
+        assert merged == (["m3", "m1", "m2"], [3.0, 4.0, 2.5])
+        assert type(merged[1][0]) is float
+
+    def test_empty_is_two_empty_columns(self):
+        assert merge_fragments({"mode": "empty"}, self.FRAGMENTS) == ([], [])
+        assert merge_fragments({"mode": "all"}, []) == ([], [])
 
 
 class TestGuardCost:
@@ -346,7 +371,7 @@ class TestGuardCost:
             # Every subquery ran, and none of them touches Activity.
             assert set(read) == {self.GUARD} | {sub["sql"] for sub in request["subqueries"]}
             assert sum(read.values()) - first <= 2 * 11 + 2
-            assert [s.source_id for s in merge_fragments(request, [fragment])] == ["m1", "m3"]
+            assert merge_fragments(request, [fragment])[0] == ["m1", "m3"]
 
     def test_no_witness_reads_everything_and_only_the_sole_holder_may_skip(self, paper_catalog):
         backend = self.backend(paper_catalog)

@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.report import RecencyReporter
 from repro.core.session import Session
-from repro.core.statistics import SourceRecency
 
 QUERY = "SELECT mach_id FROM activity WHERE value = 'idle'"
 
@@ -28,8 +27,8 @@ class TestLifecycle:
             session.materialize(
                 snap,
                 names,
-                [SourceRecency("m1", 1.0)],
-                [SourceRecency("m2", 2.0)],
+                (["m1"], [1.0]),
+                (["m2"], [2.0]),
             )
         assert set(session.temp_tables) == {names.normal, names.exceptional}
         assert paper_memory_backend.execute(f"SELECT sid FROM {names.normal}").rows == [("m1",)]
@@ -38,7 +37,7 @@ class TestLifecycle:
         session = Session(paper_memory_backend)
         names = session.next_table_names()
         with paper_memory_backend.snapshot() as snap:
-            session.materialize(snap, names, [], [])
+            session.materialize(snap, names, ([], []), ([], []))
         session.close()
         assert session.temp_tables == []
         assert paper_memory_backend.list_temp_tables() == []
@@ -47,7 +46,7 @@ class TestLifecycle:
         session = Session(paper_memory_backend)
         names = session.next_table_names()
         with paper_memory_backend.snapshot() as snap:
-            session.materialize(snap, names, [], [])
+            session.materialize(snap, names, ([], []), ([], []))
         session.drop(names.exceptional)
         assert names.exceptional not in session.temp_tables
         assert names.normal in session.temp_tables
@@ -56,7 +55,7 @@ class TestLifecycle:
         with Session(paper_memory_backend) as session:
             names = session.next_table_names()
             with paper_memory_backend.snapshot() as snap:
-                session.materialize(snap, names, [], [])
+                session.materialize(snap, names, ([], []), ([], []))
         assert paper_memory_backend.list_temp_tables() == []
 
     def test_temp_tables_persist_across_reports(self, paper_memory_backend):

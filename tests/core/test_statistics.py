@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 from repro.core.statistics import (
     SourceRecency,
     describe,
+    describe_columns,
     format_interval,
     format_timestamp,
     mean_stddev,
+    split_columns,
     zscore_split,
 )
 
@@ -231,15 +233,26 @@ def same_float(a, b):
     return a == b or (a != a and b != b)
 
 
+def pairs(sources):
+    """Ordered ``(source_id, recency)`` pairs: ``repr`` tells -0.0 from 0.0
+    and equates NaNs. ``None`` stays ``None``."""
+    if sources is None or isinstance(sources, SourceRecency):
+        return None if sources is None else pairs([sources])[0]
+    return [(s.source_id, repr(s.recency)) for s in sources]
+
+
 class TestDifferential:
     """``zscore_split`` and ``describe`` against their frozen predecessors:
-    the same lists in the same order (the same objects), the same mean and
-    stddev, the same least and most recent source, the same count."""
+    the same sources in the same order, the same mean and stddev, the same
+    least and most recent source, the same count. The split's objects are
+    views built from its columns, so sources compare as ordered
+    ``(source_id, recency)`` pairs, not by identity."""
 
     def assert_describes_alike(self, sources):
         least, most, count = oracle_describe(sources)
         stats = describe(sources)
-        assert stats.least_recent is least and stats.most_recent is most
+        assert pairs(stats.least_recent) == pairs(least)
+        assert pairs(stats.most_recent) == pairs(most)
         assert stats.count == count
 
     @given(SOURCES, THRESHOLDS)
@@ -247,8 +260,8 @@ class TestDifferential:
     def test_split_and_statistics_match_the_oracle(self, sources, threshold):
         normal, exceptional, mu, sigma = oracle_zscore_split(sources, threshold)
         split = zscore_split(sources, threshold)
-        assert [id(s) for s in split.normal] == [id(s) for s in normal]
-        assert [id(s) for s in split.exceptional] == [id(s) for s in exceptional]
+        assert pairs(split.normal) == pairs(normal)
+        assert pairs(split.exceptional) == pairs(exceptional)
         assert same_float(split.mean, mu) and same_float(split.stddev, sigma)
         self.assert_describes_alike(split.normal)
         self.assert_describes_alike(sources)
@@ -261,6 +274,37 @@ class TestDifferential:
         for data in ([], srcs(("a", 1.0)), srcs(("a", 1.0), ("b", 1.0))):
             assert zscore_split(data).exceptional == [] and describe(data).count == len(data)
         assert len(zscore_split(ties, threshold=0.0).exceptional) == 4
+
+    @pytest.mark.parametrize("threshold", [0.0, 1.0, 3.0])
+    @pytest.mark.parametrize(
+        "data",
+        [
+            [("a", 1.0), ("b", NAN), ("c", 2.0)],
+            [("a", NAN), ("b", NAN)],
+            [("a", math.inf), ("b", 1.0), ("c", 2.0)],
+            [("a", -math.inf), ("b", 1.0), ("c", math.inf)],
+            [("c", 1.0), ("a", 1.0), ("b", 5.0), ("e", 5.0), ("d", 3.0)],
+            [("b", 2.0), ("a", 2.0), ("c", 2.0)],
+            [("a", 7.0)],
+            [("m1", 1000.0 + i) for i in range(12)] + [("dead", -1e9)],
+        ],
+        ids=["nan", "nans", "inf", "both-infs", "ties-at-min-and-max", "all-tied", "one",
+             "outlier"],
+    )
+    def test_the_column_path_matches_the_object_oracle(self, data, threshold):
+        ids = [sid for sid, _ in data]
+        recencies = [recency for _, recency in data]
+        normal, exceptional, mu, sigma = oracle_zscore_split(srcs(*data), threshold)
+        split = split_columns(ids, recencies, threshold)
+        assert pairs(srcs(*zip(split.normal_ids, split.normal_recencies))) == pairs(normal)
+        assert pairs(
+            srcs(*zip(split.exceptional_ids, split.exceptional_recencies))
+        ) == pairs(exceptional)
+        assert same_float(split.mean, mu) and same_float(split.stddev, sigma)
+        least, most, count = oracle_describe(normal)
+        stats = describe_columns(split.normal_ids, split.normal_recencies)
+        assert (pairs(stats.least_recent), pairs(stats.most_recent)) == (pairs(least), pairs(most))
+        assert stats.count == count
 
 
 class TestPercentiles:

@@ -7,7 +7,6 @@ import pytest
 from repro import Catalog, Column, FiniteDomain, MemoryBackend, SQLiteBackend, TableSchema
 from repro.core.relevance import build_naive_plan
 from repro.core.report import RecencyReporter
-from repro.core.statistics import SourceRecency
 from repro.errors import TracError
 from repro.incremental import IncrementalMaintainer, plan_streamable
 from repro.obs.instrument import INCREMENTAL_HITS, INCREMENTAL_MISSES, Telemetry
@@ -263,7 +262,7 @@ class TestSnapshot:
         recencies = {s.source_id: s.recency for s in report.split.normal + report.split.exceptional}
         assert recencies == {"m1": 100.0, "m2": 101.0}
         del backend.snapshot
-        assert reporter.incremental.fetch(reporter.plan_for(HOT))[1][1].recency == 999.0
+        assert reporter.incremental.fetch(reporter.plan_for(HOT))[1][1][1] == 999.0
 
     def test_entry_survives_snapshots_that_borrow_its_index(self, backend, reporter):
         reporter.report(HOT)
@@ -272,7 +271,7 @@ class TestSnapshot:
             backend.insert_rows("heartbeat", [("m6", 1.0)])
             verdict, sources = reporter.incremental.fetch(reporter.plan_for(HOT), older)
         assert verdict == "hit"
-        assert sources == [SourceRecency("m1", 100.0), SourceRecency("m2", 101.0)]
+        assert sources == (["m1", "m2"], [100.0, 101.0])
 
     def test_bag_heartbeat_keeps_the_last_row_per_source(self, backend, reporter, maintainer):
         """``insert_rows`` appends beside an existing id; the merge keeps the
@@ -282,10 +281,7 @@ class TestSnapshot:
         backend.insert_rows("heartbeat", [("m2", 2.0), ("m1", 3.0)])
         report = reporter.report(HOT)
         assert report.incremental == "hit"
-        assert maintainer.fetch(reporter.plan_for(HOT))[1] == [
-            SourceRecency("m1", 3.0),
-            SourceRecency("m2", 2.0),
-        ]
+        assert maintainer.fetch(reporter.plan_for(HOT))[1] == (["m1", "m2"], [3.0, 2.0])
         assert maintainer.stats()["updates"] == 2  # the two appended after registration
 
     def test_older_snapshot_than_the_entry_misses(self, backend, reporter, maintainer):
@@ -354,7 +350,4 @@ class TestPlumbing:
         reporter.report(HOT)
         verdict, sources = maintainer.fetch(reporter.plan_for(HOT))
         assert verdict == "hit"
-        assert sources == [
-            SourceRecency("m1", 100.0),
-            SourceRecency("m2", 101.0),
-        ]
+        assert sources == (["m1", "m2"], [100.0, 101.0])

@@ -15,7 +15,6 @@ from repro.backends import MemoryBackend, copy_tables
 from repro.core.quality import QualityModel
 from repro.core.report import RecencyReporter
 from repro.core.sources import SourceRegistry
-from repro.core.statistics import SourceRecency
 from repro.durable import DurabilityManager, DurabilityPolicy
 from repro.faults import FaultPlan
 from repro.federation import FederationCoordinator, ShardRegistry
@@ -90,7 +89,7 @@ def test_status_rows_carry_the_reports_verdict(documents, report, deployment):
     split = report.split
     assert abs((split.mean - HEARTBEATS[LAGGARD]) / split.stddev) >= split.threshold
     scores = QualityModel().score_sources(
-        [SourceRecency(sid, rec) for sid, rec in HEARTBEATS.items()], exceptional, set(), now=now
+        list(HEARTBEATS), list(HEARTBEATS.values()), exceptional, set(), now=now
     )
     for sid, row in rows.items():
         assert row["recency"] == HEARTBEATS[sid]

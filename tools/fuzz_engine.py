@@ -23,7 +23,9 @@ returns, drawn from SQLite's unlimited answer. A ``semijoin``-shape
 statement must also return, without ``LIMIT``, the row set it returns with
 lineage on, which runs it through the env pipeline instead. The last line
 tallies the executions by kind, among them how many projected bare rows of
-one table (``row carrier``), how many ran a semijoin and how many read a
+one table (``row carrier``), how many returned that table's stored rows
+themselves (``row passthrough``: the select list is all of its columns in
+schema order), how many ran a semijoin and how many read a
 relation through its key index (``index lookup``) or its complement
 (``index complement``: the only pushed term is ``<>`` / ``NOT IN`` on the
 key, e.g. ``t1.x NOT IN (0, 2)`` over a NULL-holding ``x``), and how many
@@ -121,13 +123,16 @@ _ATOMS = [
 #: FROM list -> the select lists that can be drawn over it (a parenthesis
 #: marks an aggregate).
 _SELECTS = {
-    "t1": ["t1.s, t1.x", "t1.v", "COUNT(*)", "COUNT(t1.v)", "SUM(t1.x)"],
+    # ``t1.s, t1.x, t1.v`` is all of t1 in schema order: the compiled path
+    # passes the stored rows through, without a per-row projection.
+    "t1": ["t1.s, t1.x", "t1.s, t1.x, t1.v", "t1.v", "COUNT(*)", "COUNT(t1.v)", "SUM(t1.x)"],
     "t2": ["t2.s, t2.y", "t2.y", "COUNT(*)", "MAX(t2.y)"],
     "t1, t2": [
         "t1.s, t1.x, t2.y",
         "t1.s, t2.s",
         # One relation's columns: under DISTINCT, a semijoin candidate.
         "t1.s, t1.x",
+        "t2.s, t2.y",
         "t1.v",
         "t2.y",
         "COUNT(*)",
@@ -273,6 +278,12 @@ def make_property(max_examples: int, corpus: Counter):
         ("SELECT t1.s, t1.x FROM t1 WHERE t1.x NOT IN (0, 2)", None, "plain"),
         ("x", None), ([("b", 3, "q"), ("c", 2, "p")], []),
     )
+    # A key lookup whose select list is all of t1: the stored rows pass through.
+    @example(
+        [("a", 1, "p"), ("b", 2, None), ("c", 3, "q")], [],
+        ("SELECT t1.s, t1.x, t1.v FROM t1 WHERE t1.s IN ('a', 'c')", None, "plain"),
+        ("s", None), None,
+    )
     @given(
         st.lists(_row1, max_size=6), st.lists(_row2, max_size=5), _statements(), _KEYS, _LATER
     )
@@ -329,6 +340,8 @@ def make_property(max_examples: int, corpus: Counter):
         corpus["stopped early"] += any(op.rows_available is not None for op in operators)
         corpus["row carrier"] += one_table and not general and shape in ("plain", "distinct")
         corpus["semijoin"] += any(op.detail.startswith("semijoin") for op in operators)
+        stored = {id(row) for table in ("t1", "t2") for row in db.relation(table).rows}
+        corpus["row passthrough"] += bool(compiled) and all(id(row) in stored for row in compiled)
         for kind in ("index lookup", "index complement"):
             corpus[kind] += any(op.detail.startswith(kind) for op in operators)
         corpus["snapshot"] += later is not None
