@@ -97,7 +97,8 @@ class SQLiteBackend(Backend):
                 self._conn.execute(
                     f"CREATE TABLE IF NOT EXISTS {_check_name(schema.name)} ({columns})"
                 )
-                if schema.source_column is not None:
+                # The Heartbeat's source column gets the UNIQUE index below.
+                if schema.source_column is not None and schema.name != HEARTBEAT_TABLE:
                     index = f"idx_{schema.name}_{schema.source_column}".lower()
                     self._conn.execute(
                         f"CREATE INDEX IF NOT EXISTS {_check_name(index)} "

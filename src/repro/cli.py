@@ -31,7 +31,6 @@ lists every flag; README.md walks through them.
     trac report --db grid.sqlite "SELECT ..."  a query + its recency report
     trac replay --logs DIR --db out.sqlite     rebuild a database from logs
     trac explain | inspect | watch | shell | stats --db grid.sqlite ...
-    trac bench {fig1,fig2,fpr,all} [...]       the paper's figures
 """
 
 from __future__ import annotations
@@ -359,10 +358,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--no-clear", action="store_true", help="append frames instead of clearing"
     )
     top.set_defaults(handler=_cmd_top)
-
-    bench = sub.add_parser("bench", help="regenerate the paper's figures")
-    bench.add_argument("rest", nargs=argparse.REMAINDER)
-    bench.set_defaults(handler=_cmd_bench)
     return parser
 
 
@@ -1022,12 +1017,6 @@ def _cmd_top(args: argparse.Namespace) -> int:
         clear=not args.no_clear,
     )
     return 0 if frames > 0 else 1
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.bench.figures import main as bench_main
-
-    return bench_main(args.rest)
 
 
 if __name__ == "__main__":

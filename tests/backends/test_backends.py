@@ -206,7 +206,10 @@ class TestSqliteSpecifics:
             ).fetchall()
             names = {r[0] for r in rows}
             assert "idx_t_s" in names
-            assert "idx_heartbeat_source" in names
+            heartbeat = backend._conn.execute("PRAGMA index_list(heartbeat)").fetchall()
+            assert [(row[1], row[2]) for row in heartbeat] == [("idx_heartbeat_source", 1)]
+            (column,) = backend._conn.execute("PRAGMA index_info(idx_heartbeat_source)")
+            assert column[2] == "source_id"
         finally:
             backend.close()
 

@@ -4,9 +4,9 @@ import csv
 
 import pytest
 
-from repro.bench.harness import MethodMeasurement, measure_methods, time_call
-from repro.bench.metrics import false_positive_rate, naive_fpr, overhead
-from repro.bench.reporting import ascii_table, format_cell, rows_from_dicts, write_csv
+from paper_harness import MethodMeasurement, measure_methods, time_call
+from paper_harness import false_positive_rate, naive_fpr, overhead
+from paper_tables import ascii_table, format_cell, rows_from_dicts, write_csv
 from repro.core.report import RecencyReporter
 from repro.errors import TracError
 
@@ -159,7 +159,7 @@ class TestFigureBuilders:
     produce the expected record shapes and invariants."""
 
     def test_fpr_results_focused_is_exact(self):
-        from repro.bench.figures import fpr_results
+        from figures import fpr_results
 
         records = fpr_results(num_sources=40, data_ratio=5)
         assert {r["query"] for r in records} == {"Q1", "Q2", "Q3", "Q4"}
@@ -171,7 +171,7 @@ class TestFigureBuilders:
                 assert record["fpr_naive"] < 0.5
 
     def test_figure1_series_shape(self):
-        from repro.bench.figures import figure1_series
+        from figures import figure1_series
 
         records = figure1_series(total_rows=2000, runs=1, backend_kind="sqlite")
         queries = {r["query"] for r in records}
@@ -182,7 +182,7 @@ class TestFigureBuilders:
             assert record["data_ratio"] * record["num_sources"] == 2000
 
     def test_fpr_results_naive_matches_the_closed_form(self):
-        from repro.bench.figures import fpr_results
+        from figures import fpr_results
 
         for record in fpr_results(num_sources=100, data_ratio=5):
             assert record["fpr_naive"] == pytest.approx(
@@ -194,7 +194,7 @@ class TestFigureBuilders:
                 assert record["fpr_naive"] < 0.1  # almost everything is relevant
 
     def test_figure2_records_project_the_figure1_cells(self):
-        from repro.bench.figures import figure1_series, figure2_records
+        from figures import figure1_series, figure2_records
 
         fig1 = figure1_series(total_rows=2000, runs=1, backend_kind="sqlite")
         fig2 = figure2_records(fig1)
@@ -213,7 +213,7 @@ class TestFigureBuilders:
             assert record["with_report_s"] == cell["t_report_s"] > 0
 
     def test_cli_fpr(self, capsys):
-        from repro.bench.figures import main
+        from figures import main
 
         assert main(["fpr", "--fpr-sources", "30"]) == 0
         out = capsys.readouterr().out
@@ -223,7 +223,7 @@ class TestFigureBuilders:
 
 class TestCliPlot:
     def test_fig1_with_plot_flag(self, capsys):
-        from repro.bench.figures import main
+        from figures import main
 
         assert main(["fig1", "--total-rows", "2000", "--runs", "1", "--plot"]) == 0
         out = capsys.readouterr().out
@@ -231,7 +231,7 @@ class TestCliPlot:
         assert "legend:" in out
 
     def test_all_runs_one_sweep_and_figure2_csv_projects_figure1_csv(self, tmp_path, capsys):
-        from repro.bench.figures import FIG1_HEADERS, main
+        from figures import FIG1_HEADERS, main
 
         assert main(
             ["all", "--total-rows", "2000", "--runs", "1", "--fpr-sources", "30",
@@ -243,7 +243,7 @@ class TestCliPlot:
             fig1 = list(csv.DictReader(handle))
         with open(tmp_path / "figure2.csv") as handle:
             fig2 = list(csv.DictReader(handle))
-        assert list(fig1[0]) == FIG1_HEADERS and len(FIG1_HEADERS) == 15
+        assert list(fig1[0]) == FIG1_HEADERS and len(FIG1_HEADERS) == 17
         assert all(row[h] != "" for row in fig1 for h in FIG1_HEADERS if h.startswith("phase_"))
         assert fig2 == [
             {
@@ -258,7 +258,7 @@ class TestCliPlot:
         ]
 
     def test_fig2_alone_sweeps_only_its_own_cells(self, monkeypatch, capsys):
-        from repro.bench import figures
+        import figures
 
         calls = []
         real = figures.measure_methods
@@ -273,7 +273,7 @@ class TestCliPlot:
         assert "Figure 1" not in capsys.readouterr().out
 
     def test_csv_dir_writes_files(self, tmp_path, capsys):
-        from repro.bench.figures import main
+        from figures import main
 
         assert main(
             ["fpr", "--fpr-sources", "30", "--csv-dir", str(tmp_path)]

@@ -1,6 +1,6 @@
 """ASCII chart rendering tests."""
 
-from repro.bench.reporting import ascii_chart
+from paper_tables import ascii_chart
 
 
 class TestAsciiChart:
@@ -59,7 +59,7 @@ class TestAsciiChart:
 
 class TestFigurePlots:
     def test_plot_figure1_produces_four_panels(self):
-        from repro.bench.figures import plot_figure1
+        from figures import plot_figure1
 
         records = [
             {
@@ -76,7 +76,7 @@ class TestFigurePlots:
         assert text.count("overhead (%) vs data ratio") == 4
 
     def test_plot_figure1_clamps_nonpositive_overheads(self):
-        from repro.bench.figures import plot_figure1
+        from figures import plot_figure1
 
         records = [
             {"query": "Q1", "method": "naive", "data_ratio": 10, "overhead_pct": -5.0},
@@ -85,7 +85,7 @@ class TestFigurePlots:
         assert "Q1" in plot_figure1(records)
 
     def test_plot_figure2(self):
-        from repro.bench.figures import plot_figure2
+        from figures import plot_figure2
 
         records = [
             {

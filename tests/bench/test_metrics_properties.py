@@ -11,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 import pytest
 
-from repro.bench.metrics import false_positive_rate, naive_fpr, overhead
+from paper_harness import false_positive_rate, naive_fpr, overhead
 from repro.errors import TracError
 
 ids = st.sets(st.text(alphabet="abcdefgh", min_size=1, max_size=3), max_size=8)

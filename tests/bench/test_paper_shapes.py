@@ -10,7 +10,7 @@ stay robust to machine noise while still catching structural regressions
 import pytest
 
 from repro import SQLiteBackend
-from repro.bench.harness import measure_methods
+from paper_harness import measure_methods
 from repro.core.report import RecencyReporter
 from repro.workload import WorkloadConfig, loaded_backend, paper_queries
 

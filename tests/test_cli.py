@@ -340,13 +340,6 @@ class TestWatch:
         assert missing in captured.err
 
 
-class TestBench:
-    def test_bench_delegates_to_figures(self, capsys):
-        code = main(["bench", "fpr", "--fpr-sources", "30"])
-        assert code == 0
-        assert "False positive rates" in capsys.readouterr().out
-
-
 class TestStats:
     def test_stats_prints_summary(self, grid_db, capsys):
         db, _ = grid_db

@@ -46,13 +46,16 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from pathlib import Path
 
 from repro import obs
-from repro.bench.harness import time_call
 from repro.core.report import RecencyReporter
 from repro.backends.memory import MemoryBackend
 from repro.obs.instrument import NULL_TELEMETRY, REPORT_SECONDS, PhaseTimer
 from repro.workload import WorkloadConfig, loaded_backend, paper_queries
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks" / "paper"))
+from paper_harness import time_call  # noqa: E402
 
 #: Over-estimates of disabled-path primitive invocations per report.
 #: report() opens 5 PhaseTimers; backend/engine/monitor paths add a handful
