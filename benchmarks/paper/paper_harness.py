@@ -5,16 +5,19 @@ Section 5.2: "Each individual query was run 11 times and the average
 response time of the last 10 runs is used to minimize fluctuation."
 :data:`RUNS` is that protocol and the default here. A cell costs exactly
 ``runs`` reports: its per-phase breakdown is read from the
-``ReportTimings`` of the very runs that were timed.
+``ReportTimings`` of the very runs that were timed. The plain query is
+timed in the same rounds as the reports it is compared with, so a host
+that drifts during a sweep moves both sides of an overhead alike.
 """
 
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import AbstractSet, Callable, Dict, List, Optional
 
-from repro.core.report import RecencyReport, RecencyReporter, ReportTimings
+from repro.core.report import RecencyReporter, ReportTimings
 from repro.engine.cache import get_cache
 from repro.errors import TracError
 
@@ -146,37 +149,56 @@ def measure_methods(
 ) -> Dict[str, MethodMeasurement]:
     """Measure the plain query and each reporting method for one query.
 
+    One round runs the plain query and then one report per method; odd
+    rounds run in reverse order, so a host that drifts linearly adds as much
+    to the plain query's mean as to each method's over an even number of
+    kept rounds.
+
     ``focused_hardcoded`` reuses a plan built once outside the timed region,
     isolating execution cost from parse/generation cost exactly as the
     paper's hardcoded table function did.
     """
+    if runs < 1:
+        raise ValueError("runs must be >= 1")
     methods = methods or ["focused", "focused_hardcoded", "naive"]
-    t_plain = time_call(lambda: reporter.run_plain(sql), runs)
-
-    out: Dict[str, MethodMeasurement] = {}
     plan = reporter.plan_for(sql) if "focused_hardcoded" in methods else None
     query_cache = get_cache()
+    steps = [None, *methods]  # None: the plain query
+    seconds: Dict[Optional[str], List[float]] = {step: [] for step in steps}
+    # Only the timings of every run are kept: at the paper's scale a report
+    # names up to a million sources.
+    timings: Dict[str, List[ReportTimings]] = {method: [] for method in methods}
+    caches: Dict[str, Counter] = {method: Counter() for method in methods}
+    relevant: Dict[str, int] = {}
+    for round_ in range(runs):
+        for method in reversed(steps) if round_ % 2 else steps:
+            if method is None:
+                start = time.perf_counter()
+                reporter.run_plain(sql)
+                seconds[None].append(time.perf_counter() - start)
+                continue
+            kwargs = {"plan": plan} if method == "focused_hardcoded" else {}
+            before, plan_hits = query_cache.stats(), reporter.plan_cache_hits
+            start = time.perf_counter()
+            report = reporter.report(sql, method=method, **kwargs)
+            seconds[method].append(time.perf_counter() - start)
+            after = query_cache.stats()
+            caches[method].update({
+                "query_hits": after["hits"] - before["hits"],
+                "query_misses": after["misses"] - before["misses"],
+                "plan_hits": reporter.plan_cache_hits - plan_hits,
+            })
+            timings[method].append(report.timings)
+            relevant[method] = len(report.relevant_source_ids)
+
+    t_plain = mean_of_kept(seconds[None])
+    out: Dict[str, MethodMeasurement] = {}
     for method in methods:
-        kwargs = {"plan": plan} if method == "focused_hardcoded" else {}
-        # Only the timings of every run are kept: at the paper's scale a
-        # report names up to a million sources.
-        timings: List[ReportTimings] = []
-        last: Dict[str, RecencyReport] = {}
-
-        def run():  # called by time_call within this iteration only
-            last["report"] = report = reporter.report(sql, method=method, **kwargs)
-            timings.append(report.timings)
-
-        before = query_cache.stats()
-        plan_hits_before = reporter.plan_cache_hits
-        t_report = time_call(run, runs)
-        after = query_cache.stats()
-        caches = {
-            "query_hits": after["hits"] - before["hits"],
-            "query_misses": after["misses"] - before["misses"],
-            "plan_hits": reporter.plan_cache_hits - plan_hits_before,
+        phases = {
+            name: mean_of_kept([getattr(t, name) for t in timings[method]]) for name in PHASES
         }
-        phases = {name: mean_of_kept([getattr(t, name) for t in timings]) for name in PHASES}
-        relevant = len(last["report"].relevant_source_ids)
-        out[method] = MethodMeasurement(method, t_plain, t_report, relevant, phases, caches)
+        out[method] = MethodMeasurement(
+            method, t_plain, mean_of_kept(seconds[method]),
+            relevant[method], phases, dict(caches[method]),
+        )
     return out

@@ -15,7 +15,7 @@ request path over real HTTP:
 3. exhaust a tenant's quota and watch the server shed with
    ``429 Too Many Requests`` and a ``Retry-After`` hint instead of
    queueing without bound;
-4. drive a short open-loop load run with the bundled generator and
+4. drive a short open-loop load run with ``tools/loadgen.py`` and
    read the p99 straight from the ``trac_serve_request_seconds``
    histogram, then render the ``trac top`` serving line.
 
@@ -28,14 +28,20 @@ Run:  python examples/serving_tour.py
 """
 
 import json
+import sys
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 from repro.backends.memory import MemoryBackend
 from repro.deploy import Deployment
 from repro.obs.dashboard import render_top
-from repro.serve import LoadgenConfig, ServeConfig, run_load
+from repro.serve import ServeConfig
 from repro.workload import WorkloadConfig, loaded_backend, paper_queries
+
+# The load generator is a standard-library script in tools/.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+from loadgen import LoadgenConfig, run_load  # noqa: E402
 
 SOURCES = 8
 

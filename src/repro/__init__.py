@@ -34,81 +34,21 @@ Quickstart
 ['m1', 'm2']
 """
 
-from repro.catalog import (
-    Catalog,
-    Column,
-    Domain,
-    FiniteDomain,
-    IntegerDomain,
-    RealDomain,
-    TableSchema,
-    TextDomain,
-    TimestampDomain,
-    heartbeat_schema,
-    HEARTBEAT_TABLE,
-    HEARTBEAT_SOURCE_COLUMN,
-    HEARTBEAT_RECENCY_COLUMN,
-)
-from repro.backends import Backend, MemoryBackend, SQLiteBackend
-from repro.core import (
-    Alert,
-    RecencyMonitor,
-    WatchRule,
-    explain_sql,
-    RecencyReport,
-    RecencyReporter,
-    RelevancePlan,
-    Session,
-    SourceRecency,
-    brute_force_relevant_sources,
-    build_naive_plan,
-    build_relevance_plan,
-    describe,
-    recency_report,
-    zscore_split,
-)
-from repro.core import SourceRegistry
-from repro.errors import SimulationError, TracError
-from repro.faults import FaultPlan, InjectedFault
+from repro.catalog import Catalog, Column, FiniteDomain, TableSchema
+from repro.backends import MemoryBackend, SQLiteBackend
+from repro.core import RecencyMonitor, WatchRule, RecencyReporter
 
 __version__ = "1.0.0"
 
 __all__ = [
     "Catalog",
     "Column",
-    "Domain",
     "FiniteDomain",
-    "IntegerDomain",
-    "RealDomain",
-    "TextDomain",
-    "TimestampDomain",
     "TableSchema",
-    "heartbeat_schema",
-    "HEARTBEAT_TABLE",
-    "HEARTBEAT_SOURCE_COLUMN",
-    "HEARTBEAT_RECENCY_COLUMN",
-    "Backend",
     "MemoryBackend",
     "SQLiteBackend",
-    "Alert",
     "RecencyMonitor",
     "WatchRule",
-    "explain_sql",
-    "RecencyReport",
     "RecencyReporter",
-    "RelevancePlan",
-    "Session",
-    "SourceRecency",
-    "brute_force_relevant_sources",
-    "build_naive_plan",
-    "build_relevance_plan",
-    "describe",
-    "recency_report",
-    "zscore_split",
-    "SourceRegistry",
-    "FaultPlan",
-    "InjectedFault",
-    "TracError",
-    "SimulationError",
     "__version__",
 ]

@@ -16,8 +16,8 @@ interface with two implementations:
   this repository and doubles as ground truth in differential tests.
 """
 
-from repro.backends.base import Backend, Snapshot, copy_tables
+from repro.backends.base import copy_tables
 from repro.backends.sqlite import SQLiteBackend
 from repro.backends.memory import MemoryBackend
 
-__all__ = ["Backend", "Snapshot", "SQLiteBackend", "MemoryBackend", "copy_tables"]
+__all__ = ["SQLiteBackend", "MemoryBackend", "copy_tables"]

@@ -170,11 +170,6 @@ class TableSchema:
                 return i
         raise CatalogError(f"no column {name!r} in table {self.name!r}")
 
-    def create_table_sql(self) -> str:
-        """Return a ``CREATE TABLE`` statement for this schema."""
-        parts = [f"{c.name} {c.sql_type if c.sql_type != 'TIMESTAMP' else 'REAL'}" for c in self.columns]
-        return f"CREATE TABLE {self.name} ({', '.join(parts)})"
-
     def __repr__(self) -> str:
         return f"TableSchema({self.name!r}, source_column={self.source_column!r})"
 

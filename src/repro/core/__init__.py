@@ -18,62 +18,9 @@ Public surface:
   outlier detection of Section 4.3.
 """
 
-from repro.core.relevance import (
-    RelevancePlan,
-    SubqueryPlan,
-    build_relevance_plan,
-    build_naive_plan,
-)
-from repro.core.bruteforce import brute_force_relevant_sources
-from repro.core.statistics import (
-    SourceRecency,
-    RecencyStatistics,
-    RecencySplit,
-    describe,
-    zscore_split,
-)
-from repro.core.report import RecencyReport, RecencyReporter, recency_report
-from repro.core.session import Session
-from repro.core.constraints import augmented_where, all_constraint_exprs
-from repro.core.explain import explain, explain_sql
-from repro.core.monitor import Alert, RecencyMonitor, WatchRule
+from repro.core.report import RecencyReporter
+from repro.core.explain import explain
+from repro.core.monitor import RecencyMonitor, WatchRule
 from repro.core.breaker import CircuitBreaker
-from repro.core.sources import (
-    BACKING_OFF,
-    DEGRADED,
-    HEALTHY,
-    RESTARTING,
-    SourceRegistry,
-    SourceState,
-)
 
-__all__ = [
-    "RelevancePlan",
-    "SubqueryPlan",
-    "build_relevance_plan",
-    "build_naive_plan",
-    "brute_force_relevant_sources",
-    "SourceRecency",
-    "RecencyStatistics",
-    "RecencySplit",
-    "describe",
-    "zscore_split",
-    "RecencyReport",
-    "RecencyReporter",
-    "recency_report",
-    "Session",
-    "augmented_where",
-    "all_constraint_exprs",
-    "explain",
-    "explain_sql",
-    "Alert",
-    "RecencyMonitor",
-    "WatchRule",
-    "CircuitBreaker",
-    "SourceRegistry",
-    "SourceState",
-    "HEALTHY",
-    "BACKING_OFF",
-    "RESTARTING",
-    "DEGRADED",
-]
+__all__ = ["RecencyReporter", "explain", "RecencyMonitor", "WatchRule", "CircuitBreaker"]

@@ -16,41 +16,8 @@ See docs/ROBUSTNESS.md ("Crash-safe durability") for the invariants and
 `tools/crash_matrix.py` for the SIGKILL proof harness.
 """
 
-from repro.durable.checkpoint import (
-    latest_valid_checkpoint,
-    list_checkpoints,
-    load_checkpoint,
-    write_checkpoint,
-)
-from repro.durable.manager import DurabilityManager, DurabilityPolicy, DurableLogFile
-from repro.durable.recover import RecoveredState, recover
-from repro.durable.wal import (
-    FSYNC_POLICIES,
-    FrameScan,
-    FrameWriter,
-    list_wal_segments,
-    read_wal,
-    repair_torn_tail,
-    scan_frames,
-    wal_path,
-)
+from repro.durable.manager import DurabilityManager, DurabilityPolicy
+from repro.durable.recover import recover
+from repro.durable.wal import list_wal_segments, scan_frames
 
-__all__ = [
-    "DurabilityManager",
-    "DurabilityPolicy",
-    "DurableLogFile",
-    "RecoveredState",
-    "recover",
-    "FrameWriter",
-    "FrameScan",
-    "FSYNC_POLICIES",
-    "scan_frames",
-    "repair_torn_tail",
-    "read_wal",
-    "wal_path",
-    "list_wal_segments",
-    "write_checkpoint",
-    "load_checkpoint",
-    "list_checkpoints",
-    "latest_valid_checkpoint",
-]
+__all__ = ["DurabilityManager", "DurabilityPolicy", "recover", "scan_frames", "list_wal_segments"]

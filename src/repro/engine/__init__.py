@@ -18,14 +18,5 @@ nested loops.
 
 from repro.engine.relation import Relation, Database
 from repro.engine.evaluate import execute_query, execute_sql
-from repro.engine.cache import ResolvedQueryCache, get_cache, resolve_cached
 
-__all__ = [
-    "Relation",
-    "Database",
-    "execute_query",
-    "execute_sql",
-    "ResolvedQueryCache",
-    "get_cache",
-    "resolve_cached",
-]
+__all__ = ["Relation", "Database", "execute_query", "execute_sql"]

@@ -11,37 +11,8 @@ retries, hedged requests and circuit breakers, and merges fragments into a
 NOTICE lines state recency. See ``docs/ROBUSTNESS.md``.
 """
 
-from repro.federation.rpc import (
-    MAX_FRAME_BYTES,
-    RPCError,
-    RPCServer,
-    RPCTimeout,
-    call,
-    recv_frame,
-    send_frame,
-)
+from repro.federation.rpc import RPCTimeout
 from repro.federation.shard import ShardServer
-from repro.federation.coordinator import (
-    FederatedRecencyReport,
-    FederationCoordinator,
-    ShardInfo,
-    ShardRegistry,
-)
-from repro.federation.process import ShardProcess, launch_shard
+from repro.federation.coordinator import FederationCoordinator, ShardInfo, ShardRegistry
 
-__all__ = [
-    "MAX_FRAME_BYTES",
-    "RPCError",
-    "RPCServer",
-    "RPCTimeout",
-    "call",
-    "recv_frame",
-    "send_frame",
-    "ShardServer",
-    "ShardInfo",
-    "ShardRegistry",
-    "FederationCoordinator",
-    "FederatedRecencyReport",
-    "ShardProcess",
-    "launch_shard",
-]
+__all__ = ["RPCTimeout", "ShardServer", "ShardInfo", "ShardRegistry", "FederationCoordinator"]

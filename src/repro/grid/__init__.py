@@ -23,48 +23,6 @@ clock:
   wiring machines, scheduler, sniffers and failure injection together.
 """
 
-from repro.grid.events import EventKind, LogEvent
-from repro.grid.logfile import LogFile
-from repro.grid.job import Job, JobState
-from repro.grid.machine import Machine
-from repro.grid.scheduler import Scheduler
-from repro.grid.sniffer import Sniffer, SnifferConfig
-from repro.grid.supervisor import CircuitBreaker, SnifferSupervisor, SupervisorPolicy
-from repro.grid.simulator import GridSimulator, SimulationConfig, monitoring_catalog
-from repro.grid.logformat import format_line, parse_line, format_log, parse_log
-from repro.grid.persist import (
-    FileLog,
-    FileLogWriter,
-    FileSource,
-    archive_simulation,
-    discover_logs,
-    replay_directory,
-)
+from repro.grid.simulator import GridSimulator, SimulationConfig
 
-__all__ = [
-    "EventKind",
-    "LogEvent",
-    "LogFile",
-    "Job",
-    "JobState",
-    "Machine",
-    "Scheduler",
-    "Sniffer",
-    "SnifferConfig",
-    "SnifferSupervisor",
-    "SupervisorPolicy",
-    "CircuitBreaker",
-    "GridSimulator",
-    "SimulationConfig",
-    "monitoring_catalog",
-    "format_line",
-    "parse_line",
-    "format_log",
-    "parse_log",
-    "FileLog",
-    "FileLogWriter",
-    "FileSource",
-    "archive_simulation",
-    "discover_logs",
-    "replay_directory",
-]
+__all__ = ["GridSimulator", "SimulationConfig"]

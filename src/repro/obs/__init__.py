@@ -45,33 +45,16 @@ or per component, by passing ``telemetry=Telemetry()`` to
 :class:`~repro.core.monitor.RecencyMonitor`. See docs/OBSERVABILITY.md.
 """
 
-from repro.obs.trace import (
-    NULL_SPAN,
-    TRACEPARENT_HEADER,
-    Span,
-    SpanContext,
-    Tracer,
-    extract_context,
-    inject_context,
-)
-from repro.obs.metrics import (
-    Counter,
-    DEFAULT_BUCKETS,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
+from repro.obs.trace import Tracer, extract_context, inject_context
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.instrument import (
     NULL_TELEMETRY,
-    PhaseTimer,
-    ProfileLog,
     Telemetry,
     disable,
     enable,
     get_default,
     resolve,
     set_default,
-    slow_query_threshold,
 )
 from repro.obs.export import (
     metrics_snapshot,
@@ -83,33 +66,15 @@ from repro.obs.export import (
     spans_to_jsonl,
     write_spans_jsonl,
 )
-from repro.obs.events import (
-    Event,
-    EventLog,
-    events_from_jsonl,
-    events_to_jsonl,
-    write_events_jsonl,
-)
 
 
 __all__ = [
-    "Span",
-    "SpanContext",
     "Tracer",
-    "NULL_SPAN",
-    "TRACEPARENT_HEADER",
     "inject_context",
     "extract_context",
-    "Counter",
-    "Gauge",
-    "Histogram",
     "MetricsRegistry",
-    "DEFAULT_BUCKETS",
     "Telemetry",
     "NULL_TELEMETRY",
-    "PhaseTimer",
-    "ProfileLog",
-    "slow_query_threshold",
     "enable",
     "disable",
     "get_default",
@@ -123,9 +88,4 @@ __all__ = [
     "spans_from_jsonl",
     "write_spans_jsonl",
     "metrics_snapshot",
-    "Event",
-    "EventLog",
-    "events_to_jsonl",
-    "events_from_jsonl",
-    "write_events_jsonl",
 ]

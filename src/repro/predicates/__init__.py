@@ -15,28 +15,3 @@ This package implements the machinery of Section 4:
   ``D1 x ... x Dk``" check that Theorems 3 and 4 require before the minimal
   guarantee applies.
 """
-
-from repro.predicates.evaluate import evaluate_predicate, evaluate_truth, like_match
-from repro.predicates.dnf import to_dnf, to_nnf, basic_terms_of
-from repro.predicates.classify import (
-    TermClass,
-    ClassifiedConjunct,
-    classify_conjunct,
-    classify_term,
-)
-from repro.predicates.satisfiability import Satisfiability, check_conjunction
-
-__all__ = [
-    "evaluate_predicate",
-    "evaluate_truth",
-    "like_match",
-    "to_dnf",
-    "to_nnf",
-    "basic_terms_of",
-    "TermClass",
-    "ClassifiedConjunct",
-    "classify_conjunct",
-    "classify_term",
-    "Satisfiability",
-    "check_conjunction",
-]

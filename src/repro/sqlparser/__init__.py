@@ -14,23 +14,7 @@ paper's test queries use ``COUNT(*)``); they do not affect relevance, which
 is a property of the FROM and WHERE clauses only.
 """
 
-from repro.sqlparser.tokens import Token, TokenType
-from repro.sqlparser.lexer import tokenize
 from repro.sqlparser import ast
-from repro.sqlparser.parser import parse_query, parse_expression
-from repro.sqlparser.printer import to_sql, expr_to_sql
-from repro.sqlparser.resolver import ResolvedQuery, RelationBinding, resolve
+from repro.sqlparser.parser import parse_query
 
-__all__ = [
-    "Token",
-    "TokenType",
-    "tokenize",
-    "ast",
-    "parse_query",
-    "parse_expression",
-    "to_sql",
-    "expr_to_sql",
-    "resolve",
-    "ResolvedQuery",
-    "RelationBinding",
-]
+__all__ = ["ast", "parse_query"]

@@ -13,23 +13,11 @@ from repro.backends.base import Backend
 from repro.catalog import Catalog
 from repro.workload.generator import (
     WorkloadConfig,
-    WorkloadData,
     generate_workload,
     load_workload,
     workload_catalog,
-    source_name,
 )
-from repro.workload.queries import (
-    PAPER_MACHINE_INDEXES,
-    query_machine_indexes,
-    query_machines,
-    q1_selective_single,
-    q2_nonselective_single,
-    q3_selective_join,
-    q4_nonselective_join,
-    paper_queries,
-)
-from repro.workload.sweep import SweepConfig, sweep_points
+from repro.workload.queries import query_machine_indexes, paper_queries
 
 
 def loaded_backend(
@@ -46,20 +34,10 @@ def loaded_backend(
 
 __all__ = [
     "WorkloadConfig",
-    "WorkloadData",
     "generate_workload",
     "load_workload",
     "loaded_backend",
     "workload_catalog",
-    "source_name",
-    "PAPER_MACHINE_INDEXES",
     "query_machine_indexes",
-    "query_machines",
-    "q1_selective_single",
-    "q2_nonselective_single",
-    "q3_selective_join",
-    "q4_nonselective_join",
     "paper_queries",
-    "SweepConfig",
-    "sweep_points",
 ]

@@ -213,6 +213,12 @@ class TestSqliteSpecifics:
         finally:
             backend.close()
 
+    def test_timestamp_maps_to_real_in_ddl(self):
+        schema = TableSchema("t", [Column("s", "TEXT"), Column("ts", "TIMESTAMP")])
+        with SQLiteBackend(Catalog([schema])) as backend:
+            columns = backend._conn.execute("PRAGMA table_info(t)").fetchall()
+        assert [(row[1], row[2]) for row in columns] == [("s", "TEXT"), ("ts", "REAL")]
+
     def test_context_manager_closes(self):
         with SQLiteBackend(tiny_catalog()) as backend:
             backend.insert_rows("t", [("a", 1)])

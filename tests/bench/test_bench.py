@@ -1,6 +1,7 @@
 """Benchmark-harness tests: metrics, timing protocol, figure builders."""
 
 import csv
+from types import SimpleNamespace
 
 import pytest
 
@@ -123,6 +124,42 @@ class TestMeasureMethods:
                 assert m.phases[phase] == pytest.approx(sum(kept) / len(kept)), (method, phase)
         assert results["focused"].phases["parse_generate"] > 0
         assert results["focused_hardcoded"].phases["parse_generate"] == 0
+
+    def test_the_plain_query_is_timed_in_the_rounds_of_every_method(self, monkeypatch):
+        """On a clock where every call costs more than the last, each
+        method's ``t_report - t_plain`` is the stub report's fixed extra
+        cost: the drift lands on both sides alike. A plain query timed once
+        before the methods would make every later method look dearer."""
+        import paper_harness
+
+        extra = 0.5
+        clock = SimpleNamespace(now=0.0, calls=0)
+
+        def spend(cost):
+            clock.calls += 1
+            clock.now += 1.0 + 0.01 * clock.calls + cost
+
+        timings = SimpleNamespace(parse_generate=0.0, user_query=0.0, recency_query=0.0,
+                                  statistics=0.0)
+
+        class Stub:
+            plan_cache_hits = 0
+
+            def run_plain(self, sql):
+                spend(0.0)
+
+            def plan_for(self, sql):
+                return None
+
+            def report(self, sql, method, **kwargs):
+                spend(extra)
+                return SimpleNamespace(timings=timings, relevant_source_ids=())
+
+        monkeypatch.setattr(paper_harness, "time", SimpleNamespace(perf_counter=lambda: clock.now))
+        results = measure_methods(Stub(), "SELECT 1", runs=11)
+        assert len(results) == 3
+        for m in results.values():
+            assert m.t_report - m.t_plain == pytest.approx(extra), m.method
 
     def test_measurement_repr_contains_overhead(self):
         m = MethodMeasurement("focused", 1.0, 2.0, 5)

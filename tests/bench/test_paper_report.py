@@ -26,14 +26,15 @@ class TestClaimCheckers:
 def canned():
     """Sweep-shaped records at two ratios whose timings satisfy every claim:
     Naive pays per source at the low ratio, Q4's Focused report costs more
-    than Naive's there, and every overhead is small at the high ratio."""
+    than Naive's there and nowhere else, and every overhead is small at the
+    high ratio."""
     fig1 = []
     for ratio, sources in ((10, 200), (100, 20)):
         for query in ("Q1", "Q2", "Q3", "Q4"):
-            for method, t_report in (("focused", 2.0), ("focused_hardcoded", 1.2), ("naive", 1.5)):
+            for method, t_report in (("focused", 2.0), ("focused_hardcoded", 1.2), ("naive", 2.5)):
                 selective = query in ("Q1", "Q3")
-                if ratio == 10 and method == "naive" and selective:
-                    t_report = 9.0
+                if ratio == 10 and method == "naive":
+                    t_report = 9.0 if selective else 1.5 if query == "Q4" else t_report
                 fig1.append({
                     "query": query, "data_ratio": ratio, "num_sources": sources, "method": method,
                     "t_plain_s": 1.0, "t_report_s": t_report, "overhead_pct": 100.0 * (t_report - 1),
@@ -71,6 +72,17 @@ class TestBuildReport:
         assert "Q4 at low ratio" in line
         for fragment in ("fpr(Focused) = 0", "Section 5.1 transcript", "Section 4.2 cases"):
             assert "| **PASS** | " + fragment in text
+
+
+    def test_a_second_cell_where_focused_costs_more_fails_the_one_case_claim(self):
+        fig1, fig2, fpr = canned()
+        (q2,) = [r for r in fig1 if (r["query"], r["data_ratio"], r["method"]) == ("Q2", 100, "naive")]
+        q2["t_report_s"] = 1.5
+        text, _, all_passed = build_report(fig1, fig2, fpr)
+        assert not all_passed
+        (line,) = [line for line in text.splitlines() if "**FAIL**" in line]
+        assert "Q4 at low ratio is the one case" in line
+        assert "Focused also costs more at: Q2 at ratio 100 |" in line
 
 
 class TestCli:

@@ -100,15 +100,6 @@ class TestTableSchema:
         with pytest.raises(CatalogError):
             TableSchema("t", [])
 
-    def test_create_table_sql(self):
-        sql = self._schema().create_table_sql()
-        assert sql.startswith("CREATE TABLE activity")
-        assert "mach_id TEXT" in sql
-
-    def test_timestamp_maps_to_real_in_ddl(self):
-        schema = TableSchema("t", [Column("ts", "TIMESTAMP")])
-        assert "ts REAL" in schema.create_table_sql()
-
 
 class TestHeartbeatSchema:
     def test_shape(self):

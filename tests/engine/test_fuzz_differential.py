@@ -33,10 +33,11 @@ def test_compiled_interpreted_and_sqlite_agree():
     assert completed.returncode == 0, completed.stdout + completed.stderr
     assert "OK" in completed.stdout
     # The generator draws semijoin candidates, keyed relations, whole-row
-    # select lists, bools and NaNs, and the engine ran them as such.
+    # select lists, bools and NaNs, and the engine ran them as such; and
+    # lineage statements, whose laws the tool checked.
     for kind in (
         "semijoin", "index lookup", "index complement", "row passthrough", "bool value",
-        "nan value",
+        "nan value", "lineage",
     ):
         tally = re.search(rf"(\d+) {kind}", completed.stdout)
         assert tally and int(tally.group(1)) > 0, completed.stdout

@@ -1,8 +1,8 @@
 """Row-level lineage: algebra laws, alignment, and the shared cache entry.
 
 The lineage algebra has three laws the engine must uphold for every query
-shape (checked here with Hypothesis, and at scale by
-``tools/fuzz_lineage.py``):
+shape (checked here with Hypothesis, and at scale by the ``lineage``
+statements of ``tools/fuzz_engine.py``):
 
 * a join row's lineage is the union of its parents' lineages;
 * projection and filtering never *invent* sources — every cited source

@@ -1,19 +1,26 @@
-"""The open-loop load generator: schedule math, aggregation, a real run."""
+"""The open-loop load generator (``tools/loadgen.py``, loaded by path:
+tools/ is not a package): schedule math, aggregation, a real run."""
 
+import importlib.util
+import os
 import time
 
 import pytest
 
-from repro.errors import TracError
 from repro.obs import Telemetry
 from repro.obs.server import ObservatoryServer
-from repro.serve import LoadgenConfig, LoadResult, QueryService, ServeConfig, run_load
-from repro.serve.loadgen import (
-    STATUS_REFUSED,
-    STATUS_TIMEOUT,
-    _classify_transport,
-    percentile,
+from repro.serve import QueryService, ServeConfig
+
+_TOOL = os.path.join(
+    os.path.dirname(os.path.abspath(__file__)), "..", "..", "tools", "loadgen.py"
 )
+_spec = importlib.util.spec_from_file_location("loadgen", _TOOL)
+loadgen = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(loadgen)
+
+LoadgenConfig, LoadResult, run_load = loadgen.LoadgenConfig, loadgen.LoadResult, loadgen.run_load
+STATUS_REFUSED, STATUS_TIMEOUT = loadgen.STATUS_REFUSED, loadgen.STATUS_TIMEOUT
+percentile, _classify_transport = loadgen.percentile, loadgen._classify_transport
 
 SQL = "SELECT mach_id FROM activity"
 
@@ -30,9 +37,9 @@ class TestPercentile:
         assert percentile([7.0], 0.99) == 7.0
 
     def test_validation(self):
-        with pytest.raises(TracError):
+        with pytest.raises(ValueError):
             percentile([], 0.5)
-        with pytest.raises(TracError):
+        with pytest.raises(ValueError):
             percentile([1.0], 1.5)
 
 
@@ -42,13 +49,13 @@ class TestLoadgenConfig:
         assert config.total_requests == 100
 
     def test_validation(self):
-        with pytest.raises(TracError):
+        with pytest.raises(ValueError):
             LoadgenConfig("http://x", SQL, rate=0.0)
-        with pytest.raises(TracError):
+        with pytest.raises(ValueError):
             LoadgenConfig("http://x", SQL, duration=-1.0)
-        with pytest.raises(TracError):
+        with pytest.raises(ValueError):
             LoadgenConfig("http://x", SQL, senders=0)
-        with pytest.raises(TracError):
+        with pytest.raises(ValueError):
             LoadgenConfig("http://x", SQL, tenants=())
 
 
@@ -201,13 +208,12 @@ class TestRunLoad:
         assert result.to_dict()["connections"] == result.connections
 
     def test_dead_reused_socket_is_retried_once(self, paper_memory_backend, monkeypatch):
-        from repro.serve.loadgen import _Sender
-
         monkeypatch.setattr(ObservatoryServer, "idle_timeout", 0.1)
         tel = Telemetry()
         with QueryService(paper_memory_backend, ServeConfig(workers=1), telemetry=tel) as svc:
             with ObservatoryServer(tel, query_service=svc) as server:
-                sender = _Sender(LoadgenConfig(server.url + "/v1/query", SQL, timeout=2.0))
+                config = LoadgenConfig(server.url + "/v1/query", SQL, timeout=2.0)
+                sender = loadgen._Sender(config)
                 assert sender.post("a") == 200
                 deadline = time.monotonic() + 5.0
                 while server.open_connections and time.monotonic() < deadline:

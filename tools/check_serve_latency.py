@@ -33,8 +33,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from repro.backends.memory import MemoryBackend  # noqa: E402
 from repro.deploy import Deployment  # noqa: E402
 from repro.serve import ServeConfig  # noqa: E402
-from repro.serve.loadgen import LoadgenConfig, run_load  # noqa: E402
 from repro.workload import WorkloadConfig, loaded_backend, paper_queries  # noqa: E402
+# The load generator sits beside this script (tools/ is sys.path[0]).
+from loadgen import LoadgenConfig, run_load  # noqa: E402
 
 
 def main() -> int:

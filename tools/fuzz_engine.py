@@ -34,7 +34,20 @@ column, which the engine must store as SQLite does. Operands include
 ``TRUE`` and ``FALSE``, the integers ``1`` and ``0``. Some examples key ``t1``
 (on ``x`` or ``s``) or ``t2`` (on ``s``), and some run the statement on a
 ``snapshot_view`` taken before more inserts and upserts land on the parent,
-which the view must not see. Usage::
+which the view must not see.
+
+A ``lineage`` statement, ``SELECT t1.s, t2.s FROM t1, t2 WHERE w``, also
+checks the row-lineage laws on both paths, which must return the same rows
+*and* lineage, in order:
+
+* **join-union** — a join row's lineage is the union of its parents' source
+  values, every one of them present in the data (no invention);
+* **projection-invariance** — ``SELECT t1.x`` under the same ``w`` gives
+  each row the same lineage;
+* **aggregate-union** — ``SELECT COUNT(*)``'s one row unions every joined
+  row's lineage;
+* **distinct-merge** — ``SELECT DISTINCT t1.s`` unions the lineages of the
+  joined rows it collapses. Usage::
 
     python tools/fuzz_engine.py [examples]
 """
@@ -199,14 +212,17 @@ _LATER = st.one_of(
 
 @st.composite
 def _statements(draw):
-    """``(statement without LIMIT, n or None, shape)``. Three shapes in seven
+    """``(statement without LIMIT, n or None, shape)``. Three shapes in eight
     are plain select-project-join, the only ones whose ``LIMIT`` is a row
     budget; one of them filters ``t1`` by one complement atom alone."""
     shape = draw(
         st.sampled_from(
-            ["plain", "plain", "complement", "ordered", "distinct", "semijoin", "aggregate"]
+            ["plain", "plain", "complement", "ordered", "distinct", "semijoin", "aggregate",
+             "lineage"]
         )
     )
+    if shape == "lineage":
+        return f"SELECT t1.s, t2.s FROM t1, t2 WHERE {draw(_WHERE['t1, t2'])}", None, shape
     if shape == "complement":
         select = draw(st.sampled_from([s for s in _SELECTS["t1"] if "(" not in s]))
         return f"SELECT {select} FROM t1 WHERE {draw(_COMPLEMENT_WHERE)}", draw(_LIMITS), "plain"
@@ -253,6 +269,38 @@ def _database(rows1, rows2, keys, later):
     return view
 
 
+def _both_paths(db, sql):
+    """``sql`` with lineage on, after asserting both paths agree on it."""
+    interpreted = execute_sql(db, sql, compiled=False, lineage=True, cache=False)
+    compiled = execute_sql(db, sql, compiled=True, lineage=True, cache=False)
+    assert (interpreted.rows, interpreted.lineage) == (compiled.rows, compiled.lineage), (
+        f"COMPILED/INTERPRETED LINEAGE DISAGREEMENT on {sql!r}"
+    )
+    return interpreted
+
+
+def _check_lineage(db, where):
+    """The lineage laws of the module docstring, under ``WHERE where``."""
+    base = {row[0] for table in ("t1", "t2") for row in db.relation(table).rows}
+    joined = _both_paths(db, f"SELECT t1.s, t2.s FROM t1, t2 WHERE {where}")
+    for row, lineage in zip(joined.rows, joined.lineage):
+        assert lineage == frozenset(row) and lineage <= base, (
+            f"JOIN LINEAGE {set(lineage)} of {row!r} under {where!r}"
+        )
+    projected = _both_paths(db, f"SELECT t1.x FROM t1, t2 WHERE {where}")
+    assert projected.lineage == joined.lineage, f"PROJECTION CHANGED LINEAGE under {where!r}"
+    aggregated = _both_paths(db, f"SELECT COUNT(*) FROM t1, t2 WHERE {where}")
+    assert aggregated.lineage == [frozenset().union(*joined.lineage)], (
+        f"AGGREGATE LINEAGE {aggregated.lineage} under {where!r}"
+    )
+    distinct = _both_paths(db, f"SELECT DISTINCT t1.s FROM t1, t2 WHERE {where}")
+    for (s,), lineage in zip(distinct.rows, distinct.lineage):
+        merged = frozenset().union(
+            *(lin for row, lin in zip(joined.rows, joined.lineage) if row[0] == s)
+        )
+        assert lineage == merged, f"DISTINCT LINEAGE {set(lineage)} of {s!r} under {where!r}"
+
+
 def _run_sqlite(rows1, rows2, sql):
     conn = sqlite3.connect(":memory:")
     conn.execute("CREATE TABLE t1 (s TEXT, x INTEGER, v TEXT)")
@@ -283,6 +331,12 @@ def make_property(max_examples: int, corpus: Counter):
         [("a", 1, "p"), ("b", 2, None), ("c", 3, "q")], [],
         ("SELECT t1.s, t1.x, t1.v FROM t1 WHERE t1.s IN ('a', 'c')", None, "plain"),
         ("s", None), None,
+    )
+    # The lineage laws over a key lookup, read through a snapshot view.
+    @example(
+        [("a", 1, "p"), ("b", 2, None), ("a", 2, "q")], [("a", 2), ("c", 1)],
+        ("SELECT t1.s, t2.s FROM t1, t2 WHERE t2.y = t1.x OR t1.s IN ('a', 'b')", None, "lineage"),
+        ("s", "s"), ([("c", 0, "p")], [("b", 3)]),
     )
     @given(
         st.lists(_row1, max_size=6), st.lists(_row2, max_size=5), _statements(), _KEYS, _LATER
@@ -316,6 +370,8 @@ def make_property(max_examples: int, corpus: Counter):
             assert set(semijoin) == set(envs), (
                 f"SEMIJOIN/ENV PIPELINE DISAGREEMENT on {unlimited!r}: {semijoin} vs {envs}"
             )
+        if shape == "lineage":
+            _check_lineage(db, unlimited.partition(" WHERE ")[2])
         theirs = _run_sqlite(rows1, rows2, unlimited)
         if limit is None:
             assert Counter(compiled) == theirs, f"DISAGREEMENT on {sql!r}: {compiled} vs {theirs}"
@@ -345,6 +401,7 @@ def make_property(max_examples: int, corpus: Counter):
         for kind in ("index lookup", "index complement"):
             corpus[kind] += any(op.detail.startswith(kind) for op in operators)
         corpus["snapshot"] += later is not None
+        corpus["lineage"] += shape == "lineage"
         values = [v for rows in (rows1, rows2, *(later or ())) for row in rows for v in row]
         corpus["bool value"] += any(v is True or v is False for v in values)
         corpus["nan value"] += any(v != v for v in values)
