@@ -116,7 +116,7 @@ def main() -> None:
 
     banner("Telemetry tour 4/4: exporters")
     print("-- span JSONL (first 2 lines) --")
-    for line in obs.spans_to_jsonl(tel.tracer.finished_spans()).splitlines()[:2]:
+    for line in obs.to_jsonl(tel.tracer.finished_spans()).splitlines()[:2]:
         print(line[:100] + ("..." if len(line) > 100 else ""))
     print()
     print("-- Prometheus text (report counters) --")

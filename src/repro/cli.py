@@ -962,7 +962,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
             )
         if args.spans_jsonl:
             with open(args.spans_jsonl, "w") as handle:
-                handle.write(obs.spans_to_jsonl(tel.tracer.finished_spans()) + "\n")
+                handle.write(obs.to_jsonl(tel.tracer.finished_spans()) + "\n")
             print(f"\nspans written to {args.spans_jsonl}")
         if args.prometheus:
             with open(args.prometheus, "w") as handle:

@@ -2,11 +2,11 @@
 
 Public surface:
 
-* :func:`~repro.core.report.recency_report` / class
-  :class:`~repro.core.report.RecencyReporter` — the ``recencyReport`` table
-  function of Section 5.1: run a user query, compute the relevant data
-  sources, their recency timestamps, descriptive statistics and the
-  z-score split into normal vs exceptional sources, all within one snapshot;
+* :meth:`RecencyReporter.report <repro.core.report.RecencyReporter.report>`
+  — the ``recencyReport`` table function of Section 5.1: run a user query,
+  compute the relevant data sources, their recency timestamps, descriptive
+  statistics and the z-score split into normal vs exceptional sources, all
+  within one snapshot;
 * :func:`~repro.core.relevance.build_relevance_plan` — Section 4's
   algorithm: DNF, per-relation term classification, satisfiability checks,
   and one recency subquery per (conjunct, relation) with a minimality

@@ -82,12 +82,7 @@ def potential_relation(
     return relation
 
 
-def brute_force_relevant_sources(
-    db: Database,
-    resolved: ResolvedQuery,
-    max_tuples: int = DEFAULT_MAX_TUPLES,
-    use_constraints: bool = True,
-) -> Set[str]:
+def brute_force_relevant_sources(db: Database, resolved: ResolvedQuery) -> Set[str]:
     """Compute ``S(Q)`` exactly (Definitions 1 and 2).
 
     Parameters
@@ -97,12 +92,10 @@ def brute_force_relevant_sources(
         (used for the "existing tuples" side of Definition 2).
     resolved:
         The resolved user query.
-    max_tuples:
-        Budget for each relation's potential cross product.
-    use_constraints:
-        Analyze ``Q'`` (query plus schema constraints, Section 3.4) so the
-        potential tuples are restricted to legal ones — must match the
-        planner's setting for fpr comparisons to be apples-to-apples.
+
+    ``Q'`` (query plus schema constraints, Section 3.4) is analyzed, so the
+    potential tuples are restricted to legal ones, as the planner does by
+    default; each potential relation is capped at ``DEFAULT_MAX_TUPLES``.
     """
     relevant: Set[str] = set()
     for binding in resolved.bindings:
@@ -110,33 +103,23 @@ def brute_force_relevant_sources(
             raise TracError(
                 f"table {binding.schema.name!r} has no data source column"
             )
-        relevant |= relevant_via(db, resolved, binding, max_tuples, use_constraints)
+        relevant |= relevant_via(db, resolved, binding)
     return relevant
 
 
-def _probe_where(resolved: ResolvedQuery, use_constraints: bool):
-    if use_constraints and any(b.schema.constraints for b in resolved.bindings):
+def relevant_via(db: Database, resolved: ResolvedQuery, binding: RelationBinding) -> Set[str]:
+    """Sources relevant via one relation (``S(Q, R_i)`` of Section 4.1.2)."""
+    where = resolved.query.where
+    if any(b.schema.constraints for b in resolved.bindings):
         from repro.core.constraints import augmented_where
 
-        return augmented_where(resolved)
-    return resolved.query.where
-
-
-def relevant_via(
-    db: Database,
-    resolved: ResolvedQuery,
-    binding: RelationBinding,
-    max_tuples: int = DEFAULT_MAX_TUPLES,
-    use_constraints: bool = True,
-) -> Set[str]:
-    """Sources relevant via one relation (``S(Q, R_i)`` of Section 4.1.2)."""
-    where = _probe_where(resolved, use_constraints)
+        where = augmented_where(resolved)
     referenced: Set[str] = set()
     if where is not None:
         for ref in ast.column_refs(where):
             if ref.binding_key == binding.key:
                 referenced.add(ref.name.lower())
-    potential = potential_relation(binding, referenced, max_tuples)
+    potential = potential_relation(binding, referenced)
 
     source_ref = ast.ColumnRef(binding.schema.source_column, qualifier=binding.key)  # type: ignore[arg-type]
     source_ref.binding_key = binding.key

@@ -120,19 +120,13 @@ class RecencyMonitor:
         self,
         backend: Backend,
         clock: Optional[Callable[[], float]] = None,
-        z_threshold: float = 3.0,
         telemetry: Optional[object] = None,
         sources: Optional[object] = None,
     ) -> None:
         self.backend = backend
         self.clock = clock or time.time
         self.telemetry = telemetry
-        self.reporter = RecencyReporter(
-            backend,
-            z_threshold=z_threshold,
-            telemetry=telemetry,
-            sources=sources,
-        )
+        self.reporter = RecencyReporter(backend, telemetry=telemetry, sources=sources)
         self._rules: Dict[str, WatchRule] = {}
         self.history: List[Alert] = []
 

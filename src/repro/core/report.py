@@ -33,7 +33,6 @@ from repro.core.sources import SourceRegistry
 from repro.core.statistics import (
     DEFAULT_Z_THRESHOLD,
     Columns,
-    RecencySplit,
     RecencyStatistics,
     SourceRecency,
     describe_columns,
@@ -114,7 +113,7 @@ class RecencyReport:
     (``trac.report``) when the producing reporter had telemetry enabled,
     else ``None``. Its children are the four phase spans; walk them via
     the reporter's ``telemetry.tracer`` or export them with
-    :func:`repro.obs.spans_to_jsonl`.
+    :func:`repro.obs.to_jsonl`.
 
     ``degraded_sources`` carries the supervision layer's known outages
     (sources a :class:`~repro.grid.supervisor.SnifferSupervisor` quarantined)
@@ -637,14 +636,3 @@ class RecencyReporter:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
-
-
-def recency_report(
-    backend: Backend,
-    sql: str,
-    method: str = "focused",
-    z_threshold: float = DEFAULT_Z_THRESHOLD,
-) -> RecencyReport:
-    """One-shot convenience wrapper around :class:`RecencyReporter`."""
-    reporter = RecencyReporter(backend, z_threshold=z_threshold)
-    return reporter.report(sql, method=method)

@@ -4,7 +4,8 @@ A checkpoint file ``checkpoint-<epoch>.json`` holds one JSON document::
 
     {"format": "trac-checkpoint-v1", "epoch": N, "wall": ..., "state": {...}}
 
-The ``state`` payload is produced by ``GridSimulator.durable_state()``:
+The ``state`` payload is produced by ``GridSimulator.durable_state()``
+and read back, on resume, by ``GridSimulator.restore_durable_state()``:
 a consistent copy-on-write snapshot of every table plus sniffer offsets,
 heartbeats, the per-source records of the
 :class:`~repro.core.sources.SourceRegistry` (``health``, ``slo`` and the

@@ -24,15 +24,17 @@ older than the retained checkpoint chain.  A failed checkpoint write
 degradation, not death: the old checkpoint + an unrotated WAL still
 recover everything.
 
-Resume path: phase 1 (:meth:`prepare_simulator`, before sniffers and
-supervisors exist) replays the journal into the bare backend and installs
-:class:`DurableLogFile` mirrors whose contents are truncated back to the
-checkpointed length — deterministic re-simulation regrows the tail
-identically, and the sniffers skip regenerated events below their
-recovered offsets.  Phase 2 (:meth:`finish_binding`, once the sniffers
-exist and the constructor drew their configs from the RNG) restores
-clocks/RNG/jobs, sniffer offsets/recency and the per-source records —
-whole, so a resumed ``/status`` row equals the one checkpointed.
+Resume path: one :meth:`~DurabilityManager.bind`, made once the
+simulator's sniffers exist and before supervisors wrap the machine logs.
+It replays the journal into the bare backend, installs
+:class:`DurableLogFile` mirrors truncated back to the checkpointed length
+(deterministic re-simulation regrows the tail identically, and the
+sniffers skip regenerated events below their recovered offsets), opens
+the WAL and hands the :class:`~repro.durable.recover.RecoveredState` to
+``GridSimulator.restore_durable_state``, which puts back everything
+``durable_state`` wrote — clocks, RNG, jobs, sniffer offsets/recency and
+the per-source records, whole, so a resumed ``/status`` row equals the
+one checkpointed.
 """
 
 from __future__ import annotations
@@ -40,12 +42,11 @@ from __future__ import annotations
 import glob
 import os
 import time
-from typing import Callable, Dict, Optional, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 from repro.durable.checkpoint import prune_artifacts, write_checkpoint
 from repro.durable.recover import RecoveredState, recover
 from repro.durable.wal import (
-    FSYNC_POLICIES,
     FrameWriter,
     encode_batch,
     encode_heartbeat,
@@ -146,8 +147,6 @@ class DurabilityManager:
     resume:
         ``True`` recovers whatever the directory holds; ``False`` starts
         fresh, deleting any previous run's artifacts.
-    telemetry:
-        Explicit telemetry override; defaults to the process-wide one.
     """
 
     def __init__(
@@ -155,15 +154,11 @@ class DurabilityManager:
         data_dir: str,
         policy: Optional[DurabilityPolicy] = None,
         resume: bool = False,
-        telemetry=None,
-        clock: Callable[[], float] = time.monotonic,
     ) -> None:
         self.data_dir = data_dir
         self.logs_dir = os.path.join(data_dir, LOGS_SUBDIR)
         self.policy = policy or DurabilityPolicy()
         self.resume = bool(resume)
-        self.telemetry = telemetry
-        self._clock = clock
         os.makedirs(self.logs_dir, exist_ok=True)
         if not self.resume:
             self._wipe()
@@ -208,17 +203,21 @@ class DurabilityManager:
             return None
         return state.get("config")
 
-    def prepare_simulator(self, sim) -> None:
-        """Phase 1 of binding: recover the backend, install log mirrors.
+    def bind(self, sim) -> bool:
+        """Bind to ``sim``: recover, mirror the logs, open the WAL, journal
+        every sniffer through this manager and hand what was recovered to
+        ``sim.restore_durable_state``.
 
-        Must run before supervisors wrap ``machine.log`` in FaultyLog
-        proxies (the mirror has to sit underneath fault injection) and
-        before anything draws from the simulator RNG post-construction.
+        Runs once the sniffers exist (their configs drawn from the RNG)
+        and before supervisors wrap ``machine.log`` in FaultyLog proxies:
+        the mirror has to sit underneath fault injection. Returns ``True``
+        when a checkpoint was restored (the simulator must then skip
+        topology/bootstrap).
         """
         self._sim = sim
         restored_events: Dict[str, Tuple[LogEvent, ...]] = {}
         if self.resume:
-            self.recovered = recover(self.data_dir, backend=sim.backend, telemetry=self.telemetry)
+            self.recovered = recover(self.data_dir, backend=sim.backend)
             state = self.recovered.state
             if state is not None:
                 saved_ids = state.get("machine_ids", [])
@@ -245,23 +244,25 @@ class DurabilityManager:
             self.epoch = self.recovered.epoch
 
         for mid in sim.machine_ids:
-            writer = FileLogWriter(
-                log_path(self.logs_dir, mid),
-                mid,
-                fsync=MIRROR_FSYNC,
-                fsync_interval=self.policy.fsync_interval,
-                clock=self._clock,
-            )
+            writer = FileLogWriter(log_path(self.logs_dir, mid), mid, fsync=MIRROR_FSYNC)
             sim.machines[mid].log = DurableLogFile(
                 mid, writer, restored_events.get(mid, ())
             )
-
         self._wal = FrameWriter(
             wal_path(self.data_dir, self.epoch),
             fsync=self.policy.fsync,
             fsync_interval=self.policy.fsync_interval,
-            clock=self._clock,
         )
+        for sniffer in sim.sniffers.values():
+            sniffer.journal = self
+
+        if self.recovered is None:
+            return False
+        sim.restore_durable_state(self.recovered)
+        if self.recovered.state is None:
+            return False
+        self._last_checkpoint_now = sim.now
+        return True
 
     def _restore_log(self, mid: str, target_len: int) -> Tuple[LogEvent, ...]:
         """Truncate one mirror back to its checkpointed length.
@@ -280,43 +281,6 @@ class DurabilityManager:
         events = events[:target_len]
         rewrite_log(path, events)
         return tuple(events)
-
-    def finish_binding(self, sim) -> bool:
-        """Phase 2 of binding: restore simulator + ingest + per-source state.
-
-        Runs after the sniffers exist.  Returns ``True`` when a checkpoint
-        was restored (the simulator must then skip topology/bootstrap).
-        """
-        for sniffer in sim.sniffers.values():
-            sniffer.journal = self
-        if not self.resume or self.recovered is None:
-            return False
-        recovered = self.recovered
-        state = recovered.state
-        if state is not None:
-            sim.restore_durable_state(state)
-            ingest = state.get("ingest", {})
-            for mid, count in ingest.get("records_loaded", {}).items():
-                if mid in sim.sniffers:
-                    sim.sniffers[mid].records_loaded = int(count)
-            for mid, last_poll in ingest.get("last_poll", {}).items():
-                if mid in sim.sniffers:
-                    sim.sniffers[mid].last_poll = float(last_poll)
-        for mid, sniffer in sim.sniffers.items():
-            sniffer.offset = recovered.offsets.get(mid, sniffer.offset)
-            if mid in recovered.recency:
-                sniffer.record.recency = recovered.recency[mid]
-            if mid in recovered.last_loaded:
-                sniffer.last_loaded_timestamp = recovered.last_loaded[mid]
-        if state is not None:
-            sim.sources.restore(state)
-            for sid in sim.sources.degraded():
-                if sid in sim.sniffers:  # a shared registry may know more
-                    # A degraded source stays dark after restart until an
-                    # operator (or test) revives it explicitly.
-                    sim.sniffers[sid].fail()
-            self._last_checkpoint_now = sim.now
-        return state is not None
 
     def _check_fault(self, kind: str, source: str, now: float) -> None:
         """Ask the bound simulator's fault plan (if any) whether this
@@ -383,7 +347,7 @@ class DurabilityManager:
             self._journaled_recency[source] = recency
         self._unsynced.add(source)
         self.wal_records += len(lines) + (recency is not None)
-        tel = obs.resolve(self.telemetry)
+        tel = obs.resolve()
         if tel.enabled:
             tel.count(obs.WAL_RECORDS, len(lines), kind="event")
             tel.count(obs.WAL_RECORDS, int(recency is not None), kind="heartbeat")
@@ -438,7 +402,7 @@ class DurabilityManager:
         logs/counts the failure and returns ``False``.
         """
         self._last_checkpoint_now = now
-        tel = obs.resolve(self.telemetry)
+        tel = obs.resolve()
         started = time.perf_counter()
         try:
             self._check_fault("checkpoint_write", "*", now)
@@ -456,7 +420,6 @@ class DurabilityManager:
                 wal_path(self.data_dir, new_epoch),
                 fsync=self.policy.fsync,
                 fsync_interval=self.policy.fsync_interval,
-                clock=self._clock,
             )
             if old_wal is not None:
                 old_wal.close()

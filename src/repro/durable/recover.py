@@ -20,9 +20,10 @@ Recovery proceeds in three steps:
    a frame reaches the backend as one ``apply_poll``, as it did live.
 
 The result also carries the per-source offsets / recency / last-loaded
-timestamps that :class:`~repro.durable.manager.DurabilityManager` feeds
-back into the sniffers, so ingest resumes exactly where the journal left
-off.
+timestamps that ``GridSimulator.restore_durable_state`` feeds back into
+the sniffers (the :class:`~repro.durable.manager.DurabilityManager`
+hands it over when it binds), so ingest resumes exactly where the
+journal left off.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from repro.durable.wal import (
     decode_record,
     list_wal_segments,
     repair_torn_tail,
-    scan_frames,
 )
 from repro.errors import DurabilityError
 from repro.obs import instrument as obs
@@ -124,18 +124,16 @@ def restore_database(backend, database_state: dict) -> None:
 def recover(
     data_dir: str,
     backend=None,
-    telemetry=None,
-    repair: bool = True,
 ) -> RecoveredState:
     """Recover the durable state under ``data_dir``.
 
     When ``backend`` is given, the checkpointed snapshot is restored into
     it and replayed records are applied; with ``backend=None`` this is a
-    dry scan that still computes offsets/recency watermarks.  ``repair``
-    truncates torn WAL tails in place (truncate-and-continue) so the
-    segment can keep accepting appends.
+    dry scan that still computes offsets/recency watermarks.  Torn WAL
+    tails are truncated in place (truncate-and-continue) so the segment
+    can keep accepting appends.
     """
-    tel = obs.resolve(telemetry)
+    tel = obs.resolve()
     recovered = RecoveredState(data_dir)
     if not os.path.isdir(data_dir):
         return recovered
@@ -158,7 +156,7 @@ def recover(
         if segment_epoch < recovered.epoch:
             continue
         recovered.segments.append(path)
-        scan = repair_torn_tail(path) if repair else scan_frames(path)
+        scan = repair_torn_tail(path)
         _replay_segment(recovered, scan, backend, tel)
 
     if tel.enabled:

@@ -111,8 +111,7 @@ class ShardRegistry:
     while a background heartbeat loop refreshes.
     """
 
-    def __init__(self, telemetry: Optional[object] = None) -> None:
-        self.telemetry = telemetry
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._shards: Dict[str, ShardInfo] = {}
 
@@ -155,7 +154,7 @@ class ShardRegistry:
 
     def refresh(self, timeout: float = 0.5) -> Dict[str, bool]:
         """Heartbeat every shard; returns ``{shard_id: alive}``."""
-        tel = obs.resolve(self.telemetry)
+        tel = obs.resolve()
         verdicts: Dict[str, bool] = {}
         for info in self.shards():
             was_alive = info.alive
@@ -461,7 +460,6 @@ class FederationCoordinator:
         breaker_reset: float = 5.0,
         stale_fallback: bool = False,
         stale_max_age: float = 60.0,
-        z_threshold: float = DEFAULT_Z_THRESHOLD,
         seed: int = 0,
         telemetry: Optional[object] = None,
     ) -> None:
@@ -485,7 +483,6 @@ class FederationCoordinator:
         self.breaker_reset = breaker_reset
         self.stale_fallback = stale_fallback
         self.stale_max_age = stale_max_age
-        self.z_threshold = z_threshold
         self.seed = seed
         self.telemetry = telemetry
         self._breakers: Dict[str, CircuitBreaker] = {}
@@ -560,7 +557,7 @@ class FederationCoordinator:
                 method,
                 plan,
                 sources,
-                self.z_threshold,
+                DEFAULT_Z_THRESHOLD,
                 shards_total=len(shards),
                 shards_ok=shards_ok,
                 missing_shards=missing,

@@ -24,6 +24,9 @@ from repro.errors import TracError
 #: The announce-line prefix ``trac shard-serve`` prints once it is serving.
 READY_PREFIX = "SHARD READY "
 
+#: Seconds :func:`launch_shard` waits for the announce line.
+READY_TIMEOUT = 30.0
+
 
 def format_ready_line(shard_id: str, host: str, port: int, machines: List[str]) -> str:
     """The announce line the shard CLI prints (kept next to its parser)."""
@@ -88,12 +91,12 @@ class ShardProcess:
     def thaw(self) -> None:
         os.kill(self.process.pid, signal.SIGCONT)
 
-    def terminate(self, timeout: float = 10.0) -> int:
+    def terminate(self) -> int:
         """SIGTERM and wait: exercises the graceful-shutdown path."""
         if self.alive():
             self.process.terminate()
         try:
-            return self.process.wait(timeout=timeout)
+            return self.process.wait(timeout=10.0)
         except subprocess.TimeoutExpired:
             self.process.kill()
             return self.process.wait(timeout=10.0)
@@ -108,25 +111,21 @@ def launch_shard(
     machines: int,
     machine_id_start: int = 1,
     seed: int = 0,
-    host: str = "127.0.0.1",
-    port: int = 0,
     data_dir: Optional[str] = None,
     resume: bool = False,
     fsync: str = "always",
     faults: Optional[str] = None,
     extra_args: Optional[List[str]] = None,
-    ready_timeout: float = 30.0,
-    repo_src: Optional[str] = None,
 ) -> ShardProcess:
     """Spawn ``trac shard-serve`` and wait for its announce line.
 
     Runs ``sys.executable -m repro.cli shard-serve ...`` with ``PYTHONPATH``
     pointing at this checkout's ``src``, so it works from a source tree
-    without installation. Raises :class:`TracError` if the shard exits or
-    stays silent past ``ready_timeout``.
+    without installation. The shard binds an ephemeral loopback port (the
+    CLI's defaults). Raises :class:`TracError` if the shard exits or stays
+    silent past :data:`READY_TIMEOUT`.
     """
-    if repo_src is None:
-        repo_src = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+    repo_src = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
     argv = [
         sys.executable,
         "-m",
@@ -140,10 +139,6 @@ def launch_shard(
         str(machine_id_start),
         "--seed",
         str(seed),
-        "--host",
-        host,
-        "--port",
-        str(port),
         "--fsync",
         fsync,
     ]
@@ -167,14 +162,14 @@ def launch_shard(
         text=True,
         env=env,
     )
-    deadline = time.monotonic() + ready_timeout
+    deadline = time.monotonic() + READY_TIMEOUT
     lines: List[str] = []
     while True:
         if time.monotonic() > deadline:
             process.kill()
             raise TracError(
                 f"shard {shard_id} produced no announce line within "
-                f"{ready_timeout:g}s; output so far: {lines!r}"
+                f"{READY_TIMEOUT:g}s; output so far: {lines!r}"
             )
         line = process.stdout.readline()
         if line == "" and process.poll() is not None:

@@ -252,7 +252,6 @@ def replay_directory(
     backend: Backend,
     directory: str,
     up_to_time: Optional[float] = None,
-    config: Optional[SnifferConfig] = None,
 ) -> Dict[str, Sniffer]:
     """Load a directory of log files into ``backend`` through sniffers.
 
@@ -264,7 +263,7 @@ def replay_directory(
     horizon = float("inf") if up_to_time is None else up_to_time
     for machine_id, path in discover_logs(directory).items():
         source = FileSource(machine_id, FileLog(path, machine_id))
-        sniffer = Sniffer(source, backend, config or SnifferConfig(lag=0.0))  # type: ignore[arg-type]
+        sniffer = Sniffer(source, backend, SnifferConfig(lag=0.0))  # type: ignore[arg-type]
         sniffer.poll(horizon)
         sniffers[machine_id] = sniffer
     return sniffers

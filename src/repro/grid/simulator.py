@@ -264,11 +264,6 @@ class GridSimulator:
         #: durability manager and a ``ShardServer`` all read it from here.
         self.fault_plan = fault_plan
         self.durability = durability
-        if durability is not None:
-            # Phase 1 must run before supervisors wrap machine logs in
-            # FaultyLog proxies: it replays the journal into the bare
-            # backend and swaps each machine's log for a disk-mirrored one.
-            durability.prepare_simulator(self)
 
         self.sources = sources if sources is not None else SourceRegistry()
         self.sniffers: Dict[str, Sniffer] = {}
@@ -281,9 +276,20 @@ class GridSimulator:
             sniffer.record = self.sources.open(mid)
             self.sniffers[mid] = sniffer
 
-        self.supervisors: Dict[str, SnifferSupervisor] = {}
         self.telemetry = telemetry
         self._plan_silenced: Set[str] = set()
+        self._job_counter = 0
+        self._pending_starts: List[Tuple[float, str, str]] = []  # (time, machine, job)
+        self._pending_completions: List[Tuple[float, str, str]] = []
+        self._last_heartbeat: Dict[str, float] = {mid: 0.0 for mid in self.machine_ids}
+        # The binding resets the RNG past the sniffer-config draws and
+        # restores what the lines above built. It must run before
+        # supervisors wrap the machine logs in FaultyLog proxies (the disk
+        # mirror sits underneath injection) and mark their sources healthy
+        # (a restored status is kept).
+        restored = durability is not None and durability.bind(self)
+
+        self.supervisors: Dict[str, SnifferSupervisor] = {}
         if fault_plan is not None or supervisor_policy is not None:
             for mid in self.machine_ids:
                 self.supervisors[mid] = SnifferSupervisor(
@@ -299,19 +305,6 @@ class GridSimulator:
             (mid, self.supervisors[mid].tick if self.supervisors else sniffer.maybe_poll)
             for mid, sniffer in self.sniffers.items()
         ]
-
-        self._job_counter = 0
-        self._pending_starts: List[Tuple[float, str, str]] = []  # (time, machine, job)
-        self._pending_completions: List[Tuple[float, str, str]] = []
-        self._last_heartbeat: Dict[str, float] = {mid: 0.0 for mid in self.machine_ids}
-        restored = False
-        if durability is not None:
-            # Phase 2 needs what the lines above built: it resets the RNG
-            # past the sniffer-config draws, sets each sniffer's offset and
-            # recency, and stops the sniffers of degraded sources. (The
-            # per-source records could be restored at any point — a
-            # supervisor keeps a status it finds — and ride along here.)
-            restored = durability.finish_binding(self)
         if not restored:
             self._build_topology()
             self._bootstrap_state()
@@ -471,7 +464,6 @@ class GridSimulator:
             "pending_completions": [list(p) for p in self._pending_completions],
             "last_heartbeat": dict(self._last_heartbeat),
             "plan_silenced": sorted(self._plan_silenced),
-            "slo_breached": self.sources.breached(),
             "database": {"tables": tables, "heartbeats": heartbeats},
             "ingest": ingest,
         }
@@ -485,13 +477,29 @@ class GridSimulator:
             state["fault_plan"] = self.fault_plan.checkpoint()
         return state
 
-    def restore_durable_state(self, state: dict) -> None:
-        """Reset simulator bookkeeping to a checkpointed ``durable_state``.
+    def restore_durable_state(self, recovered) -> None:
+        """Put back what :meth:`durable_state` wrote, then the WAL's marks.
 
-        Restores clocks, RNG, machines, jobs, and pending queues — the
-        database, the sniffers and the per-source records are handled by the
-        durability manager, which also replays the WAL tail past this checkpoint.
+        ``recovered`` is the durability manager's
+        :class:`~repro.durable.recover.RecoveredState`: the backend already
+        holds the checkpoint plus the replayed WAL tail. Its checkpoint
+        (``None`` when only a WAL survived) restores clocks, RNG, machines,
+        jobs, pending queues, plan silences, the fault plan, each sniffer's
+        ingest fields and the per-source records; the sniffers of degraded
+        sources are stopped. The WAL's offsets, recency and last-loaded
+        timestamps then advance the sniffers past the checkpoint.
         """
+        state = recovered.state
+        if state is not None:
+            self._restore_checkpoint(state)
+        for mid, sniffer in self.sniffers.items():
+            sniffer.offset = recovered.offsets.get(mid, sniffer.offset)
+            if mid in recovered.recency:
+                sniffer.record.recency = recovered.recency[mid]
+            if mid in recovered.last_loaded:
+                sniffer.last_loaded_timestamp = recovered.last_loaded[mid]
+
+    def _restore_checkpoint(self, state: dict) -> None:
         self.now = float(state["now"])
         self._job_counter = int(state["job_counter"])
         rng_state = state["rng"]
@@ -537,6 +545,17 @@ class GridSimulator:
         self._plan_silenced = set(state.get("plan_silenced", []))
         if self.fault_plan is not None and "fault_plan" in state:
             self.fault_plan.restore(state["fault_plan"])
+        ingest = state.get("ingest", {})
+        loaded, polled = ingest.get("records_loaded", {}), ingest.get("last_poll", {})
+        for mid, sniffer in self.sniffers.items():
+            sniffer.records_loaded = int(loaded.get(mid, sniffer.records_loaded))
+            sniffer.last_poll = float(polled.get(mid, sniffer.last_poll))
+        self.sources.restore(state)
+        for sid in self.sources.degraded():
+            if sid in self.sniffers:  # a shared registry may know more
+                # A degraded source stays dark after restart until an
+                # operator (or test) revives it explicitly.
+                self.sniffers[sid].fail()
 
     # -- internals -----------------------------------------------------------
 

@@ -118,11 +118,6 @@ class SupervisorPolicy:
         )
 
 
-# CircuitBreaker lives in repro.core.breaker now (the federation
-# coordinator shares it); re-exported here for existing importers.
-__all__ = ["CircuitBreaker", "SupervisorPolicy", "SnifferSupervisor"]
-
-
 class SnifferSupervisor:
     """Supervises one sniffer; see the module docstring for the ladder.
 

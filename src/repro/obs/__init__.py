@@ -11,10 +11,11 @@ itself. Three layers, no third-party dependencies:
   (:class:`SpanContext`, :func:`inject_context`, :func:`extract_context`);
 * :mod:`repro.obs.metrics` — named counters, gauges and fixed-bucket
   histograms in a :class:`MetricsRegistry`;
-* :mod:`repro.obs.export` — JSON-lines span dumps, Prometheus text
-  exposition, and the human-readable :func:`render_summary` table;
+* :mod:`repro.obs.export` — Prometheus text exposition and the
+  human-readable :func:`render_summary` table;
 * :mod:`repro.obs.events` — the structured, trace-correlated event log
-  (ring-buffered, with listener fan-out);
+  (ring-buffered, with listener fan-out) and the JSON-lines writer and
+  parser that dump events and spans alike;
 * :mod:`repro.obs.flight` — the anomaly flight recorder (timestamped
   JSON dumps of recent events + spans + metrics on trigger events);
 * :mod:`repro.obs.server` — a dependency-free threaded HTTP server
@@ -62,10 +63,8 @@ from repro.obs.export import (
     prometheus_text,
     render_summary,
     span_name_aggregates,
-    spans_from_jsonl,
-    spans_to_jsonl,
-    write_spans_jsonl,
 )
+from repro.obs.events import from_jsonl, to_jsonl, write_jsonl
 
 
 __all__ = [
@@ -84,8 +83,8 @@ __all__ = [
     "parse_prometheus_text",
     "render_summary",
     "span_name_aggregates",
-    "spans_to_jsonl",
-    "spans_from_jsonl",
-    "write_spans_jsonl",
+    "to_jsonl",
+    "from_jsonl",
+    "write_jsonl",
     "metrics_snapshot",
 ]

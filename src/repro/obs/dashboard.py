@@ -37,13 +37,16 @@ from repro.obs.export import aligned
 #: Eight-level block characters, lowest to highest.
 SPARK_CHARS = "▁▂▃▄▅▆▇█"
 
+#: Columns of the lag sparkline ``trac top`` draws per source.
+SPARK_WIDTH = 16
+
 #: ANSI: clear screen and home the cursor.
 CLEAR = "\x1b[2J\x1b[H"
 
 _STATE_ORDER = {"degraded": 0, "restarting": 1, "backing_off": 2, "healthy": 3}
 
 
-def sparkline(values: Sequence[float], width: int = 16) -> str:
+def sparkline(values: Sequence[float], width: int = SPARK_WIDTH) -> str:
     """Render ``values`` (most recent last) as a fixed-width sparkline.
 
     The last ``width`` values are scaled to the min..max of that window;
@@ -163,7 +166,7 @@ def _fmt_poll_ms(series: Sequence[float]) -> str:
     return f"{p50:.2f}/{p95:.2f}"
 
 
-def render_top(status: dict, width: int = 16) -> str:
+def render_top(status: dict) -> str:
     """Render one dashboard frame from a status document."""
     lines: List[str] = []
     now = status.get("now")
@@ -239,7 +242,7 @@ def render_top(status: dict, width: int = 16) -> str:
 
     headers = (
         "source", "state", "recency", "age", "z", "burn", "qual",
-        "lag " + "·" * max(0, width - 4), "poll ms", "retry", "restart", "breaker",
+        "lag " + "·" * (SPARK_WIDTH - 4), "poll ms", "retry", "restart", "breaker",
     )
     rows: List[tuple] = []
     ordered = sorted(
@@ -258,7 +261,7 @@ def render_top(status: dict, width: int = 16) -> str:
                 f"{src.get('z', 0.0):+.2f}",
                 f"{burn:.2f}" if burn is not None else "-",
                 f"{quality:.2f}" if quality is not None else "-",
-                sparkline(src.get("lag_series") or [], width),
+                sparkline(src.get("lag_series") or []),
                 _fmt_poll_ms(src.get("poll_ms_series") or []),
                 str(src.get("retries", 0)),
                 str(src.get("restarts", 0)),

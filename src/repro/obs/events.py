@@ -195,8 +195,8 @@ class EventLog(BoundedRing):
 
 # -- JSONL export -----------------------------------------------------------
 #
-# One writer and one parser for every ``to_dict()``-able record; the span
-# dump in :mod:`repro.obs.export` goes through the same three functions.
+# One writer and one parser for every ``to_dict()``-able record: spans and
+# events alike.
 
 
 def write_jsonl(records: Iterable[Any], fp: IO[str]) -> int:
@@ -233,6 +233,3 @@ def from_jsonl(text: str, what: str = "event") -> List[Dict[str, object]]:
             raise TracError(f"{what} JSONL line {number} is not an object")
         out.append(record)
     return out
-
-
-write_events_jsonl, events_to_jsonl, events_from_jsonl = write_jsonl, to_jsonl, from_jsonl

@@ -1,9 +1,8 @@
-"""Exporters: JSON-lines span dumps, Prometheus text format, and a
-human-readable summary table.
+"""Exporters: Prometheus text format and a human-readable summary table.
 
-* :func:`spans_to_jsonl` / :func:`spans_from_jsonl` — one JSON object per
-  finished span (the dict of :meth:`Span.to_dict`); round-trips losslessly
-  for JSON-representable attribute values.
+(Span dumps are JSON lines through :mod:`repro.obs.events`' ``to_jsonl`` /
+``from_jsonl``, one :meth:`Span.to_dict` per line.)
+
 * :func:`prometheus_text` / :func:`parse_prometheus_text` — the Prometheus
   exposition format (``# HELP``/``# TYPE`` comments, label escaping,
   cumulative ``_bucket``/``_sum``/``_count`` series for histograms). The
@@ -18,40 +17,11 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Dict, IO, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.errors import TracError
-from repro.obs.events import from_jsonl, to_jsonl, write_jsonl
 from repro.obs.metrics import Counter, Gauge, Histogram
 from repro.obs.trace import Span
-
-# -- JSON lines -------------------------------------------------------------
-
-
-def write_spans_jsonl(spans: Iterable[Span], fp: IO[str]) -> int:
-    """Stream spans to ``fp`` as newline-terminated JSON objects.
-
-    Each line carries the span's full :meth:`Span.to_dict` — the original
-    fields plus the additive ``trace_id``/``traceparent`` context fields,
-    so pre-context consumers keep parsing unchanged.
-
-    The streaming form exists so long simulations can dump hundreds of
-    thousands of spans without materializing one giant string; returns the
-    number of lines written.
-    """
-    return write_jsonl(spans, fp)
-
-
-def spans_to_jsonl(spans: Iterable[Span]) -> str:
-    """One compact JSON object per span, newline-separated (no trailing
-    newline)."""
-    return to_jsonl(spans)
-
-
-def spans_from_jsonl(text: str) -> List[Dict[str, object]]:
-    """Parse a JSONL span dump back into span dicts."""
-    return from_jsonl(text, "span")
-
 
 # -- Prometheus text format -------------------------------------------------
 

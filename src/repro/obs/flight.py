@@ -9,7 +9,7 @@ an investigation needs into one timestamped JSON file:
 
 * the triggering event itself plus the last ``max_events`` events before
   it (ordered, span-correlated);
-* the most recent ``max_spans`` finished spans and every currently open
+* the most recent ``MAX_SPANS`` finished spans and every currently open
   span (so you can see what the system was *in the middle of*);
 * every metric value (:func:`~repro.obs.export.metrics_snapshot`);
 * recent per-operator query profiles plus the trigger's ``trace_id``
@@ -53,6 +53,9 @@ DEFAULT_TRIGGERS = frozenset(
 #: Wall-clock seconds between automatic dumps.
 DEFAULT_COOLDOWN = 30.0
 
+#: Finished spans a dump keeps.
+MAX_SPANS = 256
+
 
 class FlightRecorder:
     """Dump telemetry context to disk when anomaly events fire.
@@ -68,8 +71,8 @@ class FlightRecorder:
     cooldown:
         Minimum wall-clock seconds between automatic dumps (manual
         :meth:`dump` calls ignore it).
-    max_events / max_spans:
-        Retention caps for the dumped context.
+    max_events:
+        Retention cap for the dumped events (the spans keep ``MAX_SPANS``).
     sources:
         Optional :class:`~repro.core.sources.SourceRegistry` to embed.
     clock:
@@ -83,7 +86,6 @@ class FlightRecorder:
         directory: str,
         cooldown: float = DEFAULT_COOLDOWN,
         max_events: int = 256,
-        max_spans: int = 256,
         sources=None,
         clock: Optional[Callable[[], float]] = None,
     ) -> None:
@@ -91,7 +93,6 @@ class FlightRecorder:
         self.directory = directory
         self.cooldown = cooldown
         self.max_events = max_events
-        self.max_spans = max_spans
         self.sources = sources
         self._clock = clock or time.time
         self._lock = threading.Lock()
@@ -166,7 +167,7 @@ class FlightRecorder:
 
     def _snapshot(self, reason: str, trigger: Optional[Event], wall: float) -> dict:
         tracer = self.telemetry.tracer
-        finished = tracer.tail(self.max_spans)
+        finished = tracer.tail(MAX_SPANS)
         # The listener runs on the emitting thread, so that thread's span
         # stack is exactly the work in flight around the anomaly.
         open_spans = [s.to_dict() for s in tracer._stack()]

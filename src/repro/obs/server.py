@@ -79,8 +79,8 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Dict, Optional
 from urllib.parse import parse_qs, urlparse
 
-from repro.obs.export import prometheus_text, write_spans_jsonl
-from repro.obs.events import write_events_jsonl
+from repro.obs.export import prometheus_text
+from repro.obs.events import write_jsonl
 from repro.obs.instrument import HTTP_REQUEST_SECONDS
 from repro.obs.trace import extract_context
 
@@ -307,11 +307,8 @@ class _ObservatoryHandler(BaseHTTPRequestHandler):
                 return self._send(200, JSON_CONTENT_TYPE, json.dumps(doc, sort_keys=True))
             if path in ("/spans", "/events"):
                 buffer = io.StringIO()
-                limit = self._limit(query)
-                if path == "/spans":
-                    write_spans_jsonl(obs.telemetry.tracer.tail(limit), buffer)
-                else:
-                    write_events_jsonl(obs.telemetry.events.tail(limit), buffer)
+                log = obs.telemetry.tracer if path == "/spans" else obs.telemetry.events
+                write_jsonl(log.tail(self._limit(query)), buffer)
                 return self._send(200, NDJSON_CONTENT_TYPE, buffer.getvalue())
             if path == "/profile":
                 return self._send_json(200, obs.profiles(self._limit(query)))

@@ -43,7 +43,7 @@ from repro.predicates.evaluate import _comparable, evaluate_predicate, like_matc
 from repro.sqlparser import ast
 
 #: Maximum number of assignments the exact cross-product fallback enumerates.
-DEFAULT_EXACT_LIMIT = 20000
+EXACT_LIMIT = 20000
 
 #: Maximum size of a bounded integer interval we enumerate exhaustively.
 _INTEGER_ENUM_LIMIT = 4096
@@ -283,7 +283,6 @@ def _gt(a: object, b: object) -> bool:
 def check_conjunction(
     terms: Sequence[ast.Expr],
     domain_of: DomainLookup,
-    exact_limit: int = DEFAULT_EXACT_LIMIT,
 ) -> Satisfiability:
     """Check whether a conjunction of basic terms is satisfiable over the
     cross product of its columns' domains.
@@ -294,9 +293,9 @@ def check_conjunction(
         Basic terms (no AND/OR/NOT nodes) with resolved column references.
     domain_of:
         Maps each resolved :class:`ColumnRef` to its :class:`Domain`.
-    exact_limit:
-        Budget for the exact cross-product fallback used when terms relate
-        multiple columns.
+
+    Terms that relate multiple columns fall back to enumerating the cross
+    product, within ``EXACT_LIMIT`` assignments.
     """
     constraints: Dict[Tuple[str, str], ColumnConstraint] = {}
     refs_by_key: Dict[Tuple[str, str], ast.ColumnRef] = {}
@@ -326,7 +325,7 @@ def check_conjunction(
             unknown = True
 
     if complex_terms or unknown:
-        exact = _exact_check(terms, domain_of, exact_limit)
+        exact = _exact_check(terms, domain_of)
         if exact is not None:
             return exact
         return Satisfiability.UNKNOWN
@@ -409,11 +408,7 @@ def _comparison_apply(op: str, value: object):
     raise UnsupportedQueryError(f"unknown comparison operator {op!r}")
 
 
-def _exact_check(
-    terms: Sequence[ast.Expr],
-    domain_of: DomainLookup,
-    exact_limit: int,
-) -> Optional[Satisfiability]:
+def _exact_check(terms: Sequence[ast.Expr], domain_of: DomainLookup) -> Optional[Satisfiability]:
     """Enumerate the cross product of all referenced columns' finite domains.
 
     Returns ``None`` when any domain is infinite or the product exceeds the
@@ -432,7 +427,7 @@ def _exact_check(
         if not domain.is_finite:
             return None
         total *= max(domain.cardinality(), 1)
-        if total > exact_limit:
+        if total > EXACT_LIMIT:
             return None
     domains = [domain.iter_values() for domain in referenced]
 

@@ -81,15 +81,8 @@ def literal_to_sql(value: object) -> str:
     raise UnsupportedQueryError(f"cannot render literal {value!r}")
 
 
-def expr_to_sql(expr: ast.Expr, parenthesize: bool = False) -> str:
-    """Render an expression. ``parenthesize`` wraps OR groups for embedding."""
-    text = _expr_to_sql(expr)
-    if parenthesize and isinstance(expr, ast.Or):
-        return f"({text})"
-    return text
-
-
-def _expr_to_sql(expr: ast.Expr) -> str:
+def expr_to_sql(expr: ast.Expr) -> str:
+    """Render an expression."""
     if isinstance(expr, ast.Literal):
         return literal_to_sql(expr.value)
     if isinstance(expr, ast.ColumnRef):
@@ -97,7 +90,7 @@ def _expr_to_sql(expr: ast.Expr) -> str:
     if isinstance(expr, ast.AggregateCall):
         if expr.argument is None:
             return f"{expr.func}(*)"
-        inner = _expr_to_sql(expr.argument)
+        inner = expr_to_sql(expr.argument)
         if expr.distinct:
             return f"{expr.func}(DISTINCT {inner})"
         return f"{expr.func}({inner})"
@@ -123,18 +116,18 @@ def _expr_to_sql(expr: ast.Expr) -> str:
     if isinstance(expr, ast.Or):
         return " OR ".join(_wrap_bool(item, in_or=True) for item in expr.items)
     if isinstance(expr, ast.Not):
-        return f"NOT ({_expr_to_sql(expr.expr)})"
+        return f"NOT ({expr_to_sql(expr.expr)})"
     raise UnsupportedQueryError(f"cannot render expression {expr!r}")
 
 
 def _operand(expr: ast.Expr) -> str:
     """Render a scalar operand (no boolean structure expected)."""
-    return _expr_to_sql(expr)
+    return expr_to_sql(expr)
 
 
 def _wrap_bool(expr: ast.Expr, in_or: bool = False) -> str:
     """Parenthesize nested boolean connectives to preserve precedence."""
-    text = _expr_to_sql(expr)
+    text = expr_to_sql(expr)
     if isinstance(expr, ast.Or):
         return f"({text})"
     if in_or and isinstance(expr, ast.And):

@@ -32,6 +32,9 @@ from repro.catalog import (
 )
 from repro.errors import TracError
 
+#: Rows per ``insert_rows`` call when :func:`load_workload` bulk-loads.
+LOAD_BATCH = 50_000
+
 
 def source_name(index: int) -> str:
     """Name of the ``index``-th data source (1-based): ``Tao<i>``."""
@@ -220,14 +223,14 @@ def _build_routing(
     return routing
 
 
-def load_workload(backend: Backend, data: WorkloadData, batch_size: int = 50000) -> None:
+def load_workload(backend: Backend, data: WorkloadData) -> None:
     """Bulk-load generated rows into a backend (tables are cleared first)."""
     backend.delete_all("activity")
     backend.delete_all("routing")
     backend.delete_all("heartbeat")
-    for start in range(0, len(data.activity), batch_size):
-        backend.insert_rows("activity", data.activity[start : start + batch_size])
-    for start in range(0, len(data.routing), batch_size):
-        backend.insert_rows("routing", data.routing[start : start + batch_size])
-    for start in range(0, len(data.heartbeat), batch_size):
-        backend.insert_rows("heartbeat", data.heartbeat[start : start + batch_size])
+    for start in range(0, len(data.activity), LOAD_BATCH):
+        backend.insert_rows("activity", data.activity[start : start + LOAD_BATCH])
+    for start in range(0, len(data.routing), LOAD_BATCH):
+        backend.insert_rows("routing", data.routing[start : start + LOAD_BATCH])
+    for start in range(0, len(data.heartbeat), LOAD_BATCH):
+        backend.insert_rows("heartbeat", data.heartbeat[start : start + LOAD_BATCH])

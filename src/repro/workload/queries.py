@@ -42,9 +42,9 @@ def query_machine_indexes(num_sources: int, count: int = 6) -> List[int]:
     return indexes
 
 
-def query_machines(num_sources: int, count: int = 6) -> List[str]:
+def query_machines(num_sources: int) -> List[str]:
     """The machine names used in the IN / NOT IN lists."""
-    return [source_name(i) for i in query_machine_indexes(num_sources, count)]
+    return [source_name(i) for i in query_machine_indexes(num_sources)]
 
 
 def _in_list(machines: List[str]) -> str:

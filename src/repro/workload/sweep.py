@@ -24,8 +24,6 @@ class SweepConfig:
         self,
         total_rows: int = 200_000,
         min_sources: int = 10,
-        factor: int = 10,
-        seed: int = 0,
         exceptional_fraction: float = 0.0,
     ) -> None:
         if total_rows < MIN_RATIO * min_sources:
@@ -35,8 +33,6 @@ class SweepConfig:
             )
         self.total_rows = total_rows
         self.min_sources = min_sources
-        self.factor = factor
-        self.seed = seed
         self.exceptional_fraction = exceptional_fraction
 
     def __repr__(self) -> str:
@@ -59,9 +55,8 @@ def sweep_points(config: SweepConfig) -> List[WorkloadConfig]:
             WorkloadConfig(
                 num_sources=num_sources,
                 data_ratio=ratio,
-                seed=config.seed,
                 exceptional_sources=exceptional,
             )
         )
-        ratio *= config.factor
+        ratio *= 10
     return out

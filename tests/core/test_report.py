@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.report import RecencyReporter, recency_report
+from repro.core.report import RecencyReporter
 from repro.errors import TracError
 
 IDLE_QUERY = "SELECT mach_id, value FROM activity A WHERE value = 'idle'"
@@ -50,10 +50,6 @@ class TestReportBasics:
     def test_unknown_method_rejected(self, paper_backend):
         with pytest.raises(TracError):
             RecencyReporter(paper_backend).report(IDLE_QUERY, method="bogus")
-
-    def test_convenience_function(self, paper_backend):
-        report = recency_report(paper_backend, IDLE_QUERY)
-        assert report.method == "focused"
 
 
 class TestSection51Transcript:

@@ -160,6 +160,34 @@ class TestCrashResume:
         assert (record.retries, record.restarts, record.last_error) == (0, 0, None)
         resumed.durability.close(resumed.now, final_checkpoint=False)
 
+    def test_a_resumed_supervised_log_is_injection_over_the_disk_mirror(self, tmp_path):
+        """The binding installs the mirrors before supervisors wrap the logs:
+        each ``machine.log`` is a FaultyLog over the DurableLogFile, and what
+        the resumed run appends reaches the mirror on disk."""
+        from repro.durable.manager import DurableLogFile
+        from repro.faults.log import FaultyLog
+        from repro.grid.persist import read_log_events
+
+        def supervised(resume):
+            return make_sim(
+                durability=make_manager(tmp_path, resume=resume),
+                fault_plan=FaultPlan(seed=1).poll_error("m2", probability=0.5),
+            )
+
+        sim = supervised(resume=False)
+        sim.run(60.0)
+        sim.durability.close(sim.now)
+
+        resumed = supervised(resume=True)
+        assert resumed.durability.recovered.has_checkpoint
+        resumed.run(30.0)
+        for mid, machine in resumed.machines.items():
+            assert isinstance(machine.log, FaultyLog)
+            assert isinstance(machine.log.inner, DurableLogFile)
+            events, _ = read_log_events(machine.log.inner.writer.path, mid, lenient=True)
+            assert len(events) == len(machine.log) > len(sim.machines[mid].log)
+        resumed.durability.close(resumed.now, final_checkpoint=False)
+
     def test_machine_set_mismatch_refuses_resume(self, tmp_path):
         manager = make_manager(tmp_path)
         sim = make_sim(durability=manager)

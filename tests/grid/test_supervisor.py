@@ -4,13 +4,14 @@ retry -> restart -> degrade ladder driven by injected faults."""
 import pytest
 
 from repro import MemoryBackend, obs
+from repro.core.breaker import CircuitBreaker
 from repro.core.sources import BACKING_OFF, HEALTHY, SourceRegistry
 from repro.errors import SimulationError
 from repro.faults import FaultPlan
 from repro.grid.machine import Machine
 from repro.grid.simulator import monitoring_catalog
 from repro.grid.sniffer import Sniffer, SnifferConfig
-from repro.grid.supervisor import CircuitBreaker, SnifferSupervisor, SupervisorPolicy
+from repro.grid.supervisor import SnifferSupervisor, SupervisorPolicy
 from repro.obs import instrument
 
 

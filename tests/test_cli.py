@@ -383,7 +383,7 @@ class TestStats:
         assert "incremental: 2 hit(s), 1 miss(es)" in out
 
     def test_stats_dump_files(self, grid_db, tmp_path, capsys):
-        from repro.obs import parse_prometheus_text, spans_from_jsonl
+        from repro.obs import from_jsonl, parse_prometheus_text
 
         db, _ = grid_db
         spans_path = str(tmp_path / "spans.jsonl")
@@ -402,7 +402,7 @@ class TestStats:
         )
         assert code == 0
         with open(spans_path) as handle:
-            spans = spans_from_jsonl(handle.read())
+            spans = from_jsonl(handle.read(), "span")
         assert any(s["name"] == "trac.report" for s in spans)
         with open(prom_path) as handle:
             samples = parse_prometheus_text(handle.read())

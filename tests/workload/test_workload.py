@@ -280,7 +280,7 @@ class TestSkew:
 class TestPlanningCost:
     def test_planning_is_not_linear_in_the_source_domain(self, monkeypatch):
         """By counts, not time: at 20,000 sources no plan enumerates a domain
-        whose cross product is over ``exact_limit``, and repeated plans sort
+        whose cross product is over ``EXACT_LIMIT``, and repeated plans sort
         a given ``FiniteDomain`` at most once."""
         enumerated_from = Counter()
         sorts = Counter()
