@@ -30,7 +30,6 @@ from repro.core.sources import SourceRegistry
 from repro.deploy import Deployment
 from repro.faults import plan_from_json
 from repro.grid import GridSimulator, SimulationConfig
-from repro.grid.supervisor import SupervisorPolicy
 from repro.obs.dashboard import render_top
 
 PLAN = json.dumps(
@@ -50,7 +49,7 @@ def main() -> None:
     sim = GridSimulator(
         SimulationConfig(num_machines=4, seed=7),
         fault_plan=plan_from_json(PLAN),
-        supervisor_policy=SupervisorPolicy(silence_timeout=30.0),
+        silence_timeout=30.0,
         sources=sources,
     )
 

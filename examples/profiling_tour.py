@@ -25,6 +25,7 @@ Run:  python examples/profiling_tour.py
 """
 
 import json
+import os
 import time
 import urllib.request
 
@@ -124,7 +125,8 @@ def main() -> None:
         assert "trac_http_request_seconds_bucket" in metrics
 
     print("\n--- 5. slow queries trip an event (and the flight recorder) ---")
-    reporter.slow_query_seconds = 1e-9  # everything is "slow" now
+    # The threshold operators set; read per report, so it applies at once.
+    os.environ["TRAC_SLOW_QUERY_SECONDS"] = "1e-9"  # everything is "slow" now
     slow_report = reporter.report(sql, method="focused")
     slow_events = [
         event for event in telemetry.events.snapshot() if event.name == "query.slow"

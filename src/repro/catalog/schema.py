@@ -9,7 +9,7 @@ recency timestamp of that source.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.catalog.domains import Domain, TextDomain, TimestampDomain
 from repro.errors import CatalogError
@@ -128,19 +128,6 @@ class TableSchema:
             )
         self.source_column = source_column
         self.constraints: Tuple[str, ...] = tuple(constraints)
-
-    @property
-    def column_names(self) -> List[str]:
-        """Names of all columns, in declaration order."""
-        return [c.name for c in self.columns]
-
-    @property
-    def regular_columns(self) -> List[Column]:
-        """All columns except the data source column."""
-        if self.source_column is None:
-            return list(self.columns)
-        src = self.source_column.lower()
-        return [c for c in self.columns if c.name.lower() != src]
 
     def column(self, name: str) -> Column:
         """Look up a column by (case-insensitive) name.

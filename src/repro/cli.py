@@ -442,7 +442,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     from repro.core.sources import SourceRegistry
     from repro.deploy import Deployment
     from repro.grid.simulator import GridSimulator, SimulationConfig
-    from repro.grid.supervisor import SupervisorPolicy
 
     if args.shards is not None:
         if args.shards < 1:
@@ -461,9 +460,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             machine_failure_probability=args.failure_probability,
         )
     fault_plan = _load_fault_plan(args.faults)
-    supervisor_policy = None
-    if args.silence_timeout is not None or fault_plan is not None:
-        supervisor_policy = SupervisorPolicy(silence_timeout=args.silence_timeout)
     observing = args.serve is not None or args.top or args.flight_dir is not None
     sources = SourceRegistry(args.slo_target, args.slo_budget) if observing else None
 
@@ -477,7 +473,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         sim = GridSimulator(
             config,
             fault_plan=fault_plan,
-            supervisor_policy=supervisor_policy,
+            silence_timeout=args.silence_timeout,
             sources=sources,
             durability=durability,
         )
@@ -594,7 +590,6 @@ def _cmd_shard_serve(args: argparse.Namespace) -> int:
     from repro.federation.process import format_ready_line
     from repro.federation.shard import ShardServer
     from repro.grid.simulator import SimulationConfig
-    from repro.grid.supervisor import SupervisorPolicy
 
     durability, config = _open_durability(args)
     if config is None:
@@ -604,17 +599,13 @@ def _cmd_shard_serve(args: argparse.Namespace) -> int:
             machine_id_start=args.machine_id_start,
         )
 
-    fault_plan = _load_fault_plan(args.faults)
-    supervisor_policy = SupervisorPolicy() if fault_plan is not None else None
-
     shard = ShardServer(
         args.shard_id,
         config,
         host=args.host,
         port=args.port,
         durability=durability,
-        fault_plan=fault_plan,
-        supervisor_policy=supervisor_policy,
+        fault_plan=_load_fault_plan(args.faults),
         step_interval=args.step_interval,
     )
     try:
@@ -737,7 +728,7 @@ def _cmd_recover(args: argparse.Namespace) -> int:
     if not os.path.isdir(args.data_dir):
         raise TracError(f"no durability directory at {args.data_dir!r}")
 
-    backend = None
+    backend = dry = None
     if args.db:
         from repro.grid.simulator import monitoring_catalog
 
@@ -753,6 +744,8 @@ def _cmd_recover(args: argparse.Namespace) -> int:
 
     try:
         recovered = recover(args.data_dir, backend=backend)
+        if dry is not None:  # the dry scan already cut the torn tails it found
+            recovered.torn_segments = dry.torn_segments
         summary = recovered.summary()
         print(f"durability directory: {args.data_dir}")
         print(f"  epoch               : {summary['epoch']}")

@@ -18,8 +18,6 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Type
-
 
 class CircuitBreaker:
     """The classic three-state breaker, driven by an external clock."""
@@ -71,34 +69,13 @@ def backoff_delay(
     """Seconds to wait before retry ``attempt`` (1-based).
 
     ``base * multiplier^(attempt-1)``, capped, then spread by ``±jitter``
-    drawn from the caller's seeded ``rng`` so a fleet of retriers
-    decorrelates reproducibly. The retry ladder the sniffer supervisors and
-    the federation coordinator both climb beside their breaker.
+    (below 1, so a delay stays positive) drawn from the caller's seeded
+    ``rng`` so a fleet of retriers decorrelates reproducibly; every call
+    draws once. The retry ladder the sniffer supervisors and the federation
+    coordinator both climb beside their breaker.
     """
     delay = min(cap, base * multiplier ** (attempt - 1))
-    if jitter:
-        delay *= 1.0 + jitter * (2.0 * rng.random() - 1.0)
-    return delay
-
-
-def check_retry_settings(
-    backoff_multiplier: float,
-    jitter: float,
-    breaker_threshold: int,
-    breaker_reset: float,
-    error: Type[Exception],
-) -> None:
-    """Raise ``error`` for a ladder :func:`backoff_delay` and
-    :class:`CircuitBreaker` cannot climb (``jitter >= 1`` would make a
-    delay negative). The supervisor policy and the coordinator both ask."""
-    if backoff_multiplier < 1.0:
-        raise error("backoff_multiplier must be >= 1")
-    if not 0.0 <= jitter < 1.0:
-        raise error("jitter must be in [0, 1)")
-    if breaker_threshold < 1:
-        raise error("breaker_threshold must be >= 1")
-    if breaker_reset <= 0:
-        raise error("breaker_reset must be positive")
+    return delay * (1.0 + jitter * (2.0 * rng.random() - 1.0))
 
 
 def stable_seed(*parts: object) -> int:

@@ -135,9 +135,6 @@ class RecencyMonitor:
             raise TracError(f"duplicate rule name {rule.name!r}")
         self._rules[rule.name] = rule
 
-    def remove_rule(self, name: str) -> None:
-        self._rules.pop(name, None)
-
     @property
     def rules(self) -> List[WatchRule]:
         return list(self._rules.values())

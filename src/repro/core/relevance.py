@@ -44,7 +44,7 @@ from repro.core.recency_query import ALL_SOURCES_QUERY, build_subquery, heartbea
 from repro.engine.cache import resolve_statement
 from repro.errors import DnfBlowupError, TracError, UnsupportedQueryError
 from repro.predicates.classify import ClassifiedConjunct, classify_conjunct
-from repro.predicates.dnf import DEFAULT_MAX_CONJUNCTS, to_dnf
+from repro.predicates.dnf import to_dnf
 from repro.predicates.satisfiability import Satisfiability, check_conjunction
 from repro.sqlparser import ast
 from repro.sqlparser.printer import to_sql
@@ -204,23 +204,15 @@ def domain_lookup(resolved: ResolvedQuery) -> Callable[[ast.ColumnRef], Domain]:
     return lookup
 
 
-def build_relevance_plan(
-    resolved: ResolvedQuery,
-    max_conjuncts: int = DEFAULT_MAX_CONJUNCTS,
-    check_satisfiability: bool = True,
-    use_constraints: bool = True,
-) -> RelevancePlan:
+def build_relevance_plan(resolved: ResolvedQuery, use_constraints: bool = True) -> RelevancePlan:
     """Build the Focused method's plan for a resolved query.
 
     Parameters
     ----------
     resolved:
-        The resolved user query (single SPJ expression).
-    max_conjuncts:
-        DNF blow-up budget; exceeded -> ``mode == "all"`` fallback.
-    check_satisfiability:
-        The ablation switch: when False, no conjunct is pruned and no
-        minimality is claimed (results stay complete upper bounds).
+        The resolved user query (single SPJ expression). A WHERE whose DNF
+        exceeds :data:`~repro.predicates.dnf.MAX_CONJUNCTS` conjuncts falls
+        back to ``mode == "all"``.
     use_constraints:
         Conjoin each referenced table's CHECK-style constraints onto the
         query (``Q -> Q'``, Section 3.4) before analysis. Requires the
@@ -239,7 +231,7 @@ def build_relevance_plan(
         conjuncts: List[List[ast.Expr]] = [[]]
     else:
         try:
-            conjuncts = to_dnf(where, max_conjuncts)
+            conjuncts = to_dnf(where)
         except (DnfBlowupError, UnsupportedQueryError) as exc:
             if isinstance(exc, DnfBlowupError):
                 notes.append(f"DNF blow-up ({exc.term_count} > {exc.limit}); reporting all sources")
@@ -265,7 +257,7 @@ def build_relevance_plan(
 
     for index, conjunct in enumerate(conjuncts):
         verdict = None
-        if check_satisfiability and conjunct:
+        if conjunct:
             verdict = check_conjunction(conjunct, lookup)
         relations: List[RelationDecision] = []
         decisions.append(ConjunctDecision(conjunct, verdict, relations))
@@ -286,27 +278,21 @@ def build_relevance_plan(
                 sub_notes.append("regular-column join predicate (Jrm) present")
 
             pr_sat = None
-            if check_satisfiability:
-                if classified.pr:
-                    pr_sat = check_conjunction(classified.pr, lookup)
-                    if pr_sat is Satisfiability.UNSAT:
-                        # Pr unsatisfiable over R_i's domains: no potential
-                        # tuple of R_i can pass, so no source is relevant
-                        # via R_i under this conjunct.
-                        notes.append(
-                            f"conjunct {index}: Pr unsatisfiable via "
-                            f"{binding.key!r}; subquery skipped"
-                        )
-                        relations.append(
-                            RelationDecision(binding, classified, None, None, pr_sat)
-                        )
-                        continue
-                    if pr_sat is Satisfiability.UNKNOWN:
-                        sub_minimal = False
-                        sub_notes.append("Pr satisfiability unknown")
-            else:
-                sub_minimal = False
-                sub_notes.append("satisfiability checking disabled")
+            if classified.pr:
+                pr_sat = check_conjunction(classified.pr, lookup)
+                if pr_sat is Satisfiability.UNSAT:
+                    # Pr unsatisfiable over R_i's domains: no potential
+                    # tuple of R_i can pass, so no source is relevant
+                    # via R_i under this conjunct.
+                    notes.append(
+                        f"conjunct {index}: Pr unsatisfiable via "
+                        f"{binding.key!r}; subquery skipped"
+                    )
+                    relations.append(RelationDecision(binding, classified, None, None, pr_sat))
+                    continue
+                if pr_sat is Satisfiability.UNKNOWN:
+                    sub_minimal = False
+                    sub_notes.append("Pr satisfiability unknown")
 
             retained = classified.ps + classified.js + classified.po
             query, guards = build_subquery(resolved, binding, retained, h_alias)
@@ -332,16 +318,13 @@ def build_relevance_plan(
 
 
 def memoized_relevance_plan(
-    resolved: ResolvedQuery,
-    max_conjuncts: int = DEFAULT_MAX_CONJUNCTS,
-    check_satisfiability: bool = True,
-    use_constraints: bool = True,
+    resolved: ResolvedQuery, use_constraints: bool = True
 ) -> Tuple[RelevancePlan, bool]:
     """:func:`build_relevance_plan` memoised on ``resolved`` itself; returns
     ``(plan, whether it was already there)``.
 
-    A plan is a pure function of the resolution and these options, so it is
-    exactly as valid as the resolution: hand in one from
+    A plan is a pure function of the resolution and ``use_constraints``, so
+    it is exactly as valid as the resolution: hand in one from
     :func:`repro.engine.cache.resolve_cached` and a schema change to a
     referenced table — which retires the cached resolution — retires the
     plan with it. Two threads that miss together build the same plan twice;
@@ -349,31 +332,26 @@ def memoized_relevance_plan(
 
     A resolution the cache bound from a template of its shape
     (``resolved.bound_from``) is planned by re-binding the template's plan
-    for these options, when there is one: :func:`_rebound_plan` reruns every
-    satisfiability check the template's plan recorded on the bound terms and
-    substitutes this text's literals into its trees. A verdict that differs,
-    or an error, builds the plan afresh. Template plans are never written once
-    published, so threads share them freely.
+    for the same ``use_constraints``, when there is one:
+    :func:`_rebound_plan` reruns every satisfiability check the template's
+    plan recorded on the bound terms and substitutes this text's literals
+    into its trees. A verdict that differs, or an error, builds the plan
+    afresh. Template plans are never written once published, so threads
+    share them freely.
     """
-    key = (max_conjuncts, check_satisfiability, use_constraints)
-    plan = resolved.relevance_plans.get(key)
+    plan = resolved.relevance_plans.get(use_constraints)
     if plan is not None:
         return plan, True
     if resolved.bound_from is not None:
-        template = resolved.bound_from[0].relevance_plans.get(key)
+        template = resolved.bound_from[0].relevance_plans.get(use_constraints)
         if template is not None:
             try:
                 plan = _rebound_plan(template, resolved)
             except TracError:
                 plan = None
     if plan is None:
-        plan = build_relevance_plan(
-            resolved,
-            max_conjuncts=max_conjuncts,
-            check_satisfiability=check_satisfiability,
-            use_constraints=use_constraints,
-        )
-    resolved.relevance_plans[key] = plan
+        plan = build_relevance_plan(resolved, use_constraints=use_constraints)
+    resolved.relevance_plans[use_constraints] = plan
     return plan, False
 
 

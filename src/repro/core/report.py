@@ -46,7 +46,6 @@ from repro.errors import TracError
 from repro.obs import instrument as obs
 from repro.obs.events import EVT_QUERY_SLOW, EVT_REPORT_EXCEPTIONAL
 from repro.obs.instrument import PhaseTimer, slow_query_threshold
-from repro.predicates.dnf import DEFAULT_MAX_CONJUNCTS
 
 _METHODS = ("focused", "focused_hardcoded", "naive")
 
@@ -319,10 +318,6 @@ class RecencyReporter:
         The storage backend holding the monitored tables and Heartbeat.
     z_threshold:
         |z| cutoff for exceptional sources (Section 4.3; default 3).
-    max_conjuncts:
-        DNF blow-up budget forwarded to the planner.
-    check_satisfiability:
-        Ablation switch for the satisfiability-based pruning.
     create_temp_tables:
         When True, materialize each report's normal / exceptional sources
         as two session temp tables (Section 4.3) that later queries can
@@ -351,13 +346,12 @@ class RecencyReporter:
         An explicit :class:`~repro.obs.Telemetry` for this reporter's spans
         and counters. ``None`` (default) follows the process-wide default,
         which is disabled unless enabled via ``repro.obs.enable()`` or
-        ``TRAC_TELEMETRY=1``.
-    slow_query_seconds:
-        Reports slower than this (end-to-end wall seconds) emit a
-        ``query.slow`` event carrying the report's trace id — a flight
-        recorder configured with that trigger then dumps the full span
-        tree and query profile. ``None`` (default) follows the
-        ``TRAC_SLOW_QUERY_SECONDS`` environment variable; ``0`` disables.
+        ``TRAC_TELEMETRY=1``. A report slower than the
+        ``TRAC_SLOW_QUERY_SECONDS`` environment variable (end-to-end wall
+        seconds, read per report; unset or ``0`` disables) emits a
+        ``query.slow`` event carrying its trace id — a flight recorder
+        configured with that trigger then dumps the full span tree and
+        query profile.
     incremental:
         An optional :class:`~repro.incremental.IncrementalMaintainer`
         attached to this reporter's backend. Eligible plans then read
@@ -387,28 +381,22 @@ class RecencyReporter:
         self,
         backend: Backend,
         z_threshold: float = DEFAULT_Z_THRESHOLD,
-        max_conjuncts: int = DEFAULT_MAX_CONJUNCTS,
-        check_satisfiability: bool = True,
         create_temp_tables: bool = False,
         use_constraints: bool = True,
         plan_cache_size: int = 0,
         telemetry: Optional[object] = None,
         sources: Optional[SourceRegistry] = None,
-        slow_query_seconds: Optional[float] = None,
         incremental: Optional[object] = None,
         incremental_verify: bool = False,
         lineage: bool = False,
     ) -> None:
         self.backend = backend
         self.z_threshold = z_threshold
-        self.max_conjuncts = max_conjuncts
-        self.check_satisfiability = check_satisfiability
         self.create_temp_tables = create_temp_tables
         self.use_constraints = use_constraints
         self.plan_cache_size = plan_cache_size
         self.telemetry = telemetry
         self.sources = sources
-        self.slow_query_seconds = slow_query_seconds
         self.incremental = incremental
         self.incremental_verify = incremental_verify
         self.lineage = lineage
@@ -424,14 +412,9 @@ class RecencyReporter:
         is positive)."""
         tel = obs.resolve(self.telemetry)
         resolved = resolve_cached(sql, self.backend.catalog, tel)
-        options = dict(
-            max_conjuncts=self.max_conjuncts,
-            check_satisfiability=self.check_satisfiability,
-            use_constraints=self.use_constraints,
-        )
         if self.plan_cache_size <= 0:
-            return build_relevance_plan(resolved, **options)
-        plan, hit = memoized_relevance_plan(resolved, **options)
+            return build_relevance_plan(resolved, use_constraints=self.use_constraints)
+        plan, hit = memoized_relevance_plan(resolved, use_constraints=self.use_constraints)
         if hit:
             self.plan_cache_hits += 1
             if tel.enabled:
@@ -573,11 +556,7 @@ class RecencyReporter:
             if from_exceptional > 0:
                 tel.count(obs.ROWS_FROM_EXCEPTIONAL, from_exceptional, method=method)
             tel.provenance.record(ProvenanceRecord(sql, trace_id, method, provenance))
-        threshold = (
-            self.slow_query_seconds
-            if self.slow_query_seconds is not None
-            else slow_query_threshold()
-        )
+        threshold = slow_query_threshold()
         if threshold > 0 and seconds >= threshold:
             tel.count(obs.SLOW_QUERIES, method=method)
             # A slow dump should answer "was the answer trustworthy?"

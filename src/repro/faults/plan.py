@@ -357,10 +357,6 @@ class FaultPlan:
             self._record("duplicate_records", source, duplicated)
         return out
 
-    def is_silenced(self, source: str, now: float) -> bool:
-        """Whether the plan silences ``source`` at time ``now``."""
-        return source in self.silenced_sources(now)
-
     def silenced_sources(self, now: Optional[float] = None) -> Set[str]:
         """Sources silenced at ``now`` (or by *any* window when ``None``)."""
         return {

@@ -41,7 +41,7 @@ import time
 from collections import OrderedDict
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.core.breaker import CircuitBreaker, backoff_delay, check_retry_settings, stable_seed
+from repro.core.breaker import CircuitBreaker, backoff_delay, stable_seed
 from repro.core.recency_query import fragment_request, merge_fragments
 from repro.core.relevance import RelevancePlan, build_naive_plan, memoized_relevance_plan
 from repro.core.report import DEFAULT_Z_THRESHOLD, RecencyReport, ReportTimings, format_interval
@@ -65,8 +65,11 @@ _METHODS = ("focused", "naive")
 _NEVER = float("inf")
 #: Last-good fragments kept for the stale fallback, least recently stored out first.
 _FRAGMENT_CACHE_SIZE = 1024
-#: Seconds before a shard's first retry (grown by ``backoff_multiplier``).
+#: Seconds before a shard's first retry; each further retry waits
+#: ``_BACKOFF_MULTIPLIER`` times longer, spread by ``±_JITTER``.
 _BACKOFF_BASE = 0.05
+_BACKOFF_MULTIPLIER = 2.0
+_JITTER = 0.5
 #: Circuit-breaker states as gauge values (closed < half-open < open).
 _BREAKER_STATE_VALUES = {"closed": 0.0, "half_open": 1.0, "open": 2.0}
 
@@ -435,7 +438,9 @@ class FederationCoordinator:
     attempt_timeout:
         Per-RPC-attempt budget (clamped to the remaining deadline).
     retries:
-        Retry budget per shard per report, on top of the first attempt.
+        Retry budget per shard per report, on top of the first attempt;
+        retry ``k`` waits ``_BACKOFF_BASE * _BACKOFF_MULTIPLIER^(k-1)``
+        seconds, spread by ``±_JITTER`` from a per-shard seeded RNG.
     hedge_delay:
         Fire a duplicate request at a shard whose attempt is still pending
         after this many seconds; ``None`` disables hedging.
@@ -453,8 +458,6 @@ class FederationCoordinator:
         deadline: float = 2.0,
         attempt_timeout: float = 0.5,
         retries: int = 2,
-        backoff_multiplier: float = 2.0,
-        jitter: float = 0.5,
         hedge_delay: Optional[float] = 0.25,
         breaker_threshold: int = 3,
         breaker_reset: float = 5.0,
@@ -469,15 +472,14 @@ class FederationCoordinator:
             raise TracError("attempt_timeout must be positive")
         if retries < 0:
             raise TracError("retries cannot be negative")
-        check_retry_settings(
-            backoff_multiplier, jitter, breaker_threshold, breaker_reset, TracError
-        )
+        if breaker_threshold < 1:
+            raise TracError("breaker_threshold must be >= 1")
+        if breaker_reset <= 0:
+            raise TracError("breaker_reset must be positive")
         self.registry = registry
         self.deadline = deadline
         self.attempt_timeout = attempt_timeout
         self.retries = retries
-        self.backoff_multiplier = backoff_multiplier
-        self.jitter = jitter
         self.hedge_delay = hedge_delay
         self.breaker_threshold = breaker_threshold
         self.breaker_reset = breaker_reset
@@ -512,7 +514,7 @@ class FederationCoordinator:
             if rng is None:
                 seed = stable_seed(self.seed, shard_id, "federation")
                 rng = self._rngs[shard_id] = random.Random(seed)
-        return backoff_delay(_BACKOFF_BASE, self.backoff_multiplier, attempt, self.jitter, rng)
+        return backoff_delay(_BACKOFF_BASE, _BACKOFF_MULTIPLIER, attempt, _JITTER, rng)
 
     # -- planning -----------------------------------------------------------
 
@@ -640,11 +642,6 @@ class FederationCoordinator:
         return merge_fragments(request, fragments), sorted(degraded), shards_ok, missing, stale
 
     # -- fan-out ------------------------------------------------------------
-
-    def _call_shard(self, info: ShardInfo, request: dict, deadline_at: float) -> Optional[dict]:
-        """A one-shard fan-out: the reply, or ``None`` when the shard is
-        unreachable within the deadline. Never raises."""
-        return _FanOut(self, request, deadline_at).run([info]).get(info.shard_id)
 
     def close(self) -> None:
         """Close the pooled shard connections (the coordinator stays usable)."""

@@ -39,7 +39,6 @@ from repro.errors import TracError
 from repro.faults.plan import FaultPlan
 from repro.federation.rpc import RPCServer
 from repro.grid.simulator import GridSimulator, SimulationConfig
-from repro.grid.supervisor import SupervisorPolicy
 from repro.obs import instrument as obs
 from repro.obs.trace import extract_context
 
@@ -62,9 +61,10 @@ class ShardServer:
         crash-safe per-shard state (WAL + checkpoints, exactly as the
         single-process simulator uses it).
     fault_plan:
-        Optional :class:`~repro.faults.FaultPlan`. Its ingest fault kinds
-        drive the shard's supervisors as usual; its ``rpc_*`` kinds are
-        injected below the RPC protocol layer on this shard's replies.
+        Optional :class:`~repro.faults.FaultPlan`. Given, it puts every
+        sniffer under a :class:`~repro.grid.supervisor.SnifferSupervisor`,
+        and its ingest fault kinds drive them as usual; its ``rpc_*`` kinds are injected
+        below the RPC protocol layer on this shard's replies.
     step_interval:
         Wall seconds between simulator ticks in the stepping thread.
     """
@@ -77,7 +77,6 @@ class ShardServer:
         port: int = 0,
         durability: Optional[object] = None,
         fault_plan: Optional[FaultPlan] = None,
-        supervisor_policy: Optional[SupervisorPolicy] = None,
         telemetry: Optional[object] = None,
         step_interval: float = 0.02,
     ) -> None:
@@ -89,7 +88,6 @@ class ShardServer:
         self.sim = GridSimulator(
             config,
             fault_plan=fault_plan,
-            supervisor_policy=supervisor_policy,
             telemetry=telemetry,
             durability=durability,
         )

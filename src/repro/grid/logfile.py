@@ -52,12 +52,6 @@ class LogFile:
             position += 1
         return out, position
 
-    @property
-    def last_timestamp(self) -> float:
-        """Timestamp of the newest record, or ``-inf`` when empty."""
-        events = self._events
-        return events[-1].timestamp if events else float("-inf")
-
     def __len__(self) -> int:
         return len(self._events)
 

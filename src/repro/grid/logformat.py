@@ -19,7 +19,7 @@ property tests enforce.
 
 from __future__ import annotations
 
-from typing import Iterable, List
+from typing import Iterable
 from urllib.parse import quote, unquote
 
 from repro.errors import SimulationError
@@ -84,17 +84,6 @@ def format_log(events: Iterable[LogEvent]) -> str:
     lines = ["# trac-log v1"]
     lines.extend(format_line(event) for event in events)
     return "\n".join(lines) + "\n"
-
-
-def parse_log(text: str) -> List[LogEvent]:
-    """Parse a whole log document (skipping comments and blank lines)."""
-    events: List[LogEvent] = []
-    for number, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        events.append(parse_line(stripped, number))
-    return events
 
 
 #: What ``quote(value, safe="")`` never escapes (RFC 3986 unreserved).

@@ -12,7 +12,7 @@ in the central database.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.errors import SimulationError
 from repro.grid.job import Job, JobState
@@ -79,9 +79,6 @@ class Scheduler:
         job.remote_machine = target
         self.machine.log_job_scheduled(now, job.job_id, target)
         return target
-
-    def active_jobs(self) -> List[Job]:
-        return [job for job in self.jobs.values() if job.is_active]
 
     def _job(self, job_id: str) -> Job:
         try:

@@ -30,7 +30,7 @@ from repro.grid.job import Job, JobState
 from repro.grid.machine import Machine
 from repro.grid.scheduler import Scheduler
 from repro.grid.sniffer import Sniffer, SnifferConfig, require_finite
-from repro.grid.supervisor import SnifferSupervisor, SupervisorPolicy
+from repro.grid.supervisor import SnifferSupervisor
 from repro.obs import instrument as obs
 from repro.obs.dashboard import source_rows
 from repro.obs.events import EVT_SLO_BREACH
@@ -198,10 +198,11 @@ class GridSimulator:
         sniffer runs under a :class:`~repro.grid.supervisor.SnifferSupervisor`
         wired to the plan, and plan-scripted silences are applied to the
         machines each tick.
-    supervisor_policy:
-        Supervision knobs; implies supervised sniffers even without a
-        fault plan (the supervisor then guards un-planned errors and runs
-        the silent-source watchdog).
+    silence_timeout:
+        Positive simulation seconds without progress after which a
+        supervisor degrades its source as silent. Given without a fault
+        plan, it still puts every sniffer under a supervisor (which then
+        guards un-planned errors and runs the watchdog).
     sources:
         The :class:`~repro.core.sources.SourceRegistry` the ingest path
         writes (``sim.sources``; one is created when none is given): every
@@ -234,12 +235,14 @@ class GridSimulator:
         self,
         config: Optional[SimulationConfig] = None,
         fault_plan: Optional[FaultPlan] = None,
-        supervisor_policy: Optional[SupervisorPolicy] = None,
+        silence_timeout: Optional[float] = None,
         sources: Optional[SourceRegistry] = None,
         telemetry: Optional[object] = None,
         durability: Optional[object] = None,
         incremental: bool = False,
     ) -> None:
+        if silence_timeout is not None and silence_timeout <= 0:
+            raise SimulationError("silence_timeout must be positive when given")
         self.config = config or SimulationConfig()
         self.rng = random.Random(self.config.seed)
         self.now = 0.0
@@ -290,12 +293,12 @@ class GridSimulator:
         restored = durability is not None and durability.bind(self)
 
         self.supervisors: Dict[str, SnifferSupervisor] = {}
-        if fault_plan is not None or supervisor_policy is not None:
+        if fault_plan is not None or silence_timeout is not None:
             for mid in self.machine_ids:
                 self.supervisors[mid] = SnifferSupervisor(
                     self.sniffers[mid],
                     plan=fault_plan,
-                    policy=supervisor_policy,
+                    silence_timeout=silence_timeout,
                     sources=self.sources,
                     seed=self.config.seed,
                 )

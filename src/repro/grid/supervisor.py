@@ -9,19 +9,20 @@ partial republishing) says it breaks *often*. The
 ladder:
 
 1. **Retry with exponential backoff + jitter** — transient poll failures
-   are retried after ``base_backoff * multiplier^k`` seconds (capped at
-   ``max_backoff``), jittered by a seeded RNG so a fleet of supervisors
-   never retries in lockstep.
-2. **Crash/restart with a bounded budget** — after ``max_retries``
-   consecutive failures the sniffer is considered crashed and restarted
-   (its durable offset survives, so no records are lost); at most
-   ``max_restarts`` times.
-3. **Per-source circuit breaker** — ``breaker_threshold`` consecutive
-   failures open the breaker: polls stop entirely until ``breaker_reset``
+   are retried after ``BASE_BACKOFF * BACKOFF_MULTIPLIER^(k-1)`` seconds
+   (capped at ``MAX_BACKOFF``), spread by ``±JITTER`` from a seeded RNG so a
+   fleet of supervisors never retries in lockstep.
+2. **Crash/restart with a bounded budget** — more than ``MAX_RETRIES``
+   consecutive failures and the sniffer is considered crashed and
+   restarted (its durable offset survives, so no records are lost); at most
+   ``MAX_RESTARTS`` times.
+3. **Per-source circuit breaker** — ``BREAKER_THRESHOLD`` consecutive
+   failures open the breaker: polls stop entirely until ``BREAKER_RESET``
    seconds pass, then one half-open probe decides between closing it and
    re-opening.
 4. **Degradation, not death** — a permanent fault, an exhausted restart
-   budget, or a silent source (no progress for ``silence_timeout``) marks
+   budget, or a silent source (no progress for the caller's
+   ``silence_timeout``, the ladder's one setting) marks
    the source *degraded* in the shared
    :class:`~repro.core.sources.SourceRegistry` and stops its sniffer.
    The simulation keeps running; the recency report gains a known-outage
@@ -44,7 +45,7 @@ from __future__ import annotations
 import random
 from typing import Optional
 
-from repro.core.breaker import CircuitBreaker, backoff_delay, check_retry_settings, stable_seed
+from repro.core.breaker import CircuitBreaker, backoff_delay, stable_seed
 from repro.core.sources import BACKING_OFF, DEGRADED, HEALTHY, RESTARTING, SourceRegistry
 from repro.errors import SimulationError
 from repro.faults.backend import FaultyBackend
@@ -61,61 +62,16 @@ from repro.obs.events import (
 )
 
 
-class SupervisorPolicy:
-    """Tuning knobs for one supervisor. All times are simulation seconds."""
-
-    __slots__ = (
-        "max_retries",
-        "base_backoff",
-        "backoff_multiplier",
-        "max_backoff",
-        "jitter",
-        "max_restarts",
-        "breaker_threshold",
-        "breaker_reset",
-        "silence_timeout",
-    )
-
-    def __init__(
-        self,
-        max_retries: int = 3,
-        base_backoff: float = 1.0,
-        backoff_multiplier: float = 2.0,
-        max_backoff: float = 60.0,
-        jitter: float = 0.25,
-        max_restarts: int = 2,
-        breaker_threshold: int = 5,
-        breaker_reset: float = 30.0,
-        silence_timeout: Optional[float] = None,
-    ) -> None:
-        if max_retries < 0:
-            raise SimulationError("max_retries cannot be negative")
-        if base_backoff <= 0 or base_backoff != base_backoff:
-            raise SimulationError("base_backoff must be a positive number")
-        if max_backoff < base_backoff:
-            raise SimulationError("max_backoff must be >= base_backoff")
-        if max_restarts < 0:
-            raise SimulationError("max_restarts cannot be negative")
-        check_retry_settings(
-            backoff_multiplier, jitter, breaker_threshold, breaker_reset, SimulationError
-        )
-        if silence_timeout is not None and silence_timeout <= 0:
-            raise SimulationError("silence_timeout must be positive when given")
-        self.max_retries = max_retries
-        self.base_backoff = base_backoff
-        self.backoff_multiplier = backoff_multiplier
-        self.max_backoff = max_backoff
-        self.jitter = jitter
-        self.max_restarts = max_restarts
-        self.breaker_threshold = breaker_threshold
-        self.breaker_reset = breaker_reset
-        self.silence_timeout = silence_timeout
-
-    def __repr__(self) -> str:
-        return (
-            f"SupervisorPolicy(retries={self.max_retries}, restarts={self.max_restarts}, "
-            f"breaker={self.breaker_threshold}@{self.breaker_reset}s)"
-        )
+#: The ladder's rungs (times in simulation seconds); the module docstring
+#: says how each is climbed.
+MAX_RETRIES = 3
+BASE_BACKOFF = 1.0
+BACKOFF_MULTIPLIER = 2.0
+MAX_BACKOFF = 60.0
+JITTER = 0.25
+MAX_RESTARTS = 2
+BREAKER_THRESHOLD = 5
+BREAKER_RESET = 30.0
 
 
 class SnifferSupervisor:
@@ -132,8 +88,9 @@ class SnifferSupervisor:
         The active :class:`~repro.faults.FaultPlan`, or ``None`` to
         supervise without injection (the supervisor still guards against
         any :class:`SimulationError` a poll raises).
-    policy:
-        The :class:`SupervisorPolicy`; defaults apply otherwise.
+    silence_timeout:
+        Simulation seconds without progress after which the source is
+        degraded as silent; ``None`` turns the watchdog off.
     sources:
         Shared :class:`~repro.core.sources.SourceRegistry`; a private one is
         created when omitted. The sniffer is pointed at its record there.
@@ -148,7 +105,7 @@ class SnifferSupervisor:
         self,
         sniffer: Sniffer,
         plan: Optional["FaultPlan"] = None,
-        policy: Optional[SupervisorPolicy] = None,
+        silence_timeout: Optional[float] = None,
         sources: Optional[SourceRegistry] = None,
         seed: int = 0,
         telemetry: Optional[object] = None,
@@ -156,13 +113,13 @@ class SnifferSupervisor:
         self.sniffer = sniffer
         self.machine_id = sniffer.machine.machine_id
         self.plan = plan
-        self.policy = policy or SupervisorPolicy()
+        self.silence_timeout = silence_timeout
         self.sources = sources if sources is not None else SourceRegistry()
         #: The source's live record: written through ``self.sources``.
         self.record = sniffer.record = self.sources.open(self.machine_id)
         self.telemetry = telemetry
         self.rng = random.Random(stable_seed(seed, self.machine_id, "supervisor"))
-        self.breaker = CircuitBreaker(self.policy.breaker_threshold, self.policy.breaker_reset)
+        self.breaker = CircuitBreaker(BREAKER_THRESHOLD, BREAKER_RESET)
 
         self.consecutive_failures = 0
         self._pending_attempt = False
@@ -197,11 +154,8 @@ class SnifferSupervisor:
             return 0
         if self._last_progress is None:
             self._last_progress = now
-        policy = self.policy
-        if (
-            policy.silence_timeout is not None
-            and now - self._last_progress >= policy.silence_timeout
-        ):
+        limit = self.silence_timeout
+        if limit is not None and now - self._last_progress >= limit:
             tel = obs.resolve(self.telemetry)
             if tel.enabled:
                 tel.emit(
@@ -210,12 +164,12 @@ class SnifferSupervisor:
                     source=self.machine_id,
                     severity="warning",
                     silent_for=now - self._last_progress,
-                    limit=policy.silence_timeout,
+                    limit=limit,
                 )
             self._degrade(
                 now,
                 f"silent source: no progress for {now - self._last_progress:g}s "
-                f"(limit {policy.silence_timeout:g}s)",
+                f"(limit {limit:g}s)",
             )
             return 0
 
@@ -274,7 +228,7 @@ class SnifferSupervisor:
             return
 
         self.consecutive_failures += 1
-        if self.consecutive_failures > self.policy.max_retries:
+        if self.consecutive_failures > MAX_RETRIES:
             self._restart(now)
             return
 
@@ -297,10 +251,10 @@ class SnifferSupervisor:
     def _restart(self, now: float) -> None:
         """Treat the sniffer as crashed; restart it if budget remains."""
         record = self.record
-        if record.restarts >= self.policy.max_restarts:
+        if record.restarts >= MAX_RESTARTS:
             self._degrade(
                 now,
-                f"restart budget exhausted ({self.policy.max_restarts}) "
+                f"restart budget exhausted ({MAX_RESTARTS}) "
                 f"after: {record.last_error}",
             )
             return
@@ -340,10 +294,8 @@ class SnifferSupervisor:
             )
 
     def _backoff(self, attempt: int) -> float:
-        policy = self.policy
         return backoff_delay(
-            policy.base_backoff, policy.backoff_multiplier, attempt, policy.jitter,
-            self.rng, cap=policy.max_backoff,
+            BASE_BACKOFF, BACKOFF_MULTIPLIER, attempt, JITTER, self.rng, cap=MAX_BACKOFF
         )
 
     def _record_breaker(self, state: str, now: Optional[float] = None) -> None:

@@ -261,8 +261,8 @@ def _declared(kind: str, name: str, labels: Dict[str, Any]) -> Instrument:
     return spec
 
 
-#: Default slow-query threshold (seconds); overridable per reporter or via
-#: the ``TRAC_SLOW_QUERY_SECONDS`` environment variable. ``0`` disables.
+#: Default slow-query threshold (seconds); overridable via the
+#: ``TRAC_SLOW_QUERY_SECONDS`` environment variable. ``0`` disables.
 DEFAULT_SLOW_QUERY_SECONDS = 0.0
 
 

@@ -77,9 +77,6 @@ class ClassifiedConjunct:
             TermClass.PO: self.po,
         }[term_class]
 
-    def all_terms(self) -> List[ast.Expr]:
-        return self.ps + self.pr + self.pm + self.js + self.jrm + self.po
-
     def __repr__(self) -> str:
         counts = {
             "ps": len(self.ps),

@@ -22,7 +22,7 @@ Blow-up guard
 -------------
 DNF conversion is worst-case exponential. ``to_dnf`` raises
 :class:`~repro.errors.DnfBlowupError` when the number of conjuncts would
-exceed ``max_conjuncts``; callers fall back to the always-safe "all sources
+exceed ``MAX_CONJUNCTS``; callers fall back to the always-safe "all sources
 relevant" answer.
 """
 
@@ -34,8 +34,8 @@ from repro.errors import DnfBlowupError, UnsupportedQueryError
 from repro.obs import instrument as obs
 from repro.sqlparser import ast
 
-#: Default cap on the number of DNF conjuncts before giving up.
-DEFAULT_MAX_CONJUNCTS = 4096
+#: Cap on the number of DNF conjuncts before giving up.
+MAX_CONJUNCTS = 4096
 
 _FLIPPED_OP = {"=": "<>", "<>": "=", "<": ">=", "<=": ">", ">": "<=", ">=": "<"}
 
@@ -79,19 +79,19 @@ def _negate_term(expr: ast.Expr) -> ast.Expr:
     raise UnsupportedQueryError(f"cannot negate expression {expr!r}")
 
 
-def to_dnf(expr: ast.Expr, max_conjuncts: int = DEFAULT_MAX_CONJUNCTS) -> List[List[ast.Expr]]:
+def to_dnf(expr: ast.Expr) -> List[List[ast.Expr]]:
     """Convert ``expr`` to DNF as a list of conjuncts of basic terms.
 
     Raises
     ------
     DnfBlowupError
-        If the conversion would produce more than ``max_conjuncts``
+        If the conversion would produce more than ``MAX_CONJUNCTS``
         conjuncts.
     UnsupportedQueryError
         If the tree contains an unsupported node type.
     """
     nnf = to_nnf(expr)
-    conjuncts = _dnf(nnf, max_conjuncts)
+    conjuncts = _dnf(nnf, MAX_CONJUNCTS)
     simplified = _simplify(conjuncts)
     tel = obs.get_default()
     if tel.enabled:

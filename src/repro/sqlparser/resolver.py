@@ -76,11 +76,11 @@ class ResolvedQuery:
         names = sorted({b.schema.name.lower() for b in bindings})
         self.generations = tuple((name, catalog.table_generation(name)) for name in names)
         self._by_key: Dict[str, RelationBinding] = {b.key: b for b in bindings}
-        #: Relevance plans built from this resolution, by planner options
+        #: Relevance plans built from this resolution, by ``use_constraints``
         #: (:func:`repro.core.relevance.memoized_relevance_plan`). They live
         #: and die with the resolution, which the resolved-query cache
         #: revalidates against the referenced tables' schema generations.
-        self.relevance_plans: Dict[tuple, object] = {}
+        self.relevance_plans: Dict[bool, object] = {}
         #: ``(template, copies)`` when the resolved-query cache bound this
         #: resolution from an earlier one of the same shape: ``copies`` maps
         #: the ``id`` of each of the template's literal nodes, and of each

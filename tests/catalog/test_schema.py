@@ -81,10 +81,6 @@ class TestTableSchema:
         assert schema.is_source_column("MACH_ID")
         assert not schema.is_source_column("value")
 
-    def test_regular_columns(self):
-        schema = self._schema()
-        assert [c.name for c in schema.regular_columns] == ["value"]
-
     def test_column_index(self):
         schema = self._schema()
         assert schema.column_index("mach_id") == 0
@@ -105,7 +101,7 @@ class TestHeartbeatSchema:
     def test_shape(self):
         schema = heartbeat_schema()
         assert schema.name == HEARTBEAT_TABLE
-        assert schema.column_names == [HEARTBEAT_SOURCE_COLUMN, HEARTBEAT_RECENCY_COLUMN]
+        assert [c.name for c in schema.columns] == [HEARTBEAT_SOURCE_COLUMN, HEARTBEAT_RECENCY_COLUMN]
         # Heartbeat rows are tagged by their own source id.
         assert schema.source_column == HEARTBEAT_SOURCE_COLUMN
 

@@ -7,8 +7,10 @@ import os
 import pytest
 from hypothesis import settings
 
-# "deep" multiplies every property test's example budget by 10; select with
-# HYPOTHESIS_PROFILE=deep (used for occasional long fuzzing runs).
+# "deep" raises the example budget from 100 to 2,000 and drops the deadline;
+# select with HYPOTHESIS_PROFILE=deep (used for occasional long fuzzing
+# runs). A test's own @settings(max_examples=N) wins over the profile, so
+# it deepens only the property tests that set no max_examples.
 settings.register_profile("default", settings())
 settings.register_profile(
     "deep", settings(max_examples=2000, deadline=None, print_blob=True)

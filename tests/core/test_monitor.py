@@ -24,12 +24,6 @@ class TestWatchRuleValidation:
         with pytest.raises(TracError):
             monitor.add_rule(WatchRule("r", IDLE, max_staleness=2.0))
 
-    def test_remove_rule(self, paper_memory_backend):
-        monitor = RecencyMonitor(paper_memory_backend)
-        monitor.add_rule(WatchRule("r", IDLE, max_staleness=1.0))
-        monitor.remove_rule("r")
-        assert monitor.rules == []
-
 
 class TestConditions:
     """Against the conftest paper data: normal sources span 20 minutes;

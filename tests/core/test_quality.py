@@ -164,7 +164,7 @@ class TestSummarize:
         assert row_quality[0] == 1.0 and row_quality[2] is None
         assert block["row_sources"] == [["a"], ["a", "b"], []]  # sorted once, here
 
-    def test_top_sources_ranked_by_row_count_then_id(self):
+    def test_top_sources_ranked_by_row_count_then_id(self, monkeypatch):
         """The slow-query event ranks the rollup's per-source row counts:
         most rows first, ties by id, at most three."""
         from repro.backends.memory import MemoryBackend
@@ -180,7 +180,8 @@ class TestSummarize:
         for source in "abcd":
             backend.upsert_heartbeat(source, 100.0)
         tel = Telemetry()
-        reporter = RecencyReporter(backend, telemetry=tel, lineage=True, slow_query_seconds=1e-9)
+        monkeypatch.setenv("TRAC_SLOW_QUERY_SECONDS", "1e-9")
+        reporter = RecencyReporter(backend, telemetry=tel, lineage=True)
         reporter.report("SELECT t.s FROM t")
         (slow,) = [e for e in tel.events.tail(10) if e.name == "query.slow"]
         assert slow.attributes["top_sources"] == [["a", 2], ["c", 2], ["b", 1]]

@@ -5,8 +5,8 @@ from repro.sqlparser.parser import parse_query
 from repro.sqlparser.resolver import resolve
 
 
-def plan_for(sql, catalog, **kwargs):
-    return build_relevance_plan(resolve(parse_query(sql), catalog), **kwargs)
+def plan_for(sql, catalog):
+    return build_relevance_plan(resolve(parse_query(sql), catalog))
 
 
 class TestTheorem3:
@@ -90,15 +90,6 @@ class TestUnsatisfiablePredicates:
         assert plan.mode == "empty"
         assert plan.minimal
 
-    def test_satisfiability_check_disabled_keeps_conjunct(self, paper_catalog):
-        plan = plan_for(
-            "SELECT mach_id FROM activity WHERE value = 'no_such_state'",
-            paper_catalog,
-            check_satisfiability=False,
-        )
-        assert plan.mode == "focused"
-        assert not plan.minimal
-
 
 class TestDisjunctions:
     def test_or_produces_one_subquery_per_conjunct(self, paper_catalog):
@@ -121,16 +112,14 @@ class TestDisjunctions:
         assert "m2" in plan.subqueries[0].sql
 
     def test_dnf_blowup_falls_back_to_all(self, paper_catalog):
+        # 13 two-way ORs: 2^13 = 8192 conjuncts, over the 4,096 budget.
         clauses = " AND ".join(
-            f"(event_time = {i} OR event_time = {i + 100})" for i in range(8)
+            f"(event_time = {i} OR event_time = {i + 100})" for i in range(13)
         )
-        plan = plan_for(
-            f"SELECT mach_id FROM activity WHERE {clauses}",
-            paper_catalog,
-            max_conjuncts=16,
-        )
+        plan = plan_for(f"SELECT mach_id FROM activity WHERE {clauses}", paper_catalog)
         assert plan.mode == "all"
         assert not plan.minimal
+        assert plan.notes == ["DNF blow-up (4097 > 4096); reporting all sources"]
 
     def test_not_in_source_predicate(self, paper_catalog):
         plan = plan_for(

@@ -129,13 +129,11 @@ class TestCrashResume:
         health and SLO blocks restore as ever; the absent counters read 0 / None."""
         from repro.core.sources import SourceRegistry
         from repro.durable.checkpoint import latest_valid_checkpoint, write_checkpoint
-        from repro.grid.supervisor import SupervisorPolicy
 
         def supervised(resume):
             return GridSimulator(
                 SimulationConfig(num_machines=MACHINES, seed=SEED),
                 fault_plan=FaultPlan(seed=1).poll_error("m2", probability=0.5),
-                supervisor_policy=SupervisorPolicy(),
                 sources=SourceRegistry(target_p95=20.0),
                 durability=make_manager(tmp_path, resume=resume),
             )

@@ -14,14 +14,13 @@ from repro.faults import FaultPlan, FaultyBackend, InjectedFault
 from repro.grid.machine import Machine
 from repro.grid.simulator import monitoring_catalog
 from repro.grid.sniffer import Sniffer, SnifferConfig, event_writes
-from repro.grid.supervisor import SnifferSupervisor, SupervisorPolicy
+from repro.grid.supervisor import BASE_BACKOFF, JITTER, SnifferSupervisor
 
 
 def supervised(plan):
     backend = MemoryBackend(monitoring_catalog(["m1"]))
     sniffer = Sniffer(Machine("m1"), backend, SnifferConfig(poll_interval=5.0, lag=0.0))
-    policy = SupervisorPolicy(base_backoff=1.0, jitter=0.0)
-    return SnifferSupervisor(sniffer, plan=plan, policy=policy), sniffer, backend
+    return SnifferSupervisor(sniffer, plan=plan), sniffer, backend
 
 
 def tables(backend):
@@ -47,7 +46,8 @@ def test_a_failed_poll_lands_nothing_and_the_retry_lands_both(op):
     assert tables(backend) == empty  # neither the rows nor the heartbeat
     assert (sniffer.offset, sniffer.records_loaded, sniffer.record.recency) == (0, 0, -float("inf"))
 
-    assert supervisor.tick(6.0) == 3  # the retry re-reads the batch
+    # The retry, at the latest moment its jittered backoff can end, re-reads the batch.
+    assert supervisor.tick(5.0 + BASE_BACKOFF * (1.0 + JITTER)) == 3
     assert supervisor.state == HEALTHY
     assert tables(backend) == {
         "activity": [("m1", "busy", 1.0)],

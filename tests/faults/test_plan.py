@@ -230,15 +230,14 @@ class TestState:
 class TestSilence:
     def test_window_semantics(self):
         plan = FaultPlan().silence("m1", start=10.0, end=20.0)
-        assert not plan.is_silenced("m1", 9.0)
-        assert plan.is_silenced("m1", 10.0)
-        assert plan.is_silenced("m1", 19.9)
-        assert not plan.is_silenced("m1", 20.0)
-        assert not plan.is_silenced("m2", 15.0)
+        assert plan.silenced_sources(9.0) == set()
+        assert plan.silenced_sources(10.0) == {"m1"}
+        assert plan.silenced_sources(19.9) == {"m1"}  # m2 is never silenced
+        assert plan.silenced_sources(20.0) == set()
 
     def test_open_ended_silence(self):
         plan = FaultPlan().silence("m1", start=5.0)
-        assert plan.is_silenced("m1", 1e9)
+        assert plan.silenced_sources(1e9) == {"m1"}
         assert plan.silenced_sources() == {"m1"}
         assert plan.silenced_sources(1.0) == set()
         assert plan.silenced_sources(6.0) == {"m1"}

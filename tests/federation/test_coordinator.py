@@ -220,31 +220,17 @@ class TestEmptyAndEdge:
 
     @pytest.mark.parametrize(
         "setting",
-        [
-            {"jitter": 1.0},  # would make backoff_delay negative
-            {"jitter": 1.5},
-            {"jitter": -0.1},
-            {"backoff_multiplier": 0.5},
-            {"breaker_threshold": 0},
-            {"breaker_reset": 0.0},
-            {"breaker_reset": -1.0},
-        ],
+        [{"breaker_threshold": 0}, {"breaker_reset": 0.0}, {"breaker_reset": -1.0}],
     )
-    def test_retry_settings_follow_the_supervisor_policy_rules(self, setting):
-        from repro.errors import SimulationError
-        from repro.grid.supervisor import SupervisorPolicy
-
+    def test_breaker_settings_are_checked(self, setting):
         with pytest.raises(TracError, match=next(iter(setting))):
             FederationCoordinator(ShardRegistry(), **setting)
-        with pytest.raises(SimulationError, match=next(iter(setting))):
-            SupervisorPolicy(**setting)
 
     def test_retry_settings_at_the_boundaries_are_accepted(self):
         coordinator = FederationCoordinator(
-            ShardRegistry(), jitter=0.0, backoff_multiplier=1.0,
-            breaker_threshold=1, breaker_reset=1e-9,
+            ShardRegistry(), breaker_threshold=1, breaker_reset=1e-9,
         )
-        assert coordinator._backoff("s0", 3) == 0.05
+        assert (coordinator.breaker_threshold, coordinator.breaker_reset) == (1, 1e-9)
 
     GUARD_OR_REQUEST = {
         "mode": "focused",
@@ -361,11 +347,13 @@ class TestHedging:
         )
         try:
             started = time.monotonic()
-            reply = coordinator._call_shard(
-                registry.shards()[0],
+            info = registry.shards()[0]
+            fan_out = coordinator_mod._FanOut(
+                coordinator,
                 {"op": "fragment", "mode": "all", "subqueries": []},
                 time.monotonic() + 3.0,
             )
+            reply = fan_out.run([info])[info.shard_id]
             elapsed = time.monotonic() - started
         finally:
             server.stop()

@@ -21,6 +21,7 @@ from repro.federation import (
     ShardServer,
     rpc,
 )
+from repro.federation.coordinator import _FanOut
 from repro.federation.rpc import RPCServer
 from repro.grid.simulator import SimulationConfig
 from repro.obs import Telemetry
@@ -73,7 +74,9 @@ def one_shard():
         info = registry.shards()[0]
 
         def ask():
-            return coordinator._call_shard(info, REQUEST, time.monotonic() + 3.0)
+            # A one-shard fan-out: the reply, or None when the shard is unreachable.
+            fan_out = _FanOut(coordinator, REQUEST, time.monotonic() + 3.0)
+            return fan_out.run([info]).get(info.shard_id)
 
         return server, coordinator, ask
 

@@ -19,7 +19,6 @@ the pure z-score path with no watchdog at all.
 from repro.core.report import RecencyReporter
 from repro.faults import FaultPlan
 from repro.grid.simulator import GridSimulator, SimulationConfig
-from repro.grid.supervisor import SupervisorPolicy
 
 IDLE_SQL = "SELECT mach_id FROM activity WHERE value = 'idle'"
 
@@ -38,7 +37,7 @@ def run_chaos():
     sim = GridSimulator(
         SimulationConfig(num_machines=10, seed=5),
         fault_plan=make_plan(),
-        supervisor_policy=SupervisorPolicy(silence_timeout=90.0),
+        silence_timeout=90.0,
     )
     sim.run(500.0)
     reporter = RecencyReporter(
@@ -108,7 +107,6 @@ class TestZScorePath:
         sim = GridSimulator(
             SimulationConfig(num_machines=16, seed=5),
             fault_plan=plan,
-            supervisor_policy=SupervisorPolicy(silence_timeout=None),
         )
         sim.run(500.0)
         reporter = RecencyReporter(sim.backend, create_temp_tables=False)

@@ -83,9 +83,3 @@ class TestLogFile:
             log.read_from(5, up_to_time=1.0)
         with pytest.raises(SimulationError):
             log.read_from(-1, up_to_time=1.0)
-
-    def test_last_timestamp(self):
-        log = LogFile("m1")
-        assert log.last_timestamp == float("-inf")
-        log.append(ev(3.0))
-        assert log.last_timestamp == 3.0

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from repro.core.report import RecencyReporter
 from repro.faults import FaultPlan
 from repro.grid.simulator import GridSimulator, SimulationConfig
-from repro.grid.supervisor import SupervisorPolicy
 
 IDLE_SQL = "SELECT mach_id FROM activity WHERE value = 'idle'"
 TARGET = "m1"
@@ -31,7 +30,7 @@ def test_sparing_heartbeats_preserves_liveness(drop_probability, plan_seed):
     sim = GridSimulator(
         SimulationConfig(num_machines=16, seed=5, heartbeat_interval=20.0),
         fault_plan=plan,
-        supervisor_policy=SupervisorPolicy(silence_timeout=90.0),
+        silence_timeout=90.0,
     )
     sim.run(400.0)
 

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from repro.errors import SimulationError
 from repro.grid.events import EventKind, LogEvent
-from repro.grid.logformat import _encode, format_line, format_log, parse_line, parse_log
+from repro.grid.logformat import _encode, format_line, format_log, parse_line
+from repro.grid.persist import read_log_events
 
 
 def ev(t=1.5, source="m1", kind=EventKind.MACHINE_STATE, **payload):
@@ -69,18 +70,22 @@ class TestDocument:
         text = format_log([ev(kind=EventKind.HEARTBEAT)])
         assert text.startswith("# trac-log v1\n")
 
-    def test_parse_log_skips_comments_and_blanks(self):
-        text = "# header\n\n1.0 m1 HEARTBEAT\n  \n2.0 m1 HEARTBEAT\n"
-        events = parse_log(text)
+    def test_parse_log_skips_comments_and_blanks(self, tmp_path):
+        path = tmp_path / "m1.log"
+        path.write_text("# header\n\n1.0 m1 HEARTBEAT\n  \n2.0 m1 HEARTBEAT\n")
+        events, torn = read_log_events(str(path), "m1")
         assert [e.timestamp for e in events] == [1.0, 2.0]
+        assert torn is None
 
-    def test_document_round_trip(self):
+    def test_document_round_trip(self, tmp_path):
         events = [
             ev(1.0, kind=EventKind.MACHINE_STATE, value="idle"),
             ev(2.0, kind=EventKind.JOB_SUBMITTED, job_id="j1", owner="alice"),
             ev(3.0, kind=EventKind.HEARTBEAT),
         ]
-        assert parse_log(format_log(events)) == events
+        path = tmp_path / "m1.log"
+        path.write_text(format_log(events))
+        assert read_log_events(str(path), "m1") == (events, None)
 
 
 _text = st.text(

@@ -183,4 +183,4 @@ class TestScheduler:
     def test_active_jobs(self):
         machines, scheduler = self._setup()
         scheduler.submit(1.0, Job("j1", "alice", "m1", submitted_at=1.0))
-        assert len(scheduler.active_jobs()) == 1
+        assert [job.job_id for job in scheduler.jobs.values() if job.is_active] == ["j1"]

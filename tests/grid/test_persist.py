@@ -60,7 +60,6 @@ class TestFileLog:
     def test_missing_file_is_empty(self, tmp_path):
         log = FileLog(str(tmp_path / "nope.log"), "m1")
         assert len(log) == 0
-        assert log.last_timestamp == float("-inf")
         assert log.read_from(0, 10.0) == ([], 0)
 
     def test_horizon_respected(self, tmp_path):

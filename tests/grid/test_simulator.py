@@ -49,6 +49,15 @@ class TestConfigValidation:
         with pytest.raises(SimulationError):
             SimulationConfig(**kwargs)
 
+    def test_supervised_with_a_fault_plan_or_a_silence_timeout(self):
+        from repro.faults import FaultPlan
+
+        config = SimulationConfig(num_machines=2)
+        assert not GridSimulator(config).supervisors
+        assert GridSimulator(config, fault_plan=FaultPlan()).supervisors
+        supervised = GridSimulator(config, silence_timeout=30.0)
+        assert supervised.supervisors["m1"].silence_timeout == 30.0
+
     def test_zero_lag_allowed(self):
         config = SimulationConfig(sniffer_lag_range=(0.0, 0.0))
         assert config.sniffer_lag_range == (0.0, 0.0)
@@ -148,7 +157,7 @@ class TestHeartbeats:
         )
         sim.run(30)
         sim.machines["m2"].fail()
-        frozen_log_end = sim.machines["m2"].log.last_timestamp
+        frozen_log_end = list(sim.machines["m2"].log)[-1].timestamp
         sim.run(100)
         sim.drain()
         recency = sim.backend.heartbeat_of("m2")

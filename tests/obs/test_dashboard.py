@@ -88,13 +88,13 @@ class TestRenderTop:
 class TestStatusFromSimulator:
     def make_sim(self, with_slo=True):
         from repro.core.sources import SourceRegistry
+        from repro.faults import FaultPlan
         from repro.grid.simulator import GridSimulator, SimulationConfig
-        from repro.grid.supervisor import SupervisorPolicy
 
         slo = SourceRegistry(target_p95=5.0, budget=0.05, window=64) if with_slo else None
         sim = GridSimulator(
             SimulationConfig(num_machines=3, seed=11),
-            supervisor_policy=SupervisorPolicy(),
+            fault_plan=FaultPlan(),
             sources=slo,
         )
         for _ in range(30):

@@ -5,14 +5,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import DnfBlowupError
-from repro.predicates.dnf import basic_terms_of, to_dnf, to_nnf
+from repro.predicates.dnf import MAX_CONJUNCTS, basic_terms_of, to_dnf, to_nnf
 from repro.predicates.evaluate import evaluate_truth
 from repro.sqlparser import ast
 from repro.sqlparser.parser import parse_expression
 
 
-def dnf_of(text, **kwargs):
-    return to_dnf(parse_expression(text), **kwargs)
+def dnf_of(text):
+    return to_dnf(parse_expression(text))
+
+
+def two_way_ors(count):
+    """``(c0 = 1 OR c0 = 2) AND ...``: a WHERE whose DNF has 2^count conjuncts."""
+    return " AND ".join(f"(c{i} = 1 OR c{i} = 2)" for i in range(count))
 
 
 class TestNnf:
@@ -104,17 +109,16 @@ class TestDnfShape:
         assert len(conjuncts) == 1
 
     def test_blowup_guard_raises(self):
-        # (a=1 OR a=2) AND (b=1 OR b=2) AND ... -> 2^6 conjuncts.
-        text = " AND ".join(f"(c{i} = 1 OR c{i} = 2)" for i in range(6))
+        assert MAX_CONJUNCTS == 4096 == 2**12
+        assert len(dnf_of(two_way_ors(12))) == MAX_CONJUNCTS  # at the budget: converted
         with pytest.raises(DnfBlowupError):
-            to_dnf(parse_expression(text), max_conjuncts=16)
+            dnf_of(two_way_ors(13))
 
     def test_blowup_error_carries_counts(self):
-        text = "(a = 1 OR a = 2) AND (b = 1 OR b = 2)"
         with pytest.raises(DnfBlowupError) as info:
-            to_dnf(parse_expression(text), max_conjuncts=3)
-        assert info.value.limit == 3
-        assert info.value.term_count > 3
+            dnf_of(two_way_ors(13))
+        assert info.value.limit == MAX_CONJUNCTS
+        assert info.value.term_count > MAX_CONJUNCTS
 
 
 class TestBasicTermsOf:

@@ -18,7 +18,6 @@ from repro.deploy import Deployment
 from repro.faults import FaultPlan
 from repro.grid import GridSimulator, SimulationConfig
 from repro.grid.events import EventKind
-from repro.grid.supervisor import SupervisorPolicy
 from repro.sqlparser.parser import parse_query
 from repro.sqlparser.resolver import resolve
 
@@ -104,7 +103,7 @@ def test_every_answer_is_one_snapshot_of_a_database_that_is_loading():
     sim = GridSimulator(
         SimulationConfig(num_machines=MACHINES, seed=5),
         fault_plan=plan,
-        supervisor_policy=SupervisorPolicy(silence_timeout=60.0),
+        silence_timeout=60.0,
     )
     failures = []
     with Deployment(sim, port=0) as deployment:

@@ -172,6 +172,15 @@ class TestSimulate:
         finally:
             assert shard.terminate() == 0
 
+    @pytest.mark.parametrize("timeout", ["0", "-5"])
+    def test_a_non_positive_silence_timeout_is_one_error_line(self, tmp_path, capsys, timeout):
+        db = str(tmp_path / "g.sqlite")
+        code = main(["simulate", "--db", db, "--duration", "10", "--silence-timeout", timeout])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == "error: silence_timeout must be positive when given\n"
+        assert not os.path.exists(db)
+
     def test_missing_faults_file_reports_error(self, tmp_path, capsys):
         db = str(tmp_path / "g.sqlite")
         # simulate and shard-serve read the plan through one loader.
@@ -716,6 +725,28 @@ class TestDurability:
         assert os.path.exists(rebuilt)
         out = capsys.readouterr().out
         assert "epoch" in out and "activity" in out
+
+    def test_recover_counts_a_torn_segment_with_and_without_db(self, tmp_path, capsys):
+        import shutil
+
+        from repro.durable.wal import list_wal_segments
+
+        code, _, data = self.simulate(tmp_path, "--machines", "3")
+        assert code == 0
+        _, last_segment = list_wal_segments(data)[-1]
+        with open(last_segment, "ab") as handle:
+            handle.write(b"\xff" * 11)  # a tail no frame can parse
+        # Recovery cuts a torn tail in place: each form reads its own copy.
+        scan_only, with_db = str(tmp_path / "scan"), str(tmp_path / "with_db")
+        shutil.copytree(data, scan_only)
+        shutil.copytree(data, with_db)
+        capsys.readouterr()
+        for argv in (
+            ["recover", "--data-dir", scan_only],
+            ["recover", "--data-dir", with_db, "--db", str(tmp_path / "r.sqlite")],
+        ):
+            assert main(argv) == 0
+            assert "  torn segments       : 1\n" in capsys.readouterr().out
 
     def test_recover_missing_directory_errors(self, tmp_path, capsys):
         code = main(["recover", "--data-dir", str(tmp_path / "absent")])

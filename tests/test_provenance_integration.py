@@ -158,14 +158,14 @@ class TestTelemetrySurfaces:
         assert records[0].to_dict()["row_provenance"] == [["a"], ["b"]]
         assert records[0].to_dict()["quality"]["rows"] == 2
 
-    def test_slow_query_event_carries_quality(self, small_backend):
+    def test_slow_query_event_carries_quality(self, small_backend, monkeypatch):
+        monkeypatch.setenv("TRAC_SLOW_QUERY_SECONDS", "1e-9")  # everything is slow
         tel = Telemetry()
         reporter = RecencyReporter(
             small_backend,
             telemetry=tel,
             lineage=True,
             create_temp_tables=False,
-            slow_query_seconds=1e-9,  # everything is slow
         )
         reporter.report("SELECT t1.s FROM t1")
         slow = [e for e in tel.events.tail(50) if e.name == "query.slow"]

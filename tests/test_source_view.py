@@ -20,7 +20,7 @@ from repro.faults import FaultPlan
 from repro.federation import FederationCoordinator, ShardRegistry
 from repro.federation.coordinator import ShardInfo
 from repro.grid.simulator import GridSimulator, SimulationConfig
-from repro.grid.supervisor import SupervisorPolicy
+from repro.grid.supervisor import MAX_RESTARTS
 from repro.obs import Telemetry
 from repro.obs.dashboard import fetch_status
 from repro.obs.server import ObservatoryServer
@@ -127,7 +127,7 @@ def test_a_degraded_source_reads_as_the_registry_and_the_report_say():
     sim = GridSimulator(
         SimulationConfig(num_machines=6, seed=7),
         fault_plan=plan,
-        supervisor_policy=SupervisorPolicy(silence_timeout=40.0),
+        silence_timeout=40.0,
     )
     sim.run(300.0)
     assert sim.sources.degraded() == ["m3"]
@@ -164,7 +164,7 @@ def supervised_durable_sim(data_dir, resume=False):
     return GridSimulator(
         SimulationConfig(num_machines=6, seed=7),
         fault_plan=FaultPlan(seed=11).silence("m3", start=60.0).poll_error("m2", probability=0.4),
-        supervisor_policy=SupervisorPolicy(silence_timeout=40.0),
+        silence_timeout=40.0,
         sources=SourceRegistry(target_p95=20.0),
         durability=DurabilityManager(
             str(data_dir),
@@ -202,7 +202,7 @@ def test_resume_keeps_the_whole_record(tmp_path):
     # The restarts m2 spent before the checkpoint stay spent: what is left of
     # its budget restarts it, the next crash degrades it.
     supervisor = resumed.supervisors["m2"]
-    for _ in range(supervisor.policy.max_restarts - before["m2"]["restarts"]):
+    for _ in range(MAX_RESTARTS - before["m2"]["restarts"]):
         supervisor._restart(resumed.now)
         assert not supervisor.degraded
     supervisor._restart(resumed.now)

@@ -20,7 +20,6 @@ from repro.durable import DurabilityManager, DurabilityPolicy, recover
 from repro.faults import FaultPlan
 from repro.federation import FederationCoordinator, ShardRegistry, ShardServer
 from repro.grid.simulator import GridSimulator, SimulationConfig, monitoring_catalog
-from repro.grid.supervisor import SupervisorPolicy
 from repro.obs.flight import FlightRecorder
 from repro.obs.instrument import NULL_TELEMETRY, Telemetry
 from repro.obs.server import ObservatoryServer
@@ -78,7 +77,7 @@ def test_the_whole_system_leaves_the_disabled_default_empty(tmp_path, monkeypatc
     sim = GridSimulator(
         SimulationConfig(num_machines=6, seed=7),
         fault_plan=plan,
-        supervisor_policy=SupervisorPolicy(silence_timeout=40.0),
+        silence_timeout=40.0,
         sources=sources,
         durability=durability,
         incremental=True,
@@ -87,12 +86,12 @@ def test_the_whole_system_leaves_the_disabled_default_empty(tmp_path, monkeypatc
     assert plan.injected and sources.degraded()
 
     # Reports by all three methods, lineage on, every annotation wired.
+    monkeypatch.setenv("TRAC_SLOW_QUERY_SECONDS", "1e-9")
     with RecencyReporter(
         sim.backend,
         create_temp_tables=True,
         plan_cache_size=8,
         sources=sources,
-        slow_query_seconds=1e-9,
         incremental=sim.incremental,
         lineage=True,
     ) as reporter:

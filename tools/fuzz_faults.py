@@ -47,7 +47,6 @@ import tempfile
 from repro.core.report import RecencyReporter
 from repro.faults import FaultPlan
 from repro.grid.simulator import GridSimulator, SimulationConfig
-from repro.grid.supervisor import SupervisorPolicy
 
 DURATION = 400.0
 SILENCE_TIMEOUT = 90.0
@@ -80,7 +79,7 @@ def run_once(rng: random.Random, run_index: int) -> None:
         sim = GridSimulator(
             SimulationConfig(num_machines=num_machines, seed=sim_seed),
             fault_plan=plan_from_clone(),
-            supervisor_policy=SupervisorPolicy(silence_timeout=SILENCE_TIMEOUT),
+            silence_timeout=SILENCE_TIMEOUT,
         )
         sim.run(DURATION)
         return sim
@@ -163,7 +162,6 @@ def run_durability_once(rng: random.Random, run_index: int) -> None:
         sim = GridSimulator(
             SimulationConfig(num_machines=num_machines, seed=sim_seed),
             fault_plan=plan,
-            supervisor_policy=SupervisorPolicy(silence_timeout=None),
             durability=manager,
         )
         sim.run(200.0)
