@@ -171,13 +171,6 @@ class Backend(abc.ABC):
         )
         return [(str(sid), float(rec)) for sid, rec in result.rows]
 
-    def heartbeat_of(self, source_id: str) -> Optional[float]:
-        """Recency timestamp of one source, or ``None`` if unknown."""
-        for sid, recency in self.heartbeat_rows():
-            if sid == source_id:
-                return recency
-        return None
-
     def row_count(self, table: str) -> int:
         return int(self.execute(f"SELECT COUNT(*) FROM {table}").scalar())  # type: ignore[arg-type]
 

@@ -281,18 +281,6 @@ class SQLiteBackend(Backend):
 
     # -- lifecycle -------------------------------------------------------------
 
-    def writer_connection(self) -> sqlite3.Connection:
-        """A second connection for concurrent writers (file databases only).
-
-        Used by tests that demonstrate snapshot isolation: writes committed
-        through this connection during an open snapshot are invisible to it.
-        """
-        if self.path == ":memory:":
-            raise BackendError("writer_connection() requires a file database")
-        conn = sqlite3.connect(self.path)
-        conn.execute("PRAGMA journal_mode=WAL")
-        return conn
-
     def close(self) -> None:
         with self._lock:
             self._conn.close()

@@ -43,7 +43,7 @@ from typing import List, Optional
 from repro.backends import MemoryBackend, SQLiteBackend, copy_tables
 from repro.core.report import RecencyReporter
 from repro.core.statistics import DEFAULT_Z_THRESHOLD, format_interval, format_timestamp
-from repro.errors import TracError
+from repro.errors import TracError, check_number, number_range
 from repro.obs.dashboard import fetch_status, render_top, run_top, source_rows
 
 
@@ -55,6 +55,32 @@ def main(argv: Optional[List[str]] = None) -> int:
     except TracError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+
+
+def _number(
+    text: Optional[str] = None,
+    low: Optional[float] = None,
+    high: Optional[float] = None,
+    *,
+    low_open: bool = False,
+    high_open: bool = False,
+    kind=float,
+) -> dict:
+    """``type=`` and ``help=`` for a numeric flag. The type takes a finite
+    ``kind`` within the range (:func:`repro.errors.check_number`); anything
+    else is argparse's usage error naming the flag (exit 2). The help ends
+    with the range in words."""
+    bounds = {"low_open": low_open, "high_open": high_open}
+    rule = number_range(low, high, **bounds)
+
+    def parse(value: str):
+        try:
+            return check_number("value", kind(value), low, high, **bounds)
+        except (ValueError, TracError):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {value!r}") from None
+
+    parse.bounds = (low, high, low_open, high_open)
+    return {"type": parse, "help": f"{text} ({rule})" if text else rule}
 
 
 def _add_durability_flags(parser, fsync: str, checkpoint_interval: float) -> None:
@@ -82,15 +108,13 @@ def _add_durability_flags(parser, fsync: str, checkpoint_interval: float) -> Non
     )
     parser.add_argument(
         "--fsync-interval",
-        type=float,
         default=1.0,
-        help="wall seconds between WAL fsyncs (with --fsync interval)",
+        **_number("wall seconds between WAL fsyncs (with --fsync interval)", 0, low_open=True),
     )
     parser.add_argument(
         "--checkpoint-interval",
-        type=float,
         default=checkpoint_interval,
-        help="simulated seconds between checkpoints (with --data-dir)",
+        **_number("simulated seconds between checkpoints (with --data-dir)", 0, low_open=True),
     )
 
 
@@ -104,11 +128,11 @@ def _build_parser() -> argparse.ArgumentParser:
     simulate = sub.add_parser("simulate", help="run the grid simulator into a DB file")
     simulate.add_argument("--db", required=True, help="output SQLite file (written at exit)")
     simulate.add_argument("--machines", type=int, default=12)
-    simulate.add_argument("--duration", type=float, default=600.0, help="simulated seconds")
+    simulate.add_argument("--duration", default=600.0, **_number("simulated seconds", 0))
     simulate.add_argument("--seed", type=int, default=0)
     simulate.add_argument("--schedulers", type=int, default=1)
-    simulate.add_argument("--job-probability", type=float, default=0.1)
-    simulate.add_argument("--failure-probability", type=float, default=0.0)
+    simulate.add_argument("--job-probability", default=0.1, **_number(None, 0, 1))
+    simulate.add_argument("--failure-probability", default=0.0, **_number(None, 0, 1))
     simulate.add_argument("--archive", help="also write text log files to this directory")
     simulate.add_argument(
         "--faults",
@@ -117,10 +141,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     simulate.add_argument(
         "--silence-timeout",
-        type=float,
         default=None,
-        help="supervisor watchdog: degrade a source after this many seconds "
-        "without progress (requires --faults or implies supervision)",
+        **_number(
+            "supervisor watchdog: degrade a source after this many seconds "
+            "without progress (requires --faults or implies supervision)",
+            0,
+            low_open=True,
+        ),
     )
     simulate.add_argument(
         "--serve",
@@ -143,15 +170,19 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     simulate.add_argument(
         "--slo-target",
-        type=float,
         default=60.0,
-        help="staleness SLO: p95 recency lag target in seconds",
+        **_number("staleness SLO: p95 recency lag target in seconds", 0, low_open=True),
     )
     simulate.add_argument(
         "--slo-budget",
-        type=float,
         default=0.05,
-        help="staleness SLO: tolerated fraction of samples over the target",
+        **_number(
+            "staleness SLO: tolerated fraction of samples over the target",
+            0,
+            1,
+            low_open=True,
+            high_open=True,
+        ),
     )
     simulate.add_argument(
         "--top",
@@ -160,26 +191,27 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     simulate.add_argument(
         "--top-interval",
-        type=float,
         default=5.0,
-        help="simulated seconds between dashboard frames (with --top)",
+        **_number("simulated seconds between dashboard frames (with --top)", 0),
     )
     _add_durability_flags(simulate, fsync="interval", checkpoint_interval=60.0)
     simulate.add_argument(
         "--shards",
-        type=int,
         default=None,
         metavar="N",
-        help="federated mode: split the machines over N shard-server "
-        "subprocesses and report through the federation coordinator "
-        "(--duration counts wall seconds; --db is not written; --serve answers "
-        "POST /v1/query with the federated report, trac top watches /status)",
+        **_number(
+            "federated mode: split the machines over N shard-server "
+            "subprocesses and report through the federation coordinator "
+            "(--duration counts wall seconds; --db is not written; --serve answers "
+            "POST /v1/query with the federated report, trac top watches /status)",
+            1,
+            kind=int,
+        ),
     )
     simulate.add_argument(
         "--report-interval",
-        type=float,
         default=2.0,
-        help="wall seconds between federated reports (with --shards)",
+        **_number("wall seconds between federated reports (with --shards)", 0),
     )
     simulate.set_defaults(handler=_cmd_simulate)
 
@@ -203,15 +235,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     shard.add_argument(
         "--step-interval",
-        type=float,
         default=0.02,
-        help="wall seconds between simulator ticks",
+        **_number("wall seconds between simulator ticks", 0),
     )
     shard.add_argument(
         "--duration",
-        type=float,
         default=None,
-        help="serve for this many wall seconds, then exit (default: until signalled)",
+        **_number(
+            "serve for this many wall seconds, then exit (default: until signalled)", 0
+        ),
     )
     shard.set_defaults(handler=_cmd_shard_serve)
 
@@ -228,7 +260,7 @@ def _build_parser() -> argparse.ArgumentParser:
     report.add_argument("--db", required=True, help="monitoring SQLite file")
     report.add_argument("sql", help="the user query (single SPJ SELECT)")
     report.add_argument("--method", choices=["focused", "naive"], default="focused")
-    report.add_argument("--z-threshold", type=float, default=3.0)
+    report.add_argument("--z-threshold", default=3.0, **_number(None, 0, low_open=True))
     report.add_argument("--no-constraints", action="store_true")
     report.add_argument("--show-plan", action="store_true", help="print recency subqueries")
     report.add_argument(
@@ -243,7 +275,7 @@ def _build_parser() -> argparse.ArgumentParser:
     replay = sub.add_parser("replay", help="rebuild a DB from a directory of logs")
     replay.add_argument("--logs", required=True, help="directory of *.log files")
     replay.add_argument("--db", required=True, help="output SQLite file")
-    replay.add_argument("--up-to", type=float, default=None, help="horizon timestamp")
+    replay.add_argument("--up-to", default=None, **_number("horizon timestamp"))
     replay.set_defaults(handler=_cmd_replay)
 
     explain = sub.add_parser("explain", help="explain a query's relevance analysis")
@@ -271,7 +303,7 @@ def _build_parser() -> argparse.ArgumentParser:
     watch = sub.add_parser("watch", help="evaluate watch rules against the database")
     watch.add_argument("--db", required=True, help="monitoring SQLite file")
     watch.add_argument("--rules", required=True, help="JSON rules file")
-    watch.add_argument("--now", type=float, default=None, help="clock override (epoch)")
+    watch.add_argument("--now", default=None, **_number("clock override (epoch)"))
     watch.set_defaults(handler=_cmd_watch)
 
     shell = sub.add_parser("shell", help="interactive recency-reporting shell")
@@ -299,9 +331,8 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument(
         "--duration",
-        type=float,
         default=None,
-        help="serve for this many wall seconds, then exit (default: forever)",
+        **_number("serve for this many wall seconds, then exit (default: forever)", 0),
     )
     serve.add_argument(
         "--workers", type=int, default=8, help="POST /v1/query reports run at once"
@@ -314,15 +345,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--tenant-rate",
-        type=float,
         default=200.0,
-        help="per-tenant sustained requests/second (token-bucket refill)",
+        **_number("per-tenant sustained requests/second (token-bucket refill)", 0),
     )
     serve.add_argument(
         "--tenant-burst",
-        type=float,
         default=400.0,
-        help="per-tenant burst allowance (token-bucket capacity)",
+        **_number("per-tenant burst allowance (token-bucket capacity)", 0, low_open=True),
     )
     serve.add_argument(
         "--max-inflight",
@@ -332,10 +361,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--deadline",
-        type=float,
         default=5.0,
-        help="default per-request deadline in seconds (a request still "
-        "waiting for a slot then gets HTTP 504)",
+        **_number(
+            "default per-request deadline in seconds (a request still "
+            "waiting for a slot then gets HTTP 504)",
+            0,
+            low_open=True,
+        ),
     )
     serve.add_argument(
         "--lineage",
@@ -347,7 +379,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     top = sub.add_parser("top", help="live dashboard polling an observatory server")
     top.add_argument("--url", required=True, help="observatory base URL or /status URL")
-    top.add_argument("--interval", type=float, default=2.0, help="seconds between frames")
+    top.add_argument("--interval", default=2.0, **_number("seconds between frames", 0))
     top.add_argument(
         "--iterations",
         type=int,
@@ -444,8 +476,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     from repro.grid.simulator import GridSimulator, SimulationConfig
 
     if args.shards is not None:
-        if args.shards < 1:
-            raise TracError(f"--shards must be >= 1, got {args.shards}")
         return _cmd_simulate_sharded(args)
 
     durability, config = _open_durability(args)
@@ -836,8 +866,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
     logs = discover_logs(args.logs)
     if not logs:
-        print(f"error: no *.log files in {args.logs}", file=sys.stderr)
-        return 1
+        raise TracError(f"no *.log files in {args.logs}")
     with contextlib.closing(SQLiteBackend(monitoring_catalog(sorted(logs)), args.db)) as backend:
         sniffers = replay_directory(backend, args.logs, up_to_time=args.up_to)
         loaded = sum(s.records_loaded for s in sniffers.values())

@@ -35,7 +35,7 @@ from typing import Callable, Dict, List, Optional
 from repro.backends.base import Backend
 from repro.core.report import RecencyReport, RecencyReporter
 from repro.core.statistics import format_interval
-from repro.errors import TracError
+from repro.errors import TracError, check_number
 from repro.obs import instrument as obs
 from repro.obs.events import EVT_MONITOR_ALERT
 from repro.obs.instrument import PhaseTimer
@@ -85,6 +85,10 @@ class WatchRule:
             and not forbid_degraded
         ):
             raise TracError(f"rule {name!r} has no condition to check")
+        limits = {"max_inconsistency": max_inconsistency, "max_staleness": max_staleness}
+        for field, limit in limits.items():
+            if limit is not None:
+                check_number(f"rule {name!r}: {field}", limit, 0)
         self.name = name
         self.sql = sql
         self.max_inconsistency = max_inconsistency

@@ -43,6 +43,7 @@ from __future__ import annotations
 from typing import Collection, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from repro.core.sources import DEFAULT_TARGET_P95
+from repro.errors import check_number
 
 #: Seconds of staleness that halve a source's quality score.
 DEFAULT_HALF_LIFE = DEFAULT_TARGET_P95
@@ -65,9 +66,7 @@ class QualityModel:
     __slots__ = ("half_life",)
 
     def __init__(self, half_life: float = DEFAULT_HALF_LIFE) -> None:
-        if half_life <= 0:
-            raise ValueError(f"half_life must be positive, got {half_life!r}")
-        self.half_life = half_life
+        self.half_life = check_number("half_life", half_life, 0, low_open=True, error=ValueError)
 
     def freshness(self, staleness: float) -> float:
         """The decay curve: 1.0 at zero staleness, halved per half-life."""

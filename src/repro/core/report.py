@@ -42,7 +42,7 @@ from repro.core.statistics import (
 )
 from repro.engine.cache import resolve_cached
 from repro.engine.evaluate import QueryResult
-from repro.errors import TracError
+from repro.errors import TracError, check_number
 from repro.obs import instrument as obs
 from repro.obs.events import EVT_QUERY_SLOW, EVT_REPORT_EXCEPTIONAL
 from repro.obs.instrument import PhaseTimer, slow_query_threshold
@@ -248,6 +248,8 @@ class RecencyReport:
                 "NOTICE: Bound of inconsistency: "
                 f"{format_interval(stats.inconsistency_bound or 0.0)}"
             )
+        elif self.split.exceptional_ids:
+            lines.append("NOTICE: Every relevant data source that reported in is exceptional")
         else:
             lines.append("NOTICE: No relevant data sources have reported in")
         if self.temp_tables is not None:
@@ -391,7 +393,7 @@ class RecencyReporter:
         lineage: bool = False,
     ) -> None:
         self.backend = backend
-        self.z_threshold = z_threshold
+        self.z_threshold = check_number("z_threshold", z_threshold, 0, low_open=True)
         self.create_temp_tables = create_temp_tables
         self.use_constraints = use_constraints
         self.plan_cache_size = plan_cache_size

@@ -43,11 +43,6 @@ class Session:
             snapshot.create_temp_table(name, ("sid", "recency"), list(zip(ids, recencies)))
             self._created.append(name)
 
-    def drop(self, name: str) -> None:
-        """Drop one temp table early (before session end)."""
-        self.backend.drop_temp_table(name)
-        self._created = [t for t in self._created if t != name]
-
     def save_as(self, temp_name: str, permanent_name: str) -> None:
         """Copy a report's temp table into a permanent table (Section 4.3:
         the user may keep the recency snapshot beyond the session)."""

@@ -24,13 +24,12 @@ state", has the field-by-field table.
 from __future__ import annotations
 
 import copy
-import math
 import threading
 from collections import deque
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.statistics import percentile
-from repro.errors import TracError
+from repro.errors import check_number
 
 #: A source whose sniffer is polling normally.
 HEALTHY = "healthy"
@@ -128,13 +127,9 @@ class SourceRegistry:
         window: int = DEFAULT_WINDOW,
     ) -> None:
         if target_p95 is not None:
-            if not isinstance(target_p95, (int, float)) or not 0 < target_p95 < math.inf:
-                raise TracError(f"SLO target must be a positive finite number, got {target_p95!r}")
-            target_p95 = float(target_p95)
-        if not 0.0 < budget < 1.0:
-            raise TracError(f"SLO budget must be in (0, 1), got {budget!r}")
-        if window < 1:
-            raise TracError(f"SLO window must be >= 1 sample, got {window!r}")
+            target_p95 = float(check_number("SLO target", target_p95, 0, low_open=True))
+        check_number("SLO budget", budget, 0, 1, low_open=True, high_open=True)
+        check_number("SLO window", window, 1)
         self.target_p95 = target_p95
         self.budget = float(budget)
         self.window = int(window)

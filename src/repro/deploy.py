@@ -26,6 +26,7 @@ import threading
 import time
 from typing import Callable, Optional, Sequence
 
+from repro.errors import check_number
 from repro.grid.simulator import GridSimulator
 from repro.obs import instrument as obs
 
@@ -116,6 +117,10 @@ class Deployment:
         """Block until :meth:`stop`, ``duration`` wall seconds, or ``tick()``
         returning ``False``. ``tick`` runs every ``interval`` seconds (0:
         back to back; ``None``: just wait)."""
+        if interval is not None:
+            check_number("interval", interval, 0)
+        if duration is not None:
+            check_number("duration", duration, 0)
         deadline = None if duration is None else time.monotonic() + duration
         while not self.stopping.is_set():
             wait = interval
@@ -132,6 +137,7 @@ class Deployment:
     def start_stepping(self, interval: float) -> None:
         """Tick the simulator every ``interval`` wall seconds (0: flat out)
         on a background thread until :meth:`stop` / :meth:`close`."""
+        check_number("interval", interval, 0)  # here, not on the thread
         self._stepper = threading.Thread(
             target=self.run, args=(self.step, interval), name="trac-step", daemon=True
         )

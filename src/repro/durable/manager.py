@@ -53,7 +53,7 @@ from repro.durable.wal import (
     validate_fsync_policy,
     wal_path,
 )
-from repro.errors import DurabilityError, SimulationError
+from repro.errors import DurabilityError, SimulationError, check_number
 from repro.grid.events import LogEvent
 from repro.grid.logfile import LogFile
 from repro.grid.logformat import format_line
@@ -71,19 +71,14 @@ LOGS_SUBDIR = "logs"
 #: Checkpoint epochs (and their WAL segments) retained for fall-back recovery.
 KEEP_CHECKPOINTS = 2
 
-#: Log mirrors are flushed per append (SIGKILL-safe) but never fsynced: the
-#: WAL is what recovery trusts, so syncing them buys nothing.
-MIRROR_FSYNC = "never"
-
-
 class DurableLogFile(LogFile):
     """An in-memory :class:`LogFile` whose appends are mirrored to disk.
 
     The mirror makes the paper's "log file on the source machine" literal;
-    its durability is best-effort (policy of the underlying writer) because
-    the WAL, not the mirror, is authoritative for recovery — on resume the
-    mirror is truncated back to the checkpoint and regrown by deterministic
-    re-simulation.
+    its durability is best-effort (flushed per append, never fsynced)
+    because the WAL, not the mirror, is authoritative for recovery — on
+    resume the mirror is truncated back to the checkpoint and regrown by
+    deterministic re-simulation.
     """
 
     def __init__(self, owner: str, writer: FileLogWriter, events: Tuple[LogEvent, ...] = ()) -> None:
@@ -119,10 +114,9 @@ class DurabilityPolicy:
         checkpoint_interval: float = 60.0,
     ) -> None:
         validate_fsync_policy(fsync, fsync_interval)
-        if not (checkpoint_interval > 0.0):
-            raise DurabilityError(
-                f"checkpoint_interval must be positive, got {checkpoint_interval!r}"
-            )
+        check_number(
+            "checkpoint_interval", checkpoint_interval, 0, low_open=True, error=DurabilityError
+        )
         self.fsync = fsync
         self.fsync_interval = float(fsync_interval)
         self.checkpoint_interval = float(checkpoint_interval)
@@ -244,7 +238,7 @@ class DurabilityManager:
             self.epoch = self.recovered.epoch
 
         for mid in sim.machine_ids:
-            writer = FileLogWriter(log_path(self.logs_dir, mid), mid, fsync=MIRROR_FSYNC)
+            writer = FileLogWriter(log_path(self.logs_dir, mid), mid)
             sim.machines[mid].log = DurableLogFile(
                 mid, writer, restored_events.get(mid, ())
             )

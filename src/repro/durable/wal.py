@@ -44,7 +44,7 @@ import time
 import zlib
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro.errors import DurabilityError
+from repro.errors import DurabilityError, check_number
 
 MAGIC = b"TRACWAL1\n"
 _FRAME_HEADER = struct.Struct("<II")
@@ -81,8 +81,7 @@ def validate_fsync_policy(policy: str, interval: float) -> None:
         raise DurabilityError(
             f"unknown fsync policy {policy!r}; expected one of {', '.join(FSYNC_POLICIES)}"
         )
-    if not (interval > 0.0):  # also rejects NaN
-        raise DurabilityError(f"fsync_interval must be positive, got {interval!r}")
+    check_number("fsync_interval", interval, 0, low_open=True, error=DurabilityError)
 
 
 def wal_path(directory: str, epoch: int) -> str:

@@ -14,8 +14,7 @@ its spans and events.
 The profile is the executor's only record of an execution:
 ``execute_query`` fills the one it is given and hands it back as
 ``QueryResult.profile``; :meth:`QueryProfile.render` (``trac explain
---analyze``, the shell's ``.profile``) and :meth:`QueryProfile.render_plan`
-(the plan decisions plus the result size) are two views of it. Profiles are
+--analyze``, the shell's ``.profile``) is its view. Profiles are
 produced two ways:
 
 * explicitly — :func:`profile_query` runs one query with profiling on;
@@ -218,42 +217,6 @@ class QueryProfile:
             f"  total: {self.rows} row(s) in {self.total_seconds * 1000:.3f}ms, "
             f"columns {self.columns}{suffix}"
         )
-        return "\n".join(lines)
-
-    def render_plan(self) -> str:
-        """The plan decisions alone: pipeline, push-downs with their
-        selectivities, join order and join methods."""
-        lines = [f"explain: {self.sql}", f"  plan: {self.pipeline}"]
-        joins = [op for op in self.operators if op.op == OP_JOIN]
-        scans = [op for op in self.operators if op.op == OP_SCAN]
-        for op in scans:
-            if op.rows_available is not None:
-                lines.append(
-                    f"  scan {op.target}: {op.detail} after "
-                    f"{op.rows_in} of {op.rows_available} rows"
-                )
-            elif op.detail == "full scan":
-                lines.append(f"  scan {op.target}: full ({op.rows_in} rows)")
-            else:
-                lines.append(
-                    f"  scan {op.target}: {op.detail}, "
-                    f"{op.rows_in} -> {op.rows_out} rows"
-                )
-        if len(scans) > 1:
-            # The greedy join starts at the smallest scan, which no join
-            # step ever targets (an emptied join leaves others untargeted too).
-            joined = {op.target for op in joins}
-            start = min(
-                (op for op in scans if op.target not in joined),
-                key=lambda op: op.rows_out,
-            )
-            lines.append(f"  join order starts at {start.target} ({start.rows_out} rows)")
-        for op in joins:
-            method = op.detail.partition(", build side")[0]
-            lines.append(f"  join {op.target}: {method} -> {op.rows_out} rows")
-            if op.rows_available is not None:
-                lines[-1] += f", stopped after {op.rows_in} of {op.rows_available} probe rows"
-        lines.append(f"  result: {self.rows} row(s), columns {self.columns}")
         return "\n".join(lines)
 
     def __repr__(self) -> str:

@@ -279,11 +279,6 @@ class Database:
         self._relations[schema.name.lower()] = relation
         return relation
 
-    def attach(self, name: str, relation: Relation) -> None:
-        """Install ``relation`` under ``name`` (e.g. a shared snapshot view
-        of another database's relation). The catalog is not consulted."""
-        self._relations[name.lower()] = relation
-
     def insert(self, table: str, row: Sequence[object]) -> None:
         self.relation(table).insert(row)
 

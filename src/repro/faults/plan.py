@@ -53,7 +53,7 @@ import random
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.breaker import stable_seed
-from repro.errors import SimulationError
+from repro.errors import SimulationError, check_number
 from repro.obs import instrument as obs
 from repro.obs.events import EVT_FAULT_INJECTED
 
@@ -109,21 +109,20 @@ class _Rule:
         for name, default in self.FIELDS.items():
             setattr(self, name, fields.get(name, default))
         self.kind = kind
-        self.probability = float(self.probability)
-        if not 0.0 <= self.probability <= 1.0:
-            raise SimulationError(f"fault probability must be in [0, 1], got {self.probability}")
+        self.probability = float(
+            check_number("probability", self.probability, 0, 1, error=SimulationError)
+        )
         if not isinstance(self.at, (list, tuple)):
             raise SimulationError("'at' must be a list of times")
-        self.at = tuple(float(t) for t in self.at)
+        self.at = tuple(float(check_number("at", t, error=SimulationError)) for t in self.at)
         if kind == "silence":
             if self.source == "*":
                 raise SimulationError("silence rules need a concrete source id")
-            if self.start is None or self.start < 0:
-                raise SimulationError(f"silence needs a 'start' >= 0, got {self.start}")
-            self.start = float(self.start)
-            self.end = None if self.end is None else float(self.end)
-            if self.end is not None and self.end <= self.start:
-                raise SimulationError(f"silence end {self.end} must be after start {self.start}")
+            self.start = float(check_number("start", self.start, 0, error=SimulationError))
+            if self.end is not None:
+                self.end = float(check_number(
+                    "end", self.end, self.start, low_open=True, error=SimulationError
+                ))
         elif self.probability == 0.0 and not self.at:
             raise SimulationError(f"{kind} rule for {self.source!r} would never fire "
                                   "(zero probability and no scripted times)")

@@ -46,7 +46,7 @@ from repro.core.recency_query import fragment_request, merge_fragments
 from repro.core.relevance import RelevancePlan, build_naive_plan, memoized_relevance_plan
 from repro.core.report import DEFAULT_Z_THRESHOLD, RecencyReport, ReportTimings, format_interval
 from repro.engine.cache import resolve_cached
-from repro.errors import TracError
+from repro.errors import TracError, check_number
 from repro.federation import rpc
 from repro.federation.rpc import RPCError, RPCTimeout
 from repro.grid.simulator import monitoring_catalog
@@ -466,16 +466,14 @@ class FederationCoordinator:
         seed: int = 0,
         telemetry: Optional[object] = None,
     ) -> None:
-        if deadline <= 0:
-            raise TracError("deadline must be positive")
-        if attempt_timeout <= 0:
-            raise TracError("attempt_timeout must be positive")
-        if retries < 0:
-            raise TracError("retries cannot be negative")
-        if breaker_threshold < 1:
-            raise TracError("breaker_threshold must be >= 1")
-        if breaker_reset <= 0:
-            raise TracError("breaker_reset must be positive")
+        check_number("deadline", deadline, 0, low_open=True)
+        check_number("attempt_timeout", attempt_timeout, 0, low_open=True)
+        check_number("retries", retries, 0)
+        check_number("breaker_threshold", breaker_threshold, 1)
+        check_number("breaker_reset", breaker_reset, 0, low_open=True)
+        if hedge_delay is not None:
+            check_number("hedge_delay", hedge_delay, 0, low_open=True)
+        check_number("stale_max_age", stale_max_age, 0)
         self.registry = registry
         self.deadline = deadline
         self.attempt_timeout = attempt_timeout

@@ -20,8 +20,7 @@ by processes in other languages that write the same format.
 from __future__ import annotations
 
 import os
-import time
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.backends.base import Backend
 from repro.errors import DurabilityError, SimulationError
@@ -34,9 +33,6 @@ from repro.grid.sniffer import Sniffer, SnifferConfig
 LOG_SUFFIX = ".log"
 
 LOG_HEADER = "# trac-log v1\n"
-
-#: Valid fsync policies for :class:`FileLogWriter` (mirrors the WAL's).
-FSYNC_POLICIES = ("always", "interval", "never")
 
 
 def log_path(directory: str, machine_id: str) -> str:
@@ -54,31 +50,14 @@ class FileLogWriter:
     Durability contract: each event is one line handed to the OS by one
     ``write(2)`` on an unbuffered handle (no per-file buffer), so another
     process can tail it at once and a *killed process* loses nothing that
-    ``append`` returned for; reopening cuts off a line a crash tore.  Whether
-    a machine crash or power loss can lose the tail is governed by the fsync
-    policy: ``"always"`` fsyncs every append, ``"interval"`` at most every
-    ``fsync_interval`` wall seconds, ``"never"`` (the default) leaves it to the OS.
+    ``append`` returned for; reopening cuts off a line a crash tore.  It never
+    fsyncs: a machine crash or power loss may lose the tail, which the WAL
+    (the durable record) does not depend on.
     """
 
-    def __init__(
-        self,
-        path: str,
-        owner: str,
-        fsync: str = "never",
-        fsync_interval: float = 1.0,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
-        if fsync not in FSYNC_POLICIES:
-            raise DurabilityError(
-                f"unknown fsync policy {fsync!r}; expected one of {', '.join(FSYNC_POLICIES)}"
-            )
-        if not (fsync_interval > 0.0):
-            raise DurabilityError(f"fsync_interval must be positive, got {fsync_interval!r}")
+    def __init__(self, path: str, owner: str) -> None:
         self.path = path
         self.owner = owner
-        self.fsync_policy = fsync
-        self.fsync_interval = float(fsync_interval)
-        self._clock = clock
         self._last_timestamp = float("-inf")
         directory = os.path.dirname(path)
         if directory:
@@ -95,7 +74,6 @@ class FileLogWriter:
             with open(path, "w") as handle:
                 handle.write(LOG_HEADER)
         self._handle = open(path, "ab", buffering=0)
-        self._last_sync = self._clock()
 
     def append(self, event: LogEvent) -> None:
         if self._handle is None:
@@ -113,20 +91,6 @@ class FileLogWriter:
         while line:  # one write(2) unless the OS takes a short write
             line = line[self._handle.write(line):]
         self._last_timestamp = event.timestamp
-        if self.fsync_policy == "always":
-            self.sync()
-        elif (
-            self.fsync_policy == "interval"
-            and self._clock() - self._last_sync >= self.fsync_interval
-        ):
-            self.sync()
-
-    def sync(self) -> None:
-        """Force everything appended so far onto stable storage."""
-        if self._handle is None:
-            return
-        os.fsync(self._handle.fileno())
-        self._last_sync = self._clock()
 
     def close(self) -> None:
         if self._handle is None:

@@ -24,32 +24,16 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 from repro.backends.memory import MemoryBackend
 from repro.catalog import Catalog, Column, FiniteDomain, TableSchema, TextDomain, TimestampDomain
 from repro.core.sources import SourceRegistry
-from repro.errors import SimulationError
+from repro.errors import SimulationError, check_number
 from repro.faults.plan import FaultPlan
 from repro.grid.job import Job, JobState
 from repro.grid.machine import Machine
 from repro.grid.scheduler import Scheduler
-from repro.grid.sniffer import Sniffer, SnifferConfig, require_finite
+from repro.grid.sniffer import Sniffer, SnifferConfig
 from repro.grid.supervisor import SnifferSupervisor
 from repro.obs import instrument as obs
 from repro.obs.dashboard import source_rows
 from repro.obs.events import EVT_SLO_BREACH
-
-
-def _require_probability(name: str, value: float) -> None:
-    require_finite(name, value)
-    if not 0.0 <= value <= 1.0:
-        raise SimulationError(f"{name} must be in [0, 1], got {value!r}")
-
-
-def _require_positive_range(name: str, value: Tuple[float, float]) -> None:
-    low, high = value
-    require_finite(f"{name}[0]", low)
-    require_finite(f"{name}[1]", high)
-    if low <= 0:
-        raise SimulationError(f"{name} must have a positive lower bound, got {low!r}")
-    if high < low:
-        raise SimulationError(f"{name} must be ordered (low <= high), got {value!r}")
 
 
 def monitoring_catalog(machine_ids: Sequence[str]) -> Catalog:
@@ -120,38 +104,29 @@ class SimulationConfig:
         num_schedulers: int = 1,
         machine_id_start: int = 1,
     ) -> None:
-        if num_machines < 1:
-            raise SimulationError("need at least one machine")
-        if machine_id_start < 1:
-            raise SimulationError(
-                f"machine_id_start must be >= 1, got {machine_id_start!r}"
-            )
-        if num_schedulers < 1 or num_schedulers > num_machines:
-            raise SimulationError("num_schedulers must be in [1, num_machines]")
-        require_finite("tick", tick)
-        if tick <= 0:
-            raise SimulationError(f"tick must be positive, got {tick!r}")
-        require_finite("heartbeat_interval", heartbeat_interval)
-        if heartbeat_interval <= 0:
-            raise SimulationError(
-                f"heartbeat_interval must be positive, got {heartbeat_interval!r}"
-            )
-        require_finite("transfer_delay", transfer_delay)
-        if transfer_delay < 0:
-            raise SimulationError(f"transfer_delay cannot be negative, got {transfer_delay!r}")
-        _require_probability("activity_flip_probability", activity_flip_probability)
-        _require_probability("job_submit_probability", job_submit_probability)
-        _require_probability("machine_failure_probability", machine_failure_probability)
-        _require_probability("machine_recover_probability", machine_recover_probability)
-        _require_positive_range("job_duration_range", job_duration_range)
-        _require_positive_range("sniffer_poll_interval_range", sniffer_poll_interval_range)
-        lag_low, lag_high = sniffer_lag_range
-        require_finite("sniffer_lag_range[0]", lag_low)
-        require_finite("sniffer_lag_range[1]", lag_high)
-        if lag_low < 0 or lag_high < lag_low:
-            raise SimulationError(
-                f"sniffer_lag_range must be ordered and non-negative, got {sniffer_lag_range!r}"
-            )
+        check_number("num_machines", num_machines, 1, error=SimulationError)
+        check_number("machine_id_start", machine_id_start, 1, error=SimulationError)
+        check_number("num_schedulers", num_schedulers, 1, num_machines, error=SimulationError)
+        check_number("tick", tick, 0, low_open=True, error=SimulationError)
+        check_number(
+            "heartbeat_interval", heartbeat_interval, 0, low_open=True, error=SimulationError
+        )
+        check_number("transfer_delay", transfer_delay, 0, error=SimulationError)
+        for name, probability in (
+            ("activity_flip_probability", activity_flip_probability),
+            ("job_submit_probability", job_submit_probability),
+            ("machine_failure_probability", machine_failure_probability),
+            ("machine_recover_probability", machine_recover_probability),
+        ):
+            check_number(name, probability, 0, 1, error=SimulationError)
+        # Each range is (low, high) with low <= high.
+        for name, (low, high), positive in (
+            ("job_duration_range", job_duration_range, True),
+            ("sniffer_poll_interval_range", sniffer_poll_interval_range, True),
+            ("sniffer_lag_range", sniffer_lag_range, False),
+        ):
+            check_number(f"{name}[0]", low, 0, low_open=positive, error=SimulationError)
+            check_number(f"{name}[1]", high, low, error=SimulationError)
         self.num_machines = num_machines
         self.seed = seed
         self.tick = tick
@@ -241,8 +216,10 @@ class GridSimulator:
         durability: Optional[object] = None,
         incremental: bool = False,
     ) -> None:
-        if silence_timeout is not None and silence_timeout <= 0:
-            raise SimulationError("silence_timeout must be positive when given")
+        if silence_timeout is not None:
+            check_number(
+                "silence_timeout", silence_timeout, 0, low_open=True, error=SimulationError
+            )
         self.config = config or SimulationConfig()
         self.rng = random.Random(self.config.seed)
         self.now = 0.0

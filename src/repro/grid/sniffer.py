@@ -16,12 +16,11 @@ inconsistent across sources in exactly the way the paper describes.
 
 from __future__ import annotations
 
-import math
 from typing import List, Optional, Sequence
 
 from repro.backends.base import DELETE, UPSERT, Backend, Write
 from repro.core.sources import SourceState
-from repro.errors import SimulationError
+from repro.errors import SimulationError, check_number
 from repro.grid.events import EventKind, LogEvent
 from repro.grid.machine import Machine
 from repro.obs import instrument as obs
@@ -68,11 +67,6 @@ def event_writes(events: Sequence[LogEvent]) -> List[Write]:
     return writes
 
 
-def require_finite(name: str, value: float) -> None:
-    if not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise SimulationError(f"{name} must be a finite number, got {value!r}")
-
-
 class SnifferConfig:
     """Tuning knobs for one sniffer.
 
@@ -117,14 +111,10 @@ class SnifferConfig:
         batch_size: Optional[int] = None,
         recency_protocol: str = "last_event",
     ) -> None:
-        require_finite("poll_interval", poll_interval)
-        if poll_interval <= 0:
-            raise SimulationError(f"poll_interval must be positive, got {poll_interval!r}")
-        require_finite("lag", lag)
-        if lag < 0:
-            raise SimulationError(f"lag cannot be negative, got {lag!r}")
-        if batch_size is not None and batch_size <= 0:
-            raise SimulationError("batch_size must be positive when given")
+        check_number("poll_interval", poll_interval, 0, low_open=True, error=SimulationError)
+        check_number("lag", lag, 0, error=SimulationError)
+        if batch_size is not None:
+            check_number("batch_size", batch_size, 1, error=SimulationError)
         if recency_protocol not in self.PROTOCOLS:
             raise SimulationError(
                 f"unknown recency protocol {recency_protocol!r}; "

@@ -17,16 +17,14 @@ import threading
 from collections import deque
 from typing import Any, Deque, List
 
-from repro.errors import TracError
+from repro.errors import check_number
 
 
 class BoundedRing:
     """Thread-safe ring buffer; items are duck-typed on ``trace_id``."""
 
     def __init__(self, capacity: int) -> None:
-        if capacity < 1:
-            raise TracError(f"{type(self).__name__} capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
+        self.capacity = check_number(f"{type(self).__name__} capacity", capacity, 1)
         self._lock = threading.Lock()
         self._items: Deque[Any] = deque(maxlen=capacity)
         self._total = 0

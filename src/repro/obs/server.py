@@ -407,12 +407,6 @@ class ObservatoryServer:
         #: True once :meth:`stop` has begun: every response now closes.
         self.stopping = False
 
-    @property
-    def open_connections(self) -> int:
-        """Accepted connections not yet closed."""
-        with self._lock:
-            return len(self._connections)
-
     # -- lifecycle ----------------------------------------------------------
 
     def start(self) -> "ObservatoryServer":

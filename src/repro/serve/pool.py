@@ -29,7 +29,7 @@ import time
 from concurrent.futures import Future
 from typing import Any, Callable, List, Optional
 
-from repro.errors import TracError
+from repro.errors import TracError, check_number
 
 
 class QueueFull(TracError):
@@ -68,10 +68,8 @@ class WorkerPool:
         queue_depth: int = 64,
         worker_state_factory: Optional[Callable[[], Any]] = None,
     ) -> None:
-        if workers < 1:
-            raise TracError(f"worker pool needs at least one worker, got {workers}")
-        if queue_depth < 1:
-            raise TracError(f"queue depth must be positive, got {queue_depth}")
+        check_number("workers", workers, 1)
+        check_number("queue_depth", queue_depth, 1)
         self.workers = workers
         self.queue_depth = queue_depth
         self._factory = worker_state_factory

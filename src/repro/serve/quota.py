@@ -29,7 +29,7 @@ import threading
 import time
 from typing import Callable, Dict, Optional
 
-from repro.errors import TracError
+from repro.errors import TracError, check_number
 
 
 class QuotaExceeded(TracError):
@@ -63,10 +63,8 @@ class TokenBucket:
         burst: float,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
-        if burst <= 0:
-            raise TracError(f"token bucket burst must be positive, got {burst}")
-        if rate < 0:
-            raise TracError(f"token bucket rate cannot be negative, got {rate}")
+        check_number("token bucket burst", burst, 0, low_open=True)
+        check_number("token bucket rate", rate, 0)
         self.rate = float(rate)
         self.burst = float(burst)
         self._tokens = float(burst)
@@ -120,14 +118,14 @@ class TenantQuotas:
         max_inflight: int = 64,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
-        self.rate = float(rate)
-        self.burst = float(burst)
+        # Checked here too: a bucket is only built when its tenant first asks.
+        self.rate = float(check_number("token bucket rate", rate, 0))
+        self.burst = float(check_number("token bucket burst", burst, 0, low_open=True))
         self.max_inflight = int(max_inflight)
         self._clock = clock
         self._lock = threading.Lock()
         self._buckets: Dict[str, TokenBucket] = {}
         self._inflight: Dict[str, int] = {}
-        self._rejections: Dict[str, int] = {"quota": 0, "inflight": 0}
 
     def _bucket(self, tenant: str) -> TokenBucket:
         bucket = self._buckets.get(tenant)
@@ -145,7 +143,6 @@ class TenantQuotas:
         with self._lock:
             inflight = self._inflight.get(tenant, 0)
             if inflight >= self.max_inflight:
-                self._rejections["inflight"] += 1
                 raise QuotaExceeded(
                     f"tenant {tenant!r} has {inflight} requests inflight "
                     f"(limit {self.max_inflight})",
@@ -154,7 +151,6 @@ class TenantQuotas:
                 )
             wait = self._bucket(tenant).try_acquire()
             if wait is not None:
-                self._rejections["quota"] += 1
                 hint = 1.0 if wait == float("inf") else wait
                 raise QuotaExceeded(
                     f"tenant {tenant!r} exceeded its request rate "
@@ -189,10 +185,6 @@ class TenantQuotas:
                     "tokens": round(bucket.tokens, 3),
                 }
             return out
-
-    def rejections(self) -> Dict[str, int]:
-        with self._lock:
-            return dict(self._rejections)
 
     def __repr__(self) -> str:
         return (

@@ -34,7 +34,7 @@ from collections import deque
 from typing import Any, Deque, Dict, NamedTuple, Optional, Tuple
 
 from repro.core.report import RecencyReporter
-from repro.errors import TracError
+from repro.errors import TracError, check_number
 from repro.obs import instrument as obs
 from repro.obs.dashboard import source_rows
 from repro.obs.events import EVT_SERVE_REJECTED
@@ -116,6 +116,7 @@ class QueryService:
     ) -> None:
         self.source = source
         self.config = config or ServeConfig()
+        check_number("default_deadline", self.config.default_deadline, 0, low_open=True)
         self.telemetry = telemetry
         self.quotas = TenantQuotas(
             rate=self.config.tenant_rate,

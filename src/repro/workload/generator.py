@@ -30,7 +30,7 @@ from repro.catalog import (
     TableSchema,
     TimestampDomain,
 )
-from repro.errors import TracError
+from repro.errors import TracError, check_number
 
 #: Rows per ``insert_rows`` call when :func:`load_workload` bulk-loads.
 LOAD_BATCH = 50_000
@@ -107,10 +107,9 @@ class WorkloadConfig:
         exceptional_sources: Sequence[int] = (),
         skew: float = 0.0,
     ) -> None:
-        if num_sources < 1 or data_ratio < 1:
-            raise TracError("num_sources and data_ratio must be positive")
-        if skew < 0:
-            raise TracError("skew cannot be negative")
+        check_number("num_sources", num_sources, 1)
+        check_number("data_ratio", data_ratio, 1)
+        check_number("skew", skew, 0)
         self.num_sources = num_sources
         self.data_ratio = data_ratio
         self.seed = seed

@@ -85,16 +85,13 @@ class TestCrud:
 class TestHeartbeat:
     def test_upsert_heartbeat_inserts(self, backend):
         backend.upsert_heartbeat("a", 100.0)
-        assert backend.heartbeat_of("a") == 100.0
+        assert dict(backend.heartbeat_rows()).get("a") == 100.0
 
     def test_upsert_heartbeat_updates(self, backend):
         backend.upsert_heartbeat("a", 100.0)
         backend.upsert_heartbeat("a", 200.0)
-        assert backend.heartbeat_of("a") == 200.0
+        assert dict(backend.heartbeat_rows()).get("a") == 200.0
         assert len(backend.heartbeat_rows()) == 1
-
-    def test_heartbeat_of_unknown_source(self, backend):
-        assert backend.heartbeat_of("nope") is None
 
     def test_heartbeat_rows(self, backend):
         backend.upsert_heartbeat("a", 1.0)
@@ -130,7 +127,7 @@ class TestSnapshots:
         writes committed by another connection after the snapshot started."""
         backend = SQLiteBackend(tiny_catalog(), str(tmp_path / "db.sqlite"))
         backend.insert_rows("t", [("a", 1)])
-        writer = backend.writer_connection()
+        writer = sqlite3.connect(backend.path)
         try:
             with backend.snapshot() as snap:
                 before = snap.execute("SELECT COUNT(*) FROM t").scalar()
@@ -150,14 +147,6 @@ class TestSnapshots:
                 with pytest.raises(BackendError):
                     with backend.snapshot():
                         pass
-        finally:
-            backend.close()
-
-    def test_writer_connection_requires_file_db(self):
-        backend = SQLiteBackend(tiny_catalog())
-        try:
-            with pytest.raises(BackendError):
-                backend.writer_connection()
         finally:
             backend.close()
 

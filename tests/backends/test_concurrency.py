@@ -7,6 +7,7 @@ is written around the clock, and every recencyReport must still observe one
 snapshot.
 """
 
+import sqlite3
 import sys
 import threading
 import time
@@ -52,7 +53,7 @@ def test_reports_see_consistent_snapshots_under_writes(tmp_path, rounds):
     writer_error = []
 
     def writer():
-        conn = backend.writer_connection()
+        conn = sqlite3.connect(backend.path)
         try:
             seq = 0
             while not stop.is_set():
@@ -195,7 +196,7 @@ def test_many_sequential_reports_with_interleaved_writes(tmp_path):
     """Alternating writes and reports never deadlock and always terminate
     (WAL readers don't block the writer and vice versa)."""
     backend = SQLiteBackend(catalog(), str(tmp_path / "db.sqlite"))
-    writer = backend.writer_connection()
+    writer = sqlite3.connect(backend.path)
     reporter = RecencyReporter(backend, create_temp_tables=False)
     try:
         for i in range(1, 40):

@@ -1,5 +1,7 @@
 """End-to-end recency report tests (the Section 5.1 table function)."""
 
+import sqlite3
+
 import pytest
 
 from repro.core.report import RecencyReporter
@@ -103,6 +105,19 @@ class TestSection51Transcript:
         assert report.relevant_source_ids == set()
         assert any("No relevant data sources" in n for n in report.notices())
 
+    def test_every_source_exceptional_is_not_none_reported(self):
+        from repro.backends import MemoryBackend
+        from repro.workload import WorkloadConfig, loaded_backend
+
+        # Two sources a minute apart sit at z = -1 and z = +1: a threshold
+        # of 1 makes both exceptional, yet both reported in.
+        backend = loaded_backend(WorkloadConfig(2, 1), MemoryBackend)
+        report = RecencyReporter(backend, z_threshold=1.0).report("SELECT mach_id FROM activity")
+        assert len(report.split.exceptional_ids) == 2 and report.split.normal_ids == []
+        notices = report.notices()
+        assert not any("No relevant data sources" in n for n in notices)
+        assert "NOTICE: Every relevant data source that reported in is exceptional" in notices
+
 
 class TestTimings:
     def test_breakdown_populated(self, paper_backend):
@@ -181,7 +196,7 @@ class TestConsistency:
         backend.insert_rows("activity", [("m1", "idle", 1.0)])
         backend.upsert_heartbeat("m1", 100.0)
 
-        writer = backend.writer_connection()
+        writer = sqlite3.connect(backend.path)
         reporter = RecencyReporter(backend, create_temp_tables=False)
 
         calls = {"n": 0}
@@ -210,7 +225,7 @@ class TestConsistency:
         # m999 was committed mid-report but must not appear.
         assert "m999" not in report.relevant_source_ids
         # It is visible to a fresh query afterwards.
-        assert backend.heartbeat_of("m999") == 999.0
+        assert dict(backend.heartbeat_rows()).get("m999") == 999.0
         backend.close()
 
 

@@ -42,15 +42,6 @@ class TestLifecycle:
         assert session.temp_tables == []
         assert paper_memory_backend.list_temp_tables() == []
 
-    def test_drop_single_table_early(self, paper_memory_backend):
-        session = Session(paper_memory_backend)
-        names = session.next_table_names()
-        with paper_memory_backend.snapshot() as snap:
-            session.materialize(snap, names, ([], []), ([], []))
-        session.drop(names.exceptional)
-        assert names.exceptional not in session.temp_tables
-        assert names.normal in session.temp_tables
-
     def test_context_manager(self, paper_memory_backend):
         with Session(paper_memory_backend) as session:
             names = session.next_table_names()

@@ -288,7 +288,7 @@ class TestLossyDelivery:
         assert sniffer.poll(sim.now + 50.0) == 0
         appended = read_wal(path)[0][frames:]
         assert appended == [{"k": "hb", "s": "m1", "r": sim.now + 48.0}]
-        assert sim.backend.heartbeat_of("m1") == sim.now + 48.0
+        assert dict(sim.backend.heartbeat_rows()).get("m1") == sim.now + 48.0
         manager.close(sim.now, final_checkpoint=False)
 
     def test_a_segment_written_two_frames_per_poll_replays_to_the_same_tables(self, tmp_path):

@@ -254,18 +254,14 @@ class TestRowBudget:
     @pytest.mark.parametrize("first", [1, 2500, 5000])
     def test_guard_reads_up_to_its_first_witness(self, paper_catalog, first):
         database = self.big(paper_catalog, idle_at=(first, 5000))
-        ops, profile = self.ops(
+        ops, _ = self.ops(
             database, "SELECT 1 FROM activity a WHERE a.value = 'idle' LIMIT 1"
         )
         scan = ops["scan"]
         assert (scan.rows_in, scan.rows_out) == (first, 1)
         assert (ops["project"].rows_in, ops["limit"].rows_in, ops["limit"].rows_out) == (1, 1, 1)
         assert scan.rows_available == self.ROWS
-        assert scan.detail.endswith("stopped at LIMIT 1")
-        assert (
-            f"scan a: 1 pushed predicate(s), stopped at LIMIT 1 after {first} of 5000 rows"
-            in profile.render_plan()
-        )
+        assert scan.detail == "1 pushed predicate(s), stopped at LIMIT 1"
 
     def test_guard_without_a_witness_reads_everything(self, paper_catalog):
         database = self.big(paper_catalog)
@@ -275,7 +271,8 @@ class TestRowBudget:
         scan = ops["scan"]
         assert (scan.rows_in, scan.rows_out, scan.rows_available) == (self.ROWS, 0, None)
         assert execute_sql(database, profile.sql).rows == []
-        assert "stopped" not in scan.detail and "stopped" not in profile.render_plan()
+        assert "stopped" not in scan.detail
+        assert all(op.rows_available is None for op in profile.operators)
         assert profile.rows == 0
 
     def test_unfiltered_scan_takes_a_prefix(self, paper_catalog):
@@ -290,13 +287,12 @@ class TestRowBudget:
             "SELECT 1 FROM activity a, routing r "
             "WHERE r.neighbor = a.mach_id AND a.value = 'idle' LIMIT 1"
         )
-        ops, profile = self.ops(database, sql)
+        ops, _ = self.ops(database, sql)
         join = ops["join"]
         assert join.rows_out == 1 and join.rows_in <= join.rows_available
         assert join.detail.endswith("residual term(s), stopped at LIMIT 1")
         assert "filter" not in ops  # the residual ran inside the budgeted join
         assert (ops["project"].rows_in, ops["limit"].rows_in) == (1, 1)
-        assert "stopped after" in profile.render_plan()
         assert execute_sql(database, sql).rows == [(1,)]
 
     def test_nested_loop_and_general_path_stop_too(self, paper_catalog):

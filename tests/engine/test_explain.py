@@ -1,10 +1,10 @@
-"""Engine EXPLAIN trace tests: the profile's plan rendering."""
+"""Engine EXPLAIN trace tests: the plan decisions a profile records."""
 
 import pytest
 
 from repro.catalog import Catalog, Column, TableSchema
 from repro.engine import Database
-from repro.engine.profile import profile_query
+from repro.engine.profile import PIPELINE_CONJUNCTIVE, PIPELINE_GENERAL, profile_query
 
 
 @pytest.fixture
@@ -21,40 +21,47 @@ def db():
     return database
 
 
+def plan(db, sql):
+    """The profile and its operators by ``(op, target)``."""
+    profile = profile_query(db, sql)
+    return profile, {(op.op, op.target): op for op in profile.operators}
+
+
 class TestExplain:
     def test_conjunctive_plan_reported(self, db):
-        text = profile_query(db, "SELECT s FROM t1 WHERE x > 1").render_plan()
-        assert "plan: conjunctive" in text
-        assert "scan t1: 1 pushed predicate(s), 3 -> 2 rows" in text
-        assert "result: 2 row(s)" in text
+        profile, ops = plan(db, "SELECT s FROM t1 WHERE x > 1")
+        assert profile.pipeline == PIPELINE_CONJUNCTIVE
+        scan = ops["scan", "t1"]
+        assert (scan.detail, scan.rows_in, scan.rows_out) == ("1 pushed predicate(s)", 3, 2)
+        assert profile.rows == 2
 
     def test_full_scan_reported(self, db):
-        text = profile_query(db, "SELECT s FROM t1").render_plan()
-        assert "scan t1: full (3 rows)" in text
+        _, ops = plan(db, "SELECT s FROM t1")
+        scan = ops["scan", "t1"]
+        assert (scan.detail, scan.rows_in) == ("full scan", 3)
 
     def test_hash_join_reported(self, db):
-        text = profile_query(db, "SELECT t1.s FROM t1, t2 WHERE t1.s = t2.s").render_plan()
-        assert "hash join on 1 key(s)" in text
-        assert "join order starts at t2" in text  # smaller side first
+        _, ops = plan(db, "SELECT t1.s FROM t1, t2 WHERE t1.s = t2.s")
+        # The smaller side (t2) starts the join order, so t1 is joined in.
+        assert ops["join", "t1"].detail.startswith("hash join on 1 key(s)")
 
     def test_nested_loop_reported(self, db):
-        text = profile_query(db, "SELECT t1.s FROM t1, t2 WHERE t1.x < t2.y").render_plan()
-        assert "nested loop" in text
+        _, ops = plan(db, "SELECT t1.s FROM t1, t2 WHERE t1.x < t2.y")
+        assert any(op.detail.startswith("nested loop") for (kind, _), op in ops.items()
+                   if kind == "join")
 
     def test_general_boolean_plan(self, db):
-        text = profile_query(db, "SELECT t1.s FROM t1, t2 WHERE t1.s = t2.s OR t1.x = 1").render_plan()
-        assert "plan: general boolean" in text
+        profile, _ = plan(db, "SELECT t1.s FROM t1, t2 WHERE t1.s = t2.s OR t1.x = 1")
+        assert profile.pipeline == PIPELINE_GENERAL
 
     def test_pushdown_selectivity_visible(self, db):
-        text = profile_query(
-            db, "SELECT t1.s FROM t1, t2 WHERE t1.x > 2 AND t1.s = t2.s"
-        ).render_plan()
-        assert "3 -> 1 rows" in text
+        _, ops = plan(db, "SELECT t1.s FROM t1, t2 WHERE t1.x > 2 AND t1.s = t2.s")
+        assert (ops["scan", "t1"].rows_in, ops["scan", "t1"].rows_out) == (3, 1)
 
     def test_trace_does_not_change_results(self, db):
         from repro.engine import execute_sql
 
         sql = "SELECT t1.s FROM t1, t2 WHERE t1.s = t2.s"
         plain = execute_sql(db, sql)
-        explained = profile_query(db, sql).render_plan()
-        assert f"result: {len(plain.rows)} row(s)" in explained
+        profile, _ = plan(db, sql)
+        assert profile.rows == len(plain.rows)

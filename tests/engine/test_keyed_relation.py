@@ -69,12 +69,20 @@ class ScanModel:
         self.rows = [r for r in self.rows if _key_of(r, key_indexes) not in wanted]
 
 
+def _database(relation):
+    """A database whose table ``t`` is ``relation`` itself (a shared view
+    too): the engine has no door for installing a relation object, so the
+    test sets it where the database keeps it."""
+    db = Database(CATALOG)
+    db._relations["t"] = relation
+    return db
+
+
 def _select_in(relation, values):
     """``SELECT * FROM t WHERE a IN (values)`` over ``relation`` and, with
     its profile, whether it ran as an index lookup. The literals go into the
     AST directly: the parser makes no bool literal (``TRUE`` is ``1``)."""
-    db = Database(CATALOG)
-    db.attach("t", relation)
+    db = _database(relation)
     resolved = resolve(parse_query("SELECT * FROM t WHERE a IN ('?')"), CATALOG)
     resolved.query.where.values = tuple(ast.Literal(v) for v in values)
     profile = QueryProfile("lookup")
@@ -166,8 +174,7 @@ def test_keyed_relation_equals_the_scan_model(ops):
 def _select(relation, where, compiled=True):
     """``SELECT * FROM t WHERE <where>`` over ``relation``: its rows and the
     detail of its scan."""
-    db = Database(CATALOG)
-    db.attach("t", relation)
+    db = _database(relation)
     resolved = resolve(parse_query(f"SELECT * FROM t WHERE {where}"), CATALOG)
     profile = QueryProfile(where)
     rows = execute_query(db, resolved, compiled=compiled, profile=profile).rows

@@ -134,11 +134,6 @@ class TestExplainAnalyze:
         assert text.startswith("profile:")
         assert "scan" in text
 
-    def test_plain_explain_unchanged(self, db):
-        text = profile_query(db, "SELECT mach_id FROM activity LIMIT 2").render_plan()
-        assert text.startswith("explain:")
-        assert "result: 2 row(s)" in text
-
 
 class TestTelemetryCapture:
     def test_execute_sql_records_profile_when_enabled(self, db):

@@ -86,7 +86,7 @@ class TestChaosAcceptance:
                     "degraded": tuple(sim.sources.degraded()),
                     "injected": dict(sim.fault_plan.injected),
                     "heartbeats": {
-                        mid: sim.backend.heartbeat_of(mid) for mid in sim.machine_ids
+                        mid: dict(sim.backend.heartbeat_rows()).get(mid) for mid in sim.machine_ids
                     },
                     "retries": {
                         mid: sup.record.retries for mid, sup in sim.supervisors.items()

@@ -105,7 +105,7 @@ class TestFileLog:
         with open(log_path(str(tmp_path), "m2"), "a") as handle:
             handle.write("500.000000 m2 HEARTBEAT\n")
         assert sniffers["m2"].poll(600.0) == 1
-        assert sniffers["m2"].backlog == 0 and backend.heartbeat_of("m2") == 500.0
+        assert sniffers["m2"].backlog == 0 and dict(backend.heartbeat_rows()).get("m2") == 500.0
         assert len(calls) == 5
 
 
@@ -121,7 +121,7 @@ class TestSnifferOverFileLog:
 
         writer.append(LogEvent(1.0, "m1", EventKind.MACHINE_STATE, {"value": "busy"}))
         assert sniffer.poll(5.0) == 1
-        assert backend.heartbeat_of("m1") == 1.0
+        assert dict(backend.heartbeat_rows()).get("m1") == 1.0
 
         writer.append(LogEvent(6.0, "m1", EventKind.MACHINE_STATE, {"value": "idle"}))
         assert sniffer.poll(10.0) == 1
@@ -171,56 +171,19 @@ class TestArchiveAndReplay:
 
 
 class TestWriterFsyncPolicies:
-    """The durability knob on FileLogWriter: when os.fsync actually runs."""
+    """The writer's durability: an append is one write and never an fsync
+    (the WAL, not the mirror, is what recovery trusts)."""
 
-    def counting_fsync(self, monkeypatch):
+    def test_never_skips_append_time_syncs(self, tmp_path, monkeypatch):
         import os as os_module
 
         calls = []
         real = os_module.fsync
         monkeypatch.setattr(os_module, "fsync", lambda fd: (calls.append(fd), real(fd)))
-        return calls
-
-    def test_always_syncs_every_append(self, tmp_path, monkeypatch):
-        calls = self.counting_fsync(monkeypatch)
-        with FileLogWriter(str(tmp_path / "m1.log"), "m1", fsync="always") as writer:
-            before = len(calls)
+        with FileLogWriter(str(tmp_path / "m1.log"), "m1") as writer:
             writer.append(hb(1.0))
             writer.append(hb(2.0))
-            assert len(calls) == before + 2
-
-    def test_never_skips_append_time_syncs(self, tmp_path, monkeypatch):
-        calls = self.counting_fsync(monkeypatch)
-        with FileLogWriter(str(tmp_path / "m1.log"), "m1", fsync="never") as writer:
-            before = len(calls)
-            writer.append(hb(1.0))
-            assert len(calls) == before
-
-    def test_interval_syncs_on_the_clock(self, tmp_path, monkeypatch):
-        calls = self.counting_fsync(monkeypatch)
-        clock = {"now": 100.0}
-        writer = FileLogWriter(
-            str(tmp_path / "m1.log"),
-            "m1",
-            fsync="interval",
-            fsync_interval=5.0,
-            clock=lambda: clock["now"],
-        )
-        before = len(calls)
-        writer.append(hb(1.0))
-        assert len(calls) == before  # interval not yet elapsed
-        clock["now"] += 5.0
-        writer.append(hb(2.0))
-        assert len(calls) == before + 1
-        writer.close()
-
-    def test_unknown_policy_rejected(self, tmp_path):
-        from repro.errors import DurabilityError
-
-        with pytest.raises(DurabilityError):
-            FileLogWriter(str(tmp_path / "m1.log"), "m1", fsync="sometimes")
-        with pytest.raises(DurabilityError):
-            FileLogWriter(str(tmp_path / "m1.log"), "m1", fsync="interval", fsync_interval=0.0)
+        assert calls == []
 
     def test_closed_writer_refuses_appends(self, tmp_path):
         from repro.errors import DurabilityError

@@ -33,10 +33,10 @@ class TestLastEventProtocol:
         sniffer = sniffer_with(machine, backend, "last_event")
         machine.set_activity(1.0, "busy")
         sniffer.poll(10.0)
-        assert backend.heartbeat_of("m1") == 1.0
+        assert dict(backend.heartbeat_rows()).get("m1") == 1.0
         # Long quiet period: recency is frozen at the last event.
         sniffer.poll(1000.0)
-        assert backend.heartbeat_of("m1") == 1.0
+        assert dict(backend.heartbeat_rows()).get("m1") == 1.0
 
     def test_heartbeat_records_compensate(self, backend):
         machine = Machine("m1")
@@ -44,7 +44,7 @@ class TestLastEventProtocol:
         machine.set_activity(1.0, "busy")
         machine.heartbeat(500.0)
         sniffer.poll(1000.0)
-        assert backend.heartbeat_of("m1") == 500.0
+        assert dict(backend.heartbeat_rows()).get("m1") == 500.0
 
     def test_recency_never_regresses(self, backend):
         machine = Machine("m1")
@@ -54,7 +54,7 @@ class TestLastEventProtocol:
         # An out-of-band (manual) heartbeat bump is not overwritten by a
         # poll that loads nothing.
         sniffer.poll(20.0)
-        assert backend.heartbeat_of("m1") == 5.0
+        assert dict(backend.heartbeat_rows()).get("m1") == 5.0
 
 
 class TestHorizonProtocol:
@@ -65,9 +65,9 @@ class TestHorizonProtocol:
         sniffer = sniffer_with(machine, backend, "horizon")
         machine.set_activity(1.0, "busy")
         sniffer.poll(10.0)
-        assert backend.heartbeat_of("m1") == 8.0  # horizon = 10 - lag
+        assert dict(backend.heartbeat_rows()).get("m1") == 8.0  # horizon = 10 - lag
         sniffer.poll(1000.0)
-        assert backend.heartbeat_of("m1") == 998.0
+        assert dict(backend.heartbeat_rows()).get("m1") == 998.0
 
     def test_horizon_not_advanced_past_unread_batch(self, backend):
         """With a truncated (batched) read the drain is incomplete, so the
@@ -78,9 +78,9 @@ class TestHorizonProtocol:
         for t in (1.0, 2.0, 3.0, 4.0):
             machine.heartbeat(t)
         sniffer.poll(10.0)
-        assert backend.heartbeat_of("m1") == 2.0  # 2 of 4 loaded
+        assert dict(backend.heartbeat_rows()).get("m1") == 2.0  # 2 of 4 loaded
         sniffer.poll(20.0)
-        assert backend.heartbeat_of("m1") == 18.0  # now fully drained
+        assert dict(backend.heartbeat_rows()).get("m1") == 18.0  # now fully drained
 
     def test_dead_machine_hazard(self, backend):
         """Documented hazard: the horizon protocol cannot distinguish a
@@ -93,7 +93,7 @@ class TestHorizonProtocol:
         sniffer.poll(10.0)
         machine.fail()
         sniffer.poll(500.0)
-        assert backend.heartbeat_of("m1") == 498.0  # advances regardless
+        assert dict(backend.heartbeat_rows()).get("m1") == 498.0  # advances regardless
 
 
 class TestProtocolComparison:
@@ -108,7 +108,7 @@ class TestProtocolComparison:
                 machine.heartbeat(t)
             machine.set_activity(9.5, "busy")
             sniffer.poll(12.0)
-            recency = backend.heartbeat_of("m1")
+            recency = dict(backend.heartbeat_rows()).get("m1")
             assert recency is not None
             loaded = sniffer.offset
             log_events = list(machine.log)

@@ -91,7 +91,7 @@ class TestLoading:
         sniffer = make_sniffer(machine, backend, lag=0.0)
         machine.heartbeat(7.0)
         sniffer.poll(10.0)
-        assert backend.heartbeat_of("m1") == 7.0
+        assert dict(backend.heartbeat_rows()).get("m1") == 7.0
         assert backend.row_count("activity") == 0
 
     def test_recency_is_newest_loaded_timestamp(self, machine, backend):
@@ -99,7 +99,7 @@ class TestLoading:
         machine.set_activity(3.0, "busy")
         machine.set_activity(9.0, "idle")
         sniffer.poll(20.0)
-        assert backend.heartbeat_of("m1") == 9.0
+        assert dict(backend.heartbeat_rows()).get("m1") == 9.0
 
 
 class TestLagAndBatching:
@@ -118,7 +118,7 @@ class TestLagAndBatching:
         applied = sniffer.poll(10.0)
         assert applied == 2
         assert sniffer.backlog == 3
-        assert backend.heartbeat_of("m1") == 2.0
+        assert dict(backend.heartbeat_rows()).get("m1") == 2.0
 
     def test_maybe_poll_respects_interval(self, machine, backend):
         sniffer = make_sniffer(machine, backend, poll_interval=5.0, lag=0.0)
@@ -152,7 +152,7 @@ class TestFailures:
         sniffer.fail()
         machine.heartbeat(5.0)
         assert sniffer.poll(6.0) == 0
-        assert backend.heartbeat_of("m1") == 1.0
+        assert dict(backend.heartbeat_rows()).get("m1") == 1.0
 
     def test_recovery_resumes_from_offset(self, machine, backend):
         sniffer = make_sniffer(machine, backend, lag=0.0)
@@ -164,4 +164,4 @@ class TestFailures:
         sniffer.recover()
         applied = sniffer.poll(10.0)
         assert applied == 2  # nothing was lost
-        assert backend.heartbeat_of("m1") == 6.0
+        assert dict(backend.heartbeat_rows()).get("m1") == 6.0

@@ -30,7 +30,7 @@ def _run(event_gaps, poll_times, lag, batch, protocol):
     recencies = []
     for poll_at in sorted(poll_times):
         sniffer.poll(poll_at)
-        recency = backend.heartbeat_of("m1")
+        recency = dict(backend.heartbeat_rows()).get("m1")
         if recency is not None:
             recencies.append((poll_at, recency))
     return machine, sniffer, backend, recencies
@@ -61,7 +61,7 @@ class TestSnifferInvariants:
         the reported recency has been loaded — under BOTH protocols, with
         any lag and any batching."""
         machine, sniffer, backend, _ = _run(gaps, polls, lag, batch, protocol)
-        recency = backend.heartbeat_of("m1")
+        recency = dict(backend.heartbeat_rows()).get("m1")
         if recency is None:
             return
         events = list(machine.log)
@@ -80,8 +80,8 @@ class TestSnifferInvariants:
         informative, never less)."""
         _, _, backend_a, _ = _run(gaps, polls, lag, batch, "last_event")
         _, _, backend_b, _ = _run(gaps, polls, lag, batch, "horizon")
-        last_event = backend_a.heartbeat_of("m1")
-        horizon = backend_b.heartbeat_of("m1")
+        last_event = dict(backend_a.heartbeat_rows()).get("m1")
+        horizon = dict(backend_b.heartbeat_rows()).get("m1")
         if last_event is not None:
             assert horizon is not None
             assert horizon >= last_event

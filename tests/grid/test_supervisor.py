@@ -349,4 +349,4 @@ class TestFaultyWrappers:
         sniffer.machine.heartbeat(8.0)
         drive(supervisor, 0.0, 30.0)
         assert supervisor.state == HEALTHY
-        assert sniffer.backend.heartbeat_of("m1") == 8.0
+        assert dict(sniffer.backend.heartbeat_rows()).get("m1") == 8.0

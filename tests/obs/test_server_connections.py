@@ -57,6 +57,19 @@ def observatory_threads(server):
     return [t for t in threading.enumerate() if t.name in (name, f"{name}-conn")]
 
 
+def live_handlers(server, expected):
+    """The server's live connection handlers (one per open connection),
+    once they number ``expected`` or after 5 s: a handler's thread ends
+    just after its socket closes."""
+    name = f"trac-observatory-{server.port}-conn"
+    deadline = time.monotonic() + 5.0
+    while True:
+        count = sum(1 for t in threading.enumerate() if t.name == name)
+        if count == expected or time.monotonic() > deadline:
+            return count
+        time.sleep(0.01)
+
+
 @pytest.fixture
 def server(paper_memory_backend):
     tel = Telemetry()
@@ -84,7 +97,7 @@ class TestReuse:
                 assert int(response.headers["Content-Length"]) > 0
                 assert response.read() == b""
             assert server.accepted == 1
-            assert server.open_connections == 1
+            assert live_handlers(server, 1) == 1
         finally:
             conn.close()
 
@@ -224,19 +237,19 @@ class TestIdleTimeout:
         assert responses_in(stream) == 1
         assert "Connection: close" not in stream  # kept alive, then timed out
         assert 0.15 < elapsed < 3.0
-        assert quick.open_connections == 0
+        assert live_handlers(quick, 0) == 0
 
     def test_half_sent_header_block_is_dropped(self, quick):
         with socket.create_connection((quick.host, quick.port), timeout=5.0) as sock:
             sock.sendall(b"GET /healthz HTTP/1.1\r\nHost:")
             assert read_until_closed(sock) == ""
-        assert quick.open_connections == 0
+        assert live_handlers(quick, 0) == 0
 
     def test_half_sent_body_is_dropped(self, quick):
         with socket.create_connection((quick.host, quick.port), timeout=5.0) as sock:
             sock.sendall(b"POST /v1/query HTTP/1.1\r\nHost: t\r\nContent-Length: 50\r\n\r\n{")
             read_until_closed(sock)
-        assert quick.open_connections == 0
+        assert live_handlers(quick, 0) == 0
 
 
 class TestStop:
@@ -247,11 +260,11 @@ class TestStop:
             for conn in (idle, busy):
                 conn.request("GET", "/healthz")
                 assert conn.getresponse().read()
-            assert server.open_connections == 2
+            assert live_handlers(server, 2) == 2
             started = time.monotonic()
             server.stop()
             assert time.monotonic() - started < 3.0  # nobody waited for idle_timeout
-            assert server.open_connections == 0
+            assert live_handlers(server, 0) == 0
             assert observatory_threads(server) == []
             with pytest.raises((ConnectionError, http.client.HTTPException)):
                 busy.request("GET", "/healthz")
@@ -289,7 +302,7 @@ class TestStop:
             assert response.headers["Connection"] == "close"
             stopper.join(timeout=5.0)
             assert not stopper.is_alive()
-            assert server.open_connections == 0
+            assert live_handlers(server, 0) == 0
             assert observatory_threads(server) == []
         finally:
             release.set()

@@ -3,6 +3,7 @@ tools/ is not a package): schedule math, aggregation, a real run."""
 
 import importlib.util
 import os
+import threading
 import time
 
 import pytest
@@ -216,7 +217,11 @@ class TestRunLoad:
                 sender = loadgen._Sender(config)
                 assert sender.post("a") == 200
                 deadline = time.monotonic() + 5.0
-                while server.open_connections and time.monotonic() < deadline:
+                handler = f"trac-observatory-{server.port}-conn"
+                while (
+                    any(t.name == handler for t in threading.enumerate())
+                    and time.monotonic() < deadline
+                ):
                     time.sleep(0.02)  # the server times the idle socket out
                 assert sender.post("a") == 200  # re-sent on a fresh connection
                 assert (sender.connections, sender.reconnects) == (2, 1)

@@ -92,7 +92,6 @@ class TestTenantQuotas:
                 rejected += 1
         assert admitted == 3
         assert rejected == 7
-        assert quotas.rejections() == {"quota": 7, "inflight": 0}
 
     def test_tenants_are_isolated(self):
         clock = FakeClock()

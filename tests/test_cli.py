@@ -175,10 +175,14 @@ class TestSimulate:
     @pytest.mark.parametrize("timeout", ["0", "-5"])
     def test_a_non_positive_silence_timeout_is_one_error_line(self, tmp_path, capsys, timeout):
         db = str(tmp_path / "g.sqlite")
-        code = main(["simulate", "--db", db, "--duration", "10", "--silence-timeout", timeout])
-        assert code == 1
+        with pytest.raises(SystemExit) as exited:  # argparse's usage error
+            main(["simulate", "--db", db, "--duration", "10", "--silence-timeout", timeout])
+        assert exited.value.code == 2
         err = capsys.readouterr().err
-        assert err == "error: silence_timeout must be positive when given\n"
+        assert err.splitlines()[-1] == (
+            "trac simulate: error: argument --silence-timeout: "
+            f"must be positive and finite, got {timeout!r}"
+        )
         assert not os.path.exists(db)
 
     def test_missing_faults_file_reports_error(self, tmp_path, capsys):
