@@ -80,6 +80,7 @@ def _number(
             raise argparse.ArgumentTypeError(f"must be {rule}, got {value!r}") from None
 
     parse.bounds = (low, high, low_open, high_open)
+    parse.kind = kind
     return {"type": parse, "help": f"{text} ({rule})" if text else rule}
 
 
@@ -127,10 +128,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     simulate = sub.add_parser("simulate", help="run the grid simulator into a DB file")
     simulate.add_argument("--db", required=True, help="output SQLite file (written at exit)")
-    simulate.add_argument("--machines", type=int, default=12)
+    simulate.add_argument("--machines", default=12, **_number(None, 1, kind=int))
     simulate.add_argument("--duration", default=600.0, **_number("simulated seconds", 0))
     simulate.add_argument("--seed", type=int, default=0)
-    simulate.add_argument("--schedulers", type=int, default=1)
+    simulate.add_argument("--schedulers", default=1, **_number(None, 1, kind=int))
     simulate.add_argument("--job-probability", default=0.1, **_number(None, 0, 1))
     simulate.add_argument("--failure-probability", default=0.0, **_number(None, 0, 1))
     simulate.add_argument("--archive", help="also write text log files to this directory")
@@ -151,12 +152,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     simulate.add_argument(
         "--serve",
-        type=int,
         default=None,
         metavar="PORT",
-        help="expose the live observatory (/metrics, /healthz, /spans, "
-        "/events, /status) and POST /v1/query on this port while simulating "
-        "(0 = ephemeral)",
+        **_number(
+            "expose the live observatory (/metrics, /healthz, /spans, /events, "
+            "/status) and POST /v1/query on this port while simulating (0 = ephemeral)",
+            0, 65535, kind=int,
+        ),
     )
     simulate.add_argument(
         "--serve-host", default="127.0.0.1", help="bind address for --serve"
@@ -217,16 +219,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     shard = sub.add_parser("shard-serve", help="run one grid shard behind the federation RPC")
     shard.add_argument("--shard-id", required=True, help="stable shard name (e.g. s0)")
-    shard.add_argument("--machines", type=int, default=4, help="machines on this shard")
+    shard.add_argument("--machines", default=4, **_number("machines on this shard", 1, kind=int))
     shard.add_argument(
         "--machine-id-start",
-        type=int,
         default=1,
-        help="first machine id number; give each shard a disjoint range",
+        **_number("first machine id number; give each shard a disjoint range", 1, kind=int),
     )
     shard.add_argument("--seed", type=int, default=0)
     shard.add_argument("--host", default="127.0.0.1")
-    shard.add_argument("--port", type=int, default=0, help="0 = ephemeral")
+    shard.add_argument("--port", default=0, **_number("0 = ephemeral", 0, 65535, kind=int))
     # Shards default to fsync=always: they exist to be killed.
     _add_durability_flags(shard, fsync="always", checkpoint_interval=30.0)
     shard.add_argument(
@@ -314,7 +315,7 @@ def _build_parser() -> argparse.ArgumentParser:
     stats.add_argument("--db", required=True, help="monitoring SQLite file")
     stats.add_argument("sql", nargs="+", help="one or more user queries to report on")
     stats.add_argument("--method", choices=["focused", "naive"], default="focused")
-    stats.add_argument("--repeat", type=int, default=1, help="reports per query")
+    stats.add_argument("--repeat", default=1, **_number("reports per query", 1, kind=int))
     stats.add_argument(
         "--incremental",
         action="store_true",
@@ -327,7 +328,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     serve = sub.add_parser("serve", help="expose a monitoring DB via the observatory")
     serve.add_argument("--db", required=True, help="monitoring SQLite file")
-    serve.add_argument("--port", type=int, default=9464, help="0 = ephemeral")
+    serve.add_argument("--port", default=9464, **_number("0 = ephemeral", 0, 65535, kind=int))
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument(
         "--duration",
@@ -335,13 +336,12 @@ def _build_parser() -> argparse.ArgumentParser:
         **_number("serve for this many wall seconds, then exit (default: forever)", 0),
     )
     serve.add_argument(
-        "--workers", type=int, default=8, help="POST /v1/query reports run at once"
+        "--workers", default=8, **_number("POST /v1/query reports run at once", 1, kind=int)
     )
     serve.add_argument(
         "--queue-depth",
-        type=int,
         default=64,
-        help="requests that may wait for a free slot; the next one gets 429",
+        **_number("requests that may wait for a free slot; the next one gets 429", 1, kind=int),
     )
     serve.add_argument(
         "--tenant-rate",
@@ -355,9 +355,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--max-inflight",
-        type=int,
         default=64,
-        help="per-tenant ceiling on admitted-but-unfinished requests",
+        **_number("per-tenant ceiling on admitted-but-unfinished requests", 1, kind=int),
     )
     serve.add_argument(
         "--deadline",
@@ -382,9 +381,8 @@ def _build_parser() -> argparse.ArgumentParser:
     top.add_argument("--interval", default=2.0, **_number("seconds between frames", 0))
     top.add_argument(
         "--iterations",
-        type=int,
         default=None,
-        help="render this many frames then exit (default: until interrupted)",
+        **_number("render this many frames then exit (default: until interrupted)", 1, kind=int),
     )
     top.add_argument(
         "--no-clear", action="store_true", help="append frames instead of clearing"
@@ -958,7 +956,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
             incremental=maintainer,
         )
         for sql in args.sql:
-            for _ in range(max(1, args.repeat)):
+            for _ in range(args.repeat):
                 report = reporter.report(sql, method=args.method)
             print(
                 f"-- {sql}\n   {len(report.result.rows)} rows, "

@@ -123,9 +123,15 @@ class _Rule:
                 self.end = float(check_number(
                     "end", self.end, self.start, low_open=True, error=SimulationError
                 ))
-        elif self.probability == 0.0 and not self.at:
-            raise SimulationError(f"{kind} rule for {self.source!r} would never fire "
-                                  "(zero probability and no scripted times)")
+        else:
+            for name in ("start", "end"):
+                if getattr(self, name) is not None:
+                    raise SimulationError(
+                        f"'{name}' is the silence window; a {kind} rule does not read it"
+                    )
+            if self.probability == 0.0 and not self.at:
+                raise SimulationError(f"{kind} rule for {self.source!r} would never fire "
+                                      "(zero probability and no scripted times)")
         #: scripted times that already fired, per concrete source (a "*"
         #: rule fires once per source, not once globally).
         self.fired: Dict[str, Set[float]] = {}

@@ -1,66 +1,18 @@
 """The observatory HTTP server: live, scrapeable telemetry endpoints.
 
 A dependency-free threaded HTTP server (stdlib ``http.server`` only)
-exposing one :class:`~repro.obs.instrument.Telemetry` instance:
+exposing one :class:`~repro.obs.instrument.Telemetry` instance at
+:data:`_ROUTES` (``docs/OBSERVABILITY.md`` tables each endpoint's body),
+plus ``POST /v1/query`` when a :class:`~repro.serve.QueryService` is wired.
+A malformed ``?limit=`` gets 400, an unknown path 404 with the endpoint
+list, a known path hit with the wrong verb 405 + ``Allow`` (HEAD works
+everywhere GET does), a POST without ``Content-Length`` 411, a body over
+:data:`MAX_BODY_BYTES` 413, malformed JSON 400 — never a traceback.
 
-=========== ==================================== ===========================
-path        content type                         body
-=========== ==================================== ===========================
-/metrics    text/plain; version=0.0.4            Prometheus exposition of
-                                                 every registered metric
-                                                 (histograms carry trace-id
-                                                 exemplars)
-/healthz    application/json                     overall status, per-source
-                                                 health entries, breaker
-                                                 states, degraded list
-/spans      application/x-ndjson                 recent finished spans, one
-                                                 JSON object per line
-                                                 (``?limit=N``, default 500)
-/events     application/x-ndjson                 recent events, one JSON
-                                                 object per line
-                                                 (``?limit=N``, default 500)
-/profile    application/json                     recent per-operator query
-                                                 profiles (``?limit=N``)
-/trace/<id> application/json                     every span, event and
-                                                 profile stamped with the
-                                                 32-hex trace id
-/provenance/<id> application/json                the provenance record
-                                                 (row-level source sets +
-                                                 quality summary) of the
-                                                 report with that trace id
-/status     application/json                     full dashboard payload
-                                                 (what ``trac top`` polls)
-/v1/query   application/json                     POST: serve one query with
-                                                 admission control, tenant
-                                                 quotas and deadlines
-                                                 (requires a wired
-                                                 :class:`~repro.serve.QueryService`)
-=========== ==================================== ===========================
-
-A malformed ``limit`` (non-numeric, negative, or absurdly large) returns
-HTTP 400 rather than being silently ignored. Unknown paths return 404
-with a JSON body listing the endpoints. Method discipline is strict:
-a known path hit with the wrong verb gets 405 + ``Allow`` (HEAD works
-everywhere GET does), a POST without ``Content-Length`` gets 411, a body
-over :data:`MAX_BODY_BYTES` gets 413, malformed JSON gets 400 — never a
-traceback.
-
-**Distributed tracing.** When the exposed telemetry is enabled, every
-request runs inside an ``http.request`` span. A caller-supplied W3C
-``traceparent`` header becomes that span's remote parent, so spans
-produced while serving the request — including the ``serve.request`` and
-``trac.report`` spans of a ``POST /v1/query``, which run on the thread
-that read the request — share the caller's trace id; per-endpoint latency lands in the
-``trac_http_request_seconds`` histogram with the trace id as an exemplar.
-
-**Connections.** HTTP/1.1 with keep-alive: one handler thread serves a
-connection's requests one after another, and every response carries
-``Content-Length`` and leaves in a single write (``TCP_NODELAY`` set).
-The server owns a connection's lifetime: it closes on ``Connection:
-close`` or an HTTP/1.0 request, after a response sent before the request
-body was read (the unread bytes must never be parsed as the next
-request), after :attr:`ObservatoryServer.idle_timeout` idle seconds, and
-on :meth:`ObservatoryServer.stop`. ``docs/SERVING.md`` tables the rules.
+With telemetry enabled every request runs in an ``http.request`` span
+whose parent is the caller's ``traceparent`` (``docs/OBSERVABILITY.md``).
+Connections are HTTP/1.1 keep-alive, one handler thread each; when the
+server closes one, and how it parses a request, ``docs/SERVING.md`` tables.
 
 Handler threads are daemons, so the server never blocks interpreter exit;
 ``port=0`` binds an ephemeral port, exposed via
@@ -75,8 +27,9 @@ import json
 import socket
 import threading
 import time
+from email.utils import formatdate
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
 from repro.obs.export import prometheus_text
@@ -113,6 +66,27 @@ MAX_BODY_BYTES = 1024 * 1024
 
 #: Seconds ``stop()`` waits for the accept loop, then for requests in flight.
 _STOP_GRACE = 5.0
+
+#: The stdlib's header-block limits (``http.client``): a longer line or
+#: more header fields answer 431.
+_MAX_LINE = 65536
+_MAX_HEADERS = 100
+
+#: One encoder for every JSON response (``json.dumps(..., default=str)``
+#: builds a new one per call); its output is the same bytes.
+_JSON = json.JSONEncoder(default=str)
+
+#: ``(second, Date header value)``: formatted once per wall-clock second.
+_date: Tuple[int, str] = (0, "")
+
+
+def _http_date() -> str:
+    """The ``Date:`` value for now (what ``date_time_string()`` gives)."""
+    global _date
+    now = int(time.time())
+    if _date[0] != now:
+        _date = (now, formatdate(now, usegmt=True))
+    return _date[1]
 
 
 class _HttpError(Exception):
@@ -173,45 +147,97 @@ class _ObservatoryHandler(BaseHTTPRequestHandler):
     server_version = "TracObservatory/1.0"
     protocol_version = "HTTP/1.1"
     disable_nagle_algorithm = True
+    #: ``version_string()`` as a header line, built once.
+    _server_line = f"Server: {server_version} {BaseHTTPRequestHandler.sys_version}\r\n"
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         pass  # scrapers poll every few seconds; stderr must stay quiet
 
+    def _refuse(self, status: int, message: str, explain: Optional[str] = None) -> bool:
+        self.send_error(status, message, explain)  # closes the connection
+        return False
+
+    def parse_request(self) -> bool:
+        """Parse ``raw_requestline`` and the header block after it into
+        ``command``, ``path``, ``request_version`` and ``headers``; False
+        once an error response has been sent.
+
+        The request line is checked as the stdlib checks it; the header
+        block is read here, not by ``email.parser`` (a tenth of a served
+        report's CPU), and a folded line, a line with no field name or two
+        different ``Content-Length`` values (RFC 9112 §6.3) answer 400.
+        """
+        self.command, self.request_version = None, self.default_request_version
+        self.close_connection = True
+        line = self.requestline = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
+        words = line.split()
+        if not words:
+            return False
+        if len(words) >= 3:
+            version = words[-1]  # HTTP/major.minor: 0-9 only, at most ten each
+            parts = version[5:].split(".") if version.startswith("HTTP/") else ()
+            if len(parts) != 2 or not all(p.isdecimal() and len(p) < 11 for p in parts):
+                return self._refuse(400, f"Bad request version ({version!r})")
+            number = int(parts[0]), int(parts[1])
+            if number >= (2, 0):
+                return self._refuse(505, f"Invalid HTTP version ({version[5:]})")
+            self.request_version = version
+        if not 2 <= len(words) <= 3:
+            return self._refuse(400, f"Bad request syntax ({line!r})")
+        command, path = words[:2]
+        if len(words) == 2 and command != "GET":
+            return self._refuse(400, f"Bad HTTP/0.9 request type ({command!r})")
+        # A leading // would read as an absolute URI to a client (gh-87389).
+        self.command, self.path = command, "/" + path.lstrip("/") if path[:2] == "//" else path
+        headers = self.headers = self.MessageClass()  # filled here, not parsed
+        for fields in range(_MAX_HEADERS + 1):
+            raw = self.rfile.readline(_MAX_LINE + 1)
+            if len(raw) > _MAX_LINE:
+                return self._refuse(431, "Line too long", "header line")
+            if raw in (b"\r\n", b"\n", b""):
+                break
+            if fields == _MAX_HEADERS:
+                return self._refuse(431, "Too many headers", f"more than {_MAX_HEADERS}")
+            name, colon, value = str(raw, "iso-8859-1").partition(":")
+            if not colon or name.split() != [name]:  # no name, or a folded line
+                return self._refuse(400, f"Malformed header line ({name!r})")
+            value = value.strip()
+            if name.lower() == "content-length" and headers.get(name, value) != value:
+                return self._refuse(400, "Conflicting Content-Length values")
+            headers[name] = value  # a repeated name: get() returns the first
+        # HTTP/1.1 keeps the connection unless asked to close; 1.0 never does.
+        self.close_connection = (
+            self.request_version != "HTTP/1.1" or headers.get("Connection", "").lower() == "close"
+        )
+        if headers.get("Expect", "").lower() == "100-continue":
+            return self.request_version < "HTTP/1.1" or self.handle_expect_100()
+        return True
+
     def _send(
-        self,
-        status: int,
-        content_type: str,
-        body: str,
-        extra_headers: Optional[Dict[str, str]] = None,
+        self, status: int, content_type: str, body: str, extra_headers: Optional[dict] = None
     ) -> int:
         payload = body.encode("utf-8")
         if self._body_unread or self.observatory.stopping:
             self.close_connection = True
-        lines = [
-            f"{self.protocol_version} {status} {self.responses[status][0]}",
-            f"Server: {self.version_string()}",
-            f"Date: {self.date_time_string()}",
-            f"Content-Type: {content_type}",
-            f"Content-Length: {len(payload)}",
-        ]
-        lines.extend(f"{name}: {value}" for name, value in (extra_headers or {}).items())
+        head = (
+            f"{self.protocol_version} {status} {self.responses[status][0]}\r\n"
+            f"{self._server_line}"
+            f"Date: {_http_date()}\r\n"
+            f"Content-Type: {content_type}\r\n"
+            f"Content-Length: {len(payload)}\r\n"
+        )
+        if extra_headers:
+            head += "".join(f"{name}: {value}\r\n" for name, value in extra_headers.items())
         if self.close_connection:
-            lines.append("Connection: close")
-        head = ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
+            head += "Connection: close\r\n"
+        head = (head + "\r\n").encode("latin-1")
         # One write: a header segment followed by a body segment on a
         # kept-alive socket is the Nagle / delayed-ACK stall.
         self.wfile.write(head if self.command == "HEAD" else head + payload)
         return status
 
-    def _send_json(
-        self,
-        status: int,
-        doc: object,
-        extra_headers: Optional[Dict[str, str]] = None,
-    ) -> int:
-        return self._send(
-            status, JSON_CONTENT_TYPE, json.dumps(doc, default=str), extra_headers
-        )
+    def _send_json(self, status: int, doc: object, extra_headers: Optional[dict] = None) -> int:
+        return self._send(status, JSON_CONTENT_TYPE, _JSON.encode(doc), extra_headers)
 
     def _read_body(self) -> bytes:
         """Read and bound the request body: 411 without a Content-Length,
@@ -259,10 +285,8 @@ class _ObservatoryHandler(BaseHTTPRequestHandler):
             self.headers.get("Content-Length", "0").strip() != "0"
             or "Transfer-Encoding" in self.headers
         )
-        if self.request_version != "HTTP/1.1":
-            self.close_connection = True  # HTTP/1.0: one request, as ever
         parsed = urlparse(self.path)
-        query = parse_qs(parsed.query)
+        query = parse_qs(parsed.query) if parsed.query else {}
         path = parsed.path.rstrip("/") or "/"
         if not tel.enabled:
             self._dispatch(method, path, parsed, query)

@@ -5,21 +5,13 @@ wrong for a serving front end, where an overloaded server must shed load
 *immediately* (fail fast with a retry hint) instead of building a queue
 whose latency grows without bound. Nor does a served report need a thread
 of its own: the connection's thread already holds the request, its span
-and its socket. This gate runs the work **on the caller's thread** and:
-
-* lets at most ``workers`` runs in at once;
-* keeps a **bounded wait line** (``queue_depth``): a caller arriving while
-  every slot is busy and the line is full raises :class:`QueueFull` with a
-  ``retry_after`` estimated from the recent mean service time (how long
-  until a slot frees up);
-* enforces **deadlines**: a caller still waiting when its deadline passes
-  raises :class:`DeadlineExceeded` and its work never runs; work that got a
-  slot runs to completion;
-* hands every run **per-slot state** from a free list, built lazily by
-  ``worker_state_factory`` — at most ``workers`` of them, each used by one
-  thread at a time (the query service builds one
-  :class:`~repro.core.report.RecencyReporter` per slot, so reporters never
-  need cross-thread locking).
+and its socket. This gate runs the work **on the caller's thread**, at
+most ``workers`` at once, with at most ``queue_depth`` callers waiting
+(the next raises :class:`QueueFull`; one whose deadline passes while it
+waits raises :class:`DeadlineExceeded` and its work never runs), and hands
+each run a **per-slot state** no other thread holds meanwhile (the query
+service's :class:`~repro.core.report.RecencyReporter`, so reporters never
+need cross-thread locking).
 """
 
 from __future__ import annotations

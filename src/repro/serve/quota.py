@@ -1,26 +1,11 @@
 """Per-tenant admission state: token buckets and inflight ceilings.
 
-A serving front end shared by many tenants needs two independent brakes
-per tenant (the R-GMA deployments that motivated ``trac serve`` learned
-this the hard way — one chatty consumer can starve every producer):
-
-* a **token bucket** bounding the sustained request *rate* (``rate``
-  tokens/second, bursts up to ``burst``), and
-* an **inflight ceiling** bounding how many of a tenant's requests may be
-  admitted-but-unfinished at once (waiting or running), so a tenant
-  cannot fill the whole wait line within its rate budget.
-
-Both checks happen atomically in :meth:`TenantQuotas.admit` under one
-lock, which makes rejections *exact* under contention: with a burst of
-``B`` tokens and ``N > B`` concurrent arrivals, exactly ``N - B`` are
-rejected — never more, never fewer (the concurrency tests pin this).
-
-Rejections raise :class:`QuotaExceeded` carrying a machine-readable
-``kind`` (``"quota"`` or ``"inflight"``) and a ``retry_after`` hint in
-seconds, which the HTTP layer surfaces as ``429`` + ``Retry-After``.
-
-The clock is injectable (``clock=time.monotonic`` by default) so tests
-drive refill deterministically.
+Two brakes per tenant, so one chatty consumer cannot starve the rest: a
+**token bucket** bounds the sustained rate, an **inflight ceiling** how
+many admitted-but-unfinished requests it may hold. :meth:`TenantQuotas.admit`
+checks both under one lock, so rejections are exact under contention
+(``docs/SERVING.md``, "Admission control, precisely"), and raises
+:class:`QuotaExceeded` — ``429`` + ``Retry-After`` at the HTTP layer.
 """
 
 from __future__ import annotations
@@ -52,10 +37,11 @@ class TokenBucket:
     ``try_acquire`` returns ``None`` on success or the number of seconds
     until the requested tokens would be available. ``rate=0`` means no
     refill (the bucket only ever holds its initial burst) — useful for
-    exactness tests and hard per-session caps.
+    exactness tests and hard per-session caps. A bucket takes no lock of
+    its own: :class:`TenantQuotas` reads and spends it under its lock.
     """
 
-    __slots__ = ("rate", "burst", "_tokens", "_updated", "_clock", "_lock")
+    __slots__ = ("rate", "burst", "_tokens", "_updated", "_clock")
 
     def __init__(
         self,
@@ -70,32 +56,26 @@ class TokenBucket:
         self._tokens = float(burst)
         self._clock = clock
         self._updated = clock()
-        self._lock = threading.Lock()
 
-    def _refill(self, now: float) -> None:
+    def _refill(self) -> None:
+        now = self._clock()
         if self.rate > 0 and now > self._updated:
             self._tokens = min(self.burst, self._tokens + (now - self._updated) * self.rate)
         self._updated = now
 
     def try_acquire(self, tokens: float = 1.0) -> Optional[float]:
         """Take ``tokens`` if available; else return seconds until they are."""
-        with self._lock:
-            now = self._clock()
-            self._refill(now)
-            if self._tokens >= tokens:
-                self._tokens -= tokens
-                return None
-            deficit = tokens - self._tokens
-            if self.rate <= 0:
-                return float("inf")
-            return deficit / self.rate
+        self._refill()
+        if self._tokens >= tokens:
+            self._tokens -= tokens
+            return None
+        return float("inf") if self.rate <= 0 else (tokens - self._tokens) / self.rate
 
     @property
     def tokens(self) -> float:
         """Tokens available right now (refilled to the current clock)."""
-        with self._lock:
-            self._refill(self._clock())
-            return self._tokens
+        self._refill()
+        return self._tokens
 
     def __repr__(self) -> str:
         return f"TokenBucket(rate={self.rate}, burst={self.burst}, tokens={self.tokens:.2f})"
@@ -121,7 +101,7 @@ class TenantQuotas:
         # Checked here too: a bucket is only built when its tenant first asks.
         self.rate = float(check_number("token bucket rate", rate, 0))
         self.burst = float(check_number("token bucket burst", burst, 0, low_open=True))
-        self.max_inflight = int(max_inflight)
+        self.max_inflight = int(check_number("max_inflight", max_inflight, 1))
         self._clock = clock
         self._lock = threading.Lock()
         self._buckets: Dict[str, TokenBucket] = {}

@@ -62,12 +62,6 @@ RATE_WINDOW_SECONDS = 10.0
 #: resolution (``RecencyReporter(plan_cache_size=)`` is on/off).
 PLAN_CACHE_SIZE = 128
 
-_REJECTION_OUTCOMES = {
-    "quota": "rejected_quota",
-    "inflight": "rejected_inflight",
-    "queue": "rejected_queue",
-}
-
 
 class ServeConfig(NamedTuple):
     """Tunables for one :class:`QueryService` (all keyword-overridable; a
@@ -129,14 +123,9 @@ class QueryService:
             worker_state_factory=self._make_reporter,
         )
         self._lock = threading.Lock()
-        self._counts: Dict[str, int] = {
-            "ok": 0,
-            "error": 0,
-            "deadline": 0,
-            "rejected_quota": 0,
-            "rejected_inflight": 0,
-            "rejected_queue": 0,
-        }
+        self._counts: Dict[str, int] = dict.fromkeys(
+            ("ok", "error", "deadline", "rejected_quota", "rejected_inflight", "rejected_queue"), 0
+        )
         self._completions: Deque[float] = deque()
         self._closed = False
 
@@ -258,40 +247,46 @@ class QueryService:
     def _execute(
         self, reporter: RecencyReporter, sql: str, method: str, tenant: str, arrived: float
     ) -> Dict[str, Any]:
-        tel = obs.resolve(self.telemetry)
         queue_wait = time.monotonic() - arrived
+        tel = obs.resolve(self.telemetry)
         if tel.enabled:
-            self._set_gauges(tel)
+            report = self._traced_report(tel, reporter, sql, method, tenant, queue_wait)
+        else:
+            report = reporter.report(sql, method=method)
+        document = report.to_dict()  # a fresh dict: the envelope goes on in place
+        document["tenant"] = tenant
+        document["queue_wait_seconds"] = queue_wait
+        return document
+
+    def _traced_report(
+        self, tel, reporter: RecencyReporter, sql: str, method: str, tenant: str, queue_wait: float
+    ):
+        """``reporter.report`` inside a ``serve.request`` span, counted and
+        timed in the serving metrics."""
+        self._set_gauges(tel)
         start = time.perf_counter()
         outcome, trace_id = "error", None
         try:
             # Opened on the thread that read the request: the span open there
             # (the server's http.request) is its parent.
-            timer = obs.PhaseTimer(tel, SPAN_SERVE, tenant=tenant, method=method)
-            with timer:
-                timer.set_attribute("queue_wait_s", round(queue_wait, 6))
+            with tel.tracer.span(SPAN_SERVE, tenant=tenant, method=method) as span:
+                span.set_attribute("queue_wait_s", round(queue_wait, 6))
                 report = reporter.report(sql, method=method)
                 # A federated report ran the recency side only: no result.
                 rows = report.result.rows if report.result is not None else ()
-                timer.set_attribute("rows", len(rows))
+                span.set_attribute("rows", len(rows))
             outcome, trace_id = "ok", report.trace_id
+            return report
         finally:
-            if tel.enabled:
-                seconds = time.perf_counter() - start
-                tel.count(obs.SERVE_REQUESTS, tenant=tenant, outcome=outcome)
-                tel.observe(obs.SERVE_REQUEST_SECONDS, seconds, trace_id=trace_id, tenant=tenant)
-        now = time.monotonic()
-        with self._lock:
-            self._completions.append(now)
-            self._prune_completions(now)
-        return dict(report.to_dict(), tenant=tenant, queue_wait_seconds=queue_wait)
+            seconds = time.perf_counter() - start
+            tel.count(obs.SERVE_REQUESTS, tenant=tenant, outcome=outcome)
+            tel.observe(obs.SERVE_REQUEST_SECONDS, seconds, trace_id=trace_id, tenant=tenant)
 
     # -- accounting ----------------------------------------------------------
 
     def _record_rejection(self, tenant: str, kind: str) -> None:
-        outcome = _REJECTION_OUTCOMES.get(kind, "rejected_queue")
         with self._lock:
-            self._counts[outcome] += 1
+            self._counts[f"rejected_{kind}"] += 1  # kind: quota, inflight or queue
         tel = obs.resolve(self.telemetry)
         if tel.enabled:
             tel.count(obs.SERVE_REJECTIONS, tenant=tenant, reason=kind)
@@ -299,10 +294,15 @@ class QueryService:
 
     def _leave(self, tenant: str, outcome: Optional[str]) -> None:
         """An admitted request's exit, its quota already released: count its
-        outcome (``None``: shed, counted as a rejection) and refresh the gauges."""
+        outcome (``None``: shed, counted as a rejection), note a completion
+        in the req/s window and refresh the gauges."""
         if outcome is not None:
             with self._lock:
                 self._counts[outcome] += 1
+                if outcome == "ok":
+                    now = time.monotonic()
+                    self._completions.append(now)
+                    self._prune_completions(now)
         tel = obs.resolve(self.telemetry)
         if tel.enabled:
             if outcome == "deadline":

@@ -7,15 +7,37 @@ import os
 import pytest
 from hypothesis import settings
 
-# "deep" raises the example budget from 100 to 2,000 and drops the deadline;
-# select with HYPOTHESIS_PROFILE=deep (used for occasional long fuzzing
-# runs). A test's own @settings(max_examples=N) wins over the profile, so
-# it deepens only the property tests that set no max_examples.
+#: "deep" multiplies every example budget by this and drops the deadline:
+#: the default 100 becomes 2,000, and a test's own max_examples=N becomes
+#: N times this (``pytest_collection_modifyitems``). Select it with
+#: HYPOTHESIS_PROFILE=deep (the nightly run).
+DEEP_FACTOR = 20
 settings.register_profile("default", settings())
 settings.register_profile(
-    "deep", settings(max_examples=2000, deadline=None, print_blob=True)
+    "deep",
+    settings(max_examples=100 * DEEP_FACTOR, deadline=None, print_blob=True),
 )
-settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
+PROFILE = os.environ.get("HYPOTHESIS_PROFILE", "default")
+settings.load_profile(PROFILE)
+
+
+def pytest_collection_modifyitems(items) -> None:
+    """Under "deep", multiply the example budget each Hypothesis test set
+    for itself by DEEP_FACTOR and drop its deadline: a test's own
+    ``@settings(max_examples=N)`` wins over any profile, so the profile
+    alone would leave it at N. A test that set no budget already runs the
+    profile's."""
+    if PROFILE != "deep":
+        return
+    # One function may be many items (parametrized): deepen it once.
+    for test in {getattr(item.obj, "__func__", item.obj) for item in items if hasattr(item, "obj")}:
+        own = getattr(test, "_hypothesis_internal_use_settings", None)
+        if getattr(test, "is_hypothesis_test", False):
+            if own.max_examples != settings.default.max_examples:
+                test._hypothesis_internal_use_settings = settings(
+                    own, max_examples=own.max_examples * DEEP_FACTOR, deadline=None
+                )
+
 
 from repro import (
     Catalog,

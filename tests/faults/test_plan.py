@@ -320,6 +320,19 @@ class TestJson:
         with pytest.raises(SimulationError):
             plan_from_json(text)
 
+    @pytest.mark.parametrize("kind", ["poll_error", "drop_records", "rpc_drop"])
+    @pytest.mark.parametrize("window", [{"start": 1e9, "end": -5}, {"start": 1e9}, {"end": 5}])
+    def test_a_silence_window_on_another_kind_is_refused(self, kind, window):
+        # A window no rule but silence reads must not be accepted and ignored:
+        # the rule would fire long before the start it names.
+        rule = {"kind": kind, "source": "m1", "probability": 0.5, **window}
+        with pytest.raises(SimulationError) as caught:
+            plan_from_json(json.dumps({"faults": [rule]}))
+        first = "start" if "start" in window else "end"
+        assert str(caught.value) == (
+            f"fault #0: '{first}' is the silence window; a {kind} rule does not read it"
+        )
+
 
 class TestRpcFaults:
     """The rpc_* kinds: advisory (returned, not raised), aimed at shards.

@@ -221,6 +221,128 @@ class TestFraming:
         assert server.accepted == 1
 
 
+def exchange(server, request: bytes) -> str:
+    """Send ``request`` on a fresh socket; everything the server sends
+    until it closes."""
+    with socket.create_connection((server.host, server.port), timeout=5.0) as sock:
+        sock.sendall(request)
+        return read_until_closed(sock)
+
+
+def post(body: bytes, *fields: str, target: str = "/v1/query", version: str = "HTTP/1.1"):
+    """A ``POST`` of ``body`` with exactly the header ``fields`` given."""
+    head = "".join(f"{field}\r\n" for field in fields)
+    return f"POST {target} {version}\r\n{head}\r\n".encode("latin-1") + body
+
+
+def body_of(stream: str) -> dict:
+    return json.loads(stream.split("\r\n\r\n", 1)[1])
+
+
+class TestRequestParsing:
+    """The header block is parsed by the server itself: the stdlib's limits
+    and request-line checks, and a 400 where the stdlib cut the block short."""
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            (f"Content-Length: {len(QUERY)}", "Host: t", "Content-Length: 5"),
+            ("Host: t", " folded-onto-host", f"Content-Length: {len(QUERY)}"),
+            ("Host: t", "no colon here", f"Content-Length: {len(QUERY)}"),
+            ("Host: t", "Bad Name: x", f"Content-Length: {len(QUERY)}"),
+        ],
+        ids=["conflicting-content-length", "folded-line", "no-colon", "space-in-name"],
+    )
+    def test_malformed_header_block_is_400_and_closes(self, server, fields):
+        stream = exchange(server, post(QUERY, *fields) + SMUGGLED)
+        assert " 400 " in stream.splitlines()[0]
+        assert responses_in(stream) == 1
+        assert "Connection: close" in stream
+
+    def test_equal_duplicate_content_length_is_accepted(self, server):
+        length = f"Content-Length: {len(QUERY)}"
+        stream = exchange(server, post(QUERY, length, "Host: t", length, "Connection: close"))
+        assert " 200 " in stream.splitlines()[0]
+        assert len(body_of(stream)["rows"]) == 3
+
+    def test_a_line_over_64_kib_is_431(self, server):
+        request = b"GET /healthz HTTP/1.1\r\nX-Big: " + b"a" * 65536 + b"\r\n\r\n"
+        stream = exchange(server, request)
+        assert " 431 " in stream.splitlines()[0]
+        assert "Connection: close" in stream
+
+    @pytest.mark.parametrize("fields, status", [(100, " 200 "), (101, " 431 ")])
+    def test_more_than_100_header_fields_is_431(self, server, fields, status):
+        head = "".join(f"X-Field-{i}: {i}\r\n" for i in range(fields - 1))
+        request = f"GET /healthz HTTP/1.1\r\n{head}Connection: close\r\n\r\n"
+        stream = exchange(server, request.encode("latin-1"))
+        assert status in stream.splitlines()[0]
+        assert responses_in(stream) == 1
+
+    @pytest.mark.parametrize(
+        "line, status",
+        [
+            (b"GET /healthz HTTP/2.0", 505),
+            (b"GET /healthz HTTP/1.x", 400),
+            (b"GET /healthz HTTP/\xb2.1", 400),
+            (b"GET /healthz HTTP/1.1 extra", 400),
+            (b"GET", 400),
+            (b"POST /v1/query", 400),  # HTTP/0.9 allows GET only
+        ],
+    )
+    def test_request_line_is_checked_as_the_stdlib_does(self, server, line, status):
+        # Refused before its version is known, a request is answered as
+        # HTTP/0.9, as the stdlib answers it: the error page, no status line.
+        stream = exchange(server, line + b"\r\nHost: t\r\n\r\n")
+        assert f"Error code: {status}" in stream
+        assert responses_in(stream) == 0
+
+    def test_expect_100_continue_gets_100_then_the_response(self, server):
+        head = post(
+            b"", f"Content-Length: {len(QUERY)}", "Expect: 100-continue", "Connection: close"
+        )
+        with socket.create_connection((server.host, server.port), timeout=5.0) as sock:
+            sock.sendall(head)
+            interim = b""
+            while not interim.endswith(b"\r\n\r\n"):
+                interim += sock.recv(1)
+            assert interim == b"HTTP/1.1 100 Continue\r\n\r\n"
+            sock.sendall(QUERY)
+            stream = read_until_closed(sock)
+        assert " 200 " in stream.splitlines()[0]
+        assert len(body_of(stream)["rows"]) == 3
+
+    def test_a_leading_double_slash_collapses(self, server):
+        stream = exchange(
+            server,
+            post(QUERY, f"Content-Length: {len(QUERY)}", "Connection: close", target="//v1/query"),
+        )
+        assert " 200 " in stream.splitlines()[0]
+        assert len(body_of(stream)["rows"]) == 3
+
+    def test_header_names_are_case_insensitive(self, server):
+        trace_id = "ab" * 16
+        stream = exchange(
+            server,
+            post(
+                QUERY,
+                f"content-length: {len(QUERY)}",
+                f"TRACEPARENT: 00-{trace_id}-00f067aa0ba902b7-01",
+                "CONNECTION: close",
+            ),
+        )
+        assert " 200 " in stream.splitlines()[0]
+        assert body_of(stream)["trace_id"] == trace_id
+
+    def test_http_10_post_closes_after_one_response(self, server):
+        length = f"Content-Length: {len(QUERY)}"
+        request = post(QUERY, length, "Connection: keep-alive", version="HTTP/1.0")
+        stream = exchange(server, request + SMUGGLED)
+        assert responses_in(stream) == 1
+        assert " 200 " in stream.splitlines()[0]
+        assert "Connection: close" in stream
+
+
 class TestIdleTimeout:
     @pytest.fixture
     def quick(self, monkeypatch):

@@ -100,6 +100,10 @@ CONSTRUCTORS = {
     "TokenBucket.rate": (_lazy("repro.serve.quota", "TokenBucket", rate=NAN, burst=1.0), TracError),
     "TokenBucket.burst": (_lazy("repro.serve.quota", "TokenBucket", rate=1.0, burst=NAN), TracError),
     "TenantQuotas.rate": (_lazy("repro.serve.quota", "TenantQuotas", rate=NAN), TracError),
+    "TenantQuotas.max_inflight": (
+        _lazy("repro.serve.quota", "TenantQuotas", max_inflight=NAN),
+        TracError,
+    ),
     "QueryService.default_deadline": (_service, TracError),
     "GridSimulator.silence_timeout": (
         _lazy("repro.grid.simulator", "GridSimulator", silence_timeout=NAN),
@@ -153,6 +157,13 @@ def test_nan_is_refused_where_a_setting_enters(name):
     build, error = CONSTRUCTORS[name]
     with pytest.raises(error, match="must be .*, got nan"):
         build()
+
+
+def test_a_zero_inflight_ceiling_is_refused_not_a_door_that_refuses_everyone():
+    from repro.serve.quota import TenantQuotas
+
+    with pytest.raises(TracError, match="^max_inflight must be >= 1 and finite, got 0$"):
+        TenantQuotas(max_inflight=0)
 
 
 class TestJsonDocuments:
@@ -256,3 +267,63 @@ def test_each_numeric_flag_takes_its_range_or_exits_2(value, capsys):
             and (high is None or (number < high if high_open else number <= high))
         )
         assert accepted == inside, (command, flag, value)
+
+
+#: The one integer flag with no range: any integer seeds the RNG.
+UNRANGED_INTEGER_FLAGS = {"--seed"}
+
+
+def test_no_integer_flag_is_a_bare_int():
+    from repro.cli import _build_parser
+
+    parser = _build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    bare = {
+        (command, action.option_strings[0])
+        for command, sub in commands.choices.items()
+        for action in sub._actions
+        if action.type is int
+    }
+    assert {flag for _, flag in bare} <= UNRANGED_INTEGER_FLAGS, sorted(bare)
+
+
+INTEGER_FLAGS = [flag for flag in FLAGS if flag[3].type.kind is int]
+
+
+def test_the_integer_flags_are_walked():
+    names = {(command, action.option_strings[0]) for _, command, _, action in INTEGER_FLAGS}
+    assert {
+        ("serve", "--workers"),
+        ("serve", "--queue-depth"),
+        ("serve", "--max-inflight"),
+        ("serve", "--port"),
+        ("simulate", "--machines"),
+        ("simulate", "--schedulers"),
+        ("shard-serve", "--machines"),
+        ("shard-serve", "--machine-id-start"),
+        ("shard-serve", "--port"),
+        ("stats", "--repeat"),
+        ("top", "--iterations"),
+    } <= names
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "0", "1.5"])
+def test_each_integer_flag_takes_an_integer_in_its_range_or_exits_2(value, capsys):
+    for parser, command, sub, action in INTEGER_FLAGS:
+        flag = action.option_strings[0]
+        low, high = action.type.bounds[:2]
+        inside = value in ("-1", "0") and low <= int(value) and (high is None or int(value) <= high)
+        try:
+            args = parser.parse_args([command, *_required(sub), f"{flag}={value}"])
+        except SystemExit as exc:
+            assert exc.code == 2 and not inside, (command, flag, value)
+            assert f"error: argument {flag}: must be " in capsys.readouterr().err
+        else:
+            assert inside, (command, flag, value)
+            assert getattr(args, action.dest) == int(value)
+
+
+def test_an_omitted_iterations_still_means_forever():
+    from repro.cli import _build_parser
+
+    assert _build_parser().parse_args(["top", "--url", "x"]).iterations is None
