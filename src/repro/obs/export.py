@@ -121,8 +121,8 @@ def parse_prometheus_text(
     """Parse sample lines back into ``{(name, labels): value}``.
 
     Comments (``# HELP``/``# TYPE``) are skipped. Covers the subset of the
-    format :func:`prometheus_text` emits; used for round-trip testing and
-    by the overhead tooling.
+    format :func:`prometheus_text` emits; the tests read the exposition
+    back with it (round trips, ``trac stats --prometheus``, ``/metrics``).
     """
     samples: Dict[Tuple[str, Tuple[Tuple[str, str], ...]], float] = {}
     for number, line in enumerate(text.splitlines(), start=1):

@@ -1,5 +1,6 @@
 """The ``deep`` Hypothesis profile deepens every property test, including
-the ones that set their own ``max_examples`` (most of the suite's do)."""
+the ones that set their own ``max_examples`` (most of the suite's do) and
+the state machines, whose settings live on their ``TestCase``."""
 
 import os
 import re
@@ -8,14 +9,15 @@ import sys
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, rule
 
 from tests.conftest import DEEP_FACTOR
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 
-#: Examples the property below draws under the default profile.
-OWN_BUDGET = 60
+#: Examples the property and the state machine below run under the default profile.
+OWN_BUDGET, MACHINE_BUDGET = 60, 5
 
 
 @settings(max_examples=OWN_BUDGET)
@@ -24,9 +26,19 @@ def test_a_60_example_property(value):
     assert isinstance(value, int)
 
 
-def passing_examples(profile: str) -> int:
-    """How many examples ``test_a_60_example_property`` passed in a pytest
-    run of its own under ``profile``."""
+@settings(max_examples=MACHINE_BUDGET, stateful_step_count=3, derandomize=True)
+class FiveExampleMachine(RuleBasedStateMachine):
+    @rule(value=st.integers())
+    def draw(self, value):
+        assert isinstance(value, int)
+
+
+TestFiveExampleMachine = FiveExampleMachine.TestCase
+
+
+def passing_examples(profile: str, test: str = "test_a_60_example_property") -> int:
+    """How many examples ``test`` passed in a pytest run of its own under
+    ``profile``."""
     env = dict(os.environ, HYPOTHESIS_PROFILE=profile)
     path = [os.path.join(ROOT, "src"), env.get("PYTHONPATH")]
     env["PYTHONPATH"] = os.pathsep.join(filter(None, path))
@@ -34,7 +46,7 @@ def passing_examples(profile: str) -> int:
         [
             sys.executable, "-m", "pytest", "-p", "no:cacheprovider",
             "--hypothesis-show-statistics",
-            f"{__file__}::test_a_60_example_property",
+            f"{__file__}::{test}",
         ],  # fmt: skip
         cwd=ROOT,
         env=env,
@@ -54,3 +66,9 @@ def test_deep_multiplies_a_tests_own_budget():
 
 def test_the_default_profile_keeps_a_tests_own_budget():
     assert passing_examples("default") == OWN_BUDGET
+
+
+def test_deep_multiplies_a_state_machines_own_budget():
+    test = "TestFiveExampleMachine::runTest"
+    assert passing_examples("deep", test) == MACHINE_BUDGET * DEEP_FACTOR
+    assert passing_examples("default", test) == MACHINE_BUDGET

@@ -49,7 +49,7 @@ checks the row-lineage laws on both paths, which must return the same rows
 * **distinct-merge** — ``SELECT DISTINCT t1.s`` unions the lineages of the
   joined rows it collapses. Usage::
 
-    python tools/fuzz_engine.py [examples]
+    python tools/fuzz_engine.py [examples] [--seed N]
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ import math
 import sqlite3
 from collections import Counter
 
-from hypothesis import example, given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from repro.catalog import Catalog, Column, FiniteDomain, TableSchema
@@ -332,6 +332,12 @@ def make_property(max_examples: int, corpus: Counter):
         ("SELECT t1.s, t1.x, t1.v FROM t1 WHERE t1.s IN ('a', 'c')", None, "plain"),
         ("s", None), None,
     )
+    # A semijoin over a bool and a NaN stored in INTEGER columns.
+    @example(
+        [("a", True, "p"), ("b", math.nan, None)], [("a", False), ("b", 1)],
+        ("SELECT DISTINCT t1.s FROM t1, t2 WHERE t1.s = t2.s", None, "semijoin"),
+        (None, None), None,
+    )
     # The lineage laws over a key lookup, read through a snapshot view.
     @example(
         [("a", 1, "p"), ("b", 2, None), ("a", 2, "q")], [("a", 2), ("c", 1)],
@@ -414,13 +420,16 @@ def main() -> int:
     parser.add_argument(
         "examples", type=int, nargs="?", default=2000, help="hypothesis examples to run"
     )
-    examples = parser.parse_args().examples
+    parser.add_argument("--seed", type=int, help="hypothesis seed (default: a fresh one)")
+    args = parser.parse_args()
+    examples = args.examples
     print(
         "differential-fuzzing compiled vs interpreted vs SQLite "
         f"with {examples} examples ..."
     )
     corpus: Counter = Counter()
-    make_property(examples, corpus)()
+    engines_agree = make_property(examples, corpus)
+    (engines_agree if args.seed is None else seed(args.seed)(engines_agree))()
     print("OK: compiled, interpreted and SQLite agreed on every example")
     print("executions by kind: " + ", ".join(f"{n} {kind}" for kind, n in corpus.items()))
     return 0
