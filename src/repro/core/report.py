@@ -114,14 +114,12 @@ class RecencyReport:
     the reporter's ``telemetry.tracer`` or export them with
     :func:`repro.obs.to_jsonl`.
 
-    ``degraded_sources`` carries the supervision layer's known outages
-    (sources a :class:`~repro.grid.supervisor.SnifferSupervisor` quarantined)
-    when the producing reporter was given a
-    :class:`~repro.core.sources.SourceRegistry`; empty otherwise.
-    Unlike ``exceptional_sources`` — which the z-score *infers* from the
-    Heartbeat data — degraded sources are positively known to be down, so
-    a source can be degraded yet absent from the heartbeat-derived split
-    (e.g. it died before ever reporting).
+    ``degraded_sources`` (sources a :class:`~repro.grid.supervisor.SnifferSupervisor`
+    quarantined) and ``unreported_sources`` (sources with no Heartbeat row
+    yet, relevant or not) come from the producing reporter's
+    :class:`~repro.core.sources.SourceRegistry`; both are empty without one.
+    Unlike ``exceptional_sources``, which the z-score *infers* from the
+    Heartbeat data, these are known, and may be absent from the split.
     """
 
     def __init__(
@@ -147,6 +145,7 @@ class RecencyReport:
         self.timings: Optional[ReportTimings] = None
         self.telemetry: Optional[object] = None
         self.degraded_sources: List[str] = []
+        self.unreported_sources: List[str] = []
         #: ``{"target_p95", "budget", "breached"}`` when the registry has a target.
         self.slo_status: Optional[Dict[str, object]] = None
         #: The user query's per-operator
@@ -196,12 +195,9 @@ class RecencyReport:
 
     @property
     def suspect_sources(self) -> Set[str]:
-        """Sources the report says not to trust: the z-score-exceptional
-        ones plus the supervisor-degraded ones."""
-        return set(self.split.exceptional_ids).union(self.degraded_sources)
-
-    def is_degraded(self, source_id: str) -> bool:
-        return source_id in self.degraded_sources
+        """Sources the report says not to trust: the z-score-exceptional,
+        supervisor-degraded and unreported ones."""
+        return set(self.split.exceptional_ids).union(self.degraded_sources, self.unreported_sources)
 
     def notices(self) -> List[str]:
         """The NOTICE lines of the prototype's interactive session."""
@@ -216,6 +212,8 @@ class RecencyReport:
                 "NOTICE: Degraded data sources (supervisor-quarantined, not "
                 f"merely stale): {', '.join(self.degraded_sources)}"
             )
+        if self.unreported_sources:
+            lines.append(f"NOTICE: Unreported data sources: {', '.join(self.unreported_sources)}")
         quality = self.provenance["quality"] if self.provenance is not None else None
         if quality is not None and (
             quality["rows_from_exceptional"] or quality["rows_from_degraded"]
@@ -451,16 +449,18 @@ class RecencyReporter:
             else:  # naive
                 plan = build_naive_plan()
 
+            # Read before the snapshot: a source is unreported or in its Heartbeat.
+            unreported = self.sources.unreported() if self.sources is not None else []
             with self.backend.snapshot() as snapshot:
                 with PhaseTimer(tel, SPAN_USER) as user_phase:
-                    if self.lineage:
-                        result = snapshot.execute(sql, lineage=True)
-                    else:
-                        result = snapshot.execute(sql)
+                    result = snapshot.execute(sql, lineage=self.lineage)
                     user_phase.set_attribute("rows", len(result.rows))
 
                 with PhaseTimer(tel, SPAN_RECENCY) as recency_phase:
                     sources, verdict = self._fetch(snapshot, plan)
+                    if unreported:
+                        heard = set(self._relevant_sources(snapshot, build_naive_plan())[0])
+                        unreported = [sid for sid in unreported if sid not in heard]
                     recency_phase.set_attribute("relevant", len(sources[0]))
                     if verdict is not None:
                         recency_phase.set_attribute("incremental", verdict)
@@ -478,7 +478,7 @@ class RecencyReporter:
                             (split.exceptional_ids, split.exceptional_recencies),
                         )
 
-        report.incremental = verdict
+        report.incremental, report.unreported_sources = verdict, unreported
         report.timings = ReportTimings(
             parse_phase.duration,
             user_phase.duration,

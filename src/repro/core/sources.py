@@ -225,6 +225,11 @@ class SourceRegistry:
         with self._lock:
             return sorted(self._degraded)
 
+    def unreported(self) -> List[str]:
+        """Sorted ids of sources with no acknowledged record yet."""
+        with self._lock:
+            return sorted(sid for sid, s in self._states.items() if s.recency == float("-inf"))
+
     def breached(self) -> List[str]:
         """Sorted ids of sources burning past their budget. O(sources): no
         percentile, safe to ask on every report."""

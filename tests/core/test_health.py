@@ -74,8 +74,6 @@ class TestReportIntegration:
         )
         report = reporter.report(IDLE, method="naive")
         assert report.degraded_sources == ["m3"]
-        assert report.is_degraded("m3")
-        assert not report.is_degraded("m1")
         # Suspect = z-score exceptional (m2, a month stale) + degraded (m3).
         assert report.suspect_sources == {"m2", "m3"}
         assert any("Degraded data sources" in n for n in report.notices())
