@@ -77,16 +77,7 @@ _BREAKER_STATE_VALUES = {"closed": 0.0, "half_open": 1.0, "open": 2.0}
 class ShardInfo:
     """Registry entry for one shard."""
 
-    __slots__ = (
-        "shard_id",
-        "host",
-        "port",
-        "machines",
-        "alive",
-        "last_seen",
-        "last_error",
-        "recency",
-    )
+    __slots__ = ("shard_id", "host", "port", "machines", "alive", "last_error", "recency")
 
     def __init__(self, shard_id: str, host: str, port: int, machines: List[str]) -> None:
         self.shard_id = shard_id
@@ -94,7 +85,6 @@ class ShardInfo:
         self.port = port
         self.machines = list(machines)
         self.alive = True
-        self.last_seen = time.monotonic()
         self.last_error: Optional[str] = None
         #: Last heartbeat's per-machine reported recency map.
         self.recency: Dict[str, float] = {}
@@ -111,12 +101,14 @@ class ShardRegistry:
     machine set; :meth:`refresh` heartbeats every member and flips
     ``alive`` (emitting ``federation.shard_dead`` / ``shard_rejoined``
     events on transitions). Thread-safe: the coordinator reads a snapshot
-    while a background heartbeat loop refreshes.
+    while a background heartbeat loop refreshes. :attr:`version` grows
+    whenever a shard joins, leaves or reports a different machine list.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._shards: Dict[str, ShardInfo] = {}
+        self.version = 0
 
     def register(self, host: str, port: int, timeout: float = 2.0) -> ShardInfo:
         """Hello a shard and add it to the membership."""
@@ -126,22 +118,21 @@ class ShardRegistry:
         shard_id = str(reply["shard_id"])
         info = ShardInfo(shard_id, host, port, [str(m) for m in reply["machines"]])
         info.recency = {str(k): float(v) for k, v in reply.get("recency", {}).items()}
-        with self._lock:
-            existing = self._shards.get(shard_id)
-            if existing is not None:
-                # A restarted shard re-registers (possibly on a new port).
-                info.alive = True
+        with self._lock:  # a restarted shard re-registers, maybe on a new port
             self._shards[shard_id] = info
+            self.version += 1
         return info
 
     def add(self, info: ShardInfo) -> None:
         """Add a pre-built entry (tests and static topologies)."""
         with self._lock:
             self._shards[info.shard_id] = info
+            self.version += 1
 
     def remove(self, shard_id: str) -> None:
         with self._lock:
             self._shards.pop(shard_id, None)
+            self.version += 1
 
     def shards(self) -> List[ShardInfo]:
         """A point-in-time membership snapshot, ordered by shard id."""
@@ -167,11 +158,11 @@ class ShardRegistry:
                 )
                 alive = bool(reply.get("ok"))
                 if alive:
-                    info.machines = [str(m) for m in reply.get("machines", info.machines)]
-                    info.recency = {
-                        str(k): float(v) for k, v in reply.get("recency", {}).items()
-                    }
-                    info.last_seen = time.monotonic()
+                    machines = [str(m) for m in reply.get("machines", info.machines)]
+                    with self._lock:  # a new machine list is a new membership
+                        self.version += machines != info.machines
+                        info.machines = machines
+                    info.recency = {str(k): float(v) for k, v in reply.get("recency", {}).items()}
                     info.last_error = None
             except RPCError as exc:
                 alive = False
@@ -223,15 +214,11 @@ class FederatedRecencyReport(RecencyReport):
     def notices(self) -> List[str]:
         """NOTICE lines: completeness first, then the single-process report's."""
         lines: List[str] = []
-        if self.missing_shards or self.stale_shards:
+        if not self.complete:
+            missing = f"; missing: {', '.join(self.missing_shards)}" if self.missing_shards else ""
             lines.append(
                 "NOTICE: Degraded federated report: "
-                f"{self.shards_ok} of {self.shards_total} shard(s) reporting"
-                + (
-                    f"; missing: {', '.join(self.missing_shards)}"
-                    if self.missing_shards
-                    else ""
-                )
+                f"{self.shards_ok} of {self.shards_total} shard(s) reporting{missing}"
             )
         if self.stale_shards:
             served = ", ".join(
@@ -449,7 +436,8 @@ class FederationCoordinator:
         wall seconds before the half-open probe.
     stale_fallback / stale_max_age:
         Serve a failed shard's last good fragment when it is younger than
-        ``stale_max_age`` wall seconds (tagged in ``stale_shards``).
+        ``stale_max_age`` wall seconds (tagged in ``stale_shards``). Fragments
+        are kept only while this is on; it may be switched at run time.
     """
 
     def __init__(
@@ -493,8 +481,8 @@ class FederationCoordinator:
         self._lock = threading.Lock()
         self._pool = rpc.ConnectionPool()
         self._request_ids = itertools.count(1)
-        # (machine set, its union catalog); see plan_for.
-        self._planned: tuple = ((), None)
+        # (registry version, its machine set, their union catalog); see plan_for.
+        self._planned: tuple = (None, (), None)
         self.reports_total = 0
         self.partial_reports = 0
 
@@ -521,13 +509,16 @@ class FederationCoordinator:
         machine set changes); the plan is memoised on the cached resolution."""
         if method == "naive":
             return build_naive_plan()
-        machines = tuple(self.registry.machines())
-        if not machines:
-            raise TracError("no shards registered; cannot build the union catalog")
+        version = self.registry.version
         with self._lock:
-            if machines != self._planned[0]:  # a shard (re)registered or rejoined
-                self._planned = (machines, monitoring_catalog(machines))
-            catalog = self._planned[1]
+            if version != self._planned[0]:  # membership moved: is the union new?
+                machines = tuple(self.registry.machines())
+                if not machines:
+                    raise TracError("no shards registered; cannot build the union catalog")
+                same = machines == self._planned[1]
+                catalog = self._planned[2] if same else monitoring_catalog(machines)
+                self._planned = (version, machines, catalog)
+            catalog = self._planned[2]
         return memoized_relevance_plan(resolve_cached(sql, catalog))[0]
 
     # -- reporting ----------------------------------------------------------
@@ -553,15 +544,8 @@ class FederationCoordinator:
             )
             fetched = time.monotonic()
             report = FederatedRecencyReport(
-                sql,
-                method,
-                plan,
-                sources,
-                DEFAULT_Z_THRESHOLD,
-                shards_total=len(shards),
-                shards_ok=shards_ok,
-                missing_shards=missing,
-                stale_shards=stale,
+                sql, method, plan, sources, DEFAULT_Z_THRESHOLD, shards_total=len(shards),
+                shards_ok=shards_ok, missing_shards=missing, stale_shards=stale,
             )
             report.degraded_sources = degraded
             if tel.enabled:
@@ -597,6 +581,7 @@ class FederationCoordinator:
         a cached fragment in for a silent shard when allowed, merge. Returns
         ``(columns, degraded sources, shards heard from, missing, {stale: age})``."""
         request = fragment_request(plan)
+        keep = self.stale_fallback  # only a fallback reads the last-good fragments
         # The stale cache is keyed by what was asked, not only of whom: a
         # fragment's results are index-aligned to *its* request's subqueries.
         asked = (
@@ -617,20 +602,23 @@ class FederationCoordinator:
             now = time.monotonic()
             for info in shards:
                 key = (info.shard_id, asked)
-                reply = outcomes.get(info.shard_id)
-                with self._lock:
-                    if reply is not None:
-                        self._fragments[key] = (reply, now)
-                        self._fragments.move_to_end(key)
-                        if len(self._fragments) > _FRAGMENT_CACHE_SIZE:
-                            self._fragments.popitem(last=False)
-                    fragment, arrived = self._fragments.get(key, (None, now))
-                age = now - arrived
-                if reply is not None:
+                fragment = outcomes.get(info.shard_id)
+                if fragment is not None:
                     shards_ok += 1
-                elif fragment is not None and self.stale_fallback and age <= self.stale_max_age:
-                    stale[info.shard_id] = age
-                else:
+                    if keep:
+                        with self._lock:
+                            self._fragments.pop(key, None)
+                            self._fragments[key] = (fragment, now)
+                            if len(self._fragments) > _FRAGMENT_CACHE_SIZE:
+                                self._fragments.popitem(last=False)
+                elif keep:
+                    with self._lock:
+                        fragment, arrived = self._fragments.get(key, (None, now))
+                    if fragment is not None and now - arrived <= self.stale_max_age:
+                        stale[info.shard_id] = now - arrived
+                    else:
+                        fragment = None
+                if fragment is None:
                     missing.append(info.shard_id)
                     continue
                 fragments.append(fragment)
@@ -638,8 +626,6 @@ class FederationCoordinator:
         for fragment in fragments:
             degraded.update(str(s) for s in fragment.get("degraded", ()))
         return merge_fragments(request, fragments), sorted(degraded), shards_ok, missing, stale
-
-    # -- fan-out ------------------------------------------------------------
 
     def close(self) -> None:
         """Close the pooled shard connections (the coordinator stays usable)."""

@@ -16,10 +16,14 @@ stream: the socket is closed, never reused.
 Two clients share one frame encoder/decoder: the blocking one-shot
 :func:`call` (registry hello/heartbeat, tools, probes) and the
 non-blocking :class:`Connection` that the coordinator's selector loop
-drives and keeps between reports in a :class:`ConnectionPool`. The server
-is a daemon-threaded acceptor with one handler thread per connection; its
-``fault_hook`` injects the ``rpc_*`` fault kinds of :mod:`repro.faults.plan`
-(drop, delay, duplicate, garbage) *below* the protocol, as a network would.
+drives and keeps between reports in a :class:`ConnectionPool`; its
+:meth:`~Connection.pump` reads at most :data:`READ_BYTES` at a time, and
+:class:`FrameDecoder` reassembles a larger frame. The server is a
+daemon-threaded acceptor with one handler thread per connection, reading
+through one buffered reader each, so a request that arrived whole costs
+one ``recv``. Its ``fault_hook`` injects the ``rpc_*`` fault kinds of
+:mod:`repro.faults.plan` (drop, delay, duplicate, garbage) *below* the
+protocol, as a network would.
 """
 
 from __future__ import annotations
@@ -37,8 +41,12 @@ from repro.errors import TracError
 MAX_FRAME_BYTES = 16 * 1024 * 1024
 #: Idle connections kept per ``(host, port)``: one per concurrent caller.
 POOL_LIMIT = 4
+#: Most bytes one client read asks for; a larger frame takes several reads.
+#: 16, 64 and 128 KiB each measured slower end to end (docs/PERFORMANCE.md).
+READ_BYTES = 256 * 1024
 
 _LENGTH = struct.Struct(">I")
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
 
 
 class RPCError(TracError):
@@ -51,7 +59,7 @@ class RPCTimeout(RPCError):
 
 def encode_frame(message: dict) -> bytes:
     """Serialize ``message`` as one length-prefixed frame."""
-    payload = json.dumps(message, separators=(",", ":")).encode("utf-8")
+    payload = _ENCODER.encode(message).encode("utf-8")
     if len(payload) > MAX_FRAME_BYTES:
         raise RPCError(f"frame too large: {len(payload)} bytes")
     return _LENGTH.pack(len(payload)) + payload
@@ -88,21 +96,21 @@ class FrameDecoder:
             end = _LENGTH.size + _frame_length(buffer[: _LENGTH.size])
             if len(buffer) < end:
                 break
-            messages.append(_decode_payload(bytes(buffer[_LENGTH.size : end])))
+            messages.append(_decode_payload(buffer[_LENGTH.size : end]))
             del buffer[:end]
         return messages
 
 
-def _recv_exact(sock: socket.socket, count: int) -> bytes:
-    chunks = []
-    remaining = count
-    while remaining > 0:
-        chunk = sock.recv(remaining)
-        if not chunk:
-            raise RPCError(f"connection closed mid-frame ({count - remaining}/{count} bytes)")
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
+def _read_exact(reader, count: int) -> bytes:
+    data = reader.read(count)
+    if len(data) < count:
+        raise RPCError(f"connection closed mid-frame ({len(data)}/{count} bytes)")
+    return data
+
+
+def _read_frame(reader) -> dict:
+    """Read one frame from a buffered binary reader (``sock.makefile("rb")``)."""
+    return _decode_payload(_read_exact(reader, _frame_length(_read_exact(reader, _LENGTH.size))))
 
 
 def send_frame(sock: socket.socket, message: dict) -> None:
@@ -111,9 +119,9 @@ def send_frame(sock: socket.socket, message: dict) -> None:
 
 
 def recv_frame(sock: socket.socket) -> dict:
-    """Read one length-prefixed frame and parse it as a JSON object."""
-    length = _frame_length(_recv_exact(sock, _LENGTH.size))
-    return _decode_payload(_recv_exact(sock, length))
+    """Read one frame from ``sock``; bytes that follow it are dropped."""
+    with sock.makefile("rb") as reader:
+        return _read_frame(reader)
 
 
 def call(host: str, port: int, request: dict, timeout: float = 5.0) -> dict:
@@ -194,7 +202,7 @@ class Connection:
         """
         try:
             self._flush()
-            data = self.sock.recv(262144)
+            data = self.sock.recv(READ_BYTES)
         except (BlockingIOError, InterruptedError):
             return []
         except OSError as exc:
@@ -342,11 +350,12 @@ class RPCServer:
             thread.start()
 
     def _serve_connection(self, conn: socket.socket) -> None:
+        reader = conn.makefile("rb")  # buffered: a frame that arrived whole is one recv
         try:
             conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             conn.settimeout(self.idle_timeout)
             while not self._stop.is_set():
-                request = recv_frame(conn)
+                request = _read_frame(reader)
                 fault = self.fault_hook(request) if self.fault_hook is not None else None
                 if fault == "rpc_drop":
                     return  # close without replying; the client times out / resets
@@ -369,6 +378,7 @@ class RPCServer:
         finally:
             with self._lock:
                 self._connections.discard(conn)
+            reader.close()  # first: while it is open, the descriptor stays open
             try:
                 conn.close()
             except OSError:

@@ -209,6 +209,14 @@ class TestNothingLeftBehind:
         assert threading.active_count() == threads
         assert len(os.listdir("/proc/self/fd")) == descriptors
 
+    def test_a_default_coordinator_keeps_no_fragment(self, pair):
+        # Without the stale fallback nothing reads a last-good fragment.
+        _, _, coordinator = pair
+        assert coordinator.stale_fallback is False
+        for _ in range(50):
+            assert coordinator.report(SQL).complete
+        assert len(coordinator._fragments) == 0
+
     def test_close_drops_the_pool_and_the_coordinator_stays_usable(self, pair):
         shards, _, coordinator = pair
         coordinator.report(SQL)
@@ -230,6 +238,27 @@ class TestPlanMemo:
         assert replanned is not plan
         registry.remove("s9")
         assert coordinator.plan_for(SQL) is not replanned
+
+    def test_a_heartbeat_that_swaps_a_machine_replans_over_the_new_union(self):
+        machines = ["m1", "m2"]
+
+        def shard(request):
+            return {"ok": True, "shard_id": "s0", "machines": list(machines), "recency": {}}
+
+        with RPCServer(shard).start() as server:
+            registry = ShardRegistry()
+            registry.register(server.host, server.port)
+            coordinator = FederationCoordinator(registry)
+            sql = "SELECT * FROM activity WHERE mach_id = 'm3'"
+            plan = coordinator.plan_for(sql)
+            assert plan.mode == "empty"  # m3 lies outside the union
+            registry.refresh(timeout=2.0)  # the same machines: the memo holds
+            assert coordinator.plan_for(sql) is plan
+            machines[1] = "m3"  # as many machines as before, one of them new
+            registry.refresh(timeout=2.0)
+            replanned = coordinator.plan_for(sql)
+        assert replanned.mode != "empty"
+        assert coordinator._planned[1] == ("m1", "m3")
 
 
 class TestConcurrentReports:

@@ -1,16 +1,23 @@
-"""The length-prefixed JSON RPC layer: framing, lifecycle, injected faults."""
+"""The length-prefixed JSON RPC layer: framing, lifecycle, injected faults,
+and what one frame costs in reads at each end (counted, not timed)."""
 
+import collections
+import selectors
 import socket
 import struct
 import threading
+import time
 
 import pytest
 
 from repro.federation.rpc import (
     MAX_FRAME_BYTES,
+    READ_BYTES,
+    Connection,
     RPCError,
     RPCServer,
     call,
+    encode_frame,
     recv_frame,
     send_frame,
 )
@@ -165,3 +172,84 @@ class TestInjectedFaults:
     def test_rpc_garbage_raises_a_clean_error(self):
         with pytest.raises(RPCError, match="garbage frame"):
             self.run_with_fault("rpc_garbage")
+
+
+@pytest.fixture
+def reads(monkeypatch):
+    """Every socket read, as ``{thread: [bytes asked for, ...]}``."""
+    asked = collections.defaultdict(list)
+    for name in ("recv", "recv_into"):
+        original = getattr(socket.socket, name)
+
+        def counting(sock, buffer, *args, _original=original, **kwargs):
+            size = buffer if isinstance(buffer, int) else args[0] if args else len(buffer)
+            asked[threading.current_thread()].append(size)
+            return _original(sock, buffer, *args, **kwargs)
+
+        monkeypatch.setattr(socket.socket, name, counting)
+    return asked
+
+
+def exchange(conn, frame, deadline=5.0):
+    """Send ``frame`` on a non-blocking :class:`Connection`; pump until a
+    reply frame is whole. Returns ``(messages, pumps)``."""
+    conn.send(frame)
+    pumps = 0
+    with selectors.DefaultSelector() as selector:
+        selector.register(conn.sock, selectors.EVENT_READ | selectors.EVENT_WRITE)
+        stop = time.monotonic() + deadline
+        while time.monotonic() < stop:
+            if not conn.outbox:
+                selector.modify(conn.sock, selectors.EVENT_READ)
+            if selector.select(stop - time.monotonic()):
+                pumps += 1
+                messages = conn.pump()
+                if messages:
+                    return messages, pumps
+    raise AssertionError("no reply frame")
+
+
+class TestReadsPerFrame:
+    """The coordinator asks for at most READ_BYTES per read and reassembles
+    a larger frame; the shard reads a request that arrived in one segment
+    with one recv."""
+
+    BIG = "x" * (3 * READ_BYTES)
+
+    def test_pump_never_asks_for_more_than_the_read_bound(self, reads):
+        with RPCServer(echo_handler).start() as server:
+            conn = Connection((server.host, server.port))
+            try:
+                exchange(conn, encode_frame({"op": "x", "pad": self.BIG}))
+            finally:
+                conn.close()
+        mine = reads[threading.current_thread()]
+        assert len(mine) > 1  # the reply came over several reads ...
+        assert max(mine) <= READ_BYTES  # ... none of them asking for more
+
+    def test_a_frame_larger_than_the_read_bound_decodes_whole(self):
+        with RPCServer(echo_handler).start() as server:
+            conn = Connection((server.host, server.port))
+            try:
+                messages, pumps = exchange(conn, encode_frame({"op": "x", "pad": self.BIG}))
+            finally:
+                conn.close()
+        assert messages == [{"ok": True, "echo": {"op": "x", "pad": self.BIG}}]
+        assert pumps > 1
+
+    def test_a_request_that_arrived_whole_costs_the_shard_one_recv(self, reads):
+        seen = []
+
+        def handler(request):
+            seen.append(len(reads[threading.current_thread()]))
+            return {"ok": True}
+
+        with RPCServer(handler).start() as server:
+            call(server.host, server.port, {"op": "x", "pad": "y" * 1000}, timeout=2.0)
+            conn = Connection((server.host, server.port))
+            try:  # frame after frame on one persistent connection
+                for n in range(3):
+                    exchange(conn, encode_frame({"op": "x", "id": n}))
+            finally:
+                conn.close()
+        assert seen == [1, 1, 2, 3]
